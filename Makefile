@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench fuzz chaos crash fleet trace ci
+.PHONY: build test race vet lint bench bench-smoke fuzz chaos crash fleet trace ci
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,12 @@ lint:
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
+
+# bench-smoke runs every workload of the repo benchmark (./bench) once in
+# -quick mode: it exits non-zero when a workload's oracle fails, and
+# gates no timing.
+bench-smoke:
+	$(GO) run ./bench -workload all -quick
 
 # fuzz exercises the parsers that face untrusted bytes: the wire decoder
 # and the archive recovery scan (which must truncate any torn tail

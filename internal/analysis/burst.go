@@ -20,34 +20,18 @@ type Burst struct {
 // Duration returns the burst's length.
 func (b Burst) Duration() simclock.Duration { return b.End.Sub(b.Start) }
 
-// HotSequence classifies each span of a utilization series as hot or not.
-func HotSequence(series []UtilPoint, threshold float64) []bool {
-	hot := make([]bool, len(series))
-	for i, p := range series {
-		hot[i] = p.Util > threshold
-	}
-	return hot
-}
-
 // Bursts segments a utilization series into bursts at the given hot
 // threshold (<= 0 selects DefaultHotThreshold).
 func Bursts(series []UtilPoint, threshold float64) []Burst {
-	if threshold <= 0 {
-		threshold = DefaultHotThreshold
-	}
+	seg := NewBurstSegmenter(SegmenterConfig{HotAbove: threshold})
 	var out []Burst
-	var cur *Burst
 	for _, p := range series {
-		if p.Util > threshold {
-			if cur == nil {
-				out = append(out, Burst{Start: p.Start, End: p.End})
-				cur = &out[len(out)-1]
-			} else {
-				cur.End = p.End
-			}
-		} else {
-			cur = nil
+		if tr, ok := seg.Feed(p); ok && tr.Kind == SegClose {
+			out = append(out, tr.Burst)
 		}
+	}
+	if tr, ok := seg.Flush(); ok {
+		out = append(out, tr.Burst)
 	}
 	return out
 }
@@ -82,7 +66,11 @@ func BurstMarkov(series []UtilPoint, threshold float64) stats.MarkovModel {
 	if threshold <= 0 {
 		threshold = DefaultHotThreshold
 	}
-	return stats.FitMarkov(HotSequence(series, threshold))
+	var mk stats.MarkovAcc
+	for _, p := range series {
+		mk.Observe(p.Util > threshold)
+	}
+	return mk.Model()
 }
 
 // PoissonTest runs the §5.2 Kolmogorov–Smirnov test of inter-burst gaps

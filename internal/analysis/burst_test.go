@@ -79,13 +79,6 @@ func TestBurstAcrossMissedInterval(t *testing.T) {
 
 func TestHotSequenceAndFraction(t *testing.T) {
 	series := seriesOf(0.9, 0.1, 0.9, 0.9)
-	hot := HotSequence(series, 0.5)
-	want := []bool{true, false, true, true}
-	for i := range want {
-		if hot[i] != want[i] {
-			t.Errorf("hot[%d] = %v", i, hot[i])
-		}
-	}
 	if f := HotFraction(series, 0); math.Abs(f-0.75) > 1e-12 {
 		t.Errorf("hot fraction = %v", f)
 	}

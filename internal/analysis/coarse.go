@@ -55,32 +55,16 @@ func DropUtilCorrelation(points []CoarsePoint) float64 {
 // DropTimeSeries converts a cumulative drop-counter series into per-bin
 // drop counts at the given granularity (1 minute in Fig 2).
 func DropTimeSeries(dropSamples []wire.Sample, bin simclock.Duration) ([]uint64, error) {
-	if bin <= 0 {
-		return nil, fmt.Errorf("analysis: non-positive bin %v", bin)
+	acc, err := NewDropBinAcc(bin)
+	if err != nil {
+		return nil, err
 	}
-	if len(dropSamples) < 2 {
-		return nil, fmt.Errorf("analysis: need >= 2 samples")
-	}
-	start := dropSamples[0].Time
-	end := dropSamples[len(dropSamples)-1].Time
-	n := int(end.Sub(start) / bin)
-	if n <= 0 {
-		n = 1
-	}
-	out := make([]uint64, n)
-	prev := dropSamples[0]
-	for _, s := range dropSamples[1:] {
-		if s.Time.Sub(prev.Time) <= 0 {
-			return nil, fmt.Errorf("analysis: non-increasing timestamps")
+	for _, s := range dropSamples {
+		if acc.Add(s) != nil {
+			break
 		}
-		bi := int(prev.Time.Sub(start) / bin)
-		if bi >= n {
-			bi = n - 1
-		}
-		out[bi] += s.Value - prev.Value
-		prev = s
 	}
-	return out, nil
+	return acc.Bins()
 }
 
 // Burstiness summarizes a drop time series the way §3 reads Fig 2: drops

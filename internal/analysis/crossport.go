@@ -1,9 +1,6 @@
 package analysis
 
 import (
-	"fmt"
-	"sort"
-
 	"mburst/internal/simclock"
 	"mburst/internal/stats"
 	"mburst/internal/wire"
@@ -120,45 +117,19 @@ type BufferWindow struct {
 // (clear-on-read values). window is the grouping span (50 ms in the
 // paper). The returned slice is ordered by window start.
 func BufferVsHotPorts(ports [][]UtilPoint, peaks []wire.Sample, window simclock.Duration, threshold float64) ([]BufferWindow, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("analysis: non-positive window %v", window)
-	}
-	if threshold <= 0 {
-		threshold = DefaultHotThreshold
-	}
-	type agg struct {
-		hot  map[int]bool
-		peak float64
-	}
-	aggs := make(map[simclock.Time]*agg)
-	at := func(t simclock.Time) *agg {
-		key := t.Truncate(window)
-		a := aggs[key]
-		if a == nil {
-			a = &agg{hot: make(map[int]bool)}
-			aggs[key] = a
-		}
-		return a
+	acc, err := NewBufferWindowAcc(window, threshold)
+	if err != nil {
+		return nil, err
 	}
 	for pi, s := range ports {
 		for _, p := range s {
-			if p.Util > threshold {
-				at(p.Start).hot[pi] = true
-			}
+			acc.ObserveUtil(pi, p)
 		}
 	}
 	for _, s := range peaks {
-		a := at(s.Time)
-		if v := float64(s.Value); v > a.peak {
-			a.peak = v
-		}
+		acc.ObservePeak(s)
 	}
-	out := make([]BufferWindow, 0, len(aggs))
-	for start, a := range aggs {
-		out = append(out, BufferWindow{Start: start, HotPorts: len(a.hot), PeakBytes: a.peak})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out, nil
+	return acc.Windows(), nil
 }
 
 // BufferBoxplots groups Fig 10 windows by hot-port count and summarizes

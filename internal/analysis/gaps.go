@@ -60,51 +60,19 @@ type GapStats struct {
 // A value regression remains an error: agent restarts do not reset ASIC
 // counters, so a regression means rack mix-up or corruption, which
 // widening cannot repair.
+//
+// This is a feed loop over GapAwareState and follows its rule for
+// multiply-damaged input: the error names the first damage met in sample
+// order (an early regression is reported even if a conflicting duplicate
+// follows later).
 func GapAwareUtilization(samples []wire.Sample, speedBps uint64) ([]UtilPoint, GapStats, error) {
-	var st GapStats
-	if speedBps == 0 {
-		return nil, st, fmt.Errorf("analysis: zero port speed")
-	}
-	clean, dups, err := dedupByTime(samples)
-	if err != nil {
-		return nil, st, err
-	}
-	st.Duplicates = dups
-	if len(clean) < 2 {
-		return nil, st, fmt.Errorf("analysis: need >= 2 distinct samples, have %d", len(clean))
-	}
-
-	out := make([]UtilPoint, 0, len(clean)-1)
-	bytes := make([]uint64, 0, len(clean)-1) // per-span byte deltas, parallel to out
-	for i := 1; i < len(clean); i++ {
-		prev, cur := clean[i-1], clean[i]
-		if cur.Time < prev.Time {
-			return nil, st, fmt.Errorf("analysis: timestamps regress at %d", i)
-		}
-		if cur.Value < prev.Value {
-			return nil, st, fmt.Errorf("analysis: byte counter regressed at %d", i)
-		}
-		if cur.Missed > 0 {
-			st.MissedSpans++
-		}
-		delta := cur.Value - prev.Value
-		out = append(out, UtilPoint{Start: prev.Time, End: cur.Time, Util: spanUtil(delta, cur.Time.Sub(prev.Time), speedBps)})
-		bytes = append(bytes, delta)
-		// Absorb a physically impossible catch-up into the stale spans
-		// preceding it.
-		for len(out) > 1 && out[len(out)-1].Util > maxPhysicalUtil {
-			a, b := out[len(out)-2], out[len(out)-1]
-			merged := bytes[len(bytes)-2] + bytes[len(bytes)-1]
-			out = out[:len(out)-1]
-			bytes = bytes[:len(bytes)-1]
-			out[len(out)-1] = UtilPoint{Start: a.Start, End: b.End, Util: spanUtil(merged, b.End.Sub(a.Start), speedBps)}
-			bytes[len(bytes)-1] = merged
-			st.Merged++
+	g := NewGapAwareState(speedBps)
+	for _, s := range samples {
+		if g.Feed(s) != nil {
+			break
 		}
 	}
-	st.Points = len(out)
-	st.Bytes = clean[len(clean)-1].Value - clean[0].Value
-	return out, st, nil
+	return g.Finish()
 }
 
 // spanUtil is the average utilization of delta bytes over span at the
@@ -114,39 +82,6 @@ func spanUtil(delta uint64, span simclock.Duration, speedBps uint64) float64 {
 		return 0
 	}
 	return float64(delta) * 8 / (float64(speedBps) * span.Seconds())
-}
-
-// dedupByTime drops samples sharing a timestamp with their predecessor,
-// verifying the duplicates agree on the counter value.
-func dedupByTime(samples []wire.Sample) ([]wire.Sample, int, error) {
-	if len(samples) == 0 {
-		return nil, 0, nil
-	}
-	out := samples[:1]
-	shared := true // still aliasing the input; copy lazily on first drop
-	dups := 0
-	for i := 1; i < len(samples); i++ {
-		last := out[len(out)-1]
-		if samples[i].Time == last.Time {
-			if samples[i].Value != last.Value {
-				return nil, 0, fmt.Errorf("analysis: duplicate timestamp %v with conflicting values %d vs %d",
-					samples[i].Time, last.Value, samples[i].Value)
-			}
-			dups++
-			if shared {
-				cp := make([]wire.Sample, len(out), len(samples))
-				copy(cp, out)
-				out, shared = cp, false
-			}
-			continue
-		}
-		if shared {
-			out = samples[:i+1]
-		} else {
-			out = append(out, samples[i])
-		}
-	}
-	return out, dups, nil
 }
 
 // RecoveredBytes returns the exact byte total carried by a cumulative

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"fmt"
-
 	"mburst/internal/asic"
 	"mburst/internal/stats"
 	"mburst/internal/wire"
@@ -55,33 +53,15 @@ func (r PacketMixResult) LargeShift() float64 {
 // byteSamples and binSamples must come from the same polling campaign
 // (same timestamps); periods without matching bin data are skipped.
 func PacketMixInsideOutside(byteSamples, binSamples []wire.Sample, speedBps uint64, threshold float64) (PacketMixResult, error) {
-	if threshold <= 0 {
-		threshold = DefaultHotThreshold
-	}
-	res := PacketMixResult{Inside: NewSizeHistogram(), Outside: NewSizeHistogram()}
-	if len(byteSamples) != len(binSamples) {
-		return res, fmt.Errorf("analysis: byte/bin sample counts differ: %d vs %d", len(byteSamples), len(binSamples))
-	}
-	series, err := UtilizationSeries(byteSamples, speedBps)
-	if err != nil {
-		return res, err
-	}
-	for i := 1; i < len(binSamples); i++ {
-		if binSamples[i].Time != byteSamples[i].Time {
-			return res, fmt.Errorf("analysis: sample %d misaligned (%v vs %v)", i, binSamples[i].Time, byteSamples[i].Time)
+	acc := NewPacketMixAcc(speedBps, threshold)
+	// Interleave as a campaign would, so the pairing queues stay O(1) deep.
+	for i := 0; i < len(byteSamples) || i < len(binSamples); i++ {
+		if i < len(byteSamples) {
+			acc.AddByte(byteSamples[i])
 		}
-		p := series[i-1]
-		target := res.Outside
-		if p.Util > threshold {
-			target = res.Inside
-			res.InsidePeriods++
-		} else {
-			res.OutsidePeriods++
-		}
-		for b := 0; b < asic.NumSizeBins; b++ {
-			delta := binSamples[i].Bins[b] - binSamples[i-1].Bins[b]
-			target.AddBin(b, int64(delta))
+		if i < len(binSamples) {
+			acc.AddBin(binSamples[i])
 		}
 	}
-	return res, nil
+	return acc.Result()
 }

@@ -7,8 +7,14 @@
 // versus hot ports (Fig 10), and the coarse-grained SNMP-style views that
 // motivate the study (Figs 1–2).
 //
-// All functions are pure: samples in, summaries out. Inputs come from the
-// collection pipeline (or a trace file) as wire.Sample slices.
+// Each per-series algorithm is implemented once, as a single-pass
+// accumulator in stream.go (UtilState, BurstSegmenter, RebinAcc,
+// GapAwareState, PacketMixAcc, BufferWindowAcc, DropBinAcc); the
+// slice-taking functions of the same name (UtilizationSeries, Bursts,
+// Rebin, ...) are conveniences that feed a slice through the accumulator.
+// Cross-series reductions with no streaming form (AlignedMatrix,
+// UplinkMAD, ServerCorrelation, ...) take slices only. Nothing here keeps
+// state between calls or reads a clock.
 package analysis
 
 import (
@@ -64,28 +70,19 @@ func (p UtilPoint) Span() simclock.Duration { return p.End.Sub(p.Start) }
 // speedBps is the port's line rate. An error is returned for series that
 // are too short, out of order, or with regressing byte counts.
 func UtilizationSeries(samples []wire.Sample, speedBps uint64) ([]UtilPoint, error) {
-	if len(samples) < 2 {
-		return nil, fmt.Errorf("analysis: need >= 2 samples, have %d", len(samples))
-	}
-	if speedBps == 0 {
-		return nil, fmt.Errorf("analysis: zero port speed")
-	}
-	out := make([]UtilPoint, 0, len(samples)-1)
-	for i := 1; i < len(samples); i++ {
-		prev, cur := samples[i-1], samples[i]
-		span := cur.Time.Sub(prev.Time)
-		if span <= 0 {
-			return nil, fmt.Errorf("analysis: non-increasing timestamps at %d", i)
+	u := NewUtilState(speedBps)
+	out := make([]UtilPoint, 0, max(len(samples)-1, 0))
+	for _, s := range samples {
+		p, ok, err := u.Feed(s)
+		if err != nil {
+			return nil, err
 		}
-		if cur.Value < prev.Value {
-			return nil, fmt.Errorf("analysis: byte counter regressed at %d", i)
+		if ok {
+			out = append(out, p)
 		}
-		bits := float64(cur.Value-prev.Value) * 8
-		out = append(out, UtilPoint{
-			Start: prev.Time,
-			End:   cur.Time,
-			Util:  bits / (float64(speedBps) * span.Seconds()),
-		})
+	}
+	if err := u.Close(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -94,46 +91,11 @@ func UtilizationSeries(samples []wire.Sample, speedBps uint64) ([]UtilPoint, err
 // 1 s granularity of Fig 7's coarse curves), byte-weighting each source
 // span by its overlap with the bin.
 func Rebin(series []UtilPoint, width simclock.Duration) []UtilPoint {
-	if width <= 0 {
-		panic("analysis: non-positive rebin width")
-	}
-	if len(series) == 0 {
-		return nil
-	}
-	start := series[0].Start.Truncate(width)
-	end := series[len(series)-1].End
-	nbins := int((end.Sub(start) + width - 1) / simclock.Duration(width))
-	if nbins <= 0 {
-		nbins = 1
-	}
-	acc := make([]float64, nbins) // util·ns accumulated per bin
+	acc := NewRebinAcc(width)
 	for _, p := range series {
-		// Distribute the span across the bins it overlaps.
-		s, e := p.Start, p.End
-		for s.Before(e) {
-			bi := int(s.Sub(start) / simclock.Duration(width))
-			if bi >= nbins {
-				break
-			}
-			binEnd := start.Add(simclock.Duration(bi+1) * width)
-			segEnd := e
-			if binEnd.Before(segEnd) {
-				segEnd = binEnd
-			}
-			acc[bi] += p.Util * float64(segEnd.Sub(s))
-			s = segEnd
-		}
+		acc.Add(p)
 	}
-	out := make([]UtilPoint, nbins)
-	for i := range out {
-		binStart := start.Add(simclock.Duration(i) * width)
-		out[i] = UtilPoint{
-			Start: binStart,
-			End:   binStart.Add(width),
-			Util:  acc[i] / float64(width),
-		}
-	}
-	return out
+	return acc.Points()
 }
 
 // Utils extracts the utilization values of a series (for ECDFs, Fig 6).

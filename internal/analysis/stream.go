@@ -9,14 +9,13 @@ import (
 	"mburst/internal/wire"
 )
 
-// This file is the streaming analysis core: single-pass, per-series state
+// This file is the analysis engine: single-pass, per-series state
 // machines that consume wire.Samples as they arrive (from a live
-// collector ingest tap or trace.Reader.IterWindow) and produce outputs
-// byte-identical to the batch functions above. "Byte-identical" is meant
-// literally: each accumulator performs the same floating-point operations
-// in the same order as its batch counterpart, so figure structs compare
-// equal with reflect.DeepEqual down to the last bit. The equivalence
-// tests in internal/core pin this against every figure runner.
+// collector ingest tap or trace.Reader.IterWindow). They are the only
+// implementation of each per-series algorithm — the slice-taking
+// functions of the package feed them — and reference_test.go keeps an
+// independent slice implementation of each that they are compared
+// against bit for bit, error text included.
 
 // SortedKeys returns the keys of a SeriesKey-keyed map in deterministic
 // order: Port, then Dir, then Kind. Every range over a Split result (or
@@ -87,13 +86,11 @@ func (d *SeriesDemux) Keys() []SeriesKey {
 	return SortedKeys(d.sinks)
 }
 
-// UtilState is the streaming counterpart of UtilizationSeries: feed
-// cumulative byte-counter samples one at a time and receive a UtilPoint
-// per successive pair. The emitted points, and the errors (message and
-// precedence included), are identical to the batch function over the same
-// samples; Close reports the short-series error the batch path raises up
-// front. Errors latch: once Feed fails, further calls return the same
-// error.
+// UtilState is the engine behind UtilizationSeries: feed cumulative
+// byte-counter samples one at a time and receive a UtilPoint per
+// successive pair. Close reports the short-series error, which outranks
+// every Feed error a series of fewer than two samples could raise.
+// Errors latch: once Feed fails, further calls return the same error.
 type UtilState struct {
 	speedBps uint64
 	n        int
@@ -151,7 +148,7 @@ func (u *UtilState) Feed(s wire.Sample) (UtilPoint, bool, error) {
 func (u *UtilState) N() int { return u.n }
 
 // Close finalizes the series: it returns any latched Feed error, or the
-// batch path's short-series error when fewer than two samples arrived.
+// short-series error when fewer than two samples arrived.
 func (u *UtilState) Close() error {
 	if u.err != nil {
 		return u.err
@@ -162,17 +159,15 @@ func (u *UtilState) Close() error {
 	return nil
 }
 
-// GapAwareState is the streaming counterpart of GapAwareUtilization. It
-// retains the reconstructed spans (32 bytes per span, versus 96 per
-// retained wire.Sample in the batch path) because the catch-up merge can
-// cascade arbitrarily far back, so the output is not final until Finish.
+// GapAwareState is the engine behind GapAwareUtilization. It retains the
+// reconstructed spans (32 bytes per span, versus 96 per wire.Sample)
+// because the catch-up merge can cascade arbitrarily far back, so the
+// output is not final until Finish.
 //
-// Successful reconstructions are byte-identical to the batch function.
-// On multiply-damaged inputs the specific error may differ: the batch
-// path deduplicates the whole series before scanning pairs, so a
-// duplicate-conflict late in the input outranks a regression early in
-// it, while the streaming path reports whichever damage it meets first.
-// Both paths always agree on whether reconstruction fails.
+// On multiply-damaged input the error names the first damage met in
+// sample order. (A dedup-the-whole-series-first formulation, kept as the
+// test reference, would let a late duplicate conflict outrank an early
+// regression; the two always agree on whether reconstruction fails.)
 type GapAwareState struct {
 	speedBps uint64
 	st       GapStats
@@ -245,8 +240,7 @@ func (g *GapAwareState) Feed(s wire.Sample) error {
 }
 
 // Finish finalizes the reconstruction. On error the returned stats are
-// whatever was tallied before the damage (the batch path returns partial
-// stats too, though not necessarily the same partials).
+// whatever was tallied before the damage.
 func (g *GapAwareState) Finish() ([]UtilPoint, GapStats, error) {
 	if g.err != nil {
 		return nil, g.st, g.err
@@ -304,8 +298,8 @@ type SegmenterConfig struct {
 // BurstSegmenter is the incremental burst/gap state machine shared by the
 // streaming analysis path and internal/detect's online detectors: feed
 // utilization spans in order and receive bursts and inter-burst gaps as
-// they close. At ArmAfter = DisarmAfter = 1 with no hysteresis it emits
-// exactly the segments of Bursts and the gaps of InterBurstGaps.
+// they close. Bursts is this machine at ArmAfter = DisarmAfter = 1 with no
+// hysteresis, and the gaps it emits are then those of InterBurstGaps.
 type BurstSegmenter struct {
 	hotAbove  float64
 	coldBelow float64
@@ -407,9 +401,8 @@ func (g *BurstSegmenter) Reset() {
 	*g = *NewBurstSegmenter(cfg)
 }
 
-// RebinAcc is the streaming counterpart of Rebin: feed utilization spans
-// in order, read the fixed-width bins at the end. Points() is identical
-// to Rebin over the same series.
+// RebinAcc is the engine behind Rebin: feed utilization spans in order,
+// read the fixed-width bins at the end.
 type RebinAcc struct {
 	width   simclock.Duration
 	started bool
@@ -418,8 +411,7 @@ type RebinAcc struct {
 	acc     []float64 // util·ns accumulated per bin, grown on demand
 }
 
-// NewRebinAcc returns a rebinner; it panics on non-positive width exactly
-// as Rebin does.
+// NewRebinAcc returns a rebinner; it panics on non-positive width.
 func NewRebinAcc(width simclock.Duration) *RebinAcc {
 	if width <= 0 {
 		panic("analysis: non-positive rebin width")
@@ -453,9 +445,8 @@ func (r *RebinAcc) Add(p UtilPoint) {
 }
 
 // Points finalizes the bins. The bin count derives from the last span's
-// End, as in Rebin; accumulation beyond it (possible only for
-// non-monotonic input, which Rebin drops at its bounds check) is
-// discarded the same way.
+// End; accumulation beyond it (possible only for non-monotonic input) is
+// discarded.
 func (r *RebinAcc) Points() []UtilPoint {
 	if !r.started {
 		return nil
@@ -480,12 +471,11 @@ func (r *RebinAcc) Points() []UtilPoint {
 	return out
 }
 
-// DropBinAcc is the streaming counterpart of DropTimeSeries: feed
-// cumulative drop-counter samples, read per-bin drop counts at the end.
-// The final bin count depends on the last timestamp, so deltas landing
-// past it accumulate in overflow bins that Bins folds into the last bin —
-// the same clamping DropTimeSeries applies inline (uint64 sums commute,
-// so the fold is exact).
+// DropBinAcc is the engine behind DropTimeSeries: feed cumulative
+// drop-counter samples, read per-bin drop counts at the end. The final
+// bin count depends on the last timestamp, so deltas landing past it
+// accumulate in overflow bins that Bins folds into the last bin (uint64
+// sums commute, so the fold is exact).
 type DropBinAcc struct {
 	bin   simclock.Duration
 	n     int
@@ -495,8 +485,7 @@ type DropBinAcc struct {
 	err   error
 }
 
-// NewDropBinAcc returns a drop binner, rejecting non-positive bins with
-// DropTimeSeries' error.
+// NewDropBinAcc returns a drop binner, rejecting non-positive bins.
 func NewDropBinAcc(bin simclock.Duration) (*DropBinAcc, error) {
 	if bin <= 0 {
 		return nil, fmt.Errorf("analysis: non-positive bin %v", bin)
@@ -586,12 +575,12 @@ func (e *SeriesEndpoints) Slice() []wire.Sample {
 	}
 }
 
-// PacketMixAcc is the streaming counterpart of PacketMixInsideOutside:
-// feed the interleaved byte/size-bin sample stream of one port and read
-// the Fig 5 histograms at the end. Byte and bin samples are paired by
-// index, as in the batch function; campaigns emit them in lockstep, so
-// the internal pairing queues stay O(1) deep (a stream where one kind
-// runs far ahead buffers the difference).
+// PacketMixAcc is the engine behind PacketMixInsideOutside: feed the
+// interleaved byte/size-bin sample stream of one port and read the Fig 5
+// histograms at the end. Byte and bin samples are paired by index;
+// campaigns emit them in lockstep, so the internal pairing queues stay
+// O(1) deep (a stream where one kind runs far ahead buffers the
+// difference).
 type PacketMixAcc struct {
 	threshold float64
 	util      *UtilState
@@ -646,8 +635,8 @@ func (m *PacketMixAcc) AddByte(s wire.Sample) {
 			m.utilErr = err
 		}
 	} else if ok {
-		// The span this sample closes is the period the batch loop
-		// classifies at this index (series[i-1]).
+		// The span this sample closes is the period classified at this
+		// index.
 		rec.util = p.Util
 		rec.hasUtil = true
 	}
@@ -663,12 +652,12 @@ func (m *PacketMixAcc) AddBin(s wire.Sample) {
 	m.pair()
 }
 
-// pair processes every index for which both samples have arrived,
-// replicating the batch classification loop in index order.
+// pair processes every index for which both samples have arrived, in
+// index order.
 func (m *PacketMixAcc) pair() {
 	for len(m.byteQ) > 0 && len(m.binQ) > 0 {
 		if m.utilErr != nil || m.alignErr != nil {
-			// The batch path stops at the first such error; keep the
+			// Classification stops at the first such error; keep the
 			// histograms frozen at that point.
 			m.byteQ = m.byteQ[1:]
 			m.binQ = m.binQ[1:]
@@ -703,9 +692,8 @@ func (m *PacketMixAcc) pair() {
 	}
 }
 
-// Result finalizes the classification, reproducing the batch error
-// precedence: mismatched counts, then utilization-series errors, then
-// the first misaligned pair.
+// Result finalizes the classification. Error precedence: mismatched
+// counts, then utilization-series errors, then the first misaligned pair.
 func (m *PacketMixAcc) Result() (PacketMixResult, error) {
 	empty := PacketMixResult{Inside: NewSizeHistogram(), Outside: NewSizeHistogram()}
 	if m.nBytes != m.nBins {
@@ -723,11 +711,10 @@ func (m *PacketMixAcc) Result() (PacketMixResult, error) {
 	return m.res, nil
 }
 
-// BufferWindowAcc is the streaming counterpart of BufferVsHotPorts: feed
-// per-port utilization spans and buffer-peak samples in any order, read
-// the Fig 10 windows at the end. Hot-port sets and peak maxima are
-// order-independent, so Windows() is byte-identical to the batch
-// function regardless of interleaving.
+// BufferWindowAcc is the engine behind BufferVsHotPorts: feed per-port
+// utilization spans and buffer-peak samples in any order, read the
+// Fig 10 windows at the end. Hot-port sets and peak maxima are
+// order-independent, so Windows() does not depend on the interleaving.
 type BufferWindowAcc struct {
 	window    simclock.Duration
 	threshold float64
@@ -740,8 +727,7 @@ type bufferAgg struct {
 }
 
 // NewBufferWindowAcc returns a window accumulator, rejecting non-positive
-// windows with BufferVsHotPorts' error; threshold <= 0 selects
-// DefaultHotThreshold.
+// windows; threshold <= 0 selects DefaultHotThreshold.
 func NewBufferWindowAcc(window simclock.Duration, threshold float64) (*BufferWindowAcc, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("analysis: non-positive window %v", window)

@@ -1,16 +1,19 @@
 package analysis
 
-// Accumulator-level equivalence: each streaming type must reproduce its
-// batch counterpart exactly — same values, same order, same errors — on
-// clean and damaged inputs. The campaign-level equivalence lives in
-// internal/core/equivalence_test.go; these tests localize a divergence
-// to the specific accumulator.
+// Accumulator-level equivalence: each accumulator, the slice-taking
+// adapter over it, and the independent reference in reference_test.go
+// must agree exactly — same values, same order, same errors — on clean
+// and damaged inputs, hand-picked and testing/quick-generated. The
+// composition-level equivalence lives in internal/core/equivalence_test.go;
+// these tests localize a divergence to the specific accumulator.
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
+	"testing/quick"
 
 	"mburst/internal/asic"
 	"mburst/internal/rng"
@@ -116,6 +119,150 @@ func TestSeriesDemuxRoutesInOrder(t *testing.T) {
 	}
 }
 
+// ---------------------------------------------------------------------------
+// testing/quick generators. The hand-picked tables below pin the cases a
+// reader should see; the generated ones cover what nobody thought to write
+// down. The generator seed is fixed so a failing input reproduces.
+
+func quickCfg(n int) *quick.Config {
+	return &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(1))}
+}
+
+// errText is the comparable form of an error: "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// sameText reports whether every error carries the same text (or all are
+// nil).
+func sameText(errs ...error) bool {
+	for _, e := range errs[1:] {
+		if errText(e) != errText(errs[0]) {
+			return false
+		}
+	}
+	return true
+}
+
+// quickLen draws a series length, over-weighting the 0/1/2 edge cases.
+func quickLen(r *rand.Rand, size int) int {
+	if r.Intn(5) == 0 {
+		return r.Intn(3)
+	}
+	return r.Intn(size + 1)
+}
+
+// damagedBytes is a generated cumulative byte-counter series: random
+// spans and deltas (in some series above line rate, so the gap-aware
+// merge cascade runs), sprinkled with harmless damage (agreeing duplicates, Missed > 0)
+// and up to two fatal damages (conflicting duplicate, time regression,
+// value regression), occasionally at zero port speed.
+type damagedBytes struct {
+	Samples []wire.Sample
+	Speed   uint64
+	// Fatal counts the injected damages that make reconstruction fail.
+	Fatal int
+}
+
+func (damagedBytes) Generate(r *rand.Rand, size int) reflect.Value {
+	d := damagedBytes{Speed: gbps10}
+	if r.Intn(12) == 0 {
+		d.Speed = 0
+	}
+	n := quickLen(r, size)
+	fatalAt := map[int]bool{}
+	for k := r.Intn(3); k > 0 && n > 1; k-- {
+		fatalAt[1+r.Intn(n-1)] = true
+	}
+	// Per-series load ceiling as a fraction of line rate (1250 B/µs at
+	// 10G): below 1 no span is super-physical, above it some are.
+	load := r.Float64() * 1.5
+	at, cum := simclock.Epoch, uint64(0)
+	for i := 0; i < n; i++ {
+		us := 1 + r.Int63n(100)
+		at = at.Add(simclock.Micros(us))
+		cum += uint64(r.Int63n(1 + int64(load*1250*float64(us))))
+		s := wire.Sample{Time: at, Kind: asic.KindBytes, Dir: asic.TX, Value: cum}
+		if i > 0 {
+			prev := d.Samples[i-1]
+			switch {
+			case fatalAt[i]:
+				d.Fatal++
+				switch r.Intn(3) {
+				case 0:
+					s.Time, s.Value = prev.Time, prev.Value+1
+				case 1:
+					s.Time = prev.Time - 1
+				case 2:
+					s.Value = prev.Value - 1 // wraps at 0: still a regression
+				}
+			case r.Intn(15) == 0:
+				s = prev
+			case r.Intn(15) == 0:
+				s.Missed = uint32(1 + r.Intn(3))
+			}
+		}
+		d.Samples = append(d.Samples, s)
+	}
+	return reflect.ValueOf(d)
+}
+
+// utilSeries is a generated contiguous utilization series with uneven
+// spans and levels that cross (and sometimes sit exactly on) the default
+// threshold.
+type utilSeries []UtilPoint
+
+func (utilSeries) Generate(r *rand.Rand, size int) reflect.Value {
+	out := make(utilSeries, quickLen(r, 4*size))
+	at := simclock.Epoch.Add(simclock.Micros(r.Int63n(1000)))
+	for i := range out {
+		end := at.Add(simclock.Micros(1 + r.Int63n(200)))
+		util := r.Float64() * 1.1
+		if r.Intn(10) == 0 {
+			util = DefaultHotThreshold
+		}
+		out[i] = UtilPoint{Start: at, End: end, Util: util}
+		at = end
+	}
+	return reflect.ValueOf(out)
+}
+
+// ---------------------------------------------------------------------------
+
+// checkUtil compares adapter, accumulator and reference on one series.
+func checkUtil(t *testing.T, samples []wire.Sample, speed uint64) bool {
+	t.Helper()
+	refSeries, refErr := refUtilizationSeries(samples, speed)
+	adSeries, adErr := UtilizationSeries(samples, speed)
+
+	u := NewUtilState(speed)
+	var accSeries []UtilPoint
+	for _, s := range samples {
+		p, ok, err := u.Feed(s)
+		if err != nil {
+			accSeries = nil
+			break
+		}
+		if ok {
+			accSeries = append(accSeries, p)
+		}
+	}
+	accErr := u.Close()
+
+	if !sameText(refErr, adErr, accErr) {
+		t.Errorf("errors diverge: reference %q, adapter %q, accumulator %q", errText(refErr), errText(adErr), errText(accErr))
+		return false
+	}
+	if !reflect.DeepEqual(refSeries, adSeries) || (refErr == nil && !reflect.DeepEqual(refSeries, accSeries)) {
+		t.Errorf("series diverge:\nreference:   %v\nadapter:     %v\naccumulator: %v", refSeries, adSeries, accSeries)
+		return false
+	}
+	return true
+}
+
 func TestUtilStateMatchesUtilizationSeries(t *testing.T) {
 	regress := rampSamples(25, []float64{0.5, 0.5})
 	regress[2].Value = regress[1].Value - 1
@@ -136,36 +283,76 @@ func TestUtilStateMatchesUtilizationSeries(t *testing.T) {
 		{"non-increasing-time", stall, gbps10},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			wantSeries, wantErr := UtilizationSeries(tc.samples, tc.speed)
-
-			u := NewUtilState(tc.speed)
-			var gotSeries []UtilPoint
-			for _, s := range tc.samples {
-				p, ok, err := u.Feed(s)
-				if err != nil {
-					break
-				}
-				if ok {
-					gotSeries = append(gotSeries, p)
-				}
-			}
-			gotErr := u.Close()
-
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("batch err %v, stream err %v", wantErr, gotErr)
-			}
-			if wantErr != nil {
-				if wantErr.Error() != gotErr.Error() {
-					t.Fatalf("batch err %q, stream err %q", wantErr, gotErr)
-				}
-				return
-			}
-			if !reflect.DeepEqual(wantSeries, gotSeries) {
-				t.Errorf("series diverge:\nbatch:  %v\nstream: %v", wantSeries, gotSeries)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkUtil(t, tc.samples, tc.speed) })
 	}
+	t.Run("quick", func(t *testing.T) {
+		prop := func(d damagedBytes) bool { return checkUtil(t, d.Samples, d.Speed) }
+		if err := quick.Check(prop, quickCfg(500)); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// checkBursts compares Bursts, a BurstSegmenter and the reference on
+// segments and inter-burst gaps, and BurstMarkov against a transition
+// count over the reference hot sequence.
+func checkBursts(t *testing.T, s []UtilPoint, th float64) bool {
+	t.Helper()
+	refB := refBursts(s, th)
+	refGaps := InterBurstGaps(refB)
+
+	seg := NewBurstSegmenter(SegmenterConfig{HotAbove: th})
+	var accB []Burst
+	var accGaps []float64
+	handle := func(tr Transition, ok bool) {
+		if !ok {
+			return
+		}
+		switch tr.Kind {
+		case SegOpen:
+			if tr.HasGap {
+				accGaps = append(accGaps, float64(tr.Gap)/float64(simclock.Microsecond))
+			}
+		case SegClose:
+			accB = append(accB, tr.Burst)
+		}
+	}
+	for _, p := range s {
+		handle(seg.Feed(p))
+	}
+	handle(seg.Flush())
+
+	ok := true
+	if adB := Bursts(s, th); !reflect.DeepEqual(refB, adB) || !reflect.DeepEqual(refB, accB) {
+		t.Errorf("bursts diverge:\nreference:   %v\nadapter:     %v\naccumulator: %v", refB, adB, accB)
+		ok = false
+	}
+	if !reflect.DeepEqual(refGaps, accGaps) {
+		t.Errorf("gaps diverge:\nreference:   %v\naccumulator: %v", refGaps, accGaps)
+		ok = false
+	}
+
+	hotAbove := th
+	if hotAbove <= 0 {
+		hotAbove = DefaultHotThreshold
+	}
+	var counts [2][2]int64
+	hot := refHotSequence(s, hotAbove)
+	for i := 1; i < len(hot); i++ {
+		a, b := 0, 0
+		if hot[i-1] {
+			a = 1
+		}
+		if hot[i] {
+			b = 1
+		}
+		counts[a][b]++
+	}
+	if m := BurstMarkov(s, th); m.Counts != counts {
+		t.Errorf("markov counts = %v, hand count over the hot sequence = %v", m.Counts, counts)
+		ok = false
+	}
+	return ok
 }
 
 func TestBurstSegmenterMatchesBursts(t *testing.T) {
@@ -185,41 +372,49 @@ func TestBurstSegmenterMatchesBursts(t *testing.T) {
 		},
 	}
 	for name, s := range series {
-		t.Run(name, func(t *testing.T) {
-			wantBursts := Bursts(s, th)
-			wantGaps := InterBurstGaps(wantBursts)
-
-			seg := NewBurstSegmenter(SegmenterConfig{HotAbove: th})
-			var gotBursts []Burst
-			var gotGaps []float64
-			handle := func(tr Transition, ok bool) {
-				if !ok {
-					return
-				}
-				switch tr.Kind {
-				case SegOpen:
-					if tr.HasGap {
-						gotGaps = append(gotGaps, float64(tr.Gap)/float64(simclock.Microsecond))
-					}
-				case SegClose:
-					gotBursts = append(gotBursts, tr.Burst)
-				}
-			}
-			for _, p := range s {
-				tr, ok := seg.Feed(p)
-				handle(tr, ok)
-			}
-			tr, ok := seg.Flush()
-			handle(tr, ok)
-
-			if !reflect.DeepEqual(wantBursts, gotBursts) {
-				t.Errorf("bursts diverge:\nbatch:  %v\nstream: %v", wantBursts, gotBursts)
-			}
-			if !reflect.DeepEqual(wantGaps, gotGaps) {
-				t.Errorf("gaps diverge:\nbatch:  %v\nstream: %v", wantGaps, gotGaps)
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkBursts(t, s, th) })
 	}
+	t.Run("quick", func(t *testing.T) {
+		thresholds := []float64{th, 0, -1, 0.01, 0.9, 2}
+		prop := func(s utilSeries, pick uint8) bool {
+			return checkBursts(t, s, thresholds[int(pick)%len(thresholds)])
+		}
+		if err := quick.Check(prop, quickCfg(300)); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// panicText runs f and returns what it panicked with, or nil.
+func panicText(f func()) (msg any) {
+	defer func() { msg = recover() }()
+	f()
+	return nil
+}
+
+// checkRebin compares Rebin, a RebinAcc and the reference on one series,
+// including the non-positive-width panic.
+func checkRebin(t *testing.T, series []UtilPoint, w simclock.Duration) bool {
+	t.Helper()
+	var ref, ad, acc []UtilPoint
+	refP := panicText(func() { ref = refRebin(series, w) })
+	adP := panicText(func() { ad = Rebin(series, w) })
+	accP := panicText(func() {
+		a := NewRebinAcc(w)
+		for _, p := range series {
+			a.Add(p)
+		}
+		acc = a.Points()
+	})
+	if refP != adP || refP != accP {
+		t.Errorf("width %v: panics diverge: reference %v, adapter %v, accumulator %v", w, refP, adP, accP)
+		return false
+	}
+	if !reflect.DeepEqual(ref, ad) || !reflect.DeepEqual(ref, acc) {
+		t.Errorf("width %v: rebin diverges:\nreference:   %v\nadapter:     %v\naccumulator: %v", w, ref, ad, acc)
+		return false
+	}
+	return true
 }
 
 func TestRebinAccMatchesRebin(t *testing.T) {
@@ -228,21 +423,49 @@ func TestRebinAccMatchesRebin(t *testing.T) {
 		100 * simclock.Microsecond,
 		simclock.Millisecond,
 		7 * simclock.Millisecond, // deliberately not a divisor of the span
+		0,                        // all three must panic alike
 	}
 	series := randUtilSeries(13, 500, 40)
 	for _, w := range widths {
-		want := Rebin(series, w)
-		acc := NewRebinAcc(w)
-		for _, p := range series {
-			acc.Add(p)
-		}
-		if got := acc.Points(); !reflect.DeepEqual(want, got) {
-			t.Errorf("width %v: rebin diverges:\nbatch:  %v\nstream: %v", w, want, got)
-		}
+		checkRebin(t, series, w)
 	}
 	if got := NewRebinAcc(simclock.Millisecond).Points(); got != nil {
 		t.Errorf("empty rebin = %v, want nil", got)
 	}
+	t.Run("quick", func(t *testing.T) {
+		prop := func(s utilSeries, wUs uint16) bool {
+			return checkRebin(t, s, simclock.Micros(int64(wUs)-5)) // a few non-positive widths too
+		}
+		if err := quick.Check(prop, quickCfg(300)); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// checkDropBins compares DropTimeSeries, a DropBinAcc and the reference.
+func checkDropBins(t *testing.T, samples []wire.Sample, bin simclock.Duration) bool {
+	t.Helper()
+	ref, refErr := refDropTimeSeries(samples, bin)
+	ad, adErr := DropTimeSeries(samples, bin)
+	var got []uint64
+	acc, accErr := NewDropBinAcc(bin)
+	if accErr == nil {
+		for _, s := range samples {
+			if acc.Add(s) != nil {
+				break
+			}
+		}
+		got, accErr = acc.Bins()
+	}
+	if !sameText(refErr, adErr, accErr) {
+		t.Errorf("errors diverge: reference %q, adapter %q, accumulator %q", errText(refErr), errText(adErr), errText(accErr))
+		return false
+	}
+	if !reflect.DeepEqual(ref, ad) || !reflect.DeepEqual(ref, got) {
+		t.Errorf("bins diverge:\nreference:   %v\nadapter:     %v\naccumulator: %v", ref, ad, got)
+		return false
+	}
+	return true
 }
 
 func TestDropBinAccMatchesDropTimeSeries(t *testing.T) {
@@ -277,37 +500,22 @@ func TestDropBinAccMatchesDropTimeSeries(t *testing.T) {
 		{"two-samples", drops(2, 5), simclock.Millisecond},
 		{"one-sample", drops(1, 6), simclock.Millisecond},
 		{"non-increasing", stalled, simclock.Millisecond},
+		{"non-positive-bin", drops(10, 7), 0},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			want, wantErr := DropTimeSeries(tc.samples, tc.bin)
-			acc, err := NewDropBinAcc(tc.bin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range tc.samples {
-				if acc.Add(s) != nil {
-					break
-				}
-			}
-			got, gotErr := acc.Bins()
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("batch err %v, stream err %v", wantErr, gotErr)
-			}
-			if wantErr != nil {
-				if wantErr.Error() != gotErr.Error() {
-					t.Fatalf("batch err %q, stream err %q", wantErr, gotErr)
-				}
-				return
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("bins diverge:\nbatch:  %v\nstream: %v", want, got)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkDropBins(t, tc.samples, tc.bin) })
 	}
-	if _, err := NewDropBinAcc(0); err == nil {
-		t.Error("non-positive bin accepted")
-	}
+	t.Run("quick", func(t *testing.T) {
+		// A drop counter is one more cumulative counter: reuse the damaged
+		// byte generator (duplicates and time regressions are the
+		// non-increasing case here; value regressions wrap alike).
+		prop := func(d damagedBytes, binUs uint16) bool {
+			return checkDropBins(t, d.Samples, simclock.Micros(int64(binUs)-5))
+		}
+		if err := quick.Check(prop, quickCfg(500)); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestSeriesEndpointsMatchesCoarseWindow(t *testing.T) {
@@ -347,6 +555,62 @@ func TestSeriesEndpointsMatchesCoarseWindow(t *testing.T) {
 	}
 }
 
+// checkPacketMix compares PacketMixInsideOutside, a PacketMixAcc and the
+// reference on histograms, period counts and error text.
+func checkPacketMix(t *testing.T, bytes, bins []wire.Sample, speed uint64, th float64) bool {
+	t.Helper()
+	ref, refErr := refPacketMixInsideOutside(bytes, bins, speed, th)
+	ad, adErr := PacketMixInsideOutside(bytes, bins, speed, th)
+
+	acc := NewPacketMixAcc(speed, th)
+	// Interleave as a campaign would: byte then bin per poll.
+	for i := 0; i < len(bytes) || i < len(bins); i++ {
+		if i < len(bytes) {
+			acc.Feed(bytes[i])
+		}
+		if i < len(bins) {
+			acc.Feed(bins[i])
+		}
+	}
+	got, accErr := acc.Result()
+	if !sameText(refErr, adErr, accErr) {
+		t.Errorf("errors diverge: reference %q, adapter %q, accumulator %q", errText(refErr), errText(adErr), errText(accErr))
+		return false
+	}
+	if !reflect.DeepEqual(ref, ad) || !reflect.DeepEqual(ref, got) {
+		t.Errorf("mix diverges:\nreference:   %+v\nadapter:     %+v\naccumulator: %+v", ref, ad, got)
+		return false
+	}
+	return true
+}
+
+// damagedMix is a generated byte/size-bin campaign of one port: the byte
+// side is a damagedBytes series, the bin side shares its timestamps except
+// where a count mismatch or a misaligned pair is injected.
+type damagedMix struct {
+	Bytes damagedBytes
+	Bins  []wire.Sample
+}
+
+func (damagedMix) Generate(r *rand.Rand, size int) reflect.Value {
+	m := damagedMix{Bytes: damagedBytes{}.Generate(r, size).Interface().(damagedBytes)}
+	var cum [asic.NumSizeBins]uint64
+	for _, b := range m.Bytes.Samples {
+		for i := range cum {
+			cum[i] += uint64(r.Intn(9))
+		}
+		m.Bins = append(m.Bins, wire.Sample{Time: b.Time, Kind: asic.KindSizeBins, Dir: asic.TX, Bins: cum})
+	}
+	switch n := len(m.Bins); {
+	case n > 0 && r.Intn(8) == 0:
+		m.Bins = m.Bins[:n-1]
+	case n > 1 && r.Intn(6) == 0:
+		i := 1 + r.Intn(n-1)
+		m.Bins[i].Time = m.Bins[i].Time.Add(simclock.Microsecond)
+	}
+	return reflect.ValueOf(m)
+}
+
 func TestPacketMixAccMatchesBatch(t *testing.T) {
 	mix := func(n int, seed uint64) ([]wire.Sample, []wire.Sample) {
 		src := rng.New(seed)
@@ -371,54 +635,70 @@ func TestPacketMixAccMatchesBatch(t *testing.T) {
 		return bytes, bins
 	}
 
-	check := func(t *testing.T, bytes, bins []wire.Sample) {
-		t.Helper()
-		want, wantErr := PacketMixInsideOutside(bytes, bins, gbps10, 0)
-
-		acc := NewPacketMixAcc(gbps10, 0)
-		// Interleave as a campaign would: byte then bin per poll.
-		for i := 0; i < len(bytes) || i < len(bins); i++ {
-			if i < len(bytes) {
-				acc.Feed(bytes[i])
-			}
-			if i < len(bins) {
-				acc.Feed(bins[i])
-			}
-		}
-		got, gotErr := acc.Result()
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("batch err %v, stream err %v", wantErr, gotErr)
-		}
-		if wantErr != nil && wantErr.Error() != gotErr.Error() {
-			t.Fatalf("batch err %q, stream err %q", wantErr, gotErr)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("mix diverges:\nbatch:  %+v\nstream: %+v", want, got)
-		}
-	}
-
 	t.Run("clean", func(t *testing.T) {
 		bytes, bins := mix(300, 21)
-		check(t, bytes, bins)
+		checkPacketMix(t, bytes, bins, gbps10, 0)
 	})
 	t.Run("counts-differ", func(t *testing.T) {
 		bytes, bins := mix(50, 22)
-		check(t, bytes, bins[:49])
+		checkPacketMix(t, bytes, bins[:49], gbps10, 0)
 	})
 	t.Run("misaligned", func(t *testing.T) {
 		bytes, bins := mix(50, 23)
 		bins[30].Time = bins[30].Time.Add(simclock.Microsecond)
-		check(t, bytes, bins)
+		checkPacketMix(t, bytes, bins, gbps10, 0)
 	})
 	t.Run("short-series", func(t *testing.T) {
 		bytes, bins := mix(1, 24)
-		check(t, bytes, bins)
+		checkPacketMix(t, bytes, bins, gbps10, 0)
 	})
 	t.Run("regressing-bytes", func(t *testing.T) {
 		bytes, bins := mix(50, 25)
 		bytes[20].Value = bytes[19].Value - 1
-		check(t, bytes, bins)
+		checkPacketMix(t, bytes, bins, gbps10, 0)
 	})
+	t.Run("quick", func(t *testing.T) {
+		prop := func(m damagedMix, lowThreshold bool) bool {
+			th := 0.0
+			if lowThreshold {
+				th = 0.05
+			}
+			return checkPacketMix(t, m.Bytes.Samples, m.Bins, m.Bytes.Speed, th)
+		}
+		if err := quick.Check(prop, quickCfg(500)); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// checkBufferWindows compares BufferVsHotPorts, a BufferWindowAcc and the
+// reference, including the non-positive-window constructor error.
+func checkBufferWindows(t *testing.T, ports [][]UtilPoint, peaks []wire.Sample, window simclock.Duration, th float64) bool {
+	t.Helper()
+	ref, refErr := refBufferVsHotPorts(ports, peaks, window, th)
+	ad, adErr := BufferVsHotPorts(ports, peaks, window, th)
+	var got []BufferWindow
+	acc, accErr := NewBufferWindowAcc(window, th)
+	if accErr == nil {
+		for pi, s := range ports {
+			for _, p := range s {
+				acc.ObserveUtil(pi, p)
+			}
+		}
+		for _, s := range peaks {
+			acc.ObservePeak(s)
+		}
+		got = acc.Windows()
+	}
+	if !sameText(refErr, adErr, accErr) {
+		t.Errorf("errors diverge: reference %q, adapter %q, accumulator %q", errText(refErr), errText(adErr), errText(accErr))
+		return false
+	}
+	if !reflect.DeepEqual(ref, ad) || !reflect.DeepEqual(ref, got) {
+		t.Errorf("windows diverge:\nreference:   %v\nadapter:     %v\naccumulator: %v", ref, ad, got)
+		return false
+	}
+	return true
 }
 
 func TestBufferWindowAccMatchesBufferVsHotPorts(t *testing.T) {
@@ -428,37 +708,80 @@ func TestBufferWindowAccMatchesBufferVsHotPorts(t *testing.T) {
 		randUtilSeries(32, 300, 100),
 		randUtilSeries(33, 300, 100),
 	}
-	src := rng.New(34)
-	var peaks []wire.Sample
-	for i := 0; i < 120; i++ {
-		peaks = append(peaks, wire.Sample{
-			Time:  simclock.Epoch.Add(simclock.Micros(int64(i) * 250)),
-			Kind:  asic.KindBufferPeak,
-			Value: uint64(src.Intn(1 << 20)),
-		})
+	peaksOf := func(seed uint64, n int) []wire.Sample {
+		src := rng.New(seed)
+		var peaks []wire.Sample
+		for i := 0; i < n; i++ {
+			peaks = append(peaks, wire.Sample{
+				Time:  simclock.Epoch.Add(simclock.Micros(int64(i) * 250)),
+				Kind:  asic.KindBufferPeak,
+				Value: uint64(src.Intn(1 << 20)),
+			})
+		}
+		return peaks
 	}
-	want, err := BufferVsHotPorts(ports, peaks, window, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := NewBufferWindowAcc(window, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pi, s := range ports {
-		for _, p := range s {
-			acc.ObserveUtil(pi, p)
+	checkBufferWindows(t, ports, peaksOf(34, 120), window, 0)
+	checkBufferWindows(t, ports, peaksOf(34, 120), 0, 0) // non-positive window
+	t.Run("quick", func(t *testing.T) {
+		prop := func(a, b, c utilSeries, seed uint64, nPeaks uint8, windowUs uint16, lowThreshold bool) bool {
+			th := 0.0
+			if lowThreshold {
+				th = 0.05
+			}
+			return checkBufferWindows(t, [][]UtilPoint{a, b, c}, peaksOf(seed, int(nPeaks)),
+				simclock.Micros(int64(windowUs)-5), th)
+		}
+		if err := quick.Check(prop, quickCfg(200)); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// checkGapAware compares GapAwareUtilization, a GapAwareState and the
+// reference. The adapter and the accumulator are one engine and must
+// agree on everything. Against the reference, every successful
+// reconstruction is byte-identical and failure is always agreed; the
+// error text is compared unless the input is multiply damaged, where the
+// reference (dedup the whole series, then scan) lets a late duplicate
+// conflict outrank an early regression and the engine reports the first
+// damage it meets.
+func checkGapAware(t *testing.T, samples []wire.Sample, speed uint64, multiplyDamaged bool) bool {
+	t.Helper()
+	refPts, refSt, refErr := refGapAwareUtilization(samples, speed)
+	adPts, adSt, adErr := GapAwareUtilization(samples, speed)
+
+	g := NewGapAwareState(speed)
+	for _, s := range samples {
+		if g.Feed(s) != nil {
+			break
 		}
 	}
-	for _, s := range peaks {
-		acc.ObservePeak(s)
+	accPts, accSt, accErr := g.Finish()
+
+	if !sameText(adErr, accErr) || !reflect.DeepEqual(adPts, accPts) || adSt != accSt {
+		t.Errorf("adapter and accumulator diverge: (%v, %+v, %v) vs (%v, %+v, %v)", adPts, adSt, adErr, accPts, accSt, accErr)
+		return false
 	}
-	if got := acc.Windows(); !reflect.DeepEqual(want, got) {
-		t.Errorf("windows diverge:\nbatch:  %v\nstream: %v", want, got)
+	if (refErr == nil) != (adErr == nil) {
+		t.Errorf("reference err %v, engine err %v", refErr, adErr)
+		return false
 	}
-	if _, err := NewBufferWindowAcc(0, 0); err == nil {
-		t.Error("non-positive window accepted")
+	if refErr != nil {
+		if !multiplyDamaged && !sameText(refErr, adErr) {
+			t.Errorf("reference err %q, engine err %q", refErr, adErr)
+			return false
+		}
+		return true
 	}
+	if !reflect.DeepEqual(refPts, adPts) {
+		t.Errorf("points diverge:\nreference: %v\nengine:    %v", refPts, adPts)
+		return false
+	}
+	if refSt != adSt {
+		t.Errorf("stats diverge: reference %+v, engine %+v", refSt, adSt)
+		return false
+	}
+	return true
 }
 
 func TestGapAwareStateMatchesBatch(t *testing.T) {
@@ -489,49 +812,36 @@ func TestGapAwareStateMatchesBatch(t *testing.T) {
 	regressV := append([]wire.Sample(nil), clean...)
 	regressV[3].Value = regressV[2].Value - 1
 
+	// Multiply damaged: an early value regression and a late conflicting
+	// duplicate. The two sides name different damage; both fail.
+	both := append([]wire.Sample(nil), conflict...)
+	both[2].Value = both[1].Value - 1
+
 	cases := []struct {
-		name    string
-		samples []wire.Sample
-		speed   uint64
+		name     string
+		samples  []wire.Sample
+		speed    uint64
+		multiple bool
 	}{
-		{"clean", clean, gbps10},
-		{"empty", nil, gbps10},
-		{"single", clean[:1], gbps10},
-		{"zero-speed", clean, 0},
-		{"agreeing-duplicate", dup, gbps10},
-		{"conflicting-duplicate", conflict, gbps10},
-		{"missed-spans", missed, gbps10},
-		{"catchup-merge", catchup, gbps10},
-		{"regressing-time", regressT, gbps10},
-		{"regressing-value", regressV, gbps10},
+		{"clean", clean, gbps10, false},
+		{"empty", nil, gbps10, false},
+		{"single", clean[:1], gbps10, false},
+		{"zero-speed", clean, 0, false},
+		{"agreeing-duplicate", dup, gbps10, false},
+		{"conflicting-duplicate", conflict, gbps10, false},
+		{"missed-spans", missed, gbps10, false},
+		{"catchup-merge", catchup, gbps10, false},
+		{"regressing-time", regressT, gbps10, false},
+		{"regressing-value", regressV, gbps10, false},
+		{"regression-then-conflict", both, gbps10, true},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			wantPts, wantSt, wantErr := GapAwareUtilization(tc.samples, tc.speed)
-
-			g := NewGapAwareState(tc.speed)
-			for _, s := range tc.samples {
-				if g.Feed(s) != nil {
-					break
-				}
-			}
-			gotPts, gotSt, gotErr := g.Finish()
-
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("batch err %v, stream err %v", wantErr, gotErr)
-			}
-			if wantErr != nil {
-				if wantErr.Error() != gotErr.Error() {
-					t.Fatalf("batch err %q, stream err %q", wantErr, gotErr)
-				}
-				return
-			}
-			if !reflect.DeepEqual(wantPts, gotPts) {
-				t.Errorf("points diverge:\nbatch:  %v\nstream: %v", wantPts, gotPts)
-			}
-			if wantSt != gotSt {
-				t.Errorf("stats diverge: batch %+v, stream %+v", wantSt, gotSt)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkGapAware(t, tc.samples, tc.speed, tc.multiple) })
 	}
+	t.Run("quick", func(t *testing.T) {
+		prop := func(d damagedBytes) bool { return checkGapAware(t, d.Samples, d.Speed, d.Fatal > 1) }
+		if err := quick.Check(prop, quickCfg(1000)); err != nil {
+			t.Error(err)
+		}
+	})
 }

@@ -1,13 +1,20 @@
 package core
 
-// This file pins the tentpole invariant of the streaming refactor: every
-// streaming figure runner produces byte-identical output to the batch
-// (materializing) reduction it replaced. The batch reductions below are
-// the pre-refactor runner bodies, kept verbatim as oracles; campaign
+// This file pins the composition half of the analysis engine's
+// guarantee: every streaming runner (figure runners, StreamByteStats,
+// AnalyzeTrace) produces byte-identical output to a materialize-then-
+// reduce composition of the same data. The batchFig* reductions below are
+// the pre-streaming runner bodies, kept verbatim as oracles; campaign
 // generation is deterministic (TestByteCampaignDeterminism), so oracle
-// and streaming runner see identical samples and must agree bit for bit
-// — including float accumulation order, error precedence, and NaN
-// placement.
+// and runner see identical samples and must agree bit for bit —
+// including float accumulation order, error precedence, and NaN placement.
+//
+// The algorithm half lives beside the accumulators: internal/analysis and
+// internal/stats compare each accumulator (and the slice adapter over it)
+// with an independent reference. The oracles here call those adapters, so
+// what differs between the two sides of each comparison is the
+// composition: demux routing, series and window assembly order, merge
+// seams, and skip-on-damage.
 
 import (
 	"context"
@@ -690,6 +697,137 @@ func TestStreamingReportEquivalence(t *testing.T) {
 	})
 }
 
+// ---------------------------------------------------------------------------
+// Materializing AnalyzeTrace reference: read each window whole, Split it,
+// convert every byte series with the slice functions and reduce the
+// slices — the composition core.AnalyzeTrace had as its batch mode,
+// moved here. The slice functions are themselves feed loops over the
+// accumulators now (internal/analysis pins those against independent
+// references), so what this side checks is composition: demux routing,
+// SortedKeys assembly order, window seams and skip-on-damage.
+
+// traceWindowReduce accumulates one window's per-series results for one
+// analysis kind, appended in analysis.SortedKeys order so batch and
+// streaming modes assemble identically.
+type traceWindowReduce struct {
+	kind      string
+	threshold float64
+	isUplink  func(port int) bool
+	res       *TraceAnalysis
+}
+
+func (t *traceWindowReduce) addSeries(key analysis.SeriesKey, series []analysis.UtilPoint) {
+	switch t.kind {
+	case "bursts":
+		t.res.Durations = append(t.res.Durations, analysis.BurstDurations(analysis.Bursts(series, t.threshold))...)
+	case "gaps":
+		t.res.Gaps = append(t.res.Gaps, analysis.InterBurstGaps(analysis.Bursts(series, t.threshold))...)
+	case "util":
+		t.res.Utils = append(t.res.Utils, analysis.Utils(series)...)
+	case "markov":
+		t.res.Markov = stats.MergeMarkov(t.res.Markov, analysis.BurstMarkov(series, t.threshold))
+	case "hotshare":
+		for _, p := range series {
+			if p.Util > t.threshold {
+				if t.isUplink(int(key.Port)) {
+					t.res.Share.UplinkHot++
+				} else {
+					t.res.Share.DownlinkHot++
+				}
+			}
+		}
+	}
+}
+
+// analyzeFunc is the shape AnalyzeTrace and its reference share.
+type analyzeFunc func(r *trace.Reader, kind string, threshold float64) (*TraceAnalysis, error)
+
+// refAnalyzeTrace is AnalyzeTrace by materialize-then-reduce.
+func refAnalyzeTrace(r *trace.Reader, kind string, threshold float64) (*TraceAnalysis, error) {
+	known := false
+	for _, k := range AnalyzeKinds {
+		known = known || k == kind
+	}
+	if !known {
+		return nil, fmt.Errorf("core: unknown analysis %q", kind)
+	}
+	if threshold <= 0 {
+		threshold = analysis.DefaultHotThreshold
+	}
+	meta := r.Meta()
+	rack := topo.Rack{
+		NumServers:  meta.NumServers,
+		ServerSpeed: meta.ServerSpeed,
+		NumUplinks:  meta.NumUplinks,
+		UplinkSpeed: meta.UplinkSpeed,
+	}
+	speedOf := func(port int) uint64 {
+		if rack.IsUplink(port) {
+			return rack.UplinkSpeed
+		}
+		return rack.ServerSpeed
+	}
+	res := &TraceAnalysis{}
+	if kind == "markov" {
+		// Seed with the empty merge so a trace with no usable series
+		// yields the same all-NaN model as MergeMarkov over zero models;
+		// per-series models then fold in, which is count-associative and
+		// therefore identical to one merge over the collected models.
+		res.Markov = stats.MergeMarkov()
+	}
+	reduce := &traceWindowReduce{kind: kind, threshold: threshold, isUplink: rack.IsUplink, res: res}
+
+	for i := 0; i < meta.Windows; i++ {
+		if !r.HasWindow(i) {
+			continue
+		}
+		if err := analyzeWindowBatch(r, i, speedOf, reduce); err != nil {
+			return nil, fmt.Errorf("window %d: %w", i, err)
+		}
+		res.Windows++
+	}
+	return res, nil
+}
+
+// readWindow materializes all samples of one window. O(window size)
+// memory — for the reference and tests only; AnalyzeTrace streams.
+func readWindow(r *trace.Reader, i int) ([]wire.Sample, error) {
+	var samples []wire.Sample
+	err := r.IterWindow(i, func(b *wire.Batch) error {
+		samples = append(samples, b.Samples...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return samples, nil
+}
+
+// analyzeWindowBatch is the materializing window reduction: the original
+// mbanalyze logic, with per-window assembly pinned to SortedKeys order.
+func analyzeWindowBatch(r *trace.Reader, i int, speedOf func(int) uint64, reduce *traceWindowReduce) error {
+	samples, err := readWindow(r, i)
+	if err != nil {
+		return err
+	}
+	split := analysis.Split(samples)
+	byPort := make(map[analysis.SeriesKey][]analysis.UtilPoint)
+	for _, key := range analysis.SortedKeys(split) {
+		if key.Kind != asic.KindBytes {
+			continue
+		}
+		series, err := analysis.UtilizationSeries(split[key], speedOf(int(key.Port)))
+		if err != nil {
+			continue // damaged or too-short series; skip, as mbanalyze always has
+		}
+		byPort[key] = series
+	}
+	for _, key := range analysis.SortedKeys(byPort) {
+		reduce.addSeries(key, byPort[key])
+	}
+	return nil
+}
+
 // TestStreamByteStatsMatchesCampaignReductions pins the element order of
 // the streaming byte reduction, not just the (order-insensitive) ECDFs
 // built from it: slices must match the batch campaign reductions exactly.
@@ -739,9 +877,10 @@ func TestStreamByteStatsMatchesCampaignReductions(t *testing.T) {
 }
 
 // TestAnalyzeTraceStreamEquivalence runs every analysis kind over
-// recorded traces in both AnalyzeTrace modes — including a trace recorded
-// under an injected fault schedule, where damaged series must be skipped
-// identically — and requires identical results.
+// recorded traces through AnalyzeTrace and the materializing reference —
+// including a trace recorded under an injected fault schedule, where
+// damaged series must be skipped identically — and requires identical
+// results.
 func TestAnalyzeTraceStreamEquivalence(t *testing.T) {
 	ctx := context.Background()
 	cfg := QuickConfig()
@@ -791,11 +930,11 @@ func TestAnalyzeTraceStreamEquivalence(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, kind := range AnalyzeKinds {
-			batch, err := AnalyzeTrace(r, kind, 0, false)
+			batch, err := refAnalyzeTrace(r, kind, 0)
 			if err != nil {
 				t.Fatalf("%s/%s batch: %v", name, kind, err)
 			}
-			stream, err := AnalyzeTrace(r, kind, 0, true)
+			stream, err := AnalyzeTrace(r, kind, 0)
 			if err != nil {
 				t.Fatalf("%s/%s stream: %v", name, kind, err)
 			}
@@ -809,8 +948,9 @@ func TestAnalyzeTraceStreamEquivalence(t *testing.T) {
 
 // TestTraceV2Equivalence records the same campaign as trace-v1 and
 // trace-v2 (mbw3): the window samples must be identical, every figure
-// must compute identically over both recordings in both AnalyzeTrace
-// modes, and the v2 directory must be substantially smaller on disk.
+// must compute identically over both recordings (AnalyzeTrace and the
+// materializing reference), and the v2 directory must be substantially
+// smaller on disk.
 func TestTraceV2Equivalence(t *testing.T) {
 	ctx := context.Background()
 	cfg := QuickConfig()
@@ -864,19 +1004,19 @@ func TestTraceV2Equivalence(t *testing.T) {
 		}
 	}
 
-	// Every figure, both analysis modes, over the v1 oracle and the v2
+	// Every figure, reference and engine, over the v1 oracle and the v2
 	// recording.
 	for _, kind := range AnalyzeKinds {
-		oracle, err := AnalyzeTrace(r1, kind, 0, false)
+		oracle, err := refAnalyzeTrace(r1, kind, 0)
 		if err != nil {
 			t.Fatalf("%s v1: %v", kind, err)
 		}
-		for _, stream := range []bool{false, true} {
-			got, err := AnalyzeTrace(r2, kind, 0, stream)
+		for name, analyze := range map[string]analyzeFunc{"reference": refAnalyzeTrace, "engine": AnalyzeTrace} {
+			got, err := analyze(r2, kind, 0)
 			if err != nil {
-				t.Fatalf("%s v2 stream=%v: %v", kind, stream, err)
+				t.Fatalf("%s v2 %s: %v", kind, name, err)
 			}
-			assertStreamEqual(t, fmt.Sprintf("v2/%s/stream=%v", kind, stream), oracle, got)
+			assertStreamEqual(t, fmt.Sprintf("v2/%s/%s", kind, name), oracle, got)
 		}
 	}
 

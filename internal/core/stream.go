@@ -14,13 +14,12 @@ import (
 	"mburst/internal/workload"
 )
 
-// This file is the streaming campaign/trace analysis path: single-pass
-// per-cell reductions built on analysis.UtilState/BurstSegmenter and the
-// stats accumulators, producing byte-identical results to the batch
-// reductions (which survive only as the equivalence-test oracles in
-// equivalence_test.go). The win is retention: a streaming cell keeps
-// burst durations, gaps and transition counts — sparse in the sample
-// stream — instead of materialized UtilPoint series.
+// This file is the campaign/trace analysis path: single-pass per-series
+// reductions built on analysis.UtilState/BurstSegmenter and the stats
+// accumulators. A reduction keeps burst durations, gaps and transition
+// counts — sparse in the sample stream — never a materialized UtilPoint
+// series. equivalence_test.go checks every runner here against a
+// materialize-then-reduce composition of the same data.
 
 // ByteWant selects which statistics StreamByteStats accumulates; leaving
 // a field false keeps that statistic's memory at zero.
@@ -34,7 +33,7 @@ type ByteWant struct {
 // ByteStats is the streaming reduction of a single-counter byte campaign
 // (the Fig 3/4/6/Table 2 data set). Slices are ordered window-major
 // (rack-major cell order, bursts in time order within each window),
-// matching the batch ByteCampaign reductions element for element.
+// matching the ByteCampaign reductions element for element.
 type ByteStats struct {
 	App      workload.App
 	Interval simclock.Duration
@@ -52,93 +51,124 @@ type ByteStats struct {
 	Ports []int
 }
 
+// byteReducer is the one per-series byte reduction, shared by
+// StreamByteStats (one series per campaign cell) and AnalyzeTrace (one per
+// port and direction of a window): samples → UtilState → spans →
+// segmenter / Markov / hot count, retaining only what want selects.
+// Output is staged per series so a caller can drop a damaged series whole.
+type byteReducer struct {
+	want      ByteWant
+	threshold float64
+	util      *analysis.UtilState
+	seg       *analysis.BurstSegmenter // nil unless durations or gaps are wanted
+	mk        stats.MarkovAcc
+
+	durations, gaps, utils []float64
+	hot                    int
+}
+
+func newByteReducer(speedBps uint64, threshold float64, want ByteWant) *byteReducer {
+	b := &byteReducer{want: want, threshold: threshold, util: analysis.NewUtilState(speedBps)}
+	if want.Durations || want.Gaps {
+		b.seg = analysis.NewBurstSegmenter(analysis.SegmenterConfig{HotAbove: threshold})
+	}
+	return b
+}
+
+// feed consumes the series' next sample. The error is UtilState's and
+// latches: after it, feed is a no-op returning the same error.
+func (b *byteReducer) feed(s wire.Sample) error {
+	p, ok, err := b.util.Feed(s)
+	if err != nil || !ok {
+		return err
+	}
+	hot := p.Util > b.threshold
+	if hot {
+		b.hot++
+	}
+	if b.want.Utils {
+		b.utils = append(b.utils, p.Util)
+	}
+	if b.want.Markov {
+		b.mk.Observe(hot)
+	}
+	if b.seg != nil {
+		if tr, fired := b.seg.Feed(p); fired {
+			b.transition(tr)
+		}
+	}
+	return nil
+}
+
+func (b *byteReducer) transition(tr analysis.Transition) {
+	switch tr.Kind {
+	case analysis.SegOpen:
+		if b.want.Gaps && tr.HasGap {
+			b.gaps = append(b.gaps, float64(tr.Gap)/float64(simclock.Microsecond))
+		}
+	case analysis.SegClose:
+		if b.want.Durations {
+			b.durations = append(b.durations, float64(tr.Burst.Duration())/float64(simclock.Microsecond))
+		}
+	}
+}
+
+// close ends the series: UtilState's verdict on it (damaged or too
+// short), then the burst left open at end of stream.
+func (b *byteReducer) close() error {
+	if err := b.util.Close(); err != nil {
+		return err
+	}
+	if b.seg != nil {
+		if tr, fired := b.seg.Flush(); fired {
+			b.transition(tr)
+		}
+	}
+	return nil
+}
+
 // StreamByteStats runs the single-byte-counter campaign for one app at
 // the given interval (0 = 25 µs) and reduces each (rack, window) cell in
-// one pass over its samples. Results are byte-identical to running
-// RunByteCampaign and the corresponding ByteCampaign reductions at
-// e.threshold() — the equivalence tests pin this per figure.
+// one pass over its samples, at e.threshold(). A damaged cell fails the
+// campaign.
 func (e *Experiment) StreamByteStats(ctx context.Context, app workload.App, interval simclock.Duration, want ByteWant) (*ByteStats, error) {
 	if interval <= 0 {
 		interval = ByteCampaignInterval
 	}
 	threshold := e.threshold()
-	segment := want.Durations || want.Gaps
 	type cellStats struct {
-		durations, gaps, utils []float64
-		hot                    int
-		model                  stats.MarkovModel
-		port                   int
+		*byteReducer
+		port int
 	}
 	cells := e.campaignCells([]workload.App{app}, e.RandomPortCounters(app), interval, 0)
 	wins, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (cellStats, error) {
 		port := e.randomPort(app, run.Cell.RackID, run.Cell.Window)
-		u := analysis.NewUtilState(run.Net.Switch().Port(port).Speed())
-		var seg *analysis.BurstSegmenter
-		if segment {
-			seg = analysis.NewBurstSegmenter(analysis.SegmenterConfig{HotAbove: threshold})
-		}
-		var mk stats.MarkovAcc
-		cs := cellStats{port: port}
+		red := newByteReducer(run.Net.Switch().Port(port).Speed(), threshold, want)
 		for _, s := range run.Samples {
-			p, ok, err := u.Feed(s)
-			if err != nil {
+			if err := red.feed(s); err != nil {
 				return cellStats{}, err
 			}
-			if !ok {
-				continue
-			}
-			if want.Utils {
-				cs.utils = append(cs.utils, p.Util)
-				if p.Util > threshold {
-					cs.hot++
-				}
-			}
-			if want.Markov {
-				mk.Observe(p.Util > threshold)
-			}
-			if seg != nil {
-				if tr, fired := seg.Feed(p); fired {
-					switch tr.Kind {
-					case analysis.SegOpen:
-						if want.Gaps && tr.HasGap {
-							cs.gaps = append(cs.gaps, float64(tr.Gap)/float64(simclock.Microsecond))
-						}
-					case analysis.SegClose:
-						if want.Durations {
-							cs.durations = append(cs.durations, float64(tr.Burst.Duration())/float64(simclock.Microsecond))
-						}
-					}
-				}
-			}
 		}
-		if err := u.Close(); err != nil {
+		if err := red.close(); err != nil {
 			return cellStats{}, err
 		}
-		if seg != nil {
-			if tr, fired := seg.Flush(); fired && want.Durations {
-				cs.durations = append(cs.durations, float64(tr.Burst.Duration())/float64(simclock.Microsecond))
-			}
-		}
-		if want.Markov {
-			cs.model = mk.Model()
-		}
-		return cs, nil
+		return cellStats{red, port}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	res := &ByteStats{App: app, Interval: interval}
-	models := make([]stats.MarkovModel, 0, len(wins))
+	var mk stats.MarkovAcc
 	for _, w := range wins {
 		res.Durations = append(res.Durations, w.durations...)
 		res.Gaps = append(res.Gaps, w.gaps...)
 		res.Utils = append(res.Utils, w.utils...)
 		res.HotSamples += w.hot
 		res.Ports = append(res.Ports, w.port)
-		models = append(models, w.model)
+		mk.Merge(&w.mk)
 	}
 	if want.Markov {
-		res.Markov = stats.MergeMarkov(models...)
+		res.Markov = mk.Model()
 	}
 	return res, nil
 }
@@ -156,57 +186,29 @@ type TraceAnalysis struct {
 	Share analysis.HotShare
 }
 
-// traceWindowReduce accumulates one window's per-series results for one
-// analysis kind, appended in analysis.SortedKeys order so batch and
-// streaming modes assemble identically.
-type traceWindowReduce struct {
-	kind      string
-	threshold float64
-	isUplink  func(port int) bool
-	res       *TraceAnalysis
-}
-
-func (t *traceWindowReduce) addSeries(key analysis.SeriesKey, series []analysis.UtilPoint) {
-	switch t.kind {
-	case "bursts":
-		t.res.Durations = append(t.res.Durations, analysis.BurstDurations(analysis.Bursts(series, t.threshold))...)
-	case "gaps":
-		t.res.Gaps = append(t.res.Gaps, analysis.InterBurstGaps(analysis.Bursts(series, t.threshold))...)
-	case "util":
-		t.res.Utils = append(t.res.Utils, analysis.Utils(series)...)
-	case "markov":
-		t.res.Markov = stats.MergeMarkov(t.res.Markov, analysis.BurstMarkov(series, t.threshold))
-	case "hotshare":
-		for _, p := range series {
-			if p.Util > t.threshold {
-				if t.isUplink(int(key.Port)) {
-					t.res.Share.UplinkHot++
-				} else {
-					t.res.Share.DownlinkHot++
-				}
-			}
-		}
-	}
-}
-
 // AnalyzeKinds lists the analysis kinds AnalyzeTrace accepts.
 var AnalyzeKinds = []string{"bursts", "gaps", "util", "markov", "hotshare"}
 
-// AnalyzeTrace reduces a recorded trace to one analysis kind. With
-// stream=false every window is materialized via trace.Reader.Window and
-// reduced with the batch analysis functions; with stream=true windows
-// are consumed batch-by-batch via IterWindow through a SeriesDemux of
-// per-series UtilState/BurstSegmenter/MarkovAcc machines, retaining only
-// the analysis output (O(active series) state for bursts/gaps/markov/
-// hotshare; kind util inherently retains one float per sample for its
-// exact ECDF). Both modes produce byte-identical results; per-series
-// damage (too short, non-monotonic) skips the series in both.
-func AnalyzeTrace(r *trace.Reader, kind string, threshold float64, stream bool) (*TraceAnalysis, error) {
-	known := false
-	for _, k := range AnalyzeKinds {
-		known = known || k == kind
-	}
-	if !known {
+// AnalyzeTrace reduces a recorded trace to one analysis kind. Windows are
+// consumed batch-by-batch via IterWindow through a SeriesDemux of
+// per-series reducers, retaining only the analysis output (O(active
+// series) state for bursts/gaps/markov/hotshare; kind util inherently
+// retains one float per sample for its exact ECDF). Series are assembled
+// in analysis.SortedKeys order within each window; a damaged series (too
+// short, non-monotonic) is skipped whole.
+func AnalyzeTrace(r *trace.Reader, kind string, threshold float64) (*TraceAnalysis, error) {
+	var want ByteWant
+	switch kind {
+	case "bursts":
+		want.Durations = true
+	case "gaps":
+		want.Gaps = true
+	case "util":
+		want.Utils = true
+	case "markov":
+		want.Markov = true
+	case "hotshare":
+	default:
 		return nil, fmt.Errorf("core: unknown analysis %q", kind)
 	}
 	if threshold <= 0 {
@@ -219,167 +221,54 @@ func AnalyzeTrace(r *trace.Reader, kind string, threshold float64, stream bool) 
 		NumUplinks:  meta.NumUplinks,
 		UplinkSpeed: meta.UplinkSpeed,
 	}
-	speedOf := func(port int) uint64 {
-		if rack.IsUplink(port) {
-			return rack.UplinkSpeed
-		}
-		return rack.ServerSpeed
-	}
 	res := &TraceAnalysis{}
-	if kind == "markov" {
-		// Seed with the empty merge so a trace with no usable series
-		// yields the same all-NaN model as MergeMarkov over zero models;
-		// per-series models then fold in, which is count-associative and
-		// therefore identical to one merge over the collected models.
-		res.Markov = stats.MergeMarkov()
-	}
-	reduce := &traceWindowReduce{kind: kind, threshold: threshold, isUplink: rack.IsUplink, res: res}
-
+	var mk stats.MarkovAcc
 	for i := 0; i < meta.Windows; i++ {
 		if !r.HasWindow(i) {
 			continue
 		}
-		var err error
-		if stream {
-			err = analyzeWindowStream(r, i, speedOf, reduce)
-		} else {
-			err = analyzeWindowBatch(r, i, speedOf, reduce)
-		}
-		if err != nil {
+		series := make(map[analysis.SeriesKey]*byteReducer)
+		demux := analysis.NewSeriesDemux(func(key analysis.SeriesKey) analysis.SampleSink {
+			if key.Kind != asic.KindBytes {
+				return nil
+			}
+			speed := rack.ServerSpeed
+			if rack.IsUplink(int(key.Port)) {
+				speed = rack.UplinkSpeed
+			}
+			red := newByteReducer(speed, threshold, want)
+			series[key] = red
+			return func(s wire.Sample) error {
+				// Damage is not fatal to the window: the series is skipped
+				// at close, and the latched reducer ignores the rest.
+				_ = red.feed(s)
+				return nil
+			}
+		})
+		if err := r.IterWindow(i, demux.FeedBatch); err != nil {
 			return nil, fmt.Errorf("window %d: %w", i, err)
+		}
+		for _, key := range analysis.SortedKeys(series) {
+			red := series[key]
+			if red.close() != nil {
+				continue
+			}
+			res.Durations = append(res.Durations, red.durations...)
+			res.Gaps = append(res.Gaps, red.gaps...)
+			res.Utils = append(res.Utils, red.utils...)
+			mk.Merge(&red.mk)
+			if kind == "hotshare" {
+				if rack.IsUplink(int(key.Port)) {
+					res.Share.UplinkHot += red.hot
+				} else {
+					res.Share.DownlinkHot += red.hot
+				}
+			}
 		}
 		res.Windows++
 	}
+	if want.Markov {
+		res.Markov = mk.Model()
+	}
 	return res, nil
-}
-
-// readWindow materializes all samples of one window. O(window size)
-// memory — only for the batch-mode oracle and tests; analyses stream.
-func readWindow(r *trace.Reader, i int) ([]wire.Sample, error) {
-	var samples []wire.Sample
-	err := r.IterWindow(i, func(b *wire.Batch) error {
-		samples = append(samples, b.Samples...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return samples, nil
-}
-
-// analyzeWindowBatch is the materializing path: the original mbanalyze
-// logic, with per-window assembly pinned to SortedKeys order. It is the
-// oracle the streaming path is tested against.
-func analyzeWindowBatch(r *trace.Reader, i int, speedOf func(int) uint64, reduce *traceWindowReduce) error {
-	samples, err := readWindow(r, i)
-	if err != nil {
-		return err
-	}
-	split := analysis.Split(samples)
-	byPort := make(map[analysis.SeriesKey][]analysis.UtilPoint)
-	for _, key := range analysis.SortedKeys(split) {
-		if key.Kind != asic.KindBytes {
-			continue
-		}
-		series, err := analysis.UtilizationSeries(split[key], speedOf(int(key.Port)))
-		if err != nil {
-			continue // damaged or too-short series; skip, as mbanalyze always has
-		}
-		byPort[key] = series
-	}
-	for _, key := range analysis.SortedKeys(byPort) {
-		reduce.addSeries(key, byPort[key])
-	}
-	return nil
-}
-
-// analyzeWindowStream is the bounded-memory path: one pass over the
-// window's batches through a SeriesDemux of per-series accumulators.
-func analyzeWindowStream(r *trace.Reader, i int, speedOf func(int) uint64, reduce *traceWindowReduce) error {
-	type seriesState struct {
-		util *analysis.UtilState
-		seg  *analysis.BurstSegmenter
-		mk   stats.MarkovAcc
-		// durations/gaps/utils stage per-series output so a series that
-		// later turns out damaged can be skipped whole, like the batch
-		// path's continue.
-		durations, gaps, utils []float64
-		hot                    int
-	}
-	states := make(map[analysis.SeriesKey]*seriesState)
-	demux := analysis.NewSeriesDemux(func(key analysis.SeriesKey) analysis.SampleSink {
-		if key.Kind != asic.KindBytes {
-			return nil
-		}
-		st := &seriesState{util: analysis.NewUtilState(speedOf(int(key.Port)))}
-		if reduce.kind == "bursts" || reduce.kind == "gaps" {
-			st.seg = analysis.NewBurstSegmenter(analysis.SegmenterConfig{HotAbove: reduce.threshold})
-		}
-		states[key] = st
-		return func(s wire.Sample) error {
-			p, ok, err := st.util.Feed(s)
-			if err != nil {
-				// Damaged series are skipped at finalize, not fatal —
-				// keep draining (the latched state ignores the rest).
-				return nil
-			}
-			if !ok {
-				return nil
-			}
-			switch reduce.kind {
-			case "util":
-				st.utils = append(st.utils, p.Util)
-			case "markov":
-				st.mk.Observe(p.Util > reduce.threshold)
-			case "hotshare":
-				if p.Util > reduce.threshold {
-					st.hot++
-				}
-			}
-			if st.seg != nil {
-				if tr, fired := st.seg.Feed(p); fired {
-					switch tr.Kind {
-					case analysis.SegOpen:
-						if tr.HasGap {
-							st.gaps = append(st.gaps, float64(tr.Gap)/float64(simclock.Microsecond))
-						}
-					case analysis.SegClose:
-						st.durations = append(st.durations, float64(tr.Burst.Duration())/float64(simclock.Microsecond))
-					}
-				}
-			}
-			return nil
-		}
-	})
-	if err := r.IterWindow(i, demux.FeedBatch); err != nil {
-		return err
-	}
-	for _, key := range analysis.SortedKeys(states) {
-		st := states[key]
-		if st.util.Close() != nil {
-			continue // same skip as the batch path
-		}
-		if st.seg != nil {
-			if tr, fired := st.seg.Flush(); fired {
-				st.durations = append(st.durations, float64(tr.Burst.Duration())/float64(simclock.Microsecond))
-			}
-		}
-		switch reduce.kind {
-		case "bursts":
-			reduce.res.Durations = append(reduce.res.Durations, st.durations...)
-		case "gaps":
-			reduce.res.Gaps = append(reduce.res.Gaps, st.gaps...)
-		case "util":
-			reduce.res.Utils = append(reduce.res.Utils, st.utils...)
-		case "markov":
-			reduce.res.Markov = stats.MergeMarkov(reduce.res.Markov, st.mk.Model())
-		case "hotshare":
-			if reduce.isUplink(int(key.Port)) {
-				reduce.res.Share.UplinkHot += st.hot
-			} else {
-				reduce.res.Share.DownlinkHot += st.hot
-			}
-		}
-	}
-	return nil
 }

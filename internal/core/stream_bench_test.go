@@ -19,8 +19,8 @@ import (
 // recordStreamBenchTrace records the reference large-window campaign the
 // memory comparison analyzes: one rack, four 400 ms windows, every port's
 // byte counter at the 25 µs campaign interval — tens of thousands of
-// samples per window, so the batch path's whole-window materialization
-// dominates its footprint.
+// samples per window, so the materializing reference's whole-window
+// read dominates its footprint.
 func recordStreamBenchTrace(tb testing.TB, dir string) {
 	tb.Helper()
 	cfg := QuickConfig()
@@ -38,12 +38,13 @@ func recordStreamBenchTrace(tb testing.TB, dir string) {
 	}
 }
 
-// measureAnalyze runs AnalyzeTrace in the given mode and reports its peak
-// live-heap delta (sampled against a post-GC baseline) and its allocation
+// measureAnalyze runs analyze (AnalyzeTrace, or the materializing
+// refAnalyzeTrace of equivalence_test.go) and reports its peak live-heap
+// delta (sampled against a post-GC baseline) and its allocation
 // footprint (TotalAlloc/Mallocs deltas). GC is tightened for the duration
 // so transient garbage does not mask the difference between materializing
 // whole windows and holding O(active series) state.
-func measureAnalyze(tb testing.TB, dir, kind string, stream bool) (peak, allocBytes, mallocs uint64) {
+func measureAnalyze(tb testing.TB, dir, kind string, analyze analyzeFunc) (peak, allocBytes, mallocs uint64) {
 	tb.Helper()
 	r, err := trace.Open(dir)
 	if err != nil {
@@ -75,7 +76,7 @@ func measureAnalyze(tb testing.TB, dir, kind string, stream bool) (peak, allocBy
 		}
 	}()
 
-	res, err := AnalyzeTrace(r, kind, analysis.DefaultHotThreshold, stream)
+	res, err := analyze(r, kind, analysis.DefaultHotThreshold)
 	close(stop)
 	<-done
 	if err != nil {
@@ -94,12 +95,13 @@ func measureAnalyze(tb testing.TB, dir, kind string, stream bool) (peak, allocBy
 	return peak, end.TotalAlloc - base.TotalAlloc, end.Mallocs - base.Mallocs
 }
 
-// TestStreamingMemoryArtifact compares the batch and streaming analysis
-// engines on the reference campaign and publishes BENCH_stream.json.
-// Gated on MBURST_STREAM_BENCH_OUT so the measurement only runs in the
-// dedicated CI step (it is meaningless under the race detector). The
-// peak-memory ratio is a hard gate: streaming must hold at least 5x less
-// than the batch path's whole-window materialization.
+// TestStreamingMemoryArtifact compares AnalyzeTrace with the materializing
+// reference on the reference campaign and publishes BENCH_stream.json
+// (the "batch" fields are the reference's). Gated on
+// MBURST_STREAM_BENCH_OUT so the measurement only runs in the dedicated CI
+// step (it is meaningless under the race detector). The peak-memory ratio
+// is a hard gate: AnalyzeTrace must hold at least 5x less than
+// whole-window materialization.
 func TestStreamingMemoryArtifact(t *testing.T) {
 	out := os.Getenv("MBURST_STREAM_BENCH_OUT")
 	if out == "" {
@@ -109,19 +111,19 @@ func TestStreamingMemoryArtifact(t *testing.T) {
 	recordStreamBenchTrace(t, dir)
 
 	const kind = "bursts"
-	peakBatch, allocBatch, mallocsBatch := measureAnalyze(t, dir, kind, false)
-	peakStream, allocStream, mallocsStream := measureAnalyze(t, dir, kind, true)
+	peakBatch, allocBatch, mallocsBatch := measureAnalyze(t, dir, kind, refAnalyzeTrace)
+	peakStream, allocStream, mallocsStream := measureAnalyze(t, dir, kind, AnalyzeTrace)
 
 	// Both engines must still agree before their footprints are compared.
 	r, err := trace.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resBatch, err := AnalyzeTrace(r, kind, analysis.DefaultHotThreshold, false)
+	resBatch, err := refAnalyzeTrace(r, kind, analysis.DefaultHotThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resStream, err := AnalyzeTrace(r, kind, analysis.DefaultHotThreshold, true)
+	resStream, err := AnalyzeTrace(r, kind, analysis.DefaultHotThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,16 +179,17 @@ func TestStreamingMemoryArtifact(t *testing.T) {
 }
 
 // BenchmarkStreamingMemory reports the wall-clock and allocation profile
-// of both engines on the reference campaign. Run with:
+// of AnalyzeTrace and the materializing reference on the reference
+// campaign. Run with:
 //
 //	go test -run=^$ -bench=BenchmarkStreamingMemory -benchtime=1x ./internal/core
 func BenchmarkStreamingMemory(b *testing.B) {
 	for _, bc := range []struct {
-		name   string
-		stream bool
+		name    string
+		analyze analyzeFunc
 	}{
-		{"batch", false},
-		{"stream", true},
+		{"batch", refAnalyzeTrace},
+		{"stream", AnalyzeTrace},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			dir := b.TempDir()
@@ -198,7 +201,7 @@ func BenchmarkStreamingMemory(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := AnalyzeTrace(r, "bursts", analysis.DefaultHotThreshold, bc.stream); err != nil {
+				if _, err := bc.analyze(r, "bursts", analysis.DefaultHotThreshold); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -5,7 +5,10 @@
 //
 // Samples keep their original virtual timestamps; pacing maps virtual time
 // onto wall-clock time with a configurable speedup, so a 2-minute campaign
-// can replay in seconds while preserving inter-batch spacing.
+// can replay in seconds while preserving inter-batch spacing. Batches carry
+// the rack's window ordinal as their epoch (0 for a rack's first window),
+// so replaying several windows of one rack needs a format that carries
+// epochs (mbw2, mbw3); mbw1 fails at the first later window.
 package replay
 
 import (
@@ -98,6 +101,11 @@ func Run(ctx context.Context, dir string, w io.Writer, opts Options) (Stats, err
 	if err != nil {
 		return st, err
 	}
+	// Each window's simulation restarts virtual time, so every window of a
+	// rack after its first is stamped with the next epoch: an epoch-gated
+	// collector takes the bump as a legitimate clock restart, where it
+	// would drop a same-epoch time regression as reordering.
+	ordinal := make(map[uint32]uint32)
 	for _, idx := range windows {
 		if err := ctx.Err(); err != nil {
 			return st, err
@@ -114,7 +122,7 @@ func Run(ctx context.Context, dir string, w io.Writer, opts Options) (Stats, err
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := bw.WriteBatch(&wire.Batch{Rack: rack, Samples: pending}); err != nil {
+			if err := bw.WriteBatch(&wire.Batch{Rack: rack, Epoch: ordinal[rack], Samples: pending}); err != nil {
 				return err
 			}
 			st.Batches++
@@ -160,6 +168,7 @@ func Run(ctx context.Context, dir string, w io.Writer, opts Options) (Stats, err
 		st.Windows++
 		if winSeen {
 			st.VirtualSpan += winLast.Sub(winFirst)
+			ordinal[rack]++
 		}
 	}
 	return st, nil

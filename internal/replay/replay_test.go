@@ -11,9 +11,11 @@ import (
 
 	"mburst/internal/asic"
 	"mburst/internal/collector"
+	"mburst/internal/core"
 	"mburst/internal/simclock"
 	"mburst/internal/trace"
 	"mburst/internal/wire"
+	"mburst/internal/workload"
 )
 
 func writeCampaign(t *testing.T, windows int, samplesPer int) string {
@@ -236,5 +238,60 @@ func TestReplayIntoLiveCollector(t *testing.T) {
 	}
 	if err := srv.LastErr(); err != nil {
 		t.Errorf("stream error: %v", err)
+	}
+}
+
+// TestReplayThroughEpochGate replays several windows of one rack — each
+// restarting virtual time — through the gate mbcollectd -archive implies.
+// Everything sent must be admitted: the later windows arrive as epoch
+// bumps, not as same-epoch time regressions the gate drops as reordering.
+func TestReplayThroughEpochGate(t *testing.T) {
+	cfg := core.QuickConfig()
+	cfg.Servers = 4
+	cfg.Windows = 3
+	cfg.WindowDur = 10 * simclock.Millisecond
+	exp, err := core.NewExperiment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "c")
+	if err := exp.RecordCampaign(context.Background(), workload.Web, dir, 0, "gate", exp.RandomPortCounters(workload.Web)); err != nil {
+		t.Fatal(err)
+	}
+
+	var stream bytes.Buffer
+	st, err := Run(context.Background(), dir, &stream, Options{Unpaced: true, BatchSamples: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Windows != 3 || st.Batches < 6 {
+		t.Fatalf("vacuous replay: %+v", st)
+	}
+
+	var batches, samples int
+	gate := collector.NewEpochGate(func(b *wire.Batch) {
+		batches++
+		samples += len(b.Samples)
+	}, nil)
+	r := wire.NewReader(&stream)
+	for {
+		b, err := r.ReadBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		gate.Handle(b)
+	}
+	if batches != st.Batches || samples != st.Samples {
+		t.Errorf("gate admitted %d batches / %d samples of the %d / %d replayed",
+			batches, samples, st.Batches, st.Samples)
+	}
+
+	// MBW1 cannot carry the later windows' epochs; it must say so rather
+	// than ship batches a gate would silently drop.
+	if _, err := Run(context.Background(), dir, io.Discard, Options{Unpaced: true, Format: wire.FormatMBW1}); err == nil {
+		t.Error("mbw1 replay of a multi-window rack succeeded")
 	}
 }

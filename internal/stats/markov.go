@@ -25,31 +25,11 @@ type MarkovModel struct {
 // A sequence with fewer than two samples yields a model with NaN
 // probabilities and zero counts.
 func FitMarkov(seq []bool) MarkovModel {
-	var m MarkovModel
-	if len(seq) < 2 {
-		for a := 0; a < 2; a++ {
-			for b := 0; b < 2; b++ {
-				m.P[a][b] = math.NaN()
-			}
-		}
-		return m
+	var a MarkovAcc
+	for _, hot := range seq {
+		a.Observe(hot)
 	}
-	for i := 1; i < len(seq); i++ {
-		a, b := boolToState(seq[i-1]), boolToState(seq[i])
-		m.Counts[a][b]++
-		m.N++
-	}
-	for a := 0; a < 2; a++ {
-		rowTotal := m.Counts[a][0] + m.Counts[a][1]
-		for b := 0; b < 2; b++ {
-			if rowTotal == 0 {
-				m.P[a][b] = math.NaN()
-			} else {
-				m.P[a][b] = float64(m.Counts[a][b]) / float64(rowTotal)
-			}
-		}
-	}
-	return m
+	return a.Model()
 }
 
 func boolToState(hot bool) int {
@@ -96,26 +76,11 @@ func (m MarkovModel) StationaryHotFraction() float64 {
 // rather than concatenating sequences — avoids fabricating a transition
 // across window seams.
 func MergeMarkov(models ...MarkovModel) MarkovModel {
-	var m MarkovModel
+	var a MarkovAcc
 	for _, src := range models {
-		for a := 0; a < 2; a++ {
-			for b := 0; b < 2; b++ {
-				m.Counts[a][b] += src.Counts[a][b]
-			}
-		}
-		m.N += src.N
+		a.Merge(&MarkovAcc{counts: src.Counts, n: src.N})
 	}
-	for a := 0; a < 2; a++ {
-		rowTotal := m.Counts[a][0] + m.Counts[a][1]
-		for b := 0; b < 2; b++ {
-			if rowTotal == 0 {
-				m.P[a][b] = math.NaN()
-			} else {
-				m.P[a][b] = float64(m.Counts[a][b]) / float64(rowTotal)
-			}
-		}
-	}
-	return m
+	return a.Model()
 }
 
 // String renders the matrix in the Table 2 layout.

@@ -2,8 +2,10 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"mburst/internal/rng"
 )
@@ -57,6 +59,37 @@ func TestECDFAccMatchesNewECDF(t *testing.T) {
 	}
 }
 
+// checkMarkov compares, on one set of sequences, the accumulator (seams
+// marked with EndSequence), the FitMarkov/MergeMarkov adapters over it,
+// and the independent references in reference_test.go.
+func checkMarkov(t *testing.T, seqs [][]bool) bool {
+	t.Helper()
+	var acc MarkovAcc
+	var refs, fits []MarkovModel
+	for _, seq := range seqs {
+		for _, hot := range seq {
+			acc.Observe(hot)
+		}
+		acc.EndSequence()
+		refs = append(refs, refFitMarkov(seq))
+		fits = append(fits, FitMarkov(seq))
+		if !markovEqual(refs[len(refs)-1], fits[len(fits)-1]) {
+			t.Errorf("FitMarkov(%v) = %+v, reference %+v", seq, fits[len(fits)-1], refs[len(refs)-1])
+			return false
+		}
+	}
+	want := refMergeMarkov(refs...)
+	if got := MergeMarkov(fits...); !markovEqual(want, got) {
+		t.Errorf("MergeMarkov diverges:\nreference: %+v\nadapter:   %+v", want, got)
+		return false
+	}
+	if got := acc.Model(); !markovEqual(want, got) || want.N != acc.N() {
+		t.Errorf("accumulator diverges (N=%d):\nreference:   %+v\naccumulator: %+v", acc.N(), want, got)
+		return false
+	}
+	return true
+}
+
 func TestMarkovAccMatchesFitMerge(t *testing.T) {
 	src := rng.New(42)
 	seqs := make([][]bool, 6)
@@ -73,28 +106,14 @@ func TestMarkovAccMatchesFitMerge(t *testing.T) {
 			seqs[i][j] = src.Bool(0.4)
 		}
 	}
+	checkMarkov(t, seqs)
+	checkMarkov(t, nil)
+	checkMarkov(t, [][]bool{nil})
 
-	var acc MarkovAcc
-	models := make([]MarkovModel, 0, len(seqs))
-	for _, seq := range seqs {
-		for _, hot := range seq {
-			acc.Observe(hot)
-		}
-		acc.EndSequence()
-		models = append(models, FitMarkov(seq))
-	}
-	want := MergeMarkov(models...)
-	got := acc.Model()
-	if !markovEqual(want, got) {
-		t.Errorf("models diverge:\nbatch:  %+v\nstream: %+v", want, got)
-	}
-	if want.N != acc.N() {
-		t.Errorf("N: batch %d, acc %d", want.N, acc.N())
-	}
-
-	var empty MarkovAcc
-	if got := empty.Model(); !markovEqual(FitMarkov(nil), got) {
-		t.Errorf("empty accumulator = %+v, want all-NaN model", got)
+	// The generator seed is fixed so a failing input reproduces.
+	cfg := &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(func(seqs [][]bool) bool { return checkMarkov(t, seqs) }, cfg); err != nil {
+		t.Error(err)
 	}
 }
 

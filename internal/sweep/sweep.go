@@ -134,6 +134,10 @@ func BufferSize(ctx context.Context, cfg core.Config, app workload.App, sizes []
 		return out
 	}
 	interval := 300 * simclock.Microsecond
+	threshold := cfg.HotThreshold
+	if threshold <= 0 {
+		threshold = analysis.DefaultHotThreshold
+	}
 	for _, size := range sizes {
 		c := cfg
 		c.BufferBytes = size
@@ -164,7 +168,7 @@ func BufferSize(ctx context.Context, cfg core.Config, app workload.App, sizes []
 				}
 				for _, u := range series {
 					total++
-					if u.Util > analysis.DefaultHotThreshold {
+					if u.Util > threshold {
 						hot++
 					}
 				}

@@ -41,10 +41,11 @@ go test -race -shuffle=on ./...
 MBURST_BENCH_OUT="$PWD/BENCH_runner.json" \
 	go test -run TestRunnerBenchArtifact -count=1 ./internal/core
 
-# Streaming-engine memory gate: batch vs -stream analysis of the same
-# recorded campaign. Fails the build unless streaming peaks >= 5x below
-# the batch path's whole-window materialization (and allocates >= 5x
-# less). Runs without -race: the measurement times the allocator itself.
+# Streaming-engine memory gate: core.AnalyzeTrace vs the test-local
+# materializing reference (equivalence_test.go) over the same recorded
+# campaign. Fails the build unless AnalyzeTrace peaks >= 5x below
+# whole-window materialization (and allocates >= 5x less). Runs without
+# -race: the measurement times the allocator itself.
 MBURST_STREAM_BENCH_OUT="$PWD/BENCH_stream.json" \
 	go test -run TestStreamingMemoryArtifact -count=1 ./internal/core
 
@@ -91,3 +92,8 @@ MBURST_FAULT_OUT="$PWD/FAULT_soak.json" \
 MBURST_FLEET_BENCH_OUT="$PWD/BENCH_fleet.json" \
 	go test -run TestFleetBenchArtifact -count=1 ./internal/core
 grep -q '"byte_exact": true' BENCH_fleet.json
+
+# Benchmark smoke: every workload of the repo benchmark once in -quick
+# mode. A correctness check only — the command exits non-zero when a
+# workload's oracle fails — with no timing gate.
+go run ./bench -workload all -quick
