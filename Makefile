@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-smoke fuzz chaos crash fleet trace ci
+.PHONY: build test race vet lint bench bench-smoke bench-pair fuzz chaos crash fleet trace ci
 
 build:
 	$(GO) build ./...
@@ -28,13 +28,26 @@ bench:
 bench-smoke:
 	$(GO) run ./bench -workload all -quick
 
-# fuzz exercises the parsers that face untrusted bytes: the wire decoder
-# and the archive recovery scan (which must truncate any torn tail
-# without panicking). FUZZTIME bounds each target (default 10s).
+# bench-pair runs one workload as alternating parent/change pairs with
+# identical benchmark code on both sides and prints the comparison table
+# (medians, worse-by, parent IQR, pair wins); see scripts/bench_pair.sh.
+PARENT ?= HEAD~1
+WORKLOAD ?= fleet_durable
+PAIRS ?= 10
+bench-pair:
+	./scripts/bench_pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# fuzz exercises the parsers that face untrusted bytes: the wire decoder,
+# the archive recovery scan (which must truncate any torn tail without
+# panicking) and the checkpoint loader (whatever loads must restore, take
+# traffic and round-trip). FUZZTIME bounds each target (default 10s).
+# The checkpoint seeds are kilobytes of JSON; left at its 60s default,
+# minimizing each new-coverage input would eat the whole budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadBatch -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzTraceRecover -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/collector
 
 # chaos runs the fault-injection soak under the race detector: generated
 # fault schedules against the poll/recover pipeline, the epoch-gated

@@ -375,9 +375,10 @@ func (st FleetCheckpointState) FleetState() (FleetState, error) {
 }
 
 // SaveFleetCheckpoint writes st to path atomically, with the same
-// temp-fsync-rename discipline as the per-shard SaveCheckpoint.
+// compact encoding and temp-fsync-rename discipline as the per-shard
+// SaveCheckpoint.
 func SaveFleetCheckpoint(path string, st FleetCheckpointState) error {
-	data, err := json.MarshalIndent(st, "", "  ")
+	data, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("collector: encoding fleet checkpoint: %w", err)
 	}
@@ -397,6 +398,11 @@ func LoadFleetCheckpoint(path string) (FleetCheckpointState, bool, error) {
 	var st FleetCheckpointState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return FleetCheckpointState{}, false, fmt.Errorf("collector: decoding fleet checkpoint %s: %w", path, err)
+	}
+	for _, sc := range st.Shards {
+		if err := sc.State.validate(); err != nil {
+			return FleetCheckpointState{}, false, fmt.Errorf("collector: fleet checkpoint %s: shard %d: %w", path, sc.Shard, err)
+		}
 	}
 	return st, true, nil
 }

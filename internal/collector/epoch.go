@@ -26,9 +26,10 @@ import (
 // Epoch increases are accepted unconditionally and reset the rack's time
 // horizon, because a restarted agent legitimately restarts its clock.
 //
-// The gate is opt-in (ServerConfig.EpochGate): replay-style workloads
-// restart virtual time per window within one epoch, which the
-// time-regression rule would reject.
+// The gate is opt-in (ServerConfig.EpochGate): a feed that restarts
+// virtual time without bumping the epoch is rejected by the
+// time-regression rule. replay.Run stamps each window of a rack with the
+// next epoch for exactly that reason, so a replayed campaign passes.
 type EpochGate struct {
 	next   BatchHandler
 	m      ServerMetrics

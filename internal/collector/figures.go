@@ -33,6 +33,11 @@ type LiveFigures struct {
 	mu      sync.Mutex
 	samples uint64
 	series  map[liveKey]*liveSeries
+	// order holds every series, in canonical (rack, port, dir, kind)
+	// order unless unsorted says a series was appended since the last
+	// sort; see ordered.
+	order    []*liveSeries
+	unsorted bool
 }
 
 // LiveFiguresConfig parameterizes the tap.
@@ -58,8 +63,13 @@ type liveKey struct {
 	Key  analysis.SeriesKey
 }
 
+func (k liveKey) id() seriesID {
+	return seriesID{Rack: k.Rack, Port: k.Key.Port, Dir: k.Key.Dir, Kind: k.Key.Kind}
+}
+
 // liveSeries is the per-series accumulator set.
 type liveSeries struct {
+	key       liveKey
 	util      *analysis.UtilState
 	seg       *analysis.BurstSegmenter
 	mk        stats.MarkovAcc
@@ -69,6 +79,13 @@ type liveSeries struct {
 	utilHist  []uint64
 	points    int
 	hot       int
+
+	// cut is the series' state as State last snapshotted it, and dirty
+	// says the accumulators may have moved since. cut is only ever
+	// replaced whole, never written through: earlier FiguresStates share
+	// its inner slices.
+	cut   SeriesState
+	dirty bool
 }
 
 // NewLiveFigures validates the config and returns a tap.
@@ -110,12 +127,14 @@ func (f *LiveFigures) Handle(b *wire.Batch) {
 		st := f.series[k]
 		if st == nil {
 			st = &liveSeries{
+				key:      k,
 				util:     analysis.NewUtilState(f.cfg.SpeedOf(b.Rack, s.Port)),
 				seg:      analysis.NewBurstSegmenter(analysis.SegmenterConfig{HotAbove: f.cfg.Threshold}),
 				utilHist: make([]uint64, f.cfg.UtilBins),
 			}
-			f.series[k] = st
+			f.add(st)
 		}
+		st.dirty = true
 		p, ok, err := st.util.Feed(s)
 		if err != nil || !ok {
 			// Damaged series latch; the live view keeps what it had.
@@ -147,6 +166,25 @@ func (f *LiveFigures) Handle(b *wire.Batch) {
 			}
 		}
 	}
+}
+
+// add registers a new series. It lands at the end of f.order, which
+// ordered re-sorts on its next call. Caller holds f.mu.
+func (f *LiveFigures) add(st *liveSeries) {
+	f.series[st.key] = st
+	f.order = append(f.order, st)
+	f.unsorted = true
+}
+
+// ordered returns every series in canonical (rack, port, dir, kind)
+// order, sorting only when a series was added since the previous call.
+// Caller holds f.mu.
+func (f *LiveFigures) ordered() []*liveSeries {
+	if f.unsorted {
+		sort.Slice(f.order, func(i, j int) bool { return f.order[i].key.id().less(f.order[j].key.id()) })
+		f.unsorted = false
+	}
+	return f.order
 }
 
 // SeriesFigures is one series' running statistics in the snapshot.
@@ -194,29 +232,16 @@ type FiguresSnapshot struct {
 	DownlinkHot int `json:"downlink_hot"`
 }
 
-// Snapshot returns the current running figures, series sorted by rack
-// then port/dir for stable output.
+// Snapshot returns the current running figures, series in canonical
+// (rack, port, dir, kind) order for stable output.
 func (f *LiveFigures) Snapshot() FiguresSnapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	snap := FiguresSnapshot{Threshold: f.cfg.Threshold, Samples: f.samples}
-	keys := make([]liveKey, 0, len(f.series))
-	for k := range f.series {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Rack != b.Rack {
-			return a.Rack < b.Rack
-		}
-		if a.Key.Port != b.Key.Port {
-			return a.Key.Port < b.Key.Port
-		}
-		return a.Key.Dir < b.Key.Dir
-	})
-	models := make([]stats.MarkovModel, 0, len(keys))
-	for _, k := range keys {
-		st := f.series[k]
+	series := f.ordered()
+	models := make([]stats.MarkovModel, 0, len(series))
+	for _, st := range series {
+		k := st.key
 		sf := SeriesFigures{
 			Rack:        k.Rack,
 			Port:        k.Key.Port,

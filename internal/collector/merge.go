@@ -48,36 +48,58 @@ func (s seriesID) String() string {
 }
 
 // MergeFiguresStates unions shard-local figure states into the fleet
-// state: series concatenated and re-sorted into the canonical (rack,
-// port, dir, kind) order LiveFigures.State emits, sample totals summed.
+// state: series in the canonical (rack, port, dir, kind) order
+// LiveFigures.State emits, sample totals summed. Every input is already
+// in that order (an input that is not — a hand-edited checkpoint — is
+// sorted first), so the union is a k-way merge over the shard count.
 // Because a rack's series live on exactly one shard, the union is
-// disjoint; a series appearing in two inputs means two shards ingested
-// the same rack and the merged state would double-count, so that is an
-// error, not a fold.
+// disjoint; a series appearing twice means two shards ingested the same
+// rack and the merged state would double-count, so that is an error, not
+// a fold.
 func MergeFiguresStates(states ...FiguresState) (FiguresState, error) {
 	var out FiguresState
+	rest := make([][]SeriesState, 0, len(states)) // each input's unmerged tail
 	n := 0
 	for _, st := range states {
-		n += len(st.Series)
+		out.Samples += st.Samples
+		if len(st.Series) > 0 {
+			rest = append(rest, canonicalOrder(st.Series))
+			n += len(st.Series)
+		}
 	}
 	if n > 0 {
 		out.Series = make([]SeriesState, 0, n)
 	}
-	for _, st := range states {
-		out.Samples += st.Samples
-		out.Series = append(out.Series, st.Series...)
-	}
-	sort.Slice(out.Series, func(i, j int) bool {
-		return out.Series[i].id().less(out.Series[j].id())
-	})
-	for i := 1; i < len(out.Series); i++ {
-		if out.Series[i].id() == out.Series[i-1].id() {
+	for len(rest) > 0 {
+		lo := 0
+		for i := 1; i < len(rest); i++ {
+			if rest[i][0].id().less(rest[lo][0].id()) {
+				lo = i
+			}
+		}
+		if k := len(out.Series); k > 0 && out.Series[k-1].id() == rest[lo][0].id() {
 			return FiguresState{}, fmt.Errorf(
 				"collector: series %s claimed by two shards (placement violation)",
-				out.Series[i].id())
+				rest[lo][0].id())
+		}
+		out.Series = append(out.Series, rest[lo][0])
+		if rest[lo] = rest[lo][1:]; len(rest[lo]) == 0 {
+			rest = append(rest[:lo], rest[lo+1:]...)
 		}
 	}
 	return out, nil
+}
+
+// canonicalOrder returns series in (rack, port, dir, kind) order: the
+// slice itself when it already is, a sorted copy otherwise.
+func canonicalOrder(series []SeriesState) []SeriesState {
+	less := func(i, j int) bool { return series[i].id().less(series[j].id()) }
+	if sort.SliceIsSorted(series, less) {
+		return series
+	}
+	series = append([]SeriesState(nil), series...)
+	sort.Slice(series, less)
+	return series
 }
 
 // MergeSnapshots sums shard-local ingest snapshots into fleet totals.

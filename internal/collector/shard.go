@@ -131,6 +131,14 @@ func (s *Shard) Handle(b *wire.Batch) {
 // final publish), which is the property the oracle equivalence tests
 // pin down. Not safe for concurrent Publish calls with themselves —
 // one publisher goroutine per shard is the intended shape.
+//
+// The update is cumulative but the cut is incremental: LiveFigures.State
+// re-snapshots only the series fed since the previous cut (whoever took
+// it — Publish, CheckpointState or a durable checkpoint), so publishing
+// every few batches costs the few racks those batches came from plus one
+// flat copy, not the shard's whole state. The update shares slices with
+// earlier and later cuts; see FiguresState for what that asks of
+// consumers.
 func (s *Shard) Publish() ShardUpdate {
 	s.seq++
 	s.m.Published.Inc()

@@ -71,76 +71,96 @@ type SeriesState struct {
 // has accumulated, nothing derived. (Snapshot() is the *rendered* view —
 // quantiles and probabilities — and cannot be restored; this is the raw
 // one that can.)
+//
+// A FiguresState is an immutable cut. Consecutive cuts of one tap share
+// the inner slices (ECDF values, utilization histogram) of every series
+// that was not fed in between, so a cut, once returned, never changes —
+// the tap gives a fed series a new SeriesState with fresh slices and
+// never appends to or overwrites one it has handed out — and consumers
+// must not write through Series[i]'s slices either: restore and merge
+// copy, and so must anything else that wants to edit a cut.
 type FiguresState struct {
 	Samples uint64        `json:"samples"`
 	Series  []SeriesState `json:"series,omitempty"`
 }
 
-// State captures the tap's accumulator state, series sorted by rack,
-// port, dir, kind for deterministic output.
+// State cuts the tap's accumulator state, series in canonical (rack,
+// port, dir, kind) order. A cut costs what changed, not what exists:
+// only series fed since the previous cut are re-snapshotted, the others
+// reuse the SeriesState the previous cut carried, and the result is one
+// flat copy of those values (see FiguresState for the sharing contract).
 func (f *LiveFigures) State() FiguresState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	st := FiguresState{Samples: f.samples}
-	keys := make([]liveKey, 0, len(f.series))
-	for k := range f.series {
-		keys = append(keys, k)
+	series := f.ordered()
+	if len(series) == 0 {
+		return st
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Rack != b.Rack {
-			return a.Rack < b.Rack
+	st.Series = make([]SeriesState, len(series))
+	for i, s := range series {
+		if s.dirty {
+			s.cut = s.snapshot()
+			s.dirty = false
 		}
-		if a.Key.Port != b.Key.Port {
-			return a.Key.Port < b.Key.Port
-		}
-		if a.Key.Dir != b.Key.Dir {
-			return a.Key.Dir < b.Key.Dir
-		}
-		return a.Key.Kind < b.Key.Kind
-	})
-	for _, k := range keys {
-		s := f.series[k]
-		st.Series = append(st.Series, SeriesState{
-			Rack: k.Rack, Port: k.Key.Port, Dir: k.Key.Dir, Kind: k.Key.Kind,
-			Util:      s.util.Snapshot(),
-			Seg:       s.seg.Snapshot(),
-			Markov:    s.mk.Snapshot(),
-			Durations: s.durations.Snapshot(),
-			Gaps:      s.gaps.Snapshot(),
-			Moments:   s.moments.Snapshot(),
-			UtilHist:  append([]uint64(nil), s.utilHist...),
-			Points:    s.points,
-			Hot:       s.hot,
-		})
+		st.Series[i] = s.cut
 	}
 	return st
 }
 
+// snapshot copies the series' accumulators into a new SeriesState that
+// shares no memory with them.
+func (s *liveSeries) snapshot() SeriesState {
+	return SeriesState{
+		Rack: s.key.Rack, Port: s.key.Key.Port, Dir: s.key.Key.Dir, Kind: s.key.Key.Kind,
+		Util:      s.util.Snapshot(),
+		Seg:       s.seg.Snapshot(),
+		Markov:    s.mk.Snapshot(),
+		Durations: s.durations.Snapshot(),
+		Gaps:      s.gaps.Snapshot(),
+		Moments:   s.moments.Snapshot(),
+		UtilHist:  append([]uint64(nil), s.utilHist...),
+		Points:    s.points,
+		Hot:       s.hot,
+	}
+}
+
 // RestoreState replaces the tap's accumulator state with a snapshot. The
 // per-series snapshots carry their own configuration (line rate inside
-// the UtilSnap, thresholds inside the SegmenterSnap), so restore never
-// consults the config callbacks — a restored tap continues exactly where
-// the snapshot left off even if SpeedOf would now answer differently.
+// the UtilSnap, thresholds inside the SegmenterSnap, histogram
+// resolution as the length of UtilHist), so restore never consults the
+// config callbacks — a restored tap continues exactly where the snapshot
+// left off even if SpeedOf would now answer differently. The one
+// exception is a series without a histogram, which Handle could not
+// feed: it gets an empty one at the configured resolution.
 func (f *LiveFigures) RestoreState(st FiguresState) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.samples = st.Samples
 	f.series = make(map[liveKey]*liveSeries, len(st.Series))
+	f.order = make([]*liveSeries, 0, len(st.Series))
 	for _, s := range st.Series {
 		ls := &liveSeries{
+			key:      liveKey{Rack: s.Rack, Key: analysis.SeriesKey{Port: s.Port, Dir: s.Dir, Kind: s.Kind}},
 			util:     analysis.RestoreUtilState(s.Util),
 			seg:      analysis.RestoreBurstSegmenter(s.Seg),
 			utilHist: append([]uint64(nil), s.UtilHist...),
 			points:   s.Points,
 			hot:      s.Hot,
+			dirty:    true,
+		}
+		if len(ls.utilHist) == 0 {
+			ls.utilHist = make([]uint64, f.cfg.UtilBins)
 		}
 		ls.mk.Restore(s.Markov)
 		ls.durations.Restore(s.Durations)
 		ls.gaps.Restore(s.Gaps)
 		ls.moments.Restore(s.Moments)
-		k := liveKey{Rack: s.Rack, Key: analysis.SeriesKey{Port: s.Port, Dir: s.Dir, Kind: s.Kind}}
-		f.series[k] = ls
+		if old := f.series[ls.key]; old != nil {
+			*old = *ls // a series listed twice: the last one wins
+			continue
+		}
+		f.add(ls)
 	}
 }
 
