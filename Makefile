@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-smoke bench-pair fuzz chaos crash fleet trace ci
+.PHONY: build test race vet lint bench bench-smoke bench-pair smoke fuzz chaos crash fleet trace ci
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,12 @@ WORKLOAD ?= fleet_durable
 PAIRS ?= 10
 bench-pair:
 	./scripts/bench_pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
+
+# smoke drives the real binaries once over a real socket: mbagent into a
+# durable mbcollectd, SIGTERM, then mbdump must read back exactly what
+# the agent delivered (scripts/smoke.sh; no timing gate).
+smoke:
+	./scripts/smoke.sh
 
 # fuzz exercises the parsers that face untrusted bytes: the wire decoder,
 # the archive recovery scan (which must truncate any torn tail without

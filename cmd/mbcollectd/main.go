@@ -1,26 +1,31 @@
 // Command mbcollectd is the standalone collector service: it accepts TCP
 // connections from switch-side sampling clients (collector.Client),
-// decodes their batch streams, and either archives the raw batches —
-// durably, with crash recovery — or prints periodic ingest statistics.
+// decodes their batch streams and runs them through the one ingest
+// pipeline, a collector.Shard: placement filter → epoch gate → durable
+// archive (-archive) → ingest statistics → live figures (-figures) →
+// checkpoint cadence. The gate is always on: batches from a superseded
+// agent epoch and time-regressing duplicates within an epoch (a
+// retransmitted batch) are dropped and counted, never double-counted.
 //
 // Usage:
 //
-//	mbcollectd -listen 127.0.0.1:9900 [-archive DIR [-resume]] [-out samples.mbw]
-//	           [-checkpoint N] [-stats 5s] [-http :9901]
+//	mbcollectd -listen 127.0.0.1:9900 [-archive DIR [-resume] [-checkpoint N] [-wire F]]
+//	           [-stats 5s] [-http :9901] [-figures [-servers N] [-threshold T]]
 //	           [-tracing] [-tracerate R] [-tracecap N]
 //	           [-shard I -shards M [-placementseed S]]
 //
-// With -shard/-shards the daemon is one shard of a fleet collection
-// plane: the rendezvous placement (internal/shard, seeded by
-// -placementseed, shared with the agents) assigns every rack to exactly
-// one shard, and batches from racks this shard does not own are dropped
-// and counted as misrouted — a placement-generation mismatch signal —
-// instead of polluting the shard's accumulators. The active placement
-// is served at /placement on the debug mux.
+// Without -shards the daemon is a fleet of one: shard 0, no placement.
+// With -shard/-shards it is one shard of a fleet collection plane: the
+// rendezvous placement (internal/shard, seeded by -placementseed, shared
+// with the agents) assigns every rack to exactly one shard, and batches
+// from racks this shard does not own are dropped and counted as
+// misrouted — a placement-generation mismatch signal — instead of
+// polluting the shard's accumulators. The active placement is served at
+// /placement on the debug mux.
 //
-// With -archive the daemon runs the durable collection plane: batches
-// flow through the epoch gate into a segmented, fsynced, crash-safe
-// archive (internal/trace), and every -checkpoint batches the volatile
+// With -archive the shard is durable: admitted batches are written ahead
+// to a segmented, fsynced, crash-safe archive (internal/trace; read it
+// back with mbdump -in DIR), and every -checkpoint batches the volatile
 // state (live figures, ingest counters, gate horizons) is checkpointed
 // atomically next to it. After a crash, -resume recovers the archive
 // (truncating any torn tail), restores the last checkpoint, and replays
@@ -28,6 +33,8 @@
 // the state it would have had — agents that retransmit their spool are
 // deduplicated by the restored gate. A failed archive write or sync is
 // fatal: the daemon exits non-zero rather than silently dropping data.
+// Without -archive the shard is volatile and the daemon only accounts
+// (and, with -figures, analyses) what it receives.
 //
 // With -http the daemon serves its debug surface (see README
 // "Observability"): Prometheus metrics at /metrics, a JSON snapshot at
@@ -42,21 +49,26 @@
 // writes, checkpoints — and serves them at /spans (JSON) and /tracez
 // (waterfall) on the debug mux; cmd/mbtrace renders either.
 //
-// Shut down with SIGINT/SIGTERM; the listener drains connections, the
-// archive seals, and a final checkpoint is written before exiting.
+// Flag misuse (an unknown flag, -resume without -archive, -shard without
+// or outside -shards) is one ERROR log line and exit status 2, before
+// anything listens. Shut down with SIGINT/SIGTERM; the listener drains
+// connections, the archive seals, and a final checkpoint is written
+// before exiting.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sync"
 	"syscall"
 	"time"
 
@@ -71,43 +83,53 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stderr, nil))
 }
 
-func run() int {
-	listen := flag.String("listen", "127.0.0.1:9900", "listen address")
-	archiveDir := flag.String("archive", "", "durable archive directory (segmented, fsynced, crash-recoverable)")
-	resume := flag.Bool("resume", false, "recover the -archive directory and restore the last checkpoint before serving")
-	checkpointEvery := flag.Int("checkpoint", collector.DefaultCheckpointEvery, "checkpoint the collector state every N admitted batches (-archive mode)")
-	out := flag.String("out", "", "optional flat file to append raw batches to (no crash safety; prefer -archive)")
-	wireFmt := flag.String("wire", "", "wire format for the archive; ingest accepts every format regardless (mbw1, mbw2, mbw3; default mbw2)")
-	statsEvery := flag.Duration("stats", 5*time.Second, "stats log interval")
-	epochGate := flag.Bool("epochgate", false, "drop batches from superseded agent epochs and time-regressing duplicates (implied by -archive)")
-	httpAddr := flag.String("http", "", "debug HTTP address (/metrics, /stats, /healthz, /debug/pprof/)")
-	figures := flag.Bool("figures", false, "serve live streaming figures at /figures (needs -http)")
-	servers := flag.Int("servers", 16, "servers per rack, for the /figures port speed map")
-	threshold := flag.Float64("threshold", analysis.DefaultHotThreshold, "hot threshold for /figures")
-	tracing := flag.Bool("tracing", false, "record pipeline spans and serve /spans and /tracez (needs -http)")
-	traceRate := flag.Float64("tracerate", 0, "fraction of batch traces kept by the deterministic head sampler (0 = all)")
-	traceCap := flag.Int("tracecap", ptrace.DefaultCapacity, "span ring capacity")
-	shardID := flag.Int("shard", -1, "this collector's shard index in the fleet placement (requires -shards)")
-	numShards := flag.Int("shards", 0, "fleet shard count; with -shard, drop batches from racks the placement owns elsewhere")
-	placementSeed := flag.Uint64("placementseed", 1, "rendezvous placement seed (must match the agents')")
-	flag.Parse()
-
-	logger := obs.DaemonLogger("mbcollectd")
-	reg := obs.NewRegistry()
-	obs.RegisterGoRuntime(reg)
-
-	var tracer *ptrace.Tracer
-	if *tracing {
-		tracer = ptrace.New(ptrace.Config{
-			Capacity:   *traceCap,
-			SampleRate: *traceRate,
-			Metrics:    reg,
-		})
+// run is the whole daemon — flag parsing included — returning the exit
+// code when ctx is canceled or the pipeline dies. Split from main so the
+// tests drive the exact production path over real sockets: ready, when
+// non-nil, is called once with the bound ingest address and the bound
+// debug HTTP address ("" without -http) as soon as both listen.
+func run(ctx context.Context, args []string, stderr io.Writer, ready func(ingest, debug string)) int {
+	logger := obs.DaemonLoggerTo(stderr, "mbcollectd")
+	fs := flag.NewFlagSet("mbcollectd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // a parse error is logged below, as one line
+	listen := fs.String("listen", "127.0.0.1:9900", "listen address")
+	archiveDir := fs.String("archive", "", "durable archive directory (segmented, fsynced, crash-recoverable)")
+	resume := fs.Bool("resume", false, "recover the -archive directory and restore the last checkpoint before serving")
+	checkpointEvery := fs.Int("checkpoint", collector.DefaultCheckpointEvery, "checkpoint the collector state every N admitted batches (with -archive)")
+	wireFmt := fs.String("wire", "", "wire format for the archive; ingest accepts every format regardless (mbw1, mbw2, mbw3; default mbw2)")
+	statsEvery := fs.Duration("stats", 5*time.Second, "stats log interval")
+	httpAddr := fs.String("http", "", "debug HTTP address (/metrics, /stats, /healthz, /debug/pprof/)")
+	figures := fs.Bool("figures", false, "serve live streaming figures at /figures (needs -http)")
+	servers := fs.Int("servers", 16, "servers per rack, for the /figures port speed map")
+	threshold := fs.Float64("threshold", analysis.DefaultHotThreshold, "hot threshold for /figures")
+	tracing := fs.Bool("tracing", false, "record pipeline spans and serve /spans and /tracez (needs -http)")
+	traceRate := fs.Float64("tracerate", 0, "fraction of batch traces kept by the deterministic head sampler (0 = all)")
+	traceCap := fs.Int("tracecap", ptrace.DefaultCapacity, "span ring capacity")
+	shardID := fs.Int("shard", -1, "this collector's shard index in the fleet placement (requires -shards)")
+	numShards := fs.Int("shards", 0, "fleet shard count; with -shard, drop batches from racks the placement owns elsewhere")
+	placementSeed := fs.Uint64("placementseed", 1, "rendezvous placement seed (must match the agents')")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fs.Usage()
+			return 0
+		}
+		logger.Error("parsing flags", "err", err)
+		return 2
 	}
-
+	if *resume && *archiveDir == "" {
+		logger.Error("-resume needs -archive")
+		return 2
+	}
+	if *shardID >= 0 && *numShards <= 0 {
+		logger.Error("-shard needs -shards")
+		return 2
+	}
 	var format wire.Format
 	if *wireFmt != "" {
 		var err error
@@ -117,8 +139,25 @@ func run() int {
 		}
 	}
 
+	reg := obs.NewRegistry()
+	obs.RegisterGoRuntime(reg)
+	var tracer *ptrace.Tracer
+	if *tracing {
+		tracer = ptrace.New(ptrace.Config{
+			Capacity:   *traceCap,
+			SampleRate: *traceRate,
+			Metrics:    reg,
+		})
+	}
+
 	stats := &collector.IngestStats{}
-	var figs *collector.LiveFigures
+	serverMetrics := collector.NewServerMetrics(reg)
+	cfg := collector.ShardConfig{
+		Stats:       stats,
+		GateMetrics: serverMetrics,
+		Metrics:     collector.NewShardMetrics(reg),
+		Tracer:      tracer,
+	}
 	if *figures {
 		rack := topo.Default(*servers)
 		lf, err := collector.NewLiveFigures(collector.LiveFiguresConfig{
@@ -136,29 +175,29 @@ func run() int {
 			logger.Error("live figures", "err", err)
 			return 1
 		}
-		figs = lf
+		cfg.Figures = lf
 	}
-
-	// mu serializes legacy flat-file archival and, on shutdown, the file
-	// close — a connection goroutine must never race WriteBatch against
-	// Close.
-	var (
-		mu    sync.Mutex
-		fileW *wire.Writer
-		outF  *os.File
-	)
-	var handler collector.BatchHandler
-	var ingest *collector.DurableIngest
+	// A fleet of one is shard 0 with no placement; -shards makes the
+	// shard police placement ownership ahead of the pipeline, so a
+	// placement-generation mismatch between agents and collectors shows
+	// up as counted misrouted drops instead of double-counted series.
+	if *numShards > 0 {
+		pl, err := shard.Uniform(*numShards, *placementSeed)
+		if err != nil {
+			logger.Error("building placement", "err", err)
+			return 2
+		}
+		cfg.ID, cfg.Placement = *shardID, &pl
+	}
 	var arch *trace.ArchiveWriter
-	switch {
-	case *archiveDir != "":
+	if *archiveDir != "" {
 		var err error
-		cfg := trace.ArchiveConfig{Format: format}
+		acfg := trace.ArchiveConfig{Format: format}
 		var rec *trace.ArchiveRecovery
 		if *resume {
-			arch, rec, err = trace.ResumeArchive(*archiveDir, cfg)
+			arch, rec, err = trace.ResumeArchive(*archiveDir, acfg)
 		} else {
-			arch, err = trace.CreateArchive(*archiveDir, cfg)
+			arch, err = trace.CreateArchive(*archiveDir, acfg)
 		}
 		if err != nil {
 			logger.Error("opening archive", "dir", *archiveDir, "err", err)
@@ -174,148 +213,92 @@ func run() int {
 			logger.Info("archive recovered", "batches", rec.Batches, "samples", rec.Samples,
 				"sealed_segments", rec.SealedSegments)
 		}
-		ckptPath := filepath.Join(*archiveDir, "checkpoint.json")
-		ingest, err = collector.NewDurableIngest(collector.DurableIngestConfig{
-			Archive:        arch,
-			CheckpointPath: ckptPath,
-			Every:          *checkpointEvery,
-			Figures:        figs,
-			Stats:          stats,
-			GateMetrics:    collector.NewServerMetrics(reg),
-			Metrics:        collector.NewRecoveryMetrics(reg),
-			Tracer:         tracer,
-		})
-		if err != nil {
-			logger.Error("durable ingest", "err", err)
-			return 1
-		}
-		if *resume {
-			rep, err := ingest.Resume(func(fn func(b *wire.Batch) error) error {
-				return trace.IterArchive(*archiveDir, fn)
-			})
-			if err != nil {
-				logger.Error("resuming from checkpoint", "err", err)
-				return 1
-			}
-			logger.Info("resumed", "had_checkpoint", rep.HadCheckpoint,
-				"checkpoint_batches", rep.CheckpointBatches, "replayed", rep.Replayed,
-				"archive_batches", rep.ArchiveBatches)
-			if rep.Shortfall > 0 {
-				logger.Warn("archive shortfall: checkpointed batches missing from disk",
-					"batches", rep.Shortfall)
-			}
-		}
-		handler = ingest.Handle
-	case *out != "":
-		f, err := os.OpenFile(*out, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			logger.Error("opening output file", "err", err)
-			return 1
-		}
-		// Archival transcodes: whatever format a client streamed in, the
-		// archive is written uniformly in the chosen format.
-		fileW, err = wire.NewWriterFormat(f, format)
-		if err != nil {
-			logger.Error("archive writer", "err", err)
-			f.Close()
-			return 1
-		}
-		outF = f
-		archive := func(b *wire.Batch) {
-			mu.Lock()
-			if fileW != nil {
-				if err := fileW.WriteBatch(b); err != nil {
-					logger.Error("archiving batch", "err", err)
-				}
-			}
-			mu.Unlock()
-		}
-		h := stats.Wrap(collector.TraceStage(tracer, ptrace.StageArchiveWrite, archive))
-		if figs != nil {
-			h = figs.Wrap(h)
-		}
-		handler = h
-	default:
-		h := stats.Wrap(nil)
-		if figs != nil {
-			h = figs.Wrap(h)
-		}
-		handler = h
+		// Assigned only here: a nil *ArchiveWriter stored in the ArchiveSink
+		// interface would be non-nil and make a volatile shard durable.
+		cfg.Archive = arch
+		cfg.CheckpointPath = filepath.Join(*archiveDir, "checkpoint.json")
+		cfg.Every = *checkpointEvery
+		cfg.RecoveryMetrics = collector.NewRecoveryMetrics(reg)
 	}
-	stats.Attach(reg)
-
-	// Shard mode: police placement ownership ahead of the pipeline, so a
-	// placement-generation mismatch between agents and collectors shows
-	// up as counted misrouted drops instead of double-counted series.
-	var placement *shard.Placement
-	if *numShards > 0 {
-		pl, err := shard.Uniform(*numShards, *placementSeed)
-		if err != nil {
-			logger.Error("building placement", "err", err)
-			return 2
+	sh, err := collector.NewShard(cfg)
+	if err != nil {
+		logger.Error("building shard", "err", err)
+		if arch != nil {
+			arch.Close()
 		}
-		filtered, err := collector.NewShardFilter(pl, *shardID, collector.NewShardMetrics(reg), handler)
-		if err != nil {
-			logger.Error("shard filter", "err", err)
-			return 2
-		}
-		handler = filtered
-		placement = &pl
-		logger.Info("sharded", "shard", *shardID, "of", *numShards,
-			"name", pl.Name(*shardID), "placement_version", pl.Version)
-	} else if *shardID >= 0 {
-		logger.Error("-shard needs -shards")
 		return 2
 	}
+	if cfg.Placement != nil {
+		logger.Info("sharded", "shard", sh.ID(), "of", *numShards,
+			"name", cfg.Placement.Name(sh.ID()), "placement_version", cfg.Placement.Version)
+	}
+	if *resume {
+		rep, err := sh.Resume(func(fn func(b *wire.Batch) error) error {
+			return trace.IterArchive(*archiveDir, fn)
+		})
+		if err != nil {
+			logger.Error("resuming from checkpoint", "err", err)
+			return 1
+		}
+		logger.Info("resumed", "had_checkpoint", rep.HadCheckpoint,
+			"checkpoint_batches", rep.CheckpointBatches, "replayed", rep.Replayed,
+			"archive_batches", rep.ArchiveBatches)
+		if rep.Shortfall > 0 {
+			logger.Warn("archive shortfall: checkpointed batches missing from disk",
+				"batches", rep.Shortfall)
+		}
+	}
+	stats.Attach(reg)
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		logger.Error("listening", "addr", *listen, "err", err)
 		return 1
 	}
-	srv := collector.ServeConfigured(ln, handler, collector.ServerConfig{
-		Metrics: collector.NewServerMetrics(reg),
-		// In -archive mode the gate lives inside DurableIngest, ahead of
-		// the archive write.
-		EpochGate: *epochGate && ingest == nil,
-		Tracer:    tracer,
+	// The gate lives inside the shard, ahead of the archive write, so the
+	// server's own EpochGate stays unset.
+	srv := collector.ServeConfigured(ln, sh.Handle, collector.ServerConfig{
+		Metrics: serverMetrics,
+		Tracer:  tracer,
 	})
-	logger.Info("listening", "addr", srv.Addr().String(), "durable", ingest != nil)
+	logger.Info("listening", "addr", srv.Addr().String(), "durable", arch != nil)
 
+	debugAddr := ""
 	if *httpAddr != "" {
 		mux := obs.NewDebugMux(reg, nil)
 		mux.Handle("/stats/ingest", stats)
-		if figs != nil {
-			mux.Handle("/figures", figs)
+		if cfg.Figures != nil {
+			mux.Handle("/figures", cfg.Figures)
 		}
 		if tracer != nil {
 			mux.Handle("/spans", tracer.SpansHandler())
 			mux.Handle("/tracez", tracer.TracezHandler())
 		}
-		if placement != nil {
-			self := *shardID
+		if cfg.Placement != nil {
 			mux.HandleFunc("/placement", func(w http.ResponseWriter, _ *http.Request) {
 				w.Header().Set("Content-Type", "application/json")
 				json.NewEncoder(w).Encode(struct {
 					Shard     int              `json:"shard"`
 					Placement *shard.Placement `json:"placement"`
-				}{self, placement})
+				}{sh.ID(), cfg.Placement})
 			})
 		}
 		ds, err := obs.StartDebug(*httpAddr, mux)
 		if err != nil {
 			logger.Error("debug http", "addr", *httpAddr, "err", err)
+			srv.Close()
 			return 1
 		}
 		defer ds.Close()
-		logger.Info("debug http listening", "url", fmt.Sprintf("http://%s/metrics", ds.Addr()))
+		debugAddr = ds.Addr()
+		logger.Info("debug http listening", "url", fmt.Sprintf("http://%s/metrics", debugAddr))
+	}
+	if ready != nil {
+		ready(srv.Addr().String(), debugAddr)
 	}
 
 	ticker := time.NewTicker(*statsEvery)
 	defer ticker.Stop()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-
 	for {
 		select {
 		case <-ticker.C:
@@ -324,41 +307,21 @@ func run() int {
 			if err := srv.LastErr(); err != nil {
 				logger.Warn("stream error", "err", err)
 			}
-			if ingest != nil {
-				if err := ingest.Err(); err != nil {
-					logger.Error("archive dead, exiting", "err", err)
-					srv.Close()
-					return 1
-				}
+			if err := sh.Err(); err != nil {
+				logger.Error("archive dead, exiting", "err", err)
+				srv.Close()
+				return 1
 			}
-		case s := <-sig:
-			logger.Info("draining", "signal", s.String())
+		case <-ctx.Done():
+			logger.Info("draining")
 			code := 0
 			if err := srv.Close(); err != nil {
 				logger.Error("closing listener", "err", err)
 				code = 1
 			}
-			if ingest != nil {
-				if c := finalizeDurable(logger, ingest, arch); c != 0 {
+			if arch != nil {
+				if c := finalizeDurable(logger, sh, arch); c != 0 {
 					code = c
-				}
-			}
-			if outF != nil {
-				// Serialize with any in-flight WriteBatch and surface the
-				// final sync error as a non-zero exit — a silently truncated
-				// archive is worse than a noisy one.
-				mu.Lock()
-				syncErr := outF.Sync()
-				closeErr := outF.Close()
-				fileW = nil
-				mu.Unlock()
-				if syncErr != nil {
-					logger.Error("syncing output file", "err", syncErr)
-					code = 1
-				}
-				if closeErr != nil {
-					logger.Error("closing output file", "err", closeErr)
-					code = 1
 				}
 			}
 			snap := stats.Snapshot()
@@ -371,9 +334,9 @@ func run() int {
 // finalizeDurable writes the shutdown checkpoint and seals the archive,
 // returning a non-zero exit code if durability could not be guaranteed.
 // Separated from run so the failure paths are testable.
-func finalizeDurable(logger *slog.Logger, ingest *collector.DurableIngest, arch *trace.ArchiveWriter) int {
+func finalizeDurable(logger *slog.Logger, sh *collector.Shard, arch *trace.ArchiveWriter) int {
 	code := 0
-	if err := ingest.Checkpoint(); err != nil {
+	if err := sh.Checkpoint(); err != nil {
 		logger.Error("final checkpoint", "err", err)
 		code = 1
 	}

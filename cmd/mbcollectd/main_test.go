@@ -1,14 +1,26 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"mburst/internal/asic"
 	"mburst/internal/collector"
 	"mburst/internal/obs"
+	"mburst/internal/shard"
 	"mburst/internal/simclock"
 	"mburst/internal/trace"
 	"mburst/internal/wire"
@@ -36,7 +48,7 @@ func testBatch(i int) *wire.Batch {
 
 // newTestIngest builds the same durable pipeline run() assembles, over
 // an archive whose files fail Sync when *failSync is set.
-func newTestIngest(t *testing.T, dir string, failSync *bool) (*collector.DurableIngest, *trace.ArchiveWriter) {
+func newTestIngest(t *testing.T, dir string, failSync *bool) (*collector.Shard, *trace.ArchiveWriter) {
 	t.Helper()
 	arch, err := trace.CreateArchive(dir, trace.ArchiveConfig{
 		SyncEvery: 1000, // keep syncs out of WriteBatch; shutdown triggers them
@@ -51,7 +63,8 @@ func newTestIngest(t *testing.T, dir string, failSync *bool) (*collector.Durable
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingest, err := collector.NewDurableIngest(collector.DurableIngestConfig{
+	ingest, err := collector.NewShard(collector.ShardConfig{
+		Stats:          &collector.IngestStats{},
 		Archive:        arch,
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
 	})
@@ -102,7 +115,8 @@ func TestFinalizeDurableOpenerFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ingest, err := collector.NewDurableIngest(collector.DurableIngestConfig{
+	ingest, err := collector.NewShard(collector.ShardConfig{
+		Stats:          &collector.IngestStats{},
 		Archive:        arch,
 		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
 	})
@@ -113,5 +127,326 @@ func TestFinalizeDurableOpenerFailure(t *testing.T) {
 	ingest.Handle(testBatch(1)) // rotation: the opener fails here
 	if ingest.Err() == nil && finalizeDurable(obs.DaemonLogger("test"), ingest, arch) == 0 {
 		t.Fatal("opener failure surfaced neither as a sticky error nor a non-zero exit")
+	}
+}
+
+// The cases below drive run() — flag parsing, the one Shard, the TCP
+// server, the debug mux, shutdown — over loopback sockets with real
+// collector.Clients (MBW3, epoch 1), the way mbagent talks to it.
+
+// syncBuffer is the daemon's stderr: written by run's goroutines, read
+// by the test.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// daemon is one run() incarnation on ephemeral loopback ports.
+type daemon struct {
+	ingest, debug string
+	stderr        *syncBuffer
+	cancel        context.CancelFunc
+	exit          chan int
+}
+
+func startDaemon(t *testing.T, args ...string) *daemon {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	d := &daemon{stderr: &syncBuffer{}, cancel: cancel, exit: make(chan int, 1)}
+	type addrs struct{ ingest, debug string }
+	ready := make(chan addrs, 1)
+	args = append([]string{"-listen", "127.0.0.1:0", "-http", "127.0.0.1:0", "-stats", "1h"}, args...)
+	go func() {
+		d.exit <- run(ctx, args, d.stderr, func(ingest, debug string) { ready <- addrs{ingest, debug} })
+	}()
+	t.Cleanup(cancel)
+	select {
+	case a := <-ready:
+		d.ingest, d.debug = a.ingest, a.debug
+	case code := <-d.exit:
+		t.Fatalf("mbcollectd %v exited %d before listening:\n%s", args, code, d.stderr)
+	}
+	return d
+}
+
+// stop is the SIGTERM path: cancel, wait for the drain, return the exit
+// code.
+func (d *daemon) stop() int {
+	d.cancel()
+	return <-d.exit
+}
+
+func (d *daemon) get(t *testing.T, path string) []byte {
+	t.Helper()
+	resp, err := http.Get("http://" + d.debug + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d, err %v", path, resp.StatusCode, err)
+	}
+	return body
+}
+
+// metric reads one unlabelled series off /metrics.
+func (d *daemon) metric(t *testing.T, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(string(d.get(t, "/metrics")), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("metric %s not served", name)
+	return 0
+}
+
+// waitDrained blocks until the daemon has accepted conns connections and
+// read every one of them to EOF — the event after which everything the
+// (closed) clients sent has been through the pipeline.
+func (d *daemon) waitDrained(t *testing.T, conns int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for d.metric(t, "mburst_server_connections_total") != float64(conns) ||
+		d.metric(t, "mburst_server_active_connections") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon did not drain %d connections:\n%s", conns, d.stderr)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+func (d *daemon) ingestStats(t *testing.T) collector.Snapshot {
+	t.Helper()
+	var snap collector.Snapshot
+	if err := json.Unmarshal(d.get(t, "/stats/ingest"), &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+const rackBatchSamples = 8
+
+// rackBatch is batch i of a rack's stream: monotone time, a cumulative
+// byte counter alternating hot and cold stretches so /figures has bursts
+// to report.
+func rackBatch(i int) []wire.Sample {
+	out := make([]wire.Sample, rackBatchSamples)
+	for j := range out {
+		seq := i*rackBatchSamples + j
+		frac := 0.1
+		if (seq/6)%2 == 1 {
+			frac = 0.95
+		}
+		out[j] = wire.Sample{
+			Time: simclock.Epoch.Add(simclock.Micros(int64(seq) * 25)),
+			Port: 1, Dir: asic.TX, Kind: asic.KindBytes,
+			Value: uint64(seq) * uint64(frac*31250),
+		}
+	}
+	return out
+}
+
+// sendRack streams the listed batches of one rack over a fresh
+// connection — a repeated or regressing index is a retransmission — and
+// closes it.
+func (d *daemon) sendRack(t *testing.T, rack uint32, batches ...int) {
+	t.Helper()
+	conn, err := net.Dial("tcp", d.ingest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := collector.NewClientConfigured(conn, collector.ClientConfig{
+		Rack: rack, MaxBatch: rackBatchSamples, Format: wire.FormatMBW3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetEpoch(1)
+	for _, i := range batches {
+		for _, s := range rackBatch(i) {
+			c.Emit(s)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDaemonVolatileGateDedups: the default (volatile) mode runs the same
+// gated pipeline as every other mode, so a retransmitted batch is
+// dropped and counted, not double-counted.
+func TestDaemonVolatileGateDedups(t *testing.T) {
+	d := startDaemon(t, "-figures")
+	d.sendRack(t, 1, 0, 1, 2, 1) // batch 1 again: a retransmit
+	d.sendRack(t, 2, 0, 1, 2)
+	d.waitDrained(t, 2)
+
+	snap := d.ingestStats(t)
+	want := []collector.RackCount{{Rack: 1, Samples: 3 * rackBatchSamples}, {Rack: 2, Samples: 3 * rackBatchSamples}}
+	if snap.Batches != 6 || snap.Samples != 6*rackBatchSamples || !reflect.DeepEqual(snap.PerRack, want) {
+		t.Errorf("/stats/ingest = %+v, want 6 batches counted once each", snap)
+	}
+	if got := d.metric(t, "mburst_server_reordered_batches_total"); got != 1 {
+		t.Errorf("mburst_server_reordered_batches_total = %v, want 1", got)
+	}
+	if !bytes.Contains(d.get(t, "/figures"), []byte(`"samples": 48`)) {
+		t.Errorf("/figures did not account 48 samples:\n%s", d.get(t, "/figures"))
+	}
+	if code := d.stop(); code != 0 {
+		t.Errorf("exit %d, want 0:\n%s", code, d.stderr)
+	}
+}
+
+// TestDaemonResumeByteExact: a durable daemon stopped mid-stream and
+// restarted with -resume, then fed the rest of the stream with an
+// overlapping retransmission, ends byte-identical at its HTTP surface to
+// one that never stopped, with every admitted batch archived once.
+func TestDaemonResumeByteExact(t *testing.T) {
+	const total, stopAt, resendFrom = 12, 7, 5
+	seq := func(from, to int) []int {
+		var out []int
+		for i := from; i < to; i++ {
+			out = append(out, i)
+		}
+		return out
+	}
+
+	oDir := filepath.Join(t.TempDir(), "oracle")
+	oracle := startDaemon(t, "-figures", "-archive", oDir, "-checkpoint", "4")
+	oracle.sendRack(t, 1, seq(0, total)...)
+	oracle.sendRack(t, 2, seq(0, total)...)
+	oracle.waitDrained(t, 2)
+	wantFigures, wantStats := oracle.get(t, "/figures"), oracle.get(t, "/stats/ingest")
+	if code := oracle.stop(); code != 0 {
+		t.Fatalf("oracle exit %d:\n%s", code, oracle.stderr)
+	}
+
+	dir := filepath.Join(t.TempDir(), "arch")
+	d1 := startDaemon(t, "-figures", "-archive", dir, "-checkpoint", "4")
+	d1.sendRack(t, 1, seq(0, stopAt)...)
+	d1.sendRack(t, 2, seq(0, stopAt)...)
+	d1.waitDrained(t, 2)
+	if code := d1.stop(); code != 0 {
+		t.Fatalf("first incarnation exit %d:\n%s", code, d1.stderr)
+	}
+
+	d2 := startDaemon(t, "-figures", "-archive", dir, "-checkpoint", "4", "-resume")
+	if !strings.Contains(d2.stderr.String(), "had_checkpoint=true") {
+		t.Errorf("resume did not restore a checkpoint:\n%s", d2.stderr)
+	}
+	d2.sendRack(t, 1, seq(resendFrom, total)...)
+	d2.sendRack(t, 2, seq(resendFrom, total)...)
+	d2.waitDrained(t, 2)
+	if got := d2.get(t, "/figures"); !bytes.Equal(got, wantFigures) {
+		t.Errorf("/figures after resume differs from the uninterrupted run:\n got %s\nwant %s", got, wantFigures)
+	}
+	if got := d2.get(t, "/stats/ingest"); !bytes.Equal(got, wantStats) {
+		t.Errorf("/stats/ingest after resume differs:\n got %s\nwant %s", got, wantStats)
+	}
+	if got := d2.metric(t, "mburst_server_reordered_batches_total"); got != 2*(stopAt-resendFrom) {
+		t.Errorf("gate dropped %v retransmits, want %d", got, 2*(stopAt-resendFrom))
+	}
+	if code := d2.stop(); code != 0 {
+		t.Fatalf("resumed incarnation exit %d:\n%s", code, d2.stderr)
+	}
+	archived := 0
+	if err := trace.IterArchive(dir, func(*wire.Batch) error { archived++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if archived != 2*total {
+		t.Errorf("archive holds %d batches, want the %d admitted", archived, 2*total)
+	}
+}
+
+// TestDaemonShardPolicesPlacement: -shard/-shards is the same Shard with
+// a placement, dropping and counting racks it does not own.
+func TestDaemonShardPolicesPlacement(t *testing.T) {
+	pl, err := shard.Uniform(2, 1) // the daemon's default -placementseed
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mine, foreign uint32
+	for r := uint32(1); r < 100; r++ {
+		if pl.ShardOf(r) == 1 {
+			mine = r
+		} else {
+			foreign = r
+		}
+	}
+	d := startDaemon(t, "-shard", "1", "-shards", "2")
+	d.sendRack(t, mine, 0, 1)
+	d.sendRack(t, foreign, 0, 1, 2)
+	d.waitDrained(t, 2)
+
+	if got := d.metric(t, "mburst_shard_misrouted_batches_total"); got != 3 {
+		t.Errorf("mburst_shard_misrouted_batches_total = %v, want 3", got)
+	}
+	if snap := d.ingestStats(t); snap.Batches != 2 || len(snap.PerRack) != 1 || snap.PerRack[0].Rack != mine {
+		t.Errorf("/stats/ingest = %+v, want only rack %d's 2 batches", snap, mine)
+	}
+	var served struct {
+		Shard     int             `json:"shard"`
+		Placement shard.Placement `json:"placement"`
+	}
+	if err := json.Unmarshal(d.get(t, "/placement"), &served); err != nil {
+		t.Fatal(err)
+	}
+	if served.Shard != 1 || !served.Placement.Equal(pl) {
+		t.Errorf("/placement = %+v, want shard 1 of %+v", served, pl)
+	}
+	if code := d.stop(); code != 0 {
+		t.Errorf("exit %d, want 0:\n%s", code, d.stderr)
+	}
+}
+
+// TestDaemonFlagMisuseExits2: a flag combination that cannot mean what
+// the operator typed is one ERROR line and exit 2 before anything
+// listens — including the removed -out and -epochgate.
+func TestDaemonFlagMisuseExits2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-resume"},
+		{"-shard", "1"},
+		{"-shard", "5", "-shards", "2"},
+		{"-shards", "2"},
+		{"-wire", "mbw9"},
+		{"-out", "samples.mbw"},
+		{"-epochgate"},
+	} {
+		var stderr bytes.Buffer
+		code := run(context.Background(), args, &stderr, func(ingest, debug string) {
+			t.Errorf("%v: listening on %s", args, ingest)
+		})
+		out := strings.TrimSuffix(stderr.String(), "\n")
+		if code != 2 || strings.Contains(out, "\n") || !strings.Contains(out, "level=ERROR") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 2 and one ERROR line", args, code, out)
+		}
+	}
+}
+
+func TestDaemonHelpListsFlags(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-h"}, &stderr, nil); code != 0 {
+		t.Fatalf("-h exited %d", code)
+	}
+	if n := strings.Count(stderr.String(), "\n  -"); n != 16 {
+		t.Errorf("-h lists %d flags, want 16:\n%s", n, stderr.String())
 	}
 }

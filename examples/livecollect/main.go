@@ -30,7 +30,7 @@ func main() {
 		log.Fatal(err)
 	}
 	sink := &collector.MemSink{}
-	srv := collector.Serve(ln, sink.Handle)
+	srv := collector.ServeConfigured(ln, sink.Handle, collector.ServerConfig{})
 	defer srv.Close()
 	fmt.Printf("collector service listening on %s\n", srv.Addr())
 
@@ -47,7 +47,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	client := collector.NewClient(conn, 0 /* rack id */, 1024)
+	client, err := collector.NewClientConfigured(conn, collector.ClientConfig{Rack: 0, MaxBatch: 1024})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	const port = 8
 	poller, err := collector.NewPoller(collector.PollerConfig{

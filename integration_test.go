@@ -43,14 +43,17 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	sink := &collector.MemSink{}
 	stats := &collector.IngestStats{}
-	srv := collector.Serve(ln, stats.Wrap(sink.Handle))
+	srv := collector.ServeConfigured(ln, stats.Wrap(sink.Handle), collector.ServerConfig{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := collector.NewClient(conn, 5, 512)
+	client, err := collector.NewClientConfigured(conn, collector.ClientConfig{Rack: 5, MaxBatch: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const port = 1
 	var local []wire.Sample // ground truth captured in-process
@@ -99,7 +102,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		Interval: 25 * simclock.Microsecond, WindowDur: 200 * simclock.Millisecond,
 		Windows: 1, Seed: 424242,
 		Counters: []collector.CounterSpec{{Port: port, Dir: asic.TX, Kind: asic.KindBytes}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +116,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink2 := &collector.MemSink{}
-	srv2 := collector.Serve(ln2, sink2.Handle)
+	srv2 := collector.ServeConfigured(ln2, sink2.Handle, collector.ServerConfig{})
 	defer srv2.Close()
 	conn2, err := net.Dial("tcp", srv2.Addr().String())
 	if err != nil {

@@ -382,7 +382,7 @@ func SaveFleetCheckpoint(path string, st FleetCheckpointState) error {
 	if err != nil {
 		return fmt.Errorf("collector: encoding fleet checkpoint: %w", err)
 	}
-	return writeFileAtomic(path, append(data, '\n'))
+	return WriteFileAtomic(path, append(data, '\n'))
 }
 
 // LoadFleetCheckpoint reads a fleet checkpoint. A missing file returns

@@ -208,18 +208,7 @@ func TestShardMisroutedDrop(t *testing.T) {
 		t.Errorf("shard accumulated a misrouted rack: %+v", st.Series)
 	}
 
-	// The standalone filter behaves identically.
-	var forwarded int
-	h, err := NewShardFilter(pl, 0, m, func(*wire.Batch) { forwarded++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	h(mk(rackMine))
-	h(mk(rackOther))
-	if forwarded != 1 {
-		t.Errorf("filter forwarded %d, want 1", forwarded)
-	}
-	if _, err := NewShardFilter(pl, 9, nil, nil); err == nil {
+	if _, err := NewShard(ShardConfig{ID: 9, Placement: &pl, Stats: &IngestStats{}}); err == nil {
 		t.Error("out-of-placement shard id must be rejected")
 	}
 }

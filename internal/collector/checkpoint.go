@@ -2,29 +2,30 @@ package collector
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"mburst/internal/ptrace"
 	"mburst/internal/wire"
 )
 
-// This file is the collector's durability spine. DurableIngest orders
-// every admitted batch through a write-ahead discipline — epoch gate,
-// durable archive, then the volatile accumulators (ingest stats, live
-// figures) — and periodically persists a checkpoint of the volatile
-// state plus the archive high-water mark. After a crash, Resume restores
-// the last checkpoint and replays the archive tail that landed after it,
-// reconstructing the exact state of a collector that never died.
+// This file is the collector's durability spine. A durable Shard
+// (shard.go) orders every admitted batch through a write-ahead
+// discipline — epoch gate, durable archive, then the volatile
+// accumulators (ingest stats, live figures) — and periodically persists
+// a checkpoint of the volatile state plus the archive high-water mark.
+// After a crash, Resume restores the last checkpoint and replays the
+// archive tail that landed after it, reconstructing the exact state of a
+// collector that never died.
 //
 // The ordering is what makes this sound: a batch reaches the archive
 // (and the archive is fsynced) before any checkpoint can claim it, so
 // the checkpoint's high-water mark never exceeds durable data — except
 // when the disk itself lies about fsync (see ResumeReport.Shortfall).
 
-// ArchiveSink is the durable batch log DurableIngest appends to. It is
+// ArchiveSink is the durable batch log a durable Shard appends to. It is
 // satisfied by *trace.ArchiveWriter; an interface because the dependency
 // points the other way (internal/trace imports this package).
 type ArchiveSink interface {
@@ -74,13 +75,14 @@ func SaveCheckpoint(path string, st CheckpointState) error {
 	if err != nil {
 		return fmt.Errorf("collector: encoding checkpoint: %w", err)
 	}
-	return writeFileAtomic(path, append(data, '\n'))
+	return WriteFileAtomic(path, append(data, '\n'))
 }
 
-// writeFileAtomic is the checkpoint write discipline shared by the
-// per-shard and fleet checkpoints: temp file, fsync, rename, best-effort
-// directory fsync.
-func writeFileAtomic(path string, data []byte) error {
+// WriteFileAtomic is the write discipline shared by the per-shard and
+// fleet checkpoints and internal/trace's manifests: temp file (path +
+// ".tmp", the suffix trace recovery sweeps), fsync, rename, best-effort
+// directory fsync. A crash leaves either the old or the new content.
+func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -136,99 +138,38 @@ func LoadCheckpoint(path string) (CheckpointState, bool, error) {
 }
 
 // DefaultCheckpointEvery is the checkpoint cadence in admitted batches
-// when DurableIngestConfig.Every is zero.
+// when ShardConfig.Every is zero.
 const DefaultCheckpointEvery = 256
 
-// DurableIngestConfig assembles a DurableIngest.
-type DurableIngestConfig struct {
-	// Archive is the durable batch log; required.
-	Archive ArchiveSink
-	// CheckpointPath is where checkpoints are saved; empty disables
-	// periodic checkpointing (Resume then replays the whole archive).
-	CheckpointPath string
-	// Every is the checkpoint cadence in admitted batches; <= 0 selects
-	// DefaultCheckpointEvery.
-	Every int
-	// Figures, when non-nil, receives every admitted batch and is
-	// checkpointed/restored alongside the archive mark.
-	Figures *LiveFigures
-	// Stats, when non-nil, accounts every admitted batch and is
-	// checkpointed/restored alongside the archive mark.
-	Stats *IngestStats
-	// GateMetrics feeds the embedded epoch gate's drop counters; may be
-	// nil.
-	GateMetrics *ServerMetrics
-	// Metrics, when non-nil, receives durability telemetry.
-	Metrics *RecoveryMetrics
-	// Tracer, when non-nil, records epoch.gate, archive.write,
-	// collector.checkpoint, and collector.recover spans.
-	Tracer *ptrace.Tracer
-}
-
-// DurableIngest is the crash-safe ingest pipeline: a BatchHandler that
-// gates, archives, accounts, and periodically checkpoints under one
-// lock, so the persisted state is always a consistent cut.
-type DurableIngest struct {
-	cfg    DurableIngestConfig
-	gate   *EpochGate
-	m      RecoveryMetrics
-	record BatchHandler // cfg.Stats accounting, nil when absent
-
-	mu        sync.Mutex
-	err       error // sticky fatal: the archive can no longer accept writes
-	every     int
-	sinceCkpt int
-}
-
-// NewDurableIngest validates cfg and builds the pipeline.
-func NewDurableIngest(cfg DurableIngestConfig) (*DurableIngest, error) {
-	if cfg.Archive == nil {
-		return nil, fmt.Errorf("collector: DurableIngest needs an ArchiveSink")
+// Resume restores a durable shard from the last checkpoint and replays
+// the archive tail written after it. iter must stream the archive's
+// batches in write order (trace.IterArchive wrapped in a closure fits).
+// Call once, before Handle sees traffic. A volatile shard cannot resume.
+func (s *Shard) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, error) {
+	if s.cfg.Archive == nil {
+		return ResumeReport{}, errors.New("collector: volatile shard cannot Resume")
 	}
-	d := &DurableIngest{
-		cfg:   cfg,
-		gate:  NewEpochGate(func(*wire.Batch) {}, cfg.GateMetrics),
-		every: cfg.Every,
-	}
-	d.gate.SetTracer(cfg.Tracer)
-	if d.every <= 0 {
-		d.every = DefaultCheckpointEvery
-	}
-	if cfg.Metrics != nil {
-		d.m = *cfg.Metrics
-	}
-	if cfg.Stats != nil {
-		d.record = cfg.Stats.Wrap(nil)
-	}
-	return d, nil
-}
-
-// Resume restores the pipeline from the last checkpoint and replays the
-// archive tail written after it. iter must stream the archive's batches
-// in write order (trace.IterArchive wrapped in a closure fits). Call
-// once, before Handle sees traffic.
-func (d *DurableIngest) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var rep ResumeReport
-	if d.cfg.CheckpointPath != "" {
-		st, ok, err := LoadCheckpoint(d.cfg.CheckpointPath)
+	if s.cfg.CheckpointPath != "" {
+		st, ok, err := LoadCheckpoint(s.cfg.CheckpointPath)
 		if err != nil {
 			return rep, err
 		}
 		if ok {
 			rep.HadCheckpoint = true
 			rep.CheckpointBatches = st.ArchivedBatches
-			d.gate.RestoreState(st.Gate)
-			if d.cfg.Figures != nil && st.Figures != nil {
-				d.cfg.Figures.RestoreState(*st.Figures)
+			s.gate.RestoreState(st.Gate)
+			if s.cfg.Figures != nil && st.Figures != nil {
+				s.cfg.Figures.RestoreState(*st.Figures)
 			}
-			if d.cfg.Stats != nil && st.Ingest != nil {
-				d.cfg.Stats.Restore(*st.Ingest)
+			if st.Ingest != nil {
+				s.cfg.Stats.Restore(*st.Ingest)
 			}
 		}
 	}
-	rep.ArchiveBatches = d.cfg.Archive.Batches()
+	rep.ArchiveBatches = s.cfg.Archive.Batches()
 	if rep.CheckpointBatches > rep.ArchiveBatches {
 		// The checkpoint covers batches the archive no longer holds: the
 		// storage layer acknowledged a sync it did not perform. The
@@ -246,13 +187,11 @@ func (d *DurableIngest) Resume(iter func(func(*wire.Batch) error) error) (Resume
 			}
 			// Same order as Handle, minus the archive write: these batches
 			// are already durable.
-			d.gate.admit(b)
-			recordStageSpan(d.cfg.Tracer, ptrace.StageRecover, b)
-			if d.record != nil {
-				d.record(b)
-			}
-			if d.cfg.Figures != nil {
-				d.cfg.Figures.Handle(b)
+			s.gate.admit(b)
+			recordStageSpan(s.cfg.Tracer, ptrace.StageRecover, b)
+			s.record(b)
+			if s.cfg.Figures != nil {
+				s.cfg.Figures.Handle(b)
 			}
 			rep.Replayed++
 			return nil
@@ -260,9 +199,9 @@ func (d *DurableIngest) Resume(iter func(func(*wire.Batch) error) error) (Resume
 			return rep, err
 		}
 	}
-	d.m.ReplayedBatches.Add(rep.Replayed)
-	d.sinceCkpt = int(rep.Replayed)
-	d.m.CheckpointLag.Set(float64(d.sinceCkpt))
+	s.rec.ReplayedBatches.Add(rep.Replayed)
+	s.sinceCkpt = int(rep.Replayed)
+	s.rec.CheckpointLag.Set(float64(s.sinceCkpt))
 	return rep, nil
 }
 
@@ -283,110 +222,83 @@ type ResumeReport struct {
 	Shortfall uint64 `json:"shortfall,omitempty"`
 }
 
-// Handle implements BatchHandler. Batches flow gate → archive → stats →
-// figures; every d.every admitted batches the archive is synced and a
-// checkpoint saved. An archive write or sync failure is fatal and
-// sticky: later batches are counted as ingest failures and dropped, and
-// Err reports the cause.
-func (d *DurableIngest) Handle(b *wire.Batch) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.err != nil {
-		d.m.IngestFailures.Inc()
-		return
-	}
-	verdict := d.gate.admit(b)
-	recordGateSpan(d.cfg.Tracer, b, verdict)
-	if verdict != ptrace.VerdictAccept {
-		return
-	}
-	recordStageSpan(d.cfg.Tracer, ptrace.StageArchiveWrite, b)
-	if err := d.cfg.Archive.WriteBatch(b); err != nil {
-		d.err = fmt.Errorf("collector: archive write: %w", err)
-		d.m.IngestFailures.Inc()
-		return
-	}
-	if d.record != nil {
-		d.record(b)
-	}
-	if d.cfg.Figures != nil {
-		d.cfg.Figures.Handle(b)
-	}
-	d.sinceCkpt++
-	d.m.CheckpointLag.Set(float64(d.sinceCkpt))
-	if d.cfg.CheckpointPath != "" && d.sinceCkpt >= d.every {
-		if err := d.checkpointLocked(b); err != nil && d.err == nil {
-			// A failed save is retried at the next cadence point; the
-			// archive tail covers the gap meanwhile.
-			d.m.CheckpointErrors.Inc()
-		}
-	}
-}
-
-// Err returns the sticky fatal error, if any. A non-nil Err means the
-// archive stopped accepting batches; the process should exit non-zero.
-func (d *DurableIngest) Err() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.err
-}
-
 // Checkpoint forces a checkpoint now — the clean-shutdown path. It
 // syncs the archive first; a sync failure is fatal (the data is not
-// durable) and is returned.
-func (d *DurableIngest) Checkpoint() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.err != nil {
-		return d.err
+// durable) and is returned. A volatile shard has nothing to persist and
+// returns nil.
+func (s *Shard) Checkpoint() error {
+	if s.cfg.Archive == nil {
+		return nil
 	}
-	if d.cfg.CheckpointPath == "" {
-		return d.syncLocked()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		return s.err
 	}
-	if err := d.checkpointLocked(nil); err != nil {
-		d.m.CheckpointErrors.Inc()
+	if s.cfg.CheckpointPath == "" {
+		return s.syncLocked()
+	}
+	if err := s.checkpointLocked(nil); err != nil {
+		s.rec.CheckpointErrors.Inc()
 		return err
 	}
 	return nil
 }
 
+// CheckpointState cuts the shard's current state into the persisted
+// checkpoint shape without touching disk — the raw material
+// ComposeFleetCheckpoint assembles into a fleet-wide checkpoint, and on
+// a quiesced durable shard exactly what Checkpoint would write. The
+// archived-batches mark is only present on durable shards.
+func (s *Shard) CheckpointState() CheckpointState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.cutLocked()
+}
+
+// cutLocked is the one builder of a CheckpointState from live state: the
+// archive high-water mark, the gate horizons and a snapshot of every
+// accumulator. Caller holds s.mu, which is what makes the cut
+// consistent.
+func (s *Shard) cutLocked() CheckpointState {
+	st := CheckpointState{Gate: s.gate.State()}
+	if s.cfg.Archive != nil {
+		st.ArchivedBatches = s.cfg.Archive.Batches()
+	}
+	if s.cfg.Figures != nil {
+		fs := s.cfg.Figures.State()
+		st.Figures = &fs
+	}
+	is := s.cfg.Stats.Snapshot()
+	st.Ingest = &is
+	return st
+}
+
 // syncLocked forces the archive to stable storage, latching a failure
 // as the sticky fatal error.
-func (d *DurableIngest) syncLocked() error {
-	if err := d.cfg.Archive.Sync(); err != nil {
-		d.err = fmt.Errorf("collector: archive sync: %w", err)
-		return d.err
+func (s *Shard) syncLocked() error {
+	if err := s.cfg.Archive.Sync(); err != nil {
+		s.err = fmt.Errorf("collector: archive sync: %w", err)
+		return s.err
 	}
 	return nil
 }
 
 // checkpointLocked syncs the archive and saves a consistent cut of the
 // volatile state. b, when non-nil, anchors the collector.checkpoint
-// span. Caller holds d.mu.
-func (d *DurableIngest) checkpointLocked(b *wire.Batch) error {
-	if err := d.syncLocked(); err != nil {
+// span. Caller holds s.mu.
+func (s *Shard) checkpointLocked(b *wire.Batch) error {
+	if err := s.syncLocked(); err != nil {
 		return err
 	}
-	st := CheckpointState{
-		ArchivedBatches: d.cfg.Archive.Batches(),
-		Gate:            d.gate.State(),
-	}
-	if d.cfg.Figures != nil {
-		fs := d.cfg.Figures.State()
-		st.Figures = &fs
-	}
-	if d.cfg.Stats != nil {
-		is := d.cfg.Stats.Snapshot()
-		st.Ingest = &is
-	}
-	if err := SaveCheckpoint(d.cfg.CheckpointPath, st); err != nil {
+	if err := SaveCheckpoint(s.cfg.CheckpointPath, s.cutLocked()); err != nil {
 		return err
 	}
-	d.sinceCkpt = 0
-	d.m.Checkpoints.Inc()
-	d.m.CheckpointLag.Set(0)
+	s.sinceCkpt = 0
+	s.rec.Checkpoints.Inc()
+	s.rec.CheckpointLag.Set(0)
 	if b != nil {
-		recordStageSpan(d.cfg.Tracer, ptrace.StageCheckpoint, b)
+		recordStageSpan(s.cfg.Tracer, ptrace.StageCheckpoint, b)
 	}
 	return nil
 }

@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite testdata/checkpoint_compact.jso
 // Two checkpoints of one state are committed under testdata/:
 //
 //   - checkpoint_parent.json was written by the last commit that
-//     indented its checkpoints (b3e8392), by a DurableIngest fed the
+//     indented its checkpoints (b3e8392), by its durable pipeline fed the
 //     first fixtureCkptRounds rounds of fixtureTraffic and then
 //     Checkpoint()ed. It cannot be regenerated from this tree, which is
 //     the point: checkpoints already on disk must stay resumable.

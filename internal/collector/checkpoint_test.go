@@ -80,11 +80,11 @@ func newCkptFigures(t *testing.T) *LiveFigures {
 	return f
 }
 
-func newDurable(t *testing.T, arch ArchiveSink, path string, every int) (*DurableIngest, *LiveFigures, *IngestStats) {
+func newDurable(t *testing.T, arch ArchiveSink, path string, every int) (*Shard, *LiveFigures, *IngestStats) {
 	t.Helper()
 	figures := newCkptFigures(t)
 	stats := &IngestStats{}
-	d, err := NewDurableIngest(DurableIngestConfig{
+	d, err := NewShard(ShardConfig{
 		Archive:        arch,
 		CheckpointPath: path,
 		Every:          every,
@@ -268,5 +268,35 @@ func TestEpochGateStateRoundTrip(t *testing.T) {
 	// The restored horizon still rejects a stale replay.
 	if v := g2.admit(ckptBatch(1, 1, 2)); v != "drop-reorder" {
 		t.Fatalf("restored gate admitted a regressed batch: %v", v)
+	}
+}
+
+// TestCheckpointStateMatchesDisk pins the single cut builder: on a
+// quiesced durable shard, what CheckpointState returns (the raw material
+// of the fleet checkpoint) is exactly what Checkpoint then persists —
+// gate horizons included, or a shard restored from the fleet checkpoint
+// could not deduplicate retransmits.
+func TestCheckpointStateMatchesDisk(t *testing.T) {
+	arch := &memArchive{}
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	d, _, _ := newDurable(t, arch, path, 1000)
+	for i := 0; i < 10; i++ {
+		d.Handle(ckptBatch(1, 1, i))
+		d.Handle(ckptBatch(2, 3, i))
+	}
+	got := d.CheckpointState()
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	want, ok, err := LoadCheckpoint(path)
+	if err != nil || !ok {
+		t.Fatalf("LoadCheckpoint = %v, %v", ok, err)
+	}
+	if len(want.Gate) != 2 || want.ArchivedBatches != 20 {
+		t.Fatalf("on-disk checkpoint covers %d batches with %d gate horizons, want 20 and 2",
+			want.ArchivedBatches, len(want.Gate))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("CheckpointState() differs from the checkpoint on disk:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -26,10 +26,12 @@ import (
 // Epoch increases are accepted unconditionally and reset the rack's time
 // horizon, because a restarted agent legitimately restarts its clock.
 //
-// The gate is opt-in (ServerConfig.EpochGate): a feed that restarts
-// virtual time without bumping the epoch is rejected by the
+// The gate is a stage of every Shard pipeline, always on: a feed that
+// restarts virtual time without bumping the epoch is rejected by the
 // time-regression rule. replay.Run stamps each window of a rack with the
 // next epoch for exactly that reason, so a replayed campaign passes.
+// (ServerConfig.EpochGate interposes one ahead of a handler that is not
+// a Shard.)
 type EpochGate struct {
 	next   BatchHandler
 	m      ServerMetrics

@@ -19,7 +19,7 @@ func TestServerSurvivesMidBatchDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 
 	// Victim connection: write half a batch and slam the connection.
@@ -42,7 +42,10 @@ func TestServerSurvivesMidBatchDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn2, 2, 8)
+	c, err := NewClientConfigured(conn2, ClientConfig{Rack: 2, MaxBatch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 16; i++ {
 		c.Emit(mkSample(i))
 	}
@@ -79,7 +82,10 @@ func TestClientAgainstClosedServer(t *testing.T) {
 	ln.Close()
 	// Accept never happened; the OS may buffer some writes, so pump until
 	// the error materializes.
-	c := NewClient(conn, 1, 4)
+	c, err := NewClientConfigured(conn, ClientConfig{Rack: 1, MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var flushErr error
 	for i := 0; i < 100000 && flushErr == nil; i++ {
 		c.Emit(mkSample(i))
@@ -103,7 +109,7 @@ func TestBatchBoundaryResilience(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr().String())

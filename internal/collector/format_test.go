@@ -20,7 +20,7 @@ func TestClientFormatsEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		sink := &MemSink{}
-		srv := Serve(ln, sink.Handle)
+		srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 		conn, err := net.Dial("tcp", srv.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +87,7 @@ func TestReconnectingClientMBW3Redial(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 
 	dials := 0

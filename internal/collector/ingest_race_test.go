@@ -32,7 +32,7 @@ func TestIngestStatsConcurrentClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeWith(ln, stats.Wrap(sink.Handle), NewServerMetrics(reg))
+	srv := ServeConfigured(ln, stats.Wrap(sink.Handle), ServerConfig{Metrics: NewServerMetrics(reg)})
 
 	var wg sync.WaitGroup
 	for cl := 0; cl < clients; cl++ {
@@ -44,7 +44,11 @@ func TestIngestStatsConcurrentClients(t *testing.T) {
 				t.Errorf("rack %d: dial: %v", rack, err)
 				return
 			}
-			c := NewClient(conn, rack, samplesPerBatch)
+			c, err := NewClientConfigured(conn, ClientConfig{Rack: rack, MaxBatch: samplesPerBatch})
+			if err != nil {
+				t.Errorf("rack %d: client: %v", rack, err)
+				return
+			}
 			for b := 0; b < batchesPerClient; b++ {
 				for s := 0; s < samplesPerBatch; s++ {
 					c.Emit(wire.Sample{

@@ -142,7 +142,7 @@ func NewServerMetrics(reg *obs.Registry, labels ...obs.Label) *ServerMetrics {
 }
 
 // RecoveryMetrics instruments the durable ingest pipeline
-// (DurableIngest): checkpoint cadence and failures, crash-replay volume,
+// (a Shard with an archive): checkpoint cadence and failures, crash-replay volume,
 // and batches lost to a dead archive.
 type RecoveryMetrics struct {
 	// Checkpoints counts checkpoints persisted.

@@ -123,7 +123,10 @@ func TestClientMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	cm := NewClientMetrics(reg)
 	var buf bytes.Buffer
-	c := NewClient(&buf, 7, 4)
+	c, err := NewClientConfigured(&buf, ClientConfig{Rack: 7, MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.SetMetrics(cm)
 	for i := 0; i < 10; i++ {
 		c.Emit(wire.Sample{Time: simclock.Time(i)})
@@ -153,7 +156,7 @@ func TestReconnectingClientMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 
 	c := NewReconnectingClient(func() (io.WriteCloser, error) {

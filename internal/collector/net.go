@@ -47,19 +47,9 @@ type ClientConfig struct {
 	Format wire.Format
 }
 
-// NewClient returns a client writing batches for rack to w in the default
-// wire format. If w also implements io.Closer (e.g. a net.Conn), Close
-// closes it. maxBatch <= 0 selects DefaultBatchSize.
-func NewClient(w io.Writer, rack uint32, maxBatch int) *Client {
-	c, err := NewClientConfigured(w, ClientConfig{Rack: rack, MaxBatch: maxBatch})
-	if err != nil {
-		panic(err) // unreachable: the zero format is always valid
-	}
-	return c
-}
-
-// NewClientConfigured is NewClient with an explicit configuration. It
-// errors only on an unknown cfg.Format.
+// NewClientConfigured returns a client writing batches to w as cfg
+// describes. If w also implements io.Closer (e.g. a net.Conn), Close
+// closes it. It errors only on an unknown cfg.Format.
 func NewClientConfigured(w io.Writer, cfg ClientConfig) (*Client, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultBatchSize
@@ -165,8 +155,8 @@ type ServerConfig struct {
 	Now func() time.Time
 	// EpochGate, when true, interposes an EpochGate ahead of the handler:
 	// batches from superseded agent epochs and time-regressing duplicates
-	// within an epoch are dropped before they can corrupt deltas. Opt-in
-	// because replay workloads restart virtual time per window.
+	// within an epoch are dropped before they can corrupt deltas. For
+	// handlers other than a Shard, which gates on its own.
 	EpochGate bool
 	// Tracer, when non-nil, records server.ingest spans for every decoded
 	// batch (and epoch.gate spans when EpochGate is set).
@@ -192,20 +182,9 @@ type Server struct {
 	lastErr error
 }
 
-// Serve starts accepting connections on ln, dispatching every decoded
-// batch to handler. It returns immediately; Close shuts the service down.
-func Serve(ln net.Listener, handler BatchHandler) *Server {
-	return ServeWith(ln, handler, nil)
-}
-
-// ServeWith is Serve with service telemetry attached (connection counts,
-// decode errors, per-batch ingest latency). m may be nil.
-func ServeWith(ln net.Listener, handler BatchHandler, m *ServerMetrics) *Server {
-	return ServeConfigured(ln, handler, ServerConfig{Metrics: m})
-}
-
-// ServeConfigured is Serve with full configuration (telemetry and an
-// injectable clock).
+// ServeConfigured starts accepting connections on ln, dispatching every
+// decoded batch to handler. It returns immediately; Close shuts the
+// service down. The zero ServerConfig is a plain, untelemetered server.
 func ServeConfigured(ln net.Listener, handler BatchHandler, cfg ServerConfig) *Server {
 	if handler == nil {
 		panic("collector: nil handler")

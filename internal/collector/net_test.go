@@ -26,7 +26,10 @@ func mkSample(i int) wire.Sample {
 
 func TestClientBatching(t *testing.T) {
 	var buf bytes.Buffer
-	c := NewClient(&buf, 3, 10)
+	c, err := NewClientConfigured(&buf, ClientConfig{Rack: 3, MaxBatch: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 25; i++ {
 		c.Emit(mkSample(i))
 	}
@@ -74,7 +77,10 @@ func (f *failWriter) Write(p []byte) (int, error) {
 
 func TestClientStickyError(t *testing.T) {
 	fw := &failWriter{fail: true}
-	c := NewClient(fw, 1, 2)
+	c, err := NewClientConfigured(fw, ClientConfig{Rack: 1, MaxBatch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.Emit(mkSample(0))
 	c.Emit(mkSample(1)) // triggers failing flush
 	if err := c.Flush(); err == nil {
@@ -87,7 +93,10 @@ func TestClientStickyError(t *testing.T) {
 }
 
 func TestClientDefaultBatchSize(t *testing.T) {
-	c := NewClient(&bytes.Buffer{}, 0, 0)
+	c, err := NewClientConfigured(&bytes.Buffer{}, ClientConfig{Rack: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.maxBatch != DefaultBatchSize {
 		t.Errorf("maxBatch = %d", c.maxBatch)
 	}
@@ -99,14 +108,17 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn, 9, 16)
+	c, err := NewClientConfigured(conn, ClientConfig{Rack: 9, MaxBatch: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 100
 	for i := 0; i < n; i++ {
 		c.Emit(mkSample(i))
@@ -145,7 +157,7 @@ func TestServerMultipleClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 
 	const clients, per = 4, 50
@@ -157,7 +169,11 @@ func TestServerMultipleClients(t *testing.T) {
 				done <- err
 				return
 			}
-			c := NewClient(conn, uint32(cl), 7)
+			c, err := NewClientConfigured(conn, ClientConfig{Rack: uint32(cl), MaxBatch: 7})
+			if err != nil {
+				done <- err
+				return
+			}
 			for i := 0; i < per; i++ {
 				c.Emit(mkSample(i))
 			}
@@ -184,7 +200,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr().String())
@@ -231,7 +247,10 @@ func TestServeConfiguredInjectedClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewClient(conn, 1, 4)
+	c, err := NewClientConfigured(conn, ClientConfig{Rack: 1, MaxBatch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 4; i++ {
 		c.Emit(mkSample(i))
 	}
@@ -255,7 +274,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := Serve(ln, (&MemSink{}).Handle)
+	srv := ServeConfigured(ln, (&MemSink{}).Handle, ServerConfig{})
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,5 +294,5 @@ func TestServeNilHandlerPanics(t *testing.T) {
 			t.Error("nil handler did not panic")
 		}
 	}()
-	Serve(ln, nil)
+	ServeConfigured(ln, nil, ServerConfig{})
 }

@@ -22,7 +22,10 @@ import (
 func runTracedPoll(tb testing.TB, tr *ptrace.Tracer, simDur simclock.Duration) uint64 {
 	tb.Helper()
 	sw := testSwitch()
-	client := NewClient(writeDiscard{}, 3, 0)
+	client, err := NewClientConfigured(writeDiscard{}, ClientConfig{Rack: 3})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	client.SetTracer(tr)
 	p, err := NewPoller(PollerConfig{
 		Interval:      simclock.Micros(25),

@@ -46,7 +46,7 @@ func TestReconnectingClientHappyPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 
 	c := NewReconnectingClient(tcpDialer(srv.Addr().String()), fastConfig(3))
@@ -81,7 +81,7 @@ func TestReconnectingClientSurvivesRestart(t *testing.T) {
 	}
 	addr := ln.Addr().String()
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 
 	c := NewReconnectingClient(tcpDialer(addr), fastConfig(1))
 	defer c.Close()
@@ -101,7 +101,7 @@ func TestReconnectingClientSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := Serve(ln2, sink.Handle)
+	srv2 := ServeConfigured(ln2, sink.Handle, ServerConfig{})
 	defer srv2.Close()
 
 	// A batch written into the dying socket before the RST arrives is
@@ -164,7 +164,7 @@ func TestReconnectingClientEmitAfterCloseIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 	c := NewReconnectingClient(tcpDialer(srv.Addr().String()), fastConfig(1))
 	c.Emit(mkSample(0))
@@ -187,7 +187,7 @@ func TestReconnectingClientConcurrentEmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 	c := NewReconnectingClient(tcpDialer(srv.Addr().String()), fastConfig(1))
 	var wg sync.WaitGroup
@@ -288,7 +288,7 @@ func TestReconnectingClientCloseDeadlineDelivers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &MemSink{}
-	srv := Serve(ln, sink.Handle)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 	defer srv.Close()
 	cfg := fastConfig(1)
 	cfg.CloseTimeout = 5 * time.Second

@@ -3,20 +3,24 @@ package collector
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"mburst/internal/ptrace"
 	"mburst/internal/shard"
 	"mburst/internal/wire"
 )
 
-// This file is the shard-local half of the fleet collection plane. A
-// Shard wraps the existing single-collector ingest path — epoch gate,
-// optional durable archive (DurableIngest), ingest accounting and the
-// live-figures tap — behind one BatchHandler plus a Publish method that
+// This file is the collector's one ingest pipeline. A Shard orders every
+// batch through placement filter → epoch gate → durable archive (when it
+// has one) → ingest accounting → live-figures tap → checkpoint cadence
+// under one lock, behind one BatchHandler, plus a Publish method that
 // cuts the shard's accumulator state into a ShardUpdate for the
-// Aggregator. The pipeline inside is exactly the one mbcollectd runs
-// standalone; sharding changes who dials it, not what it does, which is
-// why the fleet merge can be byte-exact.
+// Aggregator. A single collector is a fleet of one shard (ID 0, nil
+// placement) and a volatile collector is a shard without the archive
+// stage; mbcollectd, core.RunFleet and the benchmark all run this
+// pipeline, which is why the fleet merge can be byte-exact. The
+// durability half — Resume, Checkpoint and the state cut — is in
+// checkpoint.go.
 
 // ShardConfig assembles one shard-local ingest pipeline.
 type ShardConfig struct {
@@ -28,18 +32,22 @@ type ShardConfig struct {
 	// misrouted instead of polluting the shard's accumulators (which
 	// would make the fleet merge double-count).
 	Placement *shard.Placement
-	// Figures is the shard-local live-figures tap; required — its state
-	// is what the aggregator merges into fleet figures.
+	// Figures, when non-nil, is the shard-local live-figures tap: it
+	// receives every admitted batch and is checkpointed/restored
+	// alongside the archive mark. Its state is what the aggregator merges
+	// into fleet figures.
 	Figures *LiveFigures
 	// Stats is the shard-local ingest accounting; required.
 	Stats *IngestStats
-	// Archive, when non-nil, makes the shard durable: batches flow
-	// through DurableIngest's write-ahead discipline (gate → archive →
-	// stats → figures → checkpoint) and the shard can crash and Resume.
-	// When nil the shard is volatile: gate → stats → figures.
+	// Archive, when non-nil, makes the shard durable: admitted batches are
+	// written ahead to it (gate → archive → stats → figures →
+	// checkpoint) and the shard can crash and Resume. When nil the shard
+	// is volatile: gate → stats → figures.
 	Archive ArchiveSink
-	// CheckpointPath / Every configure the durable shard's checkpoint
-	// cadence; see DurableIngestConfig. Ignored when Archive is nil.
+	// CheckpointPath is where a durable shard saves its checkpoints; empty
+	// disables periodic checkpointing (Resume then replays the whole
+	// archive). Every is the cadence in admitted batches; <= 0 selects
+	// DefaultCheckpointEvery. Both are ignored when Archive is nil.
 	CheckpointPath string
 	Every          int
 	// GateMetrics feeds the epoch gate's drop counters; may be nil.
@@ -50,25 +58,31 @@ type ShardConfig struct {
 	// Metrics receives shard-level telemetry (misrouted drops, published
 	// updates); may be nil.
 	Metrics *ShardMetrics
-	// Tracer, when non-nil, records the shard pipeline's spans.
+	// Tracer, when non-nil, records epoch.gate, archive.write,
+	// collector.checkpoint, and collector.recover spans.
 	Tracer *ptrace.Tracer
 }
 
-// Shard is one collector shard: the shard-local ingest pipeline plus
-// the publish surface the aggregation tier consumes.
+// Shard is one collector shard: the ingest pipeline — a BatchHandler
+// that gates, archives, accounts, and periodically checkpoints under one
+// lock, so the persisted state is always a consistent cut — plus the
+// publish surface the aggregation tier consumes.
 type Shard struct {
-	cfg     ShardConfig
-	m       ShardMetrics
-	handler BatchHandler
-	ingest  *DurableIngest // nil when volatile
-	seq     uint64         // owned by the single publisher goroutine; see Publish
+	cfg    ShardConfig
+	m      ShardMetrics
+	rec    RecoveryMetrics
+	gate   *EpochGate
+	record BatchHandler // cfg.Stats accounting
+	seq    uint64       // owned by the single publisher goroutine; see Publish
+
+	mu        sync.Mutex
+	err       error // sticky fatal: the archive can no longer accept writes
+	every     int
+	sinceCkpt int
 }
 
 // NewShard validates cfg and builds the pipeline.
 func NewShard(cfg ShardConfig) (*Shard, error) {
-	if cfg.Figures == nil {
-		return nil, errors.New("collector: Shard needs a LiveFigures tap")
-	}
 	if cfg.Stats == nil {
 		return nil, errors.New("collector: Shard needs an IngestStats")
 	}
@@ -81,30 +95,20 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 				cfg.ID, cfg.Placement.NumShards())
 		}
 	}
-	s := &Shard{cfg: cfg}
+	s := &Shard{
+		cfg:    cfg,
+		gate:   NewEpochGate(func(*wire.Batch) {}, cfg.GateMetrics),
+		record: cfg.Stats.Wrap(nil),
+		every:  cfg.Every,
+	}
+	if s.every <= 0 {
+		s.every = DefaultCheckpointEvery
+	}
 	if cfg.Metrics != nil {
 		s.m = *cfg.Metrics
 	}
-	if cfg.Archive != nil {
-		ing, err := NewDurableIngest(DurableIngestConfig{
-			Archive:        cfg.Archive,
-			CheckpointPath: cfg.CheckpointPath,
-			Every:          cfg.Every,
-			Figures:        cfg.Figures,
-			Stats:          cfg.Stats,
-			GateMetrics:    cfg.GateMetrics,
-			Metrics:        cfg.RecoveryMetrics,
-			Tracer:         cfg.Tracer,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.ingest = ing
-		s.handler = ing.Handle
-	} else {
-		gate := NewEpochGate(cfg.Stats.Wrap(cfg.Figures.Wrap(nil)), cfg.GateMetrics)
-		gate.SetTracer(cfg.Tracer)
-		s.handler = gate.Handle
+	if cfg.RecoveryMetrics != nil {
+		s.rec = *cfg.RecoveryMetrics
 	}
 	return s, nil
 }
@@ -113,24 +117,70 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 func (s *Shard) ID() int { return s.cfg.ID }
 
 // Handle implements BatchHandler. Batches from racks the placement maps
-// to another shard are dropped (and counted); owned batches flow into
-// the shard-local pipeline. Safe for concurrent use — the inner
-// pipeline serializes on its own locks.
+// to another shard are dropped (and counted); owned batches flow gate →
+// archive → stats → figures, and on a durable shard every s.every
+// admitted batches the archive is synced and a checkpoint saved. An
+// archive write or sync failure is fatal and sticky: later batches are
+// counted as ingest failures and dropped, and Err reports the cause.
+// Safe for concurrent use.
 func (s *Shard) Handle(b *wire.Batch) {
 	if s.cfg.Placement != nil && s.cfg.Placement.ShardOf(b.Rack) != s.cfg.ID {
 		s.m.Misrouted.Inc()
 		return
 	}
-	s.handler(b)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.err != nil {
+		s.rec.IngestFailures.Inc()
+		return
+	}
+	verdict := s.gate.admit(b)
+	recordGateSpan(s.cfg.Tracer, b, verdict)
+	if verdict != ptrace.VerdictAccept {
+		return
+	}
+	if s.cfg.Archive != nil {
+		recordStageSpan(s.cfg.Tracer, ptrace.StageArchiveWrite, b)
+		if err := s.cfg.Archive.WriteBatch(b); err != nil {
+			s.err = fmt.Errorf("collector: archive write: %w", err)
+			s.rec.IngestFailures.Inc()
+			return
+		}
+	}
+	s.record(b)
+	if s.cfg.Figures != nil {
+		s.cfg.Figures.Handle(b)
+	}
+	if s.cfg.Archive == nil {
+		return
+	}
+	s.sinceCkpt++
+	s.rec.CheckpointLag.Set(float64(s.sinceCkpt))
+	if s.cfg.CheckpointPath != "" && s.sinceCkpt >= s.every {
+		if err := s.checkpointLocked(b); err != nil && s.err == nil {
+			// A failed save is retried at the next cadence point; the
+			// archive tail covers the gap meanwhile.
+			s.rec.CheckpointErrors.Inc()
+		}
+	}
+}
+
+// Err returns the sticky fatal error, if any. A non-nil Err means the
+// archive stopped accepting batches; the process should exit non-zero.
+func (s *Shard) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // Publish cuts the shard's accumulator state into a ShardUpdate with
-// the next sequence number. The figures and stats snapshots are each
-// internally consistent but not a single atomic cut across both; the
-// aggregator's fleet state is exact once traffic has quiesced (the
-// final publish), which is the property the oracle equivalence tests
-// pin down. Not safe for concurrent Publish calls with themselves —
-// one publisher goroutine per shard is the intended shape.
+// the next sequence number. It does not take the pipeline lock: the
+// figures and stats snapshots are each internally consistent but not a
+// single atomic cut across both; the aggregator's fleet state is exact
+// once traffic has quiesced (the final publish), which is the property
+// the oracle equivalence tests pin down. Not safe for concurrent Publish
+// calls with themselves — one publisher goroutine per shard is the
+// intended shape.
 //
 // The update is cumulative but the cut is incremental: LiveFigures.State
 // re-snapshots only the series fed since the previous cut (whoever took
@@ -142,12 +192,12 @@ func (s *Shard) Handle(b *wire.Batch) {
 func (s *Shard) Publish() ShardUpdate {
 	s.seq++
 	s.m.Published.Inc()
-	return ShardUpdate{
-		Shard:   s.cfg.ID,
-		Seq:     s.seq,
-		Figures: s.cfg.Figures.State(),
-		Ingest:  s.cfg.Stats.Snapshot(),
+	u := ShardUpdate{Shard: s.cfg.ID, Seq: s.seq}
+	if s.cfg.Figures != nil {
+		u.Figures = s.cfg.Figures.State()
 	}
+	u.Ingest = s.cfg.Stats.Snapshot()
+	return u
 }
 
 // ResumeSeq advances the publish sequence to at least seq, so a
@@ -158,74 +208,4 @@ func (s *Shard) ResumeSeq(seq uint64) {
 	if seq > s.seq {
 		s.seq = seq
 	}
-}
-
-// Checkpoint forces a durable checkpoint (clean-shutdown path). A
-// volatile shard has nothing to persist and returns nil.
-func (s *Shard) Checkpoint() error {
-	if s.ingest == nil {
-		return nil
-	}
-	return s.ingest.Checkpoint()
-}
-
-// CheckpointState cuts the shard's current state into the persisted
-// checkpoint shape without touching disk — the raw material
-// ComposeFleetCheckpoint assembles into a fleet-wide checkpoint. The
-// archived-batches mark is only present on durable shards.
-func (s *Shard) CheckpointState() CheckpointState {
-	st := CheckpointState{}
-	if s.cfg.Archive != nil {
-		st.ArchivedBatches = s.cfg.Archive.Batches()
-	}
-	fs := s.cfg.Figures.State()
-	st.Figures = &fs
-	is := s.cfg.Stats.Snapshot()
-	st.Ingest = &is
-	return st
-}
-
-// Resume restores a durable shard from its last checkpoint and replays
-// the archive tail; see DurableIngest.Resume. A volatile shard cannot
-// resume.
-func (s *Shard) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, error) {
-	if s.ingest == nil {
-		return ResumeReport{}, errors.New("collector: volatile shard cannot Resume")
-	}
-	return s.ingest.Resume(iter)
-}
-
-// Err returns the durable pipeline's sticky fatal error, if any.
-func (s *Shard) Err() error {
-	if s.ingest == nil {
-		return nil
-	}
-	return s.ingest.Err()
-}
-
-// NewShardFilter wraps next so batches from racks the placement maps to
-// a different shard are dropped and counted instead of forwarded — the
-// standalone mbcollectd -shard guard, for deployments where agents dial
-// through the same placement and a misrouted batch indicates a
-// placement-generation mismatch.
-func NewShardFilter(pl shard.Placement, self int, m *ShardMetrics, next BatchHandler) (BatchHandler, error) {
-	if err := pl.Validate(); err != nil {
-		return nil, err
-	}
-	if self < 0 || self >= pl.NumShards() {
-		return nil, fmt.Errorf("collector: shard id %d outside placement of %d shards", self, pl.NumShards())
-	}
-	var sm ShardMetrics
-	if m != nil {
-		sm = *m
-	}
-	return func(b *wire.Batch) {
-		if pl.ShardOf(b.Rack) != self {
-			sm.Misrouted.Inc()
-			return
-		}
-		if next != nil {
-			next(b)
-		}
-	}, nil
 }

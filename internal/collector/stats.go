@@ -20,7 +20,7 @@ import (
 // Wrap an existing BatchHandler with Wrap, and mount the stats on a mux:
 //
 //	stats := &collector.IngestStats{}
-//	srv := collector.Serve(ln, stats.Wrap(sink.Handle))
+//	srv := collector.ServeConfigured(ln, stats.Wrap(sink.Handle), collector.ServerConfig{})
 //	http.Handle("/stats", stats)
 type IngestStats struct {
 	mu         sync.Mutex

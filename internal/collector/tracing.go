@@ -95,19 +95,3 @@ func recordGateSpan(t *ptrace.Tracer, b *wire.Batch, verdict string) {
 	sp := tr.Start(ptrace.StageEpochGate, start).SetVerdict(verdict)
 	sp.End(end)
 }
-
-// TraceStage wraps next so every batch flowing through also records
-// stage's modeled span. cmd binaries use it to instrument handler-chain
-// links that live outside this package (mbcollectd's archive writer).
-// A nil tracer returns next unchanged.
-func TraceStage(t *ptrace.Tracer, stage ptrace.Stage, next BatchHandler) BatchHandler {
-	if t == nil {
-		return next
-	}
-	return func(b *wire.Batch) {
-		recordStageSpan(t, stage, b)
-		if next != nil {
-			next(b)
-		}
-	}
-}

@@ -48,7 +48,10 @@ func TestClientServerSpansJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 32
-	c := NewClient(conn, 7, n)
+	c, err := NewClientConfigured(conn, ClientConfig{Rack: 7, MaxBatch: n})
+	if err != nil {
+		t.Fatal(err)
+	}
 	c.SetTracer(clientTr)
 	first := simclock.Epoch.Add(simclock.Millisecond)
 	for _, s := range testBatch(7, first, n).Samples {
@@ -162,7 +165,11 @@ func TestSpansEndpointsUnderConcurrentIngest(t *testing.T) {
 				t.Errorf("rack %d: dial: %v", rack, err)
 				return
 			}
-			c := NewClient(conn, rack, samplesPerBatch)
+			c, err := NewClientConfigured(conn, ClientConfig{Rack: rack, MaxBatch: samplesPerBatch})
+			if err != nil {
+				t.Errorf("rack %d: client: %v", rack, err)
+				return
+			}
 			c.SetTracer(tracer)
 			for b := 0; b < batchesPerClient; b++ {
 				base := simclock.Epoch.Add(simclock.Duration(b+1) * simclock.Millisecond)
@@ -241,7 +248,7 @@ func TestReconnectBackoffChildSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := ServeWith(ln, sink.Handle, nil)
+	srv := ServeConfigured(ln, sink.Handle, ServerConfig{})
 
 	var mu sync.Mutex
 	failures := 2

@@ -184,7 +184,7 @@ func (e *Experiment) RecordCampaign(ctx context.Context, app workload.App, dir s
 	}
 	rack := e.Rack()
 	probe := plan(rack, 0, 0)
-	w, err := trace.CreateWithOpener(dir, trace.Meta{
+	w, err := trace.Create(dir, trace.Meta{
 		App:         app.String(),
 		NumServers:  rack.NumServers,
 		NumUplinks:  rack.NumUplinks,

@@ -58,7 +58,7 @@ type FleetConfig struct {
 	// and one archive directory per shard. Required when Faults strike.
 	Dir string
 	// CheckpointEvery is the durable shards' checkpoint cadence in
-	// admitted batches (0 = DurableIngest's default).
+	// admitted batches (0 = collector.DefaultCheckpointEvery).
 	CheckpointEvery int
 	// Oracle also runs a single unsharded collector over the same
 	// decoded stream and sets ByteExact by comparing fleet state,

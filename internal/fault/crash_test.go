@@ -53,7 +53,7 @@ func crashBatch(i int) *wire.Batch {
 // crashPipeline is one collector incarnation over a shared archive dir.
 type crashPipeline struct {
 	arch    *trace.ArchiveWriter
-	ingest  *collector.DurableIngest
+	ingest  *collector.Shard
 	figures *collector.LiveFigures
 	stats   *collector.IngestStats
 }
@@ -67,7 +67,7 @@ func newCrashPipeline(t *testing.T, arch *trace.ArchiveWriter, ckpt string) *cra
 		t.Fatal(err)
 	}
 	stats := &collector.IngestStats{}
-	ingest, err := collector.NewDurableIngest(collector.DurableIngestConfig{
+	ingest, err := collector.NewShard(collector.ShardConfig{
 		Archive:        arch,
 		CheckpointPath: ckpt,
 		Every:          4,

@@ -102,7 +102,11 @@ func TestAgentRestartRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
-		return collector.NewClient(conn, 1, 64)
+		c, err := collector.NewClientConfigured(conn, collector.ClientConfig{Rack: 1, MaxBatch: 64})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 
 	// Incarnation 1 delivers most of its stream, crashing before the tail:

@@ -27,7 +27,11 @@ func NewLogger(w io.Writer, level slog.Level, json bool) *slog.Logger {
 //
 // The returned logger is also installed as slog's default so stray
 // slog.Info calls in libraries land in the same stream.
-func DaemonLogger(name string) *slog.Logger {
+func DaemonLogger(name string) *slog.Logger { return DaemonLoggerTo(os.Stderr, name) }
+
+// DaemonLoggerTo is DaemonLogger writing to w instead of stderr, for
+// daemons whose run function is driven by tests.
+func DaemonLoggerTo(w io.Writer, name string) *slog.Logger {
 	level := slog.LevelInfo
 	switch strings.ToLower(os.Getenv("MBURST_LOG_LEVEL")) {
 	case "debug":
@@ -38,7 +42,7 @@ func DaemonLogger(name string) *slog.Logger {
 		level = slog.LevelError
 	}
 	json := strings.EqualFold(os.Getenv("MBURST_LOG_FORMAT"), "json")
-	logger := NewLogger(os.Stderr, level, json).With("daemon", name)
+	logger := NewLogger(w, level, json).With("daemon", name)
 	slog.SetDefault(logger)
 	return logger
 }

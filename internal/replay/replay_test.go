@@ -27,7 +27,7 @@ func writeCampaign(t *testing.T, windows int, samplesPer int) string {
 		Interval: 25 * simclock.Microsecond, WindowDur: simclock.Millis(10),
 		Windows: windows, Seed: 1,
 		Counters: []collector.CounterSpec{{Port: 0, Dir: asic.TX, Kind: asic.KindBytes}},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestReplayIntoLiveCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &collector.MemSink{}
-	srv := collector.Serve(ln, sink.Handle)
+	srv := collector.ServeConfigured(ln, sink.Handle, collector.ServerConfig{})
 	defer srv.Close()
 
 	conn, err := net.Dial("tcp", srv.Addr().String())

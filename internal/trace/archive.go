@@ -131,7 +131,7 @@ func saveArchiveManifest(dir string, man ArchiveManifest) error {
 	if err != nil {
 		return fmt.Errorf("trace: encoding archive manifest: %w", err)
 	}
-	return atomicWriteFile(filepath.Join(dir, ArchiveManifestName), append(data, '\n'), 0o644)
+	return atomicWriteFile(filepath.Join(dir, ArchiveManifestName), append(data, '\n'))
 }
 
 // CreateArchive initializes an empty archive directory and opens its
@@ -437,29 +437,11 @@ func IterArchive(dir string, fn func(b *wire.Batch) error) error {
 	}
 	sort.Slice(man.Segments, func(i, j int) bool { return man.Segments[i].Seq < man.Segments[j].Seq })
 	for _, s := range man.Segments {
-		f, err := os.Open(filepath.Join(dir, segName(s.Seq)))
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
 		// Fresh reader per segment: each segment is a standalone codec
 		// stream (MBW3 delta chains never cross segment boundaries).
-		br := wire.NewReader(f)
-		br.SetReuse(true)
-		for {
-			b, err := br.ReadBatch()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("trace: segment %d: %w", s.Seq, err)
-			}
-			if err := fn(b); err != nil {
-				f.Close()
-				return err
-			}
+		if err := iterFile(filepath.Join(dir, segName(s.Seq)), fmt.Sprintf("segment %d", s.Seq), fn); err != nil {
+			return err
 		}
-		f.Close()
 	}
 	return nil
 }

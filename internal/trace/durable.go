@@ -3,7 +3,8 @@ package trace
 import (
 	"fmt"
 	"os"
-	"path/filepath"
+
+	"mburst/internal/collector"
 )
 
 // This file holds the fsync discipline shared by campaign writers and the
@@ -54,30 +55,12 @@ func syncDir(dir string) error {
 }
 
 // atomicWriteFile durably replaces path with data: temp file in the same
-// directory, fsync, rename, directory fsync.
-func atomicWriteFile(path string, data []byte, perm os.FileMode) error {
-	tmp := path + TempSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
-	if err != nil {
+// directory (path + TempSuffix), fsync, rename, directory fsync. The body
+// is the collector's checkpoint writer — one write discipline for every
+// small metadata file of the durable plane.
+func atomicWriteFile(path string, data []byte) error {
+	if err := collector.WriteFileAtomic(path, data); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: %w", err)
-	}
-	return syncDir(filepath.Dir(path))
+	return nil
 }

@@ -85,7 +85,7 @@ func WriteFleetManifest(dir string, m FleetManifest) error {
 	if err != nil {
 		return fmt.Errorf("trace: encoding fleet manifest: %w", err)
 	}
-	return atomicWriteFile(filepath.Join(dir, FleetManifestName), append(data, '\n'), 0o644)
+	return atomicWriteFile(filepath.Join(dir, FleetManifestName), append(data, '\n'))
 }
 
 // ReadFleetManifest loads dir's fleet manifest. A directory without one
@@ -131,7 +131,7 @@ func WriteFleetMeta(dir string, meta Meta) error {
 	if err != nil {
 		return fmt.Errorf("trace: encoding meta: %w", err)
 	}
-	return atomicWriteFile(filepath.Join(dir, MetaFileName), append(data, '\n'), 0o644)
+	return atomicWriteFile(filepath.Join(dir, MetaFileName), append(data, '\n'))
 }
 
 // IterFleet streams a fleet directory's batches through fn in the

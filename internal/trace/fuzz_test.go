@@ -74,7 +74,7 @@ func FuzzTraceRecover(f *testing.F) {
 
 		// Campaign path: the bytes are window 0 with no manifest entry.
 		cdir := filepath.Join(t.TempDir(), "camp")
-		w, err := Create(cdir, validMeta())
+		w, err := Create(cdir, validMeta(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ func saveWindowManifest(dir string, man windowManifest) error {
 	if err != nil {
 		return fmt.Errorf("trace: encoding manifest: %w", err)
 	}
-	return atomicWriteFile(filepath.Join(dir, ManifestFileName), append(data, '\n'), 0o644)
+	return atomicWriteFile(filepath.Join(dir, ManifestFileName), append(data, '\n'))
 }
 
 // countingReader tracks how many bytes the wrapped reader consumed.

@@ -11,7 +11,7 @@ import (
 func writeCampaign(t *testing.T, dir string, windows ...[]int) *Writer {
 	t.Helper()
 	meta := validMeta()
-	w, err := Create(dir, meta)
+	w, err := Create(dir, meta, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

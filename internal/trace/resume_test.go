@@ -2,7 +2,7 @@ package trace_test
 
 // End-to-end durability: a collector pipeline writing a real on-disk
 // archive is killed mid-stream (torn tail included), resurrected via
-// ResumeArchive + DurableIngest.Resume, fed the agent's retransmission
+// ResumeArchive + Shard.Resume, fed the agent's retransmission
 // overlap, and must end byte-identical — decoded archive stream, live
 // figures, ingest counters — to a collector that never died.
 
@@ -39,7 +39,7 @@ func resumeBatch(i int) *wire.Batch {
 
 type resumePipeline struct {
 	arch    *trace.ArchiveWriter
-	ingest  *collector.DurableIngest
+	ingest  *collector.Shard
 	figures *collector.LiveFigures
 	stats   *collector.IngestStats
 }
@@ -53,7 +53,7 @@ func newResumePipeline(t *testing.T, arch *trace.ArchiveWriter, ckpt string) *re
 		t.Fatal(err)
 	}
 	stats := &collector.IngestStats{}
-	ingest, err := collector.NewDurableIngest(collector.DurableIngestConfig{
+	ingest, err := collector.NewShard(collector.ShardConfig{
 		Archive:        arch,
 		CheckpointPath: ckpt,
 		Every:          4,

@@ -131,8 +131,9 @@ func defaultOpener(path string) (io.WriteCloser, error) { return os.Create(path)
 // Create initializes a campaign directory (creating it if needed) and
 // writes the metadata file. It refuses to reuse a directory that already
 // contains a campaign: measurement data should never be silently
-// overwritten.
-func Create(dir string, meta Meta) (*Writer, error) {
+// overwritten. Window files are opened through open; a nil opener falls
+// back to os.Create.
+func Create(dir string, meta Meta, open Opener) (*Writer, error) {
 	if err := meta.Validate(); err != nil {
 		return nil, err
 	}
@@ -147,27 +148,17 @@ func Create(dir string, meta Meta) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: encoding meta: %w", err)
 	}
-	if err := atomicWriteFile(metaPath, append(data, '\n'), 0o644); err != nil {
+	if err := atomicWriteFile(metaPath, append(data, '\n')); err != nil {
 		return nil, err
 	}
 	format, err := meta.WireFormat() // Validate already vetted it
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{dir: dir, meta: meta, format: format, done: make(map[int]bool), open: defaultOpener}, nil
-}
-
-// CreateWithOpener is Create with an injected window-file opener. A nil
-// opener falls back to os.Create.
-func CreateWithOpener(dir string, meta Meta, open Opener) (*Writer, error) {
-	w, err := Create(dir, meta)
-	if err != nil {
-		return nil, err
+	if open == nil {
+		open = defaultOpener
 	}
-	if open != nil {
-		w.open = open
-	}
-	return w, nil
+	return &Writer{dir: dir, meta: meta, format: format, done: make(map[int]bool), open: open}, nil
 }
 
 // Meta returns the campaign metadata.
@@ -337,7 +328,14 @@ func (r *Reader) IterWindow(idx int, fn func(batch *wire.Batch) error) error {
 	if fn == nil {
 		return fmt.Errorf("trace: nil batch handler")
 	}
-	f, err := os.Open(filepath.Join(r.dir, windowFileName(idx)))
+	return iterFile(filepath.Join(r.dir, windowFileName(idx)), fmt.Sprintf("window %d", idx), fn)
+}
+
+// iterFile streams one batch file — a campaign window or an archive
+// segment, each a standalone codec stream — through fn. what names the
+// file in decode errors; fn's own errors pass through unwrapped.
+func iterFile(path, what string, fn func(*wire.Batch) error) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
@@ -350,7 +348,7 @@ func (r *Reader) IterWindow(idx int, fn func(batch *wire.Batch) error) error {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("trace: window %d: %w", idx, err)
+			return fmt.Errorf("trace: %s: %w", what, err)
 		}
 		if err := fn(b); err != nil {
 			return err

@@ -61,7 +61,7 @@ func readAll(r *Reader, idx int) ([]wire.Sample, error) {
 
 func TestRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "campaign")
-	w, err := Create(dir, validMeta())
+	w, err := Create(dir, validMeta(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +96,10 @@ func TestRoundTrip(t *testing.T) {
 
 func TestCreateRefusesOverwrite(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Create(dir, validMeta()); err != nil {
+	if _, err := Create(dir, validMeta(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(dir, validMeta()); err == nil {
+	if _, err := Create(dir, validMeta(), nil); err == nil {
 		t.Error("Create overwrote an existing campaign")
 	}
 }
@@ -121,14 +121,14 @@ func TestMetaValidation(t *testing.T) {
 		if m.Validate() == nil {
 			t.Errorf("mutation %d validated", i)
 		}
-		if _, err := Create(filepath.Join(t.TempDir(), "x"), m); err == nil {
+		if _, err := Create(filepath.Join(t.TempDir(), "x"), m, nil); err == nil {
 			t.Errorf("mutation %d created", i)
 		}
 	}
 }
 
 func TestWriteWindowGuards(t *testing.T) {
-	w, err := Create(filepath.Join(t.TempDir(), "c"), validMeta())
+	w, err := Create(filepath.Join(t.TempDir(), "c"), validMeta(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestOpenErrors(t *testing.T) {
 
 func TestHasWindowAndMissingWindow(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "c")
-	w, err := Create(dir, validMeta())
+	w, err := Create(dir, validMeta(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestHasWindowAndMissingWindow(t *testing.T) {
 
 func TestIterWindow(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "c")
-	w, err := Create(dir, validMeta())
+	w, err := Create(dir, validMeta(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestIterWindow(t *testing.T) {
 
 func TestCorruptWindowDetected(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "c")
-	w, err := Create(dir, validMeta())
+	w, err := Create(dir, validMeta(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestFormats(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "c")
 		meta := validMeta()
 		meta.Format = format
-		w, err := Create(dir, meta)
+		w, err := Create(dir, meta, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", format, err)
 		}
@@ -337,7 +337,7 @@ func TestCreateWithOpener(t *testing.T) {
 		opened++
 		return os.Create(path)
 	}
-	w, err := CreateWithOpener(dir, validMeta(), open)
+	w, err := Create(dir, validMeta(), open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestCreateWithOpener(t *testing.T) {
 		t.Error("windows missing after retry")
 	}
 	// Nil opener falls back to os.Create.
-	w2, err := CreateWithOpener(filepath.Join(t.TempDir(), "c2"), validMeta(), nil)
+	w2, err := Create(filepath.Join(t.TempDir(), "c2"), validMeta(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,3 +97,8 @@ grep -q '"byte_exact": true' BENCH_fleet.json
 # mode. A correctness check only — the command exits non-zero when a
 # workload's oracle fails — with no timing gate.
 go run ./bench -workload all -quick
+
+# Real-process smoke: the cmd/ binaries as separate processes over a
+# loopback socket — mbagent into a durable mbcollectd, SIGTERM, mbdump
+# reads back exactly what was delivered. No timing gate.
+./scripts/smoke.sh
