@@ -32,6 +32,7 @@ package asic
 
 import (
 	"fmt"
+	"math"
 
 	"mburst/internal/simclock"
 )
@@ -177,6 +178,38 @@ func AccessCost(k CounterKind) simclock.Duration {
 	return accessCost[k]
 }
 
+// Plan is a standing offer: nbytes spread per profile, prepared once by a
+// caller that offers the same traffic tick after tick and handed to
+// OfferTxPlan / OfferRxPlan by pointer. The switch re-derives a port's
+// counter increments only when a different Plan arrives or Set has run
+// since it last looked, so a steady port costs additions, not divisions.
+// The zero Plan offers nothing.
+type Plan struct {
+	nbytes  float64
+	profile TrafficProfile
+	gen     uint64 // bumped by Set; (pointer, gen) identifies the contents
+}
+
+// Set replaces the plan's traffic.
+func (pl *Plan) Set(nbytes float64, profile *TrafficProfile) {
+	if nbytes < 0 {
+		panic("asic: negative plan")
+	}
+	pl.nbytes = nbytes
+	pl.profile = *profile
+	pl.gen++
+}
+
+// Bytes returns the bytes one offer of the plan carries.
+func (pl *Plan) Bytes() float64 { return pl.nbytes }
+
+// Profile returns the plan's traffic profile.
+func (pl *Plan) Profile() TrafficProfile { return pl.profile }
+
+// maxChargePkts bounds one charge's packets per bin: below it the
+// float64 → int64 → uint64 split in add is exact.
+const maxChargePkts = 1 << 62
+
 // dirCounters is one direction's counter block for a port.
 type dirCounters struct {
 	bytes   uint64
@@ -185,24 +218,120 @@ type dirCounters struct {
 	// binRem carries fractional packets per bin so statistical conversion
 	// from bytes to packets is unbiased over time.
 	binRem [NumSizeBins]float64
+
+	// profile is what the next charge spreads over. It changes only
+	// through usePlan / useProfile / blend, which drop the memo below.
+	profile TrafficProfile
+	// plan and planGen name the Plan profile was copied from (nil when it
+	// came by value), so a repeated plan is recognized without comparing
+	// fractions.
+	plan    *Plan
+	planGen uint64
+
+	// The last charge's increments, valid while memoBytes is its nbytes
+	// (0 = none: add never charges 0). Between two rate changes a port
+	// repeats the same charge every tick, so add re-derives them only
+	// when (nbytes, profile) moved.
+	memoBytes float64
+	byteInc   uint64
+	pktInc    [NumSizeBins]float64
 }
 
-// add charges nbytes spread per profile into the counter block.
-func (c *dirCounters) add(nbytes float64, profile TrafficProfile) {
+// usePlan makes pl's profile current.
+func (c *dirCounters) usePlan(pl *Plan) {
+	if c.plan == pl && c.planGen == pl.gen {
+		return
+	}
+	c.profile = pl.profile
+	c.plan, c.planGen = pl, pl.gen
+	c.memoBytes = 0
+}
+
+// useProfile makes a by-value profile current; a caller repeating the
+// same fractions keeps the memo.
+func (c *dirCounters) useProfile(profile *TrafficProfile) {
+	c.plan = nil
+	if !sameBits(&c.profile, profile) {
+		c.profile = *profile
+		c.memoBytes = 0
+	}
+}
+
+// sameBits reports whether two profiles are the same bit patterns. It
+// stands in for a == b on the by-value offer path, where the array
+// comparison is an out-of-line call with two branches per fraction.
+func sameBits(a, b *TrafficProfile) bool {
+	var diff uint64
+	for i := range a {
+		diff |= math.Float64bits(a[i]) ^ math.Float64bits(b[i])
+	}
+	return diff == 0
+}
+
+// blend folds a further offer of nbytes into a profile that already
+// stands for have bytes this tick, weighting by bytes.
+func (c *dirCounters) blend(have, nbytes float64, profile *TrafficProfile) {
+	total := have + nbytes
+	for i := range c.profile {
+		c.profile[i] = (c.profile[i]*have + profile[i]*nbytes) / total
+	}
+	c.plan = nil
+	c.memoBytes = 0
+}
+
+// add charges nbytes spread per the current profile into the counter
+// block.
+//
+//lint:hotpath runs per port and direction every 5 µs tick of every campaign
+func (c *dirCounters) add(nbytes float64) {
 	if nbytes <= 0 {
 		return
 	}
-	c.bytes += uint64(nbytes + 0.5)
-	for i, frac := range profile {
+	if nbytes != c.memoBytes {
+		c.derive(nbytes)
+	}
+	c.bytes += c.byteInc
+	// Unrolled, and with no skip for an empty bin (a zero increment
+	// leaves its remainder and counters as they were): every workload's
+	// mix fills all six bins, and six straight-line copies cost less than
+	// a loop of six tests.
+	c.packets += c.chargeBin(0) + c.chargeBin(1) + c.chargeBin(2) +
+		c.chargeBin(3) + c.chargeBin(4) + c.chargeBin(5)
+}
+
+// The unrolled sum in add names every bin.
+var _ = [1]struct{}{}[NumSizeBins-6]
+
+// chargeBin advances bin i by its memoized increment and returns the
+// whole packets that came due. derive bounded the increment to
+// [0, maxChargePkts) and binRem stays in [0, 1), so the int64 conversion
+// is exact and non-negative.
+func (c *dirCounters) chargeBin(i int) uint64 {
+	pkts := c.pktInc[i] + c.binRem[i]
+	whole := int64(pkts)
+	c.binRem[i] = pkts - float64(whole)
+	c.bins[i] += uint64(whole)
+	return uint64(whole)
+}
+
+// derive computes the increments of a charge of nbytes under the current
+// profile and memoizes them. A bin without a fraction gets a zero
+// increment, which chargeBin adds as the no-op it is.
+func (c *dirCounters) derive(nbytes float64) {
+	c.byteInc = uint64(nbytes + 0.5)
+	for i := range c.profile {
+		c.pktInc[i] = 0
+		frac := c.profile[i]
 		if frac == 0 {
 			continue
 		}
-		pkts := nbytes*frac/representativeSize[i] + c.binRem[i]
-		whole := uint64(pkts)
-		c.binRem[i] = pkts - float64(whole)
-		c.bins[i] += whole
-		c.packets += whole
+		inc := nbytes * frac / representativeSize[i]
+		if !(inc >= 0 && inc < maxChargePkts) {
+			panic("asic: packet increment out of range (negative, NaN or ≥ 2^62)")
+		}
+		c.pktInc[i] = inc
 	}
+	c.memoBytes = nbytes
 }
 
 // Port is one front-panel port of the switch.
@@ -219,9 +348,9 @@ type Port struct {
 	ecnMarks uint64 // egress ECN-marked packets (extension)
 	ecnRem   float64
 
-	queue      float64 // egress backlog bytes held in the shared buffer
-	lastOffer  float64
-	lastProfil TrafficProfile
+	queue     float64 // egress backlog bytes held in the shared buffer
+	lastOffer float64 // bytes offered since the last Tick; their blend is tx.profile
+	lineBytes float64 // line-rate bytes per tick of length Switch.lineTick
 }
 
 // ID returns the port's index within its switch.
@@ -299,6 +428,8 @@ type Switch struct {
 	peakUsed   float64 // clear-on-read peak register
 
 	totalDropped uint64
+
+	lineTick simclock.Duration // tick length the ports' lineBytes are for
 }
 
 // New builds a Switch from the config. It panics on invalid configuration:
@@ -362,7 +493,16 @@ func (s *Switch) OfferRx(id int, nbytes float64, profile TrafficProfile) {
 	if nbytes < 0 {
 		panic("asic: negative rx offer")
 	}
-	s.ports[id].rx.add(nbytes, profile)
+	c := &s.ports[id].rx
+	c.useProfile(&profile)
+	c.add(nbytes)
+}
+
+// OfferRxPlan is OfferRx for a standing offer.
+func (s *Switch) OfferRxPlan(id int, pl *Plan) {
+	c := &s.ports[id].rx
+	c.usePlan(pl)
+	c.add(pl.nbytes)
 }
 
 // OfferTx records nbytes of traffic destined out of port id during the
@@ -377,15 +517,25 @@ func (s *Switch) OfferTx(id int, nbytes float64, profile TrafficProfile) {
 	}
 	p := &s.ports[id]
 	if p.lastOffer == 0 {
-		p.lastProfil = profile
+		p.tx.useProfile(&profile)
 	} else {
-		// Byte-weighted blend of profiles offered this tick.
-		total := p.lastOffer + nbytes
-		for i := range p.lastProfil {
-			p.lastProfil[i] = (p.lastProfil[i]*p.lastOffer + profile[i]*nbytes) / total
-		}
+		p.tx.blend(p.lastOffer, nbytes, &profile)
 	}
 	p.lastOffer += nbytes
+}
+
+// OfferTxPlan is OfferTx for a standing offer.
+func (s *Switch) OfferTxPlan(id int, pl *Plan) {
+	if pl.nbytes == 0 {
+		return
+	}
+	p := &s.ports[id]
+	if p.lastOffer == 0 {
+		p.tx.usePlan(pl)
+	} else {
+		p.tx.blend(p.lastOffer, pl.nbytes, &pl.profile)
+	}
+	p.lastOffer += pl.nbytes
 }
 
 // Tick advances the data path by d: each port transmits up to line rate
@@ -393,15 +543,24 @@ func (s *Switch) OfferTx(id int, nbytes float64, profile TrafficProfile) {
 // admitted to the shared buffer subject to the port's dynamic threshold,
 // and anything beyond that is dropped (counted as congestion discards).
 // It returns the total bytes transmitted this tick.
+//
+//lint:hotpath the data path of every 5 µs tick of every campaign
 func (s *Switch) Tick(d simclock.Duration) float64 {
 	if d <= 0 {
 		panic("asic: non-positive tick")
 	}
-	seconds := d.Seconds()
+	if d != s.lineTick {
+		seconds := d.Seconds()
+		for i := range s.ports {
+			p := &s.ports[i]
+			p.lineBytes = float64(p.speed) / 8 * seconds
+		}
+		s.lineTick = d
+	}
 	var txTotal float64
 	for i := range s.ports {
 		p := &s.ports[i]
-		lineBytes := float64(p.speed) / 8 * seconds
+		lineBytes := p.lineBytes
 		offered := p.lastOffer
 		avail := p.queue + offered
 		transmit := avail
@@ -409,7 +568,7 @@ func (s *Switch) Tick(d simclock.Duration) float64 {
 			transmit = lineBytes
 		}
 		if transmit > 0 {
-			p.tx.add(transmit, p.lastProfil)
+			p.tx.add(transmit)
 			txTotal += transmit
 		}
 		leftover := avail - transmit
@@ -469,7 +628,7 @@ func (s *Switch) Tick(d simclock.Duration) float64 {
 // chargeECN converts marked bytes into marked packets using the port's
 // current profile, carrying the fractional remainder.
 func (s *Switch) chargeECN(p *Port, markBytes float64) {
-	mean := p.lastProfil.MeanPacketSize()
+	mean := p.tx.profile.MeanPacketSize()
 	if mean <= 0 {
 		mean = 1500
 	}
@@ -482,7 +641,7 @@ func (s *Switch) chargeECN(p *Port, markBytes float64) {
 // chargeDrops converts dropped bytes into dropped packets using the port's
 // current profile, carrying the fractional remainder.
 func (s *Switch) chargeDrops(p *Port, dropBytes float64) {
-	mean := p.lastProfil.MeanPacketSize()
+	mean := p.tx.profile.MeanPacketSize()
 	if mean <= 0 {
 		mean = 1500
 	}

@@ -163,6 +163,13 @@ type Poller struct {
 	sched   *eventq.Scheduler
 	stopped bool
 
+	// One poll is in flight at a time, so its due instant lives here and
+	// the two handlers are bound once (a method value allocates each time
+	// it is taken) rather than closed over due once per poll.
+	due     simclock.Time
+	onStart eventq.Handler
+	onDone  eventq.Handler
+
 	// m holds nil-safe instruments; the zero value disables telemetry.
 	// The loop is single-goroutine, so per-poll telemetry accumulates in
 	// the plain tl* fields (and tlCost) and folds into m's shared atomics
@@ -200,6 +207,7 @@ func NewPoller(cfg PollerConfig, sw *asic.Switch, src *rng.Source, emit Emitter)
 		return nil, fmt.Errorf("collector: nil source or emitter")
 	}
 	p := &Poller{cfg: cfg, sw: sw, src: src, emit: emit}
+	p.onStart, p.onDone = p.startPoll, p.finishPoll
 	if cfg.Metrics != nil {
 		p.m = *cfg.Metrics
 		p.tlCost = p.m.PollCost.Local()
@@ -304,34 +312,42 @@ func (p *Poller) CPUBusyFrac() float64 {
 
 // scheduleAt arms one poll beginning at due.
 func (p *Poller) scheduleAt(due simclock.Time) {
-	p.sched.At(due, func(start simclock.Time) {
-		if p.stopped {
-			return
-		}
-		cost := p.pollCost(start)
-		p.busy.Add(int64(cost))
-		p.tlBusy += uint64(cost)
-		if p.tlCost != nil {
-			p.tlCost.Observe(float64(cost) / 1e3)
-		}
-		completion := start.Add(cost)
-		p.sched.At(completion, func(now simclock.Time) {
-			if p.stopped {
-				return
-			}
-			p.readAndEmit(now)
-			// The next poll begins at the first interval boundary after
-			// completion; boundaries overrun while polling are missed.
-			k, missed, wireMissed := missedForOverrun(now.Sub(due), p.cfg.Interval)
-			p.pendingMissed = wireMissed
-			p.missed.Add(missed)
-			p.tlMissed += missed
-			if p.tlPolls >= telemetryFlushEvery {
-				p.flushTelemetry(now)
-			}
-			p.scheduleAt(due.Add(simclock.Duration(k) * p.cfg.Interval))
-		})
-	})
+	p.due = due
+	p.sched.At(due, p.onStart)
+}
+
+// startPoll begins the poll that was due at p.due: it draws the poll's
+// cost and arms its completion.
+func (p *Poller) startPoll(start simclock.Time) {
+	if p.stopped {
+		return
+	}
+	cost := p.pollCost(start)
+	p.busy.Add(int64(cost))
+	p.tlBusy += uint64(cost)
+	if p.tlCost != nil {
+		p.tlCost.Observe(float64(cost) / 1e3)
+	}
+	p.sched.At(start.Add(cost), p.onDone)
+}
+
+// finishPoll completes the poll in flight: it reads and emits, then arms
+// the next poll.
+func (p *Poller) finishPoll(now simclock.Time) {
+	if p.stopped {
+		return
+	}
+	p.readAndEmit(now)
+	// The next poll begins at the first interval boundary after
+	// completion; boundaries overrun while polling are missed.
+	k, missed, wireMissed := missedForOverrun(now.Sub(p.due), p.cfg.Interval)
+	p.pendingMissed = wireMissed
+	p.missed.Add(missed)
+	p.tlMissed += missed
+	if p.tlPolls >= telemetryFlushEvery {
+		p.flushTelemetry(now)
+	}
+	p.scheduleAt(p.due.Add(simclock.Duration(k) * p.cfg.Interval))
 }
 
 // missedForOverrun converts a poll-completion overrun into the number of

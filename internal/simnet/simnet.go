@@ -121,10 +121,7 @@ type Net struct {
 	upTx ecmp.Balancer // ToR's egress balancer (measured in Fig 7a)
 	upRx ecmp.Balancer // fabric's arrival spread (measured in Fig 7b)
 
-	txRate []float64
-	rxRate []float64
-	txProf [][asic.NumSizeBins]float64
-	rxProf [][asic.NumSizeBins]float64
+	ports []portTraffic
 
 	bindings map[*workload.Flow]binding
 
@@ -143,6 +140,32 @@ type TrafficObserver func(now simclock.Time, port int, nbytes float64, profile a
 
 type binding struct {
 	rxPort, txPort int
+}
+
+// portTraffic is what the active flows offer one port.
+type portTraffic struct {
+	tx, rx dirTraffic
+}
+
+// dirTraffic is one port-direction's offered traffic and its charge plan:
+// everything a full tick's charge derives from the rate, kept until the
+// rate moves. addRate sets dirty; the data path asks for current().
+type dirTraffic struct {
+	rate  float64                   // sum of active flows' rates, bytes/s
+	sum   [asic.NumSizeBins]float64 // their rate-weighted profile sum
+	dirty bool                      // rate or sum moved since plan was built
+	plan  asic.Plan                 // one full tick of rate, normalized sum
+}
+
+// current returns the plan for ticks of length tick, rebuilt from rate and
+// sum if they moved.
+func (d *dirTraffic) current(tick simclock.Duration) *asic.Plan {
+	if d.dirty {
+		profile := normalizeProfile(&d.sum)
+		d.plan.Set(d.rate*tick.Seconds(), &profile)
+		d.dirty = false
+	}
+	return &d.plan
 }
 
 // New builds a simulation from the config.
@@ -173,10 +196,7 @@ func New(cfg Config) (*Net, error) {
 			ECNThresholdBytes: cfg.ECNThresholdBytes,
 		}),
 		gen:      gen,
-		txRate:   make([]float64, n),
-		rxRate:   make([]float64, n),
-		txProf:   make([][asic.NumSizeBins]float64, n),
-		rxProf:   make([][asic.NumSizeBins]float64, n),
+		ports:    make([]portTraffic, n),
 		bindings: make(map[*workload.Flow]binding),
 	}
 
@@ -275,21 +295,23 @@ func (n *Net) EndFlow(f *workload.Flow) {
 
 func (n *Net) addRate(b binding, f *workload.Flow, sign float64) {
 	r := sign * f.Rate
-	n.rxRate[b.rxPort] += r
-	n.txRate[b.txPort] += r
+	rx, tx := &n.ports[b.rxPort].rx, &n.ports[b.txPort].tx
+	rx.rate += r
+	tx.rate += r
 	for i, frac := range f.Profile {
-		n.rxProf[b.rxPort][i] += r * frac
-		n.txProf[b.txPort][i] += r * frac
+		rx.sum[i] += r * frac
+		tx.sum[i] += r * frac
 	}
 	// Clamp float drift after removals.
 	if sign < 0 {
-		if n.rxRate[b.rxPort] < 0 {
-			n.rxRate[b.rxPort] = 0
+		if rx.rate < 0 {
+			rx.rate = 0
 		}
-		if n.txRate[b.txPort] < 0 {
-			n.txRate[b.txPort] = 0
+		if tx.rate < 0 {
+			tx.rate = 0
 		}
 	}
+	rx.dirty, tx.dirty = true, true
 }
 
 // Run advances the simulation by d, processing scheduled events and
@@ -306,7 +328,11 @@ func (n *Net) Run(d simclock.Duration) {
 		}
 		tickEnd := n.sched.Now().Add(step)
 		n.sched.RunUntil(tickEnd)
-		n.applyTick(step)
+		if step == n.cfg.Tick {
+			n.applyTick()
+		} else {
+			n.applyPartial(step)
+		}
 	}
 }
 
@@ -319,23 +345,60 @@ func (n *Net) SetTxObserver(obs TrafficObserver) { n.txObserver = obs }
 func (n *Net) SetRxObserver(obs TrafficObserver) { n.rxObserver = obs }
 
 // applyTick charges each port's accumulated rate into the ASIC and
-// advances the data path one tick.
-func (n *Net) applyTick(step simclock.Duration) {
-	sec := step.Seconds()
-	for p := range n.txRate {
-		if r := n.txRate[p]; r > 1e-9 {
-			profile := normalizeProfile(n.txProf[p], r)
+// advances the data path one full tick.
+//
+// Between two addRate calls on a port-direction everything a full tick
+// offers is constant, so it lives in that direction's plan: addRate (the
+// only writer of rate and sum) marks the direction dirty, applyTick
+// rebuilds a dirty plan just before offering it, and the switch, handed
+// the same plan again, repeats the previous tick's counter increments.
+// A step shorter than Tick — the tail of a Run that is not a whole number
+// of ticks — carries different bytes, so Run sends it through
+// applyPartial, which offers rate × step by value instead of the plan.
+//
+//lint:hotpath runs every 5 µs tick of every campaign
+func (n *Net) applyTick() {
+	now := n.sched.Now()
+	for p := range n.ports {
+		if d := &n.ports[p].tx; d.rate > 1e-9 {
+			pl := d.current(n.cfg.Tick)
 			if n.txObserver != nil {
-				n.txObserver(n.sched.Now(), p, r*sec, profile)
+				//lint:ignore hotalloc the observer is the caller's tap; a run without one never reaches it
+				n.txObserver(now, p, pl.Bytes(), pl.Profile())
 			}
-			n.sw.OfferTx(p, r*sec, profile)
+			n.sw.OfferTxPlan(p, pl)
 		}
-		if r := n.rxRate[p]; r > 1e-9 {
-			profile := normalizeProfile(n.rxProf[p], r)
+		if d := &n.ports[p].rx; d.rate > 1e-9 {
+			pl := d.current(n.cfg.Tick)
 			if n.rxObserver != nil {
-				n.rxObserver(n.sched.Now(), p, r*sec, profile)
+				//lint:ignore hotalloc the observer is the caller's tap; a run without one never reaches it
+				n.rxObserver(now, p, pl.Bytes(), pl.Profile())
 			}
-			n.sw.OfferRx(p, r*sec, profile)
+			n.sw.OfferRxPlan(p, pl)
+		}
+	}
+	n.sw.Tick(n.cfg.Tick)
+}
+
+// applyPartial is applyTick for a step shorter than Tick: the plans'
+// profiles, rate × step bytes.
+func (n *Net) applyPartial(step simclock.Duration) {
+	sec := step.Seconds()
+	now := n.sched.Now()
+	for p := range n.ports {
+		if d := &n.ports[p].tx; d.rate > 1e-9 {
+			profile := d.current(n.cfg.Tick).Profile()
+			if n.txObserver != nil {
+				n.txObserver(now, p, d.rate*sec, profile)
+			}
+			n.sw.OfferTx(p, d.rate*sec, profile)
+		}
+		if d := &n.ports[p].rx; d.rate > 1e-9 {
+			profile := d.current(n.cfg.Tick).Profile()
+			if n.rxObserver != nil {
+				n.rxObserver(now, p, d.rate*sec, profile)
+			}
+			n.sw.OfferRx(p, d.rate*sec, profile)
 		}
 	}
 	n.sw.Tick(step)
@@ -344,7 +407,7 @@ func (n *Net) applyTick(step simclock.Duration) {
 // normalizeProfile converts a rate-weighted profile sum into fractions.
 // Negative drift from float subtraction is clamped to zero and the vector
 // renormalized.
-func normalizeProfile(sum [asic.NumSizeBins]float64, _ float64) asic.TrafficProfile {
+func normalizeProfile(sum *[asic.NumSizeBins]float64) asic.TrafficProfile {
 	var total float64
 	var p asic.TrafficProfile
 	for i, v := range sum {

@@ -171,8 +171,8 @@ func TestFlowAccountingBalances(t *testing.T) {
 		t.Errorf("active flows = %d, generator says %d", got, want)
 	}
 	// Rates must be non-negative after all the add/remove churn.
-	for p := range n.txRate {
-		if n.txRate[p] < 0 || n.rxRate[p] < 0 {
+	for p := range n.ports {
+		if n.ports[p].tx.rate < 0 || n.ports[p].rx.rate < 0 {
 			t.Fatalf("negative residual rate on port %d", p)
 		}
 	}
@@ -263,5 +263,25 @@ func TestRoundRobinBalancesBetterThanFlowHash(t *testing.T) {
 	rr := imbalance(BalanceRoundRobin)
 	if rr >= flow {
 		t.Errorf("round robin imbalance %v should beat flow hashing %v", rr, flow)
+	}
+}
+
+// TestSteadyTicksDoNotAllocate holds the data path to zero allocations:
+// 1,000 ticks of a loaded rack with no flow event between them. It calls
+// applyTick rather than Run so the scheduler — whose flow events
+// allocate, and are not the data path — stays out of the count.
+func TestSteadyTicksDoNotAllocate(t *testing.T) {
+	n := newNet(t, workload.Hadoop, 3)
+	n.Run(simclock.Millis(3))
+	if n.ActiveFlows() == 0 || n.Switch().Port(0).Bytes(asic.TX) == 0 {
+		t.Fatal("rack not loaded")
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		for i := 0; i < 1000; i++ {
+			n.applyTick()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("1,000 steady ticks allocated %v times, want 0", allocs)
 	}
 }
