@@ -45,15 +45,18 @@ smoke:
 
 # fuzz exercises the parsers that face untrusted bytes: the wire decoder,
 # the archive recovery scan (which must truncate any torn tail without
-# panicking) and the checkpoint loader (whatever loads must restore, take
-# traffic and round-trip). FUZZTIME bounds each target (default 10s).
-# The checkpoint seeds are kilobytes of JSON; left at its 60s default,
-# minimizing each new-coverage input would eat the whole budget.
+# panicking), the shard checkpoint loader — MBC1 and legacy JSON; whatever
+# loads must restore, take traffic and round-trip, and MBC1 must decode
+# within an allocation bound — and the fleet checkpoint loader. FUZZTIME
+# bounds each target (default 10s). The checkpoint seeds are kilobytes;
+# left at its 60s default, minimizing each new-coverage input would eat
+# the whole budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadBatch -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzTraceRecover -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/collector
+	$(GO) test -run='^$$' -fuzz=FuzzLoadFleetCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/collector
 
 # chaos runs the fault-injection soak under the race detector: generated
 # fault schedules against the poll/recover pipeline, the epoch-gated

@@ -27,11 +27,14 @@
 // to a segmented, fsynced, crash-safe archive (internal/trace; read it
 // back with mbdump -in DIR), and every -checkpoint batches the volatile
 // state (live figures, ingest counters, gate horizons) is checkpointed
-// atomically next to it. After a crash, -resume recovers the archive
+// atomically next to it as DIR/checkpoint.mbc (binary; mbdump -checkpoint
+// prints it as JSON). After a crash, -resume recovers the archive
 // (truncating any torn tail), restores the last checkpoint, and replays
 // the un-checkpointed archive tail, so the daemon restarts with exactly
 // the state it would have had — agents that retransmit their spool are
-// deduplicated by the restored gate. A failed archive write or sync is
+// deduplicated by the restored gate. A directory left by a build that
+// wrote checkpoint.json resumes after mv checkpoint.json checkpoint.mbc:
+// the loader goes by content, not name. A failed archive write or sync is
 // fatal: the daemon exits non-zero rather than silently dropping data.
 // Without -archive the shard is volatile and the daemon only accounts
 // (and, with -figures, analyses) what it receives.
@@ -189,6 +192,13 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(ingest
 		}
 		cfg.ID, cfg.Placement = *shardID, &pl
 	}
+	// Before the archive exists: a rejected -shard must not leave a
+	// directory that makes the corrected rerun fail with "already holds an
+	// archive".
+	if err := cfg.Validate(); err != nil {
+		logger.Error("building shard", "err", err)
+		return 2
+	}
 	var arch *trace.ArchiveWriter
 	if *archiveDir != "" {
 		var err error
@@ -216,12 +226,12 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(ingest
 		// Assigned only here: a nil *ArchiveWriter stored in the ArchiveSink
 		// interface would be non-nil and make a volatile shard durable.
 		cfg.Archive = arch
-		cfg.CheckpointPath = filepath.Join(*archiveDir, "checkpoint.json")
+		cfg.CheckpointPath = filepath.Join(*archiveDir, collector.CheckpointFileName)
 		cfg.Every = *checkpointEvery
 		cfg.RecoveryMetrics = collector.NewRecoveryMetrics(reg)
 	}
 	sh, err := collector.NewShard(cfg)
-	if err != nil {
+	if err != nil { // Validate passed, so only a check NewShard gains later lands here
 		logger.Error("building shard", "err", err)
 		if arch != nil {
 			arch.Close()
@@ -242,7 +252,9 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(ingest
 		}
 		logger.Info("resumed", "had_checkpoint", rep.HadCheckpoint,
 			"checkpoint_batches", rep.CheckpointBatches, "replayed", rep.Replayed,
-			"archive_batches", rep.ArchiveBatches)
+			"archive_batches", rep.ArchiveBatches,
+			"checkpoint_bytes", int64(cfg.RecoveryMetrics.CheckpointBytes.Value()),
+			"load_ms", cfg.RecoveryMetrics.CheckpointLoadSeconds.Value()*1e3)
 		if rep.Shortfall > 0 {
 			logger.Warn("archive shortfall: checkpointed batches missing from disk",
 				"batches", rep.Shortfall)

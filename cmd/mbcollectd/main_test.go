@@ -66,7 +66,7 @@ func newTestIngest(t *testing.T, dir string, failSync *bool) (*collector.Shard, 
 	ingest, err := collector.NewShard(collector.ShardConfig{
 		Stats:          &collector.IngestStats{},
 		Archive:        arch,
-		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
+		CheckpointPath: filepath.Join(dir, collector.CheckpointFileName),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestFinalizeDurableOpenerFailure(t *testing.T) {
 	ingest, err := collector.NewShard(collector.ShardConfig{
 		Stats:          &collector.IngestStats{},
 		Archive:        arch,
-		CheckpointPath: filepath.Join(dir, "checkpoint.json"),
+		CheckpointPath: filepath.Join(dir, collector.CheckpointFileName),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -269,6 +269,17 @@ func rackBatch(i int) []wire.Sample {
 // closes it.
 func (d *daemon) sendRack(t *testing.T, rack uint32, batches ...int) {
 	t.Helper()
+	samples := make([][]wire.Sample, len(batches))
+	for k, i := range batches {
+		samples[k] = rackBatch(i)
+	}
+	d.send(t, rack, samples)
+}
+
+// send streams batches of rackBatchSamples samples each as one rack over
+// a fresh connection and closes it.
+func (d *daemon) send(t *testing.T, rack uint32, batches [][]wire.Sample) {
+	t.Helper()
 	conn, err := net.Dial("tcp", d.ingest)
 	if err != nil {
 		t.Fatal(err)
@@ -280,8 +291,8 @@ func (d *daemon) sendRack(t *testing.T, rack uint32, batches ...int) {
 		t.Fatal(err)
 	}
 	c.SetEpoch(1)
-	for _, i := range batches {
-		for _, s := range rackBatch(i) {
+	for _, b := range batches {
+		for _, s := range b {
 			c.Emit(s)
 		}
 	}
@@ -376,6 +387,109 @@ func TestDaemonResumeByteExact(t *testing.T) {
 	}
 }
 
+// fixtureRacks restates the campaign behind internal/collector's
+// checkpoint fixtures (its fixtureTraffic), per rack: racks 1–3 carry a
+// cumulative counter that turns hot and cold every three samples, rack 4
+// the rackBatch stream, whose counter regresses and latches the series.
+func fixtureRacks(rounds int) map[uint32][][]wire.Sample {
+	out := make(map[uint32][][]wire.Sample)
+	for rack := uint32(1); rack <= 3; rack++ {
+		var total uint64
+		for seq := 0; seq < rounds*rackBatchSamples; seq++ {
+			frac := 0.1
+			if (seq/3)%2 == 1 {
+				frac = 0.95
+			}
+			total += uint64(frac * 31250)
+			if seq%rackBatchSamples == 0 {
+				out[rack] = append(out[rack], nil)
+			}
+			last := &out[rack][len(out[rack])-1]
+			*last = append(*last, wire.Sample{
+				Time: simclock.Epoch.Add(simclock.Micros(int64(seq+1) * 25)),
+				Port: 1, Dir: asic.TX, Kind: asic.KindBytes, Value: total,
+			})
+		}
+	}
+	for i := 0; i < rounds; i++ {
+		out[4] = append(out[4], rackBatch(i))
+	}
+	return out
+}
+
+// TestDaemonResumesParentJSONCheckpoint is the upgrade path: a directory
+// left by a build that checkpointed as JSON — here the committed
+// b3e8392 fixture, 12 rounds in, beside an archive 17 rounds long —
+// resumes under this build once the file is renamed checkpoint.mbc, and
+// ends byte-identical at /figures to a daemon that saw all 30 rounds.
+func TestDaemonResumesParentJSONCheckpoint(t *testing.T) {
+	const rounds, ckptRounds, killRounds = 30, 12, 17
+	racks := fixtureRacks(rounds)
+
+	oracle := startDaemon(t, "-figures")
+	for rack, batches := range racks {
+		oracle.send(t, rack, batches)
+	}
+	oracle.waitDrained(t, len(racks))
+	wantFigures, wantStats := oracle.get(t, "/figures"), oracle.get(t, "/stats/ingest")
+	if code := oracle.stop(); code != 0 {
+		t.Fatalf("oracle exit %d:\n%s", code, oracle.stderr)
+	}
+
+	dir := filepath.Join(t.TempDir(), "arch")
+	arch, err := trace.CreateArchive(dir, trace.ArchiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < killRounds; i++ {
+		for rack := uint32(1); rack <= 4; rack++ {
+			if err := arch.WriteBatch(&wire.Batch{Rack: rack, Epoch: 1, Samples: racks[rack][i]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := arch.Close(); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := os.ReadFile("../../internal/collector/testdata/checkpoint_parent.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, collector.CheckpointFileName), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d := startDaemon(t, "-figures", "-archive", dir, "-resume")
+	for _, want := range []string{"had_checkpoint=true",
+		"checkpoint_batches=" + strconv.Itoa(4*ckptRounds), "replayed=" + strconv.Itoa(4*(killRounds-ckptRounds)),
+		"checkpoint_bytes=" + strconv.Itoa(len(legacy)), "load_ms="} {
+		if !strings.Contains(d.stderr.String(), want) {
+			t.Errorf("resumed line lacks %q:\n%s", want, d.stderr)
+		}
+	}
+	for rack, batches := range racks {
+		d.send(t, rack, batches[killRounds:])
+	}
+	d.waitDrained(t, len(racks))
+	if got := d.get(t, "/figures"); !bytes.Equal(got, wantFigures) {
+		t.Errorf("/figures after resuming the JSON checkpoint differs from the uninterrupted run:\n got %s\nwant %s", got, wantFigures)
+	}
+	if got := d.get(t, "/stats/ingest"); !bytes.Equal(got, wantStats) {
+		t.Errorf("/stats/ingest differs:\n got %s\nwant %s", got, wantStats)
+	}
+	if got := d.metric(t, "mburst_collector_checkpoint_bytes"); got != float64(len(legacy)) {
+		t.Errorf("mburst_collector_checkpoint_bytes = %v after resume, want the loaded file's %d", got, len(legacy))
+	}
+	if code := d.stop(); code != 0 {
+		t.Fatalf("resumed incarnation exit %d:\n%s", code, d.stderr)
+	}
+	// The shutdown checkpoint replaced the JSON with this build's encoding.
+	saved, err := os.ReadFile(filepath.Join(dir, collector.CheckpointFileName))
+	if err != nil || !bytes.HasPrefix(saved, []byte(collector.CheckpointMagic)) {
+		t.Errorf("final checkpoint is not MBC1: %v, starts %q", err, saved[:min(len(saved), 4)])
+	}
+}
+
 // TestDaemonShardPolicesPlacement: -shard/-shards is the same Shard with
 // a placement, dropping and counting racks it does not own.
 func TestDaemonShardPolicesPlacement(t *testing.T) {
@@ -421,6 +535,7 @@ func TestDaemonShardPolicesPlacement(t *testing.T) {
 // the operator typed is one ERROR line and exit 2 before anything
 // listens — including the removed -out and -epochgate.
 func TestDaemonFlagMisuseExits2(t *testing.T) {
+	archiveDir := filepath.Join(t.TempDir(), "arch")
 	for _, args := range [][]string{
 		{"-resume"},
 		{"-shard", "1"},
@@ -429,6 +544,8 @@ func TestDaemonFlagMisuseExits2(t *testing.T) {
 		{"-wire", "mbw9"},
 		{"-out", "samples.mbw"},
 		{"-epochgate"},
+		{"-archive", archiveDir, "-shards", "4", "-shard", "9"},
+		{"-archive", archiveDir, "-shards", "4"},
 	} {
 		var stderr bytes.Buffer
 		code := run(context.Background(), args, &stderr, func(ingest, debug string) {
@@ -437,6 +554,11 @@ func TestDaemonFlagMisuseExits2(t *testing.T) {
 		out := strings.TrimSuffix(stderr.String(), "\n")
 		if code != 2 || strings.Contains(out, "\n") || !strings.Contains(out, "level=ERROR") {
 			t.Errorf("%v: exit %d, stderr %q; want exit 2 and one ERROR line", args, code, out)
+		}
+		// A rejected flag set must leave nothing behind, or the corrected
+		// rerun meets "already holds an archive".
+		if _, err := os.Stat(archiveDir); !os.IsNotExist(err) {
+			t.Errorf("%v: exit 2 left %s behind (stat err %v)", args, archiveDir, err)
 		}
 	}
 }

@@ -9,6 +9,7 @@
 //	mbdump -in samples.mbw [-samples 10] [-quiet]
 //	mbdump -in /var/lib/mburst/archive   # segmented archive directory
 //	mbdump -in /var/lib/mburst/fleet     # fleet campaign directory
+//	mbdump -checkpoint /var/lib/mburst/archive/checkpoint.mbc | jq .ingest
 //
 // A plain directory is decoded through the archive manifest in segment
 // order (the collector's admission order). A fleet directory (one
@@ -18,9 +19,18 @@
 // order — so a sharded campaign reads exactly like a single-collector
 // one. Run mbcollectd -resume (or trace.RecoverArchive) first if a
 // directory crashed mid-write; mbdump treats a torn tail as an error.
+//
+// With -checkpoint the input is a shard checkpoint instead (the
+// checkpoint.mbc beside a durable archive, or the checkpoint.json an
+// older build left there): the state is printed to stdout as indented
+// JSON — what `jq .` showed when checkpoints were JSON — after one
+// summary line on stderr naming the encoding, size, series, racks and
+// archive mark, so the output pipes cleanly.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -28,6 +38,7 @@ import (
 	"os"
 
 	"mburst/internal/analysis"
+	"mburst/internal/collector"
 	"mburst/internal/simclock"
 	"mburst/internal/trace"
 	"mburst/internal/wire"
@@ -37,16 +48,53 @@ func main() {
 	in := flag.String("in", "", "batch file, archive directory, or fleet campaign directory to inspect (required)")
 	showSamples := flag.Int("samples", 0, "print the first N samples decoded")
 	quiet := flag.Bool("quiet", false, "suppress per-batch lines, print only totals")
+	checkpoint := flag.String("checkpoint", "", "shard checkpoint (MBC1 or legacy JSON) to print as indented JSON, instead of -in")
 	flag.Parse()
 
-	if *in == "" {
-		fmt.Fprintln(os.Stderr, "mbdump: -in is required")
+	if (*in == "") == (*checkpoint == "") {
+		fmt.Fprintln(os.Stderr, "mbdump: exactly one of -in and -checkpoint is required")
 		os.Exit(2)
 	}
-	if err := run(os.Stdout, *in, *showSamples, *quiet); err != nil {
+	var err error
+	if *checkpoint != "" {
+		err = dumpCheckpoint(os.Stdout, os.Stderr, *checkpoint)
+	} else {
+		err = run(os.Stdout, *in, *showSamples, *quiet)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "mbdump: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// dumpCheckpoint prints the shard checkpoint at path: one summary line
+// to summary, then the state as indented JSON (the struct tags are the
+// schema) to w — the same JSON whichever encoding the file is in.
+func dumpCheckpoint(w, summary io.Writer, path string) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	st, _, err := collector.LoadCheckpoint(path)
+	if err != nil {
+		return err
+	}
+	encoding := "json"
+	if bytes.HasPrefix(data, []byte(collector.CheckpointMagic)) {
+		encoding = collector.CheckpointMagic
+	}
+	series := 0
+	if st.Figures != nil {
+		series = len(st.Figures.Series)
+	}
+	fmt.Fprintf(summary, "checkpoint: encoding %s, %d bytes, %d series, %d racks, archived_batches %d\n",
+		encoding, len(data), series, len(st.Gate), st.ArchivedBatches)
+	out, err := json.MarshalIndent(st, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(out, '\n'))
+	return err
 }
 
 // run decodes the input and writes the report to w. Split from main so

@@ -156,3 +156,33 @@ func TestFleetDumpPlacementViolation(t *testing.T) {
 		t.Fatalf("misrouted batch not rejected: %v", err)
 	}
 }
+
+// TestCheckpointDumpGolden: -checkpoint prints the same indented JSON
+// for the b3e8392 JSON checkpoint fixture and its MBC1 twin — byte for
+// byte the file that indenting build wrote, which is therefore the
+// golden — and tells the two apart only in the summary line.
+func TestCheckpointDumpGolden(t *testing.T) {
+	const fixtures = "../../internal/collector/testdata"
+	want, err := os.ReadFile(filepath.Join(fixtures, "checkpoint_parent.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fixture, summary := range map[string]string{
+		"checkpoint_parent.json": "checkpoint: encoding json, 9180 bytes, 4 series, 4 racks, archived_batches 48\n",
+		"checkpoint_v1.mbc":      "checkpoint: encoding MBC1, 1315 bytes, 4 series, 4 racks, archived_batches 48\n",
+	} {
+		var out, head bytes.Buffer
+		if err := dumpCheckpoint(&out, &head, filepath.Join(fixtures, fixture)); err != nil {
+			t.Fatal(err)
+		}
+		if head.String() != summary {
+			t.Errorf("%s: summary %q, want %q", fixture, head.String(), summary)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s: dump diverges from checkpoint_parent.json:\n--- got ---\n%s\n--- want ---\n%s", fixture, out.Bytes(), want)
+		}
+	}
+	if err := dumpCheckpoint(&bytes.Buffer{}, &bytes.Buffer{}, filepath.Join(t.TempDir(), "none.mbc")); err == nil {
+		t.Error("a missing checkpoint dumped")
+	}
+}

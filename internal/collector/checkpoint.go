@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -19,6 +20,13 @@ import (
 // After a crash, Resume restores the last checkpoint and replays the
 // archive tail that landed after it, reconstructing the exact state of a
 // collector that never died.
+//
+// A checkpoint is written in the binary MBC1 encoding (mbc1.go): at 6,000
+// series about 0.7 MB and 1.3 ms to encode, 3 ms to decode — cheap enough
+// that every checkpoint is a full one and a resume reads exactly one
+// file. Checkpoints older binaries wrote as JSON (the struct tags below
+// are their schema) still load: LoadCheckpoint tells the two apart by
+// content, not by file name.
 //
 // The ordering is what makes this sound: a batch reaches the archive
 // (and the archive is fsynced) before any checkpoint can claim it, so
@@ -65,17 +73,17 @@ func (st CheckpointState) validate() error {
 	return nil
 }
 
-// SaveCheckpoint writes st to path atomically: temp file, fsync, rename,
-// directory fsync. A crash mid-save leaves the previous checkpoint
-// intact. The file is one line of compact JSON (`jq . <path>` to read
-// it): indentation tripled both the bytes fsynced and the encode time,
-// and the encode runs under the ingest lock.
+// CheckpointFileName is the shard checkpoint's name inside a durable
+// archive directory, as mbcollectd and core.RunFleet lay it out. A
+// directory an older binary left resumes after
+// `mv checkpoint.json checkpoint.mbc`: the loader goes by content.
+const CheckpointFileName = "checkpoint.mbc"
+
+// SaveCheckpoint writes st to path as MBC1, atomically: temp file, fsync,
+// rename, directory fsync. A crash mid-save leaves the previous
+// checkpoint intact. `mbdump -checkpoint <path>` prints the file as JSON.
 func SaveCheckpoint(path string, st CheckpointState) error {
-	data, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("collector: encoding checkpoint: %w", err)
-	}
-	return WriteFileAtomic(path, append(data, '\n'))
+	return WriteFileAtomic(path, appendCheckpoint(nil, &st))
 }
 
 // WriteFileAtomic is the write discipline shared by the per-shard and
@@ -116,25 +124,37 @@ func WriteFileAtomic(path string, data []byte) error {
 	return nil
 }
 
-// LoadCheckpoint reads a checkpoint. A missing file is not an error: it
-// returns a zero state and ok=false (first boot, or a crash before the
-// first checkpoint).
+// LoadCheckpoint reads a checkpoint of either encoding: a file that
+// starts with CheckpointMagic is MBC1, anything else goes to the JSON
+// decoder older binaries' checkpoints need. A missing file is not an
+// error: it returns a zero state and ok=false (first boot, or a crash
+// before the first checkpoint).
 func LoadCheckpoint(path string) (CheckpointState, bool, error) {
+	st, _, ok, err := loadCheckpoint(path)
+	return st, ok, err
+}
+
+// loadCheckpoint is LoadCheckpoint plus the file's size.
+func loadCheckpoint(path string) (st CheckpointState, size int, ok bool, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return CheckpointState{}, false, nil
+		return CheckpointState{}, 0, false, nil
 	}
 	if err != nil {
-		return CheckpointState{}, false, err
+		return CheckpointState{}, 0, false, err
 	}
-	var st CheckpointState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return CheckpointState{}, false, fmt.Errorf("collector: decoding checkpoint %s: %w", path, err)
+	if bytes.HasPrefix(data, []byte(CheckpointMagic)) {
+		st, err = decodeMBC1(data)
+	} else {
+		err = json.Unmarshal(data, &st)
+	}
+	if err != nil {
+		return CheckpointState{}, 0, false, fmt.Errorf("collector: decoding checkpoint %s: %w", path, err)
 	}
 	if err := st.validate(); err != nil {
-		return CheckpointState{}, false, fmt.Errorf("collector: checkpoint %s: %w", path, err)
+		return CheckpointState{}, 0, false, fmt.Errorf("collector: checkpoint %s: %w", path, err)
 	}
-	return st, true, nil
+	return st, len(data), true, nil
 }
 
 // DefaultCheckpointEvery is the checkpoint cadence in admitted batches
@@ -151,13 +171,17 @@ func (s *Shard) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	start := s.rec.now()
+	defer func() { s.rec.ResumeSeconds.Set(s.rec.since(start)) }()
 	var rep ResumeReport
 	if s.cfg.CheckpointPath != "" {
-		st, ok, err := LoadCheckpoint(s.cfg.CheckpointPath)
+		st, size, ok, err := loadCheckpoint(s.cfg.CheckpointPath)
 		if err != nil {
 			return rep, err
 		}
 		if ok {
+			s.rec.CheckpointLoadSeconds.Set(s.rec.since(start))
+			s.rec.CheckpointBytes.Set(float64(size))
 			rep.HadCheckpoint = true
 			rep.CheckpointBatches = st.ArchivedBatches
 			s.gate.RestoreState(st.Gate)
@@ -285,15 +309,21 @@ func (s *Shard) syncLocked() error {
 }
 
 // checkpointLocked syncs the archive and saves a consistent cut of the
-// volatile state. b, when non-nil, anchors the collector.checkpoint
-// span. Caller holds s.mu.
+// volatile state, encoded into the buffer the shard keeps for it: past
+// the first, a checkpoint allocates its cut and nothing else. b, when
+// non-nil, anchors the collector.checkpoint span. Caller holds s.mu.
 func (s *Shard) checkpointLocked(b *wire.Batch) error {
 	if err := s.syncLocked(); err != nil {
 		return err
 	}
-	if err := SaveCheckpoint(s.cfg.CheckpointPath, s.cutLocked()); err != nil {
+	start := s.rec.now()
+	st := s.cutLocked()
+	s.ckptBuf = appendCheckpoint(s.ckptBuf[:0], &st)
+	if err := WriteFileAtomic(s.cfg.CheckpointPath, s.ckptBuf); err != nil {
 		return err
 	}
+	s.rec.CheckpointSeconds.Observe(s.rec.since(start))
+	s.rec.CheckpointBytes.Set(float64(len(s.ckptBuf)))
 	s.sinceCkpt = 0
 	s.rec.Checkpoints.Inc()
 	s.rec.CheckpointLag.Set(0)

@@ -2,32 +2,42 @@ package collector
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"flag"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"mburst/internal/shard"
 	"mburst/internal/wire"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/checkpoint_compact.json")
+var update = flag.Bool("update", false, "rewrite testdata/checkpoint_v1.mbc")
 
-// Two checkpoints of one state are committed under testdata/:
+// Three checkpoints of one state are committed under testdata/:
 //
 //   - checkpoint_parent.json was written by the last commit that
 //     indented its checkpoints (b3e8392), by its durable pipeline fed the
 //     first fixtureCkptRounds rounds of fixtureTraffic and then
-//     Checkpoint()ed. It cannot be regenerated from this tree, which is
-//     the point: checkpoints already on disk must stay resumable.
-//   - checkpoint_compact.json is the same state as SaveCheckpoint
-//     writes it now (go test -run TestParentCheckpoint -update).
+//     Checkpoint()ed.
+//   - checkpoint_compact.json is the same state as the last commit that
+//     wrote JSON (23abd10 … 0403f19) saved it: one line.
+//   - checkpoint_v1.mbc is the same state as SaveCheckpoint writes it
+//     now, in MBC1 (go test -run TestParentCheckpoint -update).
+//
+// None of the JSON ones can be regenerated from this tree, which is the
+// point: checkpoints already on disk must stay resumable. From here on
+// checkpoint_v1.mbc is the parent-written fixture later changes must
+// keep loading.
 const (
 	parentCheckpoint  = "testdata/checkpoint_parent.json"
 	compactCheckpoint = "testdata/checkpoint_compact.json"
+	binaryCheckpoint  = "testdata/checkpoint_v1.mbc"
 	fixtureCkptRounds = 12
 )
 
@@ -47,113 +57,117 @@ func fixtureTraffic(rounds int) []*wire.Batch {
 	return out
 }
 
-// TestParentCheckpointStaysResumable: the indented checkpoint a parent
-// binary left behind loads, re-saves compactly to the same state (and
-// to exactly the committed bytes: same schema, same field order), and a
-// collector resumed from it ends up where one that never died does.
+// TestParentCheckpointStaysResumable: every checkpoint a parent binary
+// may have left behind — indented JSON, one-line JSON, MBC1 — loads to
+// the same state; that state re-saves as exactly the committed MBC1
+// bytes (the encoding is deterministic) and reloads unchanged; and a
+// collector resumed from any of the three, each sitting under the name
+// this tree uses, ends up where one that never died does.
 func TestParentCheckpointStaysResumable(t *testing.T) {
 	st, ok, err := LoadCheckpoint(parentCheckpoint)
 	if err != nil || !ok {
 		t.Fatalf("loading %s: ok=%v err=%v", parentCheckpoint, ok, err)
 	}
-	resaved := filepath.Join(t.TempDir(), "ckpt.json")
+	resaved := filepath.Join(t.TempDir(), CheckpointFileName)
 	if err := SaveCheckpoint(resaved, st); err != nil {
 		t.Fatal(err)
-	}
-	again, _, err := LoadCheckpoint(resaved)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, st) {
-		t.Error("compact re-save of the parent's checkpoint loads to a different state")
 	}
 	got, err := os.ReadFile(resaved)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if *update {
-		if err := os.WriteFile(compactCheckpoint, got, 0o644); err != nil {
+		if err := os.WriteFile(binaryCheckpoint, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile(compactCheckpoint)
+	want, err := os.ReadFile(binaryCheckpoint)
 	if err != nil {
 		t.Fatalf("%v (run with -update to write it)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("SaveCheckpoint no longer writes the bytes of %s", compactCheckpoint)
+		t.Errorf("SaveCheckpoint no longer writes the bytes of %s", binaryCheckpoint)
 	}
-	if n := bytes.Count(got, []byte("\n")); n != 1 || got[len(got)-1] != '\n' {
-		t.Errorf("checkpoint is not one line of JSON: %d newlines", n)
-	}
-	indented, err := os.ReadFile(parentCheckpoint)
+	compact, err := os.ReadFile(compactCheckpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if 2*len(got) > len(indented) {
-		t.Errorf("compact form is %d bytes of the indented %d, want under half", len(got), len(indented))
+	if 2*len(got) > len(compact) {
+		t.Errorf("MBC1 form is %d bytes of the one-line JSON's %d, want under half", len(got), len(compact))
 	}
 
 	// The parent was killed killRounds in: its archive holds that much,
 	// its last checkpoint is the fixture.
 	const killRounds, rounds, perRound = 17, 30, 4
 	traffic := fixtureTraffic(rounds)
-	oracle, oFigures, oStats := newDurable(t, &memArchive{}, filepath.Join(t.TempDir(), "ckpt.json"), 1000)
+	oracle, oFigures, oStats := newDurable(t, &memArchive{}, filepath.Join(t.TempDir(), CheckpointFileName), 1000)
 	for _, b := range traffic {
 		oracle.Handle(b)
 	}
-	arch := &memArchive{}
-	for _, b := range traffic[:killRounds*perRound] {
-		if err := arch.WriteBatch(b); err != nil {
+	for _, fixture := range []string{parentCheckpoint, compactCheckpoint, binaryCheckpoint} {
+		again, ok, err := LoadCheckpoint(fixture)
+		if err != nil || !ok {
+			t.Fatalf("loading %s: ok=%v err=%v", fixture, ok, err)
+		}
+		if !reflect.DeepEqual(again, st) {
+			t.Errorf("%s loads to a different state than %s", fixture, parentCheckpoint)
+		}
+		arch := &memArchive{}
+		for _, b := range traffic[:killRounds*perRound] {
+			if err := arch.WriteBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Whatever the encoding, the file goes by this tree's name: the
+		// upgrade an operator does with mv.
+		data, err := os.ReadFile(fixture)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	if err := os.WriteFile(path, indented, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d, figures, stats := newDurable(t, arch, path, 1000)
-	rep, err := d.Resume(arch.iter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRep := ResumeReport{
-		HadCheckpoint:     true,
-		CheckpointBatches: fixtureCkptRounds * perRound,
-		ArchiveBatches:    killRounds * perRound,
-		Replayed:          (killRounds - fixtureCkptRounds) * perRound,
-	}
-	if rep != wantRep {
-		t.Fatalf("resume report %+v, want %+v", rep, wantRep)
-	}
-	for _, b := range traffic[killRounds*perRound:] {
-		d.Handle(b)
-	}
-	if !reflect.DeepEqual(figures.State(), oFigures.State()) {
-		t.Error("figures state diverges from the uninterrupted run")
-	}
-	if !reflect.DeepEqual(stats.Snapshot(), oStats.Snapshot()) {
-		t.Errorf("ingest stats diverge: %+v vs %+v", stats.Snapshot(), oStats.Snapshot())
-	}
-	if !reflect.DeepEqual(d.gate.State(), oracle.gate.State()) {
-		t.Error("gate state diverges")
+		path := filepath.Join(t.TempDir(), CheckpointFileName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, figures, stats := newDurable(t, arch, path, 1000)
+		rep, err := d.Resume(arch.iter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRep := ResumeReport{
+			HadCheckpoint:     true,
+			CheckpointBatches: fixtureCkptRounds * perRound,
+			ArchiveBatches:    killRounds * perRound,
+			Replayed:          (killRounds - fixtureCkptRounds) * perRound,
+		}
+		if rep != wantRep {
+			t.Fatalf("%s: resume report %+v, want %+v", fixture, rep, wantRep)
+		}
+		for _, b := range traffic[killRounds*perRound:] {
+			d.Handle(b)
+		}
+		if !reflect.DeepEqual(figures.State(), oFigures.State()) {
+			t.Errorf("%s: figures state diverges from the uninterrupted run", fixture)
+		}
+		if !reflect.DeepEqual(stats.Snapshot(), oStats.Snapshot()) {
+			t.Errorf("%s: ingest stats diverge: %+v vs %+v", fixture, stats.Snapshot(), oStats.Snapshot())
+		}
+		if !reflect.DeepEqual(d.gate.State(), oracle.gate.State()) {
+			t.Errorf("%s: gate state diverges", fixture)
+		}
 	}
 }
 
 // TestLoadCheckpointRejectsSeriesWithoutHistogram: a checkpoint that
 // lost a series' util_hist fails the load — and so Resume — with an
-// error naming the series, per-shard and fleet form alike.
+// error naming the series, whatever the encoding, per-shard and fleet
+// form alike.
 func TestLoadCheckpointRejectsSeriesWithoutHistogram(t *testing.T) {
-	data, err := os.ReadFile(compactCheckpoint)
+	st, _, err := LoadCheckpoint(binaryCheckpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st CheckpointState
-	if err := json.Unmarshal(data, &st); err != nil {
-		t.Fatal(err)
-	}
 	st.Figures.Series[2].UtilHist = nil
-	for _, form := range []string{"null", "[]", "absent"} {
+	for _, form := range []string{"null", "[]", "absent", "mbc1"} {
 		broken, err := json.Marshal(st)
 		if err != nil {
 			t.Fatal(err)
@@ -163,9 +177,11 @@ func TestLoadCheckpointRejectsSeriesWithoutHistogram(t *testing.T) {
 			broken = bytes.Replace(broken, []byte(`"util_hist":null`), []byte(`"util_hist":[]`), 1)
 		case "absent":
 			broken = bytes.Replace(broken, []byte(`"util_hist":null,`), nil, 1)
+		case "mbc1":
+			broken = appendCheckpoint(nil, &st)
 		}
 		dir := t.TempDir()
-		path := filepath.Join(dir, "ckpt.json")
+		path := filepath.Join(dir, CheckpointFileName)
 		if err := os.WriteFile(path, broken, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -176,6 +192,9 @@ func TestLoadCheckpointRejectsSeriesWithoutHistogram(t *testing.T) {
 		d, _, _ := newDurable(t, &memArchive{}, path, 1000)
 		if _, err := d.Resume(nil); err == nil {
 			t.Errorf("util_hist %s: Resume armed the broken checkpoint", form)
+		}
+		if form == "mbc1" {
+			continue // the fleet checkpoint embeds shard states as JSON only
 		}
 		fleet := filepath.Join(dir, "fleet.json")
 		wrapped := append(append([]byte(`{"placement":{},"shards":[{"shard":0,"state":`), broken...), []byte("}]}")...)
@@ -188,10 +207,128 @@ func TestLoadCheckpointRejectsSeriesWithoutHistogram(t *testing.T) {
 	}
 }
 
+// ckptTap is the checkpointed part of a pipeline — gate, ingest stats,
+// figures — outside a Shard, so a test can restore it from any
+// CheckpointState and cut it again.
+type ckptTap struct {
+	gate    *EpochGate
+	stats   *IngestStats
+	figures *LiveFigures
+}
+
+func restoreTap(t *testing.T, st CheckpointState) *ckptTap {
+	t.Helper()
+	p := &ckptTap{stats: &IngestStats{}, figures: newCkptFigures(t)}
+	p.gate = NewEpochGate(p.stats.Wrap(p.figures.Wrap(nil)), nil)
+	p.gate.RestoreState(st.Gate)
+	if st.Figures != nil {
+		p.figures.RestoreState(*st.Figures)
+	}
+	if st.Ingest != nil {
+		p.stats.Restore(*st.Ingest)
+	}
+	return p
+}
+
+func (p *ckptTap) cut(archived uint64) CheckpointState {
+	fs, is := p.figures.State(), p.stats.Snapshot()
+	return CheckpointState{ArchivedBatches: archived, Gate: p.gate.State(), Figures: &fs, Ingest: &is}
+}
+
+// allocatedBy is the heap fn allocated, in bytes.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// mbc1AllocBound is what decoding an MBC1 file of n bytes may allocate.
+// The densest thing a byte can stand for is a one-byte util_hist bin (8
+// bytes decoded); the factor leaves room above that, the constant for
+// the fixed parts and an error value.
+func mbc1AllocBound(n int) uint64 { return 16*uint64(n) + 64<<10 }
+
+// mbc1Seal replaces the last four bytes of an (edited) MBC1 file with
+// the checksum of what precedes them, so damage gets past the CRC and
+// reaches the decoder proper.
+func mbc1Seal(file []byte) []byte {
+	body := file[:len(file)-4]
+	return binary.LittleEndian.AppendUint32(body[:len(body):len(body)], crc32.ChecksumIEEE(body))
+}
+
+// mbc1Sections lists where st's encoding ends each of its sections:
+// header, gate, ingest, each series, body (the trailer is what is left).
+func mbc1Sections(st CheckpointState) []int {
+	const trailer = 4
+	part := st
+	part.Ingest, part.Figures = nil, nil
+	ends := []int{len(CheckpointMagic) + 1, len(appendCheckpoint(nil, &part)) - 2 - trailer}
+	part.Ingest = st.Ingest
+	ends = append(ends, len(appendCheckpoint(nil, &part))-1-trailer)
+	if st.Figures != nil {
+		for n := range st.Figures.Series { // the count stays one byte up to 127 series
+			part.Figures = &FiguresState{Samples: st.Figures.Samples, Series: st.Figures.Series[:n+1]}
+			ends = append(ends, len(appendCheckpoint(nil, &part))-trailer)
+		}
+	}
+	return ends
+}
+
+// mbc1Forged builds the hostile MBC1 files: counts far beyond the bytes
+// that follow them, behind a valid checksum.
+func mbc1Forged() map[string][]byte {
+	// One series with a one-bin histogram and nothing else: its count is
+	// the byte after magic, version, archived_batches, #gate, has_ingest,
+	// has_figures and samples; its #bins the fourth byte before the
+	// trailer (bin, points, hot follow).
+	st := CheckpointState{Figures: &FiguresState{Samples: 1, Series: []SeriesState{{Rack: 1, UtilHist: []uint64{0}}}}}
+	file := appendCheckpoint(nil, &st)
+	const seriesCount = len(CheckpointMagic) + 6
+	binsCount := len(file) - 4 - 4
+	splice := func(at int, v uint64) []byte {
+		out := append([]byte(nil), file[:at]...)
+		out = binary.AppendUvarint(out, v)
+		return mbc1Seal(append(out, file[at+1:]...))
+	}
+	return map[string][]byte{
+		"series count of 2^62":            splice(seriesCount, 1<<62),
+		"util_hist longer than the file":  splice(binsCount, uint64(10*len(file))),
+		"gate count of 2^40":              splice(len(CheckpointMagic)+2, 1<<40),
+		"trailing byte":                   mbc1Seal(append(append([]byte(nil), file[:len(file)-4]...), 0, 0, 0, 0, 0)),
+		"non-minimal varint":              mbc1Seal(append(append(append([]byte(nil), file[:5]...), 0x80, 0x00), file[6:]...)),
+		"bool byte of 2":                  splice(len(CheckpointMagic)+3, 2),
+		"rack beyond uint32":              splice(seriesCount+1, 1<<32),
+		"version 2":                       mbc1Seal(append(append(append([]byte(nil), file[:4]...), 2), file[5:]...)),
+		"nothing after magic and version": []byte(CheckpointMagic + "\x01"),
+	}
+}
+
+// checkMBC1 decodes data, which may be anything behind the magic: the
+// decoder must not panic, must allocate within mbc1AllocBound, and must
+// either refuse — that error is returned — or return the state whose one
+// encoding data is.
+func checkMBC1(t *testing.T, data []byte) error {
+	t.Helper()
+	var st CheckpointState
+	var err error
+	if got, bound := allocatedBy(func() { st, err = decodeMBC1(data) }), mbc1AllocBound(len(data)); got > bound {
+		t.Fatalf("decoding %d bytes of MBC1 allocated %d, bound %d", len(data), got, bound)
+	}
+	if err == nil && !bytes.Equal(appendCheckpoint(nil, &st), data) {
+		t.Fatal("an MBC1 file decoded but does not re-encode to itself")
+	}
+	return err
+}
+
 // FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint loader —
 // durable bytes are outside input. Whatever loads must restore into a
 // pipeline that takes traffic without panicking, and what that pipeline
-// then cuts must survive SaveCheckpoint → LoadCheckpoint unchanged.
+// then cuts must survive SaveCheckpoint → LoadCheckpoint unchanged. An
+// MBC1 input that loads must moreover be the one encoding of its state,
+// and loading or rejecting it may allocate only in proportion to its
+// size, whatever counts it claims.
 func FuzzLoadCheckpoint(f *testing.F) {
 	for _, seed := range []string{parentCheckpoint, compactCheckpoint} {
 		data, err := os.ReadFile(seed)
@@ -201,8 +338,99 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"archived_batches":1,"figures":{"samples":1,"series":[{"rack":1,"port":1,"dir":1,"kind":0,"util_hist":[0]}]}}`))
+	golden, err := os.ReadFile(binaryCheckpoint)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	goldenState, err := decodeMBC1(golden)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, end := range mbc1Sections(goldenState) {
+		f.Add(golden[:end])                                   // cut at the boundary, no trailer
+		f.Add(mbc1Seal(append(golden[:end:end], 0, 0, 0, 0))) // and with a valid one
+	}
+	flipped := append([]byte(nil), golden...)
+	flipped[len(flipped)-1] ^= 0x01
+	f.Add(flipped)
+	for _, forged := range mbc1Forged() {
+		f.Add(forged)
+	}
 	traffic := fixtureTraffic(fixtureCkptRounds + 1)
 	next := traffic[fixtureCkptRounds*4:] // the round after the fixtures' checkpoint
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if bytes.HasPrefix(data, []byte(CheckpointMagic)) {
+			// A mutated file dies at the checksum; resealed, the same
+			// mutation reaches the field decoder and, if that takes it,
+			// the restore below.
+			if err := checkMBC1(t, data); err != nil && len(data) >= len(CheckpointMagic)+1+4 {
+				data = mbc1Seal(append([]byte(nil), data...))
+				checkMBC1(t, data)
+			}
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "in.mbc")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, ok, err := LoadCheckpoint(path)
+		if err != nil {
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("load error does not name the file: %v", err)
+			}
+			return
+		}
+		if !ok {
+			t.Fatal("an existing file loaded as missing")
+		}
+		tap := restoreTap(t, st)
+		for _, b := range next {
+			tap.gate.Handle(b)
+		}
+		cut := tap.cut(st.ArchivedBatches)
+		out := filepath.Join(dir, "out.mbc")
+		if err := SaveCheckpoint(out, cut); err != nil {
+			t.Fatalf("SaveCheckpoint: %v", err)
+		}
+		back, ok, err := LoadCheckpoint(out)
+		if err != nil || !ok {
+			t.Fatalf("re-loading a checkpoint this tree wrote: ok=%v err=%v", ok, err)
+		}
+		// DeepEqual tells nil from empty but not NaN from NaN; a NaN the
+		// input smuggled into an accumulator is equal as bits.
+		if !reflect.DeepEqual(back, cut) && !bytes.Equal(appendCheckpoint(nil, &back), appendCheckpoint(nil, &cut)) {
+			t.Errorf("checkpoint does not round-trip:\nwrote %+v\n read %+v", cut, back)
+		}
+	})
+}
+
+// FuzzLoadFleetCheckpoint does the same for the fleet checkpoint, which
+// stays JSON: whatever loads either merges into a fleet state or says
+// why not, and survives SaveFleetCheckpoint → LoadFleetCheckpoint
+// unchanged.
+func FuzzLoadFleetCheckpoint(f *testing.F) {
+	st, _, err := LoadCheckpoint(binaryCheckpoint)
+	if err != nil {
+		f.Fatal(err)
+	}
+	pl, err := shard.Uniform(2, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	fleet, err := ComposeFleetCheckpoint(pl, []CheckpointState{st, {}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	whole, err := json.Marshal(fleet)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole)
+	f.Add(whole[:len(whole)/2])
+	f.Add([]byte(`{"placement":{},"shards":[{"shard":0,"state":{"figures":{"series":[{"rack":1,"util_hist":[0]},{"rack":1,"util_hist":[0]}]}}}]}`))
+	f.Add([]byte(`{"shards":[{"shard":-1,"state":{"archived_batches":1}}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -210,44 +438,33 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, ok, err := LoadCheckpoint(path)
+		st, ok, err := LoadFleetCheckpoint(path)
 		if err != nil {
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("load error does not name the file: %v", err)
+			}
 			return
 		}
 		if !ok {
 			t.Fatal("an existing file loaded as missing")
 		}
-		figures := newCkptFigures(t)
-		stats := &IngestStats{}
-		gate := NewEpochGate(stats.Wrap(figures.Wrap(nil)), nil)
-		gate.RestoreState(st.Gate)
-		if st.Figures != nil {
-			figures.RestoreState(*st.Figures)
+		if fs, err := st.FleetState(); err == nil && fs.Shards != len(st.Shards) {
+			t.Errorf("fleet state reports %d shards of %d", fs.Shards, len(st.Shards))
 		}
-		if st.Ingest != nil {
-			stats.Restore(*st.Ingest)
-		}
-		for _, b := range next {
-			gate.Handle(b)
-		}
-		fs, is := figures.State(), stats.Snapshot()
-		cut := CheckpointState{ArchivedBatches: st.ArchivedBatches, Gate: gate.State(), Figures: &fs, Ingest: &is}
 		out := filepath.Join(dir, "out.json")
-		if err := SaveCheckpoint(out, cut); err != nil {
-			var unsupported *json.UnsupportedValueError
-			if errors.As(err, &unsupported) {
-				return // an accumulator overflowed to ±Inf: reported, not written
-			}
-			t.Fatalf("SaveCheckpoint: %v", err)
+		if err := SaveFleetCheckpoint(out, st); err != nil {
+			t.Fatalf("SaveFleetCheckpoint: %v", err)
 		}
-		back, ok, err := LoadCheckpoint(out)
+		back, ok, err := LoadFleetCheckpoint(out)
 		if err != nil || !ok {
-			t.Fatalf("re-loading a checkpoint this tree wrote: ok=%v err=%v", ok, err)
+			t.Fatalf("re-loading a fleet checkpoint this tree wrote: ok=%v err=%v", ok, err)
 		}
-		if !reflect.DeepEqual(back, cut) {
-			bj, _ := json.Marshal(back)
-			cj, _ := json.Marshal(cut)
-			t.Errorf("checkpoint does not round-trip:\nwrote %s\n read %s", cj, bj)
+		// As bytes: `"gate":[]` loads as an empty slice and, being
+		// omitempty, comes back nil.
+		wrote, _ := json.Marshal(st)
+		read, _ := json.Marshal(back)
+		if !bytes.Equal(wrote, read) {
+			t.Errorf("fleet checkpoint does not round-trip:\nwrote %s\n read %s", wrote, read)
 		}
 	})
 }

@@ -2,11 +2,14 @@ package collector
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"mburst/internal/asic"
+	"mburst/internal/obs"
 	"mburst/internal/simclock"
 	"mburst/internal/wire"
 )
@@ -298,5 +301,58 @@ func TestCheckpointStateMatchesDisk(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("CheckpointState() differs from the checkpoint on disk:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestRecoveryMetricsMeasureCheckpointAndResume: with RecoveryMetrics
+// attached, every save reports its size and its cut-to-rename duration,
+// and a Resume reports the size it loaded, the load's duration and its
+// own — all read off the metrics' injected clock, here one that advances
+// a millisecond per reading.
+func TestRecoveryMetricsMeasureCheckpointAndResume(t *testing.T) {
+	var clock time.Time
+	tick := func() time.Time { clock = clock.Add(time.Millisecond); return clock }
+	newMetered := func(arch ArchiveSink, path string) (*Shard, *RecoveryMetrics) {
+		rm := NewRecoveryMetrics(obs.NewRegistry())
+		rm.Now = tick
+		d, err := NewShard(ShardConfig{Archive: arch, CheckpointPath: path, Every: 4,
+			Figures: newCkptFigures(t), Stats: &IngestStats{}, RecoveryMetrics: rm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, rm
+	}
+	arch := &memArchive{}
+	path := filepath.Join(t.TempDir(), CheckpointFileName)
+	d1, rm1 := newMetered(arch, path)
+	for i := 0; i < 10; i++ {
+		d1.Handle(ckptBatch(1, 1, i))
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rm1.CheckpointBytes.Value(); got != float64(fi.Size()) {
+		t.Errorf("checkpoint_bytes = %v, the file is %d", got, fi.Size())
+	}
+	// Two saves, each bracketed by two clock readings a millisecond apart.
+	if n, sum := rm1.CheckpointSeconds.Count(), rm1.CheckpointSeconds.Sum(); n != 2 || sum != 0.002 {
+		t.Errorf("checkpoint_seconds saw %d saves totalling %vs, want 2 and 0.002", n, sum)
+	}
+	if rm1.ResumeSeconds.Value() != 0 {
+		t.Error("resume_seconds set on a shard that never resumed")
+	}
+
+	d2, rm2 := newMetered(arch, path)
+	rep, err := d2.Resume(arch.iter)
+	if err != nil || rep.Replayed != 2 {
+		t.Fatalf("Resume = %+v, %v; want 2 replayed", rep, err)
+	}
+	if got := rm2.CheckpointBytes.Value(); got != float64(fi.Size()) {
+		t.Errorf("checkpoint_bytes after resume = %v, the loaded file is %d", got, fi.Size())
+	}
+	// Readings: Resume's start, after the load, at return.
+	if load, all := rm2.CheckpointLoadSeconds.Value(), rm2.ResumeSeconds.Value(); load != 0.001 || all != 0.002 {
+		t.Errorf("checkpoint_load_seconds = %v, resume_seconds = %v; want 0.001 and 0.002", load, all)
 	}
 }

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"io"
+	"time"
 
 	"mburst/internal/obs"
 )
@@ -158,7 +159,38 @@ type RecoveryMetrics struct {
 	// IngestFailures counts batches dropped because the archive stopped
 	// accepting writes.
 	IngestFailures *obs.Counter
+	// CheckpointBytes is the size of the newest checkpoint: the last one
+	// saved, or after a Resume the one it loaded.
+	CheckpointBytes *obs.Gauge
+	// CheckpointSeconds is the wall-clock of each save — state cut, encode
+	// and atomic write, the archive sync before it excluded.
+	CheckpointSeconds *obs.Histogram
+	// CheckpointLoadSeconds is how long Resume took to read, decode and
+	// validate the checkpoint, and ResumeSeconds the whole Resume: that
+	// load, the restore and the archive-tail replay.
+	CheckpointLoadSeconds *obs.Gauge
+	ResumeSeconds         *obs.Gauge
+	// Now is the wall clock behind the three durations. When nil (a shard
+	// without RecoveryMetrics) nothing is timed.
+	Now func() time.Time
 }
+
+// now reads the clock, or returns the zero time when there is none.
+func (m *RecoveryMetrics) now() time.Time {
+	if m.Now == nil {
+		return time.Time{}
+	}
+	return m.Now()
+}
+
+// since is the seconds elapsed from a now() reading.
+func (m *RecoveryMetrics) since(start time.Time) float64 {
+	return m.now().Sub(start).Seconds()
+}
+
+// checkpointSecondsBuckets spans an MBC1 save (a millisecond or two of
+// encode plus the fsync) up to a disk that has stalled.
+var checkpointSecondsBuckets = []float64{0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1, 2.5}
 
 // NewRecoveryMetrics registers the durability instrument set on reg.
 func NewRecoveryMetrics(reg *obs.Registry, labels ...obs.Label) *RecoveryMetrics {
@@ -173,6 +205,16 @@ func NewRecoveryMetrics(reg *obs.Registry, labels ...obs.Label) *RecoveryMetrics
 			"Archived batches replayed into restored accumulators at resume.", labels...),
 		IngestFailures: reg.Counter("mburst_collector_ingest_failures_total",
 			"Batches dropped because the archive stopped accepting writes.", labels...),
+		CheckpointBytes: reg.Gauge("mburst_collector_checkpoint_bytes",
+			"Size of the newest checkpoint file (last saved, or loaded at resume).", labels...),
+		CheckpointSeconds: reg.Histogram("mburst_collector_checkpoint_seconds",
+			"Wall-clock of one checkpoint save: state cut, encode, atomic write.",
+			checkpointSecondsBuckets, labels...),
+		CheckpointLoadSeconds: reg.Gauge("mburst_collector_checkpoint_load_seconds",
+			"Wall-clock Resume spent reading, decoding and validating the checkpoint.", labels...),
+		ResumeSeconds: reg.Gauge("mburst_collector_resume_seconds",
+			"Wall-clock of Resume: checkpoint load, restore and archive-tail replay.", labels...),
+		Now: time.Now,
 	}
 }
 

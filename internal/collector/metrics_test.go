@@ -190,21 +190,39 @@ func TestReconnectingClientBackoffMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	cm := NewClientMetrics(reg)
 	fail := errFailDial{}
+	// Every backoff sleep hands its duration to the test and waits for it
+	// to be taken (or for the release at shutdown), so the test observes
+	// the flusher's state between dials instead of guessing at it with a
+	// wall clock.
+	backoffs := make(chan time.Duration)
+	release := make(chan struct{})
 	c := NewReconnectingClient(fail.dial, ReconnectingClientConfig{
+		MaxBatch:     1, // one sample is a full batch: the Emit below wakes the flusher
 		RetryBackoff: 10 * time.Millisecond,
 		MaxBackoff:   40 * time.Millisecond,
 		Metrics:      cm,
-		Sleep:        func(time.Duration) { time.Sleep(time.Millisecond) },
+		Sleep: func(d time.Duration) {
+			select {
+			case backoffs <- d:
+			case <-release:
+			}
+		},
 	})
 	c.Emit(wire.Sample{})
-	// Wait until the flusher has failed a few dials.
-	deadline := time.Now().Add(2 * time.Second)
-	for fail.count.Load() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	for i, want := range []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond, 40 * time.Millisecond} {
+		if got := <-backoffs; got != want {
+			t.Errorf("backoff %d slept %v, want %v", i, got, want)
+		}
+		// The flusher sets the gauge before it sleeps and is asleep (or
+		// re-dialing) until the next receive.
+		if fail.count.Load() < int64(i+1) {
+			t.Errorf("backoff %d after %d failed dials", i, fail.count.Load())
+		}
 	}
 	if cm.Backoff.Value() == 0 {
 		t.Error("backoff gauge not set while the collector is unreachable")
 	}
+	close(release)
 	c.Close()
 	if cm.Dropped.Value() != 1 {
 		t.Errorf("dropped = %d, want 1 (shutdown with unreachable collector)", cm.Dropped.Value())

@@ -104,6 +104,13 @@ func TestReconnectingClientSurvivesRestart(t *testing.T) {
 	srv2 := ServeConfigured(ln2, sink.Handle, ServerConfig{})
 	defer srv2.Close()
 
+	// Close flushes the trailing partial batch (an idle flusher is only
+	// woken by a full one) and returns once the flusher has drained into
+	// the restarted collector.
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	// A batch written into the dying socket before the RST arrives is
 	// lost in TCP limbo (neither delivered nor locally dropped) — that is
 	// inherent to the transport. Recovery is proven by the *last* emitted
@@ -224,7 +231,7 @@ func TestReconnectingClientBackoffFullJitter(t *testing.T) {
 		done := make(chan struct{})
 		cfg := ReconnectingClientConfig{
 			Rack:         1,
-			MaxBatch:     8,
+			MaxBatch:     1, // one sample is a full batch: the Emit below wakes the flusher
 			RetryBackoff: time.Millisecond,
 			MaxBackoff:   8 * time.Millisecond,
 			Rand:         rng.New(seed).Split("backoff"),

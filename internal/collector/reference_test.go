@@ -1,7 +1,9 @@
 package collector
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"sort"
 )
 
@@ -12,6 +14,17 @@ import (
 // everything, snapshot everything, sort everything — and they consult
 // none of the bookkeeping (order, dirty marks, cached cuts) the fast
 // paths rely on.
+
+// refSaveCheckpointJSON writes st the way SaveCheckpoint did before MBC1
+// (one line of compact JSON). Shipping code only reads this form; the
+// writer lives on here to manufacture legacy inputs.
+func refSaveCheckpointJSON(path string, st CheckpointState) error {
+	data, err := json.Marshal(st)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
 
 // refFiguresState is the full re-snapshot: every series of f.series,
 // sorted by rack, port, dir, kind, each accumulator snapshotted anew.

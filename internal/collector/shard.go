@@ -79,21 +79,33 @@ type Shard struct {
 	err       error // sticky fatal: the archive can no longer accept writes
 	every     int
 	sinceCkpt int
+	ckptBuf   []byte // checkpoint encode buffer, reused across saves
+}
+
+// Validate reports what NewShard would reject, building nothing: a caller
+// about to create the archive the shard will write to checks the rest of
+// the configuration first, so a mistyped shard ID leaves no directory
+// behind.
+func (cfg ShardConfig) Validate() error {
+	if cfg.Stats == nil {
+		return errors.New("collector: Shard needs an IngestStats")
+	}
+	if cfg.Placement != nil {
+		if err := cfg.Placement.Validate(); err != nil {
+			return err
+		}
+		if cfg.ID < 0 || cfg.ID >= cfg.Placement.NumShards() {
+			return fmt.Errorf("collector: shard id %d outside placement of %d shards",
+				cfg.ID, cfg.Placement.NumShards())
+		}
+	}
+	return nil
 }
 
 // NewShard validates cfg and builds the pipeline.
 func NewShard(cfg ShardConfig) (*Shard, error) {
-	if cfg.Stats == nil {
-		return nil, errors.New("collector: Shard needs an IngestStats")
-	}
-	if cfg.Placement != nil {
-		if err := cfg.Placement.Validate(); err != nil {
-			return nil, err
-		}
-		if cfg.ID < 0 || cfg.ID >= cfg.Placement.NumShards() {
-			return nil, fmt.Errorf("collector: shard id %d outside placement of %d shards",
-				cfg.ID, cfg.Placement.NumShards())
-		}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	s := &Shard{
 		cfg:    cfg,

@@ -164,9 +164,14 @@ func TestReconnectingClientSpoolReplayOrderAcrossRedial(t *testing.T) {
 	for i := outage; i < total; i++ {
 		c.Emit(mkSample(i))
 	}
-	waitFor(t, "full delivery", func() bool { return c.DeliveredSamples() == total })
+	// Close is what flushes a trailing partial batch: an idle flusher is
+	// only woken by a full one, so waiting for the last samples without
+	// it waits on how the emits happened to interleave with the replay.
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got := c.DeliveredSamples(); got != total {
+		t.Fatalf("delivered %d samples, want %d", got, total)
 	}
 	var got []wire.Sample
 	for ci, sc := range dialer.conns {
@@ -274,13 +279,19 @@ func TestReconnectingClientCloseDeadlineDrainsSpool(t *testing.T) {
 		once.Do(func() { close(backingOff) })
 		<-parked
 	}
+	// The first dial fails only once everything is buffered. The flusher
+	// may start dialing with one sample pending or with fifty; held here,
+	// its seal always finds the five full batches.
+	emitted := make(chan struct{})
 	c := NewReconnectingClient(func() (io.WriteCloser, error) {
+		<-emitted
 		return nil, errors.New("connection refused")
 	}, cfg)
 	const n = 50
 	for i := 0; i < n; i++ {
 		c.Emit(mkSample(i))
 	}
+	close(emitted)
 	// The first dial failure seals full batches into the spool, then the
 	// flusher parks in backoff — the deadline path must reap both spool
 	// and pending.

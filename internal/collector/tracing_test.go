@@ -252,7 +252,11 @@ func TestReconnectBackoffChildSpans(t *testing.T) {
 
 	var mu sync.Mutex
 	failures := 2
+	// Dials wait until the whole batch is buffered, so the first failure
+	// seals all eight samples as the one batch the waits attach to.
+	emitted := make(chan struct{})
 	dial := func() (io.WriteCloser, error) {
+		<-emitted
 		mu.Lock()
 		defer mu.Unlock()
 		if failures > 0 {
@@ -271,6 +275,7 @@ func TestReconnectBackoffChildSpans(t *testing.T) {
 	for _, s := range testBatch(9, simclock.Epoch.Add(simclock.Millisecond), 8).Samples {
 		c.Emit(s)
 	}
+	close(emitted)
 	deadline := time.Now().Add(10 * time.Second)
 	for len(sink.Samples()) < 8 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

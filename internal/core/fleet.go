@@ -396,7 +396,7 @@ func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResul
 		fs := &fleetShard{id: k, pl: &pl, figures: figCfg, every: cfg.CheckpointEvery}
 		if cfg.Dir != "" {
 			fs.dir = filepath.Join(cfg.Dir, pl.Name(k))
-			fs.ckpt = filepath.Join(fs.dir, "checkpoint.json")
+			fs.ckpt = filepath.Join(fs.dir, collector.CheckpointFileName)
 			fs.chaos = fault.NewWriteChaos(nil)
 			fs.acfg = trace.ArchiveConfig{Format: e.cfg.WireFormat, WrapWrites: fs.chaos.Wrap}
 			arch, err := trace.CreateArchive(fs.dir, fs.acfg)

@@ -35,6 +35,12 @@ fi
 # reproduction.
 go test -race -shuffle=on ./...
 
+# Reconnect-test stress: these tests synchronise with the client's
+# flusher goroutine through its injected Sleep and dial hooks, and used to
+# fail about one loaded run in 40 when they polled a wall clock instead.
+# Fifty repetitions at one and two CPUs keep that from creeping back.
+go test -race -count=50 -cpu 1,2 -run 'TestReconnectingClient' ./internal/collector
+
 # Track serial-vs-parallel campaign wall-clock across PRs. The artifact
 # records the host CPU count; speedup is only meaningful on multi-core
 # runners.
