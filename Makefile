@@ -43,8 +43,9 @@ bench-pair:
 smoke:
 	./scripts/smoke.sh
 
-# fuzz exercises the parsers that face untrusted bytes: the wire decoder,
-# the archive recovery scan (which must truncate any torn tail without
+# fuzz exercises the parsers that face untrusted bytes: the wire decoder
+# — whole streams, and the MBW3 delta chain from the middle of one — the
+# archive recovery scan (which must truncate any torn tail without
 # panicking), the shard checkpoint loader — MBC1 and legacy JSON; whatever
 # loads must restore, take traffic and round-trip, and MBC1 must decode
 # within an allocation bound — and the fleet checkpoint loader. FUZZTIME
@@ -54,6 +55,7 @@ smoke:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadBatch -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzMBW3Chain -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzTraceRecover -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/collector
 	$(GO) test -run='^$$' -fuzz=FuzzLoadFleetCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/collector

@@ -238,30 +238,7 @@ func TestWriteBatchRejectsOversizedLegacy(t *testing.T) {
 }
 
 func TestWriteBatchRejectsOversizedMBW3(t *testing.T) {
-	// Pseudo-random size-bin values are incompressible: ~7 ten-byte
-	// varints per sample keeps the batch small enough to build quickly
-	// while overflowing the payload cap.
-	b := &Batch{Rack: 1}
-	x := uint64(0x9e3779b97f4a7c15)
-	next := func() uint64 {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		return x | 1<<63
-	}
-	n := MaxBatchPayload/60 + 1
-	for i := 0; i < n; i++ {
-		s := Sample{
-			Time:  simclock.Time(i),
-			Port:  1,
-			Kind:  asic.KindSizeBins,
-			Value: next(),
-		}
-		for k := range s.Bins {
-			s.Bins[k] = next()
-		}
-		b.Samples = append(b.Samples, s)
-	}
+	b := oversizedBatch()
 	var buf bytes.Buffer
 	w, err := NewWriterFormat(&buf, FormatMBW3)
 	if err != nil {

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"reflect"
 	"testing"
 
@@ -135,5 +137,101 @@ func FuzzReadBatch(f *testing.F) {
 				t.Fatalf("mbw3 round trip diverged:\n in: %+v\nout: %+v", b, b3)
 			}
 		}
+	})
+}
+
+// framePayloads splits a stream of frames into their payloads, trusting
+// the framing (it is only fed streams this package just wrote).
+func framePayloads(tb testing.TB, stream []byte) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for len(stream) > 0 {
+		n, sz := binary.Uvarint(stream[4:])
+		if sz <= 0 || len(stream) < 4+sz+int(n)+4 {
+			tb.Fatalf("malformed test stream at frame %d", len(out))
+		}
+		out = append(out, stream[4+sz:4+sz+int(n)])
+		stream = stream[4+sz+int(n)+4:]
+	}
+	return out
+}
+
+// FuzzMBW3Chain fuzzes the cross-batch delta chain, which FuzzReadBatch
+// cannot reach: there a mutated frame dies at its CRC, so the decoder only
+// ever sees mutations of a stream's first payload state. Here the stream
+// is the parent-written fixture, decoded up to frame k-1; the fuzzer's
+// bytes stand in for payload k-1, and the valid payload k follows on the
+// same codec. Whatever the bytes, nothing panics; a rejected payload
+// leaves the stream state exactly as it was, so the untouched k-1 and k
+// still decode to the originals; and an accepted one is a batch like any
+// other — it re-encodes to a frame that decodes back to it.
+func FuzzMBW3Chain(f *testing.F) {
+	stream, err := os.ReadFile("testdata/mbw3_chain_parent.bin")
+	if err != nil {
+		f.Fatal(err)
+	}
+	payloads := framePayloads(f, stream)
+	originals := fixtureChain()
+	if len(payloads) != len(originals) {
+		f.Fatalf("fixture holds %d frames, its generator %d batches", len(payloads), len(originals))
+	}
+	for k := 1; k < len(payloads); k++ {
+		p := payloads[k-1]
+		f.Add(uint8(k), p)
+		f.Add(uint8(k), p[:len(p)/2])
+		flipped := append([]byte(nil), p...)
+		flipped[len(flipped)*2/3] ^= 0x10
+		f.Add(uint8(k), flipped)
+		f.Add(uint8(k), payloads[k]) // a frame that skips one
+	}
+
+	f.Fuzz(func(t *testing.T, k uint8, mutated []byte) {
+		// Run tokens decouple a payload's size from its sample count; keep
+		// the counts the fuzzer can claim small enough to decode cheaply.
+		r := payloadReader{buf: mutated}
+		r.uvarint()
+		r.uvarint()
+		if count := r.uvarint(); r.err == nil && count > 1<<14 {
+			t.Skip()
+		}
+		at := 1 + int(k)%(len(payloads)-1)
+		dec := newMBW3Codec()
+		var got Batch
+		for i := 0; i < at-1; i++ {
+			if err := dec.DecodePayload(Magic3, payloads[i], &got); err != nil {
+				t.Fatalf("fixture frame %d: %v", i, err)
+			}
+		}
+		if err := dec.DecodePayload(Magic3, mutated, &got); err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejected with %v, want ErrCorrupt", err)
+			}
+			for i := at - 1; i <= at; i++ {
+				if err := dec.DecodePayload(Magic3, payloads[i], &got); err != nil {
+					t.Fatalf("frame %d after a rejected payload: %v", i, err)
+				}
+				if !sameBatch(originals[i], &got) {
+					t.Fatalf("frame %d decodes differently after a rejected payload", i)
+				}
+			}
+			return
+		}
+		frame, err := newMBW3Codec().AppendBatch(nil, &got)
+		if err != nil {
+			if errors.Is(err, ErrBatchTooLarge) { // absolutes can outgrow what deltas fitted
+				return
+			}
+			t.Fatalf("re-encoding an accepted batch: %v", err)
+		}
+		back, err := NewReader(bytes.NewReader(frame)).ReadBatch()
+		if err != nil {
+			t.Fatalf("re-encoded batch failed to decode: %v", err)
+		}
+		if !sameBatch(&got, back) {
+			t.Fatalf("re-encoded batch diverged:\n in: %+v\nout: %+v", &got, back)
+		}
+		// The chain now continues from whatever was accepted; the next
+		// valid frame may or may not fit it, but must not panic.
+		_ = dec.DecodePayload(Magic3, payloads[at], &got)
 	})
 }

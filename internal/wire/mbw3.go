@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"mburst/internal/asic"
 	"mburst/internal/simclock"
@@ -27,18 +28,135 @@ func unzig(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // is deterministic.
 const rleMinRun = 3
 
-// rleAppend encodes vals as run-length tokens: each token is a uvarint t
-// with count t>>1 (>= 1); t&1 == 1 is a run (one uvarint value follows,
-// repeated count times), t&1 == 0 a literal (count uvarint values follow).
-func rleAppend(dst []byte, vals []uint64) []byte {
+// putUvarint writes v as a uvarint at p[i:] and returns the index after it.
+// Callers size p beforehand; most column values take the one-byte exit.
+func putUvarint(p []byte, i int, v uint64) int {
+	for v >= 0x80 {
+		p[i] = byte(v) | 0x80
+		v >>= 7
+		i++
+	}
+	p[i] = byte(v)
+	return i + 1
+}
+
+// colSizer accumulates, run by run, the exact sizes a column would have in
+// its two encodings, without encoding it. ne is the nibble encoding: half
+// a byte per value, plus a varint in the overflow tail for each value >=
+// 15. rle is the run-length encoding, a stream of uvarint tokens t with
+// count t>>1 (>= 1): t&1 == 1 is a run (one uvarint value follows,
+// repeated count times), t&1 == 0 a literal (count uvarint values
+// follow). Runs of rleMinRun or more equal values become run tokens;
+// everything between two such runs is one literal token, whose pending
+// length is lit.
+type colSizer struct{ ne, rle, lit int }
+
+// run accounts for a maximal run of r values v.
+func (z *colSizer) run(v uint64, r int) {
+	l := 1
+	if v >= 15 {
+		if v >= 0x80 {
+			l = uvarintLen(v)
+		}
+		z.ne += r * l
+	}
+	if r < rleMinRun {
+		z.lit += r
+		z.rle += r * l
+		return
+	}
+	z.closeLiteral()
+	z.rle += uvarintLen(uint64(r)<<1|1) + l
+}
+
+func (z *colSizer) closeLiteral() {
+	if z.lit > 0 {
+		z.rle += uvarintLen(uint64(z.lit) << 1)
+		z.lit = 0
+	}
+}
+
+// colSizes measures vals for both encodings. Columns of 64 values or more
+// are walked run by run. Shorter ones — a series' share of a batch is a
+// few dozen values, and there are hundreds of such columns in one — are
+// measured without a data-dependent branch per value: one pass folds the
+// column into bit masks (bit i describes vals[i]) and the sizes are
+// population counts, every token header being one byte at that length.
+func colSizes(vals []uint64) (ne, rle int) {
+	n := len(vals)
+	if n >= 64 {
+		z := colSizer{ne: (n + 1) / 2}
+		for i := 0; i < n; {
+			v := vals[i]
+			j := i + 1
+			for j < n && vals[j] == v {
+				j++
+			}
+			z.run(v, j-i)
+			i = j
+		}
+		z.closeLiteral()
+		return z.ne, z.rle
+	}
+	// eq: equals its successor; esc: escapes its nibble (>= 15).
+	next := vals[n-1]
+	var eq uint64
+	esc, union := b2u(next >= 15), next
+	for i := n - 2; i >= 0; i-- {
+		v := vals[i]
+		eq = eq<<1 | b2u(v == next)
+		esc = esc<<1 | b2u(v >= 15)
+		union |= v
+		next = v
+	}
+	// A value is in a run of rleMinRun (3) or more iff it heads, centres or
+	// ends three equal values; such a run is announced by the member whose
+	// predecessor differs. Every other value is a literal, and a literal
+	// token starts wherever a literal's predecessor is not one.
+	three := eq & (eq >> 1)
+	inRun := three | three<<1 | three<<2
+	runStart := inRun &^ (eq << 1)
+	lit := (1<<n - 1) &^ inRun
+	litStart := lit &^ (lit << 1)
+	ne = (n+1)/2 + bits.OnesCount64(esc)
+	rle = 2*bits.OnesCount64(runStart) + bits.OnesCount64(litStart) + bits.OnesCount64(lit)
+	if union < 0x80 {
+		return ne, rle
+	}
+	// Some varint takes more than the one byte counted so far.
+	for encoded := runStart | lit; esc != 0; esc &= esc - 1 {
+		i := bits.TrailingZeros64(esc)
+		extra := uvarintLen(vals[i]) - 1
+		ne += extra
+		if encoded>>i&1 == 1 {
+			rle += extra
+		}
+	}
+	return ne, rle
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// appendRLE emits vals as a mode 0 column: the mode byte, then the token
+// stream colSizes measured. size is its rle result, so the destination is
+// grown once and written in place.
+func appendRLE(dst []byte, vals []uint64, size int) []byte {
+	at := len(dst) + 1
+	dst = growBytes(dst, 1+size)
+	dst[at-1] = 0
 	for i := 0; i < len(vals); {
 		j := i + 1
 		for j < len(vals) && vals[j] == vals[i] {
 			j++
 		}
 		if j-i >= rleMinRun {
-			dst = binary.AppendUvarint(dst, uint64(j-i)<<1|1)
-			dst = binary.AppendUvarint(dst, vals[i])
+			at = putUvarint(dst, at, uint64(j-i)<<1|1)
+			at = putUvarint(dst, at, vals[i])
 			i = j
 			continue
 		}
@@ -55,9 +173,9 @@ func rleAppend(dst []byte, vals []uint64) []byte {
 			}
 			i = j
 		}
-		dst = binary.AppendUvarint(dst, uint64(i-start)<<1)
+		at = putUvarint(dst, at, uint64(i-start)<<1)
 		for ; start < i; start++ {
-			dst = binary.AppendUvarint(dst, vals[start])
+			at = putUvarint(dst, at, vals[start])
 		}
 	}
 	return dst
@@ -90,7 +208,7 @@ func rleRead(r *payloadReader, dst []uint64, want int) []uint64 {
 	return dst
 }
 
-// colAppend emits one value column: a mode byte, then the cheaper of two
+// appendCol emits one value column: a mode byte, then the cheaper of two
 // encodings. Mode 0 is the varint RLE stream; mode 1 packs each value
 // into a nibble (low nibble first), with values >= 15 escaping as nibble
 // 15 plus a varint in an overflow tail after the packed block. Counter
@@ -98,43 +216,115 @@ func rleRead(r *payloadReader, dst []uint64, want int) []uint64 {
 // zero — too scattered for runs, but almost always under 4 bits — so
 // mode 1 halves them; index and missed columns collapse into runs and
 // keep mode 0.
-func (c *mbw3Codec) colAppend(dst []byte, vals []uint64) []byte {
-	c.colbuf = rleAppend(c.colbuf[:0], vals)
-	ne := (len(vals) + 1) / 2
-	for _, v := range vals {
-		if v >= 15 {
-			ne += uvarintLen(v)
+//
+// The choice is made from colSizes' sizes and only the winner is encoded.
+// Mode 1 wins iff it is strictly smaller; a tie goes to mode 0 — the rule
+// the format's first encoder fixed, kept so bytes never change.
+func appendCol(dst []byte, vals []uint64) []byte {
+	ne, rle := colSizes(vals)
+	if ne >= rle {
+		return appendRLE(dst, vals, rle)
+	}
+	return appendNibbles(dst, vals, ne)
+}
+
+// appendNibbles emits vals as a mode 1 column: the mode byte, then the
+// block colSizes measured at ne bytes — the packed nibbles and, filled
+// along with them, the overflow tail.
+func appendNibbles(dst []byte, vals []uint64, ne int) []byte {
+	packed := len(dst) + 1
+	dst = growBytes(dst, 1+ne)
+	dst[packed-1] = 1
+	tail := packed + (len(vals)+1)/2
+	for i := 0; i < len(vals); i += 2 {
+		lo := vals[i]
+		if lo >= 15 {
+			tail = putUvarint(dst, tail, lo)
+			lo = 15
 		}
-	}
-	if ne >= len(c.colbuf) {
-		dst = append(dst, 0)
-		return append(dst, c.colbuf...)
-	}
-	dst = append(dst, 1)
-	var cur byte
-	for i, v := range vals {
-		nib := byte(v)
-		if v >= 15 {
-			nib = 15
+		var hi uint64
+		if i+1 < len(vals) {
+			if hi = vals[i+1]; hi >= 15 {
+				tail = putUvarint(dst, tail, hi)
+				hi = 15
+			}
 		}
-		if i&1 == 0 {
-			cur = nib
-		} else {
-			dst = append(dst, cur|nib<<4)
+		dst[packed+i>>1] = byte(lo | hi<<4)
+	}
+	return dst
+}
+
+// colRun is a maximal run of n equal values v.
+type colRun struct {
+	v uint64
+	n int
+}
+
+// runCol builds one of the three per-sample columns (series slot, time
+// index, missed) as runs: they hold one value for whole polls, so the
+// encoder tracks the open run while it walks the samples, and sizes and
+// emits the column run by run, never value by value.
+type runCol struct {
+	runs []colRun
+	at   int // first sample of the open run
+}
+
+func (r *runCol) reset() { r.runs, r.at = r.runs[:0], 0 }
+
+// close ends the open run, of value v, before sample j, which opens the
+// next. It is off the per-sample path: the caller compares, and calls
+// only when the value turns.
+//
+//go:noinline
+func (r *runCol) close(v uint64, j int) {
+	r.runs = append(r.runs, colRun{v: v, n: j - r.at})
+	r.at = j
+}
+
+// appendRunCol is appendCol for a column of n values held as runs: same
+// sizes, same choice, same bytes. scratch expands the runs on the rare
+// occasion that mode 1 wins.
+func appendRunCol(dst []byte, runs []colRun, n int, scratch *[]uint64) []byte {
+	z := colSizer{ne: (n + 1) / 2}
+	for _, r := range runs {
+		z.run(r.v, r.n)
+	}
+	z.closeLiteral()
+	if z.ne < z.rle {
+		vals := (*scratch)[:0]
+		for _, r := range runs {
+			for k := 0; k < r.n; k++ {
+				vals = append(vals, r.v)
+			}
 		}
+		*scratch = vals
+		return appendNibbles(dst, vals, z.ne)
 	}
-	if len(vals)&1 == 1 {
-		dst = append(dst, cur)
-	}
-	for _, v := range vals {
-		if v >= 15 {
-			dst = binary.AppendUvarint(dst, v)
+	at := len(dst) + 1
+	dst = growBytes(dst, 1+z.rle)
+	dst[at-1] = 0
+	for i := 0; i < len(runs); {
+		if runs[i].n >= rleMinRun {
+			at = putUvarint(dst, at, uint64(runs[i].n)<<1|1)
+			at = putUvarint(dst, at, runs[i].v)
+			i++
+			continue
+		}
+		start, lit := i, 0
+		for ; i < len(runs) && runs[i].n < rleMinRun; i++ {
+			lit += runs[i].n
+		}
+		at = putUvarint(dst, at, uint64(lit)<<1)
+		for ; start < i; start++ {
+			for k := 0; k < runs[start].n; k++ {
+				at = putUvarint(dst, at, runs[start].v)
+			}
 		}
 	}
 	return dst
 }
 
-// colRead decodes one colAppend column of exactly want values.
+// colRead decodes one appendCol column of exactly want values.
 func colRead(r *payloadReader, dst []uint64, want int) []uint64 {
 	mode := r.byte()
 	if r.err != nil {
@@ -187,20 +377,45 @@ type seriesKey struct {
 	dk   byte
 }
 
-// mbw3Series is the per-series stream state deltas chain against: the
-// last absolute value plus the last first-order delta, since value and
-// bin columns are delta-of-delta chains (counters polled at a fixed
-// interval move by near-constant increments, so second differences
-// cluster at zero and collapse into runs).
+// mbw3Series is one series of the stream. Its stream state is what deltas
+// chain against: the last absolute value plus the last first-order delta,
+// since value and bin columns are delta-of-delta chains (counters polled
+// at a fixed interval move by near-constant increments, so second
+// differences cluster at zero and collapse into runs).
 type mbw3Series struct {
+	// key is the idx key that maps to this entry. next is the encoder's
+	// successor hint: the entry of the series that followed this one the
+	// last time it was encoded.
+	key  seriesKey
+	next int32
+
+	// The series' columns in the batch being encoded, valid iff stamp is
+	// the codec's: its table slot, the count values filled of the cap
+	// reserved at off in vals (and, for size bins, in each of NumSizeBins
+	// columns cap apart from binoff in binvals; -1 without), and the chain
+	// state those values run against — pending here until commit. The
+	// encoder reads and writes these for every sample, so they sit with
+	// key and next at the head of the struct.
+	stamp    int
+	slot     int32
+	count    int32
+	cap      int32
+	off      int
+	binoff   int
+	run      uint64
+	runD     int64
+	runBins  [asic.NumSizeBins]uint64
+	runBinsD [asic.NumSizeBins]int64
+
+	// Stream state.
 	value  uint64
 	valueD int64
 	bins   [asic.NumSizeBins]uint64
 	binsD  [asic.NumSizeBins]int64
-	// slot/stamp resolve this series to its table slot within the batch
-	// currently being encoded (valid iff stamp matches the codec's).
-	slot  int
-	stamp int
+
+	// capHint is the cap to reserve next time: one more than the series'
+	// count in the last batch written (polls straddle batch boundaries).
+	capHint int32
 }
 
 // mbw3Codec implements the columnar delta format.
@@ -230,7 +445,9 @@ type mbw3Series struct {
 // the first after an epoch change) carries absolutes as deltas from zero,
 // and every later batch only the movement since the previous one.
 type mbw3Codec struct {
-	// Stream state.
+	// Stream state. idx maps a series key to its states entry, and
+	// states[i].key is that key — the invariant the encoder's successor
+	// hints are checked against.
 	epochKnown bool
 	epoch      uint32
 	lastTime   int64
@@ -238,13 +455,18 @@ type mbw3Codec struct {
 	idx        map[seriesKey]int
 	states     []mbw3Series
 
+	// Encoder: tail is the states entry of the last sample written, whose
+	// successor hint predicts the next batch's first; stamp numbers the
+	// batch being encoded.
+	tail  int
 	stamp int
 
 	// Per-batch scratch, reused so steady-state encode and decode do not
-	// allocate.
+	// allocate. The encoder uses vals and binvals as arenas: each series'
+	// columns are a region reserved when the batch first meets the series,
+	// valsTop and binTop marking what is taken.
 	payload  []byte
 	tkeys    []seriesKey
-	tstate   []int
 	counts   []int
 	offs     []int
 	cursor   []int
@@ -252,20 +474,27 @@ type mbw3Codec struct {
 	tidx     []int
 	times    []int64
 	col      []uint64
-	colbuf   []byte
 	vals     []uint64
 	binvals  []uint64
 	binoffs  []int
-	run      []uint64
 	runD     []int64
-	runBins  []uint64
 	runBinsD []int64
 	missed   []uint64
 
-	// Pending time-chain state, applied by commit.
+	// Encoder-only scratch: the batch's series table as states entries in
+	// slot order, and the per-sample columns as runs.
+	slots     []int32
+	sidCol    runCol
+	tidxCol   runCol
+	missedCol runCol
+	valsTop   int
+	binTop    int
+
+	// Pending time-chain state and tail, applied by commit.
 	pendFresh     bool
 	pendLastTime  int64
 	pendLastDelta int64
+	pendTail      int
 }
 
 func newMBW3Codec() *mbw3Codec {
@@ -281,6 +510,15 @@ func (c *mbw3Codec) Reset() {
 	c.lastDelta = 0
 	clear(c.idx)
 	c.states = c.states[:0]
+}
+
+// addSeries enters k into the stream state with zero chain state, which
+// is indistinguishable from absent.
+func (c *mbw3Codec) addSeries(k seriesKey) int {
+	si := len(c.states)
+	c.states = append(c.states, mbw3Series{key: k})
+	c.idx[k] = si
+	return si
 }
 
 func sampleDK(s *Sample) byte { return byte(s.Dir) | byte(s.Kind)<<1 }
@@ -308,6 +546,100 @@ func growI64(s []int64, n int) []int64 {
 	return s[:n]
 }
 
+// growBytes extends s by n bytes of unspecified content, reallocating to
+// at least double only when capacity runs out.
+func growBytes(s []byte, n int) []byte {
+	if cap(s)-len(s) < n {
+		grown := make([]byte, len(s), max(2*cap(s), len(s)+n))
+		copy(grown, s)
+		s = grown
+	}
+	return s[:len(s)+n]
+}
+
+// reserve takes k values off the top of a column arena and returns where
+// they start. An arena that runs out is reallocated — keeping what is
+// taken — to at least double, and to no less than first: callers pass
+// what a whole batch of the current size is likely to need, so a fresh
+// codec sizes each arena once instead of doubling its way up.
+func reserve(arena *[]uint64, top *int, k, first int) int {
+	off := *top
+	*top += k
+	if *top > len(*arena) {
+		grown := make([]uint64, max(*top, 2*len(*arena), first))
+		copy(grown, (*arena)[:off])
+		*arena = grown
+	}
+	return off
+}
+
+// resolveSeries is the grouping pass's miss path: the successor hint of
+// prev did not name k's series, so find it in idx (entering it when the
+// stream has not seen it) and repoint the hint. Hints are only ever a
+// guess checked against states[i].key, so updating one for a batch that
+// is sized but never written costs nothing but a later miss.
+func (c *mbw3Codec) resolveSeries(k seriesKey, prev int) int {
+	si, ok := c.idx[k]
+	if !ok {
+		si = c.addSeries(k)
+	}
+	if prev < len(c.states) {
+		c.states[prev].next = int32(si)
+	}
+	return si
+}
+
+// Arena sizes a first batch of n samples is likely to need: every sample
+// a value and, for about half of them, NumSizeBins bin values — plus the
+// slack column capacities carry.
+func valsFor(n int) int    { return n + n/2 }
+func binvalsFor(n int) int { return 4 * n }
+
+// openSlot gives series si, first met by the batch being encoded, the next
+// table slot: empty columns of its hinted capacity — room for one value
+// when the stream has no history of it — and running values that start
+// from stream state (zero on a fresh epoch). n is the batch's sample count.
+func (c *mbw3Codec) openSlot(si, n int) {
+	st := &c.states[si]
+	st.stamp = c.stamp
+	st.slot = int32(len(c.slots))
+	c.slots = append(c.slots, int32(si))
+	st.count, st.cap = 0, max(st.capHint, 1)
+	st.off = reserve(&c.vals, &c.valsTop, int(st.cap), valsFor(n))
+	st.run, st.runD = st.value, st.valueD
+	if c.pendFresh {
+		st.run, st.runD = 0, 0
+	}
+	st.binoff = -1
+	if isSizeBins(st.key.dk) {
+		st.binoff = reserve(&c.binvals, &c.binTop, int(st.cap)*asic.NumSizeBins, binvalsFor(n))
+		st.runBins, st.runBinsD = st.bins, st.binsD
+		if c.pendFresh {
+			st.runBins, st.runBinsD = [asic.NumSizeBins]uint64{}, [asic.NumSizeBins]int64{}
+		}
+	}
+}
+
+// growCols moves a series whose columns are full to larger regions: at
+// least twice the capacity, and enough for an even share of the samples
+// after j — by its second sample a new series knows how many series the
+// batch's polls visit, so it moves once.
+func (c *mbw3Codec) growCols(st *mbw3Series, j, n int) {
+	oldCap := int(st.cap)
+	newCap := oldCap + max(oldCap, (n-j)/len(c.slots)+2)
+	off := reserve(&c.vals, &c.valsTop, newCap, valsFor(n))
+	copy(c.vals[off:], c.vals[st.off:st.off+int(st.count)])
+	st.off, st.cap = off, int32(newCap)
+	if st.binoff < 0 {
+		return
+	}
+	off = reserve(&c.binvals, &c.binTop, newCap*asic.NumSizeBins, binvalsFor(n))
+	for k := 0; k < asic.NumSizeBins; k++ {
+		copy(c.binvals[off+k*newCap:], c.binvals[st.binoff+k*oldCap:][:st.count])
+	}
+	st.binoff = off
+}
+
 // buildPayload encodes b into c.payload using (but not modifying) the
 // stream state; commit applies the state advance afterwards. Splitting
 // the two keeps EncodedSize and failed writes side-effect-free.
@@ -319,118 +651,120 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 		c.pendLastTime, c.pendLastDelta = 0, 0
 	}
 
+	n := len(b.Samples)
+	if cap(c.payload) == 0 {
+		// A fresh codec sizes its tables once, from its first batch: a
+		// delta-coded sample is a few bytes, and a batch cannot hold more
+		// series than samples. 64 covers a poll of a rack's full counter
+		// set; past that, append doubles as usual.
+		c.payload = make([]byte, 0, 64+6*n)
+		if len(c.states) == 0 {
+			c.states = make([]mbw3Series, 0, min(n, 64))
+		}
+	}
 	p := c.payload[:0]
 	p = binary.AppendUvarint(p, uint64(b.Rack))
 	p = binary.AppendUvarint(p, uint64(b.Epoch))
-	p = binary.AppendUvarint(p, uint64(len(b.Samples)))
-	n := len(b.Samples)
+	p = binary.AppendUvarint(p, uint64(n))
+	c.slots = c.slots[:0]
+	c.stamp++
 	if n == 0 {
-		c.tkeys = c.tkeys[:0]
 		c.payload = p
 		return
 	}
 
-	// Group samples into the batch series table and the deduplicated
-	// time list. New series enter the stream map immediately with zero
-	// state, which is indistinguishable from absent — so this pass is
-	// safe even when the batch is never committed.
-	c.stamp++
-	c.tkeys = c.tkeys[:0]
-	c.tstate = c.tstate[:0]
-	c.counts = c.counts[:0]
-	c.sids = growInt(c.sids, n)
-	c.tidx = growInt(c.tidx, n)
+	// One pass over the samples groups them into the batch series table
+	// and the deduplicated time list, builds the three per-sample columns
+	// as runs, and appends every value's second difference to its series'
+	// column. A poll visits its series in a fixed cycle, so the series that
+	// followed the previous sample's last time is almost always this
+	// sample's: that successor hint is tried first and checked against the
+	// entry's key — exactly what idx would answer — and idx is only
+	// consulted on a miss. New series enter the stream map immediately
+	// with zero state, which is indistinguishable from absent — so this
+	// pass is safe even when the batch is never committed.
+	//
+	// The loop keeps in locals only what every sample touches; whatever
+	// changes once a poll or less lives in c and behind calls, so the
+	// per-sample path stays in registers.
+	stamp := c.stamp
+	c.vals, c.binvals = c.vals[:cap(c.vals)], c.binvals[:cap(c.binvals)]
+	c.valsTop, c.binTop = 0, 0
 	c.times = c.times[:0]
-	c.missed = growU64(c.missed, n)
+	c.sidCol.reset()
+	c.tidxCol.reset()
+	c.missedCol.reset()
+	states := c.states
+	prev, hint := c.tail, 0
+	if prev < len(states) {
+		hint = int(states[prev].next)
+	}
+	// The open run of each per-sample column. The first sample opens slot
+	// 0 and time 0, so both delta chains start at 0.
+	var sidV, tidxV uint64
+	missedV := uint64(b.Samples[0].Missed)
+	var prevSlot int32
+	lastT := b.Samples[0].Time.Nanoseconds() - 1
 	for j := range b.Samples {
 		s := &b.Samples[j]
-		k := seriesKey{port: s.Port, dk: sampleDK(s)}
-		si, ok := c.idx[k]
-		if !ok {
-			si = len(c.states)
-			c.states = append(c.states, mbw3Series{})
-			c.idx[k] = si
+		dk := sampleDK(s)
+		si := hint
+		if si >= len(states) || states[si].key.port != s.Port || states[si].key.dk != dk {
+			si = c.resolveSeries(seriesKey{port: s.Port, dk: dk}, prev)
+			states = c.states
 		}
-		st := &c.states[si]
-		if st.stamp != c.stamp {
-			st.stamp = c.stamp
-			st.slot = len(c.tkeys)
-			c.tkeys = append(c.tkeys, k)
-			c.tstate = append(c.tstate, si)
-			c.counts = append(c.counts, 0)
+		st := &states[si]
+		prev, hint = si, int(st.next)
+		if st.stamp != stamp {
+			c.openSlot(si, n)
 		}
-		c.sids[j] = st.slot
-		c.counts[st.slot]++
-		t := s.Time.Nanoseconds()
-		if len(c.times) == 0 || t != c.times[len(c.times)-1] {
+		i := st.count
+		if i == st.cap {
+			c.growCols(st, j, n)
+		}
+		st.count = i + 1
+
+		if sv := zig(int64(st.slot - prevSlot)); sv != sidV {
+			c.sidCol.close(sidV, j)
+			sidV = sv
+		}
+		prevSlot = st.slot
+		var tv uint64
+		if t := s.Time.Nanoseconds(); t != lastT {
+			if j > 0 {
+				tv = 2 // zig(+1)
+			}
 			c.times = append(c.times, t)
+			lastT = t
 		}
-		c.tidx[j] = len(c.times) - 1
-		c.missed[j] = uint64(s.Missed)
-	}
+		if tv != tidxV {
+			c.tidxCol.close(tidxV, j)
+			tidxV = tv
+		}
+		if m := uint64(s.Missed); m != missedV {
+			c.missedCol.close(missedV, j)
+			missedV = m
+		}
 
-	// Per-slot running values start from stream state (zero on a fresh
-	// epoch) and column offsets from the per-slot counts.
-	nSeries := len(c.tkeys)
-	c.offs = growInt(c.offs, nSeries)
-	c.cursor = growInt(c.cursor, nSeries)
-	c.binoffs = growInt(c.binoffs, nSeries)
-	c.run = growU64(c.run, nSeries)
-	c.runD = growI64(c.runD, nSeries)
-	c.runBins = growU64(c.runBins, nSeries*asic.NumSizeBins)
-	c.runBinsD = growI64(c.runBinsD, nSeries*asic.NumSizeBins)
-	off, binoff := 0, 0
-	for slot := range c.tkeys {
-		c.offs[slot] = off
-		off += c.counts[slot]
-		c.cursor[slot] = 0
-		st := &c.states[c.tstate[slot]]
-		if fresh {
-			c.run[slot], c.runD[slot] = 0, 0
-		} else {
-			c.run[slot], c.runD[slot] = st.value, st.valueD
-		}
-		c.binoffs[slot] = -1
-		if isSizeBins(c.tkeys[slot].dk) {
-			c.binoffs[slot] = binoff
-			binoff += c.counts[slot] * asic.NumSizeBins
-			for k := 0; k < asic.NumSizeBins; k++ {
-				if fresh {
-					c.runBins[slot*asic.NumSizeBins+k] = 0
-					c.runBinsD[slot*asic.NumSizeBins+k] = 0
-				} else {
-					c.runBins[slot*asic.NumSizeBins+k] = st.bins[k]
-					c.runBinsD[slot*asic.NumSizeBins+k] = st.binsD[k]
-				}
+		d := int64(s.Value - st.run)
+		c.vals[st.off+int(i)] = zig(d - st.runD)
+		st.run, st.runD = s.Value, d
+		if st.binoff >= 0 {
+			at, stride := st.binoff+int(i), int(st.cap)
+			for k := range st.runBins {
+				bd := int64(s.Bins[k] - st.runBins[k])
+				c.binvals[at] = zig(bd - st.runBinsD[k])
+				at += stride
+				st.runBins[k], st.runBinsD[k] = s.Bins[k], bd
 			}
 		}
 	}
-	c.vals = growU64(c.vals, n)
-	c.binvals = growU64(c.binvals, binoff)
+	c.sidCol.close(sidV, n)
+	c.tidxCol.close(tidxV, n)
+	c.missedCol.close(missedV, n)
+	c.pendTail = prev
 
-	// Second pass: fill the flat per-series delta columns in sample
-	// order (each series sees its own samples in order regardless of
-	// interleaving).
-	for j := range b.Samples {
-		s := &b.Samples[j]
-		slot := c.sids[j]
-		i := c.cursor[slot]
-		c.cursor[slot]++
-		d := int64(s.Value - c.run[slot])
-		c.vals[c.offs[slot]+i] = zig(d - c.runD[slot])
-		c.run[slot], c.runD[slot] = s.Value, d
-		if bo := c.binoffs[slot]; bo >= 0 {
-			cnt := c.counts[slot]
-			for k := 0; k < asic.NumSizeBins; k++ {
-				bd := int64(s.Bins[k] - c.runBins[slot*asic.NumSizeBins+k])
-				c.binvals[bo+k*cnt+i] = zig(bd - c.runBinsD[slot*asic.NumSizeBins+k])
-				c.runBins[slot*asic.NumSizeBins+k] = s.Bins[k]
-				c.runBinsD[slot*asic.NumSizeBins+k] = bd
-			}
-		}
-	}
-
-	// Emit: times, series table, then the RLE columns.
+	// Emit: times, series table, then the columns.
 	p = binary.AppendUvarint(p, uint64(len(c.times)))
 	lt, ld := c.pendLastTime, c.pendLastDelta
 	for _, t := range c.times {
@@ -439,32 +773,20 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 		ld, lt = d, t
 	}
 	c.pendLastTime, c.pendLastDelta = lt, ld
-	p = binary.AppendUvarint(p, uint64(nSeries))
-	for _, k := range c.tkeys {
-		p = binary.AppendUvarint(p, uint64(k.port))
-		p = append(p, k.dk)
+	p = binary.AppendUvarint(p, uint64(len(c.slots)))
+	for _, si := range c.slots {
+		p = binary.AppendUvarint(p, uint64(states[si].key.port))
+		p = append(p, states[si].key.dk)
 	}
-	c.col = c.col[:0]
-	prev := 0
-	for _, v := range c.sids {
-		c.col = append(c.col, zig(int64(v-prev)))
-		prev = v
-	}
-	p = c.colAppend(p, c.col)
-	c.col = c.col[:0]
-	prev = 0
-	for _, v := range c.tidx {
-		c.col = append(c.col, zig(int64(v-prev)))
-		prev = v
-	}
-	p = c.colAppend(p, c.col)
-	p = c.colAppend(p, c.missed[:n])
-	for slot := range c.tkeys {
-		p = c.colAppend(p, c.vals[c.offs[slot]:c.offs[slot]+c.counts[slot]])
-		if bo := c.binoffs[slot]; bo >= 0 {
-			cnt := c.counts[slot]
+	p = appendRunCol(p, c.sidCol.runs, n, &c.col)
+	p = appendRunCol(p, c.tidxCol.runs, n, &c.col)
+	p = appendRunCol(p, c.missedCol.runs, n, &c.col)
+	for _, si := range c.slots {
+		st := &states[si]
+		p = appendCol(p, c.vals[st.off:][:st.count])
+		if st.binoff >= 0 {
 			for k := 0; k < asic.NumSizeBins; k++ {
-				p = c.colAppend(p, c.binvals[bo+k*cnt:bo+(k+1)*cnt])
+				p = appendCol(p, c.binvals[st.binoff+k*int(st.cap):][:st.count])
 			}
 		}
 	}
@@ -474,21 +796,26 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 // commit advances the stream state to reflect the batch buildPayload just
 // encoded.
 func (c *mbw3Codec) commit(b *Batch) {
-	if c.pendFresh {
-		clear(c.idx)
-		c.states = c.states[:0]
-		for slot, k := range c.tkeys {
-			c.idx[k] = len(c.states)
-			c.states = append(c.states, mbw3Series{})
-			c.tstate[slot] = slot
+	for _, si := range c.slots {
+		st := &c.states[si]
+		st.value, st.valueD = st.run, st.runD
+		if st.binoff >= 0 {
+			st.bins, st.binsD = st.runBins, st.runBinsD
 		}
+		st.capHint = st.count + 1
 	}
-	for slot := range c.tkeys {
-		st := &c.states[c.tstate[slot]]
-		st.value, st.valueD = c.run[slot], c.runD[slot]
-		if c.binoffs[slot] >= 0 {
-			copy(st.bins[:], c.runBins[slot*asic.NumSizeBins:(slot+1)*asic.NumSizeBins])
-			copy(st.binsD[:], c.runBinsD[slot*asic.NumSizeBins:(slot+1)*asic.NumSizeBins])
+	if len(c.slots) > 0 {
+		c.tail = c.pendTail
+	}
+	if c.pendFresh {
+		// A fresh epoch restarts the stream with exactly this batch's
+		// series. The others keep their entries but lose their chains:
+		// zero state is indistinguishable from absent.
+		for i := range c.states {
+			if st := &c.states[i]; st.stamp != c.stamp {
+				st.value, st.valueD = 0, 0
+				st.bins, st.binsD = [asic.NumSizeBins]uint64{}, [asic.NumSizeBins]int64{}
+			}
 		}
 	}
 	c.epochKnown = true
@@ -497,7 +824,7 @@ func (c *mbw3Codec) commit(b *Batch) {
 	c.lastDelta = c.pendLastDelta
 }
 
-//lint:hotpath steady-state MBW3 encode: zero allocations per batch (see TestWireBenchArtifact)
+//lint:hotpath steady-state MBW3 encode: zero allocations per batch (see TestMBW3SteadyEncodeAllocatesNothing)
 func (c *mbw3Codec) AppendBatch(dst []byte, b *Batch) ([]byte, error) {
 	if len(b.Samples) > MaxBatchSamples {
 		return dst, fmt.Errorf("%w: %d samples (max %d)", ErrBatchTooLarge, len(b.Samples), MaxBatchSamples)
@@ -684,30 +1011,33 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf))
 	}
 
-	// Reassemble samples in their original order.
+	// Reassemble samples in their original order, each written in place.
+	// A reused b.Samples still holds the previous batch, so every field is
+	// assigned — Bins too, for series that carry none.
 	if cap(b.Samples) < n {
-		b.Samples = make([]Sample, 0, n)
+		b.Samples = make([]Sample, n)
 	}
-	for j := 0; j < n; j++ {
+	b.Samples = b.Samples[:n]
+	for j := range b.Samples {
 		slot := c.sids[j]
 		k := c.tkeys[slot]
 		i := c.cursor[slot]
 		c.cursor[slot]++
-		s := Sample{
-			Time:   simclock.Time(c.times[c.tidx[j]]),
-			Port:   k.port,
-			Dir:    asic.Direction(k.dk & 1),
-			Kind:   asic.CounterKind(k.dk >> 1),
-			Missed: uint32(c.missed[j]),
-			Value:  c.vals[c.offs[slot]+i],
-		}
+		s := &b.Samples[j]
+		s.Time = simclock.Time(c.times[c.tidx[j]])
+		s.Port = k.port
+		s.Dir = asic.Direction(k.dk & 1)
+		s.Kind = asic.CounterKind(k.dk >> 1)
+		s.Missed = uint32(c.missed[j])
+		s.Value = c.vals[c.offs[slot]+i]
 		if bo := c.binoffs[slot]; bo >= 0 {
 			cnt := c.counts[slot]
 			for kk := 0; kk < asic.NumSizeBins; kk++ {
 				s.Bins[kk] = c.binvals[bo+kk*cnt+i]
 			}
+		} else {
+			s.Bins = [asic.NumSizeBins]uint64{}
 		}
-		b.Samples = append(b.Samples, s)
 	}
 
 	// Commit stream state.
@@ -718,9 +1048,7 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 	for slot, key := range c.tkeys {
 		si, ok := c.idx[key]
 		if !ok {
-			si = len(c.states)
-			c.states = append(c.states, mbw3Series{})
-			c.idx[key] = si
+			si = c.addSeries(key)
 		}
 		st := &c.states[si]
 		cnt := c.counts[slot]

@@ -304,6 +304,39 @@ func TestMBW3ReaderReuse(t *testing.T) {
 			t.Fatalf("batch %d mismatch under reuse", i)
 		}
 	}
+
+	// The decoder fills the reused samples in place, so what the previous
+	// batch left there must not show through: a size-bin sample followed,
+	// at the same position of the next batch, by a sample without bins.
+	at := simclock.Epoch.Add(simclock.Micros(25))
+	binned := &Batch{Rack: 3, Samples: []Sample{
+		{Time: at, Port: 3, Dir: asic.TX, Kind: asic.KindSizeBins, Value: 9, Bins: [asic.NumSizeBins]uint64{6, 5, 4, 3, 2, 1}},
+		{Time: at, Port: 4, Dir: asic.TX, Kind: asic.KindSizeBins, Value: 7, Bins: [asic.NumSizeBins]uint64{1, 1, 1, 1, 1, 1}},
+	}}
+	plain := &Batch{Rack: 3, Samples: []Sample{
+		{Time: at.Add(simclock.Micros(25)), Port: 1, Dir: asic.TX, Kind: asic.KindBytes, Value: 1500},
+		{Time: at.Add(simclock.Micros(25)), Port: 1, Dir: asic.RX, Kind: asic.KindBytes, Missed: 2, Value: 64},
+	}}
+	buf.Reset()
+	if w, err = NewWriterFormat(&buf, FormatMBW3); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*Batch{binned, plain} {
+		if err := w.WriteBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r = NewReader(&buf)
+	r.SetReuse(true)
+	for _, want := range []*Batch{binned, plain} {
+		got, err := r.ReadBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.Samples, got.Samples) {
+			t.Fatalf("reused batch kept the previous batch's fields:\n in: %+v\nout: %+v", want.Samples, got.Samples)
+		}
+	}
 }
 
 // TestMBW3CompressesPollingStream is a sanity bound (the hard 4x gate
@@ -334,22 +367,7 @@ func TestMBW3CompressesPollingStream(t *testing.T) {
 // mbw3Payload extracts the payload of the single frame in data.
 func mbw3Payload(t *testing.T, data []byte) []byte {
 	t.Helper()
-	rest := data[4:]
-	n, sz := uvarintAt(rest)
-	return rest[sz : sz+int(n)]
-}
-
-func uvarintAt(buf []byte) (uint64, int) {
-	var x uint64
-	var s uint
-	for i, b := range buf {
-		if b < 0x80 {
-			return x | uint64(b)<<s, i + 1
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
-	}
-	return 0, 0
+	return framePayloads(t, data)[0]
 }
 
 // TestMBW3DecodeRejectsMalformed drives DecodePayload with targeted

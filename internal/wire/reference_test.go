@@ -1,0 +1,773 @@
+package wire
+
+// reference_test.go keeps the MBW3 encoder as it stood at 57f1ca2 — one
+// map lookup per sample, every column trial-encoded into a scratch buffer
+// — as refMBW3Encode, moved here verbatim (receiver and names prefixed
+// with ref, nothing else). It is the oracle the production encoder is
+// compared with, frame by frame, over generated batch chains; the format
+// is persisted (archives on disk are MBW3), so "same bytes" is the whole
+// contract.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"reflect"
+	"sync"
+	"testing"
+	"testing/quick"
+
+	"mburst/internal/asic"
+	"mburst/internal/simclock"
+)
+
+// refMBW3State is the encode-side half of the parent mbw3Codec.
+type refMBW3State struct {
+	epochKnown bool
+	epoch      uint32
+	lastTime   int64
+	lastDelta  int64
+	idx        map[seriesKey]int
+	states     []refMBW3Series
+
+	stamp int
+
+	payload  []byte
+	tkeys    []seriesKey
+	tstate   []int
+	counts   []int
+	offs     []int
+	cursor   []int
+	sids     []int
+	tidx     []int
+	times    []int64
+	col      []uint64
+	colbuf   []byte
+	vals     []uint64
+	binvals  []uint64
+	binoffs  []int
+	run      []uint64
+	runD     []int64
+	runBins  []uint64
+	runBinsD []int64
+	missed   []uint64
+
+	pendFresh     bool
+	pendLastTime  int64
+	pendLastDelta int64
+}
+
+func newRefMBW3State() *refMBW3State {
+	return &refMBW3State{idx: make(map[seriesKey]int)}
+}
+
+// refMBW3Series is the per-series stream state deltas chain against: the
+// last absolute value plus the last first-order delta, since value and
+// bin columns are delta-of-delta chains (counters polled at a fixed
+// interval move by near-constant increments, so second differences
+// cluster at zero and collapse into runs).
+type refMBW3Series struct {
+	value  uint64
+	valueD int64
+	bins   [asic.NumSizeBins]uint64
+	binsD  [asic.NumSizeBins]int64
+	// slot/stamp resolve this series to its table slot within the batch
+	// currently being encoded (valid iff stamp matches the codec's).
+	slot  int
+	stamp int
+}
+
+// refRLEAppend encodes vals as run-length tokens: each token is a uvarint t
+// with count t>>1 (>= 1); t&1 == 1 is a run (one uvarint value follows,
+// repeated count times), t&1 == 0 a literal (count uvarint values follow).
+func refRLEAppend(dst []byte, vals []uint64) []byte {
+	for i := 0; i < len(vals); {
+		j := i + 1
+		for j < len(vals) && vals[j] == vals[i] {
+			j++
+		}
+		if j-i >= rleMinRun {
+			dst = binary.AppendUvarint(dst, uint64(j-i)<<1|1)
+			dst = binary.AppendUvarint(dst, vals[i])
+			i = j
+			continue
+		}
+		// Literal: extend until the next worthwhile run (or the end).
+		start := i
+		i = j
+		for i < len(vals) {
+			j = i + 1
+			for j < len(vals) && vals[j] == vals[i] {
+				j++
+			}
+			if j-i >= rleMinRun {
+				break
+			}
+			i = j
+		}
+		dst = binary.AppendUvarint(dst, uint64(i-start)<<1)
+		for ; start < i; start++ {
+			dst = binary.AppendUvarint(dst, vals[start])
+		}
+	}
+	return dst
+}
+
+// refColAppend emits one value column: a mode byte, then the cheaper of two
+// encodings. Mode 0 is the varint RLE stream; mode 1 packs each value
+// into a nibble (low nibble first), with values >= 15 escaping as nibble
+// 15 plus a varint in an overflow tail after the packed block. Counter
+// columns are delta-of-delta chains whose values cluster just above
+// zero — too scattered for runs, but almost always under 4 bits — so
+// mode 1 halves them; index and missed columns collapse into runs and
+// keep mode 0.
+func (c *refMBW3State) refColAppend(dst []byte, vals []uint64) []byte {
+	c.colbuf = refRLEAppend(c.colbuf[:0], vals)
+	ne := (len(vals) + 1) / 2
+	for _, v := range vals {
+		if v >= 15 {
+			ne += uvarintLen(v)
+		}
+	}
+	if ne >= len(c.colbuf) {
+		dst = append(dst, 0)
+		return append(dst, c.colbuf...)
+	}
+	dst = append(dst, 1)
+	var cur byte
+	for i, v := range vals {
+		nib := byte(v)
+		if v >= 15 {
+			nib = 15
+		}
+		if i&1 == 0 {
+			cur = nib
+		} else {
+			dst = append(dst, cur|nib<<4)
+		}
+	}
+	if len(vals)&1 == 1 {
+		dst = append(dst, cur)
+	}
+	for _, v := range vals {
+		if v >= 15 {
+			dst = binary.AppendUvarint(dst, v)
+		}
+	}
+	return dst
+}
+
+// refBuildPayload encodes b into c.payload using (but not modifying) the
+// stream state; commit applies the state advance afterwards. Splitting
+// the two keeps EncodedSize and failed writes side-effect-free.
+func (c *refMBW3State) refBuildPayload(b *Batch) {
+	fresh := !c.epochKnown || b.Epoch != c.epoch
+	c.pendFresh = fresh
+	c.pendLastTime, c.pendLastDelta = c.lastTime, c.lastDelta
+	if fresh {
+		c.pendLastTime, c.pendLastDelta = 0, 0
+	}
+
+	p := c.payload[:0]
+	p = binary.AppendUvarint(p, uint64(b.Rack))
+	p = binary.AppendUvarint(p, uint64(b.Epoch))
+	p = binary.AppendUvarint(p, uint64(len(b.Samples)))
+	n := len(b.Samples)
+	if n == 0 {
+		c.tkeys = c.tkeys[:0]
+		c.payload = p
+		return
+	}
+
+	// Group samples into the batch series table and the deduplicated
+	// time list. New series enter the stream map immediately with zero
+	// state, which is indistinguishable from absent — so this pass is
+	// safe even when the batch is never committed.
+	c.stamp++
+	c.tkeys = c.tkeys[:0]
+	c.tstate = c.tstate[:0]
+	c.counts = c.counts[:0]
+	c.sids = growInt(c.sids, n)
+	c.tidx = growInt(c.tidx, n)
+	c.times = c.times[:0]
+	c.missed = growU64(c.missed, n)
+	for j := range b.Samples {
+		s := &b.Samples[j]
+		k := seriesKey{port: s.Port, dk: sampleDK(s)}
+		si, ok := c.idx[k]
+		if !ok {
+			si = len(c.states)
+			c.states = append(c.states, refMBW3Series{})
+			c.idx[k] = si
+		}
+		st := &c.states[si]
+		if st.stamp != c.stamp {
+			st.stamp = c.stamp
+			st.slot = len(c.tkeys)
+			c.tkeys = append(c.tkeys, k)
+			c.tstate = append(c.tstate, si)
+			c.counts = append(c.counts, 0)
+		}
+		c.sids[j] = st.slot
+		c.counts[st.slot]++
+		t := s.Time.Nanoseconds()
+		if len(c.times) == 0 || t != c.times[len(c.times)-1] {
+			c.times = append(c.times, t)
+		}
+		c.tidx[j] = len(c.times) - 1
+		c.missed[j] = uint64(s.Missed)
+	}
+
+	// Per-slot running values start from stream state (zero on a fresh
+	// epoch) and column offsets from the per-slot counts.
+	nSeries := len(c.tkeys)
+	c.offs = growInt(c.offs, nSeries)
+	c.cursor = growInt(c.cursor, nSeries)
+	c.binoffs = growInt(c.binoffs, nSeries)
+	c.run = growU64(c.run, nSeries)
+	c.runD = growI64(c.runD, nSeries)
+	c.runBins = growU64(c.runBins, nSeries*asic.NumSizeBins)
+	c.runBinsD = growI64(c.runBinsD, nSeries*asic.NumSizeBins)
+	off, binoff := 0, 0
+	for slot := range c.tkeys {
+		c.offs[slot] = off
+		off += c.counts[slot]
+		c.cursor[slot] = 0
+		st := &c.states[c.tstate[slot]]
+		if fresh {
+			c.run[slot], c.runD[slot] = 0, 0
+		} else {
+			c.run[slot], c.runD[slot] = st.value, st.valueD
+		}
+		c.binoffs[slot] = -1
+		if isSizeBins(c.tkeys[slot].dk) {
+			c.binoffs[slot] = binoff
+			binoff += c.counts[slot] * asic.NumSizeBins
+			for k := 0; k < asic.NumSizeBins; k++ {
+				if fresh {
+					c.runBins[slot*asic.NumSizeBins+k] = 0
+					c.runBinsD[slot*asic.NumSizeBins+k] = 0
+				} else {
+					c.runBins[slot*asic.NumSizeBins+k] = st.bins[k]
+					c.runBinsD[slot*asic.NumSizeBins+k] = st.binsD[k]
+				}
+			}
+		}
+	}
+	c.vals = growU64(c.vals, n)
+	c.binvals = growU64(c.binvals, binoff)
+
+	// Second pass: fill the flat per-series delta columns in sample
+	// order (each series sees its own samples in order regardless of
+	// interleaving).
+	for j := range b.Samples {
+		s := &b.Samples[j]
+		slot := c.sids[j]
+		i := c.cursor[slot]
+		c.cursor[slot]++
+		d := int64(s.Value - c.run[slot])
+		c.vals[c.offs[slot]+i] = zig(d - c.runD[slot])
+		c.run[slot], c.runD[slot] = s.Value, d
+		if bo := c.binoffs[slot]; bo >= 0 {
+			cnt := c.counts[slot]
+			for k := 0; k < asic.NumSizeBins; k++ {
+				bd := int64(s.Bins[k] - c.runBins[slot*asic.NumSizeBins+k])
+				c.binvals[bo+k*cnt+i] = zig(bd - c.runBinsD[slot*asic.NumSizeBins+k])
+				c.runBins[slot*asic.NumSizeBins+k] = s.Bins[k]
+				c.runBinsD[slot*asic.NumSizeBins+k] = bd
+			}
+		}
+	}
+
+	// Emit: times, series table, then the RLE columns.
+	p = binary.AppendUvarint(p, uint64(len(c.times)))
+	lt, ld := c.pendLastTime, c.pendLastDelta
+	for _, t := range c.times {
+		d := t - lt
+		p = binary.AppendUvarint(p, zig(d-ld))
+		ld, lt = d, t
+	}
+	c.pendLastTime, c.pendLastDelta = lt, ld
+	p = binary.AppendUvarint(p, uint64(nSeries))
+	for _, k := range c.tkeys {
+		p = binary.AppendUvarint(p, uint64(k.port))
+		p = append(p, k.dk)
+	}
+	c.col = c.col[:0]
+	prev := 0
+	for _, v := range c.sids {
+		c.col = append(c.col, zig(int64(v-prev)))
+		prev = v
+	}
+	p = c.refColAppend(p, c.col)
+	c.col = c.col[:0]
+	prev = 0
+	for _, v := range c.tidx {
+		c.col = append(c.col, zig(int64(v-prev)))
+		prev = v
+	}
+	p = c.refColAppend(p, c.col)
+	p = c.refColAppend(p, c.missed[:n])
+	for slot := range c.tkeys {
+		p = c.refColAppend(p, c.vals[c.offs[slot]:c.offs[slot]+c.counts[slot]])
+		if bo := c.binoffs[slot]; bo >= 0 {
+			cnt := c.counts[slot]
+			for k := 0; k < asic.NumSizeBins; k++ {
+				p = c.refColAppend(p, c.binvals[bo+k*cnt:bo+(k+1)*cnt])
+			}
+		}
+	}
+	c.payload = p
+}
+
+// refCommit advances the stream state to reflect the batch buildPayload just
+// encoded.
+func (c *refMBW3State) refCommit(b *Batch) {
+	if c.pendFresh {
+		clear(c.idx)
+		c.states = c.states[:0]
+		for slot, k := range c.tkeys {
+			c.idx[k] = len(c.states)
+			c.states = append(c.states, refMBW3Series{})
+			c.tstate[slot] = slot
+		}
+	}
+	for slot := range c.tkeys {
+		st := &c.states[c.tstate[slot]]
+		st.value, st.valueD = c.run[slot], c.runD[slot]
+		if c.binoffs[slot] >= 0 {
+			copy(st.bins[:], c.runBins[slot*asic.NumSizeBins:(slot+1)*asic.NumSizeBins])
+			copy(st.binsD[:], c.runBinsD[slot*asic.NumSizeBins:(slot+1)*asic.NumSizeBins])
+		}
+	}
+	c.epochKnown = true
+	c.epoch = b.Epoch
+	c.lastTime = c.pendLastTime
+	c.lastDelta = c.pendLastDelta
+}
+
+// refMBW3Encode is the parent AppendBatch.
+func refMBW3Encode(c *refMBW3State, dst []byte, b *Batch) ([]byte, error) {
+	if len(b.Samples) > MaxBatchSamples {
+		return dst, fmt.Errorf("%w: %d samples (max %d)", ErrBatchTooLarge, len(b.Samples), MaxBatchSamples)
+	}
+	c.refBuildPayload(b)
+	if len(c.payload) > MaxBatchPayload {
+		return dst, fmt.Errorf("%w: %d byte payload (max %d)", ErrBatchTooLarge, len(c.payload), MaxBatchPayload)
+	}
+	c.refCommit(b)
+	return appendFrame(dst, Magic3, c.payload), nil
+}
+
+// refMBW3EncodedSize is the parent EncodedSize.
+func refMBW3EncodedSize(c *refMBW3State, b *Batch) int {
+	c.refBuildPayload(b)
+	return 4 + uvarintLen(uint64(len(c.payload))) + len(c.payload) + 4
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/mbw3_chain_parent.bin (the persisted-format pin; only ever deliberately)")
+
+// fixtureChain is the deterministic stream behind
+// testdata/mbw3_chain_parent.bin: three pollStream batches at epoch 1 —
+// with a second size-bin series that first appears in the middle of the
+// stream, interleaved poll by poll — an empty batch, then an epoch bump.
+func fixtureChain() []*Batch {
+	chain := pollStream(3, 40, 1)
+	var late Sample
+	for bi, b := range chain[1:] {
+		var out []Sample
+		for j, s := range b.Samples {
+			out = append(out, s)
+			if j%5 != 4 {
+				continue
+			}
+			late.Value += uint64(100 + j%7)
+			for k := range late.Bins {
+				late.Bins[k] += uint64(bi + j%3 + k)
+			}
+			s = Sample{Time: s.Time, Port: 7, Dir: asic.RX, Kind: asic.KindSizeBins, Missed: s.Missed, Value: late.Value, Bins: late.Bins}
+			out = append(out, s)
+		}
+		b.Samples = out
+	}
+	chain = append(chain, &Batch{Rack: 3, Epoch: 1})
+	return append(chain, pollStream(2, 25, 2)...)
+}
+
+// sameBatch is reflect.DeepEqual up to nil-versus-empty Samples.
+func sameBatch(a, b *Batch) bool {
+	if len(a.Samples) == 0 && len(b.Samples) == 0 {
+		return a.Rack == b.Rack && a.Epoch == b.Epoch
+	}
+	return reflect.DeepEqual(a, b)
+}
+
+// TestParentWrittenChainStaysByteExact pins the persisted shape: the
+// fixture was written by the 57f1ca2 encoder, and the encoder of today
+// must reproduce it byte for byte from the same inputs — MBW3 is what
+// archives on disk hold, so a drifting encoder would fork the format.
+func TestParentWrittenChainStaysByteExact(t *testing.T) {
+	const path = "testdata/mbw3_chain_parent.bin"
+	chain := fixtureChain()
+	var buf bytes.Buffer
+	w, err := NewWriterFormat(&buf, FormatMBW3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range chain {
+		if err := w.WriteBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("encoder output (%d B) differs from the parent-written fixture (%d B)", buf.Len(), len(want))
+	}
+	r := NewReader(bytes.NewReader(want))
+	for i, in := range chain {
+		got, err := r.ReadBatch()
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if !sameBatch(in, got) {
+			t.Fatalf("batch %d of the fixture does not decode to its input", i)
+		}
+	}
+	if _, err := r.ReadBatch(); err != io.EOF {
+		t.Fatalf("after the fixture: %v, want EOF", err)
+	}
+}
+
+// chainSeries is one generated counter series and the chain state its
+// next second difference is drawn against.
+type chainSeries struct {
+	port   uint16
+	dir    asic.Direction
+	kind   asic.CounterKind
+	val    uint64
+	d      int64
+	bins   [asic.NumSizeBins]uint64
+	binsD  [asic.NumSizeBins]int64
+	lastDD int64
+	repeat int
+}
+
+// chainDDs are second differences whose zigzag images sit on the encoder's
+// decision edges: 14|15 (nibble inline versus escape), 127|128 (one- versus
+// two-byte varint), and zero (what run tokens are made of).
+var chainDDs = []int64{0, 0, 0, 0, 1, -1, 7, -8, 8, 63, -64, 64, -65, 1 << 20, -(1 << 40)}
+
+func (s *chainSeries) nextDD(rng *rand.Rand) int64 {
+	if s.repeat > 0 { // runs of exactly 2 and 3 straddle rleMinRun
+		s.repeat--
+		return s.lastDD
+	}
+	dd := chainDDs[rng.Intn(len(chainDDs))]
+	switch rng.Intn(8) {
+	case 0:
+		s.repeat = 1
+	case 1:
+		s.repeat = 2
+	case 2:
+		dd = int64(rng.Uint64())
+	}
+	s.lastDD = dd
+	return dd
+}
+
+func (s *chainSeries) sample(rng *rand.Rand, t simclock.Time, missed uint32) Sample {
+	s.d += s.nextDD(rng)
+	s.val += uint64(s.d)
+	out := Sample{Time: t, Port: s.port, Dir: s.dir, Kind: s.kind, Missed: missed, Value: s.val}
+	if s.kind == asic.KindSizeBins {
+		for k := range s.bins {
+			s.binsD[k] += chainDDs[rng.Intn(len(chainDDs))]
+			s.bins[k] += uint64(s.binsD[k])
+		}
+		out.Bins = s.bins
+	}
+	return out
+}
+
+// genChain draws 1–6 batches of a polling stream that misbehaves in every
+// way the encoder's state machine has to survive: the visiting order
+// changes between batches and within one, series join mid-stream, polls
+// skip a series, epochs bump, batches come empty, column lengths are odd
+// and now and then long.
+func genChain(rng *rand.Rand) []*Batch {
+	kinds := []asic.CounterKind{asic.KindBytes, asic.KindPackets, asic.KindSizeBins, asic.KindBufferPeak}
+	seen := map[seriesKey]bool{}
+	var pool []*chainSeries
+	for len(pool) < 2+rng.Intn(8) {
+		s := &chainSeries{port: uint16(rng.Intn(6)), dir: asic.Direction(rng.Intn(2)), kind: kinds[rng.Intn(len(kinds))]}
+		k := seriesKey{port: s.port, dk: byte(s.dir) | byte(s.kind)<<1}
+		if !seen[k] {
+			seen[k] = true
+			pool = append(pool, s)
+		}
+	}
+	active := 1 + rng.Intn(len(pool))
+	order := rng.Perm(active)
+	epoch := uint32(rng.Intn(3))
+	t := simclock.Epoch
+	var chain []*Batch
+	for nb := 1 + rng.Intn(6); nb > 0; nb-- {
+		if rng.Intn(7) == 0 {
+			epoch++
+		}
+		b := &Batch{Rack: uint32(rng.Intn(4)), Epoch: epoch}
+		chain = append(chain, b)
+		if rng.Intn(10) == 0 {
+			continue // empty batch
+		}
+		if rng.Intn(3) == 0 {
+			order = rng.Perm(active)
+		}
+		polls := 1 + rng.Intn(40)
+		if rng.Intn(8) == 0 {
+			polls = 60 + rng.Intn(80) // columns either side of 64 values, and two-byte token headers
+		}
+		for ; polls > 0; polls-- {
+			if rng.Intn(4) != 0 { // consecutive polls may share a timestamp
+				t = t.Add(simclock.Micros(25)).Add(simclock.Duration(rng.Intn(3)))
+			}
+			var missed uint32
+			switch rng.Intn(20) {
+			case 0:
+				missed = 1
+			case 1:
+				missed = rng.Uint32()
+			}
+			if active < len(pool) && rng.Intn(30) == 0 {
+				order = append(order, active) // a series first seen mid-stream
+				active++
+			}
+			skip := -1
+			if rng.Intn(10) == 0 {
+				skip = rng.Intn(len(order))
+			}
+			for i, si := range order {
+				if i != skip {
+					b.Samples = append(b.Samples, pool[si].sample(rng, t, missed))
+				}
+			}
+		}
+	}
+	return chain
+}
+
+// oversizedBatch overflows MaxBatchPayload: pseudo-random size-bin values
+// are incompressible, and ~7 ten-byte varints per sample keep the batch
+// small enough to build quickly. Built once and shared: it is 27 MB.
+var oversizedBatch = sync.OnceValue(func() *Batch {
+	b := &Batch{Rack: 1}
+	x := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x | 1<<63
+	}
+	for i := 0; i < MaxBatchPayload/60+1; i++ {
+		s := Sample{Time: simclock.Time(i), Port: 1, Kind: asic.KindSizeBins, Value: next()}
+		for k := range s.Bins {
+			s.Bins[k] = next()
+		}
+		b.Samples = append(b.Samples, s)
+	}
+	return b
+})
+
+// TestMBW3EncodeMatchesReference is the encoder's contract: over generated
+// chains the production codec and refMBW3Encode produce the same frames,
+// the same errors and the same EncodedSize at every step — including
+// sizes asked for before the write, sizes asked for a batch that is never
+// written, and a write that fails with ErrBatchTooLarge in mid-chain.
+func TestMBW3EncodeMatchesReference(t *testing.T) {
+	cases := 0
+	check := func(seed int64) bool {
+		cases++
+		rng := rand.New(rand.NewSource(seed))
+		chain := genChain(rng)
+		if cases%250 == 0 { // a failed write mid-chain, a few times only: it is big
+			at := rng.Intn(len(chain) + 1)
+			chain = append(chain[:at:at], append([]*Batch{oversizedBatch()}, chain[at:]...)...)
+		}
+		enc, ref := newMBW3Codec(), newRefMBW3State()
+		var stream []byte
+		var written []*Batch
+		for i, b := range chain {
+			if rng.Intn(2) == 0 {
+				if rng.Intn(3) == 0 { // size a batch that is not the next one written
+					other := chain[rng.Intn(len(chain))]
+					if got, want := enc.EncodedSize(other), refMBW3EncodedSize(ref, other); got != want {
+						t.Errorf("seed %d batch %d: EncodedSize of a bystander = %d, reference %d", seed, i, got, want)
+						return false
+					}
+				}
+				if got, want := enc.EncodedSize(b), refMBW3EncodedSize(ref, b); got != want {
+					t.Errorf("seed %d batch %d: EncodedSize = %d, reference %d", seed, i, got, want)
+					return false
+				}
+			}
+			pre := len(stream)
+			var err error
+			stream, err = enc.AppendBatch(stream, b)
+			want, refErr := refMBW3Encode(ref, nil, b)
+			if (err == nil) != (refErr == nil) || errors.Is(err, ErrBatchTooLarge) != errors.Is(refErr, ErrBatchTooLarge) {
+				t.Errorf("seed %d batch %d: err = %v, reference %v", seed, i, err, refErr)
+				return false
+			}
+			if !bytes.Equal(stream[pre:], want) {
+				t.Errorf("seed %d batch %d (%d samples): frame differs from the reference (%d B vs %d B)",
+					seed, i, len(b.Samples), len(stream)-pre, len(want))
+				return false
+			}
+			if err == nil {
+				written = append(written, b)
+			}
+		}
+		r := NewReader(bytes.NewReader(stream))
+		for i, in := range written {
+			got, err := r.ReadBatch()
+			if err != nil || !sameBatch(in, got) {
+				t.Errorf("seed %d batch %d: does not decode to its input (err %v)", seed, i, err)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// genColumn draws one value column: noise, runs either side of rleMinRun,
+// and values on the nibble and varint edges, at a length either side of
+// the 64 where colSizes changes method.
+func genColumn(rng *rand.Rand) []uint64 {
+	n := 1 + rng.Intn(40)
+	switch rng.Intn(4) {
+	case 0:
+		n = 60 + rng.Intn(8)
+	case 1:
+		n = 64 + rng.Intn(200)
+	}
+	edge := []uint64{0, 0, 1, 14, 15, 16, 127, 128, 129, 1<<14 - 1, 1 << 14, 1<<63 + 5}
+	vals := make([]uint64, 0, n)
+	for len(vals) < n {
+		v := edge[rng.Intn(len(edge))]
+		if rng.Intn(6) == 0 {
+			v = rng.Uint64() >> uint(rng.Intn(64))
+		}
+		run := 1
+		switch rng.Intn(6) {
+		case 0:
+			run = 2
+		case 1:
+			run = 3
+		case 2:
+			run = 1 + rng.Intn(70)
+		}
+		for ; run > 0 && len(vals) < n; run-- {
+			vals = append(vals, v)
+		}
+	}
+	return vals
+}
+
+// TestColumnsMatchReference holds the column layer alone to the parent's
+// bytes: colSizes predicts what the two reference encodings actually take,
+// and appendCol — and appendRunCol, fed the same column as runs — emit
+// exactly what refColAppend did.
+func TestColumnsMatchReference(t *testing.T) {
+	var ref refMBW3State
+	var scratch []uint64
+	check := func(seed int64) bool {
+		vals := genColumn(rand.New(rand.NewSource(seed)))
+		want := ref.refColAppend(nil, vals)
+		wantNE := (len(vals) + 1) / 2
+		for _, v := range vals {
+			if v >= 15 {
+				wantNE += uvarintLen(v)
+			}
+		}
+		if ne, rle := colSizes(vals); ne != wantNE || rle != len(refRLEAppend(nil, vals)) {
+			t.Errorf("seed %d (%d values): colSizes = %d, %d; the encodings take %d, %d",
+				seed, len(vals), ne, rle, wantNE, len(refRLEAppend(nil, vals)))
+			return false
+		}
+		if got := appendCol([]byte{0xee}, vals); !bytes.Equal(got[1:], want) || got[0] != 0xee {
+			t.Errorf("seed %d (%d values): appendCol differs from the reference", seed, len(vals))
+			return false
+		}
+		var col runCol
+		for j := 1; j < len(vals); j++ {
+			if vals[j] != vals[j-1] {
+				col.close(vals[j-1], j)
+			}
+		}
+		col.close(vals[len(vals)-1], len(vals))
+		if got := appendRunCol(nil, col.runs, len(vals), &scratch); !bytes.Equal(got, want) {
+			t.Errorf("seed %d (%d values): appendRunCol differs from the reference", seed, len(vals))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestMBW3SteadyEncodeAllocatesNothing is the zero-allocation gate on the
+// agent's hot path: once a stream's scratch has reached its size, encoding
+// a batch allocates nothing. A fresh codec sizes that scratch from its
+// first batch rather than doubling its way up, so it must also allocate
+// less than the reference encoder did on the same batch.
+func TestMBW3SteadyEncodeAllocatesNothing(t *testing.T) {
+	chain := pollStream(96, 40, 1)
+	enc := newMBW3Codec()
+	var frame []byte
+	next := 0
+	write := func() {
+		var err error
+		if frame, err = enc.AppendBatch(frame[:0], chain[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < 16 {
+		write()
+	}
+	if allocs := testing.AllocsPerRun(64, write); allocs != 0 {
+		t.Errorf("steady-state encode allocates %.2f times per batch, want 0", allocs)
+	}
+
+	fresh := testing.AllocsPerRun(20, func() {
+		if _, err := newMBW3Codec().AppendBatch(frame[:0], chain[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	parent := testing.AllocsPerRun(20, func() {
+		if _, err := refMBW3Encode(newRefMBW3State(), frame[:0], chain[0]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("first batch of a fresh codec: %.0f allocations (reference encoder: %.0f)", fresh, parent)
+	if fresh >= parent {
+		t.Errorf("a fresh codec allocates %.0f times on its first batch, the reference encoder %.0f", fresh, parent)
+	}
+}

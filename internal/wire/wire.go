@@ -11,13 +11,13 @@
 //
 // Format. A stream is a sequence of batches:
 //
-//	magic   uint32  "MBW1" or "MBW2" (big-endian on the wire)
+//	magic   uint32  "MBW1", "MBW2" or "MBW3" (big-endian on the wire)
 //	length  uvarint  byte length of the payload that follows
-//	payload []byte   varint-encoded records (see below)
+//	payload []byte   varint-encoded records or columns (see below)
 //	crc32   uint32   IEEE CRC of the payload
 //
-// Payload layout: a batch header (rack id, record count) followed by
-// records. Record integers are delta-encoded against the previous record
+// "MBW1" payload layout: a batch header (rack id, record count) followed
+// by records. Record integers are delta-encoded against the previous record
 // where it pays (timestamps, values), because successive samples of a
 // cumulative counter differ by small amounts at microsecond granularity.
 //

@@ -35,6 +35,13 @@ fi
 # reproduction.
 go test -race -shuffle=on ./...
 
+# Fuzz smoke: five seconds each on the two wire-decoder targets, whole
+# streams and the MBW3 delta chain. `go test` above only replays their
+# seed corpora; this lets the mutator run, briefly, on every build.
+# `make fuzz` is the longer soak.
+go test -run='^$' -fuzz=FuzzReadBatch -fuzztime=5s ./internal/wire
+go test -run='^$' -fuzz=FuzzMBW3Chain -fuzztime=5s ./internal/wire
+
 # Reconnect-test stress: these tests synchronise with the client's
 # flusher goroutine through its injected Sleep and dial hooks, and used to
 # fail about one loaded run in 40 when they polled a wall clock instead.
