@@ -46,17 +46,19 @@ smoke:
 # fuzz exercises the parsers that face untrusted bytes: the wire decoder
 # — whole streams, and the MBW3 delta chain from the middle of one — the
 # archive recovery scan (which must truncate any torn tail without
-# panicking), the shard checkpoint loader — MBC1 and legacy JSON; whatever
+# panicking, in a collector's log and in a recorded campaign) and the
+# archive manifest it reads, the shard checkpoint loader — MBC1 and legacy JSON; whatever
 # loads must restore, take traffic and round-trip, and MBC1 must decode
 # within an allocation bound — and the fleet checkpoint loader. FUZZTIME
-# bounds each target (default 10s). The checkpoint seeds are kilobytes;
-# left at its 60s default, minimizing each new-coverage input would eat
-# the whole budget.
+# bounds each target (default 10s). The checkpoint and segment seeds are
+# kilobytes; left at its 60s default, minimizing each new-coverage input
+# would eat the whole budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadBatch -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzMBW3Chain -fuzztime=$(FUZZTIME) ./internal/wire
-	$(GO) test -run='^$$' -fuzz=FuzzTraceRecover -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzTraceRecover -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzArchiveManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/collector
 	$(GO) test -run='^$$' -fuzz=FuzzLoadFleetCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/collector
 

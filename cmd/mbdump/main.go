@@ -1,18 +1,23 @@
-// Command mbdump inspects a raw batch archive — the file mbcollectd
-// -out writes, any concatenation of wire batches, a segmented archive
-// directory written by mbcollectd -archive, or a fleet campaign
-// directory written by mbfleet -out: per-batch summaries, per-counter
-// totals, and optionally the first samples decoded.
+// Command mbdump inspects recorded batches — a file holding any
+// concatenation of wire batches (one archive segment, say), a segmented
+// archive directory written by mbcollectd -archive, a recorded campaign
+// directory written by mbsim -out, or a fleet campaign directory written
+// by mbfleet -out: per-batch summaries, per-counter totals, and
+// optionally the first samples decoded.
 //
 // Usage:
 //
-//	mbdump -in samples.mbw [-samples 10] [-quiet]
+//	mbdump -in seg_000001.mbw [-samples 10] [-quiet]
 //	mbdump -in /var/lib/mburst/archive   # segmented archive directory
+//	mbdump -in /var/lib/mburst/campaign  # recorded campaign directory
 //	mbdump -in /var/lib/mburst/fleet     # fleet campaign directory
 //	mbdump -checkpoint /var/lib/mburst/archive/checkpoint.mbc | jq .ingest
 //
 // A plain directory is decoded through the archive manifest in segment
-// order (the collector's admission order). A fleet directory (one
+// order: the collector's admission order, and for a recorded campaign —
+// an archive whose segment k+1 is window k — window order (a campaign
+// recorded before that layout, window_NNNN.mbw files and no archive
+// manifest, reads the same way). A fleet directory (one
 // holding a fleet.json manifest) is decoded through every shard
 // archive and presented as one merged admission-order stream — racks
 // ascending, each rack's batches in its owning shard's admission
@@ -45,7 +50,7 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "batch file, archive directory, or fleet campaign directory to inspect (required)")
+	in := flag.String("in", "", "batch file, or archive, recorded-campaign or fleet directory to inspect (required)")
 	showSamples := flag.Int("samples", 0, "print the first N samples decoded")
 	quiet := flag.Bool("quiet", false, "suppress per-batch lines, print only totals")
 	checkpoint := flag.String("checkpoint", "", "shard checkpoint (MBC1 or legacy JSON) to print as indented JSON, instead of -in")

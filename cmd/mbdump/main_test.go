@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mburst/internal/asic"
+	"mburst/internal/collector"
 	"mburst/internal/shard"
 	"mburst/internal/simclock"
 	"mburst/internal/trace"
@@ -87,12 +88,18 @@ func TestFleetDumpGolden(t *testing.T) {
 	if err := run(&buf, dir, 3, false); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "fleet.golden")
+	checkGolden(t, "fleet.golden", buf.Bytes())
+}
+
+// checkGolden compares got with testdata/name, rewriting it under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -100,8 +107,51 @@ func TestFleetDumpGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to write it)", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("fleet dump diverges from golden:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+	if !bytes.Equal(got, want) {
+		t.Errorf("dump diverges from %s:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
+	}
+}
+
+// TestRecordedCampaignDumpGolden: a recorded campaign is an archive, so
+// -in on the directory mbsim -out writes dumps it window by window —
+// and, recordings from before that being window dirs, so does -in on
+// mbanalyze's parent-written fixture.
+func TestRecordedCampaignDumpGolden(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "campaign")
+	w, err := trace.Create(dir, trace.Meta{
+		App: "web", NumServers: 4, NumUplinks: 2, ServerSpeed: 10e9, UplinkSpeed: 40e9,
+		Interval: 25 * simclock.Microsecond, WindowDur: simclock.Millisecond, Windows: 2, Seed: 1,
+		Counters: []collector.CounterSpec{{Port: 1, Dir: asic.TX, Kind: asic.KindBytes}},
+		Format:   "mbw3",
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Window 1 first: the dump follows the index, not the write order.
+	for _, idx := range []int{1, 0} {
+		samples := make([]wire.Sample, 3+idx)
+		for n := range samples {
+			samples[n] = wire.Sample{
+				Time: simclock.Epoch.Add(simclock.Micros(int64(n) * 25)),
+				Port: 1, Dir: asic.TX, Kind: asic.KindBytes, Value: uint64(idx+1) * uint64(n) * 1500,
+			}
+		}
+		if err := w.WriteWindow(idx, uint32(7+idx), samples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, dir, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "recorded.golden", buf.Bytes())
+
+	buf.Reset()
+	if err := run(&buf, "../mbanalyze/testdata/trace", 0, true); err != nil {
+		t.Fatalf("legacy window dir: %v", err)
+	}
+	if !strings.Contains(buf.String(), "total: 2 batches, 1580 samples") {
+		t.Errorf("legacy window dir totals wrong:\n%s", buf.String())
 	}
 }
 
@@ -154,6 +204,43 @@ func TestFleetDumpPlacementViolation(t *testing.T) {
 	if err := run(&bytes.Buffer{}, dir, 0, true); err == nil ||
 		!strings.Contains(err.Error(), "placement violation") {
 		t.Fatalf("misrouted batch not rejected: %v", err)
+	}
+}
+
+// TestFleetDumpEscapingShardDir: fleet.json is read from disk, and a
+// shard dir that points out of the fleet directory — relatively or
+// absolutely, at a perfectly good archive — is refused, not followed.
+func TestFleetDumpEscapingShardDir(t *testing.T) {
+	for _, absolute := range []bool{false, true} {
+		dir := goldenFleetDir(t)
+		outside := filepath.Join(t.TempDir(), "arch")
+		if err := os.Rename(filepath.Join(dir, "shard_000"), outside); err != nil {
+			t.Fatal(err)
+		}
+		escape := outside
+		if !absolute {
+			rel, err := filepath.Rel(dir, outside)
+			if err != nil {
+				t.Fatal(err)
+			}
+			escape = rel
+		}
+		path := filepath.Join(dir, trace.FleetManifestName)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := bytes.Replace(data, []byte(`"dir": "shard_000"`), []byte(`"dir": "`+escape+`"`), 1)
+		if bytes.Equal(edited, data) {
+			t.Fatal("fleet.json holds no shard_000 dir to edit")
+		}
+		if err := os.WriteFile(path, edited, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(&bytes.Buffer{}, dir, 0, true); err == nil ||
+			!strings.Contains(err.Error(), "not inside the fleet directory") {
+			t.Errorf("shard dir %q not rejected: %v", escape, err)
+		}
 	}
 }
 

@@ -170,11 +170,11 @@ func (e *Experiment) RunByteCampaign(ctx context.Context, app workload.App, inte
 // RecordCampaign runs a campaign for one app and persists it as a trace
 // directory (see internal/trace). plan chooses the counters per
 // (rack, window) — e.g. a random port's byte counter, or every port.
-// Window files are indexed rack-major: index = rack*Windows + window; each
-// window is an independent file, so the directory is byte-identical
-// regardless of worker count or completion order. A canceled or failed
-// campaign discards everything it wrote — partial results are removed, not
-// left as a half-trace.
+// Windows are indexed rack-major: index = rack*Windows + window; each
+// window is an independent archive segment, so the directory is
+// byte-identical regardless of worker count or completion order. A
+// canceled or failed campaign discards everything it wrote — partial
+// results are removed, not left as a half-trace.
 func (e *Experiment) RecordCampaign(ctx context.Context, app workload.App, dir string, interval simclock.Duration, notes string, plan CounterPlan) error {
 	if plan == nil {
 		return fmt.Errorf("core: RecordCampaign without a counter plan")

@@ -96,8 +96,8 @@ type Config struct {
 	// per batch magic, so analyses accept either.
 	WireFormat wire.Format
 	// TraceOpener, when non-nil, replaces os.Create for RecordCampaign's
-	// window files so disk faults are injectable (fault.FlakyOpener matches
-	// this type structurally).
+	// window segments so disk faults are injectable (fault.FlakyOpener
+	// matches this type structurally).
 	TraceOpener trace.Opener
 	// Tracer, when non-nil, records the full pipeline span chain for every
 	// batch RecordCampaign persists (see internal/ptrace). Span times are

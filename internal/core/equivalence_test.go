@@ -1023,7 +1023,7 @@ func TestTraceV2Equivalence(t *testing.T) {
 	sizeOf := func(dir string, windows int) int64 {
 		var total int64
 		for i := 0; i < windows; i++ {
-			fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("window_%04d.mbw", i)))
+			fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("seg_%06d.mbw", i+1)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,11 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
 	"mburst/internal/simclock"
+	"mburst/internal/trace"
+	"mburst/internal/wire"
 	"mburst/internal/workload"
 )
 
@@ -59,29 +60,52 @@ func TestPinnedReport(t *testing.T) {
 
 // TestPinnedRecording compares a recorded trace directory — every port's
 // bytes and size bins plus the buffer peak, so packets, bins and the peak
-// register are on the wire — with the parent commit's.
+// register are on the wire — with the parent commit's, file by file and in
+// every wire format. testdata/record_parent.sha256sums is the parent's
+// hashDir of the same recordings, made when a recording was a window dir:
+// campaign.json must be equal and segment k+1 must be the parent's
+// window_%04d.mbw(k), byte for byte. Only the manifest may differ.
 func TestPinnedRecording(t *testing.T) {
-	want := wantPinned(t, "record_parent.sha256")
-	exp, err := NewExperiment(pinnedConfig())
-	if err != nil {
-		t.Fatal(err)
+	parent := make(map[string]string) // "<format>/<file name>" → sha256
+	for _, line := range strings.Split(wantPinned(t, "record_parent.sha256sums"), "\n") {
+		sum, name, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("malformed sums line %q", line)
+		}
+		parent[name] = sum
 	}
-	dir := filepath.Join(t.TempDir(), "trace")
-	err = exp.RecordCampaign(context.Background(), workload.Hadoop, dir, 200*simclock.Microsecond, "pinned", FullCounters())
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := hashDir(t, dir)
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	sum := sha256.New()
-	for _, name := range names {
-		fmt.Fprintf(sum, "%s %s\n", name, files[name])
-	}
-	if got := fmt.Sprintf("%x", sum.Sum(nil)); got != want {
-		t.Errorf("trace directory sha256 = %s, the parent commit's is %s: the simulation no longer reproduces its output", got, want)
+	for _, format := range []wire.Format{0, wire.FormatMBW1, wire.FormatMBW2, wire.FormatMBW3} {
+		label := "default"
+		if format != 0 {
+			label = format.String()
+		}
+		cfg := pinnedConfig()
+		cfg.WireFormat = format
+		exp, err := NewExperiment(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(t.TempDir(), "trace")
+		err = exp.RecordCampaign(context.Background(), workload.Hadoop, dir, 200*simclock.Microsecond, "pinned", FullCounters())
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := hashDir(t, dir)
+		windows := cfg.Racks * cfg.Windows
+		if len(files) != windows+2 {
+			t.Errorf("%s: recording holds %d files, want campaign.json, archive.json and %d segments", label, len(files), windows)
+		}
+		if got, want := files[trace.MetaFileName], parent[label+"/"+trace.MetaFileName]; got != want {
+			t.Errorf("%s: campaign.json sha256 = %s, the parent commit's is %s", label, got, want)
+		}
+		for k := 0; k < windows; k++ {
+			seg, win := fmt.Sprintf("seg_%06d.mbw", k+1), fmt.Sprintf("%s/window_%04d.mbw", label, k)
+			if parent[win] == "" {
+				t.Fatalf("%s is not in the parent's sums", win)
+			}
+			if files[seg] != parent[win] {
+				t.Errorf("%s sha256 = %s, the parent commit's %s is %s: the simulation no longer reproduces its output", seg, files[seg], win, parent[win])
+			}
+		}
 	}
 }

@@ -94,7 +94,7 @@ func FlakyDialer(next collector.Dialer, src *rng.Source, pFail float64, m *Metri
 	}
 }
 
-// Opener matches trace.Opener: how the trace writer creates window files.
+// Opener matches trace.Opener: how the trace writers create segment files.
 type Opener func(path string) (io.WriteCloser, error)
 
 // FlakyOpener wraps next so that opens fail while failing is set. The

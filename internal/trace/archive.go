@@ -8,30 +8,30 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"mburst/internal/wire"
 )
 
-// The collector archive is the durable, append-only record of everything
-// mbcollectd admitted: the write-ahead log the checkpoint/restore path
-// replays. It is segmented because the MBW3 codec carries delta chains
-// across batches written by one writer — appending to an existing stream
-// with a fresh writer would silently corrupt decoding. Every collector
-// incarnation therefore opens a new segment, and every segment decodes
-// standalone:
+// The archive is the one on-disk layout of sample data. It is segmented
+// because the MBW3 codec carries delta chains across batches written by
+// one writer — appending to an existing stream with a fresh writer would
+// silently corrupt decoding — so every segment decodes standalone:
 //
-//	<dir>/archive.json     — manifest: wire format + sealed segments
-//	<dir>/seg_000001.mbw   — sealed (fsynced, renamed, manifest-listed)
-//	<dir>/seg_000002.open  — the incarnation currently appending
+//	<dir>/archive.json        — manifest: wire format + sealed segments
+//	<dir>/seg_000001.mbw      — sealed (fsynced, renamed, manifest-listed)
+//	<dir>/seg_000002.open     — a collector incarnation still appending
+//	<dir>/seg_000003.mbw.tmp  — a recording's window still being written
 //
-// A crash leaves at worst a torn tail on the .open segment;
-// RecoverArchive truncates it to the decodable prefix and seals it.
+// mbcollectd's archive is the durable, append-only record of everything
+// it admitted, the write-ahead log the checkpoint/restore path replays:
+// every incarnation opens a new .open segment, a crash leaves at worst a
+// torn tail on it, and RecoverArchive truncates that to the decodable
+// prefix and seals it. A recorded campaign (Writer, trace.go) writes
+// window k as segment k+1 under TempSuffix: a window is whole or absent,
+// so RecoverArchive deletes a partial one instead.
 
 // ArchiveManifestName is the archive manifest file name.
 const ArchiveManifestName = "archive.json"
-
-const openSuffix = ".open"
 
 // SegmentInfo records one sealed archive segment.
 type SegmentInfo struct {
@@ -51,7 +51,7 @@ type ArchiveManifest struct {
 }
 
 func segName(seq int) string     { return fmt.Sprintf("seg_%06d.mbw", seq) }
-func segOpenName(seq int) string { return fmt.Sprintf("seg_%06d", seq) + openSuffix }
+func segOpenName(seq int) string { return fmt.Sprintf("seg_%06d.open", seq) }
 
 // ArchiveConfig parameterizes an archive writer.
 type ArchiveConfig struct {
@@ -101,6 +101,7 @@ type ArchiveWriter struct {
 	man ArchiveManifest
 
 	seq        int
+	openPath   string // the open segment's file until seal renames it
 	f          io.WriteCloser
 	cw         *countWriter
 	bw         *wire.Writer
@@ -111,6 +112,18 @@ type ArchiveWriter struct {
 	sinceSync int
 	closed    bool
 	err       error
+}
+
+// countWriter counts bytes written through it for the manifest.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 func loadArchiveManifest(dir string) (ArchiveManifest, error) {
@@ -127,17 +140,12 @@ func loadArchiveManifest(dir string) (ArchiveManifest, error) {
 
 func saveArchiveManifest(dir string, man ArchiveManifest) error {
 	sort.Slice(man.Segments, func(i, j int) bool { return man.Segments[i].Seq < man.Segments[j].Seq })
-	data, err := json.MarshalIndent(&man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("trace: encoding archive manifest: %w", err)
-	}
-	return atomicWriteFile(filepath.Join(dir, ArchiveManifestName), append(data, '\n'))
+	return writeJSON(filepath.Join(dir, ArchiveManifestName), &man)
 }
 
-// CreateArchive initializes an empty archive directory and opens its
-// first segment. Like Create, it refuses a directory that already holds
-// an archive.
-func CreateArchive(dir string, cfg ArchiveConfig) (*ArchiveWriter, error) {
+// newArchive initializes an empty archive directory — a manifest and no
+// segment yet. It refuses a directory that already holds an archive.
+func newArchive(dir string, cfg ArchiveConfig) (*ArchiveWriter, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
@@ -149,8 +157,18 @@ func CreateArchive(dir string, cfg ArchiveConfig) (*ArchiveWriter, error) {
 	if err := saveArchiveManifest(dir, man); err != nil {
 		return nil, err
 	}
-	w := &ArchiveWriter{dir: dir, cfg: cfg, man: man, seq: 0}
-	if err := w.openSegment(1); err != nil {
+	return &ArchiveWriter{dir: dir, cfg: cfg, man: man}, nil
+}
+
+// CreateArchive initializes an empty archive directory and opens its
+// first segment. Like Create, it refuses a directory that already holds
+// an archive.
+func CreateArchive(dir string, cfg ArchiveConfig) (*ArchiveWriter, error) {
+	w, err := newArchive(dir, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.openSegment(1, segOpenName(1)); err != nil {
 		return nil, err
 	}
 	return w, nil
@@ -176,14 +194,17 @@ func ResumeArchive(dir string, cfg ArchiveConfig) (*ArchiveWriter, *ArchiveRecov
 		}
 	}
 	w := &ArchiveWriter{dir: dir, cfg: cfg, man: man, total: rec.Batches}
-	if err := w.openSegment(next); err != nil {
+	if err := w.openSegment(next, segOpenName(next)); err != nil {
 		return nil, nil, err
 	}
 	return w, rec, nil
 }
 
-func (w *ArchiveWriter) openSegment(seq int) error {
-	f, err := w.cfg.Open(filepath.Join(w.dir, segOpenName(seq)))
+// openSegment starts segment seq in the file called name until seal
+// renames it: segOpenName(seq), or segName(seq)+TempSuffix for a window.
+func (w *ArchiveWriter) openSegment(seq int, name string) error {
+	path := filepath.Join(w.dir, name)
+	f, err := w.cfg.Open(path)
 	if err != nil {
 		return fmt.Errorf("trace: opening segment %d: %w", seq, err)
 	}
@@ -197,7 +218,7 @@ func (w *ArchiveWriter) openSegment(seq int) error {
 		f.Close()
 		return err
 	}
-	w.seq, w.f, w.cw, w.bw = seq, f, cw, bw
+	w.seq, w.openPath, w.f, w.cw, w.bw = seq, path, f, cw, bw
 	w.segBatches, w.segSamples, w.sinceSync = 0, 0, 0
 	return nil
 }
@@ -267,13 +288,10 @@ func (w *ArchiveWriter) seal() error {
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("trace: closing segment %d: %w", w.seq, err)
 	}
-	openPath := filepath.Join(w.dir, segOpenName(w.seq))
-	if err := os.Rename(openPath, filepath.Join(w.dir, segName(w.seq))); err != nil {
+	if err := os.Rename(w.openPath, filepath.Join(w.dir, segName(w.seq))); err != nil {
 		return fmt.Errorf("trace: sealing segment %d: %w", w.seq, err)
 	}
-	if err := syncDir(w.dir); err != nil {
-		return err
-	}
+	syncDir(w.dir)
 	w.man.Segments = append(w.man.Segments, SegmentInfo{
 		Seq: w.seq, Batches: w.segBatches, Samples: w.segSamples, Bytes: w.cw.n,
 	})
@@ -285,7 +303,18 @@ func (w *ArchiveWriter) rotate() error {
 	if err := w.seal(); err != nil {
 		return err
 	}
-	return w.openSegment(w.seq + 1)
+	return w.openSegment(w.seq+1, segOpenName(w.seq+1))
+}
+
+// abandon drops the open segment — file closed and deleted — and clears
+// the error latch: a window that failed is absent, not torn.
+func (w *ArchiveWriter) abandon() {
+	if w.f != nil {
+		w.f.Close()
+		os.Remove(w.openPath)
+		w.f = nil
+	}
+	w.err = nil
 }
 
 // Close seals the open segment. A failed writer's Close reports the
@@ -305,134 +334,31 @@ func (w *ArchiveWriter) Close() error {
 	return w.seal()
 }
 
-// SegmentRecovery describes what an archive recovery scan found in one
-// segment that was not sealed in the manifest.
-type SegmentRecovery struct {
-	Name           string `json:"name"`
-	Batches        uint64 `json:"batches"`
-	Samples        uint64 `json:"samples"`
-	TruncatedBytes int64  `json:"truncated_bytes"`
-	Torn           bool   `json:"torn"`
-}
-
-// ArchiveRecovery says exactly what an archive recovery found and kept.
-type ArchiveRecovery struct {
-	// SealedSegments counts segments verified against the manifest.
-	SealedSegments int `json:"sealed_segments"`
-	// Scanned lists segments that had to be scanned: crashed .open
-	// segments and sealed files the manifest missed or missized.
-	Scanned []SegmentRecovery `json:"scanned,omitempty"`
-	// RemovedTemps lists in-flight temp files that were deleted.
-	RemovedTemps []string `json:"removed_temps,omitempty"`
-	// Batches and Samples total the durable archive after repair.
-	Batches uint64 `json:"batches"`
-	Samples uint64 `json:"samples"`
-}
-
-// RecoverArchive makes an archive directory consistent after a crash:
-// temp files are removed, manifest-sealed segments are trusted at their
-// recorded size, open segments are truncated to their decodable prefix
-// and sealed, and unlisted or missized sealed files are rescanned. After
-// it returns, IterArchive decodes every byte the manifest claims. It
-// never panics on damaged input (see FuzzTraceRecover).
-func RecoverArchive(dir string) (*ArchiveRecovery, error) {
-	man, err := loadArchiveManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	sealed := make(map[int]SegmentInfo, len(man.Segments))
-	for _, s := range man.Segments {
-		sealed[s.Seq] = s
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	rep := &ArchiveRecovery{}
-	out := ArchiveManifest{Format: man.Format}
-	record := func(seq int, info SegmentInfo) {
-		out.Segments = append(out.Segments, info)
-		rep.Batches += info.Batches
-		rep.Samples += info.Samples
-	}
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, TempSuffix):
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, fmt.Errorf("trace: %w", err)
-			}
-			rep.RemovedTemps = append(rep.RemovedTemps, name)
-		case strings.HasPrefix(name, "seg_") && strings.HasSuffix(name, openSuffix):
-			var seq int
-			if _, err := fmt.Sscanf(name, "seg_%06d", &seq); err != nil {
-				continue
-			}
-			path := filepath.Join(dir, name)
-			fi, err := e.Info()
-			if err != nil {
-				return nil, fmt.Errorf("trace: %w", err)
-			}
-			res, err := scanFile(path, true)
-			if err != nil {
-				return nil, err
-			}
-			if err := os.Rename(path, filepath.Join(dir, segName(seq))); err != nil {
-				return nil, fmt.Errorf("trace: sealing segment %d: %w", seq, err)
-			}
-			rep.Scanned = append(rep.Scanned, SegmentRecovery{
-				Name:           segName(seq),
-				Batches:        res.Batches,
-				Samples:        res.Samples,
-				TruncatedBytes: fi.Size() - res.GoodBytes,
-				Torn:           res.Torn,
-			})
-			record(seq, SegmentInfo{Seq: seq, Batches: res.Batches, Samples: res.Samples, Bytes: res.GoodBytes})
-		case strings.HasPrefix(name, "seg_") && strings.HasSuffix(name, ".mbw"):
-			var seq int
-			if _, err := fmt.Sscanf(name, "seg_%06d.mbw", &seq); err != nil {
-				continue
-			}
-			fi, err := e.Info()
-			if err != nil {
-				return nil, fmt.Errorf("trace: %w", err)
-			}
-			if info, ok := sealed[seq]; ok && info.Bytes == fi.Size() {
-				rep.SealedSegments++
-				record(seq, info)
-				continue
-			}
-			res, err := scanFile(filepath.Join(dir, name), true)
-			if err != nil {
-				return nil, err
-			}
-			rep.Scanned = append(rep.Scanned, SegmentRecovery{
-				Name:           name,
-				Batches:        res.Batches,
-				Samples:        res.Samples,
-				TruncatedBytes: fi.Size() - res.GoodBytes,
-				Torn:           res.Torn,
-			})
-			record(seq, SegmentInfo{Seq: seq, Batches: res.Batches, Samples: res.Samples, Bytes: res.GoodBytes})
-		}
-	}
-	sort.Slice(rep.Scanned, func(i, j int) bool { return rep.Scanned[i].Name < rep.Scanned[j].Name })
-	if err := saveArchiveManifest(dir, out); err != nil {
-		return nil, err
-	}
-	return rep, syncDir(dir)
-}
-
 // IterArchive streams every archived batch through fn in segment order —
-// the exact admission order the collector wrote. The batch is only valid
-// for the duration of the call (the reader reuses it). Run RecoverArchive
-// first after a crash; IterArchive treats damage as an error.
+// the exact admission order a collector wrote, window order for a
+// recording. The batch is only valid for the duration of the call (the
+// reader reuses it). Run RecoverArchive first after a crash; IterArchive
+// treats damage as an error.
 func IterArchive(dir string, fn func(b *wire.Batch) error) error {
 	if fn == nil {
 		return errors.New("trace: nil batch handler")
 	}
 	man, err := loadArchiveManifest(dir)
 	if err != nil {
+		// No manifest: a legacy window dir, if any of the windows its
+		// campaign.json counts is there.
+		r, lerr := Open(dir)
+		if lerr != nil || !r.legacy {
+			return err
+		}
+		for idx := 0; idx < r.meta.Windows; idx++ {
+			if !r.HasWindow(idx) {
+				continue
+			}
+			if err = r.IterWindow(idx, fn); err != nil {
+				return err
+			}
+		}
 		return err
 	}
 	sort.Slice(man.Segments, func(i, j int) bool { return man.Segments[i].Seq < man.Segments[j].Seq })

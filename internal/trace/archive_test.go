@@ -22,12 +22,7 @@ func archiveBatch(i, n int) *wire.Batch {
 func collectArchive(t *testing.T, dir string) []wire.Batch {
 	t.Helper()
 	var got []wire.Batch
-	err := IterArchive(dir, func(b *wire.Batch) error {
-		cp := wire.Batch{Rack: b.Rack, Epoch: b.Epoch, Samples: append([]wire.Sample(nil), b.Samples...)}
-		got = append(got, cp)
-		return nil
-	})
-	if err != nil {
+	if err := IterArchive(dir, appendBatch(&got)); err != nil {
 		t.Fatal(err)
 	}
 	return got

@@ -69,8 +69,10 @@ func (m *FleetManifest) Validate() error {
 		if s.ID != i {
 			return fmt.Errorf("trace: fleet manifest shard %d carries id %d", i, s.ID)
 		}
-		if s.Dir == "" {
-			return fmt.Errorf("trace: fleet manifest shard %d has no archive dir", i)
+		// The manifest is read from disk and Dir is joined to the fleet
+		// directory: it may not name anything outside it.
+		if !filepath.IsLocal(s.Dir) {
+			return fmt.Errorf("trace: fleet manifest shard %d: archive dir %q is not inside the fleet directory", i, s.Dir)
 		}
 	}
 	return nil
@@ -81,11 +83,7 @@ func WriteFleetManifest(dir string, m FleetManifest) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("trace: encoding fleet manifest: %w", err)
-	}
-	return atomicWriteFile(filepath.Join(dir, FleetManifestName), append(data, '\n'))
+	return writeJSON(filepath.Join(dir, FleetManifestName), &m)
 }
 
 // ReadFleetManifest loads dir's fleet manifest. A directory without one
@@ -108,12 +106,6 @@ func ReadFleetManifest(dir string) (FleetManifest, bool, error) {
 	return m, true, nil
 }
 
-// IsFleetDir reports whether dir holds a fleet campaign.
-func IsFleetDir(dir string) bool {
-	_, err := os.Stat(filepath.Join(dir, FleetManifestName))
-	return err == nil
-}
-
 // WriteFleetMeta writes a fleet directory's campaign.json. meta must
 // carry the placement; unlike Create, no window writer is returned —
 // the sample data lives in the shard archives.
@@ -127,11 +119,7 @@ func WriteFleetMeta(dir string, meta Meta) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
-	data, err := json.MarshalIndent(&meta, "", "  ")
-	if err != nil {
-		return fmt.Errorf("trace: encoding meta: %w", err)
-	}
-	return atomicWriteFile(filepath.Join(dir, MetaFileName), append(data, '\n'))
+	return writeJSON(filepath.Join(dir, MetaFileName), &meta)
 }
 
 // IterFleet streams a fleet directory's batches through fn in the

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -11,49 +10,6 @@ import (
 
 	"mburst/internal/wire"
 )
-
-// ManifestFileName is the campaign window manifest: the durable record of
-// which window files were atomically finalized, and at what size. A
-// window listed here at its recorded size needs no scan after a crash;
-// anything else is scanned and truncated to its decodable prefix.
-const ManifestFileName = "manifest.json"
-
-// WindowInfo records one sealed window in the campaign manifest.
-type WindowInfo struct {
-	Idx     int    `json:"idx"`
-	Batches uint64 `json:"batches"`
-	Samples uint64 `json:"samples"`
-	Bytes   int64  `json:"bytes"`
-}
-
-// windowManifest is the on-disk shape of ManifestFileName.
-type windowManifest struct {
-	Windows []WindowInfo `json:"windows"`
-}
-
-func loadWindowManifest(dir string) (windowManifest, error) {
-	var man windowManifest
-	data, err := os.ReadFile(filepath.Join(dir, ManifestFileName))
-	if os.IsNotExist(err) {
-		return man, nil // pre-manifest campaign: everything gets scanned
-	}
-	if err != nil {
-		return man, fmt.Errorf("trace: %w", err)
-	}
-	if err := json.Unmarshal(data, &man); err != nil {
-		return man, fmt.Errorf("trace: decoding manifest: %w", err)
-	}
-	return man, nil
-}
-
-func saveWindowManifest(dir string, man windowManifest) error {
-	sort.Slice(man.Windows, func(i, j int) bool { return man.Windows[i].Idx < man.Windows[j].Idx })
-	data, err := json.MarshalIndent(&man, "", "  ")
-	if err != nil {
-		return fmt.Errorf("trace: encoding manifest: %w", err)
-	}
-	return atomicWriteFile(filepath.Join(dir, ManifestFileName), append(data, '\n'))
-}
 
 // countingReader tracks how many bytes the wrapped reader consumed.
 // wire.Reader reads each frame directly with io.ReadFull (no read-ahead
@@ -70,8 +26,8 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ScanResult reports the decodable prefix of a wire batch stream.
-type ScanResult struct {
+// scanResult reports the decodable prefix of a wire batch stream.
+type scanResult struct {
 	// GoodBytes is the length of the longest prefix that decodes as
 	// complete batches. Bytes past it are a torn or corrupt tail.
 	GoodBytes int64
@@ -84,15 +40,15 @@ type ScanResult struct {
 	Err  error
 }
 
-// ScanStream reads wire batches from r until end-of-stream or damage and
+// scanStream reads wire batches from r until end-of-stream or damage and
 // reports the decodable prefix. It never fails: damage is data, reported
 // in the result, and the decoder is panic-free on arbitrary bytes (see
 // FuzzTraceRecover).
-func ScanStream(r io.Reader) ScanResult {
+func scanStream(r io.Reader) scanResult {
 	cr := &countingReader{r: r}
 	br := wire.NewReader(cr)
 	br.SetReuse(true)
-	var res ScanResult
+	var res scanResult
 	for {
 		b, err := br.ReadBatch()
 		if err == io.EOF {
@@ -114,16 +70,16 @@ func ScanStream(r io.Reader) ScanResult {
 	}
 }
 
-// scanFile scans path and, when asked, truncates it to the good prefix
-// and fsyncs the result so recovery decisions are durable.
-func scanFile(path string, truncate bool) (ScanResult, error) {
+// scanFile scans path, truncates it to the good prefix and fsyncs the
+// result so recovery decisions are durable.
+func scanFile(path string) (scanResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return ScanResult{}, fmt.Errorf("trace: %w", err)
+		return scanResult{}, fmt.Errorf("trace: %w", err)
 	}
-	res := ScanStream(f)
+	res := scanStream(f)
 	f.Close()
-	if !truncate || !res.Torn {
+	if !res.Torn {
 		return res, nil
 	}
 	if err := os.Truncate(path, res.GoodBytes); err != nil {
@@ -137,97 +93,107 @@ func scanFile(path string, truncate bool) (ScanResult, error) {
 	return res, nil
 }
 
-// WindowRecovery describes what a campaign recovery scan found in one
-// window file that was not covered by the manifest.
-type WindowRecovery struct {
-	Idx     int    `json:"idx"`
-	Batches uint64 `json:"batches"`
-	Samples uint64 `json:"samples"`
-	// TruncatedBytes is how much torn tail was cut off (0 for a file
-	// that decoded cleanly end to end).
-	TruncatedBytes int64 `json:"truncated_bytes"`
-	Torn           bool  `json:"torn"`
+// SegmentRecovery describes what an archive recovery scan found in one
+// segment that was not sealed in the manifest.
+type SegmentRecovery struct {
+	Name           string `json:"name"`
+	Batches        uint64 `json:"batches"`
+	Samples        uint64 `json:"samples"`
+	TruncatedBytes int64  `json:"truncated_bytes"`
+	Torn           bool   `json:"torn"`
 }
 
-// RecoverReport says exactly what survived a campaign recovery.
-type RecoverReport struct {
-	// Sealed lists windows verified against the manifest (no scan
-	// needed: atomically finalized before the crash).
-	Sealed []int `json:"sealed"`
-	// Scanned lists windows that had to be scanned — unlisted in the
-	// manifest or listed at a different size — with what survived.
-	Scanned []WindowRecovery `json:"scanned,omitempty"`
+// ArchiveRecovery says exactly what an archive recovery found and kept.
+type ArchiveRecovery struct {
+	// SealedSegments counts segments verified against the manifest.
+	SealedSegments int `json:"sealed_segments"`
+	// Scanned lists segments that had to be scanned: crashed .open
+	// segments and sealed files the manifest missed or missized.
+	Scanned []SegmentRecovery `json:"scanned,omitempty"`
 	// RemovedTemps lists in-flight temp files that were deleted.
 	RemovedTemps []string `json:"removed_temps,omitempty"`
+	// Batches and Samples total the durable archive after repair.
+	Batches uint64 `json:"batches"`
+	Samples uint64 `json:"samples"`
 }
 
-// Recover makes a campaign directory consistent after a crash: temp files
-// from unfinished atomic writes are removed, manifest-sealed windows are
-// trusted as-is, and any other window file is scanned and truncated to
-// its decodable prefix. The repaired state is recorded back into the
-// manifest, so a second Recover is a no-op. It reports exactly what
-// survived; every window it leaves behind decodes cleanly.
-func Recover(dir string) (*RecoverReport, error) {
-	if _, err := os.Stat(filepath.Join(dir, MetaFileName)); err != nil {
-		return nil, fmt.Errorf("trace: %s holds no campaign: %w", dir, err)
-	}
-	man, err := loadWindowManifest(dir)
+// RecoverArchive makes an archive directory consistent after a crash:
+// temp files (a recording's in-flight window among them) are removed,
+// manifest-sealed segments are trusted at their recorded size, open
+// segments are truncated to their decodable prefix and sealed, and
+// unlisted or missized sealed files are rescanned. After it returns,
+// IterArchive decodes every byte the manifest claims, and a second run
+// scans nothing. It never panics on damaged input (see FuzzTraceRecover
+// and FuzzArchiveManifest).
+func RecoverArchive(dir string) (*ArchiveRecovery, error) {
+	man, err := loadArchiveManifest(dir)
 	if err != nil {
 		return nil, err
 	}
-	sealed := make(map[int]WindowInfo, len(man.Windows))
-	for _, w := range man.Windows {
-		sealed[w.Idx] = w
+	sealed := make(map[int]SegmentInfo, len(man.Segments))
+	for _, s := range man.Segments {
+		sealed[s.Seq] = s
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	rep := &RecoverReport{}
-	var out windowManifest
+	rep := &ArchiveRecovery{}
+	out := ArchiveManifest{Format: man.Format}
+	record := func(info SegmentInfo) {
+		out.Segments = append(out.Segments, info)
+		rep.Batches += info.Batches
+		rep.Samples += info.Samples
+	}
 	for _, e := range entries {
 		name := e.Name()
-		switch {
-		case strings.HasSuffix(name, TempSuffix):
+		if strings.HasSuffix(name, TempSuffix) {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
 				return nil, fmt.Errorf("trace: %w", err)
 			}
 			rep.RemovedTemps = append(rep.RemovedTemps, name)
-		case strings.HasPrefix(name, "window_") && strings.HasSuffix(name, ".mbw"):
-			var idx int
-			if _, err := fmt.Sscanf(name, "window_%04d.mbw", &idx); err != nil {
-				continue
-			}
-			path := filepath.Join(dir, name)
-			fi, err := e.Info()
-			if err != nil {
-				return nil, fmt.Errorf("trace: %w", err)
-			}
-			if info, ok := sealed[idx]; ok && info.Bytes == fi.Size() {
-				rep.Sealed = append(rep.Sealed, idx)
-				out.Windows = append(out.Windows, info)
-				continue
-			}
-			res, err := scanFile(path, true)
-			if err != nil {
-				return nil, err
-			}
-			rep.Scanned = append(rep.Scanned, WindowRecovery{
-				Idx:            idx,
-				Batches:        res.Batches,
-				Samples:        res.Samples,
-				TruncatedBytes: fi.Size() - res.GoodBytes,
-				Torn:           res.Torn,
-			})
-			out.Windows = append(out.Windows, WindowInfo{
-				Idx: idx, Batches: res.Batches, Samples: res.Samples, Bytes: res.GoodBytes,
-			})
+			continue
 		}
+		var seq int
+		if _, err := fmt.Sscanf(name, "seg_%d", &seq); err != nil {
+			continue
+		}
+		open := name == segOpenName(seq)
+		if !open && name != segName(seq) {
+			continue
+		}
+		fi, err := e.Info()
+		if err != nil {
+			return nil, fmt.Errorf("trace: %w", err)
+		}
+		if info, ok := sealed[seq]; ok && !open && info.Bytes == fi.Size() {
+			rep.SealedSegments++
+			record(info)
+			continue
+		}
+		path := filepath.Join(dir, name)
+		res, err := scanFile(path)
+		if err != nil {
+			return nil, err
+		}
+		if open {
+			if err := os.Rename(path, filepath.Join(dir, segName(seq))); err != nil {
+				return nil, fmt.Errorf("trace: sealing segment %d: %w", seq, err)
+			}
+		}
+		rep.Scanned = append(rep.Scanned, SegmentRecovery{
+			Name:           segName(seq),
+			Batches:        res.Batches,
+			Samples:        res.Samples,
+			TruncatedBytes: fi.Size() - res.GoodBytes,
+			Torn:           res.Torn,
+		})
+		record(SegmentInfo{Seq: seq, Batches: res.Batches, Samples: res.Samples, Bytes: res.GoodBytes})
 	}
-	sort.Ints(rep.Sealed)
-	sort.Slice(rep.Scanned, func(i, j int) bool { return rep.Scanned[i].Idx < rep.Scanned[j].Idx })
-	if err := saveWindowManifest(dir, out); err != nil {
+	sort.Slice(rep.Scanned, func(i, j int) bool { return rep.Scanned[i].Name < rep.Scanned[j].Name })
+	if err := saveArchiveManifest(dir, out); err != nil {
 		return nil, err
 	}
-	return rep, syncDir(dir)
+	syncDir(dir)
+	return rep, nil
 }

@@ -8,36 +8,55 @@ import (
 	"testing"
 )
 
-func writeCampaign(t *testing.T, dir string, windows ...[]int) *Writer {
+// The recovery behaviours a recorded campaign had under its own scan,
+// held to RecoverArchive — the one scan — on a recorded directory.
+
+func writeCampaign(t *testing.T, dir string, windows ...int) *Writer {
 	t.Helper()
-	meta := validMeta()
-	w, err := Create(dir, meta, nil)
+	w, err := Create(dir, validMeta(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range windows {
-		if err := w.WriteWindow(i, 1, mkSamples(n[0])); err != nil {
+		if err := w.WriteWindow(i, 1, mkSamples(n)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return w
 }
 
-func TestWindowManifestSeals(t *testing.T) {
-	dir := t.TempDir()
-	writeCampaign(t, dir, []int{10}, []int{20})
-	man, err := loadWindowManifest(dir)
+// dirNames lists dir's entries, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(man.Windows) != 2 {
-		t.Fatalf("manifest holds %d windows, want 2", len(man.Windows))
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
 	}
-	for i, info := range man.Windows {
-		if info.Idx != i || info.Samples != uint64(10*(i+1)) || info.Bytes <= 0 {
+	return names
+}
+
+func TestWindowManifestSeals(t *testing.T) {
+	dir := t.TempDir()
+	writeCampaign(t, dir, 10, 20)
+	if got, want := dirNames(t, dir), []string{ArchiveManifestName, MetaFileName, segName(1), segName(2)}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("a recording holds %v, want exactly %v", got, want)
+	}
+	man, err := loadArchiveManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Segments) != 2 {
+		t.Fatalf("manifest holds %d segments, want 2", len(man.Segments))
+	}
+	for i, info := range man.Segments {
+		if info.Seq != i+1 || info.Batches != 1 || info.Samples != uint64(10*(i+1)) || info.Bytes <= 0 {
 			t.Errorf("window %d manifest entry %+v", i, info)
 		}
-		fi, err := os.Stat(filepath.Join(dir, windowFileName(i)))
+		fi, err := os.Stat(filepath.Join(dir, segName(i+1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,48 +64,42 @@ func TestWindowManifestSeals(t *testing.T) {
 			t.Errorf("window %d: manifest says %d B, file is %d B", i, info.Bytes, fi.Size())
 		}
 	}
-	// A clean campaign recovers trivially: both windows trusted, no scans.
-	rep, err := Recover(dir)
+	// A clean campaign recovers trivially: both windows trusted at their
+	// recorded size, no scans.
+	rep, err := RecoverArchive(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rep.Sealed, []int{0, 1}) || len(rep.Scanned) != 0 || len(rep.RemovedTemps) != 0 {
+	if rep.SealedSegments != 2 || len(rep.Scanned) != 0 || len(rep.RemovedTemps) != 0 || rep.Samples != 30 {
 		t.Errorf("clean recovery report %+v", rep)
 	}
 }
 
 func TestRecoverTruncatesTornWindow(t *testing.T) {
 	dir := t.TempDir()
-	writeCampaign(t, dir, []int{100})
-	want, err := func() ([]float64, error) {
-		r, err := Open(dir)
-		if err != nil {
-			return nil, err
-		}
-		s, err := readAll(r, 0)
-		if err != nil {
-			return nil, err
-		}
-		vals := make([]float64, len(s))
-		for i := range s {
-			vals[i] = float64(s[i].Value)
-		}
-		return vals, nil
-	}()
+	writeCampaign(t, dir, 100)
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := readAll(r, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the sealed window with a torn tail, as if a crash had
 	// appended half a frame. The size no longer matches the manifest, so
 	// recovery rescans and truncates back to the decodable prefix.
-	path := filepath.Join(dir, windowFileName(0))
+	path := filepath.Join(dir, segName(1))
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Write([]byte{0xde, 0xad, 0xbe, 0xef, 1, 2, 3})
 	f.Close()
-	rep, err := Recover(dir)
+	if _, err := readAll(r, 0); err == nil {
+		t.Fatal("torn window read without error before recovery")
+	}
+	rep, err := RecoverArchive(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +109,6 @@ func TestRecoverTruncatesTornWindow(t *testing.T) {
 	if rep.Scanned[0].Samples != 100 {
 		t.Errorf("recovered %d samples, want 100", rep.Scanned[0].Samples)
 	}
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := readAll(r, 0)
 	if err != nil {
 		t.Fatalf("window unreadable after recovery: %v", err)
@@ -108,37 +117,84 @@ func TestRecoverTruncatesTornWindow(t *testing.T) {
 		t.Fatalf("recovered %d samples, want %d", len(got), len(want))
 	}
 	// Second recovery is a no-op: the repaired state was recorded.
-	rep2, err := Recover(dir)
+	rep2, err := RecoverArchive(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep2.Scanned) != 0 || len(rep2.Sealed) != 1 {
+	if len(rep2.Scanned) != 0 || rep2.SealedSegments != 1 {
 		t.Errorf("second recovery rescanned: %+v", rep2)
 	}
 }
 
+// TestRecoverRemovesTemps: a window in flight at the crash is a TempSuffix
+// file, and recovery deletes it — a window is whole or absent, so unlike a
+// collector's .open segment its decodable prefix is not sealed.
 func TestRecoverRemovesTemps(t *testing.T) {
 	dir := t.TempDir()
-	writeCampaign(t, dir, []int{5})
-	tmp := filepath.Join(dir, windowFileName(1)+TempSuffix)
-	if err := os.WriteFile(tmp, []byte("half-written"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Recover(dir)
+	writeCampaign(t, dir, 5)
+	data, err := os.ReadFile(filepath.Join(dir, segName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.RemovedTemps) != 1 {
-		t.Fatalf("removed %v, want one temp", rep.RemovedTemps)
+	// Decodable bytes on purpose: a scan that sealed prefixes would keep it.
+	tmp := filepath.Join(dir, segName(2)+TempSuffix)
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RecoverArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.RemovedTemps) != 1 || rep.SealedSegments != 1 || len(rep.Scanned) != 0 {
+		t.Fatalf("recovery report %+v, want one temp removed and window 0 trusted", rep)
 	}
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Error("temp file survived recovery")
 	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.HasWindow(0) || r.HasWindow(1) {
+		t.Error("recovery sealed the in-flight window, or lost the sealed one")
+	}
 }
 
+// TestRecoverSealsUnlistedWindow: a crash between a window's rename and
+// the manifest write leaves a whole segment the manifest does not list;
+// recovery scans it and lists it.
+func TestRecoverSealsUnlistedWindow(t *testing.T) {
+	dir := t.TempDir()
+	writeCampaign(t, dir, 5, 7)
+	if err := saveArchiveManifest(dir, ArchiveManifest{}); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RecoverArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Scanned) != 2 || rep.Scanned[0].Torn || rep.Scanned[1].Samples != 7 || rep.Samples != 12 {
+		t.Fatalf("recovery report %+v, want two clean scanned windows", rep)
+	}
+	if n := len(collectArchive(t, dir)); n != 2 {
+		t.Errorf("IterArchive yields %d batches after recovery, want 2", n)
+	}
+}
+
+// TestRecoverRefusesNonCampaign: recovery writes, so it takes only a
+// directory that holds an archive manifest — not an empty one, and not a
+// legacy window dir, which is read-only.
 func TestRecoverRefusesNonCampaign(t *testing.T) {
-	if _, err := Recover(t.TempDir()); err == nil {
-		t.Fatal("Recover accepted a directory with no campaign")
+	if _, err := RecoverArchive(t.TempDir()); err == nil {
+		t.Fatal("RecoverArchive accepted a directory with no archive")
+	}
+	dir := copyLegacyFixture(t)
+	before := hashFiles(t, dir)
+	if _, err := RecoverArchive(dir); err == nil {
+		t.Fatal("RecoverArchive accepted a legacy window dir")
+	}
+	if after := hashFiles(t, dir); !reflect.DeepEqual(before, after) {
+		t.Errorf("refused recovery modified the directory:\n%v\n%v", before, after)
 	}
 }
 
@@ -147,17 +203,17 @@ func TestScanStreamEveryTruncation(t *testing.T) {
 	// the scan must never panic, never report more than the full stream,
 	// and report exactly the full stream when uncut.
 	dir := t.TempDir()
-	writeCampaign(t, dir, []int{64})
-	data, err := os.ReadFile(filepath.Join(dir, windowFileName(0)))
+	writeCampaign(t, dir, 64)
+	data, err := os.ReadFile(filepath.Join(dir, segName(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := ScanStream(bytes.NewReader(data))
+	full := scanStream(bytes.NewReader(data))
 	if full.Torn || full.Samples != 64 || full.GoodBytes != int64(len(data)) {
 		t.Fatalf("full scan %+v", full)
 	}
 	for cut := 0; cut <= len(data); cut++ {
-		res := ScanStream(bytes.NewReader(data[:cut]))
+		res := scanStream(bytes.NewReader(data[:cut]))
 		if res.GoodBytes > int64(cut) || res.Samples > full.Samples {
 			t.Fatalf("cut %d: scan claims %+v", cut, res)
 		}

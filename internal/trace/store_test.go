@@ -1,0 +1,265 @@
+package trace
+
+import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"testing/quick"
+
+	"mburst/internal/shard"
+	"mburst/internal/wire"
+)
+
+// hashFiles fingerprints every file in dir by name and content.
+func hashFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for _, name := range dirNames(t, dir) {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = fmt.Sprintf("%x", sha256.Sum256(data))
+	}
+	return out
+}
+
+// legacyFixture is a window dir written by the commit before recordings
+// became archives (campaign.json + manifest.json + window_%04d.mbw). It is
+// mbanalyze's golden input and is never regenerated.
+const legacyFixture = "../../cmd/mbanalyze/testdata/trace"
+
+func copyLegacyFixture(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range dirNames(t, legacyFixture) {
+		data, err := os.ReadFile(filepath.Join(legacyFixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestLegacyWindowDirStaysReadable: every reader takes a parent-written
+// window dir — Open, HasWindow, IterWindow, and IterArchive in window
+// order — and none of them writes into it.
+func TestLegacyWindowDirStaysReadable(t *testing.T) {
+	dir := copyLegacyFixture(t)
+	before := hashFiles(t, dir)
+	if _, ok := before["window_0000.mbw"]; !ok || before[ArchiveManifestName] != "" {
+		t.Fatalf("fixture is not a legacy window dir: %v", before)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perWindow []wire.Batch
+	for idx := 0; idx < r.Meta().Windows; idx++ {
+		if !r.HasWindow(idx) {
+			t.Fatalf("window %d missing", idx)
+		}
+		n := len(perWindow)
+		if err := r.IterWindow(idx, appendBatch(&perWindow)); err != nil {
+			t.Fatalf("window %d: %v", idx, err)
+		}
+		if len(perWindow) == n {
+			t.Fatalf("window %d decoded no batch", idx)
+		}
+	}
+	if got := collectArchive(t, dir); !reflect.DeepEqual(got, perWindow) {
+		t.Errorf("IterArchive over a legacy dir yields %d batches, not the %d of IterWindow(0..n) in order", len(got), len(perWindow))
+	}
+	if after := hashFiles(t, dir); !reflect.DeepEqual(before, after) {
+		t.Errorf("reading modified the legacy directory:\n%v\n%v", before, after)
+	}
+	// A campaign.json beside no window at all is not an archive.
+	os.Remove(filepath.Join(dir, "window_0000.mbw"))
+	os.Remove(filepath.Join(dir, "window_0001.mbw"))
+	if err := IterArchive(dir, func(*wire.Batch) error { return nil }); err == nil {
+		t.Error("IterArchive read a directory holding neither manifest nor windows")
+	}
+}
+
+func appendBatch(dst *[]wire.Batch) func(*wire.Batch) error {
+	return func(b *wire.Batch) error {
+		*dst = append(*dst, wire.Batch{Rack: b.Rack, Epoch: b.Epoch, Samples: append([]wire.Sample(nil), b.Samples...)})
+		return nil
+	}
+}
+
+// TestWriteOrderIsInvisible is the property that lets a parallel runner
+// record: whatever order windows are written in, the directory is the
+// same bytes, and IterArchive yields IterWindow(0), IterWindow(1), ...
+func TestWriteOrderIsInvisible(t *testing.T) {
+	const windows = 5
+	meta := validMeta()
+	meta.Windows = windows
+	meta.Format = "mbw3"
+	sizes := []int{0, 3, BatchSize, BatchSize + 1, 40}
+	record := func(order []int) (map[string]string, string) {
+		dir := filepath.Join(t.TempDir(), "c")
+		w, err := Create(dir, meta, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, idx := range order {
+			if err := w.WriteWindow(idx, uint32(idx), mkSamples(sizes[idx])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return hashFiles(t, dir), dir
+	}
+	want, _ := record([]int{0, 1, 2, 3, 4})
+	if len(want) != windows+2 {
+		t.Fatalf("recording holds %d files, want %d segments + 2 JSON files", len(want), windows)
+	}
+	prop := func(seed int64) bool {
+		got, dir := record(rand.New(rand.NewSource(seed)).Perm(windows))
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("order-dependent directory:\n%v\n%v", got, want)
+			return false
+		}
+		r, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var perWindow []wire.Batch
+		for idx := 0; idx < windows; idx++ {
+			if err := r.IterWindow(idx, appendBatch(&perWindow)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return reflect.DeepEqual(collectArchive(t, dir), perWindow)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDiscardRemovesUnlistedSegment: Discard goes by file name, not by the
+// writer's bookkeeping. A window whose seal got as far as the rename —
+// sealed name on disk, manifest write failed — is in no list of windows
+// written, and must still go: a campaign directory holds a complete
+// campaign or nothing.
+func TestDiscardRemovesUnlistedSegment(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "c")
+	w := writeCampaign(t, dir, 5)
+	data, err := os.ReadFile(filepath.Join(dir, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{segName(2), segName(3) + TempSuffix, ArchiveManifestName + TempSuffix} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Discard(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("discarded campaign directory survives holding %v", dirNames(t, dir))
+	}
+}
+
+// TestDiscardMidWindow: a write error inside a window leaves no file and
+// no latch — the window can be retried — and Discard with a window in
+// flight removes it.
+func TestDiscardMidWindow(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "c")
+	var failing bool
+	open := func(path string) (io.WriteCloser, error) {
+		f, err := os.Create(path)
+		if failing {
+			return failWrites{f}, err
+		}
+		return f, err
+	}
+	w, err := Create(dir, validMeta(), open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing = true
+	if err := w.WriteWindow(0, 1, mkSamples(10)); err == nil {
+		t.Fatal("injected write error not surfaced")
+	}
+	if got, want := dirNames(t, dir), []string{ArchiveManifestName, MetaFileName}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("failed window left %v, want %v", got, want)
+	}
+	failing = false
+	if err := w.WriteWindow(0, 1, mkSamples(10)); err != nil {
+		t.Fatalf("retry after a write error: %v", err)
+	}
+	if err := w.arch.openSegment(2, segName(2)+TempSuffix); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Discard(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("discarded campaign directory survives holding %v", dirNames(t, dir))
+	}
+}
+
+// failWrites fails every write to an opened segment.
+type failWrites struct{ io.WriteCloser }
+
+func (failWrites) Write([]byte) (int, error) { return 0, errors.New("injected write error") }
+
+// TestFleetManifestRejectsEscapingDirs: fleet.json comes from disk and
+// each shard's Dir is joined to the fleet directory, so a Dir may only
+// name something inside it.
+func TestFleetManifestRejectsEscapingDirs(t *testing.T) {
+	abs, err := filepath.Abs(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	placement, err := shard.Uniform(1, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		dir string
+		ok  bool
+	}{
+		{"shard_000", true},
+		{"shards/000", true},
+		{"", false},
+		{"..", false},
+		{"../elsewhere", false},
+		{"shard_000/../../elsewhere", false},
+		{abs, false},
+	} {
+		m := FleetManifest{
+			Racks:     4,
+			Placement: placement,
+			Shards:    []FleetShard{{ID: 0, Name: placement.Shards[0], Dir: tc.dir}},
+		}
+		err := m.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("Dir %q: Validate = %v, want ok=%v", tc.dir, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "shard 0") {
+			t.Errorf("Dir %q: error %q does not name the shard", tc.dir, err)
+		}
+		// The reader enforces it too: a hand-written fleet.json is where
+		// such a path would come from.
+		dir := t.TempDir()
+		if werr := writeJSON(filepath.Join(dir, FleetManifestName), &m); werr != nil {
+			t.Fatal(werr)
+		}
+		if _, _, rerr := ReadFleetManifest(dir); (rerr == nil) != tc.ok {
+			t.Errorf("Dir %q: ReadFleetManifest = %v, want ok=%v", tc.dir, rerr, tc.ok)
+		}
+	}
+}

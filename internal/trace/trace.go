@@ -3,18 +3,24 @@
 // The paper's data set is organized as campaigns: for each rack, a random
 // port (or port set) is polled for a short window in every hour of a day,
 // and the resulting sample streams are retained for offline analysis
-// (§4.2: 720 two-minute intervals, ~5M points each). This package mirrors
-// that layout:
+// (§4.2: 720 two-minute intervals, ~5M points each). Everything this
+// package writes is one layout, the segmented archive (archive.go); a
+// recorded campaign is an archive with one segment per window, beside its
+// metadata:
 //
 //	<dir>/campaign.json    — Meta: application, rack shape, interval,
 //	                          counters, window plan, seed
-//	<dir>/window_0000.mbw  — wire-format batches for window 0
-//	<dir>/window_0001.mbw  — ...
+//	<dir>/archive.json     — manifest: wire format + sealed segments
+//	<dir>/seg_000001.mbw   — wire-format batches for window 0
+//	<dir>/seg_000002.mbw   — window 1, ...
 //
-// Windows are independent files so a partial campaign is loadable and
-// windows can be processed streamingly.
+// Windows are independent segments so a partial campaign is loadable and
+// windows can be processed streamingly. A collector's archive is the same
+// without campaign.json, and a fleet directory (fleet.go) is one archive
+// per shard. Directories recorded before this layout (window_0000.mbw, ...
+// and no archive.json) stay readable; they are never written or repaired.
 //
-// Window files carry wire-format batches in one of two on-disk layouts:
+// Segments carry wire-format batches in one of two on-disk layouts:
 // trace-v1 (the default, MBW1/MBW2 row framing) and trace-v2 (MBW3
 // columnar delta framing, typically several times smaller). Meta.Format
 // records which one a campaign uses; readers dispatch per batch magic, so
@@ -26,8 +32,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"mburst/internal/collector"
 	"mburst/internal/shard"
@@ -39,7 +47,7 @@ import (
 const MetaFileName = "campaign.json"
 
 // Meta describes a campaign. It is stored as JSON for human inspection;
-// the bulky sample data lives in the binary window files.
+// the bulky sample data lives in the binary segments.
 type Meta struct {
 	// App is the workload name ("web", "cache", "hadoop").
 	App string `json:"app"`
@@ -60,7 +68,7 @@ type Meta struct {
 	Seed uint64 `json:"seed"`
 	// Counters lists what was polled.
 	Counters []collector.CounterSpec `json:"counters"`
-	// Format names the wire format of the window files ("mbw1", "mbw2",
+	// Format names the wire format of the window segments ("mbw1", "mbw2",
 	// "mbw3"); empty means the legacy default (trace-v1). Recorded for
 	// provenance — readers dispatch on each batch's magic, not on this.
 	Format string `json:"wire_format,omitempty"`
@@ -103,24 +111,19 @@ func (m *Meta) Validate() error {
 	return nil
 }
 
-func windowFileName(i int) string { return fmt.Sprintf("window_%04d.mbw", i) }
-
-// BatchSize is the number of samples per batch in window files. Exported
-// so consumers that reconstruct per-batch provenance (the ptrace campaign
-// recorder) chunk samples exactly as WriteWindow framed them.
+// BatchSize is the number of samples per batch in a window's segment.
+// Exported so consumers that reconstruct per-batch provenance (the ptrace
+// campaign recorder) chunk samples exactly as WriteWindow framed them.
 const BatchSize = 8192
 
-// Writer writes a campaign to a directory.
+// Writer writes a campaign to a directory: an archive whose segment k+1
+// is window k, written whole or not at all.
 type Writer struct {
-	dir    string
-	meta   Meta
-	format wire.Format
-	done   map[int]bool
-	open   Opener
-	man    windowManifest
+	windows int
+	arch    *ArchiveWriter
 }
 
-// Opener creates the file backing one window. It exists so fault-injection
+// Opener creates the file backing one segment. It exists so fault-injection
 // harnesses can interpose disk errors (see internal/fault.FlakyOpener,
 // which matches this type structurally); production writers use os.Create.
 type Opener func(path string) (io.WriteCloser, error)
@@ -128,156 +131,92 @@ type Opener func(path string) (io.WriteCloser, error)
 // defaultOpener adapts os.Create to Opener.
 func defaultOpener(path string) (io.WriteCloser, error) { return os.Create(path) }
 
-// Create initializes a campaign directory (creating it if needed) and
-// writes the metadata file. It refuses to reuse a directory that already
-// contains a campaign: measurement data should never be silently
-// overwritten. Window files are opened through open; a nil opener falls
+// Create initializes a campaign directory (creating it if needed): the
+// metadata file and an empty archive. It refuses to reuse a directory that
+// already contains either: measurement data should never be silently
+// overwritten. Segment files are opened through open; a nil opener falls
 // back to os.Create.
 func Create(dir string, meta Meta, open Opener) (*Writer, error) {
 	if err := meta.Validate(); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	metaPath := filepath.Join(dir, MetaFileName)
-	if _, err := os.Stat(metaPath); err == nil {
-		return nil, fmt.Errorf("trace: %s already holds a campaign", dir)
-	}
-	data, err := json.MarshalIndent(&meta, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("trace: encoding meta: %w", err)
-	}
-	if err := atomicWriteFile(metaPath, append(data, '\n')); err != nil {
 		return nil, err
 	}
 	format, err := meta.WireFormat() // Validate already vetted it
 	if err != nil {
 		return nil, err
 	}
-	if open == nil {
-		open = defaultOpener
+	if _, err := os.Stat(filepath.Join(dir, MetaFileName)); err == nil {
+		return nil, fmt.Errorf("trace: %s already holds a campaign", dir)
 	}
-	return &Writer{dir: dir, meta: meta, format: format, done: make(map[int]bool), open: open}, nil
+	// A window is one segment with one fsync, at its seal, however many
+	// batches it holds: no rotation, no cadence.
+	arch, err := newArchive(dir, ArchiveConfig{Format: format, Open: open, SegmentBatches: math.MaxInt, SyncEvery: math.MaxInt})
+	if err != nil {
+		return nil, err
+	}
+	if err := writeJSON(filepath.Join(dir, MetaFileName), &meta); err != nil {
+		return nil, err
+	}
+	return &Writer{windows: meta.Windows, arch: arch}, nil
 }
 
-// Meta returns the campaign metadata.
-func (w *Writer) Meta() Meta { return w.meta }
-
-// countWriter counts bytes written through it for the window manifest.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// WriteWindow persists one window's samples. Each window may be written
-// exactly once; idx must be in [0, meta.Windows).
+// WriteWindow persists one window's samples as segment idx+1. Each window
+// may be written exactly once, in any order; idx must be in
+// [0, Meta.Windows).
 //
-// The window is finalized atomically: batches stream to a temp file,
-// which is fsynced, renamed into place, and recorded in the manifest
-// (itself an atomic write). A crash at any point leaves either a sealed,
-// manifest-listed window or a temp file that recovery deletes — never a
+// The window is finalized atomically: batches stream to a TempSuffix
+// file, which is fsynced, renamed into place, and recorded in the
+// manifest (itself an atomic write). A crash at any point leaves either a
+// sealed window or a temp file that RecoverArchive deletes — never a
 // half-written window under the final name.
 func (w *Writer) WriteWindow(idx int, rack uint32, samples []wire.Sample) error {
-	if idx < 0 || idx >= w.meta.Windows {
-		return fmt.Errorf("trace: window %d out of range [0,%d)", idx, w.meta.Windows)
+	if idx < 0 || idx >= w.windows {
+		return fmt.Errorf("trace: window %d out of range [0,%d)", idx, w.windows)
 	}
-	if w.done[idx] {
-		return fmt.Errorf("trace: window %d already written", idx)
-	}
-	final := filepath.Join(w.dir, windowFileName(idx))
-	tmp := final + TempSuffix
-	f, err := w.open(tmp)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	abort := func() { f.Close(); os.Remove(tmp) }
-	cw := &countWriter{w: f}
-	// One codec per window file: every window decodes standalone, so
-	// partial campaigns stay loadable.
-	bw, err := wire.NewWriterFormat(cw, w.format)
-	if err != nil {
-		abort()
-		return err
-	}
-	var batches, count uint64
-	for off := 0; off < len(samples); off += BatchSize {
-		end := off + BatchSize
-		if end > len(samples) {
-			end = len(samples)
+	a, seq := w.arch, idx+1
+	for _, s := range a.man.Segments {
+		if s.Seq == seq {
+			return fmt.Errorf("trace: window %d already written", idx)
 		}
-		if err := bw.WriteBatch(&wire.Batch{Rack: rack, Samples: samples[off:end]}); err != nil {
-			abort()
-			return fmt.Errorf("trace: writing window %d: %w", idx, err)
-		}
-		batches++
-		count += uint64(end - off)
 	}
-	// An empty window still produces a (valid, empty) file so Open can
+	// One codec per window: every segment decodes standalone, so partial
+	// campaigns stay loadable.
+	err := a.openSegment(seq, segName(seq)+TempSuffix)
+	// An empty window still produces a (valid, empty) segment so Open can
 	// distinguish "empty" from "missing".
-	if len(samples) == 0 {
-		if err := bw.WriteBatch(&wire.Batch{Rack: rack}); err != nil {
-			abort()
-			return fmt.Errorf("trace: writing window %d: %w", idx, err)
-		}
-		batches++
+	for off := 0; err == nil && (off == 0 || off < len(samples)); off += BatchSize {
+		end := min(off+BatchSize, len(samples))
+		err = a.WriteBatch(&wire.Batch{Rack: rack, Samples: samples[off:end]})
 	}
-	if err := maybeSync(f); err != nil {
-		abort()
-		return fmt.Errorf("trace: syncing window %d: %w", idx, err)
+	if err == nil {
+		err = a.seal()
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: closing window %d: %w", idx, err)
+	if err != nil {
+		a.abandon()
 	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("trace: sealing window %d: %w", idx, err)
-	}
-	if err := syncDir(w.dir); err != nil {
-		return err
-	}
-	w.man.Windows = append(w.man.Windows, WindowInfo{Idx: idx, Batches: batches, Samples: count, Bytes: cw.n})
-	if err := saveWindowManifest(w.dir, w.man); err != nil {
-		return err
-	}
-	w.done[idx] = true
-	return nil
+	return err
 }
 
-// Discard removes everything the writer created — the metadata file, every
-// window it wrote, and (when empty afterwards) the directory itself. It is
-// the cleanup path for canceled or failed recordings: a campaign directory
-// either holds a complete campaign or nothing.
+// Discard removes everything a recording leaves in its directory — both
+// JSON files, every segment sealed or in flight — and, when empty
+// afterwards, the directory itself. It goes by name, not by what the
+// writer believes it wrote: a window sealed by the call that then failed
+// must go too. It is the cleanup path for canceled or failed recordings: a
+// campaign directory either holds a complete campaign or nothing.
 func (w *Writer) Discard() error {
-	var firstErr error
-	keep := func(err error) {
-		if err != nil && !os.IsNotExist(err) && firstErr == nil {
-			firstErr = err
+	a := w.arch
+	a.abandon()
+	entries, err := os.ReadDir(a.dir)
+	for _, e := range entries {
+		name := e.Name()
+		if name == MetaFileName || name == ArchiveManifestName ||
+			strings.HasPrefix(name, "seg_") || strings.HasSuffix(name, TempSuffix) {
+			err = errors.Join(err, os.Remove(filepath.Join(a.dir, name)))
 		}
 	}
-	for idx := range w.done {
-		keep(os.Remove(filepath.Join(w.dir, windowFileName(idx))))
-	}
-	// In-flight temp files from an interrupted WriteWindow, plus the
-	// manifest, go too: nothing may suggest a campaign remains.
-	if names, err := filepath.Glob(filepath.Join(w.dir, "window_*.mbw"+TempSuffix)); err == nil {
-		for _, name := range names {
-			keep(os.Remove(name))
-		}
-	}
-	keep(os.Remove(filepath.Join(w.dir, ManifestFileName)))
-	keep(os.Remove(filepath.Join(w.dir, MetaFileName)))
 	// Best-effort: only succeeds when the directory held nothing else.
-	os.Remove(w.dir)
-	if firstErr != nil {
-		return fmt.Errorf("trace: discarding campaign: %w", firstErr)
+	os.Remove(a.dir)
+	if err != nil {
+		return fmt.Errorf("trace: discarding campaign: %w", err)
 	}
 	return nil
 }
@@ -286,9 +225,12 @@ func (w *Writer) Discard() error {
 type Reader struct {
 	dir  string
 	meta Meta
+	// legacy marks a window dir from before recordings were archives.
+	legacy bool
 }
 
-// Open loads a campaign's metadata.
+// Open loads a campaign's metadata, and decides once how windows are
+// named: a directory without an archive manifest predates the layout.
 func Open(dir string) (*Reader, error) {
 	data, err := os.ReadFile(filepath.Join(dir, MetaFileName))
 	if err != nil {
@@ -301,15 +243,24 @@ func Open(dir string) (*Reader, error) {
 	if err := meta.Validate(); err != nil {
 		return nil, err
 	}
-	return &Reader{dir: dir, meta: meta}, nil
+	_, err = os.Stat(filepath.Join(dir, ArchiveManifestName))
+	return &Reader{dir: dir, meta: meta, legacy: err != nil}, nil
 }
 
 // Meta returns the campaign metadata.
 func (r *Reader) Meta() Meta { return r.meta }
 
+// windowPath names the file holding window idx.
+func (r *Reader) windowPath(idx int) string {
+	if r.legacy {
+		return filepath.Join(r.dir, fmt.Sprintf("window_%04d.mbw", idx))
+	}
+	return filepath.Join(r.dir, segName(idx+1))
+}
+
 // HasWindow reports whether window idx exists on disk.
 func (r *Reader) HasWindow(idx int) bool {
-	_, err := os.Stat(filepath.Join(r.dir, windowFileName(idx)))
+	_, err := os.Stat(r.windowPath(idx))
 	return err == nil
 }
 
@@ -328,7 +279,7 @@ func (r *Reader) IterWindow(idx int, fn func(batch *wire.Batch) error) error {
 	if fn == nil {
 		return fmt.Errorf("trace: nil batch handler")
 	}
-	return iterFile(filepath.Join(r.dir, windowFileName(idx)), fmt.Sprintf("window %d", idx), fn)
+	return iterFile(r.windowPath(idx), fmt.Sprintf("window %d", idx), fn)
 }
 
 // iterFile streams one batch file — a campaign window or an archive

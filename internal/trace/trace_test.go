@@ -248,7 +248,7 @@ func TestCorruptWindowDetected(t *testing.T) {
 	if err := w.WriteWindow(0, 0, mkSamples(100)); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "window_0000.mbw")
+	path := filepath.Join(dir, segName(1))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestFormats(t *testing.T) {
 			if err := w.WriteWindow(i, 7, s); err != nil {
 				t.Fatalf("%q window %d: %v", format, i, err)
 			}
-			fi, err := os.Stat(filepath.Join(dir, windowFileName(i)))
+			fi, err := os.Stat(filepath.Join(dir, segName(i+1)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,11 +36,14 @@ fi
 go test -race -shuffle=on ./...
 
 # Fuzz smoke: five seconds each on the two wire-decoder targets, whole
-# streams and the MBW3 delta chain. `go test` above only replays their
-# seed corpora; this lets the mutator run, briefly, on every build.
-# `make fuzz` is the longer soak.
+# streams and the MBW3 delta chain, and on the archive recovery scan.
+# `go test` above only replays their seed corpora; this lets the mutator
+# run, briefly, on every build. `make fuzz` is the longer soak. The
+# recovery seeds are whole segments: left at its 60s default, minimizing
+# the first new-coverage input would stall the mutator for the whole run.
 go test -run='^$' -fuzz=FuzzReadBatch -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz=FuzzMBW3Chain -fuzztime=5s ./internal/wire
+go test -run='^$' -fuzz=FuzzTraceRecover -fuzztime=5s -fuzzminimizetime=1s ./internal/trace
 
 # Reconnect-test stress: these tests synchronise with the client's
 # flusher goroutine through its injected Sleep and dial hooks, and used to
