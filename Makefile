@@ -37,9 +37,11 @@ PAIRS ?= 10
 bench-pair:
 	./scripts/bench_pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
-# smoke drives the real binaries once over a real socket: mbagent into a
-# durable mbcollectd, SIGTERM, then mbdump must read back exactly what
-# the agent delivered (scripts/smoke.sh; no timing gate).
+# smoke drives the real binaries: mbagent into a durable mbcollectd over
+# a real socket, SIGTERM, then mbdump must read back exactly what the
+# agent delivered; then mbfleet with a shard kill into a fleet directory,
+# which must hold campaign.json plus its shard stores and dump to the
+# samples mbfleet logged (scripts/smoke.sh; no timing gate).
 smoke:
 	./scripts/smoke.sh
 
@@ -49,7 +51,9 @@ smoke:
 # panicking, in a collector's log and in a recorded campaign) and the
 # archive manifest it reads, the shard checkpoint loader — MBC1 and legacy JSON; whatever
 # loads must restore, take traffic and round-trip, and MBC1 must decode
-# within an allocation bound — and the fleet checkpoint loader. FUZZTIME
+# within an allocation bound — and the same loader one level up: one
+# shard's checkpoint of a two-shard fleet, through the aggregator's
+# restore and merge. FUZZTIME
 # bounds each target (default 10s). The checkpoint and segment seeds are
 # kilobytes; left at its 60s default, minimizing each new-coverage input
 # would eat the whole budget.

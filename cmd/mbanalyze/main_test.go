@@ -78,3 +78,22 @@ func TestUsageErrors(t *testing.T) {
 		})
 	}
 }
+
+// TestFleetDirRefused: a fleet directory's campaign.json counts racks
+// where a recording's counts windows, and its samples live in the shard
+// archives; trace.Open says so and mbanalyze passes it on instead of
+// "no readable windows". The fixture is mbdump's parent-written fleet
+// directory.
+func TestFleetDirRefused(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	fleet := filepath.Join("..", "mbdump", "testdata", "fleet_parent")
+	if code := run([]string{"-trace", fleet}, &stdout, &stderr); code != 1 {
+		t.Errorf("exit %d, want 1", code)
+	}
+	if !strings.Contains(stderr.String(), "fleet campaign") || !strings.Contains(stderr.String(), "per-shard archives") {
+		t.Errorf("stderr = %q, want it to say the trace is a fleet campaign held in per-shard archives", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing", stdout.String())
+	}
+}

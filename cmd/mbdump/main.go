@@ -18,8 +18,8 @@
 // an archive whose segment k+1 is window k — window order (a campaign
 // recorded before that layout, window_NNNN.mbw files and no archive
 // manifest, reads the same way). A fleet directory (one
-// holding a fleet.json manifest) is decoded through every shard
-// archive and presented as one merged admission-order stream — racks
+// whose campaign.json carries a placement) is decoded through every
+// shard archive and presented as one merged admission-order stream — racks
 // ascending, each rack's batches in its owning shard's admission
 // order — so a sharded campaign reads exactly like a single-collector
 // one. Run mbcollectd -resume (or trace.RecoverArchive) first if a
@@ -142,13 +142,14 @@ func run(w io.Writer, in string, showSamples int, quiet bool) error {
 
 	if fi, err := os.Stat(in); err == nil && fi.IsDir() {
 		iter := trace.IterArchive
-		if man, ok, err := trace.ReadFleetManifest(in); err != nil {
+		if meta, ok, err := trace.FleetMeta(in); err != nil {
 			return err
 		} else if ok {
 			iter = trace.IterFleet
 			if !quiet {
+				pl := meta.Placement
 				fmt.Fprintf(w, "fleet: %d racks over %d shards, placement v%d seed %d\n",
-					man.Racks, len(man.Shards), man.Placement.Version, man.Placement.Seed)
+					meta.Windows, pl.NumShards(), pl.Version, pl.Seed)
 			}
 		}
 		if err := iter(in, func(b *wire.Batch) error {

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -32,7 +35,6 @@ func goldenFleetDir(t *testing.T) string {
 		t.Fatal(err)
 	}
 	writers := make([]*trace.ArchiveWriter, shards)
-	counts := make([]struct{ batches, samples uint64 }, shards)
 	for s := 0; s < shards; s++ {
 		w, err := trace.CreateArchive(filepath.Join(dir, pl.Name(s)), trace.ArchiveConfig{})
 		if err != nil {
@@ -59,21 +61,21 @@ func goldenFleetDir(t *testing.T) string {
 			if err := writers[owner].WriteBatch(b); err != nil {
 				t.Fatal(err)
 			}
-			counts[owner].batches++
-			counts[owner].samples += uint64(len(b.Samples))
 		}
 	}
-	man := trace.FleetManifest{Racks: racks, Placement: pl}
 	for s := 0; s < shards; s++ {
 		if err := writers[s].Close(); err != nil {
 			t.Fatal(err)
 		}
-		man.Shards = append(man.Shards, trace.FleetShard{
-			ID: s, Name: pl.Name(s), Dir: pl.Name(s),
-			Batches: counts[s].batches, Samples: counts[s].samples,
-		})
 	}
-	if err := trace.WriteFleetManifest(dir, man); err != nil {
+	// What makes the directory a fleet: a campaign.json with the placement
+	// (Windows counts racks there).
+	if err := trace.WriteFleetMeta(dir, trace.Meta{
+		App: "web", NumServers: 4, NumUplinks: 2, ServerSpeed: 10e9, UplinkSpeed: 40e9,
+		Interval: 25 * simclock.Microsecond, WindowDur: simclock.Millisecond, Windows: racks, Seed: 1,
+		Counters:  []collector.CounterSpec{{Port: 1, Dir: asic.TX, Kind: asic.KindBytes}},
+		Placement: &pl,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return dir
@@ -155,6 +157,76 @@ func TestRecordedCampaignDumpGolden(t *testing.T) {
 	}
 }
 
+// TestParentWrittenFleetDirDumps: testdata/fleet_parent is a fleet
+// directory written by mbfleet at 42dc5e6 (-racks 6 -shards 2 -window 1ms
+// -warmup 200us -faults kill@500us), fleet.json and fleet_checkpoint.json
+// included, and fleet_parent.golden is that commit's `mbdump -samples 3`
+// of it. The directory reads the same from campaign.json alone, is left
+// untouched, and the two legacy files are never opened — garbage in them
+// changes nothing. Neither file is ever regenerated: they are the pin.
+func TestParentWrittenFleetDirDumps(t *testing.T) {
+	const fixture = "testdata/fleet_parent"
+	want, err := os.ReadFile("testdata/fleet_parent.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := hashTree(t, fixture)
+	if len(before) != 10 {
+		t.Fatalf("fixture holds %d files, want the parent's 10: %v", len(before), before)
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, fixture, 3, false); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("dump diverges from the parent's:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+	}
+	if after := hashTree(t, fixture); !reflect.DeepEqual(after, before) {
+		t.Errorf("reading modified the fixture:\nbefore %v\nafter  %v", before, after)
+	}
+
+	// A copy whose two legacy files hold garbage.
+	dir := t.TempDir()
+	for path := range before {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name := filepath.Base(path); name == "fleet.json" || name == "fleet_checkpoint.json" {
+			data = []byte("{not json")
+		}
+		dst := filepath.Join(dir, strings.TrimPrefix(path, fixture))
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dst, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf.Reset()
+	if err := run(&buf, dir, 3, false); err != nil || !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("garbage in the legacy files changed the dump: err=%v\n%s", err, buf.Bytes())
+	}
+}
+
+// hashTree fingerprints every file under root by relative path.
+func hashTree(t *testing.T, root string) map[string][sha256.Size]byte {
+	t.Helper()
+	out := make(map[string][sha256.Size]byte)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		out[path] = sha256.Sum256(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestFleetDumpQuietTotals sanity-checks the quiet path over the same
 // directory: only the totals block, correct sums.
 func TestFleetDumpQuietTotals(t *testing.T) {
@@ -176,20 +248,20 @@ func TestFleetDumpQuietTotals(t *testing.T) {
 // in the wrong shard's archive — and expects the merged read to refuse.
 func TestFleetDumpPlacementViolation(t *testing.T) {
 	dir := goldenFleetDir(t)
-	man, ok, err := trace.ReadFleetManifest(dir)
+	meta, ok, err := trace.FleetMeta(dir)
 	if err != nil || !ok {
-		t.Fatalf("manifest: ok=%v err=%v", ok, err)
+		t.Fatalf("fleet meta: ok=%v err=%v", ok, err)
 	}
 	// Find a rack and a shard that does NOT own it, and plant a batch.
 	var victim uint32
 	var wrong int
-	for r := uint32(0); r < uint32(man.Racks); r++ {
-		if s := man.Placement.ShardOf(r); s != 0 {
+	for r := uint32(0); r < uint32(meta.Windows); r++ {
+		if s := meta.Placement.ShardOf(r); s != 0 {
 			victim, wrong = r, 0
 			break
 		}
 	}
-	w, _, err := trace.ResumeArchive(filepath.Join(dir, man.Shards[wrong].Dir), trace.ArchiveConfig{})
+	w, _, err := trace.ResumeArchive(filepath.Join(dir, meta.Placement.Name(wrong)), trace.ArchiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +279,8 @@ func TestFleetDumpPlacementViolation(t *testing.T) {
 	}
 }
 
-// TestFleetDumpEscapingShardDir: fleet.json is read from disk, and a
-// shard dir that points out of the fleet directory — relatively or
+// TestFleetDumpEscapingShardDir: campaign.json is read from disk, and a
+// placement shard name that points out of the fleet directory — relatively or
 // absolutely, at a perfectly good archive — is refused, not followed.
 func TestFleetDumpEscapingShardDir(t *testing.T) {
 	for _, absolute := range []bool{false, true} {
@@ -225,14 +297,14 @@ func TestFleetDumpEscapingShardDir(t *testing.T) {
 			}
 			escape = rel
 		}
-		path := filepath.Join(dir, trace.FleetManifestName)
+		path := filepath.Join(dir, trace.MetaFileName)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		edited := bytes.Replace(data, []byte(`"dir": "shard_000"`), []byte(`"dir": "`+escape+`"`), 1)
+		edited := bytes.Replace(data, []byte(`"shard_000"`), []byte(`"`+escape+`"`), 1)
 		if bytes.Equal(edited, data) {
-			t.Fatal("fleet.json holds no shard_000 dir to edit")
+			t.Fatal("campaign.json holds no shard_000 name to edit")
 		}
 		if err := os.WriteFile(path, edited, 0o644); err != nil {
 			t.Fatal(err)

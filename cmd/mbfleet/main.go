@@ -11,10 +11,10 @@
 //	        [-wire mbw3] [-out DIR] [-ckpt N] [-faults SPEC] [-oracle]
 //
 // With -out the campaign lays down a fleet directory: campaign.json
-// (stamped with the versioned placement), fleet.json (shard layout and
-// totals), one durable archive per shard, and a fleet-wide checkpoint
-// composed from the shard checkpoints. mbdump reads such a directory
-// like any campaign, merging the shard archives deterministically.
+// (stamped with the versioned placement, whose shard names are the
+// directory names) and one durable archive per shard, each with its own
+// checkpoint. mbdump reads such a directory like any campaign, merging
+// the shard archives deterministically.
 //
 // -faults schedules shard strikes (kill@, torn@:xF, shortw@, offsets
 // within the window duration), assigned round-robin over shards; each

@@ -13,7 +13,7 @@
 // -url fetches /spans from a running daemon's debug mux (the path is
 // appended if missing). -in may also name a directory: a plain campaign
 // directory is resolved to its spans.json, while a fleet campaign
-// directory (one holding a fleet.json manifest) merges the spans.json
+// directory (one whose campaign.json carries a placement) merges the spans.json
 // dump saved in each shard's subdirectory — each shard collector's
 // /spans response — into one canonical stream, so a sharded campaign's
 // traces render exactly like a single collector's. Because dumps are
@@ -96,7 +96,7 @@ func loadDump(in, url string) (ptrace.Dump, error) {
 // shard's saved spans.json into one canonical dump; a plain campaign
 // resolves to its own spans.json.
 func loadDirDump(dir string) (ptrace.Dump, error) {
-	man, ok, err := trace.ReadFleetManifest(dir)
+	meta, ok, err := trace.FleetMeta(dir)
 	if err != nil {
 		return ptrace.Dump{}, err
 	}
@@ -104,13 +104,13 @@ func loadDirDump(dir string) (ptrace.Dump, error) {
 		return readDumpFile(filepath.Join(dir, spansFileName))
 	}
 	var dumps []ptrace.Dump
-	for _, fs := range man.Shards {
-		d, err := readDumpFile(filepath.Join(dir, fs.Dir, spansFileName))
+	for _, name := range meta.Placement.Shards {
+		d, err := readDumpFile(filepath.Join(dir, name, spansFileName))
 		if os.IsNotExist(err) {
 			continue // shard ran without -tracing
 		}
 		if err != nil {
-			return ptrace.Dump{}, fmt.Errorf("shard %s: %w", fs.Name, err)
+			return ptrace.Dump{}, fmt.Errorf("shard %s: %w", name, err)
 		}
 		dumps = append(dumps, d)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mburst/internal/collector"
 	"mburst/internal/ptrace"
 	"mburst/internal/shard"
 	"mburst/internal/simclock"
@@ -34,27 +35,37 @@ func writeDump(t *testing.T, path string, spans []ptrace.Span) {
 	}
 }
 
+// fleetDir lays down what makes a directory a fleet — a campaign.json
+// carrying a placement — plus one empty subdirectory per shard.
+func fleetDir(t *testing.T, shards int) (string, shard.Placement) {
+	t.Helper()
+	dir := t.TempDir()
+	pl, err := shard.Uniform(shards, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteFleetMeta(dir, trace.Meta{
+		App: "web", NumServers: 4, NumUplinks: 2, ServerSpeed: 10e9, UplinkSpeed: 40e9,
+		Interval: 25 * simclock.Microsecond, WindowDur: simclock.Millisecond, Windows: shards, Seed: 1,
+		Counters:  []collector.CounterSpec{{Port: 1}},
+		Placement: &pl,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < shards; s++ {
+		if err := os.MkdirAll(filepath.Join(dir, pl.Name(s)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir, pl
+}
+
 // TestLoadDumpFleetDirMerges lays down a fleet directory whose shard
 // subdirectories each hold a saved /spans response, and checks loadDump
 // merges them into one canonical stream — including a trace whose
 // client and server halves landed on different shards.
 func TestLoadDumpFleetDirMerges(t *testing.T) {
-	dir := t.TempDir()
-	pl, err := shard.Uniform(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man := trace.FleetManifest{Racks: 2, Placement: pl}
-	for s := 0; s < 2; s++ {
-		sub := filepath.Join(dir, pl.Name(s))
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		man.Shards = append(man.Shards, trace.FleetShard{ID: s, Name: pl.Name(s), Dir: pl.Name(s)})
-	}
-	if err := trace.WriteFleetManifest(dir, man); err != nil {
-		t.Fatal(err)
-	}
+	dir, pl := fleetDir(t, 2)
 	// Trace 1 is split across both shard dumps; trace 2 lives on one.
 	writeDump(t, filepath.Join(dir, pl.Name(0), "spans.json"), []ptrace.Span{
 		span(1, "poll.read", 0, 0, 100),
@@ -92,21 +103,35 @@ func TestLoadDumpFleetDirMerges(t *testing.T) {
 // TestLoadDumpFleetDirWithoutSpans: a fleet directory whose shards were
 // run without -tracing is a clear error, not an empty render.
 func TestLoadDumpFleetDirWithoutSpans(t *testing.T) {
-	dir := t.TempDir()
-	pl, err := shard.Uniform(1, 3)
+	dir, _ := fleetDir(t, 1)
+	if _, err := loadDump(dir, ""); err == nil || !strings.Contains(err.Error(), "spans.json") {
+		t.Fatalf("missing dumps not surfaced: %v", err)
+	}
+}
+
+// TestLoadDumpFleetDirEscapingShard: the shard names come from
+// campaign.json on disk; one that points out of the fleet directory — at
+// a perfectly good spans.json — is refused, not followed.
+func TestLoadDumpFleetDirEscapingShard(t *testing.T) {
+	dir, pl := fleetDir(t, 1)
+	outside := filepath.Join(filepath.Dir(dir), "elsewhere")
+	if err := os.Rename(filepath.Join(dir, pl.Name(0)), outside); err != nil {
+		t.Fatal(err)
+	}
+	writeDump(t, filepath.Join(outside, "spans.json"), []ptrace.Span{span(1, "poll.read", 0, 0, 100)})
+	path := filepath.Join(dir, trace.MetaFileName)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := filepath.Join(dir, pl.Name(0))
-	if err := os.MkdirAll(sub, 0o755); err != nil {
+	edited := bytes.Replace(data, []byte(`"shard_000"`), []byte(`"../elsewhere"`), 1)
+	if bytes.Equal(edited, data) {
+		t.Fatal("campaign.json holds no shard_000 name to edit")
+	}
+	if err := os.WriteFile(path, edited, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	man := trace.FleetManifest{Racks: 1, Placement: pl,
-		Shards: []trace.FleetShard{{ID: 0, Name: pl.Name(0), Dir: pl.Name(0)}}}
-	if err := trace.WriteFleetManifest(dir, man); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loadDump(dir, ""); err == nil || !strings.Contains(err.Error(), "spans.json") {
-		t.Fatalf("missing dumps not surfaced: %v", err)
+	if _, err := loadDump(dir, ""); err == nil || !strings.Contains(err.Error(), "not inside the fleet directory") {
+		t.Errorf("escaping shard name not rejected: %v", err)
 	}
 }

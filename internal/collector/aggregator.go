@@ -1,13 +1,9 @@
 package collector
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
-
-	"mburst/internal/shard"
 )
 
 // This file is the fleet half of the sharded collection plane: the
@@ -29,7 +25,7 @@ type ShardUpdate struct {
 	Shard int `json:"shard"`
 	// Seq orders a shard's updates; the aggregator keeps the highest.
 	// A restarted shard begins again at 1, which supersedes the seed
-	// state (Seq 0) an aggregator restored from a fleet checkpoint.
+	// state (Seq 0) an aggregator restored from the shard checkpoints.
 	Seq uint64 `json:"seq"`
 	// Figures is the shard's live-figures accumulator state.
 	Figures FiguresState `json:"figures"`
@@ -269,29 +265,28 @@ func (a *Aggregator) FleetFigures() (FiguresSnapshot, error) {
 	return lf.Snapshot(), nil
 }
 
-// Restore seeds the retained per-shard states from a fleet checkpoint,
-// as Seq-0 cuts that any live shard update supersedes. Call before
-// traffic, typically right after NewAggregator when resuming a fleet.
-func (a *Aggregator) Restore(st FleetCheckpointState) error {
-	if len(st.Shards) != len(a.latest) {
-		return fmt.Errorf("collector: fleet checkpoint has %d shards, aggregator %d",
-			len(st.Shards), len(a.latest))
+// Restore seeds the retained per-shard states from the shards' own
+// checkpoints — states[i] is what LoadCheckpoint returns for placement
+// shard i's directory — as Seq-0 cuts that any live shard update
+// supersedes. Call before traffic, typically right after NewAggregator
+// when resuming a fleet.
+func (a *Aggregator) Restore(states []CheckpointState) error {
+	if len(states) != len(a.latest) {
+		return fmt.Errorf("collector: %d shard checkpoints, aggregator has %d shards",
+			len(states), len(a.latest))
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, sc := range st.Shards {
-		if sc.Shard < 0 || sc.Shard >= len(a.latest) {
-			return fmt.Errorf("collector: fleet checkpoint shard %d out of range", sc.Shard)
+	for i, st := range states {
+		u := ShardUpdate{Shard: i, Seq: 0}
+		if st.Figures != nil {
+			u.Figures = *st.Figures
 		}
-		u := ShardUpdate{Shard: sc.Shard, Seq: 0}
-		if sc.State.Figures != nil {
-			u.Figures = *sc.State.Figures
+		if st.Ingest != nil {
+			u.Ingest = *st.Ingest
 		}
-		if sc.State.Ingest != nil {
-			u.Ingest = *sc.State.Ingest
-		}
-		a.latest[sc.Shard] = u
-		a.have[sc.Shard] = true
+		a.latest[i] = u
+		a.have[i] = true
 	}
 	return nil
 }
@@ -310,99 +305,4 @@ func (a *Aggregator) observeSince(start time.Time) {
 		return
 	}
 	a.m.MergeLatency.Observe(float64(a.cfg.Now().Sub(start).Microseconds()))
-}
-
-// ShardCheckpoint is one shard's contribution to a fleet checkpoint.
-type ShardCheckpoint struct {
-	// Shard is the placement index; Name the placement name, recorded so
-	// a checkpoint survives placement-generation changes legibly.
-	Shard int             `json:"shard"`
-	Name  string          `json:"name,omitempty"`
-	State CheckpointState `json:"state"`
-}
-
-// FleetCheckpointState is the fleet-wide checkpoint: the placement that
-// produced it plus every shard's checkpoint, composed rather than
-// re-cut — the fleet checkpoint is exactly the union of shard
-// checkpoints, the same way the fleet state is the union of shard
-// states.
-type FleetCheckpointState struct {
-	Placement shard.Placement   `json:"placement"`
-	Shards    []ShardCheckpoint `json:"shards"`
-}
-
-// ComposeFleetCheckpoint assembles a fleet checkpoint from per-shard
-// checkpoint states, one per placement shard in index order.
-func ComposeFleetCheckpoint(pl shard.Placement, states []CheckpointState) (FleetCheckpointState, error) {
-	if err := pl.Validate(); err != nil {
-		return FleetCheckpointState{}, err
-	}
-	if len(states) != pl.NumShards() {
-		return FleetCheckpointState{}, fmt.Errorf(
-			"collector: composing fleet checkpoint: %d shard states for %d placement shards",
-			len(states), pl.NumShards())
-	}
-	st := FleetCheckpointState{Placement: pl, Shards: make([]ShardCheckpoint, len(states))}
-	for i, s := range states {
-		st.Shards[i] = ShardCheckpoint{Shard: i, Name: pl.Name(i), State: s}
-	}
-	return st, nil
-}
-
-// FleetState merges the checkpoint's shard states into the fleet-wide
-// view it represents — what an aggregator restored from this checkpoint
-// would report before any live update.
-func (st FleetCheckpointState) FleetState() (FleetState, error) {
-	out := FleetState{Shards: len(st.Shards), Seqs: make([]uint64, len(st.Shards))}
-	figs := make([]FiguresState, 0, len(st.Shards))
-	snaps := make([]Snapshot, 0, len(st.Shards))
-	for _, sc := range st.Shards {
-		out.Reporting++
-		if sc.State.Figures != nil {
-			figs = append(figs, *sc.State.Figures)
-		}
-		if sc.State.Ingest != nil {
-			snaps = append(snaps, *sc.State.Ingest)
-		}
-	}
-	var err error
-	out.Figures, err = MergeFiguresStates(figs...)
-	if err != nil {
-		return FleetState{}, err
-	}
-	out.Ingest = MergeSnapshots(snaps...)
-	return out, nil
-}
-
-// SaveFleetCheckpoint writes st to path atomically, with the same
-// compact encoding and temp-fsync-rename discipline as the per-shard
-// SaveCheckpoint.
-func SaveFleetCheckpoint(path string, st FleetCheckpointState) error {
-	data, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("collector: encoding fleet checkpoint: %w", err)
-	}
-	return WriteFileAtomic(path, append(data, '\n'))
-}
-
-// LoadFleetCheckpoint reads a fleet checkpoint. A missing file returns
-// ok=false, mirroring LoadCheckpoint.
-func LoadFleetCheckpoint(path string) (FleetCheckpointState, bool, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return FleetCheckpointState{}, false, nil
-	}
-	if err != nil {
-		return FleetCheckpointState{}, false, err
-	}
-	var st FleetCheckpointState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return FleetCheckpointState{}, false, fmt.Errorf("collector: decoding fleet checkpoint %s: %w", path, err)
-	}
-	for _, sc := range st.Shards {
-		if err := sc.State.validate(); err != nil {
-			return FleetCheckpointState{}, false, fmt.Errorf("collector: fleet checkpoint %s: shard %d: %w", path, sc.Shard, err)
-		}
-	}
-	return st, true, nil
 }

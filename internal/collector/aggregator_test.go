@@ -358,10 +358,11 @@ func TestAggregatorConcurrentDelivery(t *testing.T) {
 	agg.Close()
 }
 
-// TestFleetCheckpointComposeRestore proves the fleet checkpoint is the
-// exact composition of shard checkpoints: composing, persisting,
-// loading and restoring it into a fresh aggregator reproduces the fleet
-// state, and a live shard update supersedes the restored seed state.
+// TestFleetCheckpointComposeRestore proves the fleet's checkpoint is
+// nothing but its shards' checkpoints: saving each shard's state, loading
+// them back and restoring them into a fresh aggregator reproduces the
+// exact merge of those states, and a live shard update supersedes the
+// restored seed state.
 func TestFleetCheckpointComposeRestore(t *testing.T) {
 	const racks, nShards = 8, 3
 	pl, err := shard.Uniform(nShards, 5)
@@ -379,24 +380,23 @@ func TestFleetCheckpointComposeRestore(t *testing.T) {
 		}
 	}
 
-	states := make([]CheckpointState, nShards)
+	// One checkpoint file per shard directory, as a durable fleet lays
+	// them out.
+	dir := t.TempDir()
+	loaded := make([]CheckpointState, nShards)
+	figs := make([]FiguresState, nShards)
+	snaps := make([]Snapshot, nShards)
 	for i, s := range shards {
-		states[i] = s.CheckpointState()
-	}
-	ck, err := ComposeFleetCheckpoint(pl, states)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "fleet_checkpoint.json")
-	if err := SaveFleetCheckpoint(path, ck); err != nil {
-		t.Fatal(err)
-	}
-	loaded, ok, err := LoadFleetCheckpoint(path)
-	if err != nil || !ok {
-		t.Fatalf("LoadFleetCheckpoint: ok=%v err=%v", ok, err)
-	}
-	if !loaded.Placement.Equal(pl) {
-		t.Error("loaded checkpoint placement differs")
+		path := filepath.Join(dir, pl.Name(i)+"_"+CheckpointFileName)
+		if err := SaveCheckpoint(path, s.CheckpointState()); err != nil {
+			t.Fatal(err)
+		}
+		var ok bool
+		loaded[i], ok, err = LoadCheckpoint(path)
+		if err != nil || !ok {
+			t.Fatalf("LoadCheckpoint shard %d: ok=%v err=%v", i, ok, err)
+		}
+		figs[i], snaps[i] = *loaded[i].Figures, *loaded[i].Ingest
 	}
 
 	agg, err := NewAggregator(AggregatorConfig{Shards: nShards, Figures: fleetFiguresConfig()})
@@ -411,12 +411,12 @@ func TestFleetCheckpointComposeRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := loaded.FleetState()
+	direct, err := MergeFiguresStates(figs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(restored.Figures, direct.Figures) || !reflect.DeepEqual(restored.Ingest, direct.Ingest) {
-		t.Error("restored aggregator state differs from the checkpoint's own merge")
+	if !reflect.DeepEqual(restored.Figures, direct) || !reflect.DeepEqual(restored.Ingest, MergeSnapshots(snaps...)) {
+		t.Error("restored aggregator state differs from the merge of the shard checkpoints")
 	}
 	if restored.Reporting != nShards {
 		t.Errorf("Reporting = %d, want %d", restored.Reporting, nShards)
@@ -435,8 +435,8 @@ func TestFleetCheckpointComposeRestore(t *testing.T) {
 	}
 
 	// Mismatched shard counts are rejected.
-	if _, err := ComposeFleetCheckpoint(pl, states[:1]); err == nil {
-		t.Error("compose with missing shard states must fail")
+	if err := agg.Restore(loaded[:1]); err == nil {
+		t.Error("restoring one shard checkpoint into a 3-shard aggregator must fail")
 	}
 	small, err := NewAggregator(AggregatorConfig{Shards: 1})
 	if err != nil {
@@ -444,6 +444,6 @@ func TestFleetCheckpointComposeRestore(t *testing.T) {
 	}
 	defer small.Close()
 	if err := small.Restore(loaded); err == nil {
-		t.Error("restoring a 3-shard checkpoint into a 1-shard aggregator must fail")
+		t.Error("restoring 3 shard checkpoints into a 1-shard aggregator must fail")
 	}
 }

@@ -86,8 +86,8 @@ func SaveCheckpoint(path string, st CheckpointState) error {
 	return WriteFileAtomic(path, appendCheckpoint(nil, &st))
 }
 
-// WriteFileAtomic is the write discipline shared by the per-shard and
-// fleet checkpoints and internal/trace's manifests: temp file (path +
+// WriteFileAtomic is the write discipline shared by the shard
+// checkpoints and internal/trace's manifests: temp file (path +
 // ".tmp", the suffix trace recovery sweeps), fsync, rename, best-effort
 // directory fsync. A crash leaves either the old or the new content.
 func WriteFileAtomic(path string, data []byte) error {
@@ -270,10 +270,10 @@ func (s *Shard) Checkpoint() error {
 }
 
 // CheckpointState cuts the shard's current state into the persisted
-// checkpoint shape without touching disk — the raw material
-// ComposeFleetCheckpoint assembles into a fleet-wide checkpoint, and on
-// a quiesced durable shard exactly what Checkpoint would write. The
-// archived-batches mark is only present on durable shards.
+// checkpoint shape without touching disk — on a quiesced durable shard
+// exactly what Checkpoint would write, and so what Aggregator.Restore
+// is seeded with. The archived-batches mark is only present on durable
+// shards.
 func (s *Shard) CheckpointState() CheckpointState {
 	s.mu.Lock()
 	defer s.mu.Unlock()

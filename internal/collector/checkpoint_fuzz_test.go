@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"mburst/internal/shard"
 	"mburst/internal/wire"
 )
 
@@ -159,8 +158,7 @@ func TestParentCheckpointStaysResumable(t *testing.T) {
 
 // TestLoadCheckpointRejectsSeriesWithoutHistogram: a checkpoint that
 // lost a series' util_hist fails the load — and so Resume — with an
-// error naming the series, whatever the encoding, per-shard and fleet
-// form alike.
+// error naming the series, whatever the encoding.
 func TestLoadCheckpointRejectsSeriesWithoutHistogram(t *testing.T) {
 	st, _, err := LoadCheckpoint(binaryCheckpoint)
 	if err != nil {
@@ -192,17 +190,6 @@ func TestLoadCheckpointRejectsSeriesWithoutHistogram(t *testing.T) {
 		d, _, _ := newDurable(t, &memArchive{}, path, 1000)
 		if _, err := d.Resume(nil); err == nil {
 			t.Errorf("util_hist %s: Resume armed the broken checkpoint", form)
-		}
-		if form == "mbc1" {
-			continue // the fleet checkpoint embeds shard states as JSON only
-		}
-		fleet := filepath.Join(dir, "fleet.json")
-		wrapped := append(append([]byte(`{"placement":{},"shards":[{"shard":0,"state":`), broken...), []byte("}]}")...)
-		if err := os.WriteFile(fleet, wrapped, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok, err := LoadFleetCheckpoint(fleet); err == nil || ok || !strings.Contains(err.Error(), series) {
-			t.Errorf("util_hist %s: LoadFleetCheckpoint ok=%v err=%v, want an error naming %q", form, ok, err, series)
 		}
 	}
 }
@@ -406,39 +393,31 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	})
 }
 
-// FuzzLoadFleetCheckpoint does the same for the fleet checkpoint, which
-// stays JSON: whatever loads either merges into a fleet state or says
-// why not, and survives SaveFleetCheckpoint → LoadFleetCheckpoint
-// unchanged.
+// FuzzLoadFleetCheckpoint does the same one level up: a fleet's
+// checkpoint is its shards' checkpoint files, so one shard's file of a
+// two-shard fleet is fuzzed beside an intact one. Whatever LoadCheckpoint
+// accepts must seed an aggregator, which then either merges both shards
+// or names the series two of them claim — never panics.
 func FuzzLoadFleetCheckpoint(f *testing.F) {
-	st, _, err := LoadCheckpoint(binaryCheckpoint)
+	intact, _, err := LoadCheckpoint(binaryCheckpoint)
 	if err != nil {
 		f.Fatal(err)
 	}
-	pl, err := shard.Uniform(2, 1)
+	golden, err := os.ReadFile(binaryCheckpoint)
 	if err != nil {
 		f.Fatal(err)
 	}
-	fleet, err := ComposeFleetCheckpoint(pl, []CheckpointState{st, {}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	whole, err := json.Marshal(fleet)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(whole)
-	f.Add(whole[:len(whole)/2])
-	f.Add([]byte(`{"placement":{},"shards":[{"shard":0,"state":{"figures":{"series":[{"rack":1,"util_hist":[0]},{"rack":1,"util_hist":[0]}]}}}]}`))
-	f.Add([]byte(`{"shards":[{"shard":-1,"state":{"archived_batches":1}}]}`))
+	f.Add(golden) // every series also on the intact shard
+	f.Add(golden[:len(golden)/2])
+	f.Add([]byte(`{"figures":{"series":[{"rack":9,"util_hist":[0]},{"rack":9,"util_hist":[0]}]}}`))
+	f.Add([]byte(`{"archived_batches":1}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "in.json")
+		path := filepath.Join(t.TempDir(), CheckpointFileName)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, ok, err := LoadFleetCheckpoint(path)
+		st, ok, err := LoadCheckpoint(path)
 		if err != nil {
 			if !strings.Contains(err.Error(), path) {
 				t.Fatalf("load error does not name the file: %v", err)
@@ -448,23 +427,23 @@ func FuzzLoadFleetCheckpoint(f *testing.F) {
 		if !ok {
 			t.Fatal("an existing file loaded as missing")
 		}
-		if fs, err := st.FleetState(); err == nil && fs.Shards != len(st.Shards) {
-			t.Errorf("fleet state reports %d shards of %d", fs.Shards, len(st.Shards))
+		agg, err := NewAggregator(AggregatorConfig{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		out := filepath.Join(dir, "out.json")
-		if err := SaveFleetCheckpoint(out, st); err != nil {
-			t.Fatalf("SaveFleetCheckpoint: %v", err)
+		defer agg.Close()
+		if err := agg.Restore([]CheckpointState{intact, st}); err != nil {
+			t.Fatalf("Restore refused a checkpoint LoadCheckpoint accepted: %v", err)
 		}
-		back, ok, err := LoadFleetCheckpoint(out)
-		if err != nil || !ok {
-			t.Fatalf("re-loading a fleet checkpoint this tree wrote: ok=%v err=%v", ok, err)
+		fs, err := agg.FleetState()
+		if err != nil {
+			if !strings.Contains(err.Error(), "claimed by two shards") {
+				t.Fatalf("fleet merge failed for another reason than a duplicate series: %v", err)
+			}
+			return
 		}
-		// As bytes: `"gate":[]` loads as an empty slice and, being
-		// omitempty, comes back nil.
-		wrote, _ := json.Marshal(st)
-		read, _ := json.Marshal(back)
-		if !bytes.Equal(wrote, read) {
-			t.Errorf("fleet checkpoint does not round-trip:\nwrote %s\n read %s", wrote, read)
+		if fs.Reporting != 2 {
+			t.Errorf("fleet state reports %d shards of 2", fs.Reporting)
 		}
 	})
 }

@@ -275,10 +275,9 @@ func TestEpochGateStateRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointStateMatchesDisk pins the single cut builder: on a
-// quiesced durable shard, what CheckpointState returns (the raw material
-// of the fleet checkpoint) is exactly what Checkpoint then persists —
-// gate horizons included, or a shard restored from the fleet checkpoint
-// could not deduplicate retransmits.
+// quiesced durable shard, what CheckpointState returns is exactly what
+// Checkpoint then persists — gate horizons included, or a shard restored
+// from it could not deduplicate retransmits.
 func TestCheckpointStateMatchesDisk(t *testing.T) {
 	arch := &memArchive{}
 	path := filepath.Join(t.TempDir(), "ckpt.json")

@@ -54,8 +54,8 @@ type FleetConfig struct {
 	// QueueDepth bounds the aggregator fan-in queue (0 = 4×Shards).
 	QueueDepth int
 	// Dir, when non-empty, makes the shards durable and lays out a fleet
-	// campaign directory: campaign.json (with the placement), fleet.json
-	// and one archive directory per shard. Required when Faults strike.
+	// campaign directory: campaign.json (with the placement) and one
+	// archive directory per shard. Required when Faults strike.
 	Dir string
 	// CheckpointEvery is the durable shards' checkpoint cadence in
 	// admitted batches (0 = collector.DefaultCheckpointEvery).
@@ -86,10 +86,6 @@ func (cfg *FleetConfig) withDefaults() {
 		cfg.PublishEvery = 8
 	}
 }
-
-// FleetCheckpointName is the fleet-wide checkpoint file RunFleet leaves
-// in a durable fleet directory, composed from the shard checkpoints.
-const FleetCheckpointName = "fleet_checkpoint.json"
 
 // FleetResult is the outcome of one fleet campaign.
 type FleetResult struct {
@@ -272,25 +268,22 @@ func (fs *fleetShard) resume() error {
 
 // finish cuts the shard's final state: a blocking publish, a durable
 // checkpoint, and the sealed archive.
-func (fs *fleetShard) finish(agg *collector.Aggregator) (collector.CheckpointState, error) {
+func (fs *fleetShard) finish(agg *collector.Aggregator) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if err := fs.s.Err(); err != nil {
-		return collector.CheckpointState{}, fmt.Errorf("core: shard %d ingest: %w", fs.id, err)
+		return fmt.Errorf("core: shard %d ingest: %w", fs.id, err)
 	}
 	u := fs.s.Publish()
 	fs.lastSeq = u.Seq
 	agg.Deliver(u)
-	st := fs.s.CheckpointState()
 	if fs.arch != nil {
 		if err := fs.s.Checkpoint(); err != nil {
-			return collector.CheckpointState{}, err
+			return err
 		}
-		if err := fs.arch.Close(); err != nil {
-			return collector.CheckpointState{}, err
-		}
+		return fs.arch.Close()
 	}
-	return st, nil
+	return nil
 }
 
 // fleetStrikes converts a fault schedule into per-shard batch-count
@@ -510,14 +503,10 @@ func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResul
 		WireBytes: wireBytes.Load(),
 		Oracle:    cfg.Oracle,
 	}
-	states := make([]collector.CheckpointState, cfg.Shards)
-	man := trace.FleetManifest{Racks: e.cfg.Racks, Placement: pl}
-	for k, fs := range shards {
-		st, err := fs.finish(agg)
-		if err != nil {
+	for _, fs := range shards {
+		if err := fs.finish(agg); err != nil {
 			return nil, err
 		}
-		states[k] = st
 		res.Batches += fs.batches
 		res.Samples += fs.samples
 		res.Kills += fs.kills
@@ -525,10 +514,6 @@ func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResul
 		res.Replayed += fs.replayed
 		res.Redelivered += fs.redelivered
 		res.Shortfall += fs.shortfall
-		man.Shards = append(man.Shards, trace.FleetShard{
-			ID: k, Name: pl.Name(k), Dir: pl.Name(k),
-			Batches: fs.batches, Samples: fs.samples,
-		})
 	}
 	agg.Flush()
 	res.Fleet, err = agg.FleetState()
@@ -538,19 +523,6 @@ func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResul
 	res.Figures, err = agg.FleetFigures()
 	if err != nil {
 		return nil, err
-	}
-
-	if cfg.Dir != "" {
-		if err := trace.WriteFleetManifest(cfg.Dir, man); err != nil {
-			return nil, err
-		}
-		fckpt, err := collector.ComposeFleetCheckpoint(pl, states)
-		if err != nil {
-			return nil, err
-		}
-		if err := collector.SaveFleetCheckpoint(filepath.Join(cfg.Dir, FleetCheckpointName), fckpt); err != nil {
-			return nil, err
-		}
 	}
 
 	if oracle != nil {

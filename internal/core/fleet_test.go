@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"io/fs"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"mburst/internal/collector"
 	"mburst/internal/fault"
+	"mburst/internal/shard"
 	"mburst/internal/simclock"
 	"mburst/internal/trace"
 	"mburst/internal/wire"
@@ -59,33 +62,78 @@ func TestFleetMatchesOracleAcrossShardCounts(t *testing.T) {
 	}
 }
 
+// fleetFiles lists every file under a fleet directory, slash-separated
+// and relative to it, in lexical order.
+func fleetFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var names []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		names = append(names, filepath.ToSlash(rel))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
+// mergeShardCheckpoints loads the checkpoint in each placement shard's
+// directory and merges them — the fleet-wide state a durable fleet
+// directory holds, which nothing but its shards records.
+func mergeShardCheckpoints(t *testing.T, dir string, pl shard.Placement) (collector.FiguresState, collector.Snapshot) {
+	t.Helper()
+	figs := make([]collector.FiguresState, pl.NumShards())
+	snaps := make([]collector.Snapshot, pl.NumShards())
+	for k := range figs {
+		st, ok, err := collector.LoadCheckpoint(filepath.Join(dir, pl.Name(k), collector.CheckpointFileName))
+		if err != nil || !ok {
+			t.Fatalf("shard %d checkpoint: ok=%v err=%v", k, ok, err)
+		}
+		figs[k], snaps[k] = *st.Figures, *st.Ingest
+	}
+	merged, err := collector.MergeFiguresStates(figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return merged, collector.MergeSnapshots(snaps...)
+}
+
 func TestFleetWorkerCountInvariance(t *testing.T) {
-	run := func(workers int) *FleetResult {
+	run := func(workers int) (*FleetResult, []string) {
 		cfg := fleetTestConfig(6)
 		cfg.Workers = workers
 		e, err := NewExperiment(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dir := filepath.Join(t.TempDir(), "fleet")
 		res, err := e.RunFleet(context.Background(), FleetConfig{
-			App: workload.Cache, Shards: 3, PlacementSeed: 1, BatchSize: 32,
+			App: workload.Cache, Shards: 3, PlacementSeed: 1, BatchSize: 32, Dir: dir,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, fleetFiles(t, dir)
 	}
-	serial, parallel := run(1), run(4)
+	serial, serialFiles := run(1)
+	parallel, parallelFiles := run(8)
+	if !reflect.DeepEqual(serialFiles, parallelFiles) {
+		t.Errorf("worker counts 1 vs 8: fleet directories hold different files:\n%v\n%v", serialFiles, parallelFiles)
+	}
 	if serial.Fleet.Figures.Samples == 0 {
 		t.Fatal("empty fleet figures")
 	}
 	if !reflect.DeepEqual(serial.Fleet.Figures, parallel.Fleet.Figures) ||
 		!reflect.DeepEqual(serial.Fleet.Ingest, parallel.Fleet.Ingest) ||
 		!reflect.DeepEqual(serial.Figures, parallel.Figures) {
-		t.Error("worker counts 1 vs 4: fleet states diverge")
+		t.Error("worker counts 1 vs 8: fleet states diverge")
 	}
 	if serial.WireBytes != parallel.WireBytes || serial.Batches != parallel.Batches {
-		t.Errorf("worker counts 1 vs 4: totals diverge: %d/%d bytes, %d/%d batches",
+		t.Errorf("worker counts 1 vs 8: totals diverge: %d/%d bytes, %d/%d batches",
 			serial.WireBytes, parallel.WireBytes, serial.Batches, parallel.Batches)
 	}
 }
@@ -121,23 +169,33 @@ func TestFleetDurableFaultsByteExact(t *testing.T) {
 		t.Error("crash schedule broke fleet/oracle byte-exactness")
 	}
 
-	// The fleet directory round-trips: manifest, placement-stamped
-	// campaign meta, fleet checkpoint, and the merged archive stream
-	// accounts for every admitted batch (vouched short-write lies
-	// excepted, batch-for-batch, as Shortfall).
-	man, ok, err := trace.ReadFleetManifest(dir)
+	// The fleet directory is campaign.json plus one store per shard and
+	// nothing else: no file restates what those hold.
+	want := []string{
+		"campaign.json",
+		"shard_000/archive.json", "shard_000/checkpoint.mbc", "shard_000/seg_000001.mbw", "shard_000/seg_000002.mbw",
+		"shard_001/archive.json", "shard_001/checkpoint.mbc", "shard_001/seg_000001.mbw", "shard_001/seg_000002.mbw",
+		"shard_002/archive.json", "shard_002/checkpoint.mbc", "shard_002/seg_000001.mbw", "shard_002/seg_000002.mbw",
+	}
+	if got := fleetFiles(t, dir); !reflect.DeepEqual(got, want) {
+		t.Errorf("fleet directory holds\n%v, want\n%v", got, want)
+	}
+	// It round-trips: the placement-stamped campaign meta resolves the
+	// shards, their checkpoints merge to the state the aggregator
+	// reported, and the merged archive stream accounts for every admitted
+	// batch (vouched short-write lies excepted, batch-for-batch, as
+	// Shortfall).
+	meta, ok, err := trace.FleetMeta(dir)
 	if err != nil || !ok {
-		t.Fatalf("fleet manifest: ok=%v err=%v", ok, err)
+		t.Fatalf("fleet meta: ok=%v err=%v", ok, err)
 	}
-	if !man.Placement.Equal(res.Placement) {
-		t.Error("manifest placement diverges from the campaign's")
+	if !meta.Placement.Equal(res.Placement) || meta.Windows != res.Racks {
+		t.Errorf("campaign.json says %d racks under %+v, campaign ran %d under %+v",
+			meta.Windows, meta.Placement, res.Racks, res.Placement)
 	}
-	r, err := trace.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Meta().Placement == nil || !r.Meta().Placement.Equal(res.Placement) {
-		t.Error("campaign.json placement missing or diverging")
+	figs, ingest := mergeShardCheckpoints(t, dir, res.Placement)
+	if !reflect.DeepEqual(figs, res.Fleet.Figures) || !reflect.DeepEqual(ingest, res.Fleet.Ingest) {
+		t.Error("the shard checkpoints do not merge to the fleet state the campaign reported")
 	}
 	var archived uint64
 	if err := trace.IterFleet(dir, func(b *wire.Batch) error {

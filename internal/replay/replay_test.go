@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -202,6 +203,12 @@ func TestReplayErrors(t *testing.T) {
 	dir := writeCampaign(t, 1, 10)
 	if _, err := Run(context.Background(), dir, failingWriter{}, Options{Unpaced: true, BatchSamples: 4}); err == nil {
 		t.Error("write failure not propagated")
+	}
+	// A fleet directory has no windows to replay; silence would look like
+	// an empty campaign.
+	fleet := filepath.Join("..", "..", "cmd", "mbdump", "testdata", "fleet_parent")
+	if _, err := Run(context.Background(), fleet, &bytes.Buffer{}, Options{Unpaced: true}); err == nil || !strings.Contains(err.Error(), "per-shard archives") {
+		t.Errorf("fleet directory: err = %v, want a refusal naming the per-shard archives", err)
 	}
 }
 

@@ -22,8 +22,8 @@
 //
 // A Placement is explicit and versioned: membership edits go through
 // WithShard/WithoutShard, which bump Version, so campaign metadata
-// (campaign.json, fleet.json) records exactly which generation of the
-// map produced an archive.
+// (campaign.json) records exactly which generation of the map produced
+// an archive.
 package shard
 
 import (

@@ -34,10 +34,8 @@ type scanResult struct {
 	// Batches and Samples count what the prefix holds.
 	Batches uint64
 	Samples uint64
-	// Torn reports whether anything followed the good prefix; Err is the
-	// decode error that ended a torn scan (nil on a clean EOF).
+	// Torn reports whether anything followed the good prefix.
 	Torn bool
-	Err  error
 }
 
 // scanStream reads wire batches from r until end-of-stream or damage and
@@ -53,15 +51,11 @@ func scanStream(r io.Reader) scanResult {
 		b, err := br.ReadBatch()
 		if err == io.EOF {
 			// Clean end only if it fell exactly on a frame boundary.
-			if cr.n != res.GoodBytes {
-				res.Torn = true
-				res.Err = io.ErrUnexpectedEOF
-			}
+			res.Torn = cr.n != res.GoodBytes
 			return res
 		}
 		if err != nil {
 			res.Torn = true
-			res.Err = err
 			return res
 		}
 		res.GoodBytes = cr.n
@@ -194,6 +188,5 @@ func RecoverArchive(dir string) (*ArchiveRecovery, error) {
 	if err := saveArchiveManifest(dir, out); err != nil {
 		return nil, err
 	}
-	syncDir(dir)
 	return rep, nil
 }

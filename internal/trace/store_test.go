@@ -216,21 +216,17 @@ type failWrites struct{ io.WriteCloser }
 
 func (failWrites) Write([]byte) (int, error) { return 0, errors.New("injected write error") }
 
-// TestFleetManifestRejectsEscapingDirs: fleet.json comes from disk and
-// each shard's Dir is joined to the fleet directory, so a Dir may only
-// name something inside it.
+// TestFleetManifestRejectsEscapingDirs: campaign.json comes from disk and
+// each placement shard name is joined to the fleet directory, so a name
+// may only be something inside it.
 func TestFleetManifestRejectsEscapingDirs(t *testing.T) {
 	abs, err := filepath.Abs(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	placement, err := shard.Uniform(1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
-		dir string
-		ok  bool
+		name string
+		ok   bool
 	}{
 		{"shard_000", true},
 		{"shards/000", true},
@@ -240,26 +236,44 @@ func TestFleetManifestRejectsEscapingDirs(t *testing.T) {
 		{"shard_000/../../elsewhere", false},
 		{abs, false},
 	} {
-		m := FleetManifest{
-			Racks:     4,
-			Placement: placement,
-			Shards:    []FleetShard{{ID: 0, Name: placement.Shards[0], Dir: tc.dir}},
+		// A hand-written campaign.json is where such a name would come
+		// from, so plant it past the writer.
+		meta := validMeta()
+		meta.Placement = &shard.Placement{Version: 1, Seed: 7, Shards: []string{tc.name}}
+		dir := t.TempDir()
+		if err := writeJSON(filepath.Join(dir, MetaFileName), &meta); err != nil {
+			t.Fatal(err)
 		}
-		err := m.Validate()
-		if (err == nil) != tc.ok {
-			t.Errorf("Dir %q: Validate = %v, want ok=%v", tc.dir, err, tc.ok)
+		got, ok, err := FleetMeta(dir)
+		if (err == nil) != tc.ok || ok != tc.ok {
+			t.Errorf("name %q: FleetMeta ok=%v err=%v, want ok=%v", tc.name, ok, err, tc.ok)
 		}
 		if err != nil && !strings.Contains(err.Error(), "shard 0") {
-			t.Errorf("Dir %q: error %q does not name the shard", tc.dir, err)
+			t.Errorf("name %q: error %q does not name the shard", tc.name, err)
 		}
-		// The reader enforces it too: a hand-written fleet.json is where
-		// such a path would come from.
-		dir := t.TempDir()
-		if werr := writeJSON(filepath.Join(dir, FleetManifestName), &m); werr != nil {
-			t.Fatal(werr)
+		if tc.ok && !reflect.DeepEqual(got, meta) {
+			t.Errorf("name %q: FleetMeta = %+v, want %+v", tc.name, got, meta)
 		}
-		if _, _, rerr := ReadFleetManifest(dir); (rerr == nil) != tc.ok {
-			t.Errorf("Dir %q: ReadFleetManifest = %v, want ok=%v", tc.dir, rerr, tc.ok)
+		// A fleet is not a campaign of windows: the window reader says so.
+		if _, err := Open(dir); tc.ok && (err == nil || !strings.Contains(err.Error(), "fleet campaign")) {
+			t.Errorf("name %q: Open = %v, want a refusal naming the fleet campaign", tc.name, err)
 		}
+		// IterFleet resolves shards through the same check, before it
+		// opens anything.
+		if err := IterFleet(dir, func(*wire.Batch) error { return nil }); !tc.ok && (err == nil || !strings.Contains(err.Error(), "shard 0")) {
+			t.Errorf("name %q: IterFleet = %v, want the same refusal", tc.name, err)
+		}
+	}
+	// Not a fleet: no campaign.json, and a plain recording's.
+	dir := t.TempDir()
+	if _, ok, err := FleetMeta(dir); ok || err != nil {
+		t.Errorf("empty dir: FleetMeta ok=%v err=%v, want false, nil", ok, err)
+	}
+	plain := validMeta()
+	if err := writeJSON(filepath.Join(dir, MetaFileName), &plain); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := FleetMeta(dir); ok || err != nil {
+		t.Errorf("plain recording: FleetMeta ok=%v err=%v, want false, nil", ok, err)
 	}
 }

@@ -62,7 +62,9 @@ type Meta struct {
 	Interval simclock.Duration `json:"interval_ns"`
 	// WindowDur is each window's duration in nanoseconds.
 	WindowDur simclock.Duration `json:"window_ns"`
-	// Windows is the number of measurement windows (one per "hour").
+	// Windows is the number of measurement windows (one per "hour"). In a
+	// fleet campaign (Placement set) every rack runs one window and this
+	// is the rack count; the persisted name stays so older dirs load.
 	Windows int `json:"windows"`
 	// Seed reproduces the campaign bit-for-bit.
 	Seed uint64 `json:"seed"`
@@ -230,21 +232,32 @@ type Reader struct {
 }
 
 // Open loads a campaign's metadata, and decides once how windows are
-// named: a directory without an archive manifest predates the layout.
+// named: a directory without an archive manifest predates the layout. A
+// fleet directory has no windows to read — its Windows counts racks — and
+// is refused by name rather than opened as an empty campaign.
 func Open(dir string) (*Reader, error) {
-	data, err := os.ReadFile(filepath.Join(dir, MetaFileName))
+	meta, err := readMeta(dir)
 	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	var meta Meta
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return nil, fmt.Errorf("trace: decoding meta: %w", err)
-	}
-	if err := meta.Validate(); err != nil {
 		return nil, err
+	}
+	if meta.Placement != nil {
+		return nil, fmt.Errorf("trace: %s is a fleet campaign: its samples live in per-shard archives (IterFleet), not in windows", dir)
 	}
 	_, err = os.Stat(filepath.Join(dir, ArchiveManifestName))
 	return &Reader{dir: dir, meta: meta, legacy: err != nil}, nil
+}
+
+// readMeta loads and validates dir's campaign.json.
+func readMeta(dir string) (Meta, error) {
+	data, err := os.ReadFile(filepath.Join(dir, MetaFileName))
+	if err != nil {
+		return Meta{}, fmt.Errorf("trace: %w", err)
+	}
+	var meta Meta
+	if err := json.Unmarshal(data, &meta); err != nil {
+		return Meta{}, fmt.Errorf("trace: decoding meta: %w", err)
+	}
+	return meta, meta.Validate()
 }
 
 // Meta returns the campaign metadata.

@@ -114,7 +114,9 @@ grep -q '"byte_exact": true' BENCH_fleet.json
 # workload's oracle fails — with no timing gate.
 go run ./bench -workload all -quick
 
-# Real-process smoke: the cmd/ binaries as separate processes over a
-# loopback socket — mbagent into a durable mbcollectd, SIGTERM, mbdump
-# reads back exactly what was delivered. No timing gate.
+# Real-process smoke: the cmd/ binaries as separate processes — mbagent
+# into a durable mbcollectd over a loopback socket, SIGTERM, mbdump reads
+# back exactly what was delivered; then mbfleet with a shard kill, whose
+# directory must be campaign.json + its shard stores and dump to the
+# samples it logged. No timing gate.
 ./scripts/smoke.sh

@@ -1,9 +1,12 @@
 #!/bin/sh
-# Real-process smoke: build mbcollectd, mbagent and mbdump, run one agent
-# against a durable collector over a real loopback socket, shut the
-# collector down with SIGTERM, and require that what the agent says it
-# delivered is exactly what the archive holds. A correctness check only —
-# no timing gate. Run from anywhere in the repository.
+# Real-process smoke, two acts. One: build mbcollectd, mbagent and mbdump,
+# run one agent against a durable collector over a real loopback socket,
+# shut the collector down with SIGTERM, and require that what the agent
+# says it delivered is exactly what the archive holds. Two: run mbfleet
+# into a durable fleet directory with a shard kill and the oracle on, and
+# require that the directory is campaign.json plus its shard stores and
+# that mbdump reads back the samples mbfleet logged. A correctness check
+# only — no timing gate. Run from anywhere in the repository.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -22,10 +25,12 @@ fail() {
 	cat "$TMP/collectd.log" >&2 || true
 	echo "--- mbagent log" >&2
 	cat "$TMP/agent.log" >&2 || true
+	echo "--- mbfleet log" >&2
+	cat "$TMP/fleet.log" >&2 || true
 	exit 1
 }
 
-go build -o "$TMP/bin/" ./cmd/mbcollectd ./cmd/mbagent ./cmd/mbdump
+go build -o "$TMP/bin/" ./cmd/mbcollectd ./cmd/mbagent ./cmd/mbdump ./cmd/mbfleet
 
 "$TMP/bin/mbcollectd" -listen 127.0.0.1:0 -archive "$TMP/arch" -stats 50ms 2>"$TMP/collectd.log" &
 PID=$!
@@ -66,3 +71,19 @@ case "$TOTALS" in
 *) fail "archive holds '$TOTALS', agent delivered $DELIVERED samples" ;;
 esac
 echo "smoke: ok — $DELIVERED samples delivered, archived and read back ($TOTALS)"
+
+# Act two: a sharded campaign as a real process. One shard is killed and
+# resumed mid-window; the oracle holds the merged state byte-exact.
+"$TMP/bin/mbfleet" -racks 8 -shards 2 -out "$TMP/fleet" -oracle -faults kill@1ms 2>"$TMP/fleet.log" || fail "mbfleet exited $?"
+grep -q 'msg="byte-exact against the single-collector oracle"' "$TMP/fleet.log" || fail "mbfleet did not report byte-exactness"
+grep -q 'msg="fleet campaign complete" .* kills=1 resumes=1 ' "$TMP/fleet.log" || fail "the scheduled kill did not strike and resume"
+SAMPLES=$(sed -n 's/.*msg="fleet campaign complete" .* samples=\([0-9]*\) .*/\1/p' "$TMP/fleet.log")
+[ -n "$SAMPLES" ] && [ "$SAMPLES" -gt 0 ] || fail "mbfleet logged no samples"
+LAYOUT=$(LC_ALL=C ls "$TMP/fleet" | tr '\n' ' ')
+[ "$LAYOUT" = "campaign.json shard_000 shard_001 " ] || fail "fleet directory holds '$LAYOUT', want campaign.json and one store per shard"
+TOTALS=$("$TMP/bin/mbdump" -in "$TMP/fleet" -quiet | grep '^total:')
+case "$TOTALS" in
+*" $SAMPLES samples"*) ;;
+*) fail "fleet archives hold '$TOTALS', mbfleet logged $SAMPLES samples" ;;
+esac
+echo "smoke: ok — fleet of 2 shards, 1 kill: $SAMPLES samples logged, archived and read back ($TOTALS)"
