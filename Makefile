@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-smoke bench-pair smoke fuzz chaos crash fleet trace ci
+.PHONY: build test race vet lint bench bench-smoke bench-pair smoke examples fuzz chaos crash fleet trace ci
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,12 @@ bench-pair:
 # samples mbfleet logged (scripts/smoke.sh; no timing gate).
 smoke:
 	./scripts/smoke.sh
+
+# examples runs the programs under examples/ — the only consumers of the
+# core API outside cmd/ and the tests — and fails unless webrack gets as
+# far as its Table 2 line.
+examples:
+	$(GO) run ./examples/webrack | grep 'Markov likelihood ratio'
 
 # fuzz exercises the parsers that face untrusted bytes: the wire decoder
 # — whole streams, and the MBW3 delta chain from the middle of one — the

@@ -14,7 +14,6 @@ import (
 	"context"
 	"testing"
 
-	"mburst/internal/analysis"
 	"mburst/internal/asic"
 	"mburst/internal/collector"
 	"mburst/internal/core"
@@ -198,11 +197,11 @@ func BenchmarkAblationHotThreshold(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				c, err := exp.RunByteCampaign(context.Background(), workload.Hadoop, 0)
+				st, err := exp.StreamByteStats(context.Background(), workload.Hadoop, 0, core.ByteWant{Durations: true})
 				if err != nil {
 					b.Fatal(err)
 				}
-				e := stats.NewECDF(c.BurstDurationsMicros(th))
+				e := stats.NewECDF(st.Durations)
 				b.ReportMetric(e.Quantile(0.9), "p90-µs")
 				b.ReportMetric(float64(e.N()), "bursts")
 			}
@@ -222,11 +221,11 @@ func BenchmarkAblationGranularity(b *testing.B) {
 		b.Run(interval.String(), func(b *testing.B) {
 			exp := quickExperiment(b)
 			for i := 0; i < b.N; i++ {
-				c, err := exp.RunByteCampaign(context.Background(), workload.Hadoop, interval)
+				st, err := exp.StreamByteStats(context.Background(), workload.Hadoop, interval, core.ByteWant{Durations: true})
 				if err != nil {
 					b.Fatal(err)
 				}
-				e := stats.NewECDF(c.BurstDurationsMicros(0))
+				e := stats.NewECDF(st.Durations)
 				b.ReportMetric(float64(e.N()), "bursts")
 				if e.N() > 0 {
 					b.ReportMetric(e.Quantile(0.9), "p90-µs")
@@ -278,19 +277,15 @@ func BenchmarkAblationPacing(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				c, err := exp.RunByteCampaign(context.Background(), workload.Hadoop, 0)
+				st, err := exp.StreamByteStats(context.Background(), workload.Hadoop, 0, core.ByteWant{Durations: true, Utils: true})
 				if err != nil {
 					b.Fatal(err)
 				}
-				e := stats.NewECDF(c.BurstDurationsMicros(0))
+				e := stats.NewECDF(st.Durations)
 				if e.N() > 0 {
 					b.ReportMetric(e.Quantile(0.9), "p90-µs")
 				}
-				var hot float64
-				for _, s := range c.WindowSeries {
-					hot += analysis.HotFraction(s, 0)
-				}
-				b.ReportMetric(hot/float64(len(c.WindowSeries))*100, "hot-%")
+				b.ReportMetric(float64(st.HotSamples)/float64(len(st.Utils))*100, "hot-%")
 			}
 		})
 	}
@@ -334,13 +329,12 @@ func BenchmarkBaselinePacketSampling(b *testing.B) {
 func BenchmarkExtensionSignalLatency(b *testing.B) {
 	exp := quickExperiment(b)
 	for i := 0; i < b.N; i++ {
-		c, err := exp.RunByteCampaign(context.Background(), workload.Web, 0)
+		st, err := exp.StreamByteStats(context.Background(), workload.Web, 0, core.ByteWant{Durations: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		durs := c.BurstDurationsMicros(0)
 		for _, rtt := range []simclock.Duration{50 * simclock.Microsecond, 100 * simclock.Microsecond, 250 * simclock.Microsecond} {
-			frac := detect.FractionOverBeforeSignal(durs, rtt/2)
+			frac := detect.FractionOverBeforeSignal(st.Durations, rtt/2)
 			b.ReportMetric(frac*100, "over-before-"+rtt.String()+"-rtt-%")
 		}
 	}

@@ -24,24 +24,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	campaign, err := exp.RunByteCampaign(context.Background(), workload.Web, 0)
+	st, err := exp.StreamByteStats(context.Background(), workload.Web, 0,
+		core.ByteWant{Durations: true, Gaps: true, Markov: true})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	durations := stats.NewECDF(campaign.BurstDurationsMicros(0))
-	gaps := campaign.InterBurstGapsMicros(0)
-	gapCDF := stats.NewECDF(gaps)
-	ks := analysis.PoissonTest(gaps)
-
-	var models []stats.MarkovModel
-	for _, s := range campaign.WindowSeries {
-		models = append(models, analysis.BurstMarkov(s, 0))
-	}
-	markov := stats.MergeMarkov(models...)
+	durations := stats.NewECDF(st.Durations)
+	gapCDF := stats.NewECDF(st.Gaps)
+	ks := analysis.PoissonTest(st.Gaps)
+	markov := st.Markov
 
 	fmt.Println("Web rack µburst characterization (25µs sampling)")
-	fmt.Printf("  %d windows, %d bursts observed\n", len(campaign.WindowSeries), durations.N())
+	fmt.Printf("  %d windows, %d bursts observed\n", len(st.Ports), durations.N())
 	fmt.Printf("  burst duration p50/p90/p99: %.0f / %.0f / %.0f µs (paper p90: 50µs)\n",
 		durations.Quantile(0.5), durations.Quantile(0.9), durations.Quantile(0.99))
 	fmt.Printf("  bursts ending within one sampling period: %.0f%% (paper: >60%%)\n",

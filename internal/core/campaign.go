@@ -111,18 +111,6 @@ func (e *Experiment) randomPort(app workload.App, rack, window int) int {
 	return src.Intn(topo.Default(e.cfg.Servers).NumPorts())
 }
 
-// ByteCampaign is a single-counter byte campaign over random ports — the
-// highest-resolution data set, feeding Figs 3, 4, 6 and Table 2.
-type ByteCampaign struct {
-	App workload.App
-	// Interval is the sampling interval (25 µs, the paper's Fig 3).
-	Interval simclock.Duration
-	// WindowSeries holds one utilization series per (rack, window).
-	WindowSeries [][]analysis.UtilPoint
-	// Ports records which port each window measured.
-	Ports []int
-}
-
 // ByteCampaignInterval is the paper's finest byte-counter interval.
 const ByteCampaignInterval = 25 * simclock.Microsecond
 
@@ -134,37 +122,6 @@ func formatName(f wire.Format) string {
 		return ""
 	}
 	return f.String()
-}
-
-// RunByteCampaign records the single-byte-counter campaign for one app at
-// the given interval (0 = 25 µs), fanning the (rack, window) cells across
-// the experiment's worker pool.
-func (e *Experiment) RunByteCampaign(ctx context.Context, app workload.App, interval simclock.Duration) (*ByteCampaign, error) {
-	if interval <= 0 {
-		interval = ByteCampaignInterval
-	}
-	type window struct {
-		series []analysis.UtilPoint
-		port   int
-	}
-	cells := e.campaignCells([]workload.App{app}, e.RandomPortCounters(app), interval, 0)
-	wins, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (window, error) {
-		port := e.randomPort(app, run.Cell.RackID, run.Cell.Window)
-		series, err := analysis.UtilizationSeries(run.Samples, run.Net.Switch().Port(port).Speed())
-		if err != nil {
-			return window{}, err
-		}
-		return window{series: series, port: port}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	c := &ByteCampaign{App: app, Interval: interval}
-	for _, w := range wins {
-		c.WindowSeries = append(c.WindowSeries, w.series)
-		c.Ports = append(c.Ports, w.port)
-	}
-	return c, nil
 }
 
 // RecordCampaign runs a campaign for one app and persists it as a trace
@@ -261,41 +218,4 @@ func FullCounters() CounterPlan {
 		}
 		return out
 	}
-}
-
-// Bursts returns all bursts across windows at the threshold.
-func (c *ByteCampaign) Bursts(threshold float64) []analysis.Burst {
-	var out []analysis.Burst
-	for _, s := range c.WindowSeries {
-		out = append(out, analysis.Bursts(s, threshold)...)
-	}
-	return out
-}
-
-// BurstDurationsMicros returns every burst duration in µs (Fig 3).
-func (c *ByteCampaign) BurstDurationsMicros(threshold float64) []float64 {
-	var out []float64
-	for _, s := range c.WindowSeries {
-		out = append(out, analysis.BurstDurations(analysis.Bursts(s, threshold))...)
-	}
-	return out
-}
-
-// InterBurstGapsMicros returns every within-window inter-burst gap in µs
-// (Fig 4). Gaps across window boundaries are not observable and excluded.
-func (c *ByteCampaign) InterBurstGapsMicros(threshold float64) []float64 {
-	var out []float64
-	for _, s := range c.WindowSeries {
-		out = append(out, analysis.InterBurstGaps(analysis.Bursts(s, threshold))...)
-	}
-	return out
-}
-
-// Utils returns every utilization sample (Fig 6).
-func (c *ByteCampaign) Utils() []float64 {
-	var out []float64
-	for _, s := range c.WindowSeries {
-		out = append(out, analysis.Utils(s)...)
-	}
-	return out
 }

@@ -347,11 +347,11 @@ func TestTable1Shape(t *testing.T) {
 
 func TestByteCampaignDeterminism(t *testing.T) {
 	e, _ := NewExperiment(QuickConfig())
-	a, err := e.RunByteCampaign(context.Background(), workload.Cache, 0)
+	a, err := e.refRunByteCampaign(context.Background(), workload.Cache, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.RunByteCampaign(context.Background(), workload.Cache, 0)
+	b, err := e.refRunByteCampaign(context.Background(), workload.Cache, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -208,8 +208,80 @@ func batchFig2(ctx context.Context, e *Experiment) (Fig2Result, error) {
 	return res, nil
 }
 
+// refByteCampaign is the single-counter byte campaign with every window's
+// utilization series materialized — core.ByteCampaign as it was before
+// byteReducer became the one reduction, kept as the oracle's data set.
+type refByteCampaign struct {
+	App workload.App
+	// Interval is the sampling interval (25 µs, the paper's Fig 3).
+	Interval simclock.Duration
+	// WindowSeries holds one utilization series per (rack, window).
+	WindowSeries [][]analysis.UtilPoint
+	// Ports records which port each window measured.
+	Ports []int
+}
+
+// refRunByteCampaign records the single-byte-counter campaign for one app at
+// the given interval (0 = 25 µs), fanning the (rack, window) cells across
+// the experiment's worker pool.
+func (e *Experiment) refRunByteCampaign(ctx context.Context, app workload.App, interval simclock.Duration) (*refByteCampaign, error) {
+	if interval <= 0 {
+		interval = ByteCampaignInterval
+	}
+	type window struct {
+		series []analysis.UtilPoint
+		port   int
+	}
+	cells := e.campaignCells([]workload.App{app}, e.RandomPortCounters(app), interval, 0)
+	wins, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (window, error) {
+		port := e.randomPort(app, run.Cell.RackID, run.Cell.Window)
+		series, err := analysis.UtilizationSeries(run.Samples, run.Net.Switch().Port(port).Speed())
+		if err != nil {
+			return window{}, err
+		}
+		return window{series: series, port: port}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	c := &refByteCampaign{App: app, Interval: interval}
+	for _, w := range wins {
+		c.WindowSeries = append(c.WindowSeries, w.series)
+		c.Ports = append(c.Ports, w.port)
+	}
+	return c, nil
+}
+
+// BurstDurationsMicros returns every burst duration in µs (Fig 3).
+func (c *refByteCampaign) BurstDurationsMicros(threshold float64) []float64 {
+	var out []float64
+	for _, s := range c.WindowSeries {
+		out = append(out, analysis.BurstDurations(analysis.Bursts(s, threshold))...)
+	}
+	return out
+}
+
+// InterBurstGapsMicros returns every within-window inter-burst gap in µs
+// (Fig 4). Gaps across window boundaries are not observable and excluded.
+func (c *refByteCampaign) InterBurstGapsMicros(threshold float64) []float64 {
+	var out []float64
+	for _, s := range c.WindowSeries {
+		out = append(out, analysis.InterBurstGaps(analysis.Bursts(s, threshold))...)
+	}
+	return out
+}
+
+// Utils returns every utilization sample (Fig 6).
+func (c *refByteCampaign) Utils() []float64 {
+	var out []float64
+	for _, s := range c.WindowSeries {
+		out = append(out, analysis.Utils(s)...)
+	}
+	return out
+}
+
 // batchByteFigures is the pre-refactor RunAll shared-campaign section:
-// Figs 3, 4, 6 and Table 2 reduced from materialized ByteCampaign window
+// Figs 3, 4, 6 and Table 2 reduced from materialized refByteCampaign window
 // series.
 func batchByteFigures(ctx context.Context, e *Experiment) (Fig3Result, Fig4Result, Table2Result, Fig6Result, error) {
 	th := e.threshold()
@@ -218,7 +290,7 @@ func batchByteFigures(ctx context.Context, e *Experiment) (Fig3Result, Fig4Resul
 	table2 := Table2Result{Models: make(map[workload.App]stats.MarkovModel)}
 	fig6 := Fig6Result{Utils: make(AppECDF), HotFrac: make(map[workload.App]float64)}
 	for _, app := range workload.Apps {
-		c, err := e.RunByteCampaign(ctx, app, 0)
+		c, err := e.refRunByteCampaign(ctx, app, 0)
 		if err != nil {
 			return fig3, fig4, table2, fig6, err
 		}
@@ -571,7 +643,7 @@ func batchImplications(ctx context.Context, e *Experiment) (ImplicationsResult, 
 	}
 	th := e.threshold()
 	for _, app := range workload.Apps {
-		c, err := e.RunByteCampaign(ctx, app, 0)
+		c, err := e.refRunByteCampaign(ctx, app, 0)
 		if err != nil {
 			return res, err
 		}
@@ -841,7 +913,7 @@ func TestStreamByteStatsMatchesCampaignReductions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := e.RunByteCampaign(ctx, app, 0)
+	c, err := e.refRunByteCampaign(ctx, app, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

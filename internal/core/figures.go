@@ -271,6 +271,29 @@ func (r Table1Result) Format() string {
 // ---------------------------------------------------------------------------
 // Fig 3 / Fig 4 / Table 2 / Fig 6 — single-counter byte campaigns.
 
+// byteFigures starts a report with the four figures of the single-counter
+// byte campaign — Figs 3, 4, 6 and Table 2 — assembled from byteCampaigns'
+// output; a figure whose statistic was not wanted comes out empty.
+func byteFigures(campaigns []*ByteStats) Report {
+	r := Report{
+		Fig3:   Fig3Result{Durations: make(AppECDF)},
+		Fig4:   Fig4Result{Gaps: make(AppECDF), KS: make(map[workload.App]stats.KSResult)},
+		Table2: Table2Result{Models: make(map[workload.App]stats.MarkovModel)},
+		Fig6:   Fig6Result{Utils: make(AppECDF), HotFrac: make(map[workload.App]float64)},
+	}
+	for _, st := range campaigns {
+		r.Fig3.Durations[st.App] = stats.NewECDF(st.Durations)
+		r.Fig4.Gaps[st.App] = stats.NewECDF(st.Gaps)
+		r.Fig4.KS[st.App] = analysis.PoissonTest(st.Gaps)
+		r.Table2.Models[st.App] = st.Markov
+		r.Fig6.Utils[st.App] = stats.NewECDF(st.Utils)
+		if len(st.Utils) > 0 {
+			r.Fig6.HotFrac[st.App] = float64(st.HotSamples) / float64(len(st.Utils))
+		}
+	}
+	return r
+}
+
 // Fig3Result is the µburst duration CDF per application.
 type Fig3Result struct {
 	Durations AppECDF
@@ -280,15 +303,8 @@ type Fig3Result struct {
 // durations, streaming each window through a BurstSegmenter so only the
 // closed bursts are retained.
 func (e *Experiment) Fig3BurstDurations(ctx context.Context) (Fig3Result, error) {
-	res := Fig3Result{Durations: make(AppECDF)}
-	for _, app := range workload.Apps {
-		st, err := e.StreamByteStats(ctx, app, 0, ByteWant{Durations: true})
-		if err != nil {
-			return res, err
-		}
-		res.Durations[app] = stats.NewECDF(st.Durations)
-	}
-	return res, nil
+	campaigns, err := e.byteCampaigns(ctx, ByteWant{Durations: true})
+	return byteFigures(campaigns).Fig3, err
 }
 
 // Format renders the Fig 3 summary rows.
@@ -318,16 +334,8 @@ type Fig4Result struct {
 // Fig4InterBurstGaps runs byte campaigns and extracts inter-burst gaps,
 // emitted by the BurstSegmenter as each following burst arms.
 func (e *Experiment) Fig4InterBurstGaps(ctx context.Context) (Fig4Result, error) {
-	res := Fig4Result{Gaps: make(AppECDF), KS: make(map[workload.App]stats.KSResult)}
-	for _, app := range workload.Apps {
-		st, err := e.StreamByteStats(ctx, app, 0, ByteWant{Gaps: true})
-		if err != nil {
-			return res, err
-		}
-		res.Gaps[app] = stats.NewECDF(st.Gaps)
-		res.KS[app] = analysis.PoissonTest(st.Gaps)
-	}
-	return res, nil
+	campaigns, err := e.byteCampaigns(ctx, ByteWant{Gaps: true})
+	return byteFigures(campaigns).Fig4, err
 }
 
 // Format renders the Fig 4 summary rows.
@@ -355,15 +363,8 @@ type Table2Result struct {
 // Table2BurstMarkov fits the burst Markov chains from streaming
 // transition counts (one MarkovAcc per window, merged across windows).
 func (e *Experiment) Table2BurstMarkov(ctx context.Context) (Table2Result, error) {
-	res := Table2Result{Models: make(map[workload.App]stats.MarkovModel)}
-	for _, app := range workload.Apps {
-		st, err := e.StreamByteStats(ctx, app, 0, ByteWant{Markov: true})
-		if err != nil {
-			return res, err
-		}
-		res.Models[app] = st.Markov
-	}
-	return res, nil
+	campaigns, err := e.byteCampaigns(ctx, ByteWant{Markov: true})
+	return byteFigures(campaigns).Table2, err
 }
 
 // Format renders Table 2.
@@ -390,18 +391,8 @@ type Fig6Result struct {
 // Fig6UtilizationCDF runs byte campaigns and collects utilization
 // samples, counting hot samples inline.
 func (e *Experiment) Fig6UtilizationCDF(ctx context.Context) (Fig6Result, error) {
-	res := Fig6Result{Utils: make(AppECDF), HotFrac: make(map[workload.App]float64)}
-	for _, app := range workload.Apps {
-		st, err := e.StreamByteStats(ctx, app, 0, ByteWant{Utils: true})
-		if err != nil {
-			return res, err
-		}
-		res.Utils[app] = stats.NewECDF(st.Utils)
-		if len(st.Utils) > 0 {
-			res.HotFrac[app] = float64(st.HotSamples) / float64(len(st.Utils))
-		}
-	}
-	return res, nil
+	campaigns, err := e.byteCampaigns(ctx, ByteWant{Utils: true})
+	return byteFigures(campaigns).Fig6, err
 }
 
 // Format renders the Fig 6 summary rows.
@@ -689,23 +680,12 @@ func (e *Experiment) Fig8ServerCorrelation(ctx context.Context) (Fig8Result, err
 		})
 	}
 	corrs, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) ([][]float64, error) {
-		states := make([]*analysis.UtilState, e.cfg.Servers)
 		points := make([][]analysis.UtilPoint, e.cfg.Servers)
-		for s := 0; s < e.cfg.Servers; s++ {
-			states[s] = analysis.NewUtilState(run.Net.Switch().Port(s).Speed())
-		}
-		for _, s := range run.Samples {
-			if s.Kind != asic.KindBytes || s.Dir != asic.TX || int(s.Port) >= e.cfg.Servers {
-				continue
-			}
-			if p, ok, _ := states[s.Port].Feed(s); ok {
-				points[s.Port] = append(points[s.Port], p)
-			}
-		}
-		for s := 0; s < e.cfg.Servers; s++ {
-			if err := states[s].Close(); err != nil {
-				return nil, err
-			}
+		err := portUtils(run, e.cfg.Servers, func(port int, p analysis.UtilPoint) {
+			points[port] = append(points[port], p)
+		})
+		if err != nil {
+			return nil, err
 		}
 		return analysis.ServerCorrelation(points), nil
 	})
@@ -778,20 +758,13 @@ func (e *Experiment) Fig9HotPortShare(ctx context.Context) (Fig9Result, error) {
 	cells := e.appGrid(AllPortCounters(false), interval)
 	shares, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (perCell[analysis.HotShare], error) {
 		ports := rack.NumPorts()
-		states, err := portStates(run, ports)
-		if err != nil {
-			return perCell[analysis.HotShare]{}, err
-		}
 		hot := make([]int, ports)
-		for _, s := range run.Samples {
-			if s.Kind != asic.KindBytes || s.Dir != asic.TX || int(s.Port) >= ports {
-				continue
+		err := portUtils(run, ports, func(port int, p analysis.UtilPoint) {
+			if p.Util > e.threshold() {
+				hot[port]++
 			}
-			if p, ok, _ := states[s.Port].Feed(s); ok && p.Util > e.threshold() {
-				hot[s.Port]++
-			}
-		}
-		if err := closePortStates(states); err != nil {
+		})
+		if err != nil {
 			return perCell[analysis.HotShare]{}, err
 		}
 		var share analysis.HotShare
@@ -816,19 +789,23 @@ func (e *Experiment) Fig9HotPortShare(ctx context.Context) (Fig9Result, error) {
 	return res, nil
 }
 
-// portStates builds one streaming utilization converter per port of a cell
-// that polled every port's byte counter (the Fig 9/10 plans).
-func portStates(run *CellRun, ports int) ([]*analysis.UtilState, error) {
-	states := make([]*analysis.UtilState, ports)
-	for p := 0; p < ports; p++ {
+// portUtils feeds the egress byte samples of ports [0, n) of a cell through
+// one streaming utilization converter per port, handing every point to
+// visit, and returns the first Close error in port order — the same
+// precedence the batch per-port loop had.
+func portUtils(run *CellRun, n int, visit func(port int, p analysis.UtilPoint)) error {
+	states := make([]*analysis.UtilState, n)
+	for p := range states {
 		states[p] = analysis.NewUtilState(run.Net.Switch().Port(p).Speed())
 	}
-	return states, nil
-}
-
-// closePortStates finalizes every port's converter, returning the first
-// error in port order — the same precedence the batch per-port loop had.
-func closePortStates(states []*analysis.UtilState) error {
+	for _, s := range run.Samples {
+		if s.Kind != asic.KindBytes || s.Dir != asic.TX || int(s.Port) >= n {
+			continue
+		}
+		if p, ok, _ := states[s.Port].Feed(s); ok {
+			visit(int(s.Port), p)
+		}
+	}
 	for _, st := range states {
 		if err := st.Close(); err != nil {
 			return err
@@ -893,23 +870,12 @@ func (e *Experiment) Fig10BufferOccupancy(ctx context.Context) (Fig10Result, err
 		if err != nil {
 			return perCell[[]analysis.BufferWindow]{}, err
 		}
-		states, err := portStates(run, ports)
-		if err != nil {
-			return perCell[[]analysis.BufferWindow]{}, err
-		}
 		for _, s := range run.Samples {
 			if s.Kind == asic.KindBufferPeak {
 				acc.ObservePeak(s)
-				continue
-			}
-			if s.Kind != asic.KindBytes || s.Dir != asic.TX || int(s.Port) >= ports {
-				continue
-			}
-			if p, ok, _ := states[s.Port].Feed(s); ok {
-				acc.ObserveUtil(int(s.Port), p)
 			}
 		}
-		if err := closePortStates(states); err != nil {
+		if err := portUtils(run, ports, acc.ObserveUtil); err != nil {
 			return perCell[[]analysis.BufferWindow]{}, err
 		}
 		return perCell[[]analysis.BufferWindow]{app: run.Cell.App, v: acc.Windows()}, nil

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"mburst/internal/analysis"
 	"mburst/internal/detect"
 	"mburst/internal/simclock"
 	"mburst/internal/stats"
@@ -38,12 +37,33 @@ type ImplicationsResult struct {
 	EWMAEval      detect.Evaluation
 }
 
-// Implications runs the §7 analyses, reducing each byte-campaign cell in
-// a single streaming pass: one UtilState per cell feeds a shared
-// BurstSegmenter (ground truth) and, for the web detector evaluation,
-// the online detectors point by point — exactly the window-by-window
-// batch reduction the equivalence tests retain as oracle.
+// detectorApp is the campaign the online detectors are evaluated on
+// (§7.3).
+const detectorApp = workload.Web
+
+// implicationDetectors builds one cell's online detectors: the immediate
+// threshold detector and the EWMA-smoothed one.
+func (e *Experiment) implicationDetectors() (thDet, ewDet detect.Detector, err error) {
+	th := e.threshold()
+	if thDet, err = detect.NewThresholdDetector(th, 1, 1); err != nil {
+		return nil, nil, err
+	}
+	if ewDet, err = detect.NewEWMADetector(0.3, th, th*0.6); err != nil {
+		return nil, nil, err
+	}
+	return thDet, ewDet, nil
+}
+
+// Implications runs the §7 analyses over the byte campaigns' burst
+// durations, gaps and — on the web campaign — detector events.
 func (e *Experiment) Implications(ctx context.Context) (ImplicationsResult, error) {
+	campaigns, err := e.byteCampaigns(ctx, ByteWant{Durations: true, Gaps: true})
+	return implications(campaigns), err
+}
+
+// implications reduces byteCampaigns' output (durations and gaps wanted)
+// to the §7 quantities.
+func implications(campaigns []*ByteStats) ImplicationsResult {
 	res := ImplicationsResult{
 		SignalRTTs: []simclock.Duration{
 			50 * simclock.Microsecond,
@@ -53,106 +73,31 @@ func (e *Experiment) Implications(ctx context.Context) (ImplicationsResult, erro
 		OverBeforeSignal: make(map[workload.App][]float64),
 		RepathableGaps:   make(map[workload.App]float64),
 	}
-	th := e.threshold()
-	type cellImpl struct {
-		durations, gaps    []float64
-		bursts             []analysis.Burst
-		thEvents, ewEvents []detect.Event
-	}
-	for _, app := range workload.Apps {
-		// Detectors are evaluated on the web campaign only (§7.3).
-		wantDetect := app == workload.Web
-		cells := e.campaignCells([]workload.App{app}, e.RandomPortCounters(app), ByteCampaignInterval, 0)
-		wins, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (cellImpl, error) {
-			port := e.randomPort(app, run.Cell.RackID, run.Cell.Window)
-			u := analysis.NewUtilState(run.Net.Switch().Port(port).Speed())
-			seg := analysis.NewBurstSegmenter(analysis.SegmenterConfig{HotAbove: th})
-			var ci cellImpl
-			var thDet, ewDet detect.Detector
-			if wantDetect {
-				td, err := detect.NewThresholdDetector(th, 1, 1)
-				if err != nil {
-					return cellImpl{}, err
-				}
-				ed, err := detect.NewEWMADetector(0.3, th, th*0.6)
-				if err != nil {
-					return cellImpl{}, err
-				}
-				thDet, ewDet = td, ed
-			}
-			closeBurst := func(b analysis.Burst) {
-				ci.bursts = append(ci.bursts, b)
-				ci.durations = append(ci.durations, float64(b.Duration())/float64(simclock.Microsecond))
-			}
-			for _, s := range run.Samples {
-				p, ok, err := u.Feed(s)
-				if err != nil {
-					return cellImpl{}, err
-				}
-				if !ok {
-					continue
-				}
-				if tr, fired := seg.Feed(p); fired {
-					switch tr.Kind {
-					case analysis.SegOpen:
-						if tr.HasGap {
-							ci.gaps = append(ci.gaps, float64(tr.Gap)/float64(simclock.Microsecond))
-						}
-					case analysis.SegClose:
-						closeBurst(tr.Burst)
-					}
-				}
-				if wantDetect {
-					ci.thEvents = append(ci.thEvents, thDet.Feed(p)...)
-					ci.ewEvents = append(ci.ewEvents, ewDet.Feed(p)...)
-				}
-			}
-			if err := u.Close(); err != nil {
-				return cellImpl{}, err
-			}
-			if tr, fired := seg.Flush(); fired {
-				closeBurst(tr.Burst)
-			}
-			return ci, nil
-		})
-		if err != nil {
-			return res, err
-		}
-
-		var durs, gaps []float64
-		var allBursts []analysis.Burst
-		var thEvents, ewEvents []detect.Event
-		for _, w := range wins {
-			durs = append(durs, w.durations...)
-			gaps = append(gaps, w.gaps...)
-			allBursts = append(allBursts, w.bursts...)
-			thEvents = append(thEvents, w.thEvents...)
-			ewEvents = append(ewEvents, w.ewEvents...)
-		}
+	for _, st := range campaigns {
 		fracs := make([]float64, len(res.SignalRTTs))
 		for i, rtt := range res.SignalRTTs {
-			fracs[i] = detect.FractionOverBeforeSignal(durs, rtt/2)
+			fracs[i] = detect.FractionOverBeforeSignal(st.Durations, rtt/2)
 		}
-		res.OverBeforeSignal[app] = fracs
+		res.OverBeforeSignal[st.App] = fracs
 
 		oneWay := float64(res.SignalRTTs[len(res.SignalRTTs)/2]/2) / float64(simclock.Microsecond)
 		long := 0
-		for _, g := range gaps {
+		for _, g := range st.Gaps {
 			if g > oneWay {
 				long++
 			}
 		}
-		if len(gaps) > 0 {
-			res.RepathableGaps[app] = float64(long) / float64(len(gaps))
+		if len(st.Gaps) > 0 {
+			res.RepathableGaps[st.App] = float64(long) / float64(len(st.Gaps))
 		}
 
-		if wantDetect {
+		if st.App == detectorApp {
 			slack := 4 * ByteCampaignInterval
-			res.ThresholdEval = detect.Evaluate(allBursts, thEvents, slack)
-			res.EWMAEval = detect.Evaluate(allBursts, ewEvents, slack)
+			res.ThresholdEval = detect.Evaluate(st.bursts, st.thEvents, slack)
+			res.EWMAEval = detect.Evaluate(st.bursts, st.ewEvents, slack)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // Format renders the §7 summary.

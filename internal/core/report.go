@@ -4,10 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-
-	"mburst/internal/analysis"
-	"mburst/internal/stats"
-	"mburst/internal/workload"
 )
 
 // Report bundles every reproduced table and figure.
@@ -29,33 +25,17 @@ type Report struct {
 	Implications ImplicationsResult
 }
 
-// RunAll produces the full report. The streaming byte reductions feeding
-// Figs 3, 4, 6 and Table 2 are executed once per app with every
-// statistic enabled and shared, mirroring the paper's single-counter
+// RunAll produces the full report. The single-counter byte campaign is
+// simulated once per app with every statistic enabled; Figs 3, 4, 6,
+// Table 2 and §7 all reduce that one data set, mirroring the paper's
 // campaign reuse.
 func (e *Experiment) RunAll(ctx context.Context) (*Report, error) {
-	var r Report
-	var err error
-
-	r.Fig3 = Fig3Result{Durations: make(AppECDF)}
-	r.Fig4 = Fig4Result{Gaps: make(AppECDF), KS: make(map[workload.App]stats.KSResult)}
-	r.Table2 = Table2Result{Models: make(map[workload.App]stats.MarkovModel)}
-	r.Fig6 = Fig6Result{Utils: make(AppECDF), HotFrac: make(map[workload.App]float64)}
-	for _, app := range workload.Apps {
-		st, err := e.StreamByteStats(ctx, app, 0,
-			ByteWant{Durations: true, Gaps: true, Utils: true, Markov: true})
-		if err != nil {
-			return nil, fmt.Errorf("byte campaign %v: %w", app, err)
-		}
-		r.Fig3.Durations[app] = stats.NewECDF(st.Durations)
-		r.Fig4.Gaps[app] = stats.NewECDF(st.Gaps)
-		r.Fig4.KS[app] = analysis.PoissonTest(st.Gaps)
-		r.Table2.Models[app] = st.Markov
-		r.Fig6.Utils[app] = stats.NewECDF(st.Utils)
-		if len(st.Utils) > 0 {
-			r.Fig6.HotFrac[app] = float64(st.HotSamples) / float64(len(st.Utils))
-		}
+	campaigns, err := e.byteCampaigns(ctx, ByteWant{Durations: true, Gaps: true, Utils: true, Markov: true})
+	if err != nil {
+		return nil, err
 	}
+	r := byteFigures(campaigns)
+	r.Implications = implications(campaigns)
 
 	if r.Fig1, err = e.Fig1DropUtilScatter(ctx); err != nil {
 		return nil, fmt.Errorf("fig1: %w", err)
@@ -80,9 +60,6 @@ func (e *Experiment) RunAll(ctx context.Context) (*Report, error) {
 	}
 	if r.Fig10, err = e.Fig10BufferOccupancy(ctx); err != nil {
 		return nil, fmt.Errorf("fig10: %w", err)
-	}
-	if r.Implications, err = e.Implications(ctx); err != nil {
-		return nil, fmt.Errorf("implications: %w", err)
 	}
 	return &r, nil
 }

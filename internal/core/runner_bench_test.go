@@ -29,7 +29,7 @@ func runBenchCampaign(tb testing.TB, workers int) time.Duration {
 		tb.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := exp.RunByteCampaign(context.Background(), workload.Hadoop, 0); err != nil {
+	if _, err := exp.refRunByteCampaign(context.Background(), workload.Hadoop, 0); err != nil {
 		tb.Fatal(err)
 	}
 	return time.Since(start)

@@ -175,7 +175,7 @@ func TestRunnerTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exp.RunByteCampaign(context.Background(), workload.Web, 0); err != nil {
+	if _, err := exp.refRunByteCampaign(context.Background(), workload.Web, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := exp.cellsCompleted.Value(), uint64(cfg.Racks*cfg.Windows); got != want {

@@ -6,6 +6,7 @@ import (
 
 	"mburst/internal/analysis"
 	"mburst/internal/asic"
+	"mburst/internal/detect"
 	"mburst/internal/simclock"
 	"mburst/internal/stats"
 	"mburst/internal/topo"
@@ -16,10 +17,13 @@ import (
 
 // This file is the campaign/trace analysis path: single-pass per-series
 // reductions built on analysis.UtilState/BurstSegmenter and the stats
-// accumulators. A reduction keeps burst durations, gaps and transition
+// accumulators. A reduction keeps closed bursts, gaps and transition
 // counts — sparse in the sample stream — never a materialized UtilPoint
-// series. equivalence_test.go checks every runner here against a
-// materialize-then-reduce composition of the same data.
+// series. The 25 µs single-counter campaign is simulated and reduced here
+// once per report (byteCampaigns): Figs 3, 4, 6, Table 2 (byteFigures) and
+// §7 (implications) all read the same ByteStats. equivalence_test.go checks
+// every runner here against a materialize-then-reduce composition of the
+// same data.
 
 // ByteWant selects which statistics StreamByteStats accumulates; leaving
 // a field false keeps that statistic's memory at zero.
@@ -32,8 +36,7 @@ type ByteWant struct {
 
 // ByteStats is the streaming reduction of a single-counter byte campaign
 // (the Fig 3/4/6/Table 2 data set). Slices are ordered window-major
-// (rack-major cell order, bursts in time order within each window),
-// matching the ByteCampaign reductions element for element.
+// (rack-major cell order, bursts in time order within each window).
 type ByteStats struct {
 	App      workload.App
 	Interval simclock.Duration
@@ -49,12 +52,19 @@ type ByteStats struct {
 	Markov stats.MarkovModel
 	// Ports records which port each window measured.
 	Ports []int
+
+	// bursts are the closed bursts Durations was derived from; thEvents and
+	// ewEvents are what §7's online detectors emitted, when the cells fed
+	// them.
+	bursts             []analysis.Burst
+	thEvents, ewEvents []detect.Event
 }
 
 // byteReducer is the one per-series byte reduction, shared by
-// StreamByteStats (one series per campaign cell) and AnalyzeTrace (one per
-// port and direction of a window): samples → UtilState → spans →
-// segmenter / Markov / hot count, retaining only what want selects.
+// StreamByteStats (one series per campaign cell), AnalyzeTrace (one per
+// port and direction of a window), the Fig 3/4/6/Table 2 runners and §7
+// (both through byteCampaigns): samples → UtilState → spans → segmenter /
+// Markov / hot count / online detectors, retaining only what want selects.
 // Output is staged per series so a caller can drop a damaged series whole.
 type byteReducer struct {
 	want      ByteWant
@@ -62,9 +72,14 @@ type byteReducer struct {
 	util      *analysis.UtilState
 	seg       *analysis.BurstSegmenter // nil unless durations or gaps are wanted
 	mk        stats.MarkovAcc
+	// thDet and ewDet are §7's online detectors (threshold, EWMA), set
+	// together by byteCampaigns only; they see every utilization point.
+	thDet, ewDet detect.Detector
 
-	durations, gaps, utils []float64
-	hot                    int
+	bursts             []analysis.Burst // kept when durations are wanted
+	gaps, utils        []float64
+	hot                int
+	thEvents, ewEvents []detect.Event
 }
 
 func newByteReducer(speedBps uint64, threshold float64, want ByteWant) *byteReducer {
@@ -97,6 +112,10 @@ func (b *byteReducer) feed(s wire.Sample) error {
 			b.transition(tr)
 		}
 	}
+	if b.thDet != nil {
+		b.thEvents = append(b.thEvents, b.thDet.Feed(p)...)
+		b.ewEvents = append(b.ewEvents, b.ewDet.Feed(p)...)
+	}
 	return nil
 }
 
@@ -108,7 +127,7 @@ func (b *byteReducer) transition(tr analysis.Transition) {
 		}
 	case analysis.SegClose:
 		if b.want.Durations {
-			b.durations = append(b.durations, float64(tr.Burst.Duration())/float64(simclock.Microsecond))
+			b.bursts = append(b.bursts, tr.Burst)
 		}
 	}
 }
@@ -132,6 +151,12 @@ func (b *byteReducer) close() error {
 // one pass over its samples, at e.threshold(). A damaged cell fails the
 // campaign.
 func (e *Experiment) StreamByteStats(ctx context.Context, app workload.App, interval simclock.Duration, want ByteWant) (*ByteStats, error) {
+	return e.byteStats(ctx, app, interval, want, false)
+}
+
+// byteStats is StreamByteStats, optionally feeding every cell's points to
+// its own pair of §7 online detectors.
+func (e *Experiment) byteStats(ctx context.Context, app workload.App, interval simclock.Duration, want ByteWant, detectors bool) (*ByteStats, error) {
 	if interval <= 0 {
 		interval = ByteCampaignInterval
 	}
@@ -144,6 +169,12 @@ func (e *Experiment) StreamByteStats(ctx context.Context, app workload.App, inte
 	wins, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (cellStats, error) {
 		port := e.randomPort(app, run.Cell.RackID, run.Cell.Window)
 		red := newByteReducer(run.Net.Switch().Port(port).Speed(), threshold, want)
+		if detectors {
+			var err error
+			if red.thDet, red.ewDet, err = e.implicationDetectors(); err != nil {
+				return cellStats{}, err
+			}
+		}
 		for _, s := range run.Samples {
 			if err := red.feed(s); err != nil {
 				return cellStats{}, err
@@ -160,17 +191,38 @@ func (e *Experiment) StreamByteStats(ctx context.Context, app workload.App, inte
 	res := &ByteStats{App: app, Interval: interval}
 	var mk stats.MarkovAcc
 	for _, w := range wins {
-		res.Durations = append(res.Durations, w.durations...)
+		res.bursts = append(res.bursts, w.bursts...)
 		res.Gaps = append(res.Gaps, w.gaps...)
 		res.Utils = append(res.Utils, w.utils...)
 		res.HotSamples += w.hot
 		res.Ports = append(res.Ports, w.port)
 		mk.Merge(&w.mk)
+		res.thEvents = append(res.thEvents, w.thEvents...)
+		res.ewEvents = append(res.ewEvents, w.ewEvents...)
+	}
+	if len(res.bursts) > 0 {
+		res.Durations = analysis.BurstDurations(res.bursts)
 	}
 	if want.Markov {
 		res.Markov = mk.Model()
 	}
 	return res, nil
+}
+
+// byteCampaigns runs the 25 µs single-counter campaign once per app, in
+// workload.Apps order — the one data set behind Figs 3, 4, 6, Table 2 and
+// §7. The web cells also feed §7's online detectors whenever the bursts
+// they are evaluated against are kept.
+func (e *Experiment) byteCampaigns(ctx context.Context, want ByteWant) ([]*ByteStats, error) {
+	var out []*ByteStats
+	for _, app := range workload.Apps {
+		st, err := e.byteStats(ctx, app, 0, want, app == detectorApp && want.Durations)
+		if err != nil {
+			return nil, fmt.Errorf("byte campaign %v: %w", app, err)
+		}
+		out = append(out, st)
+	}
+	return out, nil
 }
 
 // TraceAnalysis is the reduction of a recorded trace for one analysis
@@ -253,7 +305,7 @@ func AnalyzeTrace(r *trace.Reader, kind string, threshold float64) (*TraceAnalys
 			if red.close() != nil {
 				continue
 			}
-			res.Durations = append(res.Durations, red.durations...)
+			res.Durations = append(res.Durations, analysis.BurstDurations(red.bursts)...)
 			res.Gaps = append(res.Gaps, red.gaps...)
 			res.Utils = append(res.Utils, red.utils...)
 			mk.Merge(&red.mk)

@@ -269,16 +269,41 @@ func HotThreshold(ctx context.Context, cfg core.Config, app workload.App, thresh
 	if err != nil {
 		return res, err
 	}
-	campaign, err := exp.RunByteCampaign(ctx, app, 0)
+	// One 25 µs single-counter campaign, every (rack, window) cell reduced
+	// at every threshold as it completes.
+	type cellStats struct {
+		durs    [][]float64 // per threshold
+		hot     []float64   // per threshold: hot fraction × samples
+		samples float64
+	}
+	plan := exp.RandomPortCounters(app)
+	cells := make([]core.Cell, cfg.Racks*cfg.Windows) // rack-major
+	for i := range cells {
+		cells[i] = core.Cell{App: app, RackID: i / cfg.Windows, Window: i % cfg.Windows, Plan: plan}
+	}
+	wins, err := core.RunCells(ctx, exp.Runner(), cells, func(run *core.CellRun) (cellStats, error) {
+		port := plan(run.Net.Rack(), run.Cell.RackID, run.Cell.Window)[0].Port
+		series, err := analysis.UtilizationSeries(run.Samples, run.Net.Switch().Port(port).Speed())
+		if err != nil {
+			return cellStats{}, err
+		}
+		st := cellStats{samples: float64(len(series))}
+		for _, th := range thresholds {
+			st.durs = append(st.durs, analysis.BurstDurations(analysis.Bursts(series, th)))
+			st.hot = append(st.hot, analysis.HotFraction(series, th)*st.samples)
+		}
+		return st, nil
+	})
 	if err != nil {
 		return res, err
 	}
-	for _, th := range thresholds {
-		durs := campaign.BurstDurationsMicros(th)
+	for i, th := range thresholds {
+		var durs []float64
 		var hot, total float64
-		for _, s := range campaign.WindowSeries {
-			hot += analysis.HotFraction(s, th) * float64(len(s))
-			total += float64(len(s))
+		for _, w := range wins {
+			durs = append(durs, w.durs[i]...)
+			hot += w.hot[i]
+			total += w.samples
 		}
 		metrics := map[string]float64{
 			"bursts": float64(len(durs)),

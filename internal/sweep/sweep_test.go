@@ -2,6 +2,9 @@ package sweep
 
 import (
 	"context"
+	"fmt"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -126,5 +129,33 @@ func TestHotThresholdSweep(t *testing.T) {
 	hi := res.Points[2].Metrics["p90-burst-µs"]
 	if lo > 0 && hi > 0 && (lo/hi > 10 || hi/lo > 10) {
 		t.Errorf("p90 unstable across thresholds: %v vs %v", lo, hi)
+	}
+}
+
+// TestHotThresholdMatchesParentGolden holds HotThreshold to the points the
+// commit before it stopped materializing the campaign (ecc88ec) computed
+// for the same config. %v prints every digit of every float, so the golden
+// pins the per-cell reduction and the window-order accumulation of hot-%
+// exactly. The file was written by that commit and is never regenerated.
+func TestHotThresholdMatchesParentGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("the golden was written on amd64; on %s Go may fuse a multiply and an add into one rounding", runtime.GOARCH)
+	}
+	cfg := sweepConfig()
+	cfg.Racks, cfg.Windows = 2, 2
+	res, err := HotThreshold(context.Background(), cfg, workload.Hadoop, []float64{0.2, 0.3, 0.5, 0.7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, p := range res.Points {
+		fmt.Fprintf(&got, "%v\n", p)
+	}
+	want, err := os.ReadFile("testdata/hot_threshold_parent.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("HotThreshold points:\n%swant the parent commit's:\n%s", got.String(), want)
 	}
 }

@@ -114,6 +114,9 @@ grep -q '"byte_exact": true' BENCH_fleet.json
 # workload's oracle fails — with no timing gate.
 go run ./bench -workload all -quick
 
+# examples/ has no tests: run webrack and require its Table 2 line.
+make examples
+
 # Real-process smoke: the cmd/ binaries as separate processes — mbagent
 # into a durable mbcollectd over a loopback socket, SIGTERM, mbdump reads
 # back exactly what was delivered; then mbfleet with a shard kill, whose
