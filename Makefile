@@ -41,7 +41,9 @@ bench-pair:
 # a real socket, SIGTERM, then mbdump must read back exactly what the
 # agent delivered; then mbfleet with a shard kill into a fleet directory,
 # which must hold campaign.json plus its shard stores and dump to the
-# samples mbfleet logged (scripts/smoke.sh; no timing gate).
+# samples mbfleet logged; then mbreplay of a parent-written MBW1 recording
+# into a second durable mbcollectd, whose archive must dump to the same
+# samples and be MBW3 (scripts/smoke.sh; no timing gate).
 smoke:
 	./scripts/smoke.sh
 

@@ -11,6 +11,7 @@
 package mburst
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -454,12 +455,16 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 			Value: uint64(i) * 6250,
 		})
 	}
-	var buf []byte
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = wire.AppendBatch(buf[:0], batch)
+		buf.Reset()
+		if err := w.WriteBatch(batch); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.SetBytes(int64(len(buf)))
+	b.SetBytes(int64(buf.Len()))
 }
 
 func BenchmarkECDFQuantile(b *testing.B) {

@@ -51,7 +51,6 @@ import (
 	"mburst/internal/simclock"
 	"mburst/internal/simnet"
 	"mburst/internal/topo"
-	"mburst/internal/wire"
 	"mburst/internal/workload"
 )
 
@@ -64,9 +63,8 @@ func main() {
 	servers := flag.Int("servers", 32, "servers per rack")
 	seed := flag.Uint64("seed", 1, "seed")
 	rackID := flag.Uint("rack", 0, "rack id tag")
-	epoch := flag.Uint("epoch", 0, "agent incarnation number; bump on restart so an epoch-gated collector discards stale batches (0 = legacy framing)")
+	epoch := flag.Uint("epoch", 0, "agent incarnation number; bump on restart so an epoch-gated collector discards stale batches (0 = never restarted)")
 	spool := flag.Int("spool", 0, "retransmit spool bound in samples while the collector is down; size to outage duration x sample rate (0 = same as the in-flight buffer)")
-	wireFmt := flag.String("wire", "", "wire format for the outgoing stream (mbw1, mbw2, mbw3; default mbw2)")
 	shardAddrs := flag.String("shards", "", "comma-separated shard collector addresses in placement index order; the agent dials the shard the placement assigns its -rack (overrides -collector)")
 	placementSeed := flag.Uint64("placementseed", 1, "rendezvous placement seed (must match the collectors')")
 	httpAddr := flag.String("http", "", "debug HTTP address (/metrics, /stats, /healthz, /debug/pprof/)")
@@ -92,17 +90,6 @@ func main() {
 	app, err := workload.ParseApp(*appName)
 	if err != nil {
 		logger.Error("parsing app", "err", err)
-		os.Exit(2)
-	}
-	var format wire.Format
-	if *wireFmt != "" {
-		if format, err = wire.ParseFormat(*wireFmt); err != nil {
-			logger.Error("parsing wire format", "err", err)
-			os.Exit(2)
-		}
-	}
-	if format == wire.FormatMBW1 && *epoch != 0 {
-		logger.Error("mbw1 frames cannot carry an epoch; use -epoch 0 or a newer -wire format")
 		os.Exit(2)
 	}
 	net_, err := simnet.New(simnet.Config{
@@ -148,7 +135,6 @@ func main() {
 	}, collector.ReconnectingClientConfig{
 		Rack:       uint32(*rackID),
 		Epoch:      uint32(*epoch),
-		Format:     format,
 		SpoolLimit: *spool,
 		Rand:       rng.New(*seed ^ 0x5eed).Split("backoff"),
 		Metrics:    collector.NewClientMetrics(reg),

@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	mbcollectd -listen 127.0.0.1:9900 [-archive DIR [-resume] [-checkpoint N] [-wire F]]
+//	mbcollectd -listen 127.0.0.1:9900 [-archive DIR [-resume] [-checkpoint N]]
 //	           [-stats 5s] [-http :9901] [-figures [-servers N] [-threshold T]]
 //	           [-tracing] [-tracerate R] [-tracecap N]
 //	           [-shard I -shards M [-placementseed S]]
@@ -104,7 +104,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(ingest
 	archiveDir := fs.String("archive", "", "durable archive directory (segmented, fsynced, crash-recoverable)")
 	resume := fs.Bool("resume", false, "recover the -archive directory and restore the last checkpoint before serving")
 	checkpointEvery := fs.Int("checkpoint", collector.DefaultCheckpointEvery, "checkpoint the collector state every N admitted batches (with -archive)")
-	wireFmt := fs.String("wire", "", "wire format for the archive; ingest accepts every format regardless (mbw1, mbw2, mbw3; default mbw2)")
 	statsEvery := fs.Duration("stats", 5*time.Second, "stats log interval")
 	httpAddr := fs.String("http", "", "debug HTTP address (/metrics, /stats, /healthz, /debug/pprof/)")
 	figures := fs.Bool("figures", false, "serve live streaming figures at /figures (needs -http)")
@@ -132,14 +131,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(ingest
 	if *shardID >= 0 && *numShards <= 0 {
 		logger.Error("-shard needs -shards")
 		return 2
-	}
-	var format wire.Format
-	if *wireFmt != "" {
-		var err error
-		if format, err = wire.ParseFormat(*wireFmt); err != nil {
-			logger.Error("parsing wire format", "err", err)
-			return 2
-		}
 	}
 
 	reg := obs.NewRegistry()
@@ -202,12 +193,11 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(ingest
 	var arch *trace.ArchiveWriter
 	if *archiveDir != "" {
 		var err error
-		acfg := trace.ArchiveConfig{Format: format}
 		var rec *trace.ArchiveRecovery
 		if *resume {
-			arch, rec, err = trace.ResumeArchive(*archiveDir, acfg)
+			arch, rec, err = trace.ResumeArchive(*archiveDir, trace.ArchiveConfig{})
 		} else {
-			arch, err = trace.CreateArchive(*archiveDir, acfg)
+			arch, err = trace.CreateArchive(*archiveDir, trace.ArchiveConfig{})
 		}
 		if err != nil {
 			logger.Error("opening archive", "dir", *archiveDir, "err", err)

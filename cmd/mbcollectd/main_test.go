@@ -285,7 +285,7 @@ func (d *daemon) send(t *testing.T, rack uint32, batches [][]wire.Sample) {
 		t.Fatal(err)
 	}
 	c, err := collector.NewClientConfigured(conn, collector.ClientConfig{
-		Rack: rack, MaxBatch: rackBatchSamples, Format: wire.FormatMBW3,
+		Rack: rack, MaxBatch: rackBatchSamples,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -533,7 +533,7 @@ func TestDaemonShardPolicesPlacement(t *testing.T) {
 
 // TestDaemonFlagMisuseExits2: a flag combination that cannot mean what
 // the operator typed is one ERROR line and exit 2 before anything
-// listens — including the removed -out and -epochgate.
+// listens — including the removed -wire, -out and -epochgate.
 func TestDaemonFlagMisuseExits2(t *testing.T) {
 	archiveDir := filepath.Join(t.TempDir(), "arch")
 	for _, args := range [][]string{
@@ -541,7 +541,7 @@ func TestDaemonFlagMisuseExits2(t *testing.T) {
 		{"-shard", "1"},
 		{"-shard", "5", "-shards", "2"},
 		{"-shards", "2"},
-		{"-wire", "mbw9"},
+		{"-wire", "mbw3"},
 		{"-out", "samples.mbw"},
 		{"-epochgate"},
 		{"-archive", archiveDir, "-shards", "4", "-shard", "9"},
@@ -568,7 +568,7 @@ func TestDaemonHelpListsFlags(t *testing.T) {
 	if code := run(context.Background(), []string{"-h"}, &stderr, nil); code != 0 {
 		t.Fatalf("-h exited %d", code)
 	}
-	if n := strings.Count(stderr.String(), "\n  -"); n != 16 {
-		t.Errorf("-h lists %d flags, want 16:\n%s", n, stderr.String())
+	if n := strings.Count(stderr.String(), "\n  -"); n != 15 {
+		t.Errorf("-h lists %d flags, want 15:\n%s", n, stderr.String())
 	}
 }

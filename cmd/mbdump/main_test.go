@@ -186,16 +186,111 @@ func TestParentWrittenFleetDirDumps(t *testing.T) {
 	}
 
 	// A copy whose two legacy files hold garbage.
+	dir := copyTree(t, fixture, func(name string, data []byte) []byte {
+		if name == "fleet.json" || name == "fleet_checkpoint.json" {
+			return []byte("{not json")
+		}
+		return data
+	})
+	buf.Reset()
+	if err := run(&buf, dir, 3, false); err != nil || !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("garbage in the legacy files changed the dump: err=%v\n%s", err, buf.Bytes())
+	}
+}
+
+// TestMixedFormatStoreResumes: a store an older build left in MBW2 keeps
+// working across the switch to one written format. A copy of the parent's
+// fleet directory has its shard 0 resumed — archive and checkpoint — and
+// fed three more batches: the old MBW2 segments stay as they are, the new
+// segment is MBW3, one IterArchive reads both in order, and the dump
+// totals are the parent's golden plus the three.
+func TestMixedFormatStoreResumes(t *testing.T) {
+	const fixture = "testdata/fleet_parent"
+	dir := copyTree(t, fixture, nil)
+	meta, ok, err := trace.FleetMeta(dir)
+	if err != nil || !ok {
+		t.Fatalf("fleet meta: ok=%v err=%v", ok, err)
+	}
+	shardDir := filepath.Join(dir, meta.Placement.Name(0))
+	var parent []wire.Batch
+	keep := func(into *[]wire.Batch) func(*wire.Batch) error {
+		return func(b *wire.Batch) error { // the reader reuses b
+			*into = append(*into, wire.Batch{Rack: b.Rack, Epoch: b.Epoch, Samples: append([]wire.Sample(nil), b.Samples...)})
+			return nil
+		}
+	}
+	if err := trace.IterArchive(shardDir, keep(&parent)); err != nil {
+		t.Fatal(err)
+	}
+
+	arch, _, err := trace.ResumeArchive(shardDir, trace.ArchiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := collector.NewShard(collector.ShardConfig{
+		ID: 0, Placement: meta.Placement, Stats: &collector.IngestStats{},
+		Archive: arch, CheckpointPath: filepath.Join(shardDir, collector.CheckpointFileName),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sh.Resume(func(fn func(*wire.Batch) error) error { return trace.IterArchive(shardDir, fn) })
+	if err != nil || !rep.HadCheckpoint || rep.ArchiveBatches != uint64(len(parent)) {
+		t.Fatalf("resume: %+v, %v; want the parent's checkpoint over its %d batches", rep, err, len(parent))
+	}
+	rack := parent[0].Rack // a rack the placement gives this shard
+	var added []wire.Batch
+	for i := 0; i < 3; i++ {
+		b := wire.Batch{Rack: rack, Epoch: 1, Samples: []wire.Sample{{
+			Time: simclock.Epoch.Add(simclock.Millis(int64(2 + i))),
+			Port: 3, Dir: asic.TX, Kind: asic.KindBytes, Value: uint64(1+i) << 20,
+		}}}
+		sh.Handle(&b)
+		added = append(added, b)
+	}
+	if err := sh.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := arch.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var got []wire.Batch
+	if err := trace.IterArchive(shardDir, keep(&got)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, append(parent, added...)) {
+		t.Errorf("resumed store reads %d batches, want the parent's %d then the 3 added, in order", len(got), len(parent))
+	}
+	for name, magic := range map[string]string{"seg_000001.mbw": "MBW2", "seg_000003.mbw": "MBW3"} {
+		seg, err := os.ReadFile(filepath.Join(shardDir, name))
+		if err != nil || !bytes.HasPrefix(seg, []byte(magic)) {
+			t.Errorf("%s opens with %q (%v), want %s", name, seg[:min(4, len(seg))], err, magic)
+		}
+	}
+	var buf bytes.Buffer
+	if err := run(&buf, dir, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "total: 9 batches, 237 samples") { // the golden's 6 and 234, plus 3
+		t.Errorf("mixed-format fleet totals wrong:\n%s", buf.String())
+	}
+}
+
+// copyTree copies every file under root into a fresh temp directory,
+// through edit (by base name) when it is non-nil, and returns the copy.
+func copyTree(t *testing.T, root string, edit func(name string, data []byte) []byte) string {
+	t.Helper()
 	dir := t.TempDir()
-	for path := range before {
+	for path := range hashTree(t, root) {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if name := filepath.Base(path); name == "fleet.json" || name == "fleet_checkpoint.json" {
-			data = []byte("{not json")
+		if edit != nil {
+			data = edit(filepath.Base(path), data)
 		}
-		dst := filepath.Join(dir, strings.TrimPrefix(path, fixture))
+		dst := filepath.Join(dir, strings.TrimPrefix(path, root))
 		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -203,10 +298,7 @@ func TestParentWrittenFleetDirDumps(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	buf.Reset()
-	if err := run(&buf, dir, 3, false); err != nil || !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("garbage in the legacy files changed the dump: err=%v\n%s", err, buf.Bytes())
-	}
+	return dir
 }
 
 // hashTree fingerprints every file under root by relative path.

@@ -8,7 +8,7 @@
 //	mbfleet -racks 1000 -shards 8 [-app web] [-window 2ms] [-warmup 500µs]
 //	        [-servers 8] [-seed N] [-pseed N] [-interval 25µs]
 //	        [-batch 2048] [-publish 8] [-queue N] [-workers N]
-//	        [-wire mbw3] [-out DIR] [-ckpt N] [-faults SPEC] [-oracle]
+//	        [-out DIR] [-ckpt N] [-faults SPEC] [-oracle]
 //
 // With -out the campaign lays down a fleet directory: campaign.json
 // (stamped with the versioned placement, whose shard names are the
@@ -39,7 +39,6 @@ import (
 	"mburst/internal/fault"
 	"mburst/internal/obs"
 	"mburst/internal/simclock"
-	"mburst/internal/wire"
 	"mburst/internal/workload"
 )
 
@@ -57,7 +56,6 @@ func main() {
 	publish := flag.Int("publish", 0, "shard publish cadence in batches (0 = default)")
 	queue := flag.Int("queue", 0, "aggregator fan-in queue depth (0 = 4×shards)")
 	workers := flag.Int("workers", 0, "concurrent rack cells (0 = all CPUs)")
-	wireFmt := flag.String("wire", "", "agent wire format (mbw1, mbw2, mbw3; default mbw2)")
 	out := flag.String("out", "", "fleet campaign directory (durable shards; required with -faults)")
 	ckpt := flag.Int("ckpt", 0, "shard checkpoint cadence in batches (0 = default)")
 	faults := flag.String("faults", "", `shard strike schedule: "kill@1ms,torn@2ms:x0.5,shortw@3ms"`)
@@ -80,12 +78,6 @@ func main() {
 		Servers:   *servers,
 		Seed:      *seed,
 		Workers:   *workers,
-	}
-	if *wireFmt != "" {
-		if cfg.WireFormat, err = wire.ParseFormat(*wireFmt); err != nil {
-			logger.Error("parsing wire format", "err", err)
-			os.Exit(2)
-		}
 	}
 	fcfg := core.FleetConfig{
 		App:             app,

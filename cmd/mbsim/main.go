@@ -40,8 +40,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -55,41 +57,61 @@ import (
 	"mburst/internal/ptrace"
 	"mburst/internal/simclock"
 	"mburst/internal/trace"
-	"mburst/internal/wire"
 	"mburst/internal/workload"
 )
 
 func main() {
-	appName := flag.String("app", "web", "application rack type: web, cache, hadoop")
-	out := flag.String("out", "", "output trace directory (required)")
-	plan := flag.String("plan", "randomport", "counter plan: randomport, allports, buffer, full")
-	interval := flag.Duration("interval", 25*time.Microsecond, "sampling interval")
-	racks := flag.Int("racks", 0, "racks (0 = default)")
-	windows := flag.Int("windows", 0, "windows per rack (0 = default)")
-	window := flag.Duration("window", 0, "window duration (0 = default)")
-	servers := flag.Int("servers", 0, "servers per rack (0 = default)")
-	seed := flag.Uint64("seed", 0, "seed (0 = default)")
-	workers := flag.Int("workers", 0, "concurrent campaign cells (0 = all CPUs)")
-	wireFmt := flag.String("wire", "", "wire format for recorded window files (mbw1, mbw2, mbw3; default mbw2, the trace-v1 layout; mbw3 is trace-v2)")
-	faults := flag.String("faults", "", `fault schedule: "none", "kind@off+dur[:param],..." (kinds: stuck, latency, stall, restart, outage, disk), or "rand[:k=v,...]" for seeded per-cell generation`)
-	httpAddr := flag.String("http", "", "debug HTTP address (/metrics, /stats, /healthz, /spans, /tracez, /debug/pprof/)")
-	tracePath := flag.String("trace", "", "write the campaign's pipeline span dump to this file (mbtrace renders it)")
-	traceRate := flag.Float64("tracerate", 0, "fraction of batch traces kept by the deterministic head sampler (0 = all)")
-	traceCap := flag.Int("tracecap", 0, "span ring capacity (0 = sized to hold the whole campaign)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stderr))
+}
 
-	logger := obs.DaemonLogger("mbsim")
+// run is the whole command — flag parsing included — returning the exit
+// code. Split from main so the tests drive the exact production path.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	logger := obs.DaemonLoggerTo(stderr, "mbsim")
+	fs := flag.NewFlagSet("mbsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // a parse error is logged below, as one line
+	appName := fs.String("app", "web", "application rack type: web, cache, hadoop")
+	out := fs.String("out", "", "output trace directory (required)")
+	plan := fs.String("plan", "randomport", "counter plan: randomport, allports, buffer, full")
+	interval := fs.Duration("interval", 25*time.Microsecond, "sampling interval")
+	racks := fs.Int("racks", 0, "racks (0 = default)")
+	windows := fs.Int("windows", 0, "windows per rack (0 = default)")
+	window := fs.Duration("window", 0, "window duration (0 = default)")
+	servers := fs.Int("servers", 0, "servers per rack (0 = default)")
+	seed := fs.Uint64("seed", 0, "seed (0 = default)")
+	workers := fs.Int("workers", 0, "concurrent campaign cells (0 = all CPUs)")
+	faults := fs.String("faults", "", `fault schedule: "none", "kind@off+dur[:param],..." (kinds: stuck, latency, stall, restart, outage, disk), or "rand[:k=v,...]" for seeded per-cell generation`)
+	httpAddr := fs.String("http", "", "debug HTTP address (/metrics, /stats, /healthz, /spans, /tracez, /debug/pprof/)")
+	tracePath := fs.String("trace", "", "write the campaign's pipeline span dump to this file (mbtrace renders it)")
+	traceRate := fs.Float64("tracerate", 0, "fraction of batch traces kept by the deterministic head sampler (0 = all)")
+	traceCap := fs.Int("tracecap", 0, "span ring capacity (0 = sized to hold the whole campaign)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fs.Usage()
+			return 0
+		}
+		logger.Error("parsing flags", "err", err)
+		return 2
+	}
+
 	reg := obs.NewRegistry()
 	obs.RegisterGoRuntime(reg)
 
 	if *out == "" {
 		logger.Error("-out is required")
-		os.Exit(2)
+		return 2
+	}
+	if *interval <= 0 {
+		logger.Error("-interval must be positive", "interval", interval.String())
+		return 2
 	}
 	app, err := workload.ParseApp(*appName)
 	if err != nil {
 		logger.Error("parsing app", "err", err)
-		os.Exit(2)
+		return 2
 	}
 
 	cfg := core.DefaultConfig()
@@ -110,25 +132,19 @@ func main() {
 	}
 	cfg.Workers = *workers
 	cfg.Metrics = reg
-	if *wireFmt != "" {
-		if cfg.WireFormat, err = wire.ParseFormat(*wireFmt); err != nil {
-			logger.Error("parsing wire format", "err", err)
-			os.Exit(2)
-		}
-	}
 	if *faults != "" {
 		if strings.HasPrefix(*faults, "rand") {
 			gen, err := fault.ParseGen(*faults)
 			if err != nil {
 				logger.Error("parsing -faults", "err", err)
-				os.Exit(2)
+				return 2
 			}
 			cfg.Faults = &gen
 		} else {
 			sched, err := fault.ParseSchedule(*faults)
 			if err != nil {
 				logger.Error("parsing -faults", "err", err)
-				os.Exit(2)
+				return 2
 			}
 			if !sched.Empty() {
 				cfg.FaultSchedule = &sched
@@ -138,7 +154,7 @@ func main() {
 	exp, err := core.NewExperiment(cfg)
 	if err != nil {
 		logger.Error("configuring experiment", "err", err)
-		os.Exit(1)
+		return 1
 	}
 
 	var countersFor core.CounterPlan
@@ -153,7 +169,7 @@ func main() {
 		countersFor = core.FullCounters()
 	default:
 		logger.Error("unknown plan", "plan", *plan)
-		os.Exit(2)
+		return 2
 	}
 
 	var tracer *ptrace.Tracer
@@ -172,7 +188,7 @@ func main() {
 		// cfg was copied into exp at construction; rebuild with the tracer.
 		if exp, err = core.NewExperiment(cfg); err != nil {
 			logger.Error("configuring experiment", "err", err)
-			os.Exit(1)
+			return 1
 		}
 	}
 
@@ -183,25 +199,22 @@ func main() {
 		ds, err := obs.StartDebug(*httpAddr, mux)
 		if err != nil {
 			logger.Error("debug http", "addr", *httpAddr, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		defer ds.Close()
 		logger.Info("debug http listening", "url", fmt.Sprintf("http://%s/metrics", ds.Addr()))
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	start := time.Now()
 	err = exp.RecordCampaign(ctx, app, *out, simclock.FromStd(*interval), "plan="+*plan, countersFor)
 	if err != nil {
 		logger.Error("recording campaign", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	if *tracePath != "" {
 		if err := writeTraceDump(tracer, *tracePath); err != nil {
 			logger.Error("writing span dump", "path", *tracePath, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		logger.Info("wrote span dump", "path", *tracePath,
 			"spans", tracer.Recorded(), "evicted", tracer.Evicted())
@@ -209,6 +222,7 @@ func main() {
 	logger.Info("recorded campaign",
 		"app", app.String(), "windows", cfg.Racks*cfg.Windows, "window_dur", cfg.WindowDur.String(),
 		"interval", interval.String(), "out", *out, "elapsed", time.Since(start).Round(time.Millisecond).String())
+	return 0
 }
 
 // campaignSpanCap sizes the span ring to hold the whole campaign: one

@@ -27,12 +27,8 @@ func TestServerSurvivesMidBatchDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := &wire.Batch{Rack: 1}
-	for i := 0; i < 100; i++ {
-		batch.Samples = append(batch.Samples, mkSample(i))
-	}
-	encoded := wire.AppendBatch(nil, batch)
-	if _, err := conn.Write(encoded[:len(encoded)/2]); err != nil {
+	legacy, _ := legacyStream(t)
+	if _, err := conn.Write(legacy[:20]); err != nil { // its first frame is 60 bytes
 		t.Fatal(err)
 	}
 	conn.Close()
@@ -116,15 +112,15 @@ func TestBatchBoundaryResilience(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := wire.AppendBatch(nil, &wire.Batch{Rack: 5, Samples: []wire.Sample{mkSample(0), mkSample(1)}})
+	good, want := legacyStream(t)
 	conn.Write(good)
 	conn.Write([]byte("GARBAGE GARBAGE GARBAGE"))
 	conn.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for len(sink.Samples()) < 2 {
+	for len(sink.Samples()) < len(want) {
 		if time.Now().After(deadline) {
-			t.Fatalf("valid prefix not delivered: %d samples", len(sink.Samples()))
+			t.Fatalf("valid prefix not delivered: %d/%d samples", len(sink.Samples()), len(want))
 		}
 		time.Sleep(time.Millisecond)
 	}

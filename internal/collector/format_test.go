@@ -1,20 +1,58 @@
 package collector
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
+	"os"
+	"reflect"
 	"testing"
 	"time"
 
 	"mburst/internal/wire"
 )
 
-// TestClientFormatsEndToEnd ships the same samples through a client of
-// every wire format to a live server; the sink must receive them exactly
-// regardless of format — the server negotiates per batch magic.
+// legacyStream returns what a legacy agent put on the socket — the wire
+// package's parent-written MBW1/MBW2 fixture, the only legacy bytes there
+// are now that every writer speaks MBW3 — and the samples it carries.
+func legacyStream(t *testing.T) (stream []byte, samples []wire.Sample) {
+	t.Helper()
+	stream, err := os.ReadFile("../wire/testdata/legacy_parent.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(bytes.NewReader(stream))
+	for {
+		b, err := r.ReadBatch()
+		if err == io.EOF {
+			return stream, samples
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples = append(samples, b.Samples...)
+	}
+}
+
+// awaitSamples polls sink until it holds n samples.
+func awaitSamples(t *testing.T, name string, sink *MemSink, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(sink.Samples()) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: received %d/%d samples", name, len(sink.Samples()), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClientFormatsEndToEnd ships samples to a live server in every format
+// a server can meet: MBW3 from a client, whichever way its leftover Format
+// field is spelled, and MBW1/MBW2 as the bytes a legacy agent wrote. The
+// sink must receive them exactly — the server dispatches per batch magic.
 func TestClientFormatsEndToEnd(t *testing.T) {
-	for _, f := range []wire.Format{0, wire.FormatMBW1, wire.FormatMBW2, wire.FormatMBW3} {
+	serve := func(t *testing.T) (*Server, *MemSink, net.Conn) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -25,6 +63,10 @@ func TestClientFormatsEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		return srv, sink, conn
+	}
+	for _, f := range []wire.Format{0, wire.FormatMBW3} {
+		srv, sink, conn := serve(t)
 		c, err := NewClientConfigured(conn, ClientConfig{Rack: 9, MaxBatch: 16, Format: f})
 		if err != nil {
 			t.Fatalf("format %v: %v", f, err)
@@ -36,13 +78,7 @@ func TestClientFormatsEndToEnd(t *testing.T) {
 		if err := c.Close(); err != nil {
 			t.Fatalf("format %v: %v", f, err)
 		}
-		deadline := time.Now().Add(5 * time.Second)
-		for len(sink.Samples()) < n {
-			if time.Now().After(deadline) {
-				t.Fatalf("format %v: received %d/%d samples", f, len(sink.Samples()), n)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		awaitSamples(t, f.String(), sink, n)
 		for i, s := range sink.Samples() {
 			if s != mkSample(i) {
 				t.Fatalf("format %v: sample %d corrupted in transit: %+v", f, i, s)
@@ -53,8 +89,26 @@ func TestClientFormatsEndToEnd(t *testing.T) {
 		}
 		srv.Close()
 	}
-	if _, err := NewClientConfigured(io.Discard, ClientConfig{Format: wire.Format(42)}); err == nil {
-		t.Error("NewClientConfigured accepted format 42")
+
+	srv, sink, conn := serve(t)
+	stream, want := legacyStream(t)
+	if _, err := conn.Write(stream); err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	awaitSamples(t, "legacy", sink, len(want))
+	if got := sink.Samples(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy stream corrupted in transit:\n got %+v\nwant %+v", got, want)
+	}
+	if err := srv.LastErr(); err != nil {
+		t.Errorf("legacy: server error: %v", err)
+	}
+	srv.Close()
+
+	for _, f := range []wire.Format{wire.FormatMBW1, wire.FormatMBW2, wire.Format(42)} {
+		if _, err := NewClientConfigured(io.Discard, ClientConfig{Format: f}); err == nil {
+			t.Errorf("NewClientConfigured accepted format %v", f)
+		}
 	}
 }
 
@@ -107,7 +161,6 @@ func TestReconnectingClientMBW3Redial(t *testing.T) {
 		Rack:         4,
 		Epoch:        2,
 		MaxBatch:     8,
-		Format:       wire.FormatMBW3,
 		RetryBackoff: time.Millisecond,
 	})
 	const n = 64
@@ -142,18 +195,4 @@ func TestReconnectingClientMBW3Redial(t *testing.T) {
 	if err := srv.LastErr(); err != nil {
 		t.Errorf("server error: %v", err)
 	}
-}
-
-func TestReconnectingClientRejectsBadFormat(t *testing.T) {
-	dial := func() (io.WriteCloser, error) { return nil, errors.New("unused") }
-	mustPanic := func(name string, cfg ReconnectingClientConfig) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		NewReconnectingClient(dial, cfg)
-	}
-	mustPanic("unknown format", ReconnectingClientConfig{Format: wire.Format(42)})
-	mustPanic("mbw1 with epoch", ReconnectingClientConfig{Format: wire.FormatMBW1, Epoch: 3})
 }

@@ -34,22 +34,21 @@ type Client struct {
 // large enough to amortize framing.
 const DefaultBatchSize = 2048
 
-// ClientConfig selects the client's batching and wire format.
+// ClientConfig selects the client's batching.
 type ClientConfig struct {
 	// Rack stamps outgoing batches.
 	Rack uint32
 	// MaxBatch is the flush threshold; <= 0 selects DefaultBatchSize.
 	MaxBatch int
-	// Format selects the wire format written to the connection; the zero
-	// value is wire.DefaultFormat. Servers decode every format per batch
-	// magic, so no handshake is needed: the writer's choice at stream
-	// open is the negotiation.
+	// Format must be zero or wire.FormatMBW3, the one format clients
+	// write (see wire.NewWriterFormat). Servers decode per batch magic, so
+	// no handshake is needed.
 	Format wire.Format
 }
 
 // NewClientConfigured returns a client writing batches to w as cfg
 // describes. If w also implements io.Closer (e.g. a net.Conn), Close
-// closes it. It errors only on an unknown cfg.Format.
+// closes it. It errors only on a cfg.Format that cannot be written.
 func NewClientConfigured(w io.Writer, cfg ClientConfig) (*Client, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultBatchSize
@@ -79,7 +78,7 @@ func (c *Client) SetMetrics(m *ClientMetrics) {
 }
 
 // SetEpoch sets the agent restart generation stamped on outgoing batches
-// (see wire.Batch.Epoch). Epoch 0 keeps the legacy MBW1 framing.
+// (see wire.Batch.Epoch).
 func (c *Client) SetEpoch(epoch uint32) { c.batch.Epoch = epoch }
 
 // SetTracer attaches pipeline tracing: every flushed batch records its

@@ -21,16 +21,11 @@ type ReconnectingClientConfig struct {
 	// Rack tags outgoing batches.
 	Rack uint32
 	// Epoch is the agent's restart generation, stamped on outgoing batches
-	// so the collector's EpochGate can discard superseded streams. Epoch 0
-	// (never restarted) keeps the legacy MBW1 framing.
+	// so the collector's EpochGate can discard superseded streams (0 =
+	// never restarted).
 	Epoch uint32
 	// MaxBatch is the flush threshold (default DefaultBatchSize).
 	MaxBatch int
-	// Format selects the wire format written to the collector; the zero
-	// value is wire.DefaultFormat. Each redial opens a fresh stream (and
-	// a fresh codec), so a reconnect never leaves the collector chained
-	// to stale delta state.
-	Format wire.Format
 	// BufferLimit bounds samples retained while the collector is
 	// unreachable (default 1 << 20). Beyond it the oldest samples are
 	// dropped — the switch must never block its sampling loop on the
@@ -118,20 +113,11 @@ type ReconnectingClient struct {
 	m ClientMetrics
 }
 
-// NewReconnectingClient starts the background flusher. It panics on an
-// unknown cfg.Format (a static misconfiguration, like a nil dialer).
+// NewReconnectingClient starts the background flusher. It panics on a nil
+// dialer (a static misconfiguration).
 func NewReconnectingClient(dial Dialer, cfg ReconnectingClientConfig) *ReconnectingClient {
 	if dial == nil {
 		panic("collector: nil dialer")
-	}
-	if cfg.Format != 0 {
-		if _, err := wire.NewCodec(cfg.Format); err != nil {
-			panic(fmt.Sprintf("collector: %v", err))
-		}
-	}
-	if cfg.Format == wire.FormatMBW1 && cfg.Epoch != 0 {
-		// Would make every flush fail (and retry) forever.
-		panic("collector: mbw1 cannot carry a restart epoch; use mbw2 or mbw3")
 	}
 	cfg.applyDefaults()
 	c := &ReconnectingClient{
@@ -182,13 +168,8 @@ type spoolBatch struct {
 // SetEpoch advances the agent's restart generation for subsequently
 // sealed batches. Samples already buffered are sealed into the spool
 // first, under the old epoch — a sample is always delivered with the
-// generation it was sampled in, even across a soft restart. Panics if
-// the configured format is MBW1 and epoch is non-zero (MBW1 cannot
-// carry an epoch; every flush would fail forever).
+// generation it was sampled in, even across a soft restart.
 func (c *ReconnectingClient) SetEpoch(epoch uint32) {
-	if c.cfg.Format == wire.FormatMBW1 && epoch != 0 {
-		panic("collector: mbw1 cannot carry a restart epoch; use mbw2 or mbw3")
-	}
 	c.mu.Lock()
 	c.sealPendingLocked(true)
 	c.cfg.Epoch = epoch
@@ -432,10 +413,9 @@ func (c *ReconnectingClient) flushLoop() {
 			}
 			conn = nc
 			cw = countingWriter{w: nc}
-			w, err = wire.NewWriterFormat(&cw, c.cfg.Format)
-			if err != nil {
-				panic(err) // unreachable: the format was vetted at construction
-			}
+			// A fresh stream and a fresh codec per dial: a reconnect never
+			// leaves the collector chained to stale delta state.
+			w = wire.NewWriter(&cw)
 			c.mu.Lock()
 			c.redials++
 			c.mu.Unlock()

@@ -16,7 +16,6 @@ import (
 	"mburst/internal/simnet"
 	"mburst/internal/topo"
 	"mburst/internal/trace"
-	"mburst/internal/wire"
 	"mburst/internal/workload"
 )
 
@@ -114,16 +113,6 @@ func (e *Experiment) randomPort(app workload.App, rack, window int) int {
 // ByteCampaignInterval is the paper's finest byte-counter interval.
 const ByteCampaignInterval = 25 * simclock.Microsecond
 
-// formatName renders a wire format for trace metadata, keeping the zero
-// value as "" so default-format campaigns stay byte-identical to
-// campaigns recorded before formats were selectable.
-func formatName(f wire.Format) string {
-	if f == 0 {
-		return ""
-	}
-	return f.String()
-}
-
 // RecordCampaign runs a campaign for one app and persists it as a trace
 // directory (see internal/trace). plan chooses the counters per
 // (rack, window) — e.g. a random port's byte counter, or every port.
@@ -152,7 +141,6 @@ func (e *Experiment) RecordCampaign(ctx context.Context, app workload.App, dir s
 		Windows:     e.cfg.Racks * e.cfg.Windows,
 		Seed:        e.cfg.Seed,
 		Counters:    probe,
-		Format:      formatName(e.cfg.WireFormat),
 		Notes:       notes,
 	}, e.cfg.TraceOpener)
 	if err != nil {

@@ -31,7 +31,6 @@ import (
 	"mburst/internal/simclock"
 	"mburst/internal/simnet"
 	"mburst/internal/trace"
-	"mburst/internal/wire"
 	"mburst/internal/workload"
 )
 
@@ -89,12 +88,6 @@ type Config struct {
 	// cell — the reproducible-single-scenario counterpart to Faults. Offsets
 	// are relative to each cell's recording start.
 	FaultSchedule *fault.Schedule
-	// WireFormat selects the wire format RecordCampaign writes its window
-	// files in (recorded in the trace metadata); the zero value is
-	// wire.DefaultFormat (trace-v1). wire.FormatMBW3 selects the columnar
-	// trace-v2 layout, typically several times smaller. Readers dispatch
-	// per batch magic, so analyses accept either.
-	WireFormat wire.Format
 	// TraceOpener, when non-nil, replaces os.Create for RecordCampaign's
 	// window segments so disk faults are injectable (fault.FlakyOpener
 	// matches this type structurally).
@@ -152,11 +145,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Workers = %d", c.Workers)
 	case c.Faults != nil && c.FaultSchedule != nil:
 		return fmt.Errorf("core: Faults and FaultSchedule are mutually exclusive")
-	}
-	if c.WireFormat != 0 {
-		if _, err := wire.NewCodec(c.WireFormat); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {

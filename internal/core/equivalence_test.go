@@ -1018,93 +1018,77 @@ func TestAnalyzeTraceStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestTraceV2Equivalence records the same campaign as trace-v1 and
-// trace-v2 (mbw3): the window samples must be identical, every figure
-// must compute identically over both recordings (AnalyzeTrace and the
-// materializing reference), and the v2 directory must be substantially
-// smaller on disk.
+// TestTraceV2Equivalence holds a recording (trace-v2: MBW3 segments, the
+// one layout written) to the samples its cells produced: every window
+// must decode to exactly what was simulated, every figure must compute
+// identically by AnalyzeTrace and by the materializing reference, and the
+// directory must be substantially smaller than the same batches in the
+// trace-v1 (MBW2) row framing.
 func TestTraceV2Equivalence(t *testing.T) {
 	ctx := context.Background()
 	cfg := QuickConfig()
 	cfg.Servers = 8
 	cfg.WindowDur = 50 * simclock.Millisecond
-
-	record := func(format wire.Format) string {
-		c := cfg
-		c.WireFormat = format
-		exp, err := NewExperiment(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := filepath.Join(t.TempDir(), "c")
-		err = exp.RecordCampaign(ctx, workload.Web, dir, 0, "eq-v2", exp.RandomPortCounters(workload.Web))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dir
-	}
-	dirV1 := record(0)
-	dirV2 := record(wire.FormatMBW3)
-
-	r1, err := trace.Open(dirV1)
+	exp, err := NewExperiment(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := trace.Open(dirV2)
+	plan := exp.RandomPortCounters(workload.Web)
+	dir := filepath.Join(t.TempDir(), "c")
+	if err := exp.RecordCampaign(ctx, workload.Web, dir, 0, "eq-v2", plan); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r2.Meta().Format; got != "mbw3" {
+	if got := r.Meta().Format; got != "mbw3" {
 		t.Errorf("trace-v2 meta format = %q", got)
 	}
 
-	// The decoded streams must match sample-for-sample.
-	for i := 0; i < r1.Meta().Windows; i++ {
-		s1, err := readWindow(r1, i)
+	// The decoded windows must match the simulation sample-for-sample.
+	cells := exp.campaignCells([]workload.App{workload.Web}, plan, ByteCampaignInterval, 0)
+	simulated, err := RunCells(ctx, exp.Runner(), cells, func(run *CellRun) ([]wire.Sample, error) {
+		return append([]wire.Sample(nil), run.Samples...), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1, v2 int64 // bytes as MBW2 rows (nominal) and on disk
+	for i, want := range simulated {
+		got, err := readWindow(r, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := readWindow(r2, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(s1) == 0 {
+		if len(want) == 0 {
 			t.Fatalf("window %d empty — equivalence is vacuous", i)
 		}
-		if !reflect.DeepEqual(s1, s2) {
-			t.Fatalf("window %d decodes differently from trace-v2", i)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("window %d decodes differently from what was simulated", i)
 		}
-	}
-
-	// Every figure, reference and engine, over the v1 oracle and the v2
-	// recording.
-	for _, kind := range AnalyzeKinds {
-		oracle, err := refAnalyzeTrace(r1, kind, 0)
+		for off := 0; off < len(want); off += trace.BatchSize {
+			v1 += int64(wire.EncodedSize(&wire.Batch{Rack: uint32(cells[i].RackID), Samples: want[off:min(off+trace.BatchSize, len(want))]}))
+		}
+		fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("seg_%06d.mbw", i+1)))
 		if err != nil {
-			t.Fatalf("%s v1: %v", kind, err)
+			t.Fatal(err)
 		}
-		for name, analyze := range map[string]analyzeFunc{"reference": refAnalyzeTrace, "engine": AnalyzeTrace} {
-			got, err := analyze(r2, kind, 0)
-			if err != nil {
-				t.Fatalf("%s v2 %s: %v", kind, name, err)
-			}
-			assertStreamEqual(t, fmt.Sprintf("v2/%s/%s", kind, name), oracle, got)
-		}
+		v2 += fi.Size()
 	}
 
-	sizeOf := func(dir string, windows int) int64 {
-		var total int64
-		for i := 0; i < windows; i++ {
-			fi, err := os.Stat(filepath.Join(dir, fmt.Sprintf("seg_%06d.mbw", i+1)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += fi.Size()
+	// Every figure, reference and engine.
+	for _, kind := range AnalyzeKinds {
+		oracle, err := refAnalyzeTrace(r, kind, 0)
+		if err != nil {
+			t.Fatalf("%s reference: %v", kind, err)
 		}
-		return total
+		got, err := AnalyzeTrace(r, kind, 0)
+		if err != nil {
+			t.Fatalf("%s engine: %v", kind, err)
+		}
+		assertStreamEqual(t, "v2/"+kind, oracle, got)
 	}
-	v1 := sizeOf(dirV1, r1.Meta().Windows)
-	v2 := sizeOf(dirV2, r2.Meta().Windows)
+
 	t.Logf("trace-v1 %d B, trace-v2 %d B (%.2fx)", v1, v2, float64(v1)/float64(v2))
 	if v2*2 >= v1 {
 		t.Errorf("trace-v2 not compact: %d B vs v1's %d B", v2, v1)

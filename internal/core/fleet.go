@@ -367,7 +367,6 @@ func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResul
 			Windows:     e.cfg.Racks,
 			Seed:        e.cfg.Seed,
 			Counters:    plan(rack, 0, 0),
-			Format:      formatName(e.cfg.WireFormat),
 			Notes:       cfg.Notes,
 			Placement:   &pl,
 		}); err != nil {
@@ -391,7 +390,7 @@ func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResul
 			fs.dir = filepath.Join(cfg.Dir, pl.Name(k))
 			fs.ckpt = filepath.Join(fs.dir, collector.CheckpointFileName)
 			fs.chaos = fault.NewWriteChaos(nil)
-			fs.acfg = trace.ArchiveConfig{Format: e.cfg.WireFormat, WrapWrites: fs.chaos.Wrap}
+			fs.acfg = trace.ArchiveConfig{WrapWrites: fs.chaos.Wrap}
 			arch, err := trace.CreateArchive(fs.dir, fs.acfg)
 			if err != nil {
 				return nil, err
@@ -454,10 +453,7 @@ func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResul
 	err = e.Runner().Run(ctx, cells, func(_ int, run *CellRun) error {
 		rackID := uint32(run.Cell.RackID)
 		var buf bytes.Buffer
-		w, err := wire.NewWriterFormat(&buf, e.cfg.WireFormat)
-		if err != nil {
-			return err
-		}
+		w := wire.NewWriter(&buf)
 		for lo := 0; lo < len(run.Samples); lo += cfg.BatchSize {
 			hi := lo + cfg.BatchSize
 			if hi > len(run.Samples) {

@@ -12,7 +12,6 @@ import (
 
 	"mburst/internal/simclock"
 	"mburst/internal/trace"
-	"mburst/internal/wire"
 	"mburst/internal/workload"
 )
 
@@ -60,11 +59,12 @@ func TestPinnedReport(t *testing.T) {
 
 // TestPinnedRecording compares a recorded trace directory — every port's
 // bytes and size bins plus the buffer peak, so packets, bins and the peak
-// register are on the wire — with the parent commit's, file by file and in
-// every wire format. testdata/record_parent.sha256sums is the parent's
-// hashDir of the same recordings, made when a recording was a window dir:
-// campaign.json must be equal and segment k+1 must be the parent's
-// window_%04d.mbw(k), byte for byte. Only the manifest may differ.
+// register are on the wire — with the parent commit's, file by file.
+// testdata/record_parent.sha256sums is the parent's hashDir of the same
+// recording in each format it could then write, made when a recording was
+// a window dir. The one recording there is now must equal its mbw3 rows:
+// campaign.json equal and segment k+1 the parent's window_%04d.mbw(k),
+// byte for byte. Only the manifest may differ.
 func TestPinnedRecording(t *testing.T) {
 	parent := make(map[string]string) // "<format>/<file name>" → sha256
 	for _, line := range strings.Split(wantPinned(t, "record_parent.sha256sums"), "\n") {
@@ -74,38 +74,32 @@ func TestPinnedRecording(t *testing.T) {
 		}
 		parent[name] = sum
 	}
-	for _, format := range []wire.Format{0, wire.FormatMBW1, wire.FormatMBW2, wire.FormatMBW3} {
-		label := "default"
-		if format != 0 {
-			label = format.String()
+	const label = "mbw3"
+	cfg := pinnedConfig()
+	exp, err := NewExperiment(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "trace")
+	err = exp.RecordCampaign(context.Background(), workload.Hadoop, dir, 200*simclock.Microsecond, "pinned", FullCounters())
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := hashDir(t, dir)
+	windows := cfg.Racks * cfg.Windows
+	if len(files) != windows+2 {
+		t.Errorf("%s: recording holds %d files, want campaign.json, archive.json and %d segments", label, len(files), windows)
+	}
+	if got, want := files[trace.MetaFileName], parent[label+"/"+trace.MetaFileName]; got != want {
+		t.Errorf("%s: campaign.json sha256 = %s, the parent commit's is %s", label, got, want)
+	}
+	for k := 0; k < windows; k++ {
+		seg, win := fmt.Sprintf("seg_%06d.mbw", k+1), fmt.Sprintf("%s/window_%04d.mbw", label, k)
+		if parent[win] == "" {
+			t.Fatalf("%s is not in the parent's sums", win)
 		}
-		cfg := pinnedConfig()
-		cfg.WireFormat = format
-		exp, err := NewExperiment(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := filepath.Join(t.TempDir(), "trace")
-		err = exp.RecordCampaign(context.Background(), workload.Hadoop, dir, 200*simclock.Microsecond, "pinned", FullCounters())
-		if err != nil {
-			t.Fatal(err)
-		}
-		files := hashDir(t, dir)
-		windows := cfg.Racks * cfg.Windows
-		if len(files) != windows+2 {
-			t.Errorf("%s: recording holds %d files, want campaign.json, archive.json and %d segments", label, len(files), windows)
-		}
-		if got, want := files[trace.MetaFileName], parent[label+"/"+trace.MetaFileName]; got != want {
-			t.Errorf("%s: campaign.json sha256 = %s, the parent commit's is %s", label, got, want)
-		}
-		for k := 0; k < windows; k++ {
-			seg, win := fmt.Sprintf("seg_%06d.mbw", k+1), fmt.Sprintf("%s/window_%04d.mbw", label, k)
-			if parent[win] == "" {
-				t.Fatalf("%s is not in the parent's sums", win)
-			}
-			if files[seg] != parent[win] {
-				t.Errorf("%s sha256 = %s, the parent commit's %s is %s: the simulation no longer reproduces its output", seg, files[seg], win, parent[win])
-			}
+		if files[seg] != parent[win] {
+			t.Errorf("%s sha256 = %s, the parent commit's %s is %s: the simulation no longer reproduces its output", seg, files[seg], win, parent[win])
 		}
 	}
 }

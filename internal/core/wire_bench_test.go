@@ -54,64 +54,30 @@ func recordWireBenchWindows(tb testing.TB) [][]wire.Sample {
 	return windows
 }
 
-// bytesOnWire streams every window through one client-style connection
-// (DefaultBatchSize samples per batch, one codec for the whole stream,
-// exactly like collector.Client) and returns the bytes written.
-func bytesOnWire(tb testing.TB, windows [][]wire.Sample, f wire.Format) (total int64, batches int) {
-	tb.Helper()
-	var cw countingDiscard
-	w, err := wire.NewWriterFormat(&cw, f)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, samples := range windows {
-		for off := 0; off < len(samples); off += collectorBatchSize {
-			end := off + collectorBatchSize
-			if end > len(samples) {
-				end = len(samples)
-			}
-			if err := w.WriteBatch(&wire.Batch{Rack: 1, Epoch: 1, Samples: samples[off:end]}); err != nil {
-				tb.Fatal(err)
-			}
-			batches++
-		}
-	}
-	return cw.n, batches
-}
-
 // collectorBatchSize mirrors collector.DefaultBatchSize without importing
 // the collector package into the benchmark.
 const collectorBatchSize = 2048
 
-type countingDiscard struct{ n int64 }
-
-func (c *countingDiscard) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-// encodeStream pre-encodes the whole workload as one stream in format f.
-func encodeStream(tb testing.TB, windows [][]wire.Sample, f wire.Format) ([]byte, int) {
+// encodeStream streams every window through one client-style connection
+// (DefaultBatchSize samples per batch, one codec for the whole stream,
+// exactly like collector.Client). Beside the encoded stream it returns
+// what the same batches would weigh in the MBW2 row framing — the nominal
+// wire.EncodedSize, since nothing writes that format any more.
+func encodeStream(tb testing.TB, windows [][]wire.Sample) (stream []byte, batches int, rowBytes int64) {
 	tb.Helper()
 	var buf bytes.Buffer
-	w, err := wire.NewWriterFormat(&buf, f)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	batches := 0
+	w := wire.NewWriter(&buf)
 	for _, samples := range windows {
 		for off := 0; off < len(samples); off += collectorBatchSize {
-			end := off + collectorBatchSize
-			if end > len(samples) {
-				end = len(samples)
-			}
-			if err := w.WriteBatch(&wire.Batch{Rack: 1, Epoch: 1, Samples: samples[off:end]}); err != nil {
+			b := &wire.Batch{Rack: 1, Epoch: 1, Samples: samples[off:min(off+collectorBatchSize, len(samples))]}
+			rowBytes += int64(wire.EncodedSize(b))
+			if err := w.WriteBatch(b); err != nil {
 				tb.Fatal(err)
 			}
 			batches++
 		}
 	}
-	return buf.Bytes(), batches
+	return buf.Bytes(), batches, rowBytes
 }
 
 // drainStream decodes every batch of an encoded stream through a reused
@@ -132,8 +98,9 @@ func drainStream(tb testing.TB, r *wire.Reader, src *bytes.Reader, stream []byte
 	}
 }
 
-// TestWireBenchArtifact measures the wire formats on the reference Web
-// workload and publishes BENCH_wire.json. Gated on MBURST_WIRE_BENCH_OUT
+// TestWireBenchArtifact measures the wire format on the reference Web
+// workload, against the nominal size of the MBW2 row framing it replaced,
+// and publishes BENCH_wire.json. Gated on MBURST_WIRE_BENCH_OUT
 // so it only runs in the dedicated CI step (alloc counts are meaningless
 // under the race detector). Hard gates: MBW3 must put >= 4x fewer bytes
 // on the wire than MBW2, and the steady-state encode and ingest paths
@@ -150,17 +117,14 @@ func TestWireBenchArtifact(t *testing.T) {
 		totalSamples += len(w)
 	}
 
-	bytes2, _ := bytesOnWire(t, windows, wire.FormatMBW2)
-	bytes3, batches := bytesOnWire(t, windows, wire.FormatMBW3)
+	stream3, batches, bytes2 := encodeStream(t, windows)
+	bytes3 := int64(len(stream3))
 	ratio := float64(bytes2) / float64(bytes3)
 
 	// Steady-state encode: the same batch re-encoded through a chained
 	// codec, the collector.Client hot path.
 	steady := &wire.Batch{Rack: 1, Epoch: 1, Samples: windows[0][:collectorBatchSize]}
-	w3, err := wire.NewWriterFormat(io.Discard, wire.FormatMBW3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w3 := wire.NewWriter(io.Discard)
 	encodeAllocs := testing.AllocsPerRun(200, func() {
 		if err := w3.WriteBatch(steady); err != nil {
 			t.Fatal(err)
@@ -169,14 +133,13 @@ func TestWireBenchArtifact(t *testing.T) {
 
 	// Steady-state ingest: replaying the encoded stream through one
 	// reused Reader, the collector.Server hot path.
-	stream3, streamBatches := encodeStream(t, windows, wire.FormatMBW3)
 	src := bytes.NewReader(stream3)
 	r := wire.NewReader(src)
 	r.SetReuse(true)
 	drainStream(t, r, src, stream3) // warm the scratch buffers
 	ingestAllocs := testing.AllocsPerRun(20, func() {
 		drainStream(t, r, src, stream3)
-	}) / float64(streamBatches)
+	}) / float64(batches)
 
 	// Ingest-throughput ceiling: decoded batches per second at
 	// saturation, same path as the alloc measurement.
@@ -187,7 +150,7 @@ func TestWireBenchArtifact(t *testing.T) {
 		reps++
 	}
 	elapsed := time.Since(start)
-	batchesPerSec := float64(reps*streamBatches) / elapsed.Seconds()
+	batchesPerSec := float64(reps*batches) / elapsed.Seconds()
 	samplesPerSec := float64(reps*totalSamples) / elapsed.Seconds()
 
 	artifact := struct {
@@ -239,44 +202,32 @@ func TestWireBenchArtifact(t *testing.T) {
 	}
 }
 
-// BenchmarkWireEncode measures steady-state batch encoding per format.
+// BenchmarkWireEncode measures steady-state batch encoding.
 // Run with:
 //
 //	go test -run=^$ -bench=BenchmarkWire ./internal/core
 func BenchmarkWireEncode(b *testing.B) {
 	windows := recordWireBenchWindows(b)
 	batch := &wire.Batch{Rack: 1, Epoch: 1, Samples: windows[0][:collectorBatchSize]}
-	for _, f := range []wire.Format{wire.FormatMBW2, wire.FormatMBW3} {
-		b.Run(f.String(), func(b *testing.B) {
-			w, err := wire.NewWriterFormat(io.Discard, f)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.WriteBatch(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	w := wire.NewWriter(io.Discard)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := w.WriteBatch(batch); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkWireIngest measures steady-state stream decoding per format.
+// BenchmarkWireIngest measures steady-state stream decoding.
 func BenchmarkWireIngest(b *testing.B) {
-	windows := recordWireBenchWindows(b)
-	for _, f := range []wire.Format{wire.FormatMBW2, wire.FormatMBW3} {
-		b.Run(f.String(), func(b *testing.B) {
-			stream, batches := encodeStream(b, windows, f)
-			src := bytes.NewReader(stream)
-			r := wire.NewReader(src)
-			r.SetReuse(true)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += batches {
-				drainStream(b, r, src, stream)
-			}
-		})
+	stream, batches, _ := encodeStream(b, recordWireBenchWindows(b))
+	src := bytes.NewReader(stream)
+	r := wire.NewReader(src)
+	r.SetReuse(true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += batches {
+		drainStream(b, r, src, stream)
 	}
 }

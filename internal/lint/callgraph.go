@@ -322,7 +322,7 @@ func (prog *Program) addDynamic(caller *FuncNode, iface *types.Func, pos token.P
 
 // LookupFuncs finds nodes by name for mblint -why: an exact qualified
 // name ("mburst/internal/wire.(*mbw3Codec).AppendBatch"), a short form
-// ("wire.AppendBatch"), or a bare function/method name ("AppendBatch").
+// ("wire.EncodedSize"), or a bare function/method name ("AppendBatch").
 func (prog *Program) LookupFuncs(name string) []*FuncNode {
 	var out []*FuncNode
 	for _, n := range prog.Nodes {

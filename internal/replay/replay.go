@@ -6,9 +6,9 @@
 // Samples keep their original virtual timestamps; pacing maps virtual time
 // onto wall-clock time with a configurable speedup, so a 2-minute campaign
 // can replay in seconds while preserving inter-batch spacing. Batches carry
-// the rack's window ordinal as their epoch (0 for a rack's first window),
-// so replaying several windows of one rack needs a format that carries
-// epochs (mbw2, mbw3); mbw1 fails at the first later window.
+// the rack's window ordinal as their epoch (0 for a rack's first window).
+// The replay transcodes: whatever format the trace was recorded in, the
+// outgoing stream is MBW3, the one format anything writes.
 package replay
 
 import (
@@ -44,10 +44,6 @@ type Options struct {
 	// downstream consumers see the gap without living through it; zero
 	// preserves gaps verbatim. Clamps are tallied in Stats.GapClamps.
 	MaxGap time.Duration
-	// Format selects the wire format batches are re-encoded in (zero =
-	// wire.DefaultFormat). The replay transcodes: the trace's on-disk
-	// format and the outgoing stream format are independent.
-	Format wire.Format
 }
 
 func (o *Options) applyDefaults() {
@@ -97,10 +93,7 @@ func Run(ctx context.Context, dir string, w io.Writer, opts Options) (Stats, err
 			}
 		}
 	}
-	bw, err := wire.NewWriterFormat(w, opts.Format)
-	if err != nil {
-		return st, err
-	}
+	bw := wire.NewWriter(w)
 	// Each window's simulation restarts virtual time, so every window of a
 	// rack after its first is stamped with the next epoch: an epoch-gated
 	// collector takes the bump as a legitimate clock restart, where it

@@ -5,7 +5,9 @@ import (
 	"context"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -86,44 +88,73 @@ func TestReplayUnpacedDeliversEverything(t *testing.T) {
 	}
 }
 
+// legacyTrace is a campaign d36859d's mbsim recorded in the MBW1 row
+// framing (2 windows, 304 samples); nothing can write one any more.
+const legacyTrace = "../../cmd/mbreplay/testdata/trace_v1_parent"
+
+// TestReplayFormatTranscodes: the outgoing stream is MBW3 whatever the
+// trace was recorded in. The legacy fixture and an MBW3 recording of the
+// same samples must replay to the same bytes, which decode to the
+// fixture's samples.
 func TestReplayFormatTranscodes(t *testing.T) {
-	dir := writeCampaign(t, 2, 3000)
-	decode := func(stream []byte) []wire.Sample {
-		t.Helper()
-		r := wire.NewReader(bytes.NewReader(stream))
-		var out []wire.Sample
-		for {
-			b, err := r.ReadBatch()
-			if err == io.EOF {
-				return out
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, b.Samples...)
-		}
-	}
-	var v2, v3 bytes.Buffer
-	if _, err := Run(context.Background(), dir, &v2, Options{Unpaced: true}); err != nil {
+	src, err := trace.Open(legacyTrace)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), dir, &v3, Options{Unpaced: true, Format: wire.FormatMBW3}); err != nil {
+	meta := src.Meta()
+	rerecorded := filepath.Join(t.TempDir(), "c")
+	w, err := trace.Create(rerecorded, meta, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s2, s3 := decode(v2.Bytes()), decode(v3.Bytes())
-	if len(s2) != 6000 || len(s3) != 6000 {
-		t.Fatalf("decoded %d/%d samples, want 6000 each", len(s2), len(s3))
+	var want []wire.Sample
+	for win := 0; win < meta.Windows; win++ {
+		var rack uint32
+		var samples []wire.Sample
+		if err := src.IterWindow(win, func(b *wire.Batch) error {
+			rack = b.Rack
+			samples = append(samples, b.Samples...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteWindow(win, rack, samples); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, samples...)
 	}
-	for i := range s2 {
-		if s2[i] != s3[i] {
-			t.Fatalf("sample %d differs across formats: %+v vs %+v", i, s2[i], s3[i])
+	for dir, magic := range map[string]string{legacyTrace: "MBW1", rerecorded: "MBW3"} {
+		seg, err := os.ReadFile(filepath.Join(dir, "seg_000001.mbw"))
+		if err != nil || !bytes.HasPrefix(seg, []byte(magic)) {
+			t.Fatalf("%s: first segment opens with %q (%v), want %s", dir, seg[:4], err, magic)
 		}
 	}
-	if v3.Len() >= v2.Len() {
-		t.Errorf("mbw3 replay is %d B, not smaller than default %d B", v3.Len(), v2.Len())
+
+	var fromLegacy, fromMBW3 bytes.Buffer
+	if _, err := Run(context.Background(), legacyTrace, &fromLegacy, Options{Unpaced: true}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Run(context.Background(), dir, io.Discard, Options{Unpaced: true, Format: wire.Format(9)}); err == nil {
-		t.Fatal("unknown format accepted")
+	if _, err := Run(context.Background(), rerecorded, &fromMBW3, Options{Unpaced: true}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(fromLegacy.Bytes(), []byte("MBW3")) || !bytes.Equal(fromLegacy.Bytes(), fromMBW3.Bytes()) {
+		t.Fatalf("replays differ across recorded formats: %d B from the legacy trace, %d B from the mbw3 one",
+			fromLegacy.Len(), fromMBW3.Len())
+	}
+	var got []wire.Sample
+	r := wire.NewReader(&fromLegacy)
+	for {
+		b, err := r.ReadBatch()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, b.Samples...)
+	}
+	if len(got) != 304 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay decoded to %d samples, the fixture holds %d (want 304, equal)", len(got), len(want))
 	}
 }
 
@@ -294,11 +325,5 @@ func TestReplayThroughEpochGate(t *testing.T) {
 	if batches != st.Batches || samples != st.Samples {
 		t.Errorf("gate admitted %d batches / %d samples of the %d / %d replayed",
 			batches, samples, st.Batches, st.Samples)
-	}
-
-	// MBW1 cannot carry the later windows' epochs; it must say so rather
-	// than ship batches a gate would silently drop.
-	if _, err := Run(context.Background(), dir, io.Discard, Options{Unpaced: true, Format: wire.FormatMBW1}); err == nil {
-		t.Error("mbw1 replay of a multi-window rack succeeded")
 	}
 }

@@ -43,8 +43,8 @@ type SegmentInfo struct {
 
 // ArchiveManifest is the on-disk shape of ArchiveManifestName.
 type ArchiveManifest struct {
-	// Format names the wire format segments are written in (informative;
-	// readers dispatch on batch magic).
+	// Format names the wire format the archive was created in
+	// (informative; readers dispatch on batch magic).
 	Format string `json:"wire_format,omitempty"`
 	// Segments lists sealed segments in ascending Seq order.
 	Segments []SegmentInfo `json:"segments"`
@@ -55,7 +55,8 @@ func segOpenName(seq int) string { return fmt.Sprintf("seg_%06d.open", seq) }
 
 // ArchiveConfig parameterizes an archive writer.
 type ArchiveConfig struct {
-	// Format is the wire format for new segments (zero = wire.DefaultFormat).
+	// Format must be zero or wire.FormatMBW3, the one format segments are
+	// written in (see wire.NewWriterFormat).
 	Format wire.Format
 	// SegmentBatches rotates to a fresh segment after this many batches
 	// (default 4096). Rotation bounds how much one torn tail can cost
@@ -76,9 +77,6 @@ type ArchiveConfig struct {
 }
 
 func (cfg ArchiveConfig) withDefaults() ArchiveConfig {
-	if cfg.Format == 0 {
-		cfg.Format = wire.DefaultFormat
-	}
 	if cfg.SegmentBatches <= 0 {
 		cfg.SegmentBatches = 4096
 	}
@@ -153,7 +151,7 @@ func newArchive(dir string, cfg ArchiveConfig) (*ArchiveWriter, error) {
 	if _, err := os.Stat(filepath.Join(dir, ArchiveManifestName)); err == nil {
 		return nil, fmt.Errorf("trace: %s already holds an archive", dir)
 	}
-	man := ArchiveManifest{Format: cfg.Format.String()}
+	man := ArchiveManifest{Format: wire.FormatMBW3.String()}
 	if err := saveArchiveManifest(dir, man); err != nil {
 		return nil, err
 	}

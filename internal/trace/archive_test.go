@@ -29,7 +29,14 @@ func collectArchive(t *testing.T, dir string) []wire.Batch {
 }
 
 func TestArchiveRoundTrip(t *testing.T) {
-	for _, format := range []wire.Format{wire.FormatMBW2, wire.FormatMBW3} {
+	// The config's leftover Format field selects nothing: zero and mbw3 are
+	// the same archive, and the read-only formats are refused.
+	for _, format := range []wire.Format{wire.FormatMBW1, wire.FormatMBW2, wire.Format(42)} {
+		if _, err := CreateArchive(filepath.Join(t.TempDir(), "a"), ArchiveConfig{Format: format}); err == nil {
+			t.Errorf("CreateArchive accepted format %v", format)
+		}
+	}
+	for _, format := range []wire.Format{0, wire.FormatMBW3} {
 		dir := filepath.Join(t.TempDir(), "a")
 		w, err := CreateArchive(dir, ArchiveConfig{Format: format, SegmentBatches: 2, SyncEvery: 1})
 		if err != nil {
@@ -53,8 +60,8 @@ func TestArchiveRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(man.Segments) != 4 { // 2+2+2+1 at SegmentBatches=2
-			t.Errorf("%v: %d segments, want 4", format, len(man.Segments))
+		if len(man.Segments) != 4 || man.Format != "mbw3" { // 2+2+2+1 at SegmentBatches=2
+			t.Errorf("%v: %d segments in format %q, want 4 in mbw3", format, len(man.Segments), man.Format)
 		}
 		got := collectArchive(t, dir)
 		if len(got) != len(want) {
@@ -82,7 +89,7 @@ func TestArchiveRefusesReuse(t *testing.T) {
 
 func TestArchiveResumeAfterCrash(t *testing.T) {
 	dir := t.TempDir()
-	w, err := CreateArchive(dir, ArchiveConfig{Format: wire.FormatMBW3, SyncEvery: 1})
+	w, err := CreateArchive(dir, ArchiveConfig{SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +110,7 @@ func TestArchiveResumeAfterCrash(t *testing.T) {
 	f.Write([]byte{0x4d, 0x42, 0x01, 0x02, 0x03})
 	f.Close()
 
-	w2, rec, err := ResumeArchive(dir, ArchiveConfig{Format: wire.FormatMBW3, SyncEvery: 1})
+	w2, rec, err := ResumeArchive(dir, ArchiveConfig{SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,6 +66,7 @@ func WriteFleetMeta(dir string, meta Meta) error {
 	if err := meta.Validate(); err != nil {
 		return err
 	}
+	meta.Format = wire.FormatMBW3.String() // what every shard archive is written in
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}

@@ -10,18 +10,13 @@ import (
 	"mburst/internal/wire"
 )
 
-// segmentBytes encodes a few batches in format f, returning the raw
-// stream — fuzz seed material for the recovery scanners.
-func segmentBytes(tb testing.TB, f wire.Format) []byte {
+// segmentBytes encodes a few batches, returning the raw stream — fuzz
+// seed material for the recovery scanners.
+func segmentBytes(tb testing.TB) []byte {
 	var buf bytes.Buffer
-	bw, err := wire.NewWriterFormat(&buf, f)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	bw := wire.NewWriter(&buf)
 	for i := 0; i < 4; i++ {
-		b := archiveBatch(i, 16)
-		b.Epoch = 0 // MBW1 seeds cannot carry a non-zero epoch
-		if err := bw.WriteBatch(b); err != nil {
+		if err := bw.WriteBatch(archiveBatch(i, 16)); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -34,8 +29,21 @@ func segmentBytes(tb testing.TB, f wire.Format) []byte {
 // leave only decodable data behind, and what it reports must match what
 // a subsequent read actually finds.
 func FuzzTraceRecover(f *testing.F) {
-	for _, format := range []wire.Format{wire.FormatMBW1, wire.FormatMBW2, wire.FormatMBW3} {
-		data := segmentBytes(f, format)
+	// Seeds: a segment as it is written today, and two as older builds
+	// left them — an MBW1 window of a recording and an MBW2 segment of a
+	// collector's log, both parent-written.
+	seeds := [][]byte{segmentBytes(f)}
+	for _, legacy := range []string{
+		"../../cmd/mbreplay/testdata/trace_v1_parent/seg_000001.mbw",
+		"../../cmd/mbdump/testdata/fleet_parent/shard_000/seg_000002.mbw",
+	} {
+		data, err := os.ReadFile(legacy)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, data)
+	}
+	for _, data := range seeds {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 		f.Add(data[:len(data)-1])
@@ -116,7 +124,7 @@ func FuzzTraceRecover(f *testing.F) {
 // on the manifest's word (listed at its true size — the one thing a
 // manifest is trusted for) reported with the manifest's counts.
 func FuzzArchiveManifest(f *testing.F) {
-	seg := segmentBytes(f, wire.FormatMBW3)
+	seg := segmentBytes(f)
 	f.Add([]byte(`{"wire_format":"mbw3","segments":[{"seq":1,"batches":4,"samples":64,"bytes":` + fmt.Sprint(len(seg)) + `}]}`))
 	f.Add([]byte(`{"segments":[{"seq":1,"bytes":1},{"seq":1,"bytes":2},{"seq":-1},{"seq":9223372036854775807}]}`))
 	f.Add([]byte(`{"segments":[{"seq":1e99}]}`))

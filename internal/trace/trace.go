@@ -20,11 +20,11 @@
 // per shard. Directories recorded before this layout (window_0000.mbw, ...
 // and no archive.json) stay readable; they are never written or repaired.
 //
-// Segments carry wire-format batches in one of two on-disk layouts:
-// trace-v1 (the default, MBW1/MBW2 row framing) and trace-v2 (MBW3
-// columnar delta framing, typically several times smaller). Meta.Format
-// records which one a campaign uses; readers dispatch per batch magic, so
-// either layout — and mixtures — decode through the same Reader forever.
+// Segments carry wire-format batches. Every segment this package writes is
+// MBW3 (columnar delta framing), and Create stamps Meta.Format to say so;
+// readers dispatch per batch magic, so directories recorded in the older
+// MBW1/MBW2 row framing — and stores resumed across the switch, which mix
+// both — decode through the same Reader forever.
 package trace
 
 import (
@@ -70,9 +70,10 @@ type Meta struct {
 	Seed uint64 `json:"seed"`
 	// Counters lists what was polled.
 	Counters []collector.CounterSpec `json:"counters"`
-	// Format names the wire format of the window segments ("mbw1", "mbw2",
-	// "mbw3"); empty means the legacy default (trace-v1). Recorded for
-	// provenance — readers dispatch on each batch's magic, not on this.
+	// Format names the wire format the campaign was recorded in ("mbw1",
+	// "mbw2", "mbw3"; empty in the oldest directories). Create and
+	// WriteFleetMeta stamp it "mbw3" whatever the caller set; on load it is
+	// provenance only — readers dispatch on each batch's magic, not on this.
 	Format string `json:"wire_format,omitempty"`
 	// Notes is free-form context (which figure the campaign feeds, etc).
 	Notes string `json:"notes,omitempty"`
@@ -80,15 +81,6 @@ type Meta struct {
 	// rack→shard placement (see internal/shard): which collector shard
 	// owned each rack's stream. Single-collector campaigns omit it.
 	Placement *shard.Placement `json:"placement,omitempty"`
-}
-
-// WireFormat resolves Format to a wire.Format, defaulting the empty
-// string to wire.DefaultFormat.
-func (m *Meta) WireFormat() (wire.Format, error) {
-	if m.Format == "" {
-		return wire.DefaultFormat, nil
-	}
-	return wire.ParseFormat(m.Format)
 }
 
 // Validate checks meta for obvious inconsistencies.
@@ -107,8 +99,10 @@ func (m *Meta) Validate() error {
 	case len(m.Counters) == 0:
 		return errors.New("trace: no counters recorded")
 	}
-	if _, err := m.WireFormat(); err != nil {
-		return err
+	if m.Format != "" {
+		if _, err := wire.ParseFormat(m.Format); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -142,16 +136,13 @@ func Create(dir string, meta Meta, open Opener) (*Writer, error) {
 	if err := meta.Validate(); err != nil {
 		return nil, err
 	}
-	format, err := meta.WireFormat() // Validate already vetted it
-	if err != nil {
-		return nil, err
-	}
+	meta.Format = wire.FormatMBW3.String()
 	if _, err := os.Stat(filepath.Join(dir, MetaFileName)); err == nil {
 		return nil, fmt.Errorf("trace: %s already holds a campaign", dir)
 	}
 	// A window is one segment with one fsync, at its seal, however many
 	// batches it holds: no rotation, no cadence.
-	arch, err := newArchive(dir, ArchiveConfig{Format: format, Open: open, SegmentBatches: math.MaxInt, SyncEvery: math.MaxInt})
+	arch, err := newArchive(dir, ArchiveConfig{Open: open, SegmentBatches: math.MaxInt, SyncEvery: math.MaxInt})
 	if err != nil {
 		return nil, err
 	}

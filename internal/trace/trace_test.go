@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -75,8 +76,10 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(r.Meta(), validMeta()) {
-		t.Errorf("meta mismatch:\n%+v\n%+v", r.Meta(), validMeta())
+	wantMeta := validMeta()
+	wantMeta.Format = "mbw3" // stamped by Create
+	if !reflect.DeepEqual(r.Meta(), wantMeta) {
+		t.Errorf("meta mismatch:\n%+v\n%+v", r.Meta(), wantMeta)
 	}
 	for i, s := range want {
 		got, err := readAll(r, i)
@@ -264,12 +267,18 @@ func TestCorruptWindowDetected(t *testing.T) {
 	}
 }
 
-// TestFormats records the same campaign in every wire format; all of them
-// must read back the same samples, the metadata must record the format,
-// and the trace-v2 (mbw3) window files must be substantially smaller.
+// TestFormats: whatever wire format the caller's Meta names, Create
+// records MBW3 and says so — a campaign.json can never disagree with its
+// segments — the samples read back, and the segments are substantially
+// smaller than the same batches in the MBW2 row framing.
 func TestFormats(t *testing.T) {
 	want := [][]wire.Sample{mkSamples(100), mkSamples(20000), nil}
-	sizes := map[string]int64{}
+	var rowBytes int64 // Σ wire.EncodedSize over WriteWindow's batches
+	for _, s := range want {
+		for off := 0; off == 0 || off < len(s); off += BatchSize {
+			rowBytes += int64(wire.EncodedSize(&wire.Batch{Rack: 7, Samples: s[off:min(off+BatchSize, len(s))]}))
+		}
+	}
 	for _, format := range []string{"", "mbw1", "mbw2", "mbw3"} {
 		dir := filepath.Join(t.TempDir(), "c")
 		meta := validMeta()
@@ -283,23 +292,24 @@ func TestFormats(t *testing.T) {
 			if err := w.WriteWindow(i, 7, s); err != nil {
 				t.Fatalf("%q window %d: %v", format, i, err)
 			}
-			fi, err := os.Stat(filepath.Join(dir, segName(i+1)))
+			seg, err := os.ReadFile(filepath.Join(dir, segName(i+1)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			total += fi.Size()
+			if !bytes.HasPrefix(seg, []byte("MBW3")) {
+				t.Errorf("%q window %d opens with %q, want MBW3", format, i, seg[:4])
+			}
+			total += int64(len(seg))
 		}
-		sizes[format] = total
+		if total*2 >= rowBytes {
+			t.Errorf("%q: segments not compact: %d B vs %d B as mbw2", format, total, rowBytes)
+		}
 		r, err := Open(dir)
 		if err != nil {
 			t.Fatalf("%q: %v", format, err)
 		}
-		if r.Meta().Format != format {
-			t.Errorf("%q: meta format round-tripped as %q", format, r.Meta().Format)
-		}
-		m := r.Meta()
-		if f, err := m.WireFormat(); err != nil || (format == "" && f != wire.DefaultFormat) {
-			t.Errorf("%q: WireFormat = %v, %v", format, f, err)
+		if got := r.Meta().Format; got != "mbw3" {
+			t.Errorf("%q: campaign.json records format %q, want mbw3", format, got)
 		}
 		for i, s := range want {
 			got, err := readAll(r, i)
@@ -315,12 +325,6 @@ func TestFormats(t *testing.T) {
 				}
 			}
 		}
-	}
-	if sizes[""] != sizes["mbw2"] {
-		t.Errorf("default format sized %d, mbw2 %d", sizes[""], sizes["mbw2"])
-	}
-	if sizes["mbw3"]*2 >= sizes["mbw2"] {
-		t.Errorf("trace-v2 not compact: mbw3 %d B vs mbw2 %d B", sizes["mbw3"], sizes["mbw2"])
 	}
 }
 

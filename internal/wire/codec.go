@@ -6,31 +6,29 @@ import (
 	"hash/crc32"
 )
 
-// Format identifies a wire format version. The zero value is invalid;
-// writers that accept a zero Format substitute DefaultFormat.
+// Format identifies a wire format version. Only FormatMBW3 is written;
+// the other two name what Reader still decodes and what an older
+// directory's campaign.json or archive.json may record.
 type Format uint8
 
 const (
-	// FormatMBW1 is the original epoch-less framing. A batch carrying a
-	// non-zero Epoch cannot be expressed in it; encoding one fails.
+	// FormatMBW1 is the original epoch-less row framing (read-only).
 	FormatMBW1 Format = 1
-	// FormatMBW2 is the epoch-aware framing. For compatibility with
-	// streams written before epochs existed, a zero-epoch batch is framed
-	// as MBW1, byte-identical to the legacy format; batches with a
-	// non-zero epoch carry it under the MBW2 magic.
+	// FormatMBW2 is the epoch-aware row framing (read-only). Its writers
+	// framed a zero-epoch batch as MBW1, byte-identical to the format
+	// before epochs existed, and carried a non-zero epoch under the MBW2
+	// magic.
 	FormatMBW2 Format = 2
 	// FormatMBW3 is the columnar delta format: per-series zigzag-varint
 	// deltas of cumulative counters with run-length-compressed columns.
 	// Deltas chain across batches (the first batch of a stream — or of a
 	// new epoch — carries absolutes), so an MBW3 codec is stateful and
-	// scoped to one connection or one window file.
+	// scoped to one connection or one segment file.
 	FormatMBW3 Format = 3
 )
 
-// DefaultFormat is what NewWriter and zero-Format configurations speak.
-const DefaultFormat = FormatMBW2
-
-// String returns the flag-friendly name ("mbw1", "mbw2", "mbw3").
+// String returns the name campaign.json and archive.json record ("mbw1",
+// "mbw2", "mbw3").
 func (f Format) String() string {
 	switch f {
 	case FormatMBW1:
@@ -43,7 +41,7 @@ func (f Format) String() string {
 	return fmt.Sprintf("format(%d)", uint8(f))
 }
 
-// ParseFormat parses a format name as accepted by the -wire flags.
+// ParseFormat parses a format name as String renders it.
 func ParseFormat(s string) (Format, error) {
 	switch s {
 	case "mbw1":
@@ -56,43 +54,6 @@ func ParseFormat(s string) (Format, error) {
 	return 0, fmt.Errorf("wire: unknown format %q (want mbw1, mbw2, or mbw3)", s)
 }
 
-// Codec encodes and decodes batches in one wire format. A Codec instance
-// owns the per-stream compression state (MBW3 deltas chain across
-// batches), so use one instance per connection or file, never share one
-// across streams, and Reset it when the underlying stream restarts.
-// Codecs are not safe for concurrent use.
-type Codec interface {
-	// Format reports the format this codec encodes.
-	Format() Format
-	// AppendBatch frames b and appends the encoded batch to dst,
-	// returning the extended slice. It fails with ErrBatchTooLarge when
-	// the payload would exceed MaxBatchPayload (stream state is not
-	// advanced on failure).
-	AppendBatch(dst []byte, b *Batch) ([]byte, error)
-	// EncodedSize returns the exact framed size AppendBatch would
-	// produce for b next, without encoding and without advancing stream
-	// state.
-	EncodedSize(b *Batch) int
-	// DecodePayload decodes a CRC-verified payload into b, replacing
-	// b's fields and reusing b.Samples' capacity. magic is the frame
-	// magic the payload arrived under. Stream state advances only on
-	// success.
-	DecodePayload(magic uint32, payload []byte, b *Batch) error
-	// Reset discards all stream state, as if the codec were new.
-	Reset()
-}
-
-// NewCodec returns a fresh codec for f.
-func NewCodec(f Format) (Codec, error) {
-	switch f {
-	case FormatMBW1, FormatMBW2:
-		return &legacyCodec{f: f}, nil
-	case FormatMBW3:
-		return newMBW3Codec(), nil
-	}
-	return nil, fmt.Errorf("wire: unknown format %d", uint8(f))
-}
-
 // appendFrame wraps payload in the batch framing: magic, length, payload,
 // CRC.
 func appendFrame(dst []byte, magic uint32, payload []byte) []byte {
@@ -103,45 +64,4 @@ func appendFrame(dst []byte, magic uint32, payload []byte) []byte {
 	dst = append(dst, payload...)
 	binary.BigEndian.PutUint32(hdr[:], crc32.ChecksumIEEE(payload))
 	return append(dst, hdr[:]...)
-}
-
-// legacyCodec implements the row-oriented MBW1/MBW2 formats. It is
-// stateless across batches (every batch decodes standalone); the only
-// instance state is a reusable scratch buffer.
-type legacyCodec struct {
-	f       Format
-	scratch []byte
-}
-
-func (c *legacyCodec) Format() Format { return c.f }
-
-func (c *legacyCodec) Reset() {}
-
-//lint:hotpath steady-state encode: one frame per poll batch
-func (c *legacyCodec) AppendBatch(dst []byte, b *Batch) ([]byte, error) {
-	if c.f == FormatMBW1 && b.Epoch != 0 {
-		return dst, fmt.Errorf("wire: mbw1 cannot carry epoch %d (use mbw2 or mbw3)", b.Epoch)
-	}
-	if n := payloadSize(b); n > MaxBatchPayload {
-		return dst, fmt.Errorf("%w: %d byte payload (max %d)", ErrBatchTooLarge, n, MaxBatchPayload)
-	}
-	c.scratch = appendPayload(c.scratch[:0], b)
-	magic := Magic
-	if b.Epoch != 0 {
-		magic = Magic2
-	}
-	return appendFrame(dst, magic, c.scratch), nil
-}
-
-func (c *legacyCodec) EncodedSize(b *Batch) int {
-	p := payloadSize(b)
-	return 4 + uvarintLen(uint64(p)) + p + 4
-}
-
-//lint:hotpath steady-state decode: one payload per ingested batch
-func (c *legacyCodec) DecodePayload(magic uint32, payload []byte, b *Batch) error {
-	if magic != Magic && magic != Magic2 {
-		return fmt.Errorf("%w: magic %#x is not a legacy framing", ErrCorrupt, magic)
-	}
-	return decodeLegacyPayload(payload, magic == Magic2, b)
 }

@@ -26,95 +26,64 @@ func TestFormatStringAndParse(t *testing.T) {
 	}
 }
 
-func TestNewCodecUnknownFormat(t *testing.T) {
-	if _, err := NewCodec(Format(9)); err == nil {
-		t.Fatal("NewCodec accepted format 9")
-	}
-	if _, err := NewCodec(0); err == nil {
-		t.Fatal("NewCodec accepted the zero format")
-	}
-	for _, f := range []Format{FormatMBW1, FormatMBW2, FormatMBW3} {
-		c, err := NewCodec(f)
-		if err != nil {
-			t.Fatalf("NewCodec(%v): %v", f, err)
-		}
-		if c.Format() != f {
-			t.Errorf("codec for %v reports %v", f, c.Format())
-		}
-	}
-}
-
-func TestMBW1CodecRejectsEpoch(t *testing.T) {
-	c, err := NewCodec(FormatMBW1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := sampleBatch()
-	b.Epoch = 2
-	if _, err := c.AppendBatch(nil, b); err == nil {
-		t.Fatal("mbw1 codec encoded an epoch batch")
-	}
-	w, err := NewWriterFormat(io.Discard, FormatMBW1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteBatch(b); err == nil {
-		t.Fatal("mbw1 writer accepted an epoch batch")
-	}
-	b.Epoch = 0
-	if err := w.WriteBatch(b); err != nil {
-		t.Fatalf("mbw1 writer rejected a zero-epoch batch: %v", err)
-	}
-}
-
+// TestNewWriterFormatZeroIsDefault: the format argument that survives for
+// bench/adapter.go selects nothing — zero and FormatMBW3 both give the one
+// writer there is, and the read-only formats are refused.
 func TestNewWriterFormatZeroIsDefault(t *testing.T) {
-	w, err := NewWriterFormat(io.Discard, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Format() != DefaultFormat {
-		t.Fatalf("zero format resolved to %v, want %v", w.Format(), DefaultFormat)
-	}
-	if _, err := NewWriterFormat(io.Discard, Format(42)); err == nil {
-		t.Fatal("NewWriterFormat accepted format 42")
-	}
-}
-
-// TestWriterFormatsAgreeWithReader round-trips the same batches through a
-// writer of every format; the reader must reproduce them exactly in all
-// three.
-func TestWriterFormatsAgreeWithReader(t *testing.T) {
-	for _, f := range []Format{FormatMBW1, FormatMBW2, FormatMBW3} {
+	for _, f := range []Format{0, FormatMBW3} {
 		var buf bytes.Buffer
 		w, err := NewWriterFormat(&buf, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want []*Batch
-		for i := 0; i < 4; i++ {
-			b := sampleBatch()
-			b.Rack = uint32(i)
-			for j := range b.Samples {
-				b.Samples[j].Time = b.Samples[j].Time.Add(simclock.Millis(int64(i)))
-				b.Samples[j].Value += uint64(i * 1000)
-			}
-			if err := w.WriteBatch(b); err != nil {
-				t.Fatalf("%v: %v", f, err)
-			}
-			want = append(want, b)
+		if err := w.WriteBatch(sampleBatch()); err != nil {
+			t.Fatal(err)
 		}
-		r := NewReader(&buf)
+		if !bytes.HasPrefix(buf.Bytes(), []byte("MBW3")) {
+			t.Fatalf("format %v wrote %q, want an MBW3 frame", f, buf.Bytes()[:4])
+		}
+	}
+	for _, f := range []Format{FormatMBW1, FormatMBW2, Format(42)} {
+		if _, err := NewWriterFormat(io.Discard, f); err == nil {
+			t.Fatalf("NewWriterFormat accepted %v", f)
+		}
+	}
+}
+
+// TestWriterFormatsAgreeWithReader round-trips the same batches through
+// the writer and through the legacy reference encoder; the reader must
+// reproduce them exactly from either stream.
+func TestWriterFormatsAgreeWithReader(t *testing.T) {
+	var want []*Batch
+	var legacy, mbw3 bytes.Buffer
+	w := NewWriter(&mbw3)
+	for i := 0; i < 4; i++ {
+		b := sampleBatch()
+		b.Rack = uint32(i)
+		b.Epoch = uint32(i / 2) // the legacy stream mixes MBW1 and MBW2 framing
+		for j := range b.Samples {
+			b.Samples[j].Time = b.Samples[j].Time.Add(simclock.Millis(int64(i)))
+			b.Samples[j].Value += uint64(i * 1000)
+		}
+		legacy.Write(refAppendLegacy(nil, b))
+		if err := w.WriteBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b)
+	}
+	for name, stream := range map[string]*bytes.Buffer{"legacy": &legacy, "mbw3": &mbw3} {
+		r := NewReader(stream)
 		for i, wb := range want {
 			got, err := r.ReadBatch()
 			if err != nil {
-				t.Fatalf("%v batch %d: %v", f, i, err)
+				t.Fatalf("%s batch %d: %v", name, i, err)
 			}
 			if !reflect.DeepEqual(wb, got) {
-				t.Fatalf("%v batch %d mismatch:\n in: %+v\nout: %+v", f, i, wb, got)
+				t.Fatalf("%s batch %d mismatch:\n in: %+v\nout: %+v", name, i, wb, got)
 			}
 		}
 		if _, err := r.ReadBatch(); err != io.EOF {
-			t.Fatalf("%v: expected EOF, got %v", f, err)
+			t.Fatalf("%s: expected EOF, got %v", name, err)
 		}
 	}
 }
@@ -123,10 +92,7 @@ func TestWriterFormatsAgreeWithReader(t *testing.T) {
 // into a single stream; the reader must decode all of them, and the MBW3
 // delta chain must survive the legacy frames in between.
 func TestInterleavedFormatsOneStream(t *testing.T) {
-	c3, err := NewCodec(FormatMBW3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c3 := newMBW3Codec()
 	m1 := sampleBatch() // epoch 0: MBW1 framing
 	m2 := sampleBatch()
 	m2.Epoch = 4 // MBW2 framing
@@ -138,13 +104,12 @@ func TestInterleavedFormatsOneStream(t *testing.T) {
 		{Time: simclock.Epoch.Add(simclock.Micros(75)), Port: 2, Dir: asic.TX, Kind: asic.KindBytes, Value: 2250},
 	}}
 
-	var stream []byte
-	stream, err = c3.AppendBatch(stream, c1)
+	stream, err := c3.AppendBatch(nil, c1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream = AppendBatch(stream, m1)
-	stream = AppendBatch(stream, m2)
+	stream = refAppendLegacy(stream, m1)
+	stream = refAppendLegacy(stream, m2)
 	stream, err = c3.AppendBatch(stream, c2) // deltas chain over the legacy frames
 	if err != nil {
 		t.Fatal(err)
@@ -170,10 +135,7 @@ func TestInterleavedFormatsOneStream(t *testing.T) {
 // identically.
 func TestReaderReset(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriterFormat(&buf, FormatMBW3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter(&buf)
 	b1 := sampleBatch()
 	b2 := sampleBatch()
 	for j := range b2.Samples {
@@ -213,38 +175,11 @@ func TestReaderReset(t *testing.T) {
 	}
 }
 
-func TestWriteBatchRejectsOversizedLegacy(t *testing.T) {
-	// Alternating huge timestamps and values defeat the row format's
-	// delta encoding (~20 bytes per sample), pushing the payload past
-	// MaxBatchPayload with under a million samples.
-	b := &Batch{Rack: 1}
-	n := MaxBatchPayload/20 + 1
-	for i := 0; i < n; i++ {
-		s := Sample{Port: 1, Kind: asic.KindBytes}
-		if i%2 == 0 {
-			s.Time = simclock.Time(1 << 60)
-			s.Value = 1 << 60
-		}
-		b.Samples = append(b.Samples, s)
-	}
-	var buf bytes.Buffer
-	err := NewWriter(&buf).WriteBatch(b)
-	if !errors.Is(err, ErrBatchTooLarge) {
-		t.Fatalf("err = %v, want ErrBatchTooLarge", err)
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("rejected batch still wrote %d bytes", buf.Len())
-	}
-}
-
 func TestWriteBatchRejectsOversizedMBW3(t *testing.T) {
 	b := oversizedBatch()
 	var buf bytes.Buffer
-	w, err := NewWriterFormat(&buf, FormatMBW3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.WriteBatch(b)
+	w := NewWriter(&buf)
+	err := w.WriteBatch(b)
 	if !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("err = %v, want ErrBatchTooLarge", err)
 	}

@@ -20,7 +20,7 @@ import (
 func FuzzReadBatch(f *testing.F) {
 	// Seeds: a valid single-batch stream, a valid two-batch stream,
 	// truncations, and flipped bytes.
-	valid := AppendBatch(nil, &Batch{
+	valid := refAppendLegacy(nil, &Batch{
 		Rack: 3,
 		Samples: []Sample{
 			{Time: simclock.Epoch.Add(simclock.Micros(25)), Port: 1, Dir: asic.TX, Kind: asic.KindBytes, Value: 999},
@@ -29,20 +29,23 @@ func FuzzReadBatch(f *testing.F) {
 		},
 	})
 	f.Add(valid)
-	f.Add(AppendBatch(valid, &Batch{Rack: 9}))
+	f.Add(refAppendLegacy(valid, &Batch{Rack: 9}))
 	// An MBW2 epoch batch, alone and interleaved with legacy framing.
-	epochBatch := AppendBatch(nil, &Batch{Rack: 3, Epoch: 5, Samples: []Sample{
+	epochBatch := refAppendLegacy(nil, &Batch{Rack: 3, Epoch: 5, Samples: []Sample{
 		{Time: simclock.Epoch.Add(simclock.Micros(25)), Port: 1, Dir: asic.TX, Kind: asic.KindBytes, Value: 999},
 	}})
 	f.Add(epochBatch)
 	f.Add(append(append([]byte(nil), valid...), epochBatch...))
-	// MBW3 seeds: a single columnar batch, a chained pair (the second
-	// carries only deltas), an epoch bump that resets the chains, and an
-	// MBW3 chain interleaved with legacy frames on one stream.
-	c3, err := NewCodec(FormatMBW3)
+	// What a legacy writer really produced.
+	parentLegacy, err := os.ReadFile("testdata/legacy_parent.bin")
 	if err != nil {
 		f.Fatal(err)
 	}
+	f.Add(parentLegacy)
+	// MBW3 seeds: a single columnar batch, a chained pair (the second
+	// carries only deltas), an epoch bump that resets the chains, and an
+	// MBW3 chain interleaved with legacy frames on one stream.
+	c3 := newMBW3Codec()
 	mb := func(epoch uint32, base uint64) *Batch {
 		return &Batch{Rack: 3, Epoch: epoch, Samples: []Sample{
 			{Time: simclock.Epoch.Add(simclock.Micros(25)), Port: 1, Dir: asic.TX, Kind: asic.KindBytes, Value: base},
@@ -66,15 +69,12 @@ func FuzzReadBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bumped)
-	c3b, err := NewCodec(FormatMBW3)
-	if err != nil {
-		f.Fatal(err)
-	}
+	c3b := newMBW3Codec()
 	mixed, err := c3b.AppendBatch(nil, mb(0, 1000))
 	if err != nil {
 		f.Fatal(err)
 	}
-	mixed = AppendBatch(mixed, &Batch{Rack: 9})
+	mixed = refAppendLegacy(mixed, &Batch{Rack: 9})
 	mixed = append(mixed, epochBatch...)
 	mixed, err = c3b.AppendBatch(mixed, mb(0, 2500))
 	if err != nil {
@@ -106,7 +106,7 @@ func FuzzReadBatch(f *testing.F) {
 				return
 			}
 			// A decoded batch must round-trip through the legacy framing.
-			re := AppendBatch(nil, b)
+			re := refAppendLegacy(nil, b)
 			b2, err := NewReader(bytes.NewReader(re)).ReadBatch()
 			if err != nil {
 				t.Fatalf("re-encoded batch failed to decode: %v", err)
@@ -118,10 +118,7 @@ func FuzzReadBatch(f *testing.F) {
 			// And through a fresh MBW3 stream, exactly. A fresh encode
 			// carries absolutes, so it can legitimately exceed the payload
 			// cap where the delta-encoded original did not.
-			enc3, err := NewCodec(FormatMBW3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			enc3 := newMBW3Codec()
 			re3, err := enc3.AppendBatch(nil, b)
 			if errors.Is(err, ErrBatchTooLarge) {
 				continue

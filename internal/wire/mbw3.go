@@ -501,8 +501,6 @@ func newMBW3Codec() *mbw3Codec {
 	return &mbw3Codec{idx: make(map[seriesKey]int)}
 }
 
-func (c *mbw3Codec) Format() Format { return FormatMBW3 }
-
 func (c *mbw3Codec) Reset() {
 	c.epochKnown = false
 	c.epoch = 0

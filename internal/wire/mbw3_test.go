@@ -66,10 +66,7 @@ func pollStream(nBatches, pollsPerBatch int, epoch uint32) []*Batch {
 // deltas.
 func TestMBW3ChainedRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriterFormat(&buf, FormatMBW3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter(&buf)
 	batches := pollStream(5, 40, 0)
 	for _, b := range batches {
 		if err := w.WriteBatch(b); err != nil {
@@ -96,13 +93,11 @@ func TestMBW3ChainedRoundTrip(t *testing.T) {
 // stream at the bump (having missed the whole previous epoch) still
 // decodes exact values.
 func TestMBW3EpochBumpResetsChain(t *testing.T) {
-	c, err := NewCodec(FormatMBW3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newMBW3Codec()
 	old := pollStream(2, 30, 1)
 	fresh := pollStream(2, 30, 2)
 	var full, tail []byte
+	var err error
 	for _, b := range old {
 		if full, err = c.AppendBatch(full, b); err != nil {
 			t.Fatal(err)
@@ -146,10 +141,7 @@ func TestMBW3EpochBumpResetsChain(t *testing.T) {
 // that calling it (even repeatedly, even across an epoch bump) does not
 // advance the delta chain.
 func TestMBW3EncodedSizeMatchesAndIsStateless(t *testing.T) {
-	enc, err := NewCodec(FormatMBW3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := newMBW3Codec()
 	bump := pollStream(1, 5, 9)[0]
 	for i, b := range pollStream(4, 25, 0) {
 		want := enc.EncodedSize(b)
@@ -164,8 +156,8 @@ func TestMBW3EncodedSizeMatchesAndIsStateless(t *testing.T) {
 		}
 		// Later batches are pure deltas and must frame smaller than the
 		// absolute-carrying first batch would alone.
-		if dec, err2 := NewCodec(FormatMBW3); err2 == nil && i > 0 {
-			if fresh := dec.EncodedSize(b); want >= fresh+fresh/2 {
+		if i > 0 {
+			if fresh := newMBW3Codec().EncodedSize(b); want >= fresh+fresh/2 {
 				t.Fatalf("batch %d: chained size %d not benefiting from state (fresh %d)", i, want, fresh)
 			}
 		}
@@ -176,10 +168,7 @@ func TestMBW3EncodedSizeMatchesAndIsStateless(t *testing.T) {
 // carried by an empty batch (which must still reset the chains).
 func TestMBW3EmptyBatch(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriterFormat(&buf, FormatMBW3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter(&buf)
 	stream := pollStream(1, 10, 0)[0]
 	seq := []*Batch{{Rack: 5}, stream, {Rack: 5, Epoch: 2}, pollStream(1, 10, 2)[0]}
 	for _, b := range seq {
@@ -237,10 +226,7 @@ func TestMBW3QuickRoundTrip(t *testing.T) {
 			return b
 		}
 		var buf bytes.Buffer
-		w, err := NewWriterFormat(&buf, FormatMBW3)
-		if err != nil {
-			return false
-		}
+		w := NewWriter(&buf)
 		var want []*Batch
 		want = append(want, mk(0))
 		if second {
@@ -278,10 +264,7 @@ func TestMBW3QuickRoundTrip(t *testing.T) {
 // samples of every batch against a non-reusing reader.
 func TestMBW3ReaderReuse(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewWriterFormat(&buf, FormatMBW3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter(&buf)
 	batches := pollStream(4, 30, 0)
 	for _, b := range batches {
 		if err := w.WriteBatch(b); err != nil {
@@ -318,9 +301,7 @@ func TestMBW3ReaderReuse(t *testing.T) {
 		{Time: at.Add(simclock.Micros(25)), Port: 1, Dir: asic.RX, Kind: asic.KindBytes, Missed: 2, Value: 64},
 	}}
 	buf.Reset()
-	if w, err = NewWriterFormat(&buf, FormatMBW3); err != nil {
-		t.Fatal(err)
-	}
+	w = NewWriter(&buf)
 	for _, b := range []*Batch{binned, plain} {
 		if err := w.WriteBatch(b); err != nil {
 			t.Fatal(err)
@@ -345,10 +326,7 @@ func TestMBW3ReaderReuse(t *testing.T) {
 func TestMBW3CompressesPollingStream(t *testing.T) {
 	batches := pollStream(4, 100, 0)
 	var legacy, columnar int
-	enc, err := NewCodec(FormatMBW3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := newMBW3Codec()
 	for _, b := range batches {
 		legacy += EncodedSize(b)
 		frame, err := enc.AppendBatch(nil, b)
@@ -374,10 +352,7 @@ func mbw3Payload(t *testing.T, data []byte) []byte {
 // corruptions of a valid payload; every one must fail with ErrCorrupt
 // and leave the codec usable.
 func TestMBW3DecodeRejectsMalformed(t *testing.T) {
-	enc, err := NewCodec(FormatMBW3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := newMBW3Codec()
 	b := pollStream(1, 20, 0)[0]
 	frame, err := enc.AppendBatch(nil, b)
 	if err != nil {
@@ -401,10 +376,7 @@ func TestMBW3DecodeRejectsMalformed(t *testing.T) {
 		},
 	}
 	for name, mut := range cases {
-		dec, err := NewCodec(FormatMBW3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dec := newMBW3Codec()
 		var got Batch
 		if err := dec.DecodePayload(Magic3, mut(append([]byte(nil), payload...)), &got); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
@@ -418,7 +390,7 @@ func TestMBW3DecodeRejectsMalformed(t *testing.T) {
 		}
 	}
 
-	if err := enc.(*mbw3Codec).DecodePayload(Magic, payload, &Batch{}); !errors.Is(err, ErrCorrupt) {
+	if err := enc.DecodePayload(Magic, payload, &Batch{}); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("mbw3 codec accepted a legacy magic")
 	}
 }
@@ -427,8 +399,7 @@ func TestMBW3DecodeRejectsMalformed(t *testing.T) {
 // in program order; each stream's chain must be self-contained.
 func TestMBW3StreamsAreIndependent(t *testing.T) {
 	var bufA, bufB bytes.Buffer
-	wa, _ := NewWriterFormat(&bufA, FormatMBW3)
-	wb, _ := NewWriterFormat(&bufB, FormatMBW3)
+	wa, wb := NewWriter(&bufA), NewWriter(&bufB)
 	as := pollStream(3, 20, 0)
 	bs := pollStream(3, 20, 7)
 	for i := range as {

@@ -7,6 +7,12 @@ package wire
 // compared with, frame by frame, over generated batch chains; the format
 // is persisted (archives on disk are MBW3), so "same bytes" is the whole
 // contract.
+//
+// It also keeps the MBW1/MBW2 row encoder as it stood at d36859d, the last
+// commit that wrote those formats — wire.AppendBatch and appendPayload,
+// moved here verbatim as refAppendLegacy and refAppendPayload. Nothing
+// writes the row formats any more; the reference is what the decode-only
+// side and the nominal EncodedSize are checked against.
 
 import (
 	"bytes"
@@ -415,10 +421,7 @@ func TestParentWrittenChainStaysByteExact(t *testing.T) {
 	const path = "testdata/mbw3_chain_parent.bin"
 	chain := fixtureChain()
 	var buf bytes.Buffer
-	w, err := NewWriterFormat(&buf, FormatMBW3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter(&buf)
 	for _, b := range chain {
 		if err := w.WriteBatch(b); err != nil {
 			t.Fatal(err)
@@ -769,5 +772,117 @@ func TestMBW3SteadyEncodeAllocatesNothing(t *testing.T) {
 	t.Logf("first batch of a fresh codec: %.0f allocations (reference encoder: %.0f)", fresh, parent)
 	if fresh >= parent {
 		t.Errorf("a fresh codec allocates %.0f times on its first batch, the reference encoder %.0f", fresh, parent)
+	}
+}
+
+// refAppendLegacy is the parent wire.AppendBatch: b in the MBW1/MBW2 row
+// format, stateless, no size enforcement.
+func refAppendLegacy(dst []byte, b *Batch) []byte {
+	payload := refAppendPayload(nil, b)
+	magic := Magic
+	if b.Epoch != 0 {
+		magic = Magic2
+	}
+	return appendFrame(dst, magic, payload)
+}
+
+func refAppendPayload(dst []byte, b *Batch) []byte {
+	dst = binary.AppendUvarint(dst, uint64(b.Rack))
+	if b.Epoch != 0 {
+		dst = binary.AppendUvarint(dst, uint64(b.Epoch))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(b.Samples)))
+	var prevTime int64
+	var prevValue uint64
+	for i := range b.Samples {
+		s := &b.Samples[i]
+		dst = binary.AppendVarint(dst, s.Time.Nanoseconds()-prevTime)
+		prevTime = s.Time.Nanoseconds()
+		dst = binary.AppendUvarint(dst, uint64(s.Port))
+		dst = append(dst, byte(s.Dir)|byte(s.Kind)<<1)
+		dst = binary.AppendUvarint(dst, uint64(s.Missed))
+		dst = binary.AppendVarint(dst, int64(s.Value-prevValue))
+		prevValue = s.Value
+		if s.Kind == asic.KindSizeBins {
+			for _, v := range s.Bins {
+				dst = binary.AppendUvarint(dst, v)
+			}
+		}
+	}
+	return dst
+}
+
+// legacyFixtureBatches are the batches d36859d's wire.AppendBatch framed
+// into testdata/legacy_parent.bin: an epoch-0 batch (MBW1 magic, with a
+// size-bins sample and a non-zero Missed), two epoch-carrying batches
+// (MBW2 magic, the second regressing and wrapping its cumulative value),
+// and an empty batch.
+func legacyFixtureBatches() []*Batch {
+	at := func(us int64) simclock.Time { return simclock.Epoch.Add(simclock.Micros(us)) }
+	return []*Batch{
+		{Rack: 7, Samples: []Sample{
+			{Time: at(25), Port: 3, Dir: asic.TX, Kind: asic.KindBytes, Value: 10_000},
+			{Time: at(50), Port: 3, Dir: asic.TX, Kind: asic.KindBytes, Value: 16_250},
+			{Time: at(100), Port: 3, Dir: asic.TX, Kind: asic.KindBytes, Value: 16_250, Missed: 1},
+			{Time: at(125), Port: 9, Dir: asic.RX, Kind: asic.KindSizeBins,
+				Bins: [asic.NumSizeBins]uint64{100, 20, 3, 0, 7, 999}},
+			{Time: at(150), Kind: asic.KindBufferPeak, Value: 123456},
+		}},
+		{Rack: 7, Epoch: 3, Samples: []Sample{
+			{Time: at(25), Port: 3, Dir: asic.TX, Kind: asic.KindBytes, Value: 4_000},
+			{Time: at(75), Port: 3, Dir: asic.TX, Kind: asic.KindBytes, Value: 9_500, Missed: 1},
+			{Time: at(75), Port: 300, Dir: asic.RX, Kind: asic.KindDrops, Value: 2},
+		}},
+		{Rack: 1 << 20, Epoch: 1<<32 - 1, Samples: []Sample{
+			{Time: at(500_000), Kind: asic.KindBufferPeak, Value: 1 << 40},
+			{Time: at(500_025), Kind: asic.KindBufferPeak, Value: 10},
+			{Time: at(500_050), Kind: asic.KindBufferPeak, Value: 1<<64 - 1},
+			{Time: at(500_075), Kind: asic.KindBufferPeak, Value: 5},
+		}},
+		{Rack: 1},
+	}
+}
+
+// TestParentWrittenLegacyStaysReadable pins the decode-only formats to
+// bytes a legacy writer really produced: testdata/legacy_parent.bin was
+// written by d36859d's wire.AppendBatch and is never regenerated — no
+// code path can. Reader must decode it to the literal batches, and the
+// reference encoder must reproduce it byte for byte, which is what makes
+// refAppendLegacy a fair stand-in for a legacy writer everywhere else.
+func TestParentWrittenLegacyStaysReadable(t *testing.T) {
+	want, err := os.ReadFile("testdata/legacy_parent.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := legacyFixtureBatches()
+	var re []byte
+	for _, b := range batches {
+		re = refAppendLegacy(re, b)
+	}
+	if !bytes.Equal(re, want) {
+		t.Fatalf("refAppendLegacy output (%d B) differs from the parent-written fixture (%d B)", len(re), len(want))
+	}
+	r := NewReader(bytes.NewReader(want))
+	for i, in := range batches {
+		got, err := r.ReadBatch()
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if !sameBatch(in, got) {
+			t.Fatalf("batch %d of the fixture decoded to\n%+v, want\n%+v", i, got, in)
+		}
+	}
+	if _, err := r.ReadBatch(); err != io.EOF {
+		t.Fatalf("after the fixture: %v, want EOF", err)
+	}
+	// Epoch 0 travels under the MBW1 magic, any other under MBW2.
+	var magics []uint32
+	for rest := want; len(rest) > 0; {
+		n, sz := binary.Uvarint(rest[4:])
+		magics = append(magics, binary.BigEndian.Uint32(rest))
+		rest = rest[4+sz+int(n)+4:]
+	}
+	if !reflect.DeepEqual(magics, []uint32{Magic, Magic2, Magic2, Magic}) {
+		t.Fatalf("fixture framings = %#x, want MBW1, MBW2, MBW2, MBW1", magics)
 	}
 }

@@ -32,13 +32,12 @@
 // cumulative counters become zigzag-varint deltas chained across batches
 // (the first batch of a stream or epoch carries absolutes), timestamps a
 // delta-of-delta chain, and every column is run-length compressed. It
-// cuts steady-state bytes-on-wire several-fold and is the trace-v2
-// on-disk layout.
+// cuts steady-state bytes-on-wire several-fold.
 //
-// Formats are selected through the versioned Codec API: writers pick one
-// (NewWriterFormat, or NewWriter for the MBW2 default), readers detect
-// each batch's format from its magic, so streams may interleave formats
-// and every historical format stays readable forever.
+// MBW3 is the one format written: NewWriter is the only encoder, on the
+// socket and on disk. MBW1 and MBW2 are decode-only — Reader detects each
+// batch's format from its magic, so streams may interleave formats and
+// every directory an older build recorded stays readable forever.
 package wire
 
 import (
@@ -66,8 +65,8 @@ const MaxBatchPayload = 16 << 20
 // ErrCorrupt is returned when framing, CRC, or field validation fails.
 var ErrCorrupt = errors.New("wire: corrupt batch")
 
-// ErrBatchTooLarge is returned by Writer.WriteBatch (and Codec
-// AppendBatch) for a batch whose payload would exceed MaxBatchPayload —
+// ErrBatchTooLarge is returned by Writer.WriteBatch for a batch whose
+// payload would exceed MaxBatchPayload or MaxBatchSamples —
 // the write-side counterpart of the reader's oversize rejection, so an
 // oversized batch fails loudly at the sender instead of poisoning the
 // stream for every reader.
@@ -111,48 +110,6 @@ type Batch struct {
 	// incarnations (see collector.EpochGate).
 	Epoch   uint32
 	Samples []Sample
-}
-
-// AppendBatch encodes b in the legacy MBW1/MBW2 row format and appends
-// it to dst, returning the extended slice. It is the stateless
-// counterpart of the Codec API (every legacy batch decodes standalone)
-// and performs no size enforcement; stream writers should go through
-// Writer, which does.
-//
-//lint:hotpath per-batch encode entry point for agents on the legacy format
-func AppendBatch(dst []byte, b *Batch) []byte {
-	payload := appendPayload(nil, b)
-	magic := Magic
-	if b.Epoch != 0 {
-		magic = Magic2
-	}
-	return appendFrame(dst, magic, payload)
-}
-
-func appendPayload(dst []byte, b *Batch) []byte {
-	dst = binary.AppendUvarint(dst, uint64(b.Rack))
-	if b.Epoch != 0 {
-		dst = binary.AppendUvarint(dst, uint64(b.Epoch))
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(b.Samples)))
-	var prevTime int64
-	var prevValue uint64
-	for i := range b.Samples {
-		s := &b.Samples[i]
-		dst = binary.AppendVarint(dst, s.Time.Nanoseconds()-prevTime)
-		prevTime = s.Time.Nanoseconds()
-		dst = binary.AppendUvarint(dst, uint64(s.Port))
-		dst = append(dst, byte(s.Dir)|byte(s.Kind)<<1)
-		dst = binary.AppendUvarint(dst, uint64(s.Missed))
-		dst = binary.AppendVarint(dst, int64(s.Value-prevValue))
-		prevValue = s.Value
-		if s.Kind == asic.KindSizeBins {
-			for _, v := range s.Bins {
-				dst = binary.AppendUvarint(dst, v)
-			}
-		}
-	}
-	return dst
 }
 
 // decodeLegacyPayload parses an MBW1/MBW2 batch payload into b, reusing
@@ -255,40 +212,26 @@ func (r *payloadReader) byte() byte {
 	return b
 }
 
-// Writer frames batches onto an io.Writer in one format. The codec's
-// delta state (MBW3) is scoped to this writer, so use one Writer per
-// connection or file.
+// Writer frames batches onto an io.Writer as MBW3. The codec's delta
+// state is scoped to this writer, so use one Writer per connection or
+// file.
 type Writer struct {
 	w   io.Writer
-	c   Codec
+	c   *mbw3Codec
 	buf []byte
 }
 
-// NewWriter returns a batch writer speaking DefaultFormat (MBW2, whose
-// zero-epoch batches keep the legacy MBW1 framing).
-func NewWriter(w io.Writer) *Writer {
-	nw, err := NewWriterFormat(w, DefaultFormat)
-	if err != nil {
-		panic(err) // unreachable: DefaultFormat is always valid
-	}
-	return nw
-}
+// NewWriter returns a batch writer.
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w, c: newMBW3Codec()} }
 
-// NewWriterFormat returns a batch writer speaking format f (zero selects
-// DefaultFormat).
+// NewWriterFormat is NewWriter for callers that still name the format: f
+// must be zero or FormatMBW3.
 func NewWriterFormat(w io.Writer, f Format) (*Writer, error) {
-	if f == 0 {
-		f = DefaultFormat
+	if f != 0 && f != FormatMBW3 {
+		return nil, fmt.Errorf("wire: %v is read-only; writers speak mbw3", f)
 	}
-	c, err := NewCodec(f)
-	if err != nil {
-		return nil, err
-	}
-	return &Writer{w: w, c: c}, nil
+	return NewWriter(w), nil
 }
-
-// Format reports the format this writer encodes.
-func (w *Writer) Format() Format { return w.c.Format() }
 
 // WriteBatch encodes and writes one batch. A batch whose payload would
 // exceed MaxBatchPayload fails with ErrBatchTooLarge before anything is
@@ -311,7 +254,6 @@ type Reader struct {
 	r       io.Reader
 	hdr     [4]byte
 	payload []byte
-	legacy  *legacyCodec
 	m3      *mbw3Codec
 	reuse   bool
 	batch   Batch
@@ -331,9 +273,6 @@ func (r *Reader) SetReuse(on bool) { r.reuse = on }
 // Reader) while keeping internal buffers for reuse.
 func (r *Reader) Reset(src io.Reader) {
 	r.r = src
-	if r.legacy != nil {
-		r.legacy.Reset()
-	}
 	if r.m3 != nil {
 		r.m3.Reset()
 	}
@@ -388,11 +327,7 @@ func (r *Reader) ReadBatch() (*Batch, error) {
 		}
 		err = r.m3.DecodePayload(magic, payload, b)
 	} else {
-		if r.legacy == nil {
-			//lint:ignore hotalloc one-time lazy codec construction on the first legacy frame, not per-batch
-			r.legacy = &legacyCodec{f: FormatMBW2}
-		}
-		err = r.legacy.DecodePayload(magic, payload, b)
+		err = decodeLegacyPayload(payload, magic == Magic2, b)
 	}
 	if err != nil {
 		return nil, err
@@ -436,7 +371,7 @@ func varintLen(v int64) int {
 	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
 }
 
-// payloadSize mirrors appendPayload's arithmetic without allocating.
+// payloadSize is the byte length of b's MBW1/MBW2 row payload.
 func payloadSize(b *Batch) int {
 	n := uvarintLen(uint64(b.Rack))
 	if b.Epoch != 0 {
@@ -463,13 +398,13 @@ func payloadSize(b *Batch) int {
 	return n
 }
 
-// EncodedSize returns the exact framed size AppendBatch would produce
-// for b, without encoding — a thin wrapper over the MBW1/MBW2 codec's
-// EncodedSize. Unlike MBW3 sizes (which depend on stream state), it is a
-// pure function of batch content, so every process in the pipeline
-// computes the same number — the tracing cost model depends on that to
-// position spans identically on the client, the collector, and the
-// campaign recorder.
+// EncodedSize returns the framed size of b in the MBW1/MBW2 row format.
+// It is a nominal size: no writer emits those bytes. Unlike an MBW3 size
+// (which depends on stream state) it is a pure function of batch content,
+// so every process in the pipeline computes the same number — the tracing
+// cost model depends on that to position spans identically on the client,
+// the collector, and the campaign recorder.
 func EncodedSize(b *Batch) int {
-	return (&legacyCodec{f: FormatMBW2}).EncodedSize(b)
+	p := payloadSize(b)
+	return 4 + uvarintLen(uint64(p)) + p + 4
 }

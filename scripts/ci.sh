@@ -71,8 +71,9 @@ MBURST_STREAM_BENCH_OUT="$PWD/BENCH_stream.json" \
 MBURST_PTRACE_BENCH_OUT="$PWD/BENCH_ptrace.json" \
 	go test -run TestPtraceOverheadArtifact -count=1 ./internal/collector
 
-# Wire-format gate: MBW3 must put >= 4x fewer bytes on the wire than
-# MBW2 on the full-counter Web workload, and the steady-state encode and
+# Wire-format gate: MBW3 must put >= 4x fewer bytes on the wire than the
+# MBW2 row framing would (its nominal size; nothing writes it) on the
+# full-counter Web workload, and the steady-state encode and
 # ingest paths must allocate nothing per batch. The artifact records the
 # ingest-throughput ceiling alongside. Runs without -race: it counts
 # allocations on the hot paths.
@@ -121,5 +122,7 @@ make examples
 # into a durable mbcollectd over a loopback socket, SIGTERM, mbdump reads
 # back exactly what was delivered; then mbfleet with a shard kill, whose
 # directory must be campaign.json + its shard stores and dump to the
-# samples it logged. No timing gate.
+# samples it logged; then mbreplay of a parent-written MBW1 recording into
+# a durable mbcollectd, whose archive must hold the same samples as MBW3.
+# No timing gate.
 ./scripts/smoke.sh

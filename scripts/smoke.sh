@@ -1,12 +1,15 @@
 #!/bin/sh
-# Real-process smoke, two acts. One: build mbcollectd, mbagent and mbdump,
+# Real-process smoke, three acts. One: build mbcollectd, mbagent and mbdump,
 # run one agent against a durable collector over a real loopback socket,
 # shut the collector down with SIGTERM, and require that what the agent
 # says it delivered is exactly what the archive holds. Two: run mbfleet
 # into a durable fleet directory with a shard kill and the oracle on, and
 # require that the directory is campaign.json plus its shard stores and
-# that mbdump reads back the samples mbfleet logged. A correctness check
-# only — no timing gate. Run from anywhere in the repository.
+# that mbdump reads back the samples mbfleet logged. Three: mbreplay a
+# campaign an older build recorded as MBW1 into a second durable collector
+# and require that the archive holds the same samples, as MBW3. A
+# correctness check only — no timing gate. Run from anywhere in the
+# repository.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -27,43 +30,50 @@ fail() {
 	cat "$TMP/agent.log" >&2 || true
 	echo "--- mbfleet log" >&2
 	cat "$TMP/fleet.log" >&2 || true
+	echo "--- mbreplay log" >&2
+	cat "$TMP/replay.log" >&2 || true
 	exit 1
 }
 
-go build -o "$TMP/bin/" ./cmd/mbcollectd ./cmd/mbagent ./cmd/mbdump ./cmd/mbfleet
+# start_collectd DIR: a durable collector on a port of its own choosing;
+# its "listening" log line says which, and that lands in ADDR.
+start_collectd() {
+	"$TMP/bin/mbcollectd" -listen 127.0.0.1:0 -archive "$1" -stats 50ms 2>"$TMP/collectd.log" &
+	PID=$!
+	ADDR=
+	for _ in $(seq 1 200); do
+		ADDR=$(sed -n 's/.*msg=listening .*addr=\([^ ]*\).*/\1/p' "$TMP/collectd.log")
+		[ -z "$ADDR" ] || break
+		kill -0 "$PID" 2>/dev/null || fail "mbcollectd exited before listening"
+		sleep 0.05
+	done
+	[ -n "$ADDR" ] || fail "mbcollectd never logged its listening address"
+}
 
-"$TMP/bin/mbcollectd" -listen 127.0.0.1:0 -archive "$TMP/arch" -stats 50ms 2>"$TMP/collectd.log" &
-PID=$!
+# stop_collectd N: SIGTERM closes connections where they stand, so first
+# let the periodic stats line show that all N samples sent have been read.
+stop_collectd() {
+	for _ in $(seq 1 200); do
+		grep -q "msg=ingest .*samples=$1 " "$TMP/collectd.log" && break
+		sleep 0.05
+	done
+	grep -q "msg=ingest .*samples=$1 " "$TMP/collectd.log" || fail "mbcollectd never ingested $1 samples"
+	kill -TERM "$PID"
+	CODE=0
+	wait "$PID" || CODE=$?
+	PID=
+	[ "$CODE" -eq 0 ] || fail "mbcollectd exited $CODE on SIGTERM"
+	grep -q 'msg=draining' "$TMP/collectd.log" || fail "no draining log line"
+	grep -q "msg=final .*samples=$1 " "$TMP/collectd.log" || fail "final log line does not account $1 samples"
+}
 
-# The daemon picked its own port; its "listening" log line says which.
-ADDR=
-for _ in $(seq 1 200); do
-	ADDR=$(sed -n 's/.*msg=listening .*addr=\([^ ]*\).*/\1/p' "$TMP/collectd.log")
-	[ -z "$ADDR" ] || break
-	kill -0 "$PID" 2>/dev/null || fail "mbcollectd exited before listening"
-	sleep 0.05
-done
-[ -n "$ADDR" ] || fail "mbcollectd never logged its listening address"
+go build -o "$TMP/bin/" ./cmd/mbcollectd ./cmd/mbagent ./cmd/mbdump ./cmd/mbfleet ./cmd/mbreplay
 
+start_collectd "$TMP/arch"
 "$TMP/bin/mbagent" -collector "$ADDR" -dur 200ms 2>"$TMP/agent.log" || fail "mbagent exited $?"
 DELIVERED=$(sed -n 's/.*delivered=\([0-9]*\).*/\1/p' "$TMP/agent.log")
 [ -n "$DELIVERED" ] && [ "$DELIVERED" -gt 0 ] || fail "mbagent delivered nothing"
-
-# SIGTERM closes connections where they stand, so first let the periodic
-# stats line show that everything the agent sent has been read.
-for _ in $(seq 1 200); do
-	grep -q "msg=ingest .*samples=$DELIVERED " "$TMP/collectd.log" && break
-	sleep 0.05
-done
-grep -q "msg=ingest .*samples=$DELIVERED " "$TMP/collectd.log" || fail "mbcollectd never ingested $DELIVERED samples"
-
-kill -TERM "$PID"
-CODE=0
-wait "$PID" || CODE=$?
-PID=
-[ "$CODE" -eq 0 ] || fail "mbcollectd exited $CODE on SIGTERM"
-grep -q 'msg=draining' "$TMP/collectd.log" || fail "no draining log line"
-grep -q "msg=final .*samples=$DELIVERED " "$TMP/collectd.log" || fail "final log line does not account $DELIVERED samples"
+stop_collectd "$DELIVERED"
 
 TOTALS=$("$TMP/bin/mbdump" -in "$TMP/arch" -quiet | grep '^total:')
 case "$TOTALS" in
@@ -87,3 +97,22 @@ case "$TOTALS" in
 *) fail "fleet archives hold '$TOTALS', mbfleet logged $SAMPLES samples" ;;
 esac
 echo "smoke: ok — fleet of 2 shards, 1 kill: $SAMPLES samples logged, archived and read back ($TOTALS)"
+
+# Act three: a campaign d36859d's mbsim recorded in the MBW1 row framing,
+# transcoded end to end by shipped binaries. mbreplay streams it into a
+# durable collector; the archive must hold what the fixture holds, as MBW3.
+LEGACY=cmd/mbreplay/testdata/trace_v1_parent
+[ "$(head -c4 "$LEGACY/seg_000001.mbw")" = MBW1 ] || fail "$LEGACY is not an MBW1 recording"
+WANT=$("$TMP/bin/mbdump" -in "$LEGACY" -quiet | grep '^total:' | sed 's/, virtual span.*//')
+REPLAYED=$(echo "$WANT" | sed -n 's/.* \([0-9]*\) samples.*/\1/p')
+[ -n "$REPLAYED" ] && [ "$REPLAYED" -gt 0 ] || fail "mbdump totals '$WANT' for $LEGACY"
+start_collectd "$TMP/transcoded"
+"$TMP/bin/mbreplay" -trace "$LEGACY" -collector "$ADDR" -unpaced >"$TMP/replay.log" 2>&1 || fail "mbreplay exited $?"
+stop_collectd "$REPLAYED"
+TOTALS=$("$TMP/bin/mbdump" -in "$TMP/transcoded" -quiet | grep '^total:')
+case "$TOTALS" in
+"$WANT"*) ;;
+*) fail "transcoded archive holds '$TOTALS', the fixture '$WANT'" ;;
+esac
+[ "$(head -c4 "$TMP/transcoded/seg_000001.mbw")" = MBW3 ] || fail "transcoded archive's first segment is not MBW3"
+echo "smoke: ok — MBW1 recording replayed into an MBW3 archive ($TOTALS)"
