@@ -58,16 +58,28 @@ type CheckpointState struct {
 }
 
 // validate rejects a state RestoreState could not faithfully rebuild. A
-// checkpoint is bytes from disk: a series whose utilization histogram is
-// missing has lost its bins, and resuming from it would silently restart
-// that histogram empty.
+// checkpoint is bytes from disk: a JSON null in place of a series is no
+// series at all; a series whose utilization histogram is missing has
+// lost its bins, and resuming from it would silently restart that
+// histogram empty; and a series listed twice is one no collector cut —
+// restore would keep one copy and the fleet merge would take the other
+// for a second shard's.
 func (st CheckpointState) validate() error {
 	if st.Figures == nil {
 		return nil
 	}
-	for _, s := range st.Figures.Series {
+	for i, s := range st.Figures.Series {
+		if s == nil {
+			return fmt.Errorf("series %d is null", i)
+		}
 		if len(s.UtilHist) == 0 {
 			return fmt.Errorf("series %s has no util_hist", s.id())
+		}
+	}
+	series := canonicalOrder(st.Figures.Series)
+	for i := 1; i < len(series); i++ {
+		if id := series[i].id(); id == series[i-1].id() {
+			return fmt.Errorf("series %s is listed twice", id)
 		}
 	}
 	return nil

@@ -164,7 +164,9 @@ func TestLoadCheckpointRejectsSeriesWithoutHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Figures.Series[2].UtilHist = nil
+	lost := *st.Figures.Series[2]
+	lost.UtilHist = nil
+	st.Figures.Series[2] = &lost
 	for _, form := range []string{"null", "[]", "absent", "mbc1"} {
 		broken, err := json.Marshal(st)
 		if err != nil {
@@ -190,6 +192,58 @@ func TestLoadCheckpointRejectsSeriesWithoutHistogram(t *testing.T) {
 		d, _, _ := newDurable(t, &memArchive{}, path, 1000)
 		if _, err := d.Resume(nil); err == nil {
 			t.Errorf("util_hist %s: Resume armed the broken checkpoint", form)
+		}
+	}
+}
+
+// invalidSeriesCheckpoints are files that decode but list series no
+// collector could have cut, each with what its load error must say
+// besides the file name: a JSON null where a series should be, and one
+// series listed twice in either encoding.
+func invalidSeriesCheckpoints() map[string]struct {
+	data []byte
+	want string
+} {
+	// The one-series file of mbc1Forged, its series repeated: the count
+	// byte goes from 1 to 2 and the series' bytes follow twice.
+	st := CheckpointState{Figures: &FiguresState{Samples: 2, Series: []*SeriesState{{Rack: 9, UtilHist: []uint64{0}}}}}
+	file := appendCheckpoint(nil, &st)
+	const seriesCount = len(CheckpointMagic) + 6
+	series := file[seriesCount+1 : len(file)-4]
+	dup := append(append([]byte(nil), file[:seriesCount]...), 2)
+	dup = mbc1Seal(append(append(append(dup, series...), series...), 0, 0, 0, 0))
+	const valid = `{"rack":1,"port":1,"dir":1,"kind":0,"util_hist":[0]}`
+	return map[string]struct {
+		data []byte
+		want string
+	}{
+		"null series":              {[]byte(`{"archived_batches":1,"figures":{"samples":1,"series":[null]}}`), "series 0 is null"},
+		"null before a series":     {[]byte(`{"archived_batches":1,"figures":{"samples":1,"series":[null,` + valid + `]}}`), "series 0 is null"},
+		"null after a series":      {[]byte(`{"archived_batches":1,"figures":{"samples":1,"series":[` + valid + `,null]}}`), "series 1 is null"},
+		"series twice, JSON":       {[]byte(`{"figures":{"series":[{"rack":9,"util_hist":[0]},{"rack":9,"util_hist":[0]}]}}`), "series rack 9 port0/rx/bytes is listed twice"},
+		"series twice apart, JSON": {[]byte(`{"figures":{"series":[{"rack":9,"util_hist":[0]},` + valid + `,{"rack":9,"util_hist":[0]}]}}`), "series rack 9 port0/rx/bytes is listed twice"},
+		"series twice, MBC1":       {dup, "series rack 9 port0/rx/bytes is listed twice"},
+	}
+}
+
+// TestLoadCheckpointRejectsInvalidSeries: a null series or a repeated
+// one fails the load — and so Resume — with an error naming the file and
+// the entry, never a panic. A restore would have kept one copy of a
+// repeated series and the fleet merge would have blamed a second shard
+// for the other, even in a fleet of one.
+func TestLoadCheckpointRejectsInvalidSeries(t *testing.T) {
+	for what, c := range invalidSeriesCheckpoints() {
+		path := filepath.Join(t.TempDir(), CheckpointFileName)
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, ok, err := LoadCheckpoint(path)
+		if err == nil || ok || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: LoadCheckpoint ok=%v err=%v, want an error naming %s and saying %q", what, ok, err, path, c.want)
+		}
+		d, _, _ := newDurable(t, &memArchive{}, path, 1000)
+		if _, err := d.Resume(nil); err == nil {
+			t.Errorf("%s: Resume armed the checkpoint", what)
 		}
 	}
 }
@@ -270,7 +324,7 @@ func mbc1Forged() map[string][]byte {
 	// the byte after magic, version, archived_batches, #gate, has_ingest,
 	// has_figures and samples; its #bins the fourth byte before the
 	// trailer (bin, points, hot follow).
-	st := CheckpointState{Figures: &FiguresState{Samples: 1, Series: []SeriesState{{Rack: 1, UtilHist: []uint64{0}}}}}
+	st := CheckpointState{Figures: &FiguresState{Samples: 1, Series: []*SeriesState{{Rack: 1, UtilHist: []uint64{0}}}}}
 	file := appendCheckpoint(nil, &st)
 	const seriesCount = len(CheckpointMagic) + 6
 	binsCount := len(file) - 4 - 4
@@ -344,6 +398,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	for _, forged := range mbc1Forged() {
 		f.Add(forged)
 	}
+	for _, invalid := range invalidSeriesCheckpoints() {
+		f.Add(invalid.data)
+	}
 	traffic := fixtureTraffic(fixtureCkptRounds + 1)
 	next := traffic[fixtureCkptRounds*4:] // the round after the fixtures' checkpoint
 
@@ -409,8 +466,10 @@ func FuzzLoadFleetCheckpoint(f *testing.F) {
 	}
 	f.Add(golden) // every series also on the intact shard
 	f.Add(golden[:len(golden)/2])
-	f.Add([]byte(`{"figures":{"series":[{"rack":9,"util_hist":[0]},{"rack":9,"util_hist":[0]}]}}`))
 	f.Add([]byte(`{"archived_batches":1}`))
+	for _, invalid := range invalidSeriesCheckpoints() {
+		f.Add(invalid.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), CheckpointFileName)
@@ -437,6 +496,8 @@ func FuzzLoadFleetCheckpoint(f *testing.F) {
 		}
 		fs, err := agg.FleetState()
 		if err != nil {
+			// LoadCheckpoint refuses a file that lists a series twice, so
+			// the one duplicate left to find is a series both shards hold.
 			if !strings.Contains(err.Error(), "claimed by two shards") {
 				t.Fatalf("fleet merge failed for another reason than a duplicate series: %v", err)
 			}

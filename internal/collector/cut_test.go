@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -193,11 +194,75 @@ func TestStateCutMatchesFullResnapshot(t *testing.T) {
 	}
 }
 
+// orderOp is one step of a generated schedule that keeps adding racks.
+type orderOp struct {
+	Op   uint8 // feed a batch (most values), or State / Snapshot / RestoreState
+	Rack uint8 // reduced mod 64, so new racks land before, between and after known ones
+	Port uint8
+	N    uint8
+}
+
+// TestSeriesOrderMatchesFullSort: however new racks' first batches
+// interleave with cuts, renders and restores, every cut lists its series
+// strictly increasing by id and equals the full re-snapshot, and the
+// merged order equals the whole table sorted (refOrdered).
+func TestSeriesOrderMatchesFullSort(t *testing.T) {
+	orderedNow := func(f *LiveFigures) []*liveSeries {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		return slices.Clone(f.ordered())
+	}
+	law := func(ops []orderOp) bool {
+		f, feed := newCkptFigures(t), newCutFeeder()
+		var cuts []FiguresState
+		for i, op := range ops {
+			switch op.Op % 8 {
+			default:
+				b := &wire.Batch{Rack: uint32(op.Rack % 64), Epoch: 1}
+				for j := 0; j <= int(op.N%3); j++ {
+					id := seriesID{Rack: b.Rack, Port: uint16(op.Port%4) + uint16(j), Dir: asic.Direction(op.N % 2), Kind: asic.KindBytes}
+					b.Samples = append(b.Samples, feed.next(id))
+				}
+				f.Handle(b)
+				continue
+			case 0:
+				cut := f.State()
+				for k := 1; k < len(cut.Series); k++ {
+					if !cut.Series[k-1].id().less(cut.Series[k].id()) {
+						t.Errorf("op %d of %d: cut lists %s after %s", i, len(ops), cut.Series[k].id(), cut.Series[k-1].id())
+						return false
+					}
+				}
+				if !sameCut(t, fmt.Sprintf("op %d of %d", i, len(ops)), cut, refFiguresState(f)) {
+					return false
+				}
+				cuts = append(cuts, cut)
+			case 1:
+				f.Snapshot()
+			case 2:
+				var st FiguresState
+				if len(cuts) > 0 {
+					st = cuts[int(op.N)%len(cuts)]
+				}
+				f.RestoreState(st)
+			}
+			if got, want := orderedNow(f), refOrdered(f); !slices.Equal(got, want) {
+				t.Errorf("op %d of %d: merged order of %d series differs from the full sort", i, len(ops), len(want))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(law, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(4))}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestStateCutIsImmutable pins the sharing contract on FiguresState: cut
 // A, ingest more, cut B — A still equals the copy taken when it was
-// returned, and wherever A and B share a slice the series did not move.
-// A reader walks A while Handle runs, so -race sees any write through a
-// shared slice.
+// returned, and a series holds the same *SeriesState in both exactly
+// when it was not fed in between. A reader walks A while Handle runs,
+// so -race sees any write through a shared SeriesState.
 func TestStateCutIsImmutable(t *testing.T) {
 	f, feed := newCkptFigures(t), newCutFeeder()
 	for i := 0; i < 12; i++ {
@@ -250,32 +315,32 @@ func TestStateCutIsImmutable(t *testing.T) {
 		t.Fatal("cut A changed after more ingest and later cuts")
 	}
 	sameCut(t, "cut B", b, refFiguresState(f))
-	bByID := make(map[seriesID]SeriesState, len(b.Series))
+	samePointer(t, "cuts A and B", a, b, func(id seriesID) bool { return id.Rack <= 2 })
+	// Consecutive cuts: only what was fed in between is a new pointer.
+	samePointer(t, "back-to-back cuts", b, f.State(), func(seriesID) bool { return false })
+	f.Handle(feed.clean(3, 8))
+	samePointer(t, "cuts around a rack 3 batch", b, f.State(), func(id seriesID) bool { return id.Rack == 3 })
+}
+
+// samePointer checks that every series of cut a is the very SeriesState
+// cut b holds for it, except the ones fed between the cuts, which must
+// be new pointers.
+func samePointer(t *testing.T, what string, a, b FiguresState, fed func(seriesID) bool) {
+	t.Helper()
+	inB := make(map[seriesID]*SeriesState, len(b.Series))
 	for _, s := range b.Series {
-		bByID[s.id()] = s
+		inB[s.id()] = s
 	}
-	shared := 0
 	for _, sa := range a.Series {
-		sb := bByID[sa.id()]
-		if &sa.UtilHist[0] != &sb.UtilHist[0] {
-			if sa.Rack > 2 {
-				t.Errorf("%s was not fed between the cuts but was re-snapshotted", sa.id())
-			}
-			continue
+		if same := inB[sa.id()] == sa; same == fed(sa.id()) {
+			t.Errorf("%s: %s fed between them %v, same pointer in both %v", what, sa.id(), fed(sa.id()), same)
 		}
-		shared++
-		if !reflect.DeepEqual(sa, sb) {
-			t.Errorf("%s shares a slice between cuts A and B but differs", sa.id())
-		}
-	}
-	if shared != 2 {
-		t.Errorf("%d series shared between the cuts, want the 2 that were not fed", shared)
 	}
 }
 
 // TestCleanCutSnapshotsNothing: with no series fed since the previous
-// cut, State allocates the flat copy and nothing else, however much the
-// per-series ECDFs hold.
+// cut, State allocates its list of pointers — 8 bytes a series — and
+// nothing else, however much the per-series ECDFs hold.
 func TestCleanCutSnapshotsNothing(t *testing.T) {
 	for _, batches := range []int{20, 400} {
 		f, feed := newCkptFigures(t), newCutFeeder()
@@ -291,14 +356,22 @@ func TestCleanCutSnapshotsNothing(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { f.State() }); allocs != 1 {
 			t.Errorf("%d batches in: a clean cut made %v allocations, want 1", batches, allocs)
 		}
+		const cuts = 100
+		n := uint64(len(first.Series))
+		if b := allocatedBy(func() {
+			for i := 0; i < cuts; i++ {
+				f.State()
+			}
+		}) / cuts; b > 8*n+64 {
+			t.Errorf("%d batches in: a clean cut of %d series allocated %d bytes, want at most %d", batches, n, b, 8*n+64)
+		}
 		// The back-to-back cuts of a clean shutdown: one snapshot serves all.
 		sh, err := NewShard(ShardConfig{Figures: f, Stats: &IngestStats{}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		pub, ck := sh.Publish().Figures, sh.CheckpointState().Figures
-		if &pub.Series[0].UtilHist[0] != &first.Series[0].UtilHist[0] ||
-			&ck.Series[0].UtilHist[0] != &first.Series[0].UtilHist[0] {
+		if !slices.Equal(pub.Series, first.Series) || !slices.Equal(ck.Series, first.Series) {
 			t.Error("Publish and CheckpointState on an unfed tap re-snapshotted a series")
 		}
 	}
@@ -311,8 +384,9 @@ func TestRestoreSeriesWithoutHistogram(t *testing.T) {
 	f, feed := newCkptFigures(t), newCutFeeder()
 	f.Handle(feed.clean(1, 8))
 	st := f.State()
-	st.Series = append([]SeriesState(nil), st.Series...)
-	st.Series[0].UtilHist = nil
+	lost := *st.Series[0] // the tap shares its cut: edit a copy
+	lost.UtilHist = nil
+	st.Series[0] = &lost
 
 	g := newCkptFigures(t)
 	g.RestoreState(st)
@@ -335,7 +409,7 @@ func TestMergeFiguresStatesMatchesSortedUnion(t *testing.T) {
 			states[i].Samples = uint64(len(ops))
 			seen := make(map[seriesID]bool)
 			for _, op := range ops {
-				s := SeriesState{
+				s := &SeriesState{
 					Rack: uint32(op.Rack % 16), Port: uint16(op.Port % 4),
 					Dir: asic.Direction(op.Dir % 2), Kind: asic.CounterKind(op.Damage % 2),
 					Points: int(op.N),
@@ -356,7 +430,7 @@ func TestMergeFiguresStatesMatchesSortedUnion(t *testing.T) {
 		}
 		before := make([]FiguresState, len(states))
 		for i, st := range states {
-			before[i] = FiguresState{Samples: st.Samples, Series: append([]SeriesState(nil), st.Series...)}
+			before[i] = FiguresState{Samples: st.Samples, Series: slices.Clone(st.Series)}
 		}
 		got, gerr := MergeFiguresStates(states...)
 		want, werr := refMergeFiguresStates(before...)
@@ -368,11 +442,22 @@ func TestMergeFiguresStatesMatchesSortedUnion(t *testing.T) {
 			t.Errorf("merge diverges from concatenate-and-sort:\n got %+v\nwant %+v", got, want)
 			return false
 		}
-		// Inputs are cuts: the merge must leave them as it found them.
+		// Inputs are cuts: the merge must leave them as it found them, and
+		// point at their SeriesStates rather than copy them.
+		input := make(map[*SeriesState]bool)
 		for i := range states {
-			if !reflect.DeepEqual(states[i].Series, before[i].Series) {
+			if !slices.Equal(states[i].Series, before[i].Series) {
 				// refMerge got copies, so only MergeFiguresStates can have moved these.
 				t.Errorf("merge reordered input %d in place", i)
+				return false
+			}
+			for _, s := range states[i].Series {
+				input[s] = true
+			}
+		}
+		for _, s := range got.Series {
+			if !input[s] {
+				t.Errorf("merge output holds %s by a pointer no input had", s.id())
 				return false
 			}
 		}

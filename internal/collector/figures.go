@@ -5,7 +5,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 
 	"mburst/internal/analysis"
@@ -33,11 +33,13 @@ type LiveFigures struct {
 	mu      sync.Mutex
 	samples uint64
 	series  map[liveKey]*liveSeries
-	// order holds every series, in canonical (rack, port, dir, kind)
-	// order unless unsorted says a series was appended since the last
-	// sort; see ordered.
-	order    []*liveSeries
-	unsorted bool
+	// order holds every series: order[:sorted] in canonical (rack, port,
+	// dir, kind) order, then the series added since, in arrival order.
+	// ordered sorts those newcomers in tail, a buffer it reuses, and
+	// merges them into the prefix.
+	order  []*liveSeries
+	sorted int
+	tail   []*liveSeries
 }
 
 // LiveFiguresConfig parameterizes the tap.
@@ -82,9 +84,8 @@ type liveSeries struct {
 
 	// cut is the series' state as State last snapshotted it, and dirty
 	// says the accumulators may have moved since. cut is only ever
-	// replaced whole, never written through: earlier FiguresStates share
-	// its inner slices.
-	cut   SeriesState
+	// replaced, never written through: earlier FiguresStates hold it.
+	cut   *SeriesState
 	dirty bool
 }
 
@@ -168,22 +169,36 @@ func (f *LiveFigures) Handle(b *wire.Batch) {
 	}
 }
 
-// add registers a new series. It lands at the end of f.order, which
-// ordered re-sorts on its next call. Caller holds f.mu.
+// add registers a new series. It lands at the end of f.order, past the
+// canonical prefix, for ordered to merge in. Caller holds f.mu.
 func (f *LiveFigures) add(st *liveSeries) {
 	f.series[st.key] = st
 	f.order = append(f.order, st)
-	f.unsorted = true
 }
 
 // ordered returns every series in canonical (rack, port, dir, kind)
-// order, sorting only when a series was added since the previous call.
+// order. Only the series added since the previous call are sorted; they
+// are then merged into the canonical prefix from the back in one pass,
+// which moves just the prefix entries that sort after the first of them.
 // Caller holds f.mu.
 func (f *LiveFigures) ordered() []*liveSeries {
-	if f.unsorted {
-		sort.Slice(f.order, func(i, j int) bool { return f.order[i].key.id().less(f.order[j].key.id()) })
-		f.unsorted = false
+	if f.sorted == len(f.order) {
+		return f.order
 	}
+	f.tail = append(f.tail[:0], f.order[f.sorted:]...)
+	slices.SortFunc(f.tail, func(a, b *liveSeries) int { return a.key.id().compare(b.key.id()) })
+	i, j := f.sorted, len(f.tail) // unmerged prefix is order[:i], unmerged tail is f.tail[:j]
+	for k := len(f.order) - 1; j > 0; k-- {
+		if i > 0 && f.order[i-1].key.id().compare(f.tail[j-1].key.id()) > 0 {
+			i--
+			f.order[k] = f.order[i]
+		} else {
+			j--
+			f.order[k] = f.tail[j]
+		}
+	}
+	clear(f.tail) // the buffer pins no series between cuts
+	f.sorted = len(f.order)
 	return f.order
 }
 

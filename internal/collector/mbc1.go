@@ -92,8 +92,8 @@ func appendCheckpoint(dst []byte, st *CheckpointState) []byte {
 	if f := st.Figures; f != nil {
 		dst = binary.AppendUvarint(dst, f.Samples)
 		dst = binary.AppendUvarint(dst, uint64(len(f.Series)))
-		for i := range f.Series {
-			dst = appendSeries(dst, &f.Series[i])
+		for _, s := range f.Series {
+			dst = appendSeries(dst, s)
 		}
 	}
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
@@ -225,9 +225,11 @@ func decodeMBC1(data []byte) (CheckpointState, error) {
 		f := &FiguresState{}
 		f.Samples = r.uvarint()
 		if n := r.count(mbc1MinSeriesBytes); n > 0 {
-			f.Series = make([]SeriesState, n)
-			for i := range f.Series {
-				r.series(&f.Series[i])
+			slab := make([]SeriesState, n)
+			f.Series = make([]*SeriesState, n)
+			for i := range slab {
+				r.series(&slab[i])
+				f.Series[i] = &slab[i]
 			}
 		}
 		st.Figures = f

@@ -26,7 +26,7 @@ func TestMBC1MinimumSizes(t *testing.T) {
 		{"gate entry", CheckpointState{Gate: make([]RackEpochState, 1)}, 0, mbc1MinGateBytes},
 		{"per-rack count", CheckpointState{Ingest: &Snapshot{PerRack: make([]RackCount, 1)}},
 			len(appendCheckpoint(nil, &CheckpointState{Ingest: &Snapshot{}})) - empty, mbc1MinPerRackBytes},
-		{"series", CheckpointState{Figures: &FiguresState{Series: make([]SeriesState, 1)}},
+		{"series", CheckpointState{Figures: &FiguresState{Series: []*SeriesState{{}}}},
 			len(appendCheckpoint(nil, &CheckpointState{Figures: &FiguresState{}})) - empty, mbc1MinSeriesBytes},
 	} {
 		if got := len(appendCheckpoint(nil, &c.st)) - empty - c.flag; got != c.min {
@@ -163,7 +163,8 @@ func TestMBC1CarriesNonFiniteFloats(t *testing.T) {
 		live.gate.Handle(feed.clean(1, 8))
 	}
 	cut := live.cut(12)
-	s := &cut.Figures.Series[0]
+	s := *cut.Figures.Series[0] // the tap shares its cut: edit a copy
+	cut.Figures.Series[0] = &s
 	s.Moments.Sum, s.Moments.Max, s.Moments.Min = math.Inf(1), math.Inf(1), math.Inf(-1)
 	s.Seg.ColdBelow = math.Copysign(0, -1)
 	s.Gaps.Values = append([]float64{math.Float64frombits(0x7ff8_0000_dead_beef)}, s.Gaps.Values...)

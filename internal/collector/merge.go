@@ -1,7 +1,9 @@
 package collector
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"mburst/internal/analysis"
@@ -25,22 +27,25 @@ type seriesID struct {
 	Kind asic.CounterKind
 }
 
-func (s SeriesState) id() seriesID {
+func (s *SeriesState) id() seriesID {
 	return seriesID{Rack: s.Rack, Port: s.Port, Dir: s.Dir, Kind: s.Kind}
 }
 
-func (a seriesID) less(b seriesID) bool {
-	if a.Rack != b.Rack {
-		return a.Rack < b.Rack
+// compare orders series by rack, port, dir, kind.
+func (a seriesID) compare(b seriesID) int {
+	if c := cmp.Compare(a.Rack, b.Rack); c != 0 {
+		return c
 	}
-	if a.Port != b.Port {
-		return a.Port < b.Port
+	if c := cmp.Compare(a.Port, b.Port); c != 0 {
+		return c
 	}
-	if a.Dir != b.Dir {
-		return a.Dir < b.Dir
+	if c := cmp.Compare(a.Dir, b.Dir); c != 0 {
+		return c
 	}
-	return a.Kind < b.Kind
+	return cmp.Compare(a.Kind, b.Kind)
 }
+
+func (a seriesID) less(b seriesID) bool { return a.compare(b) < 0 }
 
 func (s seriesID) String() string {
 	return fmt.Sprintf("rack %d %s", s.Rack,
@@ -56,9 +61,13 @@ func (s seriesID) String() string {
 // disjoint; a series appearing twice means two shards ingested the same
 // rack and the merged state would double-count, so that is an error, not
 // a fold.
+//
+// Inputs' Series entries must be non-nil, as every cut and every loaded
+// checkpoint's are. The result points at the inputs' SeriesStates: it is
+// a cut like them, under FiguresState's sharing contract.
 func MergeFiguresStates(states ...FiguresState) (FiguresState, error) {
 	var out FiguresState
-	rest := make([][]SeriesState, 0, len(states)) // each input's unmerged tail
+	rest := make([][]*SeriesState, 0, len(states)) // each input's unmerged tail
 	n := 0
 	for _, st := range states {
 		out.Samples += st.Samples
@@ -68,7 +77,7 @@ func MergeFiguresStates(states ...FiguresState) (FiguresState, error) {
 		}
 	}
 	if n > 0 {
-		out.Series = make([]SeriesState, 0, n)
+		out.Series = make([]*SeriesState, 0, n)
 	}
 	for len(rest) > 0 {
 		lo := 0
@@ -92,13 +101,13 @@ func MergeFiguresStates(states ...FiguresState) (FiguresState, error) {
 
 // canonicalOrder returns series in (rack, port, dir, kind) order: the
 // slice itself when it already is, a sorted copy otherwise.
-func canonicalOrder(series []SeriesState) []SeriesState {
-	less := func(i, j int) bool { return series[i].id().less(series[j].id()) }
-	if sort.SliceIsSorted(series, less) {
+func canonicalOrder(series []*SeriesState) []*SeriesState {
+	byID := func(a, b *SeriesState) int { return a.id().compare(b.id()) }
+	if slices.IsSortedFunc(series, byID) {
 		return series
 	}
-	series = append([]SeriesState(nil), series...)
-	sort.Slice(series, less)
+	series = slices.Clone(series)
+	slices.SortFunc(series, byID)
 	return series
 }
 

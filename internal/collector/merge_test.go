@@ -34,7 +34,7 @@ func TestMergeFiguresStatesDisjointUnion(t *testing.T) {
 	mk := func(rack uint32, port uint16, samples uint64) FiguresState {
 		return FiguresState{
 			Samples: samples,
-			Series: []SeriesState{{
+			Series: []*SeriesState{{
 				Rack: rack, Port: port, Dir: asic.TX, Kind: asic.KindBytes,
 				Points: int(samples),
 			}},
@@ -60,7 +60,7 @@ func TestMergeFiguresStatesDisjointUnion(t *testing.T) {
 }
 
 func TestMergeFiguresStatesDuplicateSeries(t *testing.T) {
-	dup := FiguresState{Series: []SeriesState{{Rack: 1, Port: 2, Dir: asic.TX, Kind: asic.KindBytes}}}
+	dup := FiguresState{Series: []*SeriesState{{Rack: 1, Port: 2, Dir: asic.TX, Kind: asic.KindBytes}}}
 	_, err := MergeFiguresStates(dup, dup)
 	if err == nil {
 		t.Fatal("merging a duplicated series must fail")

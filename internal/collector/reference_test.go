@@ -8,9 +8,9 @@ import (
 )
 
 // This file holds the reference implementations the incremental paths
-// are checked against: the bodies LiveFigures.State and
-// MergeFiguresStates had before a cut cost O(series fed since the last
-// one), moved here verbatim. They are slow and obviously right — walk
+// are checked against: the bodies LiveFigures.State, its series order
+// and MergeFiguresStates had before a cut cost O(series fed since the
+// last one), moved here. They are slow and obviously right — walk
 // everything, snapshot everything, sort everything — and they consult
 // none of the bookkeeping (order, dirty marks, cached cuts) the fast
 // paths rely on.
@@ -51,7 +51,7 @@ func refFiguresState(f *LiveFigures) FiguresState {
 	})
 	for _, k := range keys {
 		s := f.series[k]
-		st.Series = append(st.Series, SeriesState{
+		st.Series = append(st.Series, &SeriesState{
 			Rack: k.Rack, Port: k.Key.Port, Dir: k.Key.Dir, Kind: k.Key.Kind,
 			Util:      s.util.Snapshot(),
 			Seg:       s.seg.Snapshot(),
@@ -67,6 +67,19 @@ func refFiguresState(f *LiveFigures) FiguresState {
 	return st
 }
 
+// refOrdered is LiveFigures.ordered before it merged: every series of
+// f.series, the whole table sorted.
+func refOrdered(f *LiveFigures) []*liveSeries {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	order := make([]*liveSeries, 0, len(f.series))
+	for _, s := range f.series {
+		order = append(order, s)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].key.id().less(order[j].key.id()) })
+	return order
+}
+
 // refMergeFiguresStates is the concatenate-and-sort union.
 func refMergeFiguresStates(states ...FiguresState) (FiguresState, error) {
 	var out FiguresState
@@ -75,7 +88,7 @@ func refMergeFiguresStates(states ...FiguresState) (FiguresState, error) {
 		n += len(st.Series)
 	}
 	if n > 0 {
-		out.Series = make([]SeriesState, 0, n)
+		out.Series = make([]*SeriesState, 0, n)
 	}
 	for _, st := range states {
 		out.Samples += st.Samples

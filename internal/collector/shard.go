@@ -196,11 +196,12 @@ func (s *Shard) Err() error {
 //
 // The update is cumulative but the cut is incremental: LiveFigures.State
 // re-snapshots only the series fed since the previous cut (whoever took
-// it — Publish, CheckpointState or a durable checkpoint), so publishing
-// every few batches costs the few racks those batches came from plus one
-// flat copy, not the shard's whole state. The update shares slices with
-// earlier and later cuts; see FiguresState for what that asks of
-// consumers.
+// it — Publish, CheckpointState or a durable checkpoint) and merges the
+// racks that appeared since into its sorted order, so publishing every
+// few batches costs the few racks those batches came from plus 8 bytes
+// per series, not the shard's whole state. The update shares its
+// SeriesStates with earlier and later cuts; see FiguresState for what
+// that asks of consumers.
 func (s *Shard) Publish() ShardUpdate {
 	s.seq++
 	s.m.Published.Inc()

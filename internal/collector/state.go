@@ -72,23 +72,25 @@ type SeriesState struct {
 // quantiles and probabilities — and cannot be restored; this is the raw
 // one that can.)
 //
-// A FiguresState is an immutable cut. Consecutive cuts of one tap share
-// the inner slices (ECDF values, utilization histogram) of every series
-// that was not fed in between, so a cut, once returned, never changes —
-// the tap gives a fed series a new SeriesState with fresh slices and
-// never appends to or overwrites one it has handed out — and consumers
-// must not write through Series[i]'s slices either: restore and merge
-// copy, and so must anything else that wants to edit a cut.
+// A FiguresState is an immutable cut, and a list of pointers. Entries
+// are never nil. Consecutive cuts of one tap hold the very same
+// *SeriesState for every series that was not fed in between (merges and
+// aggregator updates pass those pointers on too), so a cut, once
+// returned, never changes — the tap gives a fed series a new SeriesState
+// with fresh slices and never writes to one it has handed out — and
+// consumers must not write through Series[i], its fields or its slices
+// either: restore and merge copy, and anything else that wants to edit
+// a cut copies the SeriesState first and points Series[i] at the copy.
 type FiguresState struct {
-	Samples uint64        `json:"samples"`
-	Series  []SeriesState `json:"series,omitempty"`
+	Samples uint64         `json:"samples"`
+	Series  []*SeriesState `json:"series,omitempty"`
 }
 
 // State cuts the tap's accumulator state, series in canonical (rack,
 // port, dir, kind) order. A cut costs what changed, not what exists:
 // only series fed since the previous cut are re-snapshotted, the others
-// reuse the SeriesState the previous cut carried, and the result is one
-// flat copy of those values (see FiguresState for the sharing contract).
+// reuse the SeriesState the previous cut pointed at, and the result is
+// one pointer per series (see FiguresState for the sharing contract).
 func (f *LiveFigures) State() FiguresState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -97,7 +99,7 @@ func (f *LiveFigures) State() FiguresState {
 	if len(series) == 0 {
 		return st
 	}
-	st.Series = make([]SeriesState, len(series))
+	st.Series = make([]*SeriesState, len(series))
 	for i, s := range series {
 		if s.dirty {
 			s.cut = s.snapshot()
@@ -110,8 +112,8 @@ func (f *LiveFigures) State() FiguresState {
 
 // snapshot copies the series' accumulators into a new SeriesState that
 // shares no memory with them.
-func (s *liveSeries) snapshot() SeriesState {
-	return SeriesState{
+func (s *liveSeries) snapshot() *SeriesState {
+	return &SeriesState{
 		Rack: s.key.Rack, Port: s.key.Key.Port, Dir: s.key.Key.Dir, Kind: s.key.Key.Kind,
 		Util:      s.util.Snapshot(),
 		Seg:       s.seg.Snapshot(),
@@ -132,13 +134,16 @@ func (s *liveSeries) snapshot() SeriesState {
 // config callbacks — a restored tap continues exactly where the snapshot
 // left off even if SpeedOf would now answer differently. The one
 // exception is a series without a histogram, which Handle could not
-// feed: it gets an empty one at the configured resolution.
+// feed: it gets an empty one at the configured resolution. st's Series
+// entries must be non-nil (LoadCheckpoint refuses a file with a null
+// one); restore copies out of them and keeps none.
 func (f *LiveFigures) RestoreState(st FiguresState) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.samples = st.Samples
 	f.series = make(map[liveKey]*liveSeries, len(st.Series))
 	f.order = make([]*liveSeries, 0, len(st.Series))
+	f.sorted = 0
 	for _, s := range st.Series {
 		ls := &liveSeries{
 			key:      liveKey{Rack: s.Rack, Key: analysis.SeriesKey{Port: s.Port, Dir: s.Dir, Kind: s.Kind}},

@@ -36,14 +36,18 @@ fi
 go test -race -shuffle=on ./...
 
 # Fuzz smoke: five seconds each on the two wire-decoder targets, whole
-# streams and the MBW3 delta chain, and on the archive recovery scan.
-# `go test` above only replays their seed corpora; this lets the mutator
-# run, briefly, on every build. `make fuzz` is the longer soak. The
-# recovery seeds are whole segments: left at its 60s default, minimizing
-# the first new-coverage input would stall the mutator for the whole run.
+# streams and the MBW3 delta chain, on the archive recovery scan, and on
+# the checkpoint loader — one shard's file alone, and beside an intact
+# shard's through the aggregator's restore and merge. `go test` above
+# only replays their seed corpora; this lets the mutator run, briefly, on
+# every build. `make fuzz` is the longer soak. The recovery and
+# checkpoint seeds are kilobytes: left at its 60s default, minimizing the
+# first new-coverage input would stall the mutator for the whole run.
 go test -run='^$' -fuzz=FuzzReadBatch -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz=FuzzMBW3Chain -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz=FuzzTraceRecover -fuzztime=5s -fuzzminimizetime=1s ./internal/trace
+go test -run='^$' -fuzz=FuzzLoadCheckpoint -fuzztime=5s -fuzzminimizetime=1s ./internal/collector
+go test -run='^$' -fuzz=FuzzLoadFleetCheckpoint -fuzztime=5s -fuzzminimizetime=1s ./internal/collector
 
 # Reconnect-test stress: these tests synchronise with the client's
 # flusher goroutine through its injected Sleep and dial hooks, and used to
