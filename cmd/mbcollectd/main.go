@@ -210,6 +210,9 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(ingest
 						"batches", s.Batches, "truncated_bytes", s.TruncatedBytes)
 				}
 			}
+			for _, name := range rec.RemovedSegments {
+				logger.Warn("removed segment past a torn one", "segment", name)
+			}
 			logger.Info("archive recovered", "batches", rec.Batches, "samples", rec.Samples,
 				"sealed_segments", rec.SealedSegments)
 		}

@@ -277,6 +277,60 @@ func TestMixedFormatStoreResumes(t *testing.T) {
 	}
 }
 
+// TestParentShardResumesWithoutReplay: the parent's shard 0 store —
+// checkpoint mark 3, at the end of its second MBW2 segment — resumes to
+// exactly its checkpoint with nothing replayed, and without opening the
+// second segment: garbage in its place changes nothing.
+func TestParentShardResumesWithoutReplay(t *testing.T) {
+	dir := copyTree(t, "testdata/fleet_parent", nil)
+	meta, ok, err := trace.FleetMeta(dir)
+	if err != nil || !ok {
+		t.Fatalf("fleet meta: ok=%v err=%v", ok, err)
+	}
+	shardDir := filepath.Join(dir, meta.Placement.Name(0))
+	ckpt := filepath.Join(shardDir, collector.CheckpointFileName)
+	want, ok, err := collector.LoadCheckpoint(ckpt)
+	if err != nil || !ok {
+		t.Fatalf("parent checkpoint: ok=%v err=%v", ok, err)
+	}
+	arch, _, err := trace.ResumeArchive(shardDir, trace.ArchiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arch.Close()
+	seg2 := filepath.Join(shardDir, "seg_000002.mbw")
+	data, err := os.ReadFile(seg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg2, bytes.Repeat([]byte{0xa5}, len(data)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	figs, err := collector.NewLiveFigures(collector.LiveFiguresConfig{
+		SpeedOf: func(uint32, uint16) uint64 { return 10_000_000_000 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := collector.NewShard(collector.ShardConfig{
+		ID: 0, Placement: meta.Placement, Figures: figs, Stats: &collector.IngestStats{},
+		Archive: arch, CheckpointPath: ckpt,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sh.Resume(func(fn func(*wire.Batch) error) error { return trace.IterArchive(shardDir, fn) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.HadCheckpoint || rep.CheckpointBatches != 3 || rep.ArchiveBatches != 3 || rep.Replayed != 0 {
+		t.Errorf("resume %+v, want the parent's checkpoint over its 3 batches and nothing replayed", rep)
+	}
+	if got := sh.CheckpointState(); !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed state differs from the parent's checkpoint:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // copyTree copies every file under root into a fresh temp directory,
 // through edit (by base name) when it is non-nil, and returns the copy.
 func copyTree(t *testing.T, root string, edit func(name string, data []byte) []byte) string {

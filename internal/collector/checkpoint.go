@@ -39,7 +39,10 @@ import (
 type ArchiveSink interface {
 	// WriteBatch appends one batch. Errors are expected to be sticky.
 	WriteBatch(*wire.Batch) error
-	// Sync forces everything written so far to stable storage.
+	// Sync forces everything written so far to stable storage and ends
+	// the log's open segment, so the high-water mark a checkpoint records
+	// after it is a segment boundary a resume can skip to without
+	// decoding what lies below.
 	Sync() error
 	// Batches returns the total batches in the log, including any
 	// recovered from a previous incarnation.
@@ -175,8 +178,13 @@ const DefaultCheckpointEvery = 256
 
 // Resume restores a durable shard from the last checkpoint and replays
 // the archive tail written after it. iter must stream the archive's
-// batches in write order (trace.IterArchive wrapped in a closure fits).
-// Call once, before Handle sees traffic. A volatile shard cannot resume.
+// batches in write order (trace.IterArchive wrapped in a closure fits)
+// and must honour wire.SkipTo: on the first batch, Resume asks to be
+// handed next the batch after the checkpoint's mark, so an iterator that
+// can skip reads only the tail. One that does not returns the SkipTo as
+// its error, and Resume fails with it rather than replaying the wrong
+// batches. Call once, before Handle sees traffic. A volatile shard cannot
+// resume.
 func (s *Shard) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, error) {
 	if s.cfg.Archive == nil {
 		return ResumeReport{}, errors.New("collector: volatile shard cannot Resume")
@@ -219,7 +227,12 @@ func (s *Shard) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, 
 		if err := iter(func(b *wire.Batch) error {
 			seen++
 			if seen <= rep.CheckpointBatches {
-				return nil // already inside the checkpoint
+				// Already inside the checkpoint: skip past all of it.
+				if seen == 1 && rep.CheckpointBatches > 1 {
+					seen = rep.CheckpointBatches
+					return wire.SkipTo(seen)
+				}
+				return nil
 			}
 			// Same order as Handle, minus the archive write: these batches
 			// are already durable.

@@ -42,9 +42,16 @@ func (m *memArchive) Sync() error {
 
 func (m *memArchive) Batches() uint64 { return uint64(len(m.batches)) }
 
+// iter streams the log, honouring wire.SkipTo as Resume requires.
 func (m *memArchive) iter(fn func(*wire.Batch) error) error {
-	for _, b := range m.batches {
-		if err := fn(b); err != nil {
+	for i := 0; i < len(m.batches); i++ {
+		err := fn(m.batches[i])
+		if to, ok := err.(wire.SkipTo); ok {
+			// Position to+1 is index to, where the loop's i++ lands.
+			i = max(i, int(min(uint64(to), uint64(len(m.batches))))-1)
+			continue
+		}
+		if err != nil {
 			return err
 		}
 	}

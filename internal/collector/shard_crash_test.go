@@ -299,3 +299,48 @@ func TestShardKillResumeFleetExact(t *testing.T) {
 		}
 	}
 }
+
+// TestResumeShortfallEndsTheLog: a short write lands in a segment, a
+// checkpoint vouches for it (and so seals the segment), the next segment
+// takes two more batches, and the shard is killed. Recovery keeps the log
+// as its decodable prefix — the later segment goes, since a resume
+// replays by position — so Resume reports exactly the vouched batches the
+// disk lost as Shortfall and replays nothing.
+func TestResumeShortfallEndsTheLog(t *testing.T) {
+	vals := fleetCrashValues()
+	dir := filepath.Join(t.TempDir(), "shard")
+	chaos := fault.NewWriteChaos(nil)
+	cfg := trace.ArchiveConfig{WrapWrites: chaos.Wrap}
+	arch, err := trace.CreateArchive(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newDurableShard(t, nil, 0, arch, dir) // a checkpoint every 4 batches
+	for i := 0; i < 10; i++ {
+		if i == 6 {
+			chaos.ArmShort(0.5) // in segment 2: batches 4-7, sealed by the checkpoint at 8
+		}
+		s.Handle(fleetCrashBatch(vals, 0, i))
+	}
+	if err := s.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	arch2, rec, err := trace.ResumeArchive(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.RemovedSegments, []string{"seg_000003.open"}) || rec.Batches != 6 {
+		t.Fatalf("recovery %+v, want 6 batches kept and the segment after the torn one removed", rec)
+	}
+	s2 := newDurableShard(t, nil, 0, arch2, dir)
+	rep, err := s2.Resume(func(fn func(*wire.Batch) error) error {
+		return trace.IterArchive(dir, fn)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CheckpointBatches != 8 || rep.ArchiveBatches != 6 || rep.Shortfall != 2 || rep.Replayed != 0 {
+		t.Errorf("resume %+v, want the checkpoint's 8 batches over 6 archived: shortfall 2, nothing replayed", rep)
+	}
+}

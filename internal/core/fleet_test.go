@@ -2,7 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"io/fs"
+	"os"
+	"path"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -79,6 +83,59 @@ func fleetFiles(t *testing.T, dir string) []string {
 		t.Fatal(err)
 	}
 	return names
+}
+
+// assertFleetStores holds a durable fleet directory to its shape:
+// campaign.json, and per placement shard an archive.json, a
+// checkpoint.mbc and sealed seg_NNNNNN.mbw segments — nothing else — with
+// the checkpoint's archived-batches mark on a boundary of its manifest.
+func assertFleetStores(t *testing.T, dir string, pl shard.Placement) {
+	t.Helper()
+	segs := make(map[string]int)
+	for _, name := range fleetFiles(t, dir) {
+		if name == trace.MetaFileName {
+			continue
+		}
+		store, file := path.Split(name)
+		var seq int
+		switch _, err := fmt.Sscanf(file, "seg_%06d.mbw", &seq); {
+		case err == nil && file == fmt.Sprintf("seg_%06d.mbw", seq):
+			segs[store]++
+		case file == trace.ArchiveManifestName, file == collector.CheckpointFileName:
+		default:
+			t.Errorf("fleet directory holds %s, which no store has", name)
+		}
+	}
+	if len(segs) != pl.NumShards() {
+		t.Errorf("%d stores hold segments, the placement has %d shards", len(segs), pl.NumShards())
+	}
+	for k := 0; k < pl.NumShards(); k++ {
+		store := filepath.Join(dir, pl.Name(k))
+		if segs[pl.Name(k)+"/"] == 0 {
+			t.Errorf("shard %d's store holds no sealed segment", k)
+		}
+		data, err := os.ReadFile(filepath.Join(store, trace.ArchiveManifestName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man trace.ArchiveManifest
+		if err := json.Unmarshal(data, &man); err != nil {
+			t.Fatal(err)
+		}
+		st, ok, err := collector.LoadCheckpoint(filepath.Join(store, collector.CheckpointFileName))
+		if err != nil || !ok {
+			t.Fatalf("shard %d checkpoint: ok=%v err=%v", k, ok, err)
+		}
+		var end uint64
+		boundary := st.ArchivedBatches == 0
+		for _, s := range man.Segments {
+			end += s.Batches
+			boundary = boundary || end == st.ArchivedBatches
+		}
+		if !boundary {
+			t.Errorf("shard %d: checkpoint mark %d is no segment boundary of %+v", k, st.ArchivedBatches, man.Segments)
+		}
+	}
 }
 
 // mergeShardCheckpoints loads the checkpoint in each placement shard's
@@ -170,16 +227,10 @@ func TestFleetDurableFaultsByteExact(t *testing.T) {
 	}
 
 	// The fleet directory is campaign.json plus one store per shard and
-	// nothing else: no file restates what those hold.
-	want := []string{
-		"campaign.json",
-		"shard_000/archive.json", "shard_000/checkpoint.mbc", "shard_000/seg_000001.mbw", "shard_000/seg_000002.mbw",
-		"shard_001/archive.json", "shard_001/checkpoint.mbc", "shard_001/seg_000001.mbw", "shard_001/seg_000002.mbw",
-		"shard_002/archive.json", "shard_002/checkpoint.mbc", "shard_002/seg_000001.mbw", "shard_002/seg_000002.mbw",
-	}
-	if got := fleetFiles(t, dir); !reflect.DeepEqual(got, want) {
-		t.Errorf("fleet directory holds\n%v, want\n%v", got, want)
-	}
+	// nothing else: no file restates what those hold. A store is its
+	// manifest, its checkpoint and sealed segments, and the checkpoint's
+	// mark is a segment boundary: a checkpoint ends the open segment.
+	assertFleetStores(t, dir, res.Placement)
 	// It round-trips: the placement-stamped campaign meta resolves the
 	// shards, their checkpoints merge to the state the aggregator
 	// reported, and the merged archive stream accounts for every admitted

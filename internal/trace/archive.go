@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,12 +24,16 @@ import (
 //	<dir>/seg_000003.mbw.tmp  — a recording's window still being written
 //
 // mbcollectd's archive is the durable, append-only record of everything
-// it admitted, the write-ahead log the checkpoint/restore path replays:
-// every incarnation opens a new .open segment, a crash leaves at worst a
-// torn tail on it, and RecoverArchive truncates that to the decodable
-// prefix and seals it. A recorded campaign (Writer, trace.go) writes
-// window k as segment k+1 under TempSuffix: a window is whole or absent,
-// so RecoverArchive deletes a partial one instead.
+// it admitted, the write-ahead log the checkpoint/restore path replays. A
+// checkpoint ends the open segment (Sync seals it), so every checkpoint
+// mark is a segment boundary: a resume skips the sealed segments below the
+// mark unopened (IterArchive honours wire.SkipTo) and decodes only those
+// written since. The one .open segment therefore holds only batches
+// admitted since the last checkpoint; a crash leaves at worst a torn tail
+// on it, and RecoverArchive truncates that to the decodable prefix and
+// seals it. A recorded campaign (Writer, trace.go) writes window k as
+// segment k+1 under TempSuffix: a window is whole or absent, so
+// RecoverArchive deletes a partial one instead.
 
 // ArchiveManifestName is the archive manifest file name.
 const ArchiveManifestName = "archive.json"
@@ -59,8 +64,10 @@ type ArchiveConfig struct {
 	// written in (see wire.NewWriterFormat).
 	Format wire.Format
 	// SegmentBatches rotates to a fresh segment after this many batches
-	// (default 4096). Rotation bounds how much one torn tail can cost
-	// and keeps single segments replayable in bounded memory.
+	// (default 4096). A checkpointing collector seals a segment at every
+	// checkpoint (see Sync), far sooner at the default cadence, so the
+	// bound only matters to a log that is never checkpointed: it caps how
+	// much one torn tail can cost there.
 	SegmentBatches int
 	// SyncEvery fsyncs the open segment after this many batches
 	// (default 64). 1 makes every admitted batch durable before the
@@ -99,10 +106,10 @@ type ArchiveWriter struct {
 	man ArchiveManifest
 
 	seq        int
-	openPath   string // the open segment's file until seal renames it
-	f          io.WriteCloser
-	cw         *countWriter
-	bw         *wire.Writer
+	openPath   string         // the open segment's file until seal renames it
+	f          io.WriteCloser // nil while no segment is open
+	cw         countWriter
+	bw         *wire.Writer // kept across segments, Reset for each
 	segBatches uint64
 	segSamples uint64
 
@@ -112,7 +119,11 @@ type ArchiveWriter struct {
 	err       error
 }
 
-// countWriter counts bytes written through it for the manifest.
+// countWriter counts the bytes the encoder handed on for the manifest. It
+// sits above WrapWrites, so it records what the writer believes the
+// segment holds: a storage layer that drops bytes while reporting success
+// leaves the file shorter than its manifest entry, and recovery rescans
+// it instead of trusting a segment with a torn frame inside.
 type countWriter struct {
 	w io.Writer
 	n int64
@@ -206,23 +217,28 @@ func (w *ArchiveWriter) openSegment(seq int, name string) error {
 	if err != nil {
 		return fmt.Errorf("trace: opening segment %d: %w", seq, err)
 	}
-	cw := &countWriter{w: f}
-	var sink io.Writer = cw
+	var sink io.Writer = f
 	if w.cfg.WrapWrites != nil {
 		sink = w.cfg.WrapWrites(sink)
 	}
-	bw, err := wire.NewWriterFormat(sink, w.cfg.Format)
-	if err != nil {
-		f.Close()
-		return err
+	w.cw = countWriter{w: sink}
+	if w.bw == nil {
+		if w.bw, err = wire.NewWriterFormat(&w.cw, w.cfg.Format); err != nil {
+			f.Close()
+			return err
+		}
+	} else {
+		// A fresh delta chain: every segment decodes standalone.
+		w.bw.Reset(&w.cw)
 	}
-	w.seq, w.openPath, w.f, w.cw, w.bw = seq, path, f, cw, bw
+	w.seq, w.openPath, w.f = seq, path, f
 	w.segBatches, w.segSamples, w.sinceSync = 0, 0, 0
 	return nil
 }
 
-// WriteBatch appends one batch, rotating segments and fsyncing per the
-// configured cadence. On error the writer is failed for good.
+// WriteBatch appends one batch, opening a segment when none is open (the
+// one before was sealed by a checkpoint or by rotation) and fsyncing per
+// the configured cadence. On error the writer is failed for good.
 func (w *ArchiveWriter) WriteBatch(b *wire.Batch) error {
 	if w.err != nil {
 		return w.err
@@ -230,8 +246,14 @@ func (w *ArchiveWriter) WriteBatch(b *wire.Batch) error {
 	if w.closed {
 		return errors.New("trace: archive closed")
 	}
-	if w.segBatches >= uint64(w.cfg.SegmentBatches) {
-		if err := w.rotate(); err != nil {
+	if w.f != nil && w.segBatches >= uint64(w.cfg.SegmentBatches) {
+		if err := w.seal(); err != nil {
+			w.err = err
+			return err
+		}
+	}
+	if w.f == nil {
+		if err := w.openSegment(w.seq+1, segOpenName(w.seq+1)); err != nil {
 			w.err = err
 			return err
 		}
@@ -245,14 +267,18 @@ func (w *ArchiveWriter) WriteBatch(b *wire.Batch) error {
 	w.segSamples += uint64(len(b.Samples))
 	w.sinceSync++
 	if w.sinceSync >= w.cfg.SyncEvery {
-		return w.Sync()
+		return w.fsync()
 	}
 	return nil
 }
 
 // Sync makes everything written so far durable (when the segment file
-// supports fsync). The checkpointer calls this before persisting a
-// high-water mark so the checkpoint never claims batches the disk lost.
+// supports fsync) and, when the open segment holds a batch, ends it:
+// sealed and listed in the manifest, with the next write opening a new
+// one. The checkpointer calls this before persisting a high-water mark,
+// so the checkpoint never claims batches the disk lost and the mark it
+// records is a segment boundary — what lets a resume skip every segment
+// below it unopened.
 func (w *ArchiveWriter) Sync() error {
 	if w.err != nil {
 		return w.err
@@ -260,6 +286,19 @@ func (w *ArchiveWriter) Sync() error {
 	if w.closed || w.f == nil {
 		return nil
 	}
+	if w.segBatches == 0 {
+		return w.fsync()
+	}
+	if err := w.seal(); err != nil {
+		w.err = err
+		return err
+	}
+	return nil
+}
+
+// fsync makes the open segment durable without ending it: the SyncEvery
+// cadence.
+func (w *ArchiveWriter) fsync() error {
 	if err := maybeSync(w.f); err != nil {
 		w.err = fmt.Errorf("trace: syncing segment %d: %w", w.seq, err)
 		return w.err
@@ -274,7 +313,9 @@ func (w *ArchiveWriter) Sync() error {
 func (w *ArchiveWriter) Batches() uint64 { return w.total }
 
 // seal fsyncs, closes, and renames the open segment into its sealed name,
-// then records it in the manifest.
+// then records it in the manifest, whose atomic save fsyncs the directory
+// and so makes the rename durable too. A crash between the two leaves a
+// sealed file the manifest does not list, which recovery rescans.
 func (w *ArchiveWriter) seal() error {
 	if w.f == nil {
 		return nil
@@ -289,19 +330,11 @@ func (w *ArchiveWriter) seal() error {
 	if err := os.Rename(w.openPath, filepath.Join(w.dir, segName(w.seq))); err != nil {
 		return fmt.Errorf("trace: sealing segment %d: %w", w.seq, err)
 	}
-	syncDir(w.dir)
 	w.man.Segments = append(w.man.Segments, SegmentInfo{
 		Seq: w.seq, Batches: w.segBatches, Samples: w.segSamples, Bytes: w.cw.n,
 	})
-	w.f, w.bw, w.cw = nil, nil, nil
+	w.f = nil
 	return saveArchiveManifest(w.dir, w.man)
-}
-
-func (w *ArchiveWriter) rotate() error {
-	if err := w.seal(); err != nil {
-		return err
-	}
-	return w.openSegment(w.seq+1, segOpenName(w.seq+1))
 }
 
 // abandon drops the open segment — file closed and deleted — and clears
@@ -337,10 +370,19 @@ func (w *ArchiveWriter) Close() error {
 // recording. The batch is only valid for the duration of the call (the
 // reader reuses it). Run RecoverArchive first after a crash; IterArchive
 // treats damage as an error.
+//
+// fn may return wire.SkipTo(n) to be handed next the batch at position
+// n+1. IterArchive then opens no segment whose manifest range ends at or
+// below n, and decodes the segment the mark lands in from its start,
+// dropping its batches up to n — none, for a mark a checkpoint recorded,
+// since Sync ends a segment there. Only a requested skip goes by the
+// manifest's batch counts; a plain iteration decodes every listed segment
+// whatever its entry says.
 func IterArchive(dir string, fn func(b *wire.Batch) error) error {
 	if fn == nil {
 		return errors.New("trace: nil batch handler")
 	}
+	sk := &skipper{fn: fn, end: math.MaxUint64}
 	man, err := loadArchiveManifest(dir)
 	if err != nil {
 		// No manifest: a legacy window dir, if any of the windows its
@@ -353,7 +395,9 @@ func IterArchive(dir string, fn func(b *wire.Batch) error) error {
 			if !r.HasWindow(idx) {
 				continue
 			}
-			if err = r.IterWindow(idx, fn); err != nil {
+			if err = r.IterWindow(idx, sk.visit); err == errPassSegment {
+				err = nil
+			} else if err != nil {
 				return err
 			}
 		}
@@ -361,11 +405,53 @@ func IterArchive(dir string, fn func(b *wire.Batch) error) error {
 	}
 	sort.Slice(man.Segments, func(i, j int) bool { return man.Segments[i].Seq < man.Segments[j].Seq })
 	for _, s := range man.Segments {
+		sk.end = sk.pos + s.Batches
+		if sk.skipping && sk.end <= sk.mark {
+			sk.pos = sk.end // wholly below the mark: never opened
+			continue
+		}
 		// Fresh reader per segment: each segment is a standalone codec
 		// stream (MBW3 delta chains never cross segment boundaries).
-		if err := iterFile(filepath.Join(dir, segName(s.Seq)), fmt.Sprintf("segment %d", s.Seq), fn); err != nil {
+		err := iterFile(filepath.Join(dir, segName(s.Seq)), fmt.Sprintf("segment %d", s.Seq), sk.visit)
+		if err == errPassSegment {
+			sk.pos = max(sk.pos, sk.end)
+			continue
+		}
+		if err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// skipper hands an archive's batches to fn, honouring the wire.SkipTo fn
+// may return: pos counts the batches passed so far, and those up to mark
+// are dropped undelivered.
+type skipper struct {
+	fn        func(*wire.Batch) error
+	pos, mark uint64
+	end       uint64 // the position the segment being decoded ends at, by its manifest entry
+	skipping  bool   // a skip was requested, so manifest counts are trusted from here on
+}
+
+// errPassSegment leaves a segment whose remaining batches all lie at or
+// below the skip mark.
+var errPassSegment = errors.New("trace: rest of segment lies below the skip mark")
+
+func (sk *skipper) visit(b *wire.Batch) error {
+	sk.pos++
+	if sk.pos <= sk.mark {
+		return nil
+	}
+	err := sk.fn(b)
+	var to wire.SkipTo
+	if err == nil || !errors.As(err, &to) {
+		return err
+	}
+	sk.skipping = true
+	sk.mark = max(sk.mark, uint64(to))
+	if sk.end <= sk.mark {
+		return errPassSegment
 	}
 	return nil
 }

@@ -214,3 +214,98 @@ func TestArchiveSyncErrorPropagates(t *testing.T) {
 		t.Fatal("Close swallowed the sync failure")
 	}
 }
+
+// TestIterArchiveSkipTo is the wire.SkipTo contract: a callback that asks
+// at the first batch to skip to n is handed exactly the full stream's
+// batches n+1… — for n from the start, at a segment boundary,
+// mid-segment, at the end and past it, over an archive and over a legacy
+// window dir — and repeated requests compose, one at or below the current
+// position skipping nothing.
+func TestIterArchiveSkipTo(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "a")
+	w, err := CreateArchive(dir, ArchiveConfig{SegmentBatches: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := w.WriteBatch(archiveBatch(i, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	legacy := copyLegacyFixture(t)
+	for _, d := range []string{dir, legacy} {
+		full := collectArchive(t, d) // the archive's segments hold 3, 3, 3 and 1
+		for _, n := range []int{0, 1, 3, 4, 6, 9, 10, 15} {
+			var got []wire.Batch
+			keep, first := appendBatch(&got), true
+			if err := IterArchive(d, func(b *wire.Batch) error {
+				if first {
+					first = false
+					if n == 0 {
+						keep(b)
+					}
+					return wire.SkipTo(n)
+				}
+				return keep(b)
+			}); err != nil {
+				t.Fatalf("%s: SkipTo(%d): %v", filepath.Base(d), n, err)
+			}
+			if want := full[min(n, len(full)):]; len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: SkipTo(%d) at the first batch delivers %d batches, want the %d after it", filepath.Base(d), n, len(got), len(want))
+			}
+		}
+	}
+
+	// Repeated skips, by 1-based position: from 1 to 2, from 3 past the
+	// rest of segment 2, a no-op at 6, one below the position at 7, then
+	// to 9.
+	full := collectArchive(t, dir)
+	skips := map[int]int{1: 2, 3: 5, 6: 6, 7: 4, 8: 9}
+	delivered := []int{1, 3, 6, 7, 8, 10}
+	calls := 0
+	if err := IterArchive(dir, func(b *wire.Batch) error {
+		if calls == len(delivered) {
+			t.Fatalf("delivered more than positions %v", delivered)
+		}
+		pos := delivered[calls]
+		calls++
+		if !reflect.DeepEqual(*b, full[pos-1]) {
+			t.Errorf("call %d: got a batch other than position %d", calls, pos)
+		}
+		if to, ok := skips[pos]; ok {
+			return wire.SkipTo(to)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if calls != len(delivered) {
+		t.Errorf("delivered %d batches, want positions %v", calls, delivered)
+	}
+}
+
+// TestIterArchiveOtherErrorsStop: an error that is not a SkipTo still
+// ends the iteration and comes back as is.
+func TestIterArchiveOtherErrorsStop(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "a")
+	w, err := CreateArchive(dir, ArchiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := w.WriteBatch(archiveBatch(i, 5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	calls := 0
+	if err := IterArchive(dir, func(*wire.Batch) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Errorf("IterArchive = %v after %d calls, want the callback's error after 1", err, calls)
+	}
+}

@@ -3,23 +3,21 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"mburst/internal/collector"
 )
 
 // This file holds the fsync discipline shared by campaign writers and the
-// collector archive. Crash safety rests on three primitives:
+// collector archive. Crash safety rests on two primitives:
 //
 //   - writeJSON: small metadata files (campaign.json, the manifests) are
 //     written to a temp name, fsynced, renamed into place, and the
 //     directory fsynced — a crash leaves either the old or the new
-//     content, never a torn mixture.
+//     content, never a torn mixture. That directory fsync also makes
+//     durable a segment rename just before a manifest save.
 //   - maybeSync: bulk segment files are fsynced through whatever the
 //     Opener handed back, when it supports it (os.File does; test
 //     doubles may not).
-//   - syncDir: renames only become durable once the containing directory
-//     entry is flushed (best effort: not every filesystem can).
 
 // TempSuffix marks in-flight files that have not been atomically
 // finalized. Recovery deletes them; readers ignore them.
@@ -35,17 +33,6 @@ func maybeSync(v any) error {
 		return s.Sync()
 	}
 	return nil
-}
-
-// syncDir fsyncs the directory so renames performed inside it survive a
-// crash. Filesystems without directory handles, or that reject fsync on
-// one, make this a no-op rather than an error: the rename itself already
-// happened, we only lose the durability barrier.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 }
 
 // writeJSON durably replaces path with v as indented JSON: temp file in

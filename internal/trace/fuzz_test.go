@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mburst/internal/wire"
@@ -23,16 +24,20 @@ func segmentBytes(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// FuzzTraceRecover feeds arbitrary bytes to the recovery scan as a crashed
-// tail, once as a collector's open segment and once as a recording's
-// sealed-but-unlisted window. Recovery must never panic, must
-// leave only decodable data behind, and what it reports must match what
-// a subsequent read actually finds.
+// FuzzTraceRecover feeds arbitrary bytes to the recovery scan three
+// ways: as a collector's crashed open segment, as the sealed middle
+// segment of a collector's log whose manifest entry they do not match,
+// and as a recording's sealed-but-unlisted window. Recovery must never
+// panic, must leave only decodable data behind — in a log, only its
+// decodable prefix — and what it reports must match what a subsequent
+// read actually finds.
 func FuzzTraceRecover(f *testing.F) {
-	// Seeds: a segment as it is written today, and two as older builds
-	// left them — an MBW1 window of a recording and an MBW2 segment of a
-	// collector's log, both parent-written.
-	seeds := [][]byte{segmentBytes(f)}
+	// Seeds: a segment as it is written today, two as older builds left
+	// them — an MBW1 window of a recording and an MBW2 segment of a
+	// collector's log, both parent-written — and two MBW3 streams run
+	// together, what appending to a segment with a fresh encoder writes.
+	seg := segmentBytes(f)
+	seeds := [][]byte{seg, append(append([]byte(nil), seg...), seg...)}
 	for _, legacy := range []string{
 		"../../cmd/mbreplay/testdata/trace_v1_parent/seg_000001.mbw",
 		"../../cmd/mbdump/testdata/fleet_parent/shard_000/seg_000002.mbw",
@@ -82,6 +87,52 @@ func FuzzTraceRecover(f *testing.F) {
 				rec.Batches, rec.Samples, batches, samples)
 		}
 
+		// Log path: the bytes are segment 2 of three, sealed under an entry
+		// that claims more than they hold (a storage layer's short write), between
+		// an intact sealed segment 1 and an intact open segment 3.
+		ldir := filepath.Join(t.TempDir(), "log")
+		if err := os.MkdirAll(ldir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		good := segmentBytes(t)
+		if err := saveArchiveManifest(ldir, ArchiveManifest{Segments: []SegmentInfo{
+			{Seq: 1, Batches: 4, Samples: 64, Bytes: int64(len(good))},
+			{Seq: 2, Batches: 4, Samples: 64, Bytes: int64(len(data)) + 1},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string][]byte{segName(1): good, segName(2): data, segOpenName(3): good} {
+			if err := os.WriteFile(filepath.Join(ldir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lrec, err := RecoverArchive(ldir)
+		if err != nil {
+			t.Fatalf("RecoverArchive: %v", err)
+		}
+		if len(lrec.Scanned) == 0 || lrec.Scanned[0].Name != segName(2) {
+			t.Fatalf("log recovery scanned %+v, want segment 2 first", lrec.Scanned)
+		}
+		mid := lrec.Scanned[0]
+		wantBatches := 4 + mid.Batches
+		if mid.Torn {
+			if len(lrec.RemovedSegments) != 1 || len(lrec.Scanned) != 1 {
+				t.Fatalf("segment 2 scanned torn, yet recovery %+v kept what follows it", lrec)
+			}
+		} else {
+			wantBatches += 4
+			if len(lrec.RemovedSegments) != 0 {
+				t.Fatalf("segment 2 scanned whole, yet recovery removed %v", lrec.RemovedSegments)
+			}
+		}
+		batches = 0
+		if err := IterArchive(ldir, func(*wire.Batch) error { batches++; return nil }); err != nil {
+			t.Fatalf("recovered log does not decode: %v", err)
+		}
+		if batches != wantBatches || lrec.Batches != wantBatches {
+			t.Fatalf("log recovery reported %d batches, replay found %d, want %d", lrec.Batches, batches, wantBatches)
+		}
+
 		// Campaign path: the bytes are window 0 of a recording, under its
 		// sealed name but with no manifest entry.
 		cdir := filepath.Join(t.TempDir(), "camp")
@@ -122,10 +173,15 @@ func FuzzTraceRecover(f *testing.F) {
 // IterArchive decode both segments, whole, once each. Its report must
 // account for both: scanned ones counted truthfully, and a segment taken
 // on the manifest's word (listed at its true size — the one thing a
-// manifest is trusted for) reported with the manifest's counts.
+// manifest is trusted for) reported with the manifest's counts. When the
+// counts it leaves are the segments' true ones, a wire.SkipTo(k) asked at
+// the first batch must yield exactly the full stream's batches k+1….
 func FuzzArchiveManifest(f *testing.F) {
 	seg := segmentBytes(f)
 	f.Add([]byte(`{"wire_format":"mbw3","segments":[{"seq":1,"batches":4,"samples":64,"bytes":` + fmt.Sprint(len(seg)) + `}]}`))
+	// Segment 1 at its true size with no count: trusted, and read in full
+	// by any iteration that did not ask to skip.
+	f.Add([]byte(`{"segments":[{"seq":1,"bytes":` + fmt.Sprint(len(seg)) + `}]}`))
 	f.Add([]byte(`{"segments":[{"seq":1,"bytes":1},{"seq":1,"bytes":2},{"seq":-1},{"seq":9223372036854775807}]}`))
 	f.Add([]byte(`{"segments":[{"seq":1e99}]}`))
 	f.Add([]byte(`{"segments":null}`))
@@ -145,13 +201,13 @@ func FuzzArchiveManifest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var batches, samples uint64
-		if err := IterArchive(dir, func(b *wire.Batch) error {
-			batches++
-			samples += uint64(len(b.Samples))
-			return nil
-		}); err != nil {
+		var full []wire.Batch
+		if err := IterArchive(dir, appendBatch(&full)); err != nil {
 			t.Fatalf("recovered archive does not decode: %v", err)
+		}
+		batches, samples := uint64(len(full)), uint64(0)
+		for _, b := range full {
+			samples += uint64(len(b.Samples))
 		}
 		if batches != 8 || samples != 128 {
 			t.Fatalf("two whole segments of 4 batches, 64 samples replay as %d batches, %d samples", batches, samples)
@@ -167,6 +223,35 @@ func FuzzArchiveManifest(f *testing.F) {
 		if rec.SealedSegments == 0 && (rec.Batches != batches || rec.Samples != samples) {
 			t.Fatalf("recovery reported %d/%d batches/samples, replay found %d/%d",
 				rec.Batches, rec.Samples, batches, samples)
+		}
+		man, err := loadArchiveManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range man.Segments {
+			if s.Batches != 4 {
+				return // counts the skip cannot go by
+			}
+		}
+		for k := 0; k <= len(full)+1; k++ {
+			var got []wire.Batch
+			keep, first := appendBatch(&got), true
+			if err := IterArchive(dir, func(b *wire.Batch) error {
+				if first {
+					first = false
+					if k == 0 {
+						keep(b)
+					}
+					return wire.SkipTo(k)
+				}
+				return keep(b)
+			}); err != nil {
+				t.Fatalf("SkipTo(%d): %v", k, err)
+			}
+			want := full[min(k, len(full)):]
+			if len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+				t.Fatalf("SkipTo(%d) at the first batch yields %d batches, want the %d after it", k, len(got), len(want))
+			}
 		}
 	})
 }

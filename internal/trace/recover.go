@@ -106,6 +106,10 @@ type ArchiveRecovery struct {
 	Scanned []SegmentRecovery `json:"scanned,omitempty"`
 	// RemovedTemps lists in-flight temp files that were deleted.
 	RemovedTemps []string `json:"removed_temps,omitempty"`
+	// RemovedSegments lists segments of a collector's log that followed a
+	// torn one and were deleted: a resume replays the log by position, so
+	// it is kept as its decodable prefix.
+	RemovedSegments []string `json:"removed_segments,omitempty"`
 	// Batches and Samples total the durable archive after repair.
 	Batches uint64 `json:"batches"`
 	Samples uint64 `json:"samples"`
@@ -115,10 +119,14 @@ type ArchiveRecovery struct {
 // temp files (a recording's in-flight window among them) are removed,
 // manifest-sealed segments are trusted at their recorded size, open
 // segments are truncated to their decodable prefix and sealed, and
-// unlisted or missized sealed files are rescanned. After it returns,
-// IterArchive decodes every byte the manifest claims, and a second run
-// scans nothing. It never panics on damaged input (see FuzzTraceRecover
-// and FuzzArchiveManifest).
+// unlisted or missized sealed files are rescanned. A collector's log is
+// kept as its decodable prefix: once a segment rescans torn, every later
+// segment is removed, since a resume replays the log by position and
+// could not replay them in order. A recording's windows are independent
+// (and written in any order), so there a torn window costs only itself.
+// After it returns, IterArchive decodes every byte the manifest claims,
+// and a second run scans nothing. It never panics on damaged input (see
+// FuzzTraceRecover and FuzzArchiveManifest).
 func RecoverArchive(dir string) (*ArchiveRecovery, error) {
 	man, err := loadArchiveManifest(dir)
 	if err != nil {
@@ -132,13 +140,15 @@ func RecoverArchive(dir string) (*ArchiveRecovery, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
+	_, err = os.Stat(filepath.Join(dir, MetaFileName))
+	isLog := err != nil
 	rep := &ArchiveRecovery{}
-	out := ArchiveManifest{Format: man.Format}
-	record := func(info SegmentInfo) {
-		out.Segments = append(out.Segments, info)
-		rep.Batches += info.Batches
-		rep.Samples += info.Samples
+	type segFile struct {
+		seq  int
+		open bool
+		e    os.DirEntry
 	}
+	var segs []segFile
 	for _, e := range entries {
 		name := e.Name()
 		if strings.HasSuffix(name, TempSuffix) {
@@ -156,21 +166,41 @@ func RecoverArchive(dir string) (*ArchiveRecovery, error) {
 		if !open && name != segName(seq) {
 			continue
 		}
-		fi, err := e.Info()
+		segs = append(segs, segFile{seq: seq, open: open, e: e})
+	}
+	// Names sort by seq only below a million segments.
+	sort.SliceStable(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
+	out := ArchiveManifest{Format: man.Format}
+	record := func(info SegmentInfo) {
+		out.Segments = append(out.Segments, info)
+		rep.Batches += info.Batches
+		rep.Samples += info.Samples
+	}
+	torn := false
+	for _, sf := range segs {
+		seq, name := sf.seq, sf.e.Name()
+		path := filepath.Join(dir, name)
+		if torn {
+			if err := os.Remove(path); err != nil {
+				return nil, fmt.Errorf("trace: %w", err)
+			}
+			rep.RemovedSegments = append(rep.RemovedSegments, name)
+			continue
+		}
+		fi, err := sf.e.Info()
 		if err != nil {
 			return nil, fmt.Errorf("trace: %w", err)
 		}
-		if info, ok := sealed[seq]; ok && !open && info.Bytes == fi.Size() {
+		if info, ok := sealed[seq]; ok && !sf.open && info.Bytes == fi.Size() {
 			rep.SealedSegments++
 			record(info)
 			continue
 		}
-		path := filepath.Join(dir, name)
 		res, err := scanFile(path)
 		if err != nil {
 			return nil, err
 		}
-		if open {
+		if sf.open {
 			if err := os.Rename(path, filepath.Join(dir, segName(seq))); err != nil {
 				return nil, fmt.Errorf("trace: sealing segment %d: %w", seq, err)
 			}
@@ -183,8 +213,8 @@ func RecoverArchive(dir string) (*ArchiveRecovery, error) {
 			Torn:           res.Torn,
 		})
 		record(SegmentInfo{Seq: seq, Batches: res.Batches, Samples: res.Samples, Bytes: res.GoodBytes})
+		torn = isLog && res.Torn
 	}
-	sort.Slice(rep.Scanned, func(i, j int) bool { return rep.Scanned[i].Name < rep.Scanned[j].Name })
 	if err := saveArchiveManifest(dir, out); err != nil {
 		return nil, err
 	}

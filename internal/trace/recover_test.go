@@ -2,10 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"mburst/internal/wire"
 )
 
 // The recovery behaviours a recorded campaign had under its own scan,
@@ -223,5 +226,113 @@ func TestScanStreamEveryTruncation(t *testing.T) {
 		if cut < len(data) && cut > int(res.GoodBytes) && !res.Torn {
 			t.Fatalf("cut %d: torn tail not reported: %+v", cut, res)
 		}
+	}
+}
+
+// shortOnce persists half of one armed write while reporting all of it
+// written: a storage layer that lies about durability.
+type shortOnce struct {
+	w     io.Writer
+	armed bool
+}
+
+func (s *shortOnce) Write(p []byte) (int, error) {
+	if !s.armed {
+		return s.w.Write(p)
+	}
+	s.armed = false
+	if _, err := s.w.Write(p[:len(p)/2]); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// TestRecoverKeepsDecodablePrefix: a short write lands in segment 2, a
+// checkpoint's Sync seals it, segment 3 takes two more batches, and the
+// process dies. Segment 2 rescans torn — its manifest entry counts the
+// bytes the writer believed it wrote — so the log ends at segment 2's
+// good prefix and segment 3 goes: a resume replays the log by position,
+// and past the hole every position would name another batch.
+func TestRecoverKeepsDecodablePrefix(t *testing.T) {
+	dir := t.TempDir()
+	lie := &shortOnce{}
+	w, err := CreateArchive(dir, ArchiveConfig{
+		WrapWrites: func(f io.Writer) io.Writer { lie.w = f; return lie },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []wire.Batch
+	write := func(i int) {
+		b := archiveBatch(i, 6)
+		if err := w.WriteBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, *b)
+	}
+	sync := func() {
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0)
+	write(1)
+	sync() // segment 1: batches 0-1
+	write(2)
+	lie.armed = true
+	write(3)
+	write(4)
+	sync() // segment 2: batch 2, half of 3, then 4
+	write(5)
+	write(6) // segment 3, open at the kill
+
+	rep, err := RecoverArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Batches != 3 || rep.SealedSegments != 1 || len(rep.Scanned) != 1 || !rep.Scanned[0].Torn {
+		t.Errorf("recovery report %+v, want segment 1 trusted and segment 2 torn, 3 batches kept", rep)
+	}
+	if !reflect.DeepEqual(rep.RemovedSegments, []string{segOpenName(3)}) {
+		t.Errorf("recovery removed %v, want the segment after the torn one", rep.RemovedSegments)
+	}
+	if got, want := dirNames(t, dir), []string{ArchiveManifestName, segName(1), segName(2)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered log holds %v, want %v", got, want)
+	}
+	man, err := loadArchiveManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(man.Segments) != 2 || man.Segments[0].Batches != 2 || man.Segments[1].Batches != 1 {
+		t.Errorf("manifest %+v, want segment 1 whole and segment 2 at its one good batch", man.Segments)
+	}
+	if got := collectArchive(t, dir); !reflect.DeepEqual(got, want[:3]) {
+		t.Errorf("recovered log replays %d batches, want the first 3 written", len(got))
+	}
+	rep2, err := RecoverArchive(dir)
+	if err != nil || rep2.SealedSegments != 2 || len(rep2.Scanned) != 0 || len(rep2.RemovedSegments) != 0 {
+		t.Errorf("second recovery %+v, %v: want both segments trusted, nothing scanned or removed", rep2, err)
+	}
+}
+
+// TestRecoverKeepsWindowsAfterATornOne: a recording's windows are
+// independent, so a damaged window costs only itself.
+func TestRecoverKeepsWindowsAfterATornOne(t *testing.T) {
+	dir := t.TempDir()
+	writeCampaign(t, dir, 10, 20, 30)
+	path := filepath.Join(dir, segName(2))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RecoverArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.RemovedSegments) != 0 || rep.SealedSegments != 2 || len(rep.Scanned) != 1 || !rep.Scanned[0].Torn {
+		t.Errorf("recovery report %+v, want window 1 torn and windows 0 and 2 kept", rep)
 	}
 }

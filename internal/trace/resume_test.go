@@ -7,6 +7,8 @@ package trace_test
 // figures, ingest counters — to a collector that never died.
 
 import (
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,13 +40,12 @@ func resumeBatch(i int) *wire.Batch {
 }
 
 type resumePipeline struct {
-	arch    *trace.ArchiveWriter
 	ingest  *collector.Shard
 	figures *collector.LiveFigures
 	stats   *collector.IngestStats
 }
 
-func newResumePipeline(t *testing.T, arch *trace.ArchiveWriter, ckpt string) *resumePipeline {
+func newResumePipeline(t *testing.T, arch collector.ArchiveSink, ckpt string) *resumePipeline {
 	t.Helper()
 	figures, err := collector.NewLiveFigures(collector.LiveFiguresConfig{
 		SpeedOf: func(uint32, uint16) uint64 { return 10_000_000_000 },
@@ -63,7 +64,7 @@ func newResumePipeline(t *testing.T, arch *trace.ArchiveWriter, ckpt string) *re
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &resumePipeline{arch: arch, ingest: ingest, figures: figures, stats: stats}
+	return &resumePipeline{ingest: ingest, figures: figures, stats: stats}
 }
 
 func decodeArchive(t *testing.T, dir string) []wire.Batch {
@@ -79,26 +80,71 @@ func decodeArchive(t *testing.T, dir string) []wire.Batch {
 	return out
 }
 
+// openSegmentPath finds the archive's one segment still open for appends.
+func openSegmentPath(t *testing.T, dir string) string {
+	t.Helper()
+	open, err := filepath.Glob(filepath.Join(dir, "seg_*.open"))
+	if err != nil || len(open) != 1 {
+		t.Fatalf("%s holds open segments %v (%v), want exactly one", dir, open, err)
+	}
+	return open[0]
+}
+
+// runResumeOracle runs a collector that never dies over total batches,
+// cleanly closed, and returns it with its archive directory.
+func runResumeOracle(t *testing.T, cfg trace.ArchiveConfig, total int) (*resumePipeline, string) {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "oracle")
+	arch, err := trace.CreateArchive(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := newResumePipeline(t, arch, filepath.Join(dir, "checkpoint.json"))
+	for i := 0; i < total; i++ {
+		p.ingest.Handle(resumeBatch(i))
+	}
+	if err := p.ingest.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := arch.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return p, dir
+}
+
+// finishAgainst feeds p the batches from..total, closes its archive and
+// holds its state — and the decoded archive, when checkArchive — to the
+// uninterrupted oracle's.
+func finishAgainst(t *testing.T, p *resumePipeline, arch *trace.ArchiveWriter, from, total int,
+	oracle *resumePipeline, dir, oDir string, checkArchive bool) {
+	t.Helper()
+	for i := from; i < total; i++ {
+		p.ingest.Handle(resumeBatch(i))
+	}
+	if err := p.ingest.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := arch.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if checkArchive {
+		if got, want := decodeArchive(t, dir), decodeArchive(t, oDir); !reflect.DeepEqual(got, want) {
+			t.Errorf("archive streams diverge: %d vs %d batches", len(got), len(want))
+		}
+	}
+	if !reflect.DeepEqual(p.figures.State(), oracle.figures.State()) {
+		t.Error("live figures diverge from the uninterrupted run")
+	}
+	if !reflect.DeepEqual(p.stats.Snapshot(), oracle.stats.Snapshot()) {
+		t.Errorf("ingest stats diverge: %+v vs %+v", p.stats.Snapshot(), oracle.stats.Snapshot())
+	}
+}
+
 func TestCollectorCrashResumeByteExact(t *testing.T) {
 	const total, killAt = 40, 23
 	cfg := trace.ArchiveConfig{SegmentBatches: 8, SyncEvery: 2}
 
-	// Oracle: a collector that never dies, cleanly closed.
-	oDir := filepath.Join(t.TempDir(), "oracle")
-	oArch, err := trace.CreateArchive(oDir, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := newResumePipeline(t, oArch, filepath.Join(oDir, "checkpoint.json"))
-	for i := 0; i < total; i++ {
-		oracle.ingest.Handle(resumeBatch(i))
-	}
-	if err := oracle.ingest.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := oArch.Close(); err != nil {
-		t.Fatal(err)
-	}
+	oracle, oDir := runResumeOracle(t, cfg, total)
 
 	// Crashing run: same traffic up to killAt, then the process dies with
 	// the segment open and a torn frame on its tail.
@@ -113,7 +159,7 @@ func TestCollectorCrashResumeByteExact(t *testing.T) {
 		p1.ingest.Handle(resumeBatch(i))
 	}
 	// The kill lands mid-write: garbage on the open segment's tail.
-	open, err := os.OpenFile(filepath.Join(dir, "seg_000003.open"), os.O_WRONLY|os.O_APPEND, 0)
+	open, err := os.OpenFile(openSegmentPath(t, dir), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,4 +229,108 @@ func TestCollectorCrashResumeByteExact(t *testing.T) {
 	if !reflect.DeepEqual(p2.figures.Snapshot(), oracle.figures.Snapshot()) {
 		t.Error("rendered figures snapshot diverges")
 	}
+}
+
+// unsealedSink drives an archive as builds did before a checkpoint ended
+// the open segment: Sync leaves it open, so checkpoint marks fall inside a
+// segment.
+type unsealedSink struct{ *trace.ArchiveWriter }
+
+func (unsealedSink) Sync() error { return nil }
+
+// TestMidSegmentMarkResumesByteExact: an archive an older build left —
+// one segment, the checkpoint mark inside it — still resumes byte-exact.
+// The skip lands mid-segment, which is decoded from its start with the
+// batches up to the mark dropped.
+func TestMidSegmentMarkResumesByteExact(t *testing.T) {
+	const total, killAt = 40, 23
+	cfg := trace.ArchiveConfig{}
+	oracle, oDir := runResumeOracle(t, cfg, total)
+
+	dir := filepath.Join(t.TempDir(), "crash")
+	ckpt := filepath.Join(dir, "checkpoint.json")
+	arch, err := trace.CreateArchive(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1 := newResumePipeline(t, unsealedSink{arch}, ckpt)
+	for i := 0; i < killAt; i++ {
+		p1.ingest.Handle(resumeBatch(i))
+	}
+	if open := openSegmentPath(t, dir); filepath.Base(open) != "seg_000001.open" {
+		t.Fatalf("the older layout keeps one segment open, found %s", open)
+	}
+
+	arch2, _, err := trace.ResumeArchive(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2 := newResumePipeline(t, arch2, ckpt)
+	rep, err := p2.ingest.Resume(func(fn func(*wire.Batch) error) error {
+		return trace.IterArchive(dir, fn)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CheckpointBatches != 20 || rep.Replayed != 3 || rep.ArchiveBatches != killAt {
+		t.Fatalf("resume %+v, want the mark at 20 inside segment 1 and 3 batches replayed", rep)
+	}
+	finishAgainst(t, p2, arch2, killAt, total, oracle, dir, oDir, true)
+}
+
+// TestResumeReadsNothingBelowTheMark: every checkpoint ends a segment, so
+// a resume opens no segment below the mark but the first, where it asks
+// for the skip — and of that one it reads one frame. Garbage in place of
+// everything else below the mark changes nothing.
+func TestResumeReadsNothingBelowTheMark(t *testing.T) {
+	const total, killAt = 40, 23
+	cfg := trace.ArchiveConfig{}
+	oracle, oDir := runResumeOracle(t, cfg, total)
+
+	dir := filepath.Join(t.TempDir(), "crash")
+	ckpt := filepath.Join(dir, "checkpoint.json")
+	arch, err := trace.CreateArchive(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1 := newResumePipeline(t, arch, ckpt)
+	for i := 0; i < killAt; i++ {
+		p1.ingest.Handle(resumeBatch(i))
+	}
+	arch2, rec, err := trace.ResumeArchive(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.SealedSegments != 5 || len(rec.Scanned) != 1 || rec.Scanned[0].Batches != 3 {
+		t.Fatalf("recovery %+v, want five sealed 4-batch segments trusted and only the open one's 3 batches scanned", rec)
+	}
+	for seq := 1; seq <= 5; seq++ { // wholly below the mark at 20
+		path := filepath.Join(dir, fmt.Sprintf("seg_%06d.mbw", seq))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := 0
+		if seq == 1 {
+			n, w := binary.Uvarint(data[4:])
+			keep = 4 + w + int(n) + 4
+		}
+		for i := keep; i < len(data); i++ {
+			data[i] = 0xa5
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p2 := newResumePipeline(t, arch2, ckpt)
+	rep, err := p2.ingest.Resume(func(fn func(*wire.Batch) error) error {
+		return trace.IterArchive(dir, fn)
+	})
+	if err != nil {
+		t.Fatalf("resume read below its mark: %v", err)
+	}
+	if rep.CheckpointBatches != 20 || rep.Replayed != 3 {
+		t.Fatalf("resume %+v, want the mark at 20 and 3 batches replayed", rep)
+	}
+	finishAgainst(t, p2, arch2, killAt, total, oracle, dir, oDir, false)
 }

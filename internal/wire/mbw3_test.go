@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -423,5 +424,40 @@ func TestMBW3StreamsAreIndependent(t *testing.T) {
 		if !reflect.DeepEqual(as[i], ga) || !reflect.DeepEqual(bs[i], gb) {
 			t.Fatalf("stream independence violated at batch %d", i)
 		}
+	}
+}
+
+// TestWriterResetIsFresh: a Writer Reset onto a new stream emits exactly
+// the bytes a new Writer would, whatever chain state, successor hints and
+// buffers the stream before it left behind — the law that lets an archive
+// keep one encoder across its segments.
+func TestWriterResetIsFresh(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		before, after := genChain(rng), genChain(rng)
+		var old, reset, fresh bytes.Buffer
+		w := NewWriter(&old)
+		for _, b := range before {
+			if err := w.WriteBatch(b); err != nil {
+				t.Errorf("seed %d: %v", seed, err)
+				return false
+			}
+		}
+		w.Reset(&reset)
+		f := NewWriter(&fresh)
+		for i, b := range after {
+			if err, ferr := w.WriteBatch(b), f.WriteBatch(b); err != nil || ferr != nil {
+				t.Errorf("seed %d batch %d: %v / %v", seed, i, err, ferr)
+				return false
+			}
+		}
+		if !bytes.Equal(reset.Bytes(), fresh.Bytes()) {
+			t.Errorf("seed %d: a Reset writer emits %d B, a new one %d B, and they differ", seed, reset.Len(), fresh.Len())
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Error(err)
 	}
 }

@@ -112,6 +112,19 @@ type Batch struct {
 	Samples []Sample
 }
 
+// SkipTo is the error a batch callback returns to ask the iterator
+// feeding it to deliver next the batch at position N+1, counting a
+// stream's batches from 1 — the fs.SkipDir idiom. The batches up to N
+// that were not delivered yet are passed over, undelivered; a SkipTo at
+// or below the current position skips nothing. An iterator that does not
+// honour SkipTo returns it as its error, so a caller relying on the skip
+// fails rather than seeing batches it asked to pass over.
+type SkipTo uint64
+
+func (n SkipTo) Error() string {
+	return fmt.Sprintf("wire: skip to batch %d not honoured", uint64(n))
+}
+
 // decodeLegacyPayload parses an MBW1/MBW2 batch payload into b, reusing
 // b.Samples' capacity. hasEpoch selects the MBW2 header layout, which
 // carries the agent epoch between rack id and record count.
@@ -231,6 +244,14 @@ func NewWriterFormat(w io.Writer, f Format) (*Writer, error) {
 		return nil, fmt.Errorf("wire: %v is read-only; writers speak mbw3", f)
 	}
 	return NewWriter(w), nil
+}
+
+// Reset redirects the writer to a new stream, discarding the MBW3 delta
+// chains — the bytes that follow are exactly those a fresh Writer would
+// emit — while keeping internal buffers for reuse.
+func (w *Writer) Reset(dst io.Writer) {
+	w.w = dst
+	w.c.Reset()
 }
 
 // WriteBatch encodes and writes one batch. A batch whose payload would

@@ -36,7 +36,8 @@ fi
 go test -race -shuffle=on ./...
 
 # Fuzz smoke: five seconds each on the two wire-decoder targets, whole
-# streams and the MBW3 delta chain, on the archive recovery scan, and on
+# streams and the MBW3 delta chain, on the archive recovery scan and the
+# manifest it reads (with the SkipTo walk a resume relies on), and on
 # the checkpoint loader — one shard's file alone, and beside an intact
 # shard's through the aggregator's restore and merge. `go test` above
 # only replays their seed corpora; this lets the mutator run, briefly, on
@@ -46,6 +47,7 @@ go test -race -shuffle=on ./...
 go test -run='^$' -fuzz=FuzzReadBatch -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz=FuzzMBW3Chain -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz=FuzzTraceRecover -fuzztime=5s -fuzzminimizetime=1s ./internal/trace
+go test -run='^$' -fuzz=FuzzArchiveManifest -fuzztime=5s -fuzzminimizetime=1s ./internal/trace
 go test -run='^$' -fuzz=FuzzLoadCheckpoint -fuzztime=5s -fuzzminimizetime=1s ./internal/collector
 go test -run='^$' -fuzz=FuzzLoadFleetCheckpoint -fuzztime=5s -fuzzminimizetime=1s ./internal/collector
 
