@@ -61,7 +61,8 @@ examples:
 # loads must restore, take traffic and round-trip, and MBC1 must decode
 # within an allocation bound — and the same loader one level up: one
 # shard's checkpoint of a two-shard fleet, through the aggregator's
-# restore and merge. FUZZTIME
+# restore and merge — and the two fault-spec parsers behind -faults,
+# whose accepted specs must round-trip through String. FUZZTIME
 # bounds each target (default 10s). The checkpoint and segment seeds are
 # kilobytes; left at its 60s default, minimizing each new-coverage input
 # would eat the whole budget.
@@ -73,6 +74,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzArchiveManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/collector
 	$(GO) test -run='^$$' -fuzz=FuzzLoadFleetCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/collector
+	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME) ./internal/fault
+	$(GO) test -run='^$$' -fuzz=FuzzParseGen -fuzztime=$(FUZZTIME) ./internal/fault
 
 # chaos runs the fault-injection soak under the race detector: generated
 # fault schedules against the poll/recover pipeline, the epoch-gated

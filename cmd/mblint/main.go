@@ -10,7 +10,7 @@
 // Packages default to ./... relative to the working directory.
 //
 // -graph prints the whole-program call-graph summary the interprocedural
-// rules (clockflow, hotalloc, lockorder) analyze. -why prints, for a
+// rules (clockflow, lockorder) analyze. -why prints, for a
 // function (bare name, pkg.Func, or fully qualified), the shortest call
 // chain by which it reaches a wall-clock or global-rand sink — the
 // explanation behind a clockflow finding. With -json the output is a

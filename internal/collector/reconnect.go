@@ -198,7 +198,10 @@ func (c *ReconnectingClient) sealPendingLocked(all bool) {
 	c.m.Pending.Set(float64(len(c.pending)))
 }
 
-//lint:hotpath spool enqueue on the flush path; amortized slice growth only
+// spoolPushLocked appends a sealed batch to the spool, shedding the
+// oldest batches past SpoolLimit. It runs on the flush path and
+// allocates nothing beyond amortized slice growth
+// (TestSpoolPushAllocatesNothing). Caller holds c.mu.
 func (c *ReconnectingClient) spoolPushLocked(sb spoolBatch) {
 	c.spool = append(c.spool, sb)
 	c.spooled += len(sb.samples)

@@ -51,6 +51,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,9 +150,10 @@ func (f Fault) active(off simclock.Duration) bool {
 	return off >= f.At && off < f.End()
 }
 
-// String formats the fault in the schedule grammar.
+// String formats the fault in the schedule grammar; ParseSchedule reads
+// it back to the same fault.
 func (f Fault) String() string {
-	s := fmt.Sprintf("%s@%s+%s", f.Kind, f.At, f.Dur)
+	s := f.Kind.String() + "@" + exactDur(f.At) + "+" + exactDur(f.Dur)
 	switch f.Kind {
 	case KindReadLatency, KindTornWrite, KindShortWrite:
 		if f.Factor > 0 {
@@ -159,10 +161,21 @@ func (f Fault) String() string {
 		}
 	case KindCPUStall:
 		if f.Delay > 0 {
-			s += ":" + f.Delay.String()
+			s += ":" + exactDur(f.Delay)
 		}
 	}
 	return s
+}
+
+// exactDur formats d in simclock's figure style ("500µs", "1.5ms") when
+// that reads back to d, and to the nanosecond otherwise: the figure style
+// keeps three decimals, so it would round 1,234,567 ns to "1.235ms".
+func exactDur(d simclock.Duration) string {
+	s := d.String()
+	if back, err := time.ParseDuration(s); err == nil && simclock.FromStd(back) == d {
+		return s
+	}
+	return d.Std().String()
 }
 
 // Validate reports the first problem with the fault.
@@ -174,6 +187,8 @@ func (f Fault) Validate() error {
 		return fmt.Errorf("fault: negative offset %v", f.At)
 	case f.Dur < 0:
 		return fmt.Errorf("fault: negative duration %v", f.Dur)
+	case math.IsNaN(f.Factor) || math.IsInf(f.Factor, 0):
+		return fmt.Errorf("fault: factor %v is not finite", f.Factor)
 	case f.Kind == KindReadLatency && f.Factor < 1:
 		return fmt.Errorf("fault: latency factor %v < 1", f.Factor)
 	case f.Kind == KindCPUStall && f.Delay <= 0:

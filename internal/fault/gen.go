@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -103,12 +104,15 @@ func (c GenConfig) Validate() error {
 		{"restart", c.PRestart}, {"outage", c.POutage}, {"disk", c.PDisk},
 		{"kill", c.PKill}, {"torn", c.PTorn}, {"shortw", c.PShort},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !unitRange(p.v) {
 			return fmt.Errorf("fault: probability %s = %v outside [0,1]", p.name, p.v)
 		}
 	}
-	if c.DurFrac < 0 || c.DurFrac > 1 {
+	if !unitRange(c.DurFrac) {
 		return fmt.Errorf("fault: DurFrac = %v outside [0,1]", c.DurFrac)
+	}
+	if math.IsNaN(c.LatencyFactor) || math.IsInf(c.LatencyFactor, 0) {
+		return fmt.Errorf("fault: LatencyFactor = %v is not finite", c.LatencyFactor)
 	}
 	if c.LatencyFactor < 0 || (c.LatencyFactor > 0 && c.LatencyFactor < 1) {
 		return fmt.Errorf("fault: LatencyFactor = %v < 1", c.LatencyFactor)
@@ -116,11 +120,14 @@ func (c GenConfig) Validate() error {
 	if c.StallDelay < 0 {
 		return fmt.Errorf("fault: StallDelay = %v < 0", c.StallDelay)
 	}
-	if c.PersistFrac < 0 || c.PersistFrac > 1 {
+	if !unitRange(c.PersistFrac) {
 		return fmt.Errorf("fault: PersistFrac = %v outside [0,1]", c.PersistFrac)
 	}
 	return nil
 }
+
+// unitRange reports whether v lies in [0, 1]; NaN does not.
+func unitRange(v float64) bool { return v >= 0 && v <= 1 }
 
 // Generate derives a schedule for one window of the given duration from
 // src. The result is a pure function of (src state, cfg, window): the same

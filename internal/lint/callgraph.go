@@ -1,10 +1,10 @@
 package lint
 
 // Whole-program call graph. The interprocedural rules (clockflow,
-// hotalloc, lockorder) need to reason about what a function reaches
-// through any chain of calls, across package boundaries. BuildProgram
-// stitches the per-package type information the loader already produced
-// into one graph: a node per function declaration, a static edge per
+// lockorder) need to reason about what a function reaches through any
+// chain of calls, across package boundaries. BuildProgram stitches the
+// per-package type information the loader already produced into one
+// graph: a node per function declaration, a static edge per
 // resolved call, and dynamic edges from interface method calls to every
 // repo-local concrete type whose method set satisfies the interface.
 // Everything stays dependency-free on go/ast + go/types.
@@ -56,11 +56,9 @@ type FuncNode struct {
 	In  []*Edge // calls made to this function, in caller order
 
 	// Ext records calls that leave the program (standard library), in
-	// source order.
+	// source order. Calls through plain func values, func-typed fields
+	// and parameters resolve to nothing and are not recorded.
 	Ext []ExtCall
-	// Unresolved records call positions the graph cannot resolve: calls
-	// through plain func values, func-typed fields, and parameters.
-	Unresolved []token.Pos
 }
 
 // Edge is one resolved call site.
@@ -77,9 +75,8 @@ type Edge struct {
 
 // ExtCall is one call site whose callee is outside the program.
 type ExtCall struct {
-	Fn        *types.Func
-	Pos       token.Pos
-	InFuncLit bool
+	Fn  *types.Func
+	Pos token.Pos
 }
 
 // ProgramStats summarizes graph size for the CI artifact and -graph.
@@ -225,7 +222,7 @@ func (prog *Program) addEdges(node *FuncNode) {
 }
 
 // addCall classifies one call expression into a static edge, dynamic
-// edges, an external call, or an unresolved call.
+// edges, or an external call.
 func (prog *Program) addCall(caller *FuncNode, info *types.Info, call *ast.CallExpr, inLit bool) {
 	fun := ast.Unparen(call.Fun)
 	// Generic instantiations: f[T](...) — resolve through the index base.
@@ -240,31 +237,16 @@ func (prog *Program) addCall(caller *FuncNode, info *types.Info, call *ast.CallE
 	}
 	pos := call.Pos()
 
+	// Builtins, calls through func values and function literals (whose
+	// bodies are walked in place) resolve to no function.
 	var fn *types.Func
 	switch fun := fun.(type) {
 	case *ast.Ident:
-		switch obj := info.Uses[fun].(type) {
-		case *types.Func:
-			fn = obj
-		case *types.Builtin, nil:
-			return
-		default:
-			caller.Unresolved = append(caller.Unresolved, pos)
-			return
-		}
+		fn, _ = info.Uses[fun].(*types.Func)
 	case *ast.SelectorExpr:
-		obj, ok := info.Uses[fun.Sel].(*types.Func)
-		if !ok {
-			if _, isVar := info.Uses[fun.Sel].(*types.Var); isVar {
-				caller.Unresolved = append(caller.Unresolved, pos)
-			}
-			return
-		}
-		fn = obj
-	case *ast.FuncLit:
-		return // body already walked in place
-	default:
-		caller.Unresolved = append(caller.Unresolved, pos)
+		fn, _ = info.Uses[fun.Sel].(*types.Func)
+	}
+	if fn == nil {
 		return
 	}
 
@@ -283,7 +265,7 @@ func (prog *Program) addCall(caller *FuncNode, info *types.Info, call *ast.CallE
 		prog.staticEdges++
 		return
 	}
-	caller.Ext = append(caller.Ext, ExtCall{Fn: fn, Pos: pos, InFuncLit: inLit})
+	caller.Ext = append(caller.Ext, ExtCall{Fn: fn, Pos: pos})
 }
 
 // addDynamic resolves an interface method call against every program

@@ -1,11 +1,10 @@
 package lint
 
-// Interprocedural dataflow over the call graph. Two directions are
-// needed: reverse reachability from determinism sinks (clockflow, and
-// mblint -why's chain explanations) and forward reachability from
-// exported roots (hotalloc's stale-annotation check). Both are plain
-// BFS over the deterministic edge order, so the first chain found — and
-// therefore the one printed — is a shortest chain and stable run to run.
+// Interprocedural dataflow over the call graph: reverse reachability from
+// determinism sinks, for clockflow and mblint -why's chain explanations.
+// It is a plain BFS over the deterministic edge order, so the first
+// chain found — and therefore the one printed — is a shortest chain and
+// stable run to run.
 
 import (
 	"fmt"
@@ -155,31 +154,4 @@ func Explain(prog *Program, name string) ([]string, error) {
 		out = append(out, n.String()+": "+prog.chainString(reach, n))
 	}
 	return out, nil
-}
-
-// reachableFromExported returns every node reachable (over static and
-// dynamic edges, including calls made from function literals) from an
-// exported function or method, main, or init. These are the program's
-// entry points; hotalloc treats an annotation on anything else as stale.
-func reachableFromExported(prog *Program) map[*FuncNode]bool {
-	seen := make(map[*FuncNode]bool)
-	var queue []*FuncNode
-	for _, n := range prog.Nodes {
-		name := n.Obj.Name()
-		if n.Obj.Exported() || name == "main" || name == "init" {
-			seen[n] = true
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, e := range n.Out {
-			if !seen[e.Callee] {
-				seen[e.Callee] = true
-				queue = append(queue, e.Callee)
-			}
-		}
-	}
-	return seen
 }

@@ -34,8 +34,8 @@ func TestIgnoreInactiveRuleNotStale(t *testing.T) {
 		}
 		malformed++
 	}
-	if malformed != 2 {
-		t.Errorf("got %d lint directive findings under errfmt, want 2 (unknown rule + missing reason): %v", malformed, diags)
+	if malformed != 3 {
+		t.Errorf("got %d lint directive findings under errfmt, want 3 (two unknown rules + missing reason): %v", malformed, diags)
 	}
 }
 

@@ -64,7 +64,7 @@ type Analyzer struct {
 	CrossPackage bool
 	// RunProgram, when set, runs once over the whole-program call graph
 	// after every package has been analyzed (the interprocedural rules:
-	// clockflow, hotalloc, lockorder). Run is typically nil then.
+	// clockflow, lockorder). Run is typically nil then.
 	RunProgram func(*ProgramPass)
 }
 
@@ -120,13 +120,11 @@ func NewAnalyzers() []*Analyzer {
 		newGlobalrand(),
 		newCtxroot(),
 		newMetricname(),
-		newMutexcopy(),
 		newLocklog(),
 		newErrfmt(),
 		newMapiter(),
 		newSpanend(),
 		newClockflow(),
-		newHotalloc(),
 		newLockorder(),
 	}
 }

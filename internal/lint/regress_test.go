@@ -14,17 +14,15 @@ import (
 func TestRegressExactPositions(t *testing.T) {
 	want := []string{
 		"testdata/regress/fixture.go:37:9 locklog",
-		"testdata/regress/fixture.go:41:16 mutexcopy",
-		"testdata/regress/fixture.go:47:9 wallclock",
-		"testdata/regress/fixture.go:52:9 globalrand",
-		"testdata/regress/fixture.go:57:9 ctxroot",
-		"testdata/regress/fixture.go:62:14 metricname",
-		"testdata/regress/fixture.go:66:25 errfmt",
-		"testdata/regress/fixture.go:71:2 mapiter",
-		"testdata/regress/fixture.go:80:2 spanend",
-		"testdata/regress/fixture.go:90:9 clockflow",
-		"testdata/regress/fixture.go:102:9 hotalloc",
-		"testdata/regress/fixture.go:116:2 lockorder",
+		"testdata/regress/fixture.go:42:9 wallclock",
+		"testdata/regress/fixture.go:47:9 globalrand",
+		"testdata/regress/fixture.go:52:9 ctxroot",
+		"testdata/regress/fixture.go:57:14 metricname",
+		"testdata/regress/fixture.go:61:25 errfmt",
+		"testdata/regress/fixture.go:66:2 mapiter",
+		"testdata/regress/fixture.go:75:2 spanend",
+		"testdata/regress/fixture.go:85:9 clockflow",
+		"testdata/regress/fixture.go:102:2 lockorder",
 	}
 	diags := runFixture(t, "regress", "mburst/internal/simnet/regressfix")
 	var got []string

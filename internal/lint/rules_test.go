@@ -40,10 +40,6 @@ func TestMetricname(t *testing.T) {
 	checkFixture(t, "metricname", "mburst/internal/collector/metricfix", "metricname")
 }
 
-func TestMutexcopy(t *testing.T) {
-	checkFixture(t, "mutexcopy", "mburst/internal/collector/mufix", "mutexcopy")
-}
-
 func TestLocklog(t *testing.T) {
 	checkFixture(t, "locklog", "mburst/internal/collector/lockfix", "locklog")
 }
@@ -84,10 +80,6 @@ func TestClockflowOutsideDomain(t *testing.T) {
 	}
 }
 
-func TestHotalloc(t *testing.T) {
-	checkFixture(t, "hotalloc", "mburst/internal/wire/hafix", "hotalloc")
-}
-
 func TestLockorder(t *testing.T) {
 	checkFixture(t, "lockorder", "mburst/internal/collector/lofix", "lockorder")
 }
@@ -99,7 +91,7 @@ func TestSelectAnalyzersUnknownRule(t *testing.T) {
 }
 
 func TestRuleNamesStable(t *testing.T) {
-	want := []string{"wallclock", "globalrand", "ctxroot", "metricname", "mutexcopy", "locklog", "errfmt", "mapiter", "spanend", "clockflow", "hotalloc", "lockorder"}
+	want := []string{"wallclock", "globalrand", "ctxroot", "metricname", "locklog", "errfmt", "mapiter", "spanend", "clockflow", "lockorder"}
 	got := RuleNames()
 	if len(got) != len(want) {
 		t.Fatalf("RuleNames() = %v, want %v", got, want)

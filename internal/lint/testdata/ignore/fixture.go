@@ -29,6 +29,14 @@ func WrongRule() context.Context {
 	return context.Background()                       // want `roots a new context`
 }
 
+// RetiredRule names a rule mblint no longer has (the zero-allocation
+// proof became AllocsPerRun tests): the directive is an unknown-rule
+// finding, not a silent no-op.
+func RetiredRule() []byte {
+	/*lint:ignore hotalloc a retired rule*/ // want `unknown rule "hotalloc"`
+	return make([]byte, 8)
+}
+
 // MissingReason omits the mandatory justification; a malformed directive
 // suppresses nothing, so the violation below it still reports.
 func MissingReason() context.Context {

@@ -17,7 +17,7 @@ import (
 	"mburst/internal/simclock"
 )
 
-// Guarded exists for the mutexcopy and locklog seeds.
+// Guarded exists for the locklog seed.
 type Guarded struct {
 	mu sync.Mutex
 	n  int
@@ -35,11 +35,6 @@ func (g *Guarded) Locklog() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.Snapshot()
-}
-
-// Mutexcopy passes the lock by value.
-func Mutexcopy(g Guarded) int {
-	return g.n
 }
 
 // Wallclock reads the wall clock in a sim-domain package.
@@ -93,15 +88,6 @@ func clockHop() time.Duration {
 func hiddenClock() time.Duration {
 	//lint:ignore wallclock seeded clockflow sink; the chain is reported at the caller
 	return time.Since(time.Time{})
-}
-
-// HotSerialize is hotpath-annotated but allocates a fresh buffer.
-//
-//lint:hotpath seeded hotalloc violation
-func HotSerialize(v uint64) []byte {
-	buf := make([]byte, 8)
-	buf[0] = byte(v)
-	return buf
 }
 
 // lockOrder seeds an inverted acquisition pair.

@@ -25,12 +25,13 @@ type ECDFAcc struct {
 
 // Add records one value.
 //
-//lint:hotpath per-sample accumulation; amortized slice growth only
+// Per sample: amortized slice growth only (TestECDFAccAddAllocatesNothing).
 func (a *ECDFAcc) Add(v float64) { a.values = append(a.values, v) }
 
 // AddAll records a batch of values in order.
 //
-//lint:hotpath per-batch accumulation; amortized slice growth only
+// Per batch: amortized slice growth only
+// (TestECDFAccAddAllAllocatesNothing).
 func (a *ECDFAcc) AddAll(vs ...float64) { a.values = append(a.values, vs...) }
 
 // N returns the number of values recorded.
@@ -63,7 +64,8 @@ type MarkovAcc struct {
 
 // Observe records the next hot/not-hot interval of the current sequence.
 //
-//lint:hotpath per-interval transition count on the streaming figure path
+// Per interval on the streaming figure path: allocation-free
+// (TestMarkovAccObserveAllocatesNothing).
 func (a *MarkovAcc) Observe(hot bool) {
 	if a.primed {
 		a.counts[boolToState(a.prev)][boolToState(hot)]++
@@ -113,7 +115,7 @@ type MomentAcc struct {
 
 // Add records one value.
 //
-//lint:hotpath per-sample moment update; must stay allocation-free
+// Per sample: allocation-free (TestMomentAccAddAllocatesNothing).
 func (a *MomentAcc) Add(v float64) {
 	if a.n == 0 || v < a.min {
 		a.min = v

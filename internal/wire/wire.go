@@ -302,7 +302,8 @@ func (r *Reader) Reset(src io.Reader) {
 // ReadBatch reads the next batch. It returns io.EOF at a clean end of
 // stream, and ErrCorrupt (wrapped) on framing or checksum failure.
 //
-//lint:hotpath collector ingest loop: allocation-free once SetReuse(true) and buffers are warm
+// On the collector's ingest loop it allocates nothing once SetReuse(true)
+// is on and its buffers are warm (TestReadBatchReuseAllocatesNothing).
 func (r *Reader) ReadBatch() (*Batch, error) {
 	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
 		if err == io.EOF {
@@ -338,12 +339,10 @@ func (r *Reader) ReadBatch() (*Batch, error) {
 	if r.reuse {
 		b = &r.batch
 	} else {
-		//lint:ignore hotalloc non-reuse mode allocates one Batch per call by contract; the ingest hot path runs with SetReuse(true)
 		b = &Batch{}
 	}
 	if magic == Magic3 {
 		if r.m3 == nil {
-			//lint:ignore hotalloc one-time lazy codec construction on the first MBW3 frame, not per-batch
 			r.m3 = newMBW3Codec()
 		}
 		err = r.m3.DecodePayload(magic, payload, b)
