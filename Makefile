@@ -53,25 +53,31 @@ smoke:
 examples:
 	$(GO) run ./examples/webrack | grep 'Markov likelihood ratio'
 
-# fuzz exercises the parsers that face untrusted bytes: the wire decoder
-# — whole streams, and the MBW3 delta chain from the middle of one — the
-# archive recovery scan (which must truncate any torn tail without
-# panicking, in a collector's log and in a recorded campaign) and the
-# archive manifest it reads, the shard checkpoint loader — MBC1 and legacy JSON; whatever
-# loads must restore, take traffic and round-trip, and MBC1 must decode
-# within an allocation bound — and the same loader one level up: one
-# shard's checkpoint of a two-shard fleet, through the aggregator's
-# restore and merge — and the two fault-spec parsers behind -faults,
-# whose accepted specs must round-trip through String. FUZZTIME
-# bounds each target (default 10s). The checkpoint and segment seeds are
-# kilobytes; left at its 60s default, minimizing each new-coverage input
-# would eat the whole budget.
+# fuzz exercises the parsers that face untrusted bytes:
+#   - the wire decoder: whole streams, and the MBW3 delta chain from the
+#     middle of one;
+#   - the archive recovery scan, which must truncate any torn tail without
+#     panicking, in a collector's log and in a recorded campaign, and the
+#     archive manifest it reads;
+#   - a fleet directory's campaign.json, whose accepted shard names must
+#     name distinct subdirectories;
+#   - the shard checkpoint loader, MBC1 and legacy JSON: whatever loads
+#     must restore, take traffic and round-trip, and MBC1 must decode
+#     within an allocation bound; and the same loader one level up, one
+#     shard's checkpoint of a two-shard fleet through the aggregator's
+#     restore and merge;
+#   - the two fault-spec parsers behind -faults, whose accepted specs must
+#     round-trip through String.
+# FUZZTIME bounds each target (default 10s). Left at its 60s default,
+# minimizing each new-coverage input of the recovery, campaign.json and
+# checkpoint targets would eat the whole budget.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReadBatch -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzMBW3Chain -fuzztime=$(FUZZTIME) ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzTraceRecover -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzArchiveManifest -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzFleetMeta -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzLoadCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/collector
 	$(GO) test -run='^$$' -fuzz=FuzzLoadFleetCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/collector
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME) ./internal/fault
@@ -92,12 +98,11 @@ crash:
 
 # fleet runs the 1000-rack sharded campaign (8 collector shards
 # in-process, byte-exactness verified against a single-collector
-# oracle), then the fleet crash soak and the BENCH_fleet.json artifact
-# (see README "Fleet-scale collection").
+# oracle), then the fleet crash soak (see README "Fleet-scale
+# collection").
 fleet:
 	$(GO) run ./cmd/mbfleet -racks 1000 -shards 8 -oracle
 	MBURST_FAULT_OUT="$(CURDIR)/FAULT_soak.json" $(GO) test -race -run 'TestFleetCrashSoak' -count=1 ./internal/core
-	MBURST_FLEET_BENCH_OUT="$(CURDIR)/BENCH_fleet.json" $(GO) test -run TestFleetBenchArtifact -count=1 -v ./internal/core
 
 # trace records a small faulted campaign with span tracing and renders
 # the waterfall + critical path with mbtrace (see README "Pipeline

@@ -11,7 +11,6 @@
 package mburst
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -383,6 +382,7 @@ func BenchmarkExtensionFabricTier(b *testing.B) {
 // plus a histogram observation. Run with -benchmem to confirm the disabled
 // path allocates nothing beyond the baseline; the acceptance bar is <5%
 // slowdown when enabled.
+// No metric of the repo benchmark (bench/) contrasts metrics on and off.
 func BenchmarkPollerInstrumented(b *testing.B) {
 	run := func(b *testing.B, m *collector.PollerMetrics) {
 		sw := asic.New(asic.Config{
@@ -412,61 +412,7 @@ func BenchmarkPollerInstrumented(b *testing.B) {
 	})
 }
 
-func BenchmarkASICTick(b *testing.B) {
-	rack := topo.Default(32)
-	sw := asic.New(asic.Config{
-		PortSpeeds:  rack.PortSpeeds(),
-		BufferBytes: 1 << 20,
-		Alpha:       1,
-	})
-	profile := asic.TrafficProfile{0.2, 0, 0, 0, 0, 0.8}
-	tick := 5 * simclock.Microsecond
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for p := 0; p < rack.NumPorts(); p++ {
-			sw.OfferTx(p, 3000, profile)
-		}
-		sw.Tick(tick)
-	}
-}
-
-func BenchmarkSimnetMillisecond(b *testing.B) {
-	net, err := simnet.New(simnet.Config{
-		Rack:   topo.Default(32),
-		Params: workload.DefaultParams(workload.Hadoop),
-		Seed:   1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Run(simclock.Millisecond)
-	}
-}
-
-func BenchmarkWireEncodeDecode(b *testing.B) {
-	batch := &wire.Batch{Rack: 1}
-	for i := 0; i < 1024; i++ {
-		batch.Samples = append(batch.Samples, wire.Sample{
-			Time:  simclock.Time(i) * simclock.Time(25*simclock.Microsecond),
-			Port:  uint16(i % 36),
-			Kind:  asic.KindBytes,
-			Value: uint64(i) * 6250,
-		})
-	}
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := w.WriteBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
-}
-
+// BenchmarkECDFQuantile: no metric of the repo benchmark times stats.ECDF.
 func BenchmarkECDFQuantile(b *testing.B) {
 	src := rng.New(1)
 	sample := make([]float64, 100_000)
@@ -480,6 +426,7 @@ func BenchmarkECDFQuantile(b *testing.B) {
 	}
 }
 
+// BenchmarkMarkovFit: no metric of the repo benchmark times stats.FitMarkov.
 func BenchmarkMarkovFit(b *testing.B) {
 	src := rng.New(2)
 	seq := make([]bool, 100_000)

@@ -9,6 +9,7 @@ import (
 	"path"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mburst/internal/collector"
@@ -260,6 +261,40 @@ func TestFleetDurableFaultsByteExact(t *testing.T) {
 	if archived+res.Shortfall != res.Batches {
 		t.Errorf("archives hold %d batches + %d shortfall, fleet admitted %d",
 			archived, res.Shortfall, res.Batches)
+	}
+}
+
+// TestFleetThousandRacksByteExact runs the reference fleet — 1000 racks
+// over 8 durable shards, oracle on. Its figures must equal the
+// single-collector oracle's, the shard checkpoints must merge to the
+// fleet's ingest, and on amd64 (see wantPinned) the campaign's counts are
+// pinned.
+func TestFleetThousandRacksByteExact(t *testing.T) {
+	e, err := NewExperiment(fleetTestConfig(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "fleet")
+	res, err := e.RunFleet(context.Background(), FleetConfig{
+		App:           workload.Web,
+		Shards:        8,
+		PlacementSeed: 1,
+		Dir:           dir,
+		Oracle:        true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("1000 racks / 8 shards: %d batches, %d samples, %d wire bytes", res.Batches, res.Samples, res.WireBytes)
+	if !res.ByteExact {
+		t.Error("1000-rack fleet diverges from the single-collector oracle")
+	}
+	if _, ingest := mergeShardCheckpoints(t, dir, res.Placement); !reflect.DeepEqual(ingest, res.Fleet.Ingest) {
+		t.Errorf("the shard checkpoints merge to ingest %+v, the fleet reported %+v", ingest, res.Fleet.Ingest)
+	}
+	if runtime.GOARCH == pinnedArch && (res.Batches != 1_000 || res.Samples != 77_776 || res.WireBytes != 274_802) {
+		t.Errorf("fleet moved %d batches, %d samples, %d wire bytes, want 1,000, 77,776, 274,802",
+			res.Batches, res.Samples, res.WireBytes)
 	}
 }
 

@@ -24,13 +24,16 @@ func pinnedConfig() Config {
 	return cfg
 }
 
+// pinnedArch is where pinned digests and counts were recorded.
+const pinnedArch = "amd64"
+
 // wantPinned reads a committed digest. The files under testdata/ were
 // computed at the commit before the fluid data path got charge plans, so
 // they pin simulated output across commits, not only across worker counts:
 // a change that moves one bit of any counter, queue or drop moves them.
 func wantPinned(t *testing.T, name string) string {
 	t.Helper()
-	if runtime.GOARCH != "amd64" {
+	if runtime.GOARCH != pinnedArch {
 		t.Skipf("pinned digests were recorded on amd64; on %s Go may fuse a multiply and an add into one rounding, which legitimately moves the last bit", runtime.GOARCH)
 	}
 	data, err := os.ReadFile(filepath.Join("testdata", name))

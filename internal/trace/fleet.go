@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"mburst/internal/shard"
 	"mburst/internal/wire"
 )
 
@@ -43,17 +44,30 @@ func FleetMeta(dir string) (Meta, bool, error) {
 	if err != nil || meta.Placement == nil {
 		return Meta{}, false, err
 	}
-	if err := meta.Placement.Validate(); err != nil {
+	if err := validateShardDirs(*meta.Placement); err != nil {
 		return Meta{}, false, err
 	}
-	for i, name := range meta.Placement.Shards {
-		// The placement is read from disk and each name is joined to the
-		// fleet directory: it may not name anything outside it.
+	return meta, true, nil
+}
+
+// validateShardDirs checks a fleet placement whose shard names are
+// joined to the fleet directory: each must name a subdirectory inside it,
+// spelled one way only — its filepath.Clean form, and not "." (the fleet
+// directory itself). Distinct names then name distinct directories, so no
+// two shards share a store.
+func validateShardDirs(pl shard.Placement) error {
+	if err := pl.Validate(); err != nil {
+		return err
+	}
+	for i, name := range pl.Shards {
 		if !filepath.IsLocal(name) {
-			return Meta{}, false, fmt.Errorf("trace: fleet shard %d: archive dir %q is not inside the fleet directory", i, name)
+			return fmt.Errorf("trace: fleet shard %d: archive dir %q is not inside the fleet directory", i, name)
+		}
+		if name == "." || filepath.Clean(name) != name {
+			return fmt.Errorf("trace: fleet shard %d: archive dir %q is not a clean subdirectory name", i, name)
 		}
 	}
-	return meta, true, nil
+	return nil
 }
 
 // WriteFleetMeta writes a fleet directory's campaign.json. meta must
@@ -64,6 +78,9 @@ func WriteFleetMeta(dir string, meta Meta) error {
 		return fmt.Errorf("trace: fleet meta without a placement")
 	}
 	if err := meta.Validate(); err != nil {
+		return err
+	}
+	if err := validateShardDirs(*meta.Placement); err != nil {
 		return err
 	}
 	meta.Format = wire.FormatMBW3.String() // what every shard archive is written in

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -162,6 +163,66 @@ func FuzzTraceRecover(f *testing.F) {
 		}
 		if got != rep.Scanned[0].Samples {
 			t.Fatalf("recovery reported %d samples, replay found %d", rep.Scanned[0].Samples, got)
+		}
+	})
+}
+
+// FuzzFleetMeta feeds arbitrary bytes to FleetMeta as a directory's
+// campaign.json. It must not panic, and a placement it accepts must be
+// usable as a fleet: valid, every shard name a clean, local subdirectory
+// other than the fleet directory and distinct from the rest — so no two
+// shards share a store — and every rack owned by a shard in range.
+func FuzzFleetMeta(f *testing.F) {
+	parent, err := os.ReadFile("../../cmd/mbdump/testdata/fleet_parent/campaign.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parent)
+	plain, err := json.Marshal(validMeta())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(plain)
+	for _, shards := range [][]string{
+		{"shard_000", "./shard_000"}, {"shard_000/"}, {"a/../shard_000"}, {"."},
+	} {
+		var meta Meta
+		if err := json.Unmarshal(parent, &meta); err != nil {
+			f.Fatal(err)
+		}
+		meta.Placement.Shards = shards
+		data, err := json.Marshal(meta)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, MetaFileName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		meta, ok, err := FleetMeta(dir)
+		if !ok || err != nil {
+			return
+		}
+		pl := meta.Placement
+		if err := pl.Validate(); err != nil {
+			t.Fatalf("accepted placement %+v is invalid: %v", pl, err)
+		}
+		seen := make(map[string]bool, pl.NumShards())
+		for i, name := range pl.Shards {
+			if !filepath.IsLocal(name) || filepath.Clean(name) != name || name == "." || seen[name] {
+				t.Fatalf("accepted shard %d's archive dir %q aliases or escapes (shards %q)", i, name, pl.Shards)
+			}
+			seen[name] = true
+		}
+		for _, rack := range []uint32{0, 1, 2, 999, 1<<32 - 1} {
+			if k := pl.ShardOf(rack); k < 0 || k >= pl.NumShards() {
+				t.Fatalf("rack %d placed on shard %d of %d", rack, k, pl.NumShards())
+			}
 		}
 	})
 }

@@ -277,3 +277,39 @@ func TestFleetManifestRejectsEscapingDirs(t *testing.T) {
 		t.Errorf("plain recording: FleetMeta ok=%v err=%v, want false, nil", ok, err)
 	}
 }
+
+// TestFleetMetaRejectsAliasedShardDirs: two shard names that spell one
+// directory would make IterFleet read one store twice, so a shard name
+// must be its own filepath.Clean form and not the fleet directory itself.
+// Both the reader and the writer hold to it.
+func TestFleetMetaRejectsAliasedShardDirs(t *testing.T) {
+	for _, tc := range []struct {
+		shards []string
+		bad    int // index of the shard refused, or -1
+	}{
+		{[]string{"shard_000", "shard_001"}, -1},
+		{[]string{"shards/000", "shards/001"}, -1},
+		{[]string{"shard_000", "./shard_000"}, 1},
+		{[]string{"shard_000/"}, 0},
+		{[]string{"a/../shard_000"}, 0},
+		{[]string{"shard_000", "shard_000//"}, 1},
+		{[]string{"."}, 0},
+		{[]string{"shard_000", "."}, 1},
+	} {
+		meta := validMeta()
+		meta.Placement = &shard.Placement{Version: 1, Seed: 7, Shards: tc.shards}
+		want := fmt.Sprintf("shard %d", tc.bad)
+		dir := t.TempDir()
+		if err := writeJSON(filepath.Join(dir, MetaFileName), &meta); err != nil {
+			t.Fatal(err)
+		}
+		_, ok, err := FleetMeta(dir)
+		if ok != (tc.bad < 0) || tc.bad >= 0 && (err == nil || !strings.Contains(err.Error(), want)) {
+			t.Errorf("%q: FleetMeta ok=%v err=%v, want shard %d refused (-1: none)", tc.shards, ok, err, tc.bad)
+		}
+		err = WriteFleetMeta(t.TempDir(), meta)
+		if (err == nil) != (tc.bad < 0) || err != nil && !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: WriteFleetMeta = %v, want the same verdict as FleetMeta", tc.shards, err)
+		}
+	}
+}
