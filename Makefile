@@ -47,10 +47,18 @@ bench-pair:
 smoke:
 	./scripts/smoke.sh
 
-# examples runs the programs under examples/ — the only consumers of the
-# core API outside cmd/ and the tests — and fails unless webrack gets as
-# far as its Table 2 line.
+# examples runs the seven programs under examples/ — the consumers of the
+# core API outside cmd/ and the tests, and callers of the slice API
+# internal/analysis keeps (UtilizationSeries, Bursts, BufferVsHotPorts,
+# HotFraction, ServerCorrelation) — and fails unless each gets as far as
+# the line that reports its analysis (webrack's is its Table 2 line).
 examples:
+	$(GO) run ./examples/cachegroups | grep 'group block score'
+	$(GO) run ./examples/detector | grep 'ground truth:'
+	$(GO) run ./examples/fabrictier | grep 'ToR ports are'
+	$(GO) run ./examples/hadoopbuffer | grep 'max simultaneous hot ports'
+	$(GO) run ./examples/livecollect | grep 'analysis over the received stream'
+	$(GO) run ./examples/quickstart | grep 'time spent hot'
 	$(GO) run ./examples/webrack | grep 'Markov likelihood ratio'
 
 # fuzz exercises the parsers that face untrusted bytes:

@@ -426,7 +426,8 @@ func BenchmarkECDFQuantile(b *testing.B) {
 	}
 }
 
-// BenchmarkMarkovFit: no metric of the repo benchmark times stats.FitMarkov.
+// BenchmarkMarkovFit: no metric of the repo benchmark times a
+// stats.MarkovAcc fit over one whole sequence.
 func BenchmarkMarkovFit(b *testing.B) {
 	src := rng.New(2)
 	seq := make([]bool, 100_000)
@@ -435,7 +436,11 @@ func BenchmarkMarkovFit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = stats.FitMarkov(seq)
+		var acc stats.MarkovAcc
+		for _, hot := range seq {
+			acc.Observe(hot)
+		}
+		_ = acc.Model()
 	}
 }
 

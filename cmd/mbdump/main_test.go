@@ -326,7 +326,14 @@ func TestParentShardResumesWithoutReplay(t *testing.T) {
 	if !rep.HadCheckpoint || rep.CheckpointBatches != 3 || rep.ArchiveBatches != 3 || rep.Replayed != 0 {
 		t.Errorf("resume %+v, want the parent's checkpoint over its 3 batches and nothing replayed", rep)
 	}
-	if got := sh.CheckpointState(); !reflect.DeepEqual(got, want) {
+	if err := sh.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := collector.LoadCheckpoint(ckpt)
+	if err != nil || !ok {
+		t.Fatalf("resumed checkpoint: ok=%v err=%v", ok, err)
+	}
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed state differs from the parent's checkpoint:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -46,33 +46,6 @@ func BurstDurations(bursts []Burst) []float64 {
 	return out
 }
 
-// InterBurstGaps returns the idle period between consecutive bursts in
-// microseconds — the Fig 4 sample set.
-func InterBurstGaps(bursts []Burst) []float64 {
-	if len(bursts) < 2 {
-		return nil
-	}
-	out := make([]float64, 0, len(bursts)-1)
-	for i := 1; i < len(bursts); i++ {
-		gap := bursts[i].Start.Sub(bursts[i-1].End)
-		out = append(out, float64(gap)/float64(simclock.Microsecond))
-	}
-	return out
-}
-
-// BurstMarkov fits the paper's two-state first-order Markov model (Table 2)
-// to a utilization series at the given hot threshold.
-func BurstMarkov(series []UtilPoint, threshold float64) stats.MarkovModel {
-	if threshold <= 0 {
-		threshold = DefaultHotThreshold
-	}
-	var mk stats.MarkovAcc
-	for _, p := range series {
-		mk.Observe(p.Util > threshold)
-	}
-	return mk.Model()
-}
-
 // PoissonTest runs the §5.2 Kolmogorov–Smirnov test of inter-burst gaps
 // against an exponential fit: rejecting the null rejects homogeneous
 // Poisson burst arrivals.

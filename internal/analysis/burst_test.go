@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mburst/internal/simclock"
+	"mburst/internal/stats"
 )
 
 // seriesOf builds 25µs spans from utilization values.
@@ -54,13 +55,26 @@ func TestBurstDurationsAndGaps(t *testing.T) {
 	if len(durs) != 3 || durs[0] != 25 || durs[1] != 50 || durs[2] != 25 {
 		t.Errorf("durations = %v", durs)
 	}
-	gaps := InterBurstGaps(bursts)
+	gaps := segmenterGaps(series)
 	if len(gaps) != 2 || gaps[0] != 50 || gaps[1] != 25 {
 		t.Errorf("gaps = %v", gaps)
 	}
-	if got := InterBurstGaps(bursts[:1]); got != nil {
+	if got := segmenterGaps(series[:2]); got != nil {
 		t.Errorf("single-burst gaps = %v", got)
 	}
+}
+
+// segmenterGaps returns the inter-burst gaps, in microseconds, that a
+// default BurstSegmenter emits over a series.
+func segmenterGaps(series []UtilPoint) []float64 {
+	seg := NewBurstSegmenter(SegmenterConfig{})
+	var out []float64
+	for _, p := range series {
+		if tr, ok := seg.Feed(p); ok && tr.HasGap {
+			out = append(out, float64(tr.Gap)/float64(simclock.Microsecond))
+		}
+	}
+	return out
 }
 
 func TestBurstAcrossMissedInterval(t *testing.T) {
@@ -99,7 +113,11 @@ func TestHotFractionTimeWeighted(t *testing.T) {
 
 func TestBurstMarkovMatchesHandCount(t *testing.T) {
 	series := seriesOf(0.1, 0.9, 0.9, 0.1, 0.1, 0.9, 0.1)
-	m := BurstMarkov(series, 0)
+	var mk stats.MarkovAcc
+	for _, p := range series {
+		mk.Observe(p.Util > DefaultHotThreshold)
+	}
+	m := mk.Model()
 	// hot = F T T F F T F: transitions FT TT TF FF FT TF
 	if m.Counts[0][1] != 2 || m.Counts[1][1] != 1 || m.Counts[1][0] != 2 || m.Counts[0][0] != 1 {
 		t.Errorf("counts = %v", m.Counts)

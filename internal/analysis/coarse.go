@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 
-	"mburst/internal/simclock"
 	"mburst/internal/stats"
 	"mburst/internal/wire"
 )
@@ -50,21 +49,6 @@ func DropUtilCorrelation(points []CoarsePoint) float64 {
 		drops[i] = p.DropRate
 	}
 	return stats.Pearson(utils, drops)
-}
-
-// DropTimeSeries converts a cumulative drop-counter series into per-bin
-// drop counts at the given granularity (1 minute in Fig 2).
-func DropTimeSeries(dropSamples []wire.Sample, bin simclock.Duration) ([]uint64, error) {
-	acc, err := NewDropBinAcc(bin)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range dropSamples {
-		if acc.Add(s) != nil {
-			break
-		}
-	}
-	return acc.Bins()
 }
 
 // Burstiness summarizes a drop time series the way §3 reads Fig 2: drops

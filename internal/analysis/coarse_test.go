@@ -82,7 +82,7 @@ func TestDropTimeSeries(t *testing.T) {
 		dropSample(500, 10),
 		dropSample(600, 40),
 	}
-	bins, err := DropTimeSeries(samples, simclock.Micros(300))
+	bins, err := dropBins(samples, simclock.Micros(300))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +96,14 @@ func TestDropTimeSeries(t *testing.T) {
 
 func TestDropTimeSeriesErrors(t *testing.T) {
 	two := []wire.Sample{dropSample(0, 0), dropSample(10, 1)}
-	if _, err := DropTimeSeries(two, 0); err == nil {
+	if _, err := dropBins(two, 0); err == nil {
 		t.Error("zero bin accepted")
 	}
-	if _, err := DropTimeSeries(two[:1], simclock.Micros(1)); err == nil {
+	if _, err := dropBins(two[:1], simclock.Micros(1)); err == nil {
 		t.Error("single sample accepted")
 	}
 	bad := []wire.Sample{dropSample(10, 0), dropSample(10, 1)}
-	if _, err := DropTimeSeries(bad, simclock.Micros(1)); err == nil {
+	if _, err := dropBins(bad, simclock.Micros(1)); err == nil {
 		t.Error("non-increasing timestamps accepted")
 	}
 }

@@ -82,27 +82,6 @@ func (h HotShare) UplinkShare() float64 {
 	return float64(h.UplinkHot) / float64(total)
 }
 
-// HotPortShare counts hot samples by port class. isUplink maps a series
-// index to its class.
-func HotPortShare(ports [][]UtilPoint, isUplink func(i int) bool, threshold float64) HotShare {
-	if threshold <= 0 {
-		threshold = DefaultHotThreshold
-	}
-	var h HotShare
-	for i, s := range ports {
-		for _, p := range s {
-			if p.Util > threshold {
-				if isUplink(i) {
-					h.UplinkHot++
-				} else {
-					h.DownlinkHot++
-				}
-			}
-		}
-	}
-	return h
-}
-
 // BufferWindow is one Fig 10 observation: a 50 ms span's peak shared
 // buffer occupancy versus how many ports ran hot within it.
 type BufferWindow struct {

@@ -3,7 +3,6 @@ package analysis
 import (
 	"mburst/internal/asic"
 	"mburst/internal/stats"
-	"mburst/internal/wire"
 )
 
 // sizeBinEdges converts the ASIC bin layout into histogram edges.
@@ -41,27 +40,4 @@ func (r PacketMixResult) LargeShift() float64 {
 		return 0
 	}
 	return (in[last] - out[last]) / out[last]
-}
-
-// PacketMixInsideOutside classifies each sampling period as inside or
-// outside a burst using the byte counter, and accumulates the same
-// period's size-bin deltas into the corresponding histogram. This mirrors
-// the §5.3 methodology: "Packets were binned by their size into several
-// ranges and polled alongside the total byte count of the interface in
-// order to classify the samples."
-//
-// byteSamples and binSamples must come from the same polling campaign
-// (same timestamps); periods without matching bin data are skipped.
-func PacketMixInsideOutside(byteSamples, binSamples []wire.Sample, speedBps uint64, threshold float64) (PacketMixResult, error) {
-	acc := NewPacketMixAcc(speedBps, threshold)
-	// Interleave as a campaign would, so the pairing queues stay O(1) deep.
-	for i := 0; i < len(byteSamples) || i < len(binSamples); i++ {
-		if i < len(byteSamples) {
-			acc.AddByte(byteSamples[i])
-		}
-		if i < len(binSamples) {
-			acc.AddBin(binSamples[i])
-		}
-	}
-	return acc.Result()
 }

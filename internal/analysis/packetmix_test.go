@@ -31,7 +31,7 @@ func TestPacketMixInsideOutside(t *testing.T) {
 		binSample(100, [asic.NumSizeBins]uint64{100, 0, 0, 0, 0, 5}),
 		binSample(200, [asic.NumSizeBins]uint64{110, 0, 0, 0, 0, 505}),
 	}
-	res, err := PacketMixInsideOutside(bytes, binsSeq, gbps10, 0)
+	res, err := packetMix(bytes, binsSeq, gbps10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestPacketMixInsideOutside(t *testing.T) {
 
 func TestPacketMixErrors(t *testing.T) {
 	bytes := []wire.Sample{byteSample(0, 0), byteSample(100, 10)}
-	if _, err := PacketMixInsideOutside(bytes, bytes[:1], gbps10, 0); err == nil {
+	if _, err := packetMix(bytes, bytes[:1], gbps10, 0); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
 	misaligned := []wire.Sample{binSample(0, [asic.NumSizeBins]uint64{}), binSample(150, [asic.NumSizeBins]uint64{})}
-	if _, err := PacketMixInsideOutside(bytes, misaligned, gbps10, 0); err == nil {
+	if _, err := packetMix(bytes, misaligned, gbps10, 0); err == nil {
 		t.Error("misaligned timestamps accepted")
 	}
 }

@@ -4,8 +4,9 @@ package analysis
 // functions had before they became feed loops over the accumulators in
 // stream.go, moved here verbatim. They share no code with the
 // accumulators, which is what makes the Test*Matches* comparisons in
-// stream_test.go meaningful: adapter, accumulator and reference must
-// agree on points, stats and error text.
+// stream_test.go meaningful: accumulator and reference (and the adapter,
+// where the package keeps one) must agree on points, stats and error
+// text.
 
 import (
 	"fmt"
@@ -42,6 +43,20 @@ func refBursts(series []UtilPoint, threshold float64) []Burst {
 		} else {
 			cur = nil
 		}
+	}
+	return out
+}
+
+// refInterBurstGaps returns the idle period between consecutive bursts in
+// microseconds — the Fig 4 sample set.
+func refInterBurstGaps(bursts []Burst) []float64 {
+	if len(bursts) < 2 {
+		return nil
+	}
+	out := make([]float64, 0, len(bursts)-1)
+	for i := 1; i < len(bursts); i++ {
+		gap := bursts[i].Start.Sub(bursts[i-1].End)
+		out = append(out, float64(gap)/float64(simclock.Microsecond))
 	}
 	return out
 }

@@ -9,12 +9,17 @@
 //
 // Each per-series algorithm is implemented once, as a single-pass
 // accumulator in stream.go (UtilState, BurstSegmenter, RebinAcc,
-// GapAwareState, PacketMixAcc, BufferWindowAcc, DropBinAcc); the
-// slice-taking functions of the same name (UtilizationSeries, Bursts,
-// Rebin, ...) are conveniences that feed a slice through the accumulator.
-// Cross-series reductions with no streaming form (AlignedMatrix,
-// UplinkMAD, ServerCorrelation, ...) take slices only. Nothing here keeps
-// state between calls or reads a clock.
+// GapAwareState, PacketMixAcc, BufferWindowAcc, DropBinAcc), and the
+// campaign's figure runners in internal/core and the collector's
+// live-figures tap feed them directly. A
+// slice-taking feed loop exists only where a caller holds a slice:
+// UtilizationSeries, Bursts and BufferVsHotPorts (the examples, sweep
+// and fabric), and GapAwareUtilization (the chaos soak). Cross-series
+// reductions with no streaming form (AlignedMatrix, UplinkMAD,
+// ServerCorrelation, ...) take slices only. Only UtilState and
+// BurstSegmenter have a snapshot (snapshot.go): they are what the
+// collector's checkpoint carries per series. Nothing here keeps state
+// between calls or reads a clock.
 package analysis
 
 import (
@@ -85,17 +90,6 @@ func UtilizationSeries(samples []wire.Sample, speedBps uint64) ([]UtilPoint, err
 		return nil, err
 	}
 	return out, nil
-}
-
-// Rebin aggregates a utilization series into fixed-width bins (e.g. the
-// 1 s granularity of Fig 7's coarse curves), byte-weighting each source
-// span by its overlap with the bin.
-func Rebin(series []UtilPoint, width simclock.Duration) []UtilPoint {
-	acc := NewRebinAcc(width)
-	for _, p := range series {
-		acc.Add(p)
-	}
-	return acc.Points()
 }
 
 // Utils extracts the utilization values of a series (for ECDFs, Fig 6).

@@ -121,7 +121,7 @@ func TestRebin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse := Rebin(series, simclock.Micros(100))
+	coarse := rebin(series, simclock.Micros(100))
 	if len(coarse) != 2 {
 		t.Fatalf("rebinned into %d bins", len(coarse))
 	}
@@ -136,7 +136,7 @@ func TestRebinPartialOverlap(t *testing.T) {
 	// One 50µs span at 1.0 crossing a 40µs bin boundary distributes
 	// 40µs into bin 0 and 10µs into bin 1.
 	series := []UtilPoint{{Start: 0, End: simclock.Time(simclock.Micros(50)), Util: 1}}
-	coarse := Rebin(series, simclock.Micros(40))
+	coarse := rebin(series, simclock.Micros(40))
 	if len(coarse) != 2 {
 		t.Fatalf("bins = %d", len(coarse))
 	}
@@ -149,7 +149,7 @@ func TestRebinPartialOverlap(t *testing.T) {
 }
 
 func TestRebinEmptyAndPanic(t *testing.T) {
-	if got := Rebin(nil, simclock.Micros(10)); got != nil {
+	if got := rebin(nil, simclock.Micros(10)); got != nil {
 		t.Errorf("rebin of empty = %v", got)
 	}
 	defer func() {
@@ -157,7 +157,7 @@ func TestRebinEmptyAndPanic(t *testing.T) {
 			t.Error("non-positive width did not panic")
 		}
 	}()
-	Rebin([]UtilPoint{{}}, 0)
+	rebin([]UtilPoint{{}}, 0)
 }
 
 func TestUtils(t *testing.T) {

@@ -2,35 +2,26 @@ package analysis
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 
 	"mburst/internal/simclock"
-	"mburst/internal/stats"
 	"mburst/internal/wire"
 )
 
-// Snapshot/Restore extend every streaming accumulator in this package
-// with an explicit, JSON-serializable state surface, mirroring
-// internal/stats: the collector checkpointer persists snapshots, and a
+// Snapshot/Restore give the two accumulators the live-figures tap keeps
+// per series (UtilState and BurstSegmenter) an explicit,
+// JSON-serializable state surface. internal/collector's SeriesState
+// carries one UtilSnap and one SegmenterSnap per series, and the MBC1
+// checkpoint codec (collector/mbc1.go) encodes them field by field. A
 // restored accumulator continues bit-identically to one that never
 // stopped (snapshot_test.go proves this through a JSON round-trip at
-// every split point).
+// every split point). The other accumulators of this package run within
+// one pass over a campaign or a trace and are never checkpointed, so
+// they have no state surface.
 //
 // Latched errors are serialized as their message and restored with
 // errors.New: the restored error compares message-identical (what every
 // caller in this repository checks), though not errors.Is-identical to
 // the original value.
-//
-// The sequential state machines here (UtilState, GapAwareState,
-// BurstSegmenter, RebinAcc, DropBinAcc) consume ordered streams, so
-// they snapshot and restore but deliberately do not Merge: two
-// half-streams cannot be combined without fabricating the seam pair.
-// The order-free accumulators (SeriesEndpoints over consecutive halves,
-// BufferWindowAcc) gain Merge for fleet-scale aggregation, and
-// PacketMixAcc gains the restricted cross-port pooling Merge below —
-// whole completed streams combine exactly even though half-streams
-// cannot.
 
 func errString(err error) string {
 	if err == nil {
@@ -63,48 +54,6 @@ func (u *UtilState) Snapshot() UtilSnap {
 // RestoreUtilState rebuilds a converter from a snapshot.
 func RestoreUtilState(s UtilSnap) *UtilState {
 	return &UtilState{speedBps: s.SpeedBps, n: s.N, prev: s.Prev, err: errFromString(s.Err)}
-}
-
-// GapAwareSnap is the serializable state of a GapAwareState.
-type GapAwareSnap struct {
-	SpeedBps uint64      `json:"speed_bps"`
-	Stats    GapStats    `json:"stats"`
-	First    wire.Sample `json:"first"`
-	Prev     wire.Sample `json:"prev"`
-	Clean    int         `json:"clean"`
-	Out      []UtilPoint `json:"out"`
-	Bytes    []uint64    `json:"bytes"`
-	Err      string      `json:"err,omitempty"`
-}
-
-// Snapshot captures the reconstructor's state, including the retained
-// spans (the catch-up merge can cascade arbitrarily far back, so they
-// are state, not output).
-func (g *GapAwareState) Snapshot() GapAwareSnap {
-	return GapAwareSnap{
-		SpeedBps: g.speedBps,
-		Stats:    g.st,
-		First:    g.first,
-		Prev:     g.prev,
-		Clean:    g.clean,
-		Out:      append([]UtilPoint(nil), g.out...),
-		Bytes:    append([]uint64(nil), g.bytes...),
-		Err:      errString(g.err),
-	}
-}
-
-// RestoreGapAwareState rebuilds a reconstructor from a snapshot.
-func RestoreGapAwareState(s GapAwareSnap) *GapAwareState {
-	return &GapAwareState{
-		speedBps: s.SpeedBps,
-		st:       s.Stats,
-		first:    s.First,
-		prev:     s.Prev,
-		clean:    s.Clean,
-		out:      append([]UtilPoint(nil), s.Out...),
-		bytes:    append([]uint64(nil), s.Bytes...),
-		err:      errFromString(s.Err),
-	}
 }
 
 // SegmenterSnap is the serializable state of a BurstSegmenter: its
@@ -142,288 +91,4 @@ func RestoreBurstSegmenter(s SegmenterSnap) *BurstSegmenter {
 		active: s.Active, hotRun: s.HotRun, coldRun: s.ColdRun,
 		runStart: s.RunStart, cur: s.Cur, prevEnd: s.PrevEnd, closed: s.Closed,
 	}
-}
-
-// RebinSnap is the serializable state of a RebinAcc.
-type RebinSnap struct {
-	Width   simclock.Duration `json:"width_ns"`
-	Started bool              `json:"started"`
-	Start   simclock.Time     `json:"start"`
-	End     simclock.Time     `json:"end"`
-	Acc     []float64         `json:"acc"`
-}
-
-// Snapshot captures the rebinner's state.
-func (r *RebinAcc) Snapshot() RebinSnap {
-	return RebinSnap{
-		Width: r.width, Started: r.started, Start: r.start, End: r.end,
-		Acc: append([]float64(nil), r.acc...),
-	}
-}
-
-// RestoreRebinAcc rebuilds a rebinner from a snapshot, rejecting a
-// non-positive width as an error (snapshots come from disk; the
-// constructor's panic is for static configuration).
-func RestoreRebinAcc(s RebinSnap) (*RebinAcc, error) {
-	if s.Width <= 0 {
-		return nil, fmt.Errorf("analysis: non-positive rebin width %v in snapshot", s.Width)
-	}
-	return &RebinAcc{
-		width: s.Width, started: s.Started, start: s.Start, end: s.End,
-		acc: append([]float64(nil), s.Acc...),
-	}, nil
-}
-
-// DropBinSnap is the serializable state of a DropBinAcc.
-type DropBinSnap struct {
-	Bin   simclock.Duration `json:"bin_ns"`
-	N     int               `json:"n"`
-	Start simclock.Time     `json:"start"`
-	Prev  wire.Sample       `json:"prev"`
-	Bins  []uint64          `json:"bins"`
-	Err   string            `json:"err,omitempty"`
-}
-
-// Snapshot captures the drop binner's state.
-func (d *DropBinAcc) Snapshot() DropBinSnap {
-	return DropBinSnap{
-		Bin: d.bin, N: d.n, Start: d.start, Prev: d.prev,
-		Bins: append([]uint64(nil), d.bins...),
-		Err:  errString(d.err),
-	}
-}
-
-// RestoreDropBinAcc rebuilds a drop binner from a snapshot.
-func RestoreDropBinAcc(s DropBinSnap) (*DropBinAcc, error) {
-	if s.Bin <= 0 {
-		return nil, fmt.Errorf("analysis: non-positive bin %v in snapshot", s.Bin)
-	}
-	return &DropBinAcc{
-		bin: s.Bin, n: s.N, start: s.Start, prev: s.Prev,
-		bins: append([]uint64(nil), s.Bins...),
-		err:  errFromString(s.Err),
-	}, nil
-}
-
-// Snapshot captures the endpoints. SeriesEndpoints is its own snapshot
-// type: every field is exported and JSON-serializable already.
-func (e *SeriesEndpoints) Snapshot() SeriesEndpoints { return *e }
-
-// Restore replaces the endpoints with a snapshot.
-func (e *SeriesEndpoints) Restore(s SeriesEndpoints) { *e = s }
-
-// Merge folds o into e as the continuation of e's series: o's samples
-// are treated as arriving after e's, so First keeps e's opening sample
-// (unless e was empty) and Last takes o's closing one.
-func (e *SeriesEndpoints) Merge(o *SeriesEndpoints) {
-	if o.Count == 0 {
-		return
-	}
-	if e.Count == 0 {
-		*e = *o
-		return
-	}
-	e.Last = o.Last
-	e.Count += o.Count
-}
-
-// ByteRecSnap serializes one pending byteRec of a PacketMixAcc.
-type ByteRecSnap struct {
-	Time    simclock.Time `json:"time"`
-	Util    float64       `json:"util"`
-	HasUtil bool          `json:"has_util"`
-}
-
-// PacketMixSnap is the serializable state of a PacketMixAcc.
-type PacketMixSnap struct {
-	Threshold      float64             `json:"threshold"`
-	Util           UtilSnap            `json:"util"`
-	UtilErr        string              `json:"util_err,omitempty"`
-	AlignErr       string              `json:"align_err,omitempty"`
-	Inside         stats.HistogramSnap `json:"inside"`
-	Outside        stats.HistogramSnap `json:"outside"`
-	InsidePeriods  int                 `json:"inside_periods"`
-	OutsidePeriods int                 `json:"outside_periods"`
-	NBytes         int                 `json:"n_bytes"`
-	NBins          int                 `json:"n_bins"`
-	Matched        int                 `json:"matched"`
-	ByteQ          []ByteRecSnap       `json:"byte_q,omitempty"`
-	BinQ           []wire.Sample       `json:"bin_q,omitempty"`
-	PrevBin        wire.Sample         `json:"prev_bin"`
-}
-
-// Snapshot captures the classifier's state, pairing queues included.
-func (m *PacketMixAcc) Snapshot() PacketMixSnap {
-	s := PacketMixSnap{
-		Threshold:      m.threshold,
-		Util:           m.util.Snapshot(),
-		UtilErr:        errString(m.utilErr),
-		AlignErr:       errString(m.alignErr),
-		Inside:         m.res.Inside.Snapshot(),
-		Outside:        m.res.Outside.Snapshot(),
-		InsidePeriods:  m.res.InsidePeriods,
-		OutsidePeriods: m.res.OutsidePeriods,
-		NBytes:         m.nBytes,
-		NBins:          m.nBins,
-		Matched:        m.matched,
-		BinQ:           append([]wire.Sample(nil), m.binQ...),
-		PrevBin:        m.prevBin,
-	}
-	for _, r := range m.byteQ {
-		s.ByteQ = append(s.ByteQ, ByteRecSnap{Time: r.time, Util: r.util, HasUtil: r.hasUtil})
-	}
-	return s
-}
-
-// RestorePacketMixAcc rebuilds a classifier from a snapshot.
-func RestorePacketMixAcc(s PacketMixSnap) (*PacketMixAcc, error) {
-	inside, err := stats.RestoreHistogram(s.Inside)
-	if err != nil {
-		return nil, err
-	}
-	outside, err := stats.RestoreHistogram(s.Outside)
-	if err != nil {
-		return nil, err
-	}
-	m := &PacketMixAcc{
-		threshold: s.Threshold,
-		util:      RestoreUtilState(s.Util),
-		utilErr:   errFromString(s.UtilErr),
-		alignErr:  errFromString(s.AlignErr),
-		res: PacketMixResult{
-			Inside: inside, Outside: outside,
-			InsidePeriods: s.InsidePeriods, OutsidePeriods: s.OutsidePeriods,
-		},
-		nBytes:  s.NBytes,
-		nBins:   s.NBins,
-		matched: s.Matched,
-		binQ:    append([]wire.Sample(nil), s.BinQ...),
-		prevBin: s.PrevBin,
-	}
-	for _, r := range s.ByteQ {
-		m.byteQ = append(m.byteQ, byteRec{time: r.Time, util: r.Util, hasUtil: r.HasUtil})
-	}
-	return m, nil
-}
-
-// Merge pools o's finished classification into m — the cross-port
-// aggregation the fleet tier performs when combining per-port Fig 5
-// classifiers into one fleet-wide packet mix. The classifier is a
-// sequential machine, so only a *completed* stream pools exactly: o
-// must be drained (no unpaired byte/bin residue) and error-free, or
-// Merge refuses rather than fabricate a seam pair. Histograms union,
-// period and sample counters add; the receiver keeps its own pairing
-// tail and utilization state, so it may keep consuming its own port's
-// stream afterwards. Thresholds must agree. o is left untouched, and
-// pooling is commutative and associative over Result (snapshot_test.go
-// proves both against the batch oracle).
-func (m *PacketMixAcc) Merge(o *PacketMixAcc) error {
-	if m.threshold != o.threshold {
-		return fmt.Errorf("analysis: merging packet mixes with different thresholds (%g vs %g)",
-			m.threshold, o.threshold)
-	}
-	if len(o.byteQ) != 0 || len(o.binQ) != 0 {
-		return fmt.Errorf("analysis: merging a packet mix with %d byte + %d bin samples unpaired",
-			len(o.byteQ), len(o.binQ))
-	}
-	if o.utilErr != nil {
-		return o.utilErr
-	}
-	if o.alignErr != nil {
-		return o.alignErr
-	}
-	m.res.Inside.Merge(o.res.Inside)
-	m.res.Outside.Merge(o.res.Outside)
-	m.res.InsidePeriods += o.res.InsidePeriods
-	m.res.OutsidePeriods += o.res.OutsidePeriods
-	m.nBytes += o.nBytes
-	m.nBins += o.nBins
-	m.matched += o.matched
-	return nil
-}
-
-// BufferAggSnap serializes one window of a BufferWindowAcc.
-type BufferAggSnap struct {
-	Start    simclock.Time `json:"start"`
-	HotPorts []int         `json:"hot_ports,omitempty"`
-	Peak     float64       `json:"peak"`
-}
-
-// BufferWindowSnap is the serializable state of a BufferWindowAcc, with
-// the window map flattened to a deterministic sorted slice.
-type BufferWindowSnap struct {
-	Window    simclock.Duration `json:"window_ns"`
-	Threshold float64           `json:"threshold"`
-	Aggs      []BufferAggSnap   `json:"aggs,omitempty"`
-}
-
-// Snapshot captures the accumulator's state in deterministic order.
-func (b *BufferWindowAcc) Snapshot() BufferWindowSnap {
-	s := BufferWindowSnap{Window: b.window, Threshold: b.threshold}
-	starts := make([]simclock.Time, 0, len(b.aggs))
-	for start := range b.aggs {
-		starts = append(starts, start)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for _, start := range starts {
-		a := b.aggs[start]
-		ports := make([]int, 0, len(a.hot))
-		for p := range a.hot {
-			ports = append(ports, p)
-		}
-		sort.Ints(ports)
-		s.Aggs = append(s.Aggs, BufferAggSnap{Start: start, HotPorts: ports, Peak: a.peak})
-	}
-	return s
-}
-
-// RestoreBufferWindowAcc rebuilds an accumulator from a snapshot.
-func RestoreBufferWindowAcc(s BufferWindowSnap) (*BufferWindowAcc, error) {
-	if s.Window <= 0 {
-		return nil, fmt.Errorf("analysis: non-positive window %v in snapshot", s.Window)
-	}
-	b := &BufferWindowAcc{
-		window:    s.Window,
-		threshold: s.Threshold,
-		aggs:      make(map[simclock.Time]*bufferAgg, len(s.Aggs)),
-	}
-	for _, a := range s.Aggs {
-		agg := &bufferAgg{hot: make(map[int]bool, len(a.HotPorts)), peak: a.Peak}
-		for _, p := range a.HotPorts {
-			agg.hot[p] = true
-		}
-		b.aggs[a.Start] = agg
-	}
-	return b, nil
-}
-
-// Merge folds o's windows into b's: hot-port sets union and peaks take
-// the maximum, exactly as if every observation behind o had been issued
-// on b (both are order-free). The two accumulators must share window
-// width and threshold.
-func (b *BufferWindowAcc) Merge(o *BufferWindowAcc) error {
-	if b.window != o.window || b.threshold != o.threshold {
-		return fmt.Errorf("analysis: merging buffer windows with different configs (%v/%g vs %v/%g)",
-			b.window, b.threshold, o.window, o.threshold)
-	}
-	starts := make([]simclock.Time, 0, len(o.aggs))
-	for start := range o.aggs {
-		starts = append(starts, start)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for _, start := range starts {
-		oa := o.aggs[start]
-		a := b.aggs[start]
-		if a == nil {
-			a = &bufferAgg{hot: make(map[int]bool, len(oa.hot))}
-			b.aggs[start] = a
-		}
-		for p := range oa.hot {
-			a.hot[p] = true
-		}
-		if oa.peak > a.peak {
-			a.peak = oa.peak
-		}
-	}
-	return nil
 }

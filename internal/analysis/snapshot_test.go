@@ -1,19 +1,17 @@
 package analysis
 
-// Snapshot→restore→continue equivalence: for every streaming accumulator
-// and every split point k, feeding samples[:k], snapshotting through a
-// JSON round trip (how checkpoints travel), restoring, and feeding
-// samples[k:] must be bit-identical to the uninterrupted run — outputs,
-// latched errors, everything.
+// Snapshot→restore→continue equivalence: for each accumulator the
+// collector checkpoints (UtilState, BurstSegmenter) and every split
+// point k, feeding samples[:k], snapshotting through a JSON round trip
+// (how legacy checkpoints travel), restoring, and feeding samples[k:]
+// must be bit-identical to the uninterrupted run — outputs, latched
+// errors, everything.
 
 import (
 	"encoding/json"
 	"reflect"
 	"testing"
 
-	"mburst/internal/asic"
-	"mburst/internal/rng"
-	"mburst/internal/simclock"
 	"mburst/internal/wire"
 )
 
@@ -37,8 +35,8 @@ func sameErr(a, b error) bool {
 	return a == nil || a.Error() == b.Error()
 }
 
-// utilStreams are the sample sets every byte-fed accumulator is split
-// over: a clean ramp plus damaged variants that latch errors mid-stream.
+// utilStreams are the sample sets UtilState is split over: a clean ramp
+// plus damaged variants that latch errors mid-stream.
 func utilStreams() map[string][]wire.Sample {
 	clean := rampSamples(25, []float64{0.5, 1.0, 0.25, 0.0, 0.75, 0.9, 0.1, 0.95, 0.3, 0.8})
 	regress := append([]wire.Sample(nil), clean...)
@@ -89,47 +87,6 @@ func TestUtilStateSnapshotEquivalence(t *testing.T) {
 	}
 }
 
-func TestGapAwareStateSnapshotEquivalence(t *testing.T) {
-	// Include the catch-up case: its retained span tail is real state.
-	streams := utilStreams()
-	catchup := rampSamples(25, []float64{0.5, 0.5, 0.5})
-	catchup = append(catchup, wire.Sample{
-		Time: catchup[3].Time.Add(simclock.Microsecond),
-		Kind: asic.KindBytes, Dir: asic.TX,
-		Value: catchup[3].Value + uint64(float64(gbps10)/8*100e-6),
-	})
-	streams["catchup-merge"] = catchup
-	for name, samples := range streams {
-		t.Run(name, func(t *testing.T) {
-			contG := NewGapAwareState(gbps10)
-			for _, s := range samples {
-				if contG.Feed(s) != nil {
-					break
-				}
-			}
-			wantPts, wantSt, wantErr := contG.Finish()
-			for k := 0; k <= len(samples); k++ {
-				g := NewGapAwareState(gbps10)
-				for _, s := range samples[:k] {
-					if g.Feed(s) != nil {
-						break
-					}
-				}
-				g = RestoreGapAwareState(jsonRT(t, g.Snapshot()))
-				for _, s := range samples[k:] {
-					if g.Feed(s) != nil {
-						break
-					}
-				}
-				gotPts, gotSt, gotErr := g.Finish()
-				if !sameErr(gotErr, wantErr) || !reflect.DeepEqual(gotSt, wantSt) || !reflect.DeepEqual(gotPts, wantPts) {
-					t.Fatalf("split %d diverges", k)
-				}
-			}
-		})
-	}
-}
-
 func TestBurstSegmenterSnapshotEquivalence(t *testing.T) {
 	series := randUtilSeries(99, 60, 25)
 	cfgs := []SegmenterConfig{
@@ -164,252 +121,5 @@ func TestBurstSegmenterSnapshotEquivalence(t *testing.T) {
 				t.Fatalf("cfg %+v split %d diverges", cfg, k)
 			}
 		}
-	}
-}
-
-func TestRebinAccSnapshotEquivalence(t *testing.T) {
-	series := randUtilSeries(7, 40, 30)
-	width := 100 * simclock.Microsecond
-	cont := NewRebinAcc(width)
-	for _, p := range series {
-		cont.Add(p)
-	}
-	want := cont.Points()
-	for k := 0; k <= len(series); k++ {
-		r := NewRebinAcc(width)
-		for _, p := range series[:k] {
-			r.Add(p)
-		}
-		r2, err := RestoreRebinAcc(jsonRT(t, r.Snapshot()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range series[k:] {
-			r2.Add(p)
-		}
-		if !reflect.DeepEqual(r2.Points(), want) {
-			t.Fatalf("split %d diverges", k)
-		}
-	}
-	if _, err := RestoreRebinAcc(RebinSnap{Width: 0}); err == nil {
-		t.Error("zero-width snapshot accepted")
-	}
-}
-
-func TestDropBinAccSnapshotEquivalence(t *testing.T) {
-	src := rng.New(5)
-	samples := make([]wire.Sample, 30)
-	var cum uint64
-	for i := range samples {
-		cum += uint64(src.Intn(40))
-		samples[i] = wire.Sample{
-			Time:  simclock.Epoch.Add(simclock.Micros(int64(i) * 50)),
-			Kind:  asic.KindDrops,
-			Value: cum,
-		}
-	}
-	damaged := append([]wire.Sample(nil), samples...)
-	damaged[20].Time = damaged[19].Time
-	for name, stream := range map[string][]wire.Sample{"clean": samples, "non-increasing": damaged} {
-		t.Run(name, func(t *testing.T) {
-			bin := 200 * simclock.Microsecond
-			cont, err := NewDropBinAcc(bin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range stream {
-				if cont.Add(s) != nil {
-					break
-				}
-			}
-			want, wantErr := cont.Bins()
-			for k := 0; k <= len(stream); k++ {
-				d, err := NewDropBinAcc(bin)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, s := range stream[:k] {
-					if d.Add(s) != nil {
-						break
-					}
-				}
-				d2, err := RestoreDropBinAcc(jsonRT(t, d.Snapshot()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, s := range stream[k:] {
-					if d2.Add(s) != nil {
-						break
-					}
-				}
-				got, gotErr := d2.Bins()
-				if !sameErr(gotErr, wantErr) || !reflect.DeepEqual(got, want) {
-					t.Fatalf("split %d diverges", k)
-				}
-			}
-		})
-	}
-}
-
-func TestSeriesEndpointsSnapshotAndMerge(t *testing.T) {
-	samples := rampSamples(25, []float64{0.1, 0.9, 0.4, 0.6})
-	var cont SeriesEndpoints
-	for _, s := range samples {
-		cont.Add(s)
-	}
-	for k := 0; k <= len(samples); k++ {
-		var a SeriesEndpoints
-		for _, s := range samples[:k] {
-			a.Add(s)
-		}
-		var b SeriesEndpoints
-		b.Restore(jsonRT(t, a.Snapshot()))
-		for _, s := range samples[k:] {
-			b.Add(s)
-		}
-		if !reflect.DeepEqual(b, cont) {
-			t.Fatalf("split %d diverges", k)
-		}
-		// Merge of consecutive halves equals the sequential feed too.
-		var left, right SeriesEndpoints
-		for _, s := range samples[:k] {
-			left.Add(s)
-		}
-		for _, s := range samples[k:] {
-			right.Add(s)
-		}
-		left.Merge(&right)
-		if !reflect.DeepEqual(left, cont) {
-			t.Fatalf("merge at %d diverges", k)
-		}
-	}
-}
-
-func TestPacketMixAccSnapshotEquivalence(t *testing.T) {
-	src := rng.New(31)
-	n := 40
-	var stream []wire.Sample
-	var cum uint64
-	var cumBins [asic.NumSizeBins]uint64
-	for i := 0; i < n; i++ {
-		at := simclock.Epoch.Add(simclock.Micros(int64(i) * 100))
-		util := 0.1
-		if (i/5)%2 == 1 {
-			util = 0.9
-		}
-		cum += uint64(util * float64(gbps10) / 8 * 100e-6)
-		for b := range cumBins {
-			cumBins[b] += uint64(src.Intn(9))
-		}
-		stream = append(stream,
-			wire.Sample{Time: at, Kind: asic.KindBytes, Dir: asic.TX, Value: cum},
-			wire.Sample{Time: at, Kind: asic.KindSizeBins, Dir: asic.TX, Bins: cumBins})
-	}
-	misaligned := append([]wire.Sample(nil), stream...)
-	misaligned[41].Time = misaligned[41].Time.Add(simclock.Microsecond) // a bin sample off its byte twin
-	for name, samples := range map[string][]wire.Sample{"clean": stream, "misaligned": misaligned} {
-		t.Run(name, func(t *testing.T) {
-			cont := NewPacketMixAcc(gbps10, 0)
-			for _, s := range samples {
-				cont.Feed(s)
-			}
-			want, wantErr := cont.Result()
-			for k := 0; k <= len(samples); k++ {
-				m := NewPacketMixAcc(gbps10, 0)
-				for _, s := range samples[:k] {
-					m.Feed(s)
-				}
-				m2, err := RestorePacketMixAcc(jsonRT(t, m.Snapshot()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, s := range samples[k:] {
-					m2.Feed(s)
-				}
-				got, gotErr := m2.Result()
-				if !sameErr(gotErr, wantErr) || !reflect.DeepEqual(got, want) {
-					t.Fatalf("split %d diverges", k)
-				}
-			}
-		})
-	}
-}
-
-func TestBufferWindowAccSnapshotEquivalence(t *testing.T) {
-	series := randUtilSeries(3, 50, 40)
-	src := rng.New(17)
-	peaks := make([]wire.Sample, 20)
-	for i := range peaks {
-		peaks[i] = wire.Sample{
-			Time:  simclock.Epoch.Add(simclock.Micros(int64(i) * 97)),
-			Kind:  asic.KindBufferPeak,
-			Value: uint64(src.Intn(1 << 20)),
-		}
-	}
-	window := 200 * simclock.Microsecond
-	type ev struct {
-		port int
-		p    UtilPoint
-		peak *wire.Sample
-	}
-	var events []ev
-	for i, p := range series {
-		events = append(events, ev{port: i % 4, p: p})
-	}
-	for i := range peaks {
-		events = append(events, ev{peak: &peaks[i]})
-	}
-	feed := func(b *BufferWindowAcc, e ev) {
-		if e.peak != nil {
-			b.ObservePeak(*e.peak)
-		} else {
-			b.ObserveUtil(e.port, e.p)
-		}
-	}
-	cont, err := NewBufferWindowAcc(window, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range events {
-		feed(cont, e)
-	}
-	want := cont.Windows()
-	for k := 0; k <= len(events); k += 7 {
-		b, err := NewBufferWindowAcc(window, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range events[:k] {
-			feed(b, e)
-		}
-		b2, err := RestoreBufferWindowAcc(jsonRT(t, b.Snapshot()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range events[k:] {
-			feed(b2, e)
-		}
-		if !reflect.DeepEqual(b2.Windows(), want) {
-			t.Fatalf("split %d diverges", k)
-		}
-		// Merge of the two halves equals the sequential feed (order-free).
-		left, _ := NewBufferWindowAcc(window, 0)
-		right, _ := NewBufferWindowAcc(window, 0)
-		for _, e := range events[:k] {
-			feed(left, e)
-		}
-		for _, e := range events[k:] {
-			feed(right, e)
-		}
-		if err := left.Merge(right); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(left.Windows(), want) {
-			t.Fatalf("merge at %d diverges", k)
-		}
-	}
-	other, _ := NewBufferWindowAcc(window*2, 0)
-	if err := cont.Merge(other); err == nil {
-		t.Error("merge across window widths accepted")
 	}
 }

@@ -11,11 +11,12 @@ import (
 
 // This file is the analysis engine: single-pass, per-series state
 // machines that consume wire.Samples as they arrive (from a live
-// collector ingest tap or trace.Reader.IterWindow). They are the only
-// implementation of each per-series algorithm — the slice-taking
-// functions of the package feed them — and reference_test.go keeps an
-// independent slice implementation of each that they are compared
-// against bit for bit, error text included.
+// collector ingest tap, a campaign's figure runners in internal/core, or
+// trace.Reader.IterWindow). They are the only implementation of each
+// per-series algorithm — the few slice-taking functions the package
+// keeps for callers that hold a slice feed them — and reference_test.go
+// keeps an independent slice implementation of each that they are
+// compared against bit for bit, error text included.
 
 // SortedKeys returns the keys of a SeriesKey-keyed map in deterministic
 // order: Port, then Dir, then Kind. Every range over a Split result (or
@@ -79,11 +80,6 @@ func (d *SeriesDemux) FeedBatch(b *wire.Batch) error {
 		}
 	}
 	return nil
-}
-
-// Keys returns every series seen so far in SortedKeys order.
-func (d *SeriesDemux) Keys() []SeriesKey {
-	return SortedKeys(d.sinks)
 }
 
 // UtilState is the engine behind UtilizationSeries: feed cumulative
@@ -301,7 +297,8 @@ type SegmenterConfig struct {
 // streaming analysis path and internal/detect's online detectors: feed
 // utilization spans in order and receive bursts and inter-burst gaps as
 // they close. Bursts is this machine at ArmAfter = DisarmAfter = 1 with no
-// hysteresis, and the gaps it emits are then those of InterBurstGaps.
+// hysteresis; the gaps it emits then separate consecutive Bursts (the
+// Fig 4 sample set).
 type BurstSegmenter struct {
 	hotAbove  float64
 	coldBelow float64
@@ -404,8 +401,10 @@ func (g *BurstSegmenter) Reset() {
 	*g = *NewBurstSegmenter(cfg)
 }
 
-// RebinAcc is the engine behind Rebin: feed utilization spans in order,
-// read the fixed-width bins at the end.
+// RebinAcc aggregates a utilization series into fixed-width bins (e.g.
+// the 1 s granularity of Fig 7's coarse curves), byte-weighting each
+// span by its overlap with the bin: feed spans in order, read the bins
+// at the end.
 type RebinAcc struct {
 	width   simclock.Duration
 	started bool
@@ -475,11 +474,12 @@ func (r *RebinAcc) Points() []UtilPoint {
 	return out
 }
 
-// DropBinAcc is the engine behind DropTimeSeries: feed cumulative
-// drop-counter samples, read per-bin drop counts at the end. The final
-// bin count depends on the last timestamp, so deltas landing past it
-// accumulate in overflow bins that Bins folds into the last bin (uint64
-// sums commute, so the fold is exact).
+// DropBinAcc converts a cumulative drop-counter series into per-bin drop
+// counts at a fixed granularity (1 minute in Fig 2): feed samples in
+// order, read the bins at the end. The final bin count depends on the
+// last timestamp, so deltas landing past it accumulate in overflow bins
+// that Bins folds into the last bin (uint64 sums commute, so the fold is
+// exact).
 type DropBinAcc struct {
 	bin   simclock.Duration
 	n     int
@@ -580,11 +580,15 @@ func (e *SeriesEndpoints) Slice() []wire.Sample {
 	}
 }
 
-// PacketMixAcc is the engine behind PacketMixInsideOutside: feed the
-// interleaved byte/size-bin sample stream of one port and read the Fig 5
-// histograms at the end. Byte and bin samples are paired by index;
-// campaigns emit them in lockstep, so the internal pairing queues stay
-// O(1) deep (a stream where one kind runs far ahead buffers the
+// PacketMixAcc classifies each sampling period of one port as inside or
+// outside a burst by its byte counter, and accumulates the same period's
+// size-bin deltas into the matching Fig 5 histogram — the §5.3
+// methodology ("Packets were binned by their size into several ranges
+// and polled alongside the total byte count of the interface in order to
+// classify the samples"). Feed the interleaved byte/size-bin stream and
+// read the histograms at the end. Byte and bin samples are paired by
+// index; campaigns emit them in lockstep, so the internal pairing queues
+// stay O(1) deep (a stream where one kind runs far ahead buffers the
 // difference).
 type PacketMixAcc struct {
 	threshold float64

@@ -1,23 +1,24 @@
 package analysis
 
-// Accumulator-level equivalence: each accumulator, the slice-taking
-// adapter over it, and the independent reference in reference_test.go
-// must agree exactly — same values, same order, same errors — on clean
-// and damaged inputs, hand-picked and testing/quick-generated. The
-// composition-level equivalence lives in internal/core/equivalence_test.go;
-// these tests localize a divergence to the specific accumulator.
+// Accumulator-level equivalence: each accumulator and the independent
+// reference in reference_test.go — and, where the package keeps one, the
+// slice-taking adapter over the accumulator — must agree exactly — same
+// values, same order, same errors — on clean and damaged inputs,
+// hand-picked and testing/quick-generated. The composition-level
+// equivalence lives in internal/core/equivalence_test.go; these tests
+// localize a divergence to the specific accumulator.
 
 import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"mburst/internal/asic"
 	"mburst/internal/rng"
 	"mburst/internal/simclock"
+	"mburst/internal/stats"
 	"mburst/internal/wire"
 )
 
@@ -101,22 +102,49 @@ func TestSeriesDemuxRoutesInOrder(t *testing.T) {
 			t.Errorf("series %v: demux %v, split %v", key, got[key], split[key])
 		}
 	}
-	keys := demux.Keys()
-	if len(keys) != 3 {
-		t.Errorf("Keys() = %v, want the 3 series with sinks", keys)
+}
+
+// Feed loops for the tests that hold a slice. The package keeps no such
+// twin of these accumulators: no caller outside the tests holds one.
+
+// rebin feeds a utilization series through a RebinAcc.
+func rebin(series []UtilPoint, width simclock.Duration) []UtilPoint {
+	acc := NewRebinAcc(width)
+	for _, p := range series {
+		acc.Add(p)
 	}
-	if !sort.SliceIsSorted(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Port != b.Port {
-			return a.Port < b.Port
-		}
-		if a.Dir != b.Dir {
-			return a.Dir < b.Dir
-		}
-		return a.Kind < b.Kind
-	}) {
-		t.Errorf("Keys() not sorted: %v", keys)
+	return acc.Points()
+}
+
+// dropBins feeds a cumulative drop-counter series through a DropBinAcc,
+// stopping at the first latched error.
+func dropBins(dropSamples []wire.Sample, bin simclock.Duration) ([]uint64, error) {
+	acc, err := NewDropBinAcc(bin)
+	if err != nil {
+		return nil, err
 	}
+	for _, s := range dropSamples {
+		if acc.Add(s) != nil {
+			break
+		}
+	}
+	return acc.Bins()
+}
+
+// packetMix feeds one port's byte and size-bin series through a
+// PacketMixAcc, interleaved as a campaign would, so the pairing queues
+// stay O(1) deep.
+func packetMix(byteSamples, binSamples []wire.Sample, speedBps uint64, threshold float64) (PacketMixResult, error) {
+	acc := NewPacketMixAcc(speedBps, threshold)
+	for i := 0; i < len(byteSamples) || i < len(binSamples); i++ {
+		if i < len(byteSamples) {
+			acc.AddByte(byteSamples[i])
+		}
+		if i < len(binSamples) {
+			acc.AddBin(binSamples[i])
+		}
+	}
+	return acc.Result()
 }
 
 // ---------------------------------------------------------------------------
@@ -294,12 +322,13 @@ func TestUtilStateMatchesUtilizationSeries(t *testing.T) {
 }
 
 // checkBursts compares Bursts, a BurstSegmenter and the reference on
-// segments and inter-burst gaps, and BurstMarkov against a transition
-// count over the reference hot sequence.
+// segments and inter-burst gaps, and a MarkovAcc fed the hot/not-hot
+// classification against a transition count over the reference hot
+// sequence.
 func checkBursts(t *testing.T, s []UtilPoint, th float64) bool {
 	t.Helper()
 	refB := refBursts(s, th)
-	refGaps := InterBurstGaps(refB)
+	refGaps := refInterBurstGaps(refB)
 
 	seg := NewBurstSegmenter(SegmenterConfig{HotAbove: th})
 	var accB []Burst
@@ -348,7 +377,11 @@ func checkBursts(t *testing.T, s []UtilPoint, th float64) bool {
 		}
 		counts[a][b]++
 	}
-	if m := BurstMarkov(s, th); m.Counts != counts {
+	var mk stats.MarkovAcc
+	for _, p := range s {
+		mk.Observe(p.Util > hotAbove)
+	}
+	if m := mk.Model(); m.Counts != counts {
 		t.Errorf("markov counts = %v, hand count over the hot sequence = %v", m.Counts, counts)
 		ok = false
 	}
@@ -392,26 +425,19 @@ func panicText(f func()) (msg any) {
 	return nil
 }
 
-// checkRebin compares Rebin, a RebinAcc and the reference on one series,
+// checkRebin compares a RebinAcc and the reference on one series,
 // including the non-positive-width panic.
 func checkRebin(t *testing.T, series []UtilPoint, w simclock.Duration) bool {
 	t.Helper()
-	var ref, ad, acc []UtilPoint
+	var ref, acc []UtilPoint
 	refP := panicText(func() { ref = refRebin(series, w) })
-	adP := panicText(func() { ad = Rebin(series, w) })
-	accP := panicText(func() {
-		a := NewRebinAcc(w)
-		for _, p := range series {
-			a.Add(p)
-		}
-		acc = a.Points()
-	})
-	if refP != adP || refP != accP {
-		t.Errorf("width %v: panics diverge: reference %v, adapter %v, accumulator %v", w, refP, adP, accP)
+	accP := panicText(func() { acc = rebin(series, w) })
+	if refP != accP {
+		t.Errorf("width %v: panics diverge: reference %v, accumulator %v", w, refP, accP)
 		return false
 	}
-	if !reflect.DeepEqual(ref, ad) || !reflect.DeepEqual(ref, acc) {
-		t.Errorf("width %v: rebin diverges:\nreference:   %v\nadapter:     %v\naccumulator: %v", w, ref, ad, acc)
+	if !reflect.DeepEqual(ref, acc) {
+		t.Errorf("width %v: rebin diverges:\nreference:   %v\naccumulator: %v", w, ref, acc)
 		return false
 	}
 	return true
@@ -423,7 +449,7 @@ func TestRebinAccMatchesRebin(t *testing.T) {
 		100 * simclock.Microsecond,
 		simclock.Millisecond,
 		7 * simclock.Millisecond, // deliberately not a divisor of the span
-		0,                        // all three must panic alike
+		0,                        // both must panic alike
 	}
 	series := randUtilSeries(13, 500, 40)
 	for _, w := range widths {
@@ -442,27 +468,17 @@ func TestRebinAccMatchesRebin(t *testing.T) {
 	})
 }
 
-// checkDropBins compares DropTimeSeries, a DropBinAcc and the reference.
+// checkDropBins compares a DropBinAcc and the reference.
 func checkDropBins(t *testing.T, samples []wire.Sample, bin simclock.Duration) bool {
 	t.Helper()
 	ref, refErr := refDropTimeSeries(samples, bin)
-	ad, adErr := DropTimeSeries(samples, bin)
-	var got []uint64
-	acc, accErr := NewDropBinAcc(bin)
-	if accErr == nil {
-		for _, s := range samples {
-			if acc.Add(s) != nil {
-				break
-			}
-		}
-		got, accErr = acc.Bins()
-	}
-	if !sameText(refErr, adErr, accErr) {
-		t.Errorf("errors diverge: reference %q, adapter %q, accumulator %q", errText(refErr), errText(adErr), errText(accErr))
+	got, accErr := dropBins(samples, bin)
+	if !sameText(refErr, accErr) {
+		t.Errorf("errors diverge: reference %q, accumulator %q", errText(refErr), errText(accErr))
 		return false
 	}
-	if !reflect.DeepEqual(ref, ad) || !reflect.DeepEqual(ref, got) {
-		t.Errorf("bins diverge:\nreference:   %v\nadapter:     %v\naccumulator: %v", ref, ad, got)
+	if !reflect.DeepEqual(ref, got) {
+		t.Errorf("bins diverge:\nreference:   %v\naccumulator: %v", ref, got)
 		return false
 	}
 	return true
@@ -555,12 +571,13 @@ func TestSeriesEndpointsMatchesCoarseWindow(t *testing.T) {
 	}
 }
 
-// checkPacketMix compares PacketMixInsideOutside, a PacketMixAcc and the
-// reference on histograms, period counts and error text.
+// checkPacketMix compares a PacketMixAcc and the reference on histograms,
+// period counts and error text. The accumulator is fed through Feed, as
+// the campaign's Fig 5 runner feeds it, so routing by counter kind is
+// covered too.
 func checkPacketMix(t *testing.T, bytes, bins []wire.Sample, speed uint64, th float64) bool {
 	t.Helper()
 	ref, refErr := refPacketMixInsideOutside(bytes, bins, speed, th)
-	ad, adErr := PacketMixInsideOutside(bytes, bins, speed, th)
 
 	acc := NewPacketMixAcc(speed, th)
 	// Interleave as a campaign would: byte then bin per poll.
@@ -573,12 +590,12 @@ func checkPacketMix(t *testing.T, bytes, bins []wire.Sample, speed uint64, th fl
 		}
 	}
 	got, accErr := acc.Result()
-	if !sameText(refErr, adErr, accErr) {
-		t.Errorf("errors diverge: reference %q, adapter %q, accumulator %q", errText(refErr), errText(adErr), errText(accErr))
+	if !sameText(refErr, accErr) {
+		t.Errorf("errors diverge: reference %q, accumulator %q", errText(refErr), errText(accErr))
 		return false
 	}
-	if !reflect.DeepEqual(ref, ad) || !reflect.DeepEqual(ref, got) {
-		t.Errorf("mix diverges:\nreference:   %+v\nadapter:     %+v\naccumulator: %+v", ref, ad, got)
+	if !reflect.DeepEqual(ref, got) {
+		t.Errorf("mix diverges:\nreference:   %+v\naccumulator: %+v", ref, got)
 		return false
 	}
 	return true

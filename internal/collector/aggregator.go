@@ -267,10 +267,10 @@ func (a *Aggregator) FleetFigures() (FiguresSnapshot, error) {
 }
 
 // Restore seeds the retained per-shard states from the shards' own
-// checkpoints — states[i] is what LoadCheckpoint returns for placement
-// shard i's directory — as Seq-0 cuts that any live shard update
-// supersedes. Call before traffic, typically right after NewAggregator
-// when resuming a fleet.
+// checkpoints — states[i] is what LoadCheckpoint returns for the file
+// placement shard i's last Checkpoint saved — as Seq-0 cuts that any
+// live shard update supersedes. Call before traffic, typically right
+// after NewAggregator when resuming a fleet.
 func (a *Aggregator) Restore(states []CheckpointState) error {
 	if len(states) != len(a.latest) {
 		return fmt.Errorf("collector: %d shard checkpoints, aggregator has %d shards",

@@ -359,20 +359,35 @@ func TestAggregatorConcurrentDelivery(t *testing.T) {
 }
 
 // TestFleetCheckpointComposeRestore proves the fleet's checkpoint is
-// nothing but its shards' checkpoints: saving each shard's state, loading
-// them back and restoring them into a fresh aggregator reproduces the
-// exact merge of those states, and a live shard update supersedes the
-// restored seed state.
+// nothing but its shards' checkpoints: checkpointing each durable shard,
+// loading the files back and restoring them into a fresh aggregator
+// reproduces the exact merge of those states, and a live shard update
+// supersedes the restored seed state.
 func TestFleetCheckpointComposeRestore(t *testing.T) {
 	const racks, nShards = 8, 3
 	pl, err := shard.Uniform(nShards, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One checkpoint file per shard, as a durable fleet lays them out;
+	// only the final, clean-shutdown checkpoint is taken.
+	dir := t.TempDir()
+	paths := make([]string, nShards)
 	streams := fleetBatches(racks, 9, 80, 16)
 	shards := make([]*Shard, nShards)
 	for i := range shards {
-		shards[i] = newVolatileShard(t, pl, i)
+		fig, err := NewLiveFigures(fleetFiguresConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = filepath.Join(dir, pl.Name(i)+"_"+CheckpointFileName)
+		shards[i], err = NewShard(ShardConfig{
+			ID: i, Placement: &pl, Figures: fig, Stats: &IngestStats{},
+			Archive: &memArchive{}, CheckpointPath: paths[i], Every: 1 << 30,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	for rack, batches := range streams {
 		for _, b := range batches {
@@ -380,19 +395,15 @@ func TestFleetCheckpointComposeRestore(t *testing.T) {
 		}
 	}
 
-	// One checkpoint file per shard directory, as a durable fleet lays
-	// them out.
-	dir := t.TempDir()
 	loaded := make([]CheckpointState, nShards)
 	figs := make([]FiguresState, nShards)
 	snaps := make([]Snapshot, nShards)
 	for i, s := range shards {
-		path := filepath.Join(dir, pl.Name(i)+"_"+CheckpointFileName)
-		if err := SaveCheckpoint(path, s.CheckpointState()); err != nil {
+		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		var ok bool
-		loaded[i], ok, err = LoadCheckpoint(path)
+		loaded[i], ok, err = LoadCheckpoint(paths[i])
 		if err != nil || !ok {
 			t.Fatalf("LoadCheckpoint shard %d: ok=%v err=%v", i, ok, err)
 		}

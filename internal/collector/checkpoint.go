@@ -294,17 +294,6 @@ func (s *Shard) Checkpoint() error {
 	return nil
 }
 
-// CheckpointState cuts the shard's current state into the persisted
-// checkpoint shape without touching disk — on a quiesced durable shard
-// exactly what Checkpoint would write, and so what Aggregator.Restore
-// is seeded with. The archived-batches mark is only present on durable
-// shards.
-func (s *Shard) CheckpointState() CheckpointState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cutLocked()
-}
-
 // cutLocked is the one builder of a CheckpointState from live state: the
 // archive high-water mark, the gate horizons and a snapshot of every
 // accumulator. Caller holds s.mu, which is what makes the cut

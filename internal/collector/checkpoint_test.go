@@ -281,35 +281,6 @@ func TestEpochGateStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointStateMatchesDisk pins the single cut builder: on a
-// quiesced durable shard, what CheckpointState returns is exactly what
-// Checkpoint then persists — gate horizons included, or a shard restored
-// from it could not deduplicate retransmits.
-func TestCheckpointStateMatchesDisk(t *testing.T) {
-	arch := &memArchive{}
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	d, _, _ := newDurable(t, arch, path, 1000)
-	for i := 0; i < 10; i++ {
-		d.Handle(ckptBatch(1, 1, i))
-		d.Handle(ckptBatch(2, 3, i))
-	}
-	got := d.CheckpointState()
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	want, ok, err := LoadCheckpoint(path)
-	if err != nil || !ok {
-		t.Fatalf("LoadCheckpoint = %v, %v", ok, err)
-	}
-	if len(want.Gate) != 2 || want.ArchivedBatches != 20 {
-		t.Fatalf("on-disk checkpoint covers %d batches with %d gate horizons, want 20 and 2",
-			want.ArchivedBatches, len(want.Gate))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("CheckpointState() differs from the checkpoint on disk:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // TestRecoveryMetricsMeasureCheckpointAndResume: with RecoveryMetrics
 // attached, every save reports its size and its cut-to-rename duration,
 // and a Resume reports the size it loaded, the load's duration and its

@@ -113,6 +113,14 @@ func sameCut(t *testing.T, what string, got, want FiguresState) bool {
 	return true
 }
 
+// checkpointCut is the cut a durable checkpoint of sh would save, taken
+// without touching disk.
+func checkpointCut(sh *Shard) CheckpointState {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.cutLocked()
+}
+
 // viaJSON deep-copies a state the way a checkpoint would.
 func viaJSON(t *testing.T, st FiguresState) FiguresState {
 	t.Helper()
@@ -151,7 +159,7 @@ func TestStateCutMatchesFullResnapshot(t *testing.T) {
 			case 1:
 				cut = sh.Publish().Figures
 			case 2:
-				cut = *sh.CheckpointState().Figures
+				cut = *checkpointCut(sh).Figures
 			case 3:
 				// Restore an earlier cut (or nothing), half the time with
 				// its series reversed: RestoreState takes any order.
@@ -370,9 +378,9 @@ func TestCleanCutSnapshotsNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pub, ck := sh.Publish().Figures, sh.CheckpointState().Figures
+		pub, ck := sh.Publish().Figures, checkpointCut(sh).Figures
 		if !slices.Equal(pub.Series, first.Series) || !slices.Equal(ck.Series, first.Series) {
-			t.Error("Publish and CheckpointState on an unfed tap re-snapshotted a series")
+			t.Error("Publish and a checkpoint cut on an unfed tap re-snapshotted a series")
 		}
 	}
 }

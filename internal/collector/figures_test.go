@@ -64,8 +64,9 @@ func figBatches(seed uint64, ticks, perBatch int) []*wire.Batch {
 
 // TestLiveFiguresMatchesBatchAnalysis replays a synthetic ingest stream
 // through the tap and checks every snapshot statistic against the batch
-// pipeline (UtilizationSeries, Bursts, InterBurstGaps, FitMarkov) run on
-// the same per-series samples.
+// pipeline (UtilizationSeries, Bursts, the gaps between consecutive
+// Bursts, a MarkovAcc fed the hot/not-hot sequence) run on the same
+// per-series samples.
 func TestLiveFiguresMatchesBatchAnalysis(t *testing.T) {
 	fig, err := NewLiveFigures(LiveFiguresConfig{
 		SpeedOf:  func(uint32, uint16) uint64 { return figSpeed },
@@ -110,15 +111,16 @@ func TestLiveFiguresMatchesBatchAnalysis(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rack %d port %d: %v", sf.Rack, sf.Port, err)
 		}
-		hotSeq := make([]bool, len(series))
+		var mk stats.MarkovAcc
 		hot := 0
-		for i, p := range series {
-			hotSeq[i] = p.Util > snap.Threshold
-			if hotSeq[i] {
+		for _, p := range series {
+			isHot := p.Util > snap.Threshold
+			mk.Observe(isHot)
+			if isHot {
 				hot++
 			}
 		}
-		models = append(models, stats.FitMarkov(hotSeq))
+		models = append(models, mk.Model())
 		if sf.Port == 2 {
 			wantUplinkHot += hot
 		} else {
@@ -131,7 +133,10 @@ func TestLiveFiguresMatchesBatchAnalysis(t *testing.T) {
 
 		bursts := analysis.Bursts(series, snap.Threshold)
 		durations := analysis.BurstDurations(bursts)
-		gaps := analysis.InterBurstGaps(bursts)
+		var gaps []float64
+		for i := 1; i < len(bursts); i++ {
+			gaps = append(gaps, float64(bursts[i].Start.Sub(bursts[i-1].End))/float64(simclock.Microsecond))
+		}
 		closed := len(bursts)
 		active := false
 		if closed > 0 && bursts[closed-1].End == series[len(series)-1].End {

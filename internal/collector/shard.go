@@ -196,7 +196,7 @@ func (s *Shard) Err() error {
 //
 // The update is cumulative but the cut is incremental: LiveFigures.State
 // re-snapshots only the series fed since the previous cut (whoever took
-// it — Publish, CheckpointState or a durable checkpoint) and merges the
+// it — Publish or a durable checkpoint) and merges the
 // racks that appeared since into its sorted order, so publishing every
 // few batches costs the few racks those batches came from plus 8 bytes
 // per series, not the shard's whole state. The update shares its

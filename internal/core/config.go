@@ -13,13 +13,13 @@
 //
 // One Experiment method per paper artifact:
 //
-//	Fig1 DropUtilScatter      Fig6 UtilizationCDF
-//	Fig2 DropTimeSeries       Fig7 UplinkMAD
-//	Table1 SamplingLoss       Fig8 ServerCorrelation
-//	Fig3 BurstDurations       Fig9 HotPortShare
-//	Table2 BurstMarkov        Fig10 BufferOccupancy
-//	Fig4 InterBurstGaps       (plus ablations, see bench_test.go)
-//	Fig5 PacketSizes
+//	Fig1DropUtilScatter      Fig6UtilizationCDF
+//	Fig2DropTimeSeries       Fig7UplinkMAD
+//	Table1SamplingLoss       Fig8ServerCorrelation
+//	Fig3BurstDurations       Fig9HotPortShare
+//	Table2BurstMarkov        Fig10BufferOccupancy
+//	Fig4InterBurstGaps       (plus ablations, see bench_test.go)
+//	Fig5PacketSizes
 package core
 
 import (

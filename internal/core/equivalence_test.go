@@ -10,9 +10,10 @@ package core
 // including float accumulation order, error precedence, and NaN placement.
 //
 // The algorithm half lives beside the accumulators: internal/analysis and
-// internal/stats compare each accumulator (and the slice adapter over it)
-// with an independent reference. The oracles here call those adapters, so
-// what differs between the two sides of each comparison is the
+// internal/stats compare each accumulator (and the slice adapter over it,
+// where the package keeps one) with an independent reference. The oracles
+// here call those adapters, or the feed loops below where the package has
+// none, so what differs between the two sides of each comparison is the
 // composition: demux routing, series and window assembly order, merge
 // seams, and skip-on-damage.
 
@@ -123,6 +124,100 @@ func assertStreamEqual(t *testing.T, name string, batch, stream any) {
 }
 
 // ---------------------------------------------------------------------------
+// Slice-taking twins the oracles call: feed loops over the accumulators,
+// and the two slice reductions the runners do inline. internal/analysis
+// and internal/stats keep no such twin, since nothing outside these
+// oracles holds the slices.
+
+// interBurstGaps returns the idle period between consecutive bursts in
+// microseconds — the Fig 4 sample set.
+func interBurstGaps(bursts []analysis.Burst) []float64 {
+	if len(bursts) < 2 {
+		return nil
+	}
+	out := make([]float64, 0, len(bursts)-1)
+	for i := 1; i < len(bursts); i++ {
+		gap := bursts[i].Start.Sub(bursts[i-1].End)
+		out = append(out, float64(gap)/float64(simclock.Microsecond))
+	}
+	return out
+}
+
+// burstMarkov fits the paper's two-state first-order Markov model (Table 2)
+// to a utilization series at the given hot threshold.
+func burstMarkov(series []analysis.UtilPoint, threshold float64) stats.MarkovModel {
+	if threshold <= 0 {
+		threshold = analysis.DefaultHotThreshold
+	}
+	var mk stats.MarkovAcc
+	for _, p := range series {
+		mk.Observe(p.Util > threshold)
+	}
+	return mk.Model()
+}
+
+// dropTimeSeries converts a cumulative drop-counter series into per-bin
+// drop counts at the given granularity (1 minute in Fig 2).
+func dropTimeSeries(dropSamples []wire.Sample, bin simclock.Duration) ([]uint64, error) {
+	acc, err := analysis.NewDropBinAcc(bin)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range dropSamples {
+		if acc.Add(s) != nil {
+			break
+		}
+	}
+	return acc.Bins()
+}
+
+// packetMixInsideOutside classifies one port's sampling periods as inside
+// or outside a burst and bins each period's size-bin deltas accordingly
+// (Fig 5), interleaving the two series as a campaign would.
+func packetMixInsideOutside(byteSamples, binSamples []wire.Sample, speedBps uint64, threshold float64) (analysis.PacketMixResult, error) {
+	acc := analysis.NewPacketMixAcc(speedBps, threshold)
+	for i := 0; i < len(byteSamples) || i < len(binSamples); i++ {
+		if i < len(byteSamples) {
+			acc.AddByte(byteSamples[i])
+		}
+		if i < len(binSamples) {
+			acc.AddBin(binSamples[i])
+		}
+	}
+	return acc.Result()
+}
+
+// rebin aggregates a utilization series into fixed-width bins.
+func rebin(series []analysis.UtilPoint, width simclock.Duration) []analysis.UtilPoint {
+	acc := analysis.NewRebinAcc(width)
+	for _, p := range series {
+		acc.Add(p)
+	}
+	return acc.Points()
+}
+
+// hotPortShare counts hot samples by port class (Fig 9). isUplink maps a
+// series index to its class.
+func hotPortShare(ports [][]analysis.UtilPoint, isUplink func(i int) bool, threshold float64) analysis.HotShare {
+	if threshold <= 0 {
+		threshold = analysis.DefaultHotThreshold
+	}
+	var h analysis.HotShare
+	for i, s := range ports {
+		for _, p := range s {
+			if p.Util > threshold {
+				if isUplink(i) {
+					h.UplinkHot++
+				} else {
+					h.DownlinkHot++
+				}
+			}
+		}
+	}
+	return h
+}
+
+// ---------------------------------------------------------------------------
 // Batch oracles — the pre-refactor figure reductions, verbatim.
 
 func batchFig1(ctx context.Context, e *Experiment) (Fig1Result, error) {
@@ -185,7 +280,7 @@ func batchFig2(ctx context.Context, e *Experiment) (Fig2Result, error) {
 		}
 		drops := split[analysis.SeriesKey{Port: uint16(best), Dir: asic.TX, Kind: asic.KindDrops}]
 		bytes := split[analysis.SeriesKey{Port: uint16(best), Dir: asic.TX, Kind: asic.KindBytes}]
-		bins, err := analysis.DropTimeSeries(drops, res.BinDur)
+		bins, err := dropTimeSeries(drops, res.BinDur)
 		if err != nil {
 			return port{}, err
 		}
@@ -266,7 +361,7 @@ func (c *refByteCampaign) BurstDurationsMicros(threshold float64) []float64 {
 func (c *refByteCampaign) InterBurstGapsMicros(threshold float64) []float64 {
 	var out []float64
 	for _, s := range c.WindowSeries {
-		out = append(out, analysis.InterBurstGaps(analysis.Bursts(s, threshold))...)
+		out = append(out, interBurstGaps(analysis.Bursts(s, threshold))...)
 	}
 	return out
 }
@@ -300,7 +395,7 @@ func batchByteFigures(ctx context.Context, e *Experiment) (Fig3Result, Fig4Resul
 		fig4.KS[app] = analysis.PoissonTest(gaps)
 		models := make([]stats.MarkovModel, 0, len(c.WindowSeries))
 		for _, s := range c.WindowSeries {
-			models = append(models, analysis.BurstMarkov(s, th))
+			models = append(models, burstMarkov(s, th))
 		}
 		table2.Models[app] = stats.MergeMarkov(models...)
 		utils := c.Utils()
@@ -339,7 +434,7 @@ func batchFig5(ctx context.Context, e *Experiment) (Fig5Result, error) {
 		split := analysis.Split(run.Samples)
 		bytes := split[analysis.SeriesKey{Port: uint16(port), Dir: asic.TX, Kind: asic.KindBytes}]
 		bins := split[analysis.SeriesKey{Port: uint16(port), Dir: asic.TX, Kind: asic.KindSizeBins}]
-		mix, err := analysis.PacketMixInsideOutside(bytes, bins, run.Net.Switch().Port(port).Speed(), e.threshold())
+		mix, err := packetMixInsideOutside(bytes, bins, run.Net.Switch().Port(port).Speed(), e.threshold())
 		if err != nil {
 			return perCell[analysis.PacketMixResult]{}, err
 		}
@@ -365,7 +460,7 @@ func batchFig5(ctx context.Context, e *Experiment) (Fig5Result, error) {
 func batchRebinAll(series [][]analysis.UtilPoint, width simclock.Duration) [][]analysis.UtilPoint {
 	out := make([][]analysis.UtilPoint, len(series))
 	for i, s := range series {
-		out[i] = analysis.Rebin(s, width)
+		out[i] = rebin(s, width)
 	}
 	return out
 }
@@ -525,7 +620,7 @@ func batchFig9(ctx context.Context, e *Experiment) (Fig9Result, error) {
 		if err != nil {
 			return perCell[analysis.HotShare]{}, err
 		}
-		s := analysis.HotPortShare(series, rack.IsUplink, e.threshold())
+		s := hotPortShare(series, rack.IsUplink, e.threshold())
 		return perCell[analysis.HotShare]{app: run.Cell.App, v: s}, nil
 	})
 	if err != nil {
@@ -774,9 +869,10 @@ func TestStreamingReportEquivalence(t *testing.T) {
 // convert every byte series with the slice functions and reduce the
 // slices — the composition core.AnalyzeTrace had as its batch mode,
 // moved here. The slice functions are themselves feed loops over the
-// accumulators now (internal/analysis pins those against independent
-// references), so what this side checks is composition: demux routing,
-// SortedKeys assembly order, window seams and skip-on-damage.
+// accumulators now (internal/analysis and internal/stats pin those
+// against independent references), so what this side checks is
+// composition: demux routing, SortedKeys assembly order, window seams and
+// skip-on-damage.
 
 // traceWindowReduce accumulates one window's per-series results for one
 // analysis kind, appended in analysis.SortedKeys order so batch and
@@ -793,11 +889,11 @@ func (t *traceWindowReduce) addSeries(key analysis.SeriesKey, series []analysis.
 	case "bursts":
 		t.res.Durations = append(t.res.Durations, analysis.BurstDurations(analysis.Bursts(series, t.threshold))...)
 	case "gaps":
-		t.res.Gaps = append(t.res.Gaps, analysis.InterBurstGaps(analysis.Bursts(series, t.threshold))...)
+		t.res.Gaps = append(t.res.Gaps, interBurstGaps(analysis.Bursts(series, t.threshold))...)
 	case "util":
 		t.res.Utils = append(t.res.Utils, analysis.Utils(series)...)
 	case "markov":
-		t.res.Markov = stats.MergeMarkov(t.res.Markov, analysis.BurstMarkov(series, t.threshold))
+		t.res.Markov = stats.MergeMarkov(t.res.Markov, burstMarkov(series, t.threshold))
 	case "hotshare":
 		for _, p := range series {
 			if p.Util > t.threshold {
@@ -934,7 +1030,7 @@ func TestStreamByteStatsMatchesCampaignReductions(t *testing.T) {
 	}
 	models := make([]stats.MarkovModel, 0, len(c.WindowSeries))
 	for _, s := range c.WindowSeries {
-		models = append(models, analysis.BurstMarkov(s, th))
+		models = append(models, burstMarkov(s, th))
 	}
 	assertStreamEqual(t, "markov", stats.MergeMarkov(models...), st.Markov)
 	hot := 0

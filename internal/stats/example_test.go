@@ -20,16 +20,17 @@ func ExampleECDF() {
 	// fraction ≤ one 25µs period: 30%
 }
 
-// ExampleFitMarkov fits the paper's Table 2 model to a hot/cold sequence
+// ExampleMarkovAcc fits the paper's Table 2 model to a hot/cold sequence
 // and reads off the burst-correlation likelihood ratio.
-func ExampleFitMarkov() {
+func ExampleMarkovAcc() {
 	// A clustered sequence: long cold stretches, sticky hot runs.
-	var seq []bool
+	var acc stats.MarkovAcc
 	for i := 0; i < 20; i++ {
-		seq = append(seq, false, false, false, false, false, false, false, false)
-		seq = append(seq, true, true)
+		for _, hot := range []bool{false, false, false, false, false, false, false, false, true, true} {
+			acc.Observe(hot)
+		}
 	}
-	m := stats.FitMarkov(seq)
+	m := acc.Model()
 	fmt.Printf("p(1|0) = %.3f\n", m.P[0][1])
 	fmt.Printf("p(1|1) = %.3f\n", m.P[1][1])
 	fmt.Printf("likelihood ratio r = %.1f (r ≈ 1 would mean independent bursts)\n", m.LikelihoodRatio())

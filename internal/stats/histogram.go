@@ -38,9 +38,6 @@ func NewHistogram(edges []float64) *Histogram {
 // NumBins returns the number of in-range bins.
 func (h *Histogram) NumBins() int { return len(h.counts) }
 
-// Edges returns the bin edges. The slice is owned by the histogram.
-func (h *Histogram) Edges() []float64 { return h.edges }
-
 // Add records one observation of value v.
 func (h *Histogram) Add(v float64) { h.AddN(v, 1) }
 

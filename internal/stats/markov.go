@@ -17,21 +17,6 @@ type MarkovModel struct {
 	N int64
 }
 
-// FitMarkov computes the maximum-likelihood transition matrix from a
-// boolean hot/not-hot sequence, exactly as in the paper:
-//
-//	p(x_t=a | x_{t-1}=b) = count(x_t=a, x_{t-1}=b) / count(x_{t-1}=b)
-//
-// A sequence with fewer than two samples yields a model with NaN
-// probabilities and zero counts.
-func FitMarkov(seq []bool) MarkovModel {
-	var a MarkovAcc
-	for _, hot := range seq {
-		a.Observe(hot)
-	}
-	return a.Model()
-}
-
 func boolToState(hot bool) int {
 	if hot {
 		return 1

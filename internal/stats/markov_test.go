@@ -5,12 +5,22 @@ import (
 	"testing"
 )
 
+// fitMarkov fits the model to one hot/not-hot sequence: a MarkovAcc fed
+// in order.
+func fitMarkov(seq []bool) MarkovModel {
+	var a MarkovAcc
+	for _, hot := range seq {
+		a.Observe(hot)
+	}
+	return a.Model()
+}
+
 func TestFitMarkovCountsAndMLE(t *testing.T) {
 	// Sequence: 0 0 1 1 1 0 0 0 1 0
 	// Transitions: 00,01,11,11,10,00,00,01,10 ->
 	// counts: 00:3 01:2 10:2 11:2
 	seq := []bool{false, false, true, true, true, false, false, false, true, false}
-	m := FitMarkov(seq)
+	m := fitMarkov(seq)
 	if m.N != 9 {
 		t.Fatalf("N = %d", m.N)
 	}
@@ -34,7 +44,7 @@ func TestMarkovRowsSumToOne(t *testing.T) {
 		}
 		seq = append(seq, state)
 	}
-	m := FitMarkov(seq)
+	m := fitMarkov(seq)
 	for a := 0; a < 2; a++ {
 		sum := m.P[a][0] + m.P[a][1]
 		if !almost(sum, 1, 1e-12) {
@@ -45,12 +55,12 @@ func TestMarkovRowsSumToOne(t *testing.T) {
 
 func TestMarkovDegenerate(t *testing.T) {
 	// Fewer than two samples: all NaN.
-	m := FitMarkov([]bool{true})
+	m := fitMarkov([]bool{true})
 	if !math.IsNaN(m.P[0][0]) || !math.IsNaN(m.LikelihoodRatio()) {
 		t.Error("single-sample fit should be NaN")
 	}
 	// Never hot: hot row unseen -> NaN probabilities there.
-	m = FitMarkov([]bool{false, false, false})
+	m = fitMarkov([]bool{false, false, false})
 	if !math.IsNaN(m.P[1][1]) {
 		t.Errorf("unseen-state row = %v", m.P[1])
 	}
@@ -58,7 +68,7 @@ func TestMarkovDegenerate(t *testing.T) {
 		t.Errorf("r on never-hot = %v", m.LikelihoodRatio())
 	}
 	// Always hot after a cold start, p01=1; persists p11=1 -> r=1.
-	m = FitMarkov([]bool{false, true, true, true})
+	m = fitMarkov([]bool{false, true, true, true})
 	if r := m.LikelihoodRatio(); !almost(r, 1, 1e-12) {
 		t.Errorf("r = %v", r)
 	}
@@ -67,7 +77,7 @@ func TestMarkovDegenerate(t *testing.T) {
 func TestMarkovInfiniteRatio(t *testing.T) {
 	// Bursts persist but never start from cold within the window:
 	// sequence starts hot and has no 0->1 transition.
-	m := FitMarkov([]bool{true, true, true, false, false})
+	m := fitMarkov([]bool{true, true, true, false, false})
 	if r := m.LikelihoodRatio(); !math.IsInf(r, 1) {
 		t.Errorf("r = %v, want +Inf", r)
 	}
@@ -76,15 +86,15 @@ func TestMarkovInfiniteRatio(t *testing.T) {
 func TestStationaryHotFraction(t *testing.T) {
 	// Alternating sequence: p01 = 1, p10 = 1 -> stationary 0.5.
 	seq := []bool{false, true, false, true, false, true}
-	m := FitMarkov(seq)
+	m := fitMarkov(seq)
 	if f := m.StationaryHotFraction(); !almost(f, 0.5, 1e-12) {
 		t.Errorf("stationary = %v", f)
 	}
 }
 
 func TestMergeMarkov(t *testing.T) {
-	a := FitMarkov([]bool{false, true, true, false})
-	b := FitMarkov([]bool{false, false, true, true})
+	a := fitMarkov([]bool{false, true, true, false})
+	b := fitMarkov([]bool{false, false, true, true})
 	m := MergeMarkov(a, b)
 	if m.N != a.N+b.N {
 		t.Errorf("N = %d", m.N)
@@ -127,7 +137,7 @@ func TestMarkovCorrelatedBurstsHaveHighRatio(t *testing.T) {
 			seq = append(seq, true)
 		}
 	}
-	m := FitMarkov(seq)
+	m := fitMarkov(seq)
 	if r := m.LikelihoodRatio(); r < 10 {
 		t.Errorf("bursty sequence likelihood ratio = %v, want >> 1", r)
 	}

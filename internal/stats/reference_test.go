@@ -1,8 +1,9 @@
 package stats
 
-// Reference implementations: the bodies FitMarkov and MergeMarkov had
-// before they became feed loops over MarkovAcc, moved here verbatim so
-// TestMarkovAccMatchesFitMerge compares two independent computations.
+// Reference implementations: the bodies of the slice-taking Markov fit
+// and of MergeMarkov before they became feed loops over MarkovAcc, moved
+// here verbatim so TestMarkovAccMatchesFitMerge compares two independent
+// computations.
 
 import "math"
 

@@ -1,19 +1,21 @@
 package stats
 
-import "fmt"
-
-// Snapshot/Restore give every streaming accumulator an explicit,
-// JSON-serializable state surface: the collector checkpointer persists
-// snapshots, and a restored accumulator continues bit-identically to one
-// that never stopped (proven in snapshot_test.go, including a JSON
-// round-trip, since that is exactly how checkpoints travel). Snapshots
-// store raw state — counts, sums, values — never derived statistics, so
+// Snapshot/Restore give the three accumulators the live-figures tap
+// keeps per series (MarkovAcc, ECDFAcc and MomentAcc) an explicit,
+// JSON-serializable state surface: internal/collector's SeriesState
+// carries one MarkovAccSnap, two ECDFAccSnaps (burst durations and
+// inter-burst gaps) and one MomentAccSnap per series, and the MBC1
+// checkpoint codec (collector/mbc1.go) encodes them field by field. A
+// restored accumulator continues bit-identically to one that never
+// stopped (proven in snapshot_test.go, including a JSON round-trip, since
+// that is exactly how legacy checkpoints travel). Snapshots store raw
+// state — counts, sums, values — never derived statistics, so
 // NaN-producing finalizers (Model, Mean) stay out of the encoding, which
 // JSON cannot carry.
 //
-// Merge combines two independently-fed accumulators where the statistic
-// is order-free or concatenation-shaped — the fleet-scale aggregation
-// primitive: per-rack accumulators merge into fleet totals.
+// MarkovAcc.Merge is the one accumulator merge: internal/core reduces
+// Table 2's per-window transition counts with it, and MergeMarkov (which
+// LiveFigures.Snapshot calls to pool its per-series fits) is built on it.
 
 // ECDFAccSnap is the serializable state of an ECDFAcc.
 type ECDFAccSnap struct {
@@ -30,13 +32,6 @@ func (a *ECDFAcc) Snapshot() ECDFAccSnap {
 // to Add afterwards is bit-identical to never having stopped.
 func (a *ECDFAcc) Restore(s ECDFAccSnap) {
 	a.values = append(a.values[:0], s.Values...)
-}
-
-// Merge appends o's values after a's, exactly as if every o.Add had been
-// issued on a after a's own. ECDF() is order-free (it sorts); Values()
-// order is a-then-o.
-func (a *ECDFAcc) Merge(o *ECDFAcc) {
-	a.values = append(a.values, o.values...)
 }
 
 // MarkovAccSnap is the serializable state of a MarkovAcc, including the
@@ -90,69 +85,4 @@ func (a *MomentAcc) Snapshot() MomentAccSnap {
 // Restore replaces the accumulator's state with a snapshot.
 func (a *MomentAcc) Restore(s MomentAccSnap) {
 	a.n, a.sum, a.min, a.max = s.N, s.Sum, s.Min, s.Max
-}
-
-// Merge folds o into a as if o's values had been Added to a after a's
-// own: counts and sums add, extrema combine. Mean() remains the
-// left-to-right sum of the concatenation.
-func (a *MomentAcc) Merge(o *MomentAcc) {
-	if o.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *o
-		return
-	}
-	if o.min < a.min {
-		a.min = o.min
-	}
-	if o.max > a.max {
-		a.max = o.max
-	}
-	a.n += o.n
-	a.sum += o.sum
-}
-
-// HistogramSnap is the serializable state of a Histogram.
-type HistogramSnap struct {
-	Edges     []float64 `json:"edges"`
-	Counts    []int64   `json:"counts"`
-	Underflow int64     `json:"underflow"`
-	Overflow  int64     `json:"overflow"`
-}
-
-// Snapshot captures the histogram's state.
-func (h *Histogram) Snapshot() HistogramSnap {
-	s := HistogramSnap{
-		Edges:     append([]float64(nil), h.Edges()...),
-		Counts:    make([]int64, h.NumBins()),
-		Underflow: h.Underflow,
-		Overflow:  h.Overflow,
-	}
-	for i := range s.Counts {
-		s.Counts[i] = h.Count(i)
-	}
-	return s
-}
-
-// RestoreHistogram rebuilds a histogram from a snapshot. The binning is
-// validated like NewHistogram's, but as an error rather than a panic:
-// snapshots come from disk, not from code.
-func RestoreHistogram(s HistogramSnap) (*Histogram, error) {
-	if len(s.Edges) < 2 {
-		return nil, fmt.Errorf("stats: histogram snapshot has %d edges, need >= 2", len(s.Edges))
-	}
-	for i := 1; i < len(s.Edges); i++ {
-		if !(s.Edges[i] > s.Edges[i-1]) {
-			return nil, fmt.Errorf("stats: histogram snapshot edges not increasing at %d", i)
-		}
-	}
-	if len(s.Counts) != len(s.Edges)-1 {
-		return nil, fmt.Errorf("stats: histogram snapshot has %d counts for %d bins", len(s.Counts), len(s.Edges)-1)
-	}
-	h := NewHistogram(s.Edges)
-	copy(h.counts, s.Counts)
-	h.Underflow = s.Underflow
-	h.Overflow = s.Overflow
-	return h, nil
 }

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// jsonRT round-trips a snapshot through JSON — exactly how checkpoints
-// travel to disk — so the equivalence below proves serialization loses
+// jsonRT round-trips a snapshot through JSON — exactly how legacy
+// checkpoints travel to disk — so the equivalence below proves serialization loses
 // nothing (encoding/json renders float64 exactly).
 func jsonRT[S any](t *testing.T, s S) S {
 	t.Helper()
@@ -57,18 +57,6 @@ func TestECDFAccSnapshotEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(b.ECDF(), cont.ECDF()) {
 			t.Fatalf("split %d: ECDF diverges", k)
 		}
-	}
-}
-
-func TestECDFAccMerge(t *testing.T) {
-	values := snapValues(20)
-	var whole, left, right ECDFAcc
-	whole.AddAll(values...)
-	left.AddAll(values[:7]...)
-	right.AddAll(values[7:]...)
-	left.Merge(&right)
-	if !reflect.DeepEqual(left.Values(), whole.Values()) {
-		t.Fatal("merge is not concatenation")
 	}
 }
 
@@ -171,69 +159,5 @@ func TestMomentAccSnapshotEquivalence(t *testing.T) {
 	back.Restore(jsonRT(t, empty.Snapshot()))
 	if !math.IsNaN(back.Mean()) || back.N() != 0 {
 		t.Error("empty accumulator did not survive the round trip")
-	}
-}
-
-func TestMomentAccMerge(t *testing.T) {
-	values := snapValues(18)
-	var whole, left, right, empty MomentAcc
-	for i, v := range values {
-		whole.Add(v)
-		if i < 9 {
-			left.Add(v)
-		} else {
-			right.Add(v)
-		}
-	}
-	left.Merge(&right)
-	if left.N() != whole.N() || !f64eq(left.Sum(), whole.Sum()) ||
-		!f64eq(left.Min(), whole.Min()) || !f64eq(left.Max(), whole.Max()) {
-		t.Fatal("merge diverges from sequential feed")
-	}
-	left.Merge(&empty) // no-op
-	if left.N() != whole.N() {
-		t.Fatal("merging an empty accumulator changed state")
-	}
-	empty.Merge(&whole)
-	if empty.N() != whole.N() || !f64eq(empty.Min(), whole.Min()) {
-		t.Fatal("merging into an empty accumulator lost state")
-	}
-}
-
-func TestHistogramSnapshotEquivalence(t *testing.T) {
-	edges := []float64{0, 10, 20, 50}
-	values := snapValues(40)
-	for k := 0; k <= len(values); k++ {
-		cont := NewHistogram(edges)
-		a := NewHistogram(edges)
-		for _, v := range values {
-			cont.Add(v * 10)
-		}
-		for _, v := range values[:k] {
-			a.Add(v * 10)
-		}
-		b, err := RestoreHistogram(jsonRT(t, a.Snapshot()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range values[k:] {
-			b.Add(v * 10)
-		}
-		if !reflect.DeepEqual(b, cont) {
-			t.Fatalf("split %d: histograms diverge", k)
-		}
-	}
-}
-
-func TestRestoreHistogramRejectsBadSnapshots(t *testing.T) {
-	cases := []HistogramSnap{
-		{Edges: []float64{1}, Counts: nil},
-		{Edges: []float64{1, 1}, Counts: []int64{0}},
-		{Edges: []float64{0, 1, 2}, Counts: []int64{1}},
-	}
-	for i, s := range cases {
-		if _, err := RestoreHistogram(s); err == nil {
-			t.Errorf("case %d: bad snapshot accepted", i)
-		}
 	}
 }

@@ -46,15 +46,16 @@ func (a *ECDFAcc) Values() []float64 { return a.values }
 // not reflected in already-built ECDFs.
 func (a *ECDFAcc) ECDF() *ECDF { return NewECDF(a.values) }
 
-// MarkovAcc fits the two-state first-order Markov chain incrementally.
+// MarkovAcc fits the two-state first-order Markov chain incrementally,
+// by maximum likelihood exactly as in the paper:
+//
+//	p(x_t=a | x_{t-1}=b) = count(x_t=a, x_{t-1}=b) / count(x_{t-1}=b)
+//
 // Observations within one sequence contribute transitions; EndSequence
 // marks a seam (a window boundary) across which no transition is
-// fabricated. Model() is byte-identical to
-//
-//	MergeMarkov(FitMarkov(seq1), FitMarkov(seq2), ...)
-//
-// over the per-sequence hot/not-hot slices, which is exactly how Table 2
-// merges per-window fits. The zero value is ready to use.
+// fabricated. Model() is byte-identical to MergeMarkov over one fit per
+// sequence, which is exactly how Table 2 merges per-window fits. The
+// zero value is ready to use.
 type MarkovAcc struct {
 	counts [2][2]int64
 	n      int64
@@ -84,7 +85,7 @@ func (a *MarkovAcc) N() int64 { return a.n }
 
 // Model finalizes the accumulated counts into the MLE transition matrix.
 // An accumulator that saw fewer than two observations in every sequence
-// yields the same all-NaN model as FitMarkov on a short sequence.
+// yields zero counts and an all-NaN model.
 func (a *MarkovAcc) Model() MarkovModel {
 	m := MarkovModel{Counts: a.counts, N: a.n}
 	for s := 0; s < 2; s++ {

@@ -59,9 +59,10 @@ func TestECDFAccMatchesNewECDF(t *testing.T) {
 	}
 }
 
-// checkMarkov compares, on one set of sequences, the accumulator (seams
-// marked with EndSequence), the FitMarkov/MergeMarkov adapters over it,
-// and the independent references in reference_test.go.
+// checkMarkov compares, on one set of sequences, the accumulator (one
+// per sequence, and one over all of them with seams marked by
+// EndSequence) and MergeMarkov over the per-sequence fits with the
+// independent references in reference_test.go.
 func checkMarkov(t *testing.T, seqs [][]bool) bool {
 	t.Helper()
 	var acc MarkovAcc
@@ -72,9 +73,9 @@ func checkMarkov(t *testing.T, seqs [][]bool) bool {
 		}
 		acc.EndSequence()
 		refs = append(refs, refFitMarkov(seq))
-		fits = append(fits, FitMarkov(seq))
+		fits = append(fits, fitMarkov(seq))
 		if !markovEqual(refs[len(refs)-1], fits[len(fits)-1]) {
-			t.Errorf("FitMarkov(%v) = %+v, reference %+v", seq, fits[len(fits)-1], refs[len(refs)-1])
+			t.Errorf("fit of %v = %+v, reference %+v", seq, fits[len(fits)-1], refs[len(refs)-1])
 			return false
 		}
 	}
