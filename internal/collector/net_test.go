@@ -3,8 +3,10 @@ package collector
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -218,6 +220,95 @@ func TestServerRejectsGarbage(t *testing.T) {
 	}
 	if !errors.Is(srv.LastErr(), wire.ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", srv.LastErr())
+	}
+}
+
+// pipeListener accepts the server side of one net.Pipe, then blocks
+// until closed.
+type pipeListener struct {
+	conns  chan net.Conn
+	addr   net.Addr
+	closed chan struct{}
+	once   sync.Once
+}
+
+func newPipeListener(conn net.Conn) *pipeListener {
+	l := &pipeListener{conns: make(chan net.Conn, 1), addr: conn.LocalAddr(), closed: make(chan struct{})}
+	l.conns <- conn
+	return l
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error   { l.once.Do(func() { close(l.closed) }); return nil }
+func (l *pipeListener) Addr() net.Addr { return l.addr }
+
+// readCountingConn counts the Read calls the server makes on its side,
+// and closes eof when one returns io.EOF — the last Read serveConn makes.
+type readCountingConn struct {
+	net.Conn
+	reads atomic.Int64
+	eof   chan struct{}
+}
+
+func (c *readCountingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	n, err := c.Conn.Read(p)
+	if err == io.EOF {
+		close(c.eof)
+	}
+	return n, err
+}
+
+// TestServerCoalescesFrameReads sends 512 32-sample frames in one Write
+// over a net.Pipe, whose Reads return at most what one Write holds, so
+// the count is deterministic: the server must make one Read per 4 KiB
+// buffer-full (bufio's default) plus the one that finds the end, not
+// several per frame.
+func TestServerCoalescesFrameReads(t *testing.T) {
+	const frames, perFrame, bufSize = 512, 32, 4096
+	var stream bytes.Buffer
+	c, err := NewClientConfigured(&stream, ClientConfig{Rack: 1, MaxBatch: perFrame})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < frames*perFrame; i++ {
+		c.Emit(mkSample(i))
+	}
+	client, server := net.Pipe()
+	conn := &readCountingConn{Conn: server, eof: make(chan struct{})}
+	handled := 0 // written by the one connection goroutine, read after srv.Close
+	srv := ServeConfigured(newPipeListener(conn), func(*wire.Batch) { handled++ }, ServerConfig{})
+	defer srv.Close()
+	if _, err := client.Write(stream.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	client.Close()
+	// Closing the server's side before it reads the end would fail its
+	// read with io.ErrClosedPipe, a decode error.
+	select {
+	case <-conn.eof:
+	case <-time.After(10 * time.Second):
+		t.Fatal("server never read the end of the stream")
+	}
+	srv.Close()
+	if err := srv.LastErr(); err != nil {
+		t.Fatalf("server error: %v", err)
+	}
+	if handled != frames {
+		t.Fatalf("handler saw %d batches, want %d", handled, frames)
+	}
+	reads, bound := conn.reads.Load(), int64((stream.Len()+bufSize-1)/bufSize+1)
+	t.Logf("%d frames (%d B): %d conn reads", frames, stream.Len(), reads)
+	if reads > bound {
+		t.Errorf("%d frames (%d B) took %d conn reads, want <= %d", frames, stream.Len(), reads, bound)
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -59,6 +60,15 @@ func FuzzTraceRecover(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x4d, 0x42, 0x57, 0x31})
+	// A torn stream whose first frame spells its length as a non-minimal
+	// varint, one byte longer than it needs: the reader accepts it, and
+	// recovery must cut after the last whole frame as written, not where
+	// the lengths alone would put it.
+	n, sz := binary.Uvarint(seg[4:])
+	padded := binary.AppendUvarint(append([]byte(nil), seg[:4]...), n)
+	padded[len(padded)-1] |= 0x80
+	padded = append(append(padded, 0), seg[4+sz:]...)
+	f.Add(padded[:len(padded)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Archive path: the bytes are a crashed open segment.
 		dir := filepath.Join(t.TempDir(), "arch")

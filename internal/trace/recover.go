@@ -11,21 +11,6 @@ import (
 	"mburst/internal/wire"
 )
 
-// countingReader tracks how many bytes the wrapped reader consumed.
-// wire.Reader reads each frame directly with io.ReadFull (no read-ahead
-// buffering), so after a successful ReadBatch the count is exactly the
-// file offset one past that frame — the truncation point for recovery.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // scanResult reports the decodable prefix of a wire batch stream.
 type scanResult struct {
 	// GoodBytes is the length of the longest prefix that decodes as
@@ -43,29 +28,29 @@ type scanResult struct {
 // in the result, and the decoder is panic-free on arbitrary bytes (see
 // FuzzTraceRecover).
 func scanStream(r io.Reader) scanResult {
-	cr := &countingReader{r: r}
-	br := wire.NewReader(cr)
+	br := wire.NewReader(r)
 	br.SetReuse(true)
 	var res scanResult
 	for {
 		b, err := br.ReadBatch()
+		// A bare io.EOF means no byte of a next frame was there: the
+		// stream ended exactly on a frame boundary.
 		if err == io.EOF {
-			// Clean end only if it fell exactly on a frame boundary.
-			res.Torn = cr.n != res.GoodBytes
 			return res
 		}
 		if err != nil {
 			res.Torn = true
 			return res
 		}
-		res.GoodBytes = cr.n
+		res.GoodBytes = br.Offset()
 		res.Batches++
 		res.Samples += uint64(len(b.Samples))
 	}
 }
 
 // scanFile scans path, truncates it to the good prefix and fsyncs the
-// result so recovery decisions are durable.
+// result so recovery decisions are durable: a truncation it cannot make
+// durable is an error.
 func scanFile(path string) (scanResult, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -81,8 +66,13 @@ func scanFile(path string) (scanResult, error) {
 	}
 	w, err := os.OpenFile(path, os.O_WRONLY, 0)
 	if err == nil {
-		w.Sync()
-		w.Close()
+		err = w.Sync()
+		if cerr := w.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return res, fmt.Errorf("trace: syncing truncated %s: %w", path, err)
 	}
 	return res, nil
 }

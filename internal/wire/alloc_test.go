@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -30,7 +33,8 @@ func chainStream(t *testing.T) []byte {
 
 // TestReadBatchReuseAllocatesNothing passes one reused Reader over the
 // chain stream followed by the legacy MBW1/MBW2 frames, restarting it
-// with Reset for every pass.
+// with Reset for every pass: once reading the io.ByteReader source as is,
+// once through the read-ahead buffer a socket or file gets.
 func TestReadBatchReuseAllocatesNothing(t *testing.T) {
 	legacy, err := os.ReadFile("testdata/legacy_parent.bin")
 	if err != nil {
@@ -38,21 +42,48 @@ func TestReadBatchReuseAllocatesNothing(t *testing.T) {
 	}
 	stream := append(chainStream(t), legacy...)
 	src := bytes.NewReader(stream)
-	r := NewReader(src)
-	r.SetReuse(true)
-	pass := func() {
-		src.Reset(stream)
-		r.Reset(src)
-		for {
-			if _, err := r.ReadBatch(); err == io.EOF {
-				return
-			} else if err != nil {
-				t.Fatal(err)
+	for name, s := range map[string]io.Reader{"byte reader": src, "buffered": &readCounter{r: src}} {
+		r := NewReader(s)
+		r.SetReuse(true)
+		pass := func() {
+			src.Reset(stream)
+			r.Reset(s)
+			for {
+				if _, err := r.ReadBatch(); err == io.EOF {
+					return
+				} else if err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
+		if allocs := testing.AllocsPerRun(allocRuns, pass); allocs != 0 {
+			t.Errorf("%s: ReadBatch with reuse allocates %v times per pass, want 0", name, allocs)
+		}
 	}
-	if allocs := testing.AllocsPerRun(allocRuns, pass); allocs != 0 {
-		t.Errorf("ReadBatch with reuse allocates %v times per pass, want 0", allocs)
+}
+
+// TestLyingFrameHeaderCostsOnlyWhatArrived sends a header claiming a
+// MaxBatchPayload frame, then 10 bytes and the end of the stream: the
+// Reader may spend on the bytes that came, not on the ones promised.
+func TestLyingFrameHeaderCostsOnlyWhatArrived(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], Magic3)
+	stream := binary.AppendUvarint(hdr[:], MaxBatchPayload)
+	stream = append(stream, make([]byte, 10)...)
+	for name, src := range map[string]io.Reader{
+		"byte reader": bytes.NewReader(stream),
+		"buffered":    &readCounter{r: bytes.NewReader(stream)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewReader(src).ReadBatch()
+		runtime.ReadMemStats(&after)
+		if err == io.EOF || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err = %v, want a wrapped io.ErrUnexpectedEOF", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: a lying header cost %d B of allocation, want < 1 MiB", name, got)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"mburst/internal/asic"
 	"mburst/internal/simclock"
@@ -16,7 +17,9 @@ import (
 // FuzzReadBatch throws arbitrary bytes at the decoder: it must either
 // return a batch, a clean EOF, or a wrapped error — never panic, never
 // allocate unboundedly, and any successfully decoded batch must re-encode
-// to a decodable batch (idempotence of the round trip).
+// to a decodable batch (idempotence of the round trip). The buffered and
+// unbuffered read paths must decode the same batches, at the same
+// offsets, to the same end.
 func FuzzReadBatch(f *testing.F) {
 	// Seeds: a valid single-batch stream, a valid two-batch stream,
 	// truncations, and flipped bytes.
@@ -93,16 +96,30 @@ func FuzzReadBatch(f *testing.F) {
 	f.Add(corrupted)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// One stream, three sources: a bytes.Reader is read as is, the
+		// other two through the Reader's own buffer, one of them a byte
+		// per Read. All three must agree batch for batch.
 		r := NewReader(bytes.NewReader(data))
+		buffered := []*Reader{
+			NewReader(iotest.OneByteReader(bytes.NewReader(data))),
+			NewReader(iotest.HalfReader(bytes.NewReader(data))),
+		}
 		for i := 0; i < 100; i++ { // bound iterations for pathological inputs
 			b, err := r.ReadBatch()
-			if err != nil {
-				if errors.Is(err, io.EOF) || errors.Is(err, ErrCorrupt) ||
-					errors.Is(err, io.ErrUnexpectedEOF) {
-					return
+			for k, br := range buffered {
+				bb, berr := br.ReadBatch()
+				if errClass(berr) != errClass(err) || !reflect.DeepEqual(bb, b) || br.Offset() != r.Offset() {
+					t.Fatalf("frame %d: buffered source %d read (%v, offset %d), the bytes.Reader (%v, offset %d)",
+						i, k, berr, br.Offset(), err, r.Offset())
 				}
-				// Any other error must still be a wrapped read failure,
-				// not a panic-worthy state; accept and stop.
+			}
+			if err != nil {
+				// Any error is a clean EOF, corruption or a wrapped read
+				// failure, never a panic-worthy state; a clean EOF means
+				// every byte was a returned frame.
+				if err == io.EOF && r.Offset() != int64(len(data)) {
+					t.Fatalf("clean EOF at offset %d of %d bytes", r.Offset(), len(data))
+				}
 				return
 			}
 			// A decoded batch must round-trip through the legacy framing.
@@ -135,6 +152,20 @@ func FuzzReadBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// errClass sorts a ReadBatch error into what a caller tells apart: none,
+// a clean end of stream, corruption, or a failed read.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case err == io.EOF:
+		return "eof"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	}
+	return "read"
 }
 
 // framePayloads splits a stream of frames into their payloads, trusting

@@ -41,11 +41,13 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 
 	"mburst/internal/asic"
 	"mburst/internal/simclock"
@@ -270,9 +272,15 @@ func (w *Writer) WriteBatch(b *Batch) error {
 // Reader decodes a stream of batches from an io.Reader. Each batch's
 // format is detected from its magic, so a stream may interleave MBW1,
 // MBW2, and MBW3 batches; per-format decoder state (MBW3 delta chains)
-// is scoped to this reader.
+// is scoped to this reader. A source that is an io.ByteReader
+// (bytes.Buffer, bytes.Reader, bufio.Reader) is read as is; any other —
+// a socket, a file — through a default-size bufio.Reader the Reader owns,
+// so small frames cost one Read of the source per buffer-full. Offset,
+// not the source's position, says where the frames read so far end.
 type Reader struct {
-	r       io.Reader
+	src     byteReader
+	buf     *bufio.Reader // read-ahead for sources that are not byteReaders
+	off     int64
 	hdr     [4]byte
 	payload []byte
 	m3      *mbw3Codec
@@ -280,8 +288,18 @@ type Reader struct {
 	batch   Batch
 }
 
-// NewReader returns a batch reader.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+type byteReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// NewReader returns a batch reader over src, buffered unless src is an
+// io.ByteReader.
+func NewReader(src io.Reader) *Reader {
+	r := &Reader{}
+	r.Reset(src)
+	return r
+}
 
 // SetReuse toggles batch reuse: when enabled, every ReadBatch returns
 // the same *Batch, whose samples are overwritten by the next call —
@@ -289,15 +307,29 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 // hot path) decode without per-batch allocation. Off by default.
 func (r *Reader) SetReuse(on bool) { r.reuse = on }
 
-// Reset redirects the reader to a new stream, discarding per-format
-// decoder state (MBW3 delta chains restart, exactly as for a fresh
-// Reader) while keeping internal buffers for reuse.
+// Reset redirects the reader to a new stream, buffered as for NewReader,
+// discarding per-format decoder state (MBW3 delta chains restart, exactly
+// as for a fresh Reader), read-ahead and Offset while keeping internal
+// buffers — the read-ahead buffer among them — for reuse.
 func (r *Reader) Reset(src io.Reader) {
-	r.r = src
+	r.src, _ = src.(byteReader)
+	if r.src == nil {
+		if r.buf == nil {
+			r.buf = bufio.NewReader(nil)
+		}
+		r.buf.Reset(src)
+		r.src = r.buf
+	}
+	r.off = 0
 	if r.m3 != nil {
 		r.m3.Reset()
 	}
 }
+
+// Offset returns the bytes of the source that the frames ReadBatch has
+// returned occupy, counted as read (a non-minimal length varint included):
+// the end of the last whole frame, where recovery truncates a torn file.
+func (r *Reader) Offset() int64 { return r.off }
 
 // ReadBatch reads the next batch. It returns io.EOF at a clean end of
 // stream, and ErrCorrupt (wrapped) on framing or checksum failure.
@@ -305,7 +337,7 @@ func (r *Reader) Reset(src io.Reader) {
 // On the collector's ingest loop it allocates nothing once SetReuse(true)
 // is on and its buffers are warm (TestReadBatchReuseAllocatesNothing).
 func (r *Reader) ReadBatch() (*Batch, error) {
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
+	if _, err := io.ReadFull(r.src, r.hdr[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
@@ -315,24 +347,19 @@ func (r *Reader) ReadBatch() (*Batch, error) {
 	if magic != Magic && magic != Magic2 && magic != Magic3 {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
 	}
-	length, err := r.readLen()
+	length, lenBytes, err := r.readLen()
 	if err != nil {
 		return nil, fmt.Errorf("wire: reading length: %w", err)
 	}
 	if length > MaxBatchPayload {
 		return nil, fmt.Errorf("%w: payload length %d", ErrCorrupt, length)
 	}
-	if uint64(cap(r.payload)) < length {
-		r.payload = make([]byte, length)
-	}
-	payload := r.payload[:length]
-	if _, err := io.ReadFull(r.r, payload); err != nil {
+	body, err := r.readBody(int(length) + 4)
+	if err != nil {
 		return nil, fmt.Errorf("wire: reading payload: %w", err)
 	}
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-		return nil, fmt.Errorf("wire: reading crc: %w", err)
-	}
-	if want := binary.BigEndian.Uint32(r.hdr[:]); want != crc32.ChecksumIEEE(payload) {
+	payload := body[:length]
+	if want := binary.BigEndian.Uint32(body[length:]); want != crc32.ChecksumIEEE(payload) {
 		return nil, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
 	var b *Batch
@@ -352,27 +379,45 @@ func (r *Reader) ReadBatch() (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.off += int64(len(r.hdr) + lenBytes + len(body))
 	return b, nil
 }
 
-// readLen reads the frame-length uvarint byte-by-byte, staging through
-// r.hdr (free at this point in the frame) so the hot path does not
-// allocate a buffer per read.
-func (r *Reader) readLen() (uint64, error) {
+// readLen reads the frame-length uvarint, returning it and how many bytes
+// it took.
+func (r *Reader) readLen() (uint64, int, error) {
 	var x uint64
 	var s uint
-	b := r.hdr[:1]
-	for i := 0; i < binary.MaxVarintLen64; i++ {
-		if _, err := io.ReadFull(r.r, b); err != nil {
-			return 0, err
+	for n := 0; n < binary.MaxVarintLen64; n++ {
+		c, err := r.src.ReadByte()
+		if err != nil {
+			return 0, n, err
 		}
-		if b[0] < 0x80 {
-			return x | uint64(b[0])<<s, nil
+		if c < 0x80 {
+			return x | uint64(c)<<s, n + 1, nil
 		}
-		x |= uint64(b[0]&0x7f) << s
+		x |= uint64(c&0x7f) << s
 		s += 7
 	}
-	return 0, ErrCorrupt
+	return 0, binary.MaxVarintLen64, ErrCorrupt
+}
+
+// readBody reads a frame's n bytes of payload and CRC into r.payload. A
+// buffer already big enough takes one ReadFull; a smaller one grows as
+// the bytes arrive, each step to at most twice its size or 4 KiB, so a
+// header that lies about its length costs only what the peer sent.
+func (r *Reader) readBody(n int) ([]byte, error) {
+	buf := r.payload[:0]
+	for len(buf) < n {
+		buf = slices.Grow(buf, min(n, max(2*cap(buf), 4096))-len(buf))
+		m, err := io.ReadFull(r.src, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		r.payload = buf
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // uvarintLen returns the encoded size of x as a uvarint, without

@@ -139,6 +139,56 @@ func TestOversizePayloadRejected(t *testing.T) {
 	}
 }
 
+// readCounter counts the Read calls made on a source. It is not an
+// io.ByteReader, so a Reader over it reads through its own buffer.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// TestReaderReadsOncePerBuffer holds a stream of small frames from a
+// source that is not an io.ByteReader to one Read per buffer-full (bufio's
+// default 4 KiB), plus the Read that finds the end — where reading each
+// frame straight from the source takes at least four.
+func TestReaderReadsOncePerBuffer(t *testing.T) {
+	const frames, bufSize = 512, 4096
+	var stream bytes.Buffer
+	w := NewWriter(&stream)
+	for i := 0; i < frames; i++ {
+		b := sampleBatch()
+		for k := range b.Samples {
+			b.Samples[k].Time = b.Samples[k].Time.Add(simclock.Micros(int64(i) * 200))
+		}
+		if err := w.WriteBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := &readCounter{r: bytes.NewReader(stream.Bytes())}
+	r := NewReader(src)
+	r.SetReuse(true)
+	n := 0
+	for {
+		if _, err := r.ReadBatch(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	if n != frames || r.Offset() != int64(stream.Len()) {
+		t.Fatalf("read %d frames ending at offset %d, want %d ending at %d", n, r.Offset(), frames, stream.Len())
+	}
+	t.Logf("%d frames (%d B): %d source reads", frames, stream.Len(), src.reads)
+	if bound := (stream.Len()+bufSize-1)/bufSize + 1; src.reads > bound {
+		t.Errorf("%d frames (%d B) took %d source reads, want <= %d", frames, stream.Len(), src.reads, bound)
+	}
+}
+
 func TestDecodeRejectsAbsurdRecordCount(t *testing.T) {
 	// A payload that claims many records but contains none.
 	payload := []byte{1, 0xff, 0xff, 0xff, 0x0f}

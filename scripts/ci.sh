@@ -43,9 +43,11 @@ fi
 go test -race -shuffle=on ./...
 
 # Fuzz smoke: five seconds each on the two wire-decoder targets, whole
-# streams and the MBW3 delta chain, on the archive recovery scan and the
-# manifest it reads (with the SkipTo walk a resume relies on), on a fleet
-# directory's campaign.json (whose shard names must never alias), on the
+# streams (FuzzReadBatch reads each input through the buffered and the
+# unbuffered path, which must agree batch for batch) and the MBW3 delta
+# chain, on the archive recovery scan and the manifest it reads (with
+# the SkipTo walk a resume relies on), on a fleet directory's
+# campaign.json (whose shard names must never alias), on the
 # checkpoint loader — one shard's file alone, and beside an intact
 # shard's through the aggregator's restore and merge — and on the two
 # fault-spec parsers that read -faults flags. `go test` above only
@@ -68,6 +70,12 @@ go test -run='^$' -fuzz=FuzzParseGen -fuzztime=5s ./internal/fault
 # fail about one loaded run in 40 when they polled a wall clock instead.
 # Fifty repetitions at one and two CPUs keep that from creeping back.
 go test -race -count=50 -cpu 1,2 -run 'TestReconnectingClient' ./internal/collector
+
+# Read coalescing: the collector and wire.Reader read a socket or file once
+# per buffer-full, not several times per frame. Both bounds are counts of
+# Read calls; ten repetitions at one and two CPUs under the race detector
+# show they hold however the goroutines are scheduled.
+go test -race -count=10 -cpu 1,2 -run 'TestServerCoalescesFrameReads|TestReaderReadsOncePerBuffer' ./internal/collector ./internal/wire
 
 # Chaos soak: generated fault schedules against the collection pipeline,
 # asserting byte-exact recovery against ASIC ground truth, zero-fault
