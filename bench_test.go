@@ -26,6 +26,7 @@ import (
 	"mburst/internal/simclock"
 	"mburst/internal/simnet"
 	"mburst/internal/stats"
+	"mburst/internal/sweep"
 	"mburst/internal/topo"
 	"mburst/internal/wire"
 	"mburst/internal/workload"
@@ -186,24 +187,18 @@ func BenchmarkFig10BufferOccupancy(b *testing.B) {
 
 // BenchmarkAblationHotThreshold varies the burst criterion around the
 // paper's 50% (§5.4 claims the choice barely matters because utilization
-// is multimodal).
+// is multimodal), through the same sweep mbsweep runs.
 func BenchmarkAblationHotThreshold(b *testing.B) {
 	for _, th := range []float64{0.3, 0.5, 0.7} {
 		b.Run(fmtFloat(th), func(b *testing.B) {
-			cfg := core.QuickConfig()
-			cfg.HotThreshold = th
-			exp, err := core.NewExperiment(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
 			for i := 0; i < b.N; i++ {
-				st, err := exp.StreamByteStats(context.Background(), workload.Hadoop, 0, core.ByteWant{Durations: true})
+				res, err := sweep.HotThreshold(context.Background(), core.QuickConfig(), workload.Hadoop, []float64{th})
 				if err != nil {
 					b.Fatal(err)
 				}
-				e := stats.NewECDF(st.Durations)
-				b.ReportMetric(e.Quantile(0.9), "p90-µs")
-				b.ReportMetric(float64(e.N()), "bursts")
+				m := res.Points[0].Metrics
+				b.ReportMetric(m["p90-burst-µs"], "p90-µs")
+				b.ReportMetric(m["bursts"], "bursts")
 			}
 		})
 	}

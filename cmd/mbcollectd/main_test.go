@@ -96,14 +96,13 @@ func TestFinalizeDurableSyncErrorExitsNonZero(t *testing.T) {
 	}
 }
 
-// TestFinalizeDurableOpenerFailure: a dying disk surfaces at segment
-// rotation too — the opener fails, the write latches, and shutdown
-// reports it.
+// TestFinalizeDurableOpenerFailure: a dying disk surfaces when the
+// segment after a checkpoint opens too — the opener fails, the write
+// latches, and shutdown reports it.
 func TestFinalizeDurableOpenerFailure(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "a")
 	opened := 0
 	arch, err := trace.CreateArchive(dir, trace.ArchiveConfig{
-		SegmentBatches: 1,
 		Open: func(path string) (io.WriteCloser, error) {
 			opened++
 			if opened > 1 {
@@ -124,7 +123,10 @@ func TestFinalizeDurableOpenerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingest.Handle(testBatch(0))
-	ingest.Handle(testBatch(1)) // rotation: the opener fails here
+	if err := ingest.Checkpoint(); err != nil { // seals segment 1
+		t.Fatal(err)
+	}
+	ingest.Handle(testBatch(1)) // segment 2: the opener fails here
 	if ingest.Err() == nil && finalizeDurable(obs.DaemonLogger("test"), ingest, arch) == 0 {
 		t.Fatal("opener failure surfaced neither as a sticky error nor a non-zero exit")
 	}

@@ -1,11 +1,9 @@
 package analysis
 
 import (
-	"math"
 	"testing"
 
 	"mburst/internal/asic"
-	"mburst/internal/rng"
 	"mburst/internal/simclock"
 	"mburst/internal/simnet"
 	"mburst/internal/topo"
@@ -13,78 +11,42 @@ import (
 	"mburst/internal/workload"
 )
 
-func TestAutocorrelationWhiteNoise(t *testing.T) {
-	src := rng.New(31)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = src.Float64()
+// signalCoverage returns the fraction of bursts during which a cumulative
+// congestion-signal counter (ECN marks, drops) advanced — i.e. the bursts
+// a signal-driven control loop could even in principle learn about. §7's
+// point is two-fold: many bursts end before the signal reaches the sender
+// (see detect.FractionOverBeforeSignal), and mild bursts may produce no
+// signal at all; this measures the latter.
+//
+// signal must be time-ordered samples of one cumulative counter.
+func signalCoverage(bursts []Burst, signal []wire.Sample) float64 {
+	if len(bursts) == 0 || len(signal) < 2 {
+		return 0
 	}
-	acf := Autocorrelation(xs, 5)
-	if math.Abs(acf[0]-1) > 1e-12 {
-		t.Errorf("r(0) = %v", acf[0])
-	}
-	for k := 1; k <= 5; k++ {
-		if math.Abs(acf[k]) > 0.03 {
-			t.Errorf("white noise r(%d) = %v, want ~0", k, acf[k])
+	covered := 0
+	for _, b := range bursts {
+		// Counter value at the last sample at or before the burst start
+		// (fall back to the first sample), and at the first sample at or
+		// after the burst end (fall back to the last).
+		before := signal[0].Value
+		for _, s := range signal {
+			if s.Time.After(b.Start) {
+				break
+			}
+			before = s.Value
 		}
-	}
-	if ts := IntegralTimescale(acf); ts > 0.1 {
-		t.Errorf("white-noise timescale = %v", ts)
-	}
-}
-
-func TestAutocorrelationPersistentProcess(t *testing.T) {
-	// AR(1) with φ = 0.8 has r(k) ≈ 0.8^k.
-	src := rng.New(37)
-	xs := make([]float64, 50000)
-	for i := 1; i < len(xs); i++ {
-		xs[i] = 0.8*xs[i-1] + src.Normal()
-	}
-	acf := Autocorrelation(xs, 3)
-	for k := 1; k <= 3; k++ {
-		want := math.Pow(0.8, float64(k))
-		if math.Abs(acf[k]-want) > 0.05 {
-			t.Errorf("r(%d) = %v, want ~%v", k, acf[k], want)
-		}
-	}
-	if ts := IntegralTimescale(acf); ts < 1 {
-		t.Errorf("persistent timescale = %v, want > 1", ts)
-	}
-}
-
-func TestAutocorrelationEdgeCases(t *testing.T) {
-	for _, xs := range [][]float64{nil, {5, 5, 5, 5}} {
-		acf := Autocorrelation(xs, 2)
-		for k, v := range acf {
-			if !math.IsNaN(v) {
-				t.Errorf("degenerate input r(%d) = %v, want NaN", k, v)
+		after := signal[len(signal)-1].Value
+		for _, s := range signal {
+			if !s.Time.Before(b.End) {
+				after = s.Value
+				break
 			}
 		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("negative maxLag did not panic")
+		if after > before {
+			covered++
 		}
-	}()
-	Autocorrelation([]float64{1}, -1)
-}
-
-func TestIntensity(t *testing.T) {
-	series := seriesOf(0.05, 0.9, 0.8, 0.05, 0.1)
-	in := Intensity(series, 0)
-	if math.Abs(in.MeanInside-0.85) > 1e-12 {
-		t.Errorf("mean inside = %v", in.MeanInside)
 	}
-	wantOut := (0.05 + 0.05 + 0.1) / 3
-	if math.Abs(in.MeanOutside-wantOut) > 1e-12 {
-		t.Errorf("mean outside = %v", in.MeanOutside)
-	}
-	if in.PeakInside != 0.9 {
-		t.Errorf("peak = %v", in.PeakInside)
-	}
-	if math.Abs(in.Ratio-0.85/wantOut) > 1e-9 {
-		t.Errorf("ratio = %v", in.Ratio)
-	}
+	return float64(covered) / float64(len(bursts))
 }
 
 func TestSignalCoverage(t *testing.T) {
@@ -99,13 +61,13 @@ func TestSignalCoverage(t *testing.T) {
 		{Time: us(200), Value: 15},
 		{Time: us(400), Value: 15},
 	}
-	if got := SignalCoverage(bursts, signal); got != 0.5 {
+	if got := signalCoverage(bursts, signal); got != 0.5 {
 		t.Errorf("coverage = %v, want 0.5", got)
 	}
-	if got := SignalCoverage(nil, signal); got != 0 {
+	if got := signalCoverage(nil, signal); got != 0 {
 		t.Errorf("empty bursts coverage = %v", got)
 	}
-	if got := SignalCoverage(bursts, signal[:1]); got != 0 {
+	if got := signalCoverage(bursts, signal[:1]); got != 0 {
 		t.Errorf("single-sample coverage = %v", got)
 	}
 }
@@ -148,24 +110,11 @@ func TestSignalCoverageWithECNSimulation(t *testing.T) {
 	if len(bursts) < 10 {
 		t.Fatalf("only %d bursts; need more for a stable coverage estimate", len(bursts))
 	}
-	cov := SignalCoverage(bursts, markSamples)
+	cov := signalCoverage(bursts, markSamples)
 	if cov <= 0 {
 		t.Error("no burst ever produced an ECN mark")
 	}
 	if cov >= 0.999 {
 		t.Errorf("coverage = %v; expected some unmarked (mild) bursts", cov)
-	}
-}
-
-func TestIntensityEdges(t *testing.T) {
-	// All idle: zero intensity, zero ratio.
-	in := Intensity(seriesOf(0, 0, 0), 0)
-	if in.Ratio != 0 || in.MeanInside != 0 {
-		t.Errorf("idle intensity = %+v", in)
-	}
-	// Always hot with an idle-free series: infinite ratio.
-	in = Intensity(seriesOf(0.9, 0.95), 0)
-	if !math.IsInf(in.Ratio, 1) {
-		t.Errorf("always-hot ratio = %v", in.Ratio)
 	}
 }

@@ -51,21 +51,3 @@ func ExampleBursts() {
 	// burst of 50µs starting at 25µs
 	// burst of 25µs starting at 100µs
 }
-
-// ExampleSignalCoverage checks which bursts produced any congestion
-// signal (here, an ECN mark counter).
-func ExampleSignalCoverage() {
-	us := func(n int64) simclock.Time { return simclock.Epoch.Add(simclock.Micros(n)) }
-	bursts := []analysis.Burst{
-		{Start: us(0), End: us(50)},
-		{Start: us(200), End: us(250)},
-	}
-	marks := []wire.Sample{
-		{Time: us(0), Value: 0},
-		{Time: us(40), Value: 12}, // marked during the first burst only
-		{Time: us(300), Value: 12},
-	}
-	fmt.Printf("coverage: %.0f%%\n", analysis.SignalCoverage(bursts, marks)*100)
-	// Output:
-	// coverage: 50%
-}

@@ -94,13 +94,6 @@ func (st CheckpointState) validate() error {
 // `mv checkpoint.json checkpoint.mbc`: the loader goes by content.
 const CheckpointFileName = "checkpoint.mbc"
 
-// SaveCheckpoint writes st to path as MBC1, atomically: temp file, fsync,
-// rename, directory fsync. A crash mid-save leaves the previous
-// checkpoint intact. `mbdump -checkpoint <path>` prints the file as JSON.
-func SaveCheckpoint(path string, st CheckpointState) error {
-	return WriteFileAtomic(path, appendCheckpoint(nil, &st))
-}
-
 // WriteFileAtomic is the write discipline shared by the shard
 // checkpoints and internal/trace's manifests: temp file (path +
 // ".tmp", the suffix trace recovery sweeps), fsync, rename, best-effort

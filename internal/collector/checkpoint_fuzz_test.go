@@ -26,7 +26,7 @@ var update = flag.Bool("update", false, "rewrite testdata/checkpoint_v1.mbc")
 //     Checkpoint()ed.
 //   - checkpoint_compact.json is the same state as the last commit that
 //     wrote JSON (23abd10 … 0403f19) saved it: one line.
-//   - checkpoint_v1.mbc is the same state as SaveCheckpoint writes it
+//   - checkpoint_v1.mbc is the same state as saveCheckpoint writes it
 //     now, in MBC1 (go test -run TestParentCheckpoint -update).
 //
 // None of the JSON ones can be regenerated from this tree, which is the
@@ -68,7 +68,7 @@ func TestParentCheckpointStaysResumable(t *testing.T) {
 		t.Fatalf("loading %s: ok=%v err=%v", parentCheckpoint, ok, err)
 	}
 	resaved := filepath.Join(t.TempDir(), CheckpointFileName)
-	if err := SaveCheckpoint(resaved, st); err != nil {
+	if err := saveCheckpoint(resaved, st); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(resaved)
@@ -85,7 +85,7 @@ func TestParentCheckpointStaysResumable(t *testing.T) {
 		t.Fatalf("%v (run with -update to write it)", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("SaveCheckpoint no longer writes the bytes of %s", binaryCheckpoint)
+		t.Errorf("saveCheckpoint no longer writes the bytes of %s", binaryCheckpoint)
 	}
 	compact, err := os.ReadFile(compactCheckpoint)
 	if err != nil {
@@ -366,7 +366,7 @@ func checkMBC1(t *testing.T, data []byte) error {
 // FuzzLoadCheckpoint feeds arbitrary bytes to the checkpoint loader —
 // durable bytes are outside input. Whatever loads must restore into a
 // pipeline that takes traffic without panicking, and what that pipeline
-// then cuts must survive SaveCheckpoint → LoadCheckpoint unchanged. An
+// then cuts must survive saveCheckpoint → LoadCheckpoint unchanged. An
 // MBC1 input that loads must moreover be the one encoding of its state,
 // and loading or rejecting it may allocate only in proportion to its
 // size, whatever counts it claims.
@@ -435,8 +435,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		}
 		cut := tap.cut(st.ArchivedBatches)
 		out := filepath.Join(dir, "out.mbc")
-		if err := SaveCheckpoint(out, cut); err != nil {
-			t.Fatalf("SaveCheckpoint: %v", err)
+		if err := saveCheckpoint(out, cut); err != nil {
+			t.Fatalf("saveCheckpoint: %v", err)
 		}
 		back, ok, err := LoadCheckpoint(out)
 		if err != nil || !ok {

@@ -45,8 +45,8 @@ func NewPollerMetrics(reg *obs.Registry, labels ...obs.Label) *PollerMetrics {
 	}
 }
 
-// ClientMetrics instruments the switch→collector transport (Client and
-// ReconnectingClient).
+// ClientMetrics instruments the switch→collector transport
+// (ReconnectingClient).
 type ClientMetrics struct {
 	// Batches counts batches flushed to the transport.
 	Batches *obs.Counter

@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"math"
@@ -116,35 +115,6 @@ func TestPollerMetricsDisabledMatchesBaseline(t *testing.T) {
 		if plain[i] != instr[i] {
 			t.Fatalf("sample %d differs under instrumentation", i)
 		}
-	}
-}
-
-func TestClientMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	cm := NewClientMetrics(reg)
-	var buf bytes.Buffer
-	c, err := NewClientConfigured(&buf, ClientConfig{Rack: 7, MaxBatch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetMetrics(cm)
-	for i := 0; i < 10; i++ {
-		c.Emit(wire.Sample{Time: simclock.Time(i)})
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := cm.Batches.Value(); got != 3 { // 4 + 4 + 2
-		t.Errorf("batches = %d, want 3", got)
-	}
-	if got := cm.Delivered.Value(); got != 10 {
-		t.Errorf("delivered = %d, want 10", got)
-	}
-	if got := cm.Bytes.Value(); got != uint64(buf.Len()) {
-		t.Errorf("bytes counter = %d, wrote %d", got, buf.Len())
-	}
-	if cm.FlushErrors.Value() != 0 {
-		t.Errorf("flush errors = %d", cm.FlushErrors.Value())
 	}
 }
 

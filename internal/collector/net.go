@@ -20,12 +20,10 @@ import (
 // Client is not safe for concurrent use; a switch runs one sampling loop.
 type Client struct {
 	w        *wire.Writer
-	cw       countingWriter
 	closer   io.Closer
 	batch    wire.Batch
 	maxBatch int
 	err      error
-	m        ClientMetrics
 	tracer   *ptrace.Tracer
 }
 
@@ -54,11 +52,10 @@ func NewClientConfigured(w io.Writer, cfg ClientConfig) (*Client, error) {
 		cfg.MaxBatch = DefaultBatchSize
 	}
 	c := &Client{
-		cw:       countingWriter{w: w},
 		batch:    wire.Batch{Rack: cfg.Rack},
 		maxBatch: cfg.MaxBatch,
 	}
-	bw, err := wire.NewWriterFormat(&c.cw, cfg.Format)
+	bw, err := wire.NewWriterFormat(w, cfg.Format)
 	if err != nil {
 		return nil, err
 	}
@@ -67,14 +64,6 @@ func NewClientConfigured(w io.Writer, cfg ClientConfig) (*Client, error) {
 		c.closer = cl
 	}
 	return c, nil
-}
-
-// SetMetrics attaches transport telemetry (batches, bytes, flush errors,
-// delivered samples). Call before the first Emit; m may be nil.
-func (c *Client) SetMetrics(m *ClientMetrics) {
-	if m != nil {
-		c.m = *m
-	}
 }
 
 // SetEpoch sets the agent restart generation stamped on outgoing batches
@@ -110,14 +99,8 @@ func (c *Client) flushLocked() error {
 	if len(c.batch.Samples) == 0 {
 		return nil
 	}
-	before := c.cw.n
 	err := c.w.WriteBatch(&c.batch)
-	c.m.Bytes.Add(c.cw.n - before)
-	if err != nil {
-		c.m.FlushErrors.Inc()
-	} else {
-		c.m.Batches.Inc()
-		c.m.Delivered.Add(uint64(len(c.batch.Samples)))
+	if err == nil {
 		recordSendSpans(c.tracer, &c.batch, nil)
 	}
 	c.batch.Samples = c.batch.Samples[:0]

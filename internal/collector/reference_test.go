@@ -15,8 +15,8 @@ import (
 // none of the bookkeeping (order, dirty marks, cached cuts) the fast
 // paths rely on.
 
-// refSaveCheckpointJSON writes st the way SaveCheckpoint did before MBC1
-// (one line of compact JSON). Shipping code only reads this form; the
+// refSaveCheckpointJSON writes st the way the checkpoint writer did
+// before MBC1 (one line of compact JSON). Shipping code only reads this form; the
 // writer lives on here to manufacture legacy inputs.
 func refSaveCheckpointJSON(path string, st CheckpointState) error {
 	data, err := json.Marshal(st)

@@ -179,7 +179,7 @@ func TestShardKillResumeFleetExact(t *testing.T) {
 		for k := 0; k < fleetCrashShards; k++ {
 			dirs[k] = filepath.Join(t.TempDir(), "shard")
 			chaos[k] = fault.NewWriteChaos(nil)
-			cfgs[k] = trace.ArchiveConfig{SegmentBatches: 8, SyncEvery: 2, WrapWrites: chaos[k].Wrap}
+			cfgs[k] = trace.ArchiveConfig{SyncEvery: 2, WrapWrites: chaos[k].Wrap}
 			arch, err := trace.CreateArchive(dirs[k], cfgs[k])
 			if err != nil {
 				t.Fatal(err)

@@ -65,11 +65,9 @@ func (e *Experiment) Config() Config { return e.cfg }
 // Rack returns the rack topology used throughout the experiment.
 func (e *Experiment) Rack() topo.Rack { return topo.Default(e.cfg.Servers) }
 
-// threshold returns the configured hot threshold.
+// threshold returns the hot threshold every figure applies: the paper's
+// burst criterion. sweep.HotThreshold varies it outside the Experiment.
 func (e *Experiment) threshold() float64 {
-	if e.cfg.HotThreshold > 0 {
-		return e.cfg.HotThreshold
-	}
 	return analysis.DefaultHotThreshold
 }
 
@@ -142,7 +140,7 @@ func (e *Experiment) RecordCampaign(ctx context.Context, app workload.App, dir s
 		Seed:        e.cfg.Seed,
 		Counters:    probe,
 		Notes:       notes,
-	}, e.cfg.TraceOpener)
+	}, nil)
 	if err != nil {
 		return err
 	}

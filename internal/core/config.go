@@ -30,7 +30,6 @@ import (
 	"mburst/internal/ptrace"
 	"mburst/internal/simclock"
 	"mburst/internal/simnet"
-	"mburst/internal/trace"
 	"mburst/internal/workload"
 )
 
@@ -54,8 +53,6 @@ type Config struct {
 	// Diurnal modulates offered load across windows (the paper's windows
 	// span a day, capturing diurnal patterns).
 	Diurnal bool
-	// HotThreshold overrides the burst criterion (0 = the paper's 50%).
-	HotThreshold float64
 	// Balancer selects the uplink balancing scheme (ablations).
 	Balancer simnet.BalancerMode
 	// FlowletGap configures BalanceFlowlet.
@@ -88,10 +85,6 @@ type Config struct {
 	// cell — the reproducible-single-scenario counterpart to Faults. Offsets
 	// are relative to each cell's recording start.
 	FaultSchedule *fault.Schedule
-	// TraceOpener, when non-nil, replaces os.Create for RecordCampaign's
-	// window segments so disk faults are injectable (fault.FlakyOpener
-	// matches this type structurally).
-	TraceOpener trace.Opener
 	// Tracer, when non-nil, records the full pipeline span chain for every
 	// batch RecordCampaign persists (see internal/ptrace). Span times are
 	// pure functions of batch content, so the dump is byte-identical across
@@ -139,8 +132,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Warmup = %v", c.Warmup)
 	case c.Servers <= 0:
 		return fmt.Errorf("core: Servers = %d", c.Servers)
-	case c.HotThreshold < 0 || c.HotThreshold >= 1:
-		return fmt.Errorf("core: HotThreshold = %v", c.HotThreshold)
 	case c.Workers < 0:
 		return fmt.Errorf("core: Workers = %d", c.Workers)
 	case c.Faults != nil && c.FaultSchedule != nil:

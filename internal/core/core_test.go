@@ -25,7 +25,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.WindowDur = 0 },
 		func(c *Config) { c.Warmup = -1 },
 		func(c *Config) { c.Servers = 0 },
-		func(c *Config) { c.HotThreshold = 1.5 },
 	}
 	for i, mut := range mutations {
 		cfg := DefaultConfig()

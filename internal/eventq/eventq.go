@@ -6,10 +6,9 @@
 // same-instant events deterministic — FIFO in scheduling order — which is
 // required for bit-reproducible campaigns (DESIGN.md §4).
 //
-// Events may be cancelled; cancellation is O(log n) thanks to an index
-// maintained inside each event handle. The scheduler exposes both a
-// run-to-completion loop and a bounded RunUntil used by the simulator's
-// tick engine to interleave event processing with per-tick fluid updates.
+// The scheduler exposes both a run-to-completion loop and a bounded
+// RunUntil used by the simulator's tick engine to interleave event
+// processing with per-tick fluid updates.
 package eventq
 
 import (
@@ -24,21 +23,16 @@ import (
 // scheduled time, which is also the scheduler clock's current time.
 type Handler func(now simclock.Time)
 
-// Event is a handle for a scheduled event, usable to cancel it.
+// Event is a handle for a scheduled event.
 type Event struct {
 	at      simclock.Time
 	schedAt simclock.Time // clock time when the event was enqueued
 	seq     uint64
 	fn      Handler
-	index   int // heap index; -1 when not queued
-	stopped bool
 }
 
 // At returns the time the event is (or was) scheduled to fire.
 func (e *Event) At() simclock.Time { return e.at }
-
-// Scheduled reports whether the event is still pending.
-func (e *Event) Scheduled() bool { return e != nil && e.index >= 0 && !e.stopped }
 
 // Scheduler owns the virtual clock and the pending event set.
 type Scheduler struct {
@@ -64,9 +58,6 @@ func NewScheduler() *Scheduler {
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() simclock.Time { return s.clock.Now() }
-
-// Clock exposes the underlying virtual clock (read-only use expected).
-func (s *Scheduler) Clock() *simclock.Clock { return s.clock }
 
 // Len returns the number of pending events.
 func (s *Scheduler) Len() int { return s.pq.Len() }
@@ -101,7 +92,7 @@ func (s *Scheduler) At(t simclock.Time, fn Handler) *Event {
 	if fn == nil {
 		panic("eventq: nil handler")
 	}
-	e := &Event{at: t, schedAt: s.clock.Now(), seq: s.seq, fn: fn, index: -1}
+	e := &Event{at: t, schedAt: s.clock.Now(), seq: s.seq, fn: fn}
 	s.seq++
 	heap.Push(&s.pq, e)
 	return e
@@ -115,34 +106,20 @@ func (s *Scheduler) After(d simclock.Duration, fn Handler) *Event {
 	return s.At(s.clock.Now().Add(d), fn)
 }
 
-// Cancel removes a pending event. Cancelling a nil, already-fired, or
-// already-cancelled event is a no-op and returns false.
-func (s *Scheduler) Cancel(e *Event) bool {
-	if e == nil || e.index < 0 || e.stopped {
-		return false
-	}
-	e.stopped = true
-	heap.Remove(&s.pq, e.index)
-	return true
-}
-
 // Step fires the earliest pending event, advancing the clock to its time.
 // It returns false if no events are pending.
 func (s *Scheduler) Step() bool {
-	for s.pq.Len() > 0 {
-		e := heap.Pop(&s.pq).(*Event)
-		if e.stopped {
-			continue
-		}
-		s.clock.AdvanceTo(e.at)
-		s.processed++
-		s.dispatched.Inc()
-		s.depth.Set(float64(s.pq.Len()))
-		s.dispatchLat.Set(float64(e.at.Sub(e.schedAt)))
-		e.fn(e.at)
-		return true
+	if s.pq.Len() == 0 {
+		return false
 	}
-	return false
+	e := heap.Pop(&s.pq).(*Event)
+	s.clock.AdvanceTo(e.at)
+	s.processed++
+	s.dispatched.Inc()
+	s.depth.Set(float64(s.pq.Len()))
+	s.dispatchLat.Set(float64(e.at.Sub(e.schedAt)))
+	e.fn(e.at)
+	return true
 }
 
 // RunUntil fires all events scheduled at or before deadline, then advances
@@ -172,19 +149,6 @@ func (s *Scheduler) Run(maxEvents uint64) uint64 {
 	return n
 }
 
-// NextAt returns the time of the earliest pending event, and whether one
-// exists.
-func (s *Scheduler) NextAt() (simclock.Time, bool) {
-	for s.pq.Len() > 0 {
-		if s.pq[0].stopped { // lazily shed cancelled heads
-			heap.Pop(&s.pq)
-			continue
-		}
-		return s.pq[0].at, true
-	}
-	return 0, false
-}
-
 // eventHeap implements heap.Interface ordered by (time, seq).
 type eventHeap []*Event
 
@@ -199,13 +163,10 @@ func (h eventHeap) Less(i, j int) bool {
 
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
 }
 
 func (h *eventHeap) Push(x any) {
 	e := x.(*Event)
-	e.index = len(*h)
 	*h = append(*h, e)
 }
 
@@ -214,7 +175,6 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
 	*h = old[:n-1]
 	return e
 }

@@ -49,59 +49,6 @@ func TestAfter(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := NewScheduler()
-	fired := false
-	e := s.After(simclock.Micros(1), func(simclock.Time) { fired = true })
-	if !e.Scheduled() {
-		t.Error("event should be scheduled")
-	}
-	if !s.Cancel(e) {
-		t.Error("Cancel returned false for pending event")
-	}
-	if e.Scheduled() {
-		t.Error("cancelled event still reports scheduled")
-	}
-	if s.Cancel(e) {
-		t.Error("double cancel returned true")
-	}
-	if s.Cancel(nil) {
-		t.Error("Cancel(nil) returned true")
-	}
-	s.Run(0)
-	if fired {
-		t.Error("cancelled event fired")
-	}
-}
-
-func TestCancelMiddleOfHeap(t *testing.T) {
-	s := NewScheduler()
-	var got []int
-	var handles []*Event
-	for i := 0; i < 20; i++ {
-		i := i
-		handles = append(handles, s.After(simclock.Micros(int64(i+1)), func(simclock.Time) { got = append(got, i) }))
-	}
-	// Cancel every third event.
-	want := []int{}
-	for i := 0; i < 20; i++ {
-		if i%3 == 0 {
-			s.Cancel(handles[i])
-		} else {
-			want = append(want, i)
-		}
-	}
-	s.Run(0)
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
-}
-
 func TestScheduleDuringRun(t *testing.T) {
 	s := NewScheduler()
 	var got []string
@@ -167,22 +114,6 @@ func TestNegativeAfterPanics(t *testing.T) {
 		}
 	}()
 	s.After(-1, func(simclock.Time) {})
-}
-
-func TestNextAt(t *testing.T) {
-	s := NewScheduler()
-	if _, ok := s.NextAt(); ok {
-		t.Error("NextAt on empty scheduler returned ok")
-	}
-	e := s.After(simclock.Micros(9), func(simclock.Time) {})
-	s.After(simclock.Micros(12), func(simclock.Time) {})
-	if at, ok := s.NextAt(); !ok || at != simclock.Epoch.Add(simclock.Micros(9)) {
-		t.Errorf("NextAt = %v, %v", at, ok)
-	}
-	s.Cancel(e)
-	if at, ok := s.NextAt(); !ok || at != simclock.Epoch.Add(simclock.Micros(12)) {
-		t.Errorf("NextAt after cancel = %v, %v", at, ok)
-	}
 }
 
 func TestRunMaxEvents(t *testing.T) {

@@ -7,17 +7,16 @@ import (
 	"mburst/internal/simclock"
 )
 
-// TestStressRandomScheduleAndCancel hammers the scheduler with a large
-// randomized mix of scheduling, cancellation, and nested scheduling, then
-// verifies global ordering, exact counts, and heap integrity.
-func TestStressRandomScheduleAndCancel(t *testing.T) {
+// TestStressRandomSchedule hammers the scheduler with a large randomized
+// mix of scheduling and nested scheduling, then verifies global ordering,
+// exact counts, and heap integrity.
+func TestStressRandomSchedule(t *testing.T) {
 	src := rng.New(12345)
 	s := NewScheduler()
 
 	const initial = 50_000
 	fired := 0
 	var lastAt simclock.Time
-	handles := make([]*Event, 0, initial)
 
 	handler := func(now simclock.Time) {
 		if now < lastAt {
@@ -29,15 +28,7 @@ func TestStressRandomScheduleAndCancel(t *testing.T) {
 
 	for i := 0; i < initial; i++ {
 		at := simclock.Epoch.Add(simclock.Duration(src.Intn(10_000_000)))
-		handles = append(handles, s.At(at, handler))
-	}
-
-	// Cancel a random third.
-	cancelled := 0
-	for _, h := range handles {
-		if src.Bool(1.0/3) && s.Cancel(h) {
-			cancelled++
-		}
+		s.At(at, handler)
 	}
 
 	// Some events spawn children while running (children also count).
@@ -56,10 +47,10 @@ func TestStressRandomScheduleAndCancel(t *testing.T) {
 	s.Run(0)
 
 	// Each spawning event fires its own handler call plus the child's.
-	want := initial - cancelled + 5_000 + spawned
+	want := initial + 5_000 + spawned
 	// The spawning wrapper calls handler itself, so total handler calls:
 	if fired != want {
-		t.Fatalf("fired %d handler calls, want %d (cancelled %d, spawned %d)", fired, want, cancelled, spawned)
+		t.Fatalf("fired %d handler calls, want %d (spawned %d)", fired, want, spawned)
 	}
 	if s.Len() != 0 {
 		t.Errorf("events left in heap: %d", s.Len())

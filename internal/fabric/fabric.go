@@ -28,8 +28,6 @@ import (
 	"fmt"
 
 	"mburst/internal/asic"
-	"mburst/internal/collector"
-	"mburst/internal/rng"
 	"mburst/internal/simclock"
 	"mburst/internal/simnet"
 	"mburst/internal/topo"
@@ -215,14 +213,6 @@ func (c *Cluster) SpinePort(s int) int {
 	return len(c.racks) + s
 }
 
-// ToRPort returns the fabric-switch port index facing rack r.
-func (c *Cluster) ToRPort(r int) int {
-	if r < 0 || r >= len(c.racks) {
-		panic(fmt.Sprintf("fabric: rack %d out of range", r))
-	}
-	return r
-}
-
 // Shape returns the common rack topology.
 func (c *Cluster) Shape() topo.Rack { return c.shape }
 
@@ -231,24 +221,6 @@ func (c *Cluster) Tick() simclock.Duration { return c.tick }
 
 // Now returns the cluster time (all racks advance in lockstep).
 func (c *Cluster) Now() simclock.Time { return c.racks[0].Now() }
-
-// InstallPoller attaches the standard collection framework to fabric
-// switch f — the same Poller that samples ToRs, demonstrating that the
-// framework ports unchanged to higher tiers. Rack 0's scheduler serves as
-// the time base; the cluster advances all racks in lockstep, so it is the
-// cluster clock. The fabric ASIC applies its tick right after the racks',
-// so fabric counter reads lag the racks' by at most one native tick.
-func (c *Cluster) InstallPoller(f int, cfg collector.PollerConfig, src *rng.Source, emit collector.Emitter) (*collector.Poller, error) {
-	if f < 0 || f >= len(c.fabrics) {
-		return nil, fmt.Errorf("fabric: switch %d out of range", f)
-	}
-	p, err := collector.NewPoller(cfg, c.fabrics[f], src, emit)
-	if err != nil {
-		return nil, err
-	}
-	p.Install(c.racks[0].Scheduler())
-	return p, nil
-}
 
 // Run advances every rack and the fabric tier in lockstep by d.
 func (c *Cluster) Run(d simclock.Duration) {

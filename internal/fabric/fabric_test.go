@@ -63,7 +63,7 @@ func TestTopologyWiring(t *testing.T) {
 	if sw.NumPorts() != 5 {
 		t.Fatalf("fabric ports = %d", sw.NumPorts())
 	}
-	if sw.Port(c.ToRPort(2)).Name() != "tor2" {
+	if sw.Port(2).Name() != "tor2" {
 		t.Error("ToR port naming wrong")
 	}
 	if sw.Port(c.SpinePort(1)).Name() != "spine1" {
@@ -72,22 +72,15 @@ func TestTopologyWiring(t *testing.T) {
 	if sw.Port(c.SpinePort(0)).Speed() != topo.Gbps100 {
 		t.Error("spine speed wrong")
 	}
-	if sw.Port(c.ToRPort(0)).Speed() != topo.Gbps40 {
+	if sw.Port(0).Speed() != topo.Gbps40 {
 		t.Error("ToR-facing speed wrong")
 	}
-	for _, f := range []func(){
-		func() { c.SpinePort(2) },
-		func() { c.ToRPort(3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("out-of-range port did not panic")
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("out-of-range spine port did not panic")
+		}
+	}()
+	c.SpinePort(2)
 }
 
 func TestLockstepAdvance(t *testing.T) {
@@ -130,7 +123,7 @@ func TestByteConservationAcrossTiers(t *testing.T) {
 	}
 	for f := 0; f < c.NumFabrics(); f++ {
 		for r := 0; r < c.NumRacks(); r++ {
-			fabricRackRx += float64(c.Fabric(f).Port(c.ToRPort(r)).Bytes(asic.RX))
+			fabricRackRx += float64(c.Fabric(f).Port(r).Bytes(asic.RX))
 		}
 		for s := 0; s < 2; s++ {
 			spineTx += float64(c.Fabric(f).Port(c.SpinePort(s)).Bytes(asic.TX))
@@ -166,7 +159,7 @@ func TestFabricDownstreamMirrorsRackIngress(t *testing.T) {
 	}
 	for f := 0; f < c.NumFabrics(); f++ {
 		for r := 0; r < c.NumRacks(); r++ {
-			fabricToTorTx += float64(c.Fabric(f).Port(c.ToRPort(r)).Bytes(asic.TX))
+			fabricToTorTx += float64(c.Fabric(f).Port(r).Bytes(asic.TX))
 		}
 	}
 	if torUplinkRx == 0 {
@@ -227,14 +220,17 @@ func TestFabricPolling(t *testing.T) {
 	}
 	spine := c.SpinePort(0)
 	var samples []wire.Sample
-	_, err = c.InstallPoller(0, collector.PollerConfig{
+	// Rack 0's scheduler is the cluster clock: all racks advance in
+	// lockstep, and the fabric ASIC applies its tick right after theirs.
+	p, err := collector.NewPoller(collector.PollerConfig{
 		Interval:      100 * simclock.Microsecond,
 		Counters:      []collector.CounterSpec{{Port: spine, Dir: asic.TX, Kind: asic.KindBytes}},
 		DedicatedCore: true,
-	}, rng.New(3), collector.EmitterFunc(func(s wire.Sample) { samples = append(samples, s) }))
+	}, c.Fabric(0), rng.New(3), collector.EmitterFunc(func(s wire.Sample) { samples = append(samples, s) }))
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.Install(c.Rack(0).Scheduler())
 	c.Run(100 * simclock.Millisecond)
 	if len(samples) < 900 {
 		t.Fatalf("only %d fabric samples", len(samples))
@@ -260,9 +256,5 @@ func TestFabricPolling(t *testing.T) {
 	}
 	if rel := (mean - direct) / direct; rel > 0.02 || rel < -0.02 {
 		t.Errorf("polled mean %v vs direct %v", mean, direct)
-	}
-	// Out-of-range switch rejected.
-	if _, err := c.InstallPoller(99, collector.PollerConfig{}, rng.New(1), nil); err == nil {
-		t.Error("out-of-range fabric accepted")
 	}
 }

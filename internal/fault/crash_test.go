@@ -144,7 +144,7 @@ type crashReport struct {
 func TestCollectorCrashSoak(t *testing.T) {
 	const schedules = 12
 	window := crashBatches * crashBatchDur
-	cfg := trace.ArchiveConfig{SegmentBatches: 8, SyncEvery: 2}
+	cfg := trace.ArchiveConfig{SyncEvery: 2}
 
 	report := crashReport{Schedules: schedules, ByteExact: true}
 	exact := func(ok bool, format string, args ...any) {

@@ -90,13 +90,3 @@ func (m CostModel) Window(stage Stage, pollEnd simclock.Time, samples, bytes int
 	}
 	return pollEnd, pollEnd
 }
-
-// ChainEnd returns when the full modeled chain completes for a batch
-// whose final poll completed at pollEnd.
-func (m CostModel) ChainEnd(pollEnd simclock.Time, samples, bytes int) simclock.Time {
-	cur := pollEnd
-	for _, link := range m.chain() {
-		cur = cur.Add(link.cost.Dur(samples, bytes))
-	}
-	return cur
-}

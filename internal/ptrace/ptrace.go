@@ -197,16 +197,11 @@ type Config struct {
 	// trace everything (head sampling is opt-in). Whether a given TraceID
 	// is sampled is a pure function of (Seed, TraceID).
 	SampleRate float64
-	// Disabled drops every trace — the off switch, since SampleRate 0
-	// means "all".
-	Disabled bool
 	// Seed keys the deterministic sampler (via internal/rng).
 	Seed uint64
 	// Metrics, when non-nil, receives tracer telemetry: spans recorded,
 	// traces sampled/unsampled, and one latency histogram per stage.
 	Metrics *obs.Registry
-	// Model positions post-poll stages; nil selects DefaultCostModel.
-	Model *CostModel
 }
 
 // Tracer records spans into a bounded lock-free ring. All methods are
@@ -242,20 +237,14 @@ func New(cfg Config) *Tracer {
 	}
 	capacity = ceilPow2(capacity)
 	t := &Tracer{
+		model: DefaultCostModel(),
 		slots: make([]atomic.Pointer[Span], capacity),
 		mask:  uint64(capacity - 1),
-	}
-	if cfg.Model != nil {
-		t.model = *cfg.Model
-	} else {
-		t.model = DefaultCostModel()
 	}
 	// The sampler key is drawn from a labeled rng split so it is
 	// independent of every other stream derived from the same seed.
 	t.key = rng.New(cfg.Seed).Split("ptrace/sampler").Uint64()
 	switch {
-	case cfg.Disabled:
-		t.thresh = 0
 	case cfg.SampleRate <= 0 || cfg.SampleRate >= 1:
 		t.thresh = ^uint64(0)
 	default:

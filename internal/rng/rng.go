@@ -132,16 +132,6 @@ func (r *Source) Exp(mean float64) float64 {
 	return -mean * math.Log(1-u)
 }
 
-// Pareto returns a sample from a Pareto distribution with minimum xm and
-// shape alpha. Heavy-tailed flow sizes and ON-period durations use this.
-func (r *Source) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("rng: Pareto with non-positive parameter")
-	}
-	u := r.Float64()
-	return xm / math.Pow(1-u, 1/alpha)
-}
-
 // BoundedPareto returns a Pareto(xm, alpha) sample truncated by inversion to
 // [xm, xmax]. Truncation by inversion (rather than rejection) keeps the
 // stream consumption per call constant, which matters for reproducibility
@@ -155,12 +145,6 @@ func (r *Source) BoundedPareto(xm, xmax, alpha float64) float64 {
 	ha := math.Pow(xmax, alpha)
 	// Inverse CDF of the bounded Pareto.
 	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
-// Lognormal returns a sample with the given log-space mean mu and log-space
-// standard deviation sigma.
-func (r *Source) Lognormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Normal())
 }
 
 // Normal returns a standard normal sample (Box–Muller, one value per call;
@@ -198,48 +182,6 @@ func (r *Source) Poisson(mean float64) int {
 		}
 		k++
 	}
-}
-
-// Geometric returns the number of failures before the first success in
-// Bernoulli(p) trials, i.e. a sample in {0, 1, 2, ...} with mean (1-p)/p.
-// It panics unless 0 < p <= 1.
-func (r *Source) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric with p out of (0,1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	u := r.Float64()
-	return int(math.Log(1-u) / math.Log(1-p))
-}
-
-// Zipf returns a sample in [0, n) following a Zipf distribution with
-// exponent s >= 0 (s = 0 degenerates to uniform). Used for skewed key and
-// destination popularity in the Cache workload.
-func (r *Source) Zipf(n int, s float64) int {
-	if n <= 0 {
-		panic("rng: Zipf with non-positive n")
-	}
-	if s == 0 {
-		return r.Intn(n)
-	}
-	// Inverse transform over the normalized harmonic weights. n is small
-	// (tens of servers), so a linear scan is fine and allocation-free.
-	u := r.Float64()
-	var total float64
-	for i := 1; i <= n; i++ {
-		total += math.Pow(float64(i), -s)
-	}
-	target := u * total
-	var acc float64
-	for i := 1; i <= n; i++ {
-		acc += math.Pow(float64(i), -s)
-		if acc >= target {
-			return i - 1
-		}
-	}
-	return n - 1
 }
 
 // Categorical returns an index drawn with probability proportional to

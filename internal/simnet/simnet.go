@@ -126,7 +126,6 @@ type Net struct {
 	bindings map[*workload.Flow]binding
 
 	activeFlows int
-	maxActive   int
 
 	txObserver TrafficObserver
 	rxObserver TrafficObserver
@@ -246,12 +245,6 @@ func (n *Net) Now() simclock.Time { return n.sched.Now() }
 // Tick returns the native tick duration.
 func (n *Net) Tick() simclock.Duration { return n.cfg.Tick }
 
-// ActiveFlows returns the number of currently active flows.
-func (n *Net) ActiveFlows() int { return n.activeFlows }
-
-// MaxActiveFlows returns the high-water mark of concurrent flows.
-func (n *Net) MaxActiveFlows() int { return n.maxActive }
-
 // Generator exposes the workload generator (for flow accounting in tests).
 func (n *Net) Generator() *workload.Generator { return n.gen }
 
@@ -277,9 +270,6 @@ func (n *Net) StartFlow(f *workload.Flow) {
 	n.bindings[f] = b
 	n.addRate(b, f, +1)
 	n.activeFlows++
-	if n.activeFlows > n.maxActive {
-		n.maxActive = n.activeFlows
-	}
 }
 
 // EndFlow implements workload.Sink.

@@ -73,7 +73,7 @@ func TestRunAdvancesAndCounts(t *testing.T) {
 	if total == 0 {
 		t.Error("no bytes transmitted in 20ms of web traffic")
 	}
-	if n.MaxActiveFlows() == 0 {
+	if n.Generator().FlowsStarted() == 0 {
 		t.Error("no flows ever active")
 	}
 }
@@ -167,7 +167,7 @@ func TestFlowAccountingBalances(t *testing.T) {
 	if gen.FlowsStarted() == 0 {
 		t.Fatal("no flows")
 	}
-	if got, want := n.ActiveFlows(), int(gen.FlowsStarted()-gen.FlowsEnded()); got != want {
+	if got, want := n.activeFlows, int(gen.FlowsStarted()-gen.FlowsEnded()); got != want {
 		t.Errorf("active flows = %d, generator says %d", got, want)
 	}
 	// Rates must be non-negative after all the add/remove churn.
@@ -273,7 +273,7 @@ func TestRoundRobinBalancesBetterThanFlowHash(t *testing.T) {
 func TestSteadyTicksDoNotAllocate(t *testing.T) {
 	n := newNet(t, workload.Hadoop, 3)
 	n.Run(simclock.Millis(3))
-	if n.ActiveFlows() == 0 || n.Switch().Port(0).Bytes(asic.TX) == 0 {
+	if n.activeFlows == 0 || n.Switch().Port(0).Bytes(asic.TX) == 0 {
 		t.Fatal("rack not loaded")
 	}
 	allocs := testing.AllocsPerRun(3, func() {

@@ -60,9 +60,9 @@ func TestSoakStationarity(t *testing.T) {
 			}
 
 			hot1, mean1 := half()
-			flowsMid := n.ActiveFlows()
+			flowsMid := n.activeFlows
 			hot2, mean2 := half()
-			flowsEnd := n.ActiveFlows()
+			flowsEnd := n.activeFlows
 
 			if mean1 <= 0 || mean2 <= 0 {
 				t.Fatalf("degenerate utilization: %v / %v", mean1, mean2)

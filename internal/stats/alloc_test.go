@@ -20,14 +20,6 @@ func TestECDFAccAddAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestECDFAccAddAllAllocatesNothing(t *testing.T) {
-	var a ECDFAcc
-	batch := []float64{0.1, 0.9, 0.5, 0.7, 0.3, 0.2, 0.8, 0.4}
-	if allocs := testing.AllocsPerRun(allocRuns, func() { a.AddAll(batch...) }); allocs != 0 {
-		t.Errorf("ECDFAcc.AddAll allocates %v times per batch, want 0", allocs)
-	}
-}
-
 // TestMarkovAccObserveAllocatesNothing drives every transition cell in
 // each run: hot, hot, cold, cold.
 func TestMarkovAccObserveAllocatesNothing(t *testing.T) {

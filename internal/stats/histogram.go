@@ -35,9 +35,6 @@ func NewHistogram(edges []float64) *Histogram {
 	return &Histogram{edges: e, counts: make([]int64, len(edges)-1)}
 }
 
-// NumBins returns the number of in-range bins.
-func (h *Histogram) NumBins() int { return len(h.counts) }
-
 // Add records one observation of value v.
 func (h *Histogram) Add(v float64) { h.AddN(v, 1) }
 

@@ -32,7 +32,7 @@ func TestKSExponentialRejectsHeavyTail(t *testing.T) {
 		if r.Bool(0.7) {
 			sample[i] = r.Exp(50) // short gaps ~50µs
 		} else {
-			sample[i] = 1e5 + r.Pareto(1e5, 0.9) // idle periods ~100ms+
+			sample[i] = 1e5 + 1e5/math.Pow(1-r.Float64(), 1/0.9) // idle periods ~100ms+, Pareto(1e5, 0.9)
 		}
 	}
 	res := KSExponential(sample)

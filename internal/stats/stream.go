@@ -28,12 +28,6 @@ type ECDFAcc struct {
 // Per sample: amortized slice growth only (TestECDFAccAddAllocatesNothing).
 func (a *ECDFAcc) Add(v float64) { a.values = append(a.values, v) }
 
-// AddAll records a batch of values in order.
-//
-// Per batch: amortized slice growth only
-// (TestECDFAccAddAllAllocatesNothing).
-func (a *ECDFAcc) AddAll(vs ...float64) { a.values = append(a.values, vs...) }
-
 // N returns the number of values recorded.
 func (a *ECDFAcc) N() int { return len(a.values) }
 

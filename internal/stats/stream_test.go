@@ -35,11 +35,7 @@ func TestECDFAccMatchesNewECDF(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		v := src.Float64() * 100
 		vals = append(vals, v)
-		if i%2 == 0 {
-			acc.Add(v)
-		} else {
-			acc.AddAll(v)
-		}
+		acc.Add(v)
 	}
 	if !reflect.DeepEqual(acc.Values(), vals) {
 		t.Fatal("Values() does not preserve insertion order")

@@ -98,7 +98,7 @@ func SamplingInterval(ctx context.Context, cfg core.Config, app workload.App, in
 			"cpu-busy-%":  run.CPUBusy * 100,
 		}
 		if series, err := analysis.UtilizationSeries(run.Samples, run.Net.Switch().Port(0).Speed()); err == nil {
-			durs := analysis.BurstDurations(analysis.Bursts(series, cfg.HotThreshold))
+			durs := analysis.BurstDurations(analysis.Bursts(series, analysis.DefaultHotThreshold))
 			metrics["bursts"] = float64(len(durs))
 			if len(durs) > 0 {
 				metrics["p90-burst-µs"] = stats.NewECDF(durs).Quantile(0.9)
@@ -134,10 +134,7 @@ func BufferSize(ctx context.Context, cfg core.Config, app workload.App, sizes []
 		return out
 	}
 	interval := 300 * simclock.Microsecond
-	threshold := cfg.HotThreshold
-	if threshold <= 0 {
-		threshold = analysis.DefaultHotThreshold
-	}
+	threshold := analysis.DefaultHotThreshold
 	for _, size := range sizes {
 		c := cfg
 		c.BufferBytes = size

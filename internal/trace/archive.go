@@ -63,12 +63,6 @@ type ArchiveConfig struct {
 	// Format must be zero or wire.FormatMBW3, the one format segments are
 	// written in (see wire.NewWriterFormat).
 	Format wire.Format
-	// SegmentBatches rotates to a fresh segment after this many batches
-	// (default 4096). A checkpointing collector seals a segment at every
-	// checkpoint (see Sync), far sooner at the default cadence, so the
-	// bound only matters to a log that is never checkpointed: it caps how
-	// much one torn tail can cost there.
-	SegmentBatches int
 	// SyncEvery fsyncs the open segment after this many batches
 	// (default 64). 1 makes every admitted batch durable before the
 	// write returns — what the crash soak runs with.
@@ -84,9 +78,6 @@ type ArchiveConfig struct {
 }
 
 func (cfg ArchiveConfig) withDefaults() ArchiveConfig {
-	if cfg.SegmentBatches <= 0 {
-		cfg.SegmentBatches = 4096
-	}
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = 64
 	}
@@ -237,20 +228,14 @@ func (w *ArchiveWriter) openSegment(seq int, name string) error {
 }
 
 // WriteBatch appends one batch, opening a segment when none is open (the
-// one before was sealed by a checkpoint or by rotation) and fsyncing per
-// the configured cadence. On error the writer is failed for good.
+// one before was sealed by Sync) and fsyncing per the configured cadence.
+// On error the writer is failed for good.
 func (w *ArchiveWriter) WriteBatch(b *wire.Batch) error {
 	if w.err != nil {
 		return w.err
 	}
 	if w.closed {
 		return errors.New("trace: archive closed")
-	}
-	if w.f != nil && w.segBatches >= uint64(w.cfg.SegmentBatches) {
-		if err := w.seal(); err != nil {
-			w.err = err
-			return err
-		}
 	}
 	if w.f == nil {
 		if err := w.openSegment(w.seq+1, segOpenName(w.seq+1)); err != nil {

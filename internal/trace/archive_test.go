@@ -38,7 +38,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 	for _, format := range []wire.Format{0, wire.FormatMBW3} {
 		dir := filepath.Join(t.TempDir(), "a")
-		w, err := CreateArchive(dir, ArchiveConfig{Format: format, SegmentBatches: 2, SyncEvery: 1})
+		w, err := CreateArchive(dir, ArchiveConfig{Format: format, SyncEvery: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,6 +48,11 @@ func TestArchiveRoundTrip(t *testing.T) {
 			want = append(want, *b)
 			if err := w.WriteBatch(b); err != nil {
 				t.Fatal(err)
+			}
+			if i%2 == 1 {
+				if err := w.Sync(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if got := w.Batches(); got != 7 {
@@ -60,7 +65,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(man.Segments) != 4 || man.Format != "mbw3" { // 2+2+2+1 at SegmentBatches=2
+		if len(man.Segments) != 4 || man.Format != "mbw3" { // 2+2+2+1: a Sync every 2 batches
 			t.Errorf("%v: %d segments in format %q, want 4 in mbw3", format, len(man.Segments), man.Format)
 		}
 		got := collectArchive(t, dir)
@@ -71,6 +76,51 @@ func TestArchiveRoundTrip(t *testing.T) {
 			if got[i].Rack != want[i].Rack || got[i].Epoch != want[i].Epoch || !reflect.DeepEqual(got[i].Samples, want[i].Samples) {
 				t.Fatalf("%v: batch %d mismatch", format, i)
 			}
+		}
+	}
+}
+
+// TestArchiveSegmentsEndOnlyAtSync: a segment ends at Sync (a
+// checkpoint) or Close and nowhere else, however many batches it holds.
+func TestArchiveSegmentsEndOnlyAtSync(t *testing.T) {
+	for _, c := range []struct{ batches, syncEvery, want int }{
+		{5000, 0, 1},
+		{10, 3, 4},
+		{9, 3, 3},
+		{7, 1, 7},
+		{4, 10, 1},
+	} {
+		dir := filepath.Join(t.TempDir(), "a")
+		w, err := CreateArchive(dir, ArchiveConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= c.batches; i++ {
+			if err := w.WriteBatch(archiveBatch(i, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if c.syncEvery > 0 && i%c.syncEvery == 0 {
+				if err := w.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		man, err := loadArchiveManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(man.Segments) != c.want {
+			t.Errorf("%d batches, Sync every %d: %d segments, want %d", c.batches, c.syncEvery, len(man.Segments), c.want)
+		}
+		var n uint64
+		for _, seg := range man.Segments {
+			n += seg.Batches
+		}
+		if n != uint64(c.batches) {
+			t.Errorf("%d batches, Sync every %d: segments hold %d", c.batches, c.syncEvery, n)
 		}
 	}
 }
@@ -223,13 +273,18 @@ func TestArchiveSyncErrorPropagates(t *testing.T) {
 // position skipping nothing.
 func TestIterArchiveSkipTo(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "a")
-	w, err := CreateArchive(dir, ArchiveConfig{SegmentBatches: 3})
+	w, err := CreateArchive(dir, ArchiveConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
 		if err := w.WriteBatch(archiveBatch(i, 5)); err != nil {
 			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := w.Close(); err != nil {

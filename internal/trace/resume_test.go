@@ -142,7 +142,7 @@ func finishAgainst(t *testing.T, p *resumePipeline, arch *trace.ArchiveWriter, f
 
 func TestCollectorCrashResumeByteExact(t *testing.T) {
 	const total, killAt = 40, 23
-	cfg := trace.ArchiveConfig{SegmentBatches: 8, SyncEvery: 2}
+	cfg := trace.ArchiveConfig{SyncEvery: 2}
 
 	oracle, oDir := runResumeOracle(t, cfg, total)
 

@@ -141,8 +141,8 @@ func Create(dir string, meta Meta, open Opener) (*Writer, error) {
 		return nil, fmt.Errorf("trace: %s already holds a campaign", dir)
 	}
 	// A window is one segment with one fsync, at its seal, however many
-	// batches it holds: no rotation, no cadence.
-	arch, err := newArchive(dir, ArchiveConfig{Open: open, SegmentBatches: math.MaxInt, SyncEvery: math.MaxInt})
+	// batches it holds: no cadence.
+	arch, err := newArchive(dir, ArchiveConfig{Open: open, SyncEvery: math.MaxInt})
 	if err != nil {
 		return nil, err
 	}
