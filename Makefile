@@ -50,16 +50,17 @@ smoke:
 # examples runs the seven programs under examples/ — the consumers of the
 # core API outside cmd/ and the tests, and callers of the slice API
 # internal/analysis keeps (UtilizationSeries, Bursts, BufferVsHotPorts,
-# HotFraction, ServerCorrelation) — and fails unless each gets as far as
-# the line that reports its analysis (webrack's is its Table 2 line).
+# HotFraction, ServerCorrelation) — and fails unless each one's whole
+# stdout matches examples/testdata/<name>.golden. Every example is
+# deterministic except livecollect's "listening on" line, which names an
+# ephemeral port and is filtered out before the comparison.
+EXAMPLES = cachegroups detector fabrictier hadoopbuffer livecollect quickstart webrack
 examples:
-	$(GO) run ./examples/cachegroups | grep 'group block score'
-	$(GO) run ./examples/detector | grep 'ground truth:'
-	$(GO) run ./examples/fabrictier | grep 'ToR ports are'
-	$(GO) run ./examples/hadoopbuffer | grep 'max simultaneous hot ports'
-	$(GO) run ./examples/livecollect | grep 'analysis over the received stream'
-	$(GO) run ./examples/quickstart | grep 'time spent hot'
-	$(GO) run ./examples/webrack | grep 'Markov likelihood ratio'
+	@for e in $(EXAMPLES); do \
+		echo "examples/$$e"; \
+		$(GO) run ./examples/$$e | grep -v '^collector service listening on ' | \
+			diff -u examples/testdata/$$e.golden - || exit 1; \
+	done
 
 # fuzz exercises the parsers that face untrusted bytes:
 #   - the wire decoder: whole streams, and the MBW3 delta chain from the

@@ -3,7 +3,6 @@ package collector
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // This file is the fleet half of the sharded collection plane: the
@@ -63,9 +62,6 @@ type AggregatorConfig struct {
 	Figures LiveFiguresConfig
 	// Metrics receives fan-in and merge telemetry; may be nil.
 	Metrics *AggregatorMetrics
-	// Now, when non-nil, timestamps merges so Metrics.MergeLatency is
-	// populated (the aggregator never reads the wall clock on its own).
-	Now func() time.Time
 }
 
 // Aggregator is the fleet-wide merge tier: a bounded fan-in queue, a
@@ -224,7 +220,6 @@ func (a *Aggregator) Close() {
 // ingest totals sum, and the per-shard Seqs record exactly which cuts
 // the state reflects.
 func (a *Aggregator) FleetState() (FleetState, error) {
-	start := a.mark()
 	a.mu.Lock()
 	st := FleetState{Shards: len(a.latest), Seqs: make([]uint64, len(a.latest))}
 	figs := make([]FiguresState, 0, len(a.latest))
@@ -246,7 +241,6 @@ func (a *Aggregator) FleetState() (FleetState, error) {
 	}
 	st.Ingest = MergeSnapshots(snaps...)
 	a.m.Merges.Inc()
-	a.observeSince(start)
 	return st, nil
 }
 
@@ -290,20 +284,4 @@ func (a *Aggregator) Restore(states []CheckpointState) error {
 		a.have[i] = true
 	}
 	return nil
-}
-
-// mark reads the configured clock, if any.
-func (a *Aggregator) mark() time.Time {
-	if a.cfg.Now == nil {
-		return time.Time{}
-	}
-	return a.cfg.Now()
-}
-
-// observeSince records merge latency when a clock is configured.
-func (a *Aggregator) observeSince(start time.Time) {
-	if a.cfg.Now == nil {
-		return
-	}
-	a.m.MergeLatency.Observe(float64(a.cfg.Now().Sub(start).Microseconds()))
 }

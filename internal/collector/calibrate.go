@@ -36,10 +36,6 @@ func Calibrate(cfg PollerConfig, sw *asic.Switch, targetLoss float64, maxInterva
 	if maxInterval <= 0 {
 		maxInterval = simclock.Millisecond
 	}
-	// The local simulation below draws from the same cost model a live
-	// poller would, so the defaulted interference parameters must be
-	// filled in here, not just inside NewPoller's private copy.
-	cfg.applyDefaults()
 	cfg.Interval = maxInterval // placeholder to pass validation
 	probe, err := NewPoller(cfg, sw, rng.New(seed), EmitterFunc(func(wire.Sample) {}))
 	if err != nil {

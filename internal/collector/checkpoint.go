@@ -62,9 +62,10 @@ type CheckpointState struct {
 
 // validate rejects a state RestoreState could not faithfully rebuild. A
 // checkpoint is bytes from disk: a JSON null in place of a series is no
-// series at all; a series whose utilization histogram is missing has
-// lost its bins, and resuming from it would silently restart that
-// histogram empty; and a series listed twice is one no collector cut —
+// series at all; a series whose utilization histogram does not have the
+// tap's utilBins bins has lost them or was cut at another resolution, and
+// resuming from it would silently restart that histogram empty or change
+// its resolution; and a series listed twice is one no collector cut —
 // restore would keep one copy and the fleet merge would take the other
 // for a second shard's.
 func (st CheckpointState) validate() error {
@@ -75,8 +76,8 @@ func (st CheckpointState) validate() error {
 		if s == nil {
 			return fmt.Errorf("series %d is null", i)
 		}
-		if len(s.UtilHist) == 0 {
-			return fmt.Errorf("series %s has no util_hist", s.id())
+		if len(s.UtilHist) != utilBins {
+			return fmt.Errorf("series %s has %d util_hist bins, want %d", s.id(), len(s.UtilHist), utilBins)
 		}
 	}
 	series := canonicalOrder(st.Figures.Series)

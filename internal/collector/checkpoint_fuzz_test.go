@@ -198,21 +198,25 @@ func TestLoadCheckpointRejectsSeriesWithoutHistogram(t *testing.T) {
 
 // invalidSeriesCheckpoints are files that decode but list series no
 // collector could have cut, each with what its load error must say
-// besides the file name: a JSON null where a series should be, and one
-// series listed twice in either encoding.
+// besides the file name: a JSON null where a series should be, one
+// series listed twice in either encoding, and a histogram with other
+// than utilBins bins. Every other series is valid, utilBins bins and all,
+// so each file fails for the one reason it names.
 func invalidSeriesCheckpoints() map[string]struct {
 	data []byte
 	want string
 } {
 	// The one-series file of mbc1Forged, its series repeated: the count
 	// byte goes from 1 to 2 and the series' bytes follow twice.
-	st := CheckpointState{Figures: &FiguresState{Samples: 2, Series: []*SeriesState{{Rack: 9, UtilHist: []uint64{0}}}}}
+	st := CheckpointState{Figures: &FiguresState{Samples: 2, Series: []*SeriesState{{Rack: 9, UtilHist: make([]uint64, utilBins)}}}}
 	file := appendCheckpoint(nil, &st)
 	const seriesCount = len(CheckpointMagic) + 6
 	series := file[seriesCount+1 : len(file)-4]
 	dup := append(append([]byte(nil), file[:seriesCount]...), 2)
 	dup = mbc1Seal(append(append(append(dup, series...), series...), 0, 0, 0, 0))
-	const valid = `{"rack":1,"port":1,"dir":1,"kind":0,"util_hist":[0]}`
+	hist := `"util_hist":[0` + strings.Repeat(",0", utilBins-1) + `]`
+	valid := `{"rack":1,"port":1,"dir":1,"kind":0,` + hist + `}`
+	rack9 := `{"rack":9,` + hist + `}`
 	return map[string]struct {
 		data []byte
 		want string
@@ -220,9 +224,10 @@ func invalidSeriesCheckpoints() map[string]struct {
 		"null series":              {[]byte(`{"archived_batches":1,"figures":{"samples":1,"series":[null]}}`), "series 0 is null"},
 		"null before a series":     {[]byte(`{"archived_batches":1,"figures":{"samples":1,"series":[null,` + valid + `]}}`), "series 0 is null"},
 		"null after a series":      {[]byte(`{"archived_batches":1,"figures":{"samples":1,"series":[` + valid + `,null]}}`), "series 1 is null"},
-		"series twice, JSON":       {[]byte(`{"figures":{"series":[{"rack":9,"util_hist":[0]},{"rack":9,"util_hist":[0]}]}}`), "series rack 9 port0/rx/bytes is listed twice"},
-		"series twice apart, JSON": {[]byte(`{"figures":{"series":[{"rack":9,"util_hist":[0]},` + valid + `,{"rack":9,"util_hist":[0]}]}}`), "series rack 9 port0/rx/bytes is listed twice"},
+		"series twice, JSON":       {[]byte(`{"figures":{"series":[` + rack9 + `,` + rack9 + `]}}`), "series rack 9 port0/rx/bytes is listed twice"},
+		"series twice apart, JSON": {[]byte(`{"figures":{"series":[` + rack9 + `,` + valid + `,` + rack9 + `]}}`), "series rack 9 port0/rx/bytes is listed twice"},
 		"series twice, MBC1":       {dup, "series rack 9 port0/rx/bytes is listed twice"},
+		"three bins, JSON":         {[]byte(`{"figures":{"series":[` + valid + `,{"rack":9,"util_hist":[0,0,0]}]}}`), "series rack 9 port0/rx/bytes has 3 util_hist bins, want 20"},
 	}
 }
 
@@ -320,14 +325,15 @@ func mbc1Sections(st CheckpointState) []int {
 // mbc1Forged builds the hostile MBC1 files: counts far beyond the bytes
 // that follow them, behind a valid checksum.
 func mbc1Forged() map[string][]byte {
-	// One series with a one-bin histogram and nothing else: its count is
-	// the byte after magic, version, archived_batches, #gate, has_ingest,
-	// has_figures and samples; its #bins the fourth byte before the
-	// trailer (bin, points, hot follow).
-	st := CheckpointState{Figures: &FiguresState{Samples: 1, Series: []*SeriesState{{Rack: 1, UtilHist: []uint64{0}}}}}
+	// One series with an empty utilBins-bin histogram and nothing else:
+	// its count is the byte after magic, version, archived_batches,
+	// #gate, has_ingest, has_figures and samples; its #bins the byte
+	// before the trailer and the utilBins bins, points and hot that
+	// follow it, one byte each.
+	st := CheckpointState{Figures: &FiguresState{Samples: 1, Series: []*SeriesState{{Rack: 1, UtilHist: make([]uint64, utilBins)}}}}
 	file := appendCheckpoint(nil, &st)
 	const seriesCount = len(CheckpointMagic) + 6
-	binsCount := len(file) - 4 - 4
+	binsCount := len(file) - 4 - (utilBins + 2) - 1
 	splice := func(at int, v uint64) []byte {
 		out := append([]byte(nil), file[:at]...)
 		out = binary.AppendUvarint(out, v)

@@ -53,8 +53,6 @@ type LiveFiguresConfig struct {
 	// Threshold is the hot criterion; <= 0 selects
 	// analysis.DefaultHotThreshold.
 	Threshold float64
-	// UtilBins is the utilization histogram resolution; <= 0 selects 20.
-	UtilBins int
 	// Tracer, when non-nil, records a figures.apply span per batch.
 	Tracer *ptrace.Tracer
 }
@@ -68,6 +66,11 @@ type liveKey struct {
 func (k liveKey) id() seriesID {
 	return seriesID{Rack: k.Rack, Port: k.Key.Port, Dir: k.Key.Dir, Kind: k.Key.Kind}
 }
+
+// utilBins is every series' utilization histogram resolution: 20 bins of
+// 5% over [0,1]. Checkpoints persist the histogram as is, so a checkpoint
+// with any other bin count is refused at load (CheckpointState.validate).
+const utilBins = 20
 
 // liveSeries is the per-series accumulator set.
 type liveSeries struct {
@@ -96,9 +99,6 @@ func NewLiveFigures(cfg LiveFiguresConfig) (*LiveFigures, error) {
 	}
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = analysis.DefaultHotThreshold
-	}
-	if cfg.UtilBins <= 0 {
-		cfg.UtilBins = 20
 	}
 	return &LiveFigures{cfg: cfg, series: make(map[liveKey]*liveSeries)}, nil
 }
@@ -131,7 +131,7 @@ func (f *LiveFigures) Handle(b *wire.Batch) {
 				key:      k,
 				util:     analysis.NewUtilState(f.cfg.SpeedOf(b.Rack, s.Port)),
 				seg:      analysis.NewBurstSegmenter(analysis.SegmenterConfig{HotAbove: f.cfg.Threshold}),
-				utilHist: make([]uint64, f.cfg.UtilBins),
+				utilHist: make([]uint64, utilBins),
 			}
 			f.add(st)
 		}

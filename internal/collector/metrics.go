@@ -264,9 +264,6 @@ type AggregatorMetrics struct {
 	QueueDepth *obs.Gauge
 	// Merges counts fleet-state merges served.
 	Merges *obs.Counter
-	// MergeLatency is the fleet merge wall-clock in microseconds,
-	// populated only when AggregatorConfig.Now supplies a clock.
-	MergeLatency *obs.Histogram
 }
 
 // NewAggregatorMetrics registers the aggregator instrument set on reg.
@@ -288,9 +285,6 @@ func NewAggregatorMetrics(reg *obs.Registry, labels ...obs.Label) *AggregatorMet
 			"Fan-in queue occupancy.", labels...),
 		Merges: reg.Counter("mburst_agg_merges_total",
 			"Fleet-state merges served.", labels...),
-		MergeLatency: reg.Histogram("mburst_agg_merge_latency_us",
-			"Fleet-state merge wall-clock in microseconds.",
-			obs.DefLatencyBucketsUS, labels...),
 	}
 }
 

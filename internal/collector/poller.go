@@ -62,20 +62,6 @@ type PollerConfig struct {
 	Interval simclock.Duration
 	// Counters lists the instances read on every poll.
 	Counters []CounterSpec
-	// Rack tags emitted samples.
-	Rack uint32
-
-	// LoopOverhead is the fixed per-poll software cost (default 1 µs).
-	LoopOverhead simclock.Duration
-	// JitterFrac is the uniform relative jitter on the base cost
-	// (default 0.1 → ±10%).
-	JitterFrac float64
-	// PInterrupt is the per-poll probability of a kernel interrupt
-	// (default 0.145 with a dedicated core).
-	PInterrupt float64
-	// InterruptMean is the mean of the exponential interrupt delay
-	// (default 8 µs).
-	InterruptMean simclock.Duration
 	// DedicatedCore pins the loop to its own core. Without it the paper
 	// trades precision for ≤20% utilization; we model that as 4× the
 	// interrupt probability.
@@ -105,20 +91,20 @@ type PollFault interface {
 	ReadStuck(off simclock.Duration) bool
 }
 
-func (c *PollerConfig) applyDefaults() {
-	if c.LoopOverhead == 0 {
-		c.LoopOverhead = simclock.Microsecond
-	}
-	if c.JitterFrac == 0 {
-		c.JitterFrac = 0.1
-	}
-	if c.PInterrupt == 0 {
-		c.PInterrupt = 0.145
-	}
-	if c.InterruptMean == 0 {
-		c.InterruptMean = 8 * simclock.Microsecond
-	}
-}
+// The interference model of the paper's one poller platform (§4.1),
+// calibrated so a single byte counter on a dedicated core misses Table 1's
+// intervals: ~100% at 1 µs, ~10% at 10 µs, ~1% at 25 µs.
+const (
+	// loopOverhead is the fixed per-poll software cost.
+	loopOverhead = simclock.Microsecond
+	// jitterFrac is the uniform relative jitter on the base cost (±10%).
+	jitterFrac = 0.1
+	// pInterrupt is the per-poll probability of a kernel interrupt with a
+	// dedicated core.
+	pInterrupt = 0.145
+	// interruptMean is the mean of the exponential interrupt delay.
+	interruptMean = 8 * simclock.Microsecond
+)
 
 // Validate checks the configuration against the switch.
 func (c *PollerConfig) Validate(sw *asic.Switch) error {
@@ -199,7 +185,6 @@ type Poller struct {
 
 // NewPoller validates the config and builds a poller.
 func NewPoller(cfg PollerConfig, sw *asic.Switch, src *rng.Source, emit Emitter) (*Poller, error) {
-	cfg.applyDefaults()
 	if err := cfg.Validate(sw); err != nil {
 		return nil, err
 	}
@@ -221,7 +206,7 @@ func NewPoller(cfg PollerConfig, sw *asic.Switch, src *rng.Source, emit Emitter)
 // (batched reads amortize addressing and bus turnaround).
 func (p *Poller) computeBaseCost() simclock.Duration {
 	seen := make(map[asic.CounterKind]bool)
-	cost := p.cfg.LoopOverhead
+	cost := loopOverhead
 	for _, spec := range p.cfg.Counters {
 		c := asic.AccessCost(spec.Kind)
 		if seen[spec.Kind] {
@@ -368,9 +353,9 @@ func missedForOverrun(overrun, interval simclock.Duration) (k int64, missed uint
 // pollCost samples the duration of one poll under the interference model,
 // for a poll starting at instant start.
 func (p *Poller) pollCost(start simclock.Time) simclock.Duration {
-	jitter := 1 + p.cfg.JitterFrac*(2*p.src.Float64()-1)
+	jitter := 1 + jitterFrac*(2*p.src.Float64()-1)
 	cost := simclock.Duration(float64(p.baseCost) * jitter)
-	pi := p.cfg.PInterrupt
+	pi := pInterrupt
 	if !p.cfg.DedicatedCore {
 		pi *= 4
 		if pi > 1 {
@@ -378,7 +363,7 @@ func (p *Poller) pollCost(start simclock.Time) simclock.Duration {
 		}
 	}
 	if p.src.Bool(pi) {
-		cost += simclock.Duration(p.src.Exp(float64(p.cfg.InterruptMean)))
+		cost += simclock.Duration(p.src.Exp(float64(interruptMean)))
 	}
 	if p.cfg.Fault != nil {
 		cost += p.cfg.Fault.PollDelay(start.Sub(p.started), p.baseCost)

@@ -134,7 +134,7 @@ func (s *liveSeries) snapshot() *SeriesState {
 // config callbacks — a restored tap continues exactly where the snapshot
 // left off even if SpeedOf would now answer differently. The one
 // exception is a series without a histogram, which Handle could not
-// feed: it gets an empty one at the configured resolution. st's Series
+// feed: it gets an empty one of utilBins bins. st's Series
 // entries must be non-nil (LoadCheckpoint refuses a file with a null
 // one); restore copies out of them and keeps none.
 func (f *LiveFigures) RestoreState(st FiguresState) {
@@ -155,7 +155,7 @@ func (f *LiveFigures) RestoreState(st FiguresState) {
 			dirty:    true,
 		}
 		if len(ls.utilHist) == 0 {
-			ls.utilHist = make([]uint64, f.cfg.UtilBins)
+			ls.utilHist = make([]uint64, utilBins)
 		}
 		ls.mk.Restore(s.Markov)
 		ls.durations.Restore(s.Durations)

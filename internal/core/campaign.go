@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 
-	"mburst/internal/analysis"
 	"mburst/internal/asic"
 	"mburst/internal/collector"
 	"mburst/internal/fault"
@@ -65,16 +64,12 @@ func (e *Experiment) Config() Config { return e.cfg }
 // Rack returns the rack topology used throughout the experiment.
 func (e *Experiment) Rack() topo.Rack { return topo.Default(e.cfg.Servers) }
 
-// threshold returns the hot threshold every figure applies: the paper's
-// burst criterion. sweep.HotThreshold varies it outside the Experiment.
-func (e *Experiment) threshold() float64 {
-	return analysis.DefaultHotThreshold
-}
-
 // loadScale returns the diurnal load factor for a window: a day-shaped
-// sinusoid between ~0.65 and ~1.35 of nominal load.
+// sinusoid between ~0.65 and ~1.35 of nominal load. It is always on, as
+// the paper's windows span a day (§4.2); a one-window campaign runs at
+// nominal load.
 func (e *Experiment) loadScale(window int) float64 {
-	if !e.cfg.Diurnal || e.cfg.Windows <= 1 {
+	if e.cfg.Windows <= 1 {
 		return 1
 	}
 	phase := 2 * math.Pi * float64(window) / float64(e.cfg.Windows)
@@ -95,9 +90,7 @@ func (e *Experiment) newNet(app workload.App, rack, window int) (*simnet.Net, er
 		RackID:      rack,
 		LoadScale:   e.loadScale(window),
 		Balancer:    e.cfg.Balancer,
-		FlowletGap:  e.cfg.FlowletGap,
 		BufferBytes: e.cfg.BufferBytes,
-		Alpha:       e.cfg.Alpha,
 	})
 }
 

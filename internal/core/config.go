@@ -50,21 +50,12 @@ type Config struct {
 	Servers int
 	// Seed makes the whole experiment reproducible.
 	Seed uint64
-	// Diurnal modulates offered load across windows (the paper's windows
-	// span a day, capturing diurnal patterns).
-	Diurnal bool
 	// Balancer selects the uplink balancing scheme (ablations).
 	Balancer simnet.BalancerMode
-	// FlowletGap configures BalanceFlowlet.
-	FlowletGap simclock.Duration
 	// Paced enables the §7 pacing ablation in all workloads.
 	Paced bool
-	// BufferBytes / Alpha override the ASIC shared buffer (0 = defaults).
+	// BufferBytes overrides the ASIC shared buffer size (0 = default).
 	BufferBytes float64
-	Alpha       float64
-	// Params overrides workload parameters per app; nil uses
-	// workload.DefaultParams.
-	Params func(app workload.App) workload.Params
 	// Workers bounds the campaign runner's worker pool: how many
 	// (app, rack, window) cells simulate concurrently. 0 means
 	// runtime.GOMAXPROCS(0). Campaign output is byte-identical for every
@@ -103,7 +94,6 @@ func DefaultConfig() Config {
 		Warmup:    25 * simclock.Millisecond,
 		Servers:   32,
 		Seed:      1,
-		Diurnal:   true,
 	}
 }
 
@@ -151,21 +141,16 @@ func (c Config) Validate() error {
 }
 
 // ResolvedParams returns the workload parameters the experiment will use
-// for an app, applying overrides and the pacing ablation. Exposed so
-// higher-level harnesses (internal/sweep) build identical rack simulations.
+// for an app, applying the pacing ablation. Exposed so higher-level
+// harnesses (internal/sweep) build identical rack simulations.
 func (c Config) ResolvedParams(app workload.App) workload.Params {
 	return c.params(app)
 }
 
-// params returns the workload parameters for an app, applying overrides
-// and the pacing ablation.
+// params returns the workload parameters for an app: its defaults, with
+// the pacing ablation applied.
 func (c Config) params(app workload.App) workload.Params {
-	var p workload.Params
-	if c.Params != nil {
-		p = c.Params(app)
-	} else {
-		p = workload.DefaultParams(app)
-	}
+	p := workload.DefaultParams(app)
 	if c.Paced {
 		p.Paced = true
 		if p.PacedCap == 0 {

@@ -57,13 +57,6 @@ func TestLoadScaleDiurnal(t *testing.T) {
 	if lo >= 1 || hi <= 1 {
 		t.Errorf("diurnal range [%v, %v] should straddle 1", lo, hi)
 	}
-	cfg.Diurnal = false
-	e2, _ := NewExperiment(cfg)
-	for w := 0; w < cfg.Windows; w++ {
-		if e2.loadScale(w) != 1 {
-			t.Error("non-diurnal scale != 1")
-		}
-	}
 }
 
 func TestWindowSeedsDiffer(t *testing.T) {

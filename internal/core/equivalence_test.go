@@ -379,7 +379,7 @@ func (c *refByteCampaign) Utils() []float64 {
 // Figs 3, 4, 6 and Table 2 reduced from materialized refByteCampaign window
 // series.
 func batchByteFigures(ctx context.Context, e *Experiment) (Fig3Result, Fig4Result, Table2Result, Fig6Result, error) {
-	th := e.threshold()
+	th := analysis.DefaultHotThreshold
 	fig3 := Fig3Result{Durations: make(AppECDF)}
 	fig4 := Fig4Result{Gaps: make(AppECDF), KS: make(map[workload.App]stats.KSResult)}
 	table2 := Table2Result{Models: make(map[workload.App]stats.MarkovModel)}
@@ -434,7 +434,7 @@ func batchFig5(ctx context.Context, e *Experiment) (Fig5Result, error) {
 		split := analysis.Split(run.Samples)
 		bytes := split[analysis.SeriesKey{Port: uint16(port), Dir: asic.TX, Kind: asic.KindBytes}]
 		bins := split[analysis.SeriesKey{Port: uint16(port), Dir: asic.TX, Kind: asic.KindSizeBins}]
-		mix, err := packetMixInsideOutside(bytes, bins, run.Net.Switch().Port(port).Speed(), e.threshold())
+		mix, err := packetMixInsideOutside(bytes, bins, run.Net.Switch().Port(port).Speed(), analysis.DefaultHotThreshold)
 		if err != nil {
 			return perCell[analysis.PacketMixResult]{}, err
 		}
@@ -620,7 +620,7 @@ func batchFig9(ctx context.Context, e *Experiment) (Fig9Result, error) {
 		if err != nil {
 			return perCell[analysis.HotShare]{}, err
 		}
-		s := hotPortShare(series, rack.IsUplink, e.threshold())
+		s := hotPortShare(series, rack.IsUplink, analysis.DefaultHotThreshold)
 		return perCell[analysis.HotShare]{app: run.Cell.App, v: s}, nil
 	})
 	if err != nil {
@@ -663,7 +663,7 @@ func batchFig10(ctx context.Context, e *Experiment) (Fig10Result, error) {
 				peaks = append(peaks, s)
 			}
 		}
-		w, err := analysis.BufferVsHotPorts(series, peaks, window, e.threshold())
+		w, err := analysis.BufferVsHotPorts(series, peaks, window, analysis.DefaultHotThreshold)
 		if err != nil {
 			return perCell[[]analysis.BufferWindow]{}, err
 		}
@@ -736,7 +736,7 @@ func batchImplications(ctx context.Context, e *Experiment) (ImplicationsResult, 
 		OverBeforeSignal: make(map[workload.App][]float64),
 		RepathableGaps:   make(map[workload.App]float64),
 	}
-	th := e.threshold()
+	th := analysis.DefaultHotThreshold
 	for _, app := range workload.Apps {
 		c, err := e.refRunByteCampaign(ctx, app, 0)
 		if err != nil {
@@ -1002,7 +1002,7 @@ func analyzeWindowBatch(r *trace.Reader, i int, speedOf func(int) uint64, reduce
 func TestStreamByteStatsMatchesCampaignReductions(t *testing.T) {
 	e, _ := quickReport(t)
 	ctx := context.Background()
-	th := e.threshold()
+	th := analysis.DefaultHotThreshold
 	app := workload.Hadoop
 
 	st, err := e.StreamByteStats(ctx, app, 0, ByteWant{Durations: true, Gaps: true, Utils: true, Markov: true})

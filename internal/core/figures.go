@@ -441,7 +441,7 @@ func (e *Experiment) Fig5PacketSizes(ctx context.Context) (Fig5Result, error) {
 		port := e.randomPort(c.App, c.RackID, c.Window)
 		// The cell polls exactly one port's byte + size-bin counters, so a
 		// single PacketMixAcc consumes the interleaved stream directly.
-		mix := analysis.NewPacketMixAcc(run.Net.Switch().Port(port).Speed(), e.threshold())
+		mix := analysis.NewPacketMixAcc(run.Net.Switch().Port(port).Speed(), analysis.DefaultHotThreshold)
 		for _, s := range run.Samples {
 			if int(s.Port) != port || s.Dir != asic.TX {
 				continue
@@ -760,7 +760,7 @@ func (e *Experiment) Fig9HotPortShare(ctx context.Context) (Fig9Result, error) {
 		ports := rack.NumPorts()
 		hot := make([]int, ports)
 		err := portUtils(run, ports, func(port int, p analysis.UtilPoint) {
-			if p.Util > e.threshold() {
+			if p.Util > analysis.DefaultHotThreshold {
 				hot[port]++
 			}
 		})
@@ -866,7 +866,7 @@ func (e *Experiment) Fig10BufferOccupancy(ctx context.Context) (Fig10Result, err
 	cells := e.appGrid(AllPortCounters(true), interval)
 	wins, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (perCell[[]analysis.BufferWindow], error) {
 		ports := rack.NumPorts()
-		acc, err := analysis.NewBufferWindowAcc(window, e.threshold())
+		acc, err := analysis.NewBufferWindowAcc(window, analysis.DefaultHotThreshold)
 		if err != nil {
 			return perCell[[]analysis.BufferWindow]{}, err
 		}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"mburst/internal/analysis"
 	"mburst/internal/collector"
 	"mburst/internal/fault"
 	"mburst/internal/shard"
@@ -351,7 +352,7 @@ func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResul
 			return rack.ServerSpeed
 		},
 		IsUplink:  func(_ uint32, port uint16) bool { return rack.IsUplink(int(port)) },
-		Threshold: e.threshold(),
+		Threshold: analysis.DefaultHotThreshold,
 	}
 
 	plan := e.RandomPortCounters(cfg.App)

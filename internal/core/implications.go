@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mburst/internal/analysis"
 	"mburst/internal/detect"
 	"mburst/internal/simclock"
 	"mburst/internal/stats"
@@ -44,7 +45,7 @@ const detectorApp = workload.Web
 // implicationDetectors builds one cell's online detectors: the immediate
 // threshold detector and the EWMA-smoothed one.
 func (e *Experiment) implicationDetectors() (thDet, ewDet detect.Detector, err error) {
-	th := e.threshold()
+	th := analysis.DefaultHotThreshold
 	if thDet, err = detect.NewThresholdDetector(th, 1, 1); err != nil {
 		return nil, nil, err
 	}

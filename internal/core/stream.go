@@ -148,8 +148,8 @@ func (b *byteReducer) close() error {
 
 // StreamByteStats runs the single-byte-counter campaign for one app at
 // the given interval (0 = 25 µs) and reduces each (rack, window) cell in
-// one pass over its samples, at e.threshold(). A damaged cell fails the
-// campaign.
+// one pass over its samples, at analysis.DefaultHotThreshold. A damaged
+// cell fails the campaign.
 func (e *Experiment) StreamByteStats(ctx context.Context, app workload.App, interval simclock.Duration, want ByteWant) (*ByteStats, error) {
 	return e.byteStats(ctx, app, interval, want, false)
 }
@@ -160,7 +160,7 @@ func (e *Experiment) byteStats(ctx context.Context, app workload.App, interval s
 	if interval <= 0 {
 		interval = ByteCampaignInterval
 	}
-	threshold := e.threshold()
+	threshold := analysis.DefaultHotThreshold
 	type cellStats struct {
 		*byteReducer
 		port int

@@ -106,7 +106,7 @@ func CompareTiers(c *Cluster, dur, interval simclock.Duration, threshold float64
 	}
 	for f := 0; f < c.NumFabrics(); f++ {
 		sw := c.Fabric(f)
-		for s := 0; s < c.cfg.SpinePorts; s++ {
+		for s := 0; s < spinePorts; s++ {
 			port := sw.Port(c.SpinePort(s))
 			probes = append(probes, &probe{read: func() uint64 { return port.Bytes(asic.TX) }, speed: port.Speed(), tier: 2})
 		}

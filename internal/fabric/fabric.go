@@ -10,7 +10,11 @@
 // the wire protocol, the analyses) measures it with zero changes:
 //
 //	fabric switch f ports [0, K)         one per rack (ToR-facing, 40G)
-//	fabric switch f ports [K, K+S)       spine-facing (100G)
+//	fabric switch f ports [K, K+2)       spine-facing (100G)
+//
+// The spine tier is fixed: two 100G spine ports per fabric switch, and a
+// 4 MiB shared buffer carved at alpha 2 — fabric chips are deeper than a
+// ToR's.
 //
 // Traffic at the fabric tier is derived from the racks' uplink streams:
 // what a ToR sends up uplink f arrives at fabric f's rack port and is
@@ -36,41 +40,23 @@ import (
 // Config configures a cluster.
 type Config struct {
 	// RackConfigs lists the per-rack simulations (apps may differ). All
-	// racks must share the same topology shape and tick.
+	// racks must share the same topology shape.
 	RackConfigs []simnet.Config
-	// SpinePorts is the number of spine-facing ports per fabric switch
-	// (default 2).
-	SpinePorts int
-	// SpineSpeed is the spine link rate (default 100G).
-	SpineSpeed uint64
-	// FabricBufferBytes / FabricAlpha configure each fabric switch's
-	// shared buffer (defaults 4 MB, alpha 2 — fabric chips are deeper).
-	FabricBufferBytes float64
-	FabricAlpha       float64
 }
 
-func (c *Config) applyDefaults() {
-	if c.SpinePorts == 0 {
-		c.SpinePorts = 2
-	}
-	if c.SpineSpeed == 0 {
-		c.SpineSpeed = topo.Gbps100
-	}
-	if c.FabricBufferBytes == 0 {
-		c.FabricBufferBytes = 4 << 20
-	}
-	if c.FabricAlpha == 0 {
-		c.FabricAlpha = 2
-	}
-}
+// The fixed spine tier of every fabric switch (see the package doc).
+const (
+	spinePorts        = 2
+	spineSpeed        = topo.Gbps100
+	fabricBufferBytes = 4 << 20
+	fabricAlpha       = 2
+)
 
 // Cluster is a set of racks under a fabric-switch tier.
 type Cluster struct {
-	cfg     Config
 	racks   []*simnet.Net
 	fabrics []*asic.Switch
 	shape   topo.Rack
-	tick    simclock.Duration
 
 	// perTick[f][port] accumulates this tick's offered bytes/profile for
 	// fabric switch f, filled by the rack observers and flushed by Run.
@@ -84,11 +70,10 @@ type offer struct {
 
 // New builds the cluster and wires the rack observers.
 func New(cfg Config) (*Cluster, error) {
-	cfg.applyDefaults()
 	if len(cfg.RackConfigs) == 0 {
 		return nil, fmt.Errorf("fabric: no racks")
 	}
-	c := &Cluster{cfg: cfg}
+	c := &Cluster{}
 	for i := range cfg.RackConfigs {
 		rc := cfg.RackConfigs[i]
 		net, err := simnet.New(rc)
@@ -97,35 +82,29 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		if i == 0 {
 			c.shape = net.Rack()
-			c.tick = net.Tick()
-		} else {
-			if net.Rack() != c.shape {
-				return nil, fmt.Errorf("fabric: rack %d shape differs", i)
-			}
-			if net.Tick() != c.tick {
-				return nil, fmt.Errorf("fabric: rack %d tick differs", i)
-			}
+		} else if net.Rack() != c.shape {
+			return nil, fmt.Errorf("fabric: rack %d shape differs", i)
 		}
 		c.racks = append(c.racks, net)
 	}
 
 	k := len(c.racks)
 	for f := 0; f < c.shape.NumUplinks; f++ {
-		speeds := make([]uint64, 0, k+cfg.SpinePorts)
-		names := make([]string, 0, k+cfg.SpinePorts)
+		speeds := make([]uint64, 0, k+spinePorts)
+		names := make([]string, 0, k+spinePorts)
 		for r := 0; r < k; r++ {
 			speeds = append(speeds, c.shape.UplinkSpeed)
 			names = append(names, fmt.Sprintf("tor%d", r))
 		}
-		for s := 0; s < cfg.SpinePorts; s++ {
-			speeds = append(speeds, cfg.SpineSpeed)
+		for s := 0; s < spinePorts; s++ {
+			speeds = append(speeds, spineSpeed)
 			names = append(names, fmt.Sprintf("spine%d", s))
 		}
 		c.fabrics = append(c.fabrics, asic.New(asic.Config{
 			PortSpeeds:  speeds,
 			PortNames:   names,
-			BufferBytes: cfg.FabricBufferBytes,
-			Alpha:       cfg.FabricAlpha,
+			BufferBytes: fabricBufferBytes,
+			Alpha:       fabricAlpha,
 		}))
 		c.pending = append(c.pending, make(map[int]offer))
 	}
@@ -190,7 +169,7 @@ func (c *Cluster) accumulate(f, port int, nbytes float64, profile asic.TrafficPr
 // spinePortIndex returns the fabric-switch port index of the spine port
 // assigned to a rack.
 func (c *Cluster) spinePortIndex(rack int) int {
-	return len(c.racks) + rack%c.cfg.SpinePorts
+	return len(c.racks) + rack%spinePorts
 }
 
 // NumRacks returns the rack count.
@@ -207,7 +186,7 @@ func (c *Cluster) Fabric(f int) *asic.Switch { return c.fabrics[f] }
 
 // SpinePort returns the port index of spine port s on a fabric switch.
 func (c *Cluster) SpinePort(s int) int {
-	if s < 0 || s >= c.cfg.SpinePorts {
+	if s < 0 || s >= spinePorts {
 		panic(fmt.Sprintf("fabric: spine port %d out of range", s))
 	}
 	return len(c.racks) + s
@@ -215,9 +194,6 @@ func (c *Cluster) SpinePort(s int) int {
 
 // Shape returns the common rack topology.
 func (c *Cluster) Shape() topo.Rack { return c.shape }
-
-// Tick returns the cluster's native tick.
-func (c *Cluster) Tick() simclock.Duration { return c.tick }
 
 // Now returns the cluster time (all racks advance in lockstep).
 func (c *Cluster) Now() simclock.Time { return c.racks[0].Now() }
@@ -229,7 +205,7 @@ func (c *Cluster) Run(d simclock.Duration) {
 	}
 	end := c.Now().Add(d)
 	for c.Now().Before(end) {
-		step := c.tick
+		step := c.racks[0].Tick()
 		if remaining := end.Sub(c.Now()); remaining < step {
 			step = remaining
 		}

@@ -5,7 +5,8 @@
 // straight from mbreport/mbanalyze without a plotting stack.
 //
 // All renderers are pure: data in, string out. Sizes are in character
-// cells; callers choose dimensions that fit their terminal.
+// cells: a CDF plot is a fixed 64×16, and the boxplot and bar widths are
+// the caller's.
 package plot
 
 import (
@@ -25,8 +26,6 @@ type Series struct {
 
 // CDFConfig controls CDF rendering.
 type CDFConfig struct {
-	// Width/Height are the plot area dimensions in cells (defaults 64×16).
-	Width, Height int
 	// LogX plots the x axis on a log10 scale (natural for Figs 3 and 4,
 	// whose x ranges span orders of magnitude).
 	LogX bool
@@ -34,14 +33,10 @@ type CDFConfig struct {
 	XLabel string
 }
 
-func (c *CDFConfig) applyDefaults() {
-	if c.Width <= 0 {
-		c.Width = 64
-	}
-	if c.Height <= 0 {
-		c.Height = 16
-	}
-}
+// cdfWidth and cdfHeight are a CDF plot area's dimensions in cells: 64
+// columns fit an 80-column terminal beside the y-axis ticks, and 16 rows
+// resolve the CDF in steps of 1/15.
+const cdfWidth, cdfHeight = 64, 16
 
 // seriesMarks assigns each curve a distinct mark.
 var seriesMarks = []byte{'*', 'o', '+', 'x', '#', '@'}
@@ -49,7 +44,6 @@ var seriesMarks = []byte{'*', 'o', '+', 'x', '#', '@'}
 // CDF renders one or more empirical CDFs on shared axes. Curves with no
 // data are listed but not drawn.
 func CDF(cfg CDFConfig, series ...Series) string {
-	cfg.applyDefaults()
 	// Establish the x range across all series.
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, s := range series {
@@ -93,30 +87,30 @@ func CDF(cfg CDFConfig, series ...Series) string {
 	}
 
 	xOf := func(col int) float64 {
-		f := float64(col) / float64(cfg.Width-1)
+		f := float64(col) / float64(cdfWidth-1)
 		if cfg.LogX {
 			return lo * math.Pow(hi/lo, f)
 		}
 		return lo + f*(hi-lo)
 	}
 
-	grid := make([][]byte, cfg.Height)
+	grid := make([][]byte, cdfHeight)
 	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", cfg.Width))
+		grid[r] = []byte(strings.Repeat(" ", cdfWidth))
 	}
 	for si, s := range series {
 		if s.ECDF == nil || s.ECDF.N() == 0 {
 			continue
 		}
 		mark := seriesMarks[si%len(seriesMarks)]
-		for col := 0; col < cfg.Width; col++ {
+		for col := 0; col < cdfWidth; col++ {
 			p := s.ECDF.At(xOf(col))
-			row := int((1 - p) * float64(cfg.Height-1))
+			row := int((1 - p) * float64(cdfHeight-1))
 			if row < 0 {
 				row = 0
 			}
-			if row >= cfg.Height {
-				row = cfg.Height - 1
+			if row >= cdfHeight {
+				row = cdfHeight - 1
 			}
 			grid[row][col] = mark
 		}
@@ -128,9 +122,9 @@ func CDF(cfg CDFConfig, series ...Series) string {
 		switch r {
 		case 0:
 			yTick = "1.00 |"
-		case cfg.Height / 2:
+		case cdfHeight / 2:
 			yTick = "0.50 |"
-		case cfg.Height - 1:
+		case cdfHeight - 1:
 			yTick = "0.00 |"
 		default:
 			yTick = "     |"
@@ -139,11 +133,11 @@ func CDF(cfg CDFConfig, series ...Series) string {
 		b.Write(line)
 		b.WriteByte('\n')
 	}
-	b.WriteString("     +" + strings.Repeat("-", cfg.Width) + "\n")
+	b.WriteString("     +" + strings.Repeat("-", cdfWidth) + "\n")
 	axis := fmt.Sprintf("      %-12s", formatTick(lo))
-	mid := formatTick(xOf(cfg.Width / 2))
+	mid := formatTick(xOf(cdfWidth / 2))
 	right := formatTick(hi)
-	pad := cfg.Width - 12 - len(mid) - len(right)
+	pad := cdfWidth - 12 - len(mid) - len(right)
 	if pad < 1 {
 		pad = 1
 	}

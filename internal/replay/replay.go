@@ -34,9 +34,6 @@ type Options struct {
 	BatchSamples int
 	// Sleep is injectable for tests (default time.Sleep).
 	Sleep func(time.Duration)
-	// Windows optionally restricts replay to these window indices
-	// (default: every window present on disk, in order).
-	Windows []int
 	// MaxGap bounds a single pacing sleep (after Speedup). Traces that
 	// survived faults carry long sample gaps — agent outages, stalled
 	// pollers — and replaying such a gap verbatim stalls the feed for the
@@ -85,12 +82,10 @@ func Run(ctx context.Context, dir string, w io.Writer, opts Options) (Stats, err
 		return st, err
 	}
 	meta := r.Meta()
-	windows := opts.Windows
-	if windows == nil {
-		for i := 0; i < meta.Windows; i++ {
-			if r.HasWindow(i) {
-				windows = append(windows, i)
-			}
+	var windows []int
+	for i := 0; i < meta.Windows; i++ {
+		if r.HasWindow(i) {
+			windows = append(windows, i)
 		}
 	}
 	bw := wire.NewWriter(w)

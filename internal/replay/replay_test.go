@@ -215,18 +215,6 @@ func TestReplayMaxGapClampsSleeps(t *testing.T) {
 	}
 }
 
-func TestReplayWindowSelection(t *testing.T) {
-	dir := writeCampaign(t, 4, 100)
-	var buf bytes.Buffer
-	st, err := Run(context.Background(), dir, &buf, Options{Unpaced: true, Windows: []int{1, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Windows != 2 || st.Samples != 200 {
-		t.Errorf("stats = %+v", st)
-	}
-}
-
 func TestReplayErrors(t *testing.T) {
 	if _, err := Run(context.Background(), filepath.Join(t.TempDir(), "missing"), &bytes.Buffer{}, Options{}); err == nil {
 		t.Error("missing campaign accepted")

@@ -63,7 +63,7 @@ func refNormalizeProfile(sum [asic.NumSizeBins]float64, _ float64) asic.TrafficP
 func (n *Net) refRun(d simclock.Duration) {
 	end := n.sched.Now().Add(d)
 	for n.sched.Now().Before(end) {
-		step := n.cfg.Tick
+		step := tick
 		if remaining := end.Sub(n.sched.Now()); remaining < step {
 			step = remaining
 		}
@@ -258,7 +258,7 @@ func TestApplyTickMatchesReference(t *testing.T) {
 				t.Logf("clocks diverged after op %d (%+v)", k, op)
 				return false
 			}
-			sawPartial = sawPartial || (op.kind == opRun && op.d%got.n.Tick() != 0)
+			sawPartial = sawPartial || (op.kind == opRun && op.d%tick != 0)
 			sawDrops = sawDrops || gdrop > 0
 			for _, p := range gp {
 				sawECN = sawECN || p.ecn > 0

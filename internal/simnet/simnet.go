@@ -2,8 +2,8 @@
 // rack topology, ECMP uplink selection, and the switch ASIC model into a
 // single deterministic discrete-time machine.
 //
-// Traffic is fluid at a fixed native tick (default 5 µs — finer than the
-// paper's finest 25 µs sampling so that sub-sample µbursts exist, §5.1):
+// Traffic is fluid at a fixed native tick (5 µs — finer than the paper's
+// finest 25 µs sampling so that sub-sample µbursts exist, §5.1):
 // active flows contribute rate × tick bytes to their ports each tick, the
 // ASIC transmits/queues/drops, and counter-reading components (the
 // collection framework) observe the ASIC through scheduler events
@@ -64,12 +64,8 @@ type Config struct {
 	// Params is the workload; zero value is rejected (use
 	// workload.DefaultParams).
 	Params workload.Params
-	// Tick is the native simulation step (default 5 µs).
-	Tick simclock.Duration
-	// BufferBytes is the ToR's shared buffer (default 4 MB).
+	// BufferBytes is the ToR's shared buffer (default 1.5 MiB).
 	BufferBytes float64
-	// Alpha is the dynamic-threshold factor (default 2).
-	Alpha float64
 	// Seed makes the run reproducible.
 	Seed uint64
 	// RackID distinguishes racks within a campaign (affects flow IPs).
@@ -78,20 +74,26 @@ type Config struct {
 	LoadScale float64
 	// Balancer selects the uplink balancing scheme (default BalanceFlow).
 	Balancer BalancerMode
-	// FlowletGap is the idle gap that splits flowlets in BalanceFlowlet
-	// mode (default 500 µs).
-	FlowletGap simclock.Duration
 	// ECNThresholdBytes enables DCTCP-style marking in the ASIC
 	// (extension; 0 disables).
 	ECNThresholdBytes float64
 }
 
+const (
+	// tick is the native simulation step (see the package doc).
+	tick = 5 * simclock.Microsecond
+	// alpha is the ToR's dynamic-threshold factor: a port's egress queue
+	// may grow up to 1 × the free shared buffer (asic.Config.Alpha).
+	alpha = 1
+	// flowletGap is the idle gap that splits flowlets in BalanceFlowlet
+	// mode (the §7 ablation): far above the rack's µs-scale round trip, so
+	// a flowlet moved to another uplink does not reorder the one before.
+	flowletGap = 500 * simclock.Microsecond
+)
+
 func (c *Config) applyDefaults() {
 	if c.Rack.NumServers == 0 {
 		c.Rack = topo.Default(32)
-	}
-	if c.Tick == 0 {
-		c.Tick = 5 * simclock.Microsecond
 	}
 	if c.BufferBytes == 0 {
 		// A shallow-buffer ToR share: production chips of the paper's era
@@ -99,14 +101,8 @@ func (c *Config) applyDefaults() {
 		// available to a 36-port rack under typical pool partitioning.
 		c.BufferBytes = 1.5 * (1 << 20)
 	}
-	if c.Alpha == 0 {
-		c.Alpha = 1
-	}
 	if c.LoadScale == 0 {
 		c.LoadScale = 1
-	}
-	if c.FlowletGap == 0 {
-		c.FlowletGap = 500 * simclock.Microsecond
 	}
 }
 
@@ -173,9 +169,6 @@ func New(cfg Config) (*Net, error) {
 	if err := cfg.Rack.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Tick <= 0 {
-		return nil, fmt.Errorf("simnet: non-positive tick %v", cfg.Tick)
-	}
 	seed := rng.New(cfg.Seed)
 	gen, err := workload.NewGenerator(cfg.Params, cfg.Rack, cfg.RackID, cfg.LoadScale, seed.Split("workload"))
 	if err != nil {
@@ -191,7 +184,7 @@ func New(cfg Config) (*Net, error) {
 			PortSpeeds:        cfg.Rack.PortSpeeds(),
 			PortNames:         cfg.Rack.PortNames(),
 			BufferBytes:       cfg.BufferBytes,
-			Alpha:             cfg.Alpha,
+			Alpha:             alpha,
 			ECNThresholdBytes: cfg.ECNThresholdBytes,
 		}),
 		gen:      gen,
@@ -204,19 +197,19 @@ func New(cfg Config) (*Net, error) {
 	case BalanceFlow:
 		net.upTx = ecmp.NewFlowHasher(cfg.Rack.NumUplinks, hashSeed)
 	case BalanceFlowlet:
-		fb := ecmp.NewFlowletBalancer(cfg.Rack.NumUplinks, hashSeed, cfg.FlowletGap)
+		fb := ecmp.NewFlowletBalancer(cfg.Rack.NumUplinks, hashSeed, flowletGap)
 		net.upTx = fb
 		// Long campaigns would otherwise accumulate per-flow state for
 		// every 5-tuple ever seen; shed flows idle for many gaps.
 		var gc func(simclock.Time)
 		gc = func(now simclock.Time) {
-			cutoff := now.Add(-100 * cfg.FlowletGap)
+			cutoff := now.Add(-100 * flowletGap)
 			if cutoff > 0 {
 				fb.Forget(cutoff)
 			}
-			net.sched.After(50*cfg.FlowletGap, gc)
+			net.sched.After(50*flowletGap, gc)
 		}
-		net.sched.After(50*cfg.FlowletGap, gc)
+		net.sched.After(50*flowletGap, gc)
 	case BalanceRoundRobin:
 		net.upTx = ecmp.NewRoundRobin(cfg.Rack.NumUplinks)
 	default:
@@ -243,7 +236,7 @@ func (n *Net) Rack() topo.Rack { return n.rack }
 func (n *Net) Now() simclock.Time { return n.sched.Now() }
 
 // Tick returns the native tick duration.
-func (n *Net) Tick() simclock.Duration { return n.cfg.Tick }
+func (n *Net) Tick() simclock.Duration { return tick }
 
 // Generator exposes the workload generator (for flow accounting in tests).
 func (n *Net) Generator() *workload.Generator { return n.gen }
@@ -312,13 +305,13 @@ func (n *Net) Run(d simclock.Duration) {
 	}
 	end := n.sched.Now().Add(d)
 	for n.sched.Now().Before(end) {
-		step := n.cfg.Tick
+		step := tick
 		if remaining := end.Sub(n.sched.Now()); remaining < step {
 			step = remaining
 		}
 		tickEnd := n.sched.Now().Add(step)
 		n.sched.RunUntil(tickEnd)
-		if step == n.cfg.Tick {
+		if step == tick {
 			n.applyTick()
 		} else {
 			n.applyPartial(step)
@@ -352,21 +345,21 @@ func (n *Net) applyTick() {
 	now := n.sched.Now()
 	for p := range n.ports {
 		if d := &n.ports[p].tx; d.rate > 1e-9 {
-			pl := d.current(n.cfg.Tick)
+			pl := d.current(tick)
 			if n.txObserver != nil {
 				n.txObserver(now, p, pl.Bytes(), pl.Profile())
 			}
 			n.sw.OfferTxPlan(p, pl)
 		}
 		if d := &n.ports[p].rx; d.rate > 1e-9 {
-			pl := d.current(n.cfg.Tick)
+			pl := d.current(tick)
 			if n.rxObserver != nil {
 				n.rxObserver(now, p, pl.Bytes(), pl.Profile())
 			}
 			n.sw.OfferRxPlan(p, pl)
 		}
 	}
-	n.sw.Tick(n.cfg.Tick)
+	n.sw.Tick(tick)
 }
 
 // applyPartial is applyTick for a step shorter than Tick: the plans'
@@ -376,14 +369,14 @@ func (n *Net) applyPartial(step simclock.Duration) {
 	now := n.sched.Now()
 	for p := range n.ports {
 		if d := &n.ports[p].tx; d.rate > 1e-9 {
-			profile := d.current(n.cfg.Tick).Profile()
+			profile := d.current(tick).Profile()
 			if n.txObserver != nil {
 				n.txObserver(now, p, d.rate*sec, profile)
 			}
 			n.sw.OfferTx(p, d.rate*sec, profile)
 		}
 		if d := &n.ports[p].rx; d.rate > 1e-9 {
-			profile := d.current(n.cfg.Tick).Profile()
+			profile := d.current(tick).Profile()
 			if n.rxObserver != nil {
 				n.rxObserver(now, p, d.rate*sec, profile)
 			}

@@ -31,9 +31,6 @@ func TestDefaultsApplied(t *testing.T) {
 	if n.Rack().NumServers != 32 {
 		t.Errorf("default rack servers = %d", n.Rack().NumServers)
 	}
-	if n.Tick() != 5*simclock.Microsecond {
-		t.Errorf("default tick = %v", n.Tick())
-	}
 	if n.Switch().BufferBytes() != 1.5*(1<<20) {
 		t.Errorf("default buffer = %v", n.Switch().BufferBytes())
 	}

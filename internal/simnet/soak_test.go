@@ -100,11 +100,10 @@ func TestFlowletStateBounded(t *testing.T) {
 		t.Skip("soak test")
 	}
 	n, err := New(Config{
-		Rack:       topo.Default(16),
-		Params:     workload.DefaultParams(workload.Cache),
-		Seed:       9,
-		Balancer:   BalanceFlowlet,
-		FlowletGap: 500 * simclock.Microsecond,
+		Rack:     topo.Default(16),
+		Params:   workload.DefaultParams(workload.Cache),
+		Seed:     9,
+		Balancer: BalanceFlowlet,
 	})
 	if err != nil {
 		t.Fatal(err)

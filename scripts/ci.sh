@@ -103,8 +103,8 @@ MBURST_FAULT_OUT="$PWD/FAULT_soak.json" \
 # workload's oracle fails — with no timing gate.
 go run ./bench -workload all -quick
 
-# examples/ has no tests: run all seven and require each one's analysis
-# line (webrack's is its Table 2 line).
+# examples/ has no tests: run all seven and require each one's whole
+# output to match its golden under examples/testdata/.
 make examples
 
 # Real-process smoke: the cmd/ binaries as separate processes — mbagent
