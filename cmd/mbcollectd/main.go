@@ -50,7 +50,7 @@
 // With -tracing the daemon records pipeline spans (internal/ptrace) for
 // each ingested batch — server.ingest, epoch.gate verdicts, archive
 // writes, checkpoints — and serves them at /spans (JSON) and /tracez
-// (waterfall) on the debug mux; cmd/mbtrace renders either.
+// (the mbtrace text report) on the debug mux; cmd/mbtrace renders either.
 //
 // Flag misuse (an unknown flag, -resume without -archive, -shard without
 // or outside -shards) is one ERROR log line and exit status 2, before

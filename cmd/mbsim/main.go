@@ -30,7 +30,7 @@
 // poll→encode→send→ingest→gate→archive→figures chain per persisted batch,
 // with simclock-exact stage latencies. The dump is byte-identical across
 // runs and -workers counts; cmd/mbtrace renders it. With -http the same
-// spans are browsable live at /spans (JSON) and /tracez (waterfall).
+// spans are browsable live at /spans (JSON) and /tracez (the mbtrace report).
 //
 // -workers bounds how many (rack, window) cells simulate concurrently
 // (0 = all CPUs); the recorded trace is byte-identical for every worker

@@ -1,7 +1,8 @@
-// Command mbtrace renders a pipeline span dump (internal/ptrace) as
-// text: the per-stage latency breakdown, a waterfall for each of the
-// slowest traces, and each slow trace's critical path — the sequence of
-// stage segments a batch's end-to-end latency actually flowed through.
+// Command mbtrace renders a pipeline span dump (internal/ptrace) as the
+// text report /tracez serves (ptrace.WriteReport): the per-stage latency
+// breakdown, a waterfall for each of the slowest traces, and each slow
+// trace's critical path — the sequence of stage segments a batch's
+// end-to-end latency actually flowed through.
 //
 // Usage:
 //
@@ -22,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,26 +33,39 @@ import (
 	"strings"
 
 	"mburst/internal/ptrace"
-	"mburst/internal/simclock"
 	"mburst/internal/trace"
 )
 
 func main() {
-	in := flag.String("in", "", "span dump file (mbsim -trace output)")
-	url := flag.String("url", "", "fetch the dump from a daemon's /spans endpoint")
-	n := flag.Int("n", 5, "number of slowest traces to render")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command — flag parsing included — returning the exit
+// code. Split from main so the tests drive the exact production path.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mbtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "span dump file (mbsim -trace output)")
+	url := fs.String("url", "", "fetch the dump from a daemon's /spans endpoint")
+	n := fs.Int("n", 5, "number of slowest traces to render")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	dump, err := loadDump(*in, *url)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "mbtrace:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "mbtrace:", err)
+		return 1
 	}
 	if len(dump.Spans) == 0 {
-		fmt.Fprintln(os.Stderr, "mbtrace: dump holds no spans")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "mbtrace: dump holds no spans")
+		return 1
 	}
-	render(os.Stdout, dump.Spans, *n)
+	ptrace.WriteReport(stdout, dump.Spans, *n)
+	return 0
 }
 
 // spansFileName is the conventional span dump name inside campaign and
@@ -129,76 +144,4 @@ func readDumpFile(path string) (ptrace.Dump, error) {
 	}
 	defer f.Close()
 	return ptrace.ReadDump(f)
-}
-
-// render writes the full report: stage breakdown, then waterfall and
-// critical path for the slowest n traces.
-func render(w io.Writer, spans []ptrace.Span, n int) {
-	views := ptrace.GroupTraces(spans)
-	fmt.Fprintf(w, "%d spans, %d traces\n\n", len(spans), len(views))
-
-	fmt.Fprintln(w, "stage latency breakdown:")
-	fmt.Fprintf(w, "  %-14s %7s %12s %12s %12s %12s %14s\n",
-		"stage", "count", "min", "p50", "p99", "max", "total")
-	for _, st := range ptrace.StageBreakdown(spans) {
-		fmt.Fprintf(w, "  %-14s %7d %12s %12s %12s %12s %14s\n",
-			st.Stage, st.Count, st.Min, st.P50, st.P99, st.Max, st.Total)
-	}
-
-	slow := ptrace.SlowestN(views, n)
-	fmt.Fprintf(w, "\nslowest %d traces:\n", len(slow))
-	for _, v := range slow {
-		renderTrace(w, v)
-	}
-}
-
-// laneWidth is the text waterfall lane width in characters.
-const laneWidth = 64
-
-// renderTrace writes one trace's waterfall and critical path.
-func renderTrace(w io.Writer, v ptrace.TraceView) {
-	fmt.Fprintf(w, "\ntrace %016x rack %d epoch %d samples %d bytes %d span %s\n",
-		uint64(v.ID), v.Rack, v.Epoch, v.Samples, v.Bytes, v.Duration())
-	for _, sp := range v.Spans {
-		lane := []byte(strings.Repeat(".", laneWidth))
-		lo, hi := laneCell(v, sp.Start), laneCell(v, sp.Stop)
-		if hi <= lo {
-			hi = lo + 1
-		}
-		fill := byte('#')
-		if sp.Parent != "" {
-			fill = '~'
-		}
-		for i := lo; i < hi && i < laneWidth; i++ {
-			lane[i] = fill
-		}
-		detail := ""
-		if sp.Verdict != "" {
-			detail += " [" + string(sp.Verdict) + "]"
-		}
-		if sp.Fault != "" {
-			detail += " fault=" + sp.Fault
-		}
-		fmt.Fprintf(w, "  %-14s |%s| %s%s\n", sp.Stage, lane, sp.Duration(), detail)
-	}
-	fmt.Fprintf(w, "  critical path:")
-	for i, seg := range ptrace.CriticalPath(v) {
-		name := string(seg.Stage)
-		if name == "" {
-			name = "(gap)"
-		}
-		if i > 0 {
-			fmt.Fprintf(w, " ->")
-		}
-		fmt.Fprintf(w, " %s %s", name, seg.Duration())
-	}
-	fmt.Fprintln(w)
-}
-
-// laneCell maps a simulated time onto the trace's text lane.
-func laneCell(v ptrace.TraceView, at simclock.Time) int {
-	if v.Duration() <= 0 {
-		return 0
-	}
-	return int(int64(laneWidth) * int64(at.Sub(v.Start)) / int64(v.Duration()))
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -94,7 +95,7 @@ func TestLoadDumpFleetDirMerges(t *testing.T) {
 	}
 	// And the merged dump renders like any single-collector dump.
 	var buf bytes.Buffer
-	render(&buf, d.Spans, 2)
+	ptrace.WriteReport(&buf, d.Spans, 2)
 	if !strings.Contains(buf.String(), "3 spans, 2 traces") {
 		t.Errorf("render header wrong:\n%s", buf.String())
 	}
@@ -133,5 +134,85 @@ func TestLoadDumpFleetDirEscapingShard(t *testing.T) {
 	}
 	if _, err := loadDump(dir, ""); err == nil || !strings.Contains(err.Error(), "not inside the fleet directory") {
 		t.Errorf("escaping shard name not rejected: %v", err)
+	}
+}
+
+// tracedDump records two batches on a tracer and saves its /spans dump
+// to a file, returning both.
+func tracedDump(t *testing.T) (*ptrace.Tracer, string) {
+	t.Helper()
+	tr := ptrace.New(ptrace.Config{Capacity: 16})
+	for rack := uint32(0); rack < 2; rack++ {
+		first := simclock.Epoch.Add(simclock.Micros(int64(rack) * 100))
+		b := tr.Batch(rack, 0, first)
+		b.Start(ptrace.StagePollRead, first).SetBatch(8, 100).End(first.Add(simclock.Micros(200)))
+		b.Start(ptrace.StageServerIngest, first.Add(simclock.Micros(200))).End(first.Add(simclock.Micros(260 + 40*int64(rack))))
+	}
+	path := filepath.Join(t.TempDir(), "spans.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteDump(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return tr, path
+}
+
+// runOK drives run and requires exit 0 with nothing on stderr.
+func runOK(t *testing.T, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 || stderr.Len() != 0 {
+		t.Fatalf("run %v = %d, stderr %q", args, code, stderr.String())
+	}
+	return stdout.String()
+}
+
+// TestRunInPrintsWriteReport: -in prints exactly ptrace.WriteReport of
+// the dump.
+func TestRunInPrintsWriteReport(t *testing.T) {
+	tr, path := tracedDump(t)
+	var want bytes.Buffer
+	ptrace.WriteReport(&want, tr.Snapshot(), 1)
+	if got := runOK(t, "-in", path, "-n", "1"); got != want.String() {
+		t.Errorf("-in output differs from WriteReport:\ngot:\n%s\nwant:\n%s", got, want.String())
+	}
+}
+
+// TestRunURLMatchesIn: -url against a tracer's /spans prints the same
+// bytes as -in of that tracer's saved dump.
+func TestRunURLMatchesIn(t *testing.T) {
+	tr, path := tracedDump(t)
+	srv := httptest.NewServer(tr.SpansHandler())
+	defer srv.Close()
+	fromFile := runOK(t, "-in", path)
+	if got := runOK(t, "-url", srv.URL); got != fromFile {
+		t.Errorf("-url output differs from -in:\ngot:\n%s\nwant:\n%s", got, fromFile)
+	}
+	if !strings.HasPrefix(fromFile, "4 spans, 2 traces\n") {
+		t.Errorf("report header wrong:\n%s", fromFile)
+	}
+}
+
+// TestRunFailures: conflicting sources and an empty dump each exit 1
+// with one line naming the problem.
+func TestRunFailures(t *testing.T) {
+	empty := filepath.Join(t.TempDir(), "empty.json")
+	writeDump(t, empty, nil)
+	for _, tc := range []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-in", empty, "-url", "http://127.0.0.1:1"}, "mbtrace: -in and -url are mutually exclusive\n"},
+		{[]string{"-in", empty}, "mbtrace: dump holds no spans\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != 1 || stderr.String() != tc.msg || stdout.Len() != 0 {
+			t.Errorf("run %v = %d, stderr %q, stdout %q; want 1, %q, nothing", tc.args, code, stderr.String(), stdout.String(), tc.msg)
+		}
 	}
 }

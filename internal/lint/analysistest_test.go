@@ -37,7 +37,7 @@ func loaderForTest(t *testing.T) *Loader {
 
 // runFixture lints one testdata package under the named rules (all rules
 // when empty). importPath is chosen by the test: path-keyed rules
-// (wallclock's sim domain) key off it.
+// (clockflow's domain) key off it.
 func runFixture(t *testing.T, dir, importPath string, rules ...string) []Diagnostic {
 	t.Helper()
 	pkg, err := loaderForTest(t).LoadDir(filepath.Join("testdata", dir), importPath)

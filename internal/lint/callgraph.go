@@ -4,9 +4,10 @@ package lint
 // lockorder) need to reason about what a function reaches through any
 // chain of calls, across package boundaries. BuildProgram stitches the
 // per-package type information the loader already produced into one
-// graph: a node per function declaration, a static edge per
-// resolved call, and dynamic edges from interface method calls to every
-// repo-local concrete type whose method set satisfies the interface.
+// graph: a node per function declaration, one per package for its
+// variable initializers, a static edge per resolved call, and dynamic
+// edges from interface method calls to every repo-local concrete type
+// whose method set satisfies the interface.
 // Everything stays dependency-free on go/ast + go/types.
 //
 // Determinism: packages are visited in import-path order, files and
@@ -30,7 +31,8 @@ type Program struct {
 
 	// Funcs maps each declared function or method object to its node.
 	Funcs map[*types.Func]*FuncNode
-	// Nodes lists every node in deterministic (package, file, decl) order.
+	// Nodes lists every node in deterministic (package, file, decl)
+	// order, each package's initializer node after its declarations.
 	Nodes []*FuncNode
 
 	// named lists every package-level named type in the program, in
@@ -42,15 +44,19 @@ type Program struct {
 	dynamicEdges int
 }
 
-// FuncNode is one declared function or method. Calls lexically inside
-// function literals are attributed to the enclosing declaration (the
-// literal runs with the declaration's obligations as far as determinism
-// taint is concerned); edges carry InFuncLit so rules that must not look
-// inside literals (lockorder's event ordering) can filter them out.
+// FuncNode is one declared function or method, or a package's
+// variable initializers. Calls lexically inside function literals are
+// attributed to the enclosing declaration (the literal runs with the
+// declaration's obligations as far as determinism taint is concerned);
+// edges carry InFuncLit so rules that must not look inside literals
+// (lockorder's acquisition order) can filter them out.
 type FuncNode struct {
 	Obj  *types.Func
-	Decl *ast.FuncDecl
+	Decl *ast.FuncDecl // nil for an initializer node
 	Pkg  *Package
+	// Body is what the node runs: Decl.Body, or for an initializer node
+	// one expression statement per package-level variable initializer.
+	Body *ast.BlockStmt
 
 	Out []*Edge // calls this function makes, in source order
 	In  []*Edge // calls made to this function, in caller order
@@ -172,10 +178,13 @@ func BuildProgram(pkgs []*Package) *Program {
 				if obj == nil {
 					continue
 				}
-				node := &FuncNode{Obj: obj, Decl: fd, Pkg: pkg}
+				node := &FuncNode{Obj: obj, Decl: fd, Pkg: pkg, Body: fd.Body}
 				prog.Funcs[obj] = node
 				prog.Nodes = append(prog.Nodes, node)
 			}
+		}
+		if node := initNode(pkg); node != nil {
+			prog.Nodes = append(prog.Nodes, node)
 		}
 		scope := pkg.Types.Scope()
 		names := scope.Names()
@@ -198,9 +207,38 @@ func BuildProgram(pkgs []*Package) *Program {
 	return prog
 }
 
-// addEdges walks one declaration body and records every call.
+// initNode returns the node for pkg's package-level variable
+// initializers, named "init" after the function the compiler builds
+// from them, or nil when pkg has none. Initializers in _test.go files
+// are left out, as the rules leave out test-file declarations.
+func initNode(pkg *Package) *FuncNode {
+	body := &ast.BlockStmt{}
+	for _, f := range pkg.Files {
+		if isTestFile(pkg.Fset, f.Pos()) {
+			continue
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, v := range spec.(*ast.ValueSpec).Values {
+					body.List = append(body.List, &ast.ExprStmt{X: v})
+				}
+			}
+		}
+	}
+	if len(body.List) == 0 {
+		return nil
+	}
+	sig := types.NewSignatureType(nil, nil, nil, nil, nil, false)
+	return &FuncNode{Obj: types.NewFunc(token.NoPos, pkg.Types, "init", sig), Pkg: pkg, Body: body}
+}
+
+// addEdges walks one node's body and records every call.
 func (prog *Program) addEdges(node *FuncNode) {
-	if node.Decl.Body == nil {
+	if node.Body == nil {
 		return
 	}
 	info := node.Pkg.Info
@@ -218,7 +256,7 @@ func (prog *Program) addEdges(node *FuncNode) {
 		}
 		return true
 	}
-	ast.Inspect(node.Decl.Body, walk)
+	ast.Inspect(node.Body, walk)
 }
 
 // addCall classifies one call expression into a static edge, dynamic

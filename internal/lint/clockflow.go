@@ -5,29 +5,23 @@ import (
 	"strings"
 )
 
-// clockflowExtra extends the wallclock sim domain for transitive taint:
-// the collection and analysis pipelines must also be driven entirely by
-// simulated/injected time, or recorded campaigns stop being
-// byte-identical across runs; trace joins them because archive
-// recovery and checkpoint replay must rebuild identical state from the
-// same bytes on any machine. (obs is deliberately absent: process
-// telemetry like uptime gauges legitimately reads the wall clock.)
-var clockflowExtra = []string{"collector", "analysis", "detect", "trace", "shard"}
-
-func inSimDomain(path string) bool {
-	for _, seg := range simDomain {
-		if pathHasSegment(path, seg) {
-			return true
-		}
-	}
-	return false
+// clockDomain names the packages whose behaviour must be a pure function
+// of simulated time. The simulation packages (simnet through fault): one
+// wall-clock read inside them and the byte-identical campaign guarantee
+// (internal/core) is gone. The collection and analysis pipelines
+// (collector, analysis, detect, shard): driven by anything but
+// simulated/injected time, recorded campaigns stop being byte-identical
+// across runs. trace: archive recovery and checkpoint replay must
+// rebuild identical state from the same bytes on any machine. (obs is
+// deliberately absent: process telemetry like uptime gauges
+// legitimately reads the wall clock.)
+var clockDomain = []string{
+	"simnet", "asic", "eventq", "workload", "sweep", "replay", "core", "fault",
+	"collector", "analysis", "detect", "trace", "shard",
 }
 
-func inClockflowDomain(path string) bool {
-	if inSimDomain(path) {
-		return true
-	}
-	for _, seg := range clockflowExtra {
+func inClockDomain(path string) bool {
+	for _, seg := range clockDomain {
 		if pathHasSegment(path, seg) {
 			return true
 		}
@@ -38,34 +32,32 @@ func inClockflowDomain(path string) bool {
 func newClockflow() *Analyzer {
 	a := &Analyzer{
 		Name: "clockflow",
-		Doc: "Interprocedural determinism taint: a function in the simulation or " +
-			"collection domain (" + strings.Join(simDomain, ", ") + ", " +
-			strings.Join(clockflowExtra, ", ") + ") must not reach time.Now/time.Since " +
-			"or the global math/rand source through any call chain. The direct-call " +
-			"wallclock/globalrand rules catch the sink itself; clockflow walks the " +
-			"call graph and flags the call site where domain code commits to a " +
-			"tainted chain, printing the full chain. internal/rng is exempt (seeded " +
-			"streams are the sanctioned randomness source).",
+		Doc: "Determinism taint: a function in the simulation or collection domain (" +
+			strings.Join(clockDomain, ", ") + ") must take time from internal/simclock " +
+			"or an injected clock, never from the time package's wall clock, and must " +
+			"not reach the wall clock or the global math/rand source through any call " +
+			"chain. A direct wall-clock call is flagged where it is made — in a " +
+			"function body, a function literal or a package-level variable " +
+			"initializer; a chain is flagged at the call site where domain code " +
+			"commits to it, with the full chain printed. Referencing time.Now as a " +
+			"value (the injectable-default pattern) is allowed. Direct math/rand use " +
+			"is globalrand's; internal/rng is exempt (seeded streams are the " +
+			"sanctioned randomness source).",
 	}
 	a.RunProgram = func(p *ProgramPass) {
 		prog := p.Prog
 		reach := clockReach(prog)
 		for _, f := range prog.Nodes {
 			path := f.Pkg.Path
-			if !inClockflowDomain(path) || strings.HasSuffix(path, "internal/rng") {
+			if !inClockDomain(path) || strings.HasSuffix(path, "internal/rng") {
 				continue
 			}
 			if f.Decl != nil && isTestFile(prog.Fset, f.Decl.Pos()) {
 				continue
 			}
-			// Direct wall-clock calls in the extended (non-sim) domain:
-			// wallclock does not cover these packages, clockflow does.
-			// Direct math/rand use is globalrand's everywhere.
-			if !inSimDomain(path) {
-				for _, ext := range f.Ext {
-					if isClockSink(ext.Fn) {
-						p.Reportf(ext.Pos, "wall-clock %s in %s (clockflow domain); take time through simclock or an injected clock", extName(ext.Fn), path)
-					}
+			for _, ext := range f.Ext {
+				if isClockSink(ext.Fn) {
+					p.Reportf(ext.Pos, "wall-clock %s in %s; take time through simclock or an injected clock", extName(ext.Fn), path)
 				}
 			}
 			// Transitive: flag the edge into the innermost function of the
@@ -78,7 +70,7 @@ func newClockflow() *Analyzer {
 				if reach[g] == nil || strings.HasSuffix(g.Pkg.Path, "internal/rng") {
 					continue
 				}
-				if inClockflowDomain(g.Pkg.Path) && hasReachingOut(reach, g) {
+				if inClockDomain(g.Pkg.Path) && hasReachingOut(reach, g) {
 					continue // the finding belongs deeper in the chain
 				}
 				key := prog.posString(e.Pos)

@@ -16,6 +16,16 @@ import (
 // middle rather than flooding a one-line diagnostic.
 const maxChainHops = 12
 
+// wallclockFuncs are the time-package functions that read or schedule
+// against the wall clock. Referencing one as a value (the injectable
+// `Sleep func(time.Duration)` default pattern) is allowed; calling one in
+// a clockflow-domain package is not.
+var wallclockFuncs = map[string]bool{
+	"Now": true, "Sleep": true, "After": true, "AfterFunc": true,
+	"Tick": true, "NewTimer": true, "NewTicker": true,
+	"Since": true, "Until": true,
+}
+
 // isClockSink reports whether fn is a wall-clock read/scheduling call.
 func isClockSink(fn *types.Func) bool {
 	return fn.Pkg() != nil && fn.Pkg().Path() == "time" && wallclockFuncs[fn.Name()] &&

@@ -116,11 +116,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // NewAnalyzers returns a fresh instance of every rule, in stable order.
 func NewAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		newWallclock(),
 		newGlobalrand(),
 		newCtxroot(),
 		newMetricname(),
-		newLocklog(),
 		newErrfmt(),
 		newMapiter(),
 		newSpanend(),

@@ -1,11 +1,11 @@
 package lint
 
 // lockorder builds a whole-program mutex acquisition-order graph and
-// reports cycles. Two goroutines taking the same pair of locks in
-// opposite orders deadlock only under exactly the wrong interleaving —
-// the PR 1 archive-close race class — so the invariant is enforced
-// statically: across the program there must exist one global order in
-// which locks are acquired.
+// reports its cycles and its self-edges. Two goroutines taking the same
+// pair of locks in opposite orders deadlock only under exactly the wrong
+// interleaving — the archive-close race class — so the invariant is
+// enforced statically: across the program there must exist one global
+// order in which locks are acquired.
 //
 // Lock identity is structural, not per-instance: every sync.Mutex or
 // sync.RWMutex field of a named type is one lock ("collector.Server.mu"),
@@ -13,14 +13,27 @@ package lint
 // rule simulates acquisitions in source order (deferred unlocks hold to
 // function exit), and a call made while holding a lock contributes every
 // lock the callee may transitively acquire — with the responsible call
-// chain attached to the resulting edge. Function literal bodies are not
-// simulated (their execution point is unknown); locklog's re-entry rule
-// and the race detector cover those.
+// chain attached to the resulting edge.
+//
+// A self-edge — a function holds L and calls something that acquires L
+// — is possible re-entry, which deadlocks on sync.Mutex by itself (the
+// lock-then-call-the-logging-helper shape that once hung mbcollectd),
+// and is reported at the call with the chain down to the second Lock.
+// Because identity is structural, a self-edge through a different
+// instance of the same type (a parent calling into a child node) is
+// reported too, worded as possible; a second Lock of L directly in the
+// same body is taken to be such a second instance and not reported.
+// Each function literal is simulated as a body of its own, whose calls
+// are also checked against the locks held where it appears; calls in a
+// defer are checked against the locks held at the defer. Both count
+// toward re-entry only: the cycle graph skips literals and defers,
+// leaving those to the race detector.
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -59,6 +72,13 @@ type acqEvent struct {
 	lock    lockID    // valid for acquire/release
 	acquire bool      // false: release
 	call    *FuncNode // non-nil: a static call instead of a lock op
+	// deferred marks a call in a defer statement: it counts toward
+	// re-entry only.
+	deferred bool
+	// lit, when non-empty, is a function literal's body: its own lock
+	// operations and calls, checked for re-entry against the locks it
+	// takes itself and those held where the literal appears.
+	lit []acqEvent
 }
 
 // lockOrderEdge records "from is held while to is acquired" with one
@@ -77,65 +97,85 @@ func newLockorder() *Analyzer {
 			"structurally as Type.field or package-level vars) must be acquired in " +
 			"one global order across all call chains. A cycle in the acquisition " +
 			"graph — f takes A then B while g takes B then A, directly or through " +
-			"calls — is a latent deadlock and is reported with both witness sites.",
+			"calls — is a latent deadlock and is reported with both witness sites. " +
+			"So is possible re-entry: holding a lock while calling a function that " +
+			"acquires a lock of the same structural identity, through any chain, " +
+			"including from a deferred call or a function literal (whose own Lock " +
+			"calls count). Identity is by type, so a call into another instance " +
+			"of the same type is reported too. Restructure so the callee takes " +
+			"the data, not the lock.",
 	}
 	a.RunProgram = func(p *ProgramPass) {
 		prog := p.Prog
 
 		events := make(map[*FuncNode][]acqEvent)
 		for _, n := range prog.Nodes {
-			if n.Decl == nil || n.Decl.Body == nil || isTestFile(prog.Fset, n.Decl.Pos()) {
+			if n.Decl == nil || n.Body == nil || isTestFile(prog.Fset, n.Decl.Pos()) {
 				continue
 			}
 			events[n] = acqEvents(n)
 		}
 
 		trans := transitiveLocks(prog, events)
-		edges := acquisitionEdges(prog, events, trans)
+		edges := acquisitionEdges(p, events, trans)
 		reportLockCycles(p, prog, edges)
 	}
 	return a
 }
 
 // acqEvents extracts this function's lock operations and static calls
-// in source order, skipping function literal bodies and deferred
-// unlocks (a deferred unlock means the lock is held to function exit).
+// in source order. Lock operations inside a defer are skipped (a
+// deferred unlock means the lock is held to function exit); calls there
+// are kept, marked deferred. Each function literal becomes one event
+// carrying its body's own events, extracted the same way.
 func acqEvents(n *FuncNode) []acqEvent {
 	info := n.Pkg.Info
-	var evs []acqEvent
-
 	calls := make(map[token.Pos][]*Edge)
 	for _, e := range n.Out {
-		if !e.InFuncLit && !e.Dynamic {
+		if !e.Dynamic {
 			calls[e.Pos] = append(calls[e.Pos], e)
 		}
 	}
 
-	var walk func(ast.Node) bool
-	walk = func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.DeferStmt:
-			return false // deferred unlocks hold to exit; deferred calls run at exit
-		case *ast.CallExpr:
-			if id, meth, ok := lockOpTarget(info, node, n.Pkg.Path); ok {
-				evs = append(evs, acqEvent{
-					pos:     node.Pos(),
-					lock:    id,
-					acquire: meth == "Lock" || meth == "RLock",
-				})
-				return true
+	var scan func(body ast.Node) []acqEvent
+	scan = func(body ast.Node) []acqEvent {
+		var evs []acqEvent
+		deferred := 0 // depth of enclosing defer statements
+		var walk func(ast.Node) bool
+		walk = func(node ast.Node) bool {
+			switch node := node.(type) {
+			case *ast.FuncLit:
+				if lit := scan(node.Body); len(lit) > 0 {
+					evs = append(evs, acqEvent{pos: node.Pos(), lit: lit})
+				}
+				return false
+			case *ast.DeferStmt:
+				deferred++
+				ast.Inspect(node.Call, walk)
+				deferred--
+				return false
+			case *ast.CallExpr:
+				if id, meth, ok := lockOpTarget(info, node, n.Pkg.Path); ok {
+					if deferred == 0 {
+						evs = append(evs, acqEvent{
+							pos:     node.Pos(),
+							lock:    id,
+							acquire: meth == "Lock" || meth == "RLock",
+						})
+					}
+					return true
+				}
+				for _, e := range calls[node.Pos()] {
+					evs = append(evs, acqEvent{pos: node.Pos(), call: e.Callee, deferred: deferred > 0})
+				}
 			}
-			for _, e := range calls[node.Pos()] {
-				evs = append(evs, acqEvent{pos: node.Pos(), call: e.Callee})
-			}
+			return true
 		}
-		return true
+		ast.Inspect(body, walk)
+		sort.SliceStable(evs, func(i, j int) bool { return evs[i].pos < evs[j].pos })
+		return evs
 	}
-	ast.Inspect(n.Decl.Body, walk)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].pos < evs[j].pos })
-	return evs
+	return scan(n.Body)
 }
 
 // lockOpTarget recognizes x.Lock()/Unlock()/RLock()/RUnlock() on a
@@ -246,30 +286,35 @@ func lockChain(prog *Program, trans map[*FuncNode]map[lockID]lockTrace, n *FuncN
 	return strings.Join(append(parts, "..."), " -> ")
 }
 
-// acquisitionEdges simulates each function's events and returns one
-// representative edge per ordered lock pair.
-func acquisitionEdges(prog *Program, events map[*FuncNode][]acqEvent, trans map[*FuncNode]map[lockID]lockTrace) map[[2]lockID]*lockOrderEdge {
+// acquisitionEdges simulates each function's events, reports every
+// possible re-entry (a call made while holding a lock of the same
+// structural identity as one the callee acquires), and returns one
+// representative edge per ordered pair of distinct locks.
+func acquisitionEdges(p *ProgramPass, events map[*FuncNode][]acqEvent, trans map[*FuncNode]map[lockID]lockTrace) map[[2]lockID]*lockOrderEdge {
+	prog := p.Prog
 	reps := make(map[[2]lockID]*lockOrderEdge)
 	add := func(from, to lockID, fn *FuncNode, pos token.Pos, via string) {
 		if from == to {
-			return // re-entry is locklog's domain
+			return // a second Lock in the same body: two instances of one type, not modelled
 		}
 		key := [2]lockID{from, to}
 		if _, ok := reps[key]; !ok {
 			reps[key] = &lockOrderEdge{from: from, to: to, fn: fn, pos: pos, via: via}
 		}
 	}
-	for _, n := range prog.Nodes {
-		evs := events[n]
-		if len(evs) == 0 {
-			continue
-		}
-		held := make(map[lockID]token.Pos)
-		var order []lockID // deterministic iteration over held
+
+	// simulate walks one body's events. outer holds the locks held where
+	// a function literal appears; they count toward re-entry only, and
+	// so do the literal's own locks (placed is false inside literals).
+	var simulate func(n *FuncNode, evs []acqEvent, outer []lockID, placed bool)
+	simulate = func(n *FuncNode, evs []acqEvent, outer []lockID, placed bool) {
+		var held []lockID // in acquisition order
 		for _, ev := range evs {
 			switch {
+			case len(ev.lit) > 0:
+				simulate(n, ev.lit, append(append([]lockID(nil), outer...), held...), false)
 			case ev.call != nil:
-				if len(order) == 0 {
+				if len(held)+len(outer) == 0 {
 					continue
 				}
 				ids := make([]lockID, 0, len(trans[ev.call]))
@@ -277,30 +322,37 @@ func acquisitionEdges(prog *Program, events map[*FuncNode][]acqEvent, trans map[
 					ids = append(ids, id)
 				}
 				sort.Slice(ids, func(i, j int) bool { return ids[i].less(ids[j]) })
-				for _, h := range order {
-					for _, id := range ids {
-						add(h, id, n, ev.pos, " via "+ev.call.Short()+" -> "+lockChain(prog, trans, ev.call, id))
+				for _, id := range ids {
+					via := ev.call.Short() + " -> " + lockChain(prog, trans, ev.call, id)
+					if slices.Contains(held, id) || slices.Contains(outer, id) {
+						p.Reportf(ev.pos, "possible re-entry on %s (same lock type): %s holds it and calls %s, which deadlocks if both are one instance: release it before the call or pass the callee the data",
+							id, n.Short(), via)
 					}
-				}
-			case ev.acquire:
-				for _, h := range order {
-					add(h, ev.lock, n, ev.pos, "")
-				}
-				if _, ok := held[ev.lock]; !ok {
-					held[ev.lock] = ev.pos
-					order = append(order, ev.lock)
-				}
-			default: // release
-				if _, ok := held[ev.lock]; ok {
-					delete(held, ev.lock)
-					for i, h := range order {
-						if h == ev.lock {
-							order = append(order[:i], order[i+1:]...)
-							break
+					if placed && !ev.deferred {
+						for _, h := range held {
+							add(h, id, n, ev.pos, " via "+via)
 						}
 					}
 				}
+			case ev.acquire:
+				if placed {
+					for _, h := range held {
+						add(h, ev.lock, n, ev.pos, "")
+					}
+				}
+				if !slices.Contains(held, ev.lock) {
+					held = append(held, ev.lock)
+				}
+			default: // release
+				if i := slices.Index(held, ev.lock); i >= 0 {
+					held = slices.Delete(held, i, i+1)
+				}
 			}
+		}
+	}
+	for _, n := range prog.Nodes {
+		if evs := events[n]; len(evs) > 0 {
+			simulate(n, evs, nil, true)
 		}
 	}
 	return reps

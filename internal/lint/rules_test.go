@@ -4,21 +4,8 @@ import "testing"
 
 // Each rule is checked against a golden fixture package under testdata/.
 // Import paths are chosen per fixture because rule applicability keys off
-// them (wallclock fires only in sim-domain paths; globalrand everywhere
+// them (clockflow fires only in clock-domain paths; globalrand everywhere
 // but internal/rng).
-
-func TestWallclock(t *testing.T) {
-	checkFixture(t, "wallclock", "mburst/internal/simnet/wallfix", "wallclock")
-}
-
-// TestWallclockOutsideSimDomain pins the rule's scope: the identical
-// source is clean under a non-simulation import path.
-func TestWallclockOutsideSimDomain(t *testing.T) {
-	diags := runFixture(t, "wallclock", "mburst/internal/collector/wallfix", "wallclock")
-	if len(diags) != 0 {
-		t.Errorf("wallclock fired outside the sim domain: %v", diags)
-	}
-}
 
 func TestGlobalrand(t *testing.T) {
 	checkFixture(t, "globalrand", "mburst/internal/workload/randfix", "globalrand")
@@ -38,10 +25,6 @@ func TestCtxroot(t *testing.T) {
 
 func TestMetricname(t *testing.T) {
 	checkFixture(t, "metricname", "mburst/internal/collector/metricfix", "metricname")
-}
-
-func TestLocklog(t *testing.T) {
-	checkFixture(t, "locklog", "mburst/internal/collector/lockfix", "locklog")
 }
 
 func TestErrfmt(t *testing.T) {
@@ -71,6 +54,21 @@ func TestClockflow(t *testing.T) {
 	checkFixture(t, "clockflow", "mburst/internal/collector/cflowfix", "clockflow")
 }
 
+// TestClockflowDirect covers the direct wall-clock calls: in a function
+// body, a function literal and a package-level variable initializer.
+func TestClockflowDirect(t *testing.T) {
+	checkFixture(t, "wallclock", "mburst/internal/simnet/wallfix", "clockflow")
+}
+
+// TestWallclockOutsideSimDomain pins the scope of the direct-call check:
+// the wallclock fixture is clean under a path outside the clockflow domain.
+func TestWallclockOutsideSimDomain(t *testing.T) {
+	diags := runFixture(t, "wallclock", "mburst/internal/obsx/wallfix", "clockflow")
+	if len(diags) != 0 {
+		t.Errorf("clockflow fired outside its domain on the wallclock fixture: %v", diags)
+	}
+}
+
 // TestClockflowOutsideDomain pins the rule's scope: the identical source
 // under a path outside the clockflow domain is clean.
 func TestClockflowOutsideDomain(t *testing.T) {
@@ -84,6 +82,13 @@ func TestLockorder(t *testing.T) {
 	checkFixture(t, "lockorder", "mburst/internal/collector/lofix", "lockorder")
 }
 
+// TestLockorderReentry covers the self-edge: a call made while holding a
+// lock the callee acquires again, one or two calls down or from a
+// function literal.
+func TestLockorderReentry(t *testing.T) {
+	checkFixture(t, "locklog", "mburst/internal/collector/lockfix", "lockorder")
+}
+
 func TestSelectAnalyzersUnknownRule(t *testing.T) {
 	if _, err := SelectAnalyzers([]string{"nosuchrule"}); err == nil {
 		t.Error("unknown rule selected without error")
@@ -91,7 +96,7 @@ func TestSelectAnalyzersUnknownRule(t *testing.T) {
 }
 
 func TestRuleNamesStable(t *testing.T) {
-	want := []string{"wallclock", "globalrand", "ctxroot", "metricname", "locklog", "errfmt", "mapiter", "spanend", "clockflow", "lockorder"}
+	want := []string{"globalrand", "ctxroot", "metricname", "errfmt", "mapiter", "spanend", "clockflow", "lockorder"}
 	got := RuleNames()
 	if len(got) != len(want) {
 		t.Fatalf("RuleNames() = %v, want %v", got, want)

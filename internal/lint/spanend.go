@@ -12,11 +12,11 @@ import (
 // batch silently vanishes from the waterfall, which is the worst kind of
 // observability bug (the trace looks complete and is not).
 //
-// The analysis is lexical and flow-approximate, like locklog: within one
-// function body it flags (a) a Start whose result is discarded, (b) a
-// Start with no matching End anywhere, and (c) an explicit return
-// lexically after a Start with no End lexically between them (the
-// classic early-return leak). A deferred End covers every path; a span
+// The analysis is lexical and flow-approximate: within one function
+// body it flags (a) a Start whose result is discarded, (b) a Start with
+// no matching End anywhere, and (c) an explicit return lexically after
+// a Start with no End lexically between them (the classic early-return
+// leak). A deferred End covers every path; a span
 // passed to another function or returned is assumed handed off.
 func newSpanend() *Analyzer {
 	a := &Analyzer{

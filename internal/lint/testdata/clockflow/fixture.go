@@ -1,7 +1,6 @@
 // Package cflowfix seeds clockflow findings: direct wall-clock reads in
-// an extended-domain package (collector is not in wallclock's sim
-// domain, but is in clockflow's) and transitive chains that reach the
-// clock or the global math/rand source through calls, including
+// a clock-domain package (collector) and transitive chains that reach
+// the clock or the global math/rand source through calls, including
 // interface dispatch.
 package cflowfix
 
@@ -10,8 +9,7 @@ import (
 	"time"
 )
 
-// DirectRead reads the clock directly: the per-package wallclock rule
-// ignores collector, clockflow does not.
+// DirectRead reads the clock directly.
 func DirectRead() int64 {
 	return time.Now().UnixNano() // want `wall-clock time\.Now in mburst/internal/collector/cflowfix`
 }

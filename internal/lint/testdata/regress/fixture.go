@@ -1,4 +1,4 @@
-// Package regressfix seeds exactly one violation per mblint rule. The
+// Package regressfix seeds at least one violation per mblint rule. The
 // regression test asserts exact file:line:col positions, so analyzer
 // refactors cannot silently stop detecting a rule. Editing this file
 // means updating the expected positions in regress_test.go.
@@ -17,28 +17,28 @@ import (
 	"mburst/internal/simclock"
 )
 
-// Guarded exists for the locklog seed.
+// Guarded exists for the re-entry seed.
 type Guarded struct {
 	mu sync.Mutex
 	n  int
 }
 
-// Snapshot acquires mu (locklog callee).
+// Snapshot acquires mu (the re-entered callee).
 func (g *Guarded) Snapshot() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.n
 }
 
-// Locklog holds mu across a re-acquiring sibling call.
-func (g *Guarded) Locklog() int {
+// Reentry holds mu across a re-acquiring sibling call.
+func (g *Guarded) Reentry() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.Snapshot()
 }
 
-// Wallclock reads the wall clock in a sim-domain package.
-func Wallclock() time.Time {
+// DirectClock reads the wall clock in a clock-domain package.
+func DirectClock() time.Time {
 	return time.Now()
 }
 
@@ -86,7 +86,7 @@ func clockHop() time.Duration {
 }
 
 func hiddenClock() time.Duration {
-	//lint:ignore wallclock seeded clockflow sink; the chain is reported at the caller
+	//lint:ignore clockflow seeded sink; the chain is reported at the caller
 	return time.Since(time.Time{})
 }
 

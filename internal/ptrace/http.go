@@ -3,7 +3,6 @@ package ptrace
 import (
 	"encoding/json"
 	"fmt"
-	"html/template"
 	"io"
 	"net/http"
 )
@@ -64,67 +63,8 @@ func (t *Tracer) SpansHandler() http.Handler {
 	})
 }
 
-// tracezTmpl renders the waterfall page: a stage-latency summary and the
-// slowest traces as horizontal bar charts over simulated time.
-var tracezTmpl = template.Must(template.New("tracez").Funcs(template.FuncMap{
-	"barLeft":  barLeft,
-	"barWidth": barWidth,
-}).Parse(`<!DOCTYPE html>
-<html><head><title>tracez</title><style>
-body { font-family: monospace; margin: 1.5em; }
-table { border-collapse: collapse; margin-bottom: 1.5em; }
-td, th { border: 1px solid #ccc; padding: 2px 8px; text-align: right; }
-th { background: #eee; }
-.lane { position: relative; height: 14px; background: #f4f4f4; width: 640px; }
-.bar { position: absolute; height: 12px; top: 1px; background: #4a90d9; }
-.bar.child { background: #d98f4a; }
-.stage { display: inline-block; width: 14ch; }
-.trace { margin-bottom: 1em; }
-</style></head><body>
-<h2>pipeline traces</h2>
-<p>{{.Recorded}} spans recorded, {{.Evicted}} evicted, {{len .Views}} traces in ring</p>
-<table><tr><th>stage</th><th>count</th><th>min</th><th>p50</th><th>p99</th><th>max</th></tr>
-{{range .Stats}}<tr><td style="text-align:left">{{.Stage}}</td><td>{{.Count}}</td><td>{{.Min}}</td><td>{{.P50}}</td><td>{{.P99}}</td><td>{{.Max}}</td></tr>
-{{end}}</table>
-<h2>slowest traces</h2>
-{{range .Views}}<div class="trace">
-<div>trace {{printf "%016x" .ID}} rack {{.Rack}} epoch {{.Epoch}} samples {{.Samples}} bytes {{.Bytes}} span {{.Duration}}</div>
-{{$v := .}}{{range .Spans}}<div><span class="stage">{{.Stage}}</span><span class="lane"><span class="bar{{if .Parent}} child{{end}}" style="left:{{barLeft $v .}}px;width:{{barWidth $v .}}px"></span></span> {{.Duration}}{{if .Verdict}} [{{.Verdict}}]{{end}}{{if .Fault}} fault={{.Fault}}{{end}}</div>
-{{end}}</div>
-{{end}}</body></html>
-`))
-
-// laneWidth is the waterfall lane width in pixels.
-const laneWidth = 640
-
-// barLeft/barWidth scale a span into its trace's lane.
-func barLeft(v TraceView, sp Span) int {
-	if v.Duration() <= 0 {
-		return 0
-	}
-	return int(int64(laneWidth) * int64(sp.Start.Sub(v.Start)) / int64(v.Duration()))
-}
-
-func barWidth(v TraceView, sp Span) int {
-	if v.Duration() <= 0 {
-		return 1
-	}
-	w := int(int64(laneWidth) * int64(sp.Duration()) / int64(v.Duration()))
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// tracezPage is the template's input.
-type tracezPage struct {
-	Recorded uint64
-	Evicted  uint64
-	Stats    []StageStat
-	Views    []TraceView
-}
-
-// TracezHandler serves the HTML waterfall — mounted at /tracez on the
+// TracezHandler serves the text report — a recorded/evicted line, then
+// WriteReport, as cmd/mbtrace prints it — mounted at /tracez on the
 // daemons' debug mux. ?n=N bounds the number of traces shown (default
 // 20, slowest first).
 func (t *Tracer) TracezHandler() http.Handler {
@@ -140,17 +80,8 @@ func (t *Tracer) TracezHandler() http.Handler {
 				return
 			}
 		}
-		spans := t.Snapshot()
-		page := tracezPage{
-			Recorded: t.Recorded(),
-			Evicted:  t.Evicted(),
-			Stats:    StageBreakdown(spans),
-			Views:    SlowestN(GroupTraces(spans), n),
-		}
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		if err := tracezTmpl.Execute(w, page); err != nil {
-			// The header is already out; best effort.
-			_ = err
-		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprintf(w, "%d spans recorded, %d evicted\n", t.Recorded(), t.Evicted())
+		WriteReport(w, t.Snapshot(), n)
 	})
 }

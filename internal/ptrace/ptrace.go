@@ -21,9 +21,9 @@
 //
 // Spans land in a bounded lock-free ring buffer per process (atomic
 // pointer slots; writers never block, old spans are overwritten), feed
-// per-stage obs histograms, and are served as JSON at /spans plus an HTML
-// waterfall at /tracez on the daemons' debug mux. cmd/mbtrace renders
-// dumps offline. Deterministic head sampling (seeded through
+// per-stage obs histograms, and are served as JSON at /spans plus a text
+// report (WriteReport) at /tracez on the daemons' debug mux. cmd/mbtrace
+// prints the same report from dumps offline. Deterministic head sampling (seeded through
 // internal/rng) bounds overhead: whether a trace is sampled is a pure
 // function of (Seed, TraceID), so every process sampling at the same rate
 // with the same seed keeps the same traces.

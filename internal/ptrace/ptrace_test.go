@@ -2,6 +2,7 @@ package ptrace
 
 import (
 	"bytes"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -192,10 +193,17 @@ func TestHandlersRenderSpans(t *testing.T) {
 	rec = httptest.NewRecorder()
 	tr.TracezHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/tracez", nil))
 	body := rec.Body.String()
-	for _, frag := range []string{"poll.read", "figures.apply", "accept", "rack 3"} {
+	for _, frag := range []string{"poll.read", "figures.apply", "accept", "rack 3", "critical path:"} {
 		if !strings.Contains(body, frag) {
 			t.Errorf("/tracez missing %q", frag)
 		}
+	}
+	// /tracez is the mbtrace report of the same spans, byte for byte.
+	var want strings.Builder
+	fmt.Fprintf(&want, "%d spans recorded, %d evicted\n", tr.Recorded(), tr.Evicted())
+	WriteReport(&want, d.Spans, 20)
+	if body != want.String() {
+		t.Errorf("/tracez body differs from WriteReport of /spans:\ngot:\n%s\nwant:\n%s", body, want.String())
 	}
 
 	rec = httptest.NewRecorder()

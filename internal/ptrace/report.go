@@ -1,16 +1,19 @@
 package ptrace
 
 import (
+	"fmt"
+	"io"
 	"sort"
+	"strings"
 
 	"mburst/internal/simclock"
 )
 
-// This file aggregates raw spans into the shapes the /tracez waterfall
-// and cmd/mbtrace render: per-trace views, per-stage latency breakdowns,
-// and the critical path of a trace. Everything here is a pure function of
-// the span set, so renderings of byte-identical dumps are themselves
-// byte-identical.
+// This file aggregates raw spans into per-trace views, per-stage latency
+// breakdowns and the critical path of a trace, and renders them as the
+// text report that /tracez serves and cmd/mbtrace prints. Everything
+// here is a pure function of the span set, so renderings of
+// byte-identical dumps are themselves byte-identical.
 
 // TraceView groups one trace's spans, in canonical stage order.
 type TraceView struct {
@@ -166,4 +169,76 @@ func CriticalPath(v TraceView) []PathSeg {
 		out = append(out, PathSeg{Start: cur, Stop: v.Stop})
 	}
 	return out
+}
+
+// WriteReport writes the full text report: stage breakdown, then
+// waterfall and critical path for the slowest n traces.
+func WriteReport(w io.Writer, spans []Span, n int) {
+	views := GroupTraces(spans)
+	fmt.Fprintf(w, "%d spans, %d traces\n\n", len(spans), len(views))
+
+	fmt.Fprintln(w, "stage latency breakdown:")
+	fmt.Fprintf(w, "  %-14s %7s %12s %12s %12s %12s %14s\n",
+		"stage", "count", "min", "p50", "p99", "max", "total")
+	for _, st := range StageBreakdown(spans) {
+		fmt.Fprintf(w, "  %-14s %7d %12s %12s %12s %12s %14s\n",
+			st.Stage, st.Count, st.Min, st.P50, st.P99, st.Max, st.Total)
+	}
+
+	slow := SlowestN(views, n)
+	fmt.Fprintf(w, "\nslowest %d traces:\n", len(slow))
+	for _, v := range slow {
+		renderTrace(w, v)
+	}
+}
+
+// laneWidth is the text waterfall lane width in characters.
+const laneWidth = 64
+
+// renderTrace writes one trace's waterfall and critical path.
+func renderTrace(w io.Writer, v TraceView) {
+	fmt.Fprintf(w, "\ntrace %016x rack %d epoch %d samples %d bytes %d span %s\n",
+		uint64(v.ID), v.Rack, v.Epoch, v.Samples, v.Bytes, v.Duration())
+	for _, sp := range v.Spans {
+		lane := []byte(strings.Repeat(".", laneWidth))
+		lo, hi := laneCell(v, sp.Start), laneCell(v, sp.Stop)
+		if hi <= lo {
+			hi = lo + 1
+		}
+		fill := byte('#')
+		if sp.Parent != "" {
+			fill = '~'
+		}
+		for i := lo; i < hi && i < laneWidth; i++ {
+			lane[i] = fill
+		}
+		detail := ""
+		if sp.Verdict != "" {
+			detail += " [" + string(sp.Verdict) + "]"
+		}
+		if sp.Fault != "" {
+			detail += " fault=" + sp.Fault
+		}
+		fmt.Fprintf(w, "  %-14s |%s| %s%s\n", sp.Stage, lane, sp.Duration(), detail)
+	}
+	fmt.Fprintf(w, "  critical path:")
+	for i, seg := range CriticalPath(v) {
+		name := string(seg.Stage)
+		if name == "" {
+			name = "(gap)"
+		}
+		if i > 0 {
+			fmt.Fprintf(w, " ->")
+		}
+		fmt.Fprintf(w, " %s %s", name, seg.Duration())
+	}
+	fmt.Fprintln(w)
+}
+
+// laneCell maps a simulated time onto the trace's text lane.
+func laneCell(v TraceView, at simclock.Time) int {
+	if v.Duration() <= 0 {
+		return 0
+	}
+	return int(int64(laneWidth) * int64(at.Sub(v.Start)) / int64(v.Duration()))
 }

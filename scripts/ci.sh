@@ -20,7 +20,8 @@ go vet ./...
 go build ./...
 
 # mblint enforces the determinism/clock/RNG/telemetry invariants plus
-# the interprocedural rules — clockflow taint and lock-order cycles (see
+# the interprocedural rules — clockflow (wall-clock calls, direct or
+# through a chain) and lockorder (lock-order cycles and re-entry) (see
 # README "Static analysis"). Together with go vet above (whose copylocks
 # check guards mutexes passed by value) it is the blocking
 # static-analysis gate. The hot paths' zero-allocation contract is not a
