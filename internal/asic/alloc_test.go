@@ -12,7 +12,8 @@ import (
 // overloaded ones (its queue grows, the dynamic threshold drops and ECN
 // marks) and ten light ones (the queue drains); port 1 takes a standing
 // plan blended with a by-value offer; both receive, through a plan and
-// by value. Every change of offered bytes re-derives the counter
+// by value. Every direction counts packets, so the carries run under the
+// guard too. Every change of offered bytes re-derives the counter
 // increments.
 // (internal/simnet's TestSteadyTicksDoNotAllocate covers the same code
 // under the simulator's traffic.)
@@ -23,6 +24,10 @@ func TestTickAllocatesNothing(t *testing.T) {
 		Alpha:             1,
 		ECNThresholdBytes: 8000,
 	})
+	for port := 0; port < sw.NumPorts(); port++ {
+		countPackets(t, sw, port, RX)
+		countPackets(t, sw, port, TX)
+	}
 	mix := TrafficProfile{0.1, 0.1, 0.2, 0.2, 0.2, 0.2}
 	var plan Plan
 	plan.Set(3000, &mix)
@@ -43,8 +48,8 @@ func TestTickAllocatesNothing(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("20 ticks allocate %v times, want 0", allocs)
 	}
-	if p := sw.Port(0); sw.TotalDropped() == 0 || p.ecnMarks == 0 || p.Bytes(TX) == 0 {
-		t.Errorf("load never drove every branch: drops %d, ecn marks %d, tx bytes %d",
-			sw.TotalDropped(), p.ecnMarks, p.Bytes(TX))
+	if p := sw.Port(0); sw.TotalDropped() == 0 || p.ecnMarks == 0 || p.Packets(TX) == 0 || p.Packets(RX) == 0 {
+		t.Errorf("load never drove every branch: drops %d, ecn marks %d, tx packets %d, rx packets %d",
+			sw.TotalDropped(), p.ecnMarks, p.Packets(TX), p.Packets(RX))
 	}
 }

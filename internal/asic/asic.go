@@ -23,7 +23,10 @@
 // rate, and queues the remainder in the shared buffer subject to its
 // dynamic threshold. Packet-count and size-bin counters advance
 // statistically from each port's current traffic profile, carrying exact
-// fractional remainders so long-run packet counts are unbiased.
+// fractional remainders so long-run packet counts are unbiased. They
+// advance only on the directions a reader registered with
+// Switch.CountPackets before the first offer; an unregistered direction
+// costs one byte add per tick.
 //
 // Counter access costs (registers vs. memory-backed tables, §4.1) are
 // exposed via AccessCost so the collection framework can model why a byte
@@ -212,6 +215,11 @@ const maxChargePkts = 1 << 62
 
 // dirCounters is one direction's counter block for a port.
 type dirCounters struct {
+	// counted turns on the packet and size-bin carries (CountPackets);
+	// without it add charges bytes only and packets, bins and binRem stay
+	// zero.
+	counted bool
+
 	bytes   uint64
 	packets uint64
 	bins    [NumSizeBins]uint64
@@ -280,7 +288,8 @@ func (c *dirCounters) blend(have, nbytes float64, profile *TrafficProfile) {
 }
 
 // add charges nbytes spread per the current profile into the counter
-// block.
+// block: bytes always, packets and size bins when the direction is
+// counted.
 //
 // It runs per port and direction every 5 µs tick of every campaign and
 // allocates nothing (TestTickAllocatesNothing).
@@ -292,6 +301,9 @@ func (c *dirCounters) add(nbytes float64) {
 		c.derive(nbytes)
 	}
 	c.bytes += c.byteInc
+	if !c.counted {
+		return
+	}
 	// Unrolled, and with no skip for an empty bin (a zero increment
 	// leaves its remainder and counters as they were): every workload's
 	// mix fills all six bins, and six straight-line copies cost less than
@@ -366,29 +378,35 @@ func (p *Port) Speed() uint64 { return p.speed }
 // QueueBytes returns the port's current egress backlog in bytes.
 func (p *Port) QueueBytes() float64 { return p.queue }
 
+// dir returns the direction's counter block.
+func (p *Port) dir(d Direction) *dirCounters {
+	if d == RX {
+		return &p.rx
+	}
+	return &p.tx
+}
+
 // Bytes returns the cumulative byte counter for the direction.
-func (p *Port) Bytes(d Direction) uint64 {
-	if d == RX {
-		return p.rx.bytes
+func (p *Port) Bytes(d Direction) uint64 { return p.dir(d).bytes }
+
+// counted returns the direction's counter block, panicking if its packet
+// counters were never switched on: a zero read there would pass for an
+// idle port.
+func (p *Port) counted(d Direction) *dirCounters {
+	c := p.dir(d)
+	if !c.counted {
+		panic(fmt.Sprintf("asic: %s %s packet counters read without Switch.CountPackets", p.name, d))
 	}
-	return p.tx.bytes
+	return c
 }
 
-// Packets returns the cumulative packet counter for the direction.
-func (p *Port) Packets(d Direction) uint64 {
-	if d == RX {
-		return p.rx.packets
-	}
-	return p.tx.packets
-}
+// Packets returns the cumulative packet counter for the direction. The
+// direction must have been registered with Switch.CountPackets.
+func (p *Port) Packets(d Direction) uint64 { return p.counted(d).packets }
 
-// SizeBins returns a snapshot of the cumulative size-bin counters.
-func (p *Port) SizeBins(d Direction) [NumSizeBins]uint64 {
-	if d == RX {
-		return p.rx.bins
-	}
-	return p.tx.bins
-}
+// SizeBins returns a snapshot of the cumulative size-bin counters. The
+// direction must have been registered with Switch.CountPackets.
+func (p *Port) SizeBins(d Direction) [NumSizeBins]uint64 { return p.counted(d).bins }
 
 // Drops returns the cumulative egress congestion-discard packet counter.
 func (p *Port) Drops() uint64 { return p.txDrops }
@@ -421,9 +439,18 @@ type Config struct {
 // concurrently with advancing, but never concurrently with itself) by the
 // collection framework. The simulation kernel is single-threaded, so no
 // locking is needed here.
+//
+// Byte, drop and ECN counters and the peak register always run. Packet
+// and size-bin counters run only on the directions registered with
+// CountPackets before any traffic, which is what a poller reading them
+// does; reading them elsewhere panics.
 type Switch struct {
 	ports []Port
 	cfg   Config
+
+	// carried is set by the first Offer or Tick; CountPackets refuses
+	// after it, so a counted direction has counted from the start.
+	carried bool
 
 	bufferUsed float64
 	peakUsed   float64 // clear-on-read peak register
@@ -477,6 +504,25 @@ func (s *Switch) BufferUsed() float64 { return s.bufferUsed }
 // TotalDropped returns the cumulative congestion discards across all ports.
 func (s *Switch) TotalDropped() uint64 { return s.totalDropped }
 
+// CountPackets switches on the packet and size-bin counters of port's
+// direction d. It must run before the switch carries any traffic (any
+// Offer or Tick), so every value those counters return equals what a
+// switch counting from the start would return; afterwards it returns an
+// error. Registering a direction twice is harmless.
+func (s *Switch) CountPackets(port int, d Direction) error {
+	if port < 0 || port >= len(s.ports) {
+		return fmt.Errorf("asic: CountPackets port %d out of range [0,%d)", port, len(s.ports))
+	}
+	p := &s.ports[port]
+	if c := p.dir(d); !c.counted {
+		if s.carried {
+			return fmt.Errorf("asic: CountPackets(%s %s) after the switch carried traffic", p.name, d)
+		}
+		c.counted = true
+	}
+	return nil
+}
+
 // ReadPeakBufferAndClear returns the maximum shared-buffer occupancy in
 // bytes observed since the previous call, then resets the register to the
 // current occupancy — the clear-on-read semantics of §4.1 that let the
@@ -494,6 +540,7 @@ func (s *Switch) OfferRx(id int, nbytes float64, profile TrafficProfile) {
 	if nbytes < 0 {
 		panic("asic: negative rx offer")
 	}
+	s.carried = true
 	c := &s.ports[id].rx
 	c.useProfile(&profile)
 	c.add(nbytes)
@@ -501,6 +548,7 @@ func (s *Switch) OfferRx(id int, nbytes float64, profile TrafficProfile) {
 
 // OfferRxPlan is OfferRx for a standing offer.
 func (s *Switch) OfferRxPlan(id int, pl *Plan) {
+	s.carried = true
 	c := &s.ports[id].rx
 	c.usePlan(pl)
 	c.add(pl.nbytes)
@@ -513,6 +561,7 @@ func (s *Switch) OfferTx(id int, nbytes float64, profile TrafficProfile) {
 	if nbytes < 0 {
 		panic("asic: negative tx offer")
 	}
+	s.carried = true
 	if nbytes == 0 {
 		return
 	}
@@ -527,6 +576,7 @@ func (s *Switch) OfferTx(id int, nbytes float64, profile TrafficProfile) {
 
 // OfferTxPlan is OfferTx for a standing offer.
 func (s *Switch) OfferTxPlan(id int, pl *Plan) {
+	s.carried = true
 	if pl.nbytes == 0 {
 		return
 	}
@@ -551,6 +601,7 @@ func (s *Switch) Tick(d simclock.Duration) float64 {
 	if d <= 0 {
 		panic("asic: non-positive tick")
 	}
+	s.carried = true
 	if d != s.lineTick {
 		seconds := d.Seconds()
 		for i := range s.ports {

@@ -2,6 +2,7 @@ package asic
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +23,15 @@ func newTestSwitch(nports int) *Switch {
 		speeds[i] = gbps10
 	}
 	return New(Config{PortSpeeds: speeds, BufferBytes: 1 << 20, Alpha: 2})
+}
+
+// countPackets registers port's direction d for packet counting, failing
+// the test on an error.
+func countPackets(t testing.TB, sw *Switch, port int, d Direction) {
+	t.Helper()
+	if err := sw.CountPackets(port, d); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -199,6 +209,7 @@ func TestPeakSurvivesMissedInterval(t *testing.T) {
 
 func TestRxCounters(t *testing.T) {
 	sw := newTestSwitch(2)
+	countPackets(t, sw, 1, RX)
 	profile := TrafficProfile{0.5, 0, 0, 0, 0, 0.5}
 	sw.OfferRx(1, 9600, profile)
 	p := sw.Port(1)
@@ -225,6 +236,7 @@ func TestFractionalPacketRemainder(t *testing.T) {
 	// Offering 750 bytes of MTU traffic twice should yield exactly one
 	// 1500-byte packet across the two offers, not zero.
 	sw := newTestSwitch(1)
+	countPackets(t, sw, 0, RX)
 	sw.OfferRx(0, 750, fullMTU)
 	sw.OfferRx(0, 750, fullMTU)
 	if got := sw.Port(0).Packets(RX); got != 1 {
@@ -234,6 +246,7 @@ func TestFractionalPacketRemainder(t *testing.T) {
 
 func TestProfileBlendingAcrossOffers(t *testing.T) {
 	sw := newTestSwitch(1)
+	countPackets(t, sw, 0, TX)
 	tick := simclock.Micros(5)
 	small := TrafficProfile{1, 0, 0, 0, 0, 0}
 	sw.OfferTx(0, 2400, small)
@@ -389,5 +402,65 @@ func TestQuickConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCountPacketsOnlyBeforeTraffic: registration is refused once any
+// Offer or Tick has run, so a counted direction has counted from the
+// start; before that it is idempotent and checks the port.
+func TestCountPacketsOnlyBeforeTraffic(t *testing.T) {
+	var plan Plan
+	plan.Set(1500, &fullMTU)
+	for name, carry := range map[string]func(*Switch){
+		"OfferTx":     func(sw *Switch) { sw.OfferTx(0, 1500, fullMTU) },
+		"OfferTx 0":   func(sw *Switch) { sw.OfferTx(0, 0, fullMTU) },
+		"OfferTxPlan": func(sw *Switch) { sw.OfferTxPlan(0, &plan) },
+		"OfferRx":     func(sw *Switch) { sw.OfferRx(0, 1500, fullMTU) },
+		"OfferRxPlan": func(sw *Switch) { sw.OfferRxPlan(0, &plan) },
+		"Tick":        func(sw *Switch) { sw.Tick(simclock.Micros(5)) },
+	} {
+		sw := newTestSwitch(2)
+		countPackets(t, sw, 1, TX)
+		carry(sw)
+		if err := sw.CountPackets(1, RX); err == nil || !strings.Contains(err.Error(), "carried traffic") {
+			t.Errorf("%s: CountPackets after traffic = %v, want a carried-traffic error", name, err)
+		}
+		if err := sw.CountPackets(1, TX); err != nil {
+			t.Errorf("%s: re-registering a counted direction = %v, want nil", name, err)
+		}
+	}
+	sw := newTestSwitch(2)
+	for _, port := range []int{-1, 2} {
+		if err := sw.CountPackets(port, TX); err == nil {
+			t.Errorf("CountPackets(%d) on a 2-port switch succeeded", port)
+		}
+	}
+}
+
+// TestUncountedReadsPanic: a packet or size-bin read of a direction
+// nobody registered panics naming CountPackets rather than reading zero;
+// the other direction of the same port counts as usual.
+func TestUncountedReadsPanic(t *testing.T) {
+	sw := newTestSwitch(1)
+	countPackets(t, sw, 0, TX)
+	sw.OfferRx(0, 3000, fullMTU)
+	sw.OfferTx(0, 3000, fullMTU)
+	sw.Tick(simclock.Micros(5))
+	p := sw.Port(0)
+	if p.Packets(TX) != 2 || p.SizeBins(TX)[5] != 2 || p.Bytes(RX) != 3000 {
+		t.Errorf("tx packets %d, tx bins %v, rx bytes %d", p.Packets(TX), p.SizeBins(TX), p.Bytes(RX))
+	}
+	for name, read := range map[string]func(){
+		"Packets":  func() { p.Packets(RX) },
+		"SizeBins": func() { p.SizeBins(RX) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "CountPackets") {
+					t.Errorf("%s(RX) of an uncounted direction: panic %q, want one naming CountPackets", name, msg)
+				}
+			}()
+			read()
+		}()
 	}
 }

@@ -107,9 +107,17 @@ func (chargeSeq) Generate(r *rand.Rand, size int) reflect.Value {
 	return reflect.ValueOf(s)
 }
 
-// sameCounters compares the observable counter state bit for bit.
+// sameCounters compares the observable counter state bit for bit. A
+// direction that does not count packets matches the reference in bytes
+// and keeps its packet state at zero.
 func sameCounters(got, want *dirCounters) bool {
-	if got.bytes != want.bytes || got.packets != want.packets || got.bins != want.bins {
+	if got.bytes != want.bytes {
+		return false
+	}
+	if !got.counted {
+		return got.packets == 0 && got.bins == [NumSizeBins]uint64{} && got.binRem == [NumSizeBins]float64{}
+	}
+	if got.packets != want.packets || got.bins != want.bins {
 		return false
 	}
 	for i := range got.binRem {
@@ -120,57 +128,74 @@ func sameCounters(got, want *dirCounters) bool {
 	return true
 }
 
+// readsPanic reports whether both packet reads of c's direction panic
+// when c is a port's TX block.
+func readsPanic(c *dirCounters) bool {
+	p := Port{name: "p", tx: *c}
+	panics := func(read func()) (ok bool) {
+		defer func() { ok = recover() != nil }()
+		read()
+		return false
+	}
+	return panics(func() { p.Packets(TX) }) && panics(func() { p.SizeBins(TX) })
+}
+
 // TestAddMatchesReference: memoized add leaves bytes, packets, bins and
 // binRem bit-identical to refAdd after every charge, whether profiles
-// arrive by value or through plans.
+// arrive by value or through plans. A direction that does not count
+// packets matches refAdd in bytes, and its packet reads panic.
 func TestAddMatchesReference(t *testing.T) {
-	byValue := func(s chargeSeq) bool {
-		var got, want dirCounters
-		for k, ch := range s.charges {
-			profile := s.profiles[ch.profile]
-			got.useProfile(&profile)
-			got.add(ch.nbytes)
-			refAdd(&want, ch.nbytes, profile)
-			if !sameCounters(&got, &want) {
-				t.Logf("by value: diverged at charge %d: %+v", k, ch)
-				return false
+	for _, counted := range []bool{true, false} {
+		byValue := func(s chargeSeq) bool {
+			got := dirCounters{counted: counted}
+			var want dirCounters
+			for k, ch := range s.charges {
+				profile := s.profiles[ch.profile]
+				got.useProfile(&profile)
+				got.add(ch.nbytes)
+				refAdd(&want, ch.nbytes, profile)
+				if !sameCounters(&got, &want) {
+					t.Logf("by value (counted=%v): diverged at charge %d: %+v", counted, k, ch)
+					return false
+				}
 			}
+			return counted || readsPanic(&got)
 		}
-		return true
-	}
-	if err := quick.Check(byValue, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(byValue, &quick.Config{MaxCount: 300}); err != nil {
+			t.Error(err)
+		}
 
-	// One plan per profile, plus a plan that is Set again before every
-	// use, so both ways a plan's identity moves are covered.
-	byPlan := func(s chargeSeq, reuse bool) bool {
-		var got, want dirCounters
-		plans := make([]Plan, len(s.profiles))
-		for i := range plans {
-			plans[i].Set(0, &s.profiles[i])
+		// One plan per profile, plus a plan that is Set again before every
+		// use, so both ways a plan's identity moves are covered.
+		byPlan := func(s chargeSeq, reuse bool) bool {
+			got := dirCounters{counted: counted}
+			var want dirCounters
+			plans := make([]Plan, len(s.profiles))
+			for i := range plans {
+				plans[i].Set(0, &s.profiles[i])
+			}
+			var scratch Plan
+			for k, ch := range s.charges {
+				pl := &plans[ch.profile]
+				if reuse {
+					pl = &scratch
+				}
+				if pl.Bytes() != ch.nbytes || reuse {
+					pl.Set(ch.nbytes, &s.profiles[ch.profile])
+				}
+				got.usePlan(pl)
+				got.add(pl.Bytes())
+				refAdd(&want, ch.nbytes, s.profiles[ch.profile])
+				if !sameCounters(&got, &want) {
+					t.Logf("by plan (counted=%v, reuse=%v): diverged at charge %d: %+v", counted, reuse, k, ch)
+					return false
+				}
+			}
+			return counted || readsPanic(&got)
 		}
-		var scratch Plan
-		for k, ch := range s.charges {
-			pl := &plans[ch.profile]
-			if reuse {
-				pl = &scratch
-			}
-			if pl.Bytes() != ch.nbytes || reuse {
-				pl.Set(ch.nbytes, &s.profiles[ch.profile])
-			}
-			got.usePlan(pl)
-			got.add(pl.Bytes())
-			refAdd(&want, ch.nbytes, s.profiles[ch.profile])
-			if !sameCounters(&got, &want) {
-				t.Logf("by plan (reuse=%v): diverged at charge %d: %+v", reuse, k, ch)
-				return false
-			}
+		if err := quick.Check(byPlan, &quick.Config{MaxCount: 300}); err != nil {
+			t.Error(err)
 		}
-		return true
-	}
-	if err := quick.Check(byPlan, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }
 

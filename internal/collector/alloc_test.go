@@ -3,7 +3,11 @@ package collector
 import (
 	"testing"
 
+	"mburst/internal/asic"
+	"mburst/internal/eventq"
 	"mburst/internal/obs"
+	"mburst/internal/rng"
+	"mburst/internal/simclock"
 	"mburst/internal/wire"
 )
 
@@ -60,5 +64,31 @@ func TestSpoolPushAllocatesNothing(t *testing.T) {
 	}
 	if c.dropped == 0 || c.spooled > cfg.SpoolLimit {
 		t.Errorf("spool never shed: dropped %d, spooled %d (limit %d)", c.dropped, c.spooled, cfg.SpoolLimit)
+	}
+}
+
+// TestPollerSteadyPollAllocatesNothing: one poll cycle of an installed
+// poller — start event, cost draw, completion event, counter reads, emit,
+// re-arm — allocates nothing, so the loop adds no garbage per sample.
+func TestPollerSteadyPollAllocatesNothing(t *testing.T) {
+	sw := testSwitch()
+	p, err := NewPoller(PollerConfig{
+		Interval:      simclock.Micros(25),
+		Counters:      []CounterSpec{byteSpec(0), {Port: 1, Dir: asic.TX, Kind: asic.KindPackets}, {Kind: asic.KindBufferPeak}},
+		DedicatedCore: true,
+	}, sw, rng.New(1), EmitterFunc(func(wire.Sample) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := eventq.NewScheduler()
+	p.Install(sched)
+	if allocs := testing.AllocsPerRun(allocRuns, func() {
+		sched.Step() // startPoll
+		sched.Step() // finishPoll
+	}); allocs != 0 {
+		t.Errorf("one poll cycle allocates %v times, want 0", allocs)
+	}
+	if p.Samples() < allocRuns {
+		t.Errorf("%d samples over %d cycles: the loop did not poll every cycle", p.Samples(), allocRuns)
 	}
 }

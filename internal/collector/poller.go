@@ -183,13 +183,24 @@ type Poller struct {
 	lastRead []wire.Sample
 }
 
-// NewPoller validates the config and builds a poller.
+// NewPoller validates the config and builds a poller. It switches on the
+// switch's packet and size-bin counters for the directions the config
+// polls (asic.Switch.CountPackets), so a poller that reads them must be
+// built before the switch carries traffic; afterwards it returns that
+// error.
 func NewPoller(cfg PollerConfig, sw *asic.Switch, src *rng.Source, emit Emitter) (*Poller, error) {
 	if err := cfg.Validate(sw); err != nil {
 		return nil, err
 	}
 	if src == nil || emit == nil {
 		return nil, fmt.Errorf("collector: nil source or emitter")
+	}
+	for _, spec := range cfg.Counters {
+		if spec.Kind == asic.KindPackets || spec.Kind == asic.KindSizeBins {
+			if err := sw.CountPackets(spec.Port, spec.Dir); err != nil {
+				return nil, fmt.Errorf("collector: polling %v: %w", spec, err)
+			}
+		}
 	}
 	p := &Poller{cfg: cfg, sw: sw, src: src, emit: emit}
 	p.onStart, p.onDone = p.startPoll, p.finishPoll

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mburst/internal/asic"
@@ -217,9 +218,6 @@ func TestCPUBusyFraction(t *testing.T) {
 func TestPollerReadsAllCounterKinds(t *testing.T) {
 	sw := testSwitch()
 	full := asic.TrafficProfile{0, 0, 0, 0, 0, 1}
-	sw.OfferRx(1, 3000, full)
-	sw.OfferTx(1, 3000, full)
-	sw.Tick(simclock.Micros(5))
 	kinds := map[asic.CounterKind]bool{}
 	var got []wire.Sample
 	p, err := NewPoller(PollerConfig{
@@ -236,6 +234,10 @@ func TestPollerReadsAllCounterKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The poller switched on RX packet counting; now the traffic.
+	sw.OfferRx(1, 3000, full)
+	sw.OfferTx(1, 3000, full)
+	sw.Tick(simclock.Micros(5))
 	sched := eventq.NewScheduler()
 	p.Install(sched)
 	sched.RunUntil(simclock.Epoch.Add(simclock.Millis(1)))
@@ -256,6 +258,30 @@ func TestPollerReadsAllCounterKinds(t *testing.T) {
 			if s.Bins[5] != 2 {
 				t.Errorf("bins = %v", s.Bins)
 			}
+		}
+	}
+}
+
+// TestPollerAfterTrafficRefusesPacketCounters: a poller that reads packet
+// or size-bin counters switches them on, which the switch refuses once it
+// has carried traffic; a byte-only poller is still fine there.
+func TestPollerAfterTrafficRefusesPacketCounters(t *testing.T) {
+	for _, kind := range []asic.CounterKind{asic.KindPackets, asic.KindSizeBins} {
+		sw := testSwitch()
+		sw.OfferTx(0, 3000, asic.TrafficProfile{0, 0, 0, 0, 0, 1})
+		sw.Tick(simclock.Micros(5))
+		_, err := NewPoller(PollerConfig{
+			Interval: simclock.Micros(25),
+			Counters: []CounterSpec{byteSpec(0), {Port: 0, Dir: asic.TX, Kind: kind}},
+		}, sw, rng.New(1), EmitterFunc(func(wire.Sample) {}))
+		if err == nil || !strings.Contains(err.Error(), "CountPackets") {
+			t.Errorf("%v poller after traffic: err = %v, want the CountPackets refusal", kind, err)
+		}
+		if _, err := NewPoller(PollerConfig{
+			Interval: simclock.Micros(25),
+			Counters: []CounterSpec{byteSpec(0)},
+		}, sw, rng.New(1), EmitterFunc(func(wire.Sample) {})); err != nil {
+			t.Errorf("byte poller after traffic: %v", err)
 		}
 	}
 }

@@ -166,3 +166,24 @@ func TestQuickSortedFiring(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSchedulerAllocatesNothingPerEvent: scheduling and firing an event
+// with a handler bound once costs no allocation once the queue has grown,
+// so the kernel adds nothing per event to a campaign's garbage.
+func TestSchedulerAllocatesNothingPerEvent(t *testing.T) {
+	s := NewScheduler()
+	fired := 0
+	handler := func(simclock.Time) { fired++ }
+	for i := int64(1); i <= 64; i++ { // a standing queue to sift through
+		s.After(simclock.Duration(i)*simclock.Second, handler)
+	}
+	if allocs := testing.AllocsPerRun(10_000, func() {
+		s.After(simclock.Microsecond, handler)
+		s.Step()
+	}); allocs != 0 {
+		t.Errorf("At + Step allocates %v times per event, want 0", allocs)
+	}
+	if fired == 0 || s.Len() != 64 {
+		t.Errorf("fired %d, pending %d: want every scheduled event fired and 64 pending", fired, s.Len())
+	}
+}

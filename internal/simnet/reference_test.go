@@ -177,6 +177,14 @@ func newRefNet(t *testing.T, s schedule) *refNet {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// state reads every port's packet counters, so both directions count.
+	for p := 0; p < n.Switch().NumPorts(); p++ {
+		for _, d := range []asic.Direction{asic.RX, asic.TX} {
+			if err := n.Switch().CountPackets(p, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	rn := &refNet{n: n, flows: append([]workload.Flow(nil), s.flows...), active: make([]bool, len(s.flows))}
 	if s.observers {
 		n.SetTxObserver(rn.tx.observe)

@@ -94,6 +94,11 @@ func TestRunPartialTick(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	fingerprint := func(seed uint64) []uint64 {
 		n := newNet(t, workload.Cache, seed)
+		for p := 0; p < n.Rack().NumPorts(); p++ {
+			if err := n.Switch().CountPackets(p, asic.TX); err != nil {
+				t.Fatal(err)
+			}
+		}
 		n.Run(simclock.Millis(30))
 		var fp []uint64
 		for p := 0; p < n.Rack().NumPorts(); p++ {

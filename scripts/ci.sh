@@ -78,6 +78,15 @@ go test -race -count=50 -cpu 1,2 -run 'TestReconnectingClient' ./internal/collec
 # show they hold however the goroutines are scheduled.
 go test -race -count=10 -cpu 1,2 -run 'TestServerCoalescesFrameReads|TestReaderReadsOncePerBuffer' ./internal/collector ./internal/wire
 
+# Simulator laws: the replaced data-path and kernel bodies live on as
+# ref… functions (refAdd, refApplyTick, refScheduler) that testing/quick
+# compares against, and the per-tick, per-event and per-poll paths have
+# zero-allocation counts. quick.Check draws a fresh seed each run, so
+# twenty repetitions check twenty times the generated cases. No step reads
+# a clock.
+go test -count=20 -run 'MatchesReference|QuickSortedFiring|AllocatesNothing' \
+	./internal/asic ./internal/eventq ./internal/simnet ./internal/collector
+
 # Chaos soak: generated fault schedules against the collection pipeline,
 # asserting byte-exact recovery against ASIC ground truth, zero-fault
 # byte-identity, epoch-gated restart recovery, and collector-crash
