@@ -37,9 +37,10 @@ PAIRS ?= 10
 bench-pair:
 	./scripts/bench_pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
-# smoke drives the real binaries: mbagent into a durable mbcollectd over
-# a real socket, SIGTERM, then mbdump must read back exactly what the
-# agent delivered; then mbfleet with a shard kill into a fleet directory,
+# smoke drives the real binaries: mbagent into a durable, tracing
+# mbcollectd over a real socket, whose spans mbtrace -url must count one
+# per stage per trace, SIGTERM, then mbdump must read back exactly what
+# the agent delivered; then mbfleet with a shard kill into a fleet directory,
 # which must hold campaign.json plus its shard stores and dump to the
 # samples mbfleet logged; then mbreplay of a parent-written MBW1 recording
 # into a second durable mbcollectd, whose archive must dump to the same

@@ -163,7 +163,6 @@ func run(ctx context.Context, args []string, stderr io.Writer, ready func(ingest
 			},
 			IsUplink:  func(_ uint32, port uint16) bool { return rack.IsUplink(int(port)) },
 			Threshold: *threshold,
-			Tracer:    tracer,
 		})
 		if err != nil {
 			logger.Error("live figures", "err", err)

@@ -231,9 +231,10 @@ func (s *Shard) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, 
 			// Same order as Handle, minus the archive write: these batches
 			// are already durable.
 			s.gate.admit(b)
-			recordStageSpan(s.cfg.Tracer, ptrace.StageRecover, b)
+			recordStageSpan(s.cfg.Tracer, ptrace.StageRecover, b, "")
 			s.record(b)
 			if s.cfg.Figures != nil {
+				recordStageSpan(s.cfg.Tracer, ptrace.StageFiguresApply, b, "")
 				s.cfg.Figures.Handle(b)
 			}
 			rep.Replayed++
@@ -336,7 +337,7 @@ func (s *Shard) checkpointLocked(b *wire.Batch) error {
 	s.rec.Checkpoints.Inc()
 	s.rec.CheckpointLag.Set(0)
 	if b != nil {
-		recordStageSpan(s.cfg.Tracer, ptrace.StageCheckpoint, b)
+		recordStageSpan(s.cfg.Tracer, ptrace.StageCheckpoint, b, "")
 	}
 	return nil
 }

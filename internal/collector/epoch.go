@@ -59,15 +59,10 @@ func NewEpochGate(next BatchHandler, m *ServerMetrics) *EpochGate {
 	return g
 }
 
-// SetTracer attaches pipeline tracing: every batch records an epoch.gate
-// span carrying the admission verdict. t may be nil. Call before Handle
-// sees traffic.
-func (g *EpochGate) SetTracer(t *ptrace.Tracer) { g.tracer = t }
-
 // Handle implements BatchHandler. It is safe for concurrent use.
 func (g *EpochGate) Handle(b *wire.Batch) {
 	verdict := g.admit(b)
-	recordGateSpan(g.tracer, b, verdict)
+	recordStageSpan(g.tracer, ptrace.StageEpochGate, b, verdict)
 	if verdict != ptrace.VerdictAccept {
 		return
 	}

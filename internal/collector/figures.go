@@ -10,7 +10,6 @@ import (
 
 	"mburst/internal/analysis"
 	"mburst/internal/asic"
-	"mburst/internal/ptrace"
 	"mburst/internal/simclock"
 	"mburst/internal/stats"
 	"mburst/internal/wire"
@@ -53,8 +52,6 @@ type LiveFiguresConfig struct {
 	// Threshold is the hot criterion; <= 0 selects
 	// analysis.DefaultHotThreshold.
 	Threshold float64
-	// Tracer, when non-nil, records a figures.apply span per batch.
-	Tracer *ptrace.Tracer
 }
 
 // liveKey identifies one series across racks.
@@ -116,7 +113,6 @@ func (f *LiveFigures) Wrap(next BatchHandler) BatchHandler {
 
 // Handle implements BatchHandler. It is safe for concurrent use.
 func (f *LiveFigures) Handle(b *wire.Batch) {
-	recordStageSpan(f.cfg.Tracer, ptrace.StageFiguresApply, b)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, s := range b.Samples {

@@ -24,7 +24,7 @@ type Client struct {
 	batch    wire.Batch
 	maxBatch int
 	err      error
-	tracer   *ptrace.Tracer
+	tracer   *ptrace.Tracer // set by this package's tests; agents trace through ReconnectingClient
 }
 
 // DefaultBatchSize is the flush threshold in samples. At 25 µs sampling a
@@ -69,10 +69,6 @@ func NewClientConfigured(w io.Writer, cfg ClientConfig) (*Client, error) {
 // SetEpoch sets the agent restart generation stamped on outgoing batches
 // (see wire.Batch.Epoch).
 func (c *Client) SetEpoch(epoch uint32) { c.batch.Epoch = epoch }
-
-// SetTracer attaches pipeline tracing: every flushed batch records its
-// poll.read/wire.encode/client.send spans. t may be nil.
-func (c *Client) SetTracer(t *ptrace.Tracer) { c.tracer = t }
 
 // Emit implements Emitter, buffering s and flushing a full batch.
 // Transport errors are sticky and surfaced by Flush/Close.
@@ -173,7 +169,7 @@ func ServeConfigured(ln net.Listener, handler BatchHandler, cfg ServerConfig) *S
 	}
 	if cfg.EpochGate {
 		gate := NewEpochGate(handler, cfg.Metrics)
-		gate.SetTracer(cfg.Tracer)
+		gate.tracer = cfg.Tracer
 		handler = gate.Handle
 	}
 	s := &Server{ln: ln, handler: handler, conns: make(map[net.Conn]struct{}), now: cfg.Now, tracer: cfg.Tracer}
@@ -250,7 +246,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		recordStageSpan(s.tracer, ptrace.StageServerIngest, b)
+		recordStageSpan(s.tracer, ptrace.StageServerIngest, b, "")
 		if s.m.IngestLatency != nil {
 			t0 := s.now()
 			s.handler(b)

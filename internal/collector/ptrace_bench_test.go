@@ -25,7 +25,7 @@ func runTracedPoll(tb testing.TB, tr *ptrace.Tracer, simDur simclock.Duration) (
 	if err != nil {
 		tb.Fatal(err)
 	}
-	client.SetTracer(tr)
+	client.tracer = tr
 	p, err := NewPoller(PollerConfig{
 		Interval:      simclock.Micros(25),
 		Counters:      []CounterSpec{byteSpec(0)},

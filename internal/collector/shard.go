@@ -59,7 +59,7 @@ type ShardConfig struct {
 	// updates); may be nil.
 	Metrics *ShardMetrics
 	// Tracer, when non-nil, records epoch.gate, archive.write,
-	// collector.checkpoint, and collector.recover spans.
+	// figures.apply, collector.checkpoint, and collector.recover spans.
 	Tracer *ptrace.Tracer
 }
 
@@ -147,12 +147,12 @@ func (s *Shard) Handle(b *wire.Batch) {
 		return
 	}
 	verdict := s.gate.admit(b)
-	recordGateSpan(s.cfg.Tracer, b, verdict)
+	recordStageSpan(s.cfg.Tracer, ptrace.StageEpochGate, b, verdict)
 	if verdict != ptrace.VerdictAccept {
 		return
 	}
 	if s.cfg.Archive != nil {
-		recordStageSpan(s.cfg.Tracer, ptrace.StageArchiveWrite, b)
+		recordStageSpan(s.cfg.Tracer, ptrace.StageArchiveWrite, b, "")
 		if err := s.cfg.Archive.WriteBatch(b); err != nil {
 			s.err = fmt.Errorf("collector: archive write: %w", err)
 			s.rec.IngestFailures.Inc()
@@ -161,6 +161,7 @@ func (s *Shard) Handle(b *wire.Batch) {
 	}
 	s.record(b)
 	if s.cfg.Figures != nil {
+		recordStageSpan(s.cfg.Tracer, ptrace.StageFiguresApply, b, "")
 		s.cfg.Figures.Handle(b)
 	}
 	if s.cfg.Archive == nil {

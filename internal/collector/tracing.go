@@ -8,13 +8,13 @@ import (
 	"mburst/internal/wire"
 )
 
-// This file is the collector's glue to internal/ptrace. Span windows are
-// not measured: they are computed from the batch's own content (sample
-// count, framed size, last sample time) through the tracer's CostModel,
-// so the client, the collector service, and the campaign recorder all
-// position the same batch's spans identically without exchanging clocks.
-// Only reconnect backoff — a real-time phenomenon — is layered on top,
-// as child spans of client.send.
+// This file is the collector's glue to internal/ptrace, which alone places
+// every modeled span: the client, the service and the shard hand it a
+// batch's content (sample count, framed size, last sample time) and it
+// positions the span, so they and the campaign recorder record the same
+// batch identically without exchanging clocks. Only what is measured is
+// recorded here: poll.read's sample window and reconnect backoff — a
+// real-time phenomenon — as child spans stretching client.send.
 
 // batchTrace resolves a batch to its trace handle plus the modeled
 // inputs. The zero Trace (unsampled, nil tracer, empty batch) records
@@ -45,22 +45,17 @@ func recordSendSpans(t *ptrace.Tracer, b *wire.Batch, waits []simclock.Duration)
 	}
 	poll.End(last)
 
-	m := t.Model()
-	encStart, encEnd := m.Window(ptrace.StageWireEncode, last, n, bytes)
-	enc := tr.Start(ptrace.StageWireEncode, encStart).SetBatch(n, bytes)
-	enc.End(encEnd)
+	tr.Modeled(ptrace.StageWireEncode, last, n, bytes, "")
 
-	sendStart, sendEnd := m.Window(ptrace.StageClientSend, last, n, bytes)
-	var waited simclock.Duration
+	sendStart, sendEnd := ptrace.Window(ptrace.StageClientSend, last, n, bytes)
 	cur := sendStart
 	for _, w := range waits {
 		bo := tr.Start(ptrace.StageClientBackoff, cur).SetParent(ptrace.StageClientSend)
 		cur = cur.Add(w)
 		bo.End(cur)
-		waited += w
 	}
 	send := tr.Start(ptrace.StageClientSend, sendStart).SetBatch(n, bytes)
-	send.End(sendEnd.Add(waited))
+	send.End(sendEnd.Add(cur.Sub(sendStart)))
 }
 
 // missedPolls totals the Missed counters carried by a batch's samples.
@@ -72,26 +67,9 @@ func missedPolls(b *wire.Batch) uint64 {
 	return total
 }
 
-// recordStageSpan records one modeled post-poll stage for a batch. The
-// shared shape behind server.ingest, archive.write, and figures.apply.
-func recordStageSpan(t *ptrace.Tracer, stage ptrace.Stage, b *wire.Batch) {
+// recordStageSpan records one modeled stage for a batch, with the epoch
+// gate's verdict on epoch.gate and "" elsewhere.
+func recordStageSpan(t *ptrace.Tracer, stage ptrace.Stage, b *wire.Batch, verdict string) {
 	tr, _, last, n, bytes := batchTrace(t, b)
-	if !tr.Sampled() {
-		return
-	}
-	start, end := t.Model().Window(stage, last, n, bytes)
-	sp := tr.Start(stage, start).SetBatch(n, bytes)
-	sp.End(end)
-}
-
-// recordGateSpan records the epoch.gate span with the admission verdict
-// as a span attribute.
-func recordGateSpan(t *ptrace.Tracer, b *wire.Batch, verdict string) {
-	tr, _, last, n, bytes := batchTrace(t, b)
-	if !tr.Sampled() {
-		return
-	}
-	start, end := t.Model().Window(ptrace.StageEpochGate, last, n, bytes)
-	sp := tr.Start(ptrace.StageEpochGate, start).SetVerdict(verdict)
-	sp.End(end)
+	tr.Modeled(stage, last, n, bytes, verdict)
 }

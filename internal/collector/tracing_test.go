@@ -52,7 +52,7 @@ func TestClientServerSpansJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetTracer(clientTr)
+	c.tracer = clientTr
 	first := simclock.Epoch.Add(simclock.Millisecond)
 	for _, s := range testBatch(7, first, n).Samples {
 		c.Emit(s)
@@ -96,7 +96,7 @@ func TestGateVerdictSpans(t *testing.T) {
 	tr := ptrace.New(ptrace.Config{Capacity: 64})
 	sink := &MemSink{}
 	gate := NewEpochGate(sink.Handle, nil)
-	gate.SetTracer(tr)
+	gate.tracer = tr
 
 	fresh := testBatch(1, simclock.Epoch.Add(simclock.Millisecond), 4)
 	fresh.Epoch = 2
@@ -170,7 +170,7 @@ func TestSpansEndpointsUnderConcurrentIngest(t *testing.T) {
 				t.Errorf("rack %d: client: %v", rack, err)
 				return
 			}
-			c.SetTracer(tracer)
+			c.tracer = tracer
 			for b := 0; b < batchesPerClient; b++ {
 				base := simclock.Epoch.Add(simclock.Duration(b+1) * simclock.Millisecond)
 				for _, s := range testBatch(rack, base, samplesPerBatch).Samples {

@@ -14,12 +14,13 @@ import (
 // recordCellTrace records the full pipeline chain for one recorded cell,
 // one trace per persisted wire batch (trace.WriteWindow chunks samples
 // at trace.BatchSize). The single-process campaign writes windows
-// directly — there is no client, service, or gate goroutine — yet the
-// span windows are computed from exactly the same batch content the
-// distributed path would use, so a campaign trace and a live agent →
-// collector trace of the same batch are byte-identical. Faults from the
-// cell's schedule that overlap a batch's sample window are attributed on
-// its poll.read span.
+// directly — there is no client, service, or gate goroutine — so it
+// records poll.read itself and hands the rest of the admitted chain to
+// ptrace, which places every modeled span for the live path too: a
+// campaign trace and a live agent → collector trace of the same batch
+// are identical (TestLiveAndCampaignTracesAgree). Faults from the cell's
+// schedule that overlap a batch's sample window are attributed on its
+// poll.read span.
 func recordCellTrace(t *ptrace.Tracer, run *CellRun, warmup simclock.Duration) {
 	if t == nil || len(run.Samples) == 0 {
 		return
@@ -48,19 +49,7 @@ func recordCellTrace(t *ptrace.Tracer, run *CellRun, warmup simclock.Duration) {
 			poll.SetFault(f)
 		}
 		poll.End(last)
-
-		m := t.Model()
-		for _, stage := range []ptrace.Stage{
-			ptrace.StageWireEncode, ptrace.StageClientSend, ptrace.StageServerIngest,
-			ptrace.StageEpochGate, ptrace.StageArchiveWrite, ptrace.StageFiguresApply,
-		} {
-			s, e := m.Window(stage, last, n, bytes)
-			sp := tr.Start(stage, s).SetBatch(n, bytes)
-			if stage == ptrace.StageEpochGate {
-				sp.SetVerdict(ptrace.VerdictAccept)
-			}
-			sp.End(e)
-		}
+		tr.Chain(last, n, bytes)
 	}
 }
 

@@ -3,11 +3,20 @@ package core
 import (
 	"bytes"
 	"context"
+	"io"
+	"net"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"mburst/internal/asic"
+	"mburst/internal/collector"
 	"mburst/internal/ptrace"
+	"mburst/internal/simclock"
+	"mburst/internal/trace"
+	"mburst/internal/wire"
 	"mburst/internal/workload"
 )
 
@@ -146,5 +155,73 @@ func TestCampaignTraceSampling(t *testing.T) {
 	}
 	if again := record(0.5); len(again) != len(sampled) {
 		t.Errorf("re-run kept %d traces, first run kept %d; head sampling must be seed-stable", len(again), len(sampled))
+	}
+}
+
+// TestLiveAndCampaignTracesAgree holds recordCellTrace's claim: one batch
+// recorded by the campaign recorder, and the same batch sent by a traced
+// agent client over loopback into a traced server and on into a traced
+// durable shard with live figures, leave the same seven spans, every
+// field equal.
+func TestLiveAndCampaignTracesAgree(t *testing.T) {
+	const rack, n = 3, 300
+	samples := make([]wire.Sample, n)
+	for i := range samples {
+		samples[i] = wire.Sample{
+			Time: simclock.Epoch.Add(simclock.Micros(int64(25 * (i + 1)))),
+			Port: 1, Dir: asic.RX, Kind: asic.KindBytes, Value: uint64(i) * 1500,
+		}
+	}
+	campaign := ptrace.New(ptrace.Config{Capacity: 64})
+	recordCellTrace(campaign, &CellRun{Cell: Cell{RackID: rack}, Samples: samples}, 0)
+
+	live := ptrace.New(ptrace.Config{Capacity: 64})
+	arch, err := trace.CreateArchive(filepath.Join(t.TempDir(), "a"), trace.ArchiveConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer arch.Close()
+	figs, err := collector.NewLiveFigures(collector.LiveFiguresConfig{
+		SpeedOf: func(uint32, uint16) uint64 { return 10_000_000_000 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := &collector.IngestStats{}
+	sh, err := collector.NewShard(collector.ShardConfig{
+		Stats: stats, Figures: figs, Archive: arch, Tracer: live,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := collector.ServeConfigured(ln, sh.Handle, collector.ServerConfig{Tracer: live})
+	defer srv.Close()
+	// One batch: the client seals at Close, below its MaxBatch.
+	c := collector.NewReconnectingClient(func() (io.WriteCloser, error) {
+		return net.Dial("tcp", ln.Addr().String())
+	}, collector.ReconnectingClientConfig{Rack: rack, Tracer: live})
+	for _, s := range samples {
+		c.Emit(s)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); stats.Snapshot().Samples < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("collector ingested %d of %d samples", stats.Snapshot().Samples, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	want, got := campaign.Snapshot(), live.Snapshot()
+	if len(want) != 7 {
+		t.Fatalf("campaign recorded %d spans, want 7: %+v", len(want), want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("live spans differ from the campaign's:\nlive:     %+v\ncampaign: %+v", got, want)
 	}
 }

@@ -13,11 +13,11 @@
 //     compute the same ID independently, so their spans join at render
 //     time with no wire-format change and no context propagation.
 //   - Span times are simclock-stamped, never wall-clock. The poll.read
-//     span covers the batch's sample interval directly; every post-poll
-//     stage is positioned by a deterministic CostModel (an integer
-//     function of the batch's sample count and framed byte size). A
-//     campaign traced twice — at any worker count — produces
-//     byte-identical span dumps.
+//     span covers the batch's sample interval directly; this package
+//     alone places every post-poll span (Window, Modeled, Chain: an
+//     integer function of the batch's sample count and framed byte size),
+//     so a batch's campaign and live traces agree, and a campaign traced
+//     twice — at any worker count — produces byte-identical span dumps.
 //
 // Spans land in a bounded lock-free ring buffer per process (atomic
 // pointer slots; writers never block, old spans are overwritten), feed
@@ -110,8 +110,8 @@ const (
 
 // Span is one stage's occupancy of simulated time for one batch. Start
 // and Stop are simclock instants; for poll.read they are the batch's
-// first and last sample times, for every other stage they come from the
-// tracer's CostModel.
+// first and last sample times, for every other stage they come from
+// Window.
 type Span struct {
 	Trace TraceID `json:"trace"`
 	Stage Stage   `json:"stage"`
@@ -208,8 +208,6 @@ type Config struct {
 // safe for concurrent use; a nil *Tracer is a no-op, so pipeline code
 // instruments unconditionally.
 type Tracer struct {
-	model CostModel
-
 	// key/thresh implement deterministic head sampling: a trace is kept
 	// iff mix64(id ^ key) <= thresh.
 	key    uint64
@@ -237,7 +235,6 @@ func New(cfg Config) *Tracer {
 	}
 	capacity = ceilPow2(capacity)
 	t := &Tracer{
-		model: DefaultCostModel(),
 		slots: make([]atomic.Pointer[Span], capacity),
 		mask:  uint64(capacity - 1),
 	}
@@ -274,14 +271,6 @@ func ceilPow2(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-// Model returns the tracer's cost model (the zero model for nil).
-func (t *Tracer) Model() CostModel {
-	if t == nil {
-		return CostModel{}
-	}
-	return t.model
 }
 
 // Capacity returns the ring size in slots (0 for nil).

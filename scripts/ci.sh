@@ -118,8 +118,9 @@ go run ./bench -workload all -quick
 make examples
 
 # Real-process smoke: the cmd/ binaries as separate processes — mbagent
-# into a durable mbcollectd over a loopback socket, SIGTERM, mbdump reads
-# back exactly what was delivered; then mbfleet with a shard kill, whose
+# into a durable, tracing mbcollectd over a loopback socket, mbtrace -url
+# finds one ingest, gate, archive and figures span per trace, SIGTERM,
+# mbdump reads back exactly what was delivered; then mbfleet with a shard kill, whose
 # directory must be campaign.json + its shard stores and dump to the
 # samples it logged; then mbreplay of a parent-written MBW1 recording into
 # a durable mbcollectd, whose archive must hold the same samples as MBW3.

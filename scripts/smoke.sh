@@ -1,8 +1,11 @@
 #!/bin/sh
-# Real-process smoke, three acts. One: build mbcollectd, mbagent and mbdump,
-# run one agent against a durable collector over a real loopback socket,
-# shut the collector down with SIGTERM, and require that what the agent
-# says it delivered is exactly what the archive holds. Two: run mbfleet
+# Real-process smoke, three acts. One: build mbcollectd, mbagent, mbdump
+# and mbtrace, run one agent against a durable, tracing collector over a
+# real loopback socket, require that mbtrace -url reads one server.ingest,
+# epoch.gate, archive.write and figures.apply span per trace off the
+# collector's debug address, shut the collector down with SIGTERM, and
+# require that what the agent says it delivered is exactly what the
+# archive holds. Two: run mbfleet
 # into a durable fleet directory with a shard kill and the oracle on, and
 # require that the directory is campaign.json plus its shard stores and
 # that mbdump reads back the samples mbfleet logged. Three: mbreplay a
@@ -35,10 +38,12 @@ fail() {
 	exit 1
 }
 
-# start_collectd DIR: a durable collector on a port of its own choosing;
-# its "listening" log line says which, and that lands in ADDR.
+# start_collectd DIR [FLAG...]: a durable collector on a port of its own
+# choosing; its "listening" log line says which, and that lands in ADDR.
 start_collectd() {
-	"$TMP/bin/mbcollectd" -listen 127.0.0.1:0 -archive "$1" -stats 50ms 2>"$TMP/collectd.log" &
+	dir=$1
+	shift
+	"$TMP/bin/mbcollectd" -listen 127.0.0.1:0 -archive "$dir" -stats 50ms "$@" 2>"$TMP/collectd.log" &
 	PID=$!
 	ADDR=
 	for _ in $(seq 1 200); do
@@ -50,14 +55,20 @@ start_collectd() {
 	[ -n "$ADDR" ] || fail "mbcollectd never logged its listening address"
 }
 
-# stop_collectd N: SIGTERM closes connections where they stand, so first
-# let the periodic stats line show that all N samples sent have been read.
-stop_collectd() {
+# await_ingest N: wait for the periodic stats line to show that all N
+# samples sent have been read.
+await_ingest() {
 	for _ in $(seq 1 200); do
 		grep -q "msg=ingest .*samples=$1 " "$TMP/collectd.log" && break
 		sleep 0.05
 	done
 	grep -q "msg=ingest .*samples=$1 " "$TMP/collectd.log" || fail "mbcollectd never ingested $1 samples"
+}
+
+# stop_collectd N: SIGTERM closes connections where they stand, so first
+# let all N samples sent be read.
+stop_collectd() {
+	await_ingest "$1"
 	kill -TERM "$PID"
 	CODE=0
 	wait "$PID" || CODE=$?
@@ -67,12 +78,34 @@ stop_collectd() {
 	grep -q "msg=final .*samples=$1 " "$TMP/collectd.log" || fail "final log line does not account $1 samples"
 }
 
-go build -o "$TMP/bin/" ./cmd/mbcollectd ./cmd/mbagent ./cmd/mbdump ./cmd/mbfleet ./cmd/mbreplay
+go build -o "$TMP/bin/" ./cmd/mbcollectd ./cmd/mbagent ./cmd/mbdump ./cmd/mbfleet ./cmd/mbreplay ./cmd/mbtrace
 
-start_collectd "$TMP/arch"
+start_collectd "$TMP/arch" -http 127.0.0.1:0 -figures -tracing -tracecap 65536
 "$TMP/bin/mbagent" -collector "$ADDR" -dur 200ms 2>"$TMP/agent.log" || fail "mbagent exited $?"
 DELIVERED=$(sed -n 's/.*delivered=\([0-9]*\).*/\1/p' "$TMP/agent.log")
 [ -n "$DELIVERED" ] && [ "$DELIVERED" -gt 0 ] || fail "mbagent delivered nothing"
+await_ingest "$DELIVERED"
+
+# The collector traces every batch it admits, so mbtrace's report off its
+# debug address has as many server.ingest, epoch.gate, archive.write and
+# figures.apply spans as traces. figures.apply is recorded just after the
+# stats line counts a batch, hence the retries.
+DEBUG=$(sed -n 's/.*msg="debug http listening" .*url=\(http:[^ ]*\)\/metrics.*/\1/p' "$TMP/collectd.log")
+[ -n "$DEBUG" ] || fail "mbcollectd never logged its debug address"
+for _ in $(seq 1 100); do
+	"$TMP/bin/mbtrace" -url "$DEBUG" -n 1 >"$TMP/tracez.txt" 2>>"$TMP/collectd.log" || fail "mbtrace exited $?"
+	COUNTS=$(awk '
+		NR == 1 { traces = $3 }
+		$2 ~ /^[0-9]+$/ { count[$1] = $2 }
+		END { print traces + 0, count["server.ingest"] + 0, count["epoch.gate"] + 0,
+			count["archive.write"] + 0, count["figures.apply"] + 0 }' "$TMP/tracez.txt")
+	TRACES=${COUNTS%% *}
+	[ "$TRACES" -gt 0 ] && [ "$COUNTS" = "$TRACES $TRACES $TRACES $TRACES $TRACES" ] && break
+	sleep 0.05
+done
+[ "$TRACES" -gt 0 ] && [ "$COUNTS" = "$TRACES $TRACES $TRACES $TRACES $TRACES" ] ||
+	fail "mbtrace counted traces, server.ingest, epoch.gate, archive.write, figures.apply = $COUNTS: $(cat "$TMP/tracez.txt")"
+echo "smoke: ok — $(head -1 "$TMP/tracez.txt"), one ingest, gate, archive and figures span each"
 stop_collectd "$DELIVERED"
 
 TOTALS=$("$TMP/bin/mbdump" -in "$TMP/arch" -quiet | grep '^total:')
