@@ -77,7 +77,9 @@ examples:
 #     shard's checkpoint of a two-shard fleet through the aggregator's
 #     restore and merge;
 #   - the two fault-spec parsers behind -faults, whose accepted specs must
-#     round-trip through String.
+#     round-trip through String;
+#   - the span-dump reader behind mbtrace -in and -url, whose every
+#     decoded dump must render and merge without panicking.
 # FUZZTIME bounds each target (default 10s). Left at its 60s default,
 # minimizing each new-coverage input of the recovery, campaign.json and
 # checkpoint targets would eat the whole budget.
@@ -92,6 +94,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLoadFleetCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/collector
 	$(GO) test -run='^$$' -fuzz=FuzzParseSchedule -fuzztime=$(FUZZTIME) ./internal/fault
 	$(GO) test -run='^$$' -fuzz=FuzzParseGen -fuzztime=$(FUZZTIME) ./internal/fault
+	$(GO) test -run='^$$' -fuzz=FuzzReadDump -fuzztime=$(FUZZTIME) ./internal/ptrace
 
 # chaos runs the fault-injection soak under the race detector: generated
 # fault schedules against the poll/recover pipeline, the epoch-gated

@@ -145,8 +145,8 @@ func tracedDump(t *testing.T) (*ptrace.Tracer, string) {
 	for rack := uint32(0); rack < 2; rack++ {
 		first := simclock.Epoch.Add(simclock.Micros(int64(rack) * 100))
 		b := tr.Batch(rack, 0, first)
-		b.Start(ptrace.StagePollRead, first).SetBatch(8, 100).End(first.Add(simclock.Micros(200)))
-		b.Start(ptrace.StageServerIngest, first.Add(simclock.Micros(200))).End(first.Add(simclock.Micros(260 + 40*int64(rack))))
+		b.Record(ptrace.Span{Stage: ptrace.StagePollRead, Start: first, Stop: first.Add(simclock.Micros(200)), Samples: 8, Bytes: 100})
+		b.Record(ptrace.Span{Stage: ptrace.StageServerIngest, Start: first.Add(simclock.Micros(200)), Stop: first.Add(simclock.Micros(260 + 40*int64(rack)))})
 	}
 	path := filepath.Join(t.TempDir(), "spans.json")
 	f, err := os.Create(path)

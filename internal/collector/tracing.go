@@ -39,23 +39,21 @@ func recordSendSpans(t *ptrace.Tracer, b *wire.Batch, waits []simclock.Duration)
 	if !tr.Sampled() {
 		return
 	}
-	poll := tr.Start(ptrace.StagePollRead, first).SetBatch(n, bytes)
+	poll := ptrace.Span{Stage: ptrace.StagePollRead, Start: first, Stop: last, Samples: n, Bytes: bytes}
 	if missed := missedPolls(b); missed > 0 {
-		poll.SetFault(fmt.Sprintf("missed=%d", missed))
+		poll.Fault = fmt.Sprintf("missed=%d", missed)
 	}
-	poll.End(last)
+	tr.Record(poll)
 
 	tr.Modeled(ptrace.StageWireEncode, last, n, bytes, "")
 
 	sendStart, sendEnd := ptrace.Window(ptrace.StageClientSend, last, n, bytes)
 	cur := sendStart
 	for _, w := range waits {
-		bo := tr.Start(ptrace.StageClientBackoff, cur).SetParent(ptrace.StageClientSend)
+		tr.Record(ptrace.Span{Stage: ptrace.StageClientBackoff, Parent: ptrace.StageClientSend, Start: cur, Stop: cur.Add(w)})
 		cur = cur.Add(w)
-		bo.End(cur)
 	}
-	send := tr.Start(ptrace.StageClientSend, sendStart).SetBatch(n, bytes)
-	send.End(sendEnd.Add(cur.Sub(sendStart)))
+	tr.Record(ptrace.Span{Stage: ptrace.StageClientSend, Start: sendStart, Stop: sendEnd.Add(cur.Sub(sendStart)), Samples: n, Bytes: bytes})
 }
 
 // missedPolls totals the Missed counters carried by a batch's samples.

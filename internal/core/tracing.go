@@ -44,11 +44,8 @@ func recordCellTrace(t *ptrace.Tracer, run *CellRun, warmup simclock.Duration) {
 		n := len(b.Samples)
 		bytes := wire.EncodedSize(b)
 
-		poll := tr.Start(ptrace.StagePollRead, first).SetBatch(n, bytes)
-		if f := overlappingFaults(run.Faults, first.Sub(start), last.Sub(start)); f != "" {
-			poll.SetFault(f)
-		}
-		poll.End(last)
+		tr.Record(ptrace.Span{Stage: ptrace.StagePollRead, Start: first, Stop: last, Samples: n, Bytes: bytes,
+			Fault: overlappingFaults(run.Faults, first.Sub(start), last.Sub(start))})
 		tr.Chain(last, n, bytes)
 	}
 }

@@ -200,13 +200,18 @@ func TestLiveAndCampaignTracesAgree(t *testing.T) {
 	}
 	srv := collector.ServeConfigured(ln, sh.Handle, collector.ServerConfig{Tracer: live})
 	defer srv.Close()
-	// One batch: the client seals at Close, below its MaxBatch.
+	// One batch, below the client's MaxBatch. Its flusher may see the
+	// first Emit before the last, so the dial waits for every sample:
+	// the batch taken after it holds all n.
+	emitted := make(chan struct{})
 	c := collector.NewReconnectingClient(func() (io.WriteCloser, error) {
+		<-emitted
 		return net.Dial("tcp", ln.Addr().String())
 	}, collector.ReconnectingClientConfig{Rack: rack, Tracer: live})
 	for _, s := range samples {
 		c.Emit(s)
 	}
+	close(emitted)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,6 @@ func NewAnalyzers() []*Analyzer {
 		newMetricname(),
 		newErrfmt(),
 		newMapiter(),
-		newSpanend(),
 		newClockflow(),
 		newLockorder(),
 	}

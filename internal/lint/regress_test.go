@@ -13,16 +13,15 @@ import (
 // testdata/regress/fixture.go requires updating this table.
 func TestRegressExactPositions(t *testing.T) {
 	want := []string{
-		"testdata/regress/fixture.go:37:9 lockorder",
-		"testdata/regress/fixture.go:42:9 clockflow",
-		"testdata/regress/fixture.go:47:9 globalrand",
-		"testdata/regress/fixture.go:52:9 ctxroot",
-		"testdata/regress/fixture.go:57:14 metricname",
-		"testdata/regress/fixture.go:61:25 errfmt",
-		"testdata/regress/fixture.go:66:2 mapiter",
-		"testdata/regress/fixture.go:75:2 spanend",
-		"testdata/regress/fixture.go:85:9 clockflow",
-		"testdata/regress/fixture.go:102:2 lockorder",
+		"testdata/regress/fixture.go:35:9 lockorder",
+		"testdata/regress/fixture.go:40:9 clockflow",
+		"testdata/regress/fixture.go:45:9 globalrand",
+		"testdata/regress/fixture.go:50:9 ctxroot",
+		"testdata/regress/fixture.go:55:14 metricname",
+		"testdata/regress/fixture.go:59:25 errfmt",
+		"testdata/regress/fixture.go:64:2 mapiter",
+		"testdata/regress/fixture.go:77:9 clockflow",
+		"testdata/regress/fixture.go:94:2 lockorder",
 	}
 	diags := runFixture(t, "regress", "mburst/internal/simnet/regressfix")
 	var got []string

@@ -35,21 +35,6 @@ func TestMapiter(t *testing.T) {
 	checkFixture(t, "mapiter", "mburst/internal/core/mapfix", "mapiter")
 }
 
-func TestSpanend(t *testing.T) {
-	checkFixture(t, "spanend", "mburst/internal/collector/spanfix", "spanend")
-}
-
-// TestSpanendInsidePtrace pins the exemption: the tracer package itself.
-// (The fixture's ignore directive goes stale when the rule is off, so only
-// spanend findings count.)
-func TestSpanendInsidePtrace(t *testing.T) {
-	for _, d := range runFixture(t, "spanend", "mburst/internal/ptrace/spanfix", "spanend") {
-		if d.Rule == "spanend" {
-			t.Errorf("spanend fired inside internal/ptrace: %v", d)
-		}
-	}
-}
-
 func TestClockflow(t *testing.T) {
 	checkFixture(t, "clockflow", "mburst/internal/collector/cflowfix", "clockflow")
 }
@@ -96,7 +81,7 @@ func TestSelectAnalyzersUnknownRule(t *testing.T) {
 }
 
 func TestRuleNamesStable(t *testing.T) {
-	want := []string{"globalrand", "ctxroot", "metricname", "errfmt", "mapiter", "spanend", "clockflow", "lockorder"}
+	want := []string{"globalrand", "ctxroot", "metricname", "errfmt", "mapiter", "clockflow", "lockorder"}
 	got := RuleNames()
 	if len(got) != len(want) {
 		t.Fatalf("RuleNames() = %v, want %v", got, want)

@@ -13,8 +13,6 @@ import (
 
 	"mburst/internal/analysis"
 	"mburst/internal/obs"
-	"mburst/internal/ptrace"
-	"mburst/internal/simclock"
 )
 
 // Guarded exists for the re-entry seed.
@@ -67,12 +65,6 @@ func Mapiter(m map[analysis.SeriesKey]int) int {
 		n++
 	}
 	return n
-}
-
-// Spanend discards a Start result, so the span can never End.
-func Spanend(t *ptrace.Tracer, at simclock.Time) {
-	tr := t.Batch(1, 0, at)
-	tr.Start(ptrace.StagePollRead, at)
 }
 
 // ClockEntry reaches the wall clock two calls down; clockflow flags the

@@ -54,7 +54,7 @@ func (tr Trace) Modeled(stage Stage, last simclock.Time, samples, bytes int, ver
 		return
 	}
 	start, stop := Window(stage, last, samples, bytes)
-	tr.Start(stage, start).SetBatch(samples, bytes).SetVerdict(verdict).End(stop)
+	tr.Record(Span{Stage: stage, Start: start, Stop: stop, Samples: samples, Bytes: bytes, Verdict: verdict})
 }
 
 // Chain publishes every modeled span of a batch the epoch gate admitted,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 )
 
 // Dump is the JSON shape served at /spans and written by mbsim -trace:
@@ -75,7 +76,8 @@ func (t *Tracer) TracezHandler() http.Handler {
 		}
 		n := 20
 		if q := r.URL.Query().Get("n"); q != "" {
-			if _, err := fmt.Sscanf(q, "%d", &n); err != nil || n <= 0 {
+			var err error
+			if n, err = strconv.Atoi(q); err != nil || n <= 0 {
 				http.Error(w, "bad n", http.StatusBadRequest)
 				return
 			}

@@ -18,6 +18,9 @@
 //     integer function of the batch's sample count and framed byte size),
 //     so a batch's campaign and live traces agree, and a campaign traced
 //     twice — at any worker count — produces byte-identical span dumps.
+//   - A span is recorded whole. Every extent is known when the span is
+//     recorded, so Trace.Record takes one Span value; there is no open
+//     span for a caller to forget to close.
 //
 // Spans land in a bounded lock-free ring buffer per process (atomic
 // pointer slots; writers never block, old spans are overwritten), feed
@@ -131,61 +134,10 @@ type Span struct {
 	// Fault names the fault kinds active during the span ("stuck,stall"),
 	// for poll.read spans recorded under injection.
 	Fault string `json:"fault,omitempty"`
-
-	t *Tracer
 }
 
 // Duration returns the span's extent.
-func (sp *Span) Duration() simclock.Duration {
-	if sp == nil {
-		return 0
-	}
-	return sp.Stop.Sub(sp.Start)
-}
-
-// SetBatch records the batch shape. Nil-safe; returns sp for chaining.
-func (sp *Span) SetBatch(samples, bytes int) *Span {
-	if sp != nil {
-		sp.Samples, sp.Bytes = samples, bytes
-	}
-	return sp
-}
-
-// SetParent marks sp as a child of stage. Nil-safe.
-func (sp *Span) SetParent(stage Stage) *Span {
-	if sp != nil {
-		sp.Parent = stage
-	}
-	return sp
-}
-
-// SetVerdict records a gate verdict. Nil-safe.
-func (sp *Span) SetVerdict(v string) *Span {
-	if sp != nil {
-		sp.Verdict = v
-	}
-	return sp
-}
-
-// SetFault records the active fault kinds. Nil-safe.
-func (sp *Span) SetFault(f string) *Span {
-	if sp != nil {
-		sp.Fault = f
-	}
-	return sp
-}
-
-// End completes the span at the simclock instant at and publishes it to
-// the tracer's ring and per-stage histogram. Every Start must be paired
-// with an End on all return paths (machine-checked by mblint's spanend
-// rule). Nil-safe: ending a span from an unsampled trace is a no-op.
-func (sp *Span) End(at simclock.Time) {
-	if sp == nil || sp.t == nil {
-		return
-	}
-	sp.Stop = at
-	sp.t.publish(sp)
-}
+func (sp Span) Duration() simclock.Duration { return sp.Stop.Sub(sp.Start) }
 
 // Config parameterizes a Tracer.
 type Config struct {
@@ -312,8 +264,7 @@ func (t *Tracer) SampledID(id TraceID) bool {
 }
 
 // Trace is a per-batch handle. The zero Trace (unsampled, or from a nil
-// tracer) starts nil spans whose methods are all no-ops, so call sites
-// never branch on sampling.
+// tracer) records nothing, so call sites never branch on sampling.
 type Trace struct {
 	t     *Tracer
 	id    TraceID
@@ -341,29 +292,20 @@ func (tr Trace) Sampled() bool { return tr.t != nil }
 // ID returns the trace ID (0 for an unsampled handle).
 func (tr Trace) ID() TraceID { return tr.id }
 
-// Start opens a span for stage at the simclock instant at. It returns
-// nil for an unsampled trace; a nil span's setters and End are no-ops.
-func (tr Trace) Start(stage Stage, at simclock.Time) *Span {
-	if tr.t == nil {
-		return nil
+// Record publishes sp, a whole span with both ends known, to the
+// tracer's ring (lock-free: one atomic fetch-add for the slot, one atomic
+// pointer store of a copy) and its stage histogram. The handle's trace
+// ID, rack and epoch overwrite whatever sp carries. On the zero Trace it
+// does nothing.
+func (tr Trace) Record(sp Span) {
+	t := tr.t
+	if t == nil {
+		return
 	}
-	return &Span{
-		Trace: tr.id,
-		Stage: stage,
-		Rack:  tr.rack,
-		Epoch: tr.epoch,
-		Start: at,
-		Stop:  at,
-		t:     tr.t,
-	}
-}
-
-// publish copies the span into the next ring slot (lock-free: one atomic
-// fetch-add for the slot, one atomic pointer store) and feeds the stage
-// histogram.
-func (t *Tracer) publish(sp *Span) {
-	cp := *sp
-	cp.t = nil
+	// Copy after the nil check: storing &sp itself would move the
+	// parameter to the heap on every call, sampled or not.
+	cp := sp
+	cp.Trace, cp.Rack, cp.Epoch = tr.id, tr.rack, tr.epoch
 	idx := t.cursor.Add(1) - 1
 	t.slots[idx&t.mask].Store(&cp)
 	t.spans.Inc()

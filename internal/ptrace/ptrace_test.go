@@ -72,18 +72,41 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if h.Sampled() {
 		t.Fatal("nil tracer sampled")
 	}
-	sp := h.Start(StagePollRead, at(1))
-	sp.SetBatch(1, 2).SetVerdict("x").SetFault("y").SetParent(StageClientSend)
-	sp.End(at(2)) // must not panic
+	// Must not panic.
+	h.Record(Span{Stage: StagePollRead, Parent: StageClientSend, Start: at(1), Stop: at(2),
+		Samples: 1, Bytes: 2, Verdict: "x", Fault: "y"})
 	if got := tr.Snapshot(); got != nil {
 		t.Fatalf("nil snapshot = %v", got)
 	}
 }
 
+// TestRecordCostAndIdentity counts Record's cost: one allocation (the
+// ring's copy) on a sampled trace, none on the zero Trace or a nil
+// tracer's handle. The handle's identity overwrites the caller's.
+func TestRecordCostAndIdentity(t *testing.T) {
+	tr := New(Config{Capacity: 16, Metrics: obs.NewRegistry()})
+	h := tr.Batch(3, 4, at(0))
+	sp := Span{Trace: 99, Stage: StagePollRead, Rack: 77, Epoch: 55, Start: at(0), Stop: at(5), Samples: 8, Bytes: 100}
+	if got := testing.AllocsPerRun(100, func() { h.Record(sp) }); got != 1 {
+		t.Errorf("Record on a sampled trace: %v allocs, want 1", got)
+	}
+	var nilTracer *Tracer
+	for name, zero := range map[string]Trace{"zero Trace": {}, "nil tracer": nilTracer.Batch(3, 4, at(0))} {
+		if got := testing.AllocsPerRun(100, func() { zero.Record(sp) }); got != 0 {
+			t.Errorf("Record on the %s: %v allocs, want 0", name, got)
+		}
+	}
+	got := tr.Snapshot()[0]
+	want := sp
+	want.Trace, want.Rack, want.Epoch = BatchID(3, 4, at(0)), 3, 4
+	if got != want {
+		t.Errorf("recorded %+v, want %+v", got, want)
+	}
+}
+
 func record(t *Tracer, rack uint32, first simclock.Time, n int) {
-	tr := t.Batch(rack, 0, first)
-	sp := tr.Start(StagePollRead, first).SetBatch(n, n*8)
-	sp.End(first.Add(simclock.Micros(int64(n))))
+	t.Batch(rack, 0, first).Record(Span{Stage: StagePollRead, Start: first,
+		Stop: first.Add(simclock.Micros(int64(n))), Samples: n, Bytes: n * 8})
 }
 
 func TestRingWraparound(t *testing.T) {
@@ -206,10 +229,13 @@ func TestHandlersRenderSpans(t *testing.T) {
 		t.Errorf("/tracez body differs from WriteReport of /spans:\ngot:\n%s\nwant:\n%s", body, want.String())
 	}
 
-	rec = httptest.NewRecorder()
-	tr.TracezHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/tracez?n=bogus", nil))
-	if rec.Code != 400 {
-		t.Errorf("bad n: status %d, want 400", rec.Code)
+	// Trailing bytes after the digits make n bad too ("7%209" is "7 9").
+	for _, q := range []string{"bogus", "3x", "7%209"} {
+		rec = httptest.NewRecorder()
+		tr.TracezHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/tracez?n="+q, nil))
+		if rec.Code != 400 {
+			t.Errorf("n=%s: status %d, want 400", q, rec.Code)
+		}
 	}
 }
 
@@ -217,8 +243,7 @@ func TestHandlersRenderSpans(t *testing.T) {
 func chainOneBatch(t *Tracer, rack uint32, first simclock.Time, n, bytes int) {
 	tr := t.Batch(rack, 0, first)
 	last := first.Add(simclock.Micros(int64(n) * 25))
-	poll := tr.Start(StagePollRead, first).SetBatch(n, bytes)
-	poll.End(last)
+	tr.Record(Span{Stage: StagePollRead, Start: first, Stop: last, Samples: n, Bytes: bytes})
 	tr.Chain(last, n, bytes)
 }
 

@@ -3,6 +3,7 @@ package ptrace
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -235,10 +236,17 @@ func renderTrace(w io.Writer, v TraceView) {
 	fmt.Fprintln(w)
 }
 
-// laneCell maps a simulated time onto the trace's text lane.
+// laneCell maps a simulated time onto the trace's text lane, clamped to
+// [0, laneWidth]. The scaling multiply is done in 128 bits, so a dump
+// whose times span most of the int64 range cannot overflow it.
 func laneCell(v TraceView, at simclock.Time) int {
-	if v.Duration() <= 0 {
+	if v.Stop <= v.Start || at <= v.Start {
 		return 0
 	}
-	return int(int64(laneWidth) * int64(at.Sub(v.Start)) / int64(v.Duration()))
+	if at >= v.Stop {
+		return laneWidth
+	}
+	hi, lo := bits.Mul64(laneWidth, uint64(at)-uint64(v.Start))
+	cell, _ := bits.Div64(hi, lo, uint64(v.Stop)-uint64(v.Start))
+	return int(cell)
 }

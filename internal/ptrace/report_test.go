@@ -1,6 +1,8 @@
 package ptrace
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"mburst/internal/simclock"
@@ -93,13 +95,50 @@ func TestCriticalPathChildOverlap(t *testing.T) {
 	// the overlap and the path stays contiguous.
 	tr := New(Config{Capacity: 16})
 	h := tr.Batch(1, 0, at(0))
-	send := h.Start(StageClientSend, at(0))
-	bo := h.Start(StageClientBackoff, at(10)).SetParent(StageClientSend)
-	bo.End(at(20))
-	send.End(at(30))
+	h.Record(Span{Stage: StageClientBackoff, Parent: StageClientSend, Start: at(10), Stop: at(20)})
+	h.Record(Span{Stage: StageClientSend, Start: at(0), Stop: at(30)})
 	v := GroupTraces(tr.Snapshot())[0]
 	path := CriticalPath(v)
 	if len(path) != 1 || path[0].Stage != StageClientSend {
 		t.Fatalf("path = %+v, want single client.send segment", path)
+	}
+}
+
+// TestReportSurvivesExtremeTimes renders a dump whose span times are far
+// enough apart that laneWidth·offset overflows int64; the waterfall lane
+// index used to go negative and panic.
+func TestReportSurvivesExtremeTimes(t *testing.T) {
+	d, err := ReadDump(strings.NewReader(`{"spans":[` +
+		`{"trace":1,"stage":"poll.read","start_ns":0,"end_ns":0},` +
+		`{"trace":1,"stage":"server.ingest","start_ns":216172782113783808,"end_ns":288230376151711743}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	WriteReport(&out, d.Spans, 20)
+	if !strings.HasPrefix(out.String(), "2 spans, 1 traces\n") {
+		t.Errorf("report opens %q", strings.SplitN(out.String(), "\n", 2)[0])
+	}
+	if !strings.Contains(out.String(), "server.ingest  |"+strings.Repeat(".", 48)+strings.Repeat("#", 16)+"|") {
+		t.Errorf("server.ingest lane not the last quarter:\n%s", out.String())
+	}
+}
+
+// TestLaneCellMatchesUnclampedFormula pins laneCell to the plain formula
+// laneWidth·(at−start)/duration wherever that does not overflow, clamped
+// to [0, laneWidth].
+func TestLaneCellMatchesUnclampedFormula(t *testing.T) {
+	for _, dur := range []int64{1, 3, 64, 1000, 12345, 1 << 40, math.MaxInt64 / laneWidth} {
+		v := TraceView{Start: at(7), Stop: at(7).Add(simclock.Duration(dur))}
+		for _, off := range []int64{-dur, -1, 0, 1, dur / 3, dur / 2, dur - 1, dur, dur + 1, 2 * dur} {
+			if off > math.MaxInt64/laneWidth {
+				continue // the plain formula overflows here
+			}
+			want := laneWidth * off / dur
+			want = max(0, min(laneWidth, want))
+			if got := laneCell(v, v.Start.Add(simclock.Duration(off))); int64(got) != want {
+				t.Errorf("duration %d, offset %d: cell %d, want %d", dur, off, got, want)
+			}
+		}
 	}
 }

@@ -50,12 +50,14 @@ go test -race -shuffle=on ./...
 # the SkipTo walk a resume relies on), on a fleet directory's
 # campaign.json (whose shard names must never alias), on the
 # checkpoint loader — one shard's file alone, and beside an intact
-# shard's through the aggregator's restore and merge — and on the two
-# fault-spec parsers that read -faults flags. `go test` above only
-# replays their seed corpora; this lets the mutator run, briefly, on
-# every build. `make fuzz` is the longer soak. Left at its 60s default,
-# minimizing the first new-coverage input would stall the mutator for the
-# whole run on the recovery, campaign.json and checkpoint targets.
+# shard's through the aggregator's restore and merge — on the two
+# fault-spec parsers that read -faults flags, and on the span-dump reader
+# behind mbtrace, whose report must render any dump that decodes.
+# `go test` above only replays their seed corpora; this lets the mutator
+# run, briefly, on every build. `make fuzz` is the longer soak. Left at
+# its 60s default, minimizing the first new-coverage input would stall
+# the mutator for the whole run on the recovery, campaign.json and
+# checkpoint targets.
 go test -run='^$' -fuzz=FuzzReadBatch -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz=FuzzMBW3Chain -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz=FuzzTraceRecover -fuzztime=5s -fuzzminimizetime=1s ./internal/trace
@@ -65,6 +67,7 @@ go test -run='^$' -fuzz=FuzzLoadCheckpoint -fuzztime=5s -fuzzminimizetime=1s ./i
 go test -run='^$' -fuzz=FuzzLoadFleetCheckpoint -fuzztime=5s -fuzzminimizetime=1s ./internal/collector
 go test -run='^$' -fuzz=FuzzParseSchedule -fuzztime=5s ./internal/fault
 go test -run='^$' -fuzz=FuzzParseGen -fuzztime=5s ./internal/fault
+go test -run='^$' -fuzz=FuzzReadDump -fuzztime=5s ./internal/ptrace
 
 # Reconnect-test stress: these tests synchronise with the client's
 # flusher goroutine through its injected Sleep and dial hooks, and used to
