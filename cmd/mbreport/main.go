@@ -13,8 +13,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -26,17 +28,32 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "use the minimal quick configuration")
-	racks := flag.Int("racks", 0, "racks per application (0 = config default)")
-	windows := flag.Int("windows", 0, "windows per rack (0 = config default)")
-	window := flag.Duration("window", 0, "window duration (0 = config default)")
-	servers := flag.Int("servers", 0, "servers per rack (0 = config default)")
-	seed := flag.Uint64("seed", 0, "experiment seed (0 = config default)")
-	workers := flag.Int("workers", 0, "concurrent campaign cells (0 = all CPUs)")
-	balancer := flag.String("balancer", "flow", "uplink balancer: flow, flowlet, roundrobin")
-	paced := flag.Bool("paced", false, "enable the pacing ablation")
-	plots := flag.Bool("plot", false, "also render figures as terminal graphics")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command — flag parsing included — returning the exit
+// code. Split from main so the tests drive the exact production path.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mbreport", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "use the minimal quick configuration")
+	racks := fs.Int("racks", 0, "racks per application (0 = config default)")
+	windows := fs.Int("windows", 0, "windows per rack (0 = config default)")
+	window := fs.Duration("window", 0, "window duration (0 = config default)")
+	servers := fs.Int("servers", 0, "servers per rack (0 = config default)")
+	seed := fs.Uint64("seed", 0, "experiment seed (0 = config default)")
+	workers := fs.Int("workers", 0, "concurrent rack-window simulations (0 = all CPUs)")
+	balancer := fs.String("balancer", "flow", "uplink balancer: flow, flowlet, roundrobin")
+	paced := fs.Bool("paced", false, "enable the pacing ablation")
+	plots := fs.Bool("plot", false, "also render figures as terminal graphics")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cfg := core.DefaultConfig()
 	if *quick {
@@ -67,29 +84,28 @@ func main() {
 	case "roundrobin":
 		cfg.Balancer = simnet.BalanceRoundRobin
 	default:
-		fmt.Fprintf(os.Stderr, "mbreport: unknown balancer %q\n", *balancer)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "mbreport: unknown balancer %q\n", *balancer)
+		return 2
 	}
 
 	exp, err := core.NewExperiment(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mbreport: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "mbreport: %v\n", err)
+		return 1
 	}
-	fmt.Printf("mburst report: %d racks × %d windows × %v per app, %d servers/rack, seed %d\n\n",
+	fmt.Fprintf(stdout, "mburst report: %d racks × %d windows × %v per app, %d servers/rack, seed %d\n\n",
 		cfg.Racks, cfg.Windows, cfg.WindowDur, cfg.Servers, cfg.Seed)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	start := time.Now()
 	rep, err := exp.RunAll(ctx)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mbreport: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "mbreport: %v\n", err)
+		return 1
 	}
-	fmt.Println(rep.Format())
+	fmt.Fprintln(stdout, rep.Format())
 	if *plots {
-		fmt.Println()
-		fmt.Println(rep.FormatPlots())
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, rep.FormatPlots())
 	}
-	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
+	return 0
 }

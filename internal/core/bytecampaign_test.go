@@ -12,7 +12,8 @@ import (
 // figure family run on its own — the byte campaign once, for Figs 3, 4, 6,
 // Table 2 and §7 together — is the set of distinct cells, and RunAll must
 // complete exactly that many cells and capture exactly that many samples.
-// A cell simulated twice shows up in both counts.
+// A cell simulated twice shows up in both counts. And RunAll simulates
+// each rack-window once: QuickConfig's 46 cells poll 6 simulated racks.
 func TestRunAllSimulatesEachCellOnce(t *testing.T) {
 	ctx := context.Background()
 	counted := func() *Experiment {
@@ -52,6 +53,9 @@ func TestRunAllSimulatesEachCellOnce(t *testing.T) {
 	}
 	if got, want := whole.samples.Value(), parts.samples.Value(); got != want {
 		t.Errorf("RunAll captured %d samples, the distinct cells hold %d", got, want)
+	}
+	if got := whole.windows.Value(); got != 6 {
+		t.Errorf("RunAll simulated %d rack-windows, want 6 (3 apps × 1 rack × 2 windows)", got)
 	}
 }
 

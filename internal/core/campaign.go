@@ -26,7 +26,7 @@ type Experiment struct {
 	// experiment builds share pollerM, aggregating poll/miss/cost totals
 	// across windows.
 	pollerM *collector.PollerMetrics
-	windows *obs.Counter
+	windows *obs.Counter // rack-windows simulated, one per net built
 	samples *obs.Counter
 	// Runner telemetry: cells currently executing and cells completed.
 	cellsInFlight  *obs.Gauge
@@ -44,7 +44,7 @@ func NewExperiment(cfg Config) (*Experiment, error) {
 	if reg := cfg.Metrics; reg != nil {
 		e.pollerM = collector.NewPollerMetrics(reg)
 		e.windows = reg.Counter("mburst_campaign_windows_total",
-			"Measurement windows recorded across campaigns.")
+			"Rack-windows simulated across campaigns; cells that share one poll a single simulation.")
 		e.samples = reg.Counter("mburst_campaign_samples_total",
 			"Counter samples captured across campaigns.")
 		e.cellsInFlight = reg.Gauge("mburst_runner_cells_in_flight",

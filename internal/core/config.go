@@ -57,7 +57,8 @@ type Config struct {
 	// BufferBytes overrides the ASIC shared buffer size (0 = default).
 	BufferBytes float64
 	// Workers bounds the campaign runner's worker pool: how many
-	// (app, rack, window) cells simulate concurrently. 0 means
+	// (app, rack, window) simulations run concurrently, each serving
+	// every cell of its rack-window (see Runner). 0 means
 	// runtime.GOMAXPROCS(0). Campaign output is byte-identical for every
 	// worker count (see Runner).
 	Workers int

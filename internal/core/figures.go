@@ -60,13 +60,17 @@ type Fig1Result struct {
 // ToR-server link per window, mirroring Fig 1's methodology of hourly
 // sub-sampled 4-minute windows.
 func (e *Experiment) Fig1DropUtilScatter(ctx context.Context) (Fig1Result, error) {
-	var res Fig1Result
+	return runJob(ctx, e, e.fig1Job)
+}
+
+// fig1Job is Fig1DropUtilScatter's campaign, filling res.
+func (e *Experiment) fig1Job(res *Fig1Result) *job {
 	coarse := e.cfg.WindowDur / 5
 	if coarse <= 0 {
 		coarse = simclock.Millisecond
 	}
 	cells := e.appGrid(downlinkCounters(e.cfg.Servers, asic.KindBytes, asic.KindDrops), coarse)
-	pts, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) ([]analysis.CoarsePoint, error) {
+	return newJob("fig1", cells, func(run *CellRun) ([]analysis.CoarsePoint, error) {
 		// SNMP-style windows only read counter endpoints, so the
 		// streaming reduction retains two samples per series instead of
 		// the window.
@@ -92,15 +96,13 @@ func (e *Experiment) Fig1DropUtilScatter(ctx context.Context) (Fig1Result, error
 			out = append(out, pt)
 		}
 		return out, nil
+	}, func(pts [][]analysis.CoarsePoint) error {
+		for _, p := range pts {
+			res.Points = append(res.Points, p...)
+		}
+		res.Correlation = analysis.DropUtilCorrelation(res.Points)
+		return nil
 	})
-	if err != nil {
-		return res, err
-	}
-	for _, p := range pts {
-		res.Points = append(res.Points, p...)
-	}
-	res.Correlation = analysis.DropUtilCorrelation(res.Points)
-	return res, nil
 }
 
 // Format renders the Fig 1 summary.
@@ -136,7 +138,12 @@ type Fig2Result struct {
 // Fig 2's "drops occur in bursts, often lasting less than the measurement
 // granularity".
 func (e *Experiment) Fig2DropTimeSeries(ctx context.Context) (Fig2Result, error) {
-	res := Fig2Result{BinDur: e.cfg.WindowDur / 20}
+	return runJob(ctx, e, e.fig2Job)
+}
+
+// fig2Job is Fig2DropTimeSeries' campaign, filling res.
+func (e *Experiment) fig2Job(res *Fig2Result) *job {
+	*res = Fig2Result{BinDur: e.cfg.WindowDur / 20}
 	if res.BinDur <= 0 {
 		res.BinDur = simclock.Millisecond
 	}
@@ -155,7 +162,7 @@ func (e *Experiment) Fig2DropTimeSeries(ctx context.Context) (Fig2Result, error)
 		{App: workload.Web, Plan: plan, Interval: res.BinDur / 4, Duration: 4 * e.cfg.WindowDur},
 		{App: workload.Hadoop, Plan: plan, Interval: res.BinDur / 4, Duration: 4 * e.cfg.WindowDur},
 	}
-	ports, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (port, error) {
+	return newJob("fig2", cells, func(run *CellRun) (port, error) {
 		// The best (most-dropping) port is only known at end of stream, so
 		// every port streams into O(bins) state — drop endpoints for the
 		// ranking, growable drop bins, and a running utilization mean —
@@ -205,13 +212,11 @@ func (e *Experiment) Fig2DropTimeSeries(ctx context.Context) (Fig2Result, error)
 			return port{}, err
 		}
 		return port{bins: bins, stats: analysis.DropBurstiness(bins), avg: moments[best].Mean()}, nil
+	}, func(ports []port) error {
+		res.LowUtil, res.LowStats, res.LowAvg = ports[0].bins, ports[0].stats, ports[0].avg
+		res.HighUtil, res.HighStats, res.HighAvg = ports[1].bins, ports[1].stats, ports[1].avg
+		return nil
 	})
-	if err != nil {
-		return res, err
-	}
-	res.LowUtil, res.LowStats, res.LowAvg = ports[0].bins, ports[0].stats, ports[0].avg
-	res.HighUtil, res.HighStats, res.HighAvg = ports[1].bins, ports[1].stats, ports[1].avg
-	return res, nil
 }
 
 // Format renders the Fig 2 summary.
@@ -240,7 +245,11 @@ type Table1Result struct {
 // Table1SamplingLoss measures the byte-counter miss rate at the paper's
 // three intervals (plus context points) against a live Web rack.
 func (e *Experiment) Table1SamplingLoss(ctx context.Context) (Table1Result, error) {
-	var res Table1Result
+	return runJob(ctx, e, e.table1Job)
+}
+
+// table1Job is Table1SamplingLoss' campaign, filling res.
+func (e *Experiment) table1Job(res *Table1Result) *job {
 	plan := func(topo.Rack, int, int) []collector.CounterSpec {
 		return []collector.CounterSpec{{Port: 0, Dir: asic.TX, Kind: asic.KindBytes}}
 	}
@@ -248,14 +257,12 @@ func (e *Experiment) Table1SamplingLoss(ctx context.Context) (Table1Result, erro
 	for _, us := range []int64{1, 10, 25, 50, 100} {
 		cells = append(cells, Cell{App: workload.Web, Plan: plan, Interval: simclock.Micros(us)})
 	}
-	rows, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (Table1Row, error) {
+	return newJob("table1", cells, func(run *CellRun) (Table1Row, error) {
 		return Table1Row{Interval: run.Cell.Interval, MissRate: run.MissRate}, nil
+	}, func(rows []Table1Row) error {
+		res.Rows = rows
+		return nil
 	})
-	if err != nil {
-		return res, err
-	}
-	res.Rows = rows
-	return res, nil
 }
 
 // Format renders Table 1.
@@ -271,16 +278,14 @@ func (r Table1Result) Format() string {
 // ---------------------------------------------------------------------------
 // Fig 3 / Fig 4 / Table 2 / Fig 6 — single-counter byte campaigns.
 
-// byteFigures starts a report with the four figures of the single-counter
-// byte campaign — Figs 3, 4, 6 and Table 2 — assembled from byteCampaigns'
-// output; a figure whose statistic was not wanted comes out empty.
-func byteFigures(campaigns []*ByteStats) Report {
-	r := Report{
-		Fig3:   Fig3Result{Durations: make(AppECDF)},
-		Fig4:   Fig4Result{Gaps: make(AppECDF), KS: make(map[workload.App]stats.KSResult)},
-		Table2: Table2Result{Models: make(map[workload.App]stats.MarkovModel)},
-		Fig6:   Fig6Result{Utils: make(AppECDF), HotFrac: make(map[workload.App]float64)},
-	}
+// setByteFigures sets the report's four figures of the single-counter byte
+// campaign — Figs 3, 4, 6 and Table 2 — from byteCampaigns' output; a
+// figure whose statistic was not wanted comes out empty.
+func (r *Report) setByteFigures(campaigns []*ByteStats) {
+	r.Fig3 = Fig3Result{Durations: make(AppECDF)}
+	r.Fig4 = Fig4Result{Gaps: make(AppECDF), KS: make(map[workload.App]stats.KSResult)}
+	r.Table2 = Table2Result{Models: make(map[workload.App]stats.MarkovModel)}
+	r.Fig6 = Fig6Result{Utils: make(AppECDF), HotFrac: make(map[workload.App]float64)}
 	for _, st := range campaigns {
 		r.Fig3.Durations[st.App] = stats.NewECDF(st.Durations)
 		r.Fig4.Gaps[st.App] = stats.NewECDF(st.Gaps)
@@ -291,7 +296,6 @@ func byteFigures(campaigns []*ByteStats) Report {
 			r.Fig6.HotFrac[st.App] = float64(st.HotSamples) / float64(len(st.Utils))
 		}
 	}
-	return r
 }
 
 // Fig3Result is the µburst duration CDF per application.
@@ -304,7 +308,9 @@ type Fig3Result struct {
 // closed bursts are retained.
 func (e *Experiment) Fig3BurstDurations(ctx context.Context) (Fig3Result, error) {
 	campaigns, err := e.byteCampaigns(ctx, ByteWant{Durations: true})
-	return byteFigures(campaigns).Fig3, err
+	var r Report
+	r.setByteFigures(campaigns)
+	return r.Fig3, err
 }
 
 // Format renders the Fig 3 summary rows.
@@ -335,7 +341,9 @@ type Fig4Result struct {
 // emitted by the BurstSegmenter as each following burst arms.
 func (e *Experiment) Fig4InterBurstGaps(ctx context.Context) (Fig4Result, error) {
 	campaigns, err := e.byteCampaigns(ctx, ByteWant{Gaps: true})
-	return byteFigures(campaigns).Fig4, err
+	var r Report
+	r.setByteFigures(campaigns)
+	return r.Fig4, err
 }
 
 // Format renders the Fig 4 summary rows.
@@ -364,7 +372,9 @@ type Table2Result struct {
 // transition counts (one MarkovAcc per window, merged across windows).
 func (e *Experiment) Table2BurstMarkov(ctx context.Context) (Table2Result, error) {
 	campaigns, err := e.byteCampaigns(ctx, ByteWant{Markov: true})
-	return byteFigures(campaigns).Table2, err
+	var r Report
+	r.setByteFigures(campaigns)
+	return r.Table2, err
 }
 
 // Format renders Table 2.
@@ -392,7 +402,9 @@ type Fig6Result struct {
 // samples, counting hot samples inline.
 func (e *Experiment) Fig6UtilizationCDF(ctx context.Context) (Fig6Result, error) {
 	campaigns, err := e.byteCampaigns(ctx, ByteWant{Utils: true})
-	return byteFigures(campaigns).Fig6, err
+	var r Report
+	r.setByteFigures(campaigns)
+	return r.Fig6, err
 }
 
 // Format renders the Fig 6 summary rows.
@@ -422,7 +434,12 @@ type Fig5Result struct {
 // Fig5PacketSizes polls byte + size-bin counters together at 100 µs (the
 // §5.3 methodology) on random ports and classifies periods by utilization.
 func (e *Experiment) Fig5PacketSizes(ctx context.Context) (Fig5Result, error) {
-	res := Fig5Result{Mix: make(map[workload.App]analysis.PacketMixResult)}
+	return runJob(ctx, e, e.fig5Job)
+}
+
+// fig5Job is Fig5PacketSizes' campaign, filling res.
+func (e *Experiment) fig5Job(res *Fig5Result) *job {
+	*res = Fig5Result{Mix: make(map[workload.App]analysis.PacketMixResult)}
 	interval := 100 * simclock.Microsecond
 	var cells []Cell
 	for _, app := range workload.Apps {
@@ -436,7 +453,7 @@ func (e *Experiment) Fig5PacketSizes(ctx context.Context) (Fig5Result, error) {
 		}
 		cells = append(cells, e.campaignCells([]workload.App{app}, plan, interval, 0)...)
 	}
-	mixes, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (perCell[analysis.PacketMixResult], error) {
+	return newJob("fig5", cells, func(run *CellRun) (perCell[analysis.PacketMixResult], error) {
 		c := run.Cell
 		port := e.randomPort(c.App, c.RackID, c.Window)
 		// The cell polls exactly one port's byte + size-bin counters, so a
@@ -453,22 +470,20 @@ func (e *Experiment) Fig5PacketSizes(ctx context.Context) (Fig5Result, error) {
 			return perCell[analysis.PacketMixResult]{}, fmt.Errorf("fig5: %w", err)
 		}
 		return perCell[analysis.PacketMixResult]{app: c.App, v: m}, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	for _, m := range mixes {
-		agg, ok := res.Mix[m.app]
-		if !ok {
-			agg = analysis.PacketMixResult{Inside: analysis.NewSizeHistogram(), Outside: analysis.NewSizeHistogram()}
+	}, func(mixes []perCell[analysis.PacketMixResult]) error {
+		for _, m := range mixes {
+			agg, ok := res.Mix[m.app]
+			if !ok {
+				agg = analysis.PacketMixResult{Inside: analysis.NewSizeHistogram(), Outside: analysis.NewSizeHistogram()}
+			}
+			agg.Inside.Merge(m.v.Inside)
+			agg.Outside.Merge(m.v.Outside)
+			agg.InsidePeriods += m.v.InsidePeriods
+			agg.OutsidePeriods += m.v.OutsidePeriods
+			res.Mix[m.app] = agg
 		}
-		agg.Inside.Merge(m.v.Inside)
-		agg.Outside.Merge(m.v.Outside)
-		agg.InsidePeriods += m.v.InsidePeriods
-		agg.OutsidePeriods += m.v.OutsidePeriods
-		res.Mix[m.app] = agg
-	}
-	return res, nil
+		return nil
+	})
 }
 
 // Format renders the Fig 5 histograms.
@@ -518,8 +533,13 @@ type Fig7Result struct {
 // plus a coarse rebin: the paper's contrast between 40 µs imbalance and
 // 1 s balance.
 func (e *Experiment) Fig7UplinkMAD(ctx context.Context) (Fig7Result, error) {
+	return runJob(ctx, e, e.fig7Job)
+}
+
+// fig7Job is Fig7UplinkMAD's campaign, filling res.
+func (e *Experiment) fig7Job(res *Fig7Result) *job {
 	rack := e.Rack()
-	res := Fig7Result{MAD: make(map[workload.App]Fig7Curves)}
+	*res = Fig7Result{MAD: make(map[workload.App]Fig7Curves)}
 	// The paper contrasts 40µs with 1s; a scaled window may be shorter
 	// than 1s, so coarse means the whole window, capped at 1s.
 	res.CoarseBin = e.cfg.WindowDur
@@ -539,7 +559,7 @@ func (e *Experiment) Fig7UplinkMAD(ctx context.Context) (Fig7Result, error) {
 	}
 	type mads struct{ egFine, egCoarse, inFine, inCoarse []float64 }
 	cells := e.appGrid(plan, interval)
-	wins, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (perCell[mads], error) {
+	return newJob("fig7", cells, func(run *CellRun) (perCell[mads], error) {
 		// One streaming state per (uplink, direction): the utilization
 		// converter, the fine points (MAD needs the aligned matrix), and a
 		// coarse rebinner filling in one pass.
@@ -605,29 +625,27 @@ func (e *Experiment) Fig7UplinkMAD(ctx context.Context) (Fig7Result, error) {
 			egCoarse: analysis.UplinkMAD(egCoarse),
 			inCoarse: analysis.UplinkMAD(inCoarse),
 		}}, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	for _, app := range workload.Apps {
-		var m mads
-		for _, w := range wins {
-			if w.app != app {
-				continue
+	}, func(wins []perCell[mads]) error {
+		for _, app := range workload.Apps {
+			var m mads
+			for _, w := range wins {
+				if w.app != app {
+					continue
+				}
+				m.egFine = append(m.egFine, w.v.egFine...)
+				m.egCoarse = append(m.egCoarse, w.v.egCoarse...)
+				m.inFine = append(m.inFine, w.v.inFine...)
+				m.inCoarse = append(m.inCoarse, w.v.inCoarse...)
 			}
-			m.egFine = append(m.egFine, w.v.egFine...)
-			m.egCoarse = append(m.egCoarse, w.v.egCoarse...)
-			m.inFine = append(m.inFine, w.v.inFine...)
-			m.inCoarse = append(m.inCoarse, w.v.inCoarse...)
+			res.MAD[app] = Fig7Curves{
+				EgressFine:    stats.NewECDF(m.egFine),
+				EgressCoarse:  stats.NewECDF(m.egCoarse),
+				IngressFine:   stats.NewECDF(m.inFine),
+				IngressCoarse: stats.NewECDF(m.inCoarse),
+			}
 		}
-		res.MAD[app] = Fig7Curves{
-			EgressFine:    stats.NewECDF(m.egFine),
-			EgressCoarse:  stats.NewECDF(m.egCoarse),
-			IngressFine:   stats.NewECDF(m.inFine),
-			IngressCoarse: stats.NewECDF(m.inCoarse),
-		}
-	}
-	return res, nil
+		return nil
+	})
 }
 
 // Format renders the Fig 7 summary rows.
@@ -665,7 +683,12 @@ type Fig8Result struct {
 // Fig8ServerCorrelation polls every downlink at 250 µs (ToR→server) and
 // computes the Pearson matrix.
 func (e *Experiment) Fig8ServerCorrelation(ctx context.Context) (Fig8Result, error) {
-	res := Fig8Result{
+	return runJob(ctx, e, e.fig8Job)
+}
+
+// fig8Job is Fig8ServerCorrelation's campaign, filling res.
+func (e *Experiment) fig8Job(res *Fig8Result) *job {
+	*res = Fig8Result{
 		Corr:        make(map[workload.App][][]float64),
 		MeanOffDiag: make(map[workload.App]float64),
 		BlockScore:  make(map[workload.App]float64),
@@ -679,7 +702,7 @@ func (e *Experiment) Fig8ServerCorrelation(ctx context.Context) (Fig8Result, err
 			App: app, Plan: downlinkCounters(e.cfg.Servers, asic.KindBytes), Interval: interval,
 		})
 	}
-	corrs, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) ([][]float64, error) {
+	return newJob("fig8", cells, func(run *CellRun) ([][]float64, error) {
 		points := make([][]analysis.UtilPoint, e.cfg.Servers)
 		err := portUtils(run, e.cfg.Servers, func(port int, p analysis.UtilPoint) {
 			points[port] = append(points[port], p)
@@ -688,41 +711,39 @@ func (e *Experiment) Fig8ServerCorrelation(ctx context.Context) (Fig8Result, err
 			return nil, err
 		}
 		return analysis.ServerCorrelation(points), nil
-	})
-	if err != nil {
-		return res, err
-	}
-	for i, app := range workload.Apps {
-		corr := corrs[i]
-		res.Corr[app] = corr
+	}, func(corrs [][][]float64) error {
+		for i, app := range workload.Apps {
+			corr := corrs[i]
+			res.Corr[app] = corr
 
-		var sum float64
-		var n int
-		for i := range corr {
-			for j := i + 1; j < len(corr); j++ {
-				if v := corr[i][j]; v == v {
-					if v < 0 {
-						v = -v
+			var sum float64
+			var n int
+			for i := range corr {
+				for j := i + 1; j < len(corr); j++ {
+					if v := corr[i][j]; v == v {
+						if v < 0 {
+							v = -v
+						}
+						sum += v
+						n++
 					}
-					sum += v
-					n++
 				}
 			}
-		}
-		if n > 0 {
-			res.MeanOffDiag[app] = sum / float64(n)
-		}
-
-		params := e.cfg.params(app)
-		if params.GroupCount > 0 && params.GroupSpan > 0 {
-			groupOf := make([]int, e.cfg.Servers)
-			for s := range groupOf {
-				groupOf[s] = (s / params.GroupSpan) % params.GroupCount
+			if n > 0 {
+				res.MeanOffDiag[app] = sum / float64(n)
 			}
-			res.BlockScore[app] = analysis.GroupBlockScore(corr, groupOf)
+
+			params := e.cfg.params(app)
+			if params.GroupCount > 0 && params.GroupSpan > 0 {
+				groupOf := make([]int, e.cfg.Servers)
+				for s := range groupOf {
+					groupOf[s] = (s / params.GroupSpan) % params.GroupCount
+				}
+				res.BlockScore[app] = analysis.GroupBlockScore(corr, groupOf)
+			}
 		}
-	}
-	return res, nil
+		return nil
+	})
 }
 
 // Format renders the Fig 8 summary rows.
@@ -752,11 +773,16 @@ type Fig9Result struct {
 
 // Fig9HotPortShare polls every port at 300 µs and classifies hot samples.
 func (e *Experiment) Fig9HotPortShare(ctx context.Context) (Fig9Result, error) {
+	return runJob(ctx, e, e.fig9Job)
+}
+
+// fig9Job is Fig9HotPortShare's campaign, filling res.
+func (e *Experiment) fig9Job(res *Fig9Result) *job {
 	rack := e.Rack()
-	res := Fig9Result{Share: make(map[workload.App]analysis.HotShare)}
+	*res = Fig9Result{Share: make(map[workload.App]analysis.HotShare)}
 	interval := 300 * simclock.Microsecond
 	cells := e.appGrid(AllPortCounters(false), interval)
-	shares, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (perCell[analysis.HotShare], error) {
+	return newJob("fig9", cells, func(run *CellRun) (perCell[analysis.HotShare], error) {
 		ports := rack.NumPorts()
 		hot := make([]int, ports)
 		err := portUtils(run, ports, func(port int, p analysis.UtilPoint) {
@@ -776,17 +802,15 @@ func (e *Experiment) Fig9HotPortShare(ctx context.Context) (Fig9Result, error) {
 			}
 		}
 		return perCell[analysis.HotShare]{app: run.Cell.App, v: share}, nil
+	}, func(shares []perCell[analysis.HotShare]) error {
+		for _, s := range shares {
+			share := res.Share[s.app]
+			share.UplinkHot += s.v.UplinkHot
+			share.DownlinkHot += s.v.DownlinkHot
+			res.Share[s.app] = share
+		}
+		return nil
 	})
-	if err != nil {
-		return res, err
-	}
-	for _, s := range shares {
-		share := res.Share[s.app]
-		share.UplinkHot += s.v.UplinkHot
-		share.DownlinkHot += s.v.DownlinkHot
-		res.Share[s.app] = share
-	}
-	return res, nil
 }
 
 // portUtils feeds the egress byte samples of ports [0, n) of a cell through
@@ -846,8 +870,13 @@ type Fig10Result struct {
 // buffer's peak register at 300 µs and groups 50 ms-scaled windows by the
 // number of hot ports.
 func (e *Experiment) Fig10BufferOccupancy(ctx context.Context) (Fig10Result, error) {
+	return runJob(ctx, e, e.fig10Job)
+}
+
+// fig10Job is Fig10BufferOccupancy's campaign, filling res.
+func (e *Experiment) fig10Job(res *Fig10Result) *job {
 	rack := e.Rack()
-	res := Fig10Result{
+	*res = Fig10Result{
 		Box:          make(map[workload.App]map[int]stats.BoxplotSummary),
 		MaxHotFrac:   make(map[workload.App]float64),
 		MeanPeakLow:  make(map[workload.App]float64),
@@ -864,7 +893,7 @@ func (e *Experiment) Fig10BufferOccupancy(ctx context.Context) (Fig10Result, err
 		window = simclock.Millisecond
 	}
 	cells := e.appGrid(AllPortCounters(true), interval)
-	wins, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (perCell[[]analysis.BufferWindow], error) {
+	return newJob("fig10", cells, func(run *CellRun) (perCell[[]analysis.BufferWindow], error) {
 		ports := rack.NumPorts()
 		acc, err := analysis.NewBufferWindowAcc(window, analysis.DefaultHotThreshold)
 		if err != nil {
@@ -879,64 +908,62 @@ func (e *Experiment) Fig10BufferOccupancy(ctx context.Context) (Fig10Result, err
 			return perCell[[]analysis.BufferWindow]{}, err
 		}
 		return perCell[[]analysis.BufferWindow]{app: run.Cell.App, v: acc.Windows()}, nil
-	})
-	if err != nil {
-		return res, err
-	}
-	for _, app := range workload.Apps {
-		var windows []analysis.BufferWindow
-		for _, w := range wins {
-			if w.app == app {
-				windows = append(windows, w.v...)
+	}, func(wins []perCell[[]analysis.BufferWindow]) error {
+		for _, app := range workload.Apps {
+			var windows []analysis.BufferWindow
+			for _, w := range wins {
+				if w.app == app {
+					windows = append(windows, w.v...)
+				}
 			}
-		}
-		res.Box[app] = analysis.BufferBoxplots(windows)
-		res.MaxHotFrac[app] = analysis.MaxHotPortFraction(windows, rack.NumPorts())
+			res.Box[app] = analysis.BufferBoxplots(windows)
+			res.MaxHotFrac[app] = analysis.MaxHotPortFraction(windows, rack.NumPorts())
 
-		// Normalize peaks (same normalization as the boxplots) and split
-		// into low/high hot-port regimes.
-		var maxPeak float64
-		for _, w := range windows {
-			if w.PeakBytes > maxPeak {
-				maxPeak = w.PeakBytes
+			// Normalize peaks (same normalization as the boxplots) and split
+			// into low/high hot-port regimes.
+			var maxPeak float64
+			for _, w := range windows {
+				if w.PeakBytes > maxPeak {
+					maxPeak = w.PeakBytes
+				}
+			}
+			hotCounts := make([]int, 0, len(windows))
+			for _, w := range windows {
+				hotCounts = append(hotCounts, w.HotPorts)
+			}
+			sort.Ints(hotCounts)
+			highCut := 3
+			if len(hotCounts) > 0 {
+				highCut = hotCounts[len(hotCounts)*3/4]
+				if highCut < 3 {
+					highCut = 3
+				}
+			}
+			var lowSum, highSum float64
+			var lowN, highN int
+			for _, w := range windows {
+				if maxPeak == 0 {
+					continue
+				}
+				v := w.PeakBytes / maxPeak
+				if w.HotPorts <= 2 {
+					lowSum += v
+					lowN++
+				}
+				if w.HotPorts >= highCut {
+					highSum += v
+					highN++
+				}
+			}
+			if lowN > 0 {
+				res.MeanPeakLow[app] = lowSum / float64(lowN)
+			}
+			if highN > 0 {
+				res.MeanPeakHigh[app] = highSum / float64(highN)
 			}
 		}
-		hotCounts := make([]int, 0, len(windows))
-		for _, w := range windows {
-			hotCounts = append(hotCounts, w.HotPorts)
-		}
-		sort.Ints(hotCounts)
-		highCut := 3
-		if len(hotCounts) > 0 {
-			highCut = hotCounts[len(hotCounts)*3/4]
-			if highCut < 3 {
-				highCut = 3
-			}
-		}
-		var lowSum, highSum float64
-		var lowN, highN int
-		for _, w := range windows {
-			if maxPeak == 0 {
-				continue
-			}
-			v := w.PeakBytes / maxPeak
-			if w.HotPorts <= 2 {
-				lowSum += v
-				lowN++
-			}
-			if w.HotPorts >= highCut {
-				highSum += v
-				highN++
-			}
-		}
-		if lowN > 0 {
-			res.MeanPeakLow[app] = lowSum / float64(lowN)
-		}
-		if highN > 0 {
-			res.MeanPeakHigh[app] = highSum / float64(highN)
-		}
-	}
-	return res, nil
+		return nil
+	})
 }
 
 // Format renders the Fig 10 summary rows.

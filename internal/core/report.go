@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strings"
 )
 
@@ -25,42 +24,30 @@ type Report struct {
 	Implications ImplicationsResult
 }
 
-// RunAll produces the full report. The single-counter byte campaign is
-// simulated once per app with every statistic enabled; Figs 3, 4, 6,
-// Table 2 and §7 all reduce that one data set, mirroring the paper's
-// campaign reuse.
+// RunAll produces the full report. Every figure's cells go to the pool in
+// one Run, so cells that share a rack-window poll one simulated rack, as
+// the paper's analyses all read the same production racks. The
+// single-counter byte campaign is simulated once per app with every
+// statistic enabled; Figs 3, 4, 6, Table 2 and §7 all reduce that one
+// data set, mirroring the paper's campaign reuse.
 func (e *Experiment) RunAll(ctx context.Context) (*Report, error) {
-	campaigns, err := e.byteCampaigns(ctx, ByteWant{Durations: true, Gaps: true, Utils: true, Markov: true})
-	if err != nil {
+	campaigns, jobs := e.byteCampaignJobs(ByteWant{Durations: true, Gaps: true, Utils: true, Markov: true})
+	var r Report
+	jobs = append(jobs,
+		e.fig1Job(&r.Fig1),
+		e.fig2Job(&r.Fig2),
+		e.table1Job(&r.Table1),
+		e.fig5Job(&r.Fig5),
+		e.fig7Job(&r.Fig7),
+		e.fig8Job(&r.Fig8),
+		e.fig9Job(&r.Fig9),
+		e.fig10Job(&r.Fig10),
+	)
+	if err := e.Runner().runJobs(ctx, jobs...); err != nil {
 		return nil, err
 	}
-	r := byteFigures(campaigns)
+	r.setByteFigures(campaigns)
 	r.Implications = implications(campaigns)
-
-	if r.Fig1, err = e.Fig1DropUtilScatter(ctx); err != nil {
-		return nil, fmt.Errorf("fig1: %w", err)
-	}
-	if r.Fig2, err = e.Fig2DropTimeSeries(ctx); err != nil {
-		return nil, fmt.Errorf("fig2: %w", err)
-	}
-	if r.Table1, err = e.Table1SamplingLoss(ctx); err != nil {
-		return nil, fmt.Errorf("table1: %w", err)
-	}
-	if r.Fig5, err = e.Fig5PacketSizes(ctx); err != nil {
-		return nil, fmt.Errorf("fig5: %w", err)
-	}
-	if r.Fig7, err = e.Fig7UplinkMAD(ctx); err != nil {
-		return nil, fmt.Errorf("fig7: %w", err)
-	}
-	if r.Fig8, err = e.Fig8ServerCorrelation(ctx); err != nil {
-		return nil, fmt.Errorf("fig8: %w", err)
-	}
-	if r.Fig9, err = e.Fig9HotPortShare(ctx); err != nil {
-		return nil, fmt.Errorf("fig9: %w", err)
-	}
-	if r.Fig10, err = e.Fig10BufferOccupancy(ctx); err != nil {
-		return nil, fmt.Errorf("fig10: %w", err)
-	}
 	return &r, nil
 }
 

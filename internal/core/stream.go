@@ -20,7 +20,7 @@ import (
 // accumulators. A reduction keeps closed bursts, gaps and transition
 // counts — sparse in the sample stream — never a materialized UtilPoint
 // series. The 25 µs single-counter campaign is simulated and reduced here
-// once per report (byteCampaigns): Figs 3, 4, 6, Table 2 (byteFigures) and
+// once per report (byteCampaigns): Figs 3, 4, 6, Table 2 (setByteFigures) and
 // §7 (implications) all read the same ByteStats. equivalence_test.go checks
 // every runner here against a materialize-then-reduce composition of the
 // same data.
@@ -151,12 +151,16 @@ func (b *byteReducer) close() error {
 // one pass over its samples, at analysis.DefaultHotThreshold. A damaged
 // cell fails the campaign.
 func (e *Experiment) StreamByteStats(ctx context.Context, app workload.App, interval simclock.Duration, want ByteWant) (*ByteStats, error) {
-	return e.byteStats(ctx, app, interval, want, false)
+	res := &ByteStats{}
+	if err := e.Runner().runJobs(ctx, e.byteJob(res, app, interval, want, false)); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// byteStats is StreamByteStats, optionally feeding every cell's points to
-// its own pair of §7 online detectors.
-func (e *Experiment) byteStats(ctx context.Context, app workload.App, interval simclock.Duration, want ByteWant, detectors bool) (*ByteStats, error) {
+// byteJob is StreamByteStats' campaign, filling res, optionally feeding
+// every cell's points to its own pair of §7 online detectors.
+func (e *Experiment) byteJob(res *ByteStats, app workload.App, interval simclock.Duration, want ByteWant, detectors bool) *job {
 	if interval <= 0 {
 		interval = ByteCampaignInterval
 	}
@@ -166,7 +170,7 @@ func (e *Experiment) byteStats(ctx context.Context, app workload.App, interval s
 		port int
 	}
 	cells := e.campaignCells([]workload.App{app}, e.RandomPortCounters(app), interval, 0)
-	wins, err := RunCells(ctx, e.Runner(), cells, func(run *CellRun) (cellStats, error) {
+	return newJob("byte campaign "+app.String(), cells, func(run *CellRun) (cellStats, error) {
 		port := e.randomPort(app, run.Cell.RackID, run.Cell.Window)
 		red := newByteReducer(run.Net.Switch().Port(port).Speed(), threshold, want)
 		if detectors {
@@ -184,45 +188,51 @@ func (e *Experiment) byteStats(ctx context.Context, app workload.App, interval s
 			return cellStats{}, err
 		}
 		return cellStats{red, port}, nil
+	}, func(wins []cellStats) error {
+		*res = ByteStats{App: app, Interval: interval}
+		var mk stats.MarkovAcc
+		for _, w := range wins {
+			res.bursts = append(res.bursts, w.bursts...)
+			res.Gaps = append(res.Gaps, w.gaps...)
+			res.Utils = append(res.Utils, w.utils...)
+			res.HotSamples += w.hot
+			res.Ports = append(res.Ports, w.port)
+			mk.Merge(&w.mk)
+			res.thEvents = append(res.thEvents, w.thEvents...)
+			res.ewEvents = append(res.ewEvents, w.ewEvents...)
+		}
+		if len(res.bursts) > 0 {
+			res.Durations = analysis.BurstDurations(res.bursts)
+		}
+		if want.Markov {
+			res.Markov = mk.Model()
+		}
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	res := &ByteStats{App: app, Interval: interval}
-	var mk stats.MarkovAcc
-	for _, w := range wins {
-		res.bursts = append(res.bursts, w.bursts...)
-		res.Gaps = append(res.Gaps, w.gaps...)
-		res.Utils = append(res.Utils, w.utils...)
-		res.HotSamples += w.hot
-		res.Ports = append(res.Ports, w.port)
-		mk.Merge(&w.mk)
-		res.thEvents = append(res.thEvents, w.thEvents...)
-		res.ewEvents = append(res.ewEvents, w.ewEvents...)
-	}
-	if len(res.bursts) > 0 {
-		res.Durations = analysis.BurstDurations(res.bursts)
-	}
-	if want.Markov {
-		res.Markov = mk.Model()
-	}
-	return res, nil
 }
 
 // byteCampaigns runs the 25 µs single-counter campaign once per app, in
 // workload.Apps order — the one data set behind Figs 3, 4, 6, Table 2 and
-// §7. The web cells also feed §7's online detectors whenever the bursts
-// they are evaluated against are kept.
+// §7.
 func (e *Experiment) byteCampaigns(ctx context.Context, want ByteWant) ([]*ByteStats, error) {
-	var out []*ByteStats
-	for _, app := range workload.Apps {
-		st, err := e.byteStats(ctx, app, 0, want, app == detectorApp && want.Durations)
-		if err != nil {
-			return nil, fmt.Errorf("byte campaign %v: %w", app, err)
-		}
-		out = append(out, st)
+	campaigns, jobs := e.byteCampaignJobs(want)
+	if err := e.Runner().runJobs(ctx, jobs...); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return campaigns, nil
+}
+
+// byteCampaignJobs is byteCampaigns' jobs, one per app, and the results
+// they fill. The web cells also feed §7's online detectors whenever the
+// bursts they are evaluated against are kept.
+func (e *Experiment) byteCampaignJobs(want ByteWant) ([]*ByteStats, []*job) {
+	campaigns := make([]*ByteStats, len(workload.Apps))
+	jobs := make([]*job, len(workload.Apps))
+	for i, app := range workload.Apps {
+		campaigns[i] = &ByteStats{}
+		jobs[i] = e.byteJob(campaigns[i], app, 0, want, app == detectorApp && want.Durations)
+	}
+	return campaigns, jobs
 }
 
 // TraceAnalysis is the reduction of a recorded trace for one analysis

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mburst/internal/core"
+	"mburst/internal/obs"
 	"mburst/internal/simclock"
 	"mburst/internal/workload"
 )
@@ -48,6 +49,28 @@ func TestSamplingIntervalSweep(t *testing.T) {
 	out := res.Format()
 	if !strings.Contains(out, "sampling-interval") || !strings.Contains(out, "miss-rate-%") {
 		t.Errorf("format:\n%s", out)
+	}
+}
+
+// TestSamplingIntervalSimulatesOneRack: every interval of the sweep polls
+// the same rack-window, so the five cells share one simulated rack.
+func TestSamplingIntervalSimulatesOneRack(t *testing.T) {
+	cfg := sweepConfig()
+	cfg.Metrics = obs.NewRegistry()
+	intervals := []simclock.Duration{
+		10 * simclock.Microsecond,
+		25 * simclock.Microsecond,
+		50 * simclock.Microsecond,
+		100 * simclock.Microsecond,
+		200 * simclock.Microsecond,
+	}
+	if _, err := SamplingInterval(context.Background(), cfg, workload.Web, intervals); err != nil {
+		t.Fatal(err)
+	}
+	cells := cfg.Metrics.Counter("mburst_runner_cells_completed_total", "").Value()
+	windows := cfg.Metrics.Counter("mburst_campaign_windows_total", "").Value()
+	if cells != 5 || windows != 1 {
+		t.Errorf("%d cells on %d simulated rack-windows, want 5 on 1", cells, windows)
 	}
 }
 

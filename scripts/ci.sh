@@ -85,10 +85,13 @@ go test -race -count=10 -cpu 1,2 -run 'TestServerCoalescesFrameReads|TestReaderR
 # ref… functions (refAdd, refApplyTick, refScheduler) that testing/quick
 # compares against, and the per-tick, per-event and per-poll paths have
 # zero-allocation counts. quick.Check draws a fresh seed each run, so
-# twenty repetitions check twenty times the generated cases. No step reads
-# a clock.
+# twenty repetitions check twenty times the generated cases. The grouped
+# campaign runner is held the same way to refRunCell, the one-rack-per-cell
+# runner it replaced: each repetition draws its groups from the next seed.
+# No step reads a clock.
 go test -count=20 -run 'MatchesReference|QuickSortedFiring|AllocatesNothing' \
 	./internal/asic ./internal/eventq ./internal/simnet ./internal/collector
+go test -count=20 -run TestGroupedCellsMatchReference ./internal/core
 
 # Chaos soak: generated fault schedules against the collection pipeline,
 # asserting byte-exact recovery against ASIC ground truth, zero-fault

@@ -43,6 +43,10 @@ fail() {
 start_collectd() {
 	dir=$1
 	shift
+	# Empty the log first: the background job truncates it only once it
+	# runs, and until then the loop below would read the previous
+	# collector's address.
+	: >"$TMP/collectd.log"
 	"$TMP/bin/mbcollectd" -listen 127.0.0.1:0 -archive "$dir" -stats 50ms "$@" 2>"$TMP/collectd.log" &
 	PID=$!
 	ADDR=
