@@ -54,26 +54,34 @@ import (
 	"mburst/internal/workload"
 )
 
-func main() {
-	collectorAddr := flag.String("collector", "127.0.0.1:9900", "mbcollectd address")
-	appName := flag.String("app", "web", "application rack type")
-	port := flag.Int("port", 0, "switch port to poll")
-	interval := flag.Duration("interval", 25*time.Microsecond, "sampling interval")
-	dur := flag.Duration("dur", 2*time.Second, "simulated duration to record")
-	servers := flag.Int("servers", 32, "servers per rack")
-	seed := flag.Uint64("seed", 1, "seed")
-	rackID := flag.Uint("rack", 0, "rack id tag")
-	epoch := flag.Uint("epoch", 0, "agent incarnation number; bump on restart so an epoch-gated collector discards stale batches (0 = never restarted)")
-	spool := flag.Int("spool", 0, "retransmit spool bound in samples while the collector is down; size to outage duration x sample rate (0 = same as the in-flight buffer)")
-	shardAddrs := flag.String("shards", "", "comma-separated shard collector addresses in placement index order; the agent dials the shard the placement assigns its -rack (overrides -collector)")
-	placementSeed := flag.Uint64("placementseed", 1, "rendezvous placement seed (must match the collectors')")
-	httpAddr := flag.String("http", "", "debug HTTP address (/metrics, /stats, /healthz, /debug/pprof/)")
-	tracing := flag.Bool("tracing", false, "record client-side pipeline spans and serve /spans and /tracez (needs -http)")
-	traceRate := flag.Float64("tracerate", 0, "fraction of batch traces kept by the deterministic head sampler (0 = all)")
-	traceCap := flag.Int("tracecap", ptrace.DefaultCapacity, "span ring capacity")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-	logger := obs.DaemonLogger("mbagent")
+// run is the agent: it parses args, streams the simulated rack's samples
+// to the collector, logs to stderr, and returns the exit code.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mbagent", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	collectorAddr := fs.String("collector", "127.0.0.1:9900", "mbcollectd address")
+	appName := fs.String("app", "web", "application rack type")
+	port := fs.Int("port", 0, "switch port to poll")
+	interval := fs.Duration("interval", 25*time.Microsecond, "sampling interval")
+	dur := fs.Duration("dur", 2*time.Second, "simulated duration to record")
+	servers := fs.Int("servers", 32, "servers per rack")
+	seed := fs.Uint64("seed", 1, "seed")
+	rackID := fs.Uint("rack", 0, "rack id tag")
+	epoch := fs.Uint("epoch", 0, "agent incarnation number; bump on restart so an epoch-gated collector discards stale batches (0 = never restarted)")
+	spool := fs.Int("spool", 0, "retransmit spool bound in samples while the collector is down; size to outage duration x sample rate (0 = same as the in-flight buffer)")
+	shardAddrs := fs.String("shards", "", "comma-separated shard collector addresses in placement index order; the agent dials the shard the placement assigns its -rack (overrides -collector)")
+	placementSeed := fs.Uint64("placementseed", 1, "rendezvous placement seed (must match the collectors')")
+	httpAddr := fs.String("http", "", "debug HTTP address (/metrics, /stats, /healthz, /debug/pprof/)")
+	tracing := fs.Bool("tracing", false, "record client-side pipeline spans and serve /spans and /tracez (needs -http)")
+	traceRate := fs.Float64("tracerate", 0, "fraction of batch traces kept by the deterministic head sampler (0 = all)")
+	traceCap := fs.Int("tracecap", ptrace.DefaultCapacity, "span ring capacity")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	logger := obs.DaemonLoggerTo(stderr, "mbagent")
 	reg := obs.NewRegistry()
 	obs.RegisterGoRuntime(reg)
 
@@ -90,7 +98,7 @@ func main() {
 	app, err := workload.ParseApp(*appName)
 	if err != nil {
 		logger.Error("parsing app", "err", err)
-		os.Exit(2)
+		return 2
 	}
 	net_, err := simnet.New(simnet.Config{
 		Rack:   topo.Default(*servers),
@@ -100,11 +108,11 @@ func main() {
 	})
 	if err != nil {
 		logger.Error("building rack", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	if *port < 0 || *port >= net_.Rack().NumPorts() {
 		logger.Error("port out of range", "port", *port, "ports", net_.Rack().NumPorts())
-		os.Exit(2)
+		return 2
 	}
 	net_.RegisterMetrics(reg, obs.L("rack", fmt.Sprint(*rackID)))
 	net_.Scheduler().Instrument(reg)
@@ -118,13 +126,13 @@ func main() {
 		pl, err := shard.Uniform(len(addrs), *placementSeed)
 		if err != nil {
 			logger.Error("building placement", "err", err)
-			os.Exit(2)
+			return 2
 		}
 		owner := pl.ShardOf(uint32(*rackID))
 		dialAddr = strings.TrimSpace(addrs[owner])
 		if dialAddr == "" {
 			logger.Error("empty address for owning shard", "shard", owner)
-			os.Exit(2)
+			return 2
 		}
 		logger.Info("placed", "rack", *rackID, "shard", owner,
 			"name", pl.Name(owner), "collector", dialAddr)
@@ -149,7 +157,7 @@ func main() {
 	}, net_.Switch(), rng.New(*seed^0xa9e47), client)
 	if err != nil {
 		logger.Error("building poller", "err", err)
-		os.Exit(1)
+		return 1
 	}
 
 	if *httpAddr != "" {
@@ -161,7 +169,7 @@ func main() {
 		ds, err := obs.StartDebug(*httpAddr, mux)
 		if err != nil {
 			logger.Error("debug http", "addr", *httpAddr, "err", err)
-			os.Exit(1)
+			return 1
 		}
 		defer ds.Close()
 		logger.Info("debug http listening", "url", fmt.Sprintf("http://%s/metrics", ds.Addr()))
@@ -180,4 +188,5 @@ func main() {
 	logger.Info("done",
 		"samples", poller.Samples(), "miss_rate", fmt.Sprintf("%.2f%%", poller.MissRate()*100),
 		"delivery", client.String())
+	return 0
 }

@@ -42,7 +42,7 @@ import (
 
 // Direction selects the RX (received by the switch on that port) or TX
 // (transmitted by the switch out of that port) side of a port's counters.
-type Direction int
+type Direction uint8
 
 const (
 	// RX counts traffic arriving at the switch on a port.
@@ -118,7 +118,7 @@ func (p TrafficProfile) MeanPacketSize() float64 {
 
 // CounterKind identifies a pollable counter family; the collection
 // framework uses it to model per-counter access latency.
-type CounterKind int
+type CounterKind uint8
 
 const (
 	// KindBytes is the cumulative byte counter (fast: register access).

@@ -159,6 +159,12 @@ type RecoveryMetrics struct {
 	// IngestFailures counts batches dropped because the archive stopped
 	// accepting writes.
 	IngestFailures *obs.Counter
+	// ArchivePassed and ArchiveEncoded count the frames the archive wrote,
+	// by how (see wire.Writer): passed through as the agent sent them, or
+	// encoded again — a rack's first frame after a segment roll, a frame
+	// out of step with the archive's chain, a batch built in process.
+	ArchivePassed  *obs.Counter
+	ArchiveEncoded *obs.Counter
 	// CheckpointBytes is the size of the newest checkpoint: the last one
 	// saved, or after a Resume the one it loaded.
 	CheckpointBytes *obs.Gauge
@@ -205,6 +211,10 @@ func NewRecoveryMetrics(reg *obs.Registry, labels ...obs.Label) *RecoveryMetrics
 			"Archived batches replayed into restored accumulators at resume.", labels...),
 		IngestFailures: reg.Counter("mburst_collector_ingest_failures_total",
 			"Batches dropped because the archive stopped accepting writes.", labels...),
+		ArchivePassed: reg.Counter("mburst_collector_archive_frames_passed_total",
+			"Archived frames written as the agent sent them.", labels...),
+		ArchiveEncoded: reg.Counter("mburst_collector_archive_frames_encoded_total",
+			"Archived frames the archive encoded itself.", labels...),
 		CheckpointBytes: reg.Gauge("mburst_collector_checkpoint_bytes",
 			"Size of the newest checkpoint file (last saved, or loaded at resume).", labels...),
 		CheckpointSeconds: reg.Histogram("mburst_collector_checkpoint_seconds",

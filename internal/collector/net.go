@@ -118,7 +118,8 @@ func (c *Client) Close() error {
 // once per connection goroutine. The batch (and its Samples slice) is
 // only valid for the duration of the call — the server reuses it for the
 // next batch on the connection — so handlers that retain samples must
-// copy the values out.
+// copy the values out. A handler must not modify b: an archive writes the
+// frame b arrived in, which says what b said when it was decoded.
 type BatchHandler func(b *wire.Batch)
 
 // ServerConfig tunes a Server beyond the defaults.

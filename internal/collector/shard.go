@@ -80,7 +80,16 @@ type Shard struct {
 	every     int
 	sinceCkpt int
 	ckptBuf   []byte // checkpoint encode buffer, reused across saves
+
+	// frames is the archive's frame count, when it keeps one, and
+	// framesSeen its reading after the last write.
+	frames     archiveFrames
+	framesSeen wire.FrameCounts
 }
+
+// archiveFrames is an ArchiveSink that counts how it wrote each frame, as
+// *trace.ArchiveWriter does.
+type archiveFrames interface{ Frames() wire.FrameCounts }
 
 // Validate reports what NewShard would reject, building nothing: a caller
 // about to create the archive the shard will write to checks the rest of
@@ -122,6 +131,7 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 	if cfg.RecoveryMetrics != nil {
 		s.rec = *cfg.RecoveryMetrics
 	}
+	s.frames, _ = cfg.Archive.(archiveFrames)
 	return s, nil
 }
 
@@ -157,6 +167,12 @@ func (s *Shard) Handle(b *wire.Batch) {
 			s.err = fmt.Errorf("collector: archive write: %w", err)
 			s.rec.IngestFailures.Inc()
 			return
+		}
+		if s.frames != nil {
+			f := s.frames.Frames()
+			s.rec.ArchivePassed.Add(f.Passed - s.framesSeen.Passed)
+			s.rec.ArchiveEncoded.Add(f.Encoded - s.framesSeen.Encoded)
+			s.framesSeen = f
 		}
 	}
 	s.record(b)

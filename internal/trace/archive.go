@@ -292,6 +292,15 @@ func (w *ArchiveWriter) fsync() error {
 	return nil
 }
 
+// Frames returns how this writer wrote its frames, across its segments:
+// passed through as received, or encoded (see wire.Writer).
+func (w *ArchiveWriter) Frames() wire.FrameCounts {
+	if w.bw == nil {
+		return wire.FrameCounts{}
+	}
+	return w.bw.Frames()
+}
+
 // Batches returns the total batches accepted across all segments,
 // including ones recovered from earlier incarnations — the coordinate
 // the collector checkpoint records as its archive high-water mark.

@@ -26,6 +26,46 @@ func segmentBytes(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// passThroughSegment is a segment as a durable shard writes it after a
+// roll: two racks' agent streams, decoded and archived, where rack 1's
+// stream continues from the segment before. Its first frame is rack 1's,
+// encoded to catch the new segment's chain up; the three after it — rack
+// 2's first, then one more of each — pass through as the agents sent
+// them. ends are the frame boundaries.
+func passThroughSegment(tb testing.TB) (seg []byte, ends []int) {
+	agents := map[uint32]*bytes.Buffer{1: {}, 2: {}}
+	readers, writers := map[uint32]*wire.Reader{}, map[uint32]*wire.Writer{}
+	for rack, buf := range agents {
+		readers[rack], writers[rack] = wire.NewReader(buf), wire.NewWriter(buf)
+	}
+	var before, out bytes.Buffer
+	arch := wire.NewWriter(&before)
+	for i, rack := range []uint32{1, 1, 2, 1, 2} {
+		if i == 1 {
+			arch.Reset(&out) // the roll
+		}
+		b := archiveBatch(i, 16)
+		b.Rack = rack
+		if err := writers[rack].WriteBatch(b); err != nil {
+			tb.Fatal(err)
+		}
+		got, err := readers[rack].ReadBatch()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := arch.WriteBatch(got); err != nil {
+			tb.Fatal(err)
+		}
+		if i > 0 {
+			ends = append(ends, out.Len())
+		}
+	}
+	if f := arch.Frames(); f.Encoded != 1 || f.Passed != 4 {
+		tb.Fatalf("segment written as %+v, want one frame encoded and the rest passed through", f)
+	}
+	return out.Bytes(), ends
+}
+
 // FuzzTraceRecover feeds arbitrary bytes to the recovery scan three
 // ways: as a collector's crashed open segment, as the sealed middle
 // segment of a collector's log whose manifest entry they do not match,
@@ -58,6 +98,11 @@ func FuzzTraceRecover(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0x40
 		f.Add(flipped)
 	}
+	// A shard's segment torn inside the rack's first, encoded frame, and
+	// inside a frame that passed through.
+	pt, ends := passThroughSegment(f)
+	f.Add(pt[:ends[0]/2])
+	f.Add(pt[:(ends[1]+ends[2])/2])
 	f.Add([]byte{})
 	f.Add([]byte{0x4d, 0x42, 0x57, 0x31})
 	// A torn stream whose first frame spells its length as a non-minimal

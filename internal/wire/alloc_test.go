@@ -106,3 +106,33 @@ func TestMBW3DecodeAllocatesNothing(t *testing.T) {
 		t.Errorf("DecodePayload allocates %v times per pass, want 0", allocs)
 	}
 }
+
+// TestManyRacksCostWhatArrived reads a stream whose every frame names a
+// new rack: the Reader keeps a chain per rack, and those may cost memory
+// in proportion to the bytes that arrived — at most 16 B per byte, an
+// empty chain and its map entry against a 15-byte frame — and no more.
+func TestManyRacksCostWhatArrived(t *testing.T) {
+	const racks = 20_000
+	var stream []byte
+	for rack := uint64(0); rack < racks; rack++ {
+		stream = appendFrame(stream, Magic4, emptyPayload(rack*7919, 1))
+	}
+	r := NewReader(bytes.NewReader(stream))
+	r.SetReuse(true)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := 0; ; n++ {
+		if _, err := r.ReadBatch(); err == io.EOF {
+			if n != racks {
+				t.Fatalf("read %d frames, want %d", n, racks)
+			}
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(stream)); got > limit {
+		t.Errorf("%d racks in %d B of frames cost %d B of allocation, want at most %d", racks, len(stream), got, limit)
+	}
+}

@@ -22,8 +22,9 @@ const (
 	// FormatMBW3 is the columnar delta format: per-series zigzag-varint
 	// deltas of cumulative counters with run-length-compressed columns.
 	// Deltas chain across batches (the first batch of a stream — or of a
-	// new epoch — carries absolutes), so an MBW3 codec is stateful and
-	// scoped to one connection or one segment file.
+	// new epoch — carries absolutes), so an MBW3 codec is stateful: its
+	// chains are scoped to one connection or segment file, and to one rack
+	// within it (the MBW4 framing).
 	FormatMBW3 Format = 3
 )
 

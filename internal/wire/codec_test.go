@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"reflect"
 	"testing"
 
 	"mburst/internal/asic"
@@ -78,7 +77,7 @@ func TestWriterFormatsAgreeWithReader(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s batch %d: %v", name, i, err)
 			}
-			if !reflect.DeepEqual(wb, got) {
+			if !sameBatch(wb, got) {
 				t.Fatalf("%s batch %d mismatch:\n in: %+v\nout: %+v", name, i, wb, got)
 			}
 		}
@@ -121,7 +120,7 @@ func TestInterleavedFormatsOneStream(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(want, got) {
+		if !sameBatch(want, got) {
 			t.Fatalf("batch %d mismatch:\n in: %+v\nout: %+v", i, want, got)
 		}
 	}
@@ -167,10 +166,10 @@ func TestReaderReset(t *testing.T) {
 	first := readAll(1)
 	r.Reset(bytes.NewReader(stream))
 	second := readAll(2)
-	if !reflect.DeepEqual(first, second) {
+	if !sameBatches(first, second) {
 		t.Fatalf("replay after Reset diverged:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
-	if !reflect.DeepEqual(first, []*Batch{b1, b2}) {
+	if !sameBatches(first, []*Batch{b1, b2}) {
 		t.Fatalf("decoded stream mismatch: %+v", first)
 	}
 }
@@ -196,7 +195,7 @@ func TestWriteBatchRejectsOversizedMBW3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ok, got) {
+	if !sameBatch(ok, got) {
 		t.Fatalf("post-rejection batch mismatch:\n in: %+v\nout: %+v", ok, got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"os"
-	"reflect"
 	"testing"
 	"testing/iotest"
 
@@ -84,6 +83,31 @@ func FuzzReadBatch(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(mixed)
+	// Mixed MBW3/MBW4 streams: a Writer's three-rack stream, the same after
+	// a parent-written one-chain MBW3 stream over two racks, and frames
+	// naming a new rack each.
+	var mixedW bytes.Buffer
+	mw := NewWriter(&mixedW)
+	for _, b := range mixedChain() {
+		if err := mw.WriteBatch(b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(mixedW.Bytes())
+	oneChain := newMBW3Codec()
+	var interleaved []byte
+	for i, b := range pollStream(4, 3, 1) {
+		b.Rack = uint32(5 + i%2)
+		if interleaved, err = oneChain.AppendBatch(interleaved, b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(append(interleaved, mixedW.Bytes()...))
+	var manyRacks []byte
+	for rack := uint64(0); rack < 64; rack++ {
+		manyRacks = appendFrame(manyRacks, Magic4, emptyPayload(rack<<20, 1))
+	}
+	f.Add(manyRacks)
 	f.Add(v3[:len(v3)/2])
 	corrupt3 := append([]byte(nil), v3...)
 	corrupt3[len(corrupt3)-6] ^= 0x55
@@ -108,7 +132,7 @@ func FuzzReadBatch(f *testing.F) {
 			b, err := r.ReadBatch()
 			for k, br := range buffered {
 				bb, berr := br.ReadBatch()
-				if errClass(berr) != errClass(err) || !reflect.DeepEqual(bb, b) || br.Offset() != r.Offset() {
+				if errClass(berr) != errClass(err) || !sameBatch(bb, b) || br.Offset() != r.Offset() {
 					t.Fatalf("frame %d: buffered source %d read (%v, offset %d), the bytes.Reader (%v, offset %d)",
 						i, k, berr, br.Offset(), err, r.Offset())
 				}
@@ -147,7 +171,7 @@ func FuzzReadBatch(f *testing.F) {
 			if err != nil {
 				t.Fatalf("mbw3 re-encoded batch failed to decode: %v", err)
 			}
-			if !reflect.DeepEqual(b, b3) {
+			if !sameBatch(b, b3) {
 				t.Fatalf("mbw3 round trip diverged:\n in: %+v\nout: %+v", b, b3)
 			}
 		}
@@ -184,36 +208,89 @@ func framePayloads(tb testing.TB, stream []byte) [][]byte {
 	return out
 }
 
-// FuzzMBW3Chain fuzzes the cross-batch delta chain, which FuzzReadBatch
+// emptyPayload is the MBW3 payload of an empty batch.
+func emptyPayload(rack, epoch uint64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, rack), epoch), 0)
+}
+
+// mixedChain is a Writer's stream over three racks: rack 5 alone (MBW3),
+// then racks 6 and 7 join — 7 under another epoch — and every frame from
+// there on is MBW4, rack 5's continuing the chain its MBW3 frames built.
+func mixedChain() []*Batch {
+	var out []*Batch
+	for i, b := range pollStream(9, 4, 1) {
+		b.Rack = []uint32{5, 5, 6, 5, 7, 6, 5, 7, 6}[i]
+		if b.Rack == 7 {
+			b.Epoch = 2
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// frames splits a stream of frames into the frames themselves, trusting
+// the framing.
+func frames(tb testing.TB, stream []byte) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for len(stream) > 0 {
+		n, sz := binary.Uvarint(stream[4:])
+		if sz <= 0 || len(stream) < 4+sz+int(n)+4 {
+			tb.Fatalf("malformed test stream at frame %d", len(out))
+		}
+		out = append(out, stream[:4+sz+int(n)+4])
+		stream = stream[4+sz+int(n)+4:]
+	}
+	return out
+}
+
+// FuzzMBW3Chain fuzzes the cross-batch delta chains, which FuzzReadBatch
 // cannot reach: there a mutated frame dies at its CRC, so the decoder only
 // ever sees mutations of a stream's first payload state. Here the stream
-// is the parent-written fixture, decoded up to frame k-1; the fuzzer's
-// bytes stand in for payload k-1, and the valid payload k follows on the
-// same codec. Whatever the bytes, nothing panics; a rejected payload
-// leaves the stream state exactly as it was, so the untouched k-1 and k
-// still decode to the originals; and an accepted one is a batch like any
-// other — it re-encodes to a frame that decodes back to it.
+// is one of two fixtures — the parent-written one-rack chain, or
+// mixedChain's MBW3-then-MBW4 stream over three racks — read up to frame
+// k-1; the fuzzer's bytes stand in for payload k-1, framed under that
+// frame's magic with a valid CRC, and the valid frames k-1 and k follow on
+// the same Reader. Whatever the bytes, nothing panics; a rejected payload
+// leaves the chains exactly as they were, so the untouched k-1 and k still
+// decode to the originals; and an accepted one is a batch like any other —
+// it re-encodes to a frame that decodes back to it.
 func FuzzMBW3Chain(f *testing.F) {
-	stream, err := os.ReadFile("testdata/mbw3_chain_parent.bin")
+	parent, err := os.ReadFile("testdata/mbw3_chain_parent.bin")
 	if err != nil {
 		f.Fatal(err)
 	}
-	payloads := framePayloads(f, stream)
-	originals := fixtureChain()
-	if len(payloads) != len(originals) {
-		f.Fatalf("fixture holds %d frames, its generator %d batches", len(payloads), len(originals))
+	var mixed bytes.Buffer
+	w := NewWriter(&mixed)
+	for _, b := range mixedChain() {
+		if err := w.WriteBatch(b); err != nil {
+			f.Fatal(err)
+		}
 	}
-	for k := 1; k < len(payloads); k++ {
-		p := payloads[k-1]
-		f.Add(uint8(k), p)
-		f.Add(uint8(k), p[:len(p)/2])
-		flipped := append([]byte(nil), p...)
-		flipped[len(flipped)*2/3] ^= 0x10
-		f.Add(uint8(k), flipped)
-		f.Add(uint8(k), payloads[k]) // a frame that skips one
+	fixtures := []struct {
+		frames    [][]byte
+		originals []*Batch
+	}{
+		{frames(f, parent), fixtureChain()},
+		{frames(f, mixed.Bytes()), mixedChain()},
+	}
+	for which, fx := range fixtures {
+		if len(fx.frames) != len(fx.originals) {
+			f.Fatalf("fixture %d holds %d frames, its generator %d batches", which, len(fx.frames), len(fx.originals))
+		}
+		payloads := framePayloads(f, bytes.Join(fx.frames, nil))
+		for k := 1; k < len(payloads); k++ {
+			p := payloads[k-1]
+			f.Add(uint8(which), uint8(k), p)
+			f.Add(uint8(which), uint8(k), p[:len(p)/2])
+			flipped := append([]byte(nil), p...)
+			flipped[len(flipped)*2/3] ^= 0x10
+			f.Add(uint8(which), uint8(k), flipped)
+			f.Add(uint8(which), uint8(k), payloads[k]) // a frame that skips one
+		}
 	}
 
-	f.Fuzz(func(t *testing.T, k uint8, mutated []byte) {
+	f.Fuzz(func(t *testing.T, which, k uint8, mutated []byte) {
 		// Run tokens decouple a payload's size from its sample count; keep
 		// the counts the fuzzer can claim small enough to decode cheaply.
 		r := payloadReader{buf: mutated}
@@ -222,29 +299,35 @@ func FuzzMBW3Chain(f *testing.F) {
 		if count := r.uvarint(); r.err == nil && count > 1<<14 {
 			t.Skip()
 		}
-		at := 1 + int(k)%(len(payloads)-1)
-		dec := newMBW3Codec()
-		var got Batch
+		fx := fixtures[int(which)%len(fixtures)]
+		at := 1 + int(k)%(len(fx.frames)-1)
+		stream := bytes.Join(fx.frames[:at-1], nil)
+		stream = appendFrame(stream, binary.BigEndian.Uint32(fx.frames[at-1]), mutated)
+		stream = append(append(stream, fx.frames[at-1]...), fx.frames[at]...)
+		dec := NewReader(bytes.NewReader(stream))
 		for i := 0; i < at-1; i++ {
-			if err := dec.DecodePayload(Magic3, payloads[i], &got); err != nil {
+			if b, err := dec.ReadBatch(); err != nil || !sameBatch(fx.originals[i], b) {
 				t.Fatalf("fixture frame %d: %v", i, err)
 			}
 		}
-		if err := dec.DecodePayload(Magic3, mutated, &got); err != nil {
+		got, err := dec.ReadBatch()
+		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("rejected with %v, want ErrCorrupt", err)
 			}
 			for i := at - 1; i <= at; i++ {
-				if err := dec.DecodePayload(Magic3, payloads[i], &got); err != nil {
+				b, err := dec.ReadBatch()
+				if err != nil {
 					t.Fatalf("frame %d after a rejected payload: %v", i, err)
 				}
-				if !sameBatch(originals[i], &got) {
+				if !sameBatch(fx.originals[i], b) {
 					t.Fatalf("frame %d decodes differently after a rejected payload", i)
 				}
 			}
 			return
 		}
-		frame, err := newMBW3Codec().AppendBatch(nil, &got)
+		got = &Batch{Rack: got.Rack, Epoch: got.Epoch, Samples: append([]Sample(nil), got.Samples...)}
+		frame, err := newMBW3Codec().AppendBatch(nil, got)
 		if err != nil {
 			if errors.Is(err, ErrBatchTooLarge) { // absolutes can outgrow what deltas fitted
 				return
@@ -255,11 +338,12 @@ func FuzzMBW3Chain(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded batch failed to decode: %v", err)
 		}
-		if !sameBatch(&got, back) {
-			t.Fatalf("re-encoded batch diverged:\n in: %+v\nout: %+v", &got, back)
+		if !sameBatch(got, back) {
+			t.Fatalf("re-encoded batch diverged:\n in: %+v\nout: %+v", got, back)
 		}
-		// The chain now continues from whatever was accepted; the next
-		// valid frame may or may not fit it, but must not panic.
-		_ = dec.DecodePayload(Magic3, payloads[at], &got)
+		// The chains now continue from whatever was accepted; the valid
+		// frames that follow may or may not fit them, but must not panic.
+		dec.ReadBatch()
+		dec.ReadBatch()
 	})
 }

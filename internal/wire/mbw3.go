@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync/atomic"
 
 	"mburst/internal/asic"
 	"mburst/internal/simclock"
@@ -11,6 +13,11 @@ import (
 
 // Magic3 identifies an MBW3 columnar delta batch.
 const Magic3 uint32 = 0x4d425733 // "MBW3"
+
+// Magic4 identifies an MBW3 payload whose deltas chain per rack: a stream
+// that has carried a second rack frames every batch under it (see
+// Writer).
+const Magic4 uint32 = 0x4d425734 // "MBW4"
 
 // MaxBatchSamples bounds the per-batch record count an MBW3 decoder will
 // accept. Run-length tokens decouple record count from payload bytes, so
@@ -377,7 +384,7 @@ type seriesKey struct {
 	dk   byte
 }
 
-// mbw3Series is one series of the stream. Its stream state is what deltas
+// mbw3Series is one series of the stream. Its chain state is what deltas
 // chain against: the last absolute value plus the last first-order delta,
 // since value and bin columns are delta-of-delta chains (counters polled
 // at a fixed interval move by near-constant increments, so second
@@ -407,15 +414,136 @@ type mbw3Series struct {
 	runBins  [asic.NumSizeBins]uint64
 	runBinsD [asic.NumSizeBins]int64
 
-	// Stream state.
-	value  uint64
-	valueD int64
-	bins   [asic.NumSizeBins]uint64
-	binsD  [asic.NumSizeBins]int64
+	seriesState
 
 	// capHint is the cap to reserve next time: one more than the series'
 	// count in the last batch written (polls straddle batch boundaries).
 	capHint int32
+}
+
+// seriesState is a series' chain state. The zero state is
+// indistinguishable from an absent series: both chain from zero.
+type seriesState struct {
+	value  uint64
+	valueD int64
+	bins   [asic.NumSizeBins]uint64
+	binsD  [asic.NumSizeBins]int64
+}
+
+// mbw3Chain is the state an MBW3 payload's deltas chain against: the
+// epoch, the time chain and every series' chain state. A stream that
+// carries one rack has one chain; an MBW4 stream keeps one per rack.
+type mbw3Chain struct {
+	// The epoch, the time chain, and the series: idx maps a series key to
+	// its states entry, and states[i].key is that key — the invariant the
+	// encoder's successor hints are checked against. idx is made on the
+	// first series, so an empty chain costs only its struct.
+	epochKnown bool
+	epoch      uint32
+	lastTime   int64
+	lastDelta  int64
+	idx        map[seriesKey]int
+	states     []mbw3Series
+
+	// tail is the encoder's states entry of the last sample written,
+	// whose successor hint predicts the next batch's first.
+	tail int
+
+	// On a Reader: id names this chain's incarnation, unique in the
+	// process and renewed by reset, and gen counts the payloads decoded
+	// since. A Writer's chain that copied this one at gen g can take the
+	// frame that moves it to g+1 verbatim.
+	id, gen uint64
+}
+
+// chainIDs issues mbw3Chain ids; 0 is never issued, so it names no chain.
+var chainIDs atomic.Uint64
+
+func newMBW3Chain() *mbw3Chain { return &mbw3Chain{id: chainIDs.Add(1)} }
+
+// reset empties the chain, as if no payload had been encoded or decoded
+// on it, and gives it a new id.
+func (ch *mbw3Chain) reset() {
+	ch.epochKnown = false
+	ch.epoch = 0
+	ch.lastTime = 0
+	ch.lastDelta = 0
+	clear(ch.idx)
+	ch.states = ch.states[:0]
+	ch.id, ch.gen = chainIDs.Add(1), 0
+}
+
+// grow makes room for n more series, so that a chain meeting a batch's
+// series table all at once — a fresh decode — allocates once.
+func (ch *mbw3Chain) grow(n int) {
+	if ch.idx == nil {
+		ch.idx = make(map[seriesKey]int, n)
+	}
+	ch.states = slices.Grow(ch.states, n)
+}
+
+// addSeries enters k into the chain with zero chain state, which is
+// indistinguishable from absent.
+func (ch *mbw3Chain) addSeries(k seriesKey) int {
+	if ch.idx == nil {
+		ch.idx = make(map[seriesKey]int)
+	}
+	si := len(ch.states)
+	ch.states = append(ch.states, mbw3Series{key: k})
+	ch.idx[k] = si
+	return si
+}
+
+// state is k's chain state, zero when the chain does not hold k.
+func (ch *mbw3Chain) state(k seriesKey) seriesState {
+	if si, ok := ch.idx[k]; ok {
+		return ch.states[si].seriesState
+	}
+	return seriesState{}
+}
+
+// sameState reports whether a payload would decode the same under ch as
+// under o: the same epoch, time chain and, series by series, the same
+// chain state, an absent series reading as zero.
+func (ch *mbw3Chain) sameState(o *mbw3Chain) bool {
+	if ch.epochKnown != o.epochKnown || ch.epoch != o.epoch || ch.lastTime != o.lastTime || ch.lastDelta != o.lastDelta {
+		return false
+	}
+	for i := range ch.states {
+		if ch.states[i].seriesState != o.state(ch.states[i].key) {
+			return false
+		}
+	}
+	for i := range o.states {
+		if o.states[i].seriesState != ch.state(o.states[i].key) {
+			return false
+		}
+	}
+	return true
+}
+
+// follow advances ch past a payload that was decoded on src — which it
+// did not encode: ch takes on src's state for the series the payload
+// touched (src.states entries, in table order) and src's epoch and time
+// chain. A fresh payload restarts the chain with exactly its series.
+func (ch *mbw3Chain) follow(src *mbw3Chain, touched []int, fresh bool) {
+	if fresh {
+		clear(ch.idx)
+		ch.states = ch.states[:0]
+	}
+	if len(ch.states) == 0 {
+		ch.grow(len(touched))
+	}
+	for _, si := range touched {
+		s := &src.states[si]
+		wi, ok := ch.idx[s.key]
+		if !ok {
+			wi = ch.addSeries(s.key)
+		}
+		ch.states[wi].seriesState = s.seriesState
+	}
+	ch.epochKnown, ch.epoch = src.epochKnown, src.epoch
+	ch.lastTime, ch.lastDelta = src.lastTime, src.lastDelta
 }
 
 // mbw3Codec implements the columnar delta format.
@@ -445,20 +573,14 @@ type mbw3Series struct {
 // the first after an epoch change) carries absolutes as deltas from zero,
 // and every later batch only the movement since the previous one.
 type mbw3Codec struct {
-	// Stream state. idx maps a series key to its states entry, and
-	// states[i].key is that key — the invariant the encoder's successor
-	// hints are checked against.
-	epochKnown bool
-	epoch      uint32
-	lastTime   int64
-	lastDelta  int64
-	idx        map[seriesKey]int
-	states     []mbw3Series
+	// ch is the chain the next payload encodes or decodes against. A
+	// codec starts with a chain of its own; Writer and Reader point it at
+	// the chain of the rack a frame carries, so the scratch below is one
+	// per stream however many chains the stream keeps.
+	ch *mbw3Chain
 
-	// Encoder: tail is the states entry of the last sample written, whose
-	// successor hint predicts the next batch's first; stamp numbers the
-	// batch being encoded.
-	tail  int
+	// stamp numbers the batch being encoded, across every chain the codec
+	// has encoded on.
 	stamp int
 
 	// Per-batch scratch, reused so steady-state encode and decode do not
@@ -481,6 +603,12 @@ type mbw3Codec struct {
 	runBinsD []int64
 	missed   []uint64
 
+	// Decoder: the ch.states entry of each table slot of the payload last
+	// decoded, and whether it decoded fresh — from zero, ch holding no
+	// state or another epoch.
+	touched []int
+	fresh   bool
+
 	// Encoder-only scratch: the batch's series table as states entries in
 	// slot order, and the per-sample columns as runs.
 	slots     []int32
@@ -497,27 +625,10 @@ type mbw3Codec struct {
 	pendTail      int
 }
 
-func newMBW3Codec() *mbw3Codec {
-	return &mbw3Codec{idx: make(map[seriesKey]int)}
-}
+func newMBW3Codec() *mbw3Codec { return &mbw3Codec{ch: newMBW3Chain()} }
 
-func (c *mbw3Codec) Reset() {
-	c.epochKnown = false
-	c.epoch = 0
-	c.lastTime = 0
-	c.lastDelta = 0
-	clear(c.idx)
-	c.states = c.states[:0]
-}
-
-// addSeries enters k into the stream state with zero chain state, which
-// is indistinguishable from absent.
-func (c *mbw3Codec) addSeries(k seriesKey) int {
-	si := len(c.states)
-	c.states = append(c.states, mbw3Series{key: k})
-	c.idx[k] = si
-	return si
-}
+// Reset empties the codec's current chain.
+func (c *mbw3Codec) Reset() { c.ch.reset() }
 
 func sampleDK(s *Sample) byte { return byte(s.Dir) | byte(s.Kind)<<1 }
 
@@ -577,12 +688,13 @@ func reserve(arena *[]uint64, top *int, k, first int) int {
 // guess checked against states[i].key, so updating one for a batch that
 // is sized but never written costs nothing but a later miss.
 func (c *mbw3Codec) resolveSeries(k seriesKey, prev int) int {
-	si, ok := c.idx[k]
+	ch := c.ch
+	si, ok := ch.idx[k]
 	if !ok {
-		si = c.addSeries(k)
+		si = ch.addSeries(k)
 	}
-	if prev < len(c.states) {
-		c.states[prev].next = int32(si)
+	if prev < len(ch.states) {
+		ch.states[prev].next = int32(si)
 	}
 	return si
 }
@@ -598,7 +710,7 @@ func binvalsFor(n int) int { return 4 * n }
 // when the stream has no history of it — and running values that start
 // from stream state (zero on a fresh epoch). n is the batch's sample count.
 func (c *mbw3Codec) openSlot(si, n int) {
-	st := &c.states[si]
+	st := &c.ch.states[si]
 	st.stamp = c.stamp
 	st.slot = int32(len(c.slots))
 	c.slots = append(c.slots, int32(si))
@@ -642,9 +754,10 @@ func (c *mbw3Codec) growCols(st *mbw3Series, j, n int) {
 // stream state; commit applies the state advance afterwards. Splitting
 // the two keeps EncodedSize and failed writes side-effect-free.
 func (c *mbw3Codec) buildPayload(b *Batch) {
-	fresh := !c.epochKnown || b.Epoch != c.epoch
+	ch := c.ch
+	fresh := !ch.epochKnown || b.Epoch != ch.epoch
 	c.pendFresh = fresh
-	c.pendLastTime, c.pendLastDelta = c.lastTime, c.lastDelta
+	c.pendLastTime, c.pendLastDelta = ch.lastTime, ch.lastDelta
 	if fresh {
 		c.pendLastTime, c.pendLastDelta = 0, 0
 	}
@@ -656,8 +769,8 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 		// series than samples. 64 covers a poll of a rack's full counter
 		// set; past that, append doubles as usual.
 		c.payload = make([]byte, 0, 64+6*n)
-		if len(c.states) == 0 {
-			c.states = make([]mbw3Series, 0, min(n, 64))
+		if len(ch.states) == 0 {
+			ch.states = make([]mbw3Series, 0, min(n, 64))
 		}
 	}
 	p := c.payload[:0]
@@ -692,8 +805,8 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 	c.sidCol.reset()
 	c.tidxCol.reset()
 	c.missedCol.reset()
-	states := c.states
-	prev, hint := c.tail, 0
+	states := ch.states
+	prev, hint := ch.tail, 0
 	if prev < len(states) {
 		hint = int(states[prev].next)
 	}
@@ -709,7 +822,7 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 		si := hint
 		if si >= len(states) || states[si].key.port != s.Port || states[si].key.dk != dk {
 			si = c.resolveSeries(seriesKey{port: s.Port, dk: dk}, prev)
-			states = c.states
+			states = ch.states
 		}
 		st := &states[si]
 		prev, hint = si, int(st.next)
@@ -794,8 +907,9 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 // commit advances the stream state to reflect the batch buildPayload just
 // encoded.
 func (c *mbw3Codec) commit(b *Batch) {
+	ch := c.ch
 	for _, si := range c.slots {
-		st := &c.states[si]
+		st := &ch.states[si]
 		st.value, st.valueD = st.run, st.runD
 		if st.binoff >= 0 {
 			st.bins, st.binsD = st.runBins, st.runBinsD
@@ -803,23 +917,22 @@ func (c *mbw3Codec) commit(b *Batch) {
 		st.capHint = st.count + 1
 	}
 	if len(c.slots) > 0 {
-		c.tail = c.pendTail
+		ch.tail = c.pendTail
 	}
 	if c.pendFresh {
 		// A fresh epoch restarts the stream with exactly this batch's
 		// series. The others keep their entries but lose their chains:
 		// zero state is indistinguishable from absent.
-		for i := range c.states {
-			if st := &c.states[i]; st.stamp != c.stamp {
-				st.value, st.valueD = 0, 0
-				st.bins, st.binsD = [asic.NumSizeBins]uint64{}, [asic.NumSizeBins]int64{}
+		for i := range ch.states {
+			if st := &ch.states[i]; st.stamp != c.stamp {
+				st.seriesState = seriesState{}
 			}
 		}
 	}
-	c.epochKnown = true
-	c.epoch = b.Epoch
-	c.lastTime = c.pendLastTime
-	c.lastDelta = c.pendLastDelta
+	ch.epochKnown = true
+	ch.epoch = b.Epoch
+	ch.lastTime = c.pendLastTime
+	ch.lastDelta = c.pendLastDelta
 }
 
 // AppendBatch appends b's MBW3 frame to dst, chained onto the stream so
@@ -842,13 +955,15 @@ func (c *mbw3Codec) EncodedSize(b *Batch) int {
 	return 4 + uvarintLen(uint64(len(c.payload))) + len(c.payload) + 4
 }
 
-// DecodePayload decodes one MBW3 payload into b, continuing the stream's
-// delta chain. Once the scratch is warm it allocates nothing per batch
-// (TestMBW3DecodeAllocatesNothing).
+// DecodePayload decodes one MBW3 payload — an MBW3 or MBW4 frame's — into
+// b, continuing the delta chain c.ch. A payload it rejects leaves the
+// chain as it was. Once the scratch is warm it allocates nothing per
+// batch (TestMBW3DecodeAllocatesNothing).
 func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error {
-	if magic != Magic3 {
+	if magic != Magic3 && magic != Magic4 {
 		return fmt.Errorf("%w: magic %#x is not mbw3", ErrCorrupt, magic)
 	}
+	ch := c.ch
 	r := payloadReader{buf: payload}
 	rack := r.uvarint()
 	epoch := r.uvarint()
@@ -860,7 +975,7 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 		return fmt.Errorf("%w: record count %d exceeds limit", ErrCorrupt, count)
 	}
 	n := int(count)
-	fresh := !c.epochKnown || uint32(epoch) != c.epoch
+	fresh := !ch.epochKnown || uint32(epoch) != ch.epoch
 	b.Rack, b.Epoch = uint32(rack), uint32(epoch)
 	b.Samples = b.Samples[:0]
 	if n == 0 {
@@ -868,11 +983,13 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 			return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf))
 		}
 		if fresh {
-			clear(c.idx)
-			c.states = c.states[:0]
-			c.lastTime, c.lastDelta = 0, 0
+			clear(ch.idx)
+			ch.states = ch.states[:0]
+			ch.lastTime, ch.lastDelta = 0, 0
 		}
-		c.epochKnown, c.epoch = true, uint32(epoch)
+		ch.epochKnown, ch.epoch = true, uint32(epoch)
+		c.touched, c.fresh = c.touched[:0], fresh
+		ch.gen++
 		return nil
 	}
 
@@ -881,7 +998,7 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 	if r.err != nil || nTimes == 0 || nTimes > count {
 		return fmt.Errorf("%w: time count", ErrCorrupt)
 	}
-	lt, ld := c.lastTime, c.lastDelta
+	lt, ld := ch.lastTime, ch.lastDelta
 	if fresh {
 		lt, ld = 0, 0
 	}
@@ -977,8 +1094,8 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 		var base uint64
 		var baseD int64
 		var st *mbw3Series
-		if si, ok := c.idx[c.tkeys[slot]]; ok && !fresh {
-			st = &c.states[si]
+		if si, ok := ch.idx[c.tkeys[slot]]; ok && !fresh {
+			st = &ch.states[si]
 			base, baseD = st.value, st.valueD
 		}
 		cnt := c.counts[slot]
@@ -1044,15 +1161,20 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 
 	// Commit stream state.
 	if fresh {
-		clear(c.idx)
-		c.states = c.states[:0]
+		clear(ch.idx)
+		ch.states = ch.states[:0]
 	}
+	if len(ch.states) == 0 {
+		ch.grow(len(c.tkeys))
+	}
+	c.touched = c.touched[:0]
 	for slot, key := range c.tkeys {
-		si, ok := c.idx[key]
+		si, ok := ch.idx[key]
 		if !ok {
-			si = c.addSeries(key)
+			si = ch.addSeries(key)
 		}
-		st := &c.states[si]
+		c.touched = append(c.touched, si)
+		st := &ch.states[si]
 		cnt := c.counts[slot]
 		st.value = c.vals[c.offs[slot]+cnt-1]
 		st.valueD = c.runD[slot]
@@ -1063,7 +1185,9 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 			}
 		}
 	}
-	c.epochKnown, c.epoch = true, uint32(epoch)
-	c.lastTime, c.lastDelta = lt, ld
+	ch.epochKnown, ch.epoch = true, uint32(epoch)
+	ch.lastTime, ch.lastDelta = lt, ld
+	c.fresh = fresh
+	ch.gen++
 	return nil
 }

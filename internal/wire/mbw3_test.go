@@ -80,7 +80,7 @@ func TestMBW3ChainedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(want, got) {
+		if !sameBatch(want, got) {
 			t.Fatalf("batch %d mismatch:\n in: %+v\nout: %+v", i, want, got)
 		}
 	}
@@ -119,7 +119,7 @@ func TestMBW3EpochBumpResetsChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("full stream batch %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(want, got) {
+		if !sameBatch(want, got) {
 			t.Fatalf("full stream batch %d mismatch", i)
 		}
 	}
@@ -131,7 +131,7 @@ func TestMBW3EpochBumpResetsChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tail batch %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(want, got) {
+		if !sameBatch(want, got) {
 			t.Fatalf("tail batch %d mismatch:\n in: %+v\nout: %+v", i, want, got)
 		}
 	}
@@ -186,7 +186,7 @@ func TestMBW3EmptyBatch(t *testing.T) {
 		if got.Rack != want.Rack || got.Epoch != want.Epoch || len(got.Samples) != len(want.Samples) {
 			t.Fatalf("batch %d shape mismatch: %+v vs %+v", i, want, got)
 		}
-		if len(want.Samples) > 0 && !reflect.DeepEqual(want, got) {
+		if len(want.Samples) > 0 && !sameBatch(want, got) {
 			t.Fatalf("batch %d mismatch", i)
 		}
 	}
@@ -250,7 +250,7 @@ func TestMBW3QuickRoundTrip(t *testing.T) {
 				}
 				continue
 			}
-			if !reflect.DeepEqual(wb, got) {
+			if !sameBatch(wb, got) {
 				return false
 			}
 		}
@@ -421,7 +421,7 @@ func TestMBW3StreamsAreIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(as[i], ga) || !reflect.DeepEqual(bs[i], gb) {
+		if !sameBatch(as[i], ga) || !sameBatch(bs[i], gb) {
 			t.Fatalf("stream independence violated at batch %d", i)
 		}
 	}

@@ -13,6 +13,10 @@ package wire
 // moved here verbatim as refAppendLegacy and refAppendPayload. Nothing
 // writes the row formats any more; the reference is what the decode-only
 // side and the nominal EncodedSize are checked against.
+//
+// And it keeps refWriteBatch, the body Writer.WriteBatch had before a
+// received frame could pass through: every batch encoded, on one chain
+// per stream. TestPassThroughMatchesReference holds the Writer to it.
 
 import (
 	"bytes"
@@ -24,6 +28,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -378,6 +383,19 @@ func refMBW3EncodedSize(c *refMBW3State, b *Batch) int {
 
 var update = flag.Bool("update", false, "rewrite testdata/mbw3_chain_parent.bin (the persisted-format pin; only ever deliberately)")
 
+// refWriteBatch is the body Writer.WriteBatch had before frames passed
+// through: every batch encoded, on one chain for the whole stream — c's —
+// and framed as MBW3.
+func refWriteBatch(c *mbw3Codec, buf *[]byte, dst io.Writer, b *Batch) error {
+	out, err := c.AppendBatch((*buf)[:0], b)
+	if err != nil {
+		return err
+	}
+	*buf = out
+	_, err = dst.Write(out)
+	return err
+}
+
 // fixtureChain is the deterministic stream behind
 // testdata/mbw3_chain_parent.bin: three pollStream batches at epoch 1 —
 // with a second size-bin series that first appears in the middle of the
@@ -405,12 +423,17 @@ func fixtureChain() []*Batch {
 	return append(chain, pollStream(2, 25, 2)...)
 }
 
-// sameBatch is reflect.DeepEqual up to nil-versus-empty Samples.
+// sameBatch compares what two batches say — rack, epoch and samples, nil
+// Samples equal to empty — and not where either was decoded from.
 func sameBatch(a, b *Batch) bool {
-	if len(a.Samples) == 0 && len(b.Samples) == 0 {
-		return a.Rack == b.Rack && a.Epoch == b.Epoch
+	if a == nil || b == nil {
+		return a == b
 	}
-	return reflect.DeepEqual(a, b)
+	return a.Rack == b.Rack && a.Epoch == b.Epoch && slices.Equal(a.Samples, b.Samples)
+}
+
+func sameBatches(a, b []*Batch) bool {
+	return slices.EqualFunc(a, b, sameBatch)
 }
 
 // TestParentWrittenChainStaysByteExact pins the persisted shape: the

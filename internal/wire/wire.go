@@ -11,7 +11,7 @@
 //
 // Format. A stream is a sequence of batches:
 //
-//	magic   uint32  "MBW1", "MBW2" or "MBW3" (big-endian on the wire)
+//	magic   uint32  "MBW1", "MBW2", "MBW3" or "MBW4" (big-endian on the wire)
 //	length  uvarint  byte length of the payload that follows
 //	payload []byte   varint-encoded records or columns (see below)
 //	crc32   uint32   IEEE CRC of the payload
@@ -32,7 +32,9 @@
 // cumulative counters become zigzag-varint deltas chained across batches
 // (the first batch of a stream or epoch carries absolutes), timestamps a
 // delta-of-delta chain, and every column is run-length compressed. It
-// cuts steady-state bytes-on-wire several-fold.
+// cuts steady-state bytes-on-wire several-fold. "MBW4" frames carry the
+// MBW3 payload with its chains scoped to the frame's rack: a stream that
+// has carried a second rack writes them (see Writer).
 //
 // MBW3 is the one format written: NewWriter is the only encoder, on the
 // socket and on disk. MBW1 and MBW2 are decode-only — Reader detects each
@@ -112,6 +114,36 @@ type Batch struct {
 	// incarnations (see collector.EpochGate).
 	Epoch   uint32
 	Samples []Sample
+
+	// rx is where a Reader decoded the batch from; zero for a batch built
+	// in process. Writer.WriteBatch reads it to pass the frame through.
+	rx received
+}
+
+// received is a decoded batch's provenance: the frame it arrived in, and
+// the reader chain that frame was decoded on.
+type received struct {
+	// self is the batch the reader filled: a copy of it is another batch,
+	// which is encoded, never passed through.
+	self *Batch
+	r    *Reader
+	// seq is r.seq when the batch was decoded; while the two agree, r has
+	// decoded nothing since, so frame and chain still are the batch's.
+	seq   uint64
+	frame []byte // magic through CRC, in r's buffer
+	chain *mbw3Chain
+	fresh bool // the payload decoded from zero: a new chain or an epoch change
+}
+
+// source returns the chain b was decoded on while it and b's frame are
+// still b's, and nil otherwise: for a batch built in process, a copy, a
+// legacy frame, or once the reader has read on.
+func (b *Batch) source() *mbw3Chain {
+	rx := &b.rx
+	if rx.self != b || rx.r.seq != rx.seq {
+		return nil
+	}
+	return rx.chain
 }
 
 // SkipTo is the error a batch callback returns to ask the iterator
@@ -227,17 +259,52 @@ func (r *payloadReader) byte() byte {
 	return b
 }
 
-// Writer frames batches onto an io.Writer as MBW3. The codec's delta
-// state is scoped to this writer, so use one Writer per connection or
-// file.
+// Writer frames batches onto an io.Writer. Its delta chains are scoped to
+// (stream, rack): a stream that has carried one rack is plain MBW3,
+// byte-identical to a single-chain encoder's, and once it has carried a
+// second every frame is MBW4 — the MBW3 payload, chained on its rack's
+// state alone. Use one Writer per connection or file.
+//
+// A batch a Reader decoded carries the frame it arrived in. When the
+// writer's chain for the rack provably holds the state that frame was
+// encoded against, WriteBatch appends the frame as received (its magic
+// set to the stream's) instead of encoding the batch again; the bytes
+// decode to the same batch either way. Otherwise it encodes, and then
+// checks whether its chain has come to equal the reader's, so the
+// rack's next frame can pass through again.
 type Writer struct {
-	w   io.Writer
-	c   *mbw3Codec
-	buf []byte
+	w     io.Writer
+	c     *mbw3Codec
+	buf   []byte
+	racks map[uint32]*writerChain
+	last  *writerChain   // the chain of the rack written last
+	free  []*writerChain // chains Reset released, kept for reuse
+	// first is the rack of the stream's first frame, when started; multi
+	// is set once a frame has carried another.
+	first   uint32
+	started bool
+	multi   bool
+	frames  FrameCounts
+}
+
+// writerChain is a Writer's chain for one rack. srcID and srcGen, when
+// srcID is not 0, name a Reader chain and generation whose state this one
+// equals: a frame that moved that chain from srcGen to srcGen+1 was
+// encoded against exactly this state.
+type writerChain struct {
+	mbw3Chain
+	rack          uint32
+	srcID, srcGen uint64
+}
+
+// FrameCounts counts a Writer's frames by how they were written: passed
+// through as received, or encoded.
+type FrameCounts struct {
+	Passed, Encoded uint64
 }
 
 // NewWriter returns a batch writer.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w, c: newMBW3Codec()} }
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w, c: &mbw3Codec{}} }
 
 // NewWriterFormat is NewWriter for callers that still name the format: f
 // must be zero or FormatMBW3.
@@ -248,44 +315,118 @@ func NewWriterFormat(w io.Writer, f Format) (*Writer, error) {
 	return NewWriter(w), nil
 }
 
-// Reset redirects the writer to a new stream, discarding the MBW3 delta
-// chains — the bytes that follow are exactly those a fresh Writer would
-// emit — while keeping internal buffers for reuse.
+// Reset redirects the writer to a new stream, discarding every delta
+// chain — the bytes that follow are exactly those a fresh Writer would
+// emit — while keeping internal buffers for reuse. Frames keeps counting.
 func (w *Writer) Reset(dst io.Writer) {
 	w.w = dst
-	w.c.Reset()
+	for rack, wc := range w.racks {
+		wc.reset()
+		wc.srcID = 0
+		w.free = append(w.free, wc)
+		delete(w.racks, rack)
+	}
+	w.last, w.started, w.multi = nil, false, false
 }
 
-// WriteBatch encodes and writes one batch. A batch whose payload would
-// exceed MaxBatchPayload fails with ErrBatchTooLarge before anything is
-// written, leaving the stream intact.
-func (w *Writer) WriteBatch(b *Batch) error {
-	buf, err := w.c.AppendBatch(w.buf[:0], b)
-	if err != nil {
-		return err
+// Frames returns how the frames written so far were written.
+func (w *Writer) Frames() FrameCounts { return w.frames }
+
+// chain returns the rack's chain, creating it on the rack's first batch.
+func (w *Writer) chain(rack uint32) *writerChain {
+	if w.last != nil && w.last.rack == rack {
+		return w.last
 	}
-	w.buf = buf
-	_, err = w.w.Write(w.buf)
+	wc := w.racks[rack]
+	if wc == nil {
+		if n := len(w.free); n > 0 {
+			wc, w.free = w.free[n-1], w.free[:n-1]
+		} else {
+			wc = &writerChain{}
+		}
+		wc.rack = rack
+		if w.racks == nil {
+			w.racks = make(map[uint32]*writerChain)
+		}
+		w.racks[rack] = wc
+	}
+	w.last = wc
+	return wc
+}
+
+// WriteBatch writes one batch, passing its received frame through when
+// it can and encoding it otherwise. A batch whose payload would exceed
+// MaxBatchPayload fails with ErrBatchTooLarge before anything is written,
+// leaving the stream intact.
+func (w *Writer) WriteBatch(b *Batch) error {
+	wc := w.chain(b.Rack)
+	multi := w.multi || w.started && b.Rack != w.first
+	magic := Magic3
+	if multi {
+		magic = Magic4
+	}
+	src := b.source()
+	var frame []byte
+	if src != nil && (wc.srcID == src.id && wc.srcGen+1 == src.gen ||
+		b.rx.fresh && (!wc.epochKnown || wc.epoch != b.Epoch)) {
+		// The frame was encoded against what wc holds: in sync with its
+		// reader chain at the generation before, or decoding from zero
+		// under both.
+		frame = b.rx.frame
+		wc.follow(src, b.rx.r.m3.touched, b.rx.fresh)
+		wc.srcID, wc.srcGen = src.id, src.gen
+		w.frames.Passed++
+	} else {
+		w.c.ch = &wc.mbw3Chain
+		buf, err := w.c.AppendBatch(w.buf[:0], b)
+		if err != nil {
+			return err
+		}
+		w.buf, frame = buf, buf
+		wc.srcID = 0
+		if src != nil && wc.sameState(src) {
+			wc.srcID, wc.srcGen = src.id, src.gen
+		}
+		w.frames.Encoded++
+	}
+	binary.BigEndian.PutUint32(frame, magic)
+	if !w.started {
+		w.first, w.started = b.Rack, true
+	}
+	w.multi = multi
+	_, err := w.w.Write(frame)
 	return err
 }
 
 // Reader decodes a stream of batches from an io.Reader. Each batch's
 // format is detected from its magic, so a stream may interleave MBW1,
-// MBW2, and MBW3 batches; per-format decoder state (MBW3 delta chains)
-// is scoped to this reader. A source that is an io.ByteReader
-// (bytes.Buffer, bytes.Reader, bufio.Reader) is read as is; any other —
-// a socket, a file — through a default-size bufio.Reader the Reader owns,
-// so small frames cost one Read of the source per buffer-full. Offset,
-// not the source's position, says where the frames read so far end.
+// MBW2, MBW3 and MBW4 batches. Decoder state is scoped to this reader:
+// MBW3 frames chain on one stream chain, MBW4 frames on their rack's —
+// which a rack's first MBW4 frame adopts from the stream chain if every
+// MBW3 frame so far carried that rack, and starts empty otherwise. A
+// source that is an io.ByteReader (bytes.Buffer, bytes.Reader,
+// bufio.Reader) is read as is; any other — a socket, a file — through a
+// default-size bufio.Reader the Reader owns, so small frames cost one
+// Read of the source per buffer-full. Offset, not the source's position,
+// says where the frames read so far end.
 type Reader struct {
-	src     byteReader
-	buf     *bufio.Reader // read-ahead for sources that are not byteReaders
-	off     int64
-	hdr     [4]byte
-	payload []byte
-	m3      *mbw3Codec
-	reuse   bool
-	batch   Batch
+	src   byteReader
+	buf   *bufio.Reader // read-ahead for sources that are not byteReaders
+	off   int64
+	frame []byte // the frame last read, magic through CRC
+	m3    *mbw3Codec
+	// stream is the chain MBW3 frames decode on, racks the MBW4 chains.
+	// m3Racks counts the racks MBW3 frames have carried, up to 2, and
+	// m3Rack is the first.
+	stream  *mbw3Chain
+	racks   map[uint32]*mbw3Chain
+	m3Rack  uint32
+	m3Racks int
+	// seq counts ReadBatch calls: a batch whose rx.seq is seq is the
+	// newest, and owns frame and its chain's state.
+	seq   uint64
+	reuse bool
+	batch Batch
 }
 
 type byteReader interface {
@@ -308,9 +449,10 @@ func NewReader(src io.Reader) *Reader {
 func (r *Reader) SetReuse(on bool) { r.reuse = on }
 
 // Reset redirects the reader to a new stream, buffered as for NewReader,
-// discarding per-format decoder state (MBW3 delta chains restart, exactly
-// as for a fresh Reader), read-ahead and Offset while keeping internal
-// buffers — the read-ahead buffer among them — for reuse.
+// discarding per-format decoder state (the MBW3 and MBW4 delta chains
+// restart, exactly as for a fresh Reader), read-ahead and Offset while
+// keeping internal buffers — the read-ahead buffer among them — for
+// reuse.
 func (r *Reader) Reset(src io.Reader) {
 	r.src, _ = src.(byteReader)
 	if r.src == nil {
@@ -321,9 +463,12 @@ func (r *Reader) Reset(src io.Reader) {
 		r.src = r.buf
 	}
 	r.off = 0
-	if r.m3 != nil {
-		r.m3.Reset()
+	r.seq++
+	if r.stream != nil {
+		r.stream.reset()
 	}
+	clear(r.racks)
+	r.m3Racks = 0
 }
 
 // Offset returns the bytes of the source that the frames ReadBatch has
@@ -337,29 +482,33 @@ func (r *Reader) Offset() int64 { return r.off }
 // On the collector's ingest loop it allocates nothing once SetReuse(true)
 // is on and its buffers are warm (TestReadBatchReuseAllocatesNothing).
 func (r *Reader) ReadBatch() (*Batch, error) {
-	if _, err := io.ReadFull(r.src, r.hdr[:]); err != nil {
+	r.seq++
+	frame := growBytes(r.frame[:0], 4)
+	r.frame = frame
+	if _, err := io.ReadFull(r.src, frame); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("wire: reading magic: %w", err)
 	}
-	magic := binary.BigEndian.Uint32(r.hdr[:])
-	if magic != Magic && magic != Magic2 && magic != Magic3 {
+	magic := binary.BigEndian.Uint32(frame)
+	if magic != Magic && magic != Magic2 && magic != Magic3 && magic != Magic4 {
 		return nil, fmt.Errorf("%w: bad magic %#x", ErrCorrupt, magic)
 	}
-	length, lenBytes, err := r.readLen()
+	length, err := r.readLen()
 	if err != nil {
 		return nil, fmt.Errorf("wire: reading length: %w", err)
 	}
 	if length > MaxBatchPayload {
 		return nil, fmt.Errorf("%w: payload length %d", ErrCorrupt, length)
 	}
-	body, err := r.readBody(int(length) + 4)
-	if err != nil {
+	at := len(r.frame)
+	if err := r.readBody(int(length) + 4); err != nil {
 		return nil, fmt.Errorf("wire: reading payload: %w", err)
 	}
-	payload := body[:length]
-	if want := binary.BigEndian.Uint32(body[length:]); want != crc32.ChecksumIEEE(payload) {
+	frame = r.frame
+	payload := frame[at : at+int(length)]
+	if want := binary.BigEndian.Uint32(frame[at+int(length):]); want != crc32.ChecksumIEEE(payload) {
 		return nil, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
 	var b *Batch
@@ -368,56 +517,95 @@ func (r *Reader) ReadBatch() (*Batch, error) {
 	} else {
 		b = &Batch{}
 	}
-	if magic == Magic3 {
-		if r.m3 == nil {
-			r.m3 = newMBW3Codec()
+	b.rx = received{}
+	if magic == Magic3 || magic == Magic4 {
+		ch, err := r.chain(magic, payload)
+		if err != nil {
+			return nil, err
 		}
-		err = r.m3.DecodePayload(magic, payload, b)
-	} else {
-		err = decodeLegacyPayload(payload, magic == Magic2, b)
-	}
-	if err != nil {
+		if r.m3 == nil {
+			r.m3 = &mbw3Codec{}
+		}
+		r.m3.ch = ch
+		if err := r.m3.DecodePayload(magic, payload, b); err != nil {
+			return nil, err
+		}
+		if magic == Magic3 && r.m3Racks < 2 && (r.m3Racks == 0 || b.Rack != r.m3Rack) {
+			r.m3Rack = b.Rack
+			r.m3Racks++
+		}
+		b.rx = received{self: b, r: r, seq: r.seq, frame: frame, chain: ch, fresh: r.m3.fresh}
+	} else if err := decodeLegacyPayload(payload, magic == Magic2, b); err != nil {
 		return nil, err
 	}
-	r.off += int64(len(r.hdr) + lenBytes + len(body))
+	r.off += int64(len(frame))
 	return b, nil
 }
 
-// readLen reads the frame-length uvarint, returning it and how many bytes
-// it took.
-func (r *Reader) readLen() (uint64, int, error) {
+// chain returns the chain an MBW3 or MBW4 payload decodes on, creating
+// it for a stream's first MBW3 frame or a rack's first MBW4 frame.
+func (r *Reader) chain(magic uint32, payload []byte) (*mbw3Chain, error) {
+	if magic == Magic3 {
+		if r.stream == nil {
+			r.stream = newMBW3Chain()
+		}
+		return r.stream, nil
+	}
+	rack, n := binary.Uvarint(payload)
+	if n <= 0 || rack > 1<<32-1 {
+		return nil, fmt.Errorf("%w: mbw4 header", ErrCorrupt)
+	}
+	ch := r.racks[uint32(rack)]
+	if ch == nil {
+		if r.m3Racks == 1 && r.m3Rack == uint32(rack) {
+			ch = r.stream
+		} else {
+			ch = newMBW3Chain()
+		}
+		if r.racks == nil {
+			r.racks = make(map[uint32]*mbw3Chain)
+		}
+		r.racks[uint32(rack)] = ch
+	}
+	return ch, nil
+}
+
+// readLen reads the frame-length uvarint, appending its bytes to r.frame.
+func (r *Reader) readLen() (uint64, error) {
 	var x uint64
 	var s uint
 	for n := 0; n < binary.MaxVarintLen64; n++ {
 		c, err := r.src.ReadByte()
 		if err != nil {
-			return 0, n, err
+			return 0, err
 		}
+		r.frame = append(r.frame, c)
 		if c < 0x80 {
-			return x | uint64(c)<<s, n + 1, nil
+			return x | uint64(c)<<s, nil
 		}
 		x |= uint64(c&0x7f) << s
 		s += 7
 	}
-	return 0, binary.MaxVarintLen64, ErrCorrupt
+	return 0, ErrCorrupt
 }
 
-// readBody reads a frame's n bytes of payload and CRC into r.payload. A
+// readBody appends a frame's n bytes of payload and CRC to r.frame. A
 // buffer already big enough takes one ReadFull; a smaller one grows as
 // the bytes arrive, each step to at most twice its size or 4 KiB, so a
 // header that lies about its length costs only what the peer sent.
-func (r *Reader) readBody(n int) ([]byte, error) {
-	buf := r.payload[:0]
+func (r *Reader) readBody(n int) error {
+	buf := r.frame
+	n += len(buf)
 	for len(buf) < n {
 		buf = slices.Grow(buf, min(n, max(2*cap(buf), 4096))-len(buf))
 		m, err := io.ReadFull(r.src, buf[len(buf):min(n, cap(buf))])
 		buf = buf[:len(buf)+m]
-		r.payload = buf
+		r.frame = buf
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return buf, nil
+	return nil
 }
 
 // uvarintLen returns the encoded size of x as a uvarint, without

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -41,7 +40,7 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
+	if !sameBatch(in, out) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
 	}
 	if _, err := r.ReadBatch(); err != io.EOF {
@@ -209,7 +208,7 @@ func TestEpochRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
+	if !sameBatch(in, out) {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
 	}
 }
@@ -309,7 +308,7 @@ func TestCumulativeValueWrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
+	if !sameBatch(in, out) {
 		t.Fatalf("mismatch: %+v vs %+v", in, out)
 	}
 }
@@ -347,7 +346,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil || EncodedSize(in) != len(data) {
 			return false
 		}
-		return reflect.DeepEqual(in, out)
+		return sameBatch(in, out)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -88,10 +88,13 @@ go test -race -count=10 -cpu 1,2 -run 'TestServerCoalescesFrameReads|TestReaderR
 # twenty repetitions check twenty times the generated cases. The grouped
 # campaign runner is held the same way to refRunCell, the one-rack-per-cell
 # runner it replaced: each repetition draws its groups from the next seed.
-# No step reads a clock.
+# The wire writer that passes received frames through is held to
+# refWriteBatch, the always-encode body it replaced, over generated
+# multi-rack schedules. No step reads a clock.
 go test -count=20 -run 'MatchesReference|QuickSortedFiring|AllocatesNothing' \
 	./internal/asic ./internal/eventq ./internal/simnet ./internal/collector
 go test -count=20 -run TestGroupedCellsMatchReference ./internal/core
+go test -count=20 -run TestPassThroughMatchesReference ./internal/wire
 
 # Chaos soak: generated fault schedules against the collection pipeline,
 # asserting byte-exact recovery against ASIC ground truth, zero-fault
