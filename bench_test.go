@@ -1,13 +1,14 @@
 // Package mburst's root benchmark harness regenerates every table and
-// figure of the paper (one benchmark per artifact — see DESIGN.md §3) and
-// runs the ablation benches for the design choices §7 discusses. Figure
+// figure of the paper in one pass (BenchmarkReport — see DESIGN.md §3) and
+// runs the ablation benches for the design choices §7 discusses. The
 // benches attach their headline measurements via b.ReportMetric, so
 // `go test -bench=. -benchmem` doubles as the experiment runner:
 //
-//	go test -run=^$ -bench=BenchmarkFig3 -benchtime=1x
+//	go test -run=^$ -bench=BenchmarkReport -benchtime=1x
 //
-// The figure benches use the quick configuration so a full -bench=. pass
-// stays tractable; cmd/mbreport runs the full-scale campaign.
+// BenchmarkReport uses the quick configuration so a full -bench=. pass
+// stays tractable; cmd/mbreport runs the full-scale campaign, and
+// experiments_test.go holds it to EXPERIMENTS.md.
 package mburst
 
 import (
@@ -17,7 +18,6 @@ import (
 	"mburst/internal/asic"
 	"mburst/internal/collector"
 	"mburst/internal/core"
-	"mburst/internal/detect"
 	"mburst/internal/eventq"
 	"mburst/internal/fabric"
 	"mburst/internal/obs"
@@ -42,143 +42,39 @@ func quickExperiment(b *testing.B) *core.Experiment {
 }
 
 // ---------------------------------------------------------------------------
-// One benchmark per paper table/figure.
+// The paper's tables and figures.
 
-func BenchmarkFig1DropUtilizationScatter(b *testing.B) {
+// BenchmarkReport runs a QuickConfig RunAll — every table and figure in one
+// pass — per iteration and attaches each artifact's headline measurement.
+func BenchmarkReport(b *testing.B) {
 	exp := quickExperiment(b)
+	var rep *core.Report
 	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig1DropUtilScatter(context.Background())
-		if err != nil {
+		var err error
+		if rep, err = exp.RunAll(context.Background()); err != nil {
 			b.Fatal(err)
-		}
-		b.ReportMetric(res.Correlation, "corr")
-		b.ReportMetric(float64(len(res.Points)), "points")
-	}
-}
-
-func BenchmarkFig2DropTimeSeries(b *testing.B) {
-	exp := quickExperiment(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig2DropTimeSeries(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.HighStats.ZeroBins, "zero-bin-frac")
-	}
-}
-
-func BenchmarkTable1SamplingLoss(b *testing.B) {
-	exp := quickExperiment(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Table1SamplingLoss(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range res.Rows {
-			if row.Interval == 25*simclock.Microsecond {
-				b.ReportMetric(row.MissRate*100, "miss%@25µs")
-			}
 		}
 	}
-}
-
-func BenchmarkFig3BurstDurationCDF(b *testing.B) {
-	exp := quickExperiment(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig3BurstDurations(context.Background())
-		if err != nil {
-			b.Fatal(err)
+	b.ReportMetric(rep.Fig1.Correlation, "corr")
+	b.ReportMetric(float64(len(rep.Fig1.Points)), "points")
+	b.ReportMetric(rep.Fig2.HighStats.ZeroBins, "zero-bin-frac")
+	for _, row := range rep.Table1.Rows {
+		if row.Interval == 25*simclock.Microsecond {
+			b.ReportMetric(row.MissRate*100, "miss%@25µs")
 		}
-		b.ReportMetric(res.Durations[workload.Web].Quantile(0.9), "web-p90-µs")
-		b.ReportMetric(res.Durations[workload.Hadoop].Quantile(0.9), "hadoop-p90-µs")
 	}
-}
-
-func BenchmarkTable2MarkovModel(b *testing.B) {
-	exp := quickExperiment(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Table2BurstMarkov(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Models[workload.Web].LikelihoodRatio(), "web-ratio")
-	}
-}
-
-func BenchmarkFig4InterBurstCDF(b *testing.B) {
-	exp := quickExperiment(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig4InterBurstGaps(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Gaps[workload.Web].At(100)*100, "web-gaps<100µs-%")
-	}
-}
-
-func BenchmarkFig5PacketSizeMix(b *testing.B) {
-	exp := quickExperiment(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig5PacketSizes(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Mix[workload.Web].LargeShift()*100, "web-shift-%")
-	}
-}
-
-func BenchmarkFig6UtilizationCDF(b *testing.B) {
-	exp := quickExperiment(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig6UtilizationCDF(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.HotFrac[workload.Hadoop]*100, "hadoop-hot-%")
-	}
-}
-
-func BenchmarkFig7UplinkMAD(b *testing.B) {
-	exp := quickExperiment(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig7UplinkMAD(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MAD[workload.Hadoop].EgressFine.Quantile(0.5)*100, "hadoop-mad-p50-%")
-	}
-}
-
-func BenchmarkFig8ServerCorrelation(b *testing.B) {
-	exp := quickExperiment(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig8ServerCorrelation(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.BlockScore[workload.Cache], "cache-block-score")
-	}
-}
-
-func BenchmarkFig9HotPortShare(b *testing.B) {
-	exp := quickExperiment(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig9HotPortShare(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Share[workload.Hadoop].UplinkShare()*100, "hadoop-uplink-%")
-	}
-}
-
-func BenchmarkFig10BufferOccupancy(b *testing.B) {
-	exp := quickExperiment(b)
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Fig10BufferOccupancy(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MaxHotFrac[workload.Hadoop]*100, "hadoop-max-hot-%")
+	b.ReportMetric(rep.Fig3.Durations[workload.Web].Quantile(0.9), "web-p90-µs")
+	b.ReportMetric(rep.Fig3.Durations[workload.Hadoop].Quantile(0.9), "hadoop-p90-µs")
+	b.ReportMetric(rep.Table2.Models[workload.Web].LikelihoodRatio(), "web-ratio")
+	b.ReportMetric(rep.Fig4.Gaps[workload.Web].At(100)*100, "web-gaps<100µs-%")
+	b.ReportMetric(rep.Fig5.Mix[workload.Web].LargeShift()*100, "web-shift-%")
+	b.ReportMetric(rep.Fig6.HotFrac[workload.Hadoop]*100, "hadoop-hot-%")
+	b.ReportMetric(rep.Fig7.MAD[workload.Hadoop].EgressFine.Quantile(0.5)*100, "hadoop-mad-p50-%")
+	b.ReportMetric(rep.Fig8.BlockScore[workload.Cache], "cache-block-score")
+	b.ReportMetric(rep.Fig9.Share[workload.Hadoop].UplinkShare()*100, "hadoop-uplink-%")
+	b.ReportMetric(rep.Fig10.MaxHotFrac[workload.Hadoop]*100, "hadoop-max-hot-%")
+	for i, rtt := range rep.Implications.SignalRTTs {
+		b.ReportMetric(rep.Implications.OverBeforeSignal[workload.Web][i]*100, "over-before-"+rtt.String()+"-rtt-%")
 	}
 }
 
@@ -245,11 +141,11 @@ func BenchmarkAblationECMPFlowlet(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				res, err := exp.Fig7UplinkMAD(context.Background())
+				rep, err := exp.RunAll(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.MAD[workload.Hadoop].EgressFine.Quantile(0.5)*100, "hadoop-mad-p50-%")
+				b.ReportMetric(rep.Fig7.MAD[workload.Hadoop].EgressFine.Quantile(0.5)*100, "hadoop-mad-p50-%")
 			}
 		})
 	}
@@ -315,23 +211,6 @@ func BenchmarkBaselinePacketSampling(b *testing.B) {
 		}
 		cov := pktsample.Coverage(fine)
 		b.ReportMetric(cov.EmptyFrac*100, "empty-25µs-%")
-	}
-}
-
-// BenchmarkExtensionSignalLatency quantifies §7's congestion-control
-// implication: the fraction of observed µbursts that are over before an
-// RTT/2-delayed congestion signal could reach the sender.
-func BenchmarkExtensionSignalLatency(b *testing.B) {
-	exp := quickExperiment(b)
-	for i := 0; i < b.N; i++ {
-		st, err := exp.StreamByteStats(context.Background(), workload.Web, 0, core.ByteWant{Durations: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, rtt := range []simclock.Duration{50 * simclock.Microsecond, 100 * simclock.Microsecond, 250 * simclock.Microsecond} {
-			frac := detect.FractionOverBeforeSignal(st.Durations, rtt/2)
-			b.ReportMetric(frac*100, "over-before-"+rtt.String()+"-rtt-%")
-		}
 	}
 }
 

@@ -78,7 +78,7 @@ func TestFinalizeDurableCleanShutdown(t *testing.T) {
 	noFail := false
 	ingest, arch := newTestIngest(t, filepath.Join(t.TempDir(), "a"), &noFail)
 	ingest.Handle(testBatch(0))
-	if code := finalizeDurable(obs.DaemonLogger("test"), ingest, arch); code != 0 {
+	if code := finalizeDurable(obs.DaemonLoggerTo(os.Stderr, "test"), ingest, arch); code != 0 {
 		t.Fatalf("clean shutdown exited %d, want 0", code)
 	}
 }
@@ -91,7 +91,7 @@ func TestFinalizeDurableSyncErrorExitsNonZero(t *testing.T) {
 	ingest, arch := newTestIngest(t, filepath.Join(t.TempDir(), "a"), &fail)
 	ingest.Handle(testBatch(0))
 	fail = true
-	if code := finalizeDurable(obs.DaemonLogger("test"), ingest, arch); code == 0 {
+	if code := finalizeDurable(obs.DaemonLoggerTo(os.Stderr, "test"), ingest, arch); code == 0 {
 		t.Fatal("failed final sync exited 0")
 	}
 }
@@ -127,7 +127,7 @@ func TestFinalizeDurableOpenerFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	ingest.Handle(testBatch(1)) // segment 2: the opener fails here
-	if ingest.Err() == nil && finalizeDurable(obs.DaemonLogger("test"), ingest, arch) == 0 {
+	if ingest.Err() == nil && finalizeDurable(obs.DaemonLoggerTo(os.Stderr, "test"), ingest, arch) == 0 {
 		t.Fatal("opener failure surfaced neither as a sticky error nor a non-zero exit")
 	}
 }

@@ -28,8 +28,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -43,31 +45,48 @@ import (
 )
 
 func main() {
-	appName := flag.String("app", "web", "application rack type: web, cache, hadoop")
-	racks := flag.Int("racks", 100, "fleet rack count")
-	shards := flag.Int("shards", 4, "collector shard count")
-	window := flag.Duration("window", 2*time.Millisecond, "per-rack measurement window")
-	warmup := flag.Duration("warmup", 500*time.Microsecond, "per-rack warmup before recording")
-	servers := flag.Int("servers", 8, "servers per rack")
-	seed := flag.Uint64("seed", 1, "campaign seed")
-	pseed := flag.Uint64("pseed", 1, "placement seed (rendezvous hashing)")
-	interval := flag.Duration("interval", 25*time.Microsecond, "sampling interval")
-	batch := flag.Int("batch", 0, "agent samples per batch (0 = collector default)")
-	publish := flag.Int("publish", 0, "shard publish cadence in batches (0 = default)")
-	queue := flag.Int("queue", 0, "aggregator fan-in queue depth (0 = 4×shards)")
-	workers := flag.Int("workers", 0, "concurrent rack cells (0 = all CPUs)")
-	out := flag.String("out", "", "fleet campaign directory (durable shards; required with -faults)")
-	ckpt := flag.Int("ckpt", 0, "shard checkpoint cadence in batches (0 = default)")
-	faults := flag.String("faults", "", `shard strike schedule: "kill@1ms,torn@2ms:x0.5,shortw@3ms"`)
-	oracle := flag.Bool("oracle", false, "verify byte-exactness against a single-collector oracle")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	os.Exit(run(ctx, os.Args[1:], os.Stderr))
+}
 
-	logger := obs.DaemonLogger("mbfleet")
+// run is the whole command — flag parsing included — returning the exit
+// code. Split from main so the tests drive the exact production path.
+func run(ctx context.Context, args []string, stderr io.Writer) int {
+	logger := obs.DaemonLoggerTo(stderr, "mbfleet")
+	fs := flag.NewFlagSet("mbfleet", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // a parse error is logged below, as one line
+	appName := fs.String("app", "web", "application rack type: web, cache, hadoop")
+	racks := fs.Int("racks", 100, "fleet rack count")
+	shards := fs.Int("shards", 4, "collector shard count")
+	window := fs.Duration("window", 2*time.Millisecond, "per-rack measurement window")
+	warmup := fs.Duration("warmup", 500*time.Microsecond, "per-rack warmup before recording")
+	servers := fs.Int("servers", 8, "servers per rack")
+	seed := fs.Uint64("seed", 1, "campaign seed")
+	pseed := fs.Uint64("pseed", 1, "placement seed (rendezvous hashing)")
+	interval := fs.Duration("interval", 25*time.Microsecond, "sampling interval")
+	batch := fs.Int("batch", 0, "agent samples per batch (0 = collector default)")
+	publish := fs.Int("publish", 0, "shard publish cadence in batches (0 = default)")
+	queue := fs.Int("queue", 0, "aggregator fan-in queue depth (0 = 4×shards)")
+	workers := fs.Int("workers", 0, "concurrent rack cells (0 = all CPUs)")
+	out := fs.String("out", "", "fleet campaign directory (durable shards; required with -faults)")
+	ckpt := fs.Int("ckpt", 0, "shard checkpoint cadence in batches (0 = default)")
+	faults := fs.String("faults", "", `shard strike schedule: "kill@1ms,torn@2ms:x0.5,shortw@3ms"`)
+	oracle := fs.Bool("oracle", false, "verify byte-exactness against a single-collector oracle")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fs.SetOutput(stderr)
+			fs.Usage()
+			return 0
+		}
+		logger.Error("parsing flags", "err", err)
+		return 2
+	}
 
 	app, err := workload.ParseApp(*appName)
 	if err != nil {
 		logger.Error("parsing app", "err", err)
-		os.Exit(2)
+		return 2
 	}
 
 	cfg := core.Config{
@@ -96,7 +115,7 @@ func main() {
 		sched, err := fault.ParseSchedule(*faults)
 		if err != nil {
 			logger.Error("parsing -faults", "err", err)
-			os.Exit(2)
+			return 2
 		}
 		fcfg.Faults = sched
 	}
@@ -104,17 +123,14 @@ func main() {
 	exp, err := core.NewExperiment(cfg)
 	if err != nil {
 		logger.Error("configuring experiment", "err", err)
-		os.Exit(1)
+		return 1
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 
 	start := time.Now()
 	res, err := exp.RunFleet(ctx, fcfg)
 	if err != nil {
 		logger.Error("fleet campaign", "err", err)
-		os.Exit(1)
+		return 1
 	}
 	elapsed := time.Since(start)
 
@@ -129,11 +145,12 @@ func main() {
 	if res.Oracle {
 		if !res.ByteExact {
 			logger.Error("fleet state DIVERGES from the single-collector oracle")
-			os.Exit(1)
+			return 1
 		}
 		logger.Info("byte-exact against the single-collector oracle")
 	}
 	if *out != "" {
 		logger.Info("fleet directory written", "dir", *out)
 	}
+	return 0
 }

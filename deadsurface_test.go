@@ -24,18 +24,6 @@ var deadSurfaceAllowed = map[string]string{
 	"workload.Generator.FlowsEnded":     "started − ended = active law (simnet_test)",
 	"ecmp.FlowletBalancer.TrackedFlows": "the simnet soak's flowlet-table leak check",
 
-	"core.Experiment.Fig1DropUtilScatter":   figureBench,
-	"core.Experiment.Fig2DropTimeSeries":    figureBench,
-	"core.Experiment.Table1SamplingLoss":    figureBench,
-	"core.Experiment.Fig3BurstDurations":    figureBench,
-	"core.Experiment.Fig4InterBurstGaps":    figureBench,
-	"core.Experiment.Fig5PacketSizes":       figureBench,
-	"core.Experiment.Fig6UtilizationCDF":    figureBench,
-	"core.Experiment.Table2BurstMarkov":     figureBench,
-	"core.Experiment.Fig7UplinkMAD":         figureBench,
-	"core.Experiment.Fig8ServerCorrelation": figureBench,
-	"core.Experiment.Fig10BufferOccupancy":  figureBench,
-
 	"collector.ReconnectingClient.DeliveredSamples": clientLedger,
 	"collector.ReconnectingClient.DroppedSamples":   clientLedger,
 	"collector.ReconnectingClient.SpooledSamples":   clientLedger,
@@ -69,7 +57,6 @@ var deadSurfaceAllowed = map[string]string{
 }
 
 const (
-	figureBench  = "one paper artifact alone, timed by the root figure benchmarks; RunAll runs every figure's job in one pass"
 	clientLedger = "the client tier's terms of the conservation ledger, read by the spool and reconnect tests"
 	injector     = "fault injector the crash and chaos tests drive"
 	resharding   = "kept for elastic resharding, which nothing runs yet"

@@ -49,30 +49,45 @@ var backticked = regexp.MustCompile("`([^`]+)`")
 // readmeTable returns the code spans in the first column of the README
 // table whose header row starts with header, each with prefix prepended.
 func readmeTable(t *testing.T, header, prefix string) []string {
-	t.Helper()
-	data, err := os.ReadFile("README.md")
+	var names []string
+	for _, cells := range markdownTable(t, "README.md", header) {
+		for _, m := range backticked.FindAllStringSubmatch(cells[0], -1) {
+			names = append(names, prefix+m[1])
+		}
+	}
+	return names
+}
+
+// markdownTable returns the cells of each body row of file's table whose
+// header row starts with header.
+func markdownTable(t *testing.T, file, header string) [][]string {
+	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	in := false
-	for _, line := range strings.Split(string(data), "\n") {
-		switch {
-		case !in:
-			in = strings.HasPrefix(line, header)
-		case !strings.HasPrefix(line, "|"):
-			return names
-		case !strings.HasPrefix(line, "|---"):
-			first, _, _ := strings.Cut(strings.TrimPrefix(line, "|"), "|")
-			for _, m := range backticked.FindAllStringSubmatch(first, -1) {
-				names = append(names, prefix+m[1])
-			}
+	_, table, ok := strings.Cut(string(data), "\n"+header)
+	if !ok {
+		t.Fatalf("%s has no table headed %q", file, header)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(table, "\n")[2:] { // past the header and |---| rows
+		if !strings.HasPrefix(line, "|") {
+			break
 		}
+		rows = append(rows, tableCells(line))
 	}
-	if !in {
-		t.Fatalf("README.md has no table headed %q", header)
+	return rows
+}
+
+// tableCells splits a Markdown table row into its trimmed cells; a cell
+// may hold an escaped pipe, "\\|".
+func tableCells(line string) []string {
+	line = strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(line), "|"), "|")
+	cells := strings.Split(strings.ReplaceAll(line, `\|`, "\x00"), "|")
+	for i, c := range cells {
+		cells[i] = strings.ReplaceAll(strings.TrimSpace(c), "\x00", "|")
 	}
-	return names
+	return cells
 }
 
 // registeredMetrics returns every "mburst_…" literal passed as the name

@@ -162,32 +162,23 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
-// TestQuickReportDeterminism runs the smallest full-figure campaign twice
-// and requires bit-identical headline numbers — the repository's umbrella
-// reproducibility guarantee.
+// TestQuickReportDeterminism runs the smallest full-figure campaign a
+// second time and requires a byte-identical report — the repository's
+// umbrella reproducibility guarantee.
 func TestQuickReportDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two full quick campaigns")
+	exp, err := core.NewExperiment(core.QuickConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func() (float64, float64) {
-		exp, err := core.NewExperiment(core.QuickConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fig3, err := exp.Fig3BurstDurations(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t2, err := exp.Table2BurstMarkov(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fig3.Durations[workload.Hadoop].Quantile(0.9),
-			t2.Models[workload.Web].LikelihoodRatio()
+	rep, err := exp.RunAll(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	p90a, ra := run()
-	p90b, rb := run()
-	if p90a != p90b || ra != rb {
-		t.Fatalf("non-deterministic: p90 %v/%v, ratio %v/%v", p90a, p90b, ra, rb)
+	first, err := quickReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, second := first.Format(), rep.Format(); first != second {
+		t.Fatalf("two QuickConfig reports differ:\n--- first\n%s\n--- second\n%s", first, second)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"mburst/internal/obs"
@@ -32,16 +31,17 @@ func TestRunAllSimulatesEachCellOnce(t *testing.T) {
 	}
 
 	parts := counted()
+	_, byteJobs := parts.byteCampaignJobs(ByteWant{Durations: true, Gaps: true})
 	for name, run := range map[string]func() error{
-		"byte campaign": func() error { _, err := parts.byteCampaigns(ctx, ByteWant{Durations: true, Gaps: true}); return err },
-		"fig1":          func() error { _, err := parts.Fig1DropUtilScatter(ctx); return err },
-		"fig2":          func() error { _, err := parts.Fig2DropTimeSeries(ctx); return err },
-		"table1":        func() error { _, err := parts.Table1SamplingLoss(ctx); return err },
-		"fig5":          func() error { _, err := parts.Fig5PacketSizes(ctx); return err },
-		"fig7":          func() error { _, err := parts.Fig7UplinkMAD(ctx); return err },
-		"fig8":          func() error { _, err := parts.Fig8ServerCorrelation(ctx); return err },
-		"fig9":          func() error { _, err := parts.Fig9HotPortShare(ctx); return err },
-		"fig10":         func() error { _, err := parts.Fig10BufferOccupancy(ctx); return err },
+		"byte campaign": func() error { return parts.Runner().runJobs(ctx, byteJobs...) },
+		"fig1":          func() error { _, err := runJob(ctx, parts, parts.fig1Job); return err },
+		"fig2":          func() error { _, err := runJob(ctx, parts, parts.fig2Job); return err },
+		"table1":        func() error { _, err := runJob(ctx, parts, parts.table1Job); return err },
+		"fig5":          func() error { _, err := runJob(ctx, parts, parts.fig5Job); return err },
+		"fig7":          func() error { _, err := runJob(ctx, parts, parts.fig7Job); return err },
+		"fig8":          func() error { _, err := runJob(ctx, parts, parts.fig8Job); return err },
+		"fig9":          func() error { _, err := runJob(ctx, parts, parts.fig9Job); return err },
+		"fig10":         func() error { _, err := runJob(ctx, parts, parts.fig10Job); return err },
 	} {
 		if err := run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -56,54 +56,5 @@ func TestRunAllSimulatesEachCellOnce(t *testing.T) {
 	}
 	if got := whole.windows.Value(); got != 6 {
 		t.Errorf("RunAll simulated %d rack-windows, want 6 (3 apps × 1 rack × 2 windows)", got)
-	}
-}
-
-// TestByteFiguresStandaloneMatchReport: §7 and each single-statistic
-// runner, run alone, equal what RunAll reduces from its one shared
-// campaign, serially and on a pool.
-func TestByteFiguresStandaloneMatchReport(t *testing.T) {
-	ctx := context.Background()
-	for _, workers := range []int{1, 8} {
-		cfg := pinnedConfig()
-		cfg.Workers = workers
-		exp, err := NewExperiment(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := exp.RunAll(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		impl, err := exp.Implications(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(impl, rep.Implications) {
-			t.Errorf("workers=%d: Implications alone diverges from RunAll's\nalone:  %+v\nreport: %+v", workers, impl, rep.Implications)
-		}
-		if len(impl.ThresholdEval.LatenciesMicros) == 0 {
-			t.Errorf("workers=%d: no burst detected on the web campaign — the detector comparison is vacuous", workers)
-		}
-		fig3, err := exp.Fig3BurstDurations(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertStreamEqual(t, "fig3", rep.Fig3, fig3)
-		fig4, err := exp.Fig4InterBurstGaps(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertStreamEqual(t, "fig4", rep.Fig4, fig4)
-		table2, err := exp.Table2BurstMarkov(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertStreamEqual(t, "table2", rep.Table2, table2)
-		fig6, err := exp.Fig6UtilizationCDF(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertStreamEqual(t, "fig6", rep.Fig6, fig6)
 	}
 }

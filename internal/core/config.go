@@ -11,15 +11,11 @@
 // application; the defaults here are scaled down (~60×) but every scale
 // knob is in Config.
 //
-// One Experiment method per paper artifact:
-//
-//	Fig1DropUtilScatter      Fig6UtilizationCDF
-//	Fig2DropTimeSeries       Fig7UplinkMAD
-//	Table1SamplingLoss       Fig8ServerCorrelation
-//	Fig3BurstDurations       Fig9HotPortShare
-//	Table2BurstMarkov        Fig10BufferOccupancy
-//	Fig4InterBurstGaps       (plus ablations, see bench_test.go)
-//	Fig5PacketSizes
+// Experiment.RunAll produces every paper artifact in one pass (a Report:
+// Figs 1–10, Tables 1–2 and the §7 implications), each figure one job of
+// figures.go; Fig9HotPortShare also runs its job alone, for the
+// oversubscription sweep. The root experiments_test.go holds the report
+// to EXPERIMENTS.md.
 package core
 
 import (

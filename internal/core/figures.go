@@ -55,15 +55,10 @@ type Fig1Result struct {
 	Correlation float64
 }
 
-// Fig1DropUtilScatter samples every downlink of every rack-window pair at
-// coarse (SNMP-like) granularity: one (utilization, drop-rate) point per
-// ToR-server link per window, mirroring Fig 1's methodology of hourly
+// fig1Job samples every downlink of every rack-window pair at coarse
+// (SNMP-like) granularity, filling res: one (utilization, drop-rate) point
+// per ToR-server link per window, mirroring Fig 1's methodology of hourly
 // sub-sampled 4-minute windows.
-func (e *Experiment) Fig1DropUtilScatter(ctx context.Context) (Fig1Result, error) {
-	return runJob(ctx, e, e.fig1Job)
-}
-
-// fig1Job is Fig1DropUtilScatter's campaign, filling res.
 func (e *Experiment) fig1Job(res *Fig1Result) *job {
 	coarse := e.cfg.WindowDur / 5
 	if coarse <= 0 {
@@ -131,17 +126,12 @@ type Fig2Result struct {
 	HighAvg   float64
 }
 
-// Fig2DropTimeSeries records a continuous run on every downlink of a Web
-// rack and a Hadoop rack, picks the port with the most congestion
-// discards from each (the paper: "We chose two switch ports that were
-// experiencing congestion drops"), and bins their drops, reproducing
-// Fig 2's "drops occur in bursts, often lasting less than the measurement
+// fig2Job records a continuous run on every downlink of a Web rack and a
+// Hadoop rack, picks the port with the most congestion discards from each
+// (the paper: "We chose two switch ports that were experiencing
+// congestion drops"), and bins their drops into res, reproducing Fig 2's
+// "drops occur in bursts, often lasting less than the measurement
 // granularity".
-func (e *Experiment) Fig2DropTimeSeries(ctx context.Context) (Fig2Result, error) {
-	return runJob(ctx, e, e.fig2Job)
-}
-
-// fig2Job is Fig2DropTimeSeries' campaign, filling res.
 func (e *Experiment) fig2Job(res *Fig2Result) *job {
 	*res = Fig2Result{BinDur: e.cfg.WindowDur / 20}
 	if res.BinDur <= 0 {
@@ -242,13 +232,8 @@ type Table1Result struct {
 	Rows []Table1Row
 }
 
-// Table1SamplingLoss measures the byte-counter miss rate at the paper's
-// three intervals (plus context points) against a live Web rack.
-func (e *Experiment) Table1SamplingLoss(ctx context.Context) (Table1Result, error) {
-	return runJob(ctx, e, e.table1Job)
-}
-
-// table1Job is Table1SamplingLoss' campaign, filling res.
+// table1Job measures the byte-counter miss rate at the paper's three
+// intervals (plus context points) against a live Web rack, filling res.
 func (e *Experiment) table1Job(res *Table1Result) *job {
 	plan := func(topo.Rack, int, int) []collector.CounterSpec {
 		return []collector.CounterSpec{{Port: 0, Dir: asic.TX, Kind: asic.KindBytes}}
@@ -279,7 +264,7 @@ func (r Table1Result) Format() string {
 // Fig 3 / Fig 4 / Table 2 / Fig 6 — single-counter byte campaigns.
 
 // setByteFigures sets the report's four figures of the single-counter byte
-// campaign — Figs 3, 4, 6 and Table 2 — from byteCampaigns' output; a
+// campaign — Figs 3, 4, 6 and Table 2 — from byteCampaignJobs' results; a
 // figure whose statistic was not wanted comes out empty.
 func (r *Report) setByteFigures(campaigns []*ByteStats) {
 	r.Fig3 = Fig3Result{Durations: make(AppECDF)}
@@ -298,19 +283,11 @@ func (r *Report) setByteFigures(campaigns []*ByteStats) {
 	}
 }
 
-// Fig3Result is the µburst duration CDF per application.
+// Fig3Result is the µburst duration CDF per application: the 25 µs byte
+// campaigns' burst durations, each window streamed through a
+// BurstSegmenter so only the closed bursts are retained.
 type Fig3Result struct {
 	Durations AppECDF
-}
-
-// Fig3BurstDurations runs the 25 µs byte campaigns and extracts burst
-// durations, streaming each window through a BurstSegmenter so only the
-// closed bursts are retained.
-func (e *Experiment) Fig3BurstDurations(ctx context.Context) (Fig3Result, error) {
-	campaigns, err := e.byteCampaigns(ctx, ByteWant{Durations: true})
-	var r Report
-	r.setByteFigures(campaigns)
-	return r.Fig3, err
 }
 
 // Format renders the Fig 3 summary rows.
@@ -330,20 +307,12 @@ func (r Fig3Result) Format() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// Fig4Result is the inter-burst gap CDF per application plus the Poisson
+// Fig4Result is the inter-burst gap CDF per application — gaps the
+// BurstSegmenter emits as each following burst arms — plus the Poisson
 // goodness-of-fit rejection (§5.2).
 type Fig4Result struct {
 	Gaps AppECDF
 	KS   map[workload.App]stats.KSResult
-}
-
-// Fig4InterBurstGaps runs byte campaigns and extracts inter-burst gaps,
-// emitted by the BurstSegmenter as each following burst arms.
-func (e *Experiment) Fig4InterBurstGaps(ctx context.Context) (Fig4Result, error) {
-	campaigns, err := e.byteCampaigns(ctx, ByteWant{Gaps: true})
-	var r Report
-	r.setByteFigures(campaigns)
-	return r.Fig4, err
 }
 
 // Format renders the Fig 4 summary rows.
@@ -363,18 +332,11 @@ func (r Fig4Result) Format() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// Table2Result is the two-state Markov model per application.
+// Table2Result is the two-state Markov model per application, fitted from
+// streaming transition counts (one MarkovAcc per window, merged across
+// windows).
 type Table2Result struct {
 	Models map[workload.App]stats.MarkovModel
-}
-
-// Table2BurstMarkov fits the burst Markov chains from streaming
-// transition counts (one MarkovAcc per window, merged across windows).
-func (e *Experiment) Table2BurstMarkov(ctx context.Context) (Table2Result, error) {
-	campaigns, err := e.byteCampaigns(ctx, ByteWant{Markov: true})
-	var r Report
-	r.setByteFigures(campaigns)
-	return r.Table2, err
 }
 
 // Format renders Table 2.
@@ -392,19 +354,11 @@ func (r Table2Result) Format() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// Fig6Result is the link-utilization CDF per application.
+// Fig6Result is the link-utilization CDF per application, with the hot
+// samples counted inline.
 type Fig6Result struct {
 	Utils   AppECDF
 	HotFrac map[workload.App]float64
-}
-
-// Fig6UtilizationCDF runs byte campaigns and collects utilization
-// samples, counting hot samples inline.
-func (e *Experiment) Fig6UtilizationCDF(ctx context.Context) (Fig6Result, error) {
-	campaigns, err := e.byteCampaigns(ctx, ByteWant{Utils: true})
-	var r Report
-	r.setByteFigures(campaigns)
-	return r.Fig6, err
 }
 
 // Format renders the Fig 6 summary rows.
@@ -431,13 +385,9 @@ type Fig5Result struct {
 	Mix map[workload.App]analysis.PacketMixResult
 }
 
-// Fig5PacketSizes polls byte + size-bin counters together at 100 µs (the
-// §5.3 methodology) on random ports and classifies periods by utilization.
-func (e *Experiment) Fig5PacketSizes(ctx context.Context) (Fig5Result, error) {
-	return runJob(ctx, e, e.fig5Job)
-}
-
-// fig5Job is Fig5PacketSizes' campaign, filling res.
+// fig5Job polls byte + size-bin counters together at 100 µs (the §5.3
+// methodology) on random ports and classifies periods by utilization,
+// filling res.
 func (e *Experiment) fig5Job(res *Fig5Result) *job {
 	*res = Fig5Result{Mix: make(map[workload.App]analysis.PacketMixResult)}
 	interval := 100 * simclock.Microsecond
@@ -528,15 +478,10 @@ type Fig7Result struct {
 	CoarseBin simclock.Duration
 }
 
-// Fig7UplinkMAD polls all four uplinks (both directions) at 40 µs and
-// computes the normalized mean absolute deviation per sampling period,
-// plus a coarse rebin: the paper's contrast between 40 µs imbalance and
-// 1 s balance.
-func (e *Experiment) Fig7UplinkMAD(ctx context.Context) (Fig7Result, error) {
-	return runJob(ctx, e, e.fig7Job)
-}
-
-// fig7Job is Fig7UplinkMAD's campaign, filling res.
+// fig7Job polls all four uplinks (both directions) at 40 µs and computes
+// the normalized mean absolute deviation per sampling period, plus a
+// coarse rebin, filling res: the paper's contrast between 40 µs imbalance
+// and 1 s balance.
 func (e *Experiment) fig7Job(res *Fig7Result) *job {
 	rack := e.Rack()
 	*res = Fig7Result{MAD: make(map[workload.App]Fig7Curves)}
@@ -680,13 +625,8 @@ type Fig8Result struct {
 	BlockScore map[workload.App]float64
 }
 
-// Fig8ServerCorrelation polls every downlink at 250 µs (ToR→server) and
-// computes the Pearson matrix.
-func (e *Experiment) Fig8ServerCorrelation(ctx context.Context) (Fig8Result, error) {
-	return runJob(ctx, e, e.fig8Job)
-}
-
-// fig8Job is Fig8ServerCorrelation's campaign, filling res.
+// fig8Job polls every downlink at 250 µs (ToR→server) and computes the
+// Pearson matrix, filling res.
 func (e *Experiment) fig8Job(res *Fig8Result) *job {
 	*res = Fig8Result{
 		Corr:        make(map[workload.App][][]float64),
@@ -866,14 +806,9 @@ type Fig10Result struct {
 	MeanPeakHigh map[workload.App]float64
 }
 
-// Fig10BufferOccupancy polls all ports' byte counters plus the shared
-// buffer's peak register at 300 µs and groups 50 ms-scaled windows by the
-// number of hot ports.
-func (e *Experiment) Fig10BufferOccupancy(ctx context.Context) (Fig10Result, error) {
-	return runJob(ctx, e, e.fig10Job)
-}
-
-// fig10Job is Fig10BufferOccupancy's campaign, filling res.
+// fig10Job polls all ports' byte counters plus the shared buffer's peak
+// register at 300 µs and groups 50 ms-scaled windows by the number of hot
+// ports, filling res.
 func (e *Experiment) fig10Job(res *Fig10Result) *job {
 	rack := e.Rack()
 	*res = Fig10Result{

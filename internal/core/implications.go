@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -55,15 +54,9 @@ func (e *Experiment) implicationDetectors() (thDet, ewDet detect.Detector, err e
 	return thDet, ewDet, nil
 }
 
-// Implications runs the §7 analyses over the byte campaigns' burst
-// durations, gaps and — on the web campaign — detector events.
-func (e *Experiment) Implications(ctx context.Context) (ImplicationsResult, error) {
-	campaigns, err := e.byteCampaigns(ctx, ByteWant{Durations: true, Gaps: true})
-	return implications(campaigns), err
-}
-
-// implications reduces byteCampaigns' output (durations and gaps wanted)
-// to the §7 quantities.
+// implications reduces byteCampaignJobs' results (durations and gaps
+// wanted) to the §7 quantities: burst durations, gaps and — on the web
+// campaign — detector events.
 func implications(campaigns []*ByteStats) ImplicationsResult {
 	res := ImplicationsResult{
 		SignalRTTs: []simclock.Duration{

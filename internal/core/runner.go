@@ -264,8 +264,8 @@ func (r *Runner) runJobs(ctx context.Context, jobs ...*job) error {
 	return nil
 }
 
-// runJob runs one harness's job alone: the path every public figure
-// method takes, and the same one RunAll takes with every job at once.
+// runJob runs one harness's job alone — Fig9HotPortShare's path, and the
+// same one RunAll takes with every job at once.
 func runJob[R any](ctx context.Context, e *Experiment, build func(*R) *job) (R, error) {
 	var res R
 	err := e.Runner().runJobs(ctx, build(&res))

@@ -79,31 +79,22 @@ func TestRunnerRecordDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunnerFigureDeterminism asserts Fig 3 and Fig 9 render identically
+// TestRunnerFigureDeterminism asserts the whole report renders identically
 // for every worker count.
 func TestRunnerFigureDeterminism(t *testing.T) {
-	render := func(workers int) (string, string) {
+	render := func(workers int) string {
 		exp, err := NewExperiment(runnerConfig(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fig3, err := exp.Fig3BurstDurations(context.Background())
+		rep, err := exp.RunAll(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		fig9, err := exp.Fig9HotPortShare(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fig3.Format(), fig9.Format()
+		return rep.Format()
 	}
-	f3a, f9a := render(1)
-	f3b, f9b := render(8)
-	if f3a != f3b {
-		t.Errorf("Fig3 differs by worker count:\n--- Workers=1\n%s\n--- Workers=8\n%s", f3a, f3b)
-	}
-	if f9a != f9b {
-		t.Errorf("Fig9 differs by worker count:\n--- Workers=1\n%s\n--- Workers=8\n%s", f9a, f9b)
+	if a, b := render(1), render(8); a != b {
+		t.Errorf("report differs by worker count:\n--- Workers=1\n%s\n--- Workers=8\n%s", a, b)
 	}
 }
 

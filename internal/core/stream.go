@@ -20,7 +20,7 @@ import (
 // accumulators. A reduction keeps closed bursts, gaps and transition
 // counts — sparse in the sample stream — never a materialized UtilPoint
 // series. The 25 µs single-counter campaign is simulated and reduced here
-// once per report (byteCampaigns): Figs 3, 4, 6, Table 2 (setByteFigures) and
+// once per report (byteCampaignJobs): Figs 3, 4, 6, Table 2 (setByteFigures) and
 // §7 (implications) all read the same ByteStats. equivalence_test.go checks
 // every runner here against a materialize-then-reduce composition of the
 // same data.
@@ -62,8 +62,8 @@ type ByteStats struct {
 
 // byteReducer is the one per-series byte reduction, shared by
 // StreamByteStats (one series per campaign cell), AnalyzeTrace (one per
-// port and direction of a window), the Fig 3/4/6/Table 2 runners and §7
-// (both through byteCampaigns): samples → UtilState → spans → segmenter /
+// port and direction of a window), and Figs 3/4/6, Table 2 and §7 (all
+// through byteCampaignJobs): samples → UtilState → spans → segmenter /
 // Markov / hot count / online detectors, retaining only what want selects.
 // Output is staged per series so a caller can drop a damaged series whole.
 type byteReducer struct {
@@ -73,7 +73,7 @@ type byteReducer struct {
 	seg       *analysis.BurstSegmenter // nil unless durations or gaps are wanted
 	mk        stats.MarkovAcc
 	// thDet and ewDet are §7's online detectors (threshold, EWMA), set
-	// together by byteCampaigns only; they see every utilization point.
+	// together by byteCampaignJobs only; they see every utilization point.
 	thDet, ewDet detect.Detector
 
 	bursts             []analysis.Burst // kept when durations are wanted
@@ -211,20 +211,11 @@ func (e *Experiment) byteJob(res *ByteStats, app workload.App, interval simclock
 	})
 }
 
-// byteCampaigns runs the 25 µs single-counter campaign once per app, in
-// workload.Apps order — the one data set behind Figs 3, 4, 6, Table 2 and
-// §7.
-func (e *Experiment) byteCampaigns(ctx context.Context, want ByteWant) ([]*ByteStats, error) {
-	campaigns, jobs := e.byteCampaignJobs(want)
-	if err := e.Runner().runJobs(ctx, jobs...); err != nil {
-		return nil, err
-	}
-	return campaigns, nil
-}
-
-// byteCampaignJobs is byteCampaigns' jobs, one per app, and the results
-// they fill. The web cells also feed §7's online detectors whenever the
-// bursts they are evaluated against are kept.
+// byteCampaignJobs is the 25 µs single-counter campaign — the one data
+// set behind Figs 3, 4, 6, Table 2 and §7 — as one job per app, in
+// workload.Apps order, and the results they fill. The web cells also feed
+// §7's online detectors whenever the bursts they are evaluated against are
+// kept.
 func (e *Experiment) byteCampaignJobs(want ByteWant) ([]*ByteStats, []*job) {
 	campaigns := make([]*ByteStats, len(workload.Apps))
 	jobs := make([]*job, len(workload.Apps))

@@ -17,20 +17,16 @@ func NewLogger(w io.Writer, level slog.Level, json bool) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, opts))
 }
 
-// DaemonLogger is the standard daemon logging setup: stderr, text format,
-// info level, tagged with the daemon name. The environment overrides the
-// defaults so operators can turn on debug logging or JSON shipping
-// without a redeploy:
+// DaemonLoggerTo is the standard daemon logging setup: w (a daemon's
+// stderr, which its tests replace), text format, info level, tagged with
+// the daemon name. The environment overrides the defaults so operators can
+// turn on debug logging or JSON shipping without a redeploy:
 //
 //	MBURST_LOG_LEVEL=debug|info|warn|error
 //	MBURST_LOG_FORMAT=text|json
 //
 // The returned logger is also installed as slog's default so stray
 // slog.Info calls in libraries land in the same stream.
-func DaemonLogger(name string) *slog.Logger { return DaemonLoggerTo(os.Stderr, name) }
-
-// DaemonLoggerTo is DaemonLogger writing to w instead of stderr, for
-// daemons whose run function is driven by tests.
 func DaemonLoggerTo(w io.Writer, name string) *slog.Logger {
 	level := slog.LevelInfo
 	switch strings.ToLower(os.Getenv("MBURST_LOG_LEVEL")) {

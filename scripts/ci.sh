@@ -43,6 +43,12 @@ fi
 # materializing reference, and the 1000-rack fleet byte-exact.
 go test -race -shuffle=on ./...
 
+# The paper's claims: EXPERIMENTS.md against one full-scale RunAll at
+# seed 1 (every quoted number printed, every ✅ predicate true). Under the
+# race detector above only its quick-scale half runs — the full campaign
+# takes ~15× longer there — so the full half runs once here, without it.
+go test -count=1 -run 'TestExperiments' .
+
 # Fuzz smoke: five seconds each on the two wire-decoder targets, whole
 # streams (FuzzReadBatch reads each input through the buffered and the
 # unbuffered path, which must agree batch for batch) and the MBW3 delta
