@@ -157,7 +157,7 @@ func (u *UtilState) Close() error {
 }
 
 // GapAwareState is the engine behind GapAwareUtilization. It retains the
-// reconstructed spans (32 bytes per span, versus 96 per wire.Sample)
+// reconstructed spans (32 bytes per span, versus 72 per wire.Sample)
 // because the catch-up merge can cascade arbitrarily far back, so the
 // output is not final until Finish.
 //

@@ -404,6 +404,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	for _, forged := range mbc1Forged() {
 		f.Add(forged)
 	}
+	for _, respelled := range mbc1NonMinimal() {
+		f.Add(respelled)
+	}
 	for _, invalid := range invalidSeriesCheckpoints() {
 		f.Add(invalid.data)
 	}

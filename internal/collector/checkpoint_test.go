@@ -2,10 +2,12 @@ package collector
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"mburst/internal/asic"
@@ -42,20 +44,37 @@ func (m *memArchive) Sync() error {
 
 func (m *memArchive) Batches() uint64 { return uint64(len(m.batches)) }
 
-// iter streams the log, honouring wire.SkipTo as Resume requires.
-func (m *memArchive) iter(fn func(*wire.Batch) error) error {
-	for i := 0; i < len(m.batches); i++ {
-		err := fn(m.batches[i])
-		if to, ok := err.(wire.SkipTo); ok {
-			// Position to+1 is index to, where the loop's i++ lands.
-			i = max(i, int(min(uint64(to), uint64(len(m.batches))))-1)
-			continue
+// iter streams the log as Resume requires: in write order, through one
+// batch it refills for every call, honouring wire.SkipTo.
+func (m *memArchive) iter(fn func(*wire.Batch) error) error { return tailIter(m, 0, false)(fn) }
+
+var errIterFailed = errors.New("archive read failed")
+
+// tailIter streams arch as trace.IterArchive does: through one batch it
+// refills for every call, honouring SkipTo unless noSkip, and failing
+// with errIterFailed before delivering batch failAt when failAt > 0.
+func tailIter(arch *memArchive, failAt int, noSkip bool) func(func(*wire.Batch) error) error {
+	return func(fn func(*wire.Batch) error) error {
+		var b wire.Batch
+		for i, calls := 0, 0; i < len(arch.batches); i++ {
+			if calls++; calls == failAt {
+				return errIterFailed
+			}
+			src := arch.batches[i]
+			b.Rack, b.Epoch = src.Rack, src.Epoch
+			b.Samples = append(b.Samples[:0], src.Samples...)
+			err := fn(&b)
+			if to, ok := err.(wire.SkipTo); ok && !noSkip {
+				// Position to+1 is index to, where the loop's i++ lands.
+				i = max(i, int(min(uint64(to), uint64(len(arch.batches))))-1)
+				continue
+			}
+			if err != nil {
+				return err
+			}
 		}
-		if err != nil {
-			return err
-		}
+		return nil
 	}
-	return nil
 }
 
 // ckptBatch builds batch i for rack: multi-sample, monotone time, a
@@ -331,5 +350,173 @@ func TestRecoveryMetricsMeasureCheckpointAndResume(t *testing.T) {
 	// Readings: Resume's start, after the load, at return.
 	if load, all := rm2.CheckpointLoadSeconds.Value(), rm2.ResumeSeconds.Value(); load != 0.001 || all != 0.002 {
 		t.Errorf("checkpoint_load_seconds = %v, resume_seconds = %v; want 0.001 and 0.002", load, all)
+	}
+}
+
+// resumeCase is one generated crash for TestResumeMatchesReference: the
+// traffic the dead shard took, its checkpoint cadence, what the crash
+// left for the resume (resumeKinds) and a position that kind uses.
+type resumeCase struct {
+	Ops   []cutOp
+	Every uint8
+	Kind  uint8
+	At    uint8
+}
+
+// The crashes a resumeCase can leave behind.
+const (
+	resumeMBC1       = iota // the last checkpoint, as written
+	resumeLegacyJSON        // the same state, as an older binary saved it
+	resumeMissing           // no checkpoint file
+	resumeShortfall         // the archive lost batches the checkpoint covers
+	resumeIterFails         // the iterator fails partway
+	resumeNoSkip            // the iterator does not honour SkipTo
+	resumeCorrupt           // damaged checkpoint bytes
+	resumeNoPath            // a shard configured without checkpoints
+	resumeKinds
+)
+
+// damageCheckpoint spoils the file at path, unsealed, so the checksum
+// (or, for JSON, the syntax) is what catches it: a flipped bit, the mark
+// spelled 0x80 0x00, or a cut.
+func damageCheckpoint(t *testing.T, path string, at uint8) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mark = len(CheckpointMagic) + 1
+	switch {
+	case at%3 == 0:
+		data[int(at)%len(data)] ^= 1 << (at % 8)
+	case at%3 == 1 && len(data) > mark:
+		data = append(append(data[:mark:mark], 0x80, 0x00), data[mark+1:]...)
+	default:
+		data = data[:int(at)%len(data)]
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// resumeOutcome is everything a resume decides: its report and error,
+// and the state of every restored stage.
+type resumeOutcome struct {
+	Rep       ResumeReport
+	Err       string
+	Gate      []RackEpochState
+	Stats     Snapshot
+	Figures   FiguresState
+	SinceCkpt int
+}
+
+func resumeWith(t *testing.T, resume func(*Shard, func(func(*wire.Batch) error) error) (ResumeReport, error),
+	arch *memArchive, path string, every int, iter func(func(*wire.Batch) error) error) resumeOutcome {
+	t.Helper()
+	sh, figures, stats := newDurable(t, arch, path, every)
+	rep, err := resume(sh, iter)
+	out := resumeOutcome{Rep: rep, Gate: sh.gate.State(), Stats: stats.Snapshot(),
+		Figures: refFiguresState(figures), SinceCkpt: sh.sinceCkpt}
+	if err != nil {
+		out.Err = err.Error()
+	}
+	return out
+}
+
+// TestResumeMatchesReference holds Shard.Resume, which restores the
+// checkpoint on a goroutine of its own while it reads the archive tail, to
+// refResume, which does one after the other: over generated crashes —
+// MBC1 and legacy JSON checkpoints, a missing or damaged one, a
+// shortfall, a failing iterator and one that cannot skip — the two
+// report, fail and restore alike, and so do they from every
+// parent-written checkpoint fixture.
+func TestResumeMatchesReference(t *testing.T) {
+	same := func(what string, arch *memArchive, path string, every int, iter func(func(*wire.Batch) error) error) bool {
+		t.Helper()
+		got := resumeWith(t, (*Shard).Resume, arch, path, every, iter)
+		want := resumeWith(t, refResume, arch, path, every, iter)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Resume diverges from refResume\n got %+v\nwant %+v", what, got, want)
+			return false
+		}
+		return true
+	}
+
+	traffic := fixtureTraffic(fixtureCkptRounds + 5)
+	for _, fixture := range []string{parentCheckpoint, compactCheckpoint, binaryCheckpoint} {
+		arch := &memArchive{}
+		for _, b := range traffic {
+			if err := arch.WriteBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := os.ReadFile(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), CheckpointFileName)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		same(fixture, arch, path, 1000, arch.iter)
+		for at := range uint8(3) {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			damageCheckpoint(t, path, at)
+			same(fmt.Sprintf("%s, damage %d", fixture, at), arch, path, 1000, arch.iter)
+		}
+	}
+
+	law := func(c resumeCase) bool {
+		every := 2 + int(c.Every%6)
+		arch := &memArchive{}
+		path := filepath.Join(t.TempDir(), CheckpointFileName)
+		dead, _, _ := newDurable(t, arch, path, every)
+		feed := newCutFeeder()
+		for _, op := range c.Ops {
+			for range 1 + op.Port%8 {
+				dead.Handle(feed.clean(uint32(op.Rack%5), 1+int(op.N%8)))
+			}
+			if op.Op%4 == 0 {
+				dead.Handle(feed.batch(op)) // damaged, or dropped by the gate
+			}
+		}
+		failAt, noSkip := 0, false
+		switch c.Kind % resumeKinds {
+		case resumeLegacyJSON:
+			if st, ok, err := LoadCheckpoint(path); err != nil {
+				t.Fatal(err)
+			} else if ok {
+				if err := refSaveCheckpointJSON(path, st); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case resumeMissing:
+			os.Remove(path)
+		case resumeShortfall:
+			st, _, err := LoadCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mark := int(st.ArchivedBatches); mark > 0 {
+				arch.batches = arch.batches[:mark-1-int(c.At)%mark]
+			}
+		case resumeIterFails:
+			failAt = 1 + int(c.At)%(every+2)
+		case resumeNoSkip:
+			noSkip = true
+		case resumeCorrupt:
+			if _, err := os.Stat(path); err == nil {
+				damageCheckpoint(t, path, c.At)
+			}
+		case resumeNoPath:
+			path = ""
+		}
+		return same(fmt.Sprintf("kind %d, %d batches, every %d", c.Kind%resumeKinds, len(c.Ops), every),
+			arch, path, every, tailIter(arch, failAt, noSkip))
+	}
+	if err := quick.Check(law, &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
 	}
 }

@@ -181,22 +181,27 @@ func appendFloats(dst []byte, vs []float64) []byte {
 	return dst
 }
 
-// decodeMBC1 decodes a whole MBC1 file (magic included).
-func decodeMBC1(data []byte) (CheckpointState, error) {
+// openMBC1 checks an MBC1 file's length, version and checksum and
+// returns a reader over its body, positioned at archived_batches. No
+// field is trusted before the checksum is.
+func openMBC1(data []byte) (mbc1Reader, error) {
 	const header, trailer = len(CheckpointMagic) + 1, 4
 	if len(data) < header+trailer {
-		return CheckpointState{}, errors.New("MBC1 file shorter than its header and checksum")
+		return mbc1Reader{}, errors.New("MBC1 file shorter than its header and checksum")
 	}
 	if v := data[len(CheckpointMagic)]; v != mbc1Version {
-		return CheckpointState{}, fmt.Errorf("unknown MBC1 version %d", v)
+		return mbc1Reader{}, fmt.Errorf("unknown MBC1 version %d", v)
 	}
 	body := len(data) - trailer
 	if want, got := binary.LittleEndian.Uint32(data[body:]), crc32.ChecksumIEEE(data[:body]); want != got {
-		return CheckpointState{}, fmt.Errorf("MBC1 checksum mismatch: file says %08x, content is %08x", want, got)
+		return mbc1Reader{}, fmt.Errorf("MBC1 checksum mismatch: file says %08x, content is %08x", want, got)
 	}
-	r := mbc1Reader{buf: data[header:body]}
-	var st CheckpointState
-	st.ArchivedBatches = r.uvarint()
+	return mbc1Reader{buf: data[header:body]}, nil
+}
+
+// rest decodes the body past archived_batches into st and returns the
+// first malformed field's error, or an error for trailing bytes.
+func (r *mbc1Reader) rest(st *CheckpointState) error {
 	if n := r.count(mbc1MinGateBytes); n > 0 {
 		st.Gate = make([]RackEpochState, n)
 		for i := range st.Gate {
@@ -237,10 +242,7 @@ func decodeMBC1(data []byte) (CheckpointState, error) {
 	if r.err == nil && len(r.buf) != 0 {
 		r.err = fmt.Errorf("%d trailing bytes after the MBC1 body", len(r.buf))
 	}
-	if r.err != nil {
-		return CheckpointState{}, r.err
-	}
-	return st, nil
+	return r.err
 }
 
 // mbc1Reader is the decode cursor: buf is what is left of the body. The
@@ -262,6 +264,13 @@ func (r *mbc1Reader) fail(err error) {
 var errMBC1Truncated = errors.New("MBC1 body truncated")
 
 func (r *mbc1Reader) uvarint() uint64 {
+	// Most fields of a checkpoint fit one byte, and a one-byte varint is
+	// always minimal.
+	if len(r.buf) > 0 && r.buf[0] < 0x80 {
+		v := uint64(r.buf[0])
+		r.buf = r.buf[1:]
+		return v
+	}
 	v, n := binary.Uvarint(r.buf)
 	switch {
 	case n == 0:

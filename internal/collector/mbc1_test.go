@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -11,12 +12,28 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"mburst/internal/asic"
+	"mburst/internal/wire"
 )
 
 // saveCheckpoint writes st to path as the shard's checkpoint does: MBC1,
 // through WriteFileAtomic.
 func saveCheckpoint(path string, st CheckpointState) error {
 	return WriteFileAtomic(path, appendCheckpoint(nil, &st))
+}
+
+// decodeMBC1 decodes a whole MBC1 file (magic included).
+func decodeMBC1(data []byte) (CheckpointState, error) {
+	r, err := openMBC1(data)
+	if err != nil {
+		return CheckpointState{}, err
+	}
+	st := CheckpointState{ArchivedBatches: r.uvarint()}
+	if err := r.rest(&st); err != nil {
+		return CheckpointState{}, err
+	}
+	return st, nil
 }
 
 // TestMBC1MinimumSizes re-derives the decoder's allocation bounds from
@@ -60,6 +77,14 @@ func TestMBC1RejectsDamage(t *testing.T) {
 		damaged["bit flipped in byte "+strconv.Itoa(n)] = flipped
 	}
 	path := filepath.Join(t.TempDir(), CheckpointFileName)
+	// A two-byte spelling of a value that fits one byte: the one-byte
+	// fast path must leave the minimal-encoding rule to the full decoder.
+	for what, data := range mbc1NonMinimal() {
+		if err := checkMBC1(t, data); err == nil || !strings.Contains(err.Error(), "not minimally encoded") {
+			t.Errorf("%s: decode error %v, want it not minimally encoded", what, err)
+		}
+		damaged[what] = data
+	}
 	for what, data := range damaged {
 		if bytes.Equal(data, golden) {
 			continue // sealing a cut at the body's end rebuilds the golden
@@ -75,6 +100,29 @@ func TestMBC1RejectsDamage(t *testing.T) {
 			t.Errorf("%s: LoadCheckpoint ok=%v err=%v, want an error naming %s", what, ok, err, path)
 		}
 	}
+}
+
+// mbc1NonMinimal re-spells, one at a time, the fields of a small MBC1
+// file that hold 1 — the mark, the figures' sample count, the series
+// count and the series' rack — as the two-byte varint 0x81 0x00, and
+// reseals each file so the checksum lets it through.
+func mbc1NonMinimal() map[string][]byte {
+	st := CheckpointState{ArchivedBatches: 1,
+		Figures: &FiguresState{Samples: 1, Series: []*SeriesState{{Rack: 1, UtilHist: make([]uint64, utilBins)}}}}
+	file := appendCheckpoint(nil, &st)
+	// The body opens archived_batches, #gate, has_ingest, has_figures,
+	// samples, #series, rack: one byte each here.
+	const mark = len(CheckpointMagic) + 1
+	out := make(map[string][]byte)
+	for name, at := range map[string]int{"archived_batches": mark, "figures samples": mark + 4,
+		"series count": mark + 5, "series rack": mark + 6} {
+		if file[at] != 1 {
+			panic(fmt.Sprintf("mbc1NonMinimal: %s is byte %d, not 1", name, file[at]))
+		}
+		respelled := append(append(append([]byte(nil), file[:at]...), 0x81, 0x00), file[at+1:]...)
+		out[name+" spelled 0x81 0x00"] = mbc1Seal(respelled)
+	}
+	return out
 }
 
 // TestMBC1EncodeReusesItsBuffer: encoding into a buffer that already
@@ -201,5 +249,87 @@ func TestMBC1CarriesNonFiniteFloats(t *testing.T) {
 	}
 	if !math.IsInf(r.Figures.Series[0].Moments.Sum, 1) {
 		t.Errorf("moments sum is %v after more traffic, want +Inf", r.Figures.Series[0].Moments.Sum)
+	}
+}
+
+// fleetCut is the checkpoint of a shard holding about series byte
+// series: 50 racks of two-direction ports, each series fed 24 samples
+// whose bursts open and close, so every part of a series — durations and
+// gaps included — has content.
+func fleetCut(t testing.TB, series int) CheckpointState {
+	t.Helper()
+	const racks, perSeries = 50, 24
+	tap := &ckptTap{stats: &IngestStats{}}
+	var err error
+	if tap.figures, err = NewLiveFigures(LiveFiguresConfig{SpeedOf: func(uint32, uint16) uint64 { return 10_000_000_000 }}); err != nil {
+		t.Fatal(err)
+	}
+	tap.gate = NewEpochGate(tap.stats.Wrap(tap.figures.Wrap(nil)), nil)
+	feed := newCutFeeder()
+	ports := (series + 2*racks - 1) / (2 * racks)
+	for range perSeries {
+		for rack := uint32(0); rack < racks; rack++ {
+			b := &wire.Batch{Rack: rack, Epoch: 1}
+			for port := uint16(0); port < uint16(ports); port++ {
+				for _, dir := range []asic.Direction{asic.RX, asic.TX} {
+					b.Samples = append(b.Samples, feed.next(seriesID{Rack: rack, Port: port, Dir: dir, Kind: asic.KindBytes}))
+				}
+			}
+			tap.gate.Handle(b)
+		}
+	}
+	return tap.cut(uint64(racks * perSeries))
+}
+
+// TestRestoreStateAllocatesPerSlab: restoring 5,000 series makes one
+// allocation per kind of part (series, converters, segmenters,
+// histograms, ECDF values) plus the table, not several per series, and
+// the restored tap cuts back to what it was restored from.
+func TestRestoreStateAllocatesPerSlab(t *testing.T) {
+	st := fleetCut(t, 5000)
+	if n := len(st.Figures.Series); n < 5000 {
+		t.Fatalf("generated %d series, want 5,000", n)
+	}
+	f := newCkptFigures(t)
+	if allocs := testing.AllocsPerRun(5, func() { f.RestoreState(*st.Figures) }); allocs >= 200 {
+		t.Errorf("RestoreState of %d series made %v allocations, want fewer than 200", len(st.Figures.Series), allocs)
+	}
+	sameCut(t, "restored 5,000 series", refFiguresState(f), *st.Figures)
+}
+
+// BenchmarkLoadCheckpoint reads, decodes and validates a 5,000-series
+// shard checkpoint: the load half of a resume.
+func BenchmarkLoadCheckpoint(b *testing.B) {
+	st := fleetCut(b, 5000)
+	path := filepath.Join(b.TempDir(), CheckpointFileName)
+	if err := saveCheckpoint(path, st); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, _, err := LoadCheckpoint(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(fi.Size()), "file_bytes")
+}
+
+// BenchmarkRestoreState restores a 5,000-series figures state into a
+// tap: the restore half of a resume.
+func BenchmarkRestoreState(b *testing.B) {
+	st := fleetCut(b, 5000)
+	f, err := NewLiveFigures(LiveFiguresConfig{SpeedOf: func(uint32, uint16) uint64 { return 10_000_000_000 }})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		f.RestoreState(*st.Figures)
 	}
 }

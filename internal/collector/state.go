@@ -136,7 +136,8 @@ func (s *liveSeries) snapshot() *SeriesState {
 // exception is a series without a histogram, which Handle could not
 // feed: it gets an empty one of utilBins bins. st's Series
 // entries must be non-nil (LoadCheckpoint refuses a file with a null
-// one); restore copies out of them and keeps none.
+// one); restore copies out of them and keeps none. It allocates per
+// kind of part, not per series (TestRestoreStateAllocatesPerSlab).
 func (f *LiveFigures) RestoreState(st FiguresState) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -144,22 +145,47 @@ func (f *LiveFigures) RestoreState(st FiguresState) {
 	f.series = make(map[liveKey]*liveSeries, len(st.Series))
 	f.order = make([]*liveSeries, 0, len(st.Series))
 	f.sorted = 0
+	// One allocation per kind of part, not several per series: the
+	// series, their converters and segmenters, histograms and ECDF values
+	// are cut from slabs, the slices with cap == len so that a later
+	// append reallocates instead of writing into a neighbour.
+	histLen := func(s *SeriesState) int {
+		if len(s.UtilHist) == 0 {
+			return utilBins // a series Handle could not feed gets an empty one
+		}
+		return len(s.UtilHist)
+	}
+	hists, values := 0, 0
 	for _, s := range st.Series {
-		ls := &liveSeries{
+		hists += histLen(s)
+		values += len(s.Durations.Values) + len(s.Gaps.Values)
+	}
+	series := make([]liveSeries, len(st.Series))
+	utils := make([]analysis.UtilState, len(st.Series))
+	segs := make([]analysis.BurstSegmenter, len(st.Series))
+	hist := make([]uint64, hists)
+	vals := make([]float64, values)
+	for i, s := range st.Series {
+		// Both constructors inline, so what they build stays on the stack
+		// and is copied into its slab.
+		utils[i] = *analysis.RestoreUtilState(s.Util)
+		segs[i] = *analysis.RestoreBurstSegmenter(s.Seg)
+		n := histLen(s)
+		ls := &series[i]
+		*ls = liveSeries{
 			key:      liveKey{Rack: s.Rack, Key: analysis.SeriesKey{Port: s.Port, Dir: s.Dir, Kind: s.Kind}},
-			util:     analysis.RestoreUtilState(s.Util),
-			seg:      analysis.RestoreBurstSegmenter(s.Seg),
-			utilHist: append([]uint64(nil), s.UtilHist...),
+			util:     &utils[i],
+			seg:      &segs[i],
+			utilHist: hist[:n:n],
 			points:   s.Points,
 			hot:      s.Hot,
 			dirty:    true,
 		}
-		if len(ls.utilHist) == 0 {
-			ls.utilHist = make([]uint64, utilBins)
-		}
+		copy(ls.utilHist, s.UtilHist)
+		hist = hist[n:]
 		ls.mk.Restore(s.Markov)
-		ls.durations.Restore(s.Durations)
-		ls.gaps.Restore(s.Gaps)
+		vals = ls.durations.Restore(s.Durations, vals)
+		vals = ls.gaps.Restore(s.Gaps, vals)
 		ls.moments.Restore(s.Moments)
 		if old := f.series[ls.key]; old != nil {
 			*old = *ls // a series listed twice: the last one wins

@@ -29,9 +29,16 @@ func (a *ECDFAcc) Snapshot() ECDFAccSnap {
 }
 
 // Restore replaces the accumulator's state with a snapshot. Continuing
-// to Add afterwards is bit-identical to never having stopped.
-func (a *ECDFAcc) Restore(s ECDFAccSnap) {
-	a.values = append(a.values[:0], s.Values...)
+// to Add afterwards is bit-identical to never having stopped. The values
+// are copied into the head of slab, which must hold at least
+// len(s.Values), and the rest of slab is returned, so a caller restoring
+// many accumulators allocates once for all of them. The accumulator
+// keeps its head with cap == len: a later Add reallocates instead of
+// writing into a neighbour's values.
+func (a *ECDFAcc) Restore(s ECDFAccSnap, slab []float64) []float64 {
+	n := copy(slab, s.Values)
+	a.values = slab[:n:n]
+	return slab[n:]
 }
 
 // MarkovAccSnap is the serializable state of a MarkovAcc, including the

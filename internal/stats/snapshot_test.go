@@ -47,9 +47,18 @@ func TestECDFAccSnapshotEquivalence(t *testing.T) {
 		}
 		var b ECDFAcc
 		b.Add(999) // restore must discard pre-existing state
-		b.Restore(jsonRT(t, a.Snapshot()))
+		// The slab is shared with a next accumulator, whose first value
+		// must survive every Add.
+		slab := make([]float64, k+1)
+		slab[k] = -1
+		if rest := b.Restore(jsonRT(t, a.Snapshot()), slab); len(rest) != 1 {
+			t.Fatalf("split %d: Restore left %d of the slab, want 1", k, len(rest))
+		}
 		for _, v := range values[k:] {
 			b.Add(v)
+		}
+		if slab[k] != -1 {
+			t.Fatalf("split %d: Add wrote past the restored values into the slab", k)
 		}
 		if !reflect.DeepEqual(b.Values(), cont.Values()) {
 			t.Fatalf("split %d: values diverge", k)

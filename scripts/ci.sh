@@ -87,6 +87,13 @@ go test -race -count=50 -cpu 1,2 -run 'TestReconnectingClient' ./internal/collec
 # show they hold however the goroutines are scheduled.
 go test -race -count=10 -cpu 1,2 -run 'TestServerCoalescesFrameReads|TestReaderReadsOncePerBuffer' ./internal/collector ./internal/wire
 
+# Resume is concurrent: the checkpoint decodes and restores on a goroutine
+# of its own while the archive tail is read. Ten repetitions at one and
+# two CPUs under the race detector run the law against the sequential
+# reference, the resume round trips and the resume's clock readings under
+# whatever schedule the runtime picks.
+go test -race -count=10 -cpu 1,2 -run 'TestResumeMatchesReference|TestDurableIngestResume|TestRecoveryMetricsMeasureCheckpointAndResume' ./internal/collector
+
 # Simulator laws: the replaced data-path and kernel bodies live on as
 # ref… functions (refAdd, refApplyTick, refScheduler) that testing/quick
 # compares against, and the per-tick, per-event and per-poll paths have
@@ -96,7 +103,8 @@ go test -race -count=10 -cpu 1,2 -run 'TestServerCoalescesFrameReads|TestReaderR
 # runner it replaced: each repetition draws its groups from the next seed.
 # The wire writer that passes received frames through is held to
 # refWriteBatch, the always-encode body it replaced, over generated
-# multi-rack schedules. No step reads a clock.
+# multi-rack schedules, and the shard's resume to refResume, its
+# sequential body, over generated crashes. No step reads a clock.
 go test -count=20 -run 'MatchesReference|QuickSortedFiring|AllocatesNothing' \
 	./internal/asic ./internal/eventq ./internal/simnet ./internal/collector
 go test -count=20 -run TestGroupedCellsMatchReference ./internal/core
