@@ -244,20 +244,20 @@ func (a *Aggregator) FleetState() (FleetState, error) {
 	return st, nil
 }
 
-// FleetFigures renders the merged fleet state through a LiveFigures
-// configured like the shards' — the fleet-wide Fig 3/4/6/9 snapshot,
-// bit-identical to a single collector that ingested every batch.
+// FleetFigures renders the merged fleet state as a LiveFigures
+// configured like the shards' would (RenderFigures) — the fleet-wide Fig
+// 3/4/6/9 snapshot, bit-identical to a single collector that ingested
+// every batch.
 func (a *Aggregator) FleetFigures() (FiguresSnapshot, error) {
 	st, err := a.FleetState()
 	if err != nil {
 		return FiguresSnapshot{}, err
 	}
-	lf, err := NewLiveFigures(a.cfg.Figures)
+	snap, err := RenderFigures(a.cfg.Figures, st.Figures)
 	if err != nil {
 		return FiguresSnapshot{}, fmt.Errorf("collector: fleet render needs the shard figures config: %w", err)
 	}
-	lf.RestoreState(st.Figures)
-	return lf.Snapshot(), nil
+	return snap, nil
 }
 
 // Restore seeds the retained per-shard states from the shards' own

@@ -22,10 +22,10 @@ import (
 // collector that never died.
 //
 // A checkpoint is written in the binary MBC1 encoding (mbc1.go): at 5,000
-// series about 0.83 MB, 0.7 ms to encode, 4–5 ms to read and decode
-// (BenchmarkLoadCheckpoint) and 2–3 ms to restore (BenchmarkRestoreState)
-// on a 2-vCPU Xeon — cheap enough that every checkpoint is a full one and
-// a resume reads exactly one file. Checkpoints older binaries wrote as
+// series about 0.83 MB, 0.7 ms to encode and 6–7 ms for a resume to read
+// it and decode it straight into the taps (BenchmarkRestoreCheckpoint) on
+// a 2-vCPU Xeon — cheap enough that every checkpoint is a full one and a
+// resume reads exactly one file. Checkpoints older binaries wrote as
 // JSON (the struct tags below are their schema) still load:
 // LoadCheckpoint tells the two apart by content, not by file name.
 //
@@ -77,18 +77,28 @@ func (st CheckpointState) validate() error {
 		if s == nil {
 			return fmt.Errorf("series %d is null", i)
 		}
-		if len(s.UtilHist) != utilBins {
-			return fmt.Errorf("series %s has %d util_hist bins, want %d", s.id(), len(s.UtilHist), utilBins)
+		if err := histBins(s); err != nil {
+			return err
 		}
 	}
 	series := canonicalOrder(st.Figures.Series)
 	for i := 1; i < len(series); i++ {
 		if id := series[i].id(); id == series[i-1].id() {
-			return fmt.Errorf("series %s is listed twice", id)
+			return listedTwice(id)
 		}
 	}
 	return nil
 }
+
+// histBins is validate's verdict on one series' histogram.
+func histBins(s *SeriesState) error {
+	if len(s.UtilHist) != utilBins {
+		return fmt.Errorf("series %s has %d util_hist bins, want %d", s.id(), len(s.UtilHist), utilBins)
+	}
+	return nil
+}
+
+func listedTwice(id seriesID) error { return fmt.Errorf("series %s is listed twice", id) }
 
 // CheckpointFileName is the shard checkpoint's name inside a durable
 // archive directory, as mbcollectd and core.RunFleet lay it out. A
@@ -202,6 +212,45 @@ func (c *openedCheckpoint) finish() (CheckpointState, error) {
 	return st, nil
 }
 
+// restore decodes the rest of the checkpoint straight into a shard's
+// taps — the gate, the ingest stats and, when figures is not nil, the
+// figures tap — and fails with finish's error, leaving every tap as it
+// was. An MBC1 body is never built as a CheckpointState: it decodes in
+// the taps' own shapes (restoreBody), and is installed only once all of
+// it has decoded and passed validate's checks. A JSON checkpoint is
+// finished and restored.
+func (c *openedCheckpoint) restore(gate *EpochGate, stats *IngestStats, figures *LiveFigures) error {
+	if !c.mbc1 {
+		st, err := c.finish()
+		if err != nil {
+			return err
+		}
+		gate.RestoreState(st.Gate)
+		if figures != nil && st.Figures != nil {
+			figures.RestoreState(*st.Figures)
+		}
+		if st.Ingest != nil {
+			stats.Restore(*st.Ingest)
+		}
+		return nil
+	}
+	var b restoredBody
+	if err := c.r.restoreBody(&b); err != nil {
+		return fmt.Errorf("collector: decoding checkpoint %s: %w", c.path, err)
+	}
+	if b.invalid != nil {
+		return fmt.Errorf("collector: checkpoint %s: %w", c.path, b.invalid)
+	}
+	gate.install(b.gate)
+	if figures != nil && b.figures {
+		figures.install(b.figuresSamples, b.series)
+	}
+	if b.ingest {
+		stats.install(b.batches, b.samples, b.lastSampleNanos, b.perRack)
+	}
+	return nil
+}
+
 // DefaultCheckpointEvery is the checkpoint cadence in admitted batches
 // when ShardConfig.Every is zero.
 const DefaultCheckpointEvery = 256
@@ -218,6 +267,7 @@ const DefaultCheckpointEvery = 256
 //
 // The checkpoint and the archive tail are independent inputs, so they
 // are read side by side: the checkpoint's decode, validation and restore
+// — one step for an MBC1 file, which decodes straight into the taps —
 // run on a goroutine of their own, from the moment its mark is known,
 // while iter reads the tail on the calling goroutine. Tail batches read
 // before the restore is done are copied aside, at most a checkpoint
@@ -250,16 +300,9 @@ func (s *Shard) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, 
 		go func() {
 			// The caller holds s.mu for this goroutine and touches none of
 			// what it restores until it has joined.
-			st, err := ckpt.finish()
+			err := ckpt.restore(s.gate, s.cfg.Stats, s.cfg.Figures)
 			if err == nil {
 				loadS = s.rec.since(start)
-				s.gate.RestoreState(st.Gate)
-				if s.cfg.Figures != nil && st.Figures != nil {
-					s.cfg.Figures.RestoreState(*st.Figures)
-				}
-				if st.Ingest != nil {
-					s.cfg.Stats.Restore(*st.Ingest)
-				}
 			}
 			restored <- err
 		}()

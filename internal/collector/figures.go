@@ -91,13 +91,22 @@ type liveSeries struct {
 
 // NewLiveFigures validates the config and returns a tap.
 func NewLiveFigures(cfg LiveFiguresConfig) (*LiveFigures, error) {
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
+	}
+	return &LiveFigures{cfg: cfg, series: make(map[liveKey]*liveSeries)}, nil
+}
+
+// resolve validates cfg and fills in its defaults.
+func (cfg LiveFiguresConfig) resolve() (LiveFiguresConfig, error) {
 	if cfg.SpeedOf == nil {
-		return nil, errors.New("collector: LiveFigures needs a SpeedOf function")
+		return cfg, errors.New("collector: LiveFigures needs a SpeedOf function")
 	}
 	if cfg.Threshold <= 0 {
 		cfg.Threshold = analysis.DefaultHotThreshold
 	}
-	return &LiveFigures{cfg: cfg, series: make(map[liveKey]*liveSeries)}, nil
+	return cfg, nil
 }
 
 // Wrap returns a BatchHandler that feeds b into the figures and then
@@ -244,43 +253,73 @@ type FiguresSnapshot struct {
 }
 
 // Snapshot returns the current running figures, series in canonical
-// (rack, port, dir, kind) order for stable output.
-func (f *LiveFigures) Snapshot() FiguresSnapshot {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	snap := FiguresSnapshot{Threshold: f.cfg.Threshold, Samples: f.samples}
-	series := f.ordered()
+// (rack, port, dir, kind) order for stable output: the tap's cut,
+// rendered. The cut costs what changed since the last one (State), and
+// the rendering runs outside the tap's lock.
+func (f *LiveFigures) Snapshot() FiguresSnapshot { return render(f.cfg, f.State()) }
+
+// RenderFigures renders a figures cut — a tap's State, a fleet merge, a
+// loaded checkpoint's figures — as a tap configured by cfg serves it after
+// restoring the cut: bit for bit what RestoreState then Snapshot return,
+// without building the tap. A cut lists each series once; one that lists
+// a series twice is not one (LoadCheckpoint and the fleet merge refuse
+// it). The error is cfg's, as NewLiveFigures reports it.
+func RenderFigures(cfg LiveFiguresConfig, st FiguresState) (FiguresSnapshot, error) {
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return FiguresSnapshot{}, err
+	}
+	return render(cfg, st), nil
+}
+
+// render is the one renderer: every derived statistic of the served
+// figures, series by series off their SeriesStates. The accumulators a
+// statistic needs are rebuilt on the stack from their snapshots, so each
+// float comes out of the code a live tap would run. cfg is resolved.
+func render(cfg LiveFiguresConfig, st FiguresState) FiguresSnapshot {
+	snap := FiguresSnapshot{Threshold: cfg.Threshold, Samples: st.Samples}
+	series := canonicalOrder(st.Series)
+	if len(series) > 0 {
+		snap.Series = make([]SeriesFigures, 0, len(series))
+	}
 	models := make([]stats.MarkovModel, 0, len(series))
-	for _, st := range series {
-		k := st.key
+	for _, s := range series {
 		sf := SeriesFigures{
-			Rack:        k.Rack,
-			Port:        k.Key.Port,
-			Dir:         k.Key.Dir.String(),
-			Points:      st.points,
-			HotPoints:   st.hot,
-			UtilHist:    append([]uint64(nil), st.utilHist...),
-			Bursts:      st.durations.N(),
-			ActiveBurst: st.seg.Active(),
+			Rack:        s.Rack,
+			Port:        s.Port,
+			Dir:         s.Dir.String(),
+			Points:      s.Points,
+			HotPoints:   s.Hot,
+			Bursts:      len(s.Durations.Values),
+			ActiveBurst: s.Seg.Active,
 		}
-		if st.moments.N() > 0 {
-			sf.MeanUtil = st.moments.Mean()
-			sf.MaxUtil = st.moments.Max()
+		if len(s.UtilHist) == 0 {
+			sf.UtilHist = make([]uint64, utilBins) // as RestoreState gives a series Handle could not feed
+		} else {
+			sf.UtilHist = append([]uint64(nil), s.UtilHist...)
 		}
-		if d := st.durations.ECDF(); d.N() > 0 {
+		var moments stats.MomentAcc
+		moments.Restore(s.Moments)
+		if moments.N() > 0 {
+			sf.MeanUtil = moments.Mean()
+			sf.MaxUtil = moments.Max()
+		}
+		if d := stats.NewECDF(s.Durations.Values); d.N() > 0 {
 			sf.BurstP50Micros = d.Quantile(0.5)
 			sf.BurstP99Micros = d.Quantile(0.99)
 		}
-		if g := st.gaps.ECDF(); g.N() > 0 {
+		if g := stats.NewECDF(s.Gaps.Values); g.N() > 0 {
 			sf.GapP50Micros = g.Quantile(0.5)
 			sf.GapP99Micros = g.Quantile(0.99)
 		}
 		snap.Series = append(snap.Series, sf)
-		models = append(models, st.mk.Model())
-		if f.cfg.IsUplink != nil && f.cfg.IsUplink(k.Rack, k.Key.Port) {
-			snap.UplinkHot += st.hot
+		var mk stats.MarkovAcc
+		mk.Restore(s.Markov)
+		models = append(models, mk.Model())
+		if cfg.IsUplink != nil && cfg.IsUplink(s.Rack, s.Port) {
+			snap.UplinkHot += s.Hot
 		} else {
-			snap.DownlinkHot += st.hot
+			snap.DownlinkHot += s.Hot
 		}
 	}
 	m := stats.MergeMarkov(models...)

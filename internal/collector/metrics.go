@@ -171,9 +171,10 @@ type RecoveryMetrics struct {
 	// CheckpointSeconds is the wall-clock of each save — state cut, encode
 	// and atomic write, the archive sync before it excluded.
 	CheckpointSeconds *obs.Histogram
-	// CheckpointLoadSeconds is how long Resume took to read, decode and
-	// validate the checkpoint, and ResumeSeconds the whole Resume: that
-	// load, the restore and the archive-tail replay.
+	// CheckpointLoadSeconds is how long Resume took to read, decode,
+	// validate and restore the checkpoint (one step for MBC1, which
+	// decodes straight into the taps), and ResumeSeconds the whole Resume:
+	// that load and the archive-tail replay.
 	CheckpointLoadSeconds *obs.Gauge
 	ResumeSeconds         *obs.Gauge
 	// Now is the wall clock behind the three durations. When nil (a shard
@@ -221,7 +222,7 @@ func NewRecoveryMetrics(reg *obs.Registry, labels ...obs.Label) *RecoveryMetrics
 			"Wall-clock of one checkpoint save: state cut, encode, atomic write.",
 			checkpointSecondsBuckets, labels...),
 		CheckpointLoadSeconds: reg.Gauge("mburst_collector_checkpoint_load_seconds",
-			"Wall-clock Resume spent reading, decoding and validating the checkpoint.", labels...),
+			"Wall-clock Resume spent reading, decoding, validating and restoring the checkpoint.", labels...),
 		ResumeSeconds: reg.Gauge("mburst_collector_resume_seconds",
 			"Wall-clock of Resume: checkpoint load, restore and archive-tail replay.", labels...),
 		Now: time.Now,

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 
 	"mburst/internal/ptrace"
+	"mburst/internal/stats"
 	"mburst/internal/wire"
 )
 
@@ -21,6 +23,8 @@ import (
 // paths rely on. refResume is Shard.Resume before it decoded
 // and restored the checkpoint on a goroutine of its own while it read
 // the archive tail: load, restore, then iterate, all in sequence.
+// refRender is how a cut was rendered before one renderer read it:
+// restore it into a fresh tap, then that tap's old Snapshot body.
 
 // refSaveCheckpointJSON writes st the way the checkpoint writer did
 // before MBC1 (one line of compact JSON). Shipping code only reads this form; the
@@ -202,4 +206,60 @@ func refResume(s *Shard, iter func(func(*wire.Batch) error) error) (ResumeReport
 	s.sinceCkpt = int(rep.Replayed)
 	s.rec.CheckpointLag.Set(float64(s.sinceCkpt))
 	return rep, nil
+}
+
+// refRender restores st into a fresh tap configured by cfg and renders
+// the tap's live accumulators, as LiveFigures.Snapshot did.
+func refRender(cfg LiveFiguresConfig, st FiguresState) (FiguresSnapshot, error) {
+	f, err := NewLiveFigures(cfg)
+	if err != nil {
+		return FiguresSnapshot{}, err
+	}
+	f.RestoreState(st)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	snap := FiguresSnapshot{Threshold: f.cfg.Threshold, Samples: f.samples}
+	series := f.ordered()
+	models := make([]stats.MarkovModel, 0, len(series))
+	for _, st := range series {
+		k := st.key
+		sf := SeriesFigures{
+			Rack:        k.Rack,
+			Port:        k.Key.Port,
+			Dir:         k.Key.Dir.String(),
+			Points:      st.points,
+			HotPoints:   st.hot,
+			UtilHist:    append([]uint64(nil), st.utilHist...),
+			Bursts:      st.durations.N(),
+			ActiveBurst: st.seg.Active(),
+		}
+		if st.moments.N() > 0 {
+			sf.MeanUtil = st.moments.Mean()
+			sf.MaxUtil = st.moments.Max()
+		}
+		if d := st.durations.ECDF(); d.N() > 0 {
+			sf.BurstP50Micros = d.Quantile(0.5)
+			sf.BurstP99Micros = d.Quantile(0.99)
+		}
+		if g := st.gaps.ECDF(); g.N() > 0 {
+			sf.GapP50Micros = g.Quantile(0.5)
+			sf.GapP99Micros = g.Quantile(0.99)
+		}
+		snap.Series = append(snap.Series, sf)
+		models = append(models, st.mk.Model())
+		if f.cfg.IsUplink != nil && f.cfg.IsUplink(k.Rack, k.Key.Port) {
+			snap.UplinkHot += st.hot
+		} else {
+			snap.DownlinkHot += st.hot
+		}
+	}
+	m := stats.MergeMarkov(models...)
+	snap.Markov.Transitions = m.N
+	if !math.IsNaN(m.P[0][1]) {
+		snap.Markov.P01 = m.P[0][1]
+	}
+	if !math.IsNaN(m.P[1][1]) {
+		snap.Markov.P11 = m.P[1][1]
+	}
+	return snap, nil
 }

@@ -524,7 +524,7 @@ func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResul
 
 	if oracle != nil {
 		want := oracle.Publish()
-		wantFigs, err := renderFigures(figCfg, want.Figures)
+		wantFigs, err := collector.RenderFigures(figCfg, want.Figures)
 		if err != nil {
 			return nil, err
 		}
@@ -533,16 +533,4 @@ func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResul
 			reflect.DeepEqual(res.Figures, wantFigs)
 	}
 	return res, nil
-}
-
-// renderFigures renders a figures state through a fresh LiveFigures —
-// the same path FleetFigures uses, applied to the oracle's state so the
-// comparison covers the full derived-statistics surface.
-func renderFigures(cfg collector.LiveFiguresConfig, st collector.FiguresState) (collector.FiguresSnapshot, error) {
-	lf, err := collector.NewLiveFigures(cfg)
-	if err != nil {
-		return collector.FiguresSnapshot{}, err
-	}
-	lf.RestoreState(st)
-	return lf.Snapshot(), nil
 }

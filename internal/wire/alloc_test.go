@@ -8,6 +8,9 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"mburst/internal/asic"
+	"mburst/internal/simclock"
 )
 
 // The ingest side of the collector decodes every batch through
@@ -134,5 +137,68 @@ func TestManyRacksCostWhatArrived(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(stream)); got > limit {
 		t.Errorf("%d racks in %d B of frames cost %d B of allocation, want at most %d", racks, len(stream), got, limit)
+	}
+}
+
+// fullCounterBatch is n samples of one rack's full counter set polled
+// every 25 µs: bytes and packets both ways and TX size bins on 8 ports,
+// plus the buffer-peak register — 41 series, the last poll cut off
+// where n ends, as a batch boundary cuts a poll.
+func fullCounterBatch(rack uint32, n int) *Batch {
+	b := &Batch{Rack: rack, Epoch: 1, Samples: make([]Sample, 0, n)}
+	t := simclock.Epoch
+	for poll := uint64(1); len(b.Samples) < n; poll++ {
+		t = t.Add(simclock.Micros(25))
+		add := func(s Sample) {
+			if len(b.Samples) < n {
+				s.Time = t
+				b.Samples = append(b.Samples, s)
+			}
+		}
+		for port := uint16(0); port < 8; port++ {
+			for _, dir := range []asic.Direction{asic.RX, asic.TX} {
+				add(Sample{Port: port, Dir: dir, Kind: asic.KindBytes, Value: poll * uint64(1500+97*port)})
+				add(Sample{Port: port, Dir: dir, Kind: asic.KindPackets, Value: poll * uint64(1+port)})
+			}
+			s := Sample{Port: port, Dir: asic.TX, Kind: asic.KindSizeBins}
+			for k := range s.Bins {
+				s.Bins[k] = poll * uint64(k+int(port))
+			}
+			add(s)
+		}
+		add(Sample{Kind: asic.KindBufferPeak, Value: poll % 7 * 4096})
+	}
+	return b
+}
+
+// freshPairAllocs bounds what a fresh Writer and Reader allocate to carry
+// one full-counter batch once lent scratch is warm: 23 on go1.24, 27
+// under the race detector, whose slices grow in smaller steps — the two
+// structs, each side's chain (struct, series table, index map), the
+// writer's rack map and frame buffer, the reader's frame buffer, batch,
+// samples and touched list. The per-batch scratch (arenas, columns,
+// payload) is lent, not allocated; when each stream owned its own, the
+// same pair allocated 104 times.
+const freshPairAllocs = 28
+
+// TestFreshStreamAllocatesOnlyItsChains: a stream that carries one batch
+// — an agent's connection, an archive segment read back — pays for its
+// chains and buffers, not for codec scratch it would throw away.
+func TestFreshStreamAllocatesOnlyItsChains(t *testing.T) {
+	b := fullCounterBatch(7, 512)
+	var stream bytes.Buffer
+	pair := func() {
+		stream.Reset()
+		if err := NewWriter(&stream).WriteBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewReader(&stream).ReadBatch()
+		if err != nil || len(got.Samples) != len(b.Samples) {
+			t.Fatalf("read back %v, %v", got, err)
+		}
+	}
+	pair() // warms the lent scratch
+	if allocs := testing.AllocsPerRun(100, pair); allocs > freshPairAllocs {
+		t.Errorf("a fresh Writer and Reader carrying one %d-sample batch allocate %v times, want at most %d", len(b.Samples), allocs, freshPairAllocs)
 	}
 }

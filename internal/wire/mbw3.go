@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"mburst/internal/asic"
@@ -446,8 +447,12 @@ type mbw3Chain struct {
 	states     []mbw3Series
 
 	// tail is the encoder's states entry of the last sample written,
-	// whose successor hint predicts the next batch's first.
-	tail int
+	// whose successor hint predicts the next batch's first. stamps counts
+	// the batches encoded on the chain, across resets, and numbers the
+	// next: whatever scratch encodes it, a batch's stamp is one no entry
+	// of the chain carries yet, and 0, a new entry's, is never issued.
+	tail   int
+	stamps int
 
 	// On a Reader: id names this chain's incarnation, unique in the
 	// process and renewed by reset, and gen counts the payloads decoded
@@ -572,15 +577,19 @@ func (ch *mbw3Chain) follow(src *mbw3Chain, touched []int, fresh bool) {
 // Delta chains make the codec stateful: the first batch of a stream (or
 // the first after an epoch change) carries absolutes as deltas from zero,
 // and every later batch only the movement since the previous one.
+//
+// A chain is state and the codec is scratch: everything below ch lives
+// for one payload. Writer and Reader keep only chains, and borrow a codec
+// for each frame (lendCodec), pointed at the chain of the rack the frame
+// carries.
 type mbw3Codec struct {
-	// ch is the chain the next payload encodes or decodes against. A
-	// codec starts with a chain of its own; Writer and Reader point it at
-	// the chain of the rack a frame carries, so the scratch below is one
-	// per stream however many chains the stream keeps.
+	// ch is the chain the next payload encodes or decodes against.
 	ch *mbw3Chain
+	// idle is set while the codec waits to be lent (see codecs).
+	idle atomic.Bool
 
-	// stamp numbers the batch being encoded, across every chain the codec
-	// has encoded on.
+	// stamp numbers the batch being encoded, from its chain's count: a
+	// lent codec meets every chain, so the number must be the chain's.
 	stamp int
 
 	// Per-batch scratch, reused so steady-state encode and decode do not
@@ -605,7 +614,8 @@ type mbw3Codec struct {
 
 	// Decoder: the ch.states entry of each table slot of the payload last
 	// decoded, and whether it decoded fresh — from zero, ch holding no
-	// state or another epoch.
+	// state or another epoch. A Reader hands in its own touched slice and
+	// takes it back with the call's result.
 	touched []int
 	fresh   bool
 
@@ -626,6 +636,74 @@ type mbw3Codec struct {
 }
 
 func newMBW3Codec() *mbw3Codec { return &mbw3Codec{ch: newMBW3Chain()} }
+
+// codecs lends codec scratch to one encode or decode at a time: each
+// Writer.WriteBatch and Reader.ReadBatch borrows one for its frame and
+// gives it back before it returns, so a stream keeps only its chains
+// between frames, and a fresh stream's first frame runs on warm scratch.
+//
+// Idle scratch is cached per P in local, a sync.Pool, so a call mostly
+// gets scratch last used on its own CPU: one free list shared by every
+// CPU handed the arenas from core to core and cost ingest_live about 5%
+// of its throughput on two vCPUs. A sync.Pool may drop what it is given
+// — at every GC, and at random under the race detector — so every codec
+// is also listed in all, and a call the pool leaves empty-handed claims
+// an idle codec from there before it makes a new one: dropped scratch is
+// found again rather than reallocated, which the ingest loop's
+// zero-allocation tests count. Whoever flips a codec's idle flag owns
+// it, so a codec the pool still holds after the list lent it is skipped
+// when it comes up.
+var codecs struct {
+	local sync.Pool
+	mu    sync.Mutex
+	all   []*mbw3Codec
+}
+
+// At most maxListedCodecs codecs are listed (the rest live in the pool
+// alone), and an idle codec keeps at most maxIdleCodecValues arena
+// values: scratch an outsized batch grew is dropped, not pinned.
+const (
+	maxListedCodecs    = 64
+	maxIdleCodecValues = 1 << 20
+)
+
+// lendCodec returns scratch pointed at ch, for one call.
+func lendCodec(ch *mbw3Chain) *mbw3Codec {
+	for {
+		x := codecs.local.Get()
+		if x == nil {
+			break
+		}
+		if c := x.(*mbw3Codec); c.idle.CompareAndSwap(true, false) {
+			c.ch = ch
+			return c
+		}
+	}
+	codecs.mu.Lock()
+	defer codecs.mu.Unlock()
+	for _, c := range codecs.all {
+		if c.idle.CompareAndSwap(true, false) {
+			c.ch = ch
+			return c
+		}
+	}
+	c := &mbw3Codec{ch: ch}
+	if len(codecs.all) < maxListedCodecs {
+		codecs.all = append(codecs.all, c)
+	}
+	return c
+}
+
+// returnCodec gives back scratch lendCodec lent. The caller keeps no
+// reference to it.
+func returnCodec(c *mbw3Codec) {
+	c.ch = nil
+	if cap(c.vals)+cap(c.binvals) > maxIdleCodecValues {
+		*c = mbw3Codec{}
+	}
+	c.idle.Store(true)
+	codecs.local.Put(c)
+}
 
 // Reset empties the codec's current chain.
 func (c *mbw3Codec) Reset() { c.ch.reset() }
@@ -764,24 +842,26 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 
 	n := len(b.Samples)
 	if cap(c.payload) == 0 {
-		// A fresh codec sizes its tables once, from its first batch: a
-		// delta-coded sample is a few bytes, and a batch cannot hold more
-		// series than samples. 64 covers a poll of a rack's full counter
-		// set; past that, append doubles as usual.
+		// Fresh scratch sizes its payload once, from its first batch: a
+		// delta-coded sample is a few bytes.
 		c.payload = make([]byte, 0, 64+6*n)
-		if len(ch.states) == 0 {
-			ch.states = make([]mbw3Series, 0, min(n, 64))
-		}
 	}
 	p := c.payload[:0]
 	p = binary.AppendUvarint(p, uint64(b.Rack))
 	p = binary.AppendUvarint(p, uint64(b.Epoch))
 	p = binary.AppendUvarint(p, uint64(n))
 	c.slots = c.slots[:0]
-	c.stamp++
+	ch.stamps++
+	c.stamp = ch.stamps
 	if n == 0 {
 		c.payload = p
 		return
+	}
+	if cap(ch.states) == 0 {
+		// A fresh chain sizes its table once, from its first batch: a batch
+		// cannot hold more series than samples, and 64 covers a poll of a
+		// rack's full counter set; past that, append doubles as usual.
+		ch.grow(min(n, 64))
 	}
 
 	// One pass over the samples groups them into the batch series table
@@ -1167,7 +1247,7 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 	if len(ch.states) == 0 {
 		ch.grow(len(c.tkeys))
 	}
-	c.touched = c.touched[:0]
+	c.touched = slices.Grow(c.touched[:0], len(c.tkeys))
 	for slot, key := range c.tkeys {
 		si, ok := ch.idx[key]
 		if !ok {

@@ -272,9 +272,12 @@ func (r *payloadReader) byte() byte {
 // decode to the same batch either way. Otherwise it encodes, and then
 // checks whether its chain has come to equal the reader's, so the
 // rack's next frame can pass through again.
+//
+// What a Writer keeps between frames is its chains and its frame buffer;
+// the encoder's per-batch scratch is lent to each WriteBatch call (see
+// lendCodec), so a fresh Writer costs its chains and nothing else.
 type Writer struct {
 	w     io.Writer
-	c     *mbw3Codec
 	buf   []byte
 	racks map[uint32]*writerChain
 	last  *writerChain   // the chain of the rack written last
@@ -304,7 +307,7 @@ type FrameCounts struct {
 }
 
 // NewWriter returns a batch writer.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w, c: &mbw3Codec{}} }
+func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // NewWriterFormat is NewWriter for callers that still name the format: f
 // must be zero or FormatMBW3.
@@ -373,12 +376,13 @@ func (w *Writer) WriteBatch(b *Batch) error {
 		// reader chain at the generation before, or decoding from zero
 		// under both.
 		frame = b.rx.frame
-		wc.follow(src, b.rx.r.m3.touched, b.rx.fresh)
+		wc.follow(src, b.rx.r.touched, b.rx.fresh)
 		wc.srcID, wc.srcGen = src.id, src.gen
 		w.frames.Passed++
 	} else {
-		w.c.ch = &wc.mbw3Chain
-		buf, err := w.c.AppendBatch(w.buf[:0], b)
+		c := lendCodec(&wc.mbw3Chain)
+		buf, err := c.AppendBatch(w.buf[:0], b)
+		returnCodec(c)
 		if err != nil {
 			return err
 		}
@@ -408,13 +412,18 @@ func (w *Writer) WriteBatch(b *Batch) error {
 // bufio.Reader) is read as is; any other — a socket, a file — through a
 // default-size bufio.Reader the Reader owns, so small frames cost one
 // Read of the source per buffer-full. Offset, not the source's position,
-// says where the frames read so far end.
+// says where the frames read so far end. Like a Writer, a Reader keeps
+// its chains and buffers between frames and borrows the decoder's
+// per-batch scratch for each ReadBatch call.
 type Reader struct {
 	src   byteReader
 	buf   *bufio.Reader // read-ahead for sources that are not byteReaders
 	off   int64
 	frame []byte // the frame last read, magic through CRC
-	m3    *mbw3Codec
+	// touched is the chain's states entry of each table slot of the MBW3
+	// payload last decoded: what a Writer passing that frame through
+	// copies into its own chain.
+	touched []int
 	// stream is the chain MBW3 frames decode on, racks the MBW4 chains.
 	// m3Racks counts the racks MBW3 frames have carried, up to 2, and
 	// m3Rack is the first.
@@ -523,18 +532,20 @@ func (r *Reader) ReadBatch() (*Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		if r.m3 == nil {
-			r.m3 = &mbw3Codec{}
-		}
-		r.m3.ch = ch
-		if err := r.m3.DecodePayload(magic, payload, b); err != nil {
+		c := lendCodec(ch)
+		c.touched = r.touched[:0]
+		err = c.DecodePayload(magic, payload, b)
+		fresh := c.fresh
+		r.touched, c.touched = c.touched, nil
+		returnCodec(c)
+		if err != nil {
 			return nil, err
 		}
 		if magic == Magic3 && r.m3Racks < 2 && (r.m3Racks == 0 || b.Rack != r.m3Rack) {
 			r.m3Rack = b.Rack
 			r.m3Racks++
 		}
-		b.rx = received{self: b, r: r, seq: r.seq, frame: frame, chain: ch, fresh: r.m3.fresh}
+		b.rx = received{self: b, r: r, seq: r.seq, frame: frame, chain: ch, fresh: fresh}
 	} else if err := decodeLegacyPayload(payload, magic == Magic2, b); err != nil {
 		return nil, err
 	}

@@ -87,6 +87,12 @@ go test -race -count=50 -cpu 1,2 -run 'TestReconnectingClient' ./internal/collec
 # show they hold however the goroutines are scheduled.
 go test -race -count=10 -cpu 1,2 -run 'TestServerCoalescesFrameReads|TestReaderReadsOncePerBuffer' ./internal/collector ./internal/wire
 
+# Codec scratch is lent per WriteBatch/ReadBatch call from one pool:
+# eight goroutines round-trip their own multi-rack streams, pass-through
+# included, and each archive must be the one the same schedule writes
+# alone. Ten repetitions at one and two CPUs under the race detector.
+go test -race -count=10 -cpu 1,2 -run 'TestConcurrentRoundTripsMatchSequential' ./internal/wire
+
 # Resume is concurrent: the checkpoint decodes and restores on a goroutine
 # of its own while the archive tail is read. Ten repetitions at one and
 # two CPUs under the race detector run the law against the sequential
@@ -104,7 +110,9 @@ go test -race -count=10 -cpu 1,2 -run 'TestResumeMatchesReference|TestDurableIng
 # The wire writer that passes received frames through is held to
 # refWriteBatch, the always-encode body it replaced, over generated
 # multi-rack schedules, and the shard's resume to refResume, its
-# sequential body, over generated crashes. No step reads a clock.
+# sequential body, over generated crashes. The one figures renderer is
+# held to refRender — restore the cut into a fresh tap, render the tap —
+# over generated cuts. No step reads a clock.
 go test -count=20 -run 'MatchesReference|QuickSortedFiring|AllocatesNothing' \
 	./internal/asic ./internal/eventq ./internal/simnet ./internal/collector
 go test -count=20 -run TestGroupedCellsMatchReference ./internal/core
