@@ -525,7 +525,7 @@ func TestDaemonShardPolicesPlacement(t *testing.T) {
 	if err := json.Unmarshal(d.get(t, "/placement"), &served); err != nil {
 		t.Fatal(err)
 	}
-	if served.Shard != 1 || !served.Placement.Equal(pl) {
+	if served.Shard != 1 || !reflect.DeepEqual(served.Placement, pl) {
 		t.Errorf("/placement = %+v, want shard 1 of %+v", served, pl)
 	}
 	if code := d.stop(); code != 0 {

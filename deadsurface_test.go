@@ -30,18 +30,12 @@ var deadSurfaceAllowed = map[string]string{
 
 	"collector.Calibrate": "§4.1's minimum-sampling-interval search, run by its example",
 
-	"fault.CrashMix":    injector,
-	"fault.FlakyDialer": injector,
-	"fault.FlakyOpener": injector,
-	"fault.NewGate":     injector,
-	"fault.Gate.Up":     injector,
-	"fault.Gate.Down":   injector,
-	"fault.Gate.Dialer": injector,
-
-	"shard.Placement.WithShard":    resharding,
-	"shard.Placement.WithoutShard": resharding,
-	"shard.Placement.Equal":        resharding,
-	"shard.Placement.Owner":        resharding,
+	"fault.CrashMix":    "the fault mix the crash soaks generate their schedules from",
+	"fault.FlakyDialer": transportInjector,
+	"fault.NewGate":     transportInjector,
+	"fault.Gate.Up":     transportInjector,
+	"fault.Gate.Down":   transportInjector,
+	"fault.Gate.Dialer": transportInjector,
 
 	"analysis.GapAwareUtilization": "the chaos soak's reconstruction across collector gaps",
 	"analysis.RecoveredBytes":      "the chaos soak's reconstruction across collector gaps",
@@ -57,10 +51,9 @@ var deadSurfaceAllowed = map[string]string{
 }
 
 const (
-	clientLedger = "the client tier's terms of the conservation ledger, read by the spool and reconnect tests"
-	injector     = "fault injector the crash and chaos tests drive"
-	resharding   = "kept for elastic resharding, which nothing runs yet"
-	serveHTTP    = "called by net/http through http.Handler"
+	clientLedger      = "the client tier's terms of the conservation ledger, read by the spool and reconnect tests"
+	transportInjector = "transport fault injector that only internal/fault's transport_test.go drives"
+	serveHTTP         = "called by net/http through http.Handler"
 )
 
 // TestNoDeadExportedSurface fails when an exported func, method or type

@@ -61,44 +61,16 @@ type CheckpointState struct {
 	Ingest          *Snapshot        `json:"ingest,omitempty"`
 }
 
-// validate rejects a state RestoreState could not faithfully rebuild. A
-// checkpoint is bytes from disk: a JSON null in place of a series is no
-// series at all; a series whose utilization histogram does not have the
-// tap's utilBins bins has lost them or was cut at another resolution, and
-// resuming from it would silently restart that histogram empty or change
-// its resolution; and a series listed twice is one no collector cut —
-// restore would keep one copy and the fleet merge would take the other
-// for a second shard's.
-func (st CheckpointState) validate() error {
-	if st.Figures == nil {
-		return nil
-	}
-	for i, s := range st.Figures.Series {
-		if s == nil {
-			return fmt.Errorf("series %d is null", i)
-		}
-		if err := histBins(s); err != nil {
-			return err
-		}
-	}
-	series := canonicalOrder(st.Figures.Series)
-	for i := 1; i < len(series); i++ {
-		if id := series[i].id(); id == series[i-1].id() {
-			return listedTwice(id)
-		}
-	}
-	return nil
-}
-
-// histBins is validate's verdict on one series' histogram.
+// histBins is the decoder's verdict on one series' histogram. A series
+// whose utilization histogram does not have the tap's utilBins bins has
+// lost them or was cut at another resolution, and resuming from it would
+// silently restart that histogram empty or change its resolution.
 func histBins(s *SeriesState) error {
 	if len(s.UtilHist) != utilBins {
 		return fmt.Errorf("series %s has %d util_hist bins, want %d", s.id(), len(s.UtilHist), utilBins)
 	}
 	return nil
 }
-
-func listedTwice(id seriesID) error { return fmt.Errorf("series %s is listed twice", id) }
 
 // CheckpointFileName is the shard checkpoint's name inside a durable
 // archive directory, as mbcollectd and core.RunFleet lay it out. A
@@ -145,16 +117,18 @@ func WriteFileAtomic(path string, data []byte) error {
 }
 
 // LoadCheckpoint reads a checkpoint of either encoding: a file that
-// starts with CheckpointMagic is MBC1, anything else goes to the JSON
-// decoder older binaries' checkpoints need. A missing file is not an
-// error: it returns a zero state and ok=false (first boot, or a crash
-// before the first checkpoint).
+// starts with CheckpointMagic is MBC1, anything else is the JSON older
+// binaries wrote. It decodes the file as a resume does — into a gate,
+// ingest stats and figures tap of its own — and returns their cut, so
+// there is one decoder, and what it accepts is what a resume installs. A
+// missing file is not an error: it returns a zero state and ok=false
+// (first boot, or a crash before the first checkpoint).
 func LoadCheckpoint(path string) (CheckpointState, bool, error) {
 	c, ok, err := openCheckpoint(path)
 	if !ok || err != nil {
 		return CheckpointState{}, false, err
 	}
-	st, err := c.finish()
+	st, err := c.state()
 	if err != nil {
 		return CheckpointState{}, false, err
 	}
@@ -163,18 +137,17 @@ func LoadCheckpoint(path string) (CheckpointState, bool, error) {
 
 // openedCheckpoint is a checkpoint file decoded as far as its archive
 // high-water mark, which is all a resume needs to start reading the
-// archive tail: all of a legacy JSON file, an MBC1 file's checksum and
-// first field. finish decodes and validates the rest.
+// archive tail: the MBC1 checksum and first field. restore decodes the
+// rest.
 type openedCheckpoint struct {
 	path string
-	size int
-	st   CheckpointState // of an MBC1 file, ArchivedBatches alone
-	mbc1 bool
-	r    mbc1Reader // an MBC1 body, past archived_batches
+	size int        // the file's length
+	mark uint64     // archived_batches
+	r    mbc1Reader // the MBC1 body, past archived_batches
 }
 
 // openCheckpoint reads path. A missing file returns ok=false and no
-// error.
+// error. A legacy JSON file is re-encoded as MBC1 first (legacyJSON).
 func openCheckpoint(path string) (c openedCheckpoint, ok bool, err error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -183,14 +156,15 @@ func openCheckpoint(path string) (c openedCheckpoint, ok bool, err error) {
 	if err != nil {
 		return openedCheckpoint{}, false, err
 	}
-	c = openedCheckpoint{path: path, size: len(data), mbc1: bytes.HasPrefix(data, []byte(CheckpointMagic))}
-	if c.mbc1 {
-		if c.r, err = openMBC1(data); err == nil {
-			c.st.ArchivedBatches = c.r.uvarint()
-			err = c.r.err
+	c = openedCheckpoint{path: path, size: len(data)}
+	if !bytes.HasPrefix(data, []byte(CheckpointMagic)) {
+		if data, err = legacyJSON(path, data); err != nil {
+			return openedCheckpoint{}, false, err
 		}
-	} else {
-		err = json.Unmarshal(data, &c.st)
+	}
+	if c.r, err = openMBC1(data); err == nil {
+		c.mark = c.r.uvarint()
+		err = c.r.err
 	}
 	if err != nil {
 		return openedCheckpoint{}, false, fmt.Errorf("collector: decoding checkpoint %s: %w", path, err)
@@ -198,48 +172,41 @@ func openCheckpoint(path string) (c openedCheckpoint, ok bool, err error) {
 	return c, true, nil
 }
 
-// finish decodes the rest of the checkpoint and validates it.
-func (c *openedCheckpoint) finish() (CheckpointState, error) {
-	st := c.st
-	if c.mbc1 {
-		if err := c.r.rest(&st); err != nil {
-			return CheckpointState{}, fmt.Errorf("collector: decoding checkpoint %s: %w", c.path, err)
+// legacyJSON re-encodes a checkpoint an older binary wrote as JSON (the
+// struct tags on CheckpointState are its schema) in MBC1, for the MBC1
+// decoder to read. Those binaries cut what this one cuts, in the same
+// order, so a file one of them wrote transcodes to what this one would
+// have written. A JSON null in place of a series is no series at all, and
+// has no MBC1 encoding.
+func legacyJSON(path string, data []byte) ([]byte, error) {
+	var st CheckpointState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return nil, fmt.Errorf("collector: decoding checkpoint %s: %w", path, err)
+	}
+	if st.Figures != nil {
+		for i, s := range st.Figures.Series {
+			if s == nil {
+				return nil, fmt.Errorf("collector: checkpoint %s: series %d is null", path, i)
+			}
 		}
 	}
-	if err := st.validate(); err != nil {
-		return CheckpointState{}, fmt.Errorf("collector: checkpoint %s: %w", c.path, err)
-	}
-	return st, nil
+	return appendCheckpoint(nil, &st), nil
 }
 
 // restore decodes the rest of the checkpoint straight into a shard's
 // taps — the gate, the ingest stats and, when figures is not nil, the
-// figures tap — and fails with finish's error, leaving every tap as it
-// was. An MBC1 body is never built as a CheckpointState: it decodes in
-// the taps' own shapes (restoreBody), and is installed only once all of
-// it has decoded and passed validate's checks. A JSON checkpoint is
-// finished and restored.
-func (c *openedCheckpoint) restore(gate *EpochGate, stats *IngestStats, figures *LiveFigures) error {
-	if !c.mbc1 {
-		st, err := c.finish()
-		if err != nil {
-			return err
-		}
-		gate.RestoreState(st.Gate)
-		if figures != nil && st.Figures != nil {
-			figures.RestoreState(*st.Figures)
-		}
-		if st.Ingest != nil {
-			stats.Restore(*st.Ingest)
-		}
-		return nil
-	}
+// figures tap — and returns the decoded body, whose ingest and figures
+// flags say which sections the file holds. The body is never built as a
+// CheckpointState: it decodes in the taps' own shapes (restoreBody), and
+// is installed only once all of it has decoded and every entry is one a
+// cut could have made. On an error every tap is left as it was.
+func (c *openedCheckpoint) restore(gate *EpochGate, stats *IngestStats, figures *LiveFigures) (restoredBody, error) {
 	var b restoredBody
 	if err := c.r.restoreBody(&b); err != nil {
-		return fmt.Errorf("collector: decoding checkpoint %s: %w", c.path, err)
+		return restoredBody{}, fmt.Errorf("collector: decoding checkpoint %s: %w", c.path, err)
 	}
 	if b.invalid != nil {
-		return fmt.Errorf("collector: checkpoint %s: %w", c.path, b.invalid)
+		return restoredBody{}, fmt.Errorf("collector: checkpoint %s: %w", c.path, b.invalid)
 	}
 	gate.install(b.gate)
 	if figures != nil && b.figures {
@@ -248,7 +215,32 @@ func (c *openedCheckpoint) restore(gate *EpochGate, stats *IngestStats, figures 
 	if b.ingest {
 		stats.install(b.batches, b.samples, b.lastSampleNanos, b.perRack)
 	}
-	return nil
+	return b, nil
+}
+
+// state restores the rest of the checkpoint into taps of its own, zero
+// ones, and cuts them. A section the file does not hold stays nil.
+func (c *openedCheckpoint) state() (CheckpointState, error) {
+	var gate EpochGate
+	var stats IngestStats
+	var figures LiveFigures
+	b, err := c.restore(&gate, &stats, &figures)
+	if err != nil {
+		return CheckpointState{}, err
+	}
+	st := CheckpointState{ArchivedBatches: c.mark}
+	if g := gate.State(); len(g) > 0 {
+		st.Gate = g
+	}
+	if b.ingest {
+		is := stats.Snapshot()
+		st.Ingest = &is
+	}
+	if b.figures {
+		fs := figures.State()
+		st.Figures = &fs
+	}
+	return st, nil
 }
 
 // DefaultCheckpointEvery is the checkpoint cadence in admitted batches
@@ -267,7 +259,7 @@ const DefaultCheckpointEvery = 256
 //
 // The checkpoint and the archive tail are independent inputs, so they
 // are read side by side: the checkpoint's decode, validation and restore
-// — one step for an MBC1 file, which decodes straight into the taps —
+// — one step, which decodes straight into the taps —
 // run on a goroutine of their own, from the moment its mark is known,
 // while iter reads the tail on the calling goroutine. Tail batches read
 // before the restore is done are copied aside, at most a checkpoint
@@ -290,7 +282,7 @@ func (s *Shard) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, 
 		if ckpt, rep.HadCheckpoint, err = openCheckpoint(s.cfg.CheckpointPath); err != nil {
 			return ResumeReport{}, err
 		}
-		rep.CheckpointBatches = ckpt.st.ArchivedBatches
+		rep.CheckpointBatches = ckpt.mark
 	}
 	rep.ArchiveBatches = s.cfg.Archive.Batches()
 	var restored chan error // the restore's result; nil once joined
@@ -300,7 +292,7 @@ func (s *Shard) Resume(iter func(func(*wire.Batch) error) error) (ResumeReport, 
 		go func() {
 			// The caller holds s.mu for this goroutine and touches none of
 			// what it restores until it has joined.
-			err := ckpt.restore(s.gate, s.cfg.Stats, s.cfg.Figures)
+			_, err := ckpt.restore(s.gate, s.cfg.Stats, s.cfg.Figures)
 			if err == nil {
 				loadS = s.rec.since(start)
 			}

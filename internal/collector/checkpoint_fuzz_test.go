@@ -201,8 +201,8 @@ func TestLoadCheckpointRejectsSeriesWithoutHistogram(t *testing.T) {
 // invalidSeriesCheckpoints are files that decode but list series no
 // collector could have cut, each with what its load error must say
 // besides the file name: a JSON null where a series should be, one
-// series listed twice in either encoding, and a histogram with other
-// than utilBins bins. Every other series is valid, utilBins bins and all,
+// series listed twice in either encoding or out of canonical order, and
+// a histogram with other than utilBins bins. Every other series is valid, utilBins bins and all,
 // so each file fails for the one reason it names.
 func invalidSeriesCheckpoints() map[string]struct {
 	data []byte
@@ -227,7 +227,7 @@ func invalidSeriesCheckpoints() map[string]struct {
 		"null before a series":     {[]byte(`{"archived_batches":1,"figures":{"samples":1,"series":[null,` + valid + `]}}`), "series 0 is null"},
 		"null after a series":      {[]byte(`{"archived_batches":1,"figures":{"samples":1,"series":[` + valid + `,null]}}`), "series 1 is null"},
 		"series twice, JSON":       {[]byte(`{"figures":{"series":[` + rack9 + `,` + rack9 + `]}}`), "series rack 9 port0/rx/bytes is listed twice"},
-		"series twice apart, JSON": {[]byte(`{"figures":{"series":[` + rack9 + `,` + valid + `,` + rack9 + `]}}`), "series rack 9 port0/rx/bytes is listed twice"},
+		"series unsorted, in JSON": {[]byte(`{"figures":{"series":[` + rack9 + `,` + valid + `,` + rack9 + `]}}`), "series rack 1 port1/tx/bytes is out of order, after rack 9 port0/rx/bytes"},
 		"series twice, MBC1":       {dup, "series rack 9 port0/rx/bytes is listed twice"},
 		"three bins, JSON":         {[]byte(`{"figures":{"series":[` + valid + `,{"rack":9,"util_hist":[0,0,0]}]}}`), "series rack 9 port0/rx/bytes has 3 util_hist bins, want 20"},
 	}
@@ -268,14 +268,19 @@ func restoreTap(t *testing.T, st CheckpointState) *ckptTap {
 	t.Helper()
 	p := &ckptTap{stats: &IngestStats{}, figures: newCkptFigures(t)}
 	p.gate = NewEpochGate(p.stats.Wrap(p.figures.Wrap(nil)), nil)
-	p.gate.RestoreState(st.Gate)
+	p.restore(st)
+	return p
+}
+
+// restore restores st into the taps as refLoadCheckpoint's callers did.
+func (p *ckptTap) restore(st CheckpointState) {
+	refRestoreGate(p.gate, st.Gate)
 	if st.Figures != nil {
 		p.figures.RestoreState(*st.Figures)
 	}
 	if st.Ingest != nil {
-		p.stats.Restore(*st.Ingest)
+		refRestoreStats(p.stats, *st.Ingest)
 	}
-	return p
 }
 
 func (p *ckptTap) cut(archived uint64) CheckpointState {
@@ -325,7 +330,8 @@ func mbc1Sections(st CheckpointState) []int {
 }
 
 // mbc1Forged builds the hostile MBC1 files: counts far beyond the bytes
-// that follow them, behind a valid checksum.
+// that follow them, fields out of range, and entries no sorted cut lists,
+// behind a valid checksum.
 func mbc1Forged() map[string][]byte {
 	// One series with an empty utilBins-bin histogram and nothing else:
 	// its count is the byte after magic, version, archived_batches,
@@ -353,13 +359,18 @@ func mbc1Forged() map[string][]byte {
 		"series kind of 256":              splice(seriesCount+4, 512), // zigzag
 		"version 2":                       mbc1Seal(append(append(append([]byte(nil), file[:4]...), 2), file[5:]...)),
 		"nothing after magic and version": []byte(CheckpointMagic + "\x01"),
+		"gate rack listed twice":          appendCheckpoint(nil, &CheckpointState{Gate: []RackEpochState{{Rack: 5}, {Rack: 5, Epoch: 1}}}),
+		"per-rack rack listed twice": appendCheckpoint(nil, &CheckpointState{Ingest: &Snapshot{
+			PerRack: []RackCount{{Rack: 5, Samples: 1}, {Rack: 5, Samples: 2}}}}),
+		"series out of canonical order": appendCheckpoint(nil, &CheckpointState{Figures: &FiguresState{Series: []*SeriesState{
+			{Rack: 2, UtilHist: make([]uint64, utilBins)}, {Rack: 1, UtilHist: make([]uint64, utilBins)}}}}),
 	}
 }
 
-// checkMBC1 decodes data, which may be anything behind the magic: the
-// decoder must not panic, must allocate within mbc1AllocBound, and must
-// either refuse — that error is returned — or return the state whose one
-// encoding data is.
+// checkMBC1 decodes data, which may be anything behind the magic, as
+// LoadCheckpoint does: the decoder must not panic, must allocate within
+// mbc1AllocBound, and must either refuse — that error is returned — or
+// return the state whose one encoding data is.
 func checkMBC1(t *testing.T, data []byte) error {
 	t.Helper()
 	var st CheckpointState
@@ -373,13 +384,49 @@ func checkMBC1(t *testing.T, data []byte) error {
 	return err
 }
 
-// checkLiveRestore is FuzzLoadCheckpoint's differential arm: the restore
-// a Resume runs, which decodes the checkpoint straight into the taps,
-// against LoadCheckpoint then RestoreState, each on a pipeline that took
-// the same traffic first. Both must fail with the same text or leave the
-// same gate, ingest stats and figures cut; and since the reference
-// touches nothing when the load fails, a failed live restore must leave
-// its taps as they were.
+// sorted reports whether every section of st lists its entries strictly
+// ascending, as a cut does.
+func sorted(st CheckpointState) bool {
+	for i := 1; i < len(st.Gate); i++ {
+		if st.Gate[i].Rack <= st.Gate[i-1].Rack {
+			return false
+		}
+	}
+	if st.Ingest != nil {
+		for i := 1; i < len(st.Ingest.PerRack); i++ {
+			if st.Ingest.PerRack[i].Rack <= st.Ingest.PerRack[i-1].Rack {
+				return false
+			}
+		}
+	}
+	if st.Figures != nil {
+		for i := 1; i < len(st.Figures.Series); i++ {
+			if st.Figures.Series[i].id().compare(st.Figures.Series[i-1].id()) <= 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkLiveRestore is FuzzLoadCheckpoint's differential arm: the one
+// decoder — the restore a Resume runs, which decodes the checkpoint
+// straight into the taps, and LoadCheckpoint, which cuts what it
+// restored — against refLoadCheckpoint and the restores it was paired
+// with, each on a pipeline that took the same traffic first. The decoder
+// accepts what the reference accepts with every section sorted, and
+// nothing else:
+//
+//   - where both load, LoadCheckpoint returns the reference's state and
+//     the two pipelines cut alike;
+//   - where only the reference loads, its state has an entry out of
+//     order, and the decoder's error says so;
+//   - where the reference fails to decode, the decoder fails with the
+//     same text; where it decodes and refuses the state, so does the
+//     decoder.
+//
+// LoadCheckpoint fails exactly as the restore does, and a failed restore
+// leaves its taps as they were.
 func checkLiveRestore(t *testing.T, path string, before []*wire.Batch) {
 	t.Helper()
 	fed := func() *ckptTap {
@@ -390,29 +437,50 @@ func checkLiveRestore(t *testing.T, path string, before []*wire.Batch) {
 		return p
 	}
 	ref, live := fed(), fed()
-	st, _, refErr := LoadCheckpoint(path)
+	untouched := live.cut(0)
+	want, _, _, refErr := refLoadCheckpoint(path)
 	if refErr == nil {
-		ref.gate.RestoreState(st.Gate)
-		if st.Figures != nil {
-			ref.figures.RestoreState(*st.Figures)
-		}
-		if st.Ingest != nil {
-			ref.stats.Restore(*st.Ingest)
-		}
+		ref.restore(want)
 	}
 	c, ok, liveErr := openCheckpoint(path)
 	if liveErr == nil {
 		if !ok {
 			t.Fatal("an existing file opened as missing")
 		}
-		liveErr = c.restore(live.gate, live.stats, live.figures)
+		_, liveErr = c.restore(live.gate, live.stats, live.figures)
 	}
-	if fmt.Sprint(liveErr) != fmt.Sprint(refErr) {
-		t.Fatalf("the live restore fails with %v, LoadCheckpoint with %v", liveErr, refErr)
+	got, _, loadErr := LoadCheckpoint(path)
+	if fmt.Sprint(loadErr) != fmt.Sprint(liveErr) {
+		t.Fatalf("LoadCheckpoint fails with %v, the restore with %v", loadErr, liveErr)
 	}
-	got, want := live.cut(0), ref.cut(0)
-	if !reflect.DeepEqual(got, want) && !bytes.Equal(appendCheckpoint(nil, &got), appendCheckpoint(nil, &want)) {
-		t.Fatalf("the live restore (err %v) leaves another state than LoadCheckpoint and RestoreState:\n got %+v\nwant %+v", liveErr, got, want)
+	same := func(a, b CheckpointState) bool {
+		// DeepEqual tells nil from empty but not NaN from NaN.
+		return reflect.DeepEqual(a, b) || bytes.Equal(appendCheckpoint(nil, &a), appendCheckpoint(nil, &b))
+	}
+	switch {
+	case liveErr == nil && refErr != nil:
+		t.Fatalf("the decoder loads what refLoadCheckpoint refuses with %v", refErr)
+	case liveErr == nil:
+		if !same(got, want) {
+			t.Fatalf("LoadCheckpoint returns another state than refLoadCheckpoint:\n got %+v\nwant %+v", got, want)
+		}
+		if g, w := live.cut(0), ref.cut(0); !same(g, w) {
+			t.Fatalf("the restore leaves another state than refLoadCheckpoint and its restores:\n got %+v\nwant %+v", g, w)
+		}
+		return
+	case refErr == nil:
+		if sorted(want) || !strings.Contains(liveErr.Error(), "listed twice") && !strings.Contains(liveErr.Error(), "out of order") {
+			t.Fatalf("the decoder refuses with %v what refLoadCheckpoint loads", liveErr)
+		}
+	case strings.Contains(refErr.Error(), "decoding checkpoint"):
+		if liveErr.Error() != refErr.Error() {
+			t.Fatalf("the decoder fails with %v, refLoadCheckpoint with %v", liveErr, refErr)
+		}
+	case strings.Contains(liveErr.Error(), "decoding checkpoint"):
+		t.Fatalf("the decoder fails to decode (%v) what refLoadCheckpoint decodes and refuses (%v)", liveErr, refErr)
+	}
+	if g := live.cut(0); !same(g, untouched) {
+		t.Fatalf("a failed restore (%v) changed the taps:\n got %+v\nwant %+v", liveErr, g, untouched)
 	}
 }
 
@@ -422,8 +490,8 @@ func checkLiveRestore(t *testing.T, path string, before []*wire.Batch) {
 // then cuts must survive saveCheckpoint → LoadCheckpoint unchanged. An
 // MBC1 input that loads must moreover be the one encoding of its state,
 // and loading or rejecting it may allocate only in proportion to its
-// size, whatever counts it claims. Whatever the input, the restore
-// Resume runs agrees with loading and restoring (checkLiveRestore).
+// size, whatever counts it claims. Whatever the input, the one decoder
+// agrees with the reference decoder it replaced (checkLiveRestore).
 func FuzzLoadCheckpoint(f *testing.F) {
 	for _, seed := range []string{parentCheckpoint, compactCheckpoint} {
 		data, err := os.ReadFile(seed)

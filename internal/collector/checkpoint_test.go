@@ -289,8 +289,18 @@ func TestEpochGateStateRoundTrip(t *testing.T) {
 	g.Handle(ckptBatch(3, 2, 0))
 	g.Handle(ckptBatch(1, 1, 5))
 	state := g.State()
+	path := filepath.Join(t.TempDir(), CheckpointFileName)
+	if err := saveCheckpoint(path, CheckpointState{Gate: state}); err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := openCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	g2 := NewEpochGate(func(*wire.Batch) {}, nil)
-	g2.RestoreState(state)
+	if _, err := c.restore(g2, &IngestStats{}, nil); err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(g2.State(), state) {
 		t.Fatalf("gate state did not round-trip: %+v vs %+v", g2.State(), state)
 	}

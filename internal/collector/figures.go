@@ -66,7 +66,7 @@ func (k liveKey) id() seriesID {
 
 // utilBins is every series' utilization histogram resolution: 20 bins of
 // 5% over [0,1]. Checkpoints persist the histogram as is, so a checkpoint
-// with any other bin count is refused at load (CheckpointState.validate).
+// with any other bin count is refused at load (histBins).
 const utilBins = 20
 
 // liveSeries is the per-series accumulator set.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"slices"
 
 	"mburst/internal/asic"
 	"mburst/internal/simclock"
@@ -41,8 +40,10 @@ import (
 // IEEE-754 bits, little-endian, so ±Inf, NaN payloads and -0 survive
 // bit-exact with no shortest-decimal round trip; a bool is one byte, 0
 // or 1; crc32 is IEEE, little-endian, over every byte before it.
-// Gate entries, per-rack counts and series keep the canonical order the
-// cut gave them.
+// Gate entries and per-rack counts are strictly ascending by rack, and
+// series by (rack, port, dir, kind), as the cuts the encoder is given
+// list them; the decoder refuses an entry that does not sort above the
+// one before it.
 //
 // Encoding is deterministic and decoding accepts only what the encoder
 // can emit — minimal varints, 0/1 bools, values inside their field's
@@ -200,56 +201,12 @@ func openMBC1(data []byte) (mbc1Reader, error) {
 	return mbc1Reader{buf: data[header:body]}, nil
 }
 
-// rest decodes the body past archived_batches into st and returns the
-// first malformed field's error, or an error for trailing bytes.
-func (r *mbc1Reader) rest(st *CheckpointState) error {
-	if n := r.count(mbc1MinGateBytes); n > 0 {
-		st.Gate = make([]RackEpochState, n)
-		for i := range st.Gate {
-			g := &st.Gate[i]
-			g.Rack = uint32(r.uvarintMax(math.MaxUint32))
-			g.Epoch = uint32(r.uvarintMax(math.MaxUint32))
-			g.LastTime = simclock.Time(r.varint())
-			g.Seen = r.bool()
-		}
-	}
-	if r.bool() {
-		in := &Snapshot{}
-		in.Batches = r.uvarint()
-		in.Samples = r.uvarint()
-		in.LastSampleNanos = r.varint()
-		if n := r.count(mbc1MinPerRackBytes); n > 0 {
-			in.PerRack = make([]RackCount, n)
-			for i := range in.PerRack {
-				in.PerRack[i].Rack = uint32(r.uvarintMax(math.MaxUint32))
-				in.PerRack[i].Samples = r.uvarint()
-			}
-		}
-		st.Ingest = in
-	}
-	if r.bool() {
-		f := &FiguresState{}
-		f.Samples = r.uvarint()
-		if n := r.count(mbc1MinSeriesBytes); n > 0 {
-			slab := make([]SeriesState, n)
-			f.Series = make([]*SeriesState, n)
-			for i := range slab {
-				r.series(&slab[i])
-				f.Series[i] = &slab[i]
-			}
-		}
-		st.Figures = f
-	}
-	if r.err == nil && len(r.buf) != 0 {
-		r.err = fmt.Errorf("%d trailing bytes after the MBC1 body", len(r.buf))
-	}
-	return r.err
-}
-
 // restoredBody is an MBC1 body past archived_batches, decoded for a
 // restore: in the shapes the gate, the ingest stats and the figures tap
-// keep, never as a CheckpointState. invalid is what validate would say
-// of the series, nil when they pass.
+// keep, never as a CheckpointState. invalid is the first entry no cut
+// could have made — a series without utilBins histogram bins, or an
+// entry that does not sort above the one before it — nil when there is
+// none.
 type restoredBody struct {
 	gate map[uint32]*rackEpoch
 
@@ -266,23 +223,27 @@ type restoredBody struct {
 }
 
 // restoreBody decodes the body past archived_batches into b and returns
-// the first malformed field's error, or an error for trailing bytes —
-// field for field what rest reads and returns. Series are decoded one at
-// a time into one SeriesState and restored from it into slabs sized from
-// the series count. Once a series fails validation, the rest are decoded
-// but not restored: the body cannot be installed.
+// the first malformed field's error, or an error for trailing bytes.
+// Series are decoded one at a time into one SeriesState and restored from
+// it into slabs sized from the series count. Once an entry is invalid,
+// the rest are decoded but not restored: the body cannot be installed.
 func (r *mbc1Reader) restoreBody(b *restoredBody) error {
 	n := r.count(mbc1MinGateBytes)
 	b.gate = make(map[uint32]*rackEpoch, n)
 	if n > 0 {
 		slab := make([]rackEpoch, n)
+		var prev uint32
 		for i := range slab {
 			g := &slab[i]
 			rack := uint32(r.uvarintMax(math.MaxUint32))
 			g.epoch = uint32(r.uvarintMax(math.MaxUint32))
 			g.lastTime = simclock.Time(r.varint())
 			g.seen = r.bool()
+			if i > 0 && r.err == nil && b.invalid == nil && rack <= prev {
+				b.invalid = misordered("gate rack", rack, prev)
+			}
 			b.gate[rack] = g
+			prev = rack
 		}
 	}
 	if b.ingest = r.bool(); b.ingest {
@@ -291,9 +252,14 @@ func (r *mbc1Reader) restoreBody(b *restoredBody) error {
 		b.lastSampleNanos = r.varint()
 		n := r.count(mbc1MinPerRackBytes)
 		b.perRack = make(map[uint32]uint64, n)
-		for range n {
+		var prev uint32
+		for i := range n {
 			rack := uint32(r.uvarintMax(math.MaxUint32))
+			if i > 0 && r.err == nil && b.invalid == nil && rack <= prev {
+				b.invalid = misordered("per-rack count of rack", rack, prev)
+			}
 			b.perRack[rack] = r.uvarint()
+			prev = rack
 		}
 	}
 	if b.figures = r.bool(); b.figures {
@@ -301,24 +267,22 @@ func (r *mbc1Reader) restoreBody(b *restoredBody) error {
 		if n := r.count(mbc1MinSeriesBytes); n > 0 {
 			sl := newRestoreSlabs(n, n*utilBins, 0)
 			b.series = make([]*liveSeries, 0, n)
-			canonical := true
 			var s SeriesState
 			for range n {
 				r.series(&s)
-				if b.invalid == nil {
-					b.invalid = histBins(&s)
-				}
 				if r.err != nil || b.invalid != nil {
 					continue
 				}
-				ls := sl.restore(&s)
-				if k := len(b.series); k > 0 && b.series[k-1].key.id().compare(ls.key.id()) >= 0 {
-					canonical = false
+				if b.invalid = histBins(&s); b.invalid != nil {
+					continue
 				}
-				b.series = append(b.series, ls)
-			}
-			if b.invalid == nil && !canonical {
-				b.invalid = firstListedTwice(b.series)
+				if k := len(b.series); k > 0 {
+					if id, prev := s.id(), b.series[k-1].key.id(); id.compare(prev) <= 0 {
+						b.invalid = misordered("series", id, prev)
+						continue
+					}
+				}
+				b.series = append(b.series, sl.restore(&s))
 			}
 		}
 	}
@@ -328,20 +292,13 @@ func (r *mbc1Reader) restoreBody(b *restoredBody) error {
 	return r.err
 }
 
-// firstListedTwice is validate's duplicate check over restored series:
-// the first series, in canonical order, that is listed twice.
-func firstListedTwice(series []*liveSeries) error {
-	ids := make([]seriesID, len(series))
-	for i, ls := range series {
-		ids[i] = ls.key.id()
+// misordered is the error for a section entry with key k that does not
+// sort above the key prev of the entry before it.
+func misordered[K comparable](what string, k, prev K) error {
+	if k == prev {
+		return fmt.Errorf("%s %v is listed twice", what, k)
 	}
-	slices.SortFunc(ids, seriesID.compare)
-	for i := 1; i < len(ids); i++ {
-		if ids[i] == ids[i-1] {
-			return listedTwice(ids[i])
-		}
-	}
-	return nil
+	return fmt.Errorf("%s %v is out of order, after %v", what, k, prev)
 }
 
 // mbc1Reader is the decode cursor: buf is what is left of the body. The

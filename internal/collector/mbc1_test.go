@@ -23,17 +23,16 @@ func saveCheckpoint(path string, st CheckpointState) error {
 	return WriteFileAtomic(path, appendCheckpoint(nil, &st))
 }
 
-// decodeMBC1 decodes a whole MBC1 file (magic included).
+// decodeMBC1 decodes a whole MBC1 file (magic included) as LoadCheckpoint
+// decodes one read from disk.
 func decodeMBC1(data []byte) (CheckpointState, error) {
 	r, err := openMBC1(data)
 	if err != nil {
 		return CheckpointState{}, err
 	}
-	st := CheckpointState{ArchivedBatches: r.uvarint()}
-	if err := r.rest(&st); err != nil {
-		return CheckpointState{}, err
-	}
-	return st, nil
+	mark := r.uvarint()
+	c := openedCheckpoint{mark: mark, r: r}
+	return c.state()
 }
 
 // TestMBC1MinimumSizes re-derives the decoder's allocation bounds from
@@ -206,6 +205,68 @@ func TestCheckpointEncodingsRestoreAlike(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointMatchesReference holds LoadCheckpoint, which decodes
+// a file through the restore a resume runs and cuts the taps it
+// restored, to refLoadCheckpoint, the decoder and validation it replaced:
+// every parent-written fixture, and for generated feed/cut schedules
+// every cut — with each of its sections kept or dropped, saved as MBC1
+// and as legacy JSON — loads to the same state through both.
+func TestLoadCheckpointMatchesReference(t *testing.T) {
+	same := func(what, path string) bool {
+		t.Helper()
+		got, ok, err := LoadCheckpoint(path)
+		want, _, wantOK, wantErr := refLoadCheckpoint(path)
+		if err != nil || wantErr != nil || !ok || !wantOK {
+			t.Errorf("%s: LoadCheckpoint ok=%v err=%v, refLoadCheckpoint ok=%v err=%v", what, ok, err, wantOK, wantErr)
+			return false
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: LoadCheckpoint diverges from refLoadCheckpoint\n got %+v\nwant %+v", what, got, want)
+			return false
+		}
+		return true
+	}
+	for _, fixture := range []string{parentCheckpoint, compactCheckpoint, binaryCheckpoint} {
+		same(fixture, fixture)
+	}
+	dir := t.TempDir()
+	mbc1, legacy := filepath.Join(dir, CheckpointFileName), filepath.Join(dir, "legacy.json")
+	law := func(ops []cutOp) bool {
+		live := restoreTap(t, CheckpointState{})
+		feed := newCutFeeder()
+		for i, op := range ops {
+			if op.Op%10 >= 2 {
+				live.gate.Handle(feed.batch(op))
+				continue
+			}
+			cut := live.cut(uint64(i))
+			if op.Damage&1 != 0 {
+				cut.Gate = nil
+			}
+			if op.Damage&2 != 0 {
+				cut.Ingest = nil
+			}
+			if op.Damage&4 != 0 {
+				cut.Figures = nil
+			}
+			if err := saveCheckpoint(mbc1, cut); err != nil {
+				t.Fatal(err)
+			}
+			if err := refSaveCheckpointJSON(legacy, cut); err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("op %d of %d, sections dropped %03b", i, len(ops), op.Damage&7)
+			if !same(what+", MBC1", mbc1) || !same(what+", JSON", legacy) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(law, &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(5))}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestMBC1CarriesNonFiniteFloats: JSON could not write an accumulator
 // that had overflowed to ±Inf (the save failed); MBC1 stores float bits,
 // so such a state — and a NaN's payload — survives, restores, and keeps
@@ -315,7 +376,7 @@ func TestCheckpointRestoreAllocatesPerSlab(t *testing.T) {
 	tap := restoreTap(t, CheckpointState{})
 	allocs := testing.AllocsPerRun(5, func() {
 		run := c // a copy, reader included: each run decodes the body afresh
-		if err := run.restore(tap.gate, tap.stats, tap.figures); err != nil {
+		if _, err := run.restore(tap.gate, tap.stats, tap.figures); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -330,7 +391,8 @@ func TestCheckpointRestoreAllocatesPerSlab(t *testing.T) {
 }
 
 // BenchmarkLoadCheckpoint reads, decodes and validates a 5,000-series
-// shard checkpoint: the load half of a resume.
+// shard checkpoint into taps of its own and cuts them: what mbdump, an
+// aggregator's restore and bench's -trace load pay.
 func BenchmarkLoadCheckpoint(b *testing.B) {
 	st := fleetCut(b, 5000)
 	path := filepath.Join(b.TempDir(), CheckpointFileName)
@@ -352,7 +414,7 @@ func BenchmarkLoadCheckpoint(b *testing.B) {
 }
 
 // BenchmarkRestoreState restores a 5,000-series figures state into a
-// tap: the restore half of a resume.
+// tap: the restore a LoadCheckpoint caller runs after it.
 func BenchmarkRestoreState(b *testing.B) {
 	st := fleetCut(b, 5000)
 	f, err := NewLiveFigures(LiveFiguresConfig{SpeedOf: func(uint32, uint16) uint64 { return 10_000_000_000 }})
@@ -388,7 +450,7 @@ func BenchmarkRestoreCheckpoint(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := c.restore(gate, stats, f); err != nil {
+		if _, err := c.restore(gate, stats, f); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -172,8 +172,8 @@ type RecoveryMetrics struct {
 	// and atomic write, the archive sync before it excluded.
 	CheckpointSeconds *obs.Histogram
 	// CheckpointLoadSeconds is how long Resume took to read, decode,
-	// validate and restore the checkpoint (one step for MBC1, which
-	// decodes straight into the taps), and ResumeSeconds the whole Resume:
+	// validate and restore the checkpoint (one step, which decodes
+	// straight into the taps), and ResumeSeconds the whole Resume:
 	// that load and the archive-tail replay.
 	CheckpointLoadSeconds *obs.Gauge
 	ResumeSeconds         *obs.Gauge

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"mburst/internal/ptrace"
+	"mburst/internal/simclock"
 	"mburst/internal/stats"
 	"mburst/internal/wire"
 )
@@ -25,6 +26,11 @@ import (
 // the archive tail: load, restore, then iterate, all in sequence.
 // refRender is how a cut was rendered before one renderer read it:
 // restore it into a fresh tap, then that tap's old Snapshot body.
+// refLoadCheckpoint is LoadCheckpoint before it went through the restore
+// a resume runs: a decoder of its own for MBC1 bodies (refDecodeMBC1),
+// json.Unmarshal for legacy files, then a validation that sorted the
+// series to find one listed twice; refRestoreGate and refRestoreStats
+// are the restores it was paired with.
 
 // refSaveCheckpointJSON writes st the way the checkpoint writer did
 // before MBC1 (one line of compact JSON). Shipping code only reads this form; the
@@ -129,17 +135,115 @@ func refLoadCheckpoint(path string) (st CheckpointState, size int, ok bool, err 
 		return CheckpointState{}, 0, false, err
 	}
 	if bytes.HasPrefix(data, []byte(CheckpointMagic)) {
-		st, err = decodeMBC1(data)
+		st, err = refDecodeMBC1(data)
 	} else {
 		err = json.Unmarshal(data, &st)
 	}
 	if err != nil {
 		return CheckpointState{}, 0, false, fmt.Errorf("collector: decoding checkpoint %s: %w", path, err)
 	}
-	if err := st.validate(); err != nil {
+	if err := refValidate(st); err != nil {
 		return CheckpointState{}, 0, false, fmt.Errorf("collector: checkpoint %s: %w", path, err)
 	}
 	return st, len(data), true, nil
+}
+
+// refDecodeMBC1 decodes a whole MBC1 file (magic included) into a
+// CheckpointState, field for field in file order, and returns the first
+// malformed field's error, or an error for trailing bytes.
+func refDecodeMBC1(data []byte) (CheckpointState, error) {
+	r, err := openMBC1(data)
+	if err != nil {
+		return CheckpointState{}, err
+	}
+	st := CheckpointState{ArchivedBatches: r.uvarint()}
+	if n := r.count(mbc1MinGateBytes); n > 0 {
+		st.Gate = make([]RackEpochState, n)
+		for i := range st.Gate {
+			g := &st.Gate[i]
+			g.Rack = uint32(r.uvarintMax(math.MaxUint32))
+			g.Epoch = uint32(r.uvarintMax(math.MaxUint32))
+			g.LastTime = simclock.Time(r.varint())
+			g.Seen = r.bool()
+		}
+	}
+	if r.bool() {
+		in := &Snapshot{}
+		in.Batches = r.uvarint()
+		in.Samples = r.uvarint()
+		in.LastSampleNanos = r.varint()
+		if n := r.count(mbc1MinPerRackBytes); n > 0 {
+			in.PerRack = make([]RackCount, n)
+			for i := range in.PerRack {
+				in.PerRack[i].Rack = uint32(r.uvarintMax(math.MaxUint32))
+				in.PerRack[i].Samples = r.uvarint()
+			}
+		}
+		st.Ingest = in
+	}
+	if r.bool() {
+		f := &FiguresState{}
+		f.Samples = r.uvarint()
+		if n := r.count(mbc1MinSeriesBytes); n > 0 {
+			slab := make([]SeriesState, n)
+			f.Series = make([]*SeriesState, n)
+			for i := range slab {
+				r.series(&slab[i])
+				f.Series[i] = &slab[i]
+			}
+		}
+		st.Figures = f
+	}
+	if r.err == nil && len(r.buf) != 0 {
+		r.err = fmt.Errorf("%d trailing bytes after the MBC1 body", len(r.buf))
+	}
+	if r.err != nil {
+		return CheckpointState{}, r.err
+	}
+	return st, nil
+}
+
+// refValidate rejects a null series, a series without utilBins
+// histogram bins, and a series listed twice, found by sorting.
+func refValidate(st CheckpointState) error {
+	if st.Figures == nil {
+		return nil
+	}
+	for i, s := range st.Figures.Series {
+		if s == nil {
+			return fmt.Errorf("series %d is null", i)
+		}
+		if err := histBins(s); err != nil {
+			return err
+		}
+	}
+	series := canonicalOrder(st.Figures.Series)
+	for i := 1; i < len(series); i++ {
+		if id := series[i].id(); id == series[i-1].id() {
+			return fmt.Errorf("series %s is listed twice", id)
+		}
+	}
+	return nil
+}
+
+// refRestoreGate replaces the gate's per-rack state with a snapshot; a
+// rack listed twice keeps its last entry.
+func refRestoreGate(g *EpochGate, state []RackEpochState) {
+	racks := make(map[uint32]*rackEpoch, len(state))
+	for _, st := range state {
+		racks[st.Rack] = &rackEpoch{epoch: st.Epoch, lastTime: st.LastTime, seen: st.Seen}
+	}
+	g.install(racks)
+}
+
+// refRestoreStats replaces the ingest counters with a snapshot; a rack
+// listed twice keeps its last count.
+func refRestoreStats(s *IngestStats, snap Snapshot) {
+	perRack := make(map[uint32]uint64, len(snap.PerRack))
+	for _, rc := range snap.PerRack {
+		perRack[rc.Rack] = rc.Samples
+	}
+	s.install(snap.Batches, snap.Samples, snap.LastSampleNanos, perRack)
 }
 
 // refResume is the sequential Resume: the checkpoint is loaded and
@@ -164,12 +268,12 @@ func refResume(s *Shard, iter func(func(*wire.Batch) error) error) (ResumeReport
 			s.rec.CheckpointBytes.Set(float64(size))
 			rep.HadCheckpoint = true
 			rep.CheckpointBatches = st.ArchivedBatches
-			s.gate.RestoreState(st.Gate)
+			refRestoreGate(s.gate, st.Gate)
 			if s.cfg.Figures != nil && st.Figures != nil {
 				s.cfg.Figures.RestoreState(*st.Figures)
 			}
 			if st.Ingest != nil {
-				s.cfg.Stats.Restore(*st.Ingest)
+				refRestoreStats(s.cfg.Stats, *st.Ingest)
 			}
 		}
 	}

@@ -179,7 +179,7 @@ func TestShardKillResumeFleetExact(t *testing.T) {
 		for k := 0; k < fleetCrashShards; k++ {
 			dirs[k] = filepath.Join(t.TempDir(), "shard")
 			chaos[k] = fault.NewWriteChaos(nil)
-			cfgs[k] = trace.ArchiveConfig{SyncEvery: 2, WrapWrites: chaos[k].Wrap}
+			cfgs[k] = trace.ArchiveConfig{SyncEvery: 2, Open: chaos[k].Wrap(nil)}
 			arch, err := trace.CreateArchive(dirs[k], cfgs[k])
 			if err != nil {
 				t.Fatal(err)
@@ -310,7 +310,7 @@ func TestResumeShortfallEndsTheLog(t *testing.T) {
 	vals := fleetCrashValues()
 	dir := filepath.Join(t.TempDir(), "shard")
 	chaos := fault.NewWriteChaos(nil)
-	cfg := trace.ArchiveConfig{WrapWrites: chaos.Wrap}
+	cfg := trace.ArchiveConfig{Open: chaos.Wrap(nil)}
 	arch, err := trace.CreateArchive(dir, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -36,19 +36,10 @@ func (g *EpochGate) State() []RackEpochState {
 	return out
 }
 
-// RestoreState replaces the gate's per-rack state with a snapshot. A
-// restored gate applies the same stale-epoch and time-regression rules
-// it would have applied had it never stopped — the property that lets a
-// resumed collector drop retransmitted duplicates.
-func (g *EpochGate) RestoreState(state []RackEpochState) {
-	racks := make(map[uint32]*rackEpoch, len(state))
-	for _, st := range state {
-		racks[st.Rack] = &rackEpoch{epoch: st.Epoch, lastTime: st.LastTime, seen: st.Seen}
-	}
-	g.install(racks)
-}
-
-// install makes racks the gate's per-rack state.
+// install makes racks the gate's per-rack state. A restored gate applies
+// the same stale-epoch and time-regression rules it would have applied
+// had it never stopped — the property that lets a resumed collector drop
+// retransmitted duplicates.
 func (g *EpochGate) install(racks map[uint32]*rackEpoch) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -245,17 +236,9 @@ func (f *LiveFigures) install(samples uint64, series []*liveSeries) {
 	}
 }
 
-// Restore replaces the ingest counters with a snapshot. Call before
-// Attach so the registry mirror carries the restored totals forward.
-func (s *IngestStats) Restore(snap Snapshot) {
-	perRack := make(map[uint32]uint64, len(snap.PerRack))
-	for _, rc := range snap.PerRack {
-		perRack[rc.Rack] = rc.Samples
-	}
-	s.install(snap.Batches, snap.Samples, snap.LastSampleNanos, perRack)
-}
-
-// install makes the counters and perRack the ingest accounting.
+// install makes the counters and perRack the ingest accounting. Call
+// before Attach so the registry mirror carries the restored totals
+// forward.
 func (s *IngestStats) install(batches, samples uint64, lastSampleNanos int64, perRack map[uint32]uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

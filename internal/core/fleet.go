@@ -391,7 +391,7 @@ func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResul
 			fs.dir = filepath.Join(cfg.Dir, pl.Name(k))
 			fs.ckpt = filepath.Join(fs.dir, collector.CheckpointFileName)
 			fs.chaos = fault.NewWriteChaos(nil)
-			fs.acfg = trace.ArchiveConfig{WrapWrites: fs.chaos.Wrap}
+			fs.acfg = trace.ArchiveConfig{Open: fs.chaos.Wrap(nil)}
 			arch, err := trace.CreateArchive(fs.dir, fs.acfg)
 			if err != nil {
 				return nil, err

@@ -241,7 +241,7 @@ func TestFleetDurableFaultsByteExact(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("fleet meta: ok=%v err=%v", ok, err)
 	}
-	if !meta.Placement.Equal(res.Placement) || meta.Windows != res.Racks {
+	if !reflect.DeepEqual(*meta.Placement, res.Placement) || meta.Windows != res.Racks {
 		t.Errorf("campaign.json says %d racks under %+v, campaign ran %d under %+v",
 			meta.Windows, meta.Placement, res.Racks, res.Placement)
 	}

@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"errors"
+	"io"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -181,7 +182,7 @@ func TestCollectorCrashSoak(t *testing.T) {
 		ckpt := filepath.Join(dir, "checkpoint.json")
 		chaos := NewWriteChaos(nil)
 		ccfg := cfg
-		ccfg.WrapWrites = chaos.Wrap
+		ccfg.Open = chaos.Wrap(ccfg.Open)
 
 		arch, err := trace.CreateArchive(dir, ccfg)
 		if err != nil {
@@ -284,10 +285,22 @@ func TestCollectorCrashSoak(t *testing.T) {
 	mergeSoakArtifact(t, func(r *soakReport) { r.CollectorCrash = &report })
 }
 
+// memFile is a segment file in memory that counts its syncs and closes.
+type memFile struct {
+	bytes.Buffer
+	syncs, closes int
+}
+
+func (f *memFile) Sync() error  { f.syncs++; return nil }
+func (f *memFile) Close() error { f.closes++; return nil }
+
 func TestWriteChaosTornAndShort(t *testing.T) {
-	var buf bytes.Buffer
+	var buf memFile
 	chaos := NewWriteChaos(nil)
-	w := chaos.Wrap(&buf)
+	w, err := chaos.Wrap(func(string) (io.WriteCloser, error) { return &buf, nil })("seg")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	payload := []byte("0123456789")
 	chaos.ArmTorn(0.5)
@@ -313,6 +326,14 @@ func TestWriteChaosTornAndShort(t *testing.T) {
 	buf.Reset()
 	if n, err := w.Write(payload); n != len(payload) || err != nil || buf.String() != string(payload) {
 		t.Fatalf("unarmed write = (%d, %v) persisting %q", n, err, buf.String())
+	}
+
+	// Sync and Close reach the file: the archive fsyncs through them.
+	if err := w.(interface{ Sync() error }).Sync(); err != nil || buf.syncs != 1 {
+		t.Fatalf("Sync = %v reaching the file %d times, want once", err, buf.syncs)
+	}
+	if err := w.Close(); err != nil || buf.closes != 1 {
+		t.Fatalf("Close = %v reaching the file %d times, want once", err, buf.closes)
 	}
 }
 

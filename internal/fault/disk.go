@@ -3,7 +3,10 @@ package fault
 import (
 	"fmt"
 	"io"
+	"os"
 	"sync"
+
+	"mburst/internal/trace"
 )
 
 // WriteChaos injects the two archive-write failure modes the durable
@@ -18,10 +21,9 @@ import (
 //     durability. The archive believes the batch is safe; the lie
 //     surfaces after the crash as a resume Shortfall.
 //
-// Both are one-shot: Arm* primes the next write through any wrapped
-// stream, which consumes the arming. Wrap matches the signature of
-// trace.ArchiveConfig.WrapWrites, the interposition point between the
-// batch encoder and the segment file.
+// Both are one-shot: Arm* primes the next write to any file opened
+// through Wrap, which consumes the arming. Wrap decorates
+// trace.ArchiveConfig.Open, the archive's one disk hook.
 type WriteChaos struct {
 	mu        sync.Mutex
 	tornFrac  float64
@@ -55,19 +57,40 @@ func (c *WriteChaos) ArmShort(frac float64) {
 	c.mu.Unlock()
 }
 
-// Wrap interposes the injector on a segment byte stream. Pass it as
-// trace.ArchiveConfig.WrapWrites.
-func (c *WriteChaos) Wrap(w io.Writer) io.Writer {
-	return &chaosWriter{chaos: c, w: w}
+// Wrap returns an opener whose files are next's with the injector on
+// their writes; Sync and Close go to next's file. A nil next opens with
+// os.Create, as trace.ArchiveConfig.Open does. Pass it as
+// trace.ArchiveConfig.Open.
+func (c *WriteChaos) Wrap(next trace.Opener) trace.Opener {
+	if next == nil {
+		next = func(path string) (io.WriteCloser, error) { return os.Create(path) }
+	}
+	return func(path string) (io.WriteCloser, error) {
+		f, err := next(path)
+		if err != nil {
+			return nil, err
+		}
+		return &chaosFile{WriteCloser: f, chaos: c}, nil
+	}
 }
 
-type chaosWriter struct {
+// chaosFile is a segment file with the injector on its writes; Close is
+// the file's own.
+type chaosFile struct {
+	io.WriteCloser
 	chaos *WriteChaos
-	w     io.Writer
 }
 
-func (cw *chaosWriter) Write(p []byte) (int, error) {
-	c := cw.chaos
+// Sync fsyncs the file underneath, when it can be.
+func (cf *chaosFile) Sync() error {
+	if s, ok := cf.WriteCloser.(interface{ Sync() error }); ok {
+		return s.Sync()
+	}
+	return nil
+}
+
+func (cf *chaosFile) Write(p []byte) (int, error) {
+	c := cf.chaos
 	c.mu.Lock()
 	switch {
 	case c.torn:
@@ -76,7 +99,7 @@ func (cw *chaosWriter) Write(p []byte) (int, error) {
 		c.mu.Unlock()
 		c.m.TornWrites.Inc()
 		if keep > 0 {
-			if n, err := cw.w.Write(p[:keep]); err != nil {
+			if n, err := cf.WriteCloser.Write(p[:keep]); err != nil {
 				return n, err
 			}
 		}
@@ -87,7 +110,7 @@ func (cw *chaosWriter) Write(p []byte) (int, error) {
 		c.mu.Unlock()
 		c.m.ShortWrites.Inc()
 		if keep > 0 {
-			if n, err := cw.w.Write(p[:keep]); err != nil {
+			if n, err := cf.WriteCloser.Write(p[:keep]); err != nil {
 				return n, err
 			}
 		}
@@ -95,5 +118,5 @@ func (cw *chaosWriter) Write(p []byte) (int, error) {
 		return len(p), nil
 	}
 	c.mu.Unlock()
-	return cw.w.Write(p)
+	return cf.WriteCloser.Write(p)
 }

@@ -34,9 +34,9 @@
 //	         down at the offset and restarts it with the next Epoch.
 //	outage   collector outage window: dials fail and live connections
 //	         drop. Applied by Gate/FlakyDialer at the harness level.
-//	disk     trace-writer disk errors: segment opens fail. FlakyOpener
-//	         implements it, but no harness applies it, so a generated
-//	         disk fault moves no signal yet.
+//	disk     trace-writer disk errors: segment opens fail. Nothing
+//	         implements or applies it yet, so a generated disk fault
+//	         moves no signal (whether the kind stays is open).
 //	kill     collector process kill: the collector dies at the offset
 //	         with its archive segment open, and must resume from the
 //	         checkpoint plus archive tail. Applied by the crash-soak

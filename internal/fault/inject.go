@@ -20,8 +20,6 @@ type Metrics struct {
 	DialErrors *obs.Counter
 	// WriteErrors counts injected transport write failures.
 	WriteErrors *obs.Counter
-	// DiskErrors counts injected trace-writer disk failures.
-	DiskErrors *obs.Counter
 	// TornWrites counts archive writes torn mid-frame (crash mid-write).
 	TornWrites *obs.Counter
 	// ShortWrites counts archive writes that persisted only a prefix
@@ -42,8 +40,6 @@ func NewMetrics(reg *obs.Registry, labels ...obs.Label) *Metrics {
 			"Injected collector dial failures.", labels...),
 		WriteErrors: reg.Counter("mburst_fault_write_errors_total",
 			"Injected transport write failures.", labels...),
-		DiskErrors: reg.Counter("mburst_fault_disk_errors_total",
-			"Injected trace-writer disk errors.", labels...),
 		TornWrites: reg.Counter("mburst_fault_torn_writes_total",
 			"Injected archive writes torn mid-frame.", labels...),
 		ShortWrites: reg.Counter("mburst_fault_short_writes_total",

@@ -93,23 +93,3 @@ func FlakyDialer(next collector.Dialer, src *rng.Source, pFail float64, m *Metri
 		return next()
 	}
 }
-
-// Opener matches trace.Opener: how the trace writers create segment files.
-type Opener func(path string) (io.WriteCloser, error)
-
-// FlakyOpener wraps next so that opens fail while failing is set. The
-// harness flips the flag at disk-fault schedule offsets; the trace writer
-// surfaces the error to the campaign like a real full or failing disk.
-func FlakyOpener(next Opener, failing *atomic.Bool, m *Metrics) Opener {
-	var mm Metrics
-	if m != nil {
-		mm = *m
-	}
-	return func(path string) (io.WriteCloser, error) {
-		if failing.Load() {
-			mm.DiskErrors.Inc()
-			return nil, fmt.Errorf("fault: disk error opening %s: %w", path, ErrInjected)
-		}
-		return next(path)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"sync/atomic"
 	"testing"
 
 	"mburst/internal/obs"
@@ -93,30 +92,6 @@ func TestFlakyDialerDeterministic(t *testing.T) {
 	}
 	if nFail == 0 || nFail == len(a) {
 		t.Errorf("pFail=0.5 produced %d/%d failures; want a mix", nFail, len(a))
-	}
-}
-
-func TestFlakyOpener(t *testing.T) {
-	var failing atomic.Bool
-	var opened int
-	open := FlakyOpener(func(path string) (io.WriteCloser, error) {
-		opened++
-		return &nopWC{}, nil
-	}, &failing, nil)
-
-	if _, err := open("w0.bin"); err != nil {
-		t.Fatalf("open with disk healthy: %v", err)
-	}
-	failing.Store(true)
-	if _, err := open("w1.bin"); !errors.Is(err, ErrInjected) {
-		t.Errorf("open with disk failing: err = %v, want ErrInjected", err)
-	}
-	failing.Store(false)
-	if _, err := open("w2.bin"); err != nil {
-		t.Fatalf("open after recovery: %v", err)
-	}
-	if opened != 2 {
-		t.Errorf("underlying opener called %d times, want 2", opened)
 	}
 }
 

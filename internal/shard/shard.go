@@ -20,10 +20,11 @@
 //     score highest on it, and removing a shard moves only the racks it
 //     owned. Racks never shuffle between surviving shards.
 //
-// A Placement is explicit and versioned: membership edits go through
-// WithShard/WithoutShard, which bump Version, so campaign metadata
-// (campaign.json) records exactly which generation of the map produced
-// an archive.
+// A Placement is explicit and versioned, and campaign metadata
+// (campaign.json) records it whole, so an archive names exactly which
+// map produced it. New and Uniform make version 1; nothing edits
+// membership yet (elastic resharding is parked), and Version stays
+// because the placements campaign.json files already carry have it.
 package shard
 
 import (
@@ -36,9 +37,8 @@ import (
 // (archive subdirectories, -shard flags, ShardUpdate.Shard); the name is
 // the stable handle that survives membership changes.
 type Placement struct {
-	// Version counts membership generations. WithShard and WithoutShard
-	// return a Placement with Version+1; two placements with the same
-	// Version, Seed and Shards are interchangeable.
+	// Version counts membership generations, from 1. Two placements with
+	// the same Version, Seed and Shards are interchangeable.
 	Version int `json:"version"`
 	// Seed perturbs the rendezvous scores, so distinct campaigns spread
 	// racks differently over the same shard list.
@@ -125,58 +125,6 @@ func (p Placement) ShardOf(rack uint32) int {
 		}
 	}
 	return best
-}
-
-// Owner returns the owning shard's name for a rack.
-func (p Placement) Owner(rack uint32) string { return p.Shards[p.ShardOf(rack)] }
-
-// WithShard returns a new generation with name appended to the shard
-// list. Only racks whose highest score moves to the new shard remap.
-func (p Placement) WithShard(name string) (Placement, error) {
-	next := Placement{
-		Version: p.Version + 1,
-		Seed:    p.Seed,
-		Shards:  append(append([]string(nil), p.Shards...), name),
-	}
-	if err := next.Validate(); err != nil {
-		return Placement{}, err
-	}
-	return next, nil
-}
-
-// WithoutShard returns a new generation with the named shard removed.
-// Only the racks that shard owned remap; every other rack keeps its
-// owner (by name — indexes after the removed shard shift down).
-func (p Placement) WithoutShard(name string) (Placement, error) {
-	i := p.Index(name)
-	if i < 0 {
-		return Placement{}, fmt.Errorf("shard: removing unknown shard %q", name)
-	}
-	if len(p.Shards) == 1 {
-		return Placement{}, fmt.Errorf("shard: removing %q would leave an empty placement", name)
-	}
-	shards := make([]string, 0, len(p.Shards)-1)
-	shards = append(shards, p.Shards[:i]...)
-	shards = append(shards, p.Shards[i+1:]...)
-	next := Placement{Version: p.Version + 1, Seed: p.Seed, Shards: shards}
-	if err := next.Validate(); err != nil {
-		return Placement{}, err
-	}
-	return next, nil
-}
-
-// Equal reports whether two placements are the same generation of the
-// same map.
-func (p Placement) Equal(o Placement) bool {
-	if p.Version != o.Version || p.Seed != o.Seed || len(p.Shards) != len(o.Shards) {
-		return false
-	}
-	for i := range p.Shards {
-		if p.Shards[i] != o.Shards[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // score is the rendezvous weight of (shard, rack): FNV-1a over the

@@ -68,13 +68,10 @@ type ArchiveConfig struct {
 	// write returns — what the crash soak runs with.
 	SyncEvery int
 	// Open creates segment files; nil falls back to os.Create. It is
-	// the disk fault-injection point, matching the campaign Writer's
-	// Opener contract.
+	// the archive's one disk hook: fault.WriteChaos.Wrap decorates it to
+	// tear and shorten writes, and the archive syncs a file it returns
+	// when the file has a Sync method.
 	Open Opener
-	// WrapWrites, when non-nil, wraps the byte stream batches are
-	// encoded into (fault.WriteChaos interposes torn and short writes
-	// here). Sync and Close still go to the underlying file.
-	WrapWrites func(io.Writer) io.Writer
 }
 
 func (cfg ArchiveConfig) withDefaults() ArchiveConfig {
@@ -111,8 +108,8 @@ type ArchiveWriter struct {
 }
 
 // countWriter counts the bytes the encoder handed on for the manifest. It
-// sits above WrapWrites, so it records what the writer believes the
-// segment holds: a storage layer that drops bytes while reporting success
+// sits above the file Open returned, so it records what the writer
+// believes the segment holds: a storage layer that drops bytes while reporting success
 // leaves the file shorter than its manifest entry, and recovery rescans
 // it instead of trusting a segment with a torn frame inside.
 type countWriter struct {
@@ -208,11 +205,7 @@ func (w *ArchiveWriter) openSegment(seq int, name string) error {
 	if err != nil {
 		return fmt.Errorf("trace: opening segment %d: %w", seq, err)
 	}
-	var sink io.Writer = f
-	if w.cfg.WrapWrites != nil {
-		sink = w.cfg.WrapWrites(sink)
-	}
-	w.cw = countWriter{w: sink}
+	w.cw = countWriter{w: f}
 	if w.bw == nil {
 		if w.bw, err = wire.NewWriterFormat(&w.cw, w.cfg.Format); err != nil {
 			f.Close()

@@ -196,7 +196,7 @@ func TestArchiveResumeAfterCrash(t *testing.T) {
 
 // failAfter fails every write once armed.
 type failAfter struct {
-	w    io.Writer
+	*os.File
 	fail bool
 }
 
@@ -204,14 +204,18 @@ func (f *failAfter) Write(p []byte) (int, error) {
 	if f.fail {
 		return 0, errors.New("injected archive write error")
 	}
-	return f.w.Write(p)
+	return f.File.Write(p)
 }
 
 func TestArchiveWriteErrorLatches(t *testing.T) {
 	dir := t.TempDir()
 	var chaos *failAfter
 	w, err := CreateArchive(dir, ArchiveConfig{
-		WrapWrites: func(sink io.Writer) io.Writer { chaos = &failAfter{w: sink}; return chaos },
+		Open: func(path string) (io.WriteCloser, error) {
+			f, err := os.Create(path)
+			chaos = &failAfter{File: f}
+			return chaos, err
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

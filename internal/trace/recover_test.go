@@ -232,16 +232,16 @@ func TestScanStreamEveryTruncation(t *testing.T) {
 // shortOnce persists half of one armed write while reporting all of it
 // written: a storage layer that lies about durability.
 type shortOnce struct {
-	w     io.Writer
+	*os.File
 	armed bool
 }
 
 func (s *shortOnce) Write(p []byte) (int, error) {
 	if !s.armed {
-		return s.w.Write(p)
+		return s.File.Write(p)
 	}
 	s.armed = false
-	if _, err := s.w.Write(p[:len(p)/2]); err != nil {
+	if _, err := s.File.Write(p[:len(p)/2]); err != nil {
 		return 0, err
 	}
 	return len(p), nil
@@ -257,7 +257,11 @@ func TestRecoverKeepsDecodablePrefix(t *testing.T) {
 	dir := t.TempDir()
 	lie := &shortOnce{}
 	w, err := CreateArchive(dir, ArchiveConfig{
-		WrapWrites: func(f io.Writer) io.Writer { lie.w = f; return lie },
+		Open: func(path string) (io.WriteCloser, error) {
+			f, err := os.Create(path)
+			lie.File = f
+			return lie, err
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -120,8 +120,8 @@ type Writer struct {
 }
 
 // Opener creates the file backing one segment. It exists so fault-injection
-// harnesses can interpose disk errors (see internal/fault.FlakyOpener,
-// which matches this type structurally); production writers use os.Create.
+// harnesses can interpose disk faults (internal/fault.WriteChaos.Wrap
+// decorates one); production writers use os.Create.
 type Opener func(path string) (io.WriteCloser, error)
 
 // defaultOpener adapts os.Create to Opener.
