@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"mburst/internal/analysis"
 	"mburst/internal/asic"
 	"mburst/internal/simclock"
 	"mburst/internal/wire"
@@ -473,5 +475,203 @@ func TestMergeFiguresStatesMatchesSortedUnion(t *testing.T) {
 	}
 	if err := quick.Check(law, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCutSharingMatchesReference is the law of a cut that shares the
+// tap's memory: feed, cut, let a consumer append to every slice of that
+// cut and of an earlier one, feed more, cut again. Every cut keeps the
+// JSON bytes it had when returned, every consumer append keeps what it
+// appended, and the tap's cuts equal the full re-snapshot
+// (refFiguresState) of a second tap fed the same samples that no
+// consumer touched. Restores happen to both taps alike, so values
+// restored into one slab sit side by side in memory.
+func TestCutSharingMatchesReference(t *testing.T) {
+	// appended is what one consumer append made of a cut: the slices
+	// append returned, which may share memory with the cut, and their
+	// JSON when they were made.
+	type appended struct {
+		Values [][]float64
+		Hists  [][]uint64
+		Series []*SeriesState
+		json   []byte
+	}
+	encode := func(a appended) []byte {
+		data, err := json.Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	values := 0 // ECDF values the cuts held: what a cut shares
+	law := func(ops []cutOp) bool {
+		f, g := newCkptFigures(t), newCkptFigures(t)
+		sh, err := NewShard(ShardConfig{Figures: f, Stats: &IngestStats{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed := newCutFeeder()
+		type taken struct {
+			cut  FiguresState
+			json []byte
+		}
+		var cuts []taken
+		var appends []appended
+		for i, op := range ops {
+			var cut FiguresState
+			switch op.Op % 8 {
+			default:
+				// Two racks of three ports, rarely damaged: a few series
+				// fed often enough that bursts close and gaps open.
+				op.Rack, op.Port = op.Rack%2, op.Port%2
+				if op.Damage >= 16 {
+					op.Damage = 3
+				}
+				b := feed.batch(op)
+				f.Handle(b)
+				g.Handle(b)
+				continue
+			case 0:
+				cut = f.State()
+			case 1:
+				cut = sh.Publish().Figures
+			case 2:
+				if len(cuts) == 0 {
+					continue
+				}
+				st := cuts[int(op.N)%len(cuts)].cut
+				f.RestoreState(st)
+				g.RestoreState(st)
+				cut = f.State()
+			}
+			if !sameCut(t, fmt.Sprintf("op %d of %d", i, len(ops)), cut, refFiguresState(g)) {
+				return false
+			}
+			data, err := json.Marshal(cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cuts = append(cuts, taken{cut, data})
+			for _, s := range cut.Series {
+				values += len(s.Durations.Values) + len(s.Gaps.Values)
+			}
+			// The consumer appends to every slice of this cut and of an
+			// earlier one, taken before more samples came, and keeps what
+			// append returns, never writing it back.
+			for _, c := range []taken{cuts[len(cuts)-1], cuts[int(op.Port)%len(cuts)]} {
+				a := appended{Series: append(c.cut.Series, &SeriesState{Rack: uint32(i)})}
+				for _, s := range c.cut.Series {
+					a.Values = append(a.Values, append(s.Durations.Values, -float64(i)), append(s.Gaps.Values, -float64(i)-0.5))
+					a.Hists = append(a.Hists, append(s.UtilHist, uint64(i)))
+				}
+				a.json = encode(a)
+				appends = append(appends, a)
+			}
+		}
+		for i, c := range cuts {
+			now, err := json.Marshal(c.cut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(now, c.json) {
+				t.Errorf("cut %d of %d changed after it was returned", i, len(cuts))
+				return false
+			}
+		}
+		for i, a := range appends {
+			if !bytes.Equal(encode(a), a.json) {
+				t.Errorf("consumer append %d of %d changed after it was made", i, len(appends))
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(law, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+	if values < 1000 {
+		t.Errorf("the cuts held %d ECDF values in all: too few to tell", values)
+	}
+}
+
+// soil marks every series of f fed, as if each had taken a sample since
+// the last cut, without feeding any.
+func soil(f *LiveFigures) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, s := range f.order {
+		s.dirty = true
+	}
+}
+
+// TestFullCutAllocatesPerSlab: a cut of 5,000 fed series makes its list
+// of pointers and two allocations per slab of cutSlabSeries series (the
+// SeriesStates and their histograms), not four per series, and still
+// equals the full re-snapshot. The collector is off while it counts.
+func TestFullCutAllocatesPerSlab(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	st := fleetCut(t, 5000)
+	f := newCkptFigures(t)
+	f.RestoreState(*st.Figures)
+	n := len(st.Figures.Series)
+	want := 1 + 2*((n+cutSlabSeries-1)/cutSlabSeries)
+	if allocs := testing.AllocsPerRun(5, func() { soil(f); f.State() }); allocs > float64(want) {
+		t.Errorf("a cut of %d fed series made %v allocations, want at most %d", n, allocs, want)
+	}
+	soil(f)
+	sameCut(t, "a full cut", f.State(), refFiguresState(f))
+}
+
+// TestNewSeriesAllocatePerChunk: Handle creating 5,000 series — fleetCut's
+// racks, ports and directions, one sample each — allocates one chunk of
+// slots per seriesChunk series, plus what the series table and the order
+// list cost on their own, not four objects per series. The collector is
+// off while it counts: a collection's own allocations land in the count.
+func TestNewSeriesAllocatePerChunk(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const racks, ports = 50, 50
+	feed := newCutFeeder()
+	var batches []*wire.Batch
+	var keys []liveKey
+	for rack := uint32(0); rack < racks; rack++ {
+		b := &wire.Batch{Rack: rack, Epoch: 1}
+		for port := uint16(0); port < ports; port++ {
+			for _, dir := range []asic.Direction{asic.RX, asic.TX} {
+				id := seriesID{Rack: rack, Port: port, Dir: dir, Kind: asic.KindBytes}
+				b.Samples = append(b.Samples, feed.next(id))
+				keys = append(keys, liveKey{Rack: rack, Key: analysis.SeriesKey{Port: port, Dir: dir, Kind: asic.KindBytes}})
+			}
+		}
+		batches = append(batches, b)
+	}
+	cfg := LiveFiguresConfig{SpeedOf: func(uint32, uint16) uint64 { return figSpeed }}
+	var f *LiveFigures
+	got := testing.AllocsPerRun(5, func() {
+		f, _ = NewLiveFigures(cfg)
+		for _, b := range batches {
+			f.Handle(b)
+		}
+	})
+	// The tap itself (one), and its table grown to every key and its
+	// order list grown by append, as NewLiveFigures and add grow them.
+	var table float64
+	{
+		var m map[liveKey]*liveSeries
+		var order []*liveSeries
+		table = testing.AllocsPerRun(5, func() {
+			m, order = make(map[liveKey]*liveSeries), nil
+			for _, k := range keys {
+				m[k] = nil
+				order = append(order, nil)
+			}
+		})
+	}
+	n := len(keys)
+	want := float64((n+seriesChunk-1)/seriesChunk) + table + 1
+	if got > want {
+		t.Errorf("creating %d series made %v allocations, want at most %v (%v of them the table and order list)", n, got, want, table)
+	}
+	if len(f.series) != n {
+		t.Fatalf("the tap holds %d series, want %d", len(f.series), n)
 	}
 }

@@ -41,10 +41,12 @@ type EpochGate struct {
 	racks map[uint32]*rackEpoch
 }
 
+// rackEpoch is one rack's admission state; seen sits beside epoch, in
+// what would otherwise be padding.
 type rackEpoch struct {
 	epoch    uint32
-	lastTime simclock.Time
 	seen     bool
+	lastTime simclock.Time
 }
 
 // NewEpochGate wraps next; m may be nil.

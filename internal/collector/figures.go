@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"slices"
+	"sort"
 	"sync"
 
 	"mburst/internal/analysis"
@@ -39,6 +40,8 @@ type LiveFigures struct {
 	order  []*liveSeries
 	sorted int
 	tail   []*liveSeries
+	// slots is where Handle carves its next new series from.
+	slots []seriesSlot
 }
 
 // LiveFiguresConfig parameterizes the tap.
@@ -89,6 +92,34 @@ type liveSeries struct {
 	dirty bool
 }
 
+// seriesSlot is one series Handle creates, with the converter,
+// segmenter and histogram it points at. Handle makes them seriesChunk at
+// a time: one allocation per chunk, not four per series.
+type seriesSlot struct {
+	series liveSeries
+	util   analysis.UtilState
+	seg    analysis.BurstSegmenter
+	hist   [utilBins]uint64
+}
+
+const seriesChunk = 64
+
+// newSeries carves series k, on a port of line rate speed, from the
+// current chunk of slots. Caller holds f.mu.
+func (f *LiveFigures) newSeries(k liveKey, speed uint64) *liveSeries {
+	if len(f.slots) == 0 {
+		f.slots = make([]seriesSlot, seriesChunk)
+	}
+	sl := &f.slots[0]
+	f.slots = f.slots[1:]
+	// Both constructors inline, so what they build stays on the stack and
+	// is copied into the slot.
+	sl.util = *analysis.NewUtilState(speed)
+	sl.seg = *analysis.NewBurstSegmenter(analysis.SegmenterConfig{HotAbove: f.cfg.Threshold})
+	sl.series = liveSeries{key: k, util: &sl.util, seg: &sl.seg, utilHist: sl.hist[:]}
+	return &sl.series
+}
+
 // NewLiveFigures validates the config and returns a tap.
 func NewLiveFigures(cfg LiveFiguresConfig) (*LiveFigures, error) {
 	cfg, err := cfg.resolve()
@@ -132,12 +163,7 @@ func (f *LiveFigures) Handle(b *wire.Batch) {
 		k := liveKey{Rack: b.Rack, Key: analysis.SeriesKey{Port: s.Port, Dir: s.Dir, Kind: s.Kind}}
 		st := f.series[k]
 		if st == nil {
-			st = &liveSeries{
-				key:      k,
-				util:     analysis.NewUtilState(f.cfg.SpeedOf(b.Rack, s.Port)),
-				seg:      analysis.NewBurstSegmenter(analysis.SegmenterConfig{HotAbove: f.cfg.Threshold}),
-				utilHist: make([]uint64, utilBins),
-			}
+			st = f.newSeries(k, f.cfg.SpeedOf(b.Rack, s.Port))
 			f.add(st)
 		}
 		st.dirty = true
@@ -275,13 +301,22 @@ func RenderFigures(cfg LiveFiguresConfig, st FiguresState) (FiguresSnapshot, err
 // render is the one renderer: every derived statistic of the served
 // figures, series by series off their SeriesStates. The accumulators a
 // statistic needs are rebuilt on the stack from their snapshots, so each
-// float comes out of the code a live tap would run. cfg is resolved.
+// float comes out of the code a live tap would run. It allocates the
+// series list, the Markov fits, one slab for every histogram and one
+// scratch buffer the quantiles of every series are read in. cfg is
+// resolved.
 func render(cfg LiveFiguresConfig, st FiguresState) FiguresSnapshot {
 	snap := FiguresSnapshot{Threshold: cfg.Threshold, Samples: st.Samples}
 	series := canonicalOrder(st.Series)
+	hists, most := 0, 0
+	for _, s := range series {
+		hists += histLen(s)
+		most = max(most, len(s.Durations.Values), len(s.Gaps.Values))
+	}
 	if len(series) > 0 {
 		snap.Series = make([]SeriesFigures, 0, len(series))
 	}
+	hist, scratch := make([]uint64, hists), make([]float64, most)
 	models := make([]stats.MarkovModel, 0, len(series))
 	for _, s := range series {
 		sf := SeriesFigures{
@@ -293,24 +328,22 @@ func render(cfg LiveFiguresConfig, st FiguresState) FiguresSnapshot {
 			Bursts:      len(s.Durations.Values),
 			ActiveBurst: s.Seg.Active,
 		}
-		if len(s.UtilHist) == 0 {
-			sf.UtilHist = make([]uint64, utilBins) // as RestoreState gives a series Handle could not feed
-		} else {
-			sf.UtilHist = append([]uint64(nil), s.UtilHist...)
-		}
+		// A series without a histogram gets an empty one, as RestoreState
+		// gives a series Handle could not feed.
+		n := histLen(s)
+		sf.UtilHist, hist = hist[:n:n], hist[n:]
+		copy(sf.UtilHist, s.UtilHist)
 		var moments stats.MomentAcc
 		moments.Restore(s.Moments)
 		if moments.N() > 0 {
 			sf.MeanUtil = moments.Mean()
 			sf.MaxUtil = moments.Max()
 		}
-		if d := stats.NewECDF(s.Durations.Values); d.N() > 0 {
-			sf.BurstP50Micros = d.Quantile(0.5)
-			sf.BurstP99Micros = d.Quantile(0.99)
+		if vs := s.Durations.Values; len(vs) > 0 {
+			sf.BurstP50Micros, sf.BurstP99Micros = p50p99(scratch, vs)
 		}
-		if g := stats.NewECDF(s.Gaps.Values); g.N() > 0 {
-			sf.GapP50Micros = g.Quantile(0.5)
-			sf.GapP99Micros = g.Quantile(0.99)
+		if vs := s.Gaps.Values; len(vs) > 0 {
+			sf.GapP50Micros, sf.GapP99Micros = p50p99(scratch, vs)
 		}
 		snap.Series = append(snap.Series, sf)
 		var mk stats.MarkovAcc
@@ -331,6 +364,22 @@ func render(cfg LiveFiguresConfig, st FiguresState) FiguresSnapshot {
 		snap.Markov.P11 = m.P[1][1]
 	}
 	return snap
+}
+
+// p50p99 returns the 50th and 99th percentiles of the non-empty vs by
+// nearest rank, exactly as stats.NewECDF(vs).Quantile does: it sorts a
+// copy with the same sort, in scratch, which must hold len(vs) values.
+func p50p99(scratch, vs []float64) (p50, p99 float64) {
+	sorted := scratch[:len(vs)]
+	copy(sorted, vs)
+	sort.Float64s(sorted)
+	return nearestRank(sorted, 0.5), nearestRank(sorted, 0.99)
+}
+
+// nearestRank is the q-th quantile, 0 < q < 1, of the non-empty sorted:
+// the ⌈q·n⌉-th smallest value.
+func nearestRank(sorted []float64, q float64) float64 {
+	return sorted[int(math.Ceil(q*float64(len(sorted))))-1]
 }
 
 // ServeHTTP implements http.Handler, answering GETs with the JSON

@@ -455,3 +455,18 @@ func BenchmarkRestoreCheckpoint(b *testing.B) {
 		}
 	}
 }
+
+// TestMBC1DenseGateWithinAllocBound: a legal checkpoint whose gate lists
+// 16,000 racks — entries of five bytes or so, about as dense as the
+// section gets — decodes within mbc1AllocBound, as the fuzzed files do.
+func TestMBC1DenseGateWithinAllocBound(t *testing.T) {
+	const racks = 16_000
+	st := CheckpointState{Gate: make([]RackEpochState, racks)}
+	for i := range st.Gate {
+		st.Gate[i] = RackEpochState{Rack: uint32(i), Epoch: 1, Seen: true}
+	}
+	data := appendCheckpoint(nil, &st)
+	if err := checkMBC1(t, data); err != nil {
+		t.Fatalf("a %d-rack gate of %d bytes did not decode: %v", racks, len(data), err)
+	}
+}

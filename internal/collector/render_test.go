@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -135,5 +136,26 @@ func TestRenderMatchesReference(t *testing.T) {
 	}
 	if _, err := RenderFigures(LiveFiguresConfig{}, FiguresState{}); fmt.Sprint(err) != "collector: LiveFigures needs a SpeedOf function" {
 		t.Errorf("RenderFigures without SpeedOf: err = %v, want NewLiveFigures' error", err)
+	}
+}
+
+// TestRenderAllocatesPerPart: rendering 5,000 series makes four
+// allocations — the series list, the Markov fits, one slab for every
+// histogram and the scratch buffer each series' quantiles are read in —
+// not three per series. The collector is off while it counts.
+func TestRenderAllocatesPerPart(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	st := fleetCut(t, 5000)
+	cfg := LiveFiguresConfig{SpeedOf: func(uint32, uint16) uint64 { return figSpeed }}
+	var snap FiguresSnapshot
+	if allocs := testing.AllocsPerRun(5, func() { snap, _ = RenderFigures(cfg, *st.Figures) }); allocs > 4 {
+		t.Errorf("rendering %d series made %v allocations, want at most 4", len(st.Figures.Series), allocs)
+	}
+	want, err := refRender(cfg, *st.Figures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(snap, want) {
+		t.Error("the render of 5,000 series diverges from refRender")
 	}
 }

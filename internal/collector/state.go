@@ -1,7 +1,8 @@
 package collector
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mburst/internal/analysis"
 	"mburst/internal/asic"
@@ -32,7 +33,7 @@ func (g *EpochGate) State() []RackEpochState {
 	for rack, st := range g.racks {
 		out = append(out, RackEpochState{Rack: rack, Epoch: st.epoch, LastTime: st.lastTime, Seen: st.seen})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Rack < out[j].Rack })
+	slices.SortFunc(out, func(a, b RackEpochState) int { return cmp.Compare(a.Rack, b.Rack) })
 	return out
 }
 
@@ -74,20 +75,37 @@ type SeriesState struct {
 // *SeriesState for every series that was not fed in between (merges and
 // aggregator updates pass those pointers on too), so a cut, once
 // returned, never changes — the tap gives a fed series a new SeriesState
-// with fresh slices and never writes to one it has handed out — and
-// consumers must not write through Series[i], its fields or its slices
-// either: restore and merge copy, and anything else that wants to edit
-// a cut copies the SeriesState first and points Series[i] at the copy.
+// and never writes to one it has handed out — and consumers must not
+// write through Series[i], its fields or its slices either: restore and
+// merge copy, and anything else that wants to edit a cut copies the
+// SeriesState first and points Series[i] at the copy.
+//
+// Two facts about a tap's cuts follow from how State makes them. Its
+// Durations and Gaps values are the accumulators' own, shared rather
+// than copied: the tap only ever appends past them, and every slice of a
+// cut has cap == len, so a consumer's append reallocates instead of
+// writing into the tap. And its SeriesStates and histograms come from
+// slabs of at most cutSlabSeries series, so one SeriesState that stays
+// in use — a series that is no longer fed keeps its last one — keeps its
+// slab's other, superseded, entries alive too: at most cutSlabSeries-1 of
+// them. A rack's series are fed together, so a rack that goes quiet pins
+// about one slab.
 type FiguresState struct {
 	Samples uint64         `json:"samples"`
 	Series  []*SeriesState `json:"series,omitempty"`
 }
+
+// cutSlabSeries is the most series one cut slab holds: what bounds the
+// memory a quiet series can pin (see FiguresState).
+const cutSlabSeries = 64
 
 // State cuts the tap's accumulator state, series in canonical (rack,
 // port, dir, kind) order. A cut costs what changed, not what exists:
 // only series fed since the previous cut are re-snapshotted, the others
 // reuse the SeriesState the previous cut pointed at, and the result is
 // one pointer per series (see FiguresState for the sharing contract).
+// The fed series are snapshotted into slabs, two allocations per
+// cutSlabSeries of them.
 func (f *LiveFigures) State() FiguresState {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -97,9 +115,13 @@ func (f *LiveFigures) State() FiguresState {
 		return st
 	}
 	st.Series = make([]*SeriesState, len(series))
+	var sl cutSlab
 	for i, s := range series {
 		if s.dirty {
-			s.cut = s.snapshot()
+			if len(sl.states) == 0 {
+				sl = newCutSlab(series[i:])
+			}
+			s.cut = sl.snapshot(s)
 			s.dirty = false
 		}
 		st.Series[i] = s.cut
@@ -107,21 +129,63 @@ func (f *LiveFigures) State() FiguresState {
 	return st
 }
 
-// snapshot copies the series' accumulators into a new SeriesState that
-// shares no memory with them.
-func (s *liveSeries) snapshot() *SeriesState {
-	return &SeriesState{
+// cutSlab is what a cut snapshots its next fed series into: their
+// SeriesStates and their histograms, one allocation each.
+type cutSlab struct {
+	states []SeriesState
+	hist   []uint64
+}
+
+// newCutSlab sizes a slab for the first cutSlabSeries fed series of
+// rest, or all of them if there are fewer.
+func newCutSlab(rest []*liveSeries) cutSlab {
+	n, hist := 0, 0
+	for _, s := range rest {
+		if s.dirty {
+			n++
+			hist += len(s.utilHist)
+			if n == cutSlabSeries {
+				break
+			}
+		}
+	}
+	return cutSlab{states: make([]SeriesState, n), hist: make([]uint64, hist)}
+}
+
+// snapshot takes the slab's next SeriesState and fills it with s's
+// accumulators: the histogram copied, with cap == len, the ECDF values
+// shared (see FiguresState).
+func (sl *cutSlab) snapshot(s *liveSeries) *SeriesState {
+	n := len(s.utilHist)
+	hist := sl.hist[:n:n]
+	sl.hist = sl.hist[n:]
+	copy(hist, s.utilHist)
+	ss := &sl.states[0]
+	sl.states = sl.states[1:]
+	*ss = SeriesState{
 		Rack: s.key.Rack, Port: s.key.Key.Port, Dir: s.key.Key.Dir, Kind: s.key.Key.Kind,
 		Util:      s.util.Snapshot(),
 		Seg:       s.seg.Snapshot(),
 		Markov:    s.mk.Snapshot(),
-		Durations: s.durations.Snapshot(),
-		Gaps:      s.gaps.Snapshot(),
+		Durations: sharedValues(&s.durations),
+		Gaps:      sharedValues(&s.gaps),
 		Moments:   s.moments.Snapshot(),
-		UtilHist:  append([]uint64(nil), s.utilHist...),
+		UtilHist:  hist,
 		Points:    s.points,
 		Hot:       s.hot,
 	}
+	return ss
+}
+
+// sharedValues is a's snapshot without the copy: its values so far, with
+// cap == len, or nil for none, as ECDFAcc.Snapshot gives. The
+// accumulator only ever appends past them, so they never change.
+func sharedValues(a *stats.ECDFAcc) stats.ECDFAccSnap {
+	vs := a.Values()
+	if len(vs) == 0 {
+		return stats.ECDFAccSnap{}
+	}
+	return stats.ECDFAccSnap{Values: vs[:len(vs):len(vs)]}
 }
 
 // RestoreState replaces the tap's accumulator state with a snapshot. The
@@ -225,6 +289,7 @@ func (f *LiveFigures) install(samples uint64, series []*liveSeries) {
 	defer f.mu.Unlock()
 	f.samples = samples
 	f.series = make(map[liveKey]*liveSeries, len(series))
+	f.slots = nil        // its free slots would keep the replaced series alive
 	f.order = series[:0] // each series lands at or before where it is read
 	f.sorted = 0
 	for _, ls := range series {

@@ -1,9 +1,10 @@
 package collector
 
 import (
+	"cmp"
 	"encoding/json"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -136,10 +137,13 @@ func (s *IngestStats) Snapshot() Snapshot {
 		Samples:         s.samples,
 		LastSampleNanos: s.lastSample.Nanoseconds(),
 	}
+	if len(s.perRack) > 0 {
+		snap.PerRack = make([]RackCount, 0, len(s.perRack))
+	}
 	for rack, n := range s.perRack {
 		snap.PerRack = append(snap.PerRack, RackCount{Rack: rack, Samples: n})
 	}
-	sort.Slice(snap.PerRack, func(i, j int) bool { return snap.PerRack[i].Rack < snap.PerRack[j].Rack })
+	slices.SortFunc(snap.PerRack, func(a, b RackCount) int { return cmp.Compare(a.Rack, b.Rack) })
 	return snap
 }
 

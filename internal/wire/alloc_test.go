@@ -172,14 +172,15 @@ func fullCounterBatch(rack uint32, n int) *Batch {
 }
 
 // freshPairAllocs bounds what a fresh Writer and Reader allocate to carry
-// one full-counter batch once lent scratch is warm: 23 on go1.24, 27
+// one full-counter batch once lent scratch is warm: 21 on go1.24, 25
 // under the race detector, whose slices grow in smaller steps — the two
 // structs, each side's chain (struct, series table, index map), the
-// writer's rack map and frame buffer, the reader's frame buffer, batch,
-// samples and touched list. The per-batch scratch (arenas, columns,
-// payload) is lent, not allocated; when each stream owned its own, the
-// same pair allocated 104 times.
-const freshPairAllocs = 28
+// writer's rack map and frame buffer, the reader's frame buffer (made
+// once, at the first frame's length), batch, samples and touched list.
+// The per-batch scratch (arenas, columns, payload) is lent, not
+// allocated; when each stream owned its own, the same pair allocated 104
+// times.
+const freshPairAllocs = 26
 
 // TestFreshStreamAllocatesOnlyItsChains: a stream that carries one batch
 // — an agent's connection, an archive segment read back — pays for its

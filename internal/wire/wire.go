@@ -420,6 +420,10 @@ type Reader struct {
 	buf   *bufio.Reader // read-ahead for sources that are not byteReaders
 	off   int64
 	frame []byte // the frame last read, magic through CRC
+	// head holds the magic and length of a frame read while frame is
+	// smaller, so that a fresh reader sizes its frame buffer once, when
+	// the length is known.
+	head [4 + binary.MaxVarintLen64]byte
 	// touched is the chain's states entry of each table slot of the MBW3
 	// payload last decoded: what a Writer passing that frame through
 	// copies into its own chain.
@@ -492,7 +496,10 @@ func (r *Reader) Offset() int64 { return r.off }
 // is on and its buffers are warm (TestReadBatchReuseAllocatesNothing).
 func (r *Reader) ReadBatch() (*Batch, error) {
 	r.seq++
-	frame := growBytes(r.frame[:0], 4)
+	if cap(r.frame) < len(r.head) {
+		r.frame = r.head[:0]
+	}
+	frame := r.frame[:4]
 	r.frame = frame
 	if _, err := io.ReadFull(r.src, frame); err != nil {
 		if err == io.EOF {

@@ -100,6 +100,13 @@ go test -race -count=10 -cpu 1,2 -run 'TestConcurrentRoundTripsMatchSequential' 
 # whatever schedule the runtime picks.
 go test -race -count=10 -cpu 1,2 -run 'TestResumeMatchesReference|TestDurableIngestResume|TestRecoveryMetricsMeasureCheckpointAndResume' ./internal/collector
 
+# A cut shares its ECDF values with the tap and is cut from slabs: a
+# reader walks an earlier cut while Handle runs, and a consumer appends
+# to every slice of a cut while the tap moves on. Ten repetitions at one
+# and two CPUs under the race detector show no write reaches a cut or
+# comes out of one.
+go test -race -count=10 -cpu 1,2 -run 'TestStateCutIsImmutable|TestCutSharingMatchesReference' ./internal/collector
+
 # Simulator laws: the replaced data-path and kernel bodies live on as
 # ref… functions (refAdd, refApplyTick, refScheduler) that testing/quick
 # compares against, and the per-tick, per-event and per-poll paths have
@@ -112,7 +119,9 @@ go test -race -count=10 -cpu 1,2 -run 'TestResumeMatchesReference|TestDurableIng
 # multi-rack schedules, and the shard's resume to refResume, its
 # sequential body, over generated crashes. The one figures renderer is
 # held to refRender — restore the cut into a fresh tap, render the tap —
-# over generated cuts. No step reads a clock.
+# over generated cuts, and a tap whose cuts consumers append to, to
+# refFiguresState of a tap fed alike that none touched. No step reads a
+# clock.
 go test -count=20 -run 'MatchesReference|QuickSortedFiring|AllocatesNothing' \
 	./internal/asic ./internal/eventq ./internal/simnet ./internal/collector
 go test -count=20 -run TestGroupedCellsMatchReference ./internal/core
