@@ -7,7 +7,7 @@
 //
 //	mbfleet -racks 1000 -shards 8 [-app web] [-window 2ms] [-warmup 500µs]
 //	        [-servers 8] [-seed N] [-pseed N] [-interval 25µs]
-//	        [-batch 2048] [-publish 8] [-queue N] [-workers N]
+//	        [-batch 2048] [-publish 8] [-workers N]
 //	        [-out DIR] [-ckpt N] [-faults SPEC] [-oracle]
 //
 // With -out the campaign lays down a fleet directory: campaign.json
@@ -67,7 +67,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	interval := fs.Duration("interval", 25*time.Microsecond, "sampling interval")
 	batch := fs.Int("batch", 0, "agent samples per batch (0 = collector default)")
 	publish := fs.Int("publish", 0, "shard publish cadence in batches (0 = default)")
-	queue := fs.Int("queue", 0, "aggregator fan-in queue depth (0 = 4×shards)")
 	workers := fs.Int("workers", 0, "concurrent rack cells (0 = all CPUs)")
 	out := fs.String("out", "", "fleet campaign directory (durable shards; required with -faults)")
 	ckpt := fs.Int("ckpt", 0, "shard checkpoint cadence in batches (0 = default)")
@@ -105,7 +104,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		Interval:        simclock.FromStd(*interval),
 		BatchSize:       *batch,
 		PublishEvery:    *publish,
-		QueueDepth:      *queue,
 		Dir:             *out,
 		CheckpointEvery: *ckpt,
 		Oracle:          *oracle,

@@ -118,11 +118,11 @@ func WriteFileAtomic(path string, data []byte) error {
 
 // LoadCheckpoint reads a checkpoint of either encoding: a file that
 // starts with CheckpointMagic is MBC1, anything else is the JSON older
-// binaries wrote. It decodes the file as a resume does — into a gate,
-// ingest stats and figures tap of its own — and returns their cut, so
-// there is one decoder, and what it accepts is what a resume installs. A
-// missing file is not an error: it returns a zero state and ok=false
-// (first boot, or a crash before the first checkpoint).
+// binaries wrote. It decodes the file as a resume does — into a gate and
+// a figures tap of its own, with the per-rack counts kept as listed — and
+// returns their cut, so there is one decoder, and what it accepts is what
+// a resume installs. A missing file is not an error: it returns a zero
+// state and ok=false (first boot, or a crash before the first checkpoint).
 func LoadCheckpoint(path string) (CheckpointState, bool, error) {
 	c, ok, err := openCheckpoint(path)
 	if !ok || err != nil {
@@ -194,14 +194,15 @@ func legacyJSON(path string, data []byte) ([]byte, error) {
 }
 
 // restore decodes the rest of the checkpoint straight into a shard's
-// taps — the gate, the ingest stats and, when figures is not nil, the
+// taps — the gate and, when they are not nil, the ingest stats and the
 // figures tap — and returns the decoded body, whose ingest and figures
-// flags say which sections the file holds. The body is never built as a
-// CheckpointState: it decodes in the taps' own shapes (restoreBody), and
-// is installed only once all of it has decoded and every entry is one a
-// cut could have made. On an error every tap is left as it was.
+// flags say which sections the file holds; with no stats tap it keeps the
+// per-rack counts as the sorted list a cut holds. The body is never built
+// as a CheckpointState: it decodes in the taps' own shapes (restoreBody),
+// and is installed only once all of it has decoded and every entry is one
+// a cut could have made. On an error every tap is left as it was.
 func (c *openedCheckpoint) restore(gate *EpochGate, stats *IngestStats, figures *LiveFigures) (restoredBody, error) {
-	var b restoredBody
+	b := restoredBody{cut: stats == nil}
 	if err := c.r.restoreBody(&b); err != nil {
 		return restoredBody{}, fmt.Errorf("collector: decoding checkpoint %s: %w", c.path, err)
 	}
@@ -212,19 +213,19 @@ func (c *openedCheckpoint) restore(gate *EpochGate, stats *IngestStats, figures 
 	if figures != nil && b.figures {
 		figures.install(b.figuresSamples, b.series)
 	}
-	if b.ingest {
+	if stats != nil && b.ingest {
 		stats.install(b.batches, b.samples, b.lastSampleNanos, b.perRack)
 	}
 	return b, nil
 }
 
 // state restores the rest of the checkpoint into taps of its own, zero
-// ones, and cuts them. A section the file does not hold stays nil.
+// ones, and cuts them, but for the per-rack counts: those decode as the
+// list a cut holds. A section the file does not hold stays nil.
 func (c *openedCheckpoint) state() (CheckpointState, error) {
 	var gate EpochGate
-	var stats IngestStats
 	var figures LiveFigures
-	b, err := c.restore(&gate, &stats, &figures)
+	b, err := c.restore(&gate, nil, &figures)
 	if err != nil {
 		return CheckpointState{}, err
 	}
@@ -233,8 +234,7 @@ func (c *openedCheckpoint) state() (CheckpointState, error) {
 		st.Gate = g
 	}
 	if b.ingest {
-		is := stats.Snapshot()
-		st.Ingest = &is
+		st.Ingest = &Snapshot{Batches: b.batches, Samples: b.samples, PerRack: b.perRackCut, LastSampleNanos: b.lastSampleNanos}
 	}
 	if b.figures {
 		fs := figures.State()

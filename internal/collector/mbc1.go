@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"mburst/internal/asic"
 	"mburst/internal/simclock"
@@ -208,6 +209,10 @@ func openMBC1(data []byte) (mbc1Reader, error) {
 // entry that does not sort above the one before it — nil when there is
 // none.
 type restoredBody struct {
+	// cut, set before decoding, decodes the per-rack counts as the
+	// sorted list a cut holds (perRackCut), not as the stats' map.
+	cut bool
+
 	gate map[uint32]*rackEpoch
 
 	ingest          bool // the body has an ingest section
@@ -215,6 +220,7 @@ type restoredBody struct {
 	samples         uint64
 	lastSampleNanos int64
 	perRack         map[uint32]uint64
+	perRackCut      []RackCount
 
 	figures        bool // the body has a figures section
 	figuresSamples uint64
@@ -251,14 +257,22 @@ func (r *mbc1Reader) restoreBody(b *restoredBody) error {
 		b.samples = r.uvarint()
 		b.lastSampleNanos = r.varint()
 		n := r.count(mbc1MinPerRackBytes)
-		b.perRack = make(map[uint32]uint64, n)
+		if b.cut {
+			b.perRackCut = slices.Grow(b.perRackCut, n)
+		} else {
+			b.perRack = make(map[uint32]uint64, n)
+		}
 		var prev uint32
 		for i := range n {
 			rack := uint32(r.uvarintMax(math.MaxUint32))
 			if i > 0 && r.err == nil && b.invalid == nil && rack <= prev {
 				b.invalid = misordered("per-rack count of rack", rack, prev)
 			}
-			b.perRack[rack] = r.uvarint()
+			if samples := r.uvarint(); b.cut {
+				b.perRackCut = append(b.perRackCut, RackCount{Rack: rack, Samples: samples})
+			} else {
+				b.perRack[rack] = samples
+			}
 			prev = rack
 		}
 	}

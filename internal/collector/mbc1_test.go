@@ -470,3 +470,21 @@ func TestMBC1DenseGateWithinAllocBound(t *testing.T) {
 		t.Fatalf("a %d-rack gate of %d bytes did not decode: %v", racks, len(data), err)
 	}
 }
+
+// TestMBC1DensePerRackWithinAllocBound: a legal checkpoint whose ingest
+// section counts 16,000 racks — entries of three bytes at most, the
+// densest section there is — decodes within mbc1AllocBound. Decoded into
+// a map and re-sorted out of it, this size allocated 853,696 bytes
+// against a bound of 831,776.
+func TestMBC1DensePerRackWithinAllocBound(t *testing.T) {
+	for _, racks := range []int{14_000, 16_000, 100_000} {
+		st := CheckpointState{Ingest: &Snapshot{Batches: 1, Samples: uint64(racks), PerRack: make([]RackCount, racks)}}
+		for i := range st.Ingest.PerRack {
+			st.Ingest.PerRack[i] = RackCount{Rack: uint32(i), Samples: 1}
+		}
+		data := appendCheckpoint(nil, &st)
+		if err := checkMBC1(t, data); err != nil {
+			t.Fatalf("a %d-rack ingest section of %d bytes did not decode: %v", racks, len(data), err)
+		}
+	}
+}

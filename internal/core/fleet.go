@@ -52,8 +52,6 @@ type FleetConfig struct {
 	// aggregator via the lossy Offer path (a final blocking cut always
 	// lands). 0 = 8.
 	PublishEvery int
-	// QueueDepth bounds the aggregator fan-in queue (0 = 4×Shards).
-	QueueDepth int
 	// Dir, when non-empty, makes the shards durable and lays out a fleet
 	// campaign directory: campaign.json (with the placement) and one
 	// archive directory per shard. Required when Faults strike.
@@ -94,18 +92,13 @@ type FleetResult struct {
 	Racks     int
 	Shards    int
 	Placement shard.Placement
-	// Batches / Samples / WireBytes total the traffic fanned into the
-	// collection plane (wire bytes count agent-side framing).
-	Batches   uint64
-	Samples   uint64
+	// WireBytes totals the agent-side framing of the traffic fanned into
+	// the collection plane.
 	WireBytes uint64
-	// Kills / Resumes / Replayed / Redelivered / Shortfall account the
-	// fault schedule's effect on the plane.
-	Kills       int
-	Resumes     int
-	Replayed    uint64
-	Redelivered uint64
-	Shortfall   uint64
+	// fleetCounts holds Batches / Samples, the traffic the shards
+	// admitted, and Kills / Resumes / Replayed / Redelivered / Shortfall,
+	// the fault schedule's effect on the plane: every shard's, summed.
+	fleetCounts
 	// Fleet is the aggregator's merged fleet state; Figures its rendered
 	// Fig 3/4/6/9 snapshot.
 	Fleet   collector.FleetState
@@ -114,6 +107,27 @@ type FleetResult struct {
 	// whether every compared surface matched it bit-for-bit.
 	Oracle    bool
 	ByteExact bool
+}
+
+// fleetCounts is what each shard counts and a fleet sums (add).
+type fleetCounts struct {
+	Batches     uint64
+	Samples     uint64
+	Kills       int
+	Resumes     int
+	Replayed    uint64
+	Redelivered uint64
+	Shortfall   uint64
+}
+
+func (c *fleetCounts) add(o fleetCounts) {
+	c.Batches += o.Batches
+	c.Samples += o.Samples
+	c.Kills += o.Kills
+	c.Resumes += o.Resumes
+	c.Replayed += o.Replayed
+	c.Redelivered += o.Redelivered
+	c.Shortfall += o.Shortfall
 }
 
 // fleetStrike is one scheduled shard crash, triggered when the shard's
@@ -130,161 +144,84 @@ type fleetStrike struct {
 // archive replay restores everything older.
 const fleetRingSize = 8
 
-// fleetShard is one shard's runtime state. A mutex serializes delivery,
-// publishing and crash/resume per shard; racks on different shards
-// proceed in parallel.
-type fleetShard struct {
-	mu sync.Mutex
-
-	id      int
-	s       *collector.Shard
-	arch    *trace.ArchiveWriter // nil when volatile
-	dir     string
-	acfg    trace.ArchiveConfig
-	chaos   *fault.WriteChaos
-	ckpt    string
-	every   int
-	pl      *shard.Placement
-	figures collector.LiveFiguresConfig
-
-	batches      uint64
-	samples      uint64
-	sincePublish int
-	lastSeq      uint64
-
-	ring    []*wire.Batch // nil unless strikes are scheduled
-	strikes []fleetStrike
-
-	kills       int
-	resumes     int
-	replayed    uint64
-	redelivered uint64
-	shortfall   uint64
-}
-
-// newShardPipeline builds one shard incarnation (fresh accumulators;
-// Resume repopulates them on the crash path).
-func (fs *fleetShard) newShardPipeline(arch *trace.ArchiveWriter) (*collector.Shard, error) {
-	figs, err := collector.NewLiveFigures(fs.figures)
+// RunFleet executes one fleet campaign: every rack in the Experiment's
+// Config runs one measurement window on the campaign runner, its sample
+// stream is batched and round-tripped through the agent wire format,
+// and the decoded batches are routed by the placement onto the shards.
+func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
+	p, err := e.planFleet(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var sink collector.ArchiveSink
-	if arch != nil {
-		sink = arch
+	r, err := e.drive(ctx, p)
+	if err != nil {
+		return nil, err
 	}
-	return collector.NewShard(collector.ShardConfig{
-		ID:             fs.id,
-		Placement:      fs.pl,
-		Figures:        figs,
-		Stats:          &collector.IngestStats{},
-		Archive:        sink,
-		CheckpointPath: fs.ckpt,
-		Every:          fs.every,
-	})
+	return r.finish()
 }
 
-// deliver routes one decoded batch into the shard, triggering any due
-// strike and the publish cadence.
-func (fs *fleetShard) deliver(b *wire.Batch, agg *collector.Aggregator, publishEvery int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-
-	var ev *fleetStrike
-	if len(fs.strikes) > 0 && fs.batches+1 >= fs.strikes[0].at {
-		ev = &fs.strikes[0]
-		fs.strikes = fs.strikes[1:]
-		switch ev.kind {
-		case fault.KindTornWrite:
-			fs.chaos.ArmTorn(ev.frac)
-		case fault.KindShortWrite:
-			fs.chaos.ArmShort(ev.frac)
-		}
-	}
-
-	fs.s.Handle(b)
-	fs.batches++
-	fs.samples += uint64(len(b.Samples))
-	if fs.ring != nil {
-		cp := &wire.Batch{Rack: b.Rack, Epoch: b.Epoch,
-			Samples: append([]wire.Sample(nil), b.Samples...)}
-		fs.ring = append(fs.ring, cp)
-		if len(fs.ring) > fleetRingSize {
-			fs.ring = fs.ring[1:]
-		}
-	}
-
-	if ev != nil {
-		if err := fs.resume(); err != nil {
-			return err
-		}
-	} else if err := fs.s.Err(); err != nil {
-		return fmt.Errorf("core: shard %d ingest: %w", fs.id, err)
-	}
-
-	fs.sincePublish++
-	if fs.sincePublish >= publishEvery {
-		fs.sincePublish = 0
-		u := fs.s.Publish()
-		fs.lastSeq = u.Seq
-		agg.Offer(u)
-	}
-	return nil
+// fleetPlan is a fleet campaign decided before any rack runs.
+type fleetPlan struct {
+	cfg      FleetConfig // defaults applied
+	racks    int
+	pl       shard.Placement
+	figures  collector.LiveFiguresConfig // every shard's, the aggregator's and the oracle's
+	counters CounterPlan                 // what every rack polls
+	strikes  [][]fleetStrike             // per shard
 }
 
-// resume kills the current incarnation (no Close, no final sync) and
-// resurrects the shard from its archive and checkpoint, then re-delivers
-// the recent-batch ring; the restored epoch gate dedups the overlap.
-func (fs *fleetShard) resume() error {
-	fs.kills++
-	arch, _, err := trace.ResumeArchive(fs.dir, fs.acfg)
+// planFleet validates cfg and decides the campaign: the placement, the
+// figures config, the counter plan, the campaign.json of a durable fleet,
+// and each shard's strikes, mapped onto the batches it expects.
+func (e *Experiment) planFleet(cfg FleetConfig) (*fleetPlan, error) {
+	cfg.withDefaults()
+	if !cfg.Faults.Empty() && cfg.Dir == "" {
+		return nil, errors.New("core: fleet fault schedules need a durable Dir")
+	}
+	pl, err := shard.Uniform(cfg.Shards, cfg.PlacementSeed) // rejects a shard count below 1
 	if err != nil {
-		return fmt.Errorf("core: shard %d: resume archive: %w", fs.id, err)
+		return nil, err
 	}
-	s, err := fs.newShardPipeline(arch)
-	if err != nil {
-		return err
+	rack := e.Rack()
+	p := &fleetPlan{cfg: cfg, racks: e.cfg.Racks, pl: pl, counters: e.RandomPortCounters(cfg.App)}
+	p.figures = collector.LiveFiguresConfig{
+		SpeedOf: func(_ uint32, port uint16) uint64 {
+			if rack.IsUplink(int(port)) {
+				return rack.UplinkSpeed
+			}
+			return rack.ServerSpeed
+		},
+		IsUplink:  func(_ uint32, port uint16) bool { return rack.IsUplink(int(port)) },
+		Threshold: analysis.DefaultHotThreshold,
 	}
-	dir := fs.dir
-	rep, err := s.Resume(func(fn func(*wire.Batch) error) error {
-		return trace.IterArchive(dir, fn)
-	})
-	if err != nil {
-		return fmt.Errorf("core: shard %d: resume: %w", fs.id, err)
-	}
-	s.ResumeSeq(fs.lastSeq)
-	fs.s, fs.arch = s, arch
-	fs.resumes++
-	fs.replayed += rep.Replayed
-	fs.shortfall += rep.Shortfall
-	for _, rb := range fs.ring {
-		s.Handle(rb)
-		fs.redelivered++
-	}
-	if err := s.Err(); err != nil {
-		return fmt.Errorf("core: shard %d: post-resume ingest: %w", fs.id, err)
-	}
-	return nil
-}
-
-// finish cuts the shard's final state: a blocking publish, a durable
-// checkpoint, and the sealed archive.
-func (fs *fleetShard) finish(agg *collector.Aggregator) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.s.Err(); err != nil {
-		return fmt.Errorf("core: shard %d ingest: %w", fs.id, err)
-	}
-	u := fs.s.Publish()
-	fs.lastSeq = u.Seq
-	agg.Deliver(u)
-	if fs.arch != nil {
-		if err := fs.s.Checkpoint(); err != nil {
-			return err
+	if cfg.Dir != "" {
+		if err := trace.WriteFleetMeta(cfg.Dir, trace.Meta{
+			App:         cfg.App.String(),
+			NumServers:  rack.NumServers,
+			NumUplinks:  rack.NumUplinks,
+			ServerSpeed: rack.ServerSpeed,
+			UplinkSpeed: rack.UplinkSpeed,
+			Interval:    cfg.Interval,
+			WindowDur:   e.cfg.WindowDur,
+			Windows:     e.cfg.Racks,
+			Seed:        e.cfg.Seed,
+			Counters:    p.counters(rack, 0, 0),
+			Notes:       cfg.Notes,
+			Placement:   &p.pl,
+		}); err != nil {
+			return nil, err
 		}
-		return fs.arch.Close()
 	}
-	return nil
+
+	// Expected per-shard batch counts, for mapping fault offsets.
+	samplesPerRack := uint64(e.cfg.WindowDur/cfg.Interval) + 1
+	batchesPerRack := (samplesPerRack + uint64(cfg.BatchSize) - 1) / uint64(cfg.BatchSize)
+	perShard := make([]uint64, cfg.Shards)
+	for r := 0; r < e.cfg.Racks; r++ {
+		perShard[pl.ShardOf(uint32(r))] += batchesPerRack
+	}
+	p.strikes = fleetStrikes(cfg.Faults, e.cfg.WindowDur, perShard)
+	return p, nil
 }
 
 // fleetStrikes converts a fault schedule into per-shard batch-count
@@ -326,205 +263,116 @@ func fleetStrikes(sched fault.Schedule, window simclock.Duration, perShard []uin
 	return out
 }
 
-// RunFleet executes one fleet campaign: every rack in the Experiment's
-// Config runs one measurement window on the campaign runner, its sample
-// stream is batched and round-tripped through the agent wire format,
-// and the decoded batches are routed by the placement onto the shards.
-func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
-	cfg.withDefaults()
-	if cfg.Shards <= 0 {
-		return nil, fmt.Errorf("core: fleet needs a positive shard count, got %d", cfg.Shards)
-	}
-	if !cfg.Faults.Empty() && cfg.Dir == "" {
-		return nil, errors.New("core: fleet fault schedules need a durable Dir")
-	}
-	pl, err := shard.Uniform(cfg.Shards, cfg.PlacementSeed)
-	if err != nil {
-		return nil, err
-	}
+// fleetRun is a fleet campaign in flight.
+type fleetRun struct {
+	p         *fleetPlan
+	shards    []*fleetShard
+	agg       *collector.Aggregator
+	oracle    *collector.Shard // unsharded, fed the same decoded stream; nil unless cfg.Oracle
+	wireBytes atomic.Uint64
+}
 
-	rack := e.Rack()
-	figCfg := collector.LiveFiguresConfig{
-		SpeedOf: func(_ uint32, port uint16) uint64 {
-			if rack.IsUplink(int(port)) {
-				return rack.UplinkSpeed
-			}
-			return rack.ServerSpeed
-		},
-		IsUplink:  func(_ uint32, port uint16) bool { return rack.IsUplink(int(port)) },
-		Threshold: analysis.DefaultHotThreshold,
-	}
-
-	plan := e.RandomPortCounters(cfg.App)
-	if cfg.Dir != "" {
-		if err := trace.WriteFleetMeta(cfg.Dir, trace.Meta{
-			App:         cfg.App.String(),
-			NumServers:  rack.NumServers,
-			NumUplinks:  rack.NumUplinks,
-			ServerSpeed: rack.ServerSpeed,
-			UplinkSpeed: rack.UplinkSpeed,
-			Interval:    cfg.Interval,
-			WindowDur:   e.cfg.WindowDur,
-			Windows:     e.cfg.Racks,
-			Seed:        e.cfg.Seed,
-			Counters:    plan(rack, 0, 0),
-			Notes:       cfg.Notes,
-			Placement:   &pl,
-		}); err != nil {
+// drive opens the shards, the oracle and the aggregator, then runs one
+// cell per rack on the campaign runner (fleetRun.rack). A run it returns
+// is finish's to close; on an error it closes the aggregator itself.
+func (e *Experiment) drive(ctx context.Context, p *fleetPlan) (*fleetRun, error) {
+	r := &fleetRun{p: p, shards: make([]*fleetShard, p.cfg.Shards)}
+	for k := range r.shards {
+		fs := &fleetShard{id: k, p: p, chaos: fault.NewWriteChaos(nil), strikes: p.strikes[k]}
+		if err := fs.open(); err != nil {
 			return nil, err
 		}
+		r.shards[k] = fs
 	}
-
-	// Expected per-shard batch counts, for mapping fault offsets.
-	samplesPerRack := uint64(e.cfg.WindowDur/cfg.Interval) + 1
-	batchesPerRack := (samplesPerRack + uint64(cfg.BatchSize) - 1) / uint64(cfg.BatchSize)
-	perShard := make([]uint64, cfg.Shards)
-	for r := 0; r < e.cfg.Racks; r++ {
-		perShard[pl.ShardOf(uint32(r))] += batchesPerRack
-	}
-	strikes := fleetStrikes(cfg.Faults, e.cfg.WindowDur, perShard)
-
-	shards := make([]*fleetShard, cfg.Shards)
-	for k := range shards {
-		fs := &fleetShard{id: k, pl: &pl, figures: figCfg, every: cfg.CheckpointEvery}
-		if cfg.Dir != "" {
-			fs.dir = filepath.Join(cfg.Dir, pl.Name(k))
-			fs.ckpt = filepath.Join(fs.dir, collector.CheckpointFileName)
-			fs.chaos = fault.NewWriteChaos(nil)
-			fs.acfg = trace.ArchiveConfig{Open: fs.chaos.Wrap(nil)}
-			arch, err := trace.CreateArchive(fs.dir, fs.acfg)
-			if err != nil {
-				return nil, err
-			}
-			fs.arch = arch
-			fs.s, err = fs.newShardPipeline(arch)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			var err error
-			fs.s, err = fs.newShardPipeline(nil)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if len(strikes[k]) > 0 {
-			fs.strikes = strikes[k]
-			fs.ring = make([]*wire.Batch, 0, fleetRingSize+1)
-		}
-		shards[k] = fs
-	}
-
-	agg, err := collector.NewAggregator(collector.AggregatorConfig{
-		Shards:     cfg.Shards,
-		QueueDepth: cfg.QueueDepth,
-		Figures:    figCfg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer agg.Close()
-
-	var oracle *collector.Shard
-	var oracleMu sync.Mutex
-	if cfg.Oracle {
-		figs, err := collector.NewLiveFigures(figCfg)
+	if p.cfg.Oracle {
+		figs, err := collector.NewLiveFigures(p.figures)
 		if err != nil {
 			return nil, err
 		}
-		oracle, err = collector.NewShard(collector.ShardConfig{
-			Figures: figs,
-			Stats:   &collector.IngestStats{},
-		})
-		if err != nil {
+		if r.oracle, err = collector.NewShard(collector.ShardConfig{Figures: figs, Stats: &collector.IngestStats{}}); err != nil {
 			return nil, err
 		}
 	}
-
-	var wireBytes atomic.Uint64
-	cells := make([]Cell, e.cfg.Racks)
-	for r := range cells {
-		cells[r] = Cell{App: cfg.App, RackID: r, Window: 0, Plan: plan, Interval: cfg.Interval}
-	}
-
-	// Each cell is one rack's agent: batch the captured samples, encode
-	// them through a per-rack wire stream (MBW3 delta chains are scoped
-	// per connection), then decode and route to the owning shard — and,
-	// when the oracle runs, into the unsharded pipeline too.
-	err = e.Runner().Run(ctx, cells, func(_ int, run *CellRun) error {
-		rackID := uint32(run.Cell.RackID)
-		var buf bytes.Buffer
-		w := wire.NewWriter(&buf)
-		for lo := 0; lo < len(run.Samples); lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > len(run.Samples) {
-				hi = len(run.Samples)
-			}
-			b := &wire.Batch{Rack: rackID, Epoch: 1, Samples: run.Samples[lo:hi]}
-			if err := w.WriteBatch(b); err != nil {
-				return err
-			}
-		}
-		wireBytes.Add(uint64(buf.Len()))
-
-		target := shards[pl.ShardOf(rackID)]
-		rd := wire.NewReader(&buf)
-		rd.SetReuse(true)
-		for {
-			b, err := rd.ReadBatch()
-			if err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				return err
-			}
-			if oracle != nil {
-				oracleMu.Lock()
-				oracle.Handle(b)
-				oracleMu.Unlock()
-			}
-			if err := target.deliver(b, agg, cfg.PublishEvery); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	var err error
+	if r.agg, err = collector.NewAggregator(collector.AggregatorConfig{Shards: p.cfg.Shards, Figures: p.figures}); err != nil {
 		return nil, err
 	}
+	cells := make([]Cell, p.racks)
+	for i := range cells {
+		cells[i] = Cell{App: p.cfg.App, RackID: i, Plan: p.counters, Interval: p.cfg.Interval}
+	}
+	if err := e.Runner().Run(ctx, cells, r.rack); err != nil {
+		r.agg.Close()
+		return nil, err
+	}
+	return r, nil
+}
 
+// rack is one rack's agent, run as a cell: batch the captured samples,
+// encode them through a wire stream of the rack's own (MBW3 delta chains
+// are scoped per connection), then decode and route each batch to the
+// owning shard and the oracle.
+func (r *fleetRun) rack(_ int, run *CellRun) error {
+	size := r.p.cfg.BatchSize
+	rackID := uint32(run.Cell.RackID)
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	for lo := 0; lo < len(run.Samples); lo += size {
+		b := &wire.Batch{Rack: rackID, Epoch: 1, Samples: run.Samples[lo:min(lo+size, len(run.Samples))]}
+		if err := w.WriteBatch(b); err != nil {
+			return err
+		}
+	}
+	r.wireBytes.Add(uint64(buf.Len()))
+
+	target := r.shards[r.p.pl.ShardOf(rackID)]
+	rd := wire.NewReader(&buf)
+	rd.SetReuse(true)
+	for {
+		b, err := rd.ReadBatch()
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if r.oracle != nil {
+			r.oracle.Handle(b)
+		}
+		if err := target.deliver(b, r.agg); err != nil {
+			return err
+		}
+	}
+}
+
+// finish closes every shard and the aggregator, sums the shards' counts,
+// and compares the merged fleet state with the oracle's when one ran.
+func (r *fleetRun) finish() (*FleetResult, error) {
+	defer r.agg.Close()
 	res := &FleetResult{
-		Racks:     e.cfg.Racks,
-		Shards:    cfg.Shards,
-		Placement: pl,
-		WireBytes: wireBytes.Load(),
-		Oracle:    cfg.Oracle,
+		Racks:     r.p.racks,
+		Shards:    r.p.cfg.Shards,
+		Placement: r.p.pl,
+		WireBytes: r.wireBytes.Load(),
+		Oracle:    r.oracle != nil,
 	}
-	for _, fs := range shards {
-		if err := fs.finish(agg); err != nil {
+	for _, fs := range r.shards {
+		if err := fs.close(r.agg); err != nil {
 			return nil, err
 		}
-		res.Batches += fs.batches
-		res.Samples += fs.samples
-		res.Kills += fs.kills
-		res.Resumes += fs.resumes
-		res.Replayed += fs.replayed
-		res.Redelivered += fs.redelivered
-		res.Shortfall += fs.shortfall
+		res.add(fs.n)
 	}
-	agg.Flush()
-	res.Fleet, err = agg.FleetState()
-	if err != nil {
+	r.agg.Flush()
+	var err error
+	if res.Fleet, err = r.agg.FleetState(); err != nil {
 		return nil, err
 	}
-	res.Figures, err = agg.FleetFigures()
-	if err != nil {
+	if res.Figures, err = r.agg.FleetFigures(); err != nil {
 		return nil, err
 	}
-
-	if oracle != nil {
-		want := oracle.Publish()
-		wantFigs, err := collector.RenderFigures(figCfg, want.Figures)
+	if r.oracle != nil {
+		want := r.oracle.Publish()
+		wantFigs, err := collector.RenderFigures(r.p.figures, want.Figures)
 		if err != nil {
 			return nil, err
 		}
@@ -533,4 +381,143 @@ func (e *Experiment) RunFleet(ctx context.Context, cfg FleetConfig) (*FleetResul
 			reflect.DeepEqual(res.Figures, wantFigs)
 	}
 	return res, nil
+}
+
+// fleetShard is one shard across its incarnations. mu serializes
+// delivery, publishing and crash/resume; shards proceed in parallel.
+type fleetShard struct {
+	mu sync.Mutex
+
+	id    int
+	p     *fleetPlan
+	s     *collector.Shard     // the live incarnation
+	arch  *trace.ArchiveWriter // its archive; nil when volatile
+	chaos *fault.WriteChaos    // the disk faults a strike arms
+
+	lastSeq uint64 // the last cut's sequence number
+	strikes []fleetStrike
+	ring    []*wire.Batch // the last batches delivered, while a strike is due
+
+	n fleetCounts
+}
+
+// open builds the shard's next incarnation, one way for its first life
+// and every life after a kill: create (after a kill, recover) a durable
+// shard's archive and a collector.Shard over it. After a kill the shard
+// resumes from its checkpoint and archive tail, continues the dead
+// incarnation's publish sequence and takes the ring again, whose overlap
+// with the archive its restored gate dedups.
+func (fs *fleetShard) open() error {
+	resume := fs.s != nil
+	figs, err := collector.NewLiveFigures(fs.p.figures)
+	if err != nil {
+		return err
+	}
+	cfg := collector.ShardConfig{ID: fs.id, Placement: &fs.p.pl, Figures: figs,
+		Stats: &collector.IngestStats{}, Every: fs.p.cfg.CheckpointEvery}
+	var arch *trace.ArchiveWriter
+	var dir string
+	if fs.p.cfg.Dir != "" {
+		dir = filepath.Join(fs.p.cfg.Dir, fs.p.pl.Name(fs.id))
+		acfg := trace.ArchiveConfig{Open: fs.chaos.Wrap(nil)}
+		if resume {
+			arch, _, err = trace.ResumeArchive(dir, acfg)
+		} else {
+			arch, err = trace.CreateArchive(dir, acfg)
+		}
+		if err != nil {
+			return fmt.Errorf("core: shard %d: open archive: %w", fs.id, err)
+		}
+		cfg.Archive, cfg.CheckpointPath = arch, filepath.Join(dir, collector.CheckpointFileName)
+	}
+	s, err := collector.NewShard(cfg)
+	if err != nil {
+		return err
+	}
+	fs.s, fs.arch = s, arch
+	if !resume {
+		return nil
+	}
+	rep, err := s.Resume(func(fn func(*wire.Batch) error) error {
+		return trace.IterArchive(dir, fn)
+	})
+	if err != nil {
+		return fmt.Errorf("core: shard %d: resume: %w", fs.id, err)
+	}
+	s.ResumeSeq(fs.lastSeq)
+	fs.n.Resumes++
+	fs.n.Replayed += rep.Replayed
+	fs.n.Shortfall += rep.Shortfall
+	for _, rb := range fs.ring {
+		s.Handle(rb)
+		fs.n.Redelivered++
+	}
+	if err := s.Err(); err != nil {
+		return fmt.Errorf("core: shard %d: post-resume ingest: %w", fs.id, err)
+	}
+	return nil
+}
+
+// deliver routes one decoded batch into the shard, triggering any due
+// strike and the publish cadence.
+func (fs *fleetShard) deliver(b *wire.Batch, agg *collector.Aggregator) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+
+	var ev *fleetStrike
+	if len(fs.strikes) > 0 && fs.n.Batches+1 >= fs.strikes[0].at {
+		ev = &fs.strikes[0]
+		fs.strikes = fs.strikes[1:]
+		switch ev.kind {
+		case fault.KindTornWrite:
+			fs.chaos.ArmTorn(ev.frac)
+		case fault.KindShortWrite:
+			fs.chaos.ArmShort(ev.frac)
+		}
+	}
+
+	fs.s.Handle(b)
+	fs.n.Batches++
+	fs.n.Samples += uint64(len(b.Samples))
+	if ev != nil || len(fs.strikes) > 0 {
+		fs.ring = append(fs.ring, &wire.Batch{Rack: b.Rack, Epoch: b.Epoch,
+			Samples: append([]wire.Sample(nil), b.Samples...)})
+		if len(fs.ring) > fleetRingSize {
+			fs.ring = fs.ring[1:]
+		}
+	}
+
+	if ev != nil {
+		// The strike kills this incarnation: no Close, no final sync.
+		fs.n.Kills++
+		if err := fs.open(); err != nil {
+			return err
+		}
+	} else if err := fs.s.Err(); err != nil {
+		return fmt.Errorf("core: shard %d ingest: %w", fs.id, err)
+	}
+
+	if fs.n.Batches%uint64(fs.p.cfg.PublishEvery) == 0 {
+		agg.Offer(fs.publish())
+	}
+	return nil
+}
+
+// publish cuts the shard's state for the aggregator — the cadence's cut,
+// which Offer may shed, and the final one, which Deliver lands — and
+// records its sequence number for a later incarnation to continue from.
+func (fs *fleetShard) publish() collector.ShardUpdate {
+	u := fs.s.Publish()
+	fs.lastSeq = u.Seq
+	return u
+}
+
+// close cuts the shard's final state once every rack has run: a
+// blocking publish, a durable checkpoint, and the sealed archive.
+func (fs *fleetShard) close(agg *collector.Aggregator) error {
+	agg.Deliver(fs.publish())
+	if err := fs.s.Checkpoint(); err != nil || fs.arch == nil {
+		return err
+	}
+	return fs.arch.Close()
 }

@@ -313,3 +313,36 @@ func TestFleetFaultsRequireDir(t *testing.T) {
 		t.Fatal("volatile fleet accepted a fault schedule")
 	}
 }
+
+// TestFleetStrikes holds the strike schedule to its rules: crash faults
+// go round-robin over the shards and other kinds take no turn; a shard
+// expecting fewer than 2 batches is struck nowhere; a strike lands in
+// [1, est−1] of the shard's expected batches; and a shard's strikes
+// strictly increase.
+func TestFleetStrikes(t *testing.T) {
+	const window = 10 * simclock.Millisecond
+	ms := simclock.Millisecond
+	kill, torn, short := fault.KindCollectorKill, fault.KindTornWrite, fault.KindShortWrite
+	sched := fault.Schedule{Faults: []fault.Fault{
+		{Kind: kill, At: 0},                       // shard 0: 0 clamps up to 1
+		{Kind: fault.KindStuckReads, At: 5 * ms},  // no crash: no turn
+		{Kind: torn, At: 5 * ms, Factor: 0.5},     // shard 1 expects 1 batch: none
+		{Kind: short, At: window, Factor: 0.25},   // shard 2: 10 clamps down to 9
+		{Kind: kill, At: 9 * ms},                  // shard 3: 1.8 truncates to 1
+		{Kind: kill, At: 0},                       // shard 0: 1 again, bumped to 2
+		{Kind: fault.KindReadLatency, At: 1 * ms}, // no crash: no turn
+		{Kind: kill, At: window},                  // shard 1: none
+		{Kind: kill, At: 2 * ms},                  // shard 2: 2, bumped past 9 to 10
+		{Kind: torn, At: 5 * ms, Factor: 0.75},    // shard 3: 1, bumped to 2
+	}}
+	got := fleetStrikes(sched, window, []uint64{100, 1, 10, 2})
+	want := [][]fleetStrike{
+		{{at: 1, kind: kill}, {at: 2, kind: kill}},
+		nil,
+		{{at: 9, kind: short, frac: 0.25}, {at: 10, kind: kill}},
+		{{at: 1, kind: kill}, {at: 2, kind: torn, frac: 0.75}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("strikes\n got %+v\nwant %+v", got, want)
+	}
+}

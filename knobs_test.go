@@ -27,8 +27,9 @@ var unsetKnobAllowed = map[string]string{
 	"collector.ReconnectingClientConfig.MaxBackoff":   agentTuning,
 	"collector.ReconnectingClientConfig.CloseTimeout": agentTuning,
 
-	"replay.Options.BatchSamples":     "replay's batch size, which the replay tests shrink so a window spans several batches",
-	"simnet.Config.ECNThresholdBytes": "the DCTCP-style marking extension, which only the ECN runs turn on (e.g. TestSignalCoverageWithECNSimulation)",
+	"collector.AggregatorConfig.QueueDepth": "the aggregator's fan-in queue depth, which aggregator_test.go shrinks to 1 and 2 to force drops",
+	"replay.Options.BatchSamples":           "replay's batch size, which the replay tests shrink so a window spans several batches",
+	"simnet.Config.ECNThresholdBytes":       "the DCTCP-style marking extension, which only the ECN runs turn on (e.g. TestSignalCoverageWithECNSimulation)",
 }
 
 const (

@@ -113,7 +113,10 @@ go test -race -count=10 -cpu 1,2 -run 'TestStateCutIsImmutable|TestCutSharingMat
 # zero-allocation counts. quick.Check draws a fresh seed each run, so
 # twenty repetitions check twenty times the generated cases. The grouped
 # campaign runner is held the same way to refRunCell, the one-rack-per-cell
-# runner it replaced: each repetition draws its groups from the next seed.
+# runner it replaced, and RunFleet's plan → drive → finish to refRunFleet,
+# the one method it was (generated volatile and durable fleets, struck by
+# crash schedules: equal results, byte-identical fleet directories): each
+# repetition draws its groups and fleets from the next seed.
 # The wire writer that passes received frames through is held to
 # refWriteBatch, the always-encode body it replaced, over generated
 # multi-rack schedules, and the shard's resume to refResume, its
@@ -124,7 +127,7 @@ go test -race -count=10 -cpu 1,2 -run 'TestStateCutIsImmutable|TestCutSharingMat
 # clock.
 go test -count=20 -run 'MatchesReference|QuickSortedFiring|AllocatesNothing' \
 	./internal/asic ./internal/eventq ./internal/simnet ./internal/collector
-go test -count=20 -run TestGroupedCellsMatchReference ./internal/core
+go test -count=20 -run 'TestGroupedCellsMatchReference|TestRunFleetMatchesReference' ./internal/core
 go test -count=20 -run TestPassThroughMatchesReference ./internal/wire
 
 # Chaos soak: generated fault schedules against the collection pipeline,
