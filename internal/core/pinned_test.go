@@ -4,14 +4,17 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"mburst/internal/simclock"
 	"mburst/internal/trace"
+	"mburst/internal/wire"
 	"mburst/internal/workload"
 )
 
@@ -65,9 +68,13 @@ func TestPinnedReport(t *testing.T) {
 // register are on the wire — with the parent commit's, file by file.
 // testdata/record_parent.sha256sums is the parent's hashDir of the same
 // recording in each format it could then write, made when a recording was
-// a window dir. The one recording there is now must equal its mbw3 rows:
-// campaign.json equal and segment k+1 the parent's window_%04d.mbw(k),
-// byte for byte. Only the manifest may differ.
+// a window dir. The one recording there is now must equal its mbw3 rows
+// in what it says: campaign.json byte for byte, and segment k+1 the
+// batches of the parent's window_%04d.mbw(k). Segment bytes moved when
+// MBW3 columns took every packed width, so the parent's segments are kept
+// under testdata/record_parent/, where they must still hash to their
+// rows, and each new segment must decode to exactly their batches. Only
+// the manifest may differ.
 func TestPinnedRecording(t *testing.T) {
 	parent := make(map[string]string) // "<format>/<file name>" → sha256
 	for _, line := range strings.Split(wantPinned(t, "record_parent.sha256sums"), "\n") {
@@ -89,6 +96,7 @@ func TestPinnedRecording(t *testing.T) {
 		t.Fatal(err)
 	}
 	files := hashDir(t, dir)
+	kept := hashDir(t, filepath.Join("testdata", "record_parent"))
 	windows := cfg.Racks * cfg.Windows
 	if len(files) != windows+2 {
 		t.Errorf("%s: recording holds %d files, want campaign.json, archive.json and %d segments", label, len(files), windows)
@@ -101,8 +109,34 @@ func TestPinnedRecording(t *testing.T) {
 		if parent[win] == "" {
 			t.Fatalf("%s is not in the parent's sums", win)
 		}
-		if files[seg] != parent[win] {
-			t.Errorf("%s sha256 = %s, the parent commit's %s is %s: the simulation no longer reproduces its output", seg, files[seg], win, parent[win])
+		if kept[seg] != parent[win] {
+			t.Fatalf("testdata/record_parent/%s sha256 = %s, the parent commit's %s is %s", seg, kept[seg], win, parent[win])
 		}
+		got, want := readSegment(t, filepath.Join(dir, seg)), readSegment(t, filepath.Join("testdata", "record_parent", seg))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s decodes to %d batches unlike the parent commit's %s (%d batches): the simulation no longer reproduces its output", seg, len(got), win, len(want))
+		}
+	}
+}
+
+// readSegment decodes every batch of one archive segment.
+func readSegment(t *testing.T, path string) []wire.Batch {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []wire.Batch
+	r := wire.NewReader(f)
+	for {
+		b, err := r.ReadBatch()
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out = append(out, wire.Batch{Rack: b.Rack, Epoch: b.Epoch, Samples: b.Samples})
 	}
 }

@@ -51,17 +51,14 @@ func recordFullCounterWindows(t *testing.T) [][]wire.Sample {
 	return windows
 }
 
-// TestMBW3FourTimesSmallerThanRows streams the reference workload through
-// one client-style connection — DefaultBatchSize samples per batch, one
-// encoder for the whole stream, exactly like collector.Client — and holds
-// MBW3 to at least 4x fewer bytes than the MBW2 row framing it replaced.
-// The row size is the nominal wire.EncodedSize, since nothing writes that
-// framing any more; its sum depends only on the samples, so on amd64 (see
-// wantPinned) it is pinned too.
-func TestMBW3FourTimesSmallerThanRows(t *testing.T) {
+// streamReference streams the reference workload through one
+// client-style connection — DefaultBatchSize samples per batch, one
+// encoder for the whole stream, exactly like collector.Client — and
+// returns its size as MBW3 and as the nominal MBW2 row framing.
+func streamReference(t *testing.T) (mbw3, rows int) {
+	t.Helper()
 	var stream bytes.Buffer
 	w := wire.NewWriter(&stream)
-	var rows int
 	for _, samples := range recordFullCounterWindows(t) {
 		for off := 0; off < len(samples); off += collector.DefaultBatchSize {
 			b := &wire.Batch{Rack: 1, Epoch: 1, Samples: samples[off:min(off+collector.DefaultBatchSize, len(samples))]}
@@ -71,13 +68,40 @@ func TestMBW3FourTimesSmallerThanRows(t *testing.T) {
 			}
 		}
 	}
-	ratio := float64(rows) / float64(stream.Len())
-	t.Logf("bytes on wire: mbw2 rows %d B, mbw3 %d B (%.2fx)", rows, stream.Len(), ratio)
+	return stream.Len(), rows
+}
+
+// TestMBW3FourTimesSmallerThanRows holds MBW3 to at least 4x fewer bytes
+// than the MBW2 row framing it replaced on the reference stream. The row
+// size is the nominal wire.EncodedSize, since nothing writes that framing
+// any more; its sum depends only on the samples, so on amd64 (see
+// wantPinned) it is pinned too.
+func TestMBW3FourTimesSmallerThanRows(t *testing.T) {
+	mbw3, rows := streamReference(t)
+	ratio := float64(rows) / float64(mbw3)
+	t.Logf("bytes on wire: mbw2 rows %d B, mbw3 %d B (%.2fx)", rows, mbw3, ratio)
 	if ratio < 4 {
 		t.Errorf("mbw3 only %.2fx below mbw2 rows on the wire, want >= 4x (rows %d B, mbw3 %d B)",
-			ratio, rows, stream.Len())
+			ratio, rows, mbw3)
 	}
 	if runtime.GOARCH == pinnedArch && rows != 457_004 {
 		t.Errorf("the reference workload weighs %d B as mbw2 rows, want 457,004: the recording changed", rows)
+	}
+}
+
+// parentMBW3Bytes is the reference stream's MBW3 size when value columns
+// were run-length or nibbles, before they took every packed width.
+const parentMBW3Bytes = 102_652
+
+// TestPackedWidthsShrinkReferenceStream is the count gate on packed
+// column widths: on amd64 the reference stream takes at most 0.85x the
+// bytes it took as run-length and nibble columns (85,269 B, 0.831x, when
+// the widths came in; no choice of widths from 1 to 20 gets the escape
+// layout below 0.82x on this stream).
+func TestPackedWidthsShrinkReferenceStream(t *testing.T) {
+	mbw3, _ := streamReference(t)
+	t.Logf("reference stream: %d B of mbw3, %.3fx the %d B of run-length and nibble columns", mbw3, float64(mbw3)/parentMBW3Bytes, parentMBW3Bytes)
+	if runtime.GOARCH == pinnedArch && mbw3*100 > parentMBW3Bytes*85 {
+		t.Errorf("the reference stream takes %d B of mbw3, want at most 0.85 x %d B", mbw3, parentMBW3Bytes)
 	}
 }

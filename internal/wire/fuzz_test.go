@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"reflect"
 	"testing"
 	"testing/iotest"
 
@@ -118,6 +119,13 @@ func FuzzReadBatch(f *testing.F) {
 	corrupted := append([]byte(nil), valid...)
 	corrupted[len(corrupted)/2] ^= 0xff
 	f.Add(corrupted)
+	// A series table that lists a series twice, and a column packed in
+	// each mode, framed.
+	f.Add(appendFrame(nil, Magic3, dupSeriesPayload))
+	for m := 1; m < numModes; m++ {
+		p, _ := packedPayload(m, widthEdges(m))
+		f.Add(appendFrame(nil, Magic3, p))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// One stream, three sources: a bytes.Reader is read as is, the
@@ -289,6 +297,13 @@ func FuzzMBW3Chain(f *testing.F) {
 			f.Add(uint8(which), uint8(k), payloads[k]) // a frame that skips one
 		}
 	}
+	// In place of the first frame: a series table that lists a series
+	// twice, and a column packed in each mode.
+	f.Add(uint8(0), uint8(1), dupSeriesPayload)
+	for m := 1; m < numModes; m++ {
+		p, _ := packedPayload(m, widthEdges(m))
+		f.Add(uint8(0), uint8(1), p)
+	}
 
 	f.Fuzz(func(t *testing.T, which, k uint8, mutated []byte) {
 		// Run tokens decouple a payload's size from its sample count; keep
@@ -305,15 +320,25 @@ func FuzzMBW3Chain(f *testing.F) {
 		stream = appendFrame(stream, binary.BigEndian.Uint32(fx.frames[at-1]), mutated)
 		stream = append(append(stream, fx.frames[at-1]...), fx.frames[at]...)
 		dec := NewReader(bytes.NewReader(stream))
+		dec.SetReuse(true)
 		for i := 0; i < at-1; i++ {
 			if b, err := dec.ReadBatch(); err != nil || !sameBatch(fx.originals[i], b) {
 				t.Fatalf("fixture frame %d: %v", i, err)
 			}
 		}
+		before := readerChains(dec)
 		got, err := dec.ReadBatch()
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("rejected with %v, want ErrCorrupt", err)
+			}
+			if len(dec.batch.Samples) != 0 {
+				t.Fatalf("a rejected payload left %d samples in the batch", len(dec.batch.Samples))
+			}
+			for rack, ch := range before {
+				if now := readerChains(dec)[rack]; !reflect.DeepEqual(ch, now) {
+					t.Fatalf("a rejected payload changed chain %d", rack)
+				}
 			}
 			for i := at - 1; i <= at; i++ {
 				b, err := dec.ReadBatch()
@@ -346,4 +371,17 @@ func FuzzMBW3Chain(f *testing.F) {
 		dec.ReadBatch()
 		dec.ReadBatch()
 	})
+}
+
+// readerChains copies every chain r decodes on, keyed by rack, the
+// stream chain under -1.
+func readerChains(r *Reader) map[int64]mbw3Chain {
+	out := make(map[int64]mbw3Chain)
+	if r.stream != nil {
+		out[-1] = chainCopy(r.stream)
+	}
+	for rack, ch := range r.racks {
+		out[int64(rack)] = chainCopy(ch)
+	}
+	return out
 }

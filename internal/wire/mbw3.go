@@ -48,26 +48,55 @@ func putUvarint(p []byte, i int, v uint64) int {
 	return i + 1
 }
 
-// colSizer accumulates, run by run, the exact sizes a column would have in
-// its two encodings, without encoding it. ne is the nibble encoding: half
-// a byte per value, plus a varint in the overflow tail for each value >=
-// 15. rle is the run-length encoding, a stream of uvarint tokens t with
-// count t>>1 (>= 1): t&1 == 1 is a run (one uvarint value follows,
-// repeated count times), t&1 == 0 a literal (count uvarint values
-// follow). Runs of rleMinRun or more equal values become run tokens;
-// everything between two such runs is one literal token, whose pending
-// length is lit.
-type colSizer struct{ ne, rle, lit int }
+// packWidths are the widths of the packed column modes: mode m >= 1 packs
+// at packWidths[m-1] bits, mode 0 is run-length. Mode 1 (nibbles) is the
+// first encoder's; the rest follow in bestMode's tie order.
+var packWidths = [...]uint{4, 1, 2, 3, 6, 8, 12, 16}
+
+const numModes = 1 + len(packWidths)
+
+// A packed column stores v inline iff v < 2^w-1. escInc[v] has a one in
+// byte m-1 for each mode m that escapes v < 128, and packedLanes[n] there
+// mode m's packed size of n < 64 values: summed over a short column,
+// escInc counts each mode's escapes, a byte per mode.
+var escInc, packedLanes = func() (t [128]uint64, p [64]uint64) {
+	for m, w := range packWidths {
+		for v := range t {
+			if uint64(v) >= 1<<w-1 {
+				t[v] |= 1 << (8 * m)
+			}
+		}
+		for n := range p {
+			p[n] |= uint64(packedLen(n, w)) << (8 * m)
+		}
+	}
+	return t, p
+}()
+
+func escLen(v uint64) int { return bits.Len64(v | (v + 1)) }
+
+// packedLen is the size of n values packed at w bits, the tail aside.
+func packedLen(n int, w uint) int { return (n*int(w) + 7) / 8 }
+
+// colSizer accumulates, run by run, the exact sizes a column would take
+// in every mode, without encoding it. rle is the run-length encoding, a
+// stream of uvarint tokens t with count t>>1 (>= 1): t&1 == 1 is a run
+// (one uvarint value follows, repeated count times), t&1 == 0 a literal
+// (count uvarint values follow). Runs of rleMinRun or more equal values
+// become run tokens; everything between two such runs is one literal
+// token, whose pending length is lit. tail[L] sums the varints of escLen
+// L (the last entry: L or more), held in the tail of every width below L.
+type colSizer struct {
+	rle, lit int
+	tail     [17 + 1]int // 16 is the widest width
+}
+
+func (z *colSizer) addTail(v uint64, bytes int) { z.tail[min(escLen(v), len(z.tail)-1)] += bytes }
 
 // run accounts for a maximal run of r values v.
 func (z *colSizer) run(v uint64, r int) {
-	l := 1
-	if v >= 15 {
-		if v >= 0x80 {
-			l = uvarintLen(v)
-		}
-		z.ne += r * l
-	}
+	l := uvarintLen(v)
+	z.addTail(v, r*l)
 	if r < rleMinRun {
 		z.lit += r
 		z.rle += r * l
@@ -84,63 +113,90 @@ func (z *colSizer) closeLiteral() {
 	}
 }
 
-// colSizes measures vals for both encodings. Columns of 64 values or more
-// are walked run by run. Shorter ones — a series' share of a batch is a
-// few dozen values, and there are hundreds of such columns in one — are
-// measured without a data-dependent branch per value: one pass folds the
-// column into bit masks (bit i describes vals[i]) and the sizes are
-// population counts, every token header being one byte at that length.
-func colSizes(vals []uint64) (ne, rle int) {
+// colSizes measures vals in every mode. Columns under 64 values — a
+// series' share of a batch, hundreds of columns in one — are measured
+// without a data-dependent branch per value: one pass folds the column
+// into a bit mask (bit i: vals[i] equals its successor) and the escape
+// counts, and the sizes are population counts and those counts, every
+// varint taking a byte; longer varints are then visited one by one.
+// Longer columns are walked run by run.
+func colSizes(vals []uint64) (s [numModes]int) {
 	n := len(vals)
-	if n >= 64 {
-		z := colSizer{ne: (n + 1) / 2}
-		for i := 0; i < n; {
+	if n < 64 {
+		next := vals[n-1]
+		var eq uint64
+		union, esc := next, escInc[next&127]
+		for i := n - 2; i >= 0; i-- {
 			v := vals[i]
-			j := i + 1
-			for j < n && vals[j] == v {
-				j++
+			eq = eq<<1 | b2u(v == next)
+			union |= v
+			esc += escInc[v&127] // the lanes are kept only if union < 0x80
+			next = v
+		}
+		// A value is in a run of rleMinRun (3) or more iff it heads,
+		// centres or ends three equal values; such a run is announced by
+		// the member whose predecessor differs. Every other value is a
+		// literal, and a literal token starts wherever a literal's
+		// predecessor is not one.
+		three := eq & (eq >> 1)
+		inRun := three | three<<1 | three<<2
+		runStart := inRun &^ (eq << 1)
+		lit := (1<<n - 1) &^ inRun
+		litStart := lit &^ (lit << 1)
+		s[0] = 2*bits.OnesCount64(runStart) + bits.OnesCount64(litStart) + bits.OnesCount64(lit)
+		// A value whose varint is longer moves from the lanes to z's tails.
+		var z colSizer
+		for i := 0; union >= 0x80 && i < n; i++ {
+			if v := vals[i]; v >= 0x80 {
+				esc -= escInc[v&127]
+				l := uvarintLen(v)
+				z.addTail(v, l)
+				s[0] += (l - 1) * int((runStart|lit)>>i&1)
 			}
-			z.run(v, j-i)
-			i = j
 		}
-		z.closeLiteral()
-		return z.ne, z.rle
+		// Byte m-1 is mode m's size but for z's tails (≤ 63 + 126: no carry).
+		esc += packedLanes[n]
+		for m := 1; m < numModes; m++ {
+			s[m] = int(uint8(esc))
+			esc >>= 8
+		}
+		if union >= 0x80 {
+			z.addTails(&s)
+		}
+		return s
 	}
-	// eq: equals its successor; esc: escapes its nibble (>= 15).
-	next := vals[n-1]
-	var eq uint64
-	esc, union := b2u(next >= 15), next
-	for i := n - 2; i >= 0; i-- {
+	var z colSizer
+	for i := 0; i < n; {
 		v := vals[i]
-		eq = eq<<1 | b2u(v == next)
-		esc = esc<<1 | b2u(v >= 15)
-		union |= v
-		next = v
-	}
-	// A value is in a run of rleMinRun (3) or more iff it heads, centres or
-	// ends three equal values; such a run is announced by the member whose
-	// predecessor differs. Every other value is a literal, and a literal
-	// token starts wherever a literal's predecessor is not one.
-	three := eq & (eq >> 1)
-	inRun := three | three<<1 | three<<2
-	runStart := inRun &^ (eq << 1)
-	lit := (1<<n - 1) &^ inRun
-	litStart := lit &^ (lit << 1)
-	ne = (n+1)/2 + bits.OnesCount64(esc)
-	rle = 2*bits.OnesCount64(runStart) + bits.OnesCount64(litStart) + bits.OnesCount64(lit)
-	if union < 0x80 {
-		return ne, rle
-	}
-	// Some varint takes more than the one byte counted so far.
-	for encoded := runStart | lit; esc != 0; esc &= esc - 1 {
-		i := bits.TrailingZeros64(esc)
-		extra := uvarintLen(vals[i]) - 1
-		ne += extra
-		if encoded>>i&1 == 1 {
-			rle += extra
+		j := i + 1
+		for j < n && vals[j] == v {
+			j++
 		}
+		z.run(v, j-i)
+		i = j
 	}
-	return ne, rle
+	return z.sizes(n)
+}
+
+// sizes closes the column, n values long, and returns its size by mode.
+func (z *colSizer) sizes(n int) (s [numModes]int) {
+	z.closeLiteral()
+	s[0] = z.rle
+	for m, w := range packWidths {
+		s[m+1] = packedLen(n, w)
+	}
+	z.addTails(&s)
+	return s
+}
+
+// addTails adds each packed mode's tail to its size in s.
+func (z *colSizer) addTails(s *[numModes]int) {
+	for l := len(z.tail) - 2; l > 0; l-- {
+		z.tail[l] += z.tail[l+1]
+	}
+	for m, w := range packWidths {
+		s[m+1] += z.tail[w+1]
+	}
 }
 
 func b2u(b bool) uint64 {
@@ -150,9 +206,25 @@ func b2u(b bool) uint64 {
 	return 0
 }
 
+// bestMode is the mode of the smallest of a column's sizes. A tie goes to
+// the lower mode: to run-length, then to width 4 — the two modes the
+// format's first encoder chose between, so a column either wins keeps its
+// bytes — then to the narrower width.
+func bestMode(s *[numModes]int) int {
+	m, best := 0, s[0]
+	for k := 1; k < numModes; k++ {
+		sz := s[k]
+		if sz < best {
+			m = k
+		}
+		best = min(best, sz)
+	}
+	return m
+}
+
 // appendRLE emits vals as a mode 0 column: the mode byte, then the token
-// stream colSizes measured. size is its rle result, so the destination is
-// grown once and written in place.
+// stream colSizes measured. size is its mode 0 size, so the destination
+// is grown once and written in place.
 func appendRLE(dst []byte, vals []uint64, size int) []byte {
 	at := len(dst) + 1
 	dst = growBytes(dst, 1+size)
@@ -216,48 +288,54 @@ func rleRead(r *payloadReader, dst []uint64, want int) []uint64 {
 	return dst
 }
 
-// appendCol emits one value column: a mode byte, then the cheaper of two
-// encodings. Mode 0 is the varint RLE stream; mode 1 packs each value
-// into a nibble (low nibble first), with values >= 15 escaping as nibble
-// 15 plus a varint in an overflow tail after the packed block. Counter
-// columns are delta-of-delta chains whose values cluster just above
-// zero — too scattered for runs, but almost always under 4 bits — so
-// mode 1 halves them; index and missed columns collapse into runs and
-// keep mode 0.
+// appendCol emits one value column: a mode byte, then the smallest of the
+// column's encodings. Mode 0 is the varint RLE stream; every other mode
+// packs each value at one width of packWidths (see appendPacked). Counter
+// columns are delta-of-delta chains whose values cluster just above zero
+// — too scattered for runs, but almost always a few bits wide — so they
+// pack; index and missed columns collapse into runs and keep mode 0.
 //
-// The choice is made from colSizes' sizes and only the winner is encoded.
-// Mode 1 wins iff it is strictly smaller; a tie goes to mode 0 — the rule
-// the format's first encoder fixed, kept so bytes never change.
+// The choice is made from colSizes' sizes (bestMode says how ties break)
+// and only the winner is encoded.
 func appendCol(dst []byte, vals []uint64) []byte {
-	ne, rle := colSizes(vals)
-	if ne >= rle {
-		return appendRLE(dst, vals, rle)
+	s := colSizes(vals)
+	if m := bestMode(&s); m > 0 {
+		return appendPacked(dst, vals, m, s[m])
 	}
-	return appendNibbles(dst, vals, ne)
+	return appendRLE(dst, vals, s[0])
 }
 
-// appendNibbles emits vals as a mode 1 column: the mode byte, then the
-// block colSizes measured at ne bytes — the packed nibbles and, filled
-// along with them, the overflow tail.
-func appendNibbles(dst []byte, vals []uint64, ne int) []byte {
-	packed := len(dst) + 1
-	dst = growBytes(dst, 1+ne)
-	dst[packed-1] = 1
-	tail := packed + (len(vals)+1)/2
-	for i := 0; i < len(vals); i += 2 {
-		lo := vals[i]
-		if lo >= 15 {
-			tail = putUvarint(dst, tail, lo)
-			lo = 15
+// appendPacked emits vals as a column of packed mode m: the mode byte,
+// then the block colSizes measured at size bytes — each value in w bits,
+// least significant bit first, the last byte's spare bits zero — and the
+// overflow tail: a value of 2^w-1 or more is packed as 2^w-1 and follows
+// there as a varint, in column order.
+func appendPacked(dst []byte, vals []uint64, m, size int) []byte {
+	w := packWidths[m-1]
+	esc := uint64(1)<<w - 1
+	at := len(dst) + 1
+	tail := at + packedLen(len(vals), w)
+	// A word takes 57/w values (7 bits may be held over) and is stored whole
+	// from its first byte not yet filled, up to 7 bytes into the tail.
+	buf := growBytes(dst, 1+size+7)
+	buf[at-1] = byte(m)
+	var acc uint64
+	var held uint
+	for i, per := 0, int(57/w); i < len(vals); i += per {
+		for _, v := range vals[i:min(i+per, len(vals))] {
+			acc |= min(v, esc) << (held & 63)
+			held += w
 		}
-		var hi uint64
-		if i+1 < len(vals) {
-			if hi = vals[i+1]; hi >= 15 {
-				tail = putUvarint(dst, tail, hi)
-				hi = 15
-			}
+		binary.LittleEndian.PutUint64(buf[at:], acc)
+		at += int(held >> 3)
+		acc >>= held &^ 7
+		held &= 7
+	}
+	dst = buf[:len(buf)-7]
+	for j := 0; tail < len(dst); j++ {
+		if vals[j] >= esc {
+			tail = putUvarint(dst, tail, vals[j])
 		}
-		dst[packed+i>>1] = byte(lo | hi<<4)
 	}
 	return dst
 }
@@ -291,22 +369,27 @@ func (r *runCol) close(v uint64, j int) {
 
 // appendRunCol is appendCol for a column of n values held as runs: same
 // sizes, same choice, same bytes. scratch expands the runs on the rare
-// occasion that mode 1 wins.
+// occasion that a packed mode wins.
 func appendRunCol(dst []byte, runs []colRun, n int, scratch *[]uint64) []byte {
-	z := colSizer{ne: (n + 1) / 2}
+	var z colSizer
 	for _, r := range runs {
 		z.run(r.v, r.n)
 	}
 	z.closeLiteral()
-	if z.ne < z.rle {
-		vals := (*scratch)[:0]
-		for _, r := range runs {
-			for k := 0; k < r.n; k++ {
-				vals = append(vals, r.v)
+	// Run-length wins, tie included, if no longer than the narrowest
+	// block: a packed mode is a block and its tail.
+	if z.rle > packedLen(n, 1) {
+		s := z.sizes(n)
+		if m := bestMode(&s); m > 0 {
+			vals := (*scratch)[:0]
+			for _, r := range runs {
+				for k := 0; k < r.n; k++ {
+					vals = append(vals, r.v)
+				}
 			}
+			*scratch = vals
+			return appendPacked(dst, vals, m, s[m])
 		}
-		*scratch = vals
-		return appendNibbles(dst, vals, z.ne)
 	}
 	at := len(dst) + 1
 	dst = growBytes(dst, 1+z.rle)
@@ -334,48 +417,60 @@ func appendRunCol(dst []byte, runs []colRun, n int, scratch *[]uint64) []byte {
 
 // colRead decodes one appendCol column of exactly want values.
 func colRead(r *payloadReader, dst []uint64, want int) []uint64 {
-	mode := r.byte()
-	if r.err != nil {
+	mode := int(r.byte())
+	switch {
+	case r.err != nil:
 		return dst
-	}
-	switch mode {
-	case 0:
+	case mode == 0:
 		return rleRead(r, dst, want)
-	case 1:
-		nb := (want + 1) / 2
-		if len(r.buf) < nb {
-			r.err = ErrCorrupt
-			return dst
-		}
-		packed := r.buf[:nb]
-		r.buf = r.buf[nb:]
-		if want&1 == 1 && nb > 0 && packed[nb-1]>>4 != 0 {
-			r.err = ErrCorrupt // padding nibble must be zero
-			return dst
-		}
-		base := len(dst)
-		for i := 0; i < want; i++ {
-			dst = append(dst, uint64(packed[i>>1]>>(uint(i&1)*4)&0xf))
-		}
-		for i := 0; i < want; i++ {
-			if dst[base+i] != 15 {
-				continue
-			}
-			v := r.uvarint()
-			if r.err != nil {
-				return dst
-			}
-			if v < 15 {
-				r.err = ErrCorrupt // would have been inline
-				return dst
-			}
-			dst[base+i] = v
-		}
-		return dst
-	default:
+	case mode > len(packWidths):
 		r.err = ErrCorrupt
 		return dst
 	}
+	w := packWidths[mode-1]
+	nb := packedLen(want, w)
+	if len(r.buf) < nb {
+		r.err = ErrCorrupt
+		return dst
+	}
+	if spare := uint(8*nb) - uint(want)*w; nb > 0 && r.buf[nb-1]>>(8-spare) != 0 {
+		r.err = ErrCorrupt // spare bits must be zero
+		return dst
+	}
+	buf := r.buf
+	r.buf = r.buf[nb:]
+	esc := uint64(1)<<w - 1
+	base := len(dst)
+	dst = slices.Grow(dst, want)[:base+want]
+	out := dst[base:]
+	// A word is read from the block's first byte not yet consumed, and the
+	// 57/w values it holds whole are taken: what it reads past the block is
+	// never taken. Only a payload's last 7 bytes have fewer than 8 after them.
+	per := int(57 / w)
+	for i, bit := 0, uint(0); i < want; bit = uint(i) * w {
+		var x uint64
+		if at := int(bit >> 3); at+8 <= len(buf) {
+			x = binary.LittleEndian.Uint64(buf[at:])
+		} else {
+			for k, c := range buf[at:] {
+				x |= uint64(c) << (8 * k)
+			}
+		}
+		x >>= bit & 7
+		for k := min(want-i, per); k > 0; k-- {
+			v := x & esc
+			x >>= w & 63
+			if v == esc {
+				if v = r.uvarint(); v < esc {
+					r.err = ErrCorrupt // absent, or would have been inline
+					return dst[:base+i]
+				}
+			}
+			out[i] = v
+			i++
+		}
+	}
+	return dst
 }
 
 // seriesKey identifies one counter series within a stream: the port plus
@@ -562,17 +657,20 @@ func (ch *mbw3Chain) follow(src *mbw3Chain, touched []int, fresh bool) {
 //	                         stream or epoch change); consecutive equal
 //	                         sample times are deduplicated
 //	nSeries, series table    (port uvarint, dir|kind<<1 byte) per series,
-//	                         in first-appearance order
-//	seriesCol                RLE; per sample, table slot as a zigzag
-//	                         delta chain — preserves exact sample order
-//	timeIdxCol               RLE; per sample, index into times, same
-//	                         delta chain encoding
-//	missedCol                RLE; per sample, Missed verbatim
+//	                         in first-appearance order, each series once
+//	seriesCol                per sample, table slot as a zigzag delta
+//	                         chain — preserves exact sample order
+//	timeIdxCol               per sample, index into times, same delta
+//	                         chain encoding
+//	missedCol                per sample, Missed verbatim
 //	value/bins columns       per table slot in order: the series'
 //	                         cumulative Values as zigzag delta-of-delta
-//	                         chains (RLE), continued from the previous
-//	                         batch; size-bin series append NumSizeBins
-//	                         bin columns encoded the same way
+//	                         chains, continued from the previous batch;
+//	                         size-bin series append NumSizeBins bin
+//	                         columns encoded the same way
+//
+// Every column is a mode byte and the column in that mode (appendCol):
+// run-length, or packed at one of packWidths' widths.
 //
 // Delta chains make the codec stateful: the first batch of a stream (or
 // the first after an epoch change) carries absolutes as deltas from zero,
@@ -595,22 +693,23 @@ type mbw3Codec struct {
 	// Per-batch scratch, reused so steady-state encode and decode do not
 	// allocate. The encoder uses vals and binvals as arenas: each series'
 	// columns are a region reserved when the batch first meets the series,
-	// valsTop and binTop marking what is taken.
-	payload  []byte
-	tkeys    []seriesKey
-	counts   []int
-	offs     []int
-	cursor   []int
-	sids     []int
-	tidx     []int
-	times    []int64
-	col      []uint64
-	vals     []uint64
-	binvals  []uint64
-	binoffs  []int
-	runD     []int64
-	runBinsD []int64
-	missed   []uint64
+	// valsTop and binTop marking what is taken. The decoder writes rows,
+	// each slot's through its positions in pos.
+	payload []byte
+	times   []int64
+	col     []uint64
+	tidx    []uint64
+	missed  []uint64
+	vals    []uint64
+	binvals []uint64
+	tkeys   []seriesKey
+	sorted  []uint32
+	counts  []int
+	offs    []int
+	cursor  []int
+	sids    []int
+	pos     []int
+	next    []seriesState
 
 	// Decoder: the ch.states entry of each table slot of the payload last
 	// decoded, and whether it decoded fresh — from zero, ch holding no
@@ -698,7 +797,7 @@ func lendCodec(ch *mbw3Chain) *mbw3Codec {
 // reference to it.
 func returnCodec(c *mbw3Codec) {
 	c.ch = nil
-	if cap(c.vals)+cap(c.binvals) > maxIdleCodecValues {
+	if cap(c.vals)+cap(c.binvals)+cap(c.pos) > maxIdleCodecValues {
 		*c = mbw3Codec{}
 	}
 	c.idle.Store(true)
@@ -715,20 +814,6 @@ func isSizeBins(dk byte) bool { return asic.CounterKind(dk>>1) == asic.KindSizeB
 func growInt(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
-	}
-	return s[:n]
-}
-
-func growI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
 	}
 	return s[:n]
 }
@@ -1036,10 +1121,16 @@ func (c *mbw3Codec) EncodedSize(b *Batch) int {
 }
 
 // DecodePayload decodes one MBW3 payload — an MBW3 or MBW4 frame's — into
-// b, continuing the delta chain c.ch. A payload it rejects leaves the
-// chain as it was. Once the scratch is warm it allocates nothing per
-// batch (TestMBW3DecodeAllocatesNothing).
-func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error {
+// b, continuing the delta chain c.ch, each column straight into the rows
+// it fills. A payload it rejects leaves the chain as it was, and b without
+// samples. Once the scratch is warm it allocates nothing per batch
+// (TestMBW3DecodeAllocatesNothing).
+func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) (err error) {
+	defer func() {
+		if err != nil {
+			b.Samples = b.Samples[:0]
+		}
+	}()
 	if magic != Magic3 && magic != Magic4 {
 		return fmt.Errorf("%w: magic %#x is not mbw3", ErrCorrupt, magic)
 	}
@@ -1090,12 +1181,15 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 		c.times = append(c.times, lt)
 	}
 
-	// Series table.
+	// Series table, each series looked up in the chain once: touched holds
+	// its states entry, or -1 for a series that chains from zero — one the
+	// chain does not hold, or any on a fresh payload. commit enters those.
 	nSeries := r.uvarint()
 	if r.err != nil || nSeries == 0 || nSeries > count {
 		return fmt.Errorf("%w: series count", ErrCorrupt)
 	}
 	c.tkeys = c.tkeys[:0]
+	c.sorted = c.sorted[:0]
 	for i := uint64(0); i < nSeries; i++ {
 		port := r.uvarint()
 		dk := r.byte()
@@ -1103,104 +1197,107 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 			return fmt.Errorf("%w: series table", ErrCorrupt)
 		}
 		c.tkeys = append(c.tkeys, seriesKey{port: uint16(port), dk: dk})
+		c.sorted = append(c.sorted, uint32(port)<<8|uint32(dk))
+	}
+	// No encoder lists a series twice, and commit's one entry per slot
+	// relies on it.
+	if slices.Sort(c.sorted); len(slices.Compact(c.sorted)) < len(c.tkeys) {
+		return fmt.Errorf("%w: a series listed twice", ErrCorrupt)
+	}
+	c.touched = growInt(c.touched, int(nSeries))
+	for slot, key := range c.tkeys {
+		si, ok := ch.idx[key]
+		if !ok || fresh {
+			si = -1
+		}
+		c.touched[slot] = si
 	}
 
-	// Per-sample columns: series slot, time index, missed.
-	c.sids = growInt(c.sids, n)
+	// Per-sample columns — series slot, time index, missed — fill every
+	// field of every row but the values, in one pass. A reused b.Samples
+	// still holds the previous batch, so Bins is cleared for series that
+	// carry none.
 	c.col = colRead(&r, c.col[:0], n)
-	var prev int64
-	for j, v := range c.col {
-		prev += unzig(v)
-		if prev < 0 || prev >= int64(nSeries) {
-			return fmt.Errorf("%w: series index %d", ErrCorrupt, prev)
-		}
-		c.sids[j] = int(prev)
-	}
-	c.tidx = growInt(c.tidx, n)
-	c.col = colRead(&r, c.col[:0], n)
-	prev = 0
-	for j, v := range c.col {
-		prev += unzig(v)
-		if prev < 0 || prev >= int64(nTimes) {
-			return fmt.Errorf("%w: time index %d", ErrCorrupt, prev)
-		}
-		c.tidx[j] = int(prev)
-	}
+	c.tidx = colRead(&r, c.tidx[:0], n)
 	c.missed = colRead(&r, c.missed[:0], n)
 	if r.err != nil {
 		return fmt.Errorf("%w: sample columns", ErrCorrupt)
 	}
-	for _, m := range c.missed {
-		if m > 1<<32-1 {
-			return fmt.Errorf("%w: missed count %d", ErrCorrupt, m)
+	b.Samples = slices.Grow(b.Samples, n)[:n]
+	rows := b.Samples
+	c.sids = growInt(c.sids, n)
+	c.counts = growInt(c.counts, int(nSeries))
+	clear(c.counts)
+	sids, tidx, missed := c.sids[:n], c.tidx[:n], c.missed[:n]
+	var slot, ti int64
+	for j, v := range c.col[:n] {
+		slot += unzig(v)
+		ti += unzig(tidx[j])
+		switch {
+		case slot < 0 || slot >= int64(nSeries):
+			return fmt.Errorf("%w: series index %d", ErrCorrupt, slot)
+		case ti < 0 || ti >= int64(nTimes):
+			return fmt.Errorf("%w: time index %d", ErrCorrupt, ti)
+		case missed[j] > 1<<32-1:
+			return fmt.Errorf("%w: missed count %d", ErrCorrupt, missed[j])
+		}
+		sids[j] = int(slot)
+		c.counts[slot]++
+		k, s := c.tkeys[slot], &rows[j]
+		s.Time = simclock.Time(c.times[ti])
+		s.Port, s.Dir, s.Kind = k.port, asic.Direction(k.dk&1), asic.CounterKind(k.dk>>1)
+		s.Missed = uint32(missed[j])
+		if !isSizeBins(k.dk) {
+			s.Bins = [asic.NumSizeBins]uint64{}
 		}
 	}
 
-	// Per-slot counts and offsets; every table entry must be referenced
-	// (encoders never emit unused series).
-	c.counts = growInt(c.counts, int(nSeries))
-	for slot := range c.counts {
-		c.counts[slot] = 0
-	}
-	for _, slot := range c.sids {
-		c.counts[slot]++
-	}
+	// Each slot's rows, in order: pos[offs[slot]:][:counts[slot]]. Every
+	// table entry must be referenced (encoders never emit unused series).
 	c.offs = growInt(c.offs, int(nSeries))
 	c.cursor = growInt(c.cursor, int(nSeries))
-	c.binoffs = growInt(c.binoffs, int(nSeries))
-	off, binoff := 0, 0
-	for slot := range c.counts {
-		if c.counts[slot] == 0 {
+	off := 0
+	for slot, cnt := range c.counts {
+		if cnt == 0 {
 			return fmt.Errorf("%w: unreferenced series %d", ErrCorrupt, slot)
 		}
-		c.offs[slot] = off
-		off += c.counts[slot]
-		c.cursor[slot] = 0
-		c.binoffs[slot] = -1
-		if isSizeBins(c.tkeys[slot].dk) {
-			c.binoffs[slot] = binoff
-			binoff += c.counts[slot] * asic.NumSizeBins
-		}
+		c.offs[slot], c.cursor[slot] = off, off
+		off += cnt
+	}
+	c.pos = growInt(c.pos, n)
+	for j, slot := range c.sids {
+		c.pos[c.cursor[slot]] = j
+		c.cursor[slot]++
 	}
 
 	// Value (and bin) columns, reconstructed to absolutes against the
-	// stream state; a series unseen this stream (or a fresh epoch)
-	// chains from zero, which is how first batches carry absolutes.
-	c.vals = growU64(c.vals, n)
-	c.binvals = growU64(c.binvals, binoff)
-	c.runD = growI64(c.runD, int(nSeries))
-	c.runBinsD = growI64(c.runBinsD, int(nSeries)*asic.NumSizeBins)
-	for slot := range c.tkeys {
-		var base uint64
-		var baseD int64
-		var st *mbw3Series
-		if si, ok := ch.idx[c.tkeys[slot]]; ok && !fresh {
-			st = &ch.states[si]
-			base, baseD = st.value, st.valueD
+	// chain into the rows; a series that chains from zero is how first
+	// batches carry absolutes. next keeps each slot's new state for commit.
+	c.next = slices.Grow(c.next[:0], int(nSeries))[:nSeries]
+	for slot, si := range c.touched {
+		st := &c.next[slot]
+		*st = seriesState{}
+		if si >= 0 {
+			*st = ch.states[si].seriesState
 		}
-		cnt := c.counts[slot]
-		c.col = colRead(&r, c.col[:0], cnt)
-		for i, v := range c.col {
-			baseD += unzig(v)
-			base += uint64(baseD)
-			c.vals[c.offs[slot]+i] = base
+		pos := c.pos[c.offs[slot]:][:c.counts[slot]]
+		c.col = colRead(&r, c.col[:0], len(pos))
+		v, d := st.value, st.valueD
+		for i, z := range c.col {
+			d += unzig(z)
+			v += uint64(d)
+			rows[pos[i]].Value = v
 		}
-		c.runD[slot] = baseD
-		if bo := c.binoffs[slot]; bo >= 0 {
-			for k := 0; k < asic.NumSizeBins; k++ {
-				var bbase uint64
-				var bbaseD int64
-				if st != nil {
-					bbase, bbaseD = st.bins[k], st.binsD[k]
-				}
-				c.col = colRead(&r, c.col[:0], cnt)
-				for i, v := range c.col {
-					bbaseD += unzig(v)
-					bbase += uint64(bbaseD)
-					c.binvals[bo+k*cnt+i] = bbase
-				}
-				c.runBinsD[slot*asic.NumSizeBins+k] = bbaseD
+		st.value, st.valueD = v, d
+		for k := 0; k < asic.NumSizeBins && isSizeBins(c.tkeys[slot].dk); k++ {
+			c.col = colRead(&r, c.col[:0], len(pos))
+			v, d := st.bins[k], st.binsD[k]
+			for i, z := range c.col {
+				d += unzig(z)
+				v += uint64(d)
+				rows[pos[i]].Bins[k] = v
 			}
+			st.bins[k], st.binsD[k] = v, d
 		}
 	}
 	if r.err != nil {
@@ -1210,36 +1307,7 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf))
 	}
 
-	// Reassemble samples in their original order, each written in place.
-	// A reused b.Samples still holds the previous batch, so every field is
-	// assigned — Bins too, for series that carry none.
-	if cap(b.Samples) < n {
-		b.Samples = make([]Sample, n)
-	}
-	b.Samples = b.Samples[:n]
-	for j := range b.Samples {
-		slot := c.sids[j]
-		k := c.tkeys[slot]
-		i := c.cursor[slot]
-		c.cursor[slot]++
-		s := &b.Samples[j]
-		s.Time = simclock.Time(c.times[c.tidx[j]])
-		s.Port = k.port
-		s.Dir = asic.Direction(k.dk & 1)
-		s.Kind = asic.CounterKind(k.dk >> 1)
-		s.Missed = uint32(c.missed[j])
-		s.Value = c.vals[c.offs[slot]+i]
-		if bo := c.binoffs[slot]; bo >= 0 {
-			cnt := c.counts[slot]
-			for kk := 0; kk < asic.NumSizeBins; kk++ {
-				s.Bins[kk] = c.binvals[bo+kk*cnt+i]
-			}
-		} else {
-			s.Bins = [asic.NumSizeBins]uint64{}
-		}
-	}
-
-	// Commit stream state.
+	// Commit chain state.
 	if fresh {
 		clear(ch.idx)
 		ch.states = ch.states[:0]
@@ -1247,23 +1315,12 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) error 
 	if len(ch.states) == 0 {
 		ch.grow(len(c.tkeys))
 	}
-	c.touched = slices.Grow(c.touched[:0], len(c.tkeys))
-	for slot, key := range c.tkeys {
-		si, ok := ch.idx[key]
-		if !ok {
-			si = ch.addSeries(key)
+	for slot, si := range c.touched {
+		if si < 0 {
+			si = ch.addSeries(c.tkeys[slot])
+			c.touched[slot] = si
 		}
-		c.touched = append(c.touched, si)
-		st := &ch.states[si]
-		cnt := c.counts[slot]
-		st.value = c.vals[c.offs[slot]+cnt-1]
-		st.valueD = c.runD[slot]
-		if bo := c.binoffs[slot]; bo >= 0 {
-			for k := 0; k < asic.NumSizeBins; k++ {
-				st.bins[k] = c.binvals[bo+k*cnt+cnt-1]
-				st.binsD[k] = c.runBinsD[slot*asic.NumSizeBins+k]
-			}
-		}
+		ch.states[si].seriesState = c.next[slot]
 	}
 	ch.epochKnown, ch.epoch = true, uint32(epoch)
 	ch.lastTime, ch.lastDelta = lt, ld

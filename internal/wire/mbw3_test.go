@@ -2,10 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -349,50 +352,159 @@ func mbw3Payload(t *testing.T, data []byte) []byte {
 	return framePayloads(t, data)[0]
 }
 
+// dupSeriesPayload is a two-sample MBW3 payload whose series table lists
+// one series twice, each slot referenced once: rack=1, epoch=0, count=2,
+// nTimes=1, time dd=0, nSeries=2, table (port=1, dk=0) twice, then run-
+// length columns — series slots 0, 1 (a literal of two deltas), time
+// index 0 twice, missed 0 twice, and one value 0 per slot.
+var dupSeriesPayload = []byte{1, 0, 2, 1, 0, 2, 1, 0, 1, 0, 0, 4, 0, 2, 0, 5, 0, 0, 5, 0, 0, 3, 0, 0, 3, 0}
+
+// widthEdges is a 21-value column around mode m's escape: 0, 1, 2^w-2,
+// 2^w-1 and 2^w in turn, w being the mode's width.
+func widthEdges(m int) []uint64 {
+	w := packWidths[m-1]
+	edges := []uint64{0, 1, 1<<w - 2, 1<<w - 1, 1 << w}
+	vals := make([]uint64, 21)
+	for i := range vals {
+		vals[i] = edges[i%len(edges)]
+	}
+	return vals
+}
+
+// packedPayload is a fresh one-series MBW3 payload of len(vals) samples,
+// 25 µs apart, whose value column is vals packed in mode m whatever mode
+// appendCol would choose; col is where that column, the payload's last,
+// starts.
+func packedPayload(m int, vals []uint64) (payload []byte, col int) {
+	n := len(vals)
+	p := binary.AppendUvarint([]byte{3, 1}, uint64(n))
+	p = binary.AppendUvarint(p, uint64(n))
+	p = binary.AppendUvarint(p, zig(25_000))
+	for i := 1; i < n; i++ {
+		p = append(p, 0)
+	}
+	p = append(p, 1, 1, 0) // one series: port 1, dk 0
+	tidx := make([]uint64, n)
+	for i := 1; i < n; i++ {
+		tidx[i] = zig(1)
+	}
+	p = appendCol(p, make([]uint64, n))
+	p = appendCol(p, tidx)
+	p = appendCol(p, make([]uint64, n))
+	s := colSizes(vals)
+	return appendPacked(p, vals, m, s[m]), len(p)
+}
+
+// malformedPayloads are targeted corruptions: of valid, of hand-made
+// payloads and of packed columns. Every one must fail with ErrCorrupt.
+func malformedPayloads(valid []byte) map[string][]byte {
+	edit := func(p []byte, at int, f func(byte) byte) []byte {
+		p = append([]byte(nil), p...)
+		p[at] = f(p[at])
+		return p
+	}
+	const width3, nibbles = 4, 1 // modes
+	w3, w3col := packedPayload(width3, widthEdges(width3))
+	nib, nibcol := packedPayload(nibbles, widthEdges(nibbles))
+	nibTail := nibcol + 1 + packedLen(21, 4)
+	return map[string][]byte{
+		"trailing bytes": append(append([]byte(nil), valid...), 0),
+		"truncated":      valid[:len(valid)-3],
+		"empty":          nil,
+		// rack=3, epoch=0, count over MaxBatchSamples.
+		"absurd count": {3, 0, 0xff, 0xff, 0xff, 0xff, 0x7f},
+		// rack=1, epoch=0, count=1, nTimes=1, time dd=0, nSeries=1, table
+		// (port=1, dk=0), then a zero-count literal token in the series
+		// column.
+		"zero-count rle token":     {1, 0, 1, 1, 0, 1, 1, 0, 0},
+		"series listed twice":      dupSeriesPayload,
+		"mode past the last width": edit(w3, w3col, func(byte) byte { return byte(numModes) }),
+		// 21 values of 3 bits leave the block's top bit spare.
+		"spare bit set":            edit(w3, w3col+packedLen(21, 3), func(b byte) byte { return b | 0x80 }),
+		"escape that fits inline":  edit(nib, nibTail, func(b byte) byte { return b - 1 }),
+		"packed block cut short":   nib[:nibTail-1],
+		"escape missing from tail": nib[:nibTail],
+	}
+}
+
 // TestMBW3DecodeRejectsMalformed drives DecodePayload with targeted
-// corruptions of a valid payload; every one must fail with ErrCorrupt
-// and leave the codec usable.
+// corruptions, on a fresh chain and on one a batch has primed. Every one
+// must fail with ErrCorrupt, and a failed decode changes nothing: it
+// leaves no samples in the batch (rows are written while columns
+// decode, over whatever the batch held), the chain's state, gen and id as
+// they were, and the codec usable — the next valid payload decodes
+// exactly.
 func TestMBW3DecodeRejectsMalformed(t *testing.T) {
 	enc := newMBW3Codec()
-	b := pollStream(1, 20, 0)[0]
-	frame, err := enc.AppendBatch(nil, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := mbw3Payload(t, frame)
-
-	cases := map[string]func([]byte) []byte{
-		"trailing bytes": func(p []byte) []byte { return append(p, 0) },
-		"truncated":      func(p []byte) []byte { return p[:len(p)-3] },
-		"empty":          func([]byte) []byte { return nil },
-		"absurd count": func(p []byte) []byte {
-			// rack=3, epoch=0, count over MaxBatchSamples.
-			return []byte{3, 0, 0xff, 0xff, 0xff, 0xff, 0x7f}
-		},
-		"zero-count rle token": func([]byte) []byte {
-			// rack=1, epoch=0, count=1, nTimes=1, time dd=0, nSeries=1,
-			// table (port=1, dk=0), then a zero-count literal token in the
-			// series column.
-			return []byte{1, 0, 1, 1, 0, 1, 1, 0, 0}
-		},
-	}
-	for name, mut := range cases {
-		dec := newMBW3Codec()
-		var got Batch
-		if err := dec.DecodePayload(Magic3, mut(append([]byte(nil), payload...)), &got); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+	batches := pollStream(2, 20, 0)
+	var payloads [][]byte
+	for _, b := range batches {
+		frame, err := enc.AppendBatch(nil, b)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The failed decode must not have committed state: the pristine
-		// payload still decodes exactly afterwards.
-		if err := dec.DecodePayload(Magic3, payload, &got); err != nil {
-			t.Errorf("%s: clean payload failed after rejected one: %v", name, err)
-		} else if !reflect.DeepEqual(b.Samples, got.Samples) {
-			t.Errorf("%s: decode after rejection diverged", name)
+		payloads = append(payloads, mbw3Payload(t, frame))
+	}
+	for name, bad := range malformedPayloads(payloads[1]) {
+		for next := range payloads {
+			dec := newMBW3Codec()
+			var got Batch
+			if next > 0 {
+				if err := dec.DecodePayload(Magic3, payloads[0], &got); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := chainCopy(dec.ch)
+			got.Samples = append(got.Samples[:0], batches[1].Samples...)
+			if err := dec.DecodePayload(Magic3, bad, &got); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s (primed %v): err = %v, want ErrCorrupt", name, next > 0, err)
+			}
+			if len(got.Samples) != 0 {
+				t.Errorf("%s (primed %v): a failed decode left %d samples", name, next > 0, len(got.Samples))
+			}
+			if after := chainCopy(dec.ch); !reflect.DeepEqual(before, after) {
+				t.Errorf("%s (primed %v): a failed decode changed the chain", name, next > 0)
+			}
+			if err := dec.DecodePayload(Magic3, payloads[next], &got); err != nil {
+				t.Errorf("%s (primed %v): clean payload failed after rejected one: %v", name, next > 0, err)
+			} else if !reflect.DeepEqual(batches[next].Samples, got.Samples) {
+				t.Errorf("%s (primed %v): decode after rejection diverged", name, next > 0)
+			}
 		}
 	}
 
-	if err := enc.DecodePayload(Magic, payload, &Batch{}); !errors.Is(err, ErrCorrupt) {
+	if err := enc.DecodePayload(Magic, payloads[0], &Batch{}); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("mbw3 codec accepted a legacy magic")
+	}
+}
+
+// chainCopy is ch with its own copy of the series table and index, for
+// comparing a chain with itself later.
+func chainCopy(ch *mbw3Chain) mbw3Chain {
+	c := *ch
+	c.states, c.idx = slices.Clone(ch.states), maps.Clone(ch.idx)
+	return c
+}
+
+// TestPackedPayloadsDecode: a payload whose value column is packed in any
+// mode decodes to its values, whichever mode the encoder would choose.
+func TestPackedPayloadsDecode(t *testing.T) {
+	for m := 1; m < numModes; m++ {
+		vals := widthEdges(m)
+		p, _ := packedPayload(m, vals)
+		var b Batch
+		if err := newMBW3Codec().DecodePayload(Magic3, p, &b); err != nil {
+			t.Fatalf("mode %d: %v", m, err)
+		}
+		var v uint64
+		var d int64
+		for i, s := range b.Samples {
+			d += unzig(vals[i])
+			v += uint64(d)
+			if s.Value != v {
+				t.Fatalf("mode %d sample %d: value %d, want %d", m, i, s.Value, v)
+			}
+		}
 	}
 }
 

@@ -3,10 +3,18 @@ package wire
 // reference_test.go keeps the MBW3 encoder as it stood at 57f1ca2 — one
 // map lookup per sample, every column trial-encoded into a scratch buffer
 // — as refMBW3Encode, moved here verbatim (receiver and names prefixed
-// with ref, nothing else). It is the oracle the production encoder is
+// with ref), with one substitution: since packed columns took every width
+// of packWidths, it emits its columns through refPackedColAppend, which
+// sizes every mode the plain way, where it called refColAppend, which
+// tried run-length and nibbles. It is the oracle the production encoder is
 // compared with, frame by frame, over generated batch chains; the format
 // is persisted (archives on disk are MBW3), so "same bytes" is the whole
 // contract.
+//
+// The column emitter that chose between those two modes by size —
+// appendCol, appendNibbles and colSizes as they stood at d02cbc7 — is
+// kept too, as refAppendCol: no column may come out longer than it did
+// (TestPackedColumnsNeverLarger).
 //
 // It also keeps the MBW1/MBW2 row encoder as it stood at d36859d, the last
 // commit that wrote those formats — wire.AppendBatch and appendPayload,
@@ -25,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"os"
 	"reflect"
@@ -91,6 +100,22 @@ type refMBW3Series struct {
 	// currently being encoded (valid iff stamp matches the codec's).
 	slot  int
 	stamp int
+}
+
+// growU64 and growI64 are growInt for uint64s and int64s, as the parent
+// codec had them.
+func growU64(s []uint64, n int) []uint64 {
+	if cap(s) < n {
+		return make([]uint64, n)
+	}
+	return s[:n]
+}
+
+func growI64(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
+	}
+	return s[:n]
 }
 
 // refRLEAppend encodes vals as run-length tokens: each token is a uvarint t
@@ -169,6 +194,207 @@ func (c *refMBW3State) refColAppend(dst []byte, vals []uint64) []byte {
 		if v >= 15 {
 			dst = binary.AppendUvarint(dst, v)
 		}
+	}
+	return dst
+}
+
+// refPackedColAppend is the column emitter by brute force: it sizes vals
+// in every mode — run-length by encoding it with refRLEAppend, each width
+// of refModeWidths by refPackedSize — and emits the shortest, a tie going
+// to the earlier mode: run-length, then width 4, then the narrower width.
+func (c *refMBW3State) refPackedColAppend(dst []byte, vals []uint64) []byte {
+	c.colbuf = refRLEAppend(c.colbuf[:0], vals)
+	mode, size := 0, len(c.colbuf)
+	for m := 1; m < len(refModeWidths); m++ {
+		if s := refPackedSize(vals, refModeWidths[m]); s < size {
+			mode, size = m, s
+		}
+	}
+	dst = append(dst, byte(mode))
+	if mode == 0 {
+		return append(dst, c.colbuf...)
+	}
+	return refPack(dst, vals, refModeWidths[mode])
+}
+
+// refPackedSize is what refPack writes for vals at w bits: a block of
+// len(vals)*w bits, rounded up to whole bytes, and a varint for every
+// value of 2^w-1 or more.
+func refPackedSize(vals []uint64, w uint) int {
+	size := (len(vals)*int(w) + 7) / 8
+	var varint [binary.MaxVarintLen64]byte
+	for _, v := range vals {
+		if v >= 1<<w-1 {
+			size += binary.PutUvarint(varint[:], v)
+		}
+	}
+	return size
+}
+
+// refModeWidths is the bit width each column mode packs at, by mode byte;
+// mode 0 is run-length.
+var refModeWidths = []uint{0, 4, 1, 2, 3, 6, 8, 12, 16}
+
+// refPack appends vals packed at w bits the plain way: min(v, 2^w-1)
+// ORed into zeroed bytes at bit offset i*w, least significant bit first;
+// then, for every value of 2^w-1 or more, its varint.
+func refPack(dst []byte, vals []uint64, w uint) []byte {
+	esc := uint64(1)<<w - 1
+	base := len(dst)
+	dst = append(dst, make([]byte, (len(vals)*int(w)+7)/8+2)...)
+	for i, v := range vals {
+		at := i * int(w)
+		x := min(v, esc) << (at % 8)
+		for k := 0; k < 3; k++ {
+			dst[base+at/8+k] |= byte(x >> (8 * k))
+		}
+	}
+	dst = dst[:len(dst)-2]
+	for _, v := range vals {
+		if v >= esc {
+			dst = binary.AppendUvarint(dst, v)
+		}
+	}
+	return dst
+}
+
+// refColSizer accumulates, run by run, the exact sizes a column would have in
+// its two encodings, without encoding it. ne is the nibble encoding: half
+// a byte per value, plus a varint in the overflow tail for each value >=
+// 15. rle is the run-length encoding, a stream of uvarint tokens t with
+// count t>>1 (>= 1): t&1 == 1 is a run (one uvarint value follows,
+// repeated count times), t&1 == 0 a literal (count uvarint values
+// follow). Runs of rleMinRun or more equal values become run tokens;
+// everything between two such runs is one literal token, whose pending
+// length is lit.
+type refColSizer struct{ ne, rle, lit int }
+
+// run accounts for a maximal run of r values v.
+func (z *refColSizer) run(v uint64, r int) {
+	l := 1
+	if v >= 15 {
+		if v >= 0x80 {
+			l = uvarintLen(v)
+		}
+		z.ne += r * l
+	}
+	if r < rleMinRun {
+		z.lit += r
+		z.rle += r * l
+		return
+	}
+	z.refCloseLiteral()
+	z.rle += uvarintLen(uint64(r)<<1|1) + l
+}
+
+func (z *refColSizer) refCloseLiteral() {
+	if z.lit > 0 {
+		z.rle += uvarintLen(uint64(z.lit) << 1)
+		z.lit = 0
+	}
+}
+
+// refColSizes measures vals for both encodings. Columns of 64 values or more
+// are walked run by run. Shorter ones — a series' share of a batch is a
+// few dozen values, and there are hundreds of such columns in one — are
+// measured without a data-dependent branch per value: one pass folds the
+// column into bit masks (bit i describes vals[i]) and the sizes are
+// population counts, every token header being one byte at that length.
+func refColSizes(vals []uint64) (ne, rle int) {
+	n := len(vals)
+	if n >= 64 {
+		z := refColSizer{ne: (n + 1) / 2}
+		for i := 0; i < n; {
+			v := vals[i]
+			j := i + 1
+			for j < n && vals[j] == v {
+				j++
+			}
+			z.run(v, j-i)
+			i = j
+		}
+		z.refCloseLiteral()
+		return z.ne, z.rle
+	}
+	// eq: equals its successor; esc: escapes its nibble (>= 15).
+	next := vals[n-1]
+	var eq uint64
+	esc, union := b2u(next >= 15), next
+	for i := n - 2; i >= 0; i-- {
+		v := vals[i]
+		eq = eq<<1 | b2u(v == next)
+		esc = esc<<1 | b2u(v >= 15)
+		union |= v
+		next = v
+	}
+	// A value is in a run of rleMinRun (3) or more iff it heads, centres or
+	// ends three equal values; such a run is announced by the member whose
+	// predecessor differs. Every other value is a literal, and a literal
+	// token starts wherever a literal's predecessor is not one.
+	three := eq & (eq >> 1)
+	inRun := three | three<<1 | three<<2
+	runStart := inRun &^ (eq << 1)
+	lit := (1<<n - 1) &^ inRun
+	litStart := lit &^ (lit << 1)
+	ne = (n+1)/2 + bits.OnesCount64(esc)
+	rle = 2*bits.OnesCount64(runStart) + bits.OnesCount64(litStart) + bits.OnesCount64(lit)
+	if union < 0x80 {
+		return ne, rle
+	}
+	// Some varint takes more than the one byte counted so far.
+	for encoded := runStart | lit; esc != 0; esc &= esc - 1 {
+		i := bits.TrailingZeros64(esc)
+		extra := uvarintLen(vals[i]) - 1
+		ne += extra
+		if encoded>>i&1 == 1 {
+			rle += extra
+		}
+	}
+	return ne, rle
+}
+
+// refAppendCol emits one value column: a mode byte, then the cheaper of two
+// encodings. Mode 0 is the varint RLE stream; mode 1 packs each value
+// into a nibble (low nibble first), with values >= 15 escaping as nibble
+// 15 plus a varint in an overflow tail after the packed block. Counter
+// columns are delta-of-delta chains whose values cluster just above
+// zero — too scattered for runs, but almost always under 4 bits — so
+// mode 1 halves them; index and missed columns collapse into runs and
+// keep mode 0.
+//
+// The choice is made from refColSizes' sizes and only the winner is encoded.
+// Mode 1 wins iff it is strictly smaller; a tie goes to mode 0 — the rule
+// the format's first encoder fixed, kept so bytes never change.
+func refAppendCol(dst []byte, vals []uint64) []byte {
+	ne, rle := refColSizes(vals)
+	if ne >= rle {
+		return appendRLE(dst, vals, rle)
+	}
+	return refAppendNibbles(dst, vals, ne)
+}
+
+// refAppendNibbles emits vals as a mode 1 column: the mode byte, then the
+// block refColSizes measured at ne bytes — the packed nibbles and, filled
+// along with them, the overflow tail.
+func refAppendNibbles(dst []byte, vals []uint64, ne int) []byte {
+	packed := len(dst) + 1
+	dst = growBytes(dst, 1+ne)
+	dst[packed-1] = 1
+	tail := packed + (len(vals)+1)/2
+	for i := 0; i < len(vals); i += 2 {
+		lo := vals[i]
+		if lo >= 15 {
+			tail = putUvarint(dst, tail, lo)
+			lo = 15
+		}
+		var hi uint64
+		if i+1 < len(vals) {
+			if hi = vals[i+1]; hi >= 15 {
+				tail = putUvarint(dst, tail, hi)
+				hi = 15
+			}
+		}
+		dst[packed+i>>1] = byte(lo | hi<<4)
 	}
 	return dst
 }
@@ -315,21 +541,21 @@ func (c *refMBW3State) refBuildPayload(b *Batch) {
 		c.col = append(c.col, zig(int64(v-prev)))
 		prev = v
 	}
-	p = c.refColAppend(p, c.col)
+	p = c.refPackedColAppend(p, c.col)
 	c.col = c.col[:0]
 	prev = 0
 	for _, v := range c.tidx {
 		c.col = append(c.col, zig(int64(v-prev)))
 		prev = v
 	}
-	p = c.refColAppend(p, c.col)
-	p = c.refColAppend(p, c.missed[:n])
+	p = c.refPackedColAppend(p, c.col)
+	p = c.refPackedColAppend(p, c.missed[:n])
 	for slot := range c.tkeys {
-		p = c.refColAppend(p, c.vals[c.offs[slot]:c.offs[slot]+c.counts[slot]])
+		p = c.refPackedColAppend(p, c.vals[c.offs[slot]:c.offs[slot]+c.counts[slot]])
 		if bo := c.binoffs[slot]; bo >= 0 {
 			cnt := c.counts[slot]
 			for k := 0; k < asic.NumSizeBins; k++ {
-				p = c.refColAppend(p, c.binvals[bo+k*cnt:bo+(k+1)*cnt])
+				p = c.refPackedColAppend(p, c.binvals[bo+k*cnt:bo+(k+1)*cnt])
 			}
 		}
 	}
@@ -381,7 +607,7 @@ func refMBW3EncodedSize(c *refMBW3State, b *Batch) int {
 	return 4 + uvarintLen(uint64(len(c.payload))) + len(c.payload) + 4
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/mbw3_chain_parent.bin (the persisted-format pin; only ever deliberately)")
+var update = flag.Bool("update", false, "rewrite testdata/mbw3_chain_packed.bin (the persisted-format pin; only ever deliberately)")
 
 // refWriteBatch is the body Writer.WriteBatch had before frames passed
 // through: every batch encoded, on one chain for the whole stream — c's —
@@ -436,12 +662,16 @@ func sameBatches(a, b []*Batch) bool {
 	return slices.EqualFunc(a, b, sameBatch)
 }
 
-// TestParentWrittenChainStaysByteExact pins the persisted shape: the
-// fixture was written by the 57f1ca2 encoder, and the encoder of today
-// must reproduce it byte for byte from the same inputs — MBW3 is what
-// archives on disk hold, so a drifting encoder would fork the format.
+// TestParentWrittenChainStaysByteExact pins the persisted shape on both
+// sides of the packed widths. testdata/mbw3_chain_parent.bin was written
+// by the 57f1ca2 encoder, whose columns were run-length or nibbles, and
+// is never regenerated: it must decode to its inputs. Its successor,
+// testdata/mbw3_chain_packed.bin, was written from the same inputs by the
+// first encoder to pack at every width of packWidths, and today's must
+// reproduce it byte for byte — MBW3 is what archives on disk hold, so a
+// drifting encoder would fork the format.
 func TestParentWrittenChainStaysByteExact(t *testing.T) {
-	const path = "testdata/mbw3_chain_parent.bin"
+	const path = "testdata/mbw3_chain_packed.bin"
 	chain := fixtureChain()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -460,20 +690,29 @@ func TestParentWrittenChainStaysByteExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("encoder output (%d B) differs from the parent-written fixture (%d B)", buf.Len(), len(want))
+		t.Fatalf("encoder output (%d B) differs from the fixture (%d B)", buf.Len(), len(want))
 	}
-	r := NewReader(bytes.NewReader(want))
-	for i, in := range chain {
-		got, err := r.ReadBatch()
-		if err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-		if !sameBatch(in, got) {
-			t.Fatalf("batch %d of the fixture does not decode to its input", i)
-		}
+	parent, err := os.ReadFile("testdata/mbw3_chain_parent.bin")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := r.ReadBatch(); err != io.EOF {
-		t.Fatalf("after the fixture: %v, want EOF", err)
+	if len(want) >= len(parent) {
+		t.Errorf("packed widths take %d B for the fixture chain, the parent's columns %d B", len(want), len(parent))
+	}
+	for _, file := range [][]byte{parent, want} {
+		r := NewReader(bytes.NewReader(file))
+		for i, in := range chain {
+			got, err := r.ReadBatch()
+			if err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+			if !sameBatch(in, got) {
+				t.Fatalf("batch %d of a fixture does not decode to its input", i)
+			}
+		}
+		if _, err := r.ReadBatch(); err != io.EOF {
+			t.Fatalf("after a fixture: %v, want EOF", err)
+		}
 	}
 }
 
@@ -682,8 +921,9 @@ func TestMBW3EncodeMatchesReference(t *testing.T) {
 }
 
 // genColumn draws one value column: noise, runs either side of rleMinRun,
-// and values on the nibble and varint edges, at a length either side of
-// the 64 where colSizes changes method.
+// and values on the escape and varint edges — 2^w-2, 2^w-1 and 2^w for
+// every packed width — at a length either side of the 64 where colSizes
+// changes method.
 func genColumn(rng *rand.Rand) []uint64 {
 	n := 1 + rng.Intn(40)
 	switch rng.Intn(4) {
@@ -692,12 +932,23 @@ func genColumn(rng *rand.Rand) []uint64 {
 	case 1:
 		n = 64 + rng.Intn(200)
 	}
-	edge := []uint64{0, 0, 1, 14, 15, 16, 127, 128, 129, 1<<14 - 1, 1 << 14, 1<<63 + 5}
+	edge := []uint64{0, 0, 1, 127, 128, 129, 1<<14 - 1, 1 << 14, 1<<63 + 5, 1<<64 - 1}
+	for _, w := range refModeWidths[1:] {
+		edge = append(edge, 1<<w-2, 1<<w-1, 1<<w)
+	}
+	// A column mostly of values under 2^w, drawn per column, gives every
+	// width its turn to win.
+	small := uint64(1) << refModeWidths[rng.Intn(len(refModeWidths))]
 	vals := make([]uint64, 0, n)
 	for len(vals) < n {
-		v := edge[rng.Intn(len(edge))]
-		if rng.Intn(6) == 0 {
-			v = rng.Uint64() >> uint(rng.Intn(64))
+		v := uint64(rng.Int63n(int64(small)))
+		switch rng.Intn(4) {
+		case 0:
+			v = edge[rng.Intn(len(edge))]
+		case 1:
+			if rng.Intn(2) == 0 {
+				v = rng.Uint64() >> uint(rng.Intn(64))
+			}
 		}
 		run := 1
 		switch rng.Intn(6) {
@@ -715,46 +966,112 @@ func genColumn(rng *rand.Rand) []uint64 {
 	return vals
 }
 
-// TestColumnsMatchReference holds the column layer alone to the parent's
-// bytes: colSizes predicts what the two reference encodings actually take,
-// and appendCol — and appendRunCol, fed the same column as runs — emit
-// exactly what refColAppend did.
+// runsOf is vals as appendRunCol takes them.
+func runsOf(vals []uint64) []colRun {
+	var col runCol
+	for j := 1; j < len(vals); j++ {
+		if vals[j] != vals[j-1] {
+			col.close(vals[j-1], j)
+		}
+	}
+	col.close(vals[len(vals)-1], len(vals))
+	return col.runs
+}
+
+// TestColumnsMatchReference holds the column layer to the parent's bytes
+// where the parent could have written them: a column for which appendCol
+// chooses run-length or nibbles — the two modes refColAppend chose
+// between, the tie rule keeping its order — comes out exactly as
+// refColAppend wrote it; and appendRunCol, fed any column as runs, emits
+// exactly what appendCol does.
 func TestColumnsMatchReference(t *testing.T) {
 	var ref refMBW3State
 	var scratch []uint64
+	parentModes := 0
 	check := func(seed int64) bool {
 		vals := genColumn(rand.New(rand.NewSource(seed)))
-		want := ref.refColAppend(nil, vals)
-		wantNE := (len(vals) + 1) / 2
-		for _, v := range vals {
-			if v >= 15 {
-				wantNE += uvarintLen(v)
-			}
-		}
-		if ne, rle := colSizes(vals); ne != wantNE || rle != len(refRLEAppend(nil, vals)) {
-			t.Errorf("seed %d (%d values): colSizes = %d, %d; the encodings take %d, %d",
-				seed, len(vals), ne, rle, wantNE, len(refRLEAppend(nil, vals)))
+		got := appendCol([]byte{0xee}, vals)
+		if got[0] != 0xee {
+			t.Errorf("seed %d: appendCol wrote over its destination", seed)
 			return false
 		}
-		if got := appendCol([]byte{0xee}, vals); !bytes.Equal(got[1:], want) || got[0] != 0xee {
-			t.Errorf("seed %d (%d values): appendCol differs from the reference", seed, len(vals))
-			return false
-		}
-		var col runCol
-		for j := 1; j < len(vals); j++ {
-			if vals[j] != vals[j-1] {
-				col.close(vals[j-1], j)
+		if got = got[1:]; got[0] <= 1 {
+			parentModes++
+			if want := ref.refColAppend(nil, vals); !bytes.Equal(got, want) {
+				t.Errorf("seed %d (%d values): appendCol chose mode %d, and differs from the reference", seed, len(vals), got[0])
+				return false
 			}
 		}
-		col.close(vals[len(vals)-1], len(vals))
-		if got := appendRunCol(nil, col.runs, len(vals), &scratch); !bytes.Equal(got, want) {
-			t.Errorf("seed %d (%d values): appendRunCol differs from the reference", seed, len(vals))
+		if run := appendRunCol(nil, runsOf(vals), len(vals), &scratch); !bytes.Equal(run, got) {
+			t.Errorf("seed %d (%d values): appendRunCol differs from appendCol", seed, len(vals))
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
+	}
+	if parentModes == 0 {
+		t.Error("no generated column took one of the parent's modes")
+	}
+}
+
+// TestPackedColumnsNeverLarger is the law of the column chooser, over
+// generated columns: colSizes gives every mode's exact size — the length
+// of what refRLEAppend and refPack write, and refPackedSize says — and
+// appendCol emits the chosen one at that size; the choice is
+// refPackedColAppend's, the brute force with the same tie rule, byte for
+// byte; the column decodes back to
+// its values, consuming exactly its bytes; and it is never longer than
+// refAppendCol, the parent's choice between run-length and nibbles, made
+// it. Every mode must win some column.
+func TestPackedColumnsNeverLarger(t *testing.T) {
+	var ref refMBW3State
+	var won [numModes]int
+	check := func(seed int64) bool {
+		vals := genColumn(rand.New(rand.NewSource(seed)))
+		s := colSizes(vals)
+		for m, w := range refModeWidths {
+			want := len(refRLEAppend(nil, vals))
+			if m > 0 {
+				if want = len(refPack(nil, vals, w)); refPackedSize(vals, w) != want {
+					t.Fatalf("seed %d: refPackedSize gives mode %d %d B, refPack writes %d", seed, m, refPackedSize(vals, w), want)
+				}
+			}
+			if s[m] != want {
+				t.Errorf("seed %d (%d values): colSizes gives mode %d %d B, its encoding takes %d", seed, len(vals), m, s[m], want)
+				return false
+			}
+		}
+		got := appendCol(nil, vals)
+		m := bestMode(&s)
+		won[m]++
+		if int(got[0]) != m || len(got) != 1+s[m] {
+			t.Errorf("seed %d (%d values): appendCol wrote mode %d in %d B, bestMode chose %d at %d B", seed, len(vals), got[0], len(got), m, 1+s[m])
+			return false
+		}
+		if want := ref.refPackedColAppend(nil, vals); !bytes.Equal(got, want) {
+			t.Errorf("seed %d (%d values): appendCol (mode %d, %d B) differs from the brute force (mode %d, %d B)", seed, len(vals), got[0], len(got), want[0], len(want))
+			return false
+		}
+		r := payloadReader{buf: got}
+		if back := colRead(&r, nil, len(vals)); r.err != nil || len(r.buf) != 0 || !slices.Equal(back, vals) {
+			t.Errorf("seed %d (%d values, mode %d): decodes to %d values, %d bytes left, err %v", seed, len(vals), m, len(back), len(r.buf), r.err)
+			return false
+		}
+		if parent := refAppendCol(nil, vals); len(got) > len(parent) {
+			t.Errorf("seed %d (%d values): mode %d takes %d B, the parent's mode %d %d B", seed, len(vals), m, len(got), parent[0], len(parent))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	for m, n := range won {
+		if n == 0 {
+			t.Errorf("no generated column chose mode %d (width %d)", m, refModeWidths[m])
+		}
 	}
 }
 

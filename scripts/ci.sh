@@ -119,7 +119,11 @@ go test -race -count=10 -cpu 1,2 -run 'TestStateCutIsImmutable|TestCutSharingMat
 # repetition draws its groups and fleets from the next seed.
 # The wire writer that passes received frames through is held to
 # refWriteBatch, the always-encode body it replaced, over generated
-# multi-rack schedules, and the shard's resume to refResume, its
+# multi-rack schedules; the MBW3 encoder to refMBW3Encode frame by frame
+# over generated chains, its columns to the parent's bytes wherever the
+# parent's modes win, and its packed-width chooser to a brute force that
+# sizes every mode, never emitting a column longer than the parent's
+# choice. The shard's resume is held to refResume, its
 # sequential body, over generated crashes. The one figures renderer is
 # held to refRender — restore the cut into a fresh tap, render the tap —
 # over generated cuts, and a tap whose cuts consumers append to, to
@@ -128,7 +132,7 @@ go test -race -count=10 -cpu 1,2 -run 'TestStateCutIsImmutable|TestCutSharingMat
 go test -count=20 -run 'MatchesReference|QuickSortedFiring|AllocatesNothing' \
 	./internal/asic ./internal/eventq ./internal/simnet ./internal/collector
 go test -count=20 -run 'TestGroupedCellsMatchReference|TestRunFleetMatchesReference' ./internal/core
-go test -count=20 -run TestPassThroughMatchesReference ./internal/wire
+go test -count=20 -run 'TestPassThroughMatchesReference|TestMBW3EncodeMatchesReference|TestColumnsMatchReference|TestPackedColumnsNeverLarger' ./internal/wire
 
 # Chaos soak: generated fault schedules against the collection pipeline,
 # asserting byte-exact recovery against ASIC ground truth, zero-fault
