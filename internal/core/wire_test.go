@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"runtime"
 	"testing"
 
@@ -54,8 +55,8 @@ func recordFullCounterWindows(t *testing.T) [][]wire.Sample {
 // streamReference streams the reference workload through one
 // client-style connection — DefaultBatchSize samples per batch, one
 // encoder for the whole stream, exactly like collector.Client — and
-// returns its size as MBW3 and as the nominal MBW2 row framing.
-func streamReference(t *testing.T) (mbw3, rows int) {
+// returns the MBW3 stream and its size as the nominal MBW2 row framing.
+func streamReference(t *testing.T) (mbw3 []byte, rows int) {
 	t.Helper()
 	var stream bytes.Buffer
 	w := wire.NewWriter(&stream)
@@ -68,7 +69,7 @@ func streamReference(t *testing.T) (mbw3, rows int) {
 			}
 		}
 	}
-	return stream.Len(), rows
+	return stream.Bytes(), rows
 }
 
 // TestMBW3FourTimesSmallerThanRows holds MBW3 to at least 4x fewer bytes
@@ -77,7 +78,8 @@ func streamReference(t *testing.T) (mbw3, rows int) {
 // any more; its sum depends only on the samples, so on amd64 (see
 // wantPinned) it is pinned too.
 func TestMBW3FourTimesSmallerThanRows(t *testing.T) {
-	mbw3, rows := streamReference(t)
+	stream, rows := streamReference(t)
+	mbw3 := len(stream)
 	ratio := float64(rows) / float64(mbw3)
 	t.Logf("bytes on wire: mbw2 rows %d B, mbw3 %d B (%.2fx)", rows, mbw3, ratio)
 	if ratio < 4 {
@@ -97,11 +99,83 @@ const parentMBW3Bytes = 102_652
 // column widths: on amd64 the reference stream takes at most 0.85x the
 // bytes it took as run-length and nibble columns (85,269 B, 0.831x, when
 // the widths came in; no choice of widths from 1 to 20 gets the escape
-// layout below 0.82x on this stream).
+// layout below 0.82x on this stream; 73,841 B, 0.719x, since the series
+// slot and time index columns are predicted and mode bytes paired).
 func TestPackedWidthsShrinkReferenceStream(t *testing.T) {
-	mbw3, _ := streamReference(t)
+	stream, _ := streamReference(t)
+	mbw3 := len(stream)
 	t.Logf("reference stream: %d B of mbw3, %.3fx the %d B of run-length and nibble columns", mbw3, float64(mbw3)/parentMBW3Bytes, parentMBW3Bytes)
 	if runtime.GOARCH == pinnedArch && mbw3*100 > parentMBW3Bytes*85 {
 		t.Errorf("the reference stream takes %d B of mbw3, want at most 0.85 x %d B", mbw3, parentMBW3Bytes)
 	}
+}
+
+// predictedColumnBytes is what the reference stream's series-slot and
+// time-index columns took, mode bytes included, when they came to be
+// predicted: 254 B, where the same frames' delta columns took 10,800 B.
+const predictedColumnBytes = 254
+
+// TestPredictedColumnsShrinkReferenceStream is the count gate on the
+// predicted per-sample columns: on amd64 the reference stream's
+// series-slot and time-index columns take at most predictedColumnBytes.
+func TestPredictedColumnsShrinkReferenceStream(t *testing.T) {
+	stream, _ := streamReference(t)
+	cols := sampleColumnBytes(t, stream)
+	t.Logf("reference stream: %d B of series-slot and time-index columns in %d B of mbw3", cols, len(stream))
+	if runtime.GOARCH == pinnedArch && cols > predictedColumnBytes {
+		t.Errorf("the reference stream's series-slot and time-index columns take %d B, want at most %d", cols, predictedColumnBytes)
+	}
+}
+
+// sampleColumnBytes walks the MBW3 frames of stream and sums the bytes
+// of each payload's first two columns, the series slot and the time
+// index: the header, time list and series table skipped, then one mode
+// byte that must pair two run-length columns (modes 0 or 9), then their
+// tokens, until each has its sample count.
+func sampleColumnBytes(t *testing.T, stream []byte) int {
+	t.Helper()
+	total := 0
+	for len(stream) > 0 {
+		n, k := binary.Uvarint(stream[4:])
+		p := stream[4+k : 4+k+int(n)]
+		stream = stream[4+k+int(n)+4:]
+		uvarint := func() uint64 {
+			v, k := binary.Uvarint(p)
+			p = p[k:]
+			return v
+		}
+		uvarint() // rack
+		uvarint() // epoch
+		count := uvarint()
+		if count == 0 {
+			continue
+		}
+		for i := uvarint(); i > 0; i-- { // times
+			uvarint()
+		}
+		for i := uvarint(); i > 0; i-- { // series table: port, then dir|kind
+			uvarint()
+			p = p[1:]
+		}
+		start := len(p)
+		if m := p[0]; m&15 != 0 && m&15 != 9 || m>>4 != 1 && m>>4 != 10 {
+			t.Fatalf("mode byte %#x does not pair two run-length columns", m)
+		}
+		p = p[1:]
+		for col := 0; col < 2; col++ {
+			for got := uint64(0); got < count; {
+				tok := uvarint()
+				vals := tok >> 1 // a literal's values follow it
+				if tok&1 == 1 {
+					vals = 1 // a run's one value
+				}
+				for ; vals > 0; vals-- {
+					uvarint()
+				}
+				got += tok >> 1
+			}
+		}
+		total += start - len(p)
+	}
+	return total
 }

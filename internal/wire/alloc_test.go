@@ -172,11 +172,13 @@ func fullCounterBatch(rack uint32, n int) *Batch {
 }
 
 // freshPairAllocs bounds what a fresh Writer and Reader allocate to carry
-// one full-counter batch once lent scratch is warm: 21 on go1.24, 25
+// one full-counter batch once lent scratch is warm: 20 on go1.24, 25
 // under the race detector, whose slices grow in smaller steps — the two
 // structs, each side's chain (struct, series table, index map), the
-// writer's rack map and frame buffer, the reader's frame buffer (made
-// once, at the first frame's length), batch, samples and touched list.
+// writer's rack map and frame buffer (grown once, to the frame: 21 when
+// its trailing checksum could take a second growth), the reader's frame
+// buffer (made once, at the first frame's length), batch, samples and
+// touched list.
 // The per-batch scratch (arenas, columns, payload) is lent, not
 // allocated; when each stream owned its own, the same pair allocated 104
 // times.

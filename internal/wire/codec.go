@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Format identifies a wire format version. Only FormatMBW3 is written;
@@ -56,10 +57,11 @@ func ParseFormat(s string) (Format, error) {
 }
 
 // appendFrame wraps payload in the batch framing: magic, length, payload,
-// CRC.
+// CRC, growing dst once.
 func appendFrame(dst []byte, magic uint32, payload []byte) []byte {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], magic)
+	dst = slices.Grow(dst, 4+binary.MaxVarintLen64+len(payload)+4)
 	dst = append(dst, hdr[:]...)
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
 	dst = append(dst, payload...)

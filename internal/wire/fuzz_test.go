@@ -119,11 +119,16 @@ func FuzzReadBatch(f *testing.F) {
 	corrupted := append([]byte(nil), valid...)
 	corrupted[len(corrupted)/2] ^= 0xff
 	f.Add(corrupted)
-	// A series table that lists a series twice, and a column packed in
-	// each mode, framed.
+	// A series table that lists a series twice, a column packed in each
+	// mode, and predicted columns with paired modes, valid and broken,
+	// framed.
 	f.Add(appendFrame(nil, Magic3, dupSeriesPayload))
 	for m := 1; m < numModes; m++ {
 		p, _ := packedPayload(m, widthEdges(m))
+		f.Add(appendFrame(nil, Magic3, p))
+	}
+	f.Add(appendFrame(nil, Magic3, predictedPayload))
+	for _, p := range sortedMutants() {
 		f.Add(appendFrame(nil, Magic3, p))
 	}
 
@@ -298,10 +303,15 @@ func FuzzMBW3Chain(f *testing.F) {
 		}
 	}
 	// In place of the first frame: a series table that lists a series
-	// twice, and a column packed in each mode.
+	// twice, a column packed in each mode, and predicted columns with
+	// paired modes, valid and broken.
 	f.Add(uint8(0), uint8(1), dupSeriesPayload)
 	for m := 1; m < numModes; m++ {
 		p, _ := packedPayload(m, widthEdges(m))
+		f.Add(uint8(0), uint8(1), p)
+	}
+	f.Add(uint8(0), uint8(1), predictedPayload)
+	for _, p := range sortedMutants() {
 		f.Add(uint8(0), uint8(1), p)
 	}
 

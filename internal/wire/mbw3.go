@@ -55,6 +55,29 @@ var packWidths = [...]uint{4, 1, 2, 3, 6, 8, 12, 16}
 
 const numModes = 1 + len(packWidths)
 
+// modePredicted is the mode of a per-sample column — the series slot's or
+// the time index's, no other — written as run-length residuals against
+// what the payload so far predicts (see predictors).
+const modePredicted = numModes
+
+// pairing says where the next column's mode m goes: at i > 0, into the
+// high nibble of payload byte i-1, the column before's mode byte, as m+1;
+// at 0, into a byte of its own, which the column after may share. A byte
+// that pairs nothing keeps a zero high nibble, as the format's earlier
+// encoders wrote every one.
+type pairing int
+
+// put writes column mode m.
+func (pr *pairing) put(dst []byte, m int) []byte {
+	if i := int(*pr); i > 0 {
+		dst[i-1] |= byte(m+1) << 4
+		*pr = 0
+		return dst
+	}
+	*pr = pairing(len(dst) + 1)
+	return append(dst, byte(m))
+}
+
 // A packed column stores v inline iff v < 2^w-1. escInc[v] has a one in
 // byte m-1 for each mode m that escapes v < 128, and packedLanes[n] there
 // mode m's packed size of n < 64 values: summed over a short column,
@@ -222,13 +245,13 @@ func bestMode(s *[numModes]int) int {
 	return m
 }
 
-// appendRLE emits vals as a mode 0 column: the mode byte, then the token
-// stream colSizes measured. size is its mode 0 size, so the destination
-// is grown once and written in place.
-func appendRLE(dst []byte, vals []uint64, size int) []byte {
-	at := len(dst) + 1
-	dst = growBytes(dst, 1+size)
-	dst[at-1] = 0
+// appendRLE emits vals as a mode 0 column: the mode, then the token stream
+// colSizes measured. size is its mode 0 size, so the destination is grown
+// once and written in place.
+func appendRLE(dst []byte, vals []uint64, size int, pr *pairing) []byte {
+	dst = pr.put(dst, 0)
+	at := len(dst)
+	dst = growBytes(dst, size)
 	for i := 0; i < len(vals); {
 		j := i + 1
 		for j < len(vals) && vals[j] == vals[i] {
@@ -288,37 +311,38 @@ func rleRead(r *payloadReader, dst []uint64, want int) []uint64 {
 	return dst
 }
 
-// appendCol emits one value column: a mode byte, then the smallest of the
-// column's encodings. Mode 0 is the varint RLE stream; every other mode
-// packs each value at one width of packWidths (see appendPacked). Counter
-// columns are delta-of-delta chains whose values cluster just above zero
-// — too scattered for runs, but almost always a few bits wide — so they
-// pack; index and missed columns collapse into runs and keep mode 0.
+// appendCol emits one value column: its mode (see pairing), then the
+// smallest of the column's encodings. Mode 0 is the varint RLE stream;
+// every other mode packs each value at one width of packWidths (see
+// appendPacked). Counter columns are delta-of-delta chains whose values
+// cluster just above zero — too scattered for runs, but almost always a
+// few bits wide — so they pack; index and missed columns collapse into
+// runs and keep mode 0.
 //
 // The choice is made from colSizes' sizes (bestMode says how ties break)
 // and only the winner is encoded.
-func appendCol(dst []byte, vals []uint64) []byte {
+func appendCol(dst []byte, vals []uint64, pr *pairing) []byte {
 	s := colSizes(vals)
 	if m := bestMode(&s); m > 0 {
-		return appendPacked(dst, vals, m, s[m])
+		return appendPacked(dst, vals, m, s[m], pr)
 	}
-	return appendRLE(dst, vals, s[0])
+	return appendRLE(dst, vals, s[0], pr)
 }
 
-// appendPacked emits vals as a column of packed mode m: the mode byte,
-// then the block colSizes measured at size bytes — each value in w bits,
+// appendPacked emits vals as a column of packed mode m: the mode, then the
+// block colSizes measured at size bytes — each value in w bits,
 // least significant bit first, the last byte's spare bits zero — and the
 // overflow tail: a value of 2^w-1 or more is packed as 2^w-1 and follows
 // there as a varint, in column order.
-func appendPacked(dst []byte, vals []uint64, m, size int) []byte {
+func appendPacked(dst []byte, vals []uint64, m, size int, pr *pairing) []byte {
 	w := packWidths[m-1]
 	esc := uint64(1)<<w - 1
-	at := len(dst) + 1
+	dst = pr.put(dst, m)
+	at := len(dst)
 	tail := at + packedLen(len(vals), w)
 	// A word takes 57/w values (7 bits may be held over) and is stored whole
 	// from its first byte not yet filled, up to 7 bytes into the tail.
-	buf := growBytes(dst, 1+size+7)
-	buf[at-1] = byte(m)
+	buf := growBytes(dst, size+7)
 	var acc uint64
 	var held uint
 	for i, per := 0, int(57/w); i < len(vals); i += per {
@@ -346,10 +370,10 @@ type colRun struct {
 	n int
 }
 
-// runCol builds one of the three per-sample columns (series slot, time
-// index, missed) as runs: they hold one value for whole polls, so the
-// encoder tracks the open run while it walks the samples, and sizes and
-// emits the column run by run, never value by value.
+// runCol builds one of the per-sample columns (series slot, time index,
+// missed, or a predicted one) as runs: they hold one value for whole
+// polls, so the encoder tracks the open run while it walks the samples,
+// and sizes and emits the column run by run, never value by value.
 type runCol struct {
 	runs []colRun
 	at   int // first sample of the open run
@@ -367,33 +391,47 @@ func (r *runCol) close(v uint64, j int) {
 	r.at = j
 }
 
-// appendRunCol is appendCol for a column of n values held as runs: same
-// sizes, same choice, same bytes. scratch expands the runs on the rare
-// occasion that a packed mode wins.
-func appendRunCol(dst []byte, runs []colRun, n int, scratch *[]uint64) []byte {
-	var z colSizer
+// runs measures the column runs hold.
+func (z *colSizer) runs(runs []colRun) {
 	for _, r := range runs {
 		z.run(r.v, r.n)
 	}
 	z.closeLiteral()
-	// Run-length wins, tie included, if no longer than the narrowest
-	// block: a packed mode is a block and its tail.
-	if z.rle > packedLen(n, 1) {
+}
+
+// appendRunCol is appendCol for a column of n values held as runs: same
+// sizes, same choice, same bytes — unless pred, the column's residuals
+// against the batch's prediction, is strictly shorter as run-length; then
+// pred, in modePredicted. Run-length wins, tie included, if no longer
+// than the narrowest block: a packed mode is a block and its tail.
+func appendRunCol(dst []byte, runs, pred []colRun, n int, scratch *[]uint64, pr *pairing) []byte {
+	var z colSizer
+	z.runs(runs)
+	m, size := 0, z.rle
+	if size > packedLen(n, 1) {
 		s := z.sizes(n)
-		if m := bestMode(&s); m > 0 {
-			vals := (*scratch)[:0]
-			for _, r := range runs {
-				for k := 0; k < r.n; k++ {
-					vals = append(vals, r.v)
-				}
-			}
-			*scratch = vals
-			return appendPacked(dst, vals, m, s[m])
+		m = bestMode(&s)
+		size = s[m]
+	}
+	if pred != nil {
+		var zp colSizer
+		if zp.runs(pred); zp.rle < size {
+			runs, m, size = pred, modePredicted, zp.rle
 		}
 	}
-	at := len(dst) + 1
-	dst = growBytes(dst, 1+z.rle)
-	dst[at-1] = 0
+	if m > 0 && m < modePredicted { // scratch expands the runs: this is rare
+		vals := (*scratch)[:0]
+		for _, r := range runs {
+			for k := 0; k < r.n; k++ {
+				vals = append(vals, r.v)
+			}
+		}
+		*scratch = vals
+		return appendPacked(dst, vals, m, size, pr)
+	}
+	dst = pr.put(dst, m)
+	at := len(dst)
+	dst = growBytes(dst, size)
 	for i := 0; i < len(runs); {
 		if runs[i].n >= rleMinRun {
 			at = putUvarint(dst, at, uint64(runs[i].n)<<1|1)
@@ -415,12 +453,17 @@ func appendRunCol(dst []byte, runs []colRun, n int, scratch *[]uint64) []byte {
 	return dst
 }
 
-// colRead decodes one appendCol column of exactly want values.
-func colRead(r *payloadReader, dst []uint64, want int) []uint64 {
-	mode := int(r.byte())
+// colRead decodes one appendCol column of exactly want values. Only a
+// column that can be predicted passes predicted, which says if it was: its
+// values are then residuals, to which the caller adds the prediction.
+func colRead(r *payloadReader, dst []uint64, want int, predicted *bool) []uint64 {
+	mode := r.mode()
 	switch {
 	case r.err != nil:
 		return dst
+	case mode == modePredicted && predicted != nil:
+		*predicted = true
+		return rleRead(r, dst, want)
 	case mode == 0:
 		return rleRead(r, dst, want)
 	case mode > len(packWidths):
@@ -669,8 +712,12 @@ func (ch *mbw3Chain) follow(src *mbw3Chain, touched []int, fresh bool) {
 //	                         size-bin series append NumSizeBins bin
 //	                         columns encoded the same way
 //
-// Every column is a mode byte and the column in that mode (appendCol):
-// run-length, or packed at one of packWidths' widths.
+// Every column is a mode (a byte, or the high nibble of the column
+// before's: pairing) and the column in that mode (appendCol): run-length,
+// or packed at one of packWidths' widths. seriesCol and timeIdxCol may
+// instead be run-length zigzag residuals against what the payload so far
+// predicts (modePredicted, predictors); the first sample steps from time
+// index -1.
 //
 // Delta chains make the codec stateful: the first batch of a stream (or
 // the first after an epoch change) carries absolutes as deltas from zero,
@@ -719,13 +766,19 @@ type mbw3Codec struct {
 	fresh   bool
 
 	// Encoder-only scratch: the batch's series table as states entries in
-	// slot order, and the per-sample columns as runs.
+	// slot order, and the per-sample columns as runs — the slot and time
+	// index both as deltas and as predicted residuals.
 	slots     []int32
 	sidCol    runCol
+	sidPred   runCol
 	tidxCol   runCol
+	tidxPred  runCol
 	missedCol runCol
 	valsTop   int
 	binTop    int
+
+	// The predictions (see predictors), both ways.
+	preds []slotPred
 
 	// Pending time-chain state and tail, applied by commit.
 	pendFresh     bool
@@ -950,15 +1003,16 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 	}
 
 	// One pass over the samples groups them into the batch series table
-	// and the deduplicated time list, builds the three per-sample columns
-	// as runs, and appends every value's second difference to its series'
-	// column. A poll visits its series in a fixed cycle, so the series that
-	// followed the previous sample's last time is almost always this
-	// sample's: that successor hint is tried first and checked against the
-	// entry's key — exactly what idx would answer — and idx is only
-	// consulted on a miss. New series enter the stream map immediately
-	// with zero state, which is indistinguishable from absent — so this
-	// pass is safe even when the batch is never committed.
+	// and the deduplicated time list, builds the missed column as runs,
+	// notes each sample's slot and time step for sampleCols, and appends
+	// every value's second difference to its series' column. A poll
+	// visits its series in a fixed cycle, so the series that followed the
+	// previous sample's last time is almost always this sample's: that
+	// successor hint is tried first and checked against the entry's key —
+	// exactly what idx would answer — and idx is only consulted on a miss.
+	// New series enter the stream map immediately with zero state, which
+	// is indistinguishable from absent — so this pass is safe even when
+	// the batch is never committed.
 	//
 	// The loop keeps in locals only what every sample touches; whatever
 	// changes once a poll or less lives in c and behind calls, so the
@@ -968,18 +1022,19 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 	c.valsTop, c.binTop = 0, 0
 	c.times = c.times[:0]
 	c.sidCol.reset()
+	c.sidPred.reset()
 	c.tidxCol.reset()
+	c.tidxPred.reset()
 	c.missedCol.reset()
+	c.sids = growInt(c.sids, n)
+	sids := c.sids
 	states := ch.states
 	prev, hint := ch.tail, 0
 	if prev < len(states) {
 		hint = int(states[prev].next)
 	}
-	// The open run of each per-sample column. The first sample opens slot
-	// 0 and time 0, so both delta chains start at 0.
-	var sidV, tidxV uint64
+	// The first sample opens slot 0 and time 0.
 	missedV := uint64(b.Samples[0].Missed)
-	var prevSlot int32
 	lastT := b.Samples[0].Time.Nanoseconds() - 1
 	for j := range b.Samples {
 		s := &b.Samples[j]
@@ -1000,23 +1055,13 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 		}
 		st.count = i + 1
 
-		if sv := zig(int64(st.slot - prevSlot)); sv != sidV {
-			c.sidCol.close(sidV, j)
-			sidV = sv
-		}
-		prevSlot = st.slot
-		var tv uint64
+		step := 0
 		if t := s.Time.Nanoseconds(); t != lastT {
-			if j > 0 {
-				tv = 2 // zig(+1)
-			}
+			step = 1
 			c.times = append(c.times, t)
 			lastT = t
 		}
-		if tv != tidxV {
-			c.tidxCol.close(tidxV, j)
-			tidxV = tv
-		}
+		sids[j] = int(st.slot)<<1 | step
 		if m := uint64(s.Missed); m != missedV {
 			c.missedCol.close(missedV, j)
 			missedV = m
@@ -1035,9 +1080,8 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 			}
 		}
 	}
-	c.sidCol.close(sidV, n)
-	c.tidxCol.close(tidxV, n)
 	c.missedCol.close(missedV, n)
+	c.sampleCols(sids[:n])
 	c.pendTail = prev
 
 	// Emit: times, series table, then the columns.
@@ -1054,19 +1098,77 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 		p = binary.AppendUvarint(p, uint64(states[si].key.port))
 		p = append(p, states[si].key.dk)
 	}
-	p = appendRunCol(p, c.sidCol.runs, n, &c.col)
-	p = appendRunCol(p, c.tidxCol.runs, n, &c.col)
-	p = appendRunCol(p, c.missedCol.runs, n, &c.col)
+	var pr pairing
+	p = appendRunCol(p, c.sidCol.runs, c.sidPred.runs, n, &c.col, &pr)
+	p = appendRunCol(p, c.tidxCol.runs, c.tidxPred.runs, n, &c.col, &pr)
+	p = appendRunCol(p, c.missedCol.runs, nil, n, &c.col, &pr)
 	for _, si := range c.slots {
 		st := &states[si]
-		p = appendCol(p, c.vals[st.off:][:st.count])
+		p = appendCol(p, c.vals[st.off:][:st.count], &pr)
 		if st.binoff >= 0 {
 			for k := 0; k < asic.NumSizeBins; k++ {
-				p = appendCol(p, c.binvals[st.binoff+k*int(st.cap):][:st.count])
+				p = appendCol(p, c.binvals[st.binoff+k*int(st.cap):][:st.count], &pr)
 			}
 		}
 	}
 	c.payload = p
+}
+
+// slotPred is what a payload so far predicts of a slot: the slot to
+// follow it — (s+1) mod nSeries until the payload shows one — and the
+// time step of its next sample, a new time (1) for slot 0 and none for
+// the others until the payload shows one.
+type slotPred struct{ next, step int32 }
+
+// predictors resets the predictions for a payload of nSeries series: one
+// per slot and, last, the one before the first sample, whose next is
+// slot 0.
+func (c *mbw3Codec) predictors(nSeries int) []slotPred {
+	c.preds = slices.Grow(c.preds[:0], nSeries+1)[:nSeries+1]
+	for s := range c.preds {
+		c.preds[s] = slotPred{next: int32(s + 1)}
+	}
+	c.preds[0].step, c.preds[nSeries-1].next, c.preds[nSeries].next = 1, 0, 0
+	return c.preds
+}
+
+// sampleCols builds the series-slot and time-index columns as runs, both
+// as deltas and as residuals against their predictions, from each
+// sample's slot<<1 | step. The first sample opens slot 0 and time 0: as
+// deltas, both chains start at zero, and as predicted, slot 0 stepping
+// from time index -1 is what was predicted, so all four open runs hold
+// zero.
+func (c *mbw3Codec) sampleCols(samples []int) {
+	preds := c.predictors(len(c.slots))
+	prev, last := &preds[0], 0
+	var sidV, tidxV, sidP, tidxP int64
+	for j := 1; j < len(samples); j++ {
+		slot, step := samples[j]>>1, int32(samples[j]&1)
+		if d := int64(slot - last); d != sidV {
+			c.sidCol.close(zig(sidV), j)
+			sidV = d
+		}
+		last = slot
+		if d := int64(step); d != tidxV {
+			c.tidxCol.close(zig(tidxV), j)
+			tidxV = d
+		}
+		if d := int64(slot) - int64(prev.next); d != sidP {
+			c.sidPred.close(zig(sidP), j)
+			sidP = d
+		}
+		prev.next = int32(slot)
+		prev = &preds[slot]
+		if d := int64(step - prev.step); d != tidxP {
+			c.tidxPred.close(zig(tidxP), j)
+			tidxP = d
+		}
+		prev.step = step
+	}
+	c.sidCol.close(zig(sidV), len(samples))
+	c.tidxCol.close(zig(tidxV), len(samples))
+	c.sidPred.close(zig(sidP), len(samples))
+	c.tidxPred.close(zig(tidxP), len(samples))
 }
 
 // commit advances the stream state to reflect the batch buildPayload just
@@ -1217,9 +1319,10 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) (err e
 	// field of every row but the values, in one pass. A reused b.Samples
 	// still holds the previous batch, so Bins is cleared for series that
 	// carry none.
-	c.col = colRead(&r, c.col[:0], n)
-	c.tidx = colRead(&r, c.tidx[:0], n)
-	c.missed = colRead(&r, c.missed[:0], n)
+	var predSlot, predTime bool
+	c.col = colRead(&r, c.col[:0], n, &predSlot)
+	c.tidx = colRead(&r, c.tidx[:0], n, &predTime)
+	c.missed = colRead(&r, c.missed[:0], n, nil)
 	if r.err != nil {
 		return fmt.Errorf("%w: sample columns", ErrCorrupt)
 	}
@@ -1229,18 +1332,39 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) (err e
 	c.counts = growInt(c.counts, int(nSeries))
 	clear(c.counts)
 	sids, tidx, missed := c.sids[:n], c.tidx[:n], c.missed[:n]
+	// A predicted column holds residuals: the slot is its prediction plus
+	// the residual, and so is the time step. A delta column adds to the
+	// previous value instead.
+	preds := c.predictors(int(nSeries))
+	prev := &preds[nSeries]
 	var slot, ti int64
+	if predTime {
+		ti = -1
+	}
 	for j, v := range c.col[:n] {
+		if predSlot {
+			slot = int64(prev.next)
+		}
 		slot += unzig(v)
-		ti += unzig(tidx[j])
-		switch {
-		case slot < 0 || slot >= int64(nSeries):
+		if slot < 0 || slot >= int64(nSeries) {
 			return fmt.Errorf("%w: series index %d", ErrCorrupt, slot)
+		}
+		step := unzig(tidx[j])
+		if predTime {
+			step += int64(preds[slot].step)
+		}
+		ti += step
+		switch {
 		case ti < 0 || ti >= int64(nTimes):
 			return fmt.Errorf("%w: time index %d", ErrCorrupt, ti)
 		case missed[j] > 1<<32-1:
 			return fmt.Errorf("%w: missed count %d", ErrCorrupt, missed[j])
 		}
+		// step spans two time indexes in range, so it fits. For a delta
+		// column these predictions go unread.
+		prev.next = int32(slot)
+		prev = &preds[slot]
+		prev.step = int32(step)
 		sids[j] = int(slot)
 		c.counts[slot]++
 		k, s := c.tkeys[slot], &rows[j]
@@ -1281,7 +1405,7 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) (err e
 			*st = ch.states[si].seriesState
 		}
 		pos := c.pos[c.offs[slot]:][:c.counts[slot]]
-		c.col = colRead(&r, c.col[:0], len(pos))
+		c.col = colRead(&r, c.col[:0], len(pos), nil)
 		v, d := st.value, st.valueD
 		for i, z := range c.col {
 			d += unzig(z)
@@ -1290,7 +1414,7 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) (err e
 		}
 		st.value, st.valueD = v, d
 		for k := 0; k < asic.NumSizeBins && isSizeBins(c.tkeys[slot].dk); k++ {
-			c.col = colRead(&r, c.col[:0], len(pos))
+			c.col = colRead(&r, c.col[:0], len(pos), nil)
 			v, d := st.bins[k], st.binsD[k]
 			for i, z := range c.col {
 				d += unzig(z)
@@ -1302,6 +1426,9 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) (err e
 	}
 	if r.err != nil {
 		return fmt.Errorf("%w: value columns", ErrCorrupt)
+	}
+	if r.paired != 0 {
+		return fmt.Errorf("%w: a mode paired past the last column", ErrCorrupt)
 	}
 	if len(r.buf) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(r.buf))

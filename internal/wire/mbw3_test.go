@@ -388,15 +388,16 @@ func packedPayload(m int, vals []uint64) (payload []byte, col int) {
 	for i := 1; i < n; i++ {
 		tidx[i] = zig(1)
 	}
-	p = appendCol(p, make([]uint64, n))
-	p = appendCol(p, tidx)
-	p = appendCol(p, make([]uint64, n))
+	p = appendCol(p, make([]uint64, n), new(pairing))
+	p = appendCol(p, tidx, new(pairing))
+	p = appendCol(p, make([]uint64, n), new(pairing))
 	s := colSizes(vals)
-	return appendPacked(p, vals, m, s[m]), len(p)
+	return appendPacked(p, vals, m, s[m], new(pairing)), len(p)
 }
 
 // malformedPayloads are targeted corruptions: of valid, of hand-made
-// payloads and of packed columns. Every one must fail with ErrCorrupt.
+// payloads, of packed columns and of predicted columns and paired modes
+// (predictedMutants). Every one must fail with ErrCorrupt.
 func malformedPayloads(valid []byte) map[string][]byte {
 	edit := func(p []byte, at int, f func(byte) byte) []byte {
 		p = append([]byte(nil), p...)
@@ -407,7 +408,7 @@ func malformedPayloads(valid []byte) map[string][]byte {
 	w3, w3col := packedPayload(width3, widthEdges(width3))
 	nib, nibcol := packedPayload(nibbles, widthEdges(nibbles))
 	nibTail := nibcol + 1 + packedLen(21, 4)
-	return map[string][]byte{
+	bad := map[string][]byte{
 		"trailing bytes": append(append([]byte(nil), valid...), 0),
 		"truncated":      valid[:len(valid)-3],
 		"empty":          nil,
@@ -425,6 +426,8 @@ func malformedPayloads(valid []byte) map[string][]byte {
 		"packed block cut short":   nib[:nibTail-1],
 		"escape missing from tail": nib[:nibTail],
 	}
+	maps.Copy(bad, predictedMutants())
+	return bad
 }
 
 // TestMBW3DecodeRejectsMalformed drives DecodePayload with targeted

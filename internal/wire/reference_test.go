@@ -80,6 +80,11 @@ type refMBW3State struct {
 	pendFresh     bool
 	pendLastTime  int64
 	pendLastDelta int64
+
+	// parentLayout writes every column in the parent's layout — its own
+	// mode byte, the per-sample columns as deltas — as the encoder before
+	// predicted columns and paired modes did.
+	parentLayout bool
 }
 
 func newRefMBW3State() *refMBW3State {
@@ -368,7 +373,7 @@ func refColSizes(vals []uint64) (ne, rle int) {
 func refAppendCol(dst []byte, vals []uint64) []byte {
 	ne, rle := refColSizes(vals)
 	if ne >= rle {
-		return appendRLE(dst, vals, rle)
+		return appendRLE(dst, vals, rle, new(pairing))
 	}
 	return refAppendNibbles(dst, vals, ne)
 }
@@ -535,31 +540,108 @@ func (c *refMBW3State) refBuildPayload(b *Batch) {
 		p = binary.AppendUvarint(p, uint64(k.port))
 		p = append(p, k.dk)
 	}
+	// Every column as its mode byte and body; the mode bytes pair last.
+	var cols [][]byte
 	c.col = c.col[:0]
 	prev := 0
 	for _, v := range c.sids {
 		c.col = append(c.col, zig(int64(v-prev)))
 		prev = v
 	}
-	p = c.refPackedColAppend(p, c.col)
+	cols = append(cols, c.refSampleCol(c.col, refSlotResiduals(c.sids[:n], nSeries)))
 	c.col = c.col[:0]
 	prev = 0
 	for _, v := range c.tidx {
 		c.col = append(c.col, zig(int64(v-prev)))
 		prev = v
 	}
-	p = c.refPackedColAppend(p, c.col)
-	p = c.refPackedColAppend(p, c.missed[:n])
+	cols = append(cols, c.refSampleCol(c.col, refTimeResiduals(c.sids[:n], c.tidx[:n])))
+	cols = append(cols, c.refPackedColAppend(nil, c.missed[:n]))
 	for slot := range c.tkeys {
-		p = c.refPackedColAppend(p, c.vals[c.offs[slot]:c.offs[slot]+c.counts[slot]])
+		cols = append(cols, c.refPackedColAppend(nil, c.vals[c.offs[slot]:c.offs[slot]+c.counts[slot]]))
 		if bo := c.binoffs[slot]; bo >= 0 {
 			cnt := c.counts[slot]
 			for k := 0; k < asic.NumSizeBins; k++ {
-				p = c.refPackedColAppend(p, c.binvals[bo+k*cnt:bo+(k+1)*cnt])
+				cols = append(cols, c.refPackedColAppend(nil, c.binvals[bo+k*cnt:bo+(k+1)*cnt]))
 			}
 		}
 	}
+	for i := 0; i < len(cols); i++ {
+		if c.parentLayout || i+1 == len(cols) {
+			p = append(p, cols[i]...)
+			continue
+		}
+		// Column i+1's mode rides in the high nibble of column i's byte.
+		p = append(p, cols[i][0]|(cols[i+1][0]+1)<<4)
+		p = append(p, cols[i][1:]...)
+		p = append(p, cols[i+1][1:]...)
+		i++
+	}
 	c.payload = p
+}
+
+// refSampleCol is a per-sample column, its mode byte first: delta — the
+// column as the parent wrote it — in refPackedColAppend's mode, unless the
+// residuals, run-length coded, are strictly shorter.
+func (c *refMBW3State) refSampleCol(delta, residuals []uint64) []byte {
+	col := c.refPackedColAppend(nil, delta)
+	if pred := refRLEAppend([]byte{byte(modePredicted)}, residuals); !c.parentLayout && len(pred) < len(col) {
+		return pred
+	}
+	return col
+}
+
+// refSlotResiduals is the series-slot column in modePredicted, the plain
+// way: each sample's slot against the one that followed the previous
+// sample's slot the last time in the batch — searched for backwards — or,
+// before that, the previous slot plus one, mod the series count; the
+// first sample is predicted slot 0.
+func refSlotResiduals(sids []int, nSeries int) []uint64 {
+	out := make([]uint64, len(sids))
+	for j, s := range sids {
+		pred := 0
+		if j > 0 {
+			last := sids[j-1]
+			pred = (last + 1) % nSeries
+			for k := j - 2; k >= 0; k-- {
+				if sids[k] == last {
+					pred = sids[k+1]
+					break
+				}
+			}
+		}
+		out[j] = zig(int64(s - pred))
+	}
+	return out
+}
+
+// refTimeResiduals is the time-index column in modePredicted, the plain
+// way: each sample's step from the previous sample's time index (-1
+// before the first) against the step the last sample of its slot took —
+// searched for backwards — or, for a slot not seen yet, 1 for slot 0 and
+// 0 for any other.
+func refTimeResiduals(sids, tidx []int) []uint64 {
+	stepAt := func(j int) int {
+		if j == 0 {
+			return tidx[0] + 1
+		}
+		return tidx[j] - tidx[j-1]
+	}
+	out := make([]uint64, len(sids))
+	for j, s := range sids {
+		pred := 0
+		if s == 0 {
+			pred = 1
+		}
+		for k := j - 1; k >= 0; k-- {
+			if sids[k] == s {
+				pred = stepAt(k)
+				break
+			}
+		}
+		out[j] = zig(int64(stepAt(j) - pred))
+	}
+	return out
 }
 
 // refCommit advances the stream state to reflect the batch buildPayload just
@@ -588,7 +670,8 @@ func (c *refMBW3State) refCommit(b *Batch) {
 	c.lastDelta = c.pendLastDelta
 }
 
-// refMBW3Encode is the parent AppendBatch.
+// refMBW3Encode is the parent AppendBatch, its columns predicted and paired
+// unless c.parentLayout.
 func refMBW3Encode(c *refMBW3State, dst []byte, b *Batch) ([]byte, error) {
 	if len(b.Samples) > MaxBatchSamples {
 		return dst, fmt.Errorf("%w: %d samples (max %d)", ErrBatchTooLarge, len(b.Samples), MaxBatchSamples)
@@ -607,7 +690,7 @@ func refMBW3EncodedSize(c *refMBW3State, b *Batch) int {
 	return 4 + uvarintLen(uint64(len(c.payload))) + len(c.payload) + 4
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/mbw3_chain_packed.bin (the persisted-format pin; only ever deliberately)")
+var update = flag.Bool("update", false, "rewrite testdata/mbw3_chain_predicted.bin (the persisted-format pin; only ever deliberately)")
 
 // refWriteBatch is the body Writer.WriteBatch had before frames passed
 // through: every batch encoded, on one chain for the whole stream — c's —
@@ -662,16 +745,19 @@ func sameBatches(a, b []*Batch) bool {
 	return slices.EqualFunc(a, b, sameBatch)
 }
 
-// TestParentWrittenChainStaysByteExact pins the persisted shape on both
-// sides of the packed widths. testdata/mbw3_chain_parent.bin was written
-// by the 57f1ca2 encoder, whose columns were run-length or nibbles, and
-// is never regenerated: it must decode to its inputs. Its successor,
-// testdata/mbw3_chain_packed.bin, was written from the same inputs by the
-// first encoder to pack at every width of packWidths, and today's must
+// TestParentWrittenChainStaysByteExact pins the persisted shape across
+// the layouts the encoder has written, each fixture from the same inputs.
+// testdata/mbw3_chain_parent.bin was written by the 57f1ca2 encoder, whose
+// columns were run-length or nibbles, and testdata/mbw3_chain_packed.bin
+// by the first encoder to pack at every width of packWidths; neither is
+// ever regenerated, and both must decode to their inputs. Their successor,
+// testdata/mbw3_chain_predicted.bin, was written by the first encoder to
+// predict per-sample columns and pair mode bytes, and today's must
 // reproduce it byte for byte — MBW3 is what archives on disk hold, so a
-// drifting encoder would fork the format.
+// drifting encoder would fork the format. Each layout is smaller than the
+// one before it.
 func TestParentWrittenChainStaysByteExact(t *testing.T) {
-	const path = "testdata/mbw3_chain_packed.bin"
+	const path = "testdata/mbw3_chain_predicted.bin"
 	chain := fixtureChain()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -696,10 +782,15 @@ func TestParentWrittenChainStaysByteExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) >= len(parent) {
-		t.Errorf("packed widths take %d B for the fixture chain, the parent's columns %d B", len(want), len(parent))
+	packed, err := os.ReadFile("testdata/mbw3_chain_packed.bin")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, file := range [][]byte{parent, want} {
+	if len(packed) >= len(parent) || len(want) >= len(packed) {
+		t.Errorf("the fixture chain takes %d B predicted, %d B packed, %d B in the parent's columns: each must be smaller than the next",
+			len(want), len(packed), len(parent))
+	}
+	for _, file := range [][]byte{parent, packed, want} {
 		r := NewReader(bytes.NewReader(file))
 		for i, in := range chain {
 			got, err := r.ReadBatch()
@@ -990,7 +1081,7 @@ func TestColumnsMatchReference(t *testing.T) {
 	parentModes := 0
 	check := func(seed int64) bool {
 		vals := genColumn(rand.New(rand.NewSource(seed)))
-		got := appendCol([]byte{0xee}, vals)
+		got := appendCol([]byte{0xee}, vals, new(pairing))
 		if got[0] != 0xee {
 			t.Errorf("seed %d: appendCol wrote over its destination", seed)
 			return false
@@ -1002,7 +1093,7 @@ func TestColumnsMatchReference(t *testing.T) {
 				return false
 			}
 		}
-		if run := appendRunCol(nil, runsOf(vals), len(vals), &scratch); !bytes.Equal(run, got) {
+		if run := appendRunCol(nil, runsOf(vals), nil, len(vals), &scratch, new(pairing)); !bytes.Equal(run, got) {
 			t.Errorf("seed %d (%d values): appendRunCol differs from appendCol", seed, len(vals))
 			return false
 		}
@@ -1043,7 +1134,7 @@ func TestPackedColumnsNeverLarger(t *testing.T) {
 				return false
 			}
 		}
-		got := appendCol(nil, vals)
+		got := appendCol(nil, vals, new(pairing))
 		m := bestMode(&s)
 		won[m]++
 		if int(got[0]) != m || len(got) != 1+s[m] {
@@ -1055,7 +1146,7 @@ func TestPackedColumnsNeverLarger(t *testing.T) {
 			return false
 		}
 		r := payloadReader{buf: got}
-		if back := colRead(&r, nil, len(vals)); r.err != nil || len(r.buf) != 0 || !slices.Equal(back, vals) {
+		if back := colRead(&r, nil, len(vals), nil); r.err != nil || len(r.buf) != 0 || !slices.Equal(back, vals) {
 			t.Errorf("seed %d (%d values, mode %d): decodes to %d values, %d bytes left, err %v", seed, len(vals), m, len(back), len(r.buf), r.err)
 			return false
 		}

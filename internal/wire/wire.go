@@ -216,8 +216,9 @@ func decodeLegacyPayload(payload []byte, hasEpoch bool, b *Batch) error {
 }
 
 type payloadReader struct {
-	buf []byte
-	err error
+	buf    []byte
+	err    error
+	paired byte // the next MBW3 column's mode+1, if paired; else 0
 }
 
 func (r *payloadReader) uvarint() uint64 {
@@ -244,6 +245,18 @@ func (r *payloadReader) varint() int64 {
 	}
 	r.buf = r.buf[n:]
 	return v
+}
+
+// mode reads an MBW3 column's mode: the one the column before paired, or
+// the low nibble of a byte of its own, whose high nibble pairs the next.
+func (r *payloadReader) mode() int {
+	if m := r.paired; m > 0 {
+		r.paired = 0
+		return int(m - 1)
+	}
+	b := r.byte()
+	r.paired = b >> 4 // above modePredicted+1, the next column rejects it
+	return int(b & 15)
 }
 
 func (r *payloadReader) byte() byte {
@@ -537,6 +550,7 @@ func (r *Reader) ReadBatch() (*Batch, error) {
 	if magic == Magic3 || magic == Magic4 {
 		ch, err := r.chain(magic, payload)
 		if err != nil {
+			b.Samples = b.Samples[:0] // as a rejected payload leaves it
 			return nil, err
 		}
 		c := lendCodec(ch)

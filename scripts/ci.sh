@@ -59,8 +59,10 @@ go test -count=1 -run 'TestExperiments' .
 # shard's through the aggregator's restore and merge — on the two
 # fault-spec parsers that read -faults flags, and on the span-dump reader
 # behind mbtrace, whose report must render any dump that decodes.
-# `go test` above only replays their seed corpora; this lets the mutator
-# run, briefly, on every build. `make fuzz` is the longer soak. Left at
+# `go test` above only replays their seed corpora (the wire targets'
+# include a payload with predicted columns and paired modes, and each of
+# its malformed variants); this lets the mutator run, briefly, on every
+# build. `make fuzz` is the longer soak. Left at
 # its 60s default, minimizing the first new-coverage input would stall
 # the mutator for the whole run on the recovery, campaign.json and
 # checkpoint targets.
@@ -123,7 +125,9 @@ go test -race -count=10 -cpu 1,2 -run 'TestStateCutIsImmutable|TestCutSharingMat
 # over generated chains, its columns to the parent's bytes wherever the
 # parent's modes win, and its packed-width chooser to a brute force that
 # sizes every mode, never emitting a column longer than the parent's
-# choice. The shard's resume is held to refResume, its
+# choice; over generated polling streams cut mid-poll (one-series racks,
+# missed samples, fresh epochs, MBW4), no payload with predicted columns
+# and paired modes is longer than the parent layout's. The shard's resume is held to refResume, its
 # sequential body, over generated crashes. The one figures renderer is
 # held to refRender — restore the cut into a fresh tap, render the tap —
 # over generated cuts, and a tap whose cuts consumers append to, to
@@ -132,7 +136,7 @@ go test -race -count=10 -cpu 1,2 -run 'TestStateCutIsImmutable|TestCutSharingMat
 go test -count=20 -run 'MatchesReference|QuickSortedFiring|AllocatesNothing' \
 	./internal/asic ./internal/eventq ./internal/simnet ./internal/collector
 go test -count=20 -run 'TestGroupedCellsMatchReference|TestRunFleetMatchesReference' ./internal/core
-go test -count=20 -run 'TestPassThroughMatchesReference|TestMBW3EncodeMatchesReference|TestColumnsMatchReference|TestPackedColumnsNeverLarger' ./internal/wire
+go test -count=20 -run 'TestPassThroughMatchesReference|TestMBW3EncodeMatchesReference|TestColumnsMatchReference|TestPackedColumnsNeverLarger|TestMBW3NeverLongerThanParentLayout' ./internal/wire
 
 # Chaos soak: generated fault schedules against the collection pipeline,
 # asserting byte-exact recovery against ASIC ground truth, zero-fault
