@@ -17,12 +17,12 @@
 // order: the collector's admission order, and for a recorded campaign —
 // an archive whose segment k+1 is window k — window order (a campaign
 // recorded before that layout, window_NNNN.mbw files and no archive
-// manifest, reads the same way). A fleet directory (one
-// whose campaign.json carries a placement) is decoded through every
-// shard archive and presented as one merged admission-order stream — racks
-// ascending, each rack's batches in its owning shard's admission
-// order — so a sharded campaign reads exactly like a single-collector
-// one. Run mbcollectd -resume (or trace.RecoverArchive) first if a
+// manifest, reads the same way). A fleet directory (one whose
+// campaign.json carries a placement) is decoded as stored: each shard
+// archive in turn, so each rack's batches in time order, with totals
+// that do not depend on the worker count that wrote it; a misrouted
+// batch fails the dump after the batches before it, as a torn tail
+// does. Run mbcollectd -resume (or trace.RecoverArchive) first if a
 // directory crashed mid-write; mbdump treats a torn tail as an error.
 //
 // With -checkpoint the input is a shard checkpoint instead (the
@@ -50,26 +50,40 @@ import (
 )
 
 func main() {
-	in := flag.String("in", "", "batch file, or archive, recorded-campaign or fleet directory to inspect (required)")
-	showSamples := flag.Int("samples", 0, "print the first N samples decoded")
-	quiet := flag.Bool("quiet", false, "suppress per-batch lines, print only totals")
-	checkpoint := flag.String("checkpoint", "", "shard checkpoint (MBC1 or legacy JSON) to print as indented JSON, instead of -in")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command, flag parsing included, and returns the exit
+// code: 2 for a usage error, 1 for an input it cannot read.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mbdump", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	in := fs.String("in", "", "batch file, or archive, recorded-campaign or fleet directory to inspect (required)")
+	showSamples := fs.Int("samples", 0, "print the first N samples decoded")
+	quiet := fs.Bool("quiet", false, "suppress per-batch lines, print only totals")
+	checkpoint := fs.String("checkpoint", "", "shard checkpoint (MBC1 or legacy JSON) to print as indented JSON, instead of -in")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if (*in == "") == (*checkpoint == "") {
-		fmt.Fprintln(os.Stderr, "mbdump: exactly one of -in and -checkpoint is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "mbdump: exactly one of -in and -checkpoint is required")
+		return 2
 	}
 	var err error
 	if *checkpoint != "" {
-		err = dumpCheckpoint(os.Stdout, os.Stderr, *checkpoint)
+		err = dumpCheckpoint(stdout, stderr, *checkpoint)
 	} else {
-		err = run(os.Stdout, *in, *showSamples, *quiet)
+		err = dumpBatches(stdout, *in, *showSamples, *quiet)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mbdump: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "mbdump: %v\n", err)
+		return 1
 	}
+	return 0
 }
 
 // dumpCheckpoint prints the shard checkpoint at path: one summary line
@@ -102,9 +116,8 @@ func dumpCheckpoint(w, summary io.Writer, path string) error {
 	return err
 }
 
-// run decodes the input and writes the report to w. Split from main so
-// the golden test drives the exact production path.
-func run(w io.Writer, in string, showSamples int, quiet bool) error {
+// dumpBatches decodes the input and writes the report to w.
+func dumpBatches(w io.Writer, in string, showSamples int, quiet bool) error {
 	var (
 		batches, samples int
 		printed          int
@@ -165,6 +178,7 @@ func run(w io.Writer, in string, showSamples int, quiet bool) error {
 		}
 		defer f.Close()
 		r := wire.NewReader(f)
+		r.SetReuse(true) // dump keeps nothing of a batch
 		for {
 			b, err := r.ReadBatch()
 			if err != nil {

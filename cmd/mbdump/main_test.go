@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"flag"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -24,8 +26,8 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 // goldenFleetDir lays down a tiny fleet campaign directory by hand:
 // four racks routed over two shards by a real placement, each shard
 // archive holding its racks' batches in admission (time) order. The
-// content is a pure function of the constants below, so the merged
-// dump is byte-stable.
+// content is a pure function of the constants below, so the dump is
+// byte-stable.
 func goldenFleetDir(t *testing.T) string {
 	t.Helper()
 	const racks, shards = 4, 2
@@ -81,16 +83,59 @@ func goldenFleetDir(t *testing.T) string {
 	return dir
 }
 
-// TestFleetDumpGolden pins the merged admission-order presentation of a
-// fleet directory: racks ascending, per-rack batches in time order,
-// totals summed across shards — byte-for-byte.
+// TestFleetDumpGolden pins the storage-order presentation of a fleet
+// directory: shard 0's archive in its admission order, then shard 1's,
+// so each rack's batches in time order, and totals summed across
+// shards — byte-for-byte.
 func TestFleetDumpGolden(t *testing.T) {
-	dir := goldenFleetDir(t)
-	var buf bytes.Buffer
-	if err := run(&buf, dir, 3, false); err != nil {
-		t.Fatal(err)
+	checkGolden(t, "fleet.golden", mbdump(t, "-in", goldenFleetDir(t), "-samples", "3"))
+}
+
+// mbdump runs the command on args and returns what it printed, failing
+// the test unless it exits 0.
+func mbdump(t *testing.T, args ...string) []byte {
+	t.Helper()
+	var out, stderr bytes.Buffer
+	if code := run(args, &out, &stderr); code != 0 {
+		t.Fatalf("mbdump %s: exit %d: %s", strings.Join(args, " "), code, stderr.Bytes())
 	}
-	checkGolden(t, "fleet.golden", buf.Bytes())
+	return out.Bytes()
+}
+
+// mbdumpFails runs the command on args, which must fail to read their
+// input: exit 1, and one "mbdump: " line on stderr, which it returns.
+func mbdumpFails(t *testing.T, args ...string) string {
+	t.Helper()
+	var stderr bytes.Buffer
+	code := run(args, io.Discard, &stderr)
+	if msg := stderr.String(); code != 1 || !strings.HasPrefix(msg, "mbdump: ") || strings.Count(msg, "\n") != 1 {
+		t.Errorf("mbdump %s: exit %d, stderr %q; want exit 1 and one mbdump: line", strings.Join(args, " "), code, msg)
+	}
+	return stderr.String()
+}
+
+// TestExitCodes: flags are parsed on mbdump's own flag set — exit 2 and
+// one line for a usage error, 0 for -h, 1 for an input that cannot be
+// read — and nothing reaches stdout on any of them.
+func TestExitCodes(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		msg  string
+	}{
+		{nil, 2, "mbdump: exactly one of -in and -checkpoint is required\n"},
+		{[]string{"-in", "x", "-checkpoint", "y"}, 2, "mbdump: exactly one of -in and -checkpoint is required\n"},
+		{[]string{"-bogus"}, 2, "flag provided but not defined: -bogus"},
+		{[]string{"-samples", "many", "-in", "x"}, 2, `invalid value "many" for flag -samples`},
+		{[]string{"-h"}, 0, "Usage of mbdump:"},
+		{[]string{"-in", filepath.Join(t.TempDir(), "none.mbw")}, 1, "mbdump: open "},
+		{[]string{"-checkpoint", filepath.Join(t.TempDir(), "none.mbc")}, 1, "mbdump: open "},
+	} {
+		var out, stderr bytes.Buffer
+		if code := run(tc.args, &out, &stderr); code != tc.code || out.Len() != 0 || !strings.Contains(stderr.String(), tc.msg) {
+			t.Errorf("mbdump %q: exit %d, stdout %q, stderr %q; want exit %d with %q", tc.args, code, out.String(), stderr.String(), tc.code, tc.msg)
+		}
+	}
 }
 
 // checkGolden compares got with testdata/name, rewriting it under -update.
@@ -142,18 +187,10 @@ func TestRecordedCampaignDumpGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var buf bytes.Buffer
-	if err := run(&buf, dir, 2, false); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "recorded.golden", buf.Bytes())
+	checkGolden(t, "recorded.golden", mbdump(t, "-in", dir, "-samples", "2"))
 
-	buf.Reset()
-	if err := run(&buf, "../mbanalyze/testdata/trace", 0, true); err != nil {
-		t.Fatalf("legacy window dir: %v", err)
-	}
-	if !strings.Contains(buf.String(), "total: 2 batches, 1580 samples") {
-		t.Errorf("legacy window dir totals wrong:\n%s", buf.String())
+	if out := mbdump(t, "-in", "../mbanalyze/testdata/trace", "-quiet"); !bytes.Contains(out, []byte("total: 2 batches, 1580 samples")) {
+		t.Errorf("legacy window dir totals wrong:\n%s", out)
 	}
 }
 
@@ -161,12 +198,17 @@ func TestRecordedCampaignDumpGolden(t *testing.T) {
 // directory written by mbfleet at 42dc5e6 (-racks 6 -shards 2 -window 1ms
 // -warmup 200us -faults kill@500us), fleet.json and fleet_checkpoint.json
 // included, and fleet_parent.golden is that commit's `mbdump -samples 3`
-// of it. The directory reads the same from campaign.json alone, is left
+// of it, racks ascending. Neither is ever regenerated: they are the pin.
+// Read in storage order, the directory dumps to
+// fleet_parent_streamed.golden exactly, and to the parent's dump up to
+// the order of its batch lines: the same header, totals and per-series
+// lines, and the same batch lines once their numbers and the sample lines
+// are stripped. It reads the same from campaign.json alone, is left
 // untouched, and the two legacy files are never opened — garbage in them
-// changes nothing. Neither file is ever regenerated: they are the pin.
+// changes nothing.
 func TestParentWrittenFleetDirDumps(t *testing.T) {
 	const fixture = "testdata/fleet_parent"
-	want, err := os.ReadFile("testdata/fleet_parent.golden")
+	parent, err := os.ReadFile("testdata/fleet_parent.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +216,15 @@ func TestParentWrittenFleetDirDumps(t *testing.T) {
 	if len(before) != 10 {
 		t.Fatalf("fixture holds %d files, want the parent's 10: %v", len(before), before)
 	}
-	var buf bytes.Buffer
-	if err := run(&buf, fixture, 3, false); err != nil {
-		t.Fatal(err)
+	got := mbdump(t, "-in", fixture, "-samples", "3")
+	checkGolden(t, "fleet_parent_streamed.golden", got)
+	gotBatches, gotRest := dumpShape(got)
+	wantBatches, wantRest := dumpShape(parent)
+	if !reflect.DeepEqual(gotRest, wantRest) {
+		t.Errorf("header, totals or series lines differ from the parent's:\n got %q\nwant %q", gotRest, wantRest)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("dump diverges from the parent's:\n--- got ---\n%s\n--- want ---\n%s", buf.Bytes(), want)
+	if !reflect.DeepEqual(gotBatches, wantBatches) {
+		t.Errorf("batch lines are not a permutation of the parent's:\n got %q\nwant %q", gotBatches, wantBatches)
 	}
 	if after := hashTree(t, fixture); !reflect.DeepEqual(after, before) {
 		t.Errorf("reading modified the fixture:\nbefore %v\nafter  %v", before, after)
@@ -192,10 +237,27 @@ func TestParentWrittenFleetDirDumps(t *testing.T) {
 		}
 		return data
 	})
-	buf.Reset()
-	if err := run(&buf, dir, 3, false); err != nil || !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("garbage in the legacy files changed the dump: err=%v\n%s", err, buf.Bytes())
+	if out := mbdump(t, "-in", dir, "-samples", "3"); !bytes.Equal(out, got) {
+		t.Errorf("garbage in the legacy files changed the dump:\n%s", out)
 	}
+}
+
+// dumpShape splits a dump into its batch lines with their numbers cut
+// off, sorted, and every other line in order, sample lines dropped: what
+// two dumps of one directory in different batch orders share.
+func dumpShape(dump []byte) (batches, rest []string) {
+	for _, line := range strings.Split(string(dump), "\n") {
+		switch {
+		case strings.HasPrefix(line, "  sample "):
+		case strings.HasPrefix(line, "batch "):
+			_, tail, _ := strings.Cut(line, ": ")
+			batches = append(batches, tail)
+		default:
+			rest = append(rest, line)
+		}
+	}
+	sort.Strings(batches)
+	return batches, rest
 }
 
 // TestMixedFormatStoreResumes: a store an older build left in MBW2 keeps
@@ -268,12 +330,8 @@ func TestMixedFormatStoreResumes(t *testing.T) {
 			t.Errorf("%s opens with %q (%v), want %s", name, seg[:min(4, len(seg))], err, magic)
 		}
 	}
-	var buf bytes.Buffer
-	if err := run(&buf, dir, 0, true); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "total: 9 batches, 237 samples") { // the golden's 6 and 234, plus 3
-		t.Errorf("mixed-format fleet totals wrong:\n%s", buf.String())
+	if out := mbdump(t, "-in", dir, "-quiet"); !bytes.Contains(out, []byte("total: 9 batches, 237 samples")) { // the golden's 6 and 234, plus 3
+		t.Errorf("mixed-format fleet totals wrong:\n%s", out)
 	}
 }
 
@@ -384,11 +442,7 @@ func hashTree(t *testing.T, root string) map[string][sha256.Size]byte {
 // directory: only the totals block, correct sums.
 func TestFleetDumpQuietTotals(t *testing.T) {
 	dir := goldenFleetDir(t)
-	var buf bytes.Buffer
-	if err := run(&buf, dir, 0, true); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := string(mbdump(t, "-in", dir, "-quiet"))
 	if !strings.Contains(out, "total: 12 batches, 24 samples") {
 		t.Errorf("quiet totals wrong:\n%s", out)
 	}
@@ -426,8 +480,7 @@ func TestFleetDumpPlacementViolation(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&bytes.Buffer{}, dir, 0, true); err == nil ||
-		!strings.Contains(err.Error(), "placement violation") {
+	if err := mbdumpFails(t, "-in", dir, "-quiet"); !strings.Contains(err, "placement violation") {
 		t.Fatalf("misrouted batch not rejected: %v", err)
 	}
 }
@@ -462,8 +515,7 @@ func TestFleetDumpEscapingShardDir(t *testing.T) {
 		if err := os.WriteFile(path, edited, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := run(&bytes.Buffer{}, dir, 0, true); err == nil ||
-			!strings.Contains(err.Error(), "not inside the fleet directory") {
+		if err := mbdumpFails(t, "-in", dir, "-quiet"); !strings.Contains(err, "not inside the fleet directory") {
 			t.Errorf("shard dir %q not rejected: %v", escape, err)
 		}
 	}

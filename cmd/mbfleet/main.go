@@ -13,8 +13,8 @@
 // With -out the campaign lays down a fleet directory: campaign.json
 // (stamped with the versioned placement, whose shard names are the
 // directory names) and one durable archive per shard, each with its own
-// checkpoint. mbdump reads such a directory like any campaign, merging
-// the shard archives deterministically.
+// checkpoint. mbdump reads such a directory like any campaign, one shard
+// archive after the other.
 //
 // -faults schedules shard strikes (kill@, torn@:xF, shortw@, offsets
 // within the window duration), assigned round-robin over shards; each

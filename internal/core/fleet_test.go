@@ -298,6 +298,63 @@ func TestFleetThousandRacksByteExact(t *testing.T) {
 	}
 }
 
+// TestIterFleetAllocatesOnlyItsShards reads the reference 1000-rack,
+// 8-shard durable fleet directory. trace.IterFleet may allocate at most
+// 4 KiB more than one trace.FleetMeta plus trace.IterArchive over each
+// shard directory: a fleet reader holds one batch, never the fleet. A
+// reader that buffers the batches to reorder them allocates about ten
+// times that. Not parallel: TotalAlloc counts every goroutine's
+// allocations.
+func TestIterFleetAllocatesOnlyItsShards(t *testing.T) {
+	e, err := NewExperiment(fleetTestConfig(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "fleet")
+	res, err := e.RunFleet(context.Background(), FleetConfig{
+		App: workload.Web, Shards: 8, PlacementSeed: 1, Dir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(read func() int) (bytes uint64, batches int) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		batches = read()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, batches
+	}
+	fleet := func() int {
+		n := 0
+		if err := trace.IterFleet(dir, func(*wire.Batch) error { n++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	shards := func() int {
+		n := 0
+		if _, _, err := trace.FleetMeta(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range res.Placement.Shards {
+			if err := trace.IterArchive(filepath.Join(dir, name), func(*wire.Batch) error { n++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return n
+	}
+	fleet() // warm the codec pools, so neither side below pays for them
+	got, n := allocated(fleet)
+	bound, m := allocated(shards)
+	t.Logf("IterFleet: %d B for %d batches; the shards through IterArchive + FleetMeta: %d B", got, n, bound)
+	if n != m || uint64(n) != res.Batches {
+		t.Fatalf("IterFleet read %d batches, the shards %d, the fleet admitted %d", n, m, res.Batches)
+	}
+	if got > bound+4<<10 {
+		t.Errorf("IterFleet allocated %d B, over its shards' %d B + 4 KiB", got, bound)
+	}
+}
+
 func TestFleetFaultsRequireDir(t *testing.T) {
 	e, err := NewExperiment(fleetTestConfig(2))
 	if err != nil {

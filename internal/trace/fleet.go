@@ -6,7 +6,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"mburst/internal/shard"
 	"mburst/internal/wire"
@@ -27,9 +26,9 @@ import (
 //
 // Because the placement assigns every rack to exactly one shard, the
 // union of the shard archives is a partition of the fleet's batch
-// stream; IterFleet re-merges it into one deterministic presentation
-// order so single-collector tooling (mbdump, offline analyses) reads a
-// fleet directory exactly like a campaign.
+// stream, and IterFleet reads it as stored, shard after shard, so
+// single-collector tooling (mbdump, offline analyses) streams a fleet
+// directory like a campaign, one batch at a time.
 
 // FleetMeta loads dir's campaign.json and reports whether it describes a
 // fleet: a directory is a fleet iff its metadata carries a placement, and
@@ -90,18 +89,19 @@ func WriteFleetMeta(dir string, meta Meta) error {
 	return writeJSON(filepath.Join(dir, MetaFileName), &meta)
 }
 
-// IterFleet streams a fleet directory's batches through fn in the
-// merged presentation order: racks ascending, and within a rack the
-// shard archive's admission order (per-rack admission is time-ordered,
-// so this is also time order). The order is a pure function of the
-// directory contents — independent of how many workers produced the
-// archives — which is what lets mbdump and the golden tests treat a
-// fleet directory like one campaign. Batches are deep copies owned by
-// the callback.
+// IterFleet streams a fleet directory's batches through fn in storage
+// order: shard 0's archive in its admission order, then shard 1's, and
+// so on, so each rack's batches come in time order. The order is a pure
+// function of the directory's bytes, but fleets written at different
+// worker counts may interleave racks differently (their totals agree).
+// As with IterArchive, the batch is valid only for the duration of the
+// call, and fn's error ends the iteration and is returned as is (a
+// wire.SkipTo skips within the shard being read).
 //
-// Every batch is validated against the campaign's placement: a batch in a
-// shard archive whose rack the placement owns elsewhere is a placement
-// violation and fails the iteration.
+// Every batch is checked against the campaign's placement as it passes:
+// a batch in a shard archive whose rack another shard owns is a
+// placement violation, which fails the iteration after fn was handed the
+// batches before it.
 func IterFleet(dir string, fn func(b *wire.Batch) error) error {
 	if fn == nil {
 		return fmt.Errorf("trace: nil batch handler")
@@ -114,33 +114,16 @@ func IterFleet(dir string, fn func(b *wire.Batch) error) error {
 		return fmt.Errorf("trace: %s holds no fleet campaign", dir)
 	}
 	pl := meta.Placement
-	perRack := make(map[uint32][]wire.Batch)
 	for id, name := range pl.Shards {
 		err := IterArchive(filepath.Join(dir, name), func(b *wire.Batch) error {
-			if pl.ShardOf(b.Rack) != id {
+			if owner := pl.ShardOf(b.Rack); owner != id {
 				return fmt.Errorf("trace: placement violation: shard %d archived rack %d owned by shard %d",
-					id, b.Rack, pl.ShardOf(b.Rack))
+					id, b.Rack, owner)
 			}
-			perRack[b.Rack] = append(perRack[b.Rack], wire.Batch{
-				Rack: b.Rack, Epoch: b.Epoch,
-				Samples: append([]wire.Sample(nil), b.Samples...),
-			})
-			return nil
+			return fn(b)
 		})
 		if err != nil {
 			return err
-		}
-	}
-	racks := make([]uint32, 0, len(perRack))
-	for r := range perRack {
-		racks = append(racks, r)
-	}
-	sort.Slice(racks, func(i, j int) bool { return racks[i] < racks[j] })
-	for _, r := range racks {
-		for i := range perRack[r] {
-			if err := fn(&perRack[r][i]); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

@@ -313,3 +313,47 @@ func TestFleetMetaRejectsAliasedShardDirs(t *testing.T) {
 		}
 	}
 }
+
+// TestIterFleetCallbackErrorStopsAtShardBoundary: an error fn returns on
+// the first batch of a later shard — past an empty shard between them —
+// ends the iteration there and comes back unwrapped, after every batch
+// of shard 0 and no other.
+func TestIterFleetCallbackErrorStopsAtShardBoundary(t *testing.T) {
+	pl, err := shard.Uniform(3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	f := newFleetWriter(t, pl)
+	for k := 0; k < 3; k++ { // batch rounds outer, racks inner, as a live fan-in admits
+		for r := uint32(0); r < 8; r++ {
+			if s := pl.ShardOf(r); s != 1 {
+				f.write(s, fleetBatch(rng, r, k, 2))
+			}
+		}
+	}
+	dir := f.close()
+	var first []wire.Batch
+	if err := IterArchive(filepath.Join(dir, pl.Name(0)), appendBatch(&first)); err != nil {
+		t.Fatal(err)
+	}
+	if len(first) == 0 {
+		t.Fatal("shard 0 owns none of the racks written")
+	}
+	stop := errors.New("stop")
+	calls := 0
+	err = IterFleet(dir, func(b *wire.Batch) error {
+		calls++
+		if calls == len(first)+1 {
+			if s := pl.ShardOf(b.Rack); s != 2 {
+				t.Errorf("batch %d is rack %d of shard %d, want shard 2's first", calls, b.Rack, s)
+			}
+			return stop
+		}
+		return nil
+	})
+	if err != stop || calls != len(first)+1 {
+		t.Errorf("IterFleet = %v after %d calls, want the callback's own error after %d (shard 0's %d batches + 1)",
+			err, calls, len(first)+1, len(first))
+	}
+}

@@ -953,13 +953,13 @@ var oversizedBatch = sync.OnceValue(func() *Batch {
 // sizes asked for before the write, sizes asked for a batch that is never
 // written, and a write that fails with ErrBatchTooLarge in mid-chain.
 func TestMBW3EncodeMatchesReference(t *testing.T) {
-	cases := 0
+	oversized := false
 	check := func(seed int64) bool {
-		cases++
 		rng := rand.New(rand.NewSource(seed))
 		chain := genChain(rng)
-		if cases%250 == 0 { // a failed write mid-chain, a few times only: it is big
-			at := rng.Intn(len(chain) + 1)
+		if !oversized && len(chain) >= 2 { // a failed write mid-chain, once a run: it is big
+			oversized = true
+			at := 1 + rng.Intn(len(chain)-1)
 			chain = append(chain[:at:at], append([]*Batch{oversizedBatch()}, chain[at:]...)...)
 		}
 		enc, ref := newMBW3Codec(), newRefMBW3State()
@@ -1008,6 +1008,9 @@ func TestMBW3EncodeMatchesReference(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+	if !oversized {
+		t.Error("no chain took the oversized batch: the failed write went untested")
 	}
 }
 
