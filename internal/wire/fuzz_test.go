@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/iotest"
 
@@ -130,6 +131,23 @@ func FuzzReadBatch(f *testing.F) {
 	f.Add(appendFrame(nil, Magic3, predictedPayload))
 	for _, p := range sortedMutants() {
 		f.Add(appendFrame(nil, Magic3, p))
+	}
+	// Rotated series tables: a stream cut mid-poll, whose later frames
+	// each send the table before rotated, and each way a rotated table can
+	// be wrong, after the frames it follows.
+	var rotated []byte
+	for _, p := range encodeStream(f, rotatedStream()) {
+		rotated = appendFrame(rotated, Magic3, p)
+	}
+	f.Add(rotated)
+	mutants := rotatedMutants(f)
+	var names []string
+	for name := range mutants {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		f.Add(mutants[name].framed())
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -287,6 +305,7 @@ func FuzzMBW3Chain(f *testing.F) {
 		{frames(f, parent), fixtureChain()},
 		{frames(f, mixed.Bytes()), mixedChain()},
 	}
+	mutants := rotatedMutants(f)
 	for which, fx := range fixtures {
 		if len(fx.frames) != len(fx.originals) {
 			f.Fatalf("fixture %d holds %d frames, its generator %d batches", which, len(fx.frames), len(fx.originals))
@@ -314,6 +333,35 @@ func FuzzMBW3Chain(f *testing.F) {
 	for _, p := range sortedMutants() {
 		f.Add(uint8(0), uint8(1), p)
 	}
+	// In place of frame 2 of the parent-written chain: today's payload of
+	// that batch, whose table is frame 1's rotated, and that payload under
+	// a new epoch and with a rotation as long as the table. The same
+	// payload first on the stream, and after the empty frame 3, where no
+	// last table resolves it; and a rotation after a one-series table.
+	var today bytes.Buffer
+	tw := NewWriter(&today)
+	for _, b := range fixtureChain() {
+		if err := tw.WriteBatch(b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	rot := framePayloads(f, today.Bytes())[2]
+	at := tableAt(rot)
+	check := NewReader(bytes.NewReader(append(bytes.Join(fixtures[0].frames[:2], nil), appendFrame(nil, Magic3, rot)...)))
+	for i := 0; i < 3; i++ {
+		if b, err := check.ReadBatch(); rot[at] != 0 || err != nil || !sameBatch(b, fixtures[0].originals[i]) {
+			f.Fatalf("today's payload of batch 2 is not a rotated table that follows the parent's frames 0 and 1 (%v)", err)
+		}
+	}
+	splice := func(at, drop int, b ...byte) []byte {
+		return append(append(append([]byte(nil), rot[:at]...), b...), rot[at+drop:]...)
+	}
+	f.Add(uint8(0), uint8(2), rot)
+	f.Add(uint8(0), uint8(2), splice(1, 1, 5)) // epoch 1 → 5
+	f.Add(uint8(0), uint8(2), splice(at+1, 1, 6))
+	f.Add(uint8(0), uint8(0), rot)
+	f.Add(uint8(0), uint8(4), rot)
+	f.Add(uint8(0), uint8(0), mutants["rotation after a one-series table"].bad)
 
 	f.Fuzz(func(t *testing.T, which, k uint8, mutated []byte) {
 		// Run tokens decouple a payload's size from its sample count; keep

@@ -558,6 +558,10 @@ type mbw3Series struct {
 	// capHint is the cap to reserve next time: one more than the series'
 	// count in the last batch written (polls straddle batch boundaries).
 	capHint int32
+
+	// lastNext is the entry after this one in the chain's last table, if
+	// the table holds this one.
+	lastNext int32
 }
 
 // seriesState is a series' chain state. The zero state is
@@ -583,6 +587,15 @@ type mbw3Chain struct {
 	lastDelta  int64
 	idx        map[seriesKey]int
 	states     []mbw3Series
+
+	// The last table — the series table of the payload last committed on
+	// the chain — as a cycle through states: lastLen entries from
+	// lastHead, slot 0's, each one's lastNext naming the next slot's and
+	// the last slot's naming lastHead. It is empty on a fresh chain, after
+	// an empty payload and until an epoch's first payload commits. A
+	// payload whose table is a rotation of it writes the rotation instead.
+	lastHead int32
+	lastLen  int
 
 	// tail is the encoder's states entry of the last sample written,
 	// whose successor hint predicts the next batch's first. stamps counts
@@ -613,7 +626,19 @@ func (ch *mbw3Chain) reset() {
 	ch.lastDelta = 0
 	clear(ch.idx)
 	ch.states = ch.states[:0]
+	ch.lastLen = 0
 	ch.id, ch.gen = chainIDs.Add(1), 0
+}
+
+// setLast makes table, states entries in slot order, the last table.
+func setLast[E int | int32](ch *mbw3Chain, table []E) {
+	ch.lastLen = len(table)
+	for i, si := range table {
+		ch.states[si].lastNext = int32(table[(i+1)%len(table)])
+	}
+	if len(table) > 0 {
+		ch.lastHead = int32(table[0])
+	}
 }
 
 // grow makes room for n more series, so that a chain meeting a batch's
@@ -646,11 +671,19 @@ func (ch *mbw3Chain) state(k seriesKey) seriesState {
 }
 
 // sameState reports whether a payload would decode the same under ch as
-// under o: the same epoch, time chain and, series by series, the same
-// chain state, an absent series reading as zero.
+// under o: the same epoch, time chain and last table — the same series in
+// the same order — and, series by series, the same chain state, an absent
+// series reading as zero.
 func (ch *mbw3Chain) sameState(o *mbw3Chain) bool {
-	if ch.epochKnown != o.epochKnown || ch.epoch != o.epoch || ch.lastTime != o.lastTime || ch.lastDelta != o.lastDelta {
+	if ch.epochKnown != o.epochKnown || ch.epoch != o.epoch || ch.lastTime != o.lastTime || ch.lastDelta != o.lastDelta ||
+		ch.lastLen != o.lastLen {
 		return false
+	}
+	for a, b, k := ch.lastHead, o.lastHead, 0; k < ch.lastLen; k++ {
+		if ch.states[a].key != o.states[b].key {
+			return false
+		}
+		a, b = ch.states[a].lastNext, o.states[b].lastNext
 	}
 	for i := range ch.states {
 		if ch.states[i].seriesState != o.state(ch.states[i].key) {
@@ -667,8 +700,9 @@ func (ch *mbw3Chain) sameState(o *mbw3Chain) bool {
 
 // follow advances ch past a payload that was decoded on src — which it
 // did not encode: ch takes on src's state for the series the payload
-// touched (src.states entries, in table order) and src's epoch and time
-// chain. A fresh payload restarts the chain with exactly its series.
+// touched (src.states entries, in table order), its table as the last
+// table, and src's epoch and time chain. A fresh payload restarts the
+// chain with exactly its series.
 func (ch *mbw3Chain) follow(src *mbw3Chain, touched []int, fresh bool) {
 	if fresh {
 		clear(ch.idx)
@@ -677,13 +711,21 @@ func (ch *mbw3Chain) follow(src *mbw3Chain, touched []int, fresh bool) {
 	if len(ch.states) == 0 {
 		ch.grow(len(touched))
 	}
-	for _, si := range touched {
+	ch.lastLen = len(touched)
+	prev := 0
+	for slot, si := range touched {
 		s := &src.states[si]
 		wi, ok := ch.idx[s.key]
 		if !ok {
 			wi = ch.addSeries(s.key)
 		}
 		ch.states[wi].seriesState = s.seriesState
+		if slot == 0 {
+			ch.lastHead = int32(wi)
+		} else {
+			ch.states[prev].lastNext = int32(wi)
+		}
+		ch.states[wi].lastNext, prev = ch.lastHead, wi // the last slot's stays
 	}
 	ch.epochKnown, ch.epoch = src.epochKnown, src.epoch
 	ch.lastTime, ch.lastDelta = src.lastTime, src.lastDelta
@@ -700,7 +742,8 @@ func (ch *mbw3Chain) follow(src *mbw3Chain, touched []int, fresh bool) {
 //	                         stream or epoch change); consecutive equal
 //	                         sample times are deduplicated
 //	nSeries, series table    (port uvarint, dir|kind<<1 byte) per series,
-//	                         in first-appearance order, each series once
+//	                         in first-appearance order, each series once;
+//	                         or 0 and a rotation r (see below)
 //	seriesCol                per sample, table slot as a zigzag delta
 //	                         chain — preserves exact sample order
 //	timeIdxCol               per sample, index into times, same delta
@@ -722,6 +765,13 @@ func (ch *mbw3Chain) follow(src *mbw3Chain, touched []int, fresh bool) {
 // Delta chains make the codec stateful: the first batch of a stream (or
 // the first after an epoch change) carries absolutes as deltas from zero,
 // and every later batch only the movement since the previous one.
+//
+// A payload that lists the series of its chain's last table — the table
+// of the payload before, empty after an empty one — in the same cyclic
+// order writes nSeries 0 and, when that table has more than one series,
+// the rotation r < its length as a uvarint: slot i is the last table's
+// slot (i+r) mod its length. A payload that decodes fresh always lists
+// its table.
 //
 // A chain is state and the codec is scratch: everything below ch lives
 // for one payload. Writer and Reader keep only chains, and borrow a codec
@@ -1093,10 +1143,17 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 		ld, lt = d, t
 	}
 	c.pendLastTime, c.pendLastDelta = lt, ld
-	p = binary.AppendUvarint(p, uint64(len(c.slots)))
-	for _, si := range c.slots {
-		p = binary.AppendUvarint(p, uint64(states[si].key.port))
-		p = append(p, states[si].key.dk)
+	if r, ok := c.rotation(); ok {
+		p = append(p, 0)
+		if len(c.slots) > 1 {
+			p = binary.AppendUvarint(p, uint64(r))
+		}
+	} else {
+		p = binary.AppendUvarint(p, uint64(len(c.slots)))
+		for _, si := range c.slots {
+			p = binary.AppendUvarint(p, uint64(states[si].key.port))
+			p = append(p, states[si].key.dk)
+		}
 	}
 	var pr pairing
 	p = appendRunCol(p, c.sidCol.runs, c.sidPred.runs, n, &c.col, &pr)
@@ -1112,6 +1169,30 @@ func (c *mbw3Codec) buildPayload(b *Batch) {
 		}
 	}
 	c.payload = p
+}
+
+// rotation reports whether the batch's table is its chain's last table
+// rotated — slot i is the last table's slot (i+r) mod n — and by how
+// much: slot 0 is looked for in the last table, and each slot after it
+// must be the entry after the one before. A payload that restarts the
+// chain lists its table.
+func (c *mbw3Codec) rotation() (int, bool) {
+	ch, n := c.ch, len(c.slots)
+	if c.pendFresh || ch.lastLen != n {
+		return 0, false
+	}
+	si, r := ch.lastHead, 0
+	for ; si != c.slots[0]; si = ch.states[si].lastNext {
+		if r++; r == n {
+			return 0, false
+		}
+	}
+	for _, want := range c.slots[1:] {
+		if si = ch.states[si].lastNext; si != want {
+			return 0, false
+		}
+	}
+	return r, true
 }
 
 // slotPred is what a payload so far predicts of a slot: the slot to
@@ -1186,6 +1267,7 @@ func (c *mbw3Codec) commit(b *Batch) {
 	if len(c.slots) > 0 {
 		ch.tail = c.pendTail
 	}
+	setLast(ch, c.slots)
 	if c.pendFresh {
 		// A fresh epoch restarts the stream with exactly this batch's
 		// series. The others keep their entries but lose their chains:
@@ -1261,6 +1343,7 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) (err e
 			ch.lastTime, ch.lastDelta = 0, 0
 		}
 		ch.epochKnown, ch.epoch = true, uint32(epoch)
+		ch.lastLen = 0
 		c.touched, c.fresh = c.touched[:0], fresh
 		ch.gen++
 		return nil
@@ -1283,36 +1366,22 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) (err e
 		c.times = append(c.times, lt)
 	}
 
-	// Series table, each series looked up in the chain once: touched holds
-	// its states entry, or -1 for a series that chains from zero — one the
-	// chain does not hold, or any on a fresh payload. commit enters those.
+	// Series table: touched holds each slot's states entry, or -1 for a
+	// series that chains from zero — one the chain does not hold, or any on
+	// a fresh payload; commit enters those. A listed series is looked up in
+	// the chain once; a rotated last table names its entries.
 	nSeries := r.uvarint()
-	if r.err != nil || nSeries == 0 || nSeries > count {
+	if r.err != nil || nSeries > count {
 		return fmt.Errorf("%w: series count", ErrCorrupt)
 	}
 	c.tkeys = c.tkeys[:0]
-	c.sorted = c.sorted[:0]
-	for i := uint64(0); i < nSeries; i++ {
-		port := r.uvarint()
-		dk := r.byte()
-		if r.err != nil || port > 1<<16-1 {
-			return fmt.Errorf("%w: series table", ErrCorrupt)
+	if nSeries == 0 {
+		if err := c.rotatedTable(&r, fresh, count); err != nil {
+			return err
 		}
-		c.tkeys = append(c.tkeys, seriesKey{port: uint16(port), dk: dk})
-		c.sorted = append(c.sorted, uint32(port)<<8|uint32(dk))
-	}
-	// No encoder lists a series twice, and commit's one entry per slot
-	// relies on it.
-	if slices.Sort(c.sorted); len(slices.Compact(c.sorted)) < len(c.tkeys) {
-		return fmt.Errorf("%w: a series listed twice", ErrCorrupt)
-	}
-	c.touched = growInt(c.touched, int(nSeries))
-	for slot, key := range c.tkeys {
-		si, ok := ch.idx[key]
-		if !ok || fresh {
-			si = -1
-		}
-		c.touched[slot] = si
+		nSeries = uint64(len(c.tkeys))
+	} else if err := c.listedTable(&r, nSeries, fresh); err != nil {
+		return err
 	}
 
 	// Per-sample columns — series slot, time index, missed — fill every
@@ -1449,9 +1518,66 @@ func (c *mbw3Codec) DecodePayload(magic uint32, payload []byte, b *Batch) (err e
 		}
 		ch.states[si].seriesState = c.next[slot]
 	}
+	setLast(ch, c.touched)
 	ch.epochKnown, ch.epoch = true, uint32(epoch)
 	ch.lastTime, ch.lastDelta = lt, ld
 	c.fresh = fresh
 	ch.gen++
+	return nil
+}
+
+// listedTable reads a table of nSeries series into tkeys and each one's
+// states entry into touched.
+func (c *mbw3Codec) listedTable(r *payloadReader, nSeries uint64, fresh bool) error {
+	c.sorted = c.sorted[:0]
+	for i := uint64(0); i < nSeries; i++ {
+		port := r.uvarint()
+		dk := r.byte()
+		if r.err != nil || port > 1<<16-1 {
+			return fmt.Errorf("%w: series table", ErrCorrupt)
+		}
+		c.tkeys = append(c.tkeys, seriesKey{port: uint16(port), dk: dk})
+		c.sorted = append(c.sorted, uint32(port)<<8|uint32(dk))
+	}
+	// No encoder lists a series twice, and commit's one entry per slot
+	// relies on it.
+	if slices.Sort(c.sorted); len(slices.Compact(c.sorted)) < len(c.tkeys) {
+		return fmt.Errorf("%w: a series listed twice", ErrCorrupt)
+	}
+	c.touched = growInt(c.touched, int(nSeries))
+	for slot, key := range c.tkeys {
+		si, ok := c.ch.idx[key]
+		if !ok || fresh {
+			si = -1
+		}
+		c.touched[slot] = si
+	}
+	return nil
+}
+
+// rotatedTable reads the rotation that stands for a table — the chain's
+// last table, which a fresh payload cannot name — and takes tkeys and
+// touched from it. A payload has at least as many samples as series.
+func (c *mbw3Codec) rotatedTable(r *payloadReader, fresh bool, count uint64) error {
+	ch, n := c.ch, c.ch.lastLen
+	if fresh || n == 0 || uint64(n) > count {
+		return fmt.Errorf("%w: series count", ErrCorrupt)
+	}
+	si := ch.lastHead
+	if n > 1 {
+		rot := r.uvarint()
+		if r.err != nil || rot >= uint64(n) {
+			return fmt.Errorf("%w: table rotation", ErrCorrupt)
+		}
+		for ; rot > 0; rot-- {
+			si = ch.states[si].lastNext
+		}
+	}
+	c.touched = growInt(c.touched, n)
+	for slot := range c.touched {
+		c.touched[slot] = int(si)
+		c.tkeys = append(c.tkeys, ch.states[si].key)
+		si = ch.states[si].lastNext
+	}
 	return nil
 }

@@ -431,35 +431,31 @@ func malformedPayloads(valid []byte) map[string][]byte {
 }
 
 // TestMBW3DecodeRejectsMalformed drives DecodePayload with targeted
-// corruptions, on a fresh chain and on one a batch has primed. Every one
-// must fail with ErrCorrupt, and a failed decode changes nothing: it
-// leaves no samples in the batch (rows are written while columns
-// decode, over whatever the batch held), the chain's state, gen and id as
-// they were, and the codec usable — the next valid payload decodes
-// exactly.
+// corruptions, on a fresh chain and on one the valid payloads before it
+// have primed. Every one must fail with ErrCorrupt, and a failed decode
+// changes nothing: it leaves no samples in the batch (rows are written
+// while columns decode, over whatever the batch held), the chain's state,
+// last table, gen and id as they were, and the codec usable — the next
+// valid payload decodes exactly.
 func TestMBW3DecodeRejectsMalformed(t *testing.T) {
-	enc := newMBW3Codec()
 	batches := pollStream(2, 20, 0)
-	var payloads [][]byte
-	for _, b := range batches {
-		frame, err := enc.AppendBatch(nil, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads = append(payloads, mbw3Payload(t, frame))
-	}
+	payloads := encodeStream(t, batches)
+	cases := rotatedMutants(t)
 	for name, bad := range malformedPayloads(payloads[1]) {
-		for next := range payloads {
+		cases[name] = malformedCase{batches, payloads, 1, bad}
+	}
+	for name, c := range cases {
+		for _, next := range []int{0, c.prime} {
 			dec := newMBW3Codec()
 			var got Batch
-			if next > 0 {
-				if err := dec.DecodePayload(Magic3, payloads[0], &got); err != nil {
+			for _, p := range c.payloads[:next] {
+				if err := dec.DecodePayload(Magic3, p, &got); err != nil {
 					t.Fatal(err)
 				}
 			}
 			before := chainCopy(dec.ch)
 			got.Samples = append(got.Samples[:0], batches[1].Samples...)
-			if err := dec.DecodePayload(Magic3, bad, &got); !errors.Is(err, ErrCorrupt) {
+			if err := dec.DecodePayload(Magic3, c.bad, &got); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("%s (primed %v): err = %v, want ErrCorrupt", name, next > 0, err)
 			}
 			if len(got.Samples) != 0 {
@@ -468,15 +464,15 @@ func TestMBW3DecodeRejectsMalformed(t *testing.T) {
 			if after := chainCopy(dec.ch); !reflect.DeepEqual(before, after) {
 				t.Errorf("%s (primed %v): a failed decode changed the chain", name, next > 0)
 			}
-			if err := dec.DecodePayload(Magic3, payloads[next], &got); err != nil {
+			if err := dec.DecodePayload(Magic3, c.payloads[next], &got); err != nil {
 				t.Errorf("%s (primed %v): clean payload failed after rejected one: %v", name, next > 0, err)
-			} else if !reflect.DeepEqual(batches[next].Samples, got.Samples) {
+			} else if !reflect.DeepEqual(c.stream[next].Samples, got.Samples) {
 				t.Errorf("%s (primed %v): decode after rejection diverged", name, next > 0)
 			}
 		}
 	}
 
-	if err := enc.DecodePayload(Magic, payloads[0], &Batch{}); !errors.Is(err, ErrCorrupt) {
+	if err := newMBW3Codec().DecodePayload(Magic, payloads[0], &Batch{}); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("mbw3 codec accepted a legacy magic")
 	}
 }

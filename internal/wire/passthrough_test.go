@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -103,6 +104,25 @@ func (s *ptSource) emit(t *testing.T, rng *rand.Rand, gens []*rackGen) *Batch {
 	return b
 }
 
+// ptCounts counts how a pass-through law's frames were written: every
+// frame, and the received frames whose series table was the last one
+// rotated — passed through, or encoded on a chain a segment roll reset.
+type ptCounts struct {
+	FrameCounts
+	rotatedPassed, rotatedRolled int
+}
+
+// arrivedRotated reports whether a decoded batch arrived in a frame that
+// sent its series table as a rotation.
+func arrivedRotated(b *Batch) bool {
+	if b.source() == nil || len(b.Samples) == 0 {
+		return false
+	}
+	n, k := binary.Uvarint(b.rx.frame[4:])
+	p := b.rx.frame[4+k:][:n]
+	return p[tableAt(p)] == 0
+}
+
 // passThroughLaw drives one Writer and the reference writer with the same
 // generated schedule and returns false, having reported, when their
 // archives decode differently from each other or from what was written.
@@ -110,8 +130,10 @@ func (s *ptSource) emit(t *testing.T, rng *rand.Rand, gens []*rackGen) *Batch {
 // streams, MBW3 and MBW4; reconnects a rack under the same epoch or a
 // new one; bumps an epoch on a live stream; drops decoded batches
 // unwritten, as a gate would; writes batches built in process and copies
-// of decoded ones; and rolls the segment (Writer.Reset).
-func passThroughLaw(t *testing.T, seed int64, counts *FrameCounts) bool {
+// of decoded ones; and rolls the segment (Writer.Reset). A received frame
+// whose table is rotated must be re-encoded on a rack's first write after
+// a roll.
+func passThroughLaw(t *testing.T, seed int64, counts *ptCounts) bool {
 	rng := rand.New(rand.NewSource(seed))
 	gens := make([]*rackGen, 1+rng.Intn(4))
 	var srcs []*ptSource
@@ -126,20 +148,32 @@ func passThroughLaw(t *testing.T, seed int64, counts *FrameCounts) bool {
 	var written [][]*Batch
 	w := NewWriter(nil)
 	ref, refBuf := newMBW3Codec(), []byte(nil)
+	var inSegment map[uint32]bool // the racks written since the last roll
 	roll := func() {
 		segs, refSegs = append(segs, &bytes.Buffer{}), append(refSegs, &bytes.Buffer{})
 		written = append(written, nil)
 		w.Reset(segs[len(segs)-1])
 		ref.Reset()
+		inSegment = map[uint32]bool{}
 	}
 	roll()
 	write := func(b *Batch) {
 		// What the batch says, copied before either writer sees it.
 		want := &Batch{Rack: b.Rack, Epoch: b.Epoch, Samples: append([]Sample(nil), b.Samples...)}
 		written[len(written)-1] = append(written[len(written)-1], want)
+		rotated, passed := arrivedRotated(b), w.Frames().Passed
 		if err := w.WriteBatch(b); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		switch {
+		case rotated && !inSegment[b.Rack] && w.Frames().Passed != passed:
+			t.Fatalf("seed %d: a rotated table passed through onto a chain a roll had reset", seed)
+		case rotated && !inSegment[b.Rack]:
+			counts.rotatedRolled++
+		case rotated && w.Frames().Passed != passed:
+			counts.rotatedPassed++
+		}
+		inSegment[b.Rack] = true
 		if err := refWriteBatch(ref, &refBuf, refSegs[len(refSegs)-1], b); err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
@@ -216,13 +250,17 @@ func passThroughLaw(t *testing.T, seed int64, counts *FrameCounts) bool {
 // for batch, to what refWriteBatch's archive decodes to and to what was
 // written — and both ways of writing a frame are exercised.
 func TestPassThroughMatchesReference(t *testing.T) {
-	var counts FrameCounts
+	var counts ptCounts
 	check := func(seed int64) bool { return passThroughLaw(t, seed, &counts) }
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
-	t.Logf("frames passed %d, encoded %d", counts.Passed, counts.Encoded)
+	t.Logf("frames passed %d, encoded %d; rotated tables passed %d, re-encoded after a roll %d",
+		counts.Passed, counts.Encoded, counts.rotatedPassed, counts.rotatedRolled)
 	if counts.Passed < counts.Encoded/4 || counts.Encoded < counts.Passed/20 {
 		t.Errorf("frames passed %d, encoded %d: the schedules exercise one way of writing much more than the other", counts.Passed, counts.Encoded)
+	}
+	if counts.rotatedPassed == 0 || counts.rotatedRolled == 0 {
+		t.Error("no rotated table was passed into a continuing chain, or none re-encoded after a roll")
 	}
 }

@@ -76,16 +76,17 @@ func (g *pollRack) batch(rng *rand.Rand, n int) *Batch {
 	return b
 }
 
-// TestMBW3NeverLongerThanParentLayout is the law of the predicted columns
-// and paired modes, over generated polling streams of one to three racks
-// (MBW4 once a second rack speaks), cut into batches mid-poll, with
-// one-series racks, missed samples, new series and fresh epochs: every
-// frame's payload is what refMBW3Encode writes on its rack's chain, never
-// longer than the parent layout's — each column its own mode byte, the
-// per-sample columns as deltas — for the same batch and chain, and the
-// stream decodes back to its batches exactly.
+// TestMBW3NeverLongerThanParentLayout is the law of the predicted columns,
+// paired modes and rotated tables, over generated polling streams of one
+// to three racks (MBW4 once a second rack speaks), cut into batches
+// mid-poll, with one-series racks, missed samples, new series and fresh
+// epochs: every frame's payload is what refMBW3Encode writes on its rack's
+// chain, never longer than the parent layout's — each column its own mode
+// byte, the per-sample columns as deltas, every table listed — for the
+// same batch and chain, and the stream decodes back to its batches
+// exactly.
 func TestMBW3NeverLongerThanParentLayout(t *testing.T) {
-	predicted, paired, multi := 0, 0, 0
+	predicted, paired, multi, rotated := 0, 0, 0, 0
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		racks := make([]*pollRack, 1+rng.Intn(3))
@@ -139,7 +140,12 @@ func TestMBW3NeverLongerThanParentLayout(t *testing.T) {
 				for nt := p.uvarint(); nt > 0; nt-- {
 					p.uvarint()
 				}
-				for ns := p.uvarint(); ns > 0; ns-- {
+				ns := p.uvarint()
+				if ns == 0 && len(ref[0].tkeys) > 1 {
+					p.uvarint() // the rotation
+				}
+				rotated += int(b2u(ns == 0))
+				for ; ns > 0; ns-- {
 					p.uvarint()
 					p.byte()
 				}
@@ -161,8 +167,9 @@ func TestMBW3NeverLongerThanParentLayout(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
-	if predicted == 0 || paired == 0 || multi == 0 {
-		t.Errorf("%d payloads predicted their series slots, %d paired their first mode byte, %d were MBW4: the law is vacuous", predicted, paired, multi)
+	t.Logf("payloads: %d predicted their series slots, %d paired their first mode byte, %d MBW4, %d rotated their table", predicted, paired, multi, rotated)
+	if predicted == 0 || paired == 0 || multi == 0 || rotated == 0 {
+		t.Errorf("%d payloads predicted their series slots, %d paired their first mode byte, %d were MBW4, %d rotated their table: the law is vacuous", predicted, paired, multi, rotated)
 	}
 }
 

@@ -81,9 +81,13 @@ type refMBW3State struct {
 	pendLastTime  int64
 	pendLastDelta int64
 
+	// lastTable is the series table of the payload last committed.
+	lastTable []seriesKey
+
 	// parentLayout writes every column in the parent's layout — its own
-	// mode byte, the per-sample columns as deltas — as the encoder before
-	// predicted columns and paired modes did.
+	// mode byte, the per-sample columns as deltas — and every series table
+	// in full, as the encoder before predicted columns, paired modes and
+	// rotated tables did.
 	parentLayout bool
 }
 
@@ -535,10 +539,17 @@ func (c *refMBW3State) refBuildPayload(b *Batch) {
 		ld, lt = d, t
 	}
 	c.pendLastTime, c.pendLastDelta = lt, ld
-	p = binary.AppendUvarint(p, uint64(nSeries))
-	for _, k := range c.tkeys {
-		p = binary.AppendUvarint(p, uint64(k.port))
-		p = append(p, k.dk)
+	if r := c.refRotation(); r >= 0 {
+		p = append(p, 0)
+		if nSeries > 1 {
+			p = binary.AppendUvarint(p, uint64(r))
+		}
+	} else {
+		p = binary.AppendUvarint(p, uint64(nSeries))
+		for _, k := range c.tkeys {
+			p = binary.AppendUvarint(p, uint64(k.port))
+			p = append(p, k.dk)
+		}
 	}
 	// Every column as its mode byte and body; the mode bytes pair last.
 	var cols [][]byte
@@ -578,6 +589,26 @@ func (c *refMBW3State) refBuildPayload(b *Batch) {
 		i++
 	}
 	c.payload = p
+}
+
+// refRotation is r when the batch's table is the last table rotated by r
+// — slot i is lastTable[(i+r) mod n] — and may be written so, else -1:
+// the first slot is looked for in the last table, then the rest compared.
+func (c *refMBW3State) refRotation() int {
+	n := len(c.tkeys)
+	if c.parentLayout || c.pendFresh || len(c.lastTable) != n {
+		return -1
+	}
+	r := slices.Index(c.lastTable, c.tkeys[0])
+	if r < 0 {
+		return -1
+	}
+	for i, k := range c.tkeys {
+		if c.lastTable[(i+r)%n] != k {
+			return -1
+		}
+	}
+	return r
 }
 
 // refSampleCol is a per-sample column, its mode byte first: delta — the
@@ -664,6 +695,7 @@ func (c *refMBW3State) refCommit(b *Batch) {
 			copy(st.binsD[:], c.runBinsD[slot*asic.NumSizeBins:(slot+1)*asic.NumSizeBins])
 		}
 	}
+	c.lastTable = append(c.lastTable[:0], c.tkeys...)
 	c.epochKnown = true
 	c.epoch = b.Epoch
 	c.lastTime = c.pendLastTime
@@ -690,7 +722,7 @@ func refMBW3EncodedSize(c *refMBW3State, b *Batch) int {
 	return 4 + uvarintLen(uint64(len(c.payload))) + len(c.payload) + 4
 }
 
-var update = flag.Bool("update", false, "rewrite testdata/mbw3_chain_predicted.bin (the persisted-format pin; only ever deliberately)")
+var update = flag.Bool("update", false, "rewrite testdata/mbw3_chain_rotated.bin (the persisted-format pin; only ever deliberately)")
 
 // refWriteBatch is the body Writer.WriteBatch had before frames passed
 // through: every batch encoded, on one chain for the whole stream — c's —
@@ -748,16 +780,17 @@ func sameBatches(a, b []*Batch) bool {
 // TestParentWrittenChainStaysByteExact pins the persisted shape across
 // the layouts the encoder has written, each fixture from the same inputs.
 // testdata/mbw3_chain_parent.bin was written by the 57f1ca2 encoder, whose
-// columns were run-length or nibbles, and testdata/mbw3_chain_packed.bin
-// by the first encoder to pack at every width of packWidths; neither is
-// ever regenerated, and both must decode to their inputs. Their successor,
-// testdata/mbw3_chain_predicted.bin, was written by the first encoder to
-// predict per-sample columns and pair mode bytes, and today's must
-// reproduce it byte for byte — MBW3 is what archives on disk hold, so a
-// drifting encoder would fork the format. Each layout is smaller than the
-// one before it.
+// columns were run-length or nibbles, testdata/mbw3_chain_packed.bin by
+// the first encoder to pack at every width of packWidths, and
+// testdata/mbw3_chain_predicted.bin by the first to predict per-sample
+// columns and pair mode bytes; none is ever regenerated, and each must
+// decode to its inputs. Their successor, testdata/mbw3_chain_rotated.bin,
+// was written by the first encoder to send a repeated series table as a
+// rotation of the last one, and today's must reproduce it byte for byte —
+// MBW3 is what archives on disk hold, so a drifting encoder would fork the
+// format. Each layout is smaller than the one before it.
 func TestParentWrittenChainStaysByteExact(t *testing.T) {
-	const path = "testdata/mbw3_chain_predicted.bin"
+	const path = "testdata/mbw3_chain_rotated.bin"
 	chain := fixtureChain()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -786,11 +819,15 @@ func TestParentWrittenChainStaysByteExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(packed) >= len(parent) || len(want) >= len(packed) {
-		t.Errorf("the fixture chain takes %d B predicted, %d B packed, %d B in the parent's columns: each must be smaller than the next",
-			len(want), len(packed), len(parent))
+	predicted, err := os.ReadFile("testdata/mbw3_chain_predicted.bin")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, file := range [][]byte{parent, packed, want} {
+	if len(packed) >= len(parent) || len(predicted) >= len(packed) || len(want) >= len(predicted) {
+		t.Errorf("the fixture chain takes %d B with rotated tables, %d B predicted, %d B packed, %d B in the parent's columns: each must be smaller than the next",
+			len(want), len(predicted), len(packed), len(parent))
+	}
+	for _, file := range [][]byte{parent, packed, predicted, want} {
 		r := NewReader(bytes.NewReader(file))
 		for i, in := range chain {
 			got, err := r.ReadBatch()

@@ -60,8 +60,9 @@ go test -count=1 -run 'TestExperiments' .
 # fault-spec parsers that read -faults flags, and on the span-dump reader
 # behind mbtrace, whose report must render any dump that decodes.
 # `go test` above only replays their seed corpora (the wire targets'
-# include a payload with predicted columns and paired modes, and each of
-# its malformed variants); this lets the mutator run, briefly, on every
+# include a payload with predicted columns and paired modes, streams whose
+# series tables are the last ones rotated, and each of their malformed
+# variants); this lets the mutator run, briefly, on every
 # build. `make fuzz` is the longer soak. Left at
 # its 60s default, minimizing the first new-coverage input would stall
 # the mutator for the whole run on the recovery, campaign.json and
@@ -76,6 +77,13 @@ go test -run='^$' -fuzz=FuzzLoadFleetCheckpoint -fuzztime=5s -fuzzminimizetime=1
 go test -run='^$' -fuzz=FuzzParseSchedule -fuzztime=5s ./internal/fault
 go test -run='^$' -fuzz=FuzzParseGen -fuzztime=5s ./internal/fault
 go test -run='^$' -fuzz=FuzzReadDump -fuzztime=5s ./internal/ptrace
+
+# The in-process codec benchmarks, once each, so that they keep building
+# and running: MBW3 encode and decode of one-series 32-sample batches on a
+# warm chain, full-counter 512-sample batches with a fresh writer every
+# third batch, and full-counter 2048-sample batches on a warm chain. They
+# print ns/sample, B/sample and allocs/op; nothing gates on them.
+go test -run='^$' -bench='BenchmarkMBW3' -benchtime=1x ./internal/wire
 
 # Reconnect-test stress: these tests synchronise with the client's
 # flusher goroutine through its injected Sleep and dial hooks, and used to
@@ -121,13 +129,15 @@ go test -race -count=10 -cpu 1,2 -run 'TestStateCutIsImmutable|TestCutSharingMat
 # repetition draws its groups and fleets from the next seed.
 # The wire writer that passes received frames through is held to
 # refWriteBatch, the always-encode body it replaced, over generated
-# multi-rack schedules; the MBW3 encoder to refMBW3Encode frame by frame
-# over generated chains, its columns to the parent's bytes wherever the
-# parent's modes win, and its packed-width chooser to a brute force that
-# sizes every mode, never emitting a column longer than the parent's
-# choice; over generated polling streams cut mid-poll (one-series racks,
-# missed samples, fresh epochs, MBW4), no payload with predicted columns
-# and paired modes is longer than the parent layout's. The shard's resume is held to refResume, its
+# multi-rack schedules (a rotated series table passes into a continuing
+# chain, and is re-encoded after a segment roll); the MBW3 encoder to
+# refMBW3Encode frame by frame over generated chains, its columns to the
+# parent's bytes wherever the parent's modes win, and its packed-width
+# chooser to a brute force that sizes every mode, never emitting a column
+# longer than the parent's choice; over generated polling streams cut
+# mid-poll (one-series racks, missed samples, fresh epochs, MBW4), no
+# payload with predicted columns, paired modes and rotated tables is
+# longer than the parent layout's. The shard's resume is held to refResume, its
 # sequential body, over generated crashes. The one figures renderer is
 # held to refRender — restore the cut into a fresh tap, render the tap —
 # over generated cuts, and a tap whose cuts consumers append to, to
